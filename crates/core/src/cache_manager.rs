@@ -8,7 +8,7 @@ use crate::monitor::RequestMonitor;
 use crate::options::{generate_disk_options, generate_options, ObjectOptions};
 use crate::region_manager::RegionManager;
 use agar_ec::ObjectId;
-use agar_store::Backend;
+use agar_store::{Backend, ObjectManifest};
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -73,18 +73,11 @@ impl CacheManager {
         backend: &Backend,
         cache_read: Duration,
     ) -> HashMap<ObjectId, ObjectOptions> {
-        let estimates = region_manager.estimates();
-        let mut all_options = HashMap::new();
-        for (object, popularity) in monitor.popularities() {
-            let Ok(manifest) = backend.manifest(object) else {
-                continue; // object deleted or never stored
-            };
-            all_options.insert(
-                object,
-                generate_options(&manifest, estimates, cache_read, popularity),
-            );
-        }
-        all_options
+        ram_options(
+            &tracked(monitor, backend),
+            region_manager.estimates(),
+            cache_read,
+        )
     }
 
     /// Recomputes the cache configuration from current statistics.
@@ -132,7 +125,9 @@ impl CacheManager {
         disk_read: Duration,
         epoch: u64,
     ) -> CacheConfiguration {
-        let all_options = self.build_options(monitor, region_manager, backend, cache_read);
+        let tracked = tracked(monitor, backend);
+        let estimates = region_manager.estimates();
+        let all_options = ram_options(&tracked, estimates, cache_read);
         let Some(first) = all_options.keys().next() else {
             return CacheConfiguration::empty();
         };
@@ -145,30 +140,58 @@ impl CacheManager {
         }
         let capacity_chunks = (self.capacity_bytes / chunk_size) as u32;
         let disk_chunks = (self.disk_capacity_bytes / chunk_size) as u32;
-        let estimates = region_manager.estimates();
         let tiered =
             self.solver
                 .populate_tiered(&all_options, capacity_chunks, disk_chunks, |ram| {
-                    let mut disk_options = HashMap::new();
-                    for (object, popularity) in monitor.popularities() {
-                        let Ok(manifest) = backend.manifest(object) else {
-                            continue;
-                        };
-                        let ram_chunks = ram
-                            .options()
-                            .iter()
-                            .find(|o| o.object() == object)
-                            .map_or(&[][..], |o| o.chunks());
-                        if let Some(options) = generate_disk_options(
-                            &manifest, estimates, cache_read, disk_read, ram_chunks, popularity,
-                        ) {
-                            disk_options.insert(object, options);
-                        }
-                    }
-                    disk_options
+                    let in_ram: HashMap<ObjectId, &[u8]> = ram
+                        .options()
+                        .iter()
+                        .map(|option| (option.object(), option.chunks()))
+                        .collect();
+                    tracked
+                        .iter()
+                        .filter_map(|(manifest, popularity)| {
+                            let object = manifest.object();
+                            let ram_chunks = in_ram.get(&object).copied().unwrap_or(&[]);
+                            generate_disk_options(
+                                manifest,
+                                estimates,
+                                cache_read,
+                                disk_read,
+                                ram_chunks,
+                                *popularity,
+                            )
+                            .map(|options| (object, options))
+                        })
+                        .collect()
                 });
         CacheConfiguration::from_tiered(tiered.ram(), tiered.disk(), epoch)
     }
+}
+
+/// Every object the monitor tracks that the backend still stores
+/// (deleted or never-written ones drop out), with its popularity.
+fn tracked(monitor: &RequestMonitor, backend: &Backend) -> Vec<(ObjectManifest, f64)> {
+    monitor
+        .popularities()
+        .into_iter()
+        .filter_map(|(object, popularity)| Some((backend.manifest(object).ok()?, popularity)))
+        .collect()
+}
+
+/// The RAM-tier option set of every tracked object.
+fn ram_options(
+    tracked: &[(ObjectManifest, f64)],
+    estimates: &[Duration],
+    cache_read: Duration,
+) -> HashMap<ObjectId, ObjectOptions> {
+    tracked
+        .iter()
+        .map(|(manifest, popularity)| {
+            let options = generate_options(manifest, estimates, cache_read, *popularity);
+            (manifest.object(), options)
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -8,9 +8,9 @@
 //!
 //! - **Addition** — append an option to an existing intermediate
 //!   configuration, producing a heavier configuration;
-//! - **Relaxation** ([`relax`]) — shrink an option already in the
-//!   configuration to a lower weight of the same object, using the freed
-//!   space for the new option, keeping total weight constant.
+//! - **Relaxation** — shrink an option already in the configuration to
+//!   a lower weight of the same object, using the freed space for the
+//!   new option, keeping total weight constant.
 //!
 //! Documented deviations from the paper's pseudocode (see DESIGN.md §2):
 //! weight keys are snapshotted per option (the pseudocode mutates `MaxV`
@@ -23,10 +23,17 @@
 //! as baselines: §II-D argues greedy can err by as much as 50%, and the
 //! tests verify the dynamic program dominates greedy and matches the
 //! optimum on small instances.
+//!
+//! The dynamic program runs over an index table, not over
+//! [`Config`]s: a cell per weight holding `(key, weight)` picks into a
+//! flat value table, so a move copies a few bytes per pick and
+//! [`CachingOption`]s are cloned once, for the answer. The original
+//! map-of-`Config`s formulation survives as the test-only `reference`
+//! module, which the differential test holds this one to bit for bit.
 
 use crate::options::{CachingOption, ObjectOptions};
 use agar_ec::ObjectId;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// An intermediate or final cache configuration: at most one caching
 /// option per object.
@@ -69,94 +76,129 @@ impl Config {
         self.value += option.value();
         self.options.push(option);
     }
+}
 
-    /// Replaces this configuration's option for `option.object()` (if
-    /// any) with `option`, returning the new configuration.
-    fn with_option(&self, option: CachingOption) -> Config {
-        match self
-            .options
-            .iter()
-            .position(|o| o.object() == option.object())
-        {
-            Some(index) => self.replace_and_add(index, None, option),
-            None => {
-                let mut extended = self.clone();
-                extended.push(option);
-                extended
+/// One chosen option inside a [`Cell`]: the object's position in the
+/// value-ordered key list, and the option's weight.
+#[derive(Clone, Copy, Debug)]
+struct Pick {
+    key: u32,
+    weight: u32,
+}
+
+/// Every option's value in one flat array, a consecutive run per key
+/// (`ObjectOptions` holds exactly one option per weight `1..=n`), so the
+/// solver's loops price a move without touching a [`CachingOption`].
+struct ValueTable {
+    /// `offsets[key]` is the slot of that key's weight-1 option.
+    offsets: Vec<usize>,
+    values: Vec<f64>,
+}
+
+impl ValueTable {
+    fn new(keys: &[&ObjectOptions]) -> Self {
+        let mut offsets = Vec::with_capacity(keys.len());
+        let mut values = Vec::new();
+        for object_options in keys {
+            offsets.push(values.len());
+            for (index, option) in object_options.iter().enumerate() {
+                debug_assert_eq!(option.weight() as usize, index + 1);
+                values.push(option.value());
             }
         }
+        ValueTable { offsets, values }
     }
 
-    /// Replaces the option at `index` with `replacement` (possibly `None`
-    /// for full eviction) and appends `addition`.
-    fn replace_and_add(
-        &self,
-        index: usize,
-        replacement: Option<CachingOption>,
-        addition: CachingOption,
-    ) -> Config {
-        let mut options = Vec::with_capacity(self.options.len() + 1);
-        for (i, option) in self.options.iter().enumerate() {
-            if i == index {
-                continue;
-            }
-            options.push(option.clone());
-        }
-        if let Some(r) = replacement {
-            options.push(r);
-        }
-        options.push(addition);
-        let weight = options.iter().map(CachingOption::weight).sum();
-        let value = options.iter().map(CachingOption::value).sum();
-        Config {
-            options,
-            weight,
-            value,
-        }
+    fn of(&self, pick: Pick) -> f64 {
+        self.values[self.offsets[pick.key as usize] + pick.weight as usize - 1]
+    }
+
+    /// Total value of `picks`, summed in list order.
+    fn sum(&self, picks: &[Pick]) -> f64 {
+        picks.iter().map(|&pick| self.of(pick)).sum()
     }
 }
 
-/// The relaxation move (paper Figure 5): try to make room for `option`
-/// by shrinking one existing option of the configuration to a lower
-/// weight of the same object, keeping the configuration's total weight
-/// unchanged. Returns the improved configuration if any replacement
-/// raises the value.
-pub fn relax(
-    config: &Config,
-    option: &CachingOption,
-    all_options: &HashMap<ObjectId, ObjectOptions>,
-) -> Option<Config> {
-    if config.contains_object(option.object()) {
-        return None;
-    }
-    let mut best: Option<Config> = None;
-    let mut best_value = config.value();
-    for (index, old) in config.options().iter().enumerate() {
-        if old.weight() < option.weight() {
-            continue; // cannot free enough space
-        }
-        let shrunk_weight = old.weight() - option.weight();
-        // SEARCHOPTION: the same object's option at the reduced weight;
-        // weight 0 means full eviction (an implicit empty option).
-        let replacement = if shrunk_weight == 0 {
-            None
+/// One intermediate configuration of the dynamic program — the cell of
+/// the paper's `MaxV` table at one weight — as indices into the
+/// [`ValueTable`]. `picks` is ordered exactly as the options of the
+/// equivalent [`Config`] would be and `value` is the same float, built
+/// by the same additions in the same order.
+#[derive(Default)]
+struct Cell {
+    /// Whether a configuration of this weight exists yet.
+    live: bool,
+    picks: Vec<Pick>,
+    /// Bit `key` is set iff `picks` holds an option of that key.
+    members: Vec<u64>,
+    value: f64,
+}
+
+impl Cell {
+    fn set_member(&mut self, key: u32, member: bool) {
+        let (word, bit) = (key as usize / 64, 1u64 << (key % 64));
+        if member {
+            self.members[word] |= bit;
         } else {
-            match all_options
-                .get(&old.object())
-                .and_then(|opts| opts.by_weight(shrunk_weight))
-            {
-                Some(o) => Some(o.clone()),
-                None => continue,
-            }
-        };
-        let replacement_value = replacement.as_ref().map_or(0.0, CachingOption::value);
-        let candidate_value = config.value() - old.value() + replacement_value + option.value();
-        if candidate_value > best_value + 1e-9 {
-            best_value = candidate_value;
-            best = Some(config.replace_and_add(index, replacement, option.clone()));
+            self.members[word] &= !bit;
         }
     }
-    best
+
+    fn holds(&self, key: u32) -> bool {
+        self.members[key as usize / 64] >> (key % 64) & 1 == 1
+    }
+
+    /// Where in `picks` the option for `key` sits, if the cell has one.
+    fn position_of(&self, key: u32) -> Option<usize> {
+        if !self.holds(key) {
+            return None;
+        }
+        self.picks.iter().position(|pick| pick.key == key)
+    }
+
+    /// The relaxation move (paper Figure 5): try to make room for the
+    /// option `(key, weight, value)` by shrinking one existing pick to a
+    /// lower weight of the same object — weight 0 meaning full eviction
+    /// — keeping the cell's total weight unchanged. Applies the
+    /// replacement that raises the value most, if any does.
+    fn relax(&mut self, key: u32, weight: u32, value: f64, values: &ValueTable) {
+        if self.holds(key) {
+            return;
+        }
+        let mut best = None;
+        let mut best_value = self.value;
+        for (index, &old) in self.picks.iter().enumerate() {
+            if old.weight < weight {
+                continue; // cannot free enough space
+            }
+            let shrunk = Pick {
+                key: old.key,
+                weight: old.weight - weight,
+            };
+            let shrunk_value = if shrunk.weight == 0 {
+                0.0
+            } else {
+                values.of(shrunk)
+            };
+            let candidate_value = self.value - values.of(old) + shrunk_value + value;
+            if candidate_value > best_value + 1e-9 {
+                best_value = candidate_value;
+                best = Some((index, shrunk));
+            }
+        }
+        let Some((index, shrunk)) = best else {
+            return;
+        };
+        self.picks.remove(index);
+        if shrunk.weight == 0 {
+            self.set_member(shrunk.key, false);
+        } else {
+            self.picks.push(shrunk);
+        }
+        self.picks.push(Pick { key, weight });
+        self.set_member(key, true);
+        self.value = values.sum(&self.picks);
+    }
 }
 
 /// Dynamic-programming solver for the cache configuration (paper
@@ -219,8 +261,6 @@ impl KnapsackSolver {
         all_options: &HashMap<ObjectId, ObjectOptions>,
         capacity: u32,
     ) -> Config {
-        let mut max_v: BTreeMap<u32, Config> = BTreeMap::new();
-        max_v.insert(0, Config::empty());
         if capacity == 0 {
             return Config::empty();
         }
@@ -266,23 +306,27 @@ impl KnapsackSolver {
             return config;
         }
 
+        // Past the fast path `capacity < best_total`, so the table is
+        // bounded by the catalogue (objects × k), not by the budget.
+        let values = ValueTable::new(&keys);
+        let mut cells: Vec<Cell> = Vec::new();
+        cells.resize_with(capacity as usize + 1, Cell::default);
+        cells[0].live = true;
+        cells[0].members = vec![0; keys.len().div_ceil(64)];
+
         let mut keys_since_full: usize = 0;
         let mut seen_full = false;
 
-        for object_options in keys.iter().cycle().take(keys.len() * self.passes) {
+        for (key, object_options) in (0u32..).zip(&keys).cycle().take(keys.len() * self.passes) {
             for option in object_options.iter() {
-                if option.weight() > capacity {
+                let (weight, value) = (option.weight(), option.value());
+                if weight > capacity {
                     continue;
                 }
                 // Relaxation pass: improve configurations in place
                 // (weight unchanged).
-                let weights: Vec<u32> = max_v.keys().copied().collect();
-                for w in &weights {
-                    let config = &max_v[w];
-                    if let Some(improved) = relax(config, option, all_options) {
-                        debug_assert_eq!(improved.weight(), *w);
-                        max_v.insert(*w, improved);
-                    }
+                for cell in cells.iter_mut().filter(|cell| cell.live) {
+                    cell.relax(key, weight, value, &values);
                 }
                 // Addition pass: extend configurations to new weights.
                 // When the configuration already holds an option for the
@@ -293,33 +337,62 @@ impl KnapsackSolver {
                 // Weights are visited in DESCENDING order, the classic
                 // 0/1-knapsack trick: additions only ever target heavier
                 // weights, so no configuration is overwritten before the
-                // pass has extended it.
-                let weights: Vec<u32> = max_v.keys().rev().copied().collect();
-                for w in weights {
-                    // Price the candidate without materialising it: the
-                    // clone inside `with_option` dominates solver runtime
-                    // when configurations hold hundreds of options, and
-                    // almost every candidate loses the comparison below.
-                    let base = &max_v[&w];
-                    let (new_weight, new_value) =
-                        match base.options.iter().find(|o| o.object() == option.object()) {
-                            Some(old) => (
-                                w - old.weight() + option.weight(),
-                                base.value() - old.value() + option.value(),
-                            ),
-                            None => (w + option.weight(), base.value() + option.value()),
-                        };
+                // pass has extended it. (A downgrade targets a lighter
+                // weight, but never brings one to life ahead of the
+                // scan: every key has an option at each weight from 1
+                // up, so cells come to life in weight order.)
+                for w in (0..=capacity).rev() {
+                    let base = &cells[w as usize];
+                    if !base.live {
+                        continue;
+                    }
+                    // Price the candidate before building it: almost
+                    // every candidate loses the comparison below.
+                    let replaced = base.position_of(key);
+                    let (new_weight, new_value) = match replaced {
+                        Some(index) => {
+                            let old = base.picks[index];
+                            (w - old.weight + weight, base.value - values.of(old) + value)
+                        }
+                        None => (w + weight, base.value + value),
+                    };
                     if new_weight > capacity || new_weight == w {
                         continue;
                     }
-                    let should_replace = max_v
-                        .get(&new_weight)
-                        .is_none_or(|existing| existing.value() < new_value - 1e-12);
-                    if should_replace {
-                        let candidate = max_v[&w].with_option(option.clone());
-                        debug_assert_eq!(candidate.weight(), new_weight);
-                        max_v.insert(new_weight, candidate);
+                    let existing = &cells[new_weight as usize];
+                    let should_replace = !existing.live || existing.value < new_value - 1e-12;
+                    if !should_replace {
+                        continue;
                     }
+                    let [base, target] = cells
+                        .get_disjoint_mut([w as usize, new_weight as usize])
+                        .expect("distinct weights within capacity");
+                    target.picks.clear();
+                    target.picks.extend_from_slice(&base.picks);
+                    target.members.clear();
+                    target.members.extend_from_slice(&base.members);
+                    match replaced {
+                        // A replacement re-sums in list order; a plain
+                        // addition extends the running sum.
+                        Some(index) => {
+                            target.picks.remove(index);
+                            target.picks.push(Pick { key, weight });
+                            target.value = values.sum(&target.picks);
+                        }
+                        None => {
+                            target.picks.push(Pick { key, weight });
+                            target.set_member(key, true);
+                            target.value = new_value;
+                        }
+                    }
+                    // Checked in release builds too: a cell born below
+                    // the scan would be extended in the pass that made
+                    // it, which the reference solver never does.
+                    assert!(
+                        target.live || new_weight > w,
+                        "a downgrade brought weight {new_weight} to life below the scan at {w}"
+                    );
+                    target.live = true;
                 }
             }
 
@@ -329,18 +402,35 @@ impl KnapsackSolver {
                     if keys_since_full >= stop_after {
                         break;
                     }
-                } else if max_v.contains_key(&capacity) {
+                } else if cells[capacity as usize].live {
                     seen_full = true;
                 }
             }
         }
 
-        max_v
-            .into_values()
+        // The best configuration of weight ≤ capacity; among equal
+        // values the last — heaviest — wins.
+        (0u32..)
+            .zip(&cells)
+            .filter(|(_, cell)| cell.live)
             .max_by(|a, b| {
-                a.value()
-                    .partial_cmp(&b.value())
+                a.1.value
+                    .partial_cmp(&b.1.value)
                     .expect("config values are finite")
+            })
+            .map(|(weight, best)| Config {
+                options: best
+                    .picks
+                    .iter()
+                    .map(|pick| {
+                        keys[pick.key as usize]
+                            .by_weight(pick.weight)
+                            .expect("picks index this key's options")
+                            .clone()
+                    })
+                    .collect(),
+                weight,
+                value: best.value,
             })
             .unwrap_or_default()
     }
@@ -475,6 +565,237 @@ pub fn exhaustive_optimum(all_options: &HashMap<ObjectId, ObjectOptions>, capaci
         }
     }
     best
+}
+
+/// The original formulation of the dynamic program — a map from weight
+/// to fully materialised [`Config`], deep-cloned per accepted move — kept
+/// verbatim as the oracle the index-table solver is held to.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use std::collections::BTreeMap;
+
+    impl Config {
+        /// Replaces this configuration's option for `option.object()` (if
+        /// any) with `option`, returning the new configuration.
+        fn with_option(&self, option: CachingOption) -> Config {
+            match self
+                .options
+                .iter()
+                .position(|o| o.object() == option.object())
+            {
+                Some(index) => self.replace_and_add(index, None, option),
+                None => {
+                    let mut extended = self.clone();
+                    extended.push(option);
+                    extended
+                }
+            }
+        }
+
+        /// Replaces the option at `index` with `replacement` (possibly `None`
+        /// for full eviction) and appends `addition`.
+        fn replace_and_add(
+            &self,
+            index: usize,
+            replacement: Option<CachingOption>,
+            addition: CachingOption,
+        ) -> Config {
+            let mut options = Vec::with_capacity(self.options.len() + 1);
+            for (i, option) in self.options.iter().enumerate() {
+                if i == index {
+                    continue;
+                }
+                options.push(option.clone());
+            }
+            if let Some(r) = replacement {
+                options.push(r);
+            }
+            options.push(addition);
+            let weight = options.iter().map(CachingOption::weight).sum();
+            let value = options.iter().map(CachingOption::value).sum();
+            Config {
+                options,
+                weight,
+                value,
+            }
+        }
+    }
+
+    /// The relaxation move (paper Figure 5): try to make room for `option`
+    /// by shrinking one existing option of the configuration to a lower
+    /// weight of the same object, keeping the configuration's total weight
+    /// unchanged. Returns the improved configuration if any replacement
+    /// raises the value.
+    pub(super) fn relax(
+        config: &Config,
+        option: &CachingOption,
+        all_options: &HashMap<ObjectId, ObjectOptions>,
+    ) -> Option<Config> {
+        if config.contains_object(option.object()) {
+            return None;
+        }
+        let mut best: Option<Config> = None;
+        let mut best_value = config.value();
+        for (index, old) in config.options().iter().enumerate() {
+            if old.weight() < option.weight() {
+                continue; // cannot free enough space
+            }
+            let shrunk_weight = old.weight() - option.weight();
+            // SEARCHOPTION: the same object's option at the reduced weight;
+            // weight 0 means full eviction (an implicit empty option).
+            let replacement = if shrunk_weight == 0 {
+                None
+            } else {
+                match all_options
+                    .get(&old.object())
+                    .and_then(|opts| opts.by_weight(shrunk_weight))
+                {
+                    Some(o) => Some(o.clone()),
+                    None => continue,
+                }
+            };
+            let replacement_value = replacement.as_ref().map_or(0.0, CachingOption::value);
+            let candidate_value = config.value() - old.value() + replacement_value + option.value();
+            if candidate_value > best_value + 1e-9 {
+                best_value = candidate_value;
+                best = Some(config.replace_and_add(index, replacement, option.clone()));
+            }
+        }
+        best
+    }
+
+    /// [`KnapsackSolver::populate`] as it was before the index table.
+    pub(super) fn populate(
+        solver: &KnapsackSolver,
+        all_options: &HashMap<ObjectId, ObjectOptions>,
+        capacity: u32,
+    ) -> Config {
+        let mut max_v: BTreeMap<u32, Config> = BTreeMap::new();
+        max_v.insert(0, Config::empty());
+        if capacity == 0 {
+            return Config::empty();
+        }
+
+        // Keys in decreasing value order (ORDERBY in the paper).
+        let mut keys: Vec<&ObjectOptions> = all_options.values().collect();
+        keys.sort_by(|a, b| {
+            b.best_value()
+                .partial_cmp(&a.best_value())
+                .expect("option values are finite")
+                .then(a.object().cmp(&b.object()))
+        });
+
+        // Uncontended fast path: when every object's best option fits in
+        // the budget simultaneously, the per-object choices are
+        // independent and taking each object's maximum-value option is
+        // exactly optimal — no dynamic program needed. This is the
+        // common shape of the *disk* phase of a two-tier solve, where
+        // the tier is sized to hold most of what RAM rejected. Value
+        // ties break towards the heavier option, matching the dynamic
+        // program below (its final scan keeps the last — heaviest —
+        // configuration among equal values): a free upgrade to more
+        // cached chunks at identical modelled value.
+        let best_per_object: Vec<&CachingOption> = keys
+            .iter()
+            .filter_map(|opts| {
+                opts.iter()
+                    .filter(|o| o.value() > 0.0 && o.weight() > 0)
+                    .max_by(|a, b| {
+                        a.value()
+                            .partial_cmp(&b.value())
+                            .expect("option values are finite")
+                            .then(a.weight().cmp(&b.weight()))
+                    })
+            })
+            .collect();
+        let best_total: u64 = best_per_object.iter().map(|o| u64::from(o.weight())).sum();
+        if best_total <= u64::from(capacity) {
+            let mut config = Config::empty();
+            for option in best_per_object {
+                config.push(option.clone());
+            }
+            return config;
+        }
+
+        let mut keys_since_full: usize = 0;
+        let mut seen_full = false;
+
+        for object_options in keys.iter().cycle().take(keys.len() * solver.passes) {
+            for option in object_options.iter() {
+                if option.weight() > capacity {
+                    continue;
+                }
+                // Relaxation pass: improve configurations in place
+                // (weight unchanged).
+                let weights: Vec<u32> = max_v.keys().copied().collect();
+                for w in &weights {
+                    let config = &max_v[w];
+                    if let Some(improved) = relax(config, option, all_options) {
+                        debug_assert_eq!(improved.weight(), *w);
+                        max_v.insert(*w, improved);
+                    }
+                }
+                // Addition pass: extend configurations to new weights.
+                // When the configuration already holds an option for the
+                // same object, this becomes a *replacement* (upgrade or
+                // downgrade) — without it a small option admitted early
+                // could never grow, and the DP would miss optima the
+                // exhaustive solver finds (DESIGN.md deviation list).
+                // Weights are visited in DESCENDING order, the classic
+                // 0/1-knapsack trick: additions only ever target heavier
+                // weights, so no configuration is overwritten before the
+                // pass has extended it.
+                let weights: Vec<u32> = max_v.keys().rev().copied().collect();
+                for w in weights {
+                    // Price the candidate without materialising it: the
+                    // clone inside `with_option` dominates solver runtime
+                    // when configurations hold hundreds of options, and
+                    // almost every candidate loses the comparison below.
+                    let base = &max_v[&w];
+                    let (new_weight, new_value) =
+                        match base.options.iter().find(|o| o.object() == option.object()) {
+                            Some(old) => (
+                                w - old.weight() + option.weight(),
+                                base.value() - old.value() + option.value(),
+                            ),
+                            None => (w + option.weight(), base.value() + option.value()),
+                        };
+                    if new_weight > capacity || new_weight == w {
+                        continue;
+                    }
+                    let should_replace = max_v
+                        .get(&new_weight)
+                        .is_none_or(|existing| existing.value() < new_value - 1e-12);
+                    if should_replace {
+                        let candidate = max_v[&w].with_option(option.clone());
+                        debug_assert_eq!(candidate.weight(), new_weight);
+                        max_v.insert(new_weight, candidate);
+                    }
+                }
+            }
+
+            if let Some(stop_after) = solver.stop_keys_after_full {
+                if seen_full {
+                    keys_since_full += 1;
+                    if keys_since_full >= stop_after {
+                        break;
+                    }
+                } else if max_v.contains_key(&capacity) {
+                    seen_full = true;
+                }
+            }
+        }
+
+        max_v
+            .into_values()
+            .max_by(|a, b| {
+                a.value()
+                    .partial_cmp(&b.value())
+                    .expect("config values are finite")
+            })
+            .unwrap_or_default()
+    }
 }
 
 #[cfg(test)]
@@ -631,12 +952,14 @@ mod tests {
         config.push(options[&obj0].by_weight(9).unwrap().clone());
         // Relaxing with object 1's weight-3 option shrinks object 0 to 6.
         let incoming = options[&obj1].by_weight(3).unwrap();
-        let improved = relax(&config, incoming, &options).expect("relaxation profitable");
+        let improved =
+            reference::relax(&config, incoming, &options).expect("relaxation profitable");
         assert_eq!(improved.weight(), 9);
         assert!(improved.value() > config.value());
         assert!(improved.contains_object(obj1));
         // Relaxing with an option for an object already present: no-op.
-        assert!(relax(&improved, options[&obj0].by_weight(1).unwrap(), &options).is_none());
+        let present = options[&obj0].by_weight(1).unwrap();
+        assert!(reference::relax(&improved, present, &options).is_none());
     }
 
     #[test]
@@ -755,6 +1078,88 @@ mod tests {
         assert_eq!(tiered.ram().value(), plain.value());
         assert_eq!(tiered.total_weight(), plain.weight());
         assert_eq!(tiered.total_value(), plain.value());
+    }
+
+    /// The index-table solver against the map-of-`Config`s oracle, to
+    /// the bit: same options in the same order, same weight, same value.
+    #[test]
+    fn index_table_matches_reference_solver() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0xA6A2);
+        let mut dp_instances = 0;
+        for instance in 0..240 {
+            // Mostly small catalogues, some paper-scale ones.
+            let objects = match instance % 12 {
+                0 => rng.random_range(200..=300),
+                1..=3 => rng.random_range(40..=120),
+                _ => rng.random_range(1..=40),
+            };
+            // Zipf-shaped popularities with exact ties and zeros mixed in.
+            // One instance in four is scaled down until the solver's
+            // 1e-9 / 1e-12 improvement thresholds decide moves.
+            let scale = if rng.random_range(0..4) == 0 {
+                1e-9
+            } else {
+                1000.0
+            };
+            let exponent = rng.random_range(5..=15) as f64 / 10.0;
+            let mut pops: Vec<f64> = (1..=objects)
+                .map(|rank| scale / (rank as f64).powf(exponent))
+                .collect();
+            for i in 1..objects {
+                match rng.random_range(0..10) {
+                    0 => pops[i] = 0.0,
+                    1 | 2 => pops[i] = pops[i - 1],
+                    _ => {}
+                }
+            }
+            // RAM-shaped options (k per object) or disk-shaped ones
+            // (fewer than k, conditioned on a RAM solve).
+            let ram_options = build_options(&pops);
+            let options = if instance % 3 == 2 {
+                let ram_capacity = rng.random_range(1..=9 * objects as u32);
+                let ram = KnapsackSolver::new()
+                    .with_passes(1)
+                    .populate(&ram_options, ram_capacity);
+                disk_options_after(&ram, &pops, Duration::from_millis(150))
+            } else {
+                ram_options
+            };
+            // Capacities from 1 to past the uncontended threshold, which
+            // no instance's total option count can exceed. The oracle
+            // is quadratic in the budget: only small catalogues sweep
+            // the whole range, large ones jump past the threshold.
+            let total: u32 = options.values().map(|o| o.iter().count() as u32).sum();
+            let capacity = match instance % 5 {
+                0 => 1,
+                1 => rng.random_range(1..=9),
+                2 | 3 => rng.random_range(1..=total.clamp(1, 150)),
+                _ if objects <= 40 => rng.random_range(1..=total + 5),
+                _ => total + rng.random_range(0..=5),
+            };
+            let mut solver = KnapsackSolver::new().with_passes(1 + instance % 2);
+            match instance % 7 {
+                0 | 1 => solver = solver.with_early_termination(2),
+                2 => solver = solver.with_early_termination(30),
+                _ => {}
+            }
+
+            let got = solver.populate(&options, capacity);
+            let want = reference::populate(&solver, &options, capacity);
+            let case = format!("instance {instance}: {objects} objects, capacity {capacity}");
+            assert_eq!(got.options(), want.options(), "{case}");
+            assert_eq!(got.weight(), want.weight(), "{case}");
+            assert_eq!(got.value().to_bits(), want.value().to_bits(), "{case}");
+            if u64::from(total) > u64::from(capacity) {
+                dp_instances += 1;
+            }
+        }
+        assert!(
+            dp_instances >= 100,
+            "only {dp_instances} instances reached the table"
+        );
     }
 
     #[test]

@@ -105,7 +105,7 @@ pub use config::CacheConfiguration;
 pub use error::AgarError;
 pub use events::CacheEventSink;
 pub use fetcher::{ChunkFetcher, DirectFetcher, FetchRequest};
-pub use knapsack::{exhaustive_optimum, greedy, relax, Config, KnapsackSolver, TieredConfig};
+pub use knapsack::{exhaustive_optimum, greedy, Config, KnapsackSolver, TieredConfig};
 pub use monitor::RequestMonitor;
 pub use node::{AgarNode, AgarSettings, CachingClient, CollabReadMetrics, ReadMetrics};
 pub use options::{generate_disk_options, generate_options, CachingOption, ObjectOptions};

@@ -13,7 +13,9 @@
 //! - [`matrix`] — dense matrices over the field, with Gauss-Jordan
 //!   inversion and Vandermonde/Cauchy constructions;
 //! - [`rs`] — the systematic [`ReedSolomon`] codec (`any k of k + m`
-//!   shards reconstruct the object);
+//!   shards reconstruct the object); shards of 1 MiB and more are
+//!   coded shard-parallel across scoped threads, smaller ones on the
+//!   caller's thread;
 //! - [`chunk`] — [`ObjectId`], [`ChunkId`], [`Chunk`] and
 //!   [`CodingParams`] shared by the store, cache and Agar core crates.
 //!

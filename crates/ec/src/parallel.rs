@@ -9,7 +9,9 @@
 //! Two guards keep the fan-out honest:
 //!
 //! - jobs smaller than [`PARALLEL_MIN_JOB_BYTES`] run sequentially —
-//!   below that, spawn overhead exceeds the GF(2^8) kernel time;
+//!   below that, spawning and joining cost more than the GF(2^8)
+//!   kernel time they save, so the paper's 1 MB objects (and every
+//!   benchmark workload) code on the caller's thread;
 //! - with one hardware thread (or one job) everything runs inline on
 //!   the caller's stack.
 //!
@@ -19,9 +21,12 @@
 
 use std::num::NonZeroUsize;
 
-/// Per-job payload below which the fan-out is not worth a spawn
-/// (~10 µs per thread vs ~1 µs per KiB of GF multiply).
-pub(crate) const PARALLEL_MIN_JOB_BYTES: usize = 16 * 1024;
+/// Per-job payload below which the fan-out is not worth a spawn.
+/// Measured on a 2-vCPU VM with RS(9, 3) and three data shards lost:
+/// at 113 KiB shards (a 1 MiB object) the decode takes 207 µs inline
+/// and 337 µs fanned out, at 455 KiB shards 1.08 ms and 0.98 ms, at
+/// 1 MiB shards 2.9 ms and 1.8 ms (EXPERIMENTS.md, 2026-09-28).
+pub(crate) const PARALLEL_MIN_JOB_BYTES: usize = 1 << 20;
 
 /// How many worker threads a fan-out may use (1 on a single-CPU host).
 pub(crate) fn shard_parallelism() -> usize {

@@ -39,7 +39,7 @@ use crate::gf256::mul_add_slice;
 use crate::matrix::Matrix;
 use crate::parallel::for_each_job;
 use bytes::Bytes;
-use parking_lot::Mutex;
+use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -101,8 +101,10 @@ pub struct ReedSolomon {
     encoding: Matrix,
     /// Decode plans keyed by the chosen-shard bitmask. Shared across
     /// clones (the cache is a pure memo of deterministic inversions),
-    /// so every node reading through one codec reuses warm plans.
-    plan_cache: Arc<Mutex<HashMap<ChunkSet, Arc<DecodePlan>>>>,
+    /// so every node reading through one codec reuses warm plans —
+    /// under a read lock: concurrent degraded reads only contend while
+    /// a cold pattern is being inserted.
+    plan_cache: Arc<RwLock<HashMap<ChunkSet, Arc<DecodePlan>>>>,
 }
 
 impl Clone for ReedSolomon {
@@ -120,7 +122,7 @@ impl fmt::Debug for ReedSolomon {
         f.debug_struct("ReedSolomon")
             .field("params", &self.params)
             .field("encoding", &self.encoding)
-            .field("cached_plans", &self.plan_cache.lock().len())
+            .field("cached_plans", &self.plan_cache.read().len())
             .finish()
     }
 }
@@ -166,35 +168,34 @@ impl ReedSolomon {
         Ok(ReedSolomon {
             params,
             encoding,
-            plan_cache: Arc::new(Mutex::new(HashMap::new())),
+            plan_cache: Arc::new(RwLock::new(HashMap::new())),
         })
     }
 
-    /// The decode plan for the given present shards: the first `k` of
-    /// them and the inverse of their encoding rows, memoised by the
-    /// chosen-shard bitmask. Returns the plan and whether it was a
-    /// cache hit.
+    /// The decode plan for the `k` shards in `chosen`: their indices
+    /// and the inverse of their encoding rows, memoised by the bitmask.
+    /// Returns the plan and whether it was a cache hit.
     ///
     /// Two threads racing on a cold pattern may both invert; the loser
     /// adopts the winner's entry (both are byte-identical, the
     /// inversion is deterministic).
-    fn decode_plan(&self, present: &[usize]) -> Result<(Arc<DecodePlan>, bool), EcError> {
-        let k = self.params.data_chunks();
-        let chosen = &present[..k];
-        let key: ChunkSet = chosen.iter().map(|&i| i as u8).collect();
-        if let Some(plan) = self.plan_cache.lock().get(&key) {
+    fn decode_plan(&self, chosen: ChunkSet) -> Result<(Arc<DecodePlan>, bool), EcError> {
+        if let Some(plan) = self.plan_cache.read().get(&chosen) {
             return Ok((Arc::clone(plan), true));
         }
-        let sub = self.encoding.select_rows(chosen)?;
+        let rows: Vec<usize> = (0..self.params.total_chunks())
+            .filter(|&i| chosen.contains(i as u8))
+            .collect();
+        let decode = self.encoding.select_rows(&rows)?.inverted()?;
         let plan = Arc::new(DecodePlan {
-            chosen: chosen.to_vec(),
-            decode: sub.inverted()?,
+            chosen: rows,
+            decode,
         });
-        let mut cache = self.plan_cache.lock();
+        let mut cache = self.plan_cache.write();
         if cache.len() >= PLAN_CACHE_CAP {
             cache.clear();
         }
-        let entry = cache.entry(key).or_insert(plan);
+        let entry = cache.entry(chosen).or_insert(plan);
         Ok((Arc::clone(entry), false))
     }
 
@@ -238,15 +239,15 @@ impl ReedSolomon {
         let m = self.params.parity_chunks();
         let mut parity = vec![vec![0u8; len]; m];
         // Each parity shard is an independent dot product over the data
-        // shards; fan the m jobs out across scoped threads (sequential
-        // below the size threshold or on a single-CPU host — see the
-        // `parallel` module for why the output is identical either way).
+        // shards: one job each (see the `parallel` module for when the
+        // jobs leave the caller's thread, and why the output is
+        // identical either way).
         let data: Vec<&[u8]> = data.iter().map(AsRef::as_ref).collect();
         let jobs: Vec<(usize, &mut Vec<u8>)> = parity.iter_mut().enumerate().collect();
         for_each_job(jobs, len, |(p, out)| {
             let row = self.encoding.row(k + p);
-            for (c, &shard) in data.iter().enumerate() {
-                mul_add_slice(out, shard, row[c]);
+            for (&shard, &coefficient) in data.iter().zip(row) {
+                mul_add_slice(out, shard, coefficient);
             }
         });
         Ok(parity)
@@ -276,15 +277,14 @@ impl ReedSolomon {
         padded[..object.len()].copy_from_slice(object);
         let mut parity = vec![0u8; m * chunk_size];
         // Parity shards write disjoint slices of one buffer over the
-        // same read-only data: shard-parallel across scoped threads
-        // (inline on small chunks or a single-CPU host, byte-identical).
+        // same read-only data: one job each.
         let padded_ref = padded.as_slice();
         let jobs: Vec<(usize, &mut [u8])> =
             parity.chunks_exact_mut(chunk_size).enumerate().collect();
         for_each_job(jobs, chunk_size, |(p, out)| {
             let row = self.encoding.row(k + p);
-            for (c, shard) in padded_ref.chunks_exact(chunk_size).enumerate() {
-                mul_add_slice(out, shard, row[c]);
+            for (shard, &coefficient) in padded_ref.chunks_exact(chunk_size).zip(row) {
+                mul_add_slice(out, shard, coefficient);
             }
         });
         let data_buf = Bytes::from(padded);
@@ -295,21 +295,61 @@ impl ReedSolomon {
             .collect())
     }
 
-    /// Validates shard counts/sizes for reconstruction and returns the
-    /// present indices and the common shard length.
-    fn check_present(&self, present: &[usize], lens: &[usize]) -> Result<usize, EcError> {
+    /// Validates a shard vector for reconstruction — `k + m` slots, at
+    /// least `k` filled, every filled one the same non-zero length —
+    /// and returns that length with the first `k` present indices (the
+    /// shards to decode from, and the decode plan's key).
+    fn check_present<T: AsRef<[u8]>>(
+        &self,
+        shards: &[Option<T>],
+    ) -> Result<(usize, ChunkSet), EcError> {
         let k = self.params.data_chunks();
-        if present.len() < k {
-            return Err(EcError::NotEnoughShards {
-                present: present.len(),
-                needed: k,
+        let total = self.params.total_chunks();
+        if shards.len() != total {
+            return Err(EcError::WrongShardCount {
+                provided: shards.len(),
+                expected: total,
             });
         }
-        let len = lens[present[0]];
-        if len == 0 || present.iter().any(|&i| lens[i] != len) {
-            return Err(EcError::ShardSizeMismatch);
+        let mut chosen = ChunkSet::new();
+        let mut present = 0;
+        let mut len = None;
+        let mut ragged = false;
+        for (i, shard) in shards.iter().enumerate() {
+            let Some(shard) = shard else { continue };
+            ragged |= *len.get_or_insert(shard.as_ref().len()) != shard.as_ref().len();
+            if present < k {
+                chosen.insert(i as u8);
+            }
+            present += 1;
         }
-        Ok(len)
+        if present < k {
+            return Err(EcError::NotEnoughShards { present, needed: k });
+        }
+        match len {
+            Some(len) if len > 0 && !ragged => Ok((len, chosen)),
+            _ => Err(EcError::ShardSizeMismatch),
+        }
+    }
+
+    /// Decodes data shard `target` from the plan's chosen shards into
+    /// the zeroed `out` (the leading `out.len()` bytes of the shard).
+    /// Returns the bytes run through the GF multiply kernel.
+    fn decode_shard<T: AsRef<[u8]>>(
+        plan: &DecodePlan,
+        target: usize,
+        shards: &[Option<T>],
+        out: &mut [u8],
+    ) -> u64 {
+        let mut gf_bytes = 0;
+        for (&src, &coefficient) in plan.chosen.iter().zip(plan.decode.row(target)) {
+            let shard = shards[src].as_ref().expect("chosen shard present").as_ref();
+            mul_add_slice(out, &shard[..out.len()], coefficient);
+            if coefficient >= 2 {
+                gf_bytes += out.len() as u64;
+            }
+        }
+        gf_bytes
     }
 
     /// Reassembles an object of `object_size` bytes from at least `k` of
@@ -354,23 +394,11 @@ impl ReedSolomon {
         object_size: usize,
     ) -> Result<(Bytes, DecodeReport), EcError> {
         let k = self.params.data_chunks();
-        let total = self.params.total_chunks();
-        if shards.len() != total {
-            return Err(EcError::WrongShardCount {
-                provided: shards.len(),
-                expected: total,
-            });
-        }
-        let present: Vec<usize> = (0..total).filter(|&i| shards[i].is_some()).collect();
-        let lens: Vec<usize> = shards
-            .iter()
-            .map(|s| s.as_ref().map_or(0, Bytes::len))
-            .collect();
-        let shard_len = self.check_present(&present, &lens)?;
+        let (shard_len, chosen) = self.check_present(shards)?;
         let out_len = object_size.min(k * shard_len);
         let mut report = DecodeReport::default();
 
-        if (0..k).all(|i| shards[i].is_some()) {
+        if shards[..k].iter().all(Option::is_some) {
             report.systematic_fast_path = true;
             if k == 1 {
                 // The single data shard is the object: pure slice.
@@ -387,33 +415,33 @@ impl ReedSolomon {
             return Ok((Bytes::from(object), report));
         }
 
-        let (plan, cache_hit) = self.decode_plan(&present)?;
+        let (plan, cache_hit) = self.decode_plan(chosen)?;
         report.plan_cache_hit = cache_hit;
-        let mut object = vec![0u8; out_len];
+        // Each data shard owns the next chunk-sized range of the object:
+        // present shards are appended as they are, a missing one gets a
+        // zeroed range — only the bytes the object needs, so ranges past
+        // `out_len` are entirely padding and never materialise, and
+        // only missing shards are ever zero-filled.
+        let mut object = Vec::with_capacity(out_len);
         report.allocations = 1;
-        // Each data-shard slot owns a disjoint chunk-sized slice of the
-        // object buffer: present shards memcpy into place, missing ones
-        // decode just the bytes the object needs, straight into place
-        // (the buffer starts zeroed, so the mul-accumulate needs no
-        // scratch shard). The slots are independent, so they fan out
-        // shard-parallel across scoped threads (see `parallel`); slices
-        // past `out_len` are entirely padding and never materialise.
-        let gf_bytes = AtomicU64::new(0);
-        let jobs: Vec<(usize, &mut [u8])> = object.chunks_mut(shard_len).enumerate().collect();
-        for_each_job(jobs, shard_len, |(target, out)| {
-            match shards[target].as_ref() {
-                Some(shard) => out.copy_from_slice(&shard[..out.len()]),
-                None => {
-                    let row = plan.decode.row(target);
-                    for (j, &src) in plan.chosen.iter().enumerate() {
-                        let shard = shards[src].as_ref().expect("chosen shard present");
-                        mul_add_slice(out, &shard[..out.len()], row[j]);
-                        if row[j] >= 2 {
-                            gf_bytes.fetch_add(out.len() as u64, Ordering::Relaxed);
-                        }
-                    }
-                }
+        for shard in &shards[..k] {
+            let take = (out_len - object.len()).min(shard_len);
+            match shard {
+                Some(shard) => object.extend_from_slice(&shard[..take]),
+                None => object.resize(object.len() + take, 0),
             }
+        }
+        // The zeroed ranges are disjoint and decode independently,
+        // straight into place (no per-shard scratch): one job each.
+        let gf_bytes = AtomicU64::new(0);
+        let jobs: Vec<(usize, &mut [u8])> = object
+            .chunks_mut(shard_len)
+            .enumerate()
+            .filter(|(target, _)| shards[*target].is_none())
+            .collect();
+        for_each_job(jobs, shard_len, |(target, out)| {
+            let bytes = Self::decode_shard(&plan, target, shards, out);
+            gf_bytes.fetch_add(bytes, Ordering::Relaxed);
         });
         report.gf_multiply_bytes = gf_bytes.load(Ordering::Relaxed);
         Ok((Bytes::from(object), report))
@@ -453,59 +481,25 @@ impl ReedSolomon {
     /// Same conditions as [`Self::reconstruct_object`].
     pub fn reconstruct_data(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), EcError> {
         let k = self.params.data_chunks();
-        let total = self.params.total_chunks();
-        if shards.len() != total {
-            return Err(EcError::WrongShardCount {
-                provided: shards.len(),
-                expected: total,
-            });
-        }
-        let present: Vec<usize> = (0..total).filter(|&i| shards[i].is_some()).collect();
-        if present.len() < k {
-            return Err(EcError::NotEnoughShards {
-                present: present.len(),
-                needed: k,
-            });
-        }
-        let shard_len = {
-            let first = present[0];
-            let len = shards[first].as_ref().expect("present").len();
-            if len == 0 {
-                return Err(EcError::ShardSizeMismatch);
-            }
-            for &i in &present {
-                if shards[i].as_ref().expect("present").len() != len {
-                    return Err(EcError::ShardSizeMismatch);
-                }
-            }
-            len
-        };
-        if (0..k).all(|i| shards[i].is_some()) {
+        let (shard_len, chosen) = self.check_present(shards)?;
+        if shards[..k].iter().all(Option::is_some) {
             return Ok(()); // nothing to do
         }
 
         // Decode from the first k present shards, reusing the cached
         // plan (inverted matrix) for this erasure pattern if one exists.
-        let (plan, _) = self.decode_plan(&present)?;
-        let missing_data: Vec<usize> = (0..k).filter(|&i| shards[i].is_none()).collect();
-        // Row `target` of the decode matrix maps the chosen shards back
-        // to data shard `target`; each target decodes independently, so
-        // the jobs fan out shard-parallel and land by index afterwards
-        // (push order varies across threads, the final slots do not).
-        let decoded = Mutex::new(Vec::with_capacity(missing_data.len()));
-        {
-            let shards_ref: &[Option<Vec<u8>>] = shards;
-            for_each_job(missing_data, shard_len, |target| {
-                let mut out = vec![0u8; shard_len];
-                let row = plan.decode.row(target);
-                for (j, &src) in plan.chosen.iter().enumerate() {
-                    let shard = shards_ref[src].as_ref().expect("chosen shard present");
-                    mul_add_slice(&mut out, shard, row[j]);
-                }
-                decoded.lock().push((target, out));
-            });
-        }
-        for (target, out) in decoded.into_inner() {
+        let (plan, _) = self.decode_plan(chosen)?;
+        // Each missing data shard decodes independently into a buffer
+        // of its own (one job each), then lands in its slot.
+        let mut decoded: Vec<(usize, Vec<u8>)> = (0..k)
+            .filter(|&target| shards[target].is_none())
+            .map(|target| (target, vec![0u8; shard_len]))
+            .collect();
+        let present: &[Option<Vec<u8>>] = shards;
+        for_each_job(decoded.iter_mut().collect(), shard_len, |(target, out)| {
+            Self::decode_shard(&plan, *target, present, out);
+        });
+        for (target, out) in decoded {
             shards[target] = Some(out);
         }
         Ok(())
@@ -513,7 +507,7 @@ impl ReedSolomon {
 
     /// How many decode plans (erasure patterns) are currently cached.
     pub fn cached_decode_plans(&self) -> usize {
-        self.plan_cache.lock().len()
+        self.plan_cache.read().len()
     }
 
     /// Verifies that a complete set of `k + m` shards is consistent with
@@ -845,48 +839,78 @@ mod tests {
         assert_eq!(rs.encode(&data).unwrap(), rs.encode(&data).unwrap());
     }
 
-    /// Above [`crate::parallel::PARALLEL_MIN_JOB_BYTES`] the encode
-    /// fans out across scoped threads; the naive sequential dot product
-    /// here is the reference it must match byte for byte.
-    #[test]
-    fn shard_parallel_encode_matches_naive_reference() {
-        let rs = ReedSolomon::new(CodingParams::new(4, 2).unwrap()).unwrap();
-        let object: Vec<u8> = (0..4 * 64 * 1024).map(|i| (i * 31 % 256) as u8).collect();
-        let shards = rs.encode_object(&object).unwrap();
-        let chunk = shards[0].len();
-        assert!(chunk >= crate::parallel::PARALLEL_MIN_JOB_BYTES);
-        for p in 0..2 {
-            let row = rs.encoding_matrix().row(4 + p);
-            let mut expect = vec![0u8; chunk];
-            for c in 0..4 {
-                mul_add_slice(&mut expect, &shards[c], row[c]);
+    /// Every way to keep exactly `k` of the `k + m` shards of one
+    /// object: both decoders must return the original bytes, and the
+    /// report must account the GF work exactly — per missing data
+    /// shard, its non-trivial decode coefficients × the bytes of it the
+    /// object needs; nothing on the systematic path.
+    fn check_all_erasure_patterns(params: CodingParams, object_size: usize) {
+        let (k, total) = (params.data_chunks(), params.total_chunks());
+        let rs = ReedSolomon::new(params).unwrap();
+        let object: Vec<u8> = (0..object_size).map(|i| (i * 31 % 251) as u8).collect();
+        let full = rs.encode_object(&object).unwrap();
+        let shard_len = full[0].len();
+        let mut patterns = 0;
+        for mask in 0u32..(1 << total) {
+            if mask.count_ones() as usize != k {
+                continue;
             }
-            assert_eq!(shards[4 + p].as_ref(), expect.as_slice(), "parity {p}");
+            patterns += 1;
+            let case = format!("{params:?}, {object_size} bytes, mask {mask:#b}");
+            let kept: Vec<usize> = (0..total).filter(|i| mask & (1 << i) != 0).collect();
+
+            let shards: Vec<Option<Bytes>> = (0..total)
+                .map(|i| kept.contains(&i).then(|| full[i].clone()))
+                .collect();
+            let (back, report) = rs.reconstruct_object_report(&shards, object_size).unwrap();
+            assert_eq!(back.as_ref(), object.as_slice(), "{case}");
+            let decode = rs
+                .encoding_matrix()
+                .select_rows(&kept)
+                .unwrap()
+                .inverted()
+                .unwrap();
+            let expected_gf: usize = (0..k)
+                .filter(|target| !kept.contains(target))
+                .map(|target| {
+                    let needed = object_size
+                        .saturating_sub(target * shard_len)
+                        .min(shard_len);
+                    decode.row(target).iter().filter(|&&c| c >= 2).count() * needed
+                })
+                .sum();
+            assert_eq!(report.gf_multiply_bytes, expected_gf as u64, "{case}");
+            assert_eq!(report.systematic_fast_path, kept[k - 1] == k - 1, "{case}");
+            if report.systematic_fast_path {
+                assert_eq!(report.gf_multiply_bytes, 0, "{case}");
+            }
+            assert_eq!(report.allocations, 1, "{case}");
+
+            let mut shards: Vec<Option<Vec<u8>>> = shards
+                .into_iter()
+                .map(|shard| shard.map(|bytes| bytes.to_vec()))
+                .collect();
+            rs.reconstruct(&mut shards).unwrap();
+            for (i, shard) in shards.iter().enumerate() {
+                assert_eq!(shard.as_deref(), Some(full[i].as_ref()), "{case} shard {i}");
+            }
         }
+        assert_eq!(
+            rs.cached_decode_plans(),
+            patterns - 1,
+            "all but the systematic pattern"
+        );
     }
 
-    /// Multiple missing data shards at a chunk size past the parallel
-    /// threshold: exercises the fanned-out `reconstruct_data` path.
     #[test]
-    fn shard_parallel_reconstruct_recovers_large_shards() {
-        let rs = ReedSolomon::new(CodingParams::new(4, 3).unwrap()).unwrap();
-        let data: Vec<Vec<u8>> = (0..4)
-            .map(|i| {
-                (0..64 * 1024)
-                    .map(|j| ((i * 131 + j * 17) % 256) as u8)
-                    .collect()
-            })
-            .collect();
-        let parity = rs.encode(&data).unwrap();
-        let full: Vec<Vec<u8>> = data.into_iter().chain(parity).collect();
-        let mut shards: Vec<Option<Vec<u8>>> = full.iter().cloned().map(Some).collect();
-        shards[0] = None;
-        shards[2] = None;
-        shards[3] = None;
-        rs.reconstruct(&mut shards).unwrap();
-        for (i, shard) in shards.iter().enumerate() {
-            assert_eq!(shard.as_ref().unwrap(), &full[i], "shard {i}");
+    fn every_erasure_pattern_decodes_byte_equal() {
+        for object_size in [1, 9_000, 999_999, 1_000_000] {
+            check_all_erasure_patterns(CodingParams::paper_default(), object_size);
         }
+        // Shards past the fan-out threshold: on a multi-core host the
+        // jobs of each decode and re-encode run on scoped threads.
+        let fanned_out = 4 * crate::parallel::PARALLEL_MIN_JOB_BYTES + 5;
+        check_all_erasure_patterns(CodingParams::new(4, 3).unwrap(), fanned_out);
     }
 
     #[test]
