@@ -277,6 +277,13 @@ fn find_structs(tokens: &[Token], test_regions: &[Range<usize>]) -> Vec<StructDe
 }
 
 /// Parses `name: Type, …` fields from a struct body token slice.
+///
+/// A struct declared inside a `macro_rules!` template
+/// (`$(pub $cell: Counter,)*`) yields one field named after the
+/// metavariable (`cell`): the `$`, the repetition parentheses and the
+/// `*` are skipped like any other punctuation. Passes then check the
+/// template the way they check hand-written code — the field `cell` is
+/// bound wherever the same arm mentions `$cell`.
 fn parse_fields(body: &[Token]) -> Vec<Field> {
     let mut fields = Vec::new();
     let mut i = 0;
@@ -711,6 +718,21 @@ mod tests {
         assert_eq!(s.fields[0].name, "a");
         assert!(s.fields[0].ty.contains("Mutex"));
         assert_eq!(s.fields[1].ty, "Counter");
+    }
+
+    #[test]
+    fn macro_template_fields_are_named_after_their_metavariable() {
+        let src = "macro_rules! table { ($($cell:ident: $help:literal;)*) => {
+            pub struct Cells { $(#[doc = $help] pub $cell: Counter,)* fixed: Gauge }
+        }; }";
+        let m = FileModel::parse("x.rs", src);
+        assert_eq!(m.structs.len(), 1);
+        let fields: Vec<(&str, &str)> = m.structs[0]
+            .fields
+            .iter()
+            .map(|f| (f.name.as_str(), f.ty.as_str()))
+            .collect();
+        assert_eq!(fields, [("cell", "Counter"), ("fixed", "Gauge")]);
     }
 
     #[test]

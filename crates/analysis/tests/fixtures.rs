@@ -66,7 +66,10 @@ fn determinism_fixtures() {
 
 #[test]
 fn metrics_fixtures() {
-    check_pass("metrics-discipline", "metrics", 1);
+    // A plain struct's unbound cell, an owner-held table row missing
+    // from its `register_metrics`, and a table macro whose template
+    // never binds `$cell`.
+    check_pass("metrics-discipline", "metrics", 3);
 }
 
 #[test]
@@ -95,6 +98,12 @@ fn firing_fixtures_name_the_right_sites() {
 
     let metrics = findings_for("metrics-discipline", fixture("metrics", "firing.rs"));
     assert!(metrics.iter().any(|f| f.message.contains("misses")));
+    assert!(metrics
+        .iter()
+        .any(|f| f.message.contains("LeaseManager.contentions")));
+    assert!(metrics
+        .iter()
+        .any(|f| f.message.contains("UnboundCells.cell")));
 }
 
 /// The analyzer over this repository must match the committed baseline

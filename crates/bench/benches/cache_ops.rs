@@ -12,12 +12,7 @@ use std::hint::black_box;
 fn bench_cache_policies(c: &mut Criterion) {
     let mut group = c.benchmark_group("cache/insert_get_evict");
     let payload = Bytes::from(vec![0u8; 1_000]);
-    for kind in [
-        PolicyKind::Lru,
-        PolicyKind::Lfu,
-        PolicyKind::Fifo,
-        PolicyKind::Slru,
-    ] {
+    for kind in PolicyKind::ALL {
         group.bench_with_input(BenchmarkId::from_parameter(kind), &kind, |b, &kind| {
             // 100-entry cache under a rolling 1 000-key workload:
             // inserts evict constantly, gets mix hits and misses.

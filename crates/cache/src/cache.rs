@@ -148,11 +148,11 @@ where
     /// Reads an entry, updating recency metadata and hit/miss counters.
     pub fn get(&mut self, key: &K) -> Option<&V> {
         if self.entries.contains_key(key) {
-            self.stats.record_chunk_hit();
+            self.stats.chunk_hits += 1;
             self.policy.on_access(key);
             self.entries.get(key)
         } else {
-            self.stats.record_chunk_miss();
+            self.stats.chunk_misses += 1;
             None
         }
     }
@@ -173,7 +173,7 @@ where
     pub fn insert(&mut self, key: K, value: V) -> InsertOutcome<K, V> {
         let weight = value.weight();
         if weight > self.capacity {
-            self.stats.record_rejected_insert();
+            self.stats.rejected_inserts += 1;
             return InsertOutcome::Rejected { value };
         }
 
@@ -193,14 +193,14 @@ where
                 .remove(&victim)
                 .expect("policy and entry map agree");
             self.used -= entry.weight();
-            self.stats.record_eviction();
+            self.stats.evictions += 1;
             evicted.push((victim, entry));
         }
 
         self.used += weight;
         self.entries.insert(key.clone(), value);
         self.policy.on_insert(&key);
-        self.stats.record_insertion();
+        self.stats.insertions += 1;
 
         match previous {
             Some(previous) => InsertOutcome::Replaced { previous, evicted },
@@ -218,7 +218,7 @@ where
             .remove(&victim)
             .expect("policy and entry map agree");
         self.used -= entry.weight();
-        self.stats.record_eviction();
+        self.stats.evictions += 1;
         Some((victim, entry))
     }
 
@@ -316,7 +316,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fifo::Fifo;
     use crate::lfu::Lfu;
     use crate::lru::Lru;
 
@@ -382,16 +381,6 @@ mod tests {
         cache.get(&3);
         let out = cache.insert(4, bytes(10));
         assert_eq!(out.evicted()[0].0, 2);
-    }
-
-    #[test]
-    fn fifo_ignores_access_order() {
-        let mut cache = Cache::with_capacity(20, Fifo::new());
-        cache.insert(1u32, bytes(10));
-        cache.insert(2, bytes(10));
-        cache.get(&1);
-        let out = cache.insert(3, bytes(10));
-        assert_eq!(out.evicted()[0].0, 1);
     }
 
     #[test]

@@ -87,10 +87,6 @@ impl<K: Eq + Hash + Clone + Debug> EvictionPolicy<K> for Lfu<K> {
         Some(key)
     }
 
-    fn peek_candidate(&self) -> Option<&K> {
-        self.peek_lfu()
-    }
-
     fn tracked(&self) -> usize {
         self.by_key.len()
     }

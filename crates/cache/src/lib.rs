@@ -8,11 +8,11 @@
 //! - [`Cache`] — a byte-bounded map with per-entry weights and
 //!   hit/miss/eviction [`CacheStats`] (including the paper's
 //!   total-vs-partial object hit accounting for Figure 7);
-//! - eviction policies: [`Lru`], [`Lfu`], [`Fifo`], [`Slru`], selectable
-//!   at runtime through [`AnyPolicy`]/[`PolicyKind`];
-//! - [`CountMinSketch`] and the [`TinyLfu`] admission wrapper, the
-//!   scaling mechanism the paper's §VII suggests for Agar's request
-//!   monitor.
+//! - the two eviction policies the paper's baselines use, [`Lru`] and
+//!   [`Lfu`], selectable at runtime through [`AnyPolicy`]/[`PolicyKind`];
+//! - [`ShardedChunkCache`] and [`TieredChunkCache`] — the lock-striped
+//!   RAM tier and the RAM-over-disk hierarchy an Agar node runs on,
+//!   recording into one table of live counters ([`AtomicCacheStats`]).
 //!
 //! # Examples
 //!
@@ -39,29 +39,21 @@
 
 pub mod cache;
 pub mod disk;
-pub mod fifo;
 pub mod lfu;
 pub mod lru;
 pub mod policy;
 pub mod sharded;
-pub mod sketch;
-pub mod slru;
 pub mod stats;
 pub mod tiered;
-pub mod tinylfu;
 
 pub use cache::{Cache, CachedChunk, InsertOutcome, Weigh};
 pub use disk::{DiskPutOutcome, DiskStore};
-pub use fifo::Fifo;
 pub use lfu::Lfu;
 pub use lru::Lru;
 pub use policy::{AnyPolicy, EvictionPolicy, PolicyKind};
 pub use sharded::{ShardedChunkCache, DEFAULT_CACHE_SHARDS};
-pub use sketch::CountMinSketch;
-pub use slru::Slru;
 pub use stats::{AtomicCacheStats, CacheStats};
 pub use tiered::{CacheTier, TieredChunkCache};
-pub use tinylfu::TinyLfu;
 
 use agar_ec::ChunkId;
 

@@ -75,10 +75,6 @@ impl<K: Eq + Hash + Clone + Debug> EvictionPolicy<K> for Lru<K> {
         Some(key)
     }
 
-    fn peek_candidate(&self) -> Option<&K> {
-        self.peek_lru()
-    }
-
     fn tracked(&self) -> usize {
         self.by_key.len()
     }

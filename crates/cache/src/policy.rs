@@ -32,10 +32,6 @@ pub trait EvictionPolicy<K: Eq + Hash + Clone> {
     /// Nominates and removes the next eviction victim.
     fn evict_candidate(&mut self) -> Option<K>;
 
-    /// The key [`EvictionPolicy::evict_candidate`] would return next,
-    /// without removing it (used by admission policies such as TinyLFU).
-    fn peek_candidate(&self) -> Option<&K>;
-
     /// Number of keys currently tracked.
     fn tracked(&self) -> usize;
 
@@ -56,20 +52,11 @@ pub enum PolicyKind {
     /// Least Frequently Used (the paper's LFU baseline, which required an
     /// extra proxy to track frequencies).
     Lfu,
-    /// First-In First-Out (no recency update on access).
-    Fifo,
-    /// Segmented LRU (probation + protected segments).
-    Slru,
 }
 
 impl PolicyKind {
     /// All built-in policy kinds.
-    pub const ALL: [PolicyKind; 4] = [
-        PolicyKind::Lru,
-        PolicyKind::Lfu,
-        PolicyKind::Fifo,
-        PolicyKind::Slru,
-    ];
+    pub const ALL: [PolicyKind; 2] = [PolicyKind::Lru, PolicyKind::Lfu];
 }
 
 impl std::fmt::Display for PolicyKind {
@@ -77,8 +64,6 @@ impl std::fmt::Display for PolicyKind {
         let s = match self {
             PolicyKind::Lru => "lru",
             PolicyKind::Lfu => "lfu",
-            PolicyKind::Fifo => "fifo",
-            PolicyKind::Slru => "slru",
         };
         f.write_str(s)
     }
@@ -91,10 +76,6 @@ pub enum AnyPolicy<K: Eq + Hash + Clone + Debug> {
     Lru(crate::lru::Lru<K>),
     /// Least Frequently Used.
     Lfu(crate::lfu::Lfu<K>),
-    /// First-In First-Out.
-    Fifo(crate::fifo::Fifo<K>),
-    /// Segmented LRU.
-    Slru(crate::slru::Slru<K>),
 }
 
 impl<K: Eq + Hash + Clone + Debug> AnyPolicy<K> {
@@ -103,8 +84,6 @@ impl<K: Eq + Hash + Clone + Debug> AnyPolicy<K> {
         match kind {
             PolicyKind::Lru => AnyPolicy::Lru(crate::lru::Lru::new()),
             PolicyKind::Lfu => AnyPolicy::Lfu(crate::lfu::Lfu::new()),
-            PolicyKind::Fifo => AnyPolicy::Fifo(crate::fifo::Fifo::new()),
-            PolicyKind::Slru => AnyPolicy::Slru(crate::slru::Slru::new()),
         }
     }
 
@@ -113,8 +92,6 @@ impl<K: Eq + Hash + Clone + Debug> AnyPolicy<K> {
         match self {
             AnyPolicy::Lru(_) => PolicyKind::Lru,
             AnyPolicy::Lfu(_) => PolicyKind::Lfu,
-            AnyPolicy::Fifo(_) => PolicyKind::Fifo,
-            AnyPolicy::Slru(_) => PolicyKind::Slru,
         }
     }
 }
@@ -124,8 +101,6 @@ macro_rules! dispatch {
         match $self {
             AnyPolicy::Lru($p) => $body,
             AnyPolicy::Lfu($p) => $body,
-            AnyPolicy::Fifo($p) => $body,
-            AnyPolicy::Slru($p) => $body,
         }
     };
 }
@@ -143,9 +118,6 @@ impl<K: Eq + Hash + Clone + Debug> EvictionPolicy<K> for AnyPolicy<K> {
     fn evict_candidate(&mut self) -> Option<K> {
         dispatch!(self, p => p.evict_candidate())
     }
-    fn peek_candidate(&self) -> Option<&K> {
-        dispatch!(self, p => p.peek_candidate())
-    }
     fn tracked(&self) -> usize {
         dispatch!(self, p => p.tracked())
     }
@@ -162,8 +134,6 @@ mod tests {
     fn policy_kind_display() {
         assert_eq!(PolicyKind::Lru.to_string(), "lru");
         assert_eq!(PolicyKind::Lfu.to_string(), "lfu");
-        assert_eq!(PolicyKind::Fifo.to_string(), "fifo");
-        assert_eq!(PolicyKind::Slru.to_string(), "slru");
         assert_eq!(PolicyKind::default(), PolicyKind::Lru);
     }
 

@@ -104,11 +104,11 @@ impl ShardedChunkCache {
         let found = self.shards[self.shard_index(key)].lock().get(key).cloned();
         match found {
             Some(chunk) => {
-                self.stats.record_chunk_hit();
+                self.stats.chunk_hits.inc();
                 Some(chunk)
             }
             None => {
-                self.stats.record_chunk_miss();
+                self.stats.chunk_misses.inc();
                 None
             }
         }
@@ -145,7 +145,7 @@ impl ShardedChunkCache {
     ) -> Option<Vec<(ChunkId, CachedChunk)>> {
         let weight = value.weight();
         if weight > self.capacity {
-            self.stats.record_rejected_insert();
+            self.stats.rejected_inserts.inc();
             return None;
         }
         let mut victims = Vec::new();
@@ -161,7 +161,7 @@ impl ShardedChunkCache {
                 InsertOutcome::Inserted { evicted } => {
                     for (victim_key, victim) in evicted {
                         freed += victim.weight();
-                        self.stats.record_eviction();
+                        self.stats.evictions.inc();
                         victims.push((victim_key, victim));
                     }
                 }
@@ -169,16 +169,16 @@ impl ShardedChunkCache {
                     freed += previous.weight();
                     for (victim_key, victim) in evicted {
                         freed += victim.weight();
-                        self.stats.record_eviction();
+                        self.stats.evictions.inc();
                         victims.push((victim_key, victim));
                     }
                 }
                 InsertOutcome::Rejected { .. } => {
-                    self.stats.record_rejected_insert();
+                    self.stats.rejected_inserts.inc();
                     return None;
                 }
             }
-            self.stats.record_insertion();
+            self.stats.insertions.inc();
             self.used.fetch_add(weight, Ordering::AcqRel);
             if freed > 0 {
                 self.used.fetch_sub(freed, Ordering::AcqRel);
@@ -204,7 +204,7 @@ impl ShardedChunkCache {
                 if let Some((key, entry)) = shard.evict_one() {
                     // Subtract under the shard lock (see `insert`).
                     self.used.fetch_sub(entry.weight(), Ordering::AcqRel);
-                    self.stats.record_eviction();
+                    self.stats.evictions.inc();
                     victims.push((key, entry));
                     evicted_one = true;
                     break;
@@ -279,70 +279,13 @@ impl ShardedChunkCache {
         self.stats.snapshot()
     }
 
-    /// Late-binds the cache's counters into a metrics registry; see
-    /// [`AtomicCacheStats::register_with`].
-    pub fn register_metrics(&self, registry: &agar_obs::MetricsRegistry, base: &agar_obs::Labels) {
-        self.stats.register_with(registry, base);
-    }
-
-    /// Records an object-level read outcome (lock-free); see
-    /// [`CacheStats::record_object_read`].
-    pub fn record_object_read(&self, cached_chunks: usize, needed_chunks: usize) {
-        self.stats.record_object_read(cached_chunks, needed_chunks);
-    }
-
-    /// Records one degraded decode that reused a cached decode plan
-    /// (lock-free); see [`CacheStats::decode_plan_hits`].
-    pub fn record_decode_plan_hit(&self) {
-        self.stats.record_decode_plan_hit();
-    }
-
-    /// Records one systematic fast-path object read (lock-free); see
-    /// [`CacheStats::systematic_fast_reads`].
-    pub fn record_systematic_fast_read(&self) {
-        self.stats.record_systematic_fast_read();
-    }
-
-    /// Records `n` hedge backend requests issued (lock-free); see
-    /// [`CacheStats::hedged_requests`].
-    pub fn record_hedged_requests(&self, n: u64) {
-        self.stats.record_hedged_requests(n);
-    }
-
-    /// Records one hedge bound into a decode (lock-free); see
-    /// [`CacheStats::hedge_wins`].
-    pub fn record_hedge_win(&self) {
-        self.stats.record_hedge_win();
-    }
-
-    /// Records `n` discarded straggler responses (lock-free); see
-    /// [`CacheStats::hedges_cancelled`].
-    pub fn record_hedges_cancelled(&self, n: u64) {
-        self.stats.record_hedges_cancelled(n);
-    }
-
-    /// Records one disk-tier hit (lock-free); see
-    /// [`CacheStats::disk_hits`].
-    pub fn record_disk_hit(&self) {
-        self.stats.record_disk_hit();
-    }
-
-    /// Records one disk → RAM promotion (lock-free); see
-    /// [`CacheStats::tier_promotions`].
-    pub fn record_tier_promotion(&self) {
-        self.stats.record_tier_promotion();
-    }
-
-    /// Records one RAM → disk demotion (lock-free); see
-    /// [`CacheStats::tier_demotions`].
-    pub fn record_tier_demotion(&self) {
-        self.stats.record_tier_demotion();
-    }
-
-    /// Records `n` disk-tier capacity evictions (lock-free); see
-    /// [`CacheStats::disk_evictions`].
-    pub fn record_disk_evictions(&self, n: u64) {
-        self.stats.record_disk_evictions(n);
+    /// The live counter cells. Whoever assembles objects on top of this
+    /// cache records its own events straight into them
+    /// (`cache.counters().hedge_wins.inc()`,
+    /// [`AtomicCacheStats::record_object_read`]); bind them into a
+    /// metrics registry with [`AtomicCacheStats::register_with`].
+    pub fn counters(&self) -> &AtomicCacheStats {
+        &self.stats
     }
 }
 
@@ -470,9 +413,9 @@ mod tests {
     #[test]
     fn object_read_accounting_is_shared() {
         let cache = ShardedChunkCache::new(1_000, PolicyKind::Lru, 2);
-        cache.record_object_read(9, 9);
-        cache.record_object_read(3, 9);
-        cache.record_object_read(0, 9);
+        cache.counters().record_object_read(9, 9);
+        cache.counters().record_object_read(3, 9);
+        cache.counters().record_object_read(0, 9);
         let stats = cache.stats();
         assert_eq!(stats.object_total_hits(), 1);
         assert_eq!(stats.object_partial_hits(), 1);

@@ -13,12 +13,13 @@
 //! - removal and bulk invalidation purge **both** tiers, so the write
 //!   path's coherence guarantees are tier-blind.
 //!
-//! Counter semantics: `chunk_hits`/`chunk_misses` keep meaning *RAM*
-//! hits and misses (a disk rescue records a RAM miss **and** a
-//! `disk_hits`), so RAM hit-ratio time series stay comparable across
-//! tiered and untiered runs. The tier traffic shows up in the four
-//! dedicated counters `disk_hits`, `tier_promotions`, `tier_demotions`
-//! and `disk_evictions`.
+//! Counter semantics: both tiers record into the RAM tier's counter
+//! cells, and `chunk_hits`/`chunk_misses` keep meaning *RAM* lookups
+//! (the identity stated in the [`crate::stats`] module docs), so RAM
+//! hit-ratio time series stay comparable across tiered and untiered
+//! runs. The tier traffic shows up in the four dedicated counters
+//! `disk_hits`, `tier_promotions`, `tier_demotions` and
+//! `disk_evictions`.
 //!
 //! With no disk tier configured every operation delegates verbatim to
 //! the inner [`ShardedChunkCache`] — byte-identical behaviour, which
@@ -29,7 +30,7 @@ use crate::cache::CachedChunk;
 use crate::disk::DiskStore;
 use crate::policy::PolicyKind;
 use crate::sharded::ShardedChunkCache;
-use crate::stats::CacheStats;
+use crate::stats::{AtomicCacheStats, CacheStats};
 use agar_ec::ChunkId;
 
 /// Which tier a chunk was found in (or is destined for).
@@ -124,13 +125,13 @@ impl TieredChunkCache {
         // RAM miss already recorded by `ram.get`.
         let disk = self.disk.as_ref()?;
         let chunk = disk.get(key)?;
-        self.ram.record_disk_hit();
+        self.counters().disk_hits.inc();
         // Promote: move the chunk up; victims cascade down. If RAM
         // rejects it (larger than the whole RAM tier) the disk copy
         // stays where it is.
         if let Some(victims) = self.ram.insert_collect(*key, chunk.clone()) {
             disk.remove(key);
-            self.ram.record_tier_promotion();
+            self.counters().tier_promotions.inc();
             self.demote(victims);
         }
         Some((chunk, CacheTier::Disk))
@@ -176,7 +177,7 @@ impl TieredChunkCache {
                 self.ram.remove(&key);
                 let outcome = disk.put(key, &value);
                 if outcome.evicted > 0 {
-                    self.ram.record_disk_evictions(outcome.evicted);
+                    self.counters().disk_evictions.add(outcome.evicted);
                 }
                 outcome.stored
             }
@@ -190,10 +191,10 @@ impl TieredChunkCache {
         for (key, chunk) in victims {
             let outcome = disk.put(key, &chunk);
             if outcome.stored {
-                self.ram.record_tier_demotion();
+                self.counters().tier_demotions.inc();
             }
             if outcome.evicted > 0 {
-                self.ram.record_disk_evictions(outcome.evicted);
+                self.counters().disk_evictions.add(outcome.evicted);
             }
         }
     }
@@ -283,13 +284,18 @@ impl TieredChunkCache {
         self.ram.stats()
     }
 
-    /// Late-binds the shared tier counters into a metrics registry
-    /// (both tiers record into the RAM cache's `AtomicCacheStats`);
-    /// see `AtomicCacheStats::register_with`. With a disk tier attached
-    /// its corruption counter (`agar_disk_corrupt_frames_total`) is
-    /// registered too.
+    /// The live counter cells both tiers (and the node on top) record
+    /// into; see [`ShardedChunkCache::counters`].
+    pub fn counters(&self) -> &AtomicCacheStats {
+        self.ram.counters()
+    }
+
+    /// Late-binds the shared tier counters into a metrics registry;
+    /// see [`AtomicCacheStats::register_with`]. With a disk tier
+    /// attached its corruption counter
+    /// (`agar_disk_corrupt_frames_total`) is registered too.
     pub fn register_metrics(&self, registry: &agar_obs::MetricsRegistry, base: &agar_obs::Labels) {
-        self.ram.register_metrics(registry, base);
+        self.counters().register_with(registry, base);
         if let Some(disk) = &self.disk {
             disk.register_metrics(registry, base.clone());
         }
@@ -299,42 +305,6 @@ impl TieredChunkCache {
     /// disk tier).
     pub fn disk_corrupt_frames(&self) -> u64 {
         self.disk.as_ref().map_or(0, |d| d.corrupt_frames())
-    }
-
-    /// Records an object-level read outcome; see
-    /// [`CacheStats::record_object_read`].
-    pub fn record_object_read(&self, cached_chunks: usize, needed_chunks: usize) {
-        self.ram.record_object_read(cached_chunks, needed_chunks);
-    }
-
-    /// Records one decode-plan cache hit; see
-    /// [`CacheStats::decode_plan_hits`].
-    pub fn record_decode_plan_hit(&self) {
-        self.ram.record_decode_plan_hit();
-    }
-
-    /// Records one systematic fast-path read; see
-    /// [`CacheStats::systematic_fast_reads`].
-    pub fn record_systematic_fast_read(&self) {
-        self.ram.record_systematic_fast_read();
-    }
-
-    /// Records `n` hedge backend requests; see
-    /// [`CacheStats::hedged_requests`].
-    pub fn record_hedged_requests(&self, n: u64) {
-        self.ram.record_hedged_requests(n);
-    }
-
-    /// Records one hedge bound into a decode; see
-    /// [`CacheStats::hedge_wins`].
-    pub fn record_hedge_win(&self) {
-        self.ram.record_hedge_win();
-    }
-
-    /// Records `n` discarded straggler responses; see
-    /// [`CacheStats::hedges_cancelled`].
-    pub fn record_hedges_cancelled(&self, n: u64) {
-        self.ram.record_hedges_cancelled(n);
     }
 }
 

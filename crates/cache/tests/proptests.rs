@@ -31,7 +31,7 @@ proptest! {
     #[test]
     fn cache_invariants_hold_under_any_script(
         ops in vec(op_strategy(), 1..200),
-        kind_idx in 0usize..4,
+        kind_idx in 0usize..PolicyKind::ALL.len(),
         capacity in 1usize..256,
     ) {
         let kind = PolicyKind::ALL[kind_idx];
@@ -110,7 +110,7 @@ proptest! {
     #[test]
     fn stats_identities(
         ops in vec(op_strategy(), 1..150),
-        kind_idx in 0usize..4,
+        kind_idx in 0usize..PolicyKind::ALL.len(),
     ) {
         let kind = PolicyKind::ALL[kind_idx];
         let mut cache = Cache::with_capacity(64, AnyPolicy::new(kind));
@@ -143,7 +143,7 @@ proptest! {
     #[test]
     fn policy_drain_yields_each_key_once(
         keys in vec(any::<u8>(), 1..64),
-        kind_idx in 0usize..4,
+        kind_idx in 0usize..PolicyKind::ALL.len(),
     ) {
         let kind = PolicyKind::ALL[kind_idx];
         let mut policy: AnyPolicy<u8> = AnyPolicy::new(kind);

@@ -32,7 +32,8 @@
 //! against its manifest snapshot.
 
 use agar::fetcher::{ChunkFetcher, FetchRequest};
-use agar_cache::{AtomicCacheStats, CacheStats};
+use agar_cache::stats::ROWS;
+use agar_cache::CacheStats;
 use agar_ec::ChunkId;
 use agar_net::RegionId;
 use agar_obs::{Counter, Labels, MetricsRegistry};
@@ -89,7 +90,8 @@ pub struct FetchCoordinator {
     /// throughput benches set a small hold to make in-flight windows
     /// physically wide enough to exercise coalescing.
     wall_delay: Option<Duration>,
-    stats: AtomicCacheStats,
+    coalesced_fetches: Counter,
+    batched_requests: Counter,
     primary_fetches: Counter,
 }
 
@@ -100,7 +102,8 @@ impl FetchCoordinator {
             backend,
             inflight: Mutex::new(HashMap::new()),
             wall_delay: None,
-            stats: AtomicCacheStats::new(),
+            coalesced_fetches: Counter::new(),
+            batched_requests: Counter::new(),
             primary_fetches: Counter::new(),
         }
     }
@@ -121,12 +124,12 @@ impl FetchCoordinator {
     /// Chunk fetches served by piggybacking on another reader's
     /// in-flight fetch.
     pub fn coalesced_fetches(&self) -> u64 {
-        self.stats.snapshot().coalesced_fetches()
+        self.coalesced_fetches.get()
     }
 
     /// Batched (region-grouped) round trips issued.
     pub fn batched_requests(&self) -> u64 {
-        self.stats.snapshot().batched_requests()
+        self.batched_requests.get()
     }
 
     /// Number of entries currently in the single-flight table. Quiesced
@@ -141,18 +144,26 @@ impl FetchCoordinator {
             .len()
     }
 
-    /// Snapshot of the coordination counters as [`CacheStats`] (only
-    /// the `coalesced_fetches` / `batched_requests` fields are used);
+    /// The coordination counters as a [`CacheStats`] report (only the
+    /// `coalesced_fetches` / `batched_requests` fields are set);
     /// routers merge this into their aggregated cache statistics.
     pub fn stats(&self) -> CacheStats {
-        self.stats.snapshot()
+        CacheStats {
+            coalesced_fetches: self.coalesced_fetches(),
+            batched_requests: self.batched_requests(),
+            ..CacheStats::default()
+        }
     }
 
-    /// Late-binds the coordination counters (plus the primary-fetch
-    /// count) into a metrics registry under `base` labels.
+    /// Late-binds the coordination counters into a metrics registry
+    /// under `base` labels: the two counter-table rows this struct owns
+    /// (labelled `source="coordinator"`) plus the primary-fetch count.
     pub fn register_metrics(&self, registry: &MetricsRegistry, base: &Labels) {
-        self.stats
-            .register_with(registry, &base.clone().with("source", "coordinator"));
+        let sourced = base.clone().with("source", "coordinator");
+        ROWS.coalesced_fetches
+            .register(registry, &sourced, &self.coalesced_fetches);
+        ROWS.batched_requests
+            .register(registry, &sourced, &self.batched_requests);
         registry.register_counter(
             "agar_fetch_primary_total",
             "Chunk fetches that actually hit the backend (flight leaders).",
@@ -237,7 +248,7 @@ impl ChunkFetcher for FetchCoordinator {
             };
             let chunks: Vec<ChunkId> = lead.iter().map(|&i| requests[i].chunk).collect();
             let outcome = self.backend.fetch_chunks(client_region, &chunks, rng);
-            self.stats.record_batched_requests(outcome.batches() as u64);
+            self.batched_requests.add(outcome.batches() as u64);
             self.primary_fetches.add(lead.len() as u64);
             if let Some(delay) = self.wall_delay {
                 std::thread::sleep(delay);
@@ -258,7 +269,7 @@ impl ChunkFetcher for FetchCoordinator {
 
         // Join: park until each leader publishes.
         for (i, flight) in joined {
-            self.stats.record_coalesced_fetch();
+            self.coalesced_fetches.inc();
             slots[i] = Some(flight.wait());
         }
 

@@ -46,7 +46,8 @@
 //! surfaces as `agar_lease_fences_total`.
 
 use agar::{AgarNode, CacheEventSink};
-use agar_cache::{AtomicCacheStats, CacheStats};
+use agar_cache::stats::ROWS;
+use agar_cache::CacheStats;
 use agar_ec::ObjectId;
 use agar_obs::Counter;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -97,7 +98,9 @@ pub struct WriteLeaseManager {
     poisoned: Mutex<BTreeSet<ObjectId>>,
     /// Poisoned leases fenced and reclaimed by a subsequent writer.
     fences: Counter,
-    stats: AtomicCacheStats,
+    lease_grants: Counter,
+    lease_contentions: Counter,
+    targeted_invalidations: Counter,
 }
 
 impl WriteLeaseManager {
@@ -109,7 +112,9 @@ impl WriteLeaseManager {
             leases: Mutex::new(HashMap::new()),
             poisoned: Mutex::new(BTreeSet::new()),
             fences: Counter::new(),
-            stats: AtomicCacheStats::new(),
+            lease_grants: Counter::new(),
+            lease_contentions: Counter::new(),
+            targeted_invalidations: Counter::new(),
         }
     }
 
@@ -200,7 +205,7 @@ impl WriteLeaseManager {
             let mut held = slot.held.lock().expect("lease slot poisoned");
             if *held {
                 contended = true;
-                self.stats.record_lease_contention();
+                self.lease_contentions.inc();
                 while *held {
                     held = slot.freed.wait(held).expect("lease slot poisoned");
                 }
@@ -220,7 +225,7 @@ impl WriteLeaseManager {
             self.fences.inc();
             self.invalidate_holders(object, u64::MAX);
         }
-        self.stats.record_lease_grant();
+        self.lease_grants.inc();
         WriteLease {
             manager: self,
             object,
@@ -242,21 +247,30 @@ impl WriteLeaseManager {
         self.leases.lock().expect("lease table poisoned").len()
     }
 
-    /// Snapshot of the lease counters as [`CacheStats`] (only the
+    /// The lease counters as a [`CacheStats`] report (only the
     /// `lease_grants` / `lease_contentions` / `targeted_invalidations`
-    /// fields are used); the router merges this into its aggregated
+    /// fields are set); the router merges this into its aggregated
     /// statistics.
     pub fn stats(&self) -> CacheStats {
-        self.stats.snapshot()
+        CacheStats {
+            lease_grants: self.lease_grants.get(),
+            lease_contentions: self.lease_contentions.get(),
+            targeted_invalidations: self.targeted_invalidations.get(),
+            ..CacheStats::default()
+        }
     }
 
-    /// Late-binds the lease counters into a metrics registry. The
-    /// cells are labelled `source="leases"` so they never collide with
-    /// the coordinator's or a member cache's cells, which register the
-    /// same metric families under the shared `base` labels.
+    /// Late-binds the lease counters into a metrics registry: the three
+    /// counter-table rows this struct owns (labelled `source="leases"`)
+    /// plus the fence count.
     pub fn register_metrics(&self, registry: &agar_obs::MetricsRegistry, base: &agar_obs::Labels) {
-        self.stats
-            .register_with(registry, &base.clone().with("source", "leases"));
+        let sourced = base.clone().with("source", "leases");
+        ROWS.lease_grants
+            .register(registry, &sourced, &self.lease_grants);
+        ROWS.lease_contentions
+            .register(registry, &sourced, &self.lease_contentions);
+        ROWS.targeted_invalidations
+            .register(registry, &sourced, &self.targeted_invalidations);
         registry.register_counter(
             "agar_lease_fences_total",
             "Poisoned leases fenced and reclaimed after an owner crash.",
@@ -290,7 +304,7 @@ impl WriteLeaseManager {
         for node in targets {
             node.invalidate_object(object);
         }
-        self.stats.record_targeted_invalidations(invalidated);
+        self.targeted_invalidations.add(invalidated);
         invalidated
     }
 
@@ -325,16 +339,15 @@ impl Default for WriteLeaseManager {
 
 impl std::fmt::Debug for WriteLeaseManager {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let stats = self.stats();
         f.debug_struct("WriteLeaseManager")
             .field("active_leases", &self.active_leases())
             .field(
                 "tracked_objects",
                 &self.holders.lock().expect("holder registry poisoned").len(),
             )
-            .field("lease_grants", &stats.lease_grants())
-            .field("lease_contentions", &stats.lease_contentions())
-            .field("targeted_invalidations", &stats.targeted_invalidations())
+            .field("lease_grants", &self.lease_grants.get())
+            .field("lease_contentions", &self.lease_contentions.get())
+            .field("targeted_invalidations", &self.targeted_invalidations.get())
             .field("fences", &self.fences.get())
             .finish()
     }

@@ -624,10 +624,13 @@ impl std::fmt::Debug for ClusterRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use agar::fetcher::{ChunkFetcher, FetchRequest};
     use agar::{AgarSettings, CachingClient};
     use agar_ec::CodingParams;
     use agar_net::presets::{aws_six_regions, DUBLIN, FRANKFURT};
     use agar_store::{expected_payload, populate, RoundRobin};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     const SIZE: usize = 900;
 
@@ -974,7 +977,7 @@ mod tests {
 
     #[test]
     fn register_metrics_exposes_live_cluster_cells() {
-        let (_, router) = frankfurt_cluster(3, 2);
+        let (backend, router) = frankfurt_cluster(3, 2);
         let registry = MetricsRegistry::new();
         // Register BEFORE any traffic: late binding means the cells go
         // live immediately and every later read shows up in the scrape.
@@ -982,15 +985,68 @@ mod tests {
         for i in 0..3u64 {
             router.read(ObjectId::new(i)).unwrap();
         }
+        // Drive every coordinator and lease cell off zero. One fetch
+        // call naming a chunk twice: the second request joins the
+        // first's flight.
+        let object = ObjectId::new(0);
+        let manifest = backend.manifest(object).unwrap();
+        let request = FetchRequest {
+            chunk: ChunkId::new(object, 0),
+            region: manifest.location(0),
+            version: manifest.version(),
+        };
+        let fetched = router.coordinator().fetch(
+            FRANKFURT,
+            &[request, request],
+            &mut StdRng::seed_from_u64(1),
+        );
+        assert!(fetched.iter().all(|(_, result)| result.is_ok()));
+        // A second writer parks behind a held lease (contention), a
+        // registered holder is invalidated on release, and a crashed
+        // lease is fenced by the next writer.
+        let leases = router.lease_manager();
+        let held = leases.acquire(object, u64::MAX);
+        std::thread::scope(|scope| {
+            scope.spawn(|| drop(leases.acquire(object, u64::MAX)));
+            while leases.stats().lease_contentions() == 0 {
+                std::thread::yield_now();
+            }
+            drop(held);
+        });
+        leases.record_fill(router.member_ids()[0], object);
+        assert_eq!(leases.acquire(object, u64::MAX).release_after_write(), 1);
+        leases.acquire(object, u64::MAX).crash();
+        assert!(leases.acquire(object, u64::MAX).fenced());
+
         let text = registry.render_prometheus();
         assert!(text.contains("agar_cluster_routed_reads_total{cluster=\"test\"} 3"));
-        // Coordinator, lease manager, and per-member cells all land in
-        // the same registry under disjoint label sets.
-        assert!(text.contains("source=\"coordinator\""));
-        assert!(text.contains("source=\"leases\""));
-        assert!(text.contains("member=\"0\""));
-        assert!(text.contains("member=\"1\""));
-        assert!(text.contains("agar_fetch_primary_total{cluster=\"test\"}"));
+        // The seven coordinator / lease series are present and moving …
+        let value = |series: &str| -> u64 {
+            text.lines()
+                .find_map(|line| line.strip_prefix(series)?.trim().parse().ok())
+                .unwrap_or_else(|| panic!("{series} missing from\n{text}"))
+        };
+        for series in [
+            "agar_fetch_coalesced_total{cluster=\"test\",source=\"coordinator\"}",
+            "agar_fetch_batched_round_trips_total{cluster=\"test\",source=\"coordinator\"}",
+            "agar_fetch_primary_total{cluster=\"test\"}",
+            "agar_lease_grants_total{cluster=\"test\",source=\"leases\"}",
+            "agar_lease_contentions_total{cluster=\"test\",source=\"leases\"}",
+            "agar_invalidations_targeted_total{cluster=\"test\",source=\"leases\"}",
+            "agar_lease_fences_total{cluster=\"test\"}",
+        ] {
+            assert!(value(series) > 0, "{series} never moved");
+        }
+        // … and they are the only ones: no other `source=` series, and
+        // no member exporting a lease / fetch-coordination family it
+        // never writes.
+        let sourced = text.lines().filter(|l| l.contains("source=\"")).count();
+        assert_eq!(sourced, 5, "{text}");
+        assert!(text.contains("member=\"0\"") && text.contains("member=\"1\""));
+        for line in text.lines().filter(|l| l.contains("member=\"")) {
+            let foreign = ["agar_fetch_", "agar_lease_", "agar_invalidations_"];
+            assert!(!foreign.iter().any(|f| line.starts_with(f)), "{line}");
+        }
         // Registration is idempotent: a second scrape pass registers
         // nothing new and renders identically.
         let before = registry.len();

@@ -235,9 +235,9 @@ impl FixedChunksClient {
             .reconstruct_object_report(&shards, manifest.size())?;
         let decoded = !decode_report.systematic_fast_path;
         if decode_report.systematic_fast_path {
-            inner.cache.stats_mut().record_systematic_fast_read();
+            inner.cache.stats_mut().systematic_fast_reads += 1;
         } else if decode_report.plan_cache_hit {
-            inner.cache.stats_mut().record_decode_plan_hit();
+            inner.cache.stats_mut().decode_plan_hits += 1;
         }
 
         // 5. Populate the cache (async in the paper: no latency impact).
@@ -420,9 +420,9 @@ impl CachingClient for BackendOnlyClient {
             .reconstruct_object_report(&shards, manifest.size())?;
         let decoded = !decode_report.systematic_fast_path;
         if decode_report.systematic_fast_path {
-            inner.1.record_systematic_fast_read();
+            inner.1.systematic_fast_reads += 1;
         } else if decode_report.plan_cache_hit {
-            inner.1.record_decode_plan_hit();
+            inner.1.decode_plan_hits += 1;
         }
         inner.1.record_object_read(0, k);
         Ok(ReadMetrics {

@@ -79,7 +79,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod approx_monitor;
 pub mod baselines;
 pub mod breaker;
 pub mod cache_manager;
@@ -96,7 +95,6 @@ pub mod planner;
 pub mod region_manager;
 pub mod retry;
 
-pub use approx_monitor::ApproxRequestMonitor;
 pub use baselines::{BackendOnlyClient, BaselinePolicy, FixedChunksClient};
 pub use breaker::{BreakerPolicy, CircuitBreaker};
 pub use cache_manager::CacheManager;

@@ -624,9 +624,9 @@ impl AgarNode {
     }
 
     /// Late-binds this node's telemetry into `registry` under `base`
-    /// labels: the tiered cache's counters (see
+    /// labels: the tiered cache's counter table (see
     /// `AtomicCacheStats::register_with`), the node-level fetch
-    /// gauges, and — when tracing is on — the per-stage read latency
+    /// counters, and — when tracing is on — the per-stage read latency
     /// histograms (`agar_read_stage_seconds{stage=...}`).
     pub fn register_metrics(&self, registry: &MetricsRegistry, base: &Labels) {
         self.cache.register_metrics(registry, base);
@@ -921,7 +921,7 @@ impl AgarNode {
             // a straggler can neither mix versions into the decode nor
             // displace a bound chunk.
             let needed = requests.len() - hedges;
-            self.cache.record_hedged_requests(hedges as u64);
+            self.cache.counters().hedged_requests.add(hedges as u64);
             if let Some(builder) = trace.as_deref_mut() {
                 builder.outcome.hedges_issued += hedges as u32;
             }
@@ -978,7 +978,7 @@ impl AgarNode {
                     worst = worst.max(latency);
                     shards[request.chunk.index().value() as usize] = Some(data);
                     if position >= needed {
-                        self.cache.record_hedge_win();
+                        self.cache.counters().hedge_wins.inc();
                         wins += 1;
                     }
                 } else {
@@ -987,7 +987,7 @@ impl AgarNode {
                 }
             }
             if cancelled > 0 {
-                self.cache.record_hedges_cancelled(cancelled);
+                self.cache.counters().hedges_cancelled.add(cancelled);
             }
             if let Some(builder) = trace.as_deref_mut() {
                 builder.outcome.hedge_wins += wins;
@@ -1038,9 +1038,9 @@ impl AgarNode {
             .reconstruct_object_report(&shards, manifest.size())?;
         let decoded = !decode_report.systematic_fast_path;
         if decode_report.systematic_fast_path {
-            self.cache.record_systematic_fast_read();
+            self.cache.counters().systematic_fast_reads.inc();
         } else if decode_report.plan_cache_hit {
-            self.cache.record_decode_plan_hit();
+            self.cache.counters().decode_plan_hits.inc();
         }
         if let Some(builder) = trace.as_mut() {
             builder.outcome.decode = if decode_report.systematic_fast_path {
@@ -1117,7 +1117,7 @@ impl AgarNode {
         }
 
         // Stage 7: object-level hit accounting (Figure 7), lock-free.
-        self.cache.record_object_read(cache_hits, k);
+        self.cache.counters().record_object_read(cache_hits, k);
 
         Ok(Some(CollabReadMetrics {
             metrics: ReadMetrics {

@@ -1,7 +1,7 @@
-//! Observability: warm a node, bind its counters and per-stage read
-//! histograms into a metrics registry, and print the Prometheus text
-//! exposition a scrape endpoint would serve. Everything on stdout is
-//! scrape text — pipe it straight into a format checker:
+//! Observability: warm a node and a small cluster, bind their counters
+//! and per-stage read histograms into a metrics registry, and print the
+//! Prometheus text exposition a scrape endpoint would serve. Everything
+//! on stdout is scrape text — pipe it straight into a format checker:
 //!
 //! ```sh
 //! cargo run --release --example observability | python3 ci/check_exposition.py
@@ -9,6 +9,7 @@
 
 use agar::{AgarNode, AgarSettings, CachingClient, DirectFetcher};
 use agar_chaos::{ChaosClock, ChaosPlane, ChaosSpec};
+use agar_cluster::{ClusterRouter, ClusterSettings};
 use agar_ec::{CodingParams, ObjectId};
 use agar_net::presets::{aws_six_regions, FRANKFURT};
 use agar_net::SimTime;
@@ -70,6 +71,25 @@ fn main() -> Result<(), Box<dyn Error>> {
         node.set_sim_now(SimTime::from_millis(4_000 + id * 20));
         node.read(ObjectId::new(id))?;
     }
+
+    // A three-member cluster in the same registry: the router's own
+    // counters plus the fetch coordinator's and the lease manager's
+    // (the `source=` series), each member labelled by id.
+    let router = ClusterRouter::new(Arc::clone(&backend), ClusterSettings::default(), 5)?;
+    for seed in 0..3 {
+        let settings = AgarSettings::paper_default(8 * 45_000);
+        router.add_node(Arc::new(AgarNode::new(
+            FRANKFURT,
+            Arc::clone(&backend),
+            settings,
+            seed,
+        )?));
+    }
+    router.register_metrics(&registry, &Labels::new().with("cluster", "demo"));
+    for id in 0..12u64 {
+        router.read(ObjectId::new(id % 5))?;
+    }
+    router.write(ObjectId::new(0), &[0xA5; 45_000])?;
 
     // The scrape body — exactly what a `/metrics` endpoint serves.
     print!("{}", registry.render_prometheus());
