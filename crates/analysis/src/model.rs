@@ -19,6 +19,10 @@ pub struct Function {
     pub is_test: bool,
     /// True for `unsafe fn`.
     pub is_unsafe: bool,
+    /// True when the declared return type names a `…Guard`
+    /// (`MutexGuard`, `RwLockReadGuard`, …): calling this function
+    /// acquires a lock just as `.lock()` does.
+    pub returns_guard: bool,
 }
 
 /// One field of a struct definition.
@@ -215,12 +219,18 @@ fn find_functions(tokens: &[Token], test_regions: &[Range<usize>]) -> Vec<Functi
             }
             if let Some(body) = next_brace_block(tokens, j) {
                 let in_test = test_regions.iter().any(|r| r.contains(&body.start));
+                let signature = &tokens[j..body.start];
+                let returns_guard = signature
+                    .iter()
+                    .skip_while(|t| !t.is_punct("->"))
+                    .any(|t| t.kind == TokKind::Ident && t.text.ends_with("Guard"));
                 out.push(Function {
                     name,
                     body: body.clone(),
                     line,
                     is_test: in_test,
                     is_unsafe,
+                    returns_guard,
                 });
                 // Continue scanning *inside* the body too (nested fns
                 // are found because the scan is linear).
@@ -409,7 +419,8 @@ pub struct Guard {
     pub name: String,
     /// The receiver expression, e.g. `self.inner` or `slot.held`.
     pub receiver: String,
-    /// The acquiring method: `lock`, `read` or `write`.
+    /// The acquiring method: `lock`, `read`, `write`, or the name of a
+    /// guard-returning helper (see [`Function::returns_guard`]).
     pub method: String,
     /// True when the receiver was indexed (`self.shards[i].lock()`),
     /// i.e. one of many same-named locks.
@@ -525,8 +536,17 @@ pub fn scan_function(model: &FileModel, f: &Function, visit: &mut dyn FnMut(Even
             let zero_arg = tokens.get(i + 2).is_some_and(|n| n.is_punct(")"));
 
             // Guard acquisition: `.lock()`, `.read()`, `.write()` with
-            // no arguments.
-            if preceded_by_dot && zero_arg && matches!(name.as_str(), "lock" | "read" | "write") {
+            // no arguments, or a zero-argument method of this file
+            // declared to return a guard (a lock helper such as
+            // `fn inner(&self) -> MutexGuard<'_, Inner>`).
+            if preceded_by_dot
+                && zero_arg
+                && (matches!(name.as_str(), "lock" | "read" | "write")
+                    || model
+                        .functions
+                        .iter()
+                        .any(|f| f.returns_guard && f.name == name))
+            {
                 let (receiver, indexed, recv_start) = receiver_of(tokens, i - 1);
                 // Look ahead past the argument list: a chain of only
                 // `.unwrap()` / `.expect(…)` keeps guard-ness (std

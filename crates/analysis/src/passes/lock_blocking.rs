@@ -38,6 +38,13 @@ const DEFAULT_BLOCKING: &[&str] = &[
     "read_frame",
     "write_all",
     "read_exact",
+    // Positioned and vectored I/O block exactly as their cursor-based
+    // counterparts do.
+    "write_all_at",
+    "read_exact_at",
+    "write_at",
+    "read_at",
+    "write_vectored",
     "sync_all",
     "sync_data",
     // Channel receive (unbounded block).

@@ -49,7 +49,9 @@ fn check_pass(pass: &str, dir: &str, expect: usize) {
 
 #[test]
 fn lock_blocking_fixtures() {
-    check_pass("lock-across-blocking", "lock_blocking", 2);
+    // A backend fetch, an RS decode, and a positioned read under a
+    // guard that came from a `-> MutexGuard` helper.
+    check_pass("lock-across-blocking", "lock_blocking", 3);
 }
 
 #[test]
@@ -86,6 +88,9 @@ fn firing_fixtures_name_the_right_sites() {
     );
     assert!(lock.iter().any(|f| f.message.contains("fetch_chunk")));
     assert!(lock.iter().any(|f| f.message.contains("reconstruct_data")));
+    assert!(lock
+        .iter()
+        .any(|f| f.message.contains("read_exact_at") && f.message.contains("self.inner()")));
 
     let order = findings_for("lock-order", fixture("lock_order", "firing.rs"));
     assert!(order.iter().any(|f| f.key.starts_with("cycle ")));

@@ -16,4 +16,15 @@ impl Node {
         self.codec.reconstruct_data(&mut self.shards);
         drop(guard);
     }
+
+    /// Positioned I/O blocks too, and a guard obtained through a
+    /// helper that returns one is still a guard.
+    fn read_at_under_helper_lock(&self, buf: &mut [u8]) {
+        let inner = self.inner();
+        inner.file.read_exact_at(buf, inner.offset);
+    }
+
+    fn inner(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }

@@ -28,4 +28,17 @@ impl Node {
         }
         self.backend.fetch_chunk(id)
     }
+
+    /// The handle is cloned out under the helper's guard; the
+    /// positioned write runs after the guard is dropped.
+    fn write_at_after_helper_lock(&self, buf: &[u8]) {
+        let inner = self.inner();
+        let (file, offset) = (inner.file.clone(), inner.offset);
+        drop(inner);
+        file.write_all_at(buf, offset);
+    }
+
+    fn inner(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
