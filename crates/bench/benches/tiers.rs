@@ -2,8 +2,8 @@
 //! closed-loop run (150 simulated reads) per engine at 16× catalogue
 //! pressure against a shared deployment. The *simulated* latencies the
 //! cells report are asserted relative to each other — this bench keeps
-//! the disk tier's host-side cost visible (the append-log writes,
-//! checksummed reads and promotion churn are real I/O even on a
+//! the disk tier's host-side cost visible (the warm-up's append-log
+//! writes and the checksummed frame reads are real I/O even on a
 //! virtual clock), and `experiments -- tiers` prints the full sweep.
 
 use agar_bench::{tiers_run, Deployment, TiersParams};

@@ -290,6 +290,7 @@ fn results_json(tables: &[Table], tail: &[TailResult], tiers: &[TiersResult]) ->
              \"disk_hits\": {}, \"chunk_lookups\": {}, \"ram_hit_ratio\": {:.4}, \
              \"disk_hit_ratio\": {:.4}, \"ram_chunks\": {}, \"disk_chunks\": {}, \
              \"tier_promotions\": {}, \"disk_evictions\": {}, \
+             \"disk_appended_bytes\": {}, \
              \"plan_p99_ms\": {:.3}, \"lookup_p99_ms\": {:.3}, \"fetch_p99_ms\": {:.3}, \
              \"bind_p99_ms\": {:.3}, \"decode_p99_ms\": {:.3}}}",
             json_string(&cell.scenario),
@@ -312,6 +313,7 @@ fn results_json(tables: &[Table], tail: &[TailResult], tiers: &[TiersResult]) ->
             cell.disk_chunks,
             cell.tier_promotions,
             cell.disk_evictions,
+            cell.disk_appended_bytes,
             cell.stages.plan.p99_ms,
             cell.stages.lookup.p99_ms,
             cell.stages.fetch.p99_ms,

@@ -19,7 +19,8 @@
 //! Reported per cell: the full latency percentile ladder, per-tier
 //! chunk hit ratios (RAM hits and disk hits over all chunk lookups),
 //! the knapsack's tier split (RAM vs disk chunks in the final
-//! configuration) and the promotion/eviction churn. Everything runs on
+//! configuration) and the tier traffic (epoch promotions, log
+//! evictions, bytes appended to the log). Everything runs on
 //! the deterministic simulated clock, so the JSON output is
 //! host-independent and CI-gateable exactly like the `tail` experiment.
 
@@ -106,10 +107,13 @@ pub struct TiersResult {
     pub ram_chunks: u32,
     /// Disk chunks in the final knapsack configuration.
     pub disk_chunks: u32,
-    /// Disk hits promoted into RAM over the run.
+    /// Chunks reconfigurations moved disk → RAM over the run.
     pub tier_promotions: u64,
     /// Chunks dropped off the end of the disk log over the run.
     pub disk_evictions: u64,
+    /// Frame bytes written to the disk log over the run (a-priori
+    /// fills, re-tier moves and spilled RAM victims).
+    pub disk_appended_bytes: u64,
     /// Per-stage latency breakdown (plan/lookup/fetch/bind/decode) of
     /// the measured window's read traces.
     pub stages: StageSummaries,
@@ -256,6 +260,7 @@ pub fn tiers_run_with(
     }
     node.force_reconfigure();
     let warm_stats = node.cache_stats();
+    let warm_appended = node.disk_appended_bytes();
 
     let ops: VecDeque<Op> = workload
         .stream(params.seed)
@@ -309,6 +314,7 @@ pub fn tiers_run_with(
         disk_chunks: config.disk_chunks(),
         tier_promotions: stats.tier_promotions(),
         disk_evictions: stats.disk_evictions(),
+        disk_appended_bytes: node.disk_appended_bytes() - warm_appended,
         stages,
     }
 }
@@ -425,6 +431,19 @@ mod tests {
             "knapsack never used the disk budget"
         );
         assert!(tiered.ram_chunks > 0, "RAM budget must stay in use");
+        // Reads serve disk hits in place, so the log only takes each
+        // epoch's fills and re-tier moves: it never wraps, the disk
+        // tier keeps what the knapsack put there, and the tail is a
+        // disk read, not a WAN fetch.
+        assert_eq!(tiered.disk_evictions, 0, "the disk log wrapped");
+        assert!(
+            tiered.latency.p99_ms <= 160.0,
+            "tiered P99 {} ms is not a local read",
+            tiered.latency.p99_ms
+        );
+        // No epoch falls inside the 250-op measured window, and reads
+        // write nothing.
+        assert_eq!(tiered.disk_appended_bytes, 0);
         // The RAM-only engine never touches a disk tier.
         assert_eq!(ram_only.disk_hits, 0);
         assert_eq!(ram_only.disk_chunks, 0);

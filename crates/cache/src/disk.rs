@@ -71,7 +71,7 @@ const FRAME_MAGIC: u32 = 0xA6A7_C4CF;
 
 /// Fixed frame header size: magic(4) + object(8) + index(1) + version(8)
 /// + len(4) + checksum(8).
-const HEADER_LEN: usize = 4 + 8 + 1 + 8 + 4 + 8;
+pub(crate) const HEADER_LEN: usize = 4 + 8 + 1 + 8 + 4 + 8;
 
 /// Global counter so concurrent stores in one process get distinct dirs.
 static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -253,6 +253,9 @@ pub struct DiskStore {
     /// identity/length mismatch, checksum failure, I/O error) and were
     /// served as misses instead.
     corrupt_frames: Counter,
+    /// Header + payload bytes of every frame written to the log: the
+    /// tier's write traffic, exact per seed where wall time is not.
+    appended_bytes: Counter,
     inner: Mutex<Inner>,
 }
 
@@ -271,6 +274,7 @@ impl DiskStore {
             capacity,
             segment_target,
             corrupt_frames: Counter::new(),
+            appended_bytes: Counter::new(),
             inner: Mutex::new(Inner {
                 dir,
                 segments: VecDeque::new(),
@@ -371,6 +375,7 @@ impl DiskStore {
             inner.index.remove(&id);
             return NOT_STORED;
         };
+        self.appended_bytes.add(frame_len);
         inner.index.insert(
             id,
             Location {
@@ -417,14 +422,25 @@ impl DiskStore {
         self.corrupt_frames.get()
     }
 
-    /// Registers the tier's corruption counter under
-    /// `agar_disk_corrupt_frames_total`.
+    /// Header + payload bytes written to the log so far.
+    pub fn appended_bytes(&self) -> u64 {
+        self.appended_bytes.get()
+    }
+
+    /// Registers the tier's own counters: `agar_disk_corrupt_frames_total`
+    /// and `agar_disk_appended_bytes_total`.
     pub fn register_metrics(&self, registry: &MetricsRegistry, base: Labels) {
         registry.register_counter(
             "agar_disk_corrupt_frames_total",
             "Disk-tier frames that failed verification and were served as misses.",
-            base,
+            base.clone(),
             &self.corrupt_frames,
+        );
+        registry.register_counter(
+            "agar_disk_appended_bytes_total",
+            "Frame bytes (header + payload) written to the disk-tier log.",
+            base,
+            &self.appended_bytes,
         );
     }
 

@@ -206,9 +206,9 @@ counter_table! {
         hedges_cancelled: "agar_hedge_cancelled_total" []
             "Straggler responses discarded after k arrivals.";
         tier_promotions: "agar_tier_promotions_total" []
-            "Chunks promoted disk → RAM on a disk-tier hit.";
+            "Chunks a reconfiguration moved disk → RAM.";
         tier_demotions: "agar_tier_demotions_total" []
-            "RAM eviction victims demoted to the disk tier.";
+            "Chunks written RAM → disk: configured moves and spilled eviction victims.";
     }
     report_only {
         coalesced_fetches: "agar_fetch_coalesced_total" []

@@ -2,24 +2,29 @@
 //!
 //! [`TieredChunkCache`] composes the lock-striped [`ShardedChunkCache`]
 //! (the fast tier) with an optional [`DiskStore`] (the warm tier) into
-//! one *exclusive* hierarchy:
+//! one *exclusive* hierarchy whose placement is decided by the caller,
+//! never by a read:
 //!
 //! - a RAM hit serves from RAM, exactly as before;
-//! - a RAM miss that hits disk **promotes** the chunk to RAM (demoting
-//!   RAM victims as needed) and removes the disk copy, so each chunk
-//!   lives in at most one tier;
-//! - a RAM eviction victim is **demoted** to disk instead of dropped,
-//!   so the aggregate catalogue is RAM + disk bytes;
-//! - removal and bulk invalidation purge **both** tiers, so the write
-//!   path's coherence guarantees are tier-blind.
+//! - a RAM miss that hits disk is **served in place**: the verified
+//!   frame is returned and neither tier changes, so a chunk stays where
+//!   it was put until [`TieredChunkCache::insert_to_tier`] moves it
+//!   (the node does, once per epoch, from the knapsack's configuration);
+//! - a RAM eviction victim is **demoted** to disk instead of dropped —
+//!   the spill path for transient RAM overflow;
+//! - every insert leaves the chunk in exactly one tier, and removal
+//!   and bulk invalidation purge **both**, so the write path's
+//!   coherence guarantees are tier-blind.
 //!
 //! Counter semantics: both tiers record into the RAM tier's counter
 //! cells, and `chunk_hits`/`chunk_misses` keep meaning *RAM* lookups
 //! (the identity stated in the [`crate::stats`] module docs), so RAM
 //! hit-ratio time series stay comparable across tiered and untiered
-//! runs. The tier traffic shows up in the four dedicated counters
-//! `disk_hits`, `tier_promotions`, `tier_demotions` and
-//! `disk_evictions`.
+//! runs. `disk_hits` counts lookups served from a disk frame;
+//! `tier_demotions` chunks written down (victims spilled here, moves
+//! configured by the node), `tier_promotions` chunks the node moved up
+//! and `disk_evictions` live chunks lost to whole-segment log eviction
+//! — no lookup moves those three.
 //!
 //! With no disk tier configured every operation delegates verbatim to
 //! the inner [`ShardedChunkCache`] — byte-identical behaviour, which
@@ -42,8 +47,8 @@ pub enum CacheTier {
     Disk,
 }
 
-/// A RAM-over-disk chunk cache with promotion, demotion and tier-blind
-/// invalidation.
+/// A RAM-over-disk chunk cache with caller-decided placement, spill
+/// demotion and tier-blind invalidation.
 ///
 /// # Examples
 ///
@@ -59,8 +64,11 @@ pub enum CacheTier {
 /// // Inserting b evicts a from RAM — a demotes to disk, not the floor.
 /// cache.insert(b, CachedChunk::new(Bytes::from(vec![2u8; 200]), 1));
 /// let (chunk, tier) = cache.get(&a).unwrap();
-/// assert_eq!(tier, CacheTier::Disk);
-/// assert_eq!(chunk.data().len(), 200);
+/// assert_eq!((chunk.data().len(), tier), (200, CacheTier::Disk));
+/// // It is served from disk until a configuration moves it.
+/// assert_eq!(cache.tier_of(&a), Some(CacheTier::Disk));
+/// assert!(cache.insert_to_tier(a, chunk, CacheTier::Ram));
+/// assert_eq!(cache.get(&a).unwrap().1, CacheTier::Ram);
 /// ```
 #[derive(Debug)]
 pub struct TieredChunkCache {
@@ -114,30 +122,19 @@ impl TieredChunkCache {
         self.disk.as_ref()
     }
 
-    /// Reads a chunk: RAM first, then disk. A disk hit promotes the
-    /// chunk to RAM (demoting RAM victims to disk) and reports which
-    /// tier served it. Records RAM hit/miss plus `disk_hits` /
-    /// `tier_promotions` as appropriate.
+    /// Reads a chunk: RAM first, then disk (served in place: neither
+    /// tier changes). Records RAM hit/miss, and `disk_hits` on one.
     pub fn get(&self, key: &ChunkId) -> Option<(CachedChunk, CacheTier)> {
         if let Some(chunk) = self.ram.get(key) {
             return Some((chunk, CacheTier::Ram));
         }
         // RAM miss already recorded by `ram.get`.
-        let disk = self.disk.as_ref()?;
-        let chunk = disk.get(key)?;
+        let chunk = self.disk.as_ref()?.get(key)?;
         self.counters().disk_hits.inc();
-        // Promote: move the chunk up; victims cascade down. If RAM
-        // rejects it (larger than the whole RAM tier) the disk copy
-        // stays where it is.
-        if let Some(victims) = self.ram.insert_collect(*key, chunk.clone()) {
-            disk.remove(key);
-            self.counters().tier_promotions.inc();
-            self.demote(victims);
-        }
         Some((chunk, CacheTier::Disk))
     }
 
-    /// Reads a chunk without promotion, recency updates or hit/miss
+    /// [`TieredChunkCache::get`] without recency updates or hit/miss
     /// accounting (the tiered analogue of [`ShardedChunkCache::peek`]).
     pub fn peek(&self, key: &ChunkId) -> Option<(CachedChunk, CacheTier)> {
         if let Some(chunk) = self.ram.peek(key) {
@@ -172,12 +169,15 @@ impl TieredChunkCache {
         match (tier, &self.disk) {
             (CacheTier::Ram, _) | (CacheTier::Disk, None) => self.insert(key, value),
             (CacheTier::Disk, Some(disk)) => {
-                // Keep tiers exclusive: a RAM copy would shadow the new
-                // disk frame on reads.
-                self.ram.remove(&key);
                 let outcome = disk.put(key, &value);
                 if outcome.evicted > 0 {
                     self.counters().disk_evictions.add(outcome.evicted);
+                }
+                // Exclusive tiers: a RAM copy would shadow the frame. It
+                // goes only once the frame is stored — a refused put
+                // must not lose the chunk from both tiers.
+                if outcome.stored {
+                    self.ram.remove(&key);
                 }
                 outcome.stored
             }
@@ -292,8 +292,8 @@ impl TieredChunkCache {
 
     /// Late-binds the shared tier counters into a metrics registry;
     /// see [`AtomicCacheStats::register_with`]. With a disk tier
-    /// attached its corruption counter
-    /// (`agar_disk_corrupt_frames_total`) is registered too.
+    /// attached its own counters (`agar_disk_corrupt_frames_total`,
+    /// `agar_disk_appended_bytes_total`) are registered too.
     pub fn register_metrics(&self, registry: &agar_obs::MetricsRegistry, base: &agar_obs::Labels) {
         self.counters().register_with(registry, base);
         if let Some(disk) = &self.disk {
@@ -311,8 +311,11 @@ impl TieredChunkCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::disk::HEADER_LEN;
     use agar_ec::ObjectId;
     use bytes::Bytes;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn chunk(byte: u8, len: usize, version: u64) -> CachedChunk {
         CachedChunk::new(Bytes::from(vec![byte; len]), version)
@@ -323,32 +326,72 @@ mod tests {
     }
 
     #[test]
-    fn ram_eviction_demotes_to_disk_and_hit_promotes_back() {
+    fn disk_hit_is_served_in_place() {
         // RAM holds two 100 B chunks; the third insert demotes the LRU
         // victim to disk.
         let cache = TieredChunkCache::with_disk(200, PolicyKind::Lru, 1, 10_000);
-        cache.insert(id(1, 0), chunk(1, 100, 1));
+        cache.insert(id(1, 0), chunk(1, 100, 4));
         cache.insert(id(2, 0), chunk(2, 100, 1));
         cache.insert(id(3, 0), chunk(3, 100, 1));
         assert_eq!(cache.tier_of(&id(1, 0)), Some(CacheTier::Disk));
-        assert_eq!(cache.stats().tier_demotions(), 1);
+        let before = cache.stats();
+        assert_eq!(before.tier_demotions(), 1);
+        let disk = cache.disk().unwrap();
+        let (disk_keys, disk_used, appended) =
+            (disk.keys(), disk.used_bytes(), disk.appended_bytes());
+        let ram_keys = || {
+            let mut keys = cache.ram().keys();
+            keys.sort_unstable();
+            keys
+        };
+        let ram_before = ram_keys();
 
-        // Reading the demoted chunk serves from disk and promotes it
-        // back, demoting the new RAM victim.
-        let (back, tier) = cache.get(&id(1, 0)).unwrap();
-        assert_eq!(tier, CacheTier::Disk);
-        assert_eq!(back.data().as_ref(), &vec![1u8; 100][..]);
+        // Reading the demoted chunk — twice — serves the frame and
+        // changes neither tier.
+        for _ in 0..2 {
+            let (back, tier) = cache.get(&id(1, 0)).unwrap();
+            assert_eq!(tier, CacheTier::Disk);
+            assert_eq!(back.data().as_ref(), &[1u8; 100][..]);
+            assert_eq!(back.version(), 4);
+        }
+        assert_eq!(cache.tier_of(&id(1, 0)), Some(CacheTier::Disk));
+        assert_eq!(disk.keys(), disk_keys);
+        assert_eq!(disk.used_bytes(), disk_used);
+        assert_eq!(disk.appended_bytes(), appended, "a read writes nothing");
+        assert_eq!(ram_keys(), ram_before);
+        assert_eq!(cache.used_bytes(), 200);
+        let delta = cache.stats().delta_since(&before);
+        assert_eq!(delta.disk_hits(), 2);
+        assert_eq!(delta.chunk_misses(), 2, "each was a RAM miss first");
+        assert_eq!(delta.tier_promotions(), 0);
+        assert_eq!(delta.tier_demotions(), 0);
+        assert_eq!(delta.evictions(), 0);
+
+        // Only a placement moves it up, and that keeps tiers exclusive.
+        let (back, _) = cache.peek(&id(1, 0)).unwrap();
+        assert!(cache.insert_to_tier(id(1, 0), back, CacheTier::Ram));
         assert_eq!(cache.tier_of(&id(1, 0)), Some(CacheTier::Ram));
-        let stats = cache.stats();
-        assert_eq!(stats.disk_hits(), 1);
-        assert_eq!(stats.tier_promotions(), 1);
-        assert_eq!(stats.tier_demotions(), 2);
-        // The promoted chunk's disk copy is gone (exclusive tiers).
-        assert!(!cache.disk().unwrap().contains(&id(1, 0)));
+        assert!(!disk.contains(&id(1, 0)));
+        assert_eq!(cache.get(&id(1, 0)).unwrap().1, CacheTier::Ram);
+    }
 
-        // A second read is a plain RAM hit.
-        let (_, tier) = cache.get(&id(1, 0)).unwrap();
+    #[test]
+    fn failed_disk_move_keeps_the_ram_copy() {
+        // A 300 B chunk fits RAM but not the 256 B disk tier: the move
+        // down is refused and must leave the chunk where it was.
+        let cache = TieredChunkCache::with_disk(1_000, PolicyKind::Lru, 1, 256);
+        assert!(cache.insert(id(1, 0), chunk(7, 300, 2)));
+        assert!(!cache.insert_to_tier(id(1, 0), chunk(7, 300, 2), CacheTier::Disk));
+        assert_eq!(cache.tier_of(&id(1, 0)), Some(CacheTier::Ram));
+        let (back, tier) = cache.get(&id(1, 0)).unwrap();
         assert_eq!(tier, CacheTier::Ram);
+        assert_eq!(back, chunk(7, 300, 2));
+        assert_eq!(cache.disk().unwrap().appended_bytes(), 0);
+        // A chunk that does fit still moves, and leaves RAM.
+        assert!(cache.insert(id(2, 0), chunk(8, 100, 1)));
+        assert!(cache.insert_to_tier(id(2, 0), chunk(8, 100, 1), CacheTier::Disk));
+        assert_eq!(cache.tier_of(&id(2, 0)), Some(CacheTier::Disk));
+        assert!(!cache.ram().contains(&id(2, 0)));
     }
 
     #[test]
@@ -442,5 +485,95 @@ mod tests {
         assert!(stats.tier_demotions() > 0);
         assert!(stats.disk_evictions() > 0, "disk churn must evict");
         assert!(cache.disk_used_bytes() <= cache.disk_capacity_bytes() + 512);
+    }
+
+    /// What the oracle expects a tier to hold: `(version, bytes)`.
+    type Model = std::collections::HashMap<ChunkId, (u64, Vec<u8>)>;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Drives every mutating entry point with mixed versions and
+        /// sizes (some larger than a tier, so inserts are refused)
+        /// against a two-map oracle of what was *placed* in each tier.
+        /// Capacity eviction may lose a chunk or spill it RAM → disk,
+        /// never more: a chunk is in at most one tier, a hit returns
+        /// the newest stored version's exact bytes, only a placement
+        /// puts a chunk in RAM, and both byte budgets hold.
+        #[test]
+        fn model_never_two_tiers_never_stale_never_over_budget(
+            ops in vec((0u8..6, 0u64..3, 0u8..2, 1u64..4, 0usize..5), 1..80),
+        ) {
+            const RAM: usize = 600;
+            const DISK: usize = 2_000;
+            const LENS: [usize; 5] = [40, 120, 200, 700, 5_000];
+            let cache = TieredChunkCache::with_disk(RAM, PolicyKind::Lru, 2, DISK);
+            let (mut ram, mut disk) = (Model::new(), Model::new());
+            for (step, (op, object, index, version, len)) in ops.into_iter().enumerate() {
+                let key = id(object, index);
+                let bytes = vec![step as u8; LENS[len]];
+                let value = CachedChunk::new(Bytes::from(bytes.clone()), version);
+                match op {
+                    0 | 1 => {
+                        let tier = if op == 0 { CacheTier::Ram } else { CacheTier::Disk };
+                        let stored = if op == 0 && version % 2 == 0 {
+                            cache.insert(key, value)
+                        } else {
+                            cache.insert_to_tier(key, value, tier)
+                        };
+                        let fits = LENS[len] <= if op == 0 { RAM } else { DISK - HEADER_LEN };
+                        prop_assert_eq!(stored, fits);
+                        if stored {
+                            let (into, other) = if op == 0 {
+                                (&mut ram, &mut disk)
+                            } else {
+                                (&mut disk, &mut ram)
+                            };
+                            into.insert(key, (version, bytes));
+                            other.remove(&key);
+                        }
+                    }
+                    2 => {
+                        cache.remove(&key);
+                        ram.remove(&key);
+                        disk.remove(&key);
+                    }
+                    3 => {
+                        cache.remove_matching(|k| k.object() == key.object());
+                        ram.retain(|k, _| k.object() != key.object());
+                        disk.retain(|k, _| k.object() != key.object());
+                    }
+                    _ => {
+                        let before = cache.tier_of(&key);
+                        let found = if op == 4 { cache.get(&key) } else { cache.peek(&key) };
+                        prop_assert_eq!(cache.tier_of(&key), before, "a read moved the chunk");
+                        prop_assert_eq!(found.as_ref().map(|(_, tier)| *tier), before);
+                        if let Some((chunk, _)) = found {
+                            let placed = ram.get(&key).or(disk.get(&key));
+                            prop_assert_eq!(
+                                Some((chunk.version(), chunk.data().as_ref())),
+                                placed.map(|(v, b)| (*v, b.as_slice()))
+                            );
+                        }
+                    }
+                }
+                for object in 0..3 {
+                    for index in 0..2 {
+                        let key = id(object, index);
+                        let in_ram = cache.ram().contains(&key);
+                        let on_disk = cache.disk().unwrap().contains(&key);
+                        prop_assert!(!(in_ram && on_disk), "{key:?} in both tiers");
+                        prop_assert!(!in_ram || ram.contains_key(&key), "{key:?} promoted");
+                        prop_assert!(
+                            !on_disk || ram.contains_key(&key) || disk.contains_key(&key),
+                            "{key:?} resurrected"
+                        );
+                    }
+                }
+                prop_assert!(cache.used_bytes() <= RAM);
+                prop_assert!(cache.disk_used_bytes() <= DISK);
+            }
+            prop_assert_eq!(cache.stats().tier_promotions(), 0);
+        }
     }
 }

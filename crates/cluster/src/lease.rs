@@ -51,7 +51,7 @@ use agar_cache::CacheStats;
 use agar_ec::ObjectId;
 use agar_obs::Counter;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 
 /// One per-object lease slot: `held` flips under the mutex, waiters
 /// park on the condvar.
@@ -426,25 +426,35 @@ impl Drop for WriteLease<'_> {
 /// The per-member [`CacheEventSink`] the router installs on join: it
 /// forwards the node's object-level occupancy events into the holder
 /// registry.
+///
+/// The manager is held weakly: it owns the member nodes and each node
+/// owns its sink, so a strong reference here would close a cycle and
+/// no member of a dropped router (nor its disk tier's directory) would
+/// ever be freed. Events after the router is gone have no registry to
+/// update.
 pub(crate) struct MemberCacheSink {
-    pub(crate) manager: Arc<WriteLeaseManager>,
+    pub(crate) manager: Weak<WriteLeaseManager>,
     pub(crate) member: u64,
 }
 
 impl CacheEventSink for MemberCacheSink {
     fn object_filled(&self, object: ObjectId) {
-        self.manager.record_fill(self.member, object);
+        if let Some(manager) = self.manager.upgrade() {
+            manager.record_fill(self.member, object);
+        }
     }
 
     fn object_dropped(&self, object: ObjectId) {
-        self.manager.record_drop(self.member, object);
+        if let Some(manager) = self.manager.upgrade() {
+            manager.record_drop(self.member, object);
+        }
     }
 
     fn object_written(&self, object: ObjectId, _version: u64) {
         // The writer's cache is already invalidated; make sure the
         // registry agrees even if the drop event never fired (nothing
         // was cached locally).
-        self.manager.record_drop(self.member, object);
+        self.object_dropped(object);
     }
 }
 

@@ -282,7 +282,7 @@ impl ClusterRouter {
         node.set_chunk_fetcher(Arc::clone(&self.coordinator) as _);
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         node.set_cache_event_sink(Some(Arc::new(MemberCacheSink {
-            manager: Arc::clone(&self.leases),
+            manager: Arc::downgrade(&self.leases),
             member: id,
         })));
         self.leases.register_member(id, Arc::clone(&node));

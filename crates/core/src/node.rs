@@ -161,9 +161,11 @@ pub struct AgarSettings {
     /// placements in the knapsack's second budget and disk hits in the
     /// read planner (between a RAM cache read and remote sources).
     pub disk_read: Duration,
-    /// Modelled chunk-write latency of the local disk tier. Demotions
-    /// and a-priori disk fills run off the critical path, so this only
-    /// informs diagnostics and the experiment harness.
+    /// Modelled chunk-write latency of the local disk tier. Every
+    /// disk write — a-priori fills and re-tier moves at the epoch,
+    /// spilled RAM victims — runs off the critical path (no read
+    /// writes to disk), so this only informs diagnostics and the
+    /// experiment harness.
     pub disk_write: Duration,
     /// Knapsack solver configuration.
     pub solver: KnapsackSolver,
@@ -704,6 +706,13 @@ impl AgarNode {
         self.cache.disk_corrupt_frames()
     }
 
+    /// Frame bytes (header + payload) the disk tier has written so far
+    /// (0 without a disk tier) — every a-priori disk fill, re-tier
+    /// move and spilled RAM victim; reads add none.
+    pub fn disk_appended_bytes(&self) -> u64 {
+        self.cache.disk().map_or(0, |disk| disk.appended_bytes())
+    }
+
     /// A read that may source chunks from collaborative neighbours:
     /// `remote` lists chunks available from other regions' caches as
     /// [`RemoteChunk`] offers. Each needed chunk comes from the
@@ -778,8 +787,8 @@ impl AgarNode {
         let planner = ReadPlanner::new(&manifest, &config);
 
         // Stage 1: hinted-chunk lookups in the tiered cache (per-shard
-        // locks; a disk rescue promotes; stale versions dropped from
-        // both tiers).
+        // locks; a disk hit is served in place — lookups never move a
+        // chunk between tiers; stale versions dropped from both tiers).
         let hits = planner.lookup_local(&self.cache, first_attempt);
         let ram_hits = hits.ram.len();
 
@@ -1058,9 +1067,10 @@ impl AgarNode {
         // is checked against the *live* configuration before the
         // insert and revalidated after it, so a fill racing a
         // reconfiguration cannot leave behind chunks the new
-        // configuration purged (a swap after the insert is followed by
-        // the reconfiguration's own purge; a swap before it is caught
-        // by the revalidation below).
+        // configuration purged or placed in the other tier (a swap
+        // after the insert is followed by the reconfiguration's own
+        // purge and re-tier; a swap before it is caught by the
+        // revalidation below).
         let mut fill_fetches = 0;
         let mut filled_any = false;
         let live_config = Arc::clone(&self.config.read());
@@ -1101,10 +1111,11 @@ impl AgarNode {
                 filled_any |= self
                     .cache
                     .insert_to_tier(id, CachedChunk::new(p, version), tier);
-                if !self.config.read().contains(id) {
+                if self.config.read().tier_for(id) != Some(tier) {
                     // A reconfiguration swapped the config between the
-                    // pre-check and the insert; its purge may already
-                    // have run, so sweep the chunk ourselves.
+                    // pre-check and the insert; its purge and re-tier
+                    // may already have run, so sweep the chunk
+                    // ourselves.
                     self.cache.remove(&id);
                 }
             }
@@ -1134,10 +1145,14 @@ impl AgarNode {
 
     /// Recomputes the configuration, swaps the snapshot, then applies
     /// the diff: chunks no longer in the configuration leave the cache,
-    /// and missing configured chunks are downloaded *a priori* (§IV-A:
-    /// "caching items implies downloading them a priori") — off the
-    /// clients' critical path. Only the solve holds the monitor and
-    /// region-manager locks; the diff and downloads hold only the
+    /// cached chunks the configuration placed in the other tier move
+    /// there, and missing configured chunks are downloaded *a priori*
+    /// (§IV-A: "caching items implies downloading them a priori") —
+    /// off the clients' critical path. On return every cached chunk
+    /// sits in exactly one tier, the one the configuration names
+    /// (barring chunks spilled by a RAM overflow); reads never change
+    /// that. Only the solve holds the monitor and region-manager
+    /// locks; the diff and downloads hold only the
     /// reconfiguration-serialising mutex, which readers never take.
     fn reconfigure(&self) {
         // Overlapping reconfigurations must not interleave swap, purge
@@ -1162,6 +1177,37 @@ impl AgarNode {
         let sink = self.event_sink();
         *self.config.write() = Arc::clone(&new_config);
         self.cache.remove_matching(|id| !new_config.contains(*id));
+        let mut filled: BTreeSet<ObjectId> = BTreeSet::new();
+        // Re-tier: the configuration is the only thing that moves a
+        // chunk between tiers (a read serves a disk hit in place).
+        // Chunks it moved down go first — that frees the RAM the
+        // knapsack counted on for the chunks it moved up and for the
+        // a-priori fills below. Sorted, so the order is deterministic.
+        if let Some(disk) = self.cache.disk() {
+            let mut down = self.cache.ram().keys();
+            down.retain(|id| new_config.tier_for(*id) == Some(CacheTier::Disk));
+            down.sort_unstable();
+            let mut up = disk.keys();
+            up.retain(|id| new_config.tier_for(*id) == Some(CacheTier::Ram));
+            let counters = self.cache.counters();
+            for (ids, tier, moved) in [
+                (down, CacheTier::Disk, &counters.tier_demotions),
+                (up, CacheTier::Ram, &counters.tier_promotions),
+            ] {
+                for id in ids {
+                    let Some((chunk, _)) = self.cache.peek(&id) else {
+                        continue; // invalidated or evicted meanwhile
+                    };
+                    if self.cache.insert_to_tier(id, chunk, tier) {
+                        moved.inc();
+                        // A write may have invalidated the object
+                        // between the peek and the insert: re-register
+                        // it so the holder registry stays a superset.
+                        filled.insert(id.object());
+                    }
+                }
+            }
+        }
         // The a-priori downloads flow through the installed fetcher
         // (per chunk, like the direct path), so under a cluster they
         // coalesce with concurrent critical-path reads of the same
@@ -1170,7 +1216,6 @@ impl AgarNode {
         let mut rng = self.derive_rng();
         let mut objects: Vec<ObjectId> = new_config.objects().collect();
         objects.sort_unstable(); // deterministic fill order
-        let mut filled: BTreeSet<ObjectId> = BTreeSet::new();
         for object in objects {
             let Ok(manifest) = self.backend.manifest(object) else {
                 continue;
@@ -1207,16 +1252,16 @@ impl AgarNode {
             }
         }
         if let Some(sink) = sink {
-            // Report the objects the a-priori fill inserted (recorded
-            // at the insert, so nothing rescans the cache). The
-            // purge's removals are deliberately NOT reported: a drop
-            // emitted here could land after a concurrent reader's
-            // stage-6 fill re-inserted the object (and reported
-            // `object_filled`), deregistering a member that really
-            // holds chunks — the one ordering the registry's superset
-            // invariant forbids. A purged object lingering as a
-            // registered holder merely costs one no-op invalidation
-            // on its next write.
+            // Report the objects the re-tier step and the a-priori fill
+            // inserted (recorded at the insert, so nothing rescans the
+            // cache). The purge's removals are deliberately NOT
+            // reported: a drop emitted here could land after a
+            // concurrent reader's stage-6 fill re-inserted the object
+            // (and reported `object_filled`), deregistering a member
+            // that really holds chunks — the one ordering the
+            // registry's superset invariant forbids. A purged object
+            // lingering as a registered holder merely costs one no-op
+            // invalidation on its next write.
             for object in filled {
                 sink.object_filled(object);
             }
@@ -1733,6 +1778,62 @@ mod tests {
         assert!(disk_served_hits > 0, "no disk-configured object hit");
         let stats = node.cache_stats();
         assert!(stats.disk_hits() > 0, "disk tier never served: {stats:?}");
+    }
+
+    /// The placement invariant: when `reconfigure` returns, every
+    /// cached chunk sits in exactly one tier and it is the tier the
+    /// configuration names; reads never change that.
+    #[test]
+    fn placement_follows_the_configuration_across_shifting_epochs() {
+        const OBJECTS: u64 = 24;
+        let backend = test_backend(OBJECTS, 900);
+        // RAM holds two objects' chunks; the disk tier has room for the
+        // whole catalogue plus the frames re-tier moves leave behind.
+        let node = AgarNode::new(
+            FRANKFURT,
+            Arc::clone(&backend),
+            tiered_settings(1_800, 64_000),
+            7,
+        )
+        .unwrap();
+        let zipf = agar_workload::Zipfian::new(OBJECTS, 1.1).unwrap();
+        let mut rng = StdRng::seed_from_u64(11);
+        let tier_moves = |node: &AgarNode| {
+            let stats = node.cache_stats();
+            (stats.tier_promotions(), stats.tier_demotions())
+        };
+        let mut settled = tier_moves(&node);
+        for epoch in 0..8u64 {
+            // The hot set slides five keys along every epoch.
+            for _ in 0..120 {
+                let key = (zipf.sample(&mut rng) + epoch * 5) % OBJECTS;
+                let metrics = node.read(ObjectId::new(key)).unwrap();
+                assert_eq!(metrics.data.as_ref(), expected_payload(key, 900).as_slice());
+            }
+            assert_eq!(tier_moves(&node), settled, "a read moved a chunk");
+            node.force_reconfigure();
+            settled = tier_moves(&node);
+
+            let config = node.current_config();
+            let cached = node.cache.keys();
+            assert_eq!(cached.len(), config.total_chunks() as usize);
+            for id in cached {
+                let in_ram = node.cache.ram().contains(&id);
+                let on_disk = node.cache.disk().unwrap().contains(&id);
+                assert!(in_ram != on_disk, "{id:?} is in both tiers");
+                let version = backend.manifest(id.object()).unwrap().version();
+                let (_, tier) = node.peek_chunk_tier(&id, version).unwrap();
+                assert_eq!(Some(tier), config.tier_for(id), "{id:?} epoch {epoch}");
+            }
+            assert!(node.cache.used_bytes() <= node.cache.capacity_bytes());
+            assert!(node.cache.disk_used_bytes() <= node.cache.disk_capacity_bytes());
+        }
+        let (promotions, demotions) = settled;
+        assert!(
+            promotions > 0 && demotions > 0,
+            "the shifting hot set never re-tiered a chunk ({promotions} up, {demotions} down)"
+        );
+        assert_eq!(node.cache_stats().disk_evictions(), 0);
     }
 
     #[test]

@@ -196,12 +196,13 @@ impl<'a> ReadPlanner<'a> {
     /// tiered cache, version-checked (stale chunks are dropped — from
     /// **both** tiers, write-path coherence), and returns the hits
     /// split by serving tier. Each RAM lookup locks only the chunk's
-    /// cache shard; a disk hit additionally promotes the chunk.
+    /// cache shard; a disk hit is one verified frame read and leaves
+    /// the chunk where the configuration put it.
     ///
     /// `record_stats` controls whether the lookups count toward the
-    /// cache's chunk-level hit/miss statistics, tier traffic and
-    /// recency metadata; a version-race *retry* of the same logical
-    /// read passes `false` so one read never double-counts.
+    /// cache's chunk-level hit/miss statistics and recency metadata;
+    /// a version-race *retry* of the same logical read passes `false`
+    /// so one read never double-counts.
     pub fn lookup_local(&self, cache: &TieredChunkCache, record_stats: bool) -> LocalHits {
         let object = self.manifest.object();
         let version = self.manifest.version();

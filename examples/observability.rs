@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let mut settings = AgarSettings::paper_default(8 * 45_000);
     settings.trace_sample_every = 1;
     // A warm disk tier under the RAM cache, so the disk-tier families
-    // (hits, demotions, corrupt frames) show up in the scrape body.
+    // (hits, appended bytes, corrupt frames) show up in the scrape body.
     settings.disk_capacity_bytes = 4 * 45_000;
     let node = AgarNode::new(FRANKFURT, Arc::clone(&backend), settings, 11)?;
 

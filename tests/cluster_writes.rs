@@ -528,3 +528,40 @@ fn removed_members_are_detached_and_rejoin_cleanly() {
         assert_eq!(metrics.metrics().data.as_ref(), expected.as_slice());
     }
 }
+
+/// Dropping a router frees its members: the lease manager owns the
+/// nodes and each node's event sink points back at the manager, so a
+/// strong back-reference would keep every member — and its disk
+/// tier's temp directory — alive for the rest of the process.
+#[test]
+fn dropping_a_tiered_router_removes_its_disk_directories() {
+    const OBJECTS: u64 = 24;
+    let backend = backend(OBJECTS);
+    let router = ClusterRouter::new(Arc::clone(&backend), ClusterSettings::default(), 7).unwrap();
+    let ids: Vec<u64> = (0..3)
+        .map(|seed| router.add_node(tiered_node(&backend, seed)).node)
+        .collect();
+    for _ in 0..2 {
+        for i in 0..OBJECTS {
+            router.read(ObjectId::new(i)).unwrap();
+        }
+        router.force_reconfigure_all();
+    }
+    router.write(ObjectId::new(0), &[7; SIZE]).unwrap();
+    // Each member's knapsack put its long tail on disk, so each store
+    // has segment files; their parent is the store's directory.
+    let dirs: Vec<std::path::PathBuf> = ids
+        .iter()
+        .map(|&id| {
+            let segments = router.member(id).unwrap().disk_segment_paths();
+            let first = segments.first().expect("member wrote no disk frame");
+            first.parent().unwrap().to_path_buf()
+        })
+        .collect();
+    assert!(dirs.iter().all(|dir| dir.is_dir()));
+
+    drop(router);
+    for dir in dirs {
+        assert!(!dir.exists(), "{} outlived its router", dir.display());
+    }
+}

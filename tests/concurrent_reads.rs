@@ -8,18 +8,24 @@
 //! reconfigurations interleave without deadlock, and (d) on a
 //! multi-core host a cache-hit-heavy workload actually scales.
 
-use agar::{AgarNode, AgarSettings, CachingClient};
+use agar::{AgarError, AgarNode, AgarSettings, CachingClient};
 use agar_bench::{build_warm_node, run_threads, throughput_scaling, Deployment, Scale};
 use agar_ec::{CodingParams, ObjectId};
 use agar_net::presets::{aws_six_regions, FRANKFURT};
 use agar_store::{expected_payload, populate, Backend, RoundRobin};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::{Arc, Barrier};
+use std::time::Duration;
 
 const K: usize = 9; // RS(9, 3) data chunks
 
 fn shared_node(objects: u64, cache_bytes: usize) -> Arc<AgarNode> {
+    node_with(objects, AgarSettings::paper_default(cache_bytes))
+}
+
+fn node_with(objects: u64, settings: AgarSettings) -> Arc<AgarNode> {
     let preset = aws_six_regions();
     let backend = Backend::new(
         preset.topology,
@@ -30,15 +36,7 @@ fn shared_node(objects: u64, cache_bytes: usize) -> Arc<AgarNode> {
     .unwrap();
     let mut rng = StdRng::seed_from_u64(42);
     populate(&backend, objects, 900, &mut rng).unwrap();
-    Arc::new(
-        AgarNode::new(
-            FRANKFURT,
-            Arc::new(backend),
-            AgarSettings::paper_default(cache_bytes),
-            7,
-        )
-        .unwrap(),
-    )
+    Arc::new(AgarNode::new(FRANKFURT, Arc::new(backend), settings, 7).unwrap())
 }
 
 #[test]
@@ -142,6 +140,83 @@ fn reads_writes_and_reconfigurations_interleave_without_deadlock() {
     // A final read sees the last written version.
     let metrics = node.read(ObjectId::new(0)).unwrap();
     assert_eq!(metrics.data.as_ref(), vec![5u8; 900].as_slice());
+}
+
+/// Readers racing reconfigurations — whose re-tier step moves chunks
+/// between RAM and disk under them — and a writer only ever decode a
+/// whole object, no older than the newest write that completed before
+/// the read began.
+#[test]
+fn tiered_readers_racing_reconfigurations_see_whole_current_objects() {
+    const OBJECTS: u64 = 6;
+    // RAM fits one object, the disk tier the rest of the catalogue.
+    let mut settings = AgarSettings::paper_default(900);
+    settings.disk_capacity_bytes = 16 * 900;
+    settings.disk_read = Duration::from_millis(45);
+    settings.disk_write = Duration::from_millis(60);
+    let node = node_with(OBJECTS, settings);
+    for object in 0..OBJECTS {
+        node.read(ObjectId::new(object)).unwrap();
+    }
+    node.force_reconfigure();
+    assert!(node.current_config().disk_chunks() > 0, "disk tier unused");
+
+    // Object 0 is rewritten with constant fills 1, 2, …; `completed`
+    // is the newest fill whose write has returned.
+    let completed = AtomicU8::new(0);
+    let done = AtomicBool::new(false);
+    let barrier = Barrier::new(4);
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| {
+                barrier.wait();
+                let mut sweeps = 0;
+                while !done.load(Ordering::Acquire) || sweeps == 0 {
+                    for object in 0..OBJECTS {
+                        let floor = completed.load(Ordering::Acquire);
+                        let data = match node.read(ObjectId::new(object)) {
+                            Ok(metrics) => metrics.data,
+                            // Three racing attempts in a row: an
+                            // explicit outcome, never silent staleness.
+                            Err(AgarError::ReadContention { .. }) => continue,
+                            Err(e) => panic!("racing read failed: {e}"),
+                        };
+                        if data.as_ref() == expected_payload(object, 900).as_slice() {
+                            assert!(object != 0 || floor == 0, "pristine after write {floor}");
+                        } else {
+                            let fill = data[0];
+                            assert_eq!(object, 0, "only object 0 is rewritten");
+                            assert!(data.iter().all(|&b| b == fill), "mixed versions");
+                            assert!(fill >= floor, "read fill {fill} after {floor} completed");
+                        }
+                    }
+                    sweeps += 1;
+                }
+            });
+        }
+        scope.spawn(|| {
+            barrier.wait();
+            for fill in 1..=40u8 {
+                node.write(ObjectId::new(0), &vec![fill; 900]).unwrap();
+                completed.store(fill, Ordering::Release);
+            }
+        });
+        barrier.wait();
+        // The hot object changes every round, so every epoch re-tiers.
+        for round in 0..40u64 {
+            for _ in 0..6 {
+                let _ = node.read(ObjectId::new(round % OBJECTS));
+            }
+            node.force_reconfigure();
+        }
+        done.store(true, Ordering::Release);
+    });
+
+    let stats = node.cache_stats();
+    assert!(stats.tier_promotions() > 0 && stats.tier_demotions() > 0);
+    assert_eq!(node.disk_corrupt_frames(), 0);
+    let last = node.read(ObjectId::new(0)).unwrap();
+    assert_eq!(last.data.as_ref(), vec![40u8; 900].as_slice());
 }
 
 #[test]
