@@ -12,16 +12,12 @@
 //! an enabled per-region circuit breaker), so every delta in the table
 //! is attributable to the hardening alone.
 
-use crate::harness::{Deployment, Scale};
-use crate::table::{LatencyHistogram, LatencySummary, Table};
-use agar::{AgarNode, AgarSettings, BreakerPolicy, CachingClient, DirectFetcher, RetryPolicy};
+use crate::cell::{cell_labels, Cell, ColumnSpec, Layout, Value};
+use crate::harness::{closed_loop, Deployment, Scale};
+use agar::{BreakerPolicy, DirectFetcher, RetryPolicy};
 use agar_chaos::{ChaosClock, ChaosPlane, ChaosSpec, FetchFaultSpec, RegionOutage};
-use agar_ec::ObjectId;
-use agar_net::sim::Simulation;
 use agar_net::{RegionId, SimTime};
-use agar_obs::{Labels, MetricsRegistry};
-use agar_workload::{Op, WorkloadSpec};
-use std::collections::VecDeque;
+use agar_obs::{MetricsRegistry, StageSummaries};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -42,7 +38,7 @@ pub struct ChaosParams {
 
 impl ChaosParams {
     /// Full-scale defaults.
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         ChaosParams {
             scale: Scale::paper(),
             operations: 1_000,
@@ -75,7 +71,7 @@ pub enum ChaosPolicy {
 
 impl ChaosPolicy {
     /// The policy's display label.
-    pub fn label(&self) -> &'static str {
+    fn label(&self) -> &'static str {
         match self {
             ChaosPolicy::Baseline => "baseline",
             ChaosPolicy::Hardened => "hardened",
@@ -83,7 +79,7 @@ impl ChaosPolicy {
     }
 
     /// The retry policy this cell runs with.
-    pub fn retry(&self) -> RetryPolicy {
+    fn retry(&self) -> RetryPolicy {
         match self {
             ChaosPolicy::Baseline => RetryPolicy::default(),
             ChaosPolicy::Hardened => RetryPolicy {
@@ -96,7 +92,7 @@ impl ChaosPolicy {
     }
 
     /// The breaker policy this cell runs with.
-    pub fn breaker(&self) -> BreakerPolicy {
+    fn breaker(&self) -> BreakerPolicy {
         match self {
             ChaosPolicy::Baseline => BreakerPolicy::default(),
             ChaosPolicy::Hardened => BreakerPolicy {
@@ -165,75 +161,29 @@ impl ChaosScenario {
     }
 }
 
-/// One (scenario, policy) cell of the chaos experiment.
-#[derive(Clone, Debug)]
-pub struct ChaosResult {
-    /// Scenario name.
-    pub scenario: String,
-    /// Policy label (`baseline` or `hardened`).
-    pub policy: String,
-    /// Operations completed.
-    pub operations: usize,
-    /// Reads that failed outright (counted as 2 s penalty ops).
-    pub errors: usize,
-    /// Percentile summary of per-read simulated latency.
-    pub latency: LatencySummary,
-    /// Faults the chaos plane injected.
-    pub faults_injected: u64,
-    /// Replans charged against the retry budget.
-    pub retries: u64,
-    /// Reads that fell back to an ungated plan after breaker exclusion
-    /// left fewer than `k` reachable chunks.
-    pub degraded_reads: u64,
-    /// Circuit-breaker open transitions.
-    pub breaker_opens: u64,
-}
-
-struct ChaosState {
-    node: Arc<AgarNode>,
-    clock: ChaosClock,
-    pending: VecDeque<Op>,
-    latencies: Vec<Duration>,
-    in_flight: usize,
-    errors: usize,
-}
-
-fn chaos_client_loop(state: &mut ChaosState, sched: &mut agar_net::Scheduler<ChaosState>) {
-    let Some(op) = state.pending.pop_front() else {
-        state.in_flight -= 1;
-        return;
-    };
-    // Both clocks advance together: the fault schedule and the
-    // breaker/backoff pricing see the same simulated instant.
-    state.clock.set(sched.now());
-    state.node.set_sim_now(sched.now());
-    let latency = match state.node.read(ObjectId::new(op.key())) {
-        Ok(metrics) => metrics.latency,
-        Err(_) => {
-            state.errors += 1;
-            // Same closed-loop pacing as the tail harness: a failed op
-            // costs a backend-style slow round trip.
-            Duration::from_secs(2)
-        }
-    };
-    state.latencies.push(latency);
-    sched.schedule_in(latency, chaos_client_loop);
-}
-
-/// Once per simulated second: advance the chaos clock and give the
-/// node its reconfiguration chance (same cadence as the main harness).
-fn chaos_tick(state: &mut ChaosState, sched: &mut agar_net::Scheduler<ChaosState>) {
-    state.clock.set(sched.now());
-    state.node.set_sim_now(sched.now());
-    state.node.maybe_reconfigure(sched.now());
-    if state.in_flight > 0 {
-        sched.schedule_in(Duration::from_secs(1), chaos_tick);
-    }
-}
+/// The `chaos` cell layout: faults the chaos plane injected, replans
+/// charged against the retry budget, reads that fell back to an
+/// ungated plan after breaker exclusion left fewer than `k` reachable
+/// chunks, and circuit-breaker open transitions. Reads are not traced,
+/// so there is no stage breakdown.
+pub(crate) static CHAOS: Layout = Layout {
+    title:
+        "Chaos — baseline vs hardened failure handling under injected faults (Frankfurt, Zipf 1.1)",
+    policy_header: "policy",
+    param: None,
+    stages: false,
+    columns: &[
+        ColumnSpec::shown("faults_injected", "faults"),
+        ColumnSpec::shown("retries", "retries"),
+        ColumnSpec::shown("degraded_reads", "degraded"),
+        ColumnSpec::shown("breaker_opens", "opens"),
+    ],
+};
 
 /// Runs one (scenario, policy) cell: fresh deployment, fresh node
 /// behind a fresh chaos plane, seeded closed-loop clients on the
-/// simulated clock.
+/// simulated clock. With a registry, the cell's node and chaos plane
+/// bind their counters into it under `{scenario, policy}` labels.
 ///
 /// # Panics
 ///
@@ -242,34 +192,19 @@ pub fn chaos_run(
     params: &ChaosParams,
     scenario: &ChaosScenario,
     policy: ChaosPolicy,
-) -> ChaosResult {
-    chaos_run_with(params, scenario, policy, None)
-}
-
-/// [`chaos_run`] with an optional metrics registry: when given, the
-/// cell's node and chaos plane bind their counters into it under
-/// `{scenario, policy}` labels.
-pub fn chaos_run_with(
-    params: &ChaosParams,
-    scenario: &ChaosScenario,
-    policy: ChaosPolicy,
     registry: Option<&MetricsRegistry>,
-) -> ChaosResult {
+) -> Cell {
     let deployment = Deployment::build(params.scale);
-    let preset = &deployment.preset;
-    let mut settings = AgarSettings::paper_default(deployment.scale.cache_bytes(params.cache_mb));
-    settings.cache_read = preset.cache_read;
-    settings.client_overhead = preset.client_overhead;
-    settings.retry = policy.retry();
-    settings.breaker = policy.breaker();
-    let node = Arc::new(
-        AgarNode::new(
-            preset.region("Frankfurt"),
-            Arc::clone(&deployment.backend),
-            settings,
-            params.seed ^ 0x5EED,
-        )
-        .expect("paper settings are valid"),
+    let labels = cell_labels(scenario.name, policy.label());
+    let node = deployment.agar_node(
+        deployment.region("Frankfurt"),
+        deployment.scale.cache_bytes(params.cache_mb),
+        params.seed,
+        |settings| {
+            settings.retry = policy.retry();
+            settings.breaker = policy.breaker();
+        },
+        registry.map(|r| (r, &labels)),
     );
     let mut spec = scenario.spec.clone();
     spec.seed = params.seed;
@@ -281,63 +216,36 @@ pub fn chaos_run_with(
     ));
     node.set_chunk_fetcher(Arc::clone(&plane) as _);
     if let Some(registry) = registry {
-        let labels = Labels::new()
-            .with("scenario", scenario.name)
-            .with("policy", policy.label());
-        node.register_metrics(registry, &labels);
         plane.register_metrics(registry, labels);
     }
 
-    let mut workload = WorkloadSpec::paper_default();
-    workload.operations = params.operations;
-    workload.object_count = workload.object_count.min(deployment.scale.object_count);
-    workload.object_size = deployment.scale.object_size;
-    let ops: VecDeque<Op> = workload
+    let ops = deployment
+        .paper_workload(params.operations)
         .stream(params.seed)
-        .expect("workload spec validated")
-        .collect();
-
-    let mut sim = Simulation::new(ChaosState {
-        node: Arc::clone(&node),
-        clock,
-        pending: ops,
-        latencies: Vec::with_capacity(params.operations),
-        in_flight: params.clients.max(1),
-        errors: 0,
+        .expect("workload spec validated");
+    // Both clocks advance together: the fault schedule and the
+    // breaker/backoff pricing see the same simulated instant.
+    let outcome = closed_loop(&*node, ops, params.clients, SimTime::ZERO, &mut |now| {
+        clock.set(now);
+        node.set_sim_now(now);
     });
-    sim.schedule_at(SimTime::ZERO, chaos_tick);
-    for _ in 0..params.clients.max(1) {
-        sim.schedule_at(SimTime::ZERO, chaos_client_loop);
-    }
-    sim.run();
-    let state = sim.into_world();
-
-    let mut histogram = LatencyHistogram::new();
-    state.latencies.iter().for_each(|&l| histogram.record(l));
-    ChaosResult {
-        scenario: scenario.name.to_string(),
-        policy: policy.label().to_string(),
-        operations: state.latencies.len(),
-        errors: state.errors,
-        latency: histogram.summary(),
-        faults_injected: plane.faults_injected(),
-        retries: node.retries(),
-        degraded_reads: node.degraded_reads(),
-        breaker_opens: node.breaker().opens(),
-    }
+    CHAOS.cell(
+        scenario.name.to_string(),
+        policy.label().to_string(),
+        0,
+        &outcome,
+        StageSummaries::default(),
+        vec![
+            Value::Count(plane.faults_injected()),
+            Value::Count(node.retries()),
+            Value::Count(node.degraded_reads()),
+            Value::Count(node.breaker().opens()),
+        ],
+    )
 }
 
 /// Runs the full scenario family, baseline and hardened per scenario.
-pub fn chaos_results(params: &ChaosParams) -> Vec<ChaosResult> {
-    chaos_results_with(params, None)
-}
-
-/// [`chaos_results`] with an optional metrics registry (see
-/// [`chaos_run_with`]).
-pub fn chaos_results_with(
-    params: &ChaosParams,
-    registry: Option<&MetricsRegistry>,
-) -> Vec<ChaosResult> {
+pub(crate) fn chaos_results(params: &ChaosParams, registry: Option<&MetricsRegistry>) -> Vec<Cell> {
     // Partition a region the Frankfurt client does not live in; Tokyo
     // is far enough that its chunks are marginal in calm plans, so the
     // outage's effect is isolated to the fault path under test.
@@ -345,60 +253,10 @@ pub fn chaos_results_with(
     let mut results = Vec::new();
     for scenario in ChaosScenario::family(partitioned) {
         for policy in [ChaosPolicy::Baseline, ChaosPolicy::Hardened] {
-            let result = chaos_run_with(params, &scenario, policy, registry);
-            eprintln!(
-                "  [chaos] {:<12} {:<9} P99 {:6.0} ms (P50 {:4.0}), \
-                 {} faults, {} retries, {} degraded, {} opens, {} errors",
-                result.scenario,
-                result.policy,
-                result.latency.p99_ms,
-                result.latency.p50_ms,
-                result.faults_injected,
-                result.retries,
-                result.degraded_reads,
-                result.breaker_opens,
-                result.errors,
-            );
-            results.push(result);
+            results.push(chaos_run(params, &scenario, policy, registry));
         }
     }
     results
-}
-
-/// Renders chaos results as the `chaos` experiment table.
-pub fn chaos_table(results: &[ChaosResult]) -> Table {
-    let mut headers: Vec<String> = vec!["scenario".into(), "policy".into(), "mean (ms)".into()];
-    headers.extend(LatencySummary::percentile_headers());
-    headers.extend([
-        "max (ms)".into(),
-        "faults".into(),
-        "retries".into(),
-        "degraded".into(),
-        "opens".into(),
-        "errors".into(),
-    ]);
-    let mut table = Table::new(
-        "Chaos — baseline vs hardened failure handling under injected faults (Frankfurt, Zipf 1.1)",
-        headers,
-    );
-    for r in results {
-        let mut row = vec![
-            r.scenario.clone(),
-            r.policy.clone(),
-            format!("{:.0}", r.latency.mean_ms),
-        ];
-        row.extend(r.latency.percentile_cells());
-        row.extend([
-            format!("{:.0}", r.latency.max_ms),
-            r.faults_injected.to_string(),
-            r.retries.to_string(),
-            r.degraded_reads.to_string(),
-            r.breaker_opens.to_string(),
-            r.errors.to_string(),
-        ]);
-        table.push_row(row);
-    }
-    table
 }
 
 #[cfg(test)]
@@ -417,11 +275,11 @@ mod tests {
         let scenario = &ChaosScenario::family(RegionId::new(4))[0];
         assert_eq!(scenario.name, "calm");
         for policy in [ChaosPolicy::Baseline, ChaosPolicy::Hardened] {
-            let result = chaos_run(&params, scenario, policy);
+            let result = chaos_run(&params, scenario, policy, None);
             assert_eq!(result.operations, 120);
             assert_eq!(result.errors, 0);
-            assert_eq!(result.faults_injected, 0);
-            assert_eq!(result.breaker_opens, 0);
+            assert_eq!(result.count("faults_injected"), 0);
+            assert_eq!(result.count("breaker_opens"), 0);
         }
     }
 
@@ -431,10 +289,10 @@ mod tests {
         let partitioned = agar_net::presets::TOKYO;
         let scenarios = ChaosScenario::family(partitioned);
         let flaky = scenarios.iter().find(|s| s.name == "flaky-fetch").unwrap();
-        let baseline = chaos_run(&params, flaky, ChaosPolicy::Baseline);
-        let hardened = chaos_run(&params, flaky, ChaosPolicy::Hardened);
-        assert!(baseline.faults_injected > 0, "schedule must fire");
-        assert!(hardened.faults_injected > 0, "schedule must fire");
+        let baseline = chaos_run(&params, flaky, ChaosPolicy::Baseline, None);
+        let hardened = chaos_run(&params, flaky, ChaosPolicy::Hardened, None);
+        assert!(baseline.count("faults_injected") > 0, "schedule must fire");
+        assert!(hardened.count("faults_injected") > 0, "schedule must fire");
         // The 20% per-fetch fault rate is harsh enough that some reads
         // exhaust any bounded budget; the hardened budget (4 attempts
         // vs 3) must never do worse. Seeds are fixed, so this is a
@@ -445,7 +303,10 @@ mod tests {
             hardened.errors,
             baseline.errors
         );
-        assert!(hardened.retries > 0, "faults must charge the retry budget");
+        assert!(
+            hardened.count("retries") > 0,
+            "faults must charge the retry budget"
+        );
     }
 
     #[test]
@@ -453,11 +314,11 @@ mod tests {
         let params = quick_params();
         let partitioned = agar_net::presets::TOKYO;
         let scenario = &ChaosScenario::family(partitioned)[1];
-        let a = chaos_run(&params, scenario, ChaosPolicy::Hardened);
-        let b = chaos_run(&params, scenario, ChaosPolicy::Hardened);
+        let a = chaos_run(&params, scenario, ChaosPolicy::Hardened, None);
+        let b = chaos_run(&params, scenario, ChaosPolicy::Hardened, None);
         assert_eq!(a.latency, b.latency);
-        assert_eq!(a.faults_injected, b.faults_injected);
-        assert_eq!(a.retries, b.retries);
-        assert_eq!(a.breaker_opens, b.breaker_opens);
+        assert_eq!(a.count("faults_injected"), b.count("faults_injected"));
+        assert_eq!(a.count("retries"), b.count("retries"));
+        assert_eq!(a.count("breaker_opens"), b.count("breaker_opens"));
     }
 }

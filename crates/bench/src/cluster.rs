@@ -1,30 +1,29 @@
-//! Multi-node wall-clock throughput: the cluster scenario.
-//!
-//! Extends the single-node [`throughput`](crate::throughput) harness to
-//! `M` client threads × `K` Agar nodes behind one
-//! [`ClusterRouter`]: clients issue reads through the router, which
-//! fans them out to the owning member by consistent hash. On a
-//! cache-hit-heavy workload the members' sharded caches are disjoint by
-//! construction (each object lives with its ring owner), so adding
-//! nodes adds independent lock domains the same way adding shards does
-//! within a node — aggregate ops/s is expected to track available
-//! cores, not node count, on small hosts.
+//! The warm multi-node cluster the `mixed` experiment and the cluster
+//! acceptance tests run against: `K` Agar nodes behind one
+//! [`ClusterRouter`], clients reading through the router, which fans
+//! them out to the owning member by consistent hash.
 
 use crate::harness::Deployment;
-use crate::table::LatencyHistogram;
-use crate::throughput::ThroughputRun;
-use agar::{AgarNode, AgarSettings};
+use agar::AgarNode;
 use agar_cluster::{ClusterRouter, ClusterSettings};
 use agar_ec::ObjectId;
 use agar_net::RegionId;
 use std::sync::Arc;
-use std::time::Instant;
+
+/// Per-member cache size in paper MB units: 10 "MB" holds any hot set
+/// the harnesses use at every cluster size (each owner holds a subset).
+const MEMBER_CACHE_MB: f64 = 10.0;
 
 /// Builds a `members`-node cluster in `region` whose caches are warm
 /// for objects `0..hot_objects`: every hot object is made popular
 /// through routed reads (so its ring owner's monitor sees it), every
 /// member reconfigures (downloading its configured chunks a priori),
 /// and a verification pass confirms full cache hits.
+///
+/// Every member hedges up to `max_hedges` speculative backend fetches
+/// per read (0 reproduces the unhedged cluster exactly) and, with
+/// `trace`, samples every read — the mixed experiment turns that on for
+/// its per-stage breakdown columns.
 ///
 /// # Panics
 ///
@@ -34,56 +33,6 @@ pub fn build_warm_cluster(
     deployment: &Deployment,
     region: RegionId,
     members: usize,
-    cache_mb: f64,
-    hot_objects: u64,
-    seed: u64,
-) -> Arc<ClusterRouter> {
-    build_warm_hedged_cluster(deployment, region, members, cache_mb, hot_objects, 0, seed)
-}
-
-/// [`build_warm_cluster`] with hedging enabled on every member: up to
-/// `max_hedges` speculative backend fetches per read (0 reproduces the
-/// unhedged cluster exactly).
-///
-/// # Panics
-///
-/// Same as [`build_warm_cluster`].
-pub fn build_warm_hedged_cluster(
-    deployment: &Deployment,
-    region: RegionId,
-    members: usize,
-    cache_mb: f64,
-    hot_objects: u64,
-    max_hedges: usize,
-    seed: u64,
-) -> Arc<ClusterRouter> {
-    build_warm_cluster_with(
-        deployment,
-        region,
-        members,
-        cache_mb,
-        hot_objects,
-        max_hedges,
-        false,
-        seed,
-    )
-}
-
-/// [`build_warm_hedged_cluster`] with read tracing optionally enabled
-/// on every member (`trace` samples every read). The throughput
-/// harnesses leave it off — they measure wall-clock ops/s and tracing,
-/// while cheap, is not free; the mixed experiment turns it on for its
-/// per-stage breakdown columns.
-///
-/// # Panics
-///
-/// Same as [`build_warm_cluster`].
-#[allow(clippy::too_many_arguments)]
-pub fn build_warm_cluster_with(
-    deployment: &Deployment,
-    region: RegionId,
-    members: usize,
-    cache_mb: f64,
     hot_objects: u64,
     max_hedges: usize,
     trace: bool,
@@ -91,9 +40,7 @@ pub fn build_warm_cluster_with(
 ) -> Arc<ClusterRouter> {
     assert!(members > 0, "need at least one member");
     assert!(hot_objects > 0, "need at least one hot object");
-    let mut settings = AgarSettings::paper_default(deployment.scale.cache_bytes(cache_mb));
-    settings.cache_read = deployment.preset.cache_read;
-    settings.client_overhead = deployment.preset.client_overhead;
+    let mut settings = deployment.settings(deployment.scale.cache_bytes(MEMBER_CACHE_MB));
     settings.max_hedges = max_hedges;
     settings.trace_sample_every = u64::from(trace);
     let router = Arc::new(
@@ -134,181 +81,27 @@ pub fn build_warm_cluster_with(
     router
 }
 
-/// Hammers the cluster with `threads` OS threads, each performing
-/// `ops_per_thread` routed reads round-robin over the hot set, and
-/// reports aggregate wall-clock throughput.
-///
-/// # Panics
-///
-/// Panics if a read fails (the backend is healthy in this harness).
-pub fn run_cluster_threads(
-    router: &Arc<ClusterRouter>,
-    threads: usize,
-    ops_per_thread: usize,
-    hot_objects: u64,
-) -> ThroughputRun {
-    let threads = threads.max(1);
-    let start = Instant::now();
-    let mut cache_hits = 0u64;
-    let mut backend_fetches = 0u64;
-    let mut histogram = LatencyHistogram::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let router = Arc::clone(router);
-                scope.spawn(move || {
-                    let mut hits = 0u64;
-                    let mut fetches = 0u64;
-                    let mut local = LatencyHistogram::new();
-                    for i in 0..ops_per_thread {
-                        // Offset each thread so they touch different
-                        // objects (and so different members) at any
-                        // instant.
-                        let object = (t * 3 + i) as u64 % hot_objects;
-                        let op_start = Instant::now();
-                        let metrics = router
-                            .read(ObjectId::new(object))
-                            .expect("healthy backend read");
-                        local.record(op_start.elapsed());
-                        hits += metrics.metrics().cache_hits as u64;
-                        fetches += metrics.metrics().backend_fetches as u64;
-                    }
-                    (hits, fetches, local)
-                })
-            })
-            .collect();
-        for handle in handles {
-            let (hits, fetches, local) = handle.join().expect("client thread panicked");
-            cache_hits += hits;
-            backend_fetches += fetches;
-            histogram.merge(&local);
-        }
-    });
-    let elapsed = start.elapsed();
-    let total_ops = (threads * ops_per_thread) as u64;
-    ThroughputRun {
-        threads,
-        total_ops,
-        elapsed,
-        ops_per_sec: total_ops as f64 / elapsed.as_secs_f64().max(1e-9),
-        cache_hits,
-        backend_fetches,
-        latency: histogram.summary(),
-    }
-}
-
-/// Runs the `M clients × K nodes` grid against one deployment and
-/// returns `(members, run)` per grid cell, row-major in `members`.
-pub fn cluster_scaling(
-    deployment: &Deployment,
-    region: RegionId,
-    member_counts: &[usize],
-    thread_counts: &[usize],
-    ops_per_thread: usize,
-) -> Vec<(usize, ThroughputRun)> {
-    // 8 hot objects in 10-"MB" member caches: fully cacheable at every
-    // cluster size (each owner holds a subset).
-    let hot_objects = 8;
-    let mut runs = Vec::with_capacity(member_counts.len() * thread_counts.len());
-    for &members in member_counts {
-        let router = build_warm_cluster(deployment, region, members, 10.0, hot_objects, 0xC105);
-        for &threads in thread_counts {
-            runs.push((
-                members,
-                run_cluster_threads(&router, threads, ops_per_thread, hot_objects),
-            ));
-        }
-    }
-    runs
-}
-
-/// The `cluster` experiment: aggregate ops/s over the M × K grid, with
-/// speed-ups relative to the 1-thread × 1-node cell.
-pub fn cluster_table(deployment: &Deployment, ops_per_thread: usize) -> crate::table::Table {
-    let mut table = crate::table::Table::new(
-        "Cluster — aggregate ops/s, M client threads x K ring-routed Agar nodes (cache-hit-heavy)",
-        vec![
-            "nodes".into(),
-            "threads".into(),
-            "ops".into(),
-            "elapsed ms".into(),
-            "ops/s".into(),
-            "speed-up".into(),
-            "hit %".into(),
-            "P50 (µs)".into(),
-            "P95 (µs)".into(),
-            "P99 (µs)".into(),
-            "P999 (µs)".into(),
-        ],
-    );
-    let runs = cluster_scaling(
-        deployment,
-        deployment.region("Frankfurt"),
-        &[1, 2, 4],
-        &[1, 2, 4, 8],
-        ops_per_thread,
-    );
-    let base = runs.first().map_or(1.0, |(_, r)| r.ops_per_sec);
-    for (members, run) in &runs {
-        eprintln!(
-            "  [cluster] {} node(s) x {} thread(s): {:.0} ops/s ({:.2}x vs 1x1, {:.1}% cache hits)",
-            members,
-            run.threads,
-            run.ops_per_sec,
-            run.ops_per_sec / base,
-            run.hit_fraction() * 100.0
-        );
-        let mut row = vec![
-            members.to_string(),
-            run.threads.to_string(),
-            run.total_ops.to_string(),
-            format!("{:.1}", run.elapsed.as_secs_f64() * 1e3),
-            format!("{:.0}", run.ops_per_sec),
-            format!("{:.2}x", run.ops_per_sec / base),
-            format!("{:.1}", run.hit_fraction() * 100.0),
-        ];
-        // Wall-clock cache hits are microseconds, not milliseconds.
-        row.extend(
-            [
-                run.latency.p50_ms,
-                run.latency.p95_ms,
-                run.latency.p99_ms,
-                run.latency.p999_ms,
-            ]
-            .iter()
-            .map(|ms| format!("{:.0}", ms * 1e3)),
-        );
-        table.push_row(row);
-    }
-    table
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::harness::Scale;
+    use crate::throughput::run_threads;
 
     #[test]
     fn warm_cluster_serves_pure_hits_across_threads_and_members() {
         let deployment = Deployment::build(Scale::tiny());
         let region = deployment.region("Frankfurt");
-        let router = build_warm_cluster(&deployment, region, 2, 10.0, 4, 1);
-        let run = run_cluster_threads(&router, 4, 25, 4);
+        let router = build_warm_cluster(&deployment, region, 2, 4, 0, false, 1);
+        let run = run_threads(
+            |object| router.read(object).map(|m| m.into_inner()),
+            4,
+            25,
+            4,
+        );
         assert_eq!(run.total_ops, 100);
         assert_eq!(run.backend_fetches, 0, "warm hot set must not fetch");
         assert_eq!(run.cache_hits, 100 * 9);
         assert!(run.ops_per_sec > 0.0);
         assert_eq!(run.latency.samples, 100);
-    }
-
-    #[test]
-    fn scaling_grid_reports_every_cell() {
-        let deployment = Deployment::build(Scale::tiny());
-        let region = deployment.region("Frankfurt");
-        let runs = cluster_scaling(&deployment, region, &[1, 2], &[1, 2], 20);
-        assert_eq!(runs.len(), 4);
-        assert_eq!(runs[0].0, 1);
-        assert_eq!(runs[3].0, 2);
-        assert!(runs.iter().all(|(_, r)| r.backend_fetches == 0));
     }
 }

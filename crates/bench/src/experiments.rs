@@ -6,10 +6,16 @@
 //! the paper's *shapes*: who wins, by roughly what factor, and where the
 //! crossovers fall. EXPERIMENTS.md records paper-vs-measured values.
 
+use crate::cell::Cell;
+use crate::chaos::{chaos_results, ChaosParams, CHAOS};
 use crate::harness::{run_averaged, run_once, Deployment, PolicySpec, RunConfig, Scale};
+use crate::mixed::mixed_table;
 use crate::table::Table;
+use crate::tail::{tail_results, TailParams, TAIL};
+use crate::tiers::{tiers_results, TiersParams, TIERS};
 use agar::RegionManager;
 use agar_net::presets::{FRANKFURT, SIX_REGION_NAMES, SYDNEY};
+use agar_obs::MetricsRegistry;
 use agar_workload::{zipf_popularity_cdf, Distribution, WorkloadSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -56,6 +62,100 @@ impl ExperimentParams {
     }
 }
 
+/// Every experiment id the `experiments` binary accepts. The first
+/// [`PAPER_IDS`] entries are the paper's own artefacts — what `all`
+/// (and no id at all) expands to; the rest run on request only.
+pub const IDS: [&str; 13] = [
+    "fig2", "table1", "fig6", "fig7", "fig8a", "fig8b", "fig9", "fig10", "ablation", "mixed",
+    "tail", "tiers", "chaos",
+];
+
+/// How many leading [`IDS`] entries `all` covers.
+pub const PAPER_IDS: usize = 9;
+
+/// Dispatches experiment ids against one shared deployment.
+pub struct Runner<'a> {
+    deployment: &'a Deployment,
+    params: ExperimentParams,
+    metrics: Option<&'a MetricsRegistry>,
+    /// Figures 6 and 7 report the same runs; computed once.
+    comparison: Option<Vec<(String, String, f64, f64)>>,
+}
+
+impl<'a> Runner<'a> {
+    /// A runner over `deployment`. With `metrics`, the grid
+    /// experiments' cells bind their counters into the registry.
+    pub fn new(
+        deployment: &'a Deployment,
+        params: ExperimentParams,
+        metrics: Option<&'a MetricsRegistry>,
+    ) -> Self {
+        Runner {
+            deployment,
+            params,
+            metrics,
+            comparison: None,
+        }
+    }
+
+    /// Runs the experiment called `id`: its table, plus the percentile
+    /// cells the CI P99 gate reads (`tail` and `tiers` only — `chaos`
+    /// reuses tail's scenario names, so its cells stay out of the
+    /// shared section). `None` for an id not in [`IDS`].
+    pub fn run(&mut self, id: &str) -> Option<(Table, Vec<Cell>)> {
+        let (deployment, params) = (self.deployment, &self.params);
+        let (scale, operations) = (params.scale, params.operations);
+        let table = match id {
+            "fig2" => fig2(deployment, params),
+            "table1" => table1(deployment),
+            "fig6" | "fig7" => {
+                let rows = self
+                    .comparison
+                    .get_or_insert_with(|| policy_comparison(deployment, params));
+                if id == "fig6" {
+                    fig6(rows)
+                } else {
+                    fig7(rows)
+                }
+            }
+            "fig8a" => fig8a(deployment, params),
+            "fig8b" => fig8b(deployment, params),
+            "fig9" => fig9(deployment),
+            "fig10" => fig10(deployment, params),
+            "ablation" => ablation(deployment, params),
+            "mixed" => mixed_table(deployment, operations, self.metrics),
+            "tail" => {
+                let params = TailParams {
+                    scale,
+                    operations,
+                    ..TailParams::paper()
+                };
+                let cells = tail_results(&params, self.metrics);
+                return Some((TAIL.table(&cells), cells));
+            }
+            "tiers" => {
+                let params = TiersParams {
+                    scale,
+                    operations,
+                    ..TiersParams::paper()
+                };
+                let cells = tiers_results(deployment, &params, self.metrics);
+                return Some((TIERS.table(&cells), cells));
+            }
+            "chaos" => {
+                let params = ChaosParams {
+                    scale,
+                    operations,
+                    ..ChaosParams::paper()
+                };
+                CHAOS.table(&chaos_results(&params, self.metrics))
+            }
+            _ => return None,
+        };
+        Some((table, Vec::new()))
+    }
+}
+
 fn zipf_default() -> Distribution {
     Distribution::Zipfian { skew: 1.1 }
 }
@@ -63,7 +163,7 @@ fn zipf_default() -> Distribution {
 /// §II-C / Figure 2 — the motivating experiment: average read latency
 /// while caching c ∈ {0, 1, 3, 5, 7, 9} chunks per object in an
 /// effectively infinite cache, from Frankfurt and Sydney.
-pub fn fig2(deployment: &Deployment, params: &ExperimentParams) -> Table {
+fn fig2(deployment: &Deployment, params: &ExperimentParams) -> Table {
     let chunk_counts = [0usize, 1, 3, 5, 7, 9];
     let mut table = Table::new(
         "Figure 2 — avg read latency (ms) vs chunks cached (infinite cache)",
@@ -100,7 +200,7 @@ pub fn fig2(deployment: &Deployment, params: &ExperimentParams) -> Table {
 
 /// Table I — per-region chunk-read latency as estimated by Agar's
 /// region manager from Frankfurt during its warm-up phase.
-pub fn table1(deployment: &Deployment, _params: &ExperimentParams) -> Table {
+fn table1(deployment: &Deployment) -> Table {
     let mut manager = RegionManager::new(FRANKFURT, deployment.preset.topology.clone());
     let mut rng = StdRng::seed_from_u64(0x7AB1);
     manager.warm_up(
@@ -138,7 +238,7 @@ fn comparison_policies() -> Vec<PolicySpec> {
 
 /// Shared runner for Figures 6 & 7: every policy at both client regions.
 /// Returns (policy label, region name, mean latency ms, hit ratio).
-pub fn policy_comparison(
+fn policy_comparison(
     deployment: &Deployment,
     params: &ExperimentParams,
 ) -> Vec<(String, String, f64, f64)> {
@@ -174,7 +274,7 @@ pub fn policy_comparison(
 
 /// Figure 6 — average read latency: Agar vs LRU-c vs LFU-c vs Backend,
 /// Frankfurt and Sydney.
-pub fn fig6(rows: &[(String, String, f64, f64)]) -> Table {
+fn fig6(rows: &[(String, String, f64, f64)]) -> Table {
     let mut table = Table::new(
         "Figure 6 — avg read latency (ms), Zipf 1.1, 10 MB cache",
         vec!["policy".into(), "Frankfurt".into(), "Sydney".into()],
@@ -201,7 +301,7 @@ pub fn fig6(rows: &[(String, String, f64, f64)]) -> Table {
 }
 
 /// Figure 7 — hit ratio (total + partial) for the same runs as Fig. 6.
-pub fn fig7(rows: &[(String, String, f64, f64)]) -> Table {
+fn fig7(rows: &[(String, String, f64, f64)]) -> Table {
     let mut table = Table::new(
         "Figure 7 — hit ratio (%), Zipf 1.1, 10 MB cache",
         vec!["policy".into(), "Frankfurt".into(), "Sydney".into()],
@@ -223,7 +323,7 @@ pub fn fig7(rows: &[(String, String, f64, f64)]) -> Table {
 
 /// Figure 8a — average latency while the cache size varies
 /// (0/5/10/20/50/100 MB), Frankfurt, Zipf 1.1.
-pub fn fig8a(deployment: &Deployment, params: &ExperimentParams) -> Table {
+fn fig8a(deployment: &Deployment, params: &ExperimentParams) -> Table {
     let policies = [
         PolicySpec::Agar,
         PolicySpec::Lru(5),
@@ -275,7 +375,7 @@ pub fn fig8a(deployment: &Deployment, params: &ExperimentParams) -> Table {
 
 /// Figure 8b — average latency while the workload varies (uniform and
 /// Zipf skews 0.2–1.4), Frankfurt, 10 MB cache.
-pub fn fig8b(deployment: &Deployment, params: &ExperimentParams) -> Table {
+fn fig8b(deployment: &Deployment, params: &ExperimentParams) -> Table {
     let policies = [
         PolicySpec::Backend,
         PolicySpec::Agar,
@@ -326,7 +426,7 @@ pub fn fig8b(deployment: &Deployment, params: &ExperimentParams) -> Table {
 /// Figure 9 — cumulative popularity of the top-50 objects under Zipf
 /// skews 0.5 / 0.8 / 1.1 / 1.4 (exact CDF of the generators used in
 /// every other experiment).
-pub fn fig9(deployment: &Deployment, _params: &ExperimentParams) -> Table {
+fn fig9(deployment: &Deployment) -> Table {
     let skews = [0.5f64, 0.8, 1.1, 1.4];
     let mut table = Table::new(
         "Figure 9 — cumulative % of requests vs top-N objects",
@@ -353,7 +453,7 @@ pub fn fig9(deployment: &Deployment, _params: &ExperimentParams) -> Table {
 /// Figure 10 — how Agar fills its cache: fraction of cache bytes
 /// allocated to objects cached with each chunk count, for
 /// {Frankfurt, Sydney} x {5 MB, 10 MB}.
-pub fn fig10(deployment: &Deployment, params: &ExperimentParams) -> Table {
+fn fig10(deployment: &Deployment, params: &ExperimentParams) -> Table {
     let scenarios = [
         (FRANKFURT, "Frankfurt", 10.0f64),
         (FRANKFURT, "Frankfurt", 5.0),
@@ -400,8 +500,8 @@ pub fn fig10(deployment: &Deployment, params: &ExperimentParams) -> Table {
 /// Ablation — the §II-D claim: the dynamic program vs the greedy
 /// heuristic vs early-terminated DP, end to end (mean latency at
 /// Frankfurt) and solver-value on the same live statistics.
-pub fn ablation(deployment: &Deployment, params: &ExperimentParams) -> Table {
-    use agar::{greedy, CachingClient, KnapsackSolver};
+fn ablation(deployment: &Deployment, params: &ExperimentParams) -> Table {
+    use agar::{greedy, KnapsackSolver};
 
     let mut table = Table::new(
         "Ablation — knapsack solver variants (Frankfurt, Zipf 1.1, 10 MB)",
@@ -486,9 +586,6 @@ pub fn ablation(deployment: &Deployment, params: &ExperimentParams) -> Table {
         "-".into(),
         format!("{greedy_value:.0}"),
     ]);
-
-    // Keep the borrow checker honest about the unused import warning.
-    let _ = |c: &dyn CachingClient| c.label();
     table
 }
 
@@ -522,8 +619,8 @@ mod tests {
 
     #[test]
     fn table1_row_matches_topology() {
-        let (deployment, params) = tiny();
-        let table = table1(&deployment, &params);
+        let (deployment, _) = tiny();
+        let table = table1(&deployment);
         assert_eq!(table.len(), 1);
         let row: Vec<String> = table.rows().next().unwrap().to_vec();
         assert_eq!(row.len(), 6);
@@ -534,8 +631,8 @@ mod tests {
 
     #[test]
     fn fig9_is_monotone_in_skew_and_top() {
-        let (deployment, params) = tiny();
-        let table = fig9(&deployment, &params);
+        let (deployment, _) = tiny();
+        let table = fig9(&deployment);
         let rows: Vec<Vec<f64>> = table
             .rows()
             .map(|r| r.iter().map(|v| v.parse().unwrap()).collect())

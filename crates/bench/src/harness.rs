@@ -6,17 +6,21 @@
 //! next operation when the previous one completes — the paper runs two
 //! such clients per YCSB instance), fires the 30-second reconfiguration
 //! ticks on the simulated clock, and aggregates latency and hit-ratio
-//! statistics.
+//! statistics. [`closed_loop`] is the only such driver in the crate:
+//! the paper figures, `tail`, `tiers` and `chaos` all replay it and
+//! differ only in the client they hand it and in their clock hook.
 
 use crate::table::{LatencyHistogram, LatencySummary};
 use agar::{
     AgarNode, AgarSettings, BackendOnlyClient, BaselinePolicy, CachingClient, FixedChunksClient,
+    KnapsackSolver,
 };
 use agar_ec::{CodingParams, ObjectId};
 use agar_net::latency::LatencyModel;
 use agar_net::presets::{aws_six_regions, paper_table_one, GeoPreset};
-use agar_net::sim::Simulation;
+use agar_net::sim::{Scheduler, Simulation};
 use agar_net::{LatencySpike, RegionId, SimTime, SpikedLatency};
+use agar_obs::{Labels, MetricsRegistry};
 use agar_store::{populate, Backend, RoundRobin};
 use agar_workload::{Op, StragglerScenario, WorkloadSpec};
 use rand::rngs::StdRng;
@@ -38,7 +42,7 @@ pub struct Scale {
 
 impl Scale {
     /// The paper's full scale: 300 × 1 MB.
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         Scale {
             object_size: 1_000_000,
             object_count: 300,
@@ -62,7 +66,7 @@ impl Scale {
     }
 
     /// The chunk size under RS(9, 3).
-    pub fn chunk_size(&self) -> usize {
+    pub(crate) fn chunk_size(&self) -> usize {
         CodingParams::paper_default().chunk_size(self.object_size)
     }
 }
@@ -96,23 +100,34 @@ pub struct Deployment {
 
 impl Deployment {
     /// Builds and populates the paper's Figure 1 deployment at the given
-    /// scale, with the default (Figure-2-calibrated) latency profile.
+    /// scale: the default (Figure-2-calibrated) latency profile, no
+    /// straggler overlay.
     ///
     /// # Panics
     ///
-    /// Panics if population fails (programming error: the preset is
-    /// internally consistent).
+    /// Same as [`Deployment::build_with`].
     pub fn build(scale: Scale) -> Self {
-        Self::build_with_profile(scale, LatencyProfile::Calibrated)
+        Self::build_with(scale, LatencyProfile::Calibrated, None)
     }
 
-    /// Builds a deployment with an explicit latency profile.
+    /// Builds a deployment with an explicit latency profile and,
+    /// optionally, a straggler/fault scenario overlaid: slowdown spikes
+    /// wrap the latency model (samples spike, planner-visible means
+    /// stay optimistic — exactly the blind spot hedging covers), and
+    /// dead regions are failed outright. Flaky regions are *not*
+    /// applied here: drivers schedule their fail/heal cycle on the
+    /// simulated clock (see the `tail` experiment).
     ///
     /// # Panics
     ///
-    /// Panics if population fails (programming error: the preset is
+    /// Panics if population fails or a spike descriptor is invalid
+    /// (programming errors: the presets and the scenario family are
     /// internally consistent).
-    pub fn build_with_profile(scale: Scale, profile: LatencyProfile) -> Self {
+    pub fn build_with(
+        scale: Scale,
+        profile: LatencyProfile,
+        scenario: Option<&StragglerScenario>,
+    ) -> Self {
         let mut preset = match profile {
             LatencyProfile::Calibrated => aws_six_regions(),
             LatencyProfile::PaperTable1 => paper_table_one(),
@@ -123,43 +138,9 @@ impl Deployment {
             .latency
             .clone()
             .with_nominal_bytes(scale.chunk_size());
-        let backend = Backend::new(
-            preset.topology.clone(),
-            Arc::new(preset.latency.clone()),
-            CodingParams::paper_default(),
-            Box::new(RoundRobin),
-        )
-        .expect("preset deployment is valid");
-        let mut rng = StdRng::seed_from_u64(0xA6A2);
-        populate(&backend, scale.object_count, scale.object_size, &mut rng)
-            .expect("population cannot fail on a healthy deployment");
-        Deployment {
-            preset,
-            backend: Arc::new(backend),
-            scale,
-        }
-    }
-
-    /// Builds the calibrated deployment and overlays a straggler/fault
-    /// scenario: slowdown spikes wrap the latency model (samples spike,
-    /// planner-visible means stay optimistic — exactly the blind spot
-    /// hedging covers), and dead regions are failed outright. Flaky
-    /// regions are *not* applied here: drivers schedule their fail/heal
-    /// cycle on the simulated clock (see the `tail` experiment).
-    ///
-    /// # Panics
-    ///
-    /// Panics if population fails or a spike descriptor is invalid
-    /// (programming errors in the scenario family).
-    pub fn build_with_scenario(scale: Scale, scenario: &StragglerScenario) -> Self {
-        let mut preset = aws_six_regions();
-        preset.latency = preset
-            .latency
-            .clone()
-            .with_nominal_bytes(scale.chunk_size());
         let spikes: Vec<LatencySpike> = scenario
-            .spikes
             .iter()
+            .flat_map(|s| &s.spikes)
             .map(|s| LatencySpike {
                 region: RegionId::new(s.region),
                 every: s.every,
@@ -181,7 +162,7 @@ impl Deployment {
         let mut rng = StdRng::seed_from_u64(0xA6A2);
         populate(&backend, scale.object_count, scale.object_size, &mut rng)
             .expect("population cannot fail on a healthy deployment");
-        for &dead in &scenario.dead {
+        for &dead in scenario.iter().flat_map(|s| &s.dead) {
             backend.fail_region(RegionId::new(dead));
         }
         Deployment {
@@ -195,6 +176,77 @@ impl Deployment {
     pub fn region(&self, name: &str) -> RegionId {
         self.preset.region(name)
     }
+
+    /// The paper's node settings with this deployment's calibrated
+    /// cache-read and client-overhead constants.
+    pub(crate) fn settings(&self, cache_bytes: usize) -> AgarSettings {
+        let mut settings = AgarSettings::paper_default(cache_bytes);
+        settings.cache_read = self.preset.cache_read;
+        settings.client_overhead = self.preset.client_overhead;
+        settings
+    }
+
+    /// Clamps a workload to this deployment's catalogue and object size.
+    fn fit(&self, mut workload: WorkloadSpec) -> WorkloadSpec {
+        workload.object_count = workload.object_count.min(self.scale.object_count);
+        workload.object_size = self.scale.object_size;
+        workload
+    }
+
+    /// The paper's default workload (Zipf 1.1 reads) at this scale.
+    pub(crate) fn paper_workload(&self, operations: usize) -> WorkloadSpec {
+        self.fit(WorkloadSpec {
+            operations,
+            ..WorkloadSpec::paper_default()
+        })
+    }
+
+    /// Builds the Agar node every simulated-clock experiment measures:
+    /// preset constants, then `tune`, then the large-cache solver
+    /// guard; seeded from `seed`. With `metrics`, the node binds its
+    /// counters and stage histograms into the registry under the given
+    /// labels *before* the run — the registry scrapes live cells, so a
+    /// dump taken afterwards reads the same either way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tune` produces invalid settings (caller bug).
+    pub(crate) fn agar_node(
+        &self,
+        region: RegionId,
+        cache_bytes: usize,
+        seed: u64,
+        tune: impl FnOnce(&mut AgarSettings),
+        metrics: Option<(&MetricsRegistry, &Labels)>,
+    ) -> Arc<AgarNode> {
+        let mut settings = self.settings(cache_bytes);
+        tune(&mut settings);
+        // §VI: the paper stops the dynamic program a fixed number of
+        // iterations after a full-capacity configuration first
+        // appears, so reconfiguration cost depends on the cache
+        // size, not the catalogue. Enable it for large budgets (RAM
+        // or disk) where the exact run would dominate the experiment.
+        let budget = cache_bytes.max(settings.disk_capacity_bytes);
+        if budget / self.scale.chunk_size().max(1) >= 200 {
+            settings.solver = KnapsackSolver::new()
+                .with_early_termination(30)
+                .with_passes(1);
+        }
+        let seed = client_seed(seed);
+        let node = AgarNode::new(region, Arc::clone(&self.backend), settings, seed)
+            .expect("paper settings are valid");
+        if let Some((registry, labels)) = metrics {
+            node.register_metrics(registry, labels);
+        }
+        Arc::new(node)
+    }
+}
+
+/// The RNG seed a run's client draws from: the run seed with a fixed
+/// mix, so the client's latency samples never replay the workload
+/// stream generated from the same run seed.
+fn client_seed(seed: u64) -> u64 {
+    seed ^ 0x5EED
 }
 
 /// Which caching client a run uses.
@@ -289,32 +341,13 @@ fn make_client(
     let cache_bytes = deployment.scale.cache_bytes(config.cache_mb);
     let preset = &deployment.preset;
     match config.policy {
-        PolicySpec::Agar => {
-            let mut settings = AgarSettings::paper_default(cache_bytes);
-            settings.cache_read = preset.cache_read;
-            settings.client_overhead = preset.client_overhead;
-            settings.max_hedges = config.max_hedges;
-            // §VI: the paper stops the dynamic program a fixed number of
-            // iterations after a full-capacity configuration first
-            // appears, so reconfiguration cost depends on the cache
-            // size, not the catalogue. Enable it for large caches where
-            // the exact run would dominate the experiment.
-            let capacity_chunks = cache_bytes / deployment.scale.chunk_size().max(1);
-            if capacity_chunks >= 200 {
-                settings.solver = agar::KnapsackSolver::new()
-                    .with_early_termination(30)
-                    .with_passes(1);
-            }
-            Arc::new(
-                AgarNode::new(
-                    config.client_region,
-                    Arc::clone(&deployment.backend),
-                    settings,
-                    config.seed ^ 0x5EED,
-                )
-                .expect("paper settings are valid"),
-            )
-        }
+        PolicySpec::Agar => deployment.agar_node(
+            config.client_region,
+            cache_bytes,
+            config.seed,
+            |settings| settings.max_hedges = config.max_hedges,
+            None,
+        ),
         PolicySpec::Lru(c) | PolicySpec::Lfu(c) => {
             // The paper's LFU baseline reconfigures every 30 s from its
             // frequency proxy — the epoch-based top-N variant.
@@ -331,7 +364,7 @@ fn make_client(
                     cache_bytes,
                     preset.cache_read,
                     preset.client_overhead,
-                    config.seed ^ 0x5EED,
+                    client_seed(config.seed),
                 )
                 .expect("chunk counts are validated by the caller"),
             )
@@ -340,87 +373,132 @@ fn make_client(
             config.client_region,
             Arc::clone(&deployment.backend),
             preset.client_overhead,
-            config.seed ^ 0x5EED,
+            client_seed(config.seed),
         )),
     }
 }
 
-struct RunState {
-    client: Arc<dyn CachingClient + Send + Sync>,
+/// What one closed-loop operation cost.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct OpSample {
+    /// Simulated end-to-end latency (a failed read is charged a 2 s
+    /// penalty).
+    pub latency: Duration,
+    /// Backend chunk round trips the read completed (0 when it failed).
+    pub backend_fetches: usize,
+}
+
+/// What [`closed_loop`] observed.
+#[derive(Clone, Debug)]
+pub struct LoopOutcome {
+    /// One sample per operation, in completion-scheduling order.
+    pub samples: Vec<OpSample>,
+    /// Reads that failed outright.
+    pub errors: usize,
+    /// The simulated instant the last event fired.
+    pub end: SimTime,
+}
+
+impl LoopOutcome {
+    /// Percentile summary of the per-operation latencies.
+    pub(crate) fn latency(&self) -> LatencySummary {
+        let mut histogram = LatencyHistogram::new();
+        self.samples
+            .iter()
+            .for_each(|s| histogram.record(s.latency));
+        histogram.summary()
+    }
+
+    /// Total backend round trips across all operations.
+    pub(crate) fn backend_fetches(&self) -> u64 {
+        self.samples.iter().map(|s| s.backend_fetches as u64).sum()
+    }
+}
+
+/// What a failed read costs its client: a backend-style slow round
+/// trip, so closed-loop pacing continues.
+const FAILED_OP_PENALTY: Duration = Duration::from_secs(2);
+
+struct World<'a> {
+    client: &'a dyn CachingClient,
+    clock: &'a mut dyn FnMut(SimTime),
     pending: VecDeque<Op>,
-    latencies: Vec<Duration>,
+    samples: Vec<OpSample>,
     in_flight: usize,
     errors: usize,
 }
 
-fn client_loop(state: &mut RunState, sched: &mut agar_net::Scheduler<RunState>) {
-    let Some(op) = state.pending.pop_front() else {
-        state.in_flight -= 1;
+fn client_loop<'a>(world: &mut World<'a>, sched: &mut Scheduler<World<'a>>) {
+    let Some(op) = world.pending.pop_front() else {
+        world.in_flight -= 1;
         return;
     };
-    let object = ObjectId::new(op.key());
-    let latency = match state.client.read(object) {
-        Ok(metrics) => metrics.latency,
+    (world.clock)(sched.now());
+    let sample = match world.client.read(ObjectId::new(op.key())) {
+        Ok(metrics) => OpSample {
+            latency: metrics.latency,
+            backend_fetches: metrics.backend_fetches,
+        },
         Err(_) => {
-            state.errors += 1;
-            // Count a failed op as a backend-style slow op so closed-loop
-            // pacing continues.
-            Duration::from_secs(2)
+            world.errors += 1;
+            OpSample {
+                latency: FAILED_OP_PENALTY,
+                backend_fetches: 0,
+            }
         }
     };
-    state.latencies.push(latency);
-    sched.schedule_in(latency, client_loop);
+    world.samples.push(sample);
+    sched.schedule_in(sample.latency, client_loop);
 }
 
-fn reconfiguration_tick(state: &mut RunState, sched: &mut agar_net::Scheduler<RunState>) {
-    state.client.maybe_reconfigure(sched.now());
-    if state.in_flight > 0 {
-        sched.schedule_in(Duration::from_secs(1), reconfiguration_tick);
+/// Once per simulated second: the client's reconfiguration chance. The
+/// first tick anchors the epoch clock at `start`.
+fn tick<'a>(world: &mut World<'a>, sched: &mut Scheduler<World<'a>>) {
+    (world.clock)(sched.now());
+    world.client.maybe_reconfigure(sched.now());
+    if world.in_flight > 0 {
+        sched.schedule_in(Duration::from_secs(1), tick);
     }
 }
 
-/// Drives one batch of operations against an existing client, starting
-/// the simulated clock at `start` (so epochs continue across batches).
-fn run_batch(
-    deployment: &Deployment,
-    config: &RunConfig,
-    client: &Arc<dyn CachingClient + Send + Sync>,
+/// The paper's evaluation procedure (§V-A), once: `clients` closed-loop
+/// clients drain `ops` against `client` on the simulated clock starting
+/// at `start` (so epochs continue across batches), with a
+/// reconfiguration chance every simulated second while any client is
+/// still running.
+///
+/// `clock` is called with the simulated instant exactly once before
+/// every operation and before every tick, in simulated-time order. It
+/// is the only thing the experiments vary: stamping the node's trace
+/// clock, advancing a chaos clock, applying a fail/heal schedule.
+pub fn closed_loop(
+    client: &dyn CachingClient,
+    ops: impl IntoIterator<Item = Op>,
+    clients: usize,
     start: SimTime,
-    seed: u64,
-) -> (Vec<Duration>, SimTime) {
-    let mut workload = config.workload.clone();
-    workload.object_count = workload.object_count.min(deployment.scale.object_count);
-    workload.object_size = deployment.scale.object_size;
-    let ops: VecDeque<Op> = workload
-        .stream(seed)
-        .expect("workload spec validated")
-        .collect();
-    let operations = ops.len();
-
-    let mut sim = Simulation::new(RunState {
-        client: Arc::clone(client),
-        pending: ops,
-        latencies: Vec::with_capacity(operations),
-        in_flight: config.clients.max(1),
+    clock: &mut dyn FnMut(SimTime),
+) -> LoopOutcome {
+    let clients = clients.max(1);
+    let pending: VecDeque<Op> = ops.into_iter().collect();
+    let mut sim = Simulation::new(World {
+        client,
+        clock,
+        samples: Vec::with_capacity(pending.len()),
+        pending,
+        in_flight: clients,
         errors: 0,
     });
-    // Anchor the reconfiguration clock, then tick every second.
-    sim.schedule_at(start, |state: &mut RunState, sched| {
-        state.client.maybe_reconfigure(sched.now());
-        sched.schedule_in(Duration::from_secs(1), reconfiguration_tick);
-    });
-    for _ in 0..config.clients.max(1) {
+    sim.schedule_at(start, tick);
+    for _ in 0..clients {
         sim.schedule_at(start, client_loop);
     }
     let end = sim.run();
-    (sim.into_world().latencies, end)
-}
-
-fn mean_ms(latencies: &[Duration]) -> f64 {
-    if latencies.is_empty() {
-        return 0.0;
+    let world = sim.into_world();
+    LoopOutcome {
+        samples: world.samples,
+        errors: world.errors,
+        end,
     }
-    latencies.iter().map(|d| d.as_secs_f64() * 1e3).sum::<f64>() / latencies.len() as f64
 }
 
 /// Executes one closed-loop run (fresh client, cold cache) on the
@@ -430,22 +508,7 @@ fn mean_ms(latencies: &[Duration]) -> f64 {
 ///
 /// Panics on invalid workload specifications (caller bugs).
 pub fn run_once(deployment: &Deployment, config: &RunConfig) -> RunResult {
-    let client = make_client(deployment, config);
-    let (latencies, end) = run_batch(deployment, config, &client, SimTime::ZERO, config.seed);
-    let stats = client.cache_stats();
-    let mut histogram = LatencyHistogram::new();
-    latencies.iter().for_each(|&l| histogram.record(l));
-    RunResult {
-        label: config.policy.label(),
-        mean_latency_ms: mean_ms(&latencies),
-        latency: histogram.summary(),
-        hit_ratio: stats.object_hit_ratio(),
-        total_hits: stats.object_total_hits(),
-        partial_hits: stats.object_partial_hits(),
-        operations: latencies.len(),
-        cache_contents: client.cache_contents(),
-        sim_duration: end.saturating_duration_since(SimTime::ZERO),
-    }
+    run_averaged(deployment, config, 1)
 }
 
 /// Averages `runs` consecutive batches against one live deployment,
@@ -463,14 +526,27 @@ pub fn run_averaged(deployment: &Deployment, config: &RunConfig, runs: usize) ->
     let mut histogram = LatencyHistogram::new();
     for i in 0..runs {
         let seed = config.seed.wrapping_add(i as u64 * 7919);
-        let (latencies, end) = run_batch(deployment, config, &client, start, seed);
-        operations = latencies.len();
-        batch_means.push(mean_ms(&latencies));
-        latencies.iter().for_each(|&l| histogram.record(l));
+        let ops = deployment
+            .fit(config.workload.clone())
+            .stream(seed)
+            .expect("workload spec validated");
+        // The figure runs stamp no clock: nothing in them reads it.
+        let batch = closed_loop(&*client, ops, config.clients, start, &mut |_| {});
+        operations = batch.samples.len();
+        let total: f64 = batch
+            .samples
+            .iter()
+            .map(|s| s.latency.as_secs_f64() * 1e3)
+            .sum();
+        batch_means.push(total / operations.max(1) as f64);
+        batch
+            .samples
+            .iter()
+            .for_each(|s| histogram.record(s.latency));
         let now = client.cache_stats();
         batch_ratios.push(now.delta_since(&previous_stats).object_hit_ratio());
         previous_stats = now;
-        start = end;
+        start = batch.end;
     }
     let n = runs as f64;
     let stats = client.cache_stats();
@@ -591,9 +667,16 @@ mod tests {
 
     #[test]
     fn scenario_deployment_spikes_the_tail() {
-        let calm = Deployment::build_with_scenario(Scale::tiny(), &StragglerScenario::calm());
-        let spiky =
-            Deployment::build_with_scenario(Scale::tiny(), &StragglerScenario::slow_spikes());
+        let calm = Deployment::build_with(
+            Scale::tiny(),
+            LatencyProfile::Calibrated,
+            Some(&StragglerScenario::calm()),
+        );
+        let spiky = Deployment::build_with(
+            Scale::tiny(),
+            LatencyProfile::Calibrated,
+            Some(&StragglerScenario::slow_spikes()),
+        );
         let mut config = RunConfig::paper_default(FRANKFURT, PolicySpec::Backend);
         config.workload = quick_workload(120);
         let calm_run = run_once(&calm, &config);
@@ -610,8 +693,11 @@ mod tests {
 
     #[test]
     fn dead_region_deployment_still_serves_reads() {
-        let deployment =
-            Deployment::build_with_scenario(Scale::tiny(), &StragglerScenario::dead_region());
+        let deployment = Deployment::build_with(
+            Scale::tiny(),
+            LatencyProfile::Calibrated,
+            Some(&StragglerScenario::dead_region()),
+        );
         let mut config = RunConfig::paper_default(FRANKFURT, PolicySpec::Agar);
         config.workload = quick_workload(60);
         config.max_hedges = 2;

@@ -1,9 +1,8 @@
 //! Mixed read/write cluster workloads: the `mixed` scenario.
 //!
-//! The read-oriented harnesses ([`throughput`](crate::throughput),
-//! [`cluster`](crate::cluster)) measure how fast reads go; this module
-//! measures what **writes cost them** — and proves the write path
-//! honest while doing it. `M` client threads drive a `K`-node
+//! The read-oriented harness ([`throughput`](crate::throughput))
+//! measures how fast reads go; this module measures what **writes cost
+//! them** — and proves the write path honest while doing it. `M` client threads drive a `K`-node
 //! [`ClusterRouter`] with a seeded
 //! [`MixedStream`](agar_workload::MixedStream) (write ratio +
 //! write-size distribution from `agar-workload`), and every read is
@@ -29,7 +28,6 @@ use crate::harness::Deployment;
 use crate::table::{LatencyHistogram, LatencySummary};
 use agar_cluster::ClusterRouter;
 use agar_ec::ObjectId;
-use agar_net::RegionId;
 use agar_obs::{Labels, MetricsRegistry, ReadTrace, StageSummaries};
 use agar_store::expected_payload;
 use agar_workload::{Distribution, MixedOp, ReadWriteMix, WorkloadSpec, WriteSizeDist};
@@ -207,7 +205,7 @@ pub struct MixedRun {
 impl MixedRun {
     /// Mean members invalidated per write (the targeted-invalidation
     /// payoff: the old broadcast cost `members - 1` for every write).
-    pub fn invalidations_per_write(&self) -> f64 {
+    fn invalidations_per_write(&self) -> f64 {
         if self.writes == 0 {
             0.0
         } else {
@@ -237,8 +235,8 @@ pub fn run_mixed_cluster(
     let threads = threads.max(1);
     // Reset the catalogue to the pristine pattern through the router:
     // the checker classifies payloads against a known initial state,
-    // and earlier runs against the same backend (other write ratios,
-    // criterion iterations) leave their fill bytes behind otherwise.
+    // and earlier runs against the same backend (other write ratios)
+    // leave their fill bytes behind otherwise.
     for key in 0..catalogue {
         router
             .write(ObjectId::new(key), &expected_payload(key, base_size))
@@ -379,43 +377,18 @@ pub fn run_mixed_cluster(
     }
 }
 
-/// The `mixed` experiment: `M` threads × `K` nodes at several write
-/// ratios, with uniform write sizes around the catalogue object size.
-pub fn mixed_table(deployment: &Deployment, ops_per_thread: usize) -> crate::table::Table {
-    mixed_table_with(deployment, ops_per_thread, None)
-}
-
-/// [`mixed_table`] with an optional metrics registry: when given,
-/// every ratio's cluster binds its counters and stage histograms into
-/// it under `{scenario}` labels so a `--metrics` dump carries the
-/// whole grid.
-pub fn mixed_table_with(
+/// The `mixed` experiment: 4 client threads × 3 ring-routed nodes at
+/// 5 %, 20 % and 50 % writes, with uniform write sizes around the
+/// catalogue object size. With a registry, every ratio's cluster binds
+/// its counters and stage histograms into it under `{scenario}` labels
+/// so a `--metrics` dump carries the whole grid.
+pub(crate) fn mixed_table(
     deployment: &Deployment,
     ops_per_thread: usize,
     registry: Option<&MetricsRegistry>,
 ) -> crate::table::Table {
-    mixed_table_at(
-        deployment,
-        deployment.region("Frankfurt"),
-        3,
-        4,
-        ops_per_thread,
-        &[0.05, 0.2, 0.5],
-        registry,
-    )
-}
-
-/// [`mixed_table`] with explicit grid parameters.
-#[allow(clippy::too_many_arguments)]
-pub fn mixed_table_at(
-    deployment: &Deployment,
-    region: RegionId,
-    members: usize,
-    threads: usize,
-    ops_per_thread: usize,
-    write_ratios: &[f64],
-    registry: Option<&MetricsRegistry>,
-) -> crate::table::Table {
+    let region = deployment.region("Frankfurt");
+    let (members, threads) = (3, 4);
     let mut table = crate::table::Table::new(
         "Mixed — M client threads x K ring-routed nodes under a read/write mix \
          (per-object write leases, targeted invalidation)",
@@ -442,14 +415,13 @@ pub fn mixed_table_at(
     );
     let hot_objects = 8;
     let base_size = deployment.scale.object_size;
-    for &ratio in write_ratios {
+    for ratio in [0.05, 0.2, 0.5] {
         // A fresh warm cluster per ratio (the run itself resets the
         // shared backend's catalogue contents before measuring).
-        let router = crate::cluster::build_warm_cluster_with(
+        let router = crate::cluster::build_warm_cluster(
             deployment,
             region,
             members,
-            10.0,
             hot_objects,
             0,
             true,
@@ -522,7 +494,7 @@ mod tests {
     fn mixed_run_reports_zero_stale_reads() {
         let deployment = Deployment::build(Scale::tiny());
         let region = deployment.region("Frankfurt");
-        let router = build_warm_cluster(&deployment, region, 2, 10.0, 4, 3);
+        let router = build_warm_cluster(&deployment, region, 2, 4, 0, false, 3);
         let mix = ReadWriteMix::with_ratio(0.25);
         let run = run_mixed_cluster(&router, 4, 40, 4, deployment.scale.object_size, mix, 11);
         assert_eq!(run.reads + run.writes + run.contended_reads, 160);
@@ -539,15 +511,14 @@ mod tests {
     fn traced_cluster_yields_a_measured_stage_breakdown() {
         let deployment = Deployment::build(Scale::tiny());
         let region = deployment.region("Frankfurt");
-        let router =
-            crate::cluster::build_warm_cluster_with(&deployment, region, 2, 10.0, 4, 0, true, 3);
+        let router = build_warm_cluster(&deployment, region, 2, 4, 0, true, 3);
         let mix = ReadWriteMix::with_ratio(0.25);
         let run = run_mixed_cluster(&router, 2, 40, 4, deployment.scale.object_size, mix, 11);
         // Only the measured reads are summarised — warm-up and
         // catalogue-reset traffic is scoped out by the trace marks.
         assert_eq!(run.stages.samples() as u64, run.reads);
         // An untraced cluster reports an empty breakdown.
-        let untraced = build_warm_cluster(&deployment, region, 2, 10.0, 4, 3);
+        let untraced = build_warm_cluster(&deployment, region, 2, 4, 0, false, 3);
         let bare = run_mixed_cluster(
             &untraced,
             2,
@@ -564,7 +535,7 @@ mod tests {
     fn read_only_mix_degenerates_to_the_cluster_harness() {
         let deployment = Deployment::build(Scale::tiny());
         let region = deployment.region("Frankfurt");
-        let router = build_warm_cluster(&deployment, region, 2, 10.0, 4, 3);
+        let router = build_warm_cluster(&deployment, region, 2, 4, 0, false, 3);
         let run = run_mixed_cluster(
             &router,
             2,
@@ -638,7 +609,7 @@ mod variable_size_tests {
         let deployment = Deployment::build(Scale::tiny());
         let region = deployment.region("Frankfurt");
         let base_size = deployment.scale.object_size;
-        let router = build_warm_cluster(&deployment, region, 3, 10.0, 8, 0xF00D);
+        let router = build_warm_cluster(&deployment, region, 3, 8, 0, false, 0xF00D);
         let mix = ReadWriteMix {
             write_ratio: 0.2,
             write_size: WriteSizeDist::UniformBytes {
@@ -662,7 +633,7 @@ mod variable_size_tests {
     fn fill_byte_recycling_never_reports_false_stales() {
         let deployment = Deployment::build(Scale::tiny());
         let region = deployment.region("Frankfurt");
-        let router = build_warm_cluster(&deployment, region, 2, 10.0, 2, 0x10);
+        let router = build_warm_cluster(&deployment, region, 2, 2, 0, false, 0x10);
         // 4 threads x 350 ops at 90% writes over 2 keys: the hot key
         // takes well over 250 writes, wrapping the fill space.
         let mix = ReadWriteMix::with_ratio(0.9);

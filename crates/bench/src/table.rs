@@ -9,7 +9,8 @@ use std::fmt;
 use std::io::Write as _;
 use std::path::Path;
 
-pub use agar_obs::{LatencyHistogram, LatencySummary};
+pub(crate) use agar_obs::LatencyHistogram;
+pub use agar_obs::LatencySummary;
 
 /// A printable experiment result table.
 #[derive(Clone, Debug)]
@@ -21,7 +22,7 @@ pub struct Table {
 
 impl Table {
     /// Creates an empty table.
-    pub fn new(title: impl Into<String>, headers: Vec<String>) -> Self {
+    pub(crate) fn new(title: impl Into<String>, headers: Vec<String>) -> Self {
         Table {
             title: title.into(),
             headers,
@@ -34,7 +35,7 @@ impl Table {
     /// # Panics
     ///
     /// Panics if the row width does not match the headers.
-    pub fn push_row(&mut self, row: Vec<String>) {
+    pub(crate) fn push_row(&mut self, row: Vec<String>) {
         assert_eq!(row.len(), self.headers.len(), "row width mismatch");
         self.rows.push(row);
     }
@@ -80,6 +81,40 @@ impl Table {
         }
         Ok(())
     }
+
+    /// The table as one JSON object (`title`, `headers`, `rows`).
+    pub(crate) fn json(&self) -> String {
+        let array = |cells: &[String]| {
+            let cells: Vec<String> = cells.iter().map(|c| json_string(c)).collect();
+            format!("[{}]", cells.join(", "))
+        };
+        let rows: Vec<String> = self.rows.iter().map(|row| array(row)).collect();
+        format!(
+            "{{\"title\": {}, \"headers\": {}, \"rows\": [{}]}}",
+            json_string(&self.title),
+            array(&self.headers),
+            rows.join(", ")
+        )
+    }
+}
+
+/// `s` as a JSON string literal.
+pub(crate) fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 fn csv_row(cells: &[String]) -> String {

@@ -11,7 +11,7 @@
 
 use crate::harness::Deployment;
 use crate::table::{LatencyHistogram, LatencySummary};
-use agar::{AgarNode, AgarSettings, CachingClient};
+use agar::{AgarError, AgarNode, CachingClient, ReadMetrics};
 use agar_ec::ObjectId;
 use agar_net::RegionId;
 use std::sync::Arc;
@@ -36,18 +36,6 @@ pub struct ThroughputRun {
     pub latency: LatencySummary,
 }
 
-impl ThroughputRun {
-    /// Fraction of chunks served from the cache.
-    pub fn hit_fraction(&self) -> f64 {
-        let total = self.cache_hits + self.backend_fetches;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-}
-
 /// Builds an Agar node whose cache is warm for objects `0..hot_objects`:
 /// the hot set is made popular, the node reconfigures (downloading the
 /// configured chunks a priori), and one verification pass confirms the
@@ -65,9 +53,7 @@ pub fn build_warm_node(
     seed: u64,
 ) -> Arc<AgarNode> {
     assert!(hot_objects > 0, "need at least one hot object");
-    let mut settings = AgarSettings::paper_default(deployment.scale.cache_bytes(cache_mb));
-    settings.cache_read = deployment.preset.cache_read;
-    settings.client_overhead = deployment.preset.client_overhead;
+    let settings = deployment.settings(deployment.scale.cache_bytes(cache_mb));
     let node = Arc::new(
         AgarNode::new(region, Arc::clone(&deployment.backend), settings, seed)
             .expect("paper settings are valid"),
@@ -89,7 +75,8 @@ pub fn build_warm_node(
     node
 }
 
-/// Hammers one shared node with `threads` OS threads, each performing
+/// Hammers one shared reader — a node's `read`, a router's routed
+/// `read` — with `threads` OS threads, each performing
 /// `ops_per_thread` reads round-robin over the hot set, and reports
 /// aggregate wall-clock throughput.
 ///
@@ -97,7 +84,7 @@ pub fn build_warm_node(
 ///
 /// Panics if a read fails (the backend is healthy in this harness).
 pub fn run_threads(
-    node: &Arc<AgarNode>,
+    read: impl Fn(ObjectId) -> Result<ReadMetrics, AgarError> + Sync,
     threads: usize,
     ops_per_thread: usize,
     hot_objects: u64,
@@ -110,19 +97,18 @@ pub fn run_threads(
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|t| {
-                let node = Arc::clone(node);
+                let read = &read;
                 scope.spawn(move || {
                     let mut hits = 0u64;
                     let mut fetches = 0u64;
                     let mut local = LatencyHistogram::new();
                     for i in 0..ops_per_thread {
                         // Offset each thread so they touch different
-                        // objects at any instant (distinct cache shards).
+                        // objects (distinct cache shards, distinct
+                        // cluster members) at any instant.
                         let object = (t * 3 + i) as u64 % hot_objects;
                         let op_start = Instant::now();
-                        let metrics = node
-                            .read(ObjectId::new(object))
-                            .expect("healthy backend read");
+                        let metrics = read(ObjectId::new(object)).expect("healthy backend read");
                         local.record(op_start.elapsed());
                         hits += metrics.cache_hits as u64;
                         fetches += metrics.backend_fetches as u64;
@@ -164,65 +150,8 @@ pub fn throughput_scaling(
     let node = build_warm_node(deployment, region, 10.0, hot_objects, 0xC0C0);
     thread_counts
         .iter()
-        .map(|&threads| run_threads(&node, threads, ops_per_thread, hot_objects))
+        .map(|&threads| run_threads(|o| node.read(o), threads, ops_per_thread, hot_objects))
         .collect()
-}
-
-/// The `throughput` experiment: aggregate ops/s as client threads are
-/// added to one node, with the speed-up over the single-threaded run.
-pub fn throughput_table(deployment: &Deployment, ops_per_thread: usize) -> crate::table::Table {
-    let mut table = crate::table::Table::new(
-        "Throughput — aggregate ops/s, M client threads sharing one Agar node (cache-hit-heavy)",
-        vec![
-            "threads".into(),
-            "ops".into(),
-            "elapsed ms".into(),
-            "ops/s".into(),
-            "speed-up".into(),
-            "hit %".into(),
-            "P50 (µs)".into(),
-            "P95 (µs)".into(),
-            "P99 (µs)".into(),
-            "P999 (µs)".into(),
-        ],
-    );
-    let runs = throughput_scaling(
-        deployment,
-        deployment.region("Frankfurt"),
-        &[1, 2, 4, 8],
-        ops_per_thread,
-    );
-    let base = runs.first().map_or(1.0, |r| r.ops_per_sec);
-    for run in &runs {
-        eprintln!(
-            "  [throughput] {} thread(s): {:.0} ops/s ({:.2}x vs 1 thread, {:.1}% cache hits)",
-            run.threads,
-            run.ops_per_sec,
-            run.ops_per_sec / base,
-            run.hit_fraction() * 100.0
-        );
-        let mut row = vec![
-            run.threads.to_string(),
-            run.total_ops.to_string(),
-            format!("{:.1}", run.elapsed.as_secs_f64() * 1e3),
-            format!("{:.0}", run.ops_per_sec),
-            format!("{:.2}x", run.ops_per_sec / base),
-            format!("{:.1}", run.hit_fraction() * 100.0),
-        ];
-        // Wall-clock cache hits are microseconds, not milliseconds.
-        row.extend(
-            [
-                run.latency.p50_ms,
-                run.latency.p95_ms,
-                run.latency.p99_ms,
-                run.latency.p999_ms,
-            ]
-            .iter()
-            .map(|ms| format!("{:.0}", ms * 1e3)),
-        );
-        table.push_row(row);
-    }
-    table
 }
 
 #[cfg(test)]
@@ -235,11 +164,10 @@ mod tests {
         let deployment = Deployment::build(Scale::tiny());
         let region = deployment.region("Frankfurt");
         let node = build_warm_node(&deployment, region, 10.0, 4, 1);
-        let run = run_threads(&node, 4, 25, 4);
+        let run = run_threads(|o| node.read(o), 4, 25, 4);
         assert_eq!(run.total_ops, 100);
         assert_eq!(run.backend_fetches, 0, "warm hot set must not fetch");
         assert_eq!(run.cache_hits, 100 * 9);
-        assert!((run.hit_fraction() - 1.0).abs() < 1e-12);
         assert!(run.ops_per_sec > 0.0);
         assert_eq!(run.latency.samples, 100);
         assert!(run.latency.p50_ms <= run.latency.p999_ms);

@@ -22,7 +22,7 @@
 
 use crate::coordinator::FetchCoordinator;
 use crate::lease::{MemberCacheSink, WriteLeaseManager};
-use crate::ring::ClusterRing;
+use crate::ring::{ClusterRing, DEFAULT_VNODES};
 use agar::planner::RemoteChunk;
 use agar::{AgarError, AgarNode, DirectFetcher, ReadMetrics};
 use agar_cache::{CacheStats, CacheTier};
@@ -40,41 +40,19 @@ use std::time::Duration;
 /// Tunables of a [`ClusterRouter`].
 #[derive(Clone, Copy, Debug)]
 pub struct ClusterSettings {
-    /// Virtual nodes per member on the consistent-hash ring.
-    pub vnodes: usize,
     /// How many members beyond the home node the read path consults
     /// for cached chunks (the ring-walk probe budget). `0` disables
     /// sibling lookups; `usize::MAX` probes every member.
     pub sibling_probes: usize,
-    /// Fraction of the WAN latency a sibling *cache* read costs
-    /// (caches skip the storage-service overhead; the §VI sketch's
-    /// discount).
-    pub remote_cache_discount: f64,
 }
+
+/// Fraction of the WAN latency a sibling *cache* read costs (caches
+/// skip the storage-service overhead; the §VI sketch's discount).
+const REMOTE_CACHE_DISCOUNT: f64 = 0.5;
 
 impl Default for ClusterSettings {
     fn default() -> Self {
-        ClusterSettings {
-            vnodes: crate::ring::DEFAULT_VNODES,
-            sibling_probes: 2,
-            remote_cache_discount: 0.5,
-        }
-    }
-}
-
-impl ClusterSettings {
-    fn validate(&self) -> Result<(), AgarError> {
-        if !(self.remote_cache_discount > 0.0 && self.remote_cache_discount <= 1.0) {
-            return Err(AgarError::InvalidSetting {
-                what: "remote cache discount must be in (0, 1]",
-            });
-        }
-        if self.vnodes == 0 {
-            return Err(AgarError::InvalidSetting {
-                what: "virtual node count must be positive",
-            });
-        }
-        Ok(())
+        ClusterSettings { sibling_probes: 2 }
     }
 }
 
@@ -174,8 +152,9 @@ impl ClusterRouter {
     ///
     /// # Errors
     ///
-    /// Returns [`AgarError::InvalidSetting`] for an out-of-range
-    /// remote-cache discount or a zero virtual-node count.
+    /// None today: every `sibling_probes` value is valid. The `Result`
+    /// stays because callers (the `bench/` pinned surface among them)
+    /// unwrap it.
     pub fn new(
         backend: Arc<Backend>,
         settings: ClusterSettings,
@@ -197,13 +176,12 @@ impl ClusterRouter {
         settings: ClusterSettings,
         seed: u64,
     ) -> Result<Self, AgarError> {
-        settings.validate()?;
         Ok(ClusterRouter {
             backend,
             coordinator,
             leases: Arc::new(WriteLeaseManager::new()),
             state: RwLock::new(RouterState {
-                ring: ClusterRing::new(seed, settings.vnodes),
+                ring: ClusterRing::new(seed, DEFAULT_VNODES),
                 members: Vec::new(),
             }),
             settings,
@@ -472,7 +450,7 @@ impl ClusterRouter {
                     continue;
                 };
                 let wan = model.sample(home.region(), sibling.region(), data.len(), &mut rng);
-                let mut latency = wan.mul_f64(self.settings.remote_cache_discount);
+                let mut latency = wan.mul_f64(REMOTE_CACHE_DISCOUNT);
                 if tier == CacheTier::Disk {
                     latency += sibling.settings().disk_read;
                 }
@@ -685,27 +663,6 @@ mod tests {
     }
 
     #[test]
-    fn settings_are_validated() {
-        let backend = backend(1);
-        let settings = ClusterSettings {
-            remote_cache_discount: 0.0,
-            ..ClusterSettings::default()
-        };
-        assert!(matches!(
-            ClusterRouter::new(Arc::clone(&backend), settings, 0),
-            Err(AgarError::InvalidSetting { .. })
-        ));
-        let settings = ClusterSettings {
-            vnodes: 0,
-            ..ClusterSettings::default()
-        };
-        assert!(matches!(
-            ClusterRouter::new(backend, settings, 0),
-            Err(AgarError::InvalidSetting { .. })
-        ));
-    }
-
-    #[test]
     fn empty_cluster_rejects_reads_and_writes() {
         let backend = backend(1);
         let router = ClusterRouter::new(backend, ClusterSettings::default(), 0).unwrap();
@@ -752,10 +709,7 @@ mod tests {
         // warm sibling's chunks (priced under the cross-region
         // discount) and record remote hits.
         let backend = backend(4);
-        let settings = ClusterSettings {
-            sibling_probes: 5,
-            ..ClusterSettings::default()
-        };
+        let settings = ClusterSettings { sibling_probes: 5 };
         let router = ClusterRouter::new(Arc::clone(&backend), settings, 5).unwrap();
         let frankfurt = node(&backend, FRANKFURT, 0);
         let dublin = node(&backend, DUBLIN, 1);
@@ -791,10 +745,7 @@ mod tests {
         // disk-resident chunks (with the disk penalty priced into the
         // offer) and the read must stay correct and no slower.
         let backend = backend(4);
-        let settings = ClusterSettings {
-            sibling_probes: 5,
-            ..ClusterSettings::default()
-        };
+        let settings = ClusterSettings { sibling_probes: 5 };
         let router = ClusterRouter::new(Arc::clone(&backend), settings, 5).unwrap();
         let frankfurt = node(&backend, FRANKFURT, 0);
         let dublin = tiered_node(&backend, DUBLIN, 1, SIZE, 16 * SIZE);
@@ -861,10 +812,7 @@ mod tests {
     #[test]
     fn writes_invalidate_exactly_the_holders() {
         let backend = backend(2);
-        let settings = ClusterSettings {
-            sibling_probes: 5,
-            ..ClusterSettings::default()
-        };
+        let settings = ClusterSettings { sibling_probes: 5 };
         let router = ClusterRouter::new(Arc::clone(&backend), settings, 5).unwrap();
         for i in 0..4 {
             router.add_node(node(&backend, FRANKFURT, i));

@@ -128,23 +128,10 @@ pub trait CachingClient: Send {
 pub struct AgarSettings {
     /// Cache capacity in bytes (paper default: 10 MB).
     pub cache_capacity_bytes: usize,
-    /// Reconfiguration period (paper: 30 s).
-    pub reconfiguration_period: Duration,
-    /// EWMA popularity coefficient (paper: 0.8).
-    pub alpha: f64,
     /// Local cache chunk-read latency.
     pub cache_read: Duration,
     /// Fixed client-side overhead per object read.
     pub client_overhead: Duration,
-    /// Warm-up probes per region for the region manager.
-    pub warmup_probes: usize,
-    /// Probe payload size in bytes for the warm-up phase (default:
-    /// 100 kB, roughly one paper-scale chunk).
-    pub warmup_probe_bytes: usize,
-    /// Shards in the concurrent chunk cache (default:
-    /// [`DEFAULT_CACHE_SHARDS`]). More shards reduce lock contention
-    /// between client threads; the byte capacity stays global.
-    pub cache_shards: usize,
     /// Maximum speculative hedge fetches (Δ) per read: race k+Δ
     /// distinct chunks and bind the first k arrivals. `0` (the
     /// default) disables hedging and keeps reads byte-identical to the
@@ -192,13 +179,8 @@ impl AgarSettings {
     pub fn paper_default(cache_capacity_bytes: usize) -> Self {
         AgarSettings {
             cache_capacity_bytes,
-            reconfiguration_period: Duration::from_secs(30),
-            alpha: RequestMonitor::PAPER_ALPHA,
             cache_read: Duration::from_millis(40),
             client_overhead: Duration::from_millis(100),
-            warmup_probes: 3,
-            warmup_probe_bytes: 100_000,
-            cache_shards: DEFAULT_CACHE_SHARDS,
             max_hedges: 0,
             hedge_z: 3.0,
             disk_capacity_bytes: 0,
@@ -212,26 +194,6 @@ impl AgarSettings {
     }
 
     fn validate(&self) -> Result<(), AgarError> {
-        if self.reconfiguration_period.is_zero() {
-            return Err(AgarError::InvalidSetting {
-                what: "reconfiguration period must be positive",
-            });
-        }
-        if !(self.alpha > 0.0 && self.alpha <= 1.0) {
-            return Err(AgarError::InvalidSetting {
-                what: "alpha must be in (0, 1]",
-            });
-        }
-        if self.warmup_probe_bytes == 0 {
-            return Err(AgarError::InvalidSetting {
-                what: "warm-up probe size must be positive",
-            });
-        }
-        if self.cache_shards == 0 {
-            return Err(AgarError::InvalidSetting {
-                what: "cache shard count must be positive",
-            });
-        }
         if !(self.hedge_z.is_finite() && self.hedge_z > 0.0) {
             return Err(AgarError::InvalidSetting {
                 what: "hedge dispersion multiplier must be positive and finite",
@@ -255,6 +217,18 @@ impl AgarSettings {
         Ok(())
     }
 }
+
+/// How often [`CachingClient::maybe_reconfigure`] lets the knapsack
+/// run (paper §V-A: 30 s epochs). The baselines use the same period.
+const RECONFIGURATION_PERIOD: Duration = Duration::from_secs(30);
+
+/// Warm-up probes the region manager sends per region before the first
+/// read.
+const WARMUP_PROBES: usize = 3;
+
+/// Warm-up probe payload in bytes: 100 kB, roughly one paper-scale
+/// chunk.
+const WARMUP_PROBE_BYTES: usize = 100_000;
 
 /// Retained traces per node when sampling is on. A ring: the newest
 /// traces win, and [`TraceBuffer::dropped`] records what scrolled out.
@@ -389,9 +363,10 @@ impl AgarNode {
     ///
     /// # Errors
     ///
-    /// Returns [`AgarError::InvalidSetting`] for a zero reconfiguration
-    /// period, out-of-range α, a zero warm-up probe size or a zero
-    /// cache shard count.
+    /// Returns [`AgarError::InvalidSetting`] for a non-positive hedge
+    /// multiplier, zero disk latencies with the disk tier enabled, a
+    /// retry policy without attempts or an enabled breaker without a
+    /// cooldown.
     pub fn new(
         region: RegionId,
         backend: Arc<Backend>,
@@ -403,8 +378,8 @@ impl AgarNode {
         let mut region_manager = RegionManager::new(region, backend.topology().clone());
         region_manager.warm_up(
             backend.latency_model().as_ref(),
-            settings.warmup_probe_bytes,
-            settings.warmup_probes.max(1),
+            WARMUP_PROBE_BYTES,
+            WARMUP_PROBES,
             &mut rng,
         );
         let manager = CacheManager::new(settings.cache_capacity_bytes)
@@ -422,10 +397,10 @@ impl AgarNode {
             cache: TieredChunkCache::with_disk(
                 settings.cache_capacity_bytes,
                 PolicyKind::Lru,
-                settings.cache_shards,
+                DEFAULT_CACHE_SHARDS,
                 settings.disk_capacity_bytes,
             ),
-            monitor: Mutex::new(RequestMonitor::with_alpha(settings.alpha)),
+            monitor: Mutex::new(RequestMonitor::new()),
             region_manager: Mutex::new(region_manager),
             config: RwLock::new(Arc::new(CacheConfiguration::empty())),
             reconfigure_serial: Mutex::new(()),
@@ -1285,8 +1260,7 @@ impl CachingClient for AgarNode {
                     false
                 }
                 Some(last) => {
-                    let due =
-                        now.saturating_duration_since(last) >= self.settings.reconfiguration_period;
+                    let due = now.saturating_duration_since(last) >= RECONFIGURATION_PERIOD;
                     if due {
                         clock.last = Some(now);
                     }
@@ -1663,30 +1637,6 @@ mod tests {
     fn invalid_settings_rejected() {
         let backend = test_backend(1, 900);
         let mut settings = AgarSettings::paper_default(900);
-        settings.reconfiguration_period = Duration::ZERO;
-        assert!(matches!(
-            AgarNode::new(FRANKFURT, Arc::clone(&backend), settings, 0),
-            Err(AgarError::InvalidSetting { .. })
-        ));
-        let mut settings = AgarSettings::paper_default(900);
-        settings.alpha = 1.5;
-        assert!(matches!(
-            AgarNode::new(FRANKFURT, Arc::clone(&backend), settings, 0),
-            Err(AgarError::InvalidSetting { .. })
-        ));
-        let mut settings = AgarSettings::paper_default(900);
-        settings.warmup_probe_bytes = 0;
-        assert!(matches!(
-            AgarNode::new(FRANKFURT, Arc::clone(&backend), settings, 0),
-            Err(AgarError::InvalidSetting { .. })
-        ));
-        let mut settings = AgarSettings::paper_default(900);
-        settings.cache_shards = 0;
-        assert!(matches!(
-            AgarNode::new(FRANKFURT, Arc::clone(&backend), settings, 0),
-            Err(AgarError::InvalidSetting { .. })
-        ));
-        let mut settings = AgarSettings::paper_default(900);
         settings.hedge_z = 0.0;
         assert!(matches!(
             AgarNode::new(FRANKFURT, Arc::clone(&backend), settings, 0),
@@ -1706,19 +1656,6 @@ mod tests {
             AgarNode::new(FRANKFURT, backend, settings, 0),
             Err(AgarError::InvalidSetting { .. })
         ));
-    }
-
-    #[test]
-    fn warmup_probe_size_is_configurable() {
-        let backend = test_backend(1, 900);
-        let mut settings = AgarSettings::paper_default(900);
-        // A 1-byte probe still seeds every estimate; the node comes up
-        // with a sensible region ordering.
-        settings.warmup_probe_bytes = 1;
-        let node = AgarNode::new(FRANKFURT, backend, settings, 0).unwrap();
-        let estimates = node.latency_estimates();
-        assert_eq!(estimates.len(), 6);
-        assert!(estimates.iter().all(|&e| e > Duration::ZERO));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! - the margin survives the straggler scenario family (slowdown
 //!   spikes, a dead region), with hedging protecting the tail.
 
-use agar_bench::{run_averaged, Deployment, PolicySpec, RunConfig, Scale};
+use agar_bench::{run_averaged, Deployment, LatencyProfile, PolicySpec, RunConfig, Scale};
 use agar_net::presets::{FRANKFURT, SYDNEY};
 use agar_workload::{Distribution, StragglerScenario};
 
@@ -129,7 +129,8 @@ fn agar_holds_its_margin_across_the_straggler_scenarios() {
         StragglerScenario::slow_spikes(),
         StragglerScenario::dead_region(),
     ] {
-        let deployment = Deployment::build_with_scenario(Scale::tiny(), &scenario);
+        let deployment =
+            Deployment::build_with(Scale::tiny(), LatencyProfile::Calibrated, Some(&scenario));
         let mut hedged_config = config(FRANKFURT, PolicySpec::Agar, zipf);
         hedged_config.max_hedges = 2;
         let hedged = run_averaged(&deployment, &hedged_config, 2);

@@ -55,7 +55,6 @@ fn deployment() -> (Arc<Backend>, Vec<Arc<AgarNode>>) {
 fn collab_router(backend: &Arc<Backend>, nodes: &[Arc<AgarNode>]) -> (ClusterRouter, Vec<u64>) {
     let settings = ClusterSettings {
         sibling_probes: nodes.len() - 1,
-        ..ClusterSettings::default()
     };
     let router = ClusterRouter::new(Arc::clone(backend), settings, 9).unwrap();
     let ids = nodes

@@ -289,7 +289,7 @@ fn warm_node_builder_detects_undersized_caches() {
     let region = deployment.region("Frankfurt");
     let result = std::panic::catch_unwind(|| {
         let node = build_warm_node(&deployment, region, 10.0, 8, 3);
-        run_threads(&node, 2, 10, 8)
+        run_threads(|object| node.read(object), 2, 10, 8)
     });
     let run = result.expect("10-object cache fits 8 hot objects");
     assert_eq!(run.backend_fetches, 0);

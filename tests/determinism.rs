@@ -84,7 +84,7 @@ fn trace_dumps_are_byte_identical_per_seed() {
         params.operations = 120;
         // tail_run traces every read; rebuild the deployment from
         // scratch each time so nothing is shared between the runs.
-        agar_bench::tail_run(&params, &scenario, 2);
+        agar_bench::tail_run(&params, &scenario, 2, None);
         // The node is internal to tail_run; drive a node directly for
         // the dump itself so the bytes come from the public API.
         let deployment = Deployment::build(Scale::tiny());

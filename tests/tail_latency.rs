@@ -10,7 +10,7 @@
 //!   cluster's fetch coordinator.
 
 use agar_bench::{
-    build_warm_hedged_cluster, run_mixed_cluster, tail_run, Deployment, Scale, TailParams,
+    build_warm_cluster, run_mixed_cluster, tail_run, Deployment, LatencyProfile, Scale, TailParams,
 };
 use agar_ec::ObjectId;
 use agar_workload::{ReadWriteMix, StragglerScenario};
@@ -30,8 +30,8 @@ fn cacheless_params() -> TailParams {
 fn hedged_p99_beats_unhedged_within_the_round_trip_budget() {
     let params = cacheless_params();
     let scenario = StragglerScenario::slow_spikes();
-    let unhedged = tail_run(&params, &scenario, 0);
-    let hedged = tail_run(&params, &scenario, params.max_hedges);
+    let unhedged = tail_run(&params, &scenario, 0, None);
+    let hedged = tail_run(&params, &scenario, params.max_hedges, None);
 
     assert_eq!(unhedged.errors, 0);
     assert_eq!(hedged.errors, 0);
@@ -41,16 +41,20 @@ fn hedged_p99_beats_unhedged_within_the_round_trip_budget() {
         hedged.latency.p99_ms,
         unhedged.latency.p99_ms
     );
-    assert!(hedged.hedged_requests > 0, "spikes must trigger hedges");
+    assert!(
+        hedged.count("hedged_requests") > 0,
+        "spikes must trigger hedges"
+    );
 
     // k = 9 data chunks at every scale; Δ = 2 hedges.
     let k = 9.0;
     let delta = params.max_hedges as f64;
     assert!(
-        hedged.backend_fetches as f64 <= unhedged.backend_fetches as f64 * (1.0 + delta / k),
+        hedged.count("backend_fetches") as f64
+            <= unhedged.count("backend_fetches") as f64 * (1.0 + delta / k),
         "hedged fetches {} blow the (1 + Δ/k)x budget over unhedged {}",
-        hedged.backend_fetches,
-        unhedged.backend_fetches
+        hedged.count("backend_fetches"),
+        unhedged.count("backend_fetches")
     );
 }
 
@@ -58,23 +62,29 @@ fn hedged_p99_beats_unhedged_within_the_round_trip_budget() {
 fn delta_zero_reproduces_the_unhedged_engine_byte_for_byte() {
     let params = cacheless_params();
     for scenario in [StragglerScenario::calm(), StragglerScenario::slow_spikes()] {
-        let first = tail_run(&params, &scenario, 0);
-        let second = tail_run(&params, &scenario, 0);
+        let first = tail_run(&params, &scenario, 0, None);
+        let second = tail_run(&params, &scenario, 0, None);
         assert_eq!(first.latency, second.latency, "{}", scenario.name);
-        assert_eq!(first.backend_fetches, second.backend_fetches);
+        assert_eq!(
+            first.count("backend_fetches"),
+            second.count("backend_fetches")
+        );
         assert_eq!(first.errors, second.errors);
-        assert_eq!(first.hedged_requests, 0, "Δ = 0 must never hedge");
-        assert_eq!(first.hedge_wins, 0);
-        assert_eq!(first.hedges_cancelled, 0);
+        assert_eq!(first.count("hedged_requests"), 0, "Δ = 0 must never hedge");
+        assert_eq!(first.count("hedge_wins"), 0);
+        assert_eq!(first.count("hedges_cancelled"), 0);
     }
 }
 
 #[test]
 fn hedged_mixed_workload_never_decodes_mixed_versions() {
-    let deployment =
-        Deployment::build_with_scenario(Scale::tiny(), &StragglerScenario::slow_spikes());
+    let deployment = Deployment::build_with(
+        Scale::tiny(),
+        LatencyProfile::Calibrated,
+        Some(&StragglerScenario::slow_spikes()),
+    );
     let region = deployment.region("Frankfurt");
-    let router = build_warm_hedged_cluster(&deployment, region, 2, 10.0, 4, 2, 3);
+    let router = build_warm_cluster(&deployment, region, 2, 4, 2, false, 3);
     let run = run_mixed_cluster(
         &router,
         4,
@@ -98,10 +108,13 @@ fn hedged_mixed_workload_never_decodes_mixed_versions() {
 
 #[test]
 fn cancelled_stragglers_leave_no_in_flight_entries() {
-    let deployment =
-        Deployment::build_with_scenario(Scale::tiny(), &StragglerScenario::slow_spikes());
+    let deployment = Deployment::build_with(
+        Scale::tiny(),
+        LatencyProfile::Calibrated,
+        Some(&StragglerScenario::slow_spikes()),
+    );
     let region = deployment.region("Frankfurt");
-    let router = build_warm_hedged_cluster(&deployment, region, 2, 10.0, 4, 2, 7);
+    let router = build_warm_cluster(&deployment, region, 2, 4, 2, false, 7);
     // Cold keys (outside the warm hot set) force every read through the
     // coordinator's backend fetch path, where spikes make hedges fire
     // and stragglers get discarded.
