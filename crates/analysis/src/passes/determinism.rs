@@ -60,6 +60,7 @@ const ORDER_NEUTRALIZERS: &[&str] = &[
     "sort_by_key",
     "sort_unstable",
     "sort_unstable_by",
+    "sort_unstable_by_key",
     "BTreeMap",
     "BTreeSet",
     "BinaryHeap",

@@ -82,9 +82,10 @@ impl TiersParams {
 /// RAM hits + RAM misses (disk hits are a subset of the misses),
 /// `ram_chunks`/`disk_chunks` are the final knapsack configuration's
 /// tier split, `tier_promotions` counts chunks reconfigurations moved
-/// disk → RAM, `disk_evictions` chunks dropped off the end of the disk
-/// log and `disk_appended_bytes` the frame bytes written to it
-/// (a-priori fills, re-tier moves and spilled RAM victims).
+/// disk → RAM, `disk_evictions` live chunks the disk log lost while
+/// reclaiming space, `disk_appended_bytes` the frame bytes written to it
+/// (a-priori fills, re-tier moves, spilled RAM victims and the
+/// cleaner's copies) and `disk_compacted_bytes` the copied part.
 pub(crate) static TIERS: Layout = Layout {
     title: "Tiers — RAM-only vs two-tier cache under catalogue pressure (Frankfurt, Zipf 1.1)",
     policy_header: "engine",
@@ -101,6 +102,7 @@ pub(crate) static TIERS: Layout = Layout {
         ColumnSpec::shown("tier_promotions", "promotions"),
         ColumnSpec::json_only("disk_evictions"),
         ColumnSpec::json_only("disk_appended_bytes"),
+        ColumnSpec::json_only("disk_compacted_bytes"),
     ],
 };
 
@@ -163,6 +165,7 @@ pub fn tiers_run(
     node.force_reconfigure();
     let warm_stats = node.cache_stats();
     let warm_appended = node.disk_appended_bytes();
+    let warm_compacted = node.disk_compacted_bytes();
 
     let ops = workload
         .stream(params.seed)
@@ -198,6 +201,7 @@ pub fn tiers_run(
             Value::Count(stats.tier_promotions()),
             Value::Count(stats.disk_evictions()),
             Value::Count(node.disk_appended_bytes() - warm_appended),
+            Value::Count(node.disk_compacted_bytes() - warm_compacted),
         ],
     )
 }
@@ -273,6 +277,7 @@ mod tests {
         // No epoch falls inside the 250-op measured window, and reads
         // write nothing.
         assert_eq!(tiered.count("disk_appended_bytes"), 0);
+        assert_eq!(tiered.count("disk_compacted_bytes"), 0);
         // The RAM-only engine never touches a disk tier.
         assert_eq!(ram_only.count("disk_hits"), 0);
         assert_eq!(ram_only.count("disk_chunks"), 0);

@@ -15,7 +15,7 @@
 //!   as dead space — the index only ever points at the newest frame.
 //! - **One handle per segment, positioned I/O.** A segment's file is
 //!   opened once (read + write) when the log rotates onto it and closed
-//!   and unlinked when the segment is evicted. A `put` is one positioned
+//!   and unlinked when the segment is cleaned. A `put` is one positioned
 //!   write *at the offset the index records* — so a torn tail or a
 //!   failed write can never shift where later frames land — and a `get`
 //!   is one positioned read of header + payload into a single buffer
@@ -23,10 +23,24 @@
 //!   is no `fsync`: this is a cache of re-fetchable chunks. (The
 //!   positioned calls are `std::os::unix::fs::FileExt`; the crate is
 //!   Unix-only.)
-//! - **FIFO capacity eviction.** When total segment bytes exceed the
-//!   budget the *oldest whole segment* is deleted and its still-live
-//!   index entries are dropped. That is deterministic, O(1) per
-//!   segment, and mirrors how log-structured caches reclaim space.
+//! - **Capacity is reclaimed by a log cleaner.** Every segment counts
+//!   the bytes of its frames the index still points at. When total
+//!   segment bytes exceed the budget the victim is the *sealed segment
+//!   with the fewest live bytes* (ties: the lowest segment id; never the
+//!   active one). If its live frames are at most half its length they
+//!   are **copied forward**: each is read and verified exactly as `get`
+//!   does, appended to the active segment in ascending offset order and
+//!   its index entry repointed — then the file is deleted. Rewriting
+//!   costs no more than it reclaims, so copied bytes never exceed
+//!   first-time bytes (write amplification ≤ 2 by construction, no
+//!   setting). A victim that is more than half live is dropped whole and
+//!   its live entries are lost (reported as
+//!   [`DiskPutOutcome::evicted`]): that is what a log filled to the brim
+//!   with live data degrades to. Victim choice and copy order read only
+//!   counters, ids and offsets — `HashMap` iteration order never reaches
+//!   the disk — so equal operation sequences leave byte-equal segment
+//!   files. The budget is a hard bound: a frame that would push the
+//!   active segment alone past the budget seals it first.
 //! - **Corruption is a miss, never bad bytes.** Every frame carries its
 //!   identity, version, length and a checksum over all of those and the
 //!   payload (`frame_checksum`). A read rebuilds the header it
@@ -35,7 +49,9 @@
 //!   magic, object, index, version, length or checksum — or a short
 //!   read — purges the index entry and reports a miss so the caller
 //!   falls back to the backend; it never panics and never returns
-//!   payload bytes that failed verification.
+//!   payload bytes that failed verification. The cleaner applies the
+//!   same check to every frame it copies: a survivor that fails it is
+//!   counted and dropped, never rewritten.
 //!
 //! # Frame layout
 //!
@@ -57,7 +73,7 @@ use crate::cache::CachedChunk;
 use agar_ec::ChunkId;
 use agar_obs::{Counter, Labels, MetricsRegistry};
 use bytes::Bytes;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
@@ -188,22 +204,33 @@ struct Location {
     version: u64,
 }
 
+impl Location {
+    /// Header + payload bytes of the frame.
+    fn frame_len(&self) -> u64 {
+        HEADER_LEN as u64 + u64::from(self.len)
+    }
+}
+
 #[derive(Debug)]
 struct Segment {
     id: u64,
     path: PathBuf,
-    /// Read + write handle, held from rotation to eviction.
+    /// Read + write handle, held from rotation to cleaning.
     file: File,
     /// Bytes written to this segment (headers + payloads); the offset
     /// the next frame is written at.
     len: u64,
+    /// Bytes of this segment's frames the index still points at:
+    /// credited when a frame is appended, debited wherever its index
+    /// entry dies.
+    live: u64,
 }
 
 #[derive(Debug)]
 struct Inner {
     dir: PathBuf,
-    /// Oldest first; the back entry is the active (append) segment.
-    segments: VecDeque<Segment>,
+    /// Ascending id; the last entry is the active (append) segment.
+    segments: Vec<Segment>,
     index: HashMap<ChunkId, Location>,
     /// Sum of all segment lengths, live and dead frames alike.
     used: u64,
@@ -213,13 +240,34 @@ struct Inner {
     frame: Vec<u8>,
 }
 
+impl Inner {
+    /// Debits the frame of a dead index entry from its segment.
+    fn debit(segments: &mut [Segment], dead: Location) {
+        if let Some(segment) = segments.iter_mut().find(|s| s.id == dead.segment) {
+            segment.live = segment.live.saturating_sub(dead.frame_len());
+        }
+    }
+
+    /// Drops the index entry for `id`; returns whether one existed.
+    fn forget(&mut self, id: &ChunkId) -> bool {
+        let dead = self.index.remove(id);
+        if let Some(dead) = dead {
+            Self::debit(&mut self.segments, dead);
+        }
+        dead.is_some()
+    }
+}
+
 /// Outcome of a [`DiskStore::put`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DiskPutOutcome {
     /// Whether the chunk was stored (false: larger than the whole tier,
     /// or the tier has zero capacity).
     pub stored: bool,
-    /// Live entries dropped by whole-segment capacity eviction.
+    /// Live entries lost while reclaiming space: those of a cleaned
+    /// segment that was more than half live (dropped whole), plus any
+    /// survivor whose rewrite failed. 0 while the live set leaves the
+    /// cleaner a mostly-dead segment to pick.
     pub evicted: u64,
 }
 
@@ -256,6 +304,9 @@ pub struct DiskStore {
     /// Header + payload bytes of every frame written to the log: the
     /// tier's write traffic, exact per seed where wall time is not.
     appended_bytes: Counter,
+    /// The subset of `appended_bytes` the cleaner wrote: survivors
+    /// copied forward out of a victim segment.
+    compacted_bytes: Counter,
     inner: Mutex<Inner>,
 }
 
@@ -267,7 +318,7 @@ impl DiskStore {
         let dir = std::env::temp_dir().join(format!("agar-disk-{}-{}", std::process::id(), seq));
         std::fs::create_dir_all(&dir)?;
         let capacity = capacity_bytes as u64;
-        // Eight segments per tier keeps whole-segment FIFO eviction
+        // Eight segments per tier keeps whole-segment cleaning
         // reasonably granular without a file per chunk.
         let segment_target = (capacity / 8).max(1);
         Ok(DiskStore {
@@ -275,9 +326,10 @@ impl DiskStore {
             segment_target,
             corrupt_frames: Counter::new(),
             appended_bytes: Counter::new(),
+            compacted_bytes: Counter::new(),
             inner: Mutex::new(Inner {
                 dir,
-                segments: VecDeque::new(),
+                segments: Vec::new(),
                 index: HashMap::new(),
                 used: 0,
                 next_segment: 0,
@@ -345,8 +397,8 @@ impl DiskStore {
     }
 
     /// Appends `chunk` under `id`, replacing any older live entry (the
-    /// old frame becomes dead space). Evicts whole oldest segments as
-    /// needed to stay within the byte budget.
+    /// old frame becomes dead space), then cleans segments as needed to
+    /// stay within the byte budget (see the module docs).
     pub fn put(&self, id: ChunkId, chunk: &CachedChunk) -> DiskPutOutcome {
         const NOT_STORED: DiskPutOutcome = DiskPutOutcome {
             stored: false,
@@ -368,24 +420,22 @@ impl DiskStore {
         // index update must be atomic with respect to concurrent gets,
         // so the I/O happens under the store mutex by design.
         // agar-lint: allow(lock-across-blocking)
-        let appended = Self::append_frame(inner, self.segment_target, &header, payload);
-        let Ok((segment, offset)) = appended else {
+        let Ok((segment, offset)) = self.append_frame(inner, &header, payload) else {
             // An I/O failure on the slow tier degrades to "not cached":
             // drop any stale index entry and move on.
-            inner.index.remove(&id);
+            inner.forget(&id);
             return NOT_STORED;
         };
-        self.appended_bytes.add(frame_len);
-        inner.index.insert(
-            id,
-            Location {
-                segment,
-                offset,
-                len,
-                version: chunk.version(),
-            },
-        );
-        let evicted = Self::evict_to_capacity(inner, self.capacity);
+        let loc = Location {
+            segment,
+            offset,
+            len,
+            version: chunk.version(),
+        };
+        if let Some(overwritten) = inner.index.insert(id, loc) {
+            Inner::debit(&mut inner.segments, overwritten);
+        }
+        let evicted = self.clean_to_capacity(inner);
         DiskPutOutcome {
             stored: inner.index.contains_key(&id),
             evicted,
@@ -400,18 +450,23 @@ impl DiskStore {
         let mut inner = self.inner();
         let inner = &mut *inner;
         let loc = *inner.index.get(id)?;
+        let segment = inner.segments.iter().find(|s| s.id == loc.segment);
         // Reads verify against the index entry they resolved, so the
         // frame read stays under the store mutex (single-writer log).
         // agar-lint: allow(lock-across-blocking)
-        match Self::read_frame(inner, id, loc) {
-            Some(chunk) => Some(chunk),
+        let frame = segment.and_then(|segment| Self::read_frame(&segment.file, id, loc));
+        match frame {
+            Some(frame) => Some(CachedChunk::new(
+                Bytes::from(frame).slice(HEADER_LEN..),
+                loc.version,
+            )),
             None => {
                 // An index entry existed but its frame failed
                 // verification: that is corruption (or a torn write),
                 // not a clean miss — count it so operators can see the
                 // tier eating bad frames, then fall through.
                 self.corrupt_frames.inc();
-                inner.index.remove(id);
+                inner.forget(id);
                 None
             }
         }
@@ -422,13 +477,21 @@ impl DiskStore {
         self.corrupt_frames.get()
     }
 
-    /// Header + payload bytes written to the log so far.
+    /// Header + payload bytes written to the log so far, survivors the
+    /// cleaner copied forward included.
     pub fn appended_bytes(&self) -> u64 {
         self.appended_bytes.get()
     }
 
-    /// Registers the tier's own counters: `agar_disk_corrupt_frames_total`
-    /// and `agar_disk_appended_bytes_total`.
+    /// The part of [`DiskStore::appended_bytes`] that was survivors
+    /// copied forward by the cleaner; the rest is first-time frames.
+    pub fn compacted_bytes(&self) -> u64 {
+        self.compacted_bytes.get()
+    }
+
+    /// Registers the tier's own counters: `agar_disk_corrupt_frames_total`,
+    /// `agar_disk_appended_bytes_total` and
+    /// `agar_disk_compacted_bytes_total`.
     pub fn register_metrics(&self, registry: &MetricsRegistry, base: Labels) {
         registry.register_counter(
             "agar_disk_corrupt_frames_total",
@@ -439,40 +502,61 @@ impl DiskStore {
         registry.register_counter(
             "agar_disk_appended_bytes_total",
             "Frame bytes (header + payload) written to the disk-tier log.",
-            base,
+            base.clone(),
             &self.appended_bytes,
+        );
+        registry.register_counter(
+            "agar_disk_compacted_bytes_total",
+            "Frame bytes the disk-tier log cleaner copied forward (part of appended).",
+            base,
+            &self.compacted_bytes,
         );
     }
 
     /// Drops the live entry for `id` (dead space remains until its
-    /// segment is evicted). Returns whether an entry existed.
+    /// segment is cleaned). Returns whether an entry existed.
     pub fn remove(&self, id: &ChunkId) -> bool {
-        self.inner().index.remove(id).is_some()
+        self.inner().forget(id)
     }
 
     /// Drops every live entry whose id matches `pred`; returns how many
     /// were dropped.
     pub fn remove_matching(&self, mut pred: impl FnMut(&ChunkId) -> bool) -> usize {
         let mut inner = self.inner();
-        let before = inner.index.len();
-        inner.index.retain(|id, _| !pred(id));
-        before - inner.index.len()
+        let Inner {
+            index, segments, ..
+        } = &mut *inner;
+        let before = index.len();
+        index.retain(|id, loc| {
+            let dead = pred(id);
+            if dead {
+                Inner::debit(segments, *loc);
+            }
+            !dead
+        });
+        before - index.len()
     }
 
     /// Writes `header` + `payload` as one frame at the active segment's
-    /// tracked length (rotating first if it is full) and returns the
-    /// frame's `(segment, offset)`. The write is positioned, not
+    /// tracked length and returns the frame's `(segment, offset)`,
+    /// crediting it to the segment's live bytes and to `appended_bytes`.
+    /// Rotates first if the active segment is full, or if this frame
+    /// would grow it past the whole budget — the active segment is never
+    /// cleaned, so it alone must always fit. The write is positioned, not
     /// `O_APPEND`: if the file is shorter or longer than the tracked
     /// length (a torn tail, a write that failed part-way) the frame
     /// still lands exactly where the index will look for it.
     fn append_frame(
+        &self,
         inner: &mut Inner,
-        target: u64,
-        header: &[u8; HEADER_LEN],
+        header: &[u8],
         payload: &[u8],
     ) -> std::io::Result<(u64, u64)> {
-        let needs_new = match inner.segments.back() {
-            Some(active) => active.len >= target,
+        let frame_len = (header.len() + payload.len()) as u64;
+        let needs_new = match inner.segments.last() {
+            Some(active) => {
+                active.len >= self.segment_target || active.len + frame_len > self.capacity
+            }
             None => true,
         };
         if needs_new {
@@ -485,60 +569,127 @@ impl DiskStore {
                 .create(true)
                 .truncate(true)
                 .open(&path)?;
-            inner.segments.push_back(Segment {
+            inner.segments.push(Segment {
                 id,
                 path,
                 file,
                 len: 0,
+                live: 0,
             });
         }
-        let active = inner.segments.back_mut().expect("active segment exists");
+        let active = inner.segments.last_mut().expect("active segment exists");
         let frame = &mut inner.frame;
         frame.clear();
         frame.extend_from_slice(header);
         frame.extend_from_slice(payload);
         active.file.write_all_at(frame, active.len)?;
         let offset = active.len;
-        active.len += frame.len() as u64;
-        inner.used += frame.len() as u64;
+        active.len += frame_len;
+        active.live += frame_len;
+        inner.used += frame_len;
+        self.appended_bytes.add(frame_len);
         Ok((active.id, offset))
     }
 
-    /// Reads the frame at `loc` with one positioned read and verifies
-    /// it: the header on disk must equal, byte for byte, the header
-    /// [`encode_header`] builds from the index entry and the payload
-    /// bytes just read — which checks magic, object, index, version,
-    /// length and checksum at once. The buffer is sized from the index,
-    /// never from a length read off disk.
-    fn read_frame(inner: &Inner, id: &ChunkId, loc: Location) -> Option<CachedChunk> {
-        let segment = inner.segments.iter().find(|s| s.id == loc.segment)?;
+    /// Reads the frame at `loc` of a segment file with one positioned
+    /// read and verifies it: the header on disk must equal, byte for
+    /// byte, the header [`encode_header`] builds from the index entry
+    /// and the payload bytes just read — which checks magic, object,
+    /// index, version, length and checksum at once. The buffer is sized
+    /// from the index, never from a length read off disk. Returns the
+    /// whole verified frame, header included.
+    fn read_frame(file: &File, id: &ChunkId, loc: Location) -> Option<Vec<u8>> {
         let mut frame = vec![0u8; HEADER_LEN + loc.len as usize];
-        segment.file.read_exact_at(&mut frame, loc.offset).ok()?;
+        file.read_exact_at(&mut frame, loc.offset).ok()?;
         let (header, payload) = frame.split_at(HEADER_LEN);
         if header != encode_header(id, loc.version, loc.len, payload) {
             return None;
         }
-        Some(CachedChunk::new(
-            Bytes::from(frame).slice(HEADER_LEN..),
-            loc.version,
-        ))
+        Some(frame)
     }
 
-    /// Deletes oldest whole segments until within `capacity`; returns
-    /// how many live entries were dropped with them.
-    fn evict_to_capacity(inner: &mut Inner, capacity: u64) -> u64 {
-        let mut dropped_live = 0u64;
-        while inner.used > capacity && inner.segments.len() > 1 {
-            let victim = inner.segments.pop_front().expect("len > 1");
+    /// Cleans sealed segments, fewest live bytes first, until within
+    /// the budget; returns how many live entries were lost. A victim at
+    /// most half live has its survivors copied forward (verified, in
+    /// offset order); any other is dropped whole.
+    fn clean_to_capacity(&self, inner: &mut Inner) -> u64 {
+        let mut lost = 0u64;
+        while inner.used > self.capacity {
+            // All but the last (active) segment are sealed.
+            let sealed = inner.segments.len().saturating_sub(1);
+            let victim = (0..sealed).min_by_key(|&at| {
+                let segment = &inner.segments[at];
+                (segment.live, segment.id)
+            });
+            let Some(victim) = victim else { break };
+            let victim = inner.segments.remove(victim);
             inner.used = inner.used.saturating_sub(victim.len);
-            let victim_id = victim.id;
-            let before = inner.index.len();
-            inner.index.retain(|_, loc| loc.segment != victim_id);
-            dropped_live += (before - inner.index.len()) as u64;
+            let mut survivors: Vec<(ChunkId, Location)> = inner
+                .index
+                .iter()
+                .filter(|(_, loc)| loc.segment == victim.id)
+                .map(|(id, loc)| (*id, *loc))
+                .collect();
+            survivors.sort_unstable_by_key(|(_, loc)| loc.offset);
+            // Rewriting at most half of what the victim frees keeps
+            // copied bytes ≤ first-time bytes over any history.
+            let copy = victim.live * 2 <= victim.len;
+            for (id, loc) in survivors {
+                inner.index.remove(&id);
+                if !copy {
+                    lost += 1;
+                    continue;
+                }
+                let Some(frame) = Self::read_frame(&victim.file, &id, loc) else {
+                    self.corrupt_frames.inc();
+                    continue;
+                };
+                let (header, payload) = frame.split_at(HEADER_LEN);
+                match self.append_frame(inner, header, payload) {
+                    Ok((segment, offset)) => {
+                        self.compacted_bytes.add(loc.frame_len());
+                        inner.index.insert(
+                            id,
+                            Location {
+                                segment,
+                                offset,
+                                ..loc
+                            },
+                        );
+                    }
+                    Err(_) => lost += 1,
+                }
+            }
             // Unlink; the handle closes when `victim` drops.
             let _ = std::fs::remove_file(&victim.path);
         }
-        dropped_live
+        lost
+    }
+}
+
+#[cfg(test)]
+impl DiskStore {
+    /// Asserts what the cleaner relies on and promises: every segment's
+    /// live counter equals the sum recomputed from the index, `used` is
+    /// the sum of segment lengths and within the budget, and copied
+    /// bytes never exceed first-time bytes.
+    fn check_invariants(&self) {
+        let inner = self.inner();
+        let mut live: HashMap<u64, u64> = HashMap::new();
+        for loc in inner.index.values() {
+            *live.entry(loc.segment).or_default() += loc.frame_len();
+        }
+        for segment in &inner.segments {
+            let recomputed = live.remove(&segment.id).unwrap_or(0);
+            assert_eq!(segment.live, recomputed, "segment {}", segment.id);
+            assert!(segment.live <= segment.len, "segment {}", segment.id);
+        }
+        assert!(live.is_empty(), "index points at cleaned segments");
+        let total: u64 = inner.segments.iter().map(|s| s.len).sum();
+        assert_eq!(inner.used, total);
+        assert!(inner.used <= self.capacity, "over budget: {}", inner.used);
+        let (appended, copied) = (self.appended_bytes(), self.compacted_bytes());
+        assert!(copied <= appended - copied, "copied {copied} of {appended}");
     }
 }
 
@@ -616,21 +767,197 @@ mod tests {
 
     #[test]
     fn capacity_evicts_oldest_segments_fifo() {
-        // 8 KiB budget, 1 KiB segments: old entries age out as whole
-        // segments while recent ones survive.
+        // 8 KiB budget, 1 KiB segments, every frame live: no segment is
+        // worth copying, all tie on live bytes, so whole segments age
+        // out oldest first while recent ones survive.
         let store = DiskStore::new(8 * 1024).unwrap();
         let mut total_evicted = 0;
         for i in 0..64u64 {
             let out = store.put(id(i, 0), &chunk(i as u8, 512, 1));
             assert!(out.stored);
             total_evicted += out.evicted;
+            store.check_invariants();
         }
-        assert!(store.used_bytes() <= 8 * 1024 + 600);
+        assert!(store.used_bytes() <= 8 * 1024);
         assert!(total_evicted > 0, "old segments must have been evicted");
+        assert_eq!(store.compacted_bytes(), 0);
         // The most recent insert is always live.
         assert!(store.contains(&id(63, 0)));
         // The very first insert aged out.
         assert!(!store.contains(&id(0, 0)));
+    }
+
+    #[test]
+    fn the_byte_budget_is_a_hard_bound() {
+        // 128 B segments: the 93 B frame leaves the active segment open,
+        // and the 993 B frame appended to it would make a lone segment
+        // of 1 086 B that nothing could evict.
+        let store = DiskStore::new(1024).unwrap();
+        assert!(store.put(id(1, 0), &chunk(1, 60, 1)).stored);
+        let out = store.put(id(2, 0), &chunk(2, 960, 1));
+        assert!(out.stored);
+        assert_eq!(out.evicted, 1, "the small frame made room");
+        assert_eq!(store.used_bytes(), 993);
+        assert_eq!(store.get(&id(2, 0)).unwrap().data().len(), 960);
+        assert!(!store.contains(&id(1, 0)));
+        store.check_invariants();
+    }
+
+    /// The payload `key` holds at `version`.
+    fn payload_of(key: u64, version: u64) -> Vec<u8> {
+        let len = 200 + (key % 5) as usize * 50;
+        (0..len)
+            .map(|i| (i as u64 * 31 + key * 7 + version) as u8)
+            .collect()
+    }
+
+    const KEYS: u64 = 75;
+
+    /// Overwrite churn over `KEYS` keys holding ≈ 38 % of a 64 KiB
+    /// store: key `k` is rewritten every 1, 2, 5 or 16 rounds (by
+    /// `k % 4`), so segments keep a minority of long-lived frames among
+    /// the dead ones. Asserts that no put loses a live frame and
+    /// returns the newest version of each key.
+    fn skewed_churn(store: &DiskStore, rounds: u64) -> Vec<u64> {
+        let mut newest = vec![0u64; KEYS as usize];
+        for round in 0..rounds {
+            for key in (0..KEYS).filter(|key| round % [1, 2, 5, 16][(key % 4) as usize] == 0) {
+                let value = CachedChunk::new(Bytes::from(payload_of(key, round)), round);
+                let out = store.put(id(key, 0), &value);
+                assert!(out.stored);
+                assert_eq!(out.evicted, 0, "round {round} key {key} lost a live frame");
+                newest[key as usize] = round;
+                store.check_invariants();
+            }
+        }
+        newest
+    }
+
+    #[test]
+    fn a_mostly_dead_log_is_cleaned_without_losing_a_live_frame() {
+        const CAPACITY: usize = 64 * 1024;
+        let store = DiskStore::new(CAPACITY).unwrap();
+        let newest = skewed_churn(&store, 48);
+        let live: usize = (0..KEYS).map(|k| HEADER_LEN + payload_of(k, 0).len()).sum();
+        assert!(live * 5 <= CAPACITY * 2, "live set {live} B is over 40 %");
+        let first_time = store.appended_bytes() - store.compacted_bytes();
+        assert!(
+            first_time >= 5 * CAPACITY as u64,
+            "the log wrapped under 5 times: {first_time} B"
+        );
+        assert!(store.compacted_bytes() > 0, "no survivor was ever copied");
+        assert_eq!(store.len(), KEYS as usize);
+        for key in 0..KEYS {
+            let version = newest[key as usize];
+            let back = store.get(&id(key, 0)).expect("a live frame");
+            assert_eq!(back.version(), version, "key {key}");
+            assert_eq!(back.data().as_ref(), payload_of(key, version), "key {key}");
+        }
+        assert_eq!(store.corrupt_frames(), 0);
+    }
+
+    /// `(file name, contents)` of every segment file, oldest first.
+    fn segment_files(store: &DiskStore) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+        store
+            .segment_paths()
+            .iter()
+            .map(|path| {
+                (
+                    path.file_name().unwrap().to_owned(),
+                    std::fs::read(path).unwrap(),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn equal_operation_sequences_leave_byte_equal_logs() {
+        let run = || {
+            let store = DiskStore::new(64 * 1024).unwrap();
+            skewed_churn(&store, 24);
+            store.remove_matching(|key| key.object().index() % 7 == 0);
+            store.remove(&id(1, 0));
+            skewed_churn(&store, 5);
+            store
+        };
+        let (one, two) = (run(), run());
+        assert!(one.compacted_bytes() > 0, "the cleaner never copied");
+        assert_eq!(one.keys(), two.keys());
+        assert_eq!(one.used_bytes(), two.used_bytes());
+        assert_eq!(one.appended_bytes(), two.appended_bytes());
+        assert_eq!(one.compacted_bytes(), two.compacted_bytes());
+        assert_eq!(segment_files(&one), segment_files(&two));
+    }
+
+    #[test]
+    fn a_corrupt_survivor_is_dropped_and_its_neighbours_are_copied() {
+        // 1 KiB segments. Segment 0: three 133 B keepers between two
+        // 333 B versions of a churn key — 399 live of 1 065 B once the
+        // churn key is rewritten into segment 1.
+        let store = DiskStore::new(8 * 1024).unwrap();
+        let keeper = |n: u64| chunk(0xA0 + n as u8, 100, n);
+        let churn = id(9, 9);
+        for n in 0..3u64 {
+            store.put(id(n, 0), &keeper(n));
+            if n < 2 {
+                store.put(churn, &chunk(0xC0, 300, n));
+            }
+        }
+        store.put(churn, &chunk(0xC0, 300, 2));
+        let sealed = store.segment_paths();
+        assert_eq!(sealed.len(), 2);
+        // One byte of the middle keeper's payload, through a second
+        // handle as `agar_chaos::corrupt_segments` does.
+        flip(&sealed[0], 133 + 333 + HEADER_LEN as u64 + 10, 0x40);
+        // Fill the log with distinct live frames: every other sealed
+        // segment is fully live, so segment 0 is the first one cleaned.
+        let mut filler = 100u64;
+        while store.segment_paths().contains(&sealed[0]) {
+            let out = store.put(id(filler, 0), &chunk(filler as u8, 300, 1));
+            assert!(out.stored);
+            assert_eq!(out.evicted, 0);
+            filler += 1;
+            store.check_invariants();
+        }
+        assert_eq!(store.corrupt_frames(), 1, "the flipped frame was counted");
+        assert_eq!(store.compacted_bytes(), 2 * 133, "and was not copied");
+        assert!(!store.contains(&id(1, 0)));
+        assert!(store.get(&id(1, 0)).is_none());
+        assert_eq!(store.corrupt_frames(), 1, "a clean miss afterwards");
+        for n in [0, 2] {
+            let back = store.get(&id(n, 0)).expect("a copied neighbour");
+            assert_eq!(back, keeper(n));
+        }
+        for key in 100..filler {
+            assert!(store.contains(&id(key, 0)), "filler {key}");
+        }
+    }
+
+    #[test]
+    fn copied_bytes_never_exceed_first_time_bytes() {
+        // Twenty-four long-lived keys, one rewritten every 29th put,
+        // among a stream of short-lived ones hold ≈ 75 % of the store
+        // live: victims sit on both sides of the half-live line, so
+        // some are copied and some dropped whole.
+        let store = DiskStore::new(16 * 1024).unwrap();
+        let (mut copied_victims, mut lost) = (0u64, 0u64);
+        for step in 0..3_000u64 {
+            let key = if step % 29 == 0 {
+                step / 29 % 24
+            } else {
+                100 + step % 23
+            };
+            let len = 100 + (step % 7) as usize * 60;
+            let before = store.compacted_bytes();
+            lost += store.put(id(key, 0), &chunk(step as u8, len, step)).evicted;
+            copied_victims += u64::from(store.compacted_bytes() > before);
+            // Checks the bound after every put, not only at the end.
+            store.check_invariants();
+        }
+        assert!(copied_victims > 100, "{copied_victims} victims copied");
+        assert!(lost > 0, "no victim was over half live");
+        let first_time = store.appended_bytes() - store.compacted_bytes();
+        assert!(first_time > 50 * 16 * 1024, "the log barely wrapped");
     }
 
     #[test]
@@ -844,6 +1171,64 @@ mod tests {
                 changed[start] ^= 1;
             }
             prop_assert_ne!(sum(&payload), sum(&changed));
+        }
+
+        /// Every mutating entry point with mixed sizes (one larger than
+        /// the store) and versions against a `HashMap` oracle: a hit is
+        /// the newest version's exact bytes, an entry vanishes only
+        /// through a remove or a reported `evicted` (nothing here
+        /// corrupts a frame), and the budget, the live counters and the
+        /// amplification bound hold after every operation.
+        #[test]
+        fn model_cleaning_loses_only_what_it_reports(
+            ops in vec((0u8..8, 0u64..4, 0u8..3, 1u64..4, 0usize..6), 1..160),
+        ) {
+            const CAPACITY: usize = 4096;
+            const LENS: [usize; 6] = [0, 40, 120, 300, 700, 5_000];
+            let store = DiskStore::new(CAPACITY).unwrap();
+            let mut model: HashMap<ChunkId, (u64, Vec<u8>)> = HashMap::new();
+            for (step, (op, object, index, version, len)) in ops.into_iter().enumerate() {
+                let key = id(object, index);
+                match op {
+                    0..=4 => {
+                        let bytes = vec![step as u8; LENS[len]];
+                        let value = CachedChunk::new(Bytes::from(bytes.clone()), version);
+                        let out = store.put(key, &value);
+                        let fits = HEADER_LEN + LENS[len] <= CAPACITY;
+                        if fits {
+                            model.insert(key, (version, bytes));
+                        } else {
+                            prop_assert_eq!(out, DiskPutOutcome::default());
+                        }
+                        let before = model.len();
+                        model.retain(|key, _| store.contains(key));
+                        prop_assert_eq!((before - model.len()) as u64, out.evicted);
+                        prop_assert_eq!(out.stored, fits && model.contains_key(&key));
+                    }
+                    5 => {
+                        prop_assert_eq!(store.remove(&key), model.remove(&key).is_some());
+                    }
+                    6 => {
+                        let before = model.len();
+                        model.retain(|k, _| k.object() != key.object());
+                        let removed = store.remove_matching(|k| k.object() == key.object());
+                        prop_assert_eq!(removed, before - model.len());
+                    }
+                    _ => {
+                        let found = store.get(&key);
+                        prop_assert_eq!(
+                            found.as_ref().map(|c| (c.version(), c.data().as_ref())),
+                            model.get(&key).map(|(v, b)| (*v, b.as_slice()))
+                        );
+                    }
+                }
+                let mut expected: Vec<ChunkId> = model.keys().copied().collect();
+                expected.sort_unstable();
+                prop_assert_eq!(store.keys(), expected);
+                prop_assert!(store.used_bytes() <= store.capacity_bytes());
+                store.check_invariants();
+            }
+            prop_assert_eq!(store.corrupt_frames(), 0);
         }
     }
 

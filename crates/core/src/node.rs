@@ -683,9 +683,17 @@ impl AgarNode {
 
     /// Frame bytes (header + payload) the disk tier has written so far
     /// (0 without a disk tier) — every a-priori disk fill, re-tier
-    /// move and spilled RAM victim; reads add none.
+    /// move and spilled RAM victim, plus what the log's cleaner copied
+    /// forward; reads add none.
     pub fn disk_appended_bytes(&self) -> u64 {
         self.cache.disk().map_or(0, |disk| disk.appended_bytes())
+    }
+
+    /// The part of [`AgarNode::disk_appended_bytes`] that was live
+    /// frames the disk log's cleaner copied out of a segment it
+    /// reclaimed (0 without a disk tier).
+    pub fn disk_compacted_bytes(&self) -> u64 {
+        self.cache.disk().map_or(0, |disk| disk.compacted_bytes())
     }
 
     /// A read that may source chunks from collaborative neighbours:
@@ -1717,9 +1725,27 @@ mod tests {
         assert!(stats.disk_hits() > 0, "disk tier never served: {stats:?}");
     }
 
-    /// The placement invariant: when `reconfigure` returns, every
-    /// cached chunk sits in exactly one tier and it is the tier the
-    /// configuration names; reads never change that.
+    /// The placement invariant: every cached chunk sits in exactly one
+    /// tier, the one the configuration names, every configured chunk is
+    /// cached, and both byte budgets hold.
+    fn assert_placement(node: &AgarNode, backend: &Backend, epoch: u64) {
+        let config = node.current_config();
+        let cached = node.cache.keys();
+        assert_eq!(cached.len(), config.total_chunks() as usize);
+        for id in cached {
+            let in_ram = node.cache.ram().contains(&id);
+            let on_disk = node.cache.disk().unwrap().contains(&id);
+            assert!(in_ram != on_disk, "{id:?} is in both tiers");
+            let version = backend.manifest(id.object()).unwrap().version();
+            let (_, tier) = node.peek_chunk_tier(&id, version).unwrap();
+            assert_eq!(Some(tier), config.tier_for(id), "{id:?} epoch {epoch}");
+        }
+        assert!(node.cache.used_bytes() <= node.cache.capacity_bytes());
+        assert!(node.cache.disk_used_bytes() <= node.cache.disk_capacity_bytes());
+    }
+
+    /// When `reconfigure` returns the placement invariant holds, and
+    /// reads never change it.
     #[test]
     fn placement_follows_the_configuration_across_shifting_epochs() {
         const OBJECTS: u64 = 24;
@@ -1750,20 +1776,7 @@ mod tests {
             assert_eq!(tier_moves(&node), settled, "a read moved a chunk");
             node.force_reconfigure();
             settled = tier_moves(&node);
-
-            let config = node.current_config();
-            let cached = node.cache.keys();
-            assert_eq!(cached.len(), config.total_chunks() as usize);
-            for id in cached {
-                let in_ram = node.cache.ram().contains(&id);
-                let on_disk = node.cache.disk().unwrap().contains(&id);
-                assert!(in_ram != on_disk, "{id:?} is in both tiers");
-                let version = backend.manifest(id.object()).unwrap().version();
-                let (_, tier) = node.peek_chunk_tier(&id, version).unwrap();
-                assert_eq!(Some(tier), config.tier_for(id), "{id:?} epoch {epoch}");
-            }
-            assert!(node.cache.used_bytes() <= node.cache.capacity_bytes());
-            assert!(node.cache.disk_used_bytes() <= node.cache.disk_capacity_bytes());
+            assert_placement(&node, &backend, epoch);
         }
         let (promotions, demotions) = settled;
         assert!(
@@ -1771,6 +1784,50 @@ mod tests {
             "the shifting hot set never re-tiered a chunk ({promotions} up, {demotions} down)"
         );
         assert_eq!(node.cache_stats().disk_evictions(), 0);
+    }
+
+    /// The disk log keeps what the knapsack placed: while the
+    /// configured disk set is at most 40 % of the disk budget, a log
+    /// that wraps again and again under re-tier churn never loses a
+    /// configured chunk.
+    #[test]
+    fn a_wrapping_disk_log_keeps_every_configured_chunk() {
+        const OBJECTS: u64 = 24;
+        const DISK: usize = 50_000;
+        let backend = test_backend(OBJECTS, 900);
+        // RAM holds eight objects' chunks, so a hot set that slides
+        // eight keys an epoch re-tiers a third of the catalogue.
+        let node = AgarNode::new(
+            FRANKFURT,
+            Arc::clone(&backend),
+            tiered_settings(7_200, DISK),
+            7,
+        )
+        .unwrap();
+        let zipf = agar_workload::Zipfian::new(OBJECTS, 1.1).unwrap();
+        let mut rng = StdRng::seed_from_u64(11);
+        for epoch in 0..24u64 {
+            for _ in 0..150 {
+                let key = (zipf.sample(&mut rng) + epoch * 8) % OBJECTS;
+                let metrics = node.read(ObjectId::new(key)).unwrap();
+                assert_eq!(metrics.data.as_ref(), expected_payload(key, 900).as_slice());
+            }
+            node.force_reconfigure();
+            assert_placement(&node, &backend, epoch);
+            let disk_frames = u64::from(node.current_config().disk_chunks()) * 133;
+            assert!(
+                disk_frames * 5 <= DISK as u64 * 2,
+                "configured disk set {disk_frames} B is over 40 %"
+            );
+            assert_eq!(node.cache_stats().disk_evictions(), 0, "epoch {epoch}");
+        }
+        let first_time = node.disk_appended_bytes() - node.disk_compacted_bytes();
+        assert!(
+            first_time >= 3 * DISK as u64,
+            "the log wrapped under 3 times: {first_time} B"
+        );
+        assert!(node.disk_compacted_bytes() > 0, "no survivor was copied");
+        assert_eq!(node.disk_corrupt_frames(), 0);
     }
 
     #[test]

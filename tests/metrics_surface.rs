@@ -96,6 +96,7 @@ const NODE_SERIES: &[(&str, &str)] = &[
     ("agar_decode_systematic_fast_total", ""),
     ("agar_degraded_reads_total", ""),
     ("agar_disk_appended_bytes_total", ""),
+    ("agar_disk_compacted_bytes_total", ""),
     ("agar_disk_corrupt_frames_total", ""),
     ("agar_fill_fetches_total", ""),
     ("agar_hedge_cancelled_total", ""),
