@@ -462,14 +462,13 @@ impl ClusterRouter {
                 });
             }
         }
-        let metrics = home.read_with_remote_chunks(object, &remote)?;
+        let metrics = home.read_with_offers(object, &remote)?;
         if metrics.remote_hits > 0 {
             self.remote_hits.add(metrics.remote_hits as u64);
         }
-        let remote_hits = metrics.remote_hits;
         Ok(ClusterReadMetrics {
-            metrics: metrics.into_inner(),
-            remote_hits,
+            remote_hits: metrics.remote_hits,
+            metrics,
             home: home_id,
         })
     }

@@ -275,6 +275,7 @@ impl FixedChunksClient {
             cache_hits,
             backend_fetches: fetched.len(),
             fill_fetches,
+            remote_hits: 0,
             decoded,
         })
     }
@@ -431,6 +432,7 @@ impl CachingClient for BackendOnlyClient {
             cache_hits: 0,
             backend_fetches: plan.len(),
             fill_fetches: 0,
+            remote_hits: 0,
             decoded,
         })
     }

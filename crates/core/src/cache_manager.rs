@@ -44,8 +44,9 @@ impl CacheManager {
         self
     }
 
-    /// Attaches a disk-tier budget of `bytes` (0 disables the disk
-    /// phase of [`CacheManager::recompute_tiered`]).
+    /// Attaches a disk-tier budget of `bytes` (0, the default, leaves
+    /// the disk phase of [`CacheManager::recompute_tiered`] nothing to
+    /// place).
     #[must_use]
     pub fn with_disk_capacity(mut self, bytes: usize) -> Self {
         self.disk_capacity_bytes = bytes;
@@ -81,41 +82,15 @@ impl CacheManager {
     }
 
     /// Recomputes the cache configuration from current statistics.
+    /// Phase 1 solves the RAM tier (the paper's single-budget
+    /// knapsack); phase 2 generates disk-tier options conditioned on
+    /// the RAM allocation (the chunks it left on the remote path,
+    /// priced against `disk_read`) and solves them against the disk
+    /// budget — with a zero disk budget it places nothing and the
+    /// result is the paper's RAM-only configuration.
     ///
     /// Returns the empty configuration when the monitor has seen nothing
     /// (or capacity fits no chunk).
-    pub fn recompute(
-        &self,
-        monitor: &RequestMonitor,
-        region_manager: &RegionManager,
-        backend: &Backend,
-        cache_read: Duration,
-        epoch: u64,
-    ) -> CacheConfiguration {
-        let all_options = self.build_options(monitor, region_manager, backend, cache_read);
-        let Some(first) = all_options.keys().next() else {
-            return CacheConfiguration::empty();
-        };
-        let chunk_size = backend
-            .manifest(*first)
-            .map(|m| m.chunk_size())
-            .unwrap_or(0);
-        if chunk_size == 0 {
-            return CacheConfiguration::empty();
-        }
-        let capacity_chunks = (self.capacity_bytes / chunk_size) as u32;
-        let solved = self.solver.populate(&all_options, capacity_chunks);
-        CacheConfiguration::from_knapsack(&solved, epoch)
-    }
-
-    /// The two-budget recompute: phase 1 solves the RAM tier exactly
-    /// like [`CacheManager::recompute`]; phase 2 generates disk-tier
-    /// options conditioned on the RAM allocation (the chunks it left on
-    /// the remote path, priced against `disk_read`) and solves them
-    /// against the disk budget. With a zero disk budget the result is
-    /// identical to [`CacheManager::recompute`] — the node calls this
-    /// unconditionally and relies on that for `disk_capacity = 0`
-    /// byte-identity.
     pub fn recompute_tiered(
         &self,
         monitor: &RequestMonitor,
@@ -230,18 +205,34 @@ mod tests {
         (Arc::new(backend), region_manager, monitor)
     }
 
+    /// The paper's single-budget recompute: a manager without a disk
+    /// budget, through the one (tiered) entry.
+    fn recompute_ram_only(
+        manager: &CacheManager,
+        monitor: &RequestMonitor,
+        region_manager: &RegionManager,
+        backend: &Backend,
+        epoch: u64,
+    ) -> CacheConfiguration {
+        assert_eq!(manager.disk_capacity_bytes(), 0);
+        let config = manager.recompute_tiered(
+            monitor,
+            region_manager,
+            backend,
+            Duration::from_millis(40),
+            Duration::from_millis(45),
+            epoch,
+        );
+        assert_eq!(config.disk_chunks(), 0, "no disk budget, no disk chunks");
+        config
+    }
+
     #[test]
     fn recompute_fills_capacity_with_popular_objects() {
         let (backend, region_manager, monitor) = setup();
         // Chunk size = 100 bytes; 1 000-byte cache = 10 chunks.
         let manager = CacheManager::new(1_000);
-        let config = manager.recompute(
-            &monitor,
-            &region_manager,
-            &backend,
-            Duration::from_millis(40),
-            1,
-        );
+        let config = recompute_ram_only(&manager, &monitor, &region_manager, &backend, 1);
         assert!(config.total_chunks() > 0);
         assert!(config.total_chunks() <= 10);
         // The hottest object must be in the configuration.
@@ -254,13 +245,7 @@ mod tests {
         let (backend, region_manager, _) = setup();
         let manager = CacheManager::new(1_000);
         let monitor = RequestMonitor::new();
-        let config = manager.recompute(
-            &monitor,
-            &region_manager,
-            &backend,
-            Duration::from_millis(40),
-            0,
-        );
+        let config = recompute_ram_only(&manager, &monitor, &region_manager, &backend, 0);
         assert_eq!(config.total_chunks(), 0);
     }
 
@@ -269,13 +254,7 @@ mod tests {
         let (backend, region_manager, monitor) = setup();
         // 150 bytes = 1 chunk.
         let manager = CacheManager::new(150);
-        let config = manager.recompute(
-            &monitor,
-            &region_manager,
-            &backend,
-            Duration::from_millis(40),
-            0,
-        );
+        let config = recompute_ram_only(&manager, &monitor, &region_manager, &backend, 0);
         assert!(config.total_chunks() <= 1);
     }
 
@@ -288,13 +267,7 @@ mod tests {
         }
         monitor.end_epoch();
         let manager = CacheManager::new(1_000);
-        let config = manager.recompute(
-            &monitor,
-            &region_manager,
-            &backend,
-            Duration::from_millis(40),
-            0,
-        );
+        let config = recompute_ram_only(&manager, &monitor, &region_manager, &backend, 0);
         assert!(config.objects().all(|o| o.index() != 999));
     }
 
@@ -317,38 +290,6 @@ mod tests {
         assert!(config.disk_chunks() > 0, "disk budget must be used");
         assert!(config.disk_chunks() <= 30);
         assert_eq!(config.epoch(), 2);
-    }
-
-    #[test]
-    fn tiered_recompute_with_zero_disk_matches_plain_recompute() {
-        let (backend, region_manager, monitor) = setup();
-        let manager = CacheManager::new(1_000);
-        let plain = manager.recompute(
-            &monitor,
-            &region_manager,
-            &backend,
-            Duration::from_millis(40),
-            1,
-        );
-        let tiered = manager.recompute_tiered(
-            &monitor,
-            &region_manager,
-            &backend,
-            Duration::from_millis(40),
-            Duration::from_millis(45),
-            1,
-        );
-        assert_eq!(tiered.total_chunks(), plain.total_chunks());
-        assert_eq!(tiered.planned_value(), plain.planned_value());
-        assert_eq!(tiered.disk_chunks(), 0);
-        let mut plain_objects: Vec<_> = plain.objects().collect();
-        let mut tiered_objects: Vec<_> = tiered.objects().collect();
-        plain_objects.sort_unstable();
-        tiered_objects.sort_unstable();
-        assert_eq!(plain_objects, tiered_objects);
-        for object in plain.objects() {
-            assert_eq!(plain.chunks_for(object), tiered.chunks_for(object));
-        }
     }
 
     #[test]

@@ -30,46 +30,33 @@ impl CacheConfiguration {
         CacheConfiguration::default()
     }
 
-    /// Converts a solved Knapsack [`Config`] into a cache configuration,
-    /// tagging it with the epoch that produced it. Every chunk is
-    /// RAM-tier (the single-budget solve has no disk phase).
-    pub fn from_knapsack(config: &Config, epoch: u64) -> Self {
-        let mut per_object = HashMap::with_capacity(config.options().len());
-        for option in config.options() {
+    /// Converts a two-budget solve into a cache configuration, tagged
+    /// with the epoch that produced it: the RAM and disk allocations
+    /// (disjoint by construction — the disk phase only sees chunks the
+    /// RAM phase left behind) merge into the per-object union, and the
+    /// disk subset is kept for [`Self::tier_for`]. An empty disk
+    /// allocation leaves every chunk RAM-tier.
+    pub fn from_tiered(ram: &Config, disk: &Config, epoch: u64) -> Self {
+        let mut per_object = HashMap::with_capacity(ram.options().len());
+        for option in ram.options() {
             per_object.insert(option.object(), option.chunks().to_vec());
         }
-        CacheConfiguration {
-            per_object,
-            disk_per_object: HashMap::new(),
-            total_chunks: config.weight(),
-            disk_chunks: 0,
-            planned_value: config.value(),
-            epoch,
-        }
-    }
-
-    /// Converts a two-budget solve into a cache configuration: the RAM
-    /// and disk allocations (disjoint by construction — the disk phase
-    /// only sees chunks the RAM phase left behind) merge into the
-    /// per-object union, and the disk subset is kept for
-    /// [`Self::tier_for`]. With an empty disk configuration the result
-    /// is identical to [`Self::from_knapsack`] on the RAM half.
-    pub fn from_tiered(ram: &Config, disk: &Config, epoch: u64) -> Self {
-        let mut config = CacheConfiguration::from_knapsack(ram, epoch);
+        let mut disk_per_object = HashMap::with_capacity(disk.options().len());
         for option in disk.options() {
-            config
-                .per_object
+            per_object
                 .entry(option.object())
                 .or_default()
                 .extend_from_slice(option.chunks());
-            config
-                .disk_per_object
-                .insert(option.object(), option.chunks().to_vec());
+            disk_per_object.insert(option.object(), option.chunks().to_vec());
         }
-        config.total_chunks += disk.weight();
-        config.disk_chunks = disk.weight();
-        config.planned_value += disk.value();
-        config
+        CacheConfiguration {
+            per_object,
+            disk_per_object,
+            total_chunks: ram.weight() + disk.weight(),
+            disk_chunks: disk.weight(),
+            planned_value: ram.value() + disk.value(),
+            epoch,
+        }
     }
 
     /// The chunks to cache for `object` (empty when the object is not in
@@ -180,17 +167,25 @@ mod tests {
             })
             .collect();
         let solved = KnapsackSolver::new().populate(&options, 12);
-        CacheConfiguration::from_knapsack(&solved, 3)
+        CacheConfiguration::from_tiered(&solved, &Config::empty(), 3)
     }
 
     #[test]
-    fn from_knapsack_preserves_totals() {
+    fn ram_only_solve_preserves_totals_and_places_every_chunk_in_ram() {
         let config = solved_config();
         assert!(config.total_chunks() <= 12);
         assert!(config.planned_value() > 0.0);
         assert_eq!(config.epoch(), 3);
         let sum: usize = config.objects().map(|o| config.chunks_for(o).len()).sum();
         assert_eq!(sum as u32, config.total_chunks());
+        assert_eq!(config.disk_chunks(), 0);
+        for object in config.objects() {
+            assert!(config.disk_chunks_for(object).is_empty());
+            for &index in config.chunks_for(object) {
+                let chunk = ChunkId::new(object, index);
+                assert_eq!(config.tier_for(chunk), Some(CacheTier::Ram));
+            }
+        }
     }
 
     #[test]
@@ -314,42 +309,5 @@ mod tests {
         }
         assert_eq!(ram_seen, config.ram_chunks());
         assert_eq!(disk_seen, config.disk_chunks());
-    }
-
-    #[test]
-    fn from_tiered_with_empty_disk_matches_from_knapsack() {
-        let ram_only = solved_config();
-        let latencies: Vec<Duration> = [80u64, 200, 600, 1400, 3400, 4600]
-            .into_iter()
-            .map(Duration::from_millis)
-            .collect();
-        let params = CodingParams::paper_default();
-        let options: HashMap<ObjectId, _> = [(0u64, 100.0), (1, 10.0)]
-            .into_iter()
-            .map(|(i, pop)| {
-                let object = ObjectId::new(i);
-                let locations = (0..12).map(|c| RegionId::new(c % 6)).collect();
-                let manifest = ObjectManifest::new(object, 1_000_000, 1, params, locations);
-                (
-                    object,
-                    generate_options(&manifest, &latencies, Duration::from_millis(40), pop),
-                )
-            })
-            .collect();
-        let solved = KnapsackSolver::new().populate(&options, 12);
-        let tiered = CacheConfiguration::from_tiered(&solved, &crate::knapsack::Config::empty(), 3);
-        assert_eq!(tiered.total_chunks(), ram_only.total_chunks());
-        assert_eq!(tiered.planned_value(), ram_only.planned_value());
-        assert_eq!(tiered.disk_chunks(), 0);
-        for object in ram_only.objects() {
-            assert_eq!(tiered.chunks_for(object), ram_only.chunks_for(object));
-            assert!(tiered.disk_chunks_for(object).is_empty());
-            for &index in ram_only.chunks_for(object) {
-                assert_eq!(
-                    tiered.tier_for(ChunkId::new(object, index)),
-                    Some(CacheTier::Ram)
-                );
-            }
-        }
     }
 }

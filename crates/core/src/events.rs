@@ -14,7 +14,7 @@
 //! the node then reports, off its critical path:
 //!
 //! - [`object_filled`](CacheEventSink::object_filled) — chunks of an
-//!   object entered the cache (a stage-6 best-effort fill or an
+//!   object entered the cache (a read's fill stage or an
 //!   a-priori reconfiguration download);
 //! - [`object_dropped`](CacheEventSink::object_dropped) — the node
 //!   dropped every cached chunk of an object on an explicit

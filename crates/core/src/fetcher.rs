@@ -8,7 +8,7 @@
 //! that coalesces concurrent fetches of the same chunk (single-flight)
 //! and batches same-region chunks into one priced round trip.
 //!
-//! The contract keeps the node's execute stage oblivious to the
+//! The contract keeps the node's fetch stage oblivious to the
 //! strategy:
 //!
 //! - results come back **in request order** (the node folds latency
@@ -182,7 +182,7 @@ mod tests {
         let fetcher = DirectFetcher::new(Arc::clone(&backend));
         // Requests planned against version 1, but a write bumped the
         // object to version 2: the first mismatching fetch ends the
-        // attempt, exactly like the pre-hook execute loop.
+        // attempt, exactly like the pre-hook fetch loop.
         let requests = [
             request(&backend, 0),
             request(&backend, 1),

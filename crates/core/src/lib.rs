@@ -105,7 +105,7 @@ pub use events::CacheEventSink;
 pub use fetcher::{ChunkFetcher, DirectFetcher, FetchRequest};
 pub use knapsack::{exhaustive_optimum, greedy, Config, KnapsackSolver, TieredConfig};
 pub use monitor::RequestMonitor;
-pub use node::{AgarNode, AgarSettings, CachingClient, CollabReadMetrics, ReadMetrics};
+pub use node::{AgarNode, AgarSettings, CachingClient, ReadMetrics};
 pub use options::{generate_disk_options, generate_options, CachingOption, ObjectOptions};
 pub use planner::{
     ChunkSet, ChunkSource, HedgePolicy, LocalHits, ReadPlan, ReadPlanner, RemoteChunk,

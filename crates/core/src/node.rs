@@ -1,26 +1,32 @@
 //! The Agar node: the per-region deployment tying together cache,
 //! request monitor, region manager and cache manager (paper Figure 3).
 //!
+//! This module holds the node itself — construction, accessors,
+//! `write`, reconfiguration and metrics registration. The read path
+//! ([`AgarNode::read_with_offers`]) lives in `read.rs`, a child module
+//! (it works on the node's private fields).
+//!
 //! # Concurrency model
 //!
-//! The node serves every client in its region, so the read path is
-//! built as a staged pipeline over independently locked concerns
-//! instead of one node-wide mutex:
+//! The node serves every client in its region, so every concern is
+//! locked independently instead of behind one node-wide mutex. A read
+//! first records the request in the monitor (its own mutex, one
+//! hash-map increment) and then runs the six stages of `read.rs`:
 //!
-//! 1. **record** — the request monitor (its own mutex, one hash-map
-//!    increment);
-//! 2. **lookup** — hinted chunks in the sharded cache (per-shard
+//! 1. **lookup** — hinted chunks in the sharded cache (per-shard
 //!    locks, atomic statistics);
-//! 3. **plan** — the [`ReadPlanner`]
+//! 2. **plan** — the [`ReadPlanner`](crate::planner::ReadPlanner)
 //!    ranks every candidate source against *snapshots* (the
 //!    `Arc<CacheConfiguration>` swapped at reconfiguration, a copy of
 //!    the region manager's estimates) — no locks held;
-//! 4. **execute** — backend fetches run with **no** node lock held, so
+//! 3. **fetch** — backend fetches run with **no** node lock held, so
 //!    concurrent clients' fetches overlap exactly like the paper's
-//!    parallel chunk reads (each fetch briefly locks the region
-//!    manager afterwards to fold in its latency observation);
-//! 5. **reconstruct + fill** — Reed-Solomon decoding is lock-free;
-//!    cache fill takes per-shard locks only.
+//!    parallel chunk reads (each response briefly locks the region
+//!    manager to fold in its latency observation);
+//! 4. **bind** — the first k arrivals are bound into the decode,
+//!    stragglers dropped (pure);
+//! 5. **decode** — Reed-Solomon decoding is lock-free;
+//! 6. **fill** — cache fill takes per-shard locks only.
 //!
 //! Randomness is drawn from per-operation RNGs derived from the node
 //! seed and an atomic operation counter, so single-threaded runs stay
@@ -31,10 +37,9 @@ use crate::cache_manager::CacheManager;
 use crate::config::CacheConfiguration;
 use crate::error::AgarError;
 use crate::events::CacheEventSink;
-use crate::fetcher::{ChunkFetcher, DirectFetcher, FetchRequest};
+use crate::fetcher::{ChunkFetcher, DirectFetcher};
 use crate::knapsack::KnapsackSolver;
 use crate::monitor::RequestMonitor;
-use crate::planner::{ChunkSource, HedgePolicy, ReadPlanner, RemoteChunk};
 use crate::region_manager::RegionManager;
 use crate::retry::RetryPolicy;
 use agar_cache::{
@@ -43,10 +48,10 @@ use agar_cache::{
 use agar_ec::{ChunkId, ObjectId};
 use agar_net::{RegionId, SimTime};
 use agar_obs::{
-    chrome_trace_json, Counter, DecodeKind, Labels, MetricsRegistry, ReadTrace, ReadTraceBuilder,
+    chrome_trace_json, Counter, Labels, MetricsRegistry, ReadTrace, ReadTraceBuilder,
     StageHistograms, TraceBuffer,
 };
-use agar_store::{Backend, StoreError};
+use agar_store::Backend;
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
@@ -55,6 +60,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+#[path = "read.rs"]
+mod read;
 
 /// Per-read metrics every caching client in this workspace reports.
 #[derive(Clone, Debug)]
@@ -72,30 +80,11 @@ pub struct ReadMetrics {
     pub backend_fetches: usize,
     /// Chunks fetched off the critical path to fill the cache.
     pub fill_fetches: usize,
+    /// Chunks served from a neighbour's cache (only a read given
+    /// [`RemoteChunk`](crate::planner::RemoteChunk) offers has any).
+    pub remote_hits: usize,
     /// Whether Reed-Solomon decoding was needed.
     pub decoded: bool,
-}
-
-/// Metrics of a read that could tap other nodes' caches (issued by the
-/// `agar-cluster` router, which turns neighbour cache contents into
-/// [`RemoteChunk`] offers).
-#[derive(Clone, Debug)]
-pub struct CollabReadMetrics {
-    metrics: ReadMetrics,
-    /// Chunks served from a neighbour's cache.
-    pub remote_hits: usize,
-}
-
-impl CollabReadMetrics {
-    /// The underlying read metrics.
-    pub fn into_inner(self) -> ReadMetrics {
-        self.metrics
-    }
-
-    /// Borrow the underlying read metrics.
-    pub fn metrics(&self) -> &ReadMetrics {
-        &self.metrics
-    }
 }
 
 /// The interface the experiment harness drives: Agar, the LRU/LFU
@@ -133,16 +122,17 @@ pub struct AgarSettings {
     /// Fixed client-side overhead per object read.
     pub client_overhead: Duration,
     /// Maximum speculative hedge fetches (Δ) per read: race k+Δ
-    /// distinct chunks and bind the first k arrivals. `0` (the
-    /// default) disables hedging and keeps reads byte-identical to the
-    /// unhedged engine.
+    /// distinct chunks and bind the first k arrivals. With `0` (the
+    /// default) every request is needed and every arrival is bound —
+    /// the same route, not a separate unhedged one.
     pub max_hedges: usize,
     /// Dispersion multiplier for hedge admission: a spare chunk is
     /// hedged only while its latency estimate stays within `hedge_z`
     /// mean-deviations of the slowest planned backend primary.
     pub hedge_z: f64,
     /// Disk-tier capacity in bytes. `0` (the default) attaches no disk
-    /// tier and keeps the node byte-identical to the RAM-only engine.
+    /// tier: the knapsack's disk phase has nothing to place and no read
+    /// has a disk hit to price — the paper's RAM-only node.
     pub disk_capacity_bytes: usize,
     /// Modelled chunk-read latency of the local disk tier. Prices disk
     /// placements in the knapsack's second budget and disk hits in the
@@ -247,8 +237,6 @@ struct TraceLayer {
     every: u64,
     /// Read sequence counter driving the deterministic sampler.
     seq: AtomicU64,
-    /// Latest harness-provided sim-clock instant, in microseconds.
-    now_micros: AtomicU64,
     /// Ring of completed traces.
     buffer: TraceBuffer,
     /// Per-stage latency histograms fed by every completed trace.
@@ -260,23 +248,16 @@ impl TraceLayer {
         TraceLayer {
             every: every.max(1),
             seq: AtomicU64::new(0),
-            now_micros: AtomicU64::new(0),
             buffer: TraceBuffer::new(TRACE_BUFFER_CAPACITY),
             stages: StageHistograms::new(),
         }
     }
 
-    /// Starts a builder if this read is sampled (every Nth, starting
-    /// with the first).
-    fn begin(&self, object: ObjectId, region: RegionId) -> Option<ReadTraceBuilder> {
+    /// Whether the next read is sampled (every Nth, starting with the
+    /// first); advances the sampler.
+    fn sampled(&self) -> bool {
         let n = self.seq.fetch_add(1, Ordering::Relaxed);
-        n.is_multiple_of(self.every).then(|| {
-            ReadTraceBuilder::begin(
-                object.index(),
-                region.index() as u64,
-                SimTime::from_micros(self.now_micros.load(Ordering::Relaxed)),
-            )
-        })
+        n.is_multiple_of(self.every)
     }
 
     /// Seals a completed read's builder into the ring and the stage
@@ -300,10 +281,8 @@ struct ReconfigClock {
 
 /// A per-region Agar deployment.
 ///
-/// Thread-safe behind `&self`. Unlike the pre-refactor node (one
-/// node-wide mutex around the whole read path) every concern is locked
-/// independently — see the module docs for the pipeline and locking
-/// discipline. Closed-loop simulated clients and real OS threads can
+/// Thread-safe behind `&self`: every concern is locked independently
+/// (see the module docs). Closed-loop simulated clients and real OS threads can
 /// share one node, like the paper's YCSB clients sharing the region's
 /// Agar instance.
 pub struct AgarNode {
@@ -340,8 +319,7 @@ pub struct AgarNode {
     /// (stateless) under the default policy.
     breaker: CircuitBreaker,
     /// Latest harness-provided sim-clock instant in microseconds — the
-    /// breaker's cooldown clock. Unlike the trace layer's copy this
-    /// cell always exists (the breaker may be on with tracing off).
+    /// breaker's cooldown clock and the start stamp of sampled traces.
     sim_now_micros: AtomicU64,
     /// Strategy executing the plan's backend fetches. Defaults to
     /// per-chunk [`DirectFetcher`] calls; a cluster deployment swaps in
@@ -430,22 +408,6 @@ impl AgarNode {
         )
     }
 
-    /// Decides whether a failed attempt may re-plan under the retry
-    /// policy; when it may, charges the retry's backoff into `backoff`
-    /// (the read's running sim-clock penalty) and counts it.
-    fn charge_retry(&self, attempts: u32, backoff: &mut Duration) -> bool {
-        if !self.settings.retry.allows_retry(attempts, *backoff) {
-            return false;
-        }
-        let step = self.settings.retry.backoff_for(attempts);
-        if !step.is_zero() {
-            *backoff += step;
-            self.retry_backoff_micros.add(step.as_micros() as u64);
-        }
-        self.retries.inc();
-        true
-    }
-
     /// The node's home region.
     pub fn region(&self) -> RegionId {
         self.region
@@ -526,19 +488,11 @@ impl AgarNode {
         let (version, latency) = self
             .backend
             .put_object(self.region, object, data, &mut rng)?;
-        let removed = self.cache.remove_matching(|id| id.object() == object);
+        self.invalidate_object(object);
         if let Some(sink) = self.event_sink() {
-            if removed > 0 {
-                sink.object_dropped(object);
-            }
             sink.object_written(object, version);
         }
         Ok((version, latency))
-    }
-
-    /// Total off-critical-path fill fetches.
-    pub fn fill_fetches(&self) -> u64 {
-        self.fill_fetches.get()
     }
 
     /// Advances the node's notion of the simulated clock: the circuit
@@ -548,9 +502,6 @@ impl AgarNode {
     pub fn set_sim_now(&self, now: SimTime) {
         self.sim_now_micros
             .store(now.as_micros(), Ordering::Relaxed);
-        if let Some(trace) = &self.trace {
-            trace.now_micros.store(now.as_micros(), Ordering::Relaxed);
-        }
     }
 
     /// The per-region circuit breaker (disabled and stateless under
@@ -643,17 +594,12 @@ impl AgarNode {
         }
     }
 
-    /// Looks a chunk up in the local cache (either tier) without
-    /// touching recency metadata, statistics or tier placement; returns
-    /// the payload only if its version matches. Used by collaborative
-    /// neighbours.
-    pub fn peek_chunk(&self, chunk: &ChunkId, version: u64) -> Option<Bytes> {
-        self.peek_chunk_tier(chunk, version).map(|(data, _)| data)
-    }
-
-    /// Like [`AgarNode::peek_chunk`], additionally reporting which tier
-    /// holds the chunk — a cluster router prices a disk-resident offer
-    /// with the owner's disk-read penalty on top of the transfer cost.
+    /// Looks a chunk up in the local cache without touching recency
+    /// metadata, statistics or tier placement; returns the payload and
+    /// the tier holding it only if its version matches. A cluster
+    /// router turns these into neighbour offers, pricing a
+    /// disk-resident one with the owner's disk-read penalty on top of
+    /// the transfer cost.
     pub fn peek_chunk_tier(&self, chunk: &ChunkId, version: u64) -> Option<(Bytes, CacheTier)> {
         self.cache
             .peek(chunk)
@@ -694,436 +640,6 @@ impl AgarNode {
     /// reclaimed (0 without a disk tier).
     pub fn disk_compacted_bytes(&self) -> u64 {
         self.cache.disk().map_or(0, |disk| disk.compacted_bytes())
-    }
-
-    /// A read that may source chunks from collaborative neighbours:
-    /// `remote` lists chunks available from other regions' caches as
-    /// [`RemoteChunk`] offers. Each needed chunk comes from the
-    /// cheapest of {local cache, neighbour cache, backend estimate};
-    /// offers encoded from a different object version than this read's
-    /// manifest are ignored.
-    ///
-    /// # Errors
-    ///
-    /// Propagates backend failures; returns
-    /// [`AgarError::ReadContention`] if three successive attempts each
-    /// raced a concurrent write (a fetched chunk was newer than the
-    /// attempt's manifest snapshot — mixing versions would decode
-    /// garbage, so the read restarts on a fresh manifest instead).
-    pub fn read_with_remote_chunks(
-        &self,
-        object: ObjectId,
-        remote: &[RemoteChunk],
-    ) -> Result<CollabReadMetrics, AgarError> {
-        // Stage 0: record popularity (one short-lived monitor lock),
-        // once per logical read regardless of version-race retries.
-        self.monitor.lock().record_read(object);
-        // Tracing is passive: the builder is plain scratch the read
-        // fills in (no RNG draws, no locks, no shared counters), so a
-        // traced run's engine behaviour is byte-identical to an
-        // untraced one.
-        let mut trace = self
-            .trace
-            .as_ref()
-            .and_then(|layer| layer.begin(object, self.region));
-        let max_attempts = self.settings.retry.max_attempts.max(1);
-        for attempt in 0..max_attempts {
-            if let Some(metrics) =
-                self.read_attempt(object, remote, attempt == 0, trace.as_mut())?
-            {
-                if let (Some(layer), Some(builder)) = (&self.trace, trace) {
-                    layer.commit(builder);
-                }
-                return Ok(metrics);
-            }
-            // A version race restarts the read on a fresh manifest;
-            // the trace spans the whole logical read, races included.
-            if attempt + 1 < max_attempts {
-                self.retries.inc();
-            }
-            if let Some(builder) = trace.as_mut() {
-                builder.outcome.version_races += 1;
-            }
-        }
-        Err(AgarError::ReadContention { object })
-    }
-
-    /// One read attempt against a single manifest snapshot. Returns
-    /// `Ok(None)` when a backend chunk came back with a newer version
-    /// than the snapshot (a concurrent write landed mid-read): the
-    /// caller retries with a fresh manifest. `first_attempt` gates the
-    /// chunk-level statistics so retries never double-count one
-    /// logical read. (Remote offers from an older version are dropped
-    /// by the planner, never mixed into the decode.)
-    fn read_attempt(
-        &self,
-        object: ObjectId,
-        remote: &[RemoteChunk],
-        first_attempt: bool,
-        mut trace: Option<&mut ReadTraceBuilder>,
-    ) -> Result<Option<CollabReadMetrics>, AgarError> {
-        let manifest = self.backend.manifest(object)?;
-        let k = manifest.params().data_chunks();
-        let total = manifest.params().total_chunks();
-        let version = manifest.version();
-        let config = Arc::clone(&self.config.read());
-        let planner = ReadPlanner::new(&manifest, &config);
-
-        // Stage 1: hinted-chunk lookups in the tiered cache (per-shard
-        // locks; a disk hit is served in place — lookups never move a
-        // chunk between tiers; stale versions dropped from both tiers).
-        let hits = planner.lookup_local(&self.cache, first_attempt);
-        let ram_hits = hits.ram.len();
-
-        // Stages 2+3: plan against snapshots, then execute with no
-        // node lock held. The plan's backend fetches go through the
-        // pluggable fetcher in plan order (per-chunk direct calls by
-        // default; the cluster coordinator coalesces and batches). A
-        // fetch hitting a freshly failed region penalises it in the
-        // region manager and re-plans (up to 3 attempts), exactly like
-        // the pre-refactor retry loop.
-        let fetcher = Arc::clone(&self.fetcher.read());
-        let mut rng = self.derive_rng();
-        let mut shards: Vec<Option<Bytes>> = vec![None; total];
-        let mut attempts = 0u32;
-        // Backoff charged to this read so far, priced into the final
-        // latency on the simulated clock (never slept).
-        let mut backoff = Duration::ZERO;
-        let (worst, remote_hits, disk_hits, backend_fetches) = 'replan: loop {
-            attempts += 1;
-            let (estimates, deviations) = {
-                let region_manager = self.region_manager.lock();
-                (
-                    region_manager.estimates().to_vec(),
-                    region_manager.deviations().to_vec(),
-                )
-            };
-            // Re-plans re-price against *current* health: fresh
-            // estimates above, and the breaker's current exclusion
-            // mask here (empty when the breaker is disabled).
-            let now_micros = self.sim_now_micros.load(Ordering::Relaxed);
-            let excluded = self.breaker.exclusion_mask(now_micros);
-            let hedging = HedgePolicy {
-                max_hedges: self.settings.max_hedges,
-                z: self.settings.hedge_z,
-                deviations: &deviations,
-                excluded: &excluded,
-            };
-            let plan = match planner.plan_hedged(
-                hits.clone(),
-                remote,
-                &self.backend,
-                &estimates,
-                self.settings.disk_read,
-                hedging,
-            ) {
-                Ok(plan) => plan,
-                Err(AgarError::Store(StoreError::NotEnoughChunks { .. }))
-                    if excluded.iter().any(|&e| e) =>
-                {
-                    // Breaker exclusions alone starved the plan: serve
-                    // the read degraded through open regions rather
-                    // than stall — availability beats breaker hygiene.
-                    self.degraded_reads.inc();
-                    planner.plan_hedged(
-                        hits.clone(),
-                        remote,
-                        &self.backend,
-                        &estimates,
-                        self.settings.disk_read,
-                        HedgePolicy {
-                            max_hedges: self.settings.max_hedges,
-                            z: self.settings.hedge_z,
-                            deviations: &deviations,
-                            excluded: &[],
-                        },
-                    )?
-                }
-                Err(error) => return Err(error),
-            };
-            let hedges = plan.hedges;
-            shards.iter_mut().for_each(|s| *s = None);
-            let mut worst = Duration::ZERO;
-            let mut remote_hits = 0;
-            let mut disk_hits = 0;
-            let mut backend_fetches = 0;
-            let mut requests: Vec<FetchRequest> = Vec::new();
-            for (index, source) in plan.sources {
-                match source {
-                    ChunkSource::Local { data } => {
-                        shards[index as usize] = Some(data);
-                    }
-                    ChunkSource::LocalDisk { data } => {
-                        disk_hits += 1;
-                        shards[index as usize] = Some(data);
-                    }
-                    ChunkSource::Remote { data, latency } => {
-                        remote_hits += 1;
-                        worst = worst.max(latency);
-                        shards[index as usize] = Some(data);
-                    }
-                    ChunkSource::Backend { region, .. } => {
-                        requests.push(FetchRequest {
-                            chunk: ChunkId::new(object, index),
-                            region,
-                            version,
-                        });
-                    }
-                }
-            }
-            if hedges == 0 {
-                for (request, result) in fetcher.fetch(self.region, &requests, &mut rng) {
-                    match result {
-                        Ok(fetch) => {
-                            self.region_manager
-                                .lock()
-                                .observe(request.region, fetch.latency);
-                            self.breaker.record_success(request.region);
-                            if fetch.version != version {
-                                // A write landed mid-read; mixing
-                                // versions would decode garbage.
-                                return Ok(None);
-                            }
-                            backend_fetches += 1;
-                            worst = worst.max(fetch.latency);
-                            shards[request.chunk.index().value() as usize] = Some(fetch.data);
-                        }
-                        Err(StoreError::RegionUnavailable { region }) => {
-                            self.region_manager.lock().mark_unreachable(region);
-                            self.breaker.record_failure(
-                                region,
-                                self.sim_now_micros.load(Ordering::Relaxed),
-                            );
-                            if self.charge_retry(attempts, &mut backoff) {
-                                continue 'replan; // re-plan around the failure
-                            }
-                            return Err(StoreError::RegionUnavailable { region }.into());
-                        }
-                        Err(other) => return Err(other.into()),
-                    }
-                }
-                break (worst, remote_hits, disk_hits, backend_fetches);
-            }
-
-            // Hedged execute: the request list carries the plan's
-            // backend primaries first and its `hedges` spares last.
-            // Race them all, *late-bind* the first `needed` successful
-            // arrivals (smallest latencies) into the decode and discard
-            // the stragglers — their payloads never reach `shards`, so
-            // a straggler can neither mix versions into the decode nor
-            // displace a bound chunk.
-            let needed = requests.len() - hedges;
-            self.cache.counters().hedged_requests.add(hedges as u64);
-            if let Some(builder) = trace.as_deref_mut() {
-                builder.outcome.hedges_issued += hedges as u32;
-            }
-            let mut arrivals: Vec<(usize, Duration, FetchRequest, Bytes)> = Vec::new();
-            let mut failed_region = None;
-            for (position, (request, result)) in fetcher
-                .fetch(self.region, &requests, &mut rng)
-                .into_iter()
-                .enumerate()
-            {
-                match result {
-                    Ok(fetch) => {
-                        // Every response — bound or straggling — feeds
-                        // the latency estimator; stragglers are exactly
-                        // the observations that grow the deviation.
-                        self.region_manager
-                            .lock()
-                            .observe(request.region, fetch.latency);
-                        self.breaker.record_success(request.region);
-                        if fetch.version != version {
-                            return Ok(None);
-                        }
-                        arrivals.push((position, fetch.latency, request, fetch.data));
-                    }
-                    Err(StoreError::RegionUnavailable { region }) => {
-                        // A dead hedge region must not fail the read:
-                        // replan only if the survivors cannot cover k.
-                        self.region_manager.lock().mark_unreachable(region);
-                        self.breaker
-                            .record_failure(region, self.sim_now_micros.load(Ordering::Relaxed));
-                        failed_region = Some(region);
-                    }
-                    Err(other) => return Err(other.into()),
-                }
-            }
-            if arrivals.len() < needed {
-                if self.charge_retry(attempts, &mut backoff) {
-                    continue 'replan;
-                }
-                let region = failed_region.unwrap_or(self.region);
-                return Err(StoreError::RegionUnavailable { region }.into());
-            }
-            // All successful fetches are issued backend work, bound or
-            // not (the (1+Δ/k)× round-trip budget counts them all).
-            backend_fetches = arrivals.len();
-            // First-k binding: sort by arrival time, position breaking
-            // ties in favour of primaries (stable, deterministic).
-            arrivals.sort_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)));
-            let mut cancelled = 0u64;
-            let mut wins = 0u32;
-            let mut straggler_worst = Duration::ZERO;
-            for (slot, (position, latency, request, data)) in arrivals.into_iter().enumerate() {
-                if slot < needed {
-                    worst = worst.max(latency);
-                    shards[request.chunk.index().value() as usize] = Some(data);
-                    if position >= needed {
-                        self.cache.counters().hedge_wins.inc();
-                        wins += 1;
-                    }
-                } else {
-                    cancelled += 1;
-                    straggler_worst = straggler_worst.max(latency);
-                }
-            }
-            if cancelled > 0 {
-                self.cache.counters().hedges_cancelled.add(cancelled);
-            }
-            if let Some(builder) = trace.as_deref_mut() {
-                builder.outcome.hedge_wins += wins;
-                builder.outcome.hedges_cancelled += cancelled as u32;
-                // Bind overhang: how far the slowest cancelled
-                // straggler kept flying past the k-th arrival.
-                builder.bind = builder.bind.max(straggler_worst.saturating_sub(worst));
-            }
-            break (worst, remote_hits, disk_hits, backend_fetches);
-        };
-        // Disk-sourced chunks are local cache hits at the object level.
-        let cache_hits = ram_hits + disk_hits;
-
-        // Stage 4: latency — slowest parallel fetch (cache and disk
-        // reads also run in parallel) plus fixed client overhead.
-        let mut cache_component = if ram_hits > 0 {
-            self.settings.cache_read
-        } else {
-            Duration::ZERO
-        };
-        if disk_hits > 0 {
-            cache_component = cache_component.max(self.settings.disk_read);
-        }
-        // Backoff spent on re-plans is wall time the client actually
-        // waited; zero under the default (no-backoff) policy.
-        let latency = self.settings.client_overhead + cache_component.max(worst) + backoff;
-        if let Some(builder) = trace.as_deref_mut() {
-            let outcome = &mut builder.outcome;
-            outcome.replans += attempts - 1;
-            outcome.ram_hits += ram_hits as u32;
-            outcome.disk_hits += disk_hits as u32;
-            outcome.remote_hits += remote_hits as u32;
-            outcome.backend_fetches += backend_fetches as u32;
-            outcome.total = latency;
-            builder.lookup = cache_component;
-            builder.fetch = worst;
-        }
-
-        // Stage 5: reconstruct. With all k data shards in hand the
-        // codec takes its systematic fast path — no GF arithmetic, at
-        // most one object-sized allocation, no locks. A degraded
-        // decode reuses the cached decode plan when this erasure
-        // pattern has been seen before (no re-inversion), at the cost
-        // of a brief codec-level mutex for the plan lookup.
-        let (data, decode_report) = self
-            .backend
-            .codec()
-            .reconstruct_object_report(&shards, manifest.size())?;
-        let decoded = !decode_report.systematic_fast_path;
-        if decode_report.systematic_fast_path {
-            self.cache.counters().systematic_fast_reads.inc();
-        } else if decode_report.plan_cache_hit {
-            self.cache.counters().decode_plan_hits.inc();
-        }
-        if let Some(builder) = trace.as_mut() {
-            builder.outcome.decode = if decode_report.systematic_fast_path {
-                DecodeKind::Systematic
-            } else if decode_report.plan_cache_hit {
-                DecodeKind::PlanCacheHit
-            } else {
-                DecodeKind::Inversion
-            };
-        }
-
-        // Stage 6: fill the cache toward the hinted configuration, off
-        // the critical path (the paper uses a separate thread pool).
-        // The hints come from this read's config snapshot; each chunk
-        // is checked against the *live* configuration before the
-        // insert and revalidated after it, so a fill racing a
-        // reconfiguration cannot leave behind chunks the new
-        // configuration purged or placed in the other tier (a swap
-        // after the insert is followed by the reconfiguration's own
-        // purge and re-tier; a swap before it is caught by the
-        // revalidation below).
-        let mut fill_fetches = 0;
-        let mut filled_any = false;
-        let live_config = Arc::clone(&self.config.read());
-        for &index in planner.hinted() {
-            let id = ChunkId::new(object, index);
-            if !live_config.contains(id) || self.cache.contains(&id) {
-                continue;
-            }
-            let payload = match shards[index as usize].clone() {
-                Some(data) => Some(data),
-                None => {
-                    // Hinted chunk was neither cached nor on the fetch
-                    // path (estimate drift): fetch it in the background
-                    // — through the installed fetcher, so the fill
-                    // piggybacks on any identical in-flight
-                    // critical-path fetch (single-flight) instead of
-                    // racing it into a duplicate backend round trip.
-                    let request = FetchRequest {
-                        chunk: id,
-                        region: manifest.location(index as usize),
-                        version,
-                    };
-                    match fetcher.fetch(self.region, &[request], &mut rng).pop() {
-                        Some((_, Ok(fetch))) => {
-                            fill_fetches += 1;
-                            // A version-racing fill is simply skipped
-                            // (the fill is best-effort; caching the new
-                            // payload under the old version label would
-                            // poison later version checks).
-                            (fetch.version == version).then_some(fetch.data)
-                        }
-                        _ => None, // fill is best-effort
-                    }
-                }
-            };
-            if let Some(p) = payload {
-                let tier = live_config.tier_for(id).unwrap_or(CacheTier::Ram);
-                filled_any |= self
-                    .cache
-                    .insert_to_tier(id, CachedChunk::new(p, version), tier);
-                if self.config.read().tier_for(id) != Some(tier) {
-                    // A reconfiguration swapped the config between the
-                    // pre-check and the insert; its purge and re-tier
-                    // may already have run, so sweep the chunk
-                    // ourselves.
-                    self.cache.remove(&id);
-                }
-            }
-        }
-        self.fill_fetches.add(fill_fetches);
-        if filled_any {
-            if let Some(sink) = self.event_sink() {
-                sink.object_filled(object);
-            }
-        }
-
-        // Stage 7: object-level hit accounting (Figure 7), lock-free.
-        self.cache.counters().record_object_read(cache_hits, k);
-
-        Ok(Some(CollabReadMetrics {
-            metrics: ReadMetrics {
-                data,
-                latency,
-                cache_hits,
-                backend_fetches,
-                fill_fetches: fill_fetches as usize,
-                decoded,
-            },
-            remote_hits,
-        }))
     }
 
     /// Recomputes the configuration, swaps the snapshot, then applies
@@ -1199,47 +715,36 @@ impl AgarNode {
         let mut rng = self.derive_rng();
         let mut objects: Vec<ObjectId> = new_config.objects().collect();
         objects.sort_unstable(); // deterministic fill order
+        let mut fills = 0;
         for object in objects {
             let Ok(manifest) = self.backend.manifest(object) else {
                 continue;
             };
-            let version = manifest.version();
             for &index in new_config.chunks_for(object) {
                 let id = ChunkId::new(object, index);
                 if self.cache.contains(&id) {
                     continue;
                 }
-                let request = FetchRequest {
-                    chunk: id,
-                    region: manifest.location(index as usize),
-                    version,
-                };
                 // `reconfigure_serial` exists only to serialise whole
                 // reconfigurations; readers never take it, so holding
                 // it across the a-priori fill downloads is the point.
                 // agar-lint: allow(lock-across-blocking)
-                if let Some((_, Ok(fetch))) = fetcher.fetch(self.region, &[request], &mut rng).pop()
-                {
-                    self.fill_fetches.inc();
-                    let tier = new_config.tier_for(id).unwrap_or(CacheTier::Ram);
-                    if fetch.version == version
-                        && self.cache.insert_to_tier(
-                            id,
-                            CachedChunk::new(fetch.data, version),
-                            tier,
-                        )
-                    {
-                        filled.insert(object);
-                    }
+                let data = self.fetch_chunk(&*fetcher, &manifest, index, &mut rng, &mut fills);
+                let Some(data) = data else { continue };
+                let tier = new_config.tier_for(id).unwrap_or(CacheTier::Ram);
+                let chunk = CachedChunk::new(data, manifest.version());
+                if self.cache.insert_to_tier(id, chunk, tier) {
+                    filled.insert(object);
                 }
             }
         }
+        self.fill_fetches.add(fills);
         if let Some(sink) = sink {
             // Report the objects the re-tier step and the a-priori fill
             // inserted (recorded at the insert, so nothing rescans the
             // cache). The purge's removals are deliberately NOT
             // reported: a drop emitted here could land after a
-            // concurrent reader's stage-6 fill re-inserted the object
+            // concurrent reader's fill stage re-inserted the object
             // (and reported `object_filled`), deregistering a member
             // that really holds chunks — the one ordering the
             // registry's superset invariant forbids. A purged object
@@ -1255,8 +760,7 @@ impl AgarNode {
 
 impl CachingClient for AgarNode {
     fn read(&self, object: ObjectId) -> Result<ReadMetrics, AgarError> {
-        self.read_with_remote_chunks(object, &[])
-            .map(CollabReadMetrics::into_inner)
+        self.read_with_offers(object, &[])
     }
 
     fn maybe_reconfigure(&self, now: SimTime) -> bool {
@@ -1320,12 +824,20 @@ mod tests {
     use agar_net::presets::{aws_six_regions, FRANKFURT};
     use agar_store::{expected_payload, populate, RoundRobin};
 
-    fn test_backend(objects: u64, size: usize) -> Arc<Backend> {
+    pub(super) fn test_backend(objects: u64, size: usize) -> Arc<Backend> {
+        test_backend_coded(CodingParams::paper_default(), objects, size)
+    }
+
+    pub(super) fn test_backend_coded(
+        params: CodingParams,
+        objects: u64,
+        size: usize,
+    ) -> Arc<Backend> {
         let preset = aws_six_regions();
         let backend = Backend::new(
             preset.topology,
             Arc::new(preset.latency),
-            CodingParams::paper_default(),
+            params,
             Box::new(RoundRobin),
         )
         .unwrap();

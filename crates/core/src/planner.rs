@@ -1,17 +1,17 @@
 //! The read planner: one ranking over every candidate chunk source.
 //!
-//! The Agar node's read path used to carry two near-identical bodies —
-//! one for plain reads (local cache + backend) and one for
-//! collaborative reads (local cache + neighbour caches + backend). The
-//! [`ReadPlanner`] collapses both into a single *plan-then-execute*
-//! pipeline: every way of obtaining a chunk is a [`ChunkSource`], every
+//! The [`ReadPlanner`] is the lookup and plan stages of the node's
+//! read path (lookup → plan → fetch → bind → decode → fill; the rest
+//! lives in `read.rs`). Plain reads (local cache + backend) and
+//! collaborative reads (local cache + neighbour caches + backend) are
+//! one plan: every way of obtaining a chunk is a [`ChunkSource`], every
 //! source gets a price (zero for local hits, the transfer latency for a
 //! neighbour's cache, the live per-region estimate for a backend
 //! fetch), and the plan is simply the `k` cheapest sources covering `k`
 //! distinct chunks.
 //!
-//! Planning touches no locks and performs no I/O; the node executes the
-//! returned [`ReadPlan`] entirely outside its internal locks, so
+//! Planning touches no locks and performs no I/O; the node fetches the
+//! returned [`ReadPlan`]'s sources entirely outside its internal locks, so
 //! backend fetches from concurrent clients overlap (read latency is the
 //! *maximum* over the parallel fetches, as in the paper's §V-A model).
 
@@ -192,7 +192,7 @@ impl<'a> ReadPlanner<'a> {
         self.config.chunks_for(self.manifest.object())
     }
 
-    /// Stage 1 of the pipeline: looks the hinted chunks up in the local
+    /// The lookup stage of a read: looks the hinted chunks up in the local
     /// tiered cache, version-checked (stale chunks are dropped — from
     /// **both** tiers, write-path coherence), and returns the hits
     /// split by serving tier. Each RAM lookup locks only the chunk's
@@ -229,8 +229,9 @@ impl<'a> ReadPlanner<'a> {
         have
     }
 
-    /// Stage 2: ranks every candidate source for every chunk the local
-    /// cache does not hold and returns the cheapest executable plan.
+    /// The plan stage of a read: ranks every candidate source for every
+    /// chunk the local cache does not hold and returns the cheapest
+    /// executable plan.
     ///
     /// `hits` are the local cache hits from
     /// [`ReadPlanner::lookup_local`]; `remote` lists chunks offered by

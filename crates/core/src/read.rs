@@ -1,0 +1,742 @@
+//! The read path: one route for every read (paper §III–IV), as the six
+//! stages the `node` module docs describe — lookup
+//! ([`ReadPlanner::lookup_local`]) → plan → fetch → [`bind`] → decode →
+//! fill — plus [`price`], the latency formula. Collaboration, hedging,
+//! tiers and the breaker are not routes of their own: a read without
+//! neighbour offers passes `&[]`, an unhedged read is the Δ = 0 case of
+//! "issue k + Δ, bind the first k", a RAM-only node has no disk hits to
+//! price, a disabled breaker excludes nothing.
+//!
+//! Two loops wrap the stages: the retry policy ([`AgarNode::obtain`])
+//! goes around plan → fetch → bind, the version race
+//! ([`AgarNode::read_with_offers`]) around the whole attempt.
+
+use super::{AgarNode, AgarSettings, ReadMetrics};
+use crate::error::AgarError;
+use crate::fetcher::{ChunkFetcher, FetchRequest};
+use crate::planner::{ChunkSource, HedgePolicy, LocalHits, ReadPlan, ReadPlanner, RemoteChunk};
+use agar_cache::{CacheTier, CachedChunk};
+use agar_ec::{ChunkId, ObjectId};
+use agar_net::{RegionId, SimTime};
+use agar_obs::{DecodeKind, ReadTraceBuilder};
+use agar_store::{ChunkFetch, ObjectManifest, StoreError};
+use bytes::Bytes;
+use rand::rngs::StdRng;
+use std::sync::{atomic::Ordering, Arc};
+use std::time::Duration;
+
+/// One successful backend response: its position in the request list
+/// (primaries first, spares last), the request, and the response —
+/// whose latency is its arrival time, all requests being issued at once.
+type Arrival = (usize, FetchRequest, ChunkFetch);
+
+/// The chunks one attempt decodes from and what obtaining them cost:
+/// what [`bind`] hands to [`price`], decode and fill.
+#[derive(Clone, Debug, Default)]
+struct Bound {
+    /// Payloads by chunk index (`k + m` slots, at least k filled). A
+    /// straggler's payload never lands here.
+    shards: Vec<Option<Bytes>>,
+    /// Slowest bound networked source (neighbour or backend).
+    worst: Duration,
+    disk_hits: usize,
+    remote_hits: usize,
+    /// Successful backend responses, bound or straggling: issued work
+    /// is issued work, and the hedging budget counts it all.
+    backend_fetches: usize,
+    /// Spares that arrived among the first k.
+    hedge_wins: u64,
+    /// Arrivals past the k-th, dropped.
+    hedges_cancelled: u64,
+    /// How far the slowest dropped straggler flew past `worst`.
+    overhang: Duration,
+}
+
+impl AgarNode {
+    /// Reads one object. `offers` lists chunks available from other
+    /// nodes' caches (a cluster router collects them; a plain read
+    /// passes `&[]`): each needed chunk comes from the cheapest of
+    /// {local cache, neighbour cache, backend estimate}.
+    ///
+    /// # Errors
+    ///
+    /// Propagates backend failures; returns
+    /// [`AgarError::ReadContention`] if every attempt the retry policy
+    /// allows raced a concurrent write (a fetched chunk was newer than
+    /// the attempt's manifest snapshot; mixing versions would decode
+    /// garbage, so each such attempt restarts on a fresh manifest).
+    pub fn read_with_offers(
+        &self,
+        object: ObjectId,
+        offers: &[RemoteChunk],
+    ) -> Result<ReadMetrics, AgarError> {
+        // Once per logical read, whatever the number of restarts.
+        self.monitor.lock().record_read(object);
+        // Tracing is passive: the builder is plain scratch the read
+        // fills in (no RNG draws, no locks, no shared counters), so a
+        // traced run behaves byte-identically to an untraced one.
+        let mut trace = self.trace.as_ref().and_then(|layer| {
+            let now = SimTime::from_micros(self.sim_now_micros.load(Ordering::Relaxed));
+            layer
+                .sampled()
+                .then(|| ReadTraceBuilder::begin(object.index(), self.region.index() as u64, now))
+        });
+        let max_attempts = self.settings.retry.max_attempts.max(1);
+        for attempt in 0..max_attempts {
+            match self.read_attempt(object, offers, attempt == 0, trace.as_mut()) {
+                // A lost version race: restart on a fresh manifest.
+                Err(AgarError::ReadContention { .. }) => {}
+                Err(error) => return Err(error),
+                Ok(metrics) => {
+                    if let (Some(layer), Some(builder)) = (&self.trace, trace) {
+                        layer.commit(builder);
+                    }
+                    return Ok(metrics);
+                }
+            }
+            // The trace spans the whole logical read, races included.
+            if attempt + 1 < max_attempts {
+                self.retries.inc();
+            }
+            if let Some(builder) = trace.as_mut() {
+                builder.outcome.version_races += 1;
+            }
+        }
+        Err(AgarError::ReadContention { object })
+    }
+
+    /// One pass through the six stages against a single manifest
+    /// snapshot; [`AgarError::ReadContention`] is a lost version race.
+    /// `first_attempt` gates the chunk-level statistics so a restart
+    /// never double-counts one logical read.
+    fn read_attempt(
+        &self,
+        object: ObjectId,
+        offers: &[RemoteChunk],
+        first_attempt: bool,
+        mut trace: Option<&mut ReadTraceBuilder>,
+    ) -> Result<ReadMetrics, AgarError> {
+        let manifest = self.backend.manifest(object)?;
+        let config = Arc::clone(&self.config.read());
+        let planner = ReadPlanner::new(&manifest, &config);
+        let hits = planner.lookup_local(&self.cache, first_attempt);
+        let ram_hits = hits.ram.len();
+        // The fetcher this attempt started with serves its fill too.
+        let fetcher = Arc::clone(&self.fetcher.read());
+        let mut rng = self.derive_rng();
+        let builder = trace.as_deref_mut();
+        let (bound, replans, backoff) = self.obtain(
+            &planner, &manifest, &hits, offers, &*fetcher, &mut rng, builder,
+        )?;
+        let (local, latency) = price(&self.settings, ram_hits, &bound, backoff);
+        let (data, kind) = self.decode(&manifest, &bound.shards)?;
+        let hinted = planner.hinted();
+        let fill_fetches = self.fill(&*fetcher, &manifest, hinted, &bound.shards, &mut rng);
+        // Disk-sourced chunks are local cache hits at the object level
+        // (Figure 7's accounting).
+        let cache_hits = ram_hits + bound.disk_hits;
+        let k = manifest.params().data_chunks();
+        self.cache.counters().record_object_read(cache_hits, k);
+        if let Some(builder) = trace {
+            let outcome = &mut builder.outcome;
+            outcome.replans += replans;
+            outcome.ram_hits += ram_hits as u32;
+            outcome.disk_hits += bound.disk_hits as u32;
+            outcome.remote_hits += bound.remote_hits as u32;
+            outcome.backend_fetches += bound.backend_fetches as u32;
+            outcome.hedge_wins += bound.hedge_wins as u32;
+            outcome.hedges_cancelled += bound.hedges_cancelled as u32;
+            outcome.decode = kind;
+            outcome.total = latency;
+            builder.lookup = local;
+            builder.fetch = bound.worst;
+            builder.bind = builder.bind.max(bound.overhang);
+        }
+        Ok(ReadMetrics {
+            data,
+            latency,
+            cache_hits,
+            backend_fetches: bound.backend_fetches,
+            fill_fetches,
+            remote_hits: bound.remote_hits,
+            decoded: kind != DecodeKind::Systematic,
+        })
+    }
+
+    /// The retry-policy loop around plan → fetch → bind: when too few
+    /// requests come back, re-plan around the regions that refused
+    /// (fetch marked every one of the pass unreachable) — as often as
+    /// the policy allows. Returns what was bound, the number of
+    /// re-plans and the backoff they charged to the read (priced into
+    /// its latency, never slept).
+    #[allow(clippy::too_many_arguments)]
+    fn obtain(
+        &self,
+        planner: &ReadPlanner<'_>,
+        manifest: &ObjectManifest,
+        hits: &LocalHits,
+        offers: &[RemoteChunk],
+        fetcher: &dyn ChunkFetcher,
+        rng: &mut StdRng,
+        mut trace: Option<&mut ReadTraceBuilder>,
+    ) -> Result<(Bound, u32, Duration), AgarError> {
+        let counters = self.cache.counters();
+        let mut attempts = 0;
+        let mut backoff = Duration::ZERO;
+        loop {
+            attempts += 1;
+            let plan = self.plan(planner, hits, offers)?;
+            // Backend primaries first, the Δ spares last; the decode
+            // needs all but Δ of them (Δ = 0: every one).
+            let requests = backend_requests(&plan, manifest);
+            let needed = requests.len() - plan.hedges;
+            counters.hedged_requests.add(plan.hedges as u64);
+            if let Some(builder) = trace.as_deref_mut() {
+                builder.outcome.hedges_issued += plan.hedges as u32;
+            }
+            let (arrivals, refused) = self.fetch(fetcher, &requests, rng)?;
+            if arrivals.len() < needed {
+                // A dead spare's region does not fail the read; too
+                // few survivors to cover k does, unless the policy
+                // lets the read re-plan around the failure.
+                if !self.settings.retry.allows_retry(attempts, backoff) {
+                    let region = refused.unwrap_or(self.region);
+                    return Err(StoreError::RegionUnavailable { region }.into());
+                }
+                let step = self.settings.retry.backoff_for(attempts);
+                backoff += step;
+                self.retry_backoff_micros.add(step.as_micros() as u64);
+                self.retries.inc();
+                continue;
+            }
+            let total = manifest.params().total_chunks();
+            let bound = bind(total, plan.sources, arrivals, needed);
+            counters.hedge_wins.add(bound.hedge_wins);
+            counters.hedges_cancelled.add(bound.hedges_cancelled);
+            return Ok((bound, attempts - 1, backoff));
+        }
+    }
+
+    /// **Plan**: the cheapest cover priced against *current* health —
+    /// fresh region estimates and the breaker's exclusion mask (empty
+    /// when the breaker is disabled). When the exclusions alone starve
+    /// the plan the read is served *degraded* through the excluded
+    /// regions rather than stalled: availability beats breaker hygiene.
+    fn plan(
+        &self,
+        planner: &ReadPlanner<'_>,
+        hits: &LocalHits,
+        offers: &[RemoteChunk],
+    ) -> Result<ReadPlan, AgarError> {
+        let (estimates, deviations) = {
+            let region_manager = self.region_manager.lock();
+            (
+                region_manager.estimates().to_vec(),
+                region_manager.deviations().to_vec(),
+            )
+        };
+        let now_micros = self.sim_now_micros.load(Ordering::Relaxed);
+        let gated = self.breaker.exclusion_mask(now_micros);
+        let plan_excluding = |excluded: &[bool]| {
+            let hedging = HedgePolicy {
+                max_hedges: self.settings.max_hedges,
+                z: self.settings.hedge_z,
+                deviations: &deviations,
+                excluded,
+            };
+            planner.plan_hedged(
+                hits.clone(),
+                offers,
+                &self.backend,
+                &estimates,
+                self.settings.disk_read,
+                hedging,
+            )
+        };
+        match plan_excluding(&gated) {
+            Err(AgarError::Store(StoreError::NotEnoughChunks { .. })) if gated.contains(&true) => {
+                self.degraded_reads.inc();
+                plan_excluding(&[])
+            }
+            planned => planned,
+        }
+    }
+
+    /// **Fetch**: races `requests` through the fetcher with no node
+    /// lock held and folds every response into the node's view of the
+    /// network: a success — bound later or not — feeds the latency
+    /// estimator (stragglers are exactly the observations that grow
+    /// the deviation) and the breaker; a refusing region is marked
+    /// unreachable and returned beside the arrivals. A response of
+    /// another version than its request's manifest snapshot is a lost
+    /// version race: [`AgarError::ReadContention`].
+    fn fetch(
+        &self,
+        fetcher: &dyn ChunkFetcher,
+        requests: &[FetchRequest],
+        rng: &mut StdRng,
+    ) -> Result<(Vec<Arrival>, Option<RegionId>), AgarError> {
+        let mut arrivals = Vec::with_capacity(requests.len());
+        let mut refused = None;
+        let responses = fetcher.fetch(self.region, requests, rng);
+        for (position, (request, result)) in responses.into_iter().enumerate() {
+            match result {
+                Ok(fetch) => {
+                    self.region_manager
+                        .lock()
+                        .observe(request.region, fetch.latency);
+                    self.breaker.record_success(request.region);
+                    if fetch.version != request.version {
+                        let object = request.chunk.object();
+                        return Err(AgarError::ReadContention { object });
+                    }
+                    arrivals.push((position, request, fetch));
+                }
+                Err(StoreError::RegionUnavailable { region }) => {
+                    self.region_manager.lock().mark_unreachable(region);
+                    let now_micros = self.sim_now_micros.load(Ordering::Relaxed);
+                    self.breaker.record_failure(region, now_micros);
+                    refused = Some(region);
+                }
+                Err(other) => return Err(other.into()),
+            }
+        }
+        Ok((arrivals, refused))
+    }
+
+    /// **Decode**: with all k data shards in hand the codec takes its
+    /// systematic fast path (no GF arithmetic, no locks); a degraded
+    /// decode reuses the cached decode plan when this erasure pattern
+    /// has been seen before, at the cost of a brief codec-level lock.
+    fn decode(
+        &self,
+        manifest: &ObjectManifest,
+        shards: &[Option<Bytes>],
+    ) -> Result<(Bytes, DecodeKind), AgarError> {
+        let codec = self.backend.codec();
+        let (data, report) = codec.reconstruct_object_report(shards, manifest.size())?;
+        let counters = self.cache.counters();
+        let kind = if report.systematic_fast_path {
+            counters.systematic_fast_reads.inc();
+            DecodeKind::Systematic
+        } else if report.plan_cache_hit {
+            counters.decode_plan_hits.inc();
+            DecodeKind::PlanCacheHit
+        } else {
+            DecodeKind::Inversion
+        };
+        Ok((data, kind))
+    }
+
+    /// **Fill**: moves the cache toward the hinted configuration, off
+    /// the critical path (the paper uses a separate thread pool), and
+    /// returns how many chunks it fetched for that. Each chunk is
+    /// checked against the *live* configuration before the insert and
+    /// revalidated after it, so a fill racing a reconfiguration cannot
+    /// leave behind chunks the new configuration purged or placed in
+    /// the other tier (a swap after the insert is followed by the
+    /// reconfiguration's own purge and re-tier).
+    fn fill(
+        &self,
+        fetcher: &dyn ChunkFetcher,
+        manifest: &ObjectManifest,
+        hinted: &[u8],
+        shards: &[Option<Bytes>],
+        rng: &mut StdRng,
+    ) -> usize {
+        let object = manifest.object();
+        let mut fill_fetches = 0;
+        let mut filled_any = false;
+        let live_config = Arc::clone(&self.config.read());
+        for &index in hinted {
+            let id = ChunkId::new(object, index);
+            if !live_config.contains(id) || self.cache.contains(&id) {
+                continue;
+            }
+            // A hinted chunk that was neither cached nor on the fetch
+            // path (estimate drift) is fetched in the background.
+            let payload = shards[index as usize]
+                .clone()
+                .or_else(|| self.fetch_chunk(fetcher, manifest, index, rng, &mut fill_fetches));
+            let Some(payload) = payload else { continue };
+            let tier = live_config.tier_for(id).unwrap_or(CacheTier::Ram);
+            let chunk = CachedChunk::new(payload, manifest.version());
+            filled_any |= self.cache.insert_to_tier(id, chunk, tier);
+            if self.config.read().tier_for(id) != Some(tier) {
+                // A reconfiguration swapped the config between the
+                // pre-check and the insert; its purge and re-tier may
+                // already have run, so sweep the chunk ourselves.
+                self.cache.remove(&id);
+            }
+        }
+        self.fill_fetches.add(fill_fetches);
+        if filled_any {
+            if let Some(sink) = self.event_sink() {
+                sink.object_filled(object);
+            }
+        }
+        fill_fetches as usize
+    }
+
+    /// Fetches one chunk for a cache fill (a read's fill stage, a
+    /// reconfiguration's a-priori downloads) through the installed
+    /// fetcher, so under a cluster it piggybacks on an identical
+    /// in-flight critical-path fetch instead of duplicating it.
+    /// Best-effort: a failed fetch is `None`; a completed one counts
+    /// into `fill_fetches`, and is still `None` when it raced a write
+    /// (caching the new payload under the snapshot's version label
+    /// would poison later version checks).
+    pub(super) fn fetch_chunk(
+        &self,
+        fetcher: &dyn ChunkFetcher,
+        manifest: &ObjectManifest,
+        index: u8,
+        rng: &mut StdRng,
+        fill_fetches: &mut u64,
+    ) -> Option<Bytes> {
+        let request = FetchRequest {
+            chunk: ChunkId::new(manifest.object(), index),
+            region: manifest.location(index as usize),
+            version: manifest.version(),
+        };
+        let (_, result) = fetcher.fetch(self.region, &[request], rng).pop()?;
+        let fetch = result.ok()?;
+        *fill_fetches += 1;
+        (fetch.version == request.version).then_some(fetch.data)
+    }
+}
+
+/// The plan's backend sources as fetch requests, in plan order.
+fn backend_requests(plan: &ReadPlan, manifest: &ObjectManifest) -> Vec<FetchRequest> {
+    let backend = plan
+        .sources
+        .iter()
+        .filter_map(|(index, source)| match source {
+            ChunkSource::Backend { region, .. } => Some(FetchRequest {
+                chunk: ChunkId::new(manifest.object(), *index),
+                region: *region,
+                version: manifest.version(),
+            }),
+            _ => None,
+        });
+    // Sized exactly: a fully cached read allocates nothing here.
+    let mut requests = Vec::with_capacity(backend.clone().count());
+    requests.extend(backend);
+    requests
+}
+
+/// **Bind**: places what the plan had in hand (`sources`: RAM, disk and
+/// neighbour payloads) and late-binds the first `needed` arrivals —
+/// smallest latencies; request position breaks ties, so primaries win
+/// them. A straggler's payload never reaches `shards`, so it can
+/// neither mix versions into the decode nor displace a bound chunk.
+/// With no spares all arrivals bind, none wins, none is cancelled.
+fn bind(
+    total: usize,
+    sources: Vec<(u8, ChunkSource)>,
+    mut arrivals: Vec<Arrival>,
+    needed: usize,
+) -> Bound {
+    let mut bound = Bound {
+        shards: vec![None; total],
+        backend_fetches: arrivals.len(),
+        ..Bound::default()
+    };
+    for (index, source) in sources {
+        let payload = match source {
+            ChunkSource::Local { data } => data,
+            ChunkSource::LocalDisk { data } => {
+                bound.disk_hits += 1;
+                data
+            }
+            ChunkSource::Remote { data, latency } => {
+                bound.remote_hits += 1;
+                bound.worst = bound.worst.max(latency);
+                data
+            }
+            ChunkSource::Backend { .. } => continue, // an arrival, or nothing
+        };
+        bound.shards[index as usize] = Some(payload);
+    }
+    arrivals.sort_by(|a, b| a.2.latency.cmp(&b.2.latency).then(a.0.cmp(&b.0)));
+    let mut slowest_straggler = Duration::ZERO;
+    for (slot, (position, request, fetch)) in arrivals.into_iter().enumerate() {
+        if slot < needed {
+            bound.worst = bound.worst.max(fetch.latency);
+            bound.shards[request.chunk.index().value() as usize] = Some(fetch.data);
+            bound.hedge_wins += u64::from(position >= needed);
+        } else {
+            bound.hedges_cancelled += 1;
+            slowest_straggler = slowest_straggler.max(fetch.latency);
+        }
+    }
+    bound.overhang = slowest_straggler.saturating_sub(bound.worst);
+    bound
+}
+
+/// The latency formula (paper §V-A): every source is read in parallel,
+/// so a read costs its slowest one — the local component (one cache
+/// read if any RAM chunk was used, one disk read if any disk chunk
+/// was) or the slowest networked source — plus the fixed client
+/// overhead, plus the backoff the retry policy made the client wait.
+/// Returns the local component and the end-to-end latency.
+fn price(
+    settings: &AgarSettings,
+    ram_hits: usize,
+    bound: &Bound,
+    backoff: Duration,
+) -> (Duration, Duration) {
+    let mut local = Duration::ZERO;
+    if ram_hits > 0 {
+        local = settings.cache_read;
+    }
+    if bound.disk_hits > 0 {
+        local = local.max(settings.disk_read);
+    }
+    let latency = settings.client_overhead + local.max(bound.worst) + backoff;
+    (local, latency)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::{test_backend, test_backend_coded};
+    use super::super::CachingClient;
+    use super::*;
+    use crate::breaker::BreakerPolicy;
+    use crate::fetcher::DirectFetcher;
+    use agar_ec::CodingParams;
+    use agar_net::presets::{DUBLIN, FRANKFURT, N_VIRGINIA, SAO_PAULO, SYDNEY, TOKYO};
+    use agar_store::{expected_payload, Backend};
+    use rand::RngCore;
+    use std::sync::atomic::AtomicUsize;
+
+    const MS: fn(u64) -> Duration = Duration::from_millis;
+
+    /// Backend arrivals for chunks `0..`, one per latency, in request
+    /// order; the payload byte names the chunk.
+    fn arrivals(latencies_ms: &[u64]) -> Vec<Arrival> {
+        latencies_ms
+            .iter()
+            .enumerate()
+            .map(|(position, &ms)| {
+                let request = FetchRequest {
+                    chunk: ChunkId::new(ObjectId::new(0), position as u8),
+                    region: FRANKFURT,
+                    version: 1,
+                };
+                let fetch = ChunkFetch {
+                    data: Bytes::from(vec![position as u8]),
+                    version: 1,
+                    latency: MS(ms),
+                };
+                (position, request, fetch)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn bind_takes_the_first_needed_arrivals_and_drops_the_rest() {
+        // (latencies by request position, needed) → (chunks bound,
+        // wins, cancelled, worst, overhang), all in ms.
+        let check = |latencies: &[u64], needed, chunks: &[usize], hedges, worst, overhang| {
+            let bound = bind(4, Vec::new(), arrivals(latencies), needed);
+            let landed: Vec<usize> = (0..4).filter(|&i| bound.shards[i].is_some()).collect();
+            assert_eq!(landed, chunks, "a straggler's payload never lands");
+            assert_eq!(bound.backend_fetches, latencies.len(), "issued work");
+            assert_eq!((bound.hedge_wins, bound.hedges_cancelled), hedges);
+            assert_eq!((bound.worst, bound.overhang), (MS(worst), MS(overhang)));
+        };
+        // No spares: every arrival binds, none wins, none is cancelled.
+        check(&[30, 10, 20], 3, &[0, 1, 2], (0, 0), 30, 0);
+        // A spare tying with the slower primary: position decides.
+        check(&[10, 20, 20], 2, &[0, 1], (0, 1), 20, 0);
+        // The 20 ms spare beats the 50 ms primary; the slowest
+        // straggler flies 70 ms past the k-th arrival.
+        check(&[10, 50, 20, 90], 2, &[0, 2], (1, 2), 20, 70);
+        // What the plan had in hand is placed, counted and priced too.
+        let offer = ChunkSource::Remote {
+            data: Bytes::from_static(b"offered"),
+            latency: MS(35),
+        };
+        let bound = bind(4, vec![(3, offer)], arrivals(&[10, 20]), 2);
+        assert!(bound.shards[3].is_some() && bound.shards[2].is_none());
+        assert_eq!((bound.remote_hits, bound.worst), (1, MS(35)));
+    }
+
+    #[test]
+    fn price_takes_the_slowest_parallel_source_plus_overhead_and_backoff() {
+        let settings = AgarSettings::paper_default(0);
+        let (overhead, ram, disk) = (MS(100), MS(40), MS(150));
+        assert_eq!(
+            (
+                settings.client_overhead,
+                settings.cache_read,
+                settings.disk_read
+            ),
+            (overhead, ram, disk)
+        );
+        let price = |ram_hits, disk_hits, worst_ms, backoff_ms| {
+            let bound = Bound {
+                disk_hits,
+                worst: MS(worst_ms),
+                ..Bound::default()
+            };
+            super::price(&settings, ram_hits, &bound, MS(backoff_ms))
+        };
+        // RAM only: one parallel cache read.
+        assert_eq!(price(9, 0, 0, 0), (ram, overhead + ram));
+        // Disk only: one parallel disk read.
+        assert_eq!(price(0, 3, 0, 0), (disk, overhead + disk));
+        // Mixed: the slower local tier, unless the network is slower.
+        assert_eq!(price(4, 2, 90, 0), (disk, overhead + disk));
+        assert_eq!(price(4, 2, 300, 0), (disk, overhead + MS(300)));
+        assert_eq!(price(4, 0, 300, 0), (ram, overhead + MS(300)));
+        // Cold, after two backed-off re-plans.
+        assert_eq!(
+            price(0, 0, 200, 75),
+            (Duration::ZERO, overhead + MS(200) + MS(75))
+        );
+    }
+
+    #[test]
+    fn breaker_starved_reads_are_served_degraded_and_counted_once_each() {
+        let backend = test_backend(2, 900);
+        let mut settings = AgarSettings::paper_default(0);
+        settings.breaker = BreakerPolicy {
+            failure_threshold: 1,
+            cooldown: Duration::from_secs(60),
+        };
+        let node = AgarNode::new(FRANKFURT, backend, settings, 7).unwrap();
+        for round in 1..=3 {
+            // One open region leaves 10 of the 12 chunks: planned
+            // around, not degraded.
+            node.breaker().record_failure(SYDNEY, 0);
+            node.read(ObjectId::new(0)).unwrap();
+            assert_eq!(node.degraded_reads(), round - 1);
+            // Two leave 8 < k = 9: only the ungated re-plan can serve
+            // the read (both regions are in fact healthy).
+            node.breaker().record_failure(TOKYO, 0);
+            assert_eq!(node.breaker().open_regions(), 2);
+            let metrics = node.read(ObjectId::new(0)).unwrap();
+            assert_eq!(metrics.data.as_ref(), expected_payload(0, 900).as_slice());
+            assert_eq!(metrics.backend_fetches, 9);
+            assert_eq!(node.degraded_reads(), round, "exactly one per starved read");
+            // Its fetch through Tokyo succeeded and closed that breaker.
+            assert_eq!(node.breaker().open_regions(), 1);
+        }
+        assert_eq!(node.retries(), 0, "a degraded plan is not a retry");
+    }
+
+    /// The direct fetcher with faults no plan can see coming: `dead`
+    /// regions refuse (they died after the plan was made; the planner
+    /// skips the ones the backend already reports down) and every
+    /// payload is `ahead` versions newer than its request's manifest
+    /// snapshot (1: a writer that always wins).
+    struct Faulty {
+        inner: DirectFetcher,
+        dead: Vec<RegionId>,
+        ahead: u64,
+        calls: AtomicUsize,
+    }
+
+    impl Faulty {
+        fn new(backend: Arc<Backend>, dead: &[RegionId], ahead: u64) -> Arc<Self> {
+            Arc::new(Faulty {
+                inner: DirectFetcher::new(backend),
+                dead: dead.to_vec(),
+                ahead,
+                calls: AtomicUsize::new(0),
+            })
+        }
+    }
+
+    impl ChunkFetcher for Faulty {
+        fn fetch(
+            &self,
+            client_region: RegionId,
+            requests: &[FetchRequest],
+            rng: &mut dyn RngCore,
+        ) -> Vec<(FetchRequest, Result<ChunkFetch, StoreError>)> {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            let mut results = self.inner.fetch(client_region, requests, rng);
+            for (request, result) in &mut results {
+                if self.dead.contains(&request.region) {
+                    let region = request.region;
+                    *result = Err(StoreError::RegionUnavailable { region });
+                } else if let Ok(fetch) = result {
+                    fetch.version += self.ahead;
+                }
+            }
+            results
+        }
+    }
+
+    #[test]
+    fn an_unhedged_read_marks_every_refusing_region_of_a_pass_at_once() {
+        // RS(6, 6) over six regions, two chunks each: the read decodes
+        // from any three regions, so it survives three dead ones.
+        let serve = |dead: &[RegionId]| {
+            let backend = test_backend_coded(CodingParams::new(6, 6).unwrap(), 1, 900);
+            let refusing = Faulty::new(Arc::clone(&backend), dead, 0);
+            let mut settings = AgarSettings::paper_default(0);
+            assert_eq!((settings.max_hedges, settings.retry.max_attempts), (0, 3));
+            settings.retry.base_backoff = MS(10);
+            let node = AgarNode::new(FRANKFURT, backend, settings, 7).unwrap();
+            node.set_chunk_fetcher(refusing);
+            let metrics = node.read(ObjectId::new(0)).unwrap();
+            assert_eq!(metrics.data.as_ref(), expected_payload(0, 900).as_slice());
+            assert_eq!(metrics.backend_fetches, 6);
+            let manager = node.region_manager.lock();
+            let unreachable: Vec<RegionId> = (0..6)
+                .map(RegionId::new)
+                .filter(|&region| !manager.is_reachable(region))
+                .collect();
+            assert_eq!(unreachable, dead);
+            (node.retries(), node.retry_backoff_micros())
+        };
+        // The first plan takes the three nearest regions; both dead
+        // ones refuse in the same pass and are marked together, so one
+        // re-plan (10 ms) serves the read — Δ = 0 gets the feedback a
+        // hedged read always got, not one dead region per re-plan.
+        assert_eq!(serve(&[DUBLIN, N_VIRGINIA]), (1, 10_000));
+        // The second plan meets the third dead region; the last
+        // allowed attempt (10 + 20 ms) reads from the three left.
+        assert_eq!(serve(&[DUBLIN, N_VIRGINIA, SAO_PAULO]), (2, 30_000));
+    }
+
+    #[test]
+    fn a_read_that_always_loses_the_version_race_ends_in_contention() {
+        const ATTEMPTS: u32 = 4;
+        let backend = test_backend(1, 900);
+        // Room for 5 of the 9 chunks: every read looks 5 chunks up and
+        // still needs the backend.
+        let mut settings = AgarSettings::paper_default(500);
+        settings.trace_sample_every = 1;
+        settings.retry.max_attempts = ATTEMPTS;
+        let node = AgarNode::new(FRANKFURT, Arc::clone(&backend), settings, 7).unwrap();
+        let object = ObjectId::new(0);
+        for _ in 0..10 {
+            node.read(object).unwrap();
+        }
+        node.force_reconfigure();
+        let hinted = node.current_config().chunks_for(object).len() as u64;
+        assert_eq!(hinted, 5);
+        let before = node.cache_stats();
+        let traces = node.trace_snapshot().len();
+
+        let racing = Faulty::new(backend, &[], 1);
+        node.set_chunk_fetcher(Arc::clone(&racing) as Arc<dyn ChunkFetcher>);
+        let error = node.read(object).unwrap_err();
+        assert!(matches!(error, AgarError::ReadContention { object: o } if o == object));
+        assert_eq!(racing.calls.load(Ordering::Relaxed), ATTEMPTS as usize);
+        assert_eq!(node.retries(), u64::from(ATTEMPTS) - 1);
+
+        // The lookups of the one logical read counted once, not once
+        // per attempt; no object-level outcome, no trace.
+        let after = node.cache_stats();
+        assert_eq!(after.chunk_hits() - before.chunk_hits(), hinted);
+        assert_eq!(after.chunk_misses(), before.chunk_misses());
+        assert_eq!(after.object_reads(), before.object_reads());
+        assert_eq!(node.trace_snapshot().len(), traces);
+    }
+}

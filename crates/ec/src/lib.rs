@@ -13,9 +13,7 @@
 //! - [`matrix`] — dense matrices over the field, with Gauss-Jordan
 //!   inversion and Vandermonde/Cauchy constructions;
 //! - [`rs`] — the systematic [`ReedSolomon`] codec (`any k of k + m`
-//!   shards reconstruct the object); shards of 1 MiB and more are
-//!   coded shard-parallel across scoped threads, smaller ones on the
-//!   caller's thread;
+//!   shards reconstruct the object);
 //! - [`chunk`] — [`ObjectId`], [`ChunkId`], [`Chunk`] and
 //!   [`CodingParams`] shared by the store, cache and Agar core crates.
 //!
@@ -49,7 +47,6 @@ pub mod chunk;
 pub mod error;
 pub mod gf256;
 pub mod matrix;
-mod parallel;
 pub mod rs;
 
 pub use chunk::{Chunk, ChunkId, ChunkIndex, ChunkSet, CodingParams, ObjectId};

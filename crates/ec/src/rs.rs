@@ -37,12 +37,10 @@ use crate::chunk::{ChunkSet, CodingParams};
 use crate::error::EcError;
 use crate::gf256::mul_add_slice;
 use crate::matrix::Matrix;
-use crate::parallel::for_each_job;
 use bytes::Bytes;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Which matrix construction backs the encoder.
@@ -238,18 +236,13 @@ impl ReedSolomon {
         let len = Self::check_shard_sizes(data)?;
         let m = self.params.parity_chunks();
         let mut parity = vec![vec![0u8; len]; m];
-        // Each parity shard is an independent dot product over the data
-        // shards: one job each (see the `parallel` module for when the
-        // jobs leave the caller's thread, and why the output is
-        // identical either way).
-        let data: Vec<&[u8]> = data.iter().map(AsRef::as_ref).collect();
-        let jobs: Vec<(usize, &mut Vec<u8>)> = parity.iter_mut().enumerate().collect();
-        for_each_job(jobs, len, |(p, out)| {
+        // Each parity shard is a dot product over the data shards.
+        for (p, out) in parity.iter_mut().enumerate() {
             let row = self.encoding.row(k + p);
-            for (&shard, &coefficient) in data.iter().zip(row) {
-                mul_add_slice(out, shard, coefficient);
+            for (shard, &coefficient) in data.iter().zip(row) {
+                mul_add_slice(out, shard.as_ref(), coefficient);
             }
-        });
+        }
         Ok(parity)
     }
 
@@ -276,17 +269,12 @@ impl ReedSolomon {
         let mut padded = vec![0u8; k * chunk_size];
         padded[..object.len()].copy_from_slice(object);
         let mut parity = vec![0u8; m * chunk_size];
-        // Parity shards write disjoint slices of one buffer over the
-        // same read-only data: one job each.
-        let padded_ref = padded.as_slice();
-        let jobs: Vec<(usize, &mut [u8])> =
-            parity.chunks_exact_mut(chunk_size).enumerate().collect();
-        for_each_job(jobs, chunk_size, |(p, out)| {
+        for (p, out) in parity.chunks_exact_mut(chunk_size).enumerate() {
             let row = self.encoding.row(k + p);
-            for (shard, &coefficient) in padded_ref.chunks_exact(chunk_size).zip(row) {
+            for (shard, &coefficient) in padded.chunks_exact(chunk_size).zip(row) {
                 mul_add_slice(out, shard, coefficient);
             }
-        });
+        }
         let data_buf = Bytes::from(padded);
         let parity_buf = Bytes::from(parity);
         Ok((0..k)
@@ -431,19 +419,13 @@ impl ReedSolomon {
                 None => object.resize(object.len() + take, 0),
             }
         }
-        // The zeroed ranges are disjoint and decode independently,
-        // straight into place (no per-shard scratch): one job each.
-        let gf_bytes = AtomicU64::new(0);
-        let jobs: Vec<(usize, &mut [u8])> = object
-            .chunks_mut(shard_len)
-            .enumerate()
-            .filter(|(target, _)| shards[*target].is_none())
-            .collect();
-        for_each_job(jobs, shard_len, |(target, out)| {
-            let bytes = Self::decode_shard(&plan, target, shards, out);
-            gf_bytes.fetch_add(bytes, Ordering::Relaxed);
-        });
-        report.gf_multiply_bytes = gf_bytes.load(Ordering::Relaxed);
+        // The zeroed ranges decode straight into place (no per-shard
+        // scratch).
+        for (target, out) in object.chunks_mut(shard_len).enumerate() {
+            if shards[target].is_none() {
+                report.gf_multiply_bytes += Self::decode_shard(&plan, target, shards, out);
+            }
+        }
         Ok((Bytes::from(object), report))
     }
 
@@ -489,18 +471,15 @@ impl ReedSolomon {
         // Decode from the first k present shards, reusing the cached
         // plan (inverted matrix) for this erasure pattern if one exists.
         let (plan, _) = self.decode_plan(chosen)?;
-        // Each missing data shard decodes independently into a buffer
-        // of its own (one job each), then lands in its slot.
-        let mut decoded: Vec<(usize, Vec<u8>)> = (0..k)
-            .filter(|&target| shards[target].is_none())
-            .map(|target| (target, vec![0u8; shard_len]))
-            .collect();
-        let present: &[Option<Vec<u8>>] = shards;
-        for_each_job(decoded.iter_mut().collect(), shard_len, |(target, out)| {
-            Self::decode_shard(&plan, *target, present, out);
-        });
-        for (target, out) in decoded {
-            shards[target] = Some(out);
+        // Each missing data shard decodes into a buffer of its own,
+        // then lands in its slot. The plan's chosen shards were all
+        // present on entry, so filling slots as we go changes no input.
+        for target in 0..k {
+            if shards[target].is_none() {
+                let mut out = vec![0u8; shard_len];
+                Self::decode_shard(&plan, target, shards, &mut out);
+                shards[target] = Some(out);
+            }
         }
         Ok(())
     }
@@ -907,10 +886,6 @@ mod tests {
         for object_size in [1, 9_000, 999_999, 1_000_000] {
             check_all_erasure_patterns(CodingParams::paper_default(), object_size);
         }
-        // Shards past the fan-out threshold: on a multi-core host the
-        // jobs of each decode and re-encode run on scoped threads.
-        let fanned_out = 4 * crate::parallel::PARALLEL_MIN_JOB_BYTES + 5;
-        check_all_erasure_patterns(CodingParams::new(4, 3).unwrap(), fanned_out);
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! Per-request read-path tracing.
 //!
 //! A [`ReadTrace`] is the record of one object read, decomposed into
-//! the pipeline's stages (plan → lookup → fetch → bind → decode) plus
-//! an outcome (retries, hedge wins/cancels, version races, chunk
-//! sources). Stage timestamps are on the **simulated clock** — the
+//! the read path's stages plus an outcome (retries, hedge wins/cancels,
+//! version races, chunk sources). The read path names six stages —
+//! lookup → plan → fetch → bind → decode → fill; a trace carries a span
+//! for the five on the critical path (fill runs off it), in the order
+//! dumps have always listed them: plan, lookup, fetch, bind, decode.
+//! Stage timestamps are on the **simulated clock** — the
 //! engine models latency instead of measuring it, so traces are
 //! byte-identical per seed and a regression diff of two trace dumps is
 //! meaningful.
@@ -26,7 +29,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// A stage of the read pipeline.
+/// A critical-path stage of the read path (the sixth, fill, runs off
+/// the critical path and has no span).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ReadStage {
     /// Knapsack-config lookup and (re)planning, including hedge
@@ -46,7 +50,7 @@ pub enum ReadStage {
 }
 
 impl ReadStage {
-    /// All stages, in pipeline order.
+    /// All traced stages, in dump order.
     pub const ALL: [ReadStage; 5] = [
         ReadStage::Plan,
         ReadStage::Lookup,

@@ -160,6 +160,7 @@ impl CachingClient for Recorder<'_> {
             cache_hits: 0,
             backend_fetches: 9,
             fill_fetches: 0,
+            remote_hits: 0,
             decoded: false,
         })
     }
