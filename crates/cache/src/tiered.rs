@@ -24,9 +24,13 @@
 //! `tier_demotions` chunks written down (victims spilled here, moves
 //! configured by the node), `tier_promotions` chunks the node moved up
 //! and `disk_evictions` live chunks lost when the disk log reclaims
-//! space — rare: the log's cleaner copies a victim segment's live
-//! frames forward and only drops them when the victim is more than half
-//! live (see [`crate::disk`]) — no lookup moves those three.
+//! space: the log's cleaner copies a victim segment's live frames
+//! forward up to half the segment's length and drops the rest (see
+//! [`crate::disk`]), so none is lost while live bytes stay at most
+//! 40 % of the tier and losses are routine in a log the node has
+//! filled with carried chunks (best effort by design; a solved chunk
+//! that is lost is re-downloaded by the reconfiguration that lost it
+//! or the next) — no lookup moves those three.
 //!
 //! With no disk tier configured every operation delegates verbatim to
 //! the inner [`ShardedChunkCache`] — byte-identical behaviour, which

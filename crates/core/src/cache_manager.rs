@@ -1,13 +1,20 @@
 //! The cache manager (paper §III-c): periodically turns popularity
 //! statistics and latency estimates into a static cache configuration by
 //! running the Knapsack dynamic program.
+//!
+//! What it returns names chunks of three classes (see [`crate::config`]):
+//! **RAM** and **disk**, the two budgets' solves, and **carried** — the
+//! chunks of objects the previous configuration named and the solve no
+//! longer does, kept on disk in whatever room the solve left there. RAM
+//! is the paper's answer and nothing is carried into it.
 
 use crate::config::CacheConfiguration;
 use crate::knapsack::KnapsackSolver;
 use crate::monitor::RequestMonitor;
 use crate::options::{generate_disk_options, generate_options, ObjectOptions};
 use crate::region_manager::RegionManager;
-use agar_ec::ObjectId;
+use agar_cache::disk::HEADER_LEN;
+use agar_ec::{ChunkId, ObjectId};
 use agar_store::{Backend, ObjectManifest};
 use std::collections::HashMap;
 use std::time::Duration;
@@ -87,10 +94,23 @@ impl CacheManager {
     /// the RAM allocation (the chunks it left on the remote path,
     /// priced against `disk_read`) and solves them against the disk
     /// budget — with a zero disk budget it places nothing and the
-    /// result is the paper's RAM-only configuration.
+    /// result is the paper's RAM-only configuration. The disk budget
+    /// is counted in log frames ([`HEADER_LEN`] more than a chunk
+    /// each), which is what the tier stores.
     ///
-    /// Returns the empty configuration when the monitor has seen nothing
-    /// (or capacity fits no chunk).
+    /// Whatever the solve leaves of the disk budget then goes to
+    /// **carried** entries ([`CacheConfiguration::carry`]): objects
+    /// `previous` named and this solve did not — the monitor forgets
+    /// an object after a few idle epochs, long before a warm tier with
+    /// room has a reason to — keep their still-`cached` chunks on disk.
+    /// RAM is never carried into (see the [`crate::config`] docs), a
+    /// manager without a disk budget carries nothing and neither does
+    /// one whose solve fills the disk.
+    ///
+    /// The configuration is tagged with the monitor's epoch. Returns the
+    /// empty configuration when neither the monitor nor
+    /// `previous` names a stored object (or capacity fits no chunk).
+    #[allow(clippy::too_many_arguments)]
     pub fn recompute_tiered(
         &self,
         monitor: &RequestMonitor,
@@ -98,23 +118,28 @@ impl CacheManager {
         backend: &Backend,
         cache_read: Duration,
         disk_read: Duration,
-        epoch: u64,
+        previous: &CacheConfiguration,
+        cached: impl Fn(ChunkId) -> bool,
     ) -> CacheConfiguration {
         let tracked = tracked(monitor, backend);
         let estimates = region_manager.estimates();
         let all_options = ram_options(&tracked, estimates, cache_read);
-        let Some(first) = all_options.keys().next() else {
-            return CacheConfiguration::empty();
+        // The catalogue is homogeneous: any stored object's chunk size
+        // will do. A monitor that forgot everything still has the
+        // previous configuration's objects to carry.
+        let chunk_size = match tracked.first() {
+            Some((manifest, _)) => manifest.chunk_size(),
+            None => previous
+                .objects()
+                .min()
+                .and_then(|object| backend.manifest(object).ok())
+                .map_or(0, |manifest| manifest.chunk_size()),
         };
-        let chunk_size = backend
-            .manifest(*first)
-            .map(|m| m.chunk_size())
-            .unwrap_or(0);
         if chunk_size == 0 {
             return CacheConfiguration::empty();
         }
         let capacity_chunks = (self.capacity_bytes / chunk_size) as u32;
-        let disk_chunks = (self.disk_capacity_bytes / chunk_size) as u32;
+        let disk_chunks = (self.disk_capacity_bytes / (HEADER_LEN + chunk_size)) as u32;
         let tiered =
             self.solver
                 .populate_tiered(&all_options, capacity_chunks, disk_chunks, |ram| {
@@ -140,7 +165,10 @@ impl CacheManager {
                         })
                         .collect()
                 });
-        CacheConfiguration::from_tiered(tiered.ram(), tiered.disk(), epoch)
+        let mut config =
+            CacheConfiguration::from_tiered(tiered.ram(), tiered.disk(), monitor.epoch());
+        config.carry(previous, disk_chunks - config.disk_chunks(), cached);
+        config
     }
 }
 
@@ -205,6 +233,26 @@ mod tests {
         (Arc::new(backend), region_manager, monitor)
     }
 
+    /// `recompute_tiered` at the test latencies, every chunk of
+    /// `previous` still cached.
+    fn recompute(
+        manager: &CacheManager,
+        monitor: &RequestMonitor,
+        region_manager: &RegionManager,
+        backend: &Backend,
+        previous: &CacheConfiguration,
+    ) -> CacheConfiguration {
+        manager.recompute_tiered(
+            monitor,
+            region_manager,
+            backend,
+            Duration::from_millis(40),
+            Duration::from_millis(45),
+            previous,
+            |_| true,
+        )
+    }
+
     /// The paper's single-budget recompute: a manager without a disk
     /// budget, through the one (tiered) entry.
     fn recompute_ram_only(
@@ -212,16 +260,14 @@ mod tests {
         monitor: &RequestMonitor,
         region_manager: &RegionManager,
         backend: &Backend,
-        epoch: u64,
     ) -> CacheConfiguration {
         assert_eq!(manager.disk_capacity_bytes(), 0);
-        let config = manager.recompute_tiered(
+        let config = recompute(
+            manager,
             monitor,
             region_manager,
             backend,
-            Duration::from_millis(40),
-            Duration::from_millis(45),
-            epoch,
+            &CacheConfiguration::empty(),
         );
         assert_eq!(config.disk_chunks(), 0, "no disk budget, no disk chunks");
         config
@@ -232,7 +278,7 @@ mod tests {
         let (backend, region_manager, monitor) = setup();
         // Chunk size = 100 bytes; 1 000-byte cache = 10 chunks.
         let manager = CacheManager::new(1_000);
-        let config = recompute_ram_only(&manager, &monitor, &region_manager, &backend, 1);
+        let config = recompute_ram_only(&manager, &monitor, &region_manager, &backend);
         assert!(config.total_chunks() > 0);
         assert!(config.total_chunks() <= 10);
         // The hottest object must be in the configuration.
@@ -245,7 +291,7 @@ mod tests {
         let (backend, region_manager, _) = setup();
         let manager = CacheManager::new(1_000);
         let monitor = RequestMonitor::new();
-        let config = recompute_ram_only(&manager, &monitor, &region_manager, &backend, 0);
+        let config = recompute_ram_only(&manager, &monitor, &region_manager, &backend);
         assert_eq!(config.total_chunks(), 0);
     }
 
@@ -254,7 +300,7 @@ mod tests {
         let (backend, region_manager, monitor) = setup();
         // 150 bytes = 1 chunk.
         let manager = CacheManager::new(150);
-        let config = recompute_ram_only(&manager, &monitor, &region_manager, &backend, 0);
+        let config = recompute_ram_only(&manager, &monitor, &region_manager, &backend);
         assert!(config.total_chunks() <= 1);
     }
 
@@ -267,7 +313,7 @@ mod tests {
         }
         monitor.end_epoch();
         let manager = CacheManager::new(1_000);
-        let config = recompute_ram_only(&manager, &monitor, &region_manager, &backend, 0);
+        let config = recompute_ram_only(&manager, &monitor, &region_manager, &backend);
         assert!(config.objects().all(|o| o.index() != 999));
     }
 
@@ -277,19 +323,110 @@ mod tests {
         // 10 RAM chunks + 30 disk chunks over a hot 20-object catalogue.
         let manager = CacheManager::new(1_000).with_disk_capacity(3_000);
         assert_eq!(manager.disk_capacity_bytes(), 3_000);
-        let config = manager.recompute_tiered(
-            &monitor,
+        let previous = CacheConfiguration::empty();
+        let config = recompute(&manager, &monitor, &region_manager, &backend, &previous);
+        assert!(config.ram_chunks() > 0);
+        assert!(config.ram_chunks() <= 10);
+        assert!(config.disk_chunks() > 0, "disk budget must be used");
+        // 100-byte chunks are 133-byte frames: 22 fit, not 30.
+        assert!(config.disk_chunks() <= 22);
+        assert_eq!(config.carried_chunks(), 0, "nothing to carry");
+        assert_eq!(config.epoch(), monitor.epoch());
+    }
+
+    /// A monitor that forgot objects 10..20 (here: never saw them).
+    fn monitor_of_the_hot_half() -> RequestMonitor {
+        let mut monitor = RequestMonitor::new();
+        for id in 0..10u64 {
+            for _ in 0..(20 - id) * 5 {
+                monitor.record_read(ObjectId::new(id));
+            }
+        }
+        monitor.end_epoch();
+        monitor
+    }
+
+    #[test]
+    fn unused_disk_budget_carries_what_the_solve_forgot_in_whole_frames() {
+        let (backend, region_manager, monitor) = setup();
+        // Disk: 200 frames of 133 bytes — a payload count would say 266.
+        let manager = CacheManager::new(1_000).with_disk_capacity(26_600);
+        let empty = CacheConfiguration::empty();
+        let first = recompute(&manager, &monitor, &region_manager, &backend, &empty);
+        assert_eq!(first.object_count(), 20);
+
+        let hot = monitor_of_the_hot_half();
+        let second = recompute(&manager, &hot, &region_manager, &backend, &first);
+        assert!(second.carried_chunks() > 0);
+        let mut carried = 0;
+        for id in 0..20u64 {
+            let object = ObjectId::new(id);
+            assert_eq!(second.is_carried(object), id >= 10, "object {id}");
+            if id >= 10 {
+                // The whole previous entry, RAM chunks included, on disk.
+                assert_eq!(second.chunks_for(object), first.chunks_for(object));
+                assert_eq!(second.disk_chunks_for(object), first.chunks_for(object));
+                carried += first.chunks_for(object).len() as u32;
+            }
+        }
+        assert_eq!(second.carried_chunks(), carried);
+        let frames = second.disk_chunks() as usize * (HEADER_LEN + 100);
+        assert!(
+            frames <= manager.disk_capacity_bytes(),
+            "{frames} B of frames"
+        );
+        // RAM is the knapsack's answer alone.
+        let alone = recompute(&manager, &hot, &region_manager, &backend, &empty);
+        assert_eq!(second.ram_chunks(), alone.ram_chunks());
+        assert_eq!(second.planned_value(), alone.planned_value());
+
+        // A tier the solve and the carry fill to the last frame still
+        // fits: 100 frames.
+        let tight = CacheManager::new(1_000).with_disk_capacity(100 * 133 + 132);
+        let second = recompute(&tight, &hot, &region_manager, &backend, &first);
+        assert!(second.carried_chunks() > 0);
+        assert_eq!(second.disk_chunks(), 100, "the carry fills the budget");
+        assert!(second.disk_chunks() as usize * (HEADER_LEN + 100) <= tight.disk_capacity_bytes());
+    }
+
+    #[test]
+    fn nothing_is_carried_without_a_disk_budget_or_into_a_full_one() {
+        let (backend, region_manager, monitor) = setup();
+        let hot = monitor_of_the_hot_half();
+        let empty = CacheConfiguration::empty();
+        // 20 objects compete for 30 frames: the solve fills them.
+        for disk_bytes in [0, 30 * 133] {
+            let manager = CacheManager::new(1_000).with_disk_capacity(disk_bytes);
+            let first = recompute(&manager, &monitor, &region_manager, &backend, &empty);
+            let second = recompute(&manager, &hot, &region_manager, &backend, &first);
+            let alone = recompute(&manager, &hot, &region_manager, &backend, &empty);
+            assert_eq!(second.carried_chunks(), 0, "disk of {disk_bytes} B");
+            assert_eq!(second.object_count(), alone.object_count());
+            assert_eq!(second.total_chunks(), alone.total_chunks());
+        }
+    }
+
+    #[test]
+    fn a_monitor_that_forgot_everything_still_carries() {
+        let (backend, region_manager, monitor) = setup();
+        let manager = CacheManager::new(1_000).with_disk_capacity(26_600);
+        let empty = CacheConfiguration::empty();
+        let first = recompute(&manager, &monitor, &region_manager, &backend, &empty);
+        let idle = RequestMonitor::new();
+        let second = recompute(&manager, &idle, &region_manager, &backend, &first);
+        assert_eq!(second.ram_chunks(), 0);
+        assert_eq!(second.carried_chunks(), first.total_chunks());
+        // Nothing left in the cache: nothing carried, nothing configured.
+        let gone = manager.recompute_tiered(
+            &idle,
             &region_manager,
             &backend,
             Duration::from_millis(40),
             Duration::from_millis(45),
-            2,
+            &second,
+            |_| false,
         );
-        assert!(config.ram_chunks() > 0);
-        assert!(config.ram_chunks() <= 10);
-        assert!(config.disk_chunks() > 0, "disk budget must be used");
-        assert!(config.disk_chunks() <= 30);
-        assert_eq!(config.epoch(), 2);
+        assert_eq!(gone.object_count(), 0);
     }
 
     #[test]

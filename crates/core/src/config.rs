@@ -1,9 +1,28 @@
 //! The static cache configuration Agar's cache manager produces
 //! (paper §III-c): which objects to cache and which chunks of each.
+//!
+//! A configured chunk is in one of three classes:
+//!
+//! - **RAM** — the knapsack's first-budget answer, the paper's cache.
+//!   Solved, so a missing chunk is downloaded a priori.
+//! - **disk** — the second-budget answer over what RAM left on the
+//!   remote path. Solved as well.
+//! - **carried** — chunks of an object the previous configuration named
+//!   and this solve did not (the monitor forgot it, or it lost the
+//!   knapsack), kept on the disk tier in the room the solve left there.
+//!   Never downloaded: an entry names only chunks that were cached when
+//!   it was carried and leaves the configuration once none is.
+//!
+//! Nothing is ever carried into RAM: the RAM configuration is the
+//! paper's answer bit for bit (on the paper workload the solve leaves
+//! one spare RAM chunk, and filling it would change every figure this
+//! repository reproduces), while a warm tier with room exists to hold
+//! the tail the monitor's bounded memory forgets.
 
 use crate::knapsack::Config;
 use agar_cache::CacheTier;
 use agar_ec::{ChunkId, ObjectId};
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap};
 
 /// The per-object chunk sets the cache should hold until the next
@@ -12,14 +31,19 @@ use std::collections::{BTreeMap, HashMap};
 /// `per_object` is the **union** across tiers — [`Self::chunks_for`] and
 /// [`Self::contains`] answer "should this chunk be cached at all?",
 /// which is what fill hints and purge predicates want regardless of
-/// tier. The disk-tier subset is tracked separately so
-/// [`Self::tier_for`] can route each fill to its planned tier.
+/// tier. The disk-tier subset (solved and carried) is tracked
+/// separately so [`Self::tier_for`] can route each fill to its planned
+/// tier.
 #[derive(Clone, Debug, Default)]
 pub struct CacheConfiguration {
     per_object: HashMap<ObjectId, Vec<u8>>,
     disk_per_object: HashMap<ObjectId, Vec<u8>>,
+    /// Carried objects, each with the epoch of the last solve that
+    /// named it.
+    carried: HashMap<ObjectId, u64>,
     total_chunks: u32,
     disk_chunks: u32,
+    carried_chunks: u32,
     planned_value: f64,
     epoch: u64,
 }
@@ -52,10 +76,63 @@ impl CacheConfiguration {
         CacheConfiguration {
             per_object,
             disk_per_object,
+            carried: HashMap::new(),
             total_chunks: ram.weight() + disk.weight(),
             disk_chunks: disk.weight(),
+            carried_chunks: 0,
             planned_value: ram.value() + disk.value(),
             epoch,
+        }
+    }
+
+    /// Fills `room` disk-tier chunks with **carried** entries: every
+    /// object `previous` named and this configuration does not keeps
+    /// the chunks of its entry that are still `cached`, all of them on
+    /// the disk tier, most recently solved first (ties by `ObjectId`)
+    /// until the room is used up — the entry at the edge is cut to what
+    /// is left. An object with no cached chunk is not carried, so the
+    /// configuration holds at most `room` carried objects however many
+    /// distinct objects pass through.
+    pub fn carry(
+        &mut self,
+        previous: &CacheConfiguration,
+        mut room: u32,
+        cached: impl Fn(ChunkId) -> bool,
+    ) {
+        if room == 0 {
+            return; // no disk tier, or the solve filled it
+        }
+        let mut candidates: Vec<(Reverse<u64>, ObjectId)> = previous
+            .objects()
+            .filter(|object| !self.per_object.contains_key(object))
+            .map(|object| {
+                let solved = previous.carried.get(&object).copied();
+                (Reverse(solved.unwrap_or(previous.epoch)), object)
+            })
+            .collect();
+        candidates.sort_unstable();
+        for (Reverse(solved), object) in candidates {
+            if room == 0 {
+                break;
+            }
+            let chunks: Vec<u8> = previous
+                .chunks_for(object)
+                .iter()
+                .copied()
+                .filter(|&index| cached(ChunkId::new(object, index)))
+                .take(room as usize)
+                .collect();
+            if chunks.is_empty() {
+                continue;
+            }
+            let count = chunks.len() as u32;
+            room -= count;
+            self.total_chunks += count;
+            self.disk_chunks += count;
+            self.carried_chunks += count;
+            self.carried.insert(object, solved);
+            self.per_object.insert(object, chunks.clone());
+            self.disk_per_object.insert(object, chunks);
         }
     }
 
@@ -91,9 +168,20 @@ impl CacheConfiguration {
         self.total_chunks - self.disk_chunks
     }
 
-    /// Chunks planned for the disk tier.
+    /// Chunks planned for the disk tier, solved and carried.
     pub fn disk_chunks(&self) -> u32 {
         self.disk_chunks
+    }
+
+    /// The part of [`Self::disk_chunks`] no solve placed: chunks of
+    /// carried entries (see [`Self::carry`]).
+    pub fn carried_chunks(&self) -> u32 {
+        self.carried_chunks
+    }
+
+    /// Whether `object`'s entry is carried rather than solved.
+    pub fn is_carried(&self, object: ObjectId) -> bool {
+        self.carried.contains_key(&object)
     }
 
     /// The disk-tier chunks planned for `object` (empty when the object
@@ -286,6 +374,111 @@ mod tests {
         );
         let union: usize = config.objects().map(|o| config.chunks_for(o).len()).sum();
         assert_eq!(union as u32, config.total_chunks(), "union holds all");
+    }
+
+    /// A solved configuration written out by hand: per object its RAM
+    /// chunks and its disk chunks.
+    fn solved(epoch: u64, entries: &[(u64, &[u8], &[u8])]) -> CacheConfiguration {
+        let mut config = CacheConfiguration {
+            epoch,
+            ..CacheConfiguration::empty()
+        };
+        for &(id, ram, disk) in entries {
+            let object = ObjectId::new(id);
+            config.per_object.insert(object, [ram, disk].concat());
+            if !disk.is_empty() {
+                config.disk_per_object.insert(object, disk.to_vec());
+            }
+            config.total_chunks += (ram.len() + disk.len()) as u32;
+            config.disk_chunks += disk.len() as u32;
+        }
+        config
+    }
+
+    fn carried_objects(config: &CacheConfiguration) -> Vec<u64> {
+        let mut ids: Vec<u64> = config
+            .objects()
+            .filter(|o| config.is_carried(*o))
+            .map(|o| o.index())
+            .collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    #[test]
+    fn carried_entries_are_disk_tier_and_leave_the_solve_untouched() {
+        let previous = solved(4, &[(1, &[0, 1], &[2, 3]), (2, &[], &[5]), (3, &[7], &[])]);
+        let mut config = solved(5, &[(1, &[0], &[1])]);
+        config.planned_value = 9.5;
+        config.carry(&previous, 10, |_| true);
+        // Object 1 is solved: its entry is the solve's, not the old one.
+        assert_eq!(config.chunks_for(ObjectId::new(1)), [0, 1]);
+        assert!(!config.is_carried(ObjectId::new(1)));
+        assert_eq!(carried_objects(&config), [2, 3]);
+        assert_eq!(config.carried_chunks(), 2);
+        assert_eq!((config.ram_chunks(), config.disk_chunks()), (1, 3));
+        assert_eq!(config.total_chunks(), 4);
+        assert_eq!(config.planned_value(), 9.5);
+        // A carried RAM chunk is now a disk-tier chunk.
+        let moved = ChunkId::new(ObjectId::new(3), 7);
+        assert_eq!(previous.tier_for(moved), Some(CacheTier::Ram));
+        assert_eq!(config.tier_for(moved), Some(CacheTier::Disk));
+        assert_eq!(config.disk_chunks_for(ObjectId::new(3)), [7]);
+    }
+
+    #[test]
+    fn carry_order_is_most_recently_solved_then_object_id() {
+        // Epoch 7 solved {5, 6}; epoch 8 solved {9} and carried both.
+        let mut older = solved(8, &[(9, &[0], &[1, 2])]);
+        older.carry(
+            &solved(7, &[(5, &[], &[0, 1]), (6, &[], &[0, 1])]),
+            4,
+            |_| true,
+        );
+        assert_eq!(carried_objects(&older), [5, 6]);
+        // Epoch 9 solves nothing: 9 (solved at 8) goes before 5 and 6
+        // (solved at 7), 5 before 6, and the edge entry is cut.
+        for room in 0..=7u32 {
+            let mut config = solved(9, &[]);
+            config.carry(&older, room, |_| true);
+            let sizes: Vec<usize> = [9u64, 5, 6]
+                .iter()
+                .map(|&id| config.chunks_for(ObjectId::new(id)).len())
+                .collect();
+            let want = [
+                room.min(3),
+                room.saturating_sub(3).min(2),
+                room.saturating_sub(5),
+            ];
+            assert_eq!(sizes, want.map(|n| n as usize), "room {room}");
+            assert_eq!(config.carried_chunks(), room);
+            assert_eq!(
+                config.object_count(),
+                want.iter().filter(|&&n| n > 0).count()
+            );
+        }
+        // The cut keeps the front of the entry (most distant first).
+        let mut config = solved(9, &[]);
+        config.carry(&older, 2, |_| true);
+        assert_eq!(config.chunks_for(ObjectId::new(9)), [0, 1]);
+    }
+
+    #[test]
+    fn a_carried_entry_names_only_cached_chunks_and_leaves_when_none_is() {
+        let previous = solved(4, &[(1, &[0, 1], &[2, 3]), (2, &[], &[5, 6])]);
+        let mut config = solved(5, &[]);
+        config.carry(&previous, 10, |id| {
+            id.object() == ObjectId::new(1) && id.index().value() % 2 == 1
+        });
+        assert_eq!(config.chunks_for(ObjectId::new(1)), [1, 3]);
+        assert_eq!(carried_objects(&config), [1]);
+        assert_eq!(config.object_count(), 1);
+        assert!(!config.contains(ChunkId::new(ObjectId::new(2), 5)));
+        // Lost chunks do not use up the room.
+        let mut config = solved(5, &[]);
+        config.carry(&previous, 2, |id| id.index().value() >= 3);
+        assert_eq!(config.chunks_for(ObjectId::new(1)), [3]);
+        assert_eq!(config.chunks_for(ObjectId::new(2)), [5]);
     }
 
     #[test]

@@ -48,7 +48,7 @@ use agar_cache::{
 use agar_ec::{ChunkId, ObjectId};
 use agar_net::{RegionId, SimTime};
 use agar_obs::{
-    chrome_trace_json, Counter, Labels, MetricsRegistry, ReadTrace, ReadTraceBuilder,
+    chrome_trace_json, Counter, Gauge, Labels, MetricsRegistry, ReadTrace, ReadTraceBuilder,
     StageHistograms, TraceBuffer,
 };
 use agar_store::Backend;
@@ -306,6 +306,8 @@ pub struct AgarNode {
     reconfig: Mutex<ReconfigClock>,
     reconfigurations: Counter,
     fill_fetches: Counter,
+    /// Chunks of the live configuration's carried entries.
+    carried_chunks: Gauge,
     /// Re-plans and version-race restarts beyond each read's first
     /// attempt.
     retries: Counter,
@@ -385,6 +387,7 @@ impl AgarNode {
             reconfig: Mutex::new(ReconfigClock::default()),
             reconfigurations: Counter::new(),
             fill_fetches: Counter::new(),
+            carried_chunks: Gauge::new(),
             retries: Counter::new(),
             retry_backoff_micros: Counter::new(),
             degraded_reads: Counter::new(),
@@ -570,6 +573,12 @@ impl AgarNode {
             base.clone(),
             &self.fill_fetches,
         );
+        registry.register_gauge(
+            "agar_config_carried_chunks",
+            "Disk-tier chunks the configuration carries for objects no solve names.",
+            base.clone(),
+            &self.carried_chunks,
+        );
         registry.register_counter(
             "agar_read_retries_total",
             "Read re-plans and version-race restarts beyond first attempts.",
@@ -645,9 +654,15 @@ impl AgarNode {
     /// Recomputes the configuration, swaps the snapshot, then applies
     /// the diff: chunks no longer in the configuration leave the cache,
     /// cached chunks the configuration placed in the other tier move
-    /// there, and missing configured chunks are downloaded *a priori*
-    /// (§IV-A: "caching items implies downloading them a priori") —
-    /// off the clients' critical path. On return every cached chunk
+    /// there, and missing chunks a solve placed are downloaded *a
+    /// priori* (§IV-A: "caching items implies downloading them a
+    /// priori") — off the clients' critical path, with a second pass
+    /// for those the downloads themselves pushed out of a full disk
+    /// log. The solve is handed
+    /// the outgoing configuration, so objects it no longer names keep
+    /// their cached chunks as carried disk-tier entries while the disk
+    /// budget has room (their RAM chunks are moved down like any other
+    /// re-tiered chunk). On return every cached chunk
     /// sits in exactly one tier, the one the configuration names
     /// (barring chunks spilled by a RAM overflow); reads never change
     /// that. Only the solve holds the monitor and region-manager
@@ -658,10 +673,10 @@ impl AgarNode {
         // and fill (a stale purge running after a newer swap would
         // evict the newer configuration's chunks).
         let _serial = self.reconfigure_serial.lock();
+        let previous = Arc::clone(&self.config.read());
         let new_config = {
             let mut monitor = self.monitor.lock();
             monitor.end_epoch();
-            let epoch = monitor.epoch();
             let region_manager = self.region_manager.lock();
             self.manager.recompute_tiered(
                 &monitor,
@@ -669,10 +684,13 @@ impl AgarNode {
                 &self.backend,
                 self.settings.cache_read,
                 self.settings.disk_read,
-                epoch,
+                &previous,
+                |id| self.cache.contains(&id),
             )
         };
         let new_config = Arc::new(new_config);
+        self.carried_chunks
+            .set(u64::from(new_config.carried_chunks()));
         let sink = self.event_sink();
         *self.config.write() = Arc::clone(&new_config);
         self.cache.remove_matching(|id| !new_config.contains(*id));
@@ -713,29 +731,47 @@ impl AgarNode {
         // chunks instead of duplicating their backend round trips.
         let fetcher = Arc::clone(&self.fetcher.read());
         let mut rng = self.derive_rng();
-        let mut objects: Vec<ObjectId> = new_config.objects().collect();
+        // Only what a solve placed is downloaded: a carried entry is
+        // whatever the cache still holds of it, never backend traffic.
+        let mut objects: Vec<ObjectId> = new_config
+            .objects()
+            .filter(|object| !new_config.is_carried(*object))
+            .collect();
         objects.sort_unstable(); // deterministic fill order
         let mut fills = 0;
-        for object in objects {
-            let Ok(manifest) = self.backend.manifest(object) else {
-                continue;
-            };
-            for &index in new_config.chunks_for(object) {
-                let id = ChunkId::new(object, index);
-                if self.cache.contains(&id) {
+        // A fill that overflows the disk log makes its cleaner drop
+        // frames, solved chunks of objects this loop already passed
+        // among them. A second pass downloads those now instead of
+        // after an epoch of partial hits; the cleaner frees at least
+        // the room of the frames it loses, so that pass fits unless the
+        // victim was all live, and it is the last either way.
+        let lost = &self.cache.counters().disk_evictions;
+        for _pass in 0..2 {
+            let lost_before = lost.get();
+            for &object in &objects {
+                let Ok(manifest) = self.backend.manifest(object) else {
                     continue;
+                };
+                for &index in new_config.chunks_for(object) {
+                    let id = ChunkId::new(object, index);
+                    if self.cache.contains(&id) {
+                        continue;
+                    }
+                    // `reconfigure_serial` exists only to serialise whole
+                    // reconfigurations; readers never take it, so holding
+                    // it across the a-priori fill downloads is the point.
+                    // agar-lint: allow(lock-across-blocking)
+                    let data = self.fetch_chunk(&*fetcher, &manifest, index, &mut rng, &mut fills);
+                    let Some(data) = data else { continue };
+                    let tier = new_config.tier_for(id).unwrap_or(CacheTier::Ram);
+                    let chunk = CachedChunk::new(data, manifest.version());
+                    if self.cache.insert_to_tier(id, chunk, tier) {
+                        filled.insert(object);
+                    }
                 }
-                // `reconfigure_serial` exists only to serialise whole
-                // reconfigurations; readers never take it, so holding
-                // it across the a-priori fill downloads is the point.
-                // agar-lint: allow(lock-across-blocking)
-                let data = self.fetch_chunk(&*fetcher, &manifest, index, &mut rng, &mut fills);
-                let Some(data) = data else { continue };
-                let tier = new_config.tier_for(id).unwrap_or(CacheTier::Ram);
-                let chunk = CachedChunk::new(data, manifest.version());
-                if self.cache.insert_to_tier(id, chunk, tier) {
-                    filled.insert(object);
-                }
+            }
+            if lost.get() == lost_before {
+                break;
             }
         }
         self.fill_fetches.add(fills);
@@ -822,6 +858,7 @@ mod tests {
     use super::*;
     use agar_ec::CodingParams;
     use agar_net::presets::{aws_six_regions, FRANKFURT};
+    use agar_net::MatrixLatency;
     use agar_store::{expected_payload, populate, RoundRobin};
 
     pub(super) fn test_backend(objects: u64, size: usize) -> Arc<Backend> {
@@ -833,10 +870,18 @@ mod tests {
         objects: u64,
         size: usize,
     ) -> Arc<Backend> {
-        let preset = aws_six_regions();
+        backend_with(aws_six_regions().latency, params, objects, size)
+    }
+
+    fn backend_with(
+        latency: MatrixLatency,
+        params: CodingParams,
+        objects: u64,
+        size: usize,
+    ) -> Arc<Backend> {
         let backend = Backend::new(
-            preset.topology,
-            Arc::new(preset.latency),
+            aws_six_regions().topology,
+            Arc::new(latency),
             params,
             Box::new(RoundRobin),
         )
@@ -1239,7 +1284,9 @@ mod tests {
 
     /// The placement invariant: every cached chunk sits in exactly one
     /// tier, the one the configuration names, every configured chunk is
-    /// cached, and both byte budgets hold.
+    /// cached (a carried entry names what was cached when it was
+    /// carried, so this holds for it until the log drops a frame), and
+    /// both byte budgets hold.
     fn assert_placement(node: &AgarNode, backend: &Backend, epoch: u64) {
         let config = node.current_config();
         let cached = node.cache.keys();
@@ -1298,10 +1345,182 @@ mod tests {
         assert_eq!(node.cache_stats().disk_evictions(), 0);
     }
 
-    /// The disk log keeps what the knapsack placed: while the
-    /// configured disk set is at most 40 % of the disk budget, a log
-    /// that wraps again and again under re-tier churn never loses a
-    /// configured chunk.
+    /// Frame bytes of one 100-byte test chunk in the disk log.
+    const FRAME: usize = 100 + agar_cache::disk::HEADER_LEN;
+
+    /// A backend of 900-byte objects whose latency matrix is anchored
+    /// at their 100-byte chunks, as every experiment anchors it at its
+    /// scale: the local region then costs its nominal 50 ms, more than
+    /// a disk read, so the knapsack places all k chunks of an object
+    /// and a read of them is k local hits.
+    fn anchored_backend(objects: u64) -> Arc<Backend> {
+        let latency = aws_six_regions().latency.with_nominal_bytes(100);
+        backend_with(latency, CodingParams::paper_default(), objects, 900)
+    }
+
+    /// Reads `cold` once, then keeps objects 0 and 1 hot over forced
+    /// epochs until the monitor has forgotten `cold`.
+    fn forget(node: &AgarNode, cold: ObjectId) {
+        node.read(cold).unwrap();
+        for epoch in 0.. {
+            for _ in 0..10 {
+                node.read(ObjectId::new(0)).unwrap();
+                node.read(ObjectId::new(1)).unwrap();
+            }
+            node.force_reconfigure();
+            if node.monitor.lock().popularity(cold) == 0.0 {
+                break;
+            }
+            assert!(epoch < 12, "the monitor never forgot {cold:?}");
+        }
+    }
+
+    /// The warm tier keeps what it has room for: an object the monitor
+    /// forgot stays configured on disk and is served from there.
+    #[test]
+    fn a_forgotten_object_is_still_served_from_a_disk_tier_with_room() {
+        let backend = anchored_backend(8);
+        let settings = tiered_settings(900, 8 * 9 * FRAME);
+        let node = AgarNode::new(FRANKFURT, Arc::clone(&backend), settings, 7).unwrap();
+        let cold = ObjectId::new(7);
+        forget(&node, cold);
+        let config = node.current_config();
+        assert!(config.is_carried(cold), "{config:?}");
+        assert_eq!(config.carried_chunks(), 9);
+        assert_placement(&node, &backend, 0);
+        let fills = node.fill_fetches.get();
+        let metrics = node.read(cold).unwrap();
+        assert_eq!(metrics.data.as_ref(), expected_payload(7, 900).as_slice());
+        assert_eq!(metrics.backend_fetches, 0);
+        assert_eq!(metrics.cache_hits, 9);
+        assert_eq!(node.fill_fetches.get(), fills);
+        // Read again, it is the monitor's and the solve's once more.
+        node.force_reconfigure();
+        let config = node.current_config();
+        assert!(config.contains(ChunkId::new(cold, 0)) && !config.is_carried(cold));
+        assert_eq!(config.carried_chunks(), 0);
+    }
+
+    /// A disk budget the solve fills leaves no room: the forgotten
+    /// object leaves the configuration and the cache, as it always did.
+    #[test]
+    fn nothing_is_carried_into_a_disk_budget_the_solve_fills() {
+        let backend = anchored_backend(8);
+        // RAM holds one of the two hot objects, the disk the other.
+        let settings = tiered_settings(900, 9 * FRAME);
+        let node = AgarNode::new(FRANKFURT, Arc::clone(&backend), settings, 7).unwrap();
+        let cold = ObjectId::new(7);
+        forget(&node, cold);
+        let config = node.current_config();
+        assert_eq!((config.ram_chunks(), config.disk_chunks()), (9, 9));
+        assert_eq!(config.carried_chunks(), 0);
+        assert_eq!(config.object_count(), 2, "{config:?}");
+        assert!(!node.cache_contents().contains_key(&cold));
+        assert_placement(&node, &backend, 0);
+        let metrics = node.read(cold).unwrap();
+        assert_eq!((metrics.cache_hits, metrics.backend_fetches), (0, 9));
+    }
+
+    /// A carried entry is what the cache still holds of it: a lost
+    /// chunk is never downloaded again for it, and an entry without
+    /// chunks is gone.
+    #[test]
+    fn a_carried_entry_shrinks_with_its_chunks_and_costs_no_backend_traffic() {
+        let backend = anchored_backend(8);
+        let settings = tiered_settings(900, 8 * 9 * FRAME);
+        let node = AgarNode::new(FRANKFURT, Arc::clone(&backend), settings, 7).unwrap();
+        let cold = ObjectId::new(7);
+        forget(&node, cold);
+        let lost = node.current_config().chunks_for(cold)[0];
+        assert!(node.cache.disk().unwrap().remove(&ChunkId::new(cold, lost)));
+        let fills = node.fill_fetches.get();
+        node.force_reconfigure();
+        assert_eq!(
+            node.fill_fetches.get(),
+            fills,
+            "a carried chunk was downloaded"
+        );
+        let config = node.current_config();
+        assert!(config.is_carried(cold));
+        assert_eq!(config.chunks_for(cold).len(), 8);
+        assert!(!config.chunks_for(cold).contains(&lost));
+        assert_placement(&node, &backend, 1);
+
+        node.cache.remove_matching(|id| id.object() == cold);
+        node.force_reconfigure();
+        assert_eq!(node.fill_fetches.get(), fills);
+        let config = node.current_config();
+        assert!(!config.is_carried(cold) && config.chunks_for(cold).is_empty());
+        assert_eq!(config.carried_chunks(), 0);
+        assert_placement(&node, &backend, 2);
+    }
+
+    /// The configuration must not become the leak the monitor's prune
+    /// exists to prevent: over ten times more distinct objects than the
+    /// disk holds it never names more chunks than the two budgets, and
+    /// what it carries is the same on every run.
+    #[test]
+    fn carried_entries_stay_within_the_disk_budget_over_a_long_tail() {
+        const DISK_OBJECTS: usize = 12;
+        const OBJECTS: u64 = 10 * DISK_OBJECTS as u64;
+        let run = || {
+            let backend = anchored_backend(OBJECTS);
+            let settings = tiered_settings(900, DISK_OBJECTS * 9 * FRAME);
+            let node = AgarNode::new(FRANKFURT, Arc::clone(&backend), settings, 7).unwrap();
+            let mut carried_per_epoch = Vec::new();
+            // A new object every epoch, read once and never again: the
+            // monitor tracks five at a time, the disk has room for more.
+            for epoch in 0..OBJECTS {
+                let metrics = node.read(ObjectId::new(epoch)).unwrap();
+                assert_eq!(
+                    metrics.data.as_ref(),
+                    expected_payload(epoch, 900).as_slice()
+                );
+                node.force_reconfigure();
+                let config = node.current_config();
+                let disk_bytes = config.disk_chunks() as usize * FRAME;
+                assert!(
+                    disk_bytes <= node.cache.disk_capacity_bytes(),
+                    "epoch {epoch}"
+                );
+                assert!(config.ram_chunks() <= 9);
+                assert!(config.object_count() <= 9 + DISK_OBJECTS * 9);
+                assert!(node.cache.disk_used_bytes() <= node.cache.disk_capacity_bytes());
+                for id in node.cache.keys() {
+                    let tier = node.cache.tier_of(&id);
+                    assert_eq!(tier, config.tier_for(id), "{id:?} epoch {epoch}");
+                }
+                let mut carried: Vec<(ObjectId, Vec<u8>)> = config
+                    .objects()
+                    .filter(|object| config.is_carried(*object))
+                    .map(|object| (object, config.chunks_for(object).to_vec()))
+                    .collect();
+                carried.sort_unstable();
+                carried_per_epoch.push(carried);
+            }
+            let last = carried_per_epoch.last().unwrap();
+            // The carry filled the budget, and the full log dropped
+            // live frames along the way without breaking any of the above.
+            assert_eq!(
+                node.current_config().disk_chunks() as usize,
+                DISK_OBJECTS * 9
+            );
+            assert!(node.cache_stats().disk_evictions() > 0);
+            assert!(!last.is_empty(), "the tail was never carried");
+            // The most recently solved objects are the ones still carried.
+            assert!(last.iter().all(|(object, _)| object.index() >= OBJECTS / 2));
+            carried_per_epoch
+        };
+        assert_eq!(run(), run());
+    }
+
+    /// The disk log keeps what the knapsack **solved** for: while the
+    /// solved disk set is at most 40 % of the disk budget, a log that
+    /// wraps again and again under re-tier churn never loses a chunk —
+    /// solved or carried, there being room for both. (Carried chunks
+    /// are best effort: a log they fill is out of that regime, and what
+    /// it drops then shrinks their entries; see
+    /// `carried_entries_stay_within_the_disk_budget_over_a_long_tail`.)
     #[test]
     fn a_wrapping_disk_log_keeps_every_configured_chunk() {
         const OBJECTS: u64 = 24;
@@ -1326,9 +1545,9 @@ mod tests {
             }
             node.force_reconfigure();
             assert_placement(&node, &backend, epoch);
-            let disk_frames = u64::from(node.current_config().disk_chunks()) * 133;
+            let disk_frames = node.current_config().disk_chunks() as usize * FRAME;
             assert!(
-                disk_frames * 5 <= DISK as u64 * 2,
+                disk_frames * 5 <= DISK * 2,
                 "configured disk set {disk_frames} B is over 40 %"
             );
             assert_eq!(node.cache_stats().disk_evictions(), 0, "epoch {epoch}");
@@ -1340,6 +1559,40 @@ mod tests {
         );
         assert!(node.disk_compacted_bytes() > 0, "no survivor was copied");
         assert_eq!(node.disk_corrupt_frames(), 0);
+    }
+
+    /// A fill that overflows a full log costs frames of objects the
+    /// fill loop has already passed: the reconfiguration that lost
+    /// them downloads them again, not the next one.
+    #[test]
+    fn solved_chunks_a_fill_pushed_out_of_the_log_are_back_before_it_returns() {
+        const OBJECTS: u64 = 8;
+        let backend = anchored_backend(OBJECTS);
+        // RAM holds one object, the disk the other seven and 18 frames
+        // of room that the refills below turn into dead space.
+        let settings = tiered_settings(900, (7 * 9 + 18) * FRAME);
+        let node = AgarNode::new(FRANKFURT, Arc::clone(&backend), settings, 7).unwrap();
+        let disk = node.cache.disk().unwrap();
+        for round in 0..60u64 {
+            for key in 0..OBJECTS {
+                node.read(ObjectId::new(key)).unwrap();
+            }
+            // One solved chunk a round goes missing behind the node's back.
+            let mut keys = disk.keys();
+            keys.sort_unstable();
+            if let Some(id) = keys.get((round * 7) as usize % keys.len().max(1)) {
+                disk.remove(id);
+            }
+            node.force_reconfigure();
+            let config = node.current_config();
+            assert_eq!(config.carried_chunks(), 0);
+            assert_eq!(config.total_chunks(), 72, "round {round}");
+            assert_placement(&node, &backend, round);
+        }
+        assert!(
+            node.cache_stats().disk_evictions() > 0,
+            "the log never overflowed"
+        );
     }
 
     #[test]

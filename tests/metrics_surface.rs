@@ -92,6 +92,7 @@ const NODE_SERIES: &[(&str, &str)] = &[
     ("agar_cache_evictions_total", "tier=ram"),
     ("agar_cache_insertions_total", ""),
     ("agar_cache_rejected_inserts_total", ""),
+    ("agar_config_carried_chunks", ""),
     ("agar_decode_plan_hits_total", ""),
     ("agar_decode_systematic_fast_total", ""),
     ("agar_degraded_reads_total", ""),
