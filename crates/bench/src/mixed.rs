@@ -182,6 +182,11 @@ pub struct MixedRun {
     /// Reads that gave up after three version-raced attempts
     /// (`AgarError::ReadContention`) — safe, counted separately.
     pub contended_reads: u64,
+    /// Reads served at least one chunk by the home member's cache (the
+    /// paper's Figure 7 hit: total or partial) — why the read latency
+    /// is what it is: a write that leaves the owner's cache empty shows
+    /// here before it shows in milliseconds.
+    pub hit_reads: u64,
     /// Mean simulated read latency.
     pub read_latency_mean: Duration,
     /// Percentile summary of per-read simulated latency.
@@ -203,6 +208,11 @@ pub struct MixedRun {
 }
 
 impl MixedRun {
+    /// Share of reads that were cache hits, total or partial.
+    fn hit_ratio(&self) -> f64 {
+        self.hit_reads as f64 / self.reads.max(1) as f64
+    }
+
     /// Mean members invalidated per write (the targeted-invalidation
     /// payoff: the old broadcast cost `members - 1` for every write).
     fn invalidations_per_write(&self) -> f64 {
@@ -256,6 +266,7 @@ pub fn run_mixed_cluster(
         writes: u64,
         stale: u64,
         contended_reads: u64,
+        hit_reads: u64,
         read_latency: Duration,
         read_histogram: LatencyHistogram,
         write_latency: Duration,
@@ -302,6 +313,7 @@ pub fn run_mixed_cluster(
                                     Err(e) => panic!("mixed read failed: {e}"),
                                 };
                                 out.reads += 1;
+                                out.hit_reads += u64::from(metrics.metrics().cache_hits > 0);
                                 out.read_latency += metrics.metrics().latency;
                                 out.read_histogram.record(metrics.metrics().latency);
                                 let stale =
@@ -336,6 +348,7 @@ pub fn run_mixed_cluster(
             totals.writes += out.writes;
             totals.stale += out.stale;
             totals.contended_reads += out.contended_reads;
+            totals.hit_reads += out.hit_reads;
             totals.read_latency += out.read_latency;
             totals.read_histogram.merge(&out.read_histogram);
             totals.write_latency += out.write_latency;
@@ -360,6 +373,7 @@ pub fn run_mixed_cluster(
         writes: totals.writes,
         stale_reads: totals.stale,
         contended_reads: totals.contended_reads,
+        hit_reads: totals.hit_reads,
         read_latency_mean: totals
             .read_latency
             .checked_div(totals.reads.max(1) as u32)
@@ -400,6 +414,7 @@ pub(crate) fn mixed_table(
                 "reads".into(),
                 "writes".into(),
                 "stale".into(),
+                "hit %".into(),
                 "read ms".into(),
             ];
             headers.extend(LatencySummary::percentile_headers());
@@ -450,12 +465,14 @@ pub(crate) fn mixed_table(
             0x111ED ^ (ratio * 1000.0) as u64,
         );
         eprintln!(
-            "  [mixed] {:.0}% writes: {} reads + {} writes, {} stale, read {:.1} ms / write {:.1} ms, \
+            "  [mixed] {:.0}% writes: {} reads + {} writes, {} stale, {:.1}% hits, \
+             read {:.1} ms / write {:.1} ms, \
              {} lease wait(s), {:.2} invalidations/write, {:.0} ops/s",
             ratio * 100.0,
             run.reads,
             run.writes,
             run.stale_reads,
+            run.hit_ratio() * 100.0,
             run.read_latency_mean.as_secs_f64() * 1e3,
             run.write_latency_mean.as_secs_f64() * 1e3,
             run.lease_contentions,
@@ -469,6 +486,7 @@ pub(crate) fn mixed_table(
             run.reads.to_string(),
             run.writes.to_string(),
             run.stale_reads.to_string(),
+            format!("{:.1}", run.hit_ratio() * 100.0),
             format!("{:.1}", run.read_latency_mean.as_secs_f64() * 1e3),
         ];
         row.extend(run.read_latency.percentile_cells());
@@ -547,6 +565,10 @@ mod tests {
         );
         assert_eq!(run.writes, 0);
         assert_eq!(run.reads, 60);
+        assert_eq!(
+            run.hit_reads, 60,
+            "a warm cluster with no writes misses nothing"
+        );
         assert_eq!(run.stale_reads, 0);
         assert_eq!(run.invalidations, 0);
     }

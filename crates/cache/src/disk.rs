@@ -277,7 +277,8 @@ impl Inner {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DiskPutOutcome {
     /// Whether the chunk was stored (false: larger than the whole tier,
-    /// or the tier has zero capacity).
+    /// the tier has zero capacity, or a newer version of the chunk is
+    /// live).
     pub stored: bool,
     /// Live entries lost while reclaiming space: those of a cleaned
     /// segment beyond the half of its length the cleaner rewrites, plus
@@ -411,9 +412,12 @@ impl DiskStore {
             .collect()
     }
 
-    /// Appends `chunk` under `id`, replacing any older live entry (the
-    /// old frame becomes dead space), then cleans segments as needed to
-    /// stay within the byte budget (see the module docs).
+    /// Appends `chunk` under `id`, replacing the live entry of an equal
+    /// or older version (the old frame becomes dead space), then cleans
+    /// segments as needed to stay within the byte budget (see the module
+    /// docs). A chunk older than the live entry is refused and nothing
+    /// is written: like the RAM tier, the log never takes a key's
+    /// version backwards.
     pub fn put(&self, id: ChunkId, chunk: &CachedChunk) -> DiskPutOutcome {
         const NOT_STORED: DiskPutOutcome = DiskPutOutcome {
             stored: false,
@@ -431,6 +435,10 @@ impl DiskStore {
 
         let mut inner = self.inner();
         let inner = &mut *inner;
+        let live = inner.index.get(&id);
+        if live.is_some_and(|live| live.version > chunk.version()) {
+            return NOT_STORED;
+        }
         // The disk tier is a single-writer log: the frame write and the
         // index update must be atomic with respect to concurrent gets,
         // so the I/O happens under the store mutex by design.
@@ -779,6 +787,18 @@ mod tests {
         assert_eq!(back.version(), 2);
         assert_eq!(back.data().len(), 120);
         assert_eq!(store.len(), 1);
+        // An older version is refused: nothing stored, nothing written.
+        let appended = store.appended_bytes();
+        let outcome = store.put(id(1, 0), &chunk(0xCC, 80, 1));
+        assert_eq!(outcome, DiskPutOutcome::default());
+        assert_eq!(store.appended_bytes(), appended);
+        let back = store.get(&id(1, 0)).unwrap();
+        assert_eq!((back.version(), back.data().len()), (2, 120));
+        // The same version again replaces it; a removed entry admits any.
+        assert!(store.put(id(1, 0), &chunk(0xDD, 90, 2)).stored);
+        assert_eq!(store.get(&id(1, 0)).unwrap().data().len(), 90);
+        store.remove(&id(1, 0));
+        assert!(store.put(id(1, 0), &chunk(0xEE, 70, 1)).stored);
     }
 
     #[test]
@@ -862,11 +882,11 @@ mod tests {
     /// Overwrite churn over `KEYS` keys holding ≈ 38 % of a 64 KiB
     /// store: key `k` is rewritten every 1, 2, 5 or 16 rounds (by
     /// `k % 4`), so segments keep a minority of long-lived frames among
-    /// the dead ones. Asserts that no put loses a live frame and
-    /// returns the newest version of each key.
-    fn skewed_churn(store: &DiskStore, rounds: u64) -> Vec<u64> {
+    /// the dead ones; the round is the version written. Asserts that no
+    /// put loses a live frame and returns the newest version of each key.
+    fn skewed_churn(store: &DiskStore, rounds: std::ops::Range<u64>) -> Vec<u64> {
         let mut newest = vec![0u64; KEYS as usize];
-        for round in 0..rounds {
+        for round in rounds {
             for key in (0..KEYS).filter(|key| round % [1, 2, 5, 16][(key % 4) as usize] == 0) {
                 let value = CachedChunk::new(Bytes::from(payload_of(key, round)), round);
                 let out = store.put(id(key, 0), &value);
@@ -883,7 +903,7 @@ mod tests {
     fn a_mostly_dead_log_is_cleaned_without_losing_a_live_frame() {
         const CAPACITY: usize = 64 * 1024;
         let store = DiskStore::new(CAPACITY).unwrap();
-        let newest = skewed_churn(&store, 48);
+        let newest = skewed_churn(&store, 0..48);
         let live: usize = (0..KEYS).map(|k| HEADER_LEN + payload_of(k, 0).len()).sum();
         assert!(live * 5 <= CAPACITY * 2, "live set {live} B is over 40 %");
         let first_time = store.appended_bytes() - store.compacted_bytes();
@@ -920,10 +940,10 @@ mod tests {
     fn equal_operation_sequences_leave_byte_equal_logs() {
         let run = || {
             let store = DiskStore::new(64 * 1024).unwrap();
-            skewed_churn(&store, 24);
+            skewed_churn(&store, 0..24);
             store.remove_matching(|key| key.object().index() % 7 == 0);
             store.remove(&id(1, 0));
-            skewed_churn(&store, 5);
+            skewed_churn(&store, 24..29);
             store
         };
         let (one, two) = (run(), run());
@@ -1220,8 +1240,9 @@ mod tests {
         }
 
         /// Every mutating entry point with mixed sizes (one larger than
-        /// the store) and versions against a `HashMap` oracle: a hit is
-        /// the newest version's exact bytes, an entry vanishes only
+        /// the store) and versions against a `HashMap` oracle: a put
+        /// older than the live entry is refused, a hit is the newest
+        /// version's exact bytes, an entry vanishes only
         /// through a remove or a reported `evicted` (nothing here
         /// corrupts a frame), and the budget, the live counters and the
         /// amplification bound hold after every operation.
@@ -1240,8 +1261,9 @@ mod tests {
                         let bytes = vec![step as u8; LENS[len]];
                         let value = CachedChunk::new(Bytes::from(bytes.clone()), version);
                         let out = store.put(key, &value);
-                        let fits = HEADER_LEN + LENS[len] <= CAPACITY;
-                        if fits {
+                        let newer_live = model.get(&key).is_some_and(|(live, _)| *live > version);
+                        let admitted = HEADER_LEN + LENS[len] <= CAPACITY && !newer_live;
+                        if admitted {
                             model.insert(key, (version, bytes));
                         } else {
                             prop_assert_eq!(out, DiskPutOutcome::default());
@@ -1249,7 +1271,7 @@ mod tests {
                         let before = model.len();
                         model.retain(|key, _| store.contains(key));
                         prop_assert_eq!((before - model.len()) as u64, out.evicted);
-                        prop_assert_eq!(out.stored, fits && model.contains_key(&key));
+                        prop_assert_eq!(out.stored, admitted && model.contains_key(&key));
                     }
                     5 => {
                         prop_assert_eq!(store.remove(&key), model.remove(&key).is_some());

@@ -119,14 +119,25 @@ impl ShardedChunkCache {
         self.shards[self.shard_index(key)].lock().peek(key).cloned()
     }
 
+    /// The version of the cached chunk, if any (no metadata update, no
+    /// payload clone).
+    pub fn version_of(&self, key: &ChunkId) -> Option<u64> {
+        let shard = self.shards[self.shard_index(key)].lock();
+        shard.peek(key).map(CachedChunk::version)
+    }
+
     /// Whether the chunk is present (no metadata update).
     pub fn contains(&self, key: &ChunkId) -> bool {
         self.shards[self.shard_index(key)].lock().contains(key)
     }
 
     /// Inserts a chunk, evicting across shards until the global byte
-    /// budget fits. Returns whether the chunk was stored (an entry
-    /// larger than the whole cache is rejected).
+    /// budget fits. Returns whether the chunk was stored: an entry
+    /// larger than the whole cache is rejected, and so is one *older*
+    /// than the resident entry of its key — checked under the shard
+    /// lock, so a cached chunk's version never goes backwards whatever
+    /// order racing inserters arrive in (a reader filling the version
+    /// it bound cannot overwrite what a later write left behind).
     pub fn insert(&self, key: ChunkId, value: CachedChunk) -> bool {
         self.insert_collect(key, value).is_some()
     }
@@ -155,6 +166,11 @@ impl ShardedChunkCache {
         // can never underflow.
         {
             let mut shard = self.shards[self.shard_index(&key)].lock();
+            let resident = shard.peek(&key).map(CachedChunk::version);
+            if resident.is_some_and(|resident| resident > value.version()) {
+                self.stats.rejected_inserts.inc();
+                return None;
+            }
             let outcome = shard.insert(key, value);
             let mut freed = 0usize;
             match outcome {
@@ -366,6 +382,27 @@ mod tests {
         assert_eq!(cache.used_bytes(), 100);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.get(&id(0, 0)).unwrap().version(), 2);
+    }
+
+    #[test]
+    fn an_insert_older_than_the_resident_entry_is_refused() {
+        let cache = ShardedChunkCache::new(1_000, PolicyKind::Lru, 4);
+        assert!(cache.insert(id(0, 0), chunk(100, 2)));
+        // Older: refused, reported as not stored, counted, nothing moved.
+        assert!(!cache.insert(id(0, 0), chunk(400, 1)));
+        assert_eq!(cache.insert_collect(id(0, 0), chunk(400, 1)), None);
+        assert_eq!(cache.peek(&id(0, 0)).unwrap().version(), 2);
+        assert_eq!((cache.used_bytes(), cache.len()), (100, 1));
+        assert_eq!(cache.stats().rejected_inserts(), 2);
+        assert_eq!(cache.stats().insertions(), 1);
+        // The same version again and a newer one both replace it.
+        assert!(cache.insert(id(0, 0), chunk(50, 2)));
+        assert!(cache.insert(id(0, 0), chunk(60, 3)));
+        assert_eq!(cache.peek(&id(0, 0)).unwrap().version(), 3);
+        assert_eq!(cache.used_bytes(), 60);
+        // Once the entry is gone any version is admitted.
+        cache.remove(&id(0, 0));
+        assert!(cache.insert(id(0, 0), chunk(10, 1)));
     }
 
     #[test]

@@ -14,7 +14,14 @@
 //!   the spill path for transient RAM overflow;
 //! - every insert leaves the chunk in exactly one tier, and removal
 //!   and bulk invalidation purge **both**, so the write path's
-//!   coherence guarantees are tier-blind.
+//!   coherence guarantees are tier-blind;
+//! - an insert **older** than the resident chunk of its key — in
+//!   either tier — is refused, so a cached chunk's version never goes
+//!   backwards. Each tier checks its own entry under its own lock;
+//!   the look at the *other* tier is not atomic with the insert, which
+//!   only matters to two inserters that disagree on the tier (a
+//!   reconfiguration between their snapshots) — the node sweeps the
+//!   one in the wrong tier when it revalidates after its insert.
 //!
 //! Counter semantics: both tiers record into the RAM tier's counter
 //! cells, and `chunk_hits`/`chunk_misses` keep meaning *RAM* lookups
@@ -151,8 +158,14 @@ impl TieredChunkCache {
     }
 
     /// Inserts into the RAM tier, demoting eviction victims to disk.
-    /// Returns whether the chunk was stored.
+    /// Returns whether the chunk was stored (not if it is larger than
+    /// the tier or older than the resident chunk; see the module docs).
     pub fn insert(&self, key: ChunkId, value: CachedChunk) -> bool {
+        let on_disk = self.disk.as_ref().and_then(|disk| disk.version_of(&key));
+        if on_disk.is_some_and(|on_disk| on_disk > value.version()) {
+            self.counters().rejected_inserts.inc();
+            return false;
+        }
         match self.ram.insert_collect(key, value) {
             Some(victims) => {
                 // The key may have had a stale disk copy (e.g. an old
@@ -175,6 +188,10 @@ impl TieredChunkCache {
         match (tier, &self.disk) {
             (CacheTier::Ram, _) | (CacheTier::Disk, None) => self.insert(key, value),
             (CacheTier::Disk, Some(disk)) => {
+                let in_ram = self.ram.version_of(&key);
+                if in_ram.is_some_and(|in_ram| in_ram > value.version()) {
+                    return false;
+                }
                 let outcome = disk.put(key, &value);
                 if outcome.evicted > 0 {
                     self.counters().disk_evictions.add(outcome.evicted);
@@ -469,6 +486,29 @@ mod tests {
     }
 
     #[test]
+    fn an_insert_older_than_the_chunk_in_the_other_tier_is_refused() {
+        let cache = TieredChunkCache::with_disk(1_000, PolicyKind::Lru, 1, 10_000);
+        // Version 3 on disk: an older RAM placement must not shadow
+        // and then drop it.
+        assert!(cache.insert_to_tier(id(1, 0), chunk(3, 100, 3), CacheTier::Disk));
+        assert!(!cache.insert(id(1, 0), chunk(2, 100, 2)));
+        assert!(!cache.insert_to_tier(id(1, 0), chunk(2, 100, 2), CacheTier::Ram));
+        assert_eq!(cache.tier_of(&id(1, 0)), Some(CacheTier::Disk));
+        assert_eq!(cache.peek(&id(1, 0)).unwrap().0.version(), 3);
+        assert_eq!(cache.stats().rejected_inserts(), 2);
+        // Version 5 in RAM: an older disk placement must not evict it.
+        assert!(cache.insert(id(2, 0), chunk(5, 100, 5)));
+        assert!(!cache.insert_to_tier(id(2, 0), chunk(4, 100, 4), CacheTier::Disk));
+        assert_eq!(cache.tier_of(&id(2, 0)), Some(CacheTier::Ram));
+        assert_eq!(cache.disk().unwrap().appended_bytes(), 133);
+        // The same version moves between tiers, as a re-tier does.
+        assert!(cache.insert_to_tier(id(2, 0), chunk(5, 100, 5), CacheTier::Disk));
+        assert!(cache.insert_to_tier(id(1, 0), chunk(3, 100, 3), CacheTier::Ram));
+        assert_eq!(cache.tier_of(&id(2, 0)), Some(CacheTier::Disk));
+        assert_eq!(cache.tier_of(&id(1, 0)), Some(CacheTier::Ram));
+    }
+
+    #[test]
     fn keys_cover_both_tiers() {
         let cache = TieredChunkCache::with_disk(200, PolicyKind::Lru, 1, 10_000);
         cache.insert(id(1, 0), chunk(1, 100, 1));
@@ -504,9 +544,10 @@ mod tests {
         /// sizes (some larger than a tier, so inserts are refused)
         /// against a two-map oracle of what was *placed* in each tier.
         /// Capacity eviction may lose a chunk or spill it RAM → disk,
-        /// never more: a chunk is in at most one tier, a hit returns
-        /// the newest stored version's exact bytes, only a placement
-        /// puts a chunk in RAM, and both byte budgets hold.
+        /// never more: a chunk is in at most one tier, an insert older
+        /// than the resident chunk (in either tier) is refused, a hit
+        /// returns the newest stored version's exact bytes, only a
+        /// placement puts a chunk in RAM, and both byte budgets hold.
         #[test]
         fn model_never_two_tiers_never_stale_never_over_budget(
             ops in vec((0u8..6, 0u64..3, 0u8..2, 1u64..4, 0usize..5), 1..80),
@@ -523,13 +564,15 @@ mod tests {
                 match op {
                     0 | 1 => {
                         let tier = if op == 0 { CacheTier::Ram } else { CacheTier::Disk };
+                        let resident = cache.peek(&key).map(|(chunk, _)| chunk.version());
                         let stored = if op == 0 && version % 2 == 0 {
                             cache.insert(key, value)
                         } else {
                             cache.insert_to_tier(key, value, tier)
                         };
                         let fits = LENS[len] <= if op == 0 { RAM } else { DISK - HEADER_LEN };
-                        prop_assert_eq!(stored, fits);
+                        let newer_resident = resident.is_some_and(|resident| resident > version);
+                        prop_assert_eq!(stored, fits && !newer_resident);
                         if stored {
                             let (into, other) = if op == 0 {
                                 (&mut ram, &mut disk)

@@ -25,8 +25,15 @@
 //!   read remains the correctness backstop.
 //! - **Targeted invalidation on release** —
 //!   [`WriteLease::release_after_write`] invalidates the written
-//!   object on exactly the registered holders (minus the writer,
-//!   which already invalidated locally), instead of every member.
+//!   object on exactly the registered holders minus the writer,
+//!   instead of every member. The writer is skipped because its own
+//!   write already replaced its chunks: it holds the *new* version's
+//!   configured chunks (`AgarNode::write` is a write-update) and
+//!   reported so through its sink, so its registration **survives the
+//!   release** — consuming it with the siblings' would leave a member
+//!   that holds chunks outside the registry, and the next write routed
+//!   elsewhere (a re-homed segment, a crashed lease's fence) would not
+//!   reach it.
 //!
 //! A lease dropped without `release_after_write` (a failed write, a
 //! panic) releases the slot without invalidating — waiters wake, and
@@ -280,22 +287,24 @@ impl WriteLeaseManager {
     }
 
     /// Invalidates `object` on every registered holder except `skip`
-    /// (the writer, which already invalidated locally); returns how
-    /// many members were invalidated. The registry entry is consumed —
-    /// holders re-register on their next fill.
+    /// (the writer, whose own write already replaced its chunks);
+    /// returns how many members were invalidated. The invalidated
+    /// holders' registrations are consumed — they re-register on their
+    /// next fill — while `skip`'s, if it has one, stays: it is
+    /// registered exactly when its write left chunks behind.
     fn invalidate_holders(&self, object: ObjectId, skip: u64) -> u64 {
         let holder_ids: Vec<u64> = {
             let mut holders = self.holders.lock().expect("holder registry poisoned");
-            holders
-                .remove(&object)
-                .map(|members| members.into_iter().collect())
-                .unwrap_or_default()
+            let mut ids = holders.remove(&object).unwrap_or_default();
+            if ids.remove(&skip) {
+                holders.insert(object, BTreeSet::from([skip]));
+            }
+            ids.into_iter().collect()
         };
         let targets: Vec<Arc<AgarNode>> = {
             let members = self.members.lock().expect("member table poisoned");
             holder_ids
                 .iter()
-                .filter(|&&id| id != skip)
                 .filter_map(|id| members.get(id).cloned())
                 .collect()
         };
@@ -408,9 +417,9 @@ impl WriteLease<'_> {
     }
 
     /// Completes a successful write: targeted invalidation of every
-    /// registered holder except the owner (which invalidated locally
-    /// as part of its write), then release. Returns the number of
-    /// members invalidated.
+    /// registered holder except the owner (whose write replaced its
+    /// own chunks, and whose registration stays), then release.
+    /// Returns the number of members invalidated.
     pub fn release_after_write(self) -> u64 {
         self.manager.invalidate_holders(self.object, self.owner)
         // Drop releases the slot.
@@ -448,13 +457,6 @@ impl CacheEventSink for MemberCacheSink {
         if let Some(manager) = self.manager.upgrade() {
             manager.record_drop(self.member, object);
         }
-    }
-
-    fn object_written(&self, object: ObjectId, _version: u64) {
-        // The writer's cache is already invalidated; make sure the
-        // registry agrees even if the drop event never fired (nothing
-        // was cached locally).
-        self.object_dropped(object);
     }
 }
 
@@ -521,6 +523,25 @@ mod tests {
         assert!(manager.holders_of(object).is_empty());
         // Dropping an unknown holder is a no-op.
         manager.record_drop(9, object);
+    }
+
+    #[test]
+    fn a_release_consumes_the_siblings_registrations_and_keeps_the_writers() {
+        let manager = WriteLeaseManager::new();
+        let object = ObjectId::new(4);
+        // The owner (0) re-registered through its write; 1 and 2 hold
+        // the old version.
+        for member in 0..3 {
+            manager.record_fill(member, object);
+        }
+        manager.acquire(object, 0).release_after_write();
+        assert_eq!(manager.holders_of(object), vec![0]);
+        // An owner whose write left nothing behind reported a drop and
+        // is not resurrected by the release.
+        manager.record_fill(1, object);
+        manager.record_drop(0, object);
+        manager.acquire(object, 0).release_after_write();
+        assert!(manager.holders_of(object).is_empty());
     }
 
     #[test]

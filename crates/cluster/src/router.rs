@@ -89,8 +89,8 @@ pub struct ClusterWriteMetrics {
     /// The ring owner that performed the write.
     pub home: u64,
     /// Members invalidated on lease release — only those whose caches
-    /// actually held chunks of the object (the writer invalidates
-    /// locally as part of its write and is not counted).
+    /// actually held chunks of the object (the writer replaces its own
+    /// chunks as part of its write and is not counted).
     pub invalidations: u64,
     /// Whether this write had to wait behind another writer's lease on
     /// the same object.
@@ -474,9 +474,11 @@ impl ClusterRouter {
     }
 
     /// Writes an object through its ring owner under the object's
-    /// write lease, then invalidates — targetedly — only the members
-    /// whose caches hold chunks of it (write coherence across the
-    /// cluster; see [`WriteLeaseManager`]).
+    /// write lease — the owner keeps the configured chunks of the
+    /// version it wrote (`AgarNode::write` is a write-update) — then
+    /// invalidates, targetedly, only the *other* members whose caches
+    /// hold chunks of it (write coherence across the cluster; see
+    /// [`WriteLeaseManager`]).
     ///
     /// The router's state lock is held only to resolve the owner:
     /// neither the backend round trip nor the invalidations run under
@@ -798,8 +800,9 @@ mod tests {
         assert_eq!(metrics.version, 2);
         assert!(!metrics.lease_contended, "single writer cannot contend");
         // Routed warm-up only filled the ring owner's cache, and the
-        // owner invalidates locally: targeted invalidation touches no
-        // sibling (the old broadcast would have hit members-1 = 2).
+        // owner's write replaces its own chunks: targeted invalidation
+        // touches no sibling (the old broadcast would have hit
+        // members-1 = 2).
         assert_eq!(metrics.invalidations, 0);
         // Every member now returns the new payload (no stale cache).
         for id in router.member_ids() {
@@ -844,12 +847,19 @@ mod tests {
         let metrics = router.write(object, &[0x5A; SIZE]).unwrap();
         assert_eq!(metrics.home, owner_id);
         // Exactly the one non-owner holder was invalidated; the two
-        // members that never cached the object were left alone.
+        // members that never cached the object were left alone. The
+        // owner holds the configured chunks of the version it wrote,
+        // so its registration survives the release.
         assert_eq!(metrics.invalidations, 1);
-        assert!(router.lease_manager().holders_of(object).is_empty());
-        // A second write finds no holders at all.
+        assert_eq!(router.lease_manager().holders_of(object), [owner_id]);
+        let owner = router.member(owner_id).unwrap();
+        assert!(owner.cache_contents().contains_key(&object));
+        let sibling = router.member(sibling_id).unwrap();
+        assert!(!sibling.cache_contents().contains_key(&object));
+        // A second write finds no holder to invalidate.
         let metrics = router.write(object, &[0x5B; SIZE]).unwrap();
         assert_eq!(metrics.invalidations, 0);
+        assert_eq!(router.lease_manager().holders_of(object), [owner_id]);
         let stats = router.cache_stats();
         assert_eq!(stats.lease_grants(), 2);
         assert_eq!(stats.targeted_invalidations(), 1);

@@ -10,7 +10,10 @@
 //! 2. **Invalidation broadcast on write** (this module): a
 //!    [`WriteCoordinator`] fans a write out to the backend and then
 //!    invalidates the object's chunks in *every* region's Agar node, so
-//!    remote caches do not serve an extra round of stale lookups.
+//!    remote caches do not serve an extra round of stale lookups. It
+//!    stays invalidate-only where [`AgarNode::write`] updates its own
+//!    cache: the coordinator's put runs outside every node, so no
+//!    region's cache ever held the bytes it encoded.
 //!
 //! The paper suggests Paxos for full coherence; with a single
 //! authoritative backend per object and monotonically increasing
@@ -61,7 +64,7 @@ impl WriteCoordinator {
         object: ObjectId,
         data: &[u8],
     ) -> Result<(u64, Duration), AgarError> {
-        let (version, latency) = {
+        let put = {
             let mut rng = self.rng.lock();
             // The backend put is a simulated write that draws its
             // latency sample from this RNG; holding the coordinator's
@@ -74,7 +77,7 @@ impl WriteCoordinator {
             node.invalidate_object(object);
         }
         *self.writes.lock() += 1;
-        Ok((version, latency))
+        Ok((put.version, put.latency))
     }
 
     /// Number of coordinated writes so far.

@@ -1,7 +1,8 @@
 //! The cluster-facing write hook: object-level cache occupancy events.
 //!
 //! A single [`AgarNode`](crate::AgarNode) keeps its cache coherent on
-//! its own (version validation on read, local invalidation on write).
+//! its own (version validation on read; its own write replaces the
+//! object's chunks with the configured ones of the new version).
 //! A *cluster* additionally needs to know **which members hold chunks
 //! of which objects**, so a write can invalidate exactly the caches
 //! that matter instead of broadcasting to every member (the
@@ -14,15 +15,15 @@
 //! the node then reports, off its critical path:
 //!
 //! - [`object_filled`](CacheEventSink::object_filled) — chunks of an
-//!   object entered the cache (a read's fill stage or an
-//!   a-priori reconfiguration download);
+//!   object entered the cache (a read's fill stage, an a-priori
+//!   reconfiguration download, or the node's own write leaving the
+//!   configured chunks of the new version behind);
 //! - [`object_dropped`](CacheEventSink::object_dropped) — the node
 //!   dropped every cached chunk of an object on an explicit
-//!   invalidation (a reconfiguration's purge deliberately reports no
-//!   drops: the event could arrive after a concurrent fill re-inserted
-//!   the object, deregistering a member that really holds chunks);
-//! - [`object_written`](CacheEventSink::object_written) — the node
-//!   itself wrote the object through the backend.
+//!   invalidation or on its own write of an object it keeps nothing of
+//!   (a reconfiguration's purge deliberately reports no drops: the
+//!   event could arrive after a concurrent fill re-inserted the
+//!   object, deregistering a member that really holds chunks).
 //!
 //! The receiving registry must treat its view as a **superset** of
 //! true holders: capacity evictions drop chunks silently, so an
@@ -37,8 +38,8 @@
 
 use agar_ec::ObjectId;
 
-/// Observer of a node's object-level cache occupancy and writes (see
-/// the module docs). Callbacks run on the node's calling thread and
+/// Observer of a node's object-level cache occupancy (see the module
+/// docs). Callbacks run on the node's calling thread and
 /// must not call back into the node.
 pub trait CacheEventSink: Send + Sync {
     /// At least one chunk of `object` entered this node's cache.
@@ -46,8 +47,4 @@ pub trait CacheEventSink: Send + Sync {
 
     /// This node dropped every cached chunk of `object`.
     fn object_dropped(&self, object: ObjectId);
-
-    /// This node wrote `object` through the backend (its local cache
-    /// is already invalidated when this fires).
-    fn object_written(&self, object: ObjectId, version: u64);
 }

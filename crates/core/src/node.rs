@@ -31,6 +31,38 @@
 //! Randomness is drawn from per-operation RNGs derived from the node
 //! seed and an atomic operation counter, so single-threaded runs stay
 //! bit-deterministic while concurrent readers never share an RNG lock.
+//!
+//! # Writes are write-updates
+//!
+//! [`AgarNode::write`] does not throw away what it has just encoded:
+//! after the backend acknowledges version v it drops the object's older
+//! chunks and inserts the configured ones at v (solved entries only; a
+//! carried entry is dropped, a failed put changes nothing). Updating a
+//! cache in place of invalidating it races with everything else that
+//! inserts, takes no lock of its own, and relies on four mechanisms:
+//!
+//! - a **reader that bound v−1** before the put may reach its fill
+//!   stage after the update, and `contains`-then-insert is not atomic.
+//!   The cache's insert is *version-monotone*: under the shard lock
+//!   (and in the disk log) a chunk older than the resident one is
+//!   refused, so a cached chunk's version never goes backwards;
+//! - a **reconfiguration** may swap the configuration between the
+//!   write's snapshot and its inserts. The write revalidates each
+//!   insert against the live configuration exactly as the fill stage
+//!   does (`insert_revalidated`), so no chunk stays in a tier or set
+//!   the new configuration does not name; the reconfiguration's own
+//!   re-tier and a-priori fills meet the monotone insert in turn;
+//! - **two writers** of one object are serialised by the cluster's
+//!   per-object lease (`agar-cluster`); writes that bypass it are
+//!   ordered by their versions, again through the monotone insert;
+//! - whatever slips through is a chunk of the wrong version, which the
+//!   **version check on every lookup** turns into a miss, never into a
+//!   stale byte. The lookup drops chunks older than its manifest and
+//!   leaves newer ones alone: an attempt whose snapshot predates the
+//!   write must not sweep what the write placed.
+//!
+//! The cross-region [`WriteCoordinator`](crate::coherence) stays
+//! invalidate-only: the other regions' nodes never held the new bytes.
 
 use crate::breaker::{BreakerPolicy, CircuitBreaker};
 use crate::cache_manager::CacheManager;
@@ -306,6 +338,8 @@ pub struct AgarNode {
     reconfig: Mutex<ReconfigClock>,
     reconfigurations: Counter,
     fill_fetches: Counter,
+    /// Chunks writes left behind in the cache (see [`AgarNode::write`]).
+    write_update_chunks: Counter,
     /// Chunks of the live configuration's carried entries.
     carried_chunks: Gauge,
     /// Re-plans and version-race restarts beyond each read's first
@@ -387,6 +421,7 @@ impl AgarNode {
             reconfig: Mutex::new(ReconfigClock::default()),
             reconfigurations: Counter::new(),
             fill_fetches: Counter::new(),
+            write_update_chunks: Counter::new(),
             carried_chunks: Gauge::new(),
             retries: Counter::new(),
             retry_backoff_micros: Counter::new(),
@@ -477,25 +512,72 @@ impl AgarNode {
         removed
     }
 
-    /// Writes an object through the backend and invalidates the local
-    /// cache (see `coherence` for cross-region invalidation). Under a
-    /// cluster, the installed [`CacheEventSink`] is told about the
-    /// write so the holder registry stays current even for writes
-    /// that bypass the router.
+    /// Writes an object through the backend and leaves the chunks the
+    /// configuration names behind: a **write-update** (see the module
+    /// docs). Once the backend acknowledges version v the object's
+    /// older chunks are dropped and, for an object a solve placed,
+    /// exactly `chunks_for(object)` are inserted at v into the tiers
+    /// the configuration names — out of the shards the put just
+    /// encoded ([`ObjectPut::shards`](agar_store::ObjectPut), no
+    /// backend traffic), so the next read of a hot object is the hit
+    /// it was before the write. An object the configuration does not
+    /// name, or only carries, keeps nothing; a failed put changes
+    /// nothing. Under a cluster the installed [`CacheEventSink`] is
+    /// told whether the node now holds the object, so the holder
+    /// registry stays current even for writes that bypass the router
+    /// (see `coherence` for cross-region invalidation).
     ///
     /// # Errors
     ///
     /// Propagates backend write failures.
     pub fn write(&self, object: ObjectId, data: &[u8]) -> Result<(u64, Duration), AgarError> {
         let mut rng = self.derive_rng();
-        let (version, latency) = self
+        let put = self
             .backend
             .put_object(self.region, object, data, &mut rng)?;
-        self.invalidate_object(object);
-        if let Some(sink) = self.event_sink() {
-            sink.object_written(object, version);
+        self.cache.remove_matching(|id| id.object() == object);
+        let config = Arc::clone(&self.config.read());
+        let mut placed = 0;
+        // A carried entry is what the cache still held of an object no
+        // solve names: a write removes it everywhere, as it always did.
+        if !config.is_carried(object) {
+            for &index in config.chunks_for(object) {
+                let id = ChunkId::new(object, index);
+                let tier = config.tier_for(id).unwrap_or(CacheTier::Ram);
+                let chunk = CachedChunk::new(put.shards[index as usize].clone(), put.version);
+                placed += u64::from(self.insert_revalidated(id, chunk, tier));
+            }
         }
-        Ok((version, latency))
+        self.write_update_chunks.add(placed);
+        if let Some(sink) = self.event_sink() {
+            if placed > 0 {
+                sink.object_filled(object);
+            } else {
+                sink.object_dropped(object);
+            }
+        }
+        Ok((put.version, put.latency))
+    }
+
+    /// Inserts a chunk that a configuration *snapshot* placed in `tier`
+    /// and revalidates against the live configuration: a
+    /// reconfiguration may have swapped it between the snapshot and the
+    /// insert, and its purge and re-tier may already have run, so a
+    /// chunk the live configuration does not name in that tier is swept
+    /// here (a swap after the check is followed by the
+    /// reconfiguration's own purge and re-tier). Returns whether the
+    /// chunk is in the cache because of this call — not if the cache
+    /// refused it (larger than the tier, or older than the resident
+    /// chunk) or the sweep took it.
+    fn insert_revalidated(&self, id: ChunkId, chunk: CachedChunk, tier: CacheTier) -> bool {
+        if !self.cache.insert_to_tier(id, chunk, tier) {
+            return false;
+        }
+        if self.config.read().tier_for(id) != Some(tier) {
+            self.cache.remove(&id);
+            return false;
+        }
+        true
     }
 
     /// Advances the node's notion of the simulated clock: the circuit
@@ -573,6 +655,12 @@ impl AgarNode {
             base.clone(),
             &self.fill_fetches,
         );
+        registry.register_counter(
+            "agar_write_update_chunks_total",
+            "Configured chunks this node's writes left in its cache at the new version.",
+            base.clone(),
+            &self.write_update_chunks,
+        );
         registry.register_gauge(
             "agar_config_carried_chunks",
             "Disk-tier chunks the configuration carries for objects no solve names.",
@@ -614,6 +702,27 @@ impl AgarNode {
             .peek(chunk)
             .filter(|(c, _)| c.version() == version)
             .map(|(c, tier)| (c.data().clone(), tier))
+    }
+
+    /// Every tier that holds a copy of `chunk`, with the version of
+    /// that copy (no recency update, no statistics, no disk read).
+    /// Placement keeps a chunk in one tier, so this is empty or one
+    /// entry; it exists so tests can check exactly that from outside.
+    pub fn chunk_residency(&self, chunk: &ChunkId) -> Vec<(CacheTier, u64)> {
+        let in_ram = self.cache.ram().version_of(chunk);
+        let on_disk = self.cache.disk().and_then(|disk| disk.version_of(chunk));
+        [(CacheTier::Ram, in_ram), (CacheTier::Disk, on_disk)]
+            .into_iter()
+            .filter_map(|(tier, version)| Some((tier, version?)))
+            .collect()
+    }
+
+    /// Bytes the RAM tier and the disk log hold right now (the disk
+    /// figure counts dead frames too and is 0 without a disk tier):
+    /// what [`AgarSettings::cache_capacity_bytes`] and
+    /// [`AgarSettings::disk_capacity_bytes`] bound.
+    pub fn cached_bytes(&self) -> (usize, usize) {
+        (self.cache.used_bytes(), self.cache.disk_used_bytes())
     }
 
     /// The node's settings (read-only).
@@ -990,28 +1099,6 @@ mod tests {
             obj0_chunks <= 1,
             "object 0 should have shrunk: {contents:?}"
         );
-    }
-
-    #[test]
-    fn writes_invalidate_cached_chunks() {
-        let backend = test_backend(2, 900);
-        let node = test_node(backend, 1_800);
-        let object = ObjectId::new(0);
-        for _ in 0..30 {
-            node.read(object).unwrap();
-        }
-        node.force_reconfigure();
-        node.read(object).unwrap(); // fill
-        assert!(node.cache_contents().contains_key(&object));
-
-        let payload = vec![7u8; 900];
-        let (version, _) = node.write(object, &payload).unwrap();
-        assert_eq!(version, 2);
-        assert!(!node.cache_contents().contains_key(&object));
-
-        // The next read returns the new data.
-        let metrics = node.read(object).unwrap();
-        assert_eq!(metrics.data.as_ref(), payload.as_slice());
     }
 
     #[test]
@@ -1453,6 +1540,231 @@ mod tests {
         assert!(!config.is_carried(cold) && config.chunks_for(cold).is_empty());
         assert_eq!(config.carried_chunks(), 0);
         assert_placement(&node, &backend, 2);
+    }
+
+    /// Asserts the node caches exactly `chunks_for(object)`, each at
+    /// `version`, in the tier the configuration names and no other.
+    fn assert_holds_configured(node: &AgarNode, object: ObjectId, version: u64) {
+        let config = node.current_config();
+        let mut configured = config.chunks_for(object).to_vec();
+        configured.sort_unstable();
+        let cached = node.cache_contents().remove(&object).unwrap_or_default();
+        assert_eq!(cached, configured, "{object:?}");
+        for index in configured {
+            let id = ChunkId::new(object, index);
+            let tier = config.tier_for(id).unwrap();
+            assert_eq!(node.chunk_residency(&id), [(tier, version)], "{id:?}");
+        }
+    }
+
+    /// A write is a write-update: the owner keeps the configured chunks
+    /// of the version it just encoded, in the configured tier, and the
+    /// next read is the hit it was before the write.
+    #[test]
+    fn a_write_leaves_the_configured_chunks_of_the_new_version_behind() {
+        let backend = anchored_backend(4);
+        // RAM holds nine chunks, the disk tier the rest of both objects.
+        let settings = tiered_settings(900, 4 * 9 * FRAME);
+        let node = AgarNode::new(FRANKFURT, Arc::clone(&backend), settings, 7).unwrap();
+        let (hot, warm, unread) = (ObjectId::new(0), ObjectId::new(1), ObjectId::new(2));
+        for round in 0..30 {
+            node.read(hot).unwrap();
+            if round % 3 == 0 {
+                node.read(warm).unwrap();
+            }
+        }
+        node.force_reconfigure();
+        let config = node.current_config();
+        assert_eq!((config.ram_chunks(), config.disk_chunks()), (9, 9));
+        let on_disk = |object| config.disk_chunks_for(object).len() as u64;
+        assert_eq!(on_disk(hot) + on_disk(warm), 9, "{config:?}");
+        assert_holds_configured(&node, hot, 1);
+        let fills = node.fill_fetches.get();
+        let appended = node.disk_appended_bytes();
+
+        // Same size: every chunk lands in the tier the configuration
+        // names, and only the disk-tier ones are written to the log.
+        let payload = vec![7u8; 900];
+        assert_eq!(node.write(hot, &payload).unwrap().0, 2);
+        assert_holds_configured(&node, hot, 2);
+        assert_eq!(node.write_update_chunks.get(), 9);
+        let hot_frames = on_disk(hot) * FRAME as u64;
+        assert_eq!(node.disk_appended_bytes() - appended, hot_frames);
+        let metrics = node.read(hot).unwrap();
+        assert_eq!(metrics.data.as_ref(), payload.as_slice());
+        assert_eq!((metrics.cache_hits, metrics.backend_fetches), (9, 0));
+
+        // Half the size: served byte-exact from the updated chunks,
+        // which are frames of the new chunk size.
+        let half = vec![9u8; 450];
+        assert_eq!(node.write(warm, &half).unwrap().0, 2);
+        assert_holds_configured(&node, warm, 2);
+        assert_eq!(
+            node.disk_appended_bytes() - appended - hot_frames,
+            on_disk(warm) * (50 + agar_cache::disk::HEADER_LEN) as u64
+        );
+        let metrics = node.read(warm).unwrap();
+        assert_eq!(metrics.data.as_ref(), half.as_slice());
+        assert_eq!((metrics.cache_hits, metrics.backend_fetches), (9, 0));
+
+        // An object the configuration does not name keeps nothing.
+        node.write(unread, &payload).unwrap();
+        assert!(!node.cache_contents().contains_key(&unread));
+        assert_eq!(node.write_update_chunks.get(), 18);
+        assert_eq!(node.fill_fetches.get(), fills, "a write fetched a chunk");
+        assert!(node.cache.used_bytes() <= node.cache.capacity_bytes());
+
+        // A write that fails leaves the old version cached, valid and
+        // served: the put checks its placement targets before it
+        // installs anything.
+        backend.fail_region(agar_net::presets::SAO_PAULO);
+        assert!(node.write(hot, &[1u8; 900]).is_err());
+        assert_holds_configured(&node, hot, 2);
+        assert_eq!(backend.manifest(hot).unwrap().version(), 2);
+        let metrics = node.read(hot).unwrap();
+        assert_eq!(metrics.data.as_ref(), payload.as_slice());
+        assert_eq!((metrics.cache_hits, metrics.backend_fetches), (9, 0));
+        assert_eq!(node.write_update_chunks.get(), 18);
+    }
+
+    /// A carried entry is what the cache still held of an object no
+    /// solve names: a write removes it everywhere, as it always did.
+    #[test]
+    fn a_write_to_a_carried_object_leaves_nothing_cached() {
+        let backend = anchored_backend(8);
+        let settings = tiered_settings(900, 8 * 9 * FRAME);
+        let node = AgarNode::new(FRANKFURT, Arc::clone(&backend), settings, 7).unwrap();
+        let cold = ObjectId::new(7);
+        forget(&node, cold);
+        assert!(node.current_config().is_carried(cold));
+        assert_eq!(node.cache_contents()[&cold].len(), 9);
+        let payload = vec![3u8; 900];
+        node.write(cold, &payload).unwrap();
+        assert!(!node.cache_contents().contains_key(&cold));
+        assert_eq!(node.write_update_chunks.get(), 0);
+        let metrics = node.read(cold).unwrap();
+        assert_eq!(metrics.data.as_ref(), payload.as_slice());
+        assert_eq!(metrics.cache_hits, 0);
+    }
+
+    /// The read-side twin of the monotone insert: an attempt whose
+    /// manifest snapshot predates a write finds the writer's chunks
+    /// ahead of it. They are not hits for that attempt (it loses the
+    /// version race at its first fetch and comes back), and they are
+    /// not stale either: the lookup leaves them where the write put
+    /// them.
+    #[test]
+    fn a_lookup_behind_a_write_leaves_the_newer_chunks_alone() {
+        let backend = anchored_backend(2);
+        let node = test_node(Arc::clone(&backend), 900);
+        let object = ObjectId::new(0);
+        for _ in 0..10 {
+            node.read(object).unwrap();
+        }
+        node.force_reconfigure();
+        let behind = backend.manifest(object).unwrap();
+        node.write(object, &[5u8; 900]).unwrap();
+        let config = node.current_config();
+        let planner = crate::planner::ReadPlanner::new(&behind, &config);
+        let hits = planner.lookup_local(&node.cache, true);
+        assert!(hits.ram.is_empty() && hits.disk.is_empty());
+        assert_holds_configured(&node, object, 2);
+        let metrics = node.read(object).unwrap();
+        assert_eq!((metrics.cache_hits, metrics.backend_fetches), (9, 0));
+    }
+
+    /// The direct fetcher with a writer that lands in the worst place:
+    /// the fetch of `victim` completes at the version its reader bound
+    /// and, before the reader has it back, `write` runs.
+    struct WriteBehindTheFetch {
+        inner: DirectFetcher,
+        victim: ChunkId,
+        write: Mutex<Option<Box<dyn FnOnce() + Send>>>,
+    }
+
+    impl ChunkFetcher for WriteBehindTheFetch {
+        fn fetch(
+            &self,
+            client_region: RegionId,
+            requests: &[crate::fetcher::FetchRequest],
+            rng: &mut dyn rand::RngCore,
+        ) -> Vec<(
+            crate::fetcher::FetchRequest,
+            Result<agar_store::ChunkFetch, agar_store::StoreError>,
+        )> {
+            let results = self.inner.fetch(client_region, requests, rng);
+            if requests.iter().any(|request| request.chunk == self.victim) {
+                if let Some(write) = self.write.lock().take() {
+                    write();
+                }
+            }
+            results
+        }
+    }
+
+    /// Hazard: a reader that bound version 1 reaches its fill stage,
+    /// finds a configured chunk missing, and fetches it; the object is
+    /// rewritten (and the writer's chunks of version 2 placed) between
+    /// the fill's `contains` check and its insert. The cache must
+    /// refuse the reader's version-1 chunk.
+    #[test]
+    fn a_fill_of_the_bound_version_never_overwrites_a_later_writes_chunk() {
+        let backend = test_backend(1, 900);
+        // Room for 5 of the 9 chunks a read needs.
+        let node = Arc::new(test_node(Arc::clone(&backend), 500));
+        let object = ObjectId::new(0);
+        for _ in 0..10 {
+            node.read(object).unwrap();
+        }
+        node.force_reconfigure();
+        let configured = node.current_config().chunks_for(object).to_vec();
+        assert_eq!(configured.len(), 5);
+        // One configured chunk goes missing, and every unconfigured one
+        // is on offer from a neighbour at 1 ms: the read binds 4 hits
+        // and 5 offers, so the missing chunk is not on its fetch path
+        // and is left to the fill.
+        let victim = ChunkId::new(object, configured[0]);
+        node.cache.remove(&victim);
+        let mut rng = StdRng::seed_from_u64(5);
+        let offers: Vec<crate::planner::RemoteChunk> = (0..12u8)
+            .filter(|index| !configured.contains(index))
+            .map(|index| crate::planner::RemoteChunk {
+                index,
+                data: backend
+                    .fetch_chunk(FRANKFURT, ChunkId::new(object, index), &mut rng)
+                    .unwrap()
+                    .data,
+                latency: Duration::from_millis(1),
+                version: 1,
+            })
+            .collect();
+        let payload = vec![8u8; 900];
+        let writer = {
+            let (node, payload) = (Arc::clone(&node), payload.clone());
+            move || assert_eq!(node.write(object, &payload).unwrap().0, 2)
+        };
+        node.set_chunk_fetcher(Arc::new(WriteBehindTheFetch {
+            inner: DirectFetcher::new(Arc::clone(&backend)),
+            victim,
+            write: Mutex::new(Some(Box::new(writer))),
+        }));
+
+        let racing = node.read_with_offers(object, &offers).unwrap();
+        assert_eq!(racing.data.as_ref(), expected_payload(0, 900).as_slice());
+        assert_eq!((racing.cache_hits, racing.remote_hits), (4, 5));
+        assert_eq!((racing.backend_fetches, racing.fill_fetches), (0, 1));
+        assert_eq!(backend.manifest(object).unwrap().version(), 2);
+
+        // The cache holds version 2 of every configured chunk, the one
+        // the reader tried to fill with version 1 included, and the
+        // next read is a full configured hit at version 2.
+        assert_holds_configured(&node, object, 2);
+        assert_eq!(node.cache_stats().rejected_inserts(), 1);
+        let fills = node.fill_fetches.get();
+        let next = node.read(object).unwrap();
+        assert_eq!(next.data.as_ref(), payload.as_slice());
+        assert_eq!((next.cache_hits, next.backend_fetches), (5, 4));
+        assert_eq!(node.fill_fetches.get(), fills);
     }
 
     /// The configuration must not become the leak the monitor's prune

@@ -193,9 +193,13 @@ impl<'a> ReadPlanner<'a> {
     }
 
     /// The lookup stage of a read: looks the hinted chunks up in the local
-    /// tiered cache, version-checked (stale chunks are dropped — from
-    /// **both** tiers, write-path coherence), and returns the hits
-    /// split by serving tier. Each RAM lookup locks only the chunk's
+    /// tiered cache, version-checked, and returns the hits split by
+    /// serving tier. A chunk *older* than the manifest is stale and is
+    /// dropped — from **both** tiers, write-path coherence. A chunk
+    /// *newer* than the manifest is no hit either, but it is the
+    /// manifest snapshot that is behind (a write completed after this
+    /// attempt took it, and left its chunks here): the chunk stays, and
+    /// the attempt will lose the version race at its first fetch. Each RAM lookup locks only the chunk's
     /// cache shard; a disk hit is one verified frame read and leaves
     /// the chunk where the configuration put it.
     ///
@@ -220,10 +224,10 @@ impl<'a> ReadPlanner<'a> {
                     CacheTier::Ram => have.ram.push((index, chunk.data().clone())),
                     CacheTier::Disk => have.disk.push((index, chunk.data().clone())),
                 },
-                Some(_) => {
+                Some((chunk, _)) if chunk.version() < version => {
                     cache.remove(&id);
                 }
-                None => {}
+                _ => {}
             }
         }
         have

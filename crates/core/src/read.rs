@@ -332,10 +332,12 @@ impl AgarNode {
     /// the critical path (the paper uses a separate thread pool), and
     /// returns how many chunks it fetched for that. Each chunk is
     /// checked against the *live* configuration before the insert and
-    /// revalidated after it, so a fill racing a reconfiguration cannot
-    /// leave behind chunks the new configuration purged or placed in
-    /// the other tier (a swap after the insert is followed by the
-    /// reconfiguration's own purge and re-tier).
+    /// revalidated after it ([`AgarNode::insert_revalidated`]), so a
+    /// fill racing a reconfiguration cannot leave behind chunks the new
+    /// configuration purged or placed in the other tier. The
+    /// `contains`-then-insert below is not atomic either: a write may
+    /// land its chunks of the next version in between, and the cache
+    /// then refuses this attempt's older one.
     fn fill(
         &self,
         fetcher: &dyn ChunkFetcher,
@@ -361,13 +363,7 @@ impl AgarNode {
             let Some(payload) = payload else { continue };
             let tier = live_config.tier_for(id).unwrap_or(CacheTier::Ram);
             let chunk = CachedChunk::new(payload, manifest.version());
-            filled_any |= self.cache.insert_to_tier(id, chunk, tier);
-            if self.config.read().tier_for(id) != Some(tier) {
-                // A reconfiguration swapped the config between the
-                // pre-check and the insert; its purge and re-tier may
-                // already have run, so sweep the chunk ourselves.
-                self.cache.remove(&id);
-            }
+            filled_any |= self.insert_revalidated(id, chunk, tier);
         }
         self.fill_fetches.add(fill_fetches);
         if filled_any {

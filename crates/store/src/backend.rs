@@ -27,6 +27,24 @@ pub struct ChunkFetch {
     pub latency: Duration,
 }
 
+/// Result of an acknowledged [`Backend::put_object`].
+#[derive(Clone, Debug)]
+pub struct ObjectPut {
+    /// The version the write created.
+    pub version: u64,
+    /// Simulated write latency: the slowest of the parallel chunk
+    /// writes.
+    pub latency: Duration,
+    /// The `k + m` shards the write encoded and stored, by chunk index
+    /// — what the writer's cache keeps of the version it just made
+    /// instead of fetching it back. The data shards are slices of the
+    /// encoder's one `k × chunk` buffer (the parity shards of its
+    /// `m × chunk` one), which this in-process backend's buckets keep
+    /// alive anyway, so holding some of them costs no extra memory; a
+    /// networked backend would hand back copies.
+    pub shards: Vec<Bytes>,
+}
+
 /// Result of a region-batched multi-chunk fetch
 /// ([`Backend::fetch_chunks`]).
 #[derive(Clone, Debug)]
@@ -124,7 +142,8 @@ impl Backend {
             })
     }
 
-    /// Encodes and stores an object, creating or bumping its manifest.
+    /// Encodes and stores an object, creating or bumping its manifest,
+    /// and hands back what it stored (see [`ObjectPut`]).
     ///
     /// The write latency is the maximum over the sampled per-chunk write
     /// latencies (chunks are written in parallel from `writer_region`).
@@ -140,7 +159,7 @@ impl Backend {
         object: ObjectId,
         data: &[u8],
         rng: &mut dyn RngCore,
-    ) -> Result<(u64, Duration), StoreError> {
+    ) -> Result<ObjectPut, StoreError> {
         let shards = self.codec.encode_object(data)?;
         let total = self.params.total_chunks();
         let locations = self.placement.place(object, total, self.topology.len());
@@ -181,7 +200,11 @@ impl Backend {
             let latency = self.latency.sample(writer_region, region, shard.len(), rng);
             worst = worst.max(latency);
         }
-        Ok((version, worst))
+        Ok(ObjectPut {
+            version,
+            latency: worst,
+            shards,
+        })
     }
 
     /// Simulates a writer process dying mid-[`Backend::put_object`]:
@@ -491,7 +514,7 @@ mod tests {
     fn put_creates_manifest_and_chunks() {
         let backend = test_backend(3);
         let mut rng = StdRng::seed_from_u64(0);
-        let (version, latency) = backend
+        let put = backend
             .put_object(
                 RegionId::new(0),
                 ObjectId::new(1),
@@ -499,8 +522,15 @@ mod tests {
                 &mut rng,
             )
             .unwrap();
-        assert_eq!(version, 1);
-        assert_eq!(latency, Duration::from_millis(10));
+        assert_eq!(put.version, 1);
+        assert_eq!(put.latency, Duration::from_millis(10));
+        // The shards handed back are the stored ones, by chunk index.
+        assert_eq!(put.shards.len(), 6);
+        for (index, shard) in put.shards.iter().enumerate() {
+            let id = ChunkId::new(ObjectId::new(1), index as u8);
+            let stored = backend.fetch_chunk(RegionId::new(0), id, &mut rng).unwrap();
+            assert_eq!((&stored.data, stored.version), (shard, 1));
+        }
         let manifest = backend.manifest(ObjectId::new(1)).unwrap();
         assert_eq!(manifest.size(), 8);
         assert_eq!(manifest.chunk_size(), 2);
@@ -517,9 +547,10 @@ mod tests {
         backend
             .put_object(RegionId::new(0), id, &[1; 8], &mut rng)
             .unwrap();
-        let (v2, _) = backend
+        let v2 = backend
             .put_object(RegionId::new(0), id, &[2; 8], &mut rng)
-            .unwrap();
+            .unwrap()
+            .version;
         assert_eq!(v2, 2);
         assert_eq!(backend.manifest(id).unwrap().version(), 2);
         // Chunks carry the new version.
@@ -544,9 +575,10 @@ mod tests {
         assert_eq!(backend.manifest(id).unwrap().size(), 16);
         for &size in &[6usize, 23, 16] {
             let payload = vec![9u8; size];
-            let (version, _) = backend
+            let version = backend
                 .put_object(RegionId::new(0), id, &payload, &mut rng)
-                .unwrap();
+                .unwrap()
+                .version;
             let manifest = backend.manifest(id).unwrap();
             assert_eq!(manifest.version(), version);
             assert_eq!(manifest.size(), size, "manifest kept a stale size");

@@ -235,7 +235,8 @@ impl StorageClient {
         object: ObjectId,
         data: &[u8],
     ) -> Result<(u64, Duration), StoreError> {
-        backend.put_object(self.region, object, data, &mut self.rng)
+        let put = backend.put_object(self.region, object, data, &mut self.rng)?;
+        Ok((put.version, put.latency))
     }
 }
 

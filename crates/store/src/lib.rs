@@ -50,7 +50,7 @@ pub mod error;
 pub mod manifest;
 pub mod placement;
 
-pub use backend::{expected_payload, populate, Backend, BatchFetchOutcome, ChunkFetch};
+pub use backend::{expected_payload, populate, Backend, BatchFetchOutcome, ChunkFetch, ObjectPut};
 pub use bucket::{Bucket, StoredChunk};
 pub use client::{
     plan_backend_fetch, plan_backend_fetch_with_estimates, regions_by_latency, ChunkCandidate,

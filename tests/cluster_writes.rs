@@ -8,7 +8,7 @@
 //! parallel; and a membership change mid-write neither deadlocks nor
 //! leaks a lease.
 
-use agar::{AgarError, AgarNode, AgarSettings};
+use agar::{AgarError, AgarNode, AgarSettings, CachingClient};
 use agar_cluster::{ClusterRouter, ClusterSettings};
 use agar_ec::{CodingParams, ObjectId};
 use agar_net::presets::{aws_six_regions, FRANKFURT};
@@ -63,6 +63,23 @@ fn tiered_node(backend: &Arc<Backend>, seed: u64) -> Arc<AgarNode> {
     settings.disk_read = Duration::from_millis(45);
     settings.disk_write = Duration::from_millis(60);
     Arc::new(AgarNode::new(FRANKFURT, Arc::clone(backend), settings, seed).unwrap())
+}
+
+/// Registry ⊇ holders, checked at quiescence: every member whose cache
+/// names an object is registered as holding it, so the next write's
+/// targeted invalidation (or a fence) reaches it. The owner's write
+/// leaves chunks behind, so this includes the writer itself.
+fn assert_registry_covers_holders(router: &ClusterRouter) {
+    for id in router.member_ids() {
+        let member = router.member(id).unwrap();
+        for object in member.cache_contents().into_keys() {
+            let registered = router.lease_manager().holders_of(object);
+            assert!(
+                registered.contains(&id),
+                "member {id} holds {object:?} but the registry names {registered:?}"
+            );
+        }
+    }
 }
 
 /// Concurrent readers racing a stream of writes must always decode a
@@ -137,6 +154,14 @@ fn concurrent_readers_never_decode_mixed_versions() {
         last.metrics().data.as_ref(),
         vec![0x10 + 14; SIZE].as_slice()
     );
+    // The owner kept the chunks of its last write and is registered.
+    let owner = router.ring().owner_of_object(object).unwrap();
+    assert!(router
+        .member(owner)
+        .unwrap()
+        .cache_contents()
+        .contains_key(&object));
+    assert_registry_covers_holders(&router);
 }
 
 /// Same-object writers serialise on the lease: a write issued while
@@ -190,6 +215,7 @@ fn same_object_writes_serialise_while_distinct_objects_proceed() {
     assert_eq!(router.lease_manager().active_leases(), 0, "leaked lease");
     let stats = router.cache_stats();
     assert!(stats.lease_contentions() >= 1);
+    assert_registry_covers_holders(&router);
 }
 
 /// Membership changes must not stall behind a blocked write (the old
@@ -214,8 +240,10 @@ fn membership_changes_proceed_and_leases_survive_mid_write() {
     // ...and membership changes still complete promptly.
     let start = Instant::now();
     let change = router.add_node(node(&backend, 99));
+    assert_registry_covers_holders(&router);
     let removal = router.remove_node(change.node).unwrap();
     assert_eq!(removal.node, change.node);
+    assert_registry_covers_holders(&router);
     assert!(
         start.elapsed() < Duration::from_secs(5),
         "membership change stalled behind a blocked write"
@@ -232,6 +260,7 @@ fn membership_changes_proceed_and_leases_survive_mid_write() {
             expected_payload(i, SIZE).as_slice()
         );
     }
+    assert_registry_covers_holders(&router);
 }
 
 /// Distinct-object writers hammering the cluster in parallel never
@@ -268,6 +297,7 @@ fn distinct_object_writers_proceed_in_parallel() {
     assert_eq!(stats.lease_grants(), (writers * rounds) as u64);
     assert_eq!(stats.lease_contentions(), 0);
     assert_eq!(router.lease_manager().active_leases(), 0);
+    assert_registry_covers_holders(&router);
 }
 
 /// The mixed-version invariant must hold when members cache through a
@@ -356,12 +386,10 @@ fn tiered_members_never_serve_stale_disk_chunks() {
             );
         }
     }
-    let disk_hits: u64 = {
-        use agar::CachingClient;
-        members.iter().map(|m| m.cache_stats().disk_hits()).sum()
-    };
+    let disk_hits: u64 = members.iter().map(|m| m.cache_stats().disk_hits()).sum();
     assert!(disk_hits > 0, "the disk tier never served a chunk");
     assert_eq!(router.lease_manager().active_leases(), 0, "leaked lease");
+    assert_registry_covers_holders(&router);
 }
 
 /// An owner that crashes mid-write — manifest landed, chunk set torn,
@@ -453,6 +481,8 @@ fn owner_crash_mid_write_race_fences_holders_and_repairs() {
         let read = router.read(object).unwrap();
         assert_eq!(read.metrics().data.as_ref(), [0xCD; SIZE].as_slice());
     }
+    // The survivors' registry covers what the fenced repair left behind.
+    assert_registry_covers_holders(&router);
 }
 
 /// A removed member is fully detached: it drops its cached chunks of
@@ -461,7 +491,6 @@ fn owner_crash_mid_write_race_fences_holders_and_repairs() {
 /// check (the original `remove_node` left both wired up).
 #[test]
 fn removed_members_are_detached_and_rejoin_cleanly() {
-    use agar::CachingClient;
     let backend = backend(12);
     let router = cluster(&backend, 2);
     // Warm everything so every member holds chunks of its segment.
@@ -493,7 +522,9 @@ fn removed_members_are_detached_and_rejoin_cleanly() {
     );
 
     // Remove it: the re-homed objects leave its cache.
+    assert_registry_covers_holders(&router);
     let removal = router.remove_node(change.node).unwrap();
+    assert_registry_covers_holders(&router);
     let contents = joined.cache_contents();
     for object in &removal.moved_objects {
         assert!(
@@ -510,6 +541,7 @@ fn removed_members_are_detached_and_rejoin_cleanly() {
     // Re-join: reads through the router stay correct, and a write to a
     // re-homed object invalidates wherever it landed.
     let rejoin = router.add_node(Arc::clone(&joined));
+    assert_registry_covers_holders(&router);
     let target = rejoin
         .moved_objects
         .first()
@@ -527,6 +559,7 @@ fn removed_members_are_detached_and_rejoin_cleanly() {
         let metrics = router.read(object).unwrap();
         assert_eq!(metrics.metrics().data.as_ref(), expected.as_slice());
     }
+    assert_registry_covers_holders(&router);
 }
 
 /// Dropping a router frees its members: the lease manager owns the
@@ -548,6 +581,7 @@ fn dropping_a_tiered_router_removes_its_disk_directories() {
         router.force_reconfigure_all();
     }
     router.write(ObjectId::new(0), &[7; SIZE]).unwrap();
+    assert_registry_covers_holders(&router);
     // Each member's knapsack put its long tail on disk, so each store
     // has segment files; their parent is the store's directory.
     let dirs: Vec<std::path::PathBuf> = ids

@@ -116,6 +116,7 @@ const NODE_SERIES: &[(&str, &str)] = &[
     ("agar_retry_backoff_micros_total", ""),
     ("agar_tier_demotions_total", ""),
     ("agar_tier_promotions_total", ""),
+    ("agar_write_update_chunks_total", ""),
 ];
 
 /// [`NODE_SERIES`] under the base labels `base` (which must sort
