@@ -9,7 +9,7 @@ impl Coordinator {
         stats.bump(leases.len());
     }
 
-    fn demote(&self) {
+    fn release(&self) {
         let stats = self.stats.lock();
         let leases = self.leases.lock();
         stats.bump(leases.len());

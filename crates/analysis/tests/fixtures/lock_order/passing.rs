@@ -8,7 +8,7 @@ impl Coordinator {
         stats.bump(leases.len());
     }
 
-    fn demote(&self) {
+    fn release(&self) {
         let leases = self.leases.lock();
         let stats = self.stats.lock();
         stats.drop_one(leases.len());

@@ -2,7 +2,9 @@
 //! (§II-C and §V), one function per artefact.
 //!
 //! Absolute milliseconds depend on the calibrated latency matrix
-//! (DESIGN.md §1); what these experiments are expected to reproduce is
+//! (`agar_net::presets`) and on where the solver departs from the
+//! paper's pseudocode (README, "Deviations from the paper's
+//! pseudocode"); what these experiments are expected to reproduce is
 //! the paper's *shapes*: who wins, by roughly what factor, and where the
 //! crossovers fall. EXPERIMENTS.md records paper-vs-measured values.
 

@@ -265,11 +265,6 @@ where
         self.capacity
     }
 
-    /// Bytes still available.
-    pub fn available_bytes(&self) -> usize {
-        self.capacity - self.used
-    }
-
     /// Iterates over cached keys in arbitrary order.
     pub fn keys(&self) -> impl Iterator<Item = &K> {
         self.entries.keys()
@@ -302,11 +297,6 @@ where
         &mut self.stats
     }
 
-    /// Resets the statistics counters to zero, returning the old values.
-    pub fn take_stats(&mut self) -> CacheStats {
-        std::mem::take(&mut self.stats)
-    }
-
     /// Borrows the eviction policy (diagnostics).
     pub fn policy(&self) -> &P {
         &self.policy
@@ -330,7 +320,6 @@ mod tests {
         assert_eq!(cache.get(&"k").map(Weigh::weight), Some(10));
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.used_bytes(), 10);
-        assert_eq!(cache.available_bytes(), 90);
         assert_eq!(cache.stats().chunk_hits(), 1);
     }
 
@@ -397,7 +386,7 @@ mod tests {
     fn exact_fit_accepted() {
         let mut cache = Cache::with_capacity(5, Lru::new());
         assert!(cache.insert("k", bytes(5)).was_stored());
-        assert_eq!(cache.available_bytes(), 0);
+        assert_eq!(cache.used_bytes(), cache.capacity_bytes());
     }
 
     #[test]
@@ -468,16 +457,6 @@ mod tests {
         // 1 was not refreshed by peek, so it is still the LRU victim.
         let out = cache.insert(3, bytes(10));
         assert_eq!(out.evicted()[0].0, 1);
-    }
-
-    #[test]
-    fn take_stats_resets() {
-        let mut cache = Cache::with_capacity(20, Lru::new());
-        cache.insert(1u32, bytes(10));
-        cache.get(&1);
-        let taken = cache.take_stats();
-        assert_eq!(taken.chunk_hits(), 1);
-        assert_eq!(cache.stats().chunk_hits(), 0);
     }
 
     #[test]

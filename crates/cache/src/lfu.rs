@@ -51,11 +51,6 @@ impl<K: Eq + Hash + Clone> Lfu<K> {
     pub fn frequency(&self, key: &K) -> u64 {
         self.by_key.get(key).map_or(0, |&(f, _)| f)
     }
-
-    /// The current coldest key, if any (does not remove it).
-    pub fn peek_lfu(&self) -> Option<&K> {
-        self.by_rank.values().next()
-    }
 }
 
 impl<K: Eq + Hash + Clone + Debug> EvictionPolicy<K> for Lfu<K> {
@@ -123,7 +118,7 @@ mod tests {
             lfu.on_insert(&k);
         }
         // All frequency 1; 1 is stalest.
-        assert_eq!(lfu.peek_lfu(), Some(&1));
+        assert_eq!(lfu.clone().evict_candidate(), Some(1));
         lfu.on_access(&1); // bump 1 to freq 2 AND most recent
         assert_eq!(lfu.evict_candidate(), Some(2));
     }

@@ -37,16 +37,6 @@ impl<K: Eq + Hash + Clone> Lru<K> {
         self.by_seq.insert(seq, key.clone());
         self.by_key.insert(key.clone(), seq);
     }
-
-    /// The current least recently used key, if any (does not remove it).
-    pub fn peek_lru(&self) -> Option<&K> {
-        self.by_seq.values().next()
-    }
-
-    /// Keys from least to most recently used (test/diagnostic helper).
-    pub fn iter_lru_order(&self) -> impl Iterator<Item = &K> {
-        self.by_seq.values()
-    }
 }
 
 impl<K: Eq + Hash + Clone + Debug> EvictionPolicy<K> for Lru<K> {
@@ -133,17 +123,5 @@ mod tests {
         // Removing an unknown key is a no-op.
         lru.on_remove(&99);
         assert_eq!(lru.tracked(), 0);
-    }
-
-    #[test]
-    fn peek_and_order_iteration() {
-        let mut lru = Lru::new();
-        for k in [10u32, 20, 30] {
-            lru.on_insert(&k);
-        }
-        lru.on_access(&10);
-        assert_eq!(lru.peek_lru(), Some(&20));
-        let order: Vec<u32> = lru.iter_lru_order().copied().collect();
-        assert_eq!(order, vec![20, 30, 10]);
     }
 }

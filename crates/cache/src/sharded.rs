@@ -78,11 +78,6 @@ impl ShardedChunkCache {
         }
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     fn shard_index(&self, key: &ChunkId) -> usize {
         // Deterministic multiply-xor mix of (object id, chunk index);
         // `HashMap`'s default hasher is randomly keyed per process, which
@@ -132,34 +127,19 @@ impl ShardedChunkCache {
     }
 
     /// Inserts a chunk, evicting across shards until the global byte
-    /// budget fits. Returns whether the chunk was stored: an entry
-    /// larger than the whole cache is rejected, and so is one *older*
-    /// than the resident entry of its key — checked under the shard
-    /// lock, so a cached chunk's version never goes backwards whatever
-    /// order racing inserters arrive in (a reader filling the version
-    /// it bound cannot overwrite what a later write left behind).
+    /// budget fits (victims are dropped and counted in `evictions`).
+    /// Returns whether the chunk was stored: an entry larger than the
+    /// whole cache is rejected, and so is one *older* than the resident
+    /// entry of its key — checked under the shard lock, so a cached
+    /// chunk's version never goes backwards whatever order racing
+    /// inserters arrive in (a reader filling the version it bound cannot
+    /// overwrite what a later write left behind).
     pub fn insert(&self, key: ChunkId, value: CachedChunk) -> bool {
-        self.insert_collect(key, value).is_some()
-    }
-
-    /// Like [`ShardedChunkCache::insert`], but returns the eviction
-    /// victims (policy victims in the target shard plus global-capacity
-    /// victims across shards) so a tiered front can demote them instead
-    /// of dropping them. `None` means the insert was rejected.
-    ///
-    /// The common no-eviction path returns an empty vector, which does
-    /// not allocate.
-    pub fn insert_collect(
-        &self,
-        key: ChunkId,
-        value: CachedChunk,
-    ) -> Option<Vec<(ChunkId, CachedChunk)>> {
         let weight = value.weight();
         if weight > self.capacity {
             self.stats.rejected_inserts.inc();
-            return None;
+            return false;
         }
-        let mut victims = Vec::new();
         // `used` is adjusted while the shard lock is still held: an
         // entry's weight is always added before any concurrent
         // remove/evict of that entry can subtract it, so the counter
@@ -169,59 +149,43 @@ impl ShardedChunkCache {
             let resident = shard.peek(&key).map(CachedChunk::version);
             if resident.is_some_and(|resident| resident > value.version()) {
                 self.stats.rejected_inserts.inc();
-                return None;
+                return false;
             }
-            let outcome = shard.insert(key, value);
-            let mut freed = 0usize;
-            match outcome {
-                InsertOutcome::Inserted { evicted } => {
-                    for (victim_key, victim) in evicted {
-                        freed += victim.weight();
-                        self.stats.evictions.inc();
-                        victims.push((victim_key, victim));
-                    }
-                }
-                InsertOutcome::Replaced { previous, evicted } => {
-                    freed += previous.weight();
-                    for (victim_key, victim) in evicted {
-                        freed += victim.weight();
-                        self.stats.evictions.inc();
-                        victims.push((victim_key, victim));
-                    }
-                }
+            let (replaced, evicted) = match shard.insert(key, value) {
+                InsertOutcome::Inserted { evicted } => (0, evicted),
+                InsertOutcome::Replaced { previous, evicted } => (previous.weight(), evicted),
                 InsertOutcome::Rejected { .. } => {
                     self.stats.rejected_inserts.inc();
-                    return None;
+                    return false;
                 }
-            }
+            };
+            self.stats.evictions.add(evicted.len() as u64);
+            let freed = replaced + evicted.iter().map(|(_, v)| v.weight()).sum::<usize>();
             self.stats.insertions.inc();
             self.used.fetch_add(weight, Ordering::AcqRel);
             if freed > 0 {
                 self.used.fetch_sub(freed, Ordering::AcqRel);
             }
         }
-        self.evict_to_capacity(&mut victims);
-        Some(victims)
+        self.evict_to_capacity();
+        true
     }
 
     /// Evicts per-shard policy victims, visiting shards round-robin,
     /// until the global byte budget fits (approximate global eviction
     /// order, exact global capacity). Holds at most one shard lock at a
     /// time, so it can never deadlock against concurrent lookups.
-    /// Victims are appended to `victims` for the caller to demote or
-    /// drop.
-    fn evict_to_capacity(&self, victims: &mut Vec<(ChunkId, CachedChunk)>) {
+    fn evict_to_capacity(&self) {
         let n = self.shards.len();
         while self.used.load(Ordering::Acquire) > self.capacity {
             let start = self.evict_cursor.fetch_add(1, Ordering::Relaxed);
             let mut evicted_one = false;
             for offset in 0..n {
                 let mut shard = self.shards[(start + offset) % n].lock();
-                if let Some((key, entry)) = shard.evict_one() {
+                if let Some((_, entry)) = shard.evict_one() {
                     // Subtract under the shard lock (see `insert`).
                     self.used.fetch_sub(entry.weight(), Ordering::AcqRel);
                     self.stats.evictions.inc();
-                    victims.push((key, entry));
                     evicted_one = true;
                     break;
                 }
@@ -390,7 +354,7 @@ mod tests {
         assert!(cache.insert(id(0, 0), chunk(100, 2)));
         // Older: refused, reported as not stored, counted, nothing moved.
         assert!(!cache.insert(id(0, 0), chunk(400, 1)));
-        assert_eq!(cache.insert_collect(id(0, 0), chunk(400, 1)), None);
+        assert!(!cache.insert(id(0, 0), chunk(400, 1)));
         assert_eq!(cache.peek(&id(0, 0)).unwrap().version(), 2);
         assert_eq!((cache.used_bytes(), cache.len()), (100, 1));
         assert_eq!(cache.stats().rejected_inserts(), 2);
@@ -528,23 +492,6 @@ mod tests {
         // And the cache still works afterwards.
         assert!(cache.insert(id(7, 7), chunk(10, 1)));
         assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn insert_collect_surfaces_eviction_victims() {
-        let cache = ShardedChunkCache::new(500, PolicyKind::Lru, 8);
-        let keys = same_shard_keys(&cache, 6);
-        for &key in &keys[..5] {
-            assert_eq!(cache.insert_collect(key, chunk(100, 1)), Some(Vec::new()));
-        }
-        // The sixth 100 B insert into a full 500 B cache evicts exactly
-        // one victim — the LRU entry — and hands it back.
-        let victims = cache.insert_collect(keys[5], chunk(100, 1)).unwrap();
-        assert_eq!(victims.len(), 1);
-        assert_eq!(victims[0].0, keys[0]);
-        assert_eq!(victims[0].1.weight(), 100);
-        // Rejected inserts return None, not an empty victim list.
-        assert_eq!(cache.insert_collect(id(99, 0), chunk(501, 1)), None);
     }
 
     #[test]

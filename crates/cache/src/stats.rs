@@ -206,9 +206,9 @@ counter_table! {
         hedges_cancelled: "agar_hedge_cancelled_total" []
             "Straggler responses discarded after k arrivals.";
         tier_promotions: "agar_tier_promotions_total" []
-            "Chunks a reconfiguration moved disk → RAM.";
+            "Chunks a placement moved disk → RAM (a reconfiguration's configured moves).";
         tier_demotions: "agar_tier_demotions_total" []
-            "Chunks written RAM → disk: configured moves and spilled eviction victims.";
+            "Chunks a placement moved RAM → disk (a reconfiguration's configured moves).";
     }
     report_only {
         coalesced_fetches: "agar_fetch_coalesced_total" []

@@ -20,7 +20,7 @@
 //!   tests and relied on by [`ClusterRouter`](crate::ClusterRouter)'s
 //!   rebalance).
 
-use agar_ec::{ChunkId, ObjectId};
+use agar_ec::ObjectId;
 
 /// Default virtual nodes per member: enough to keep the ownership
 /// split within a few percent of uniform for single-digit clusters
@@ -137,21 +137,6 @@ impl ClusterRing {
     /// The member owning an object (reads of the object route here).
     pub fn owner_of_object(&self, object: ObjectId) -> Option<u64> {
         self.owner_of(object.index())
-    }
-
-    /// The member owning an individual chunk. Chunks of one object
-    /// spread over the ring independently — the hook for
-    /// chunk-granular placement policies (whole-object reads route by
-    /// [`ClusterRing::owner_of_object`]; nothing else consumes this
-    /// yet).
-    pub fn owner_of_chunk(&self, chunk: ChunkId) -> Option<u64> {
-        self.owner_of(
-            chunk
-                .object()
-                .index()
-                .wrapping_mul(0xA24B_AED4_963E_E407)
-                .wrapping_add(u64::from(chunk.index().value())),
-        )
     }
 
     /// The first `n` *distinct* members encountered walking the ring
@@ -292,16 +277,6 @@ mod tests {
         let object = ObjectId::new(17);
         let full = ring.preference_of_object(object, 5);
         assert_eq!(ring.preference_of_object(object, 2), full[..2].to_vec());
-    }
-
-    #[test]
-    fn chunk_ownership_spreads_within_an_object() {
-        let ring = ring_of(2, &[0, 1, 2, 3]);
-        let object = ObjectId::new(1);
-        let owners: std::collections::BTreeSet<u64> = (0..12u8)
-            .map(|i| ring.owner_of_chunk(ChunkId::new(object, i)).unwrap())
-            .collect();
-        assert!(owners.len() > 1, "chunks of one object all co-located");
     }
 
     #[test]

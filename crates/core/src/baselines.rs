@@ -13,7 +13,7 @@
 
 use crate::error::AgarError;
 use crate::monitor::RequestMonitor;
-use crate::node::{CachingClient, ReadMetrics};
+use crate::node::{CachingClient, ReadMetrics, RECONFIGURATION_PERIOD};
 use crate::options::generate_options;
 use agar_cache::{chunk_cache, CacheStats, CachedChunk, ChunkCache, PolicyKind};
 use agar_ec::{ChunkId, ObjectId};
@@ -73,7 +73,6 @@ pub struct FixedChunksClient {
     chunks_per_object: usize,
     cache_read: Duration,
     client_overhead: Duration,
-    reconfiguration_period: Duration,
     capacity_bytes: usize,
     inner: Mutex<BaselineInner>,
 }
@@ -125,7 +124,6 @@ impl FixedChunksClient {
             chunks_per_object,
             cache_read,
             client_overhead,
-            reconfiguration_period: Duration::from_secs(30),
             capacity_bytes,
             inner: Mutex::new(BaselineInner {
                 cache: chunk_cache(capacity_bytes, cache_policy),
@@ -136,13 +134,6 @@ impl FixedChunksClient {
                 estimates,
             }),
         })
-    }
-
-    /// Overrides the LFU reconfiguration period (default 30 s).
-    #[must_use]
-    pub fn with_period(mut self, period: Duration) -> Self {
-        self.reconfiguration_period = period;
-        self
     }
 
     /// The fixed number of chunks cached per object.
@@ -333,7 +324,7 @@ impl CachingClient for FixedChunksClient {
                 false
             }
             Some(last) => {
-                if now.saturating_duration_since(last) >= self.reconfiguration_period {
+                if now.saturating_duration_since(last) >= RECONFIGURATION_PERIOD {
                     self.reconfigure_lfu(inner);
                     inner.last_reconfiguration = Some(now);
                     true

@@ -24,7 +24,8 @@ use std::time::Duration;
 /// Weights are counted in chunks: the paper's catalogue is homogeneous
 /// (300 × 1 MB objects), so capacity in bytes divides evenly by the
 /// chunk size of the first known object. Heterogeneous object sizes
-/// would need byte-granular weights; see DESIGN.md.
+/// would need byte-granular weights (README, "Deviations from the
+/// paper's pseudocode").
 #[derive(Clone, Debug)]
 pub struct CacheManager {
     capacity_bytes: usize,

@@ -25,27 +25,57 @@ use agar_ec::{ChunkId, ObjectId};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap};
 
+/// One object's configured chunks: the RAM-tier ones first, the
+/// disk-tier ones from `split` on.
+#[derive(Clone, Debug, Default)]
+struct Entry {
+    chunks: Vec<u8>,
+    split: usize,
+    /// For a carried entry, the epoch of the last solve that named the
+    /// object; `None` for a solved one.
+    carried: Option<u64>,
+}
+
 /// The per-object chunk sets the cache should hold until the next
-/// reconfiguration.
+/// reconfiguration, and the tier of each chunk.
 ///
-/// `per_object` is the **union** across tiers — [`Self::chunks_for`] and
-/// [`Self::contains`] answer "should this chunk be cached at all?",
-/// which is what fill hints and purge predicates want regardless of
-/// tier. The disk-tier subset (solved and carried) is tracked
-/// separately so [`Self::tier_for`] can route each fill to its planned
-/// tier.
+/// [`Self::chunks_for`] and [`Self::contains`] answer "should this chunk
+/// be cached at all?", which is what fill hints want regardless of
+/// tier; [`Self::tier_for`] routes a chunk to its planned tier, and
+/// [`Self::transition`] turns a snapshot of what is cached into the
+/// steps that make the cache match.
 #[derive(Clone, Debug, Default)]
 pub struct CacheConfiguration {
-    per_object: HashMap<ObjectId, Vec<u8>>,
-    disk_per_object: HashMap<ObjectId, Vec<u8>>,
-    /// Carried objects, each with the epoch of the last solve that
-    /// named it.
-    carried: HashMap<ObjectId, u64>,
+    per_object: HashMap<ObjectId, Entry>,
     total_chunks: u32,
     disk_chunks: u32,
     carried_chunks: u32,
     planned_value: f64,
     epoch: u64,
+}
+
+/// What it takes to make a cache holding one snapshot of chunks match a
+/// configuration ([`CacheConfiguration::transition`]): a decision, not
+/// yet any data movement. Every chunk of the snapshot is purged, moved
+/// or — being where the configuration wants it — left out.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Transition {
+    /// Cached chunks the configuration does not name, sorted.
+    pub purge: Vec<ChunkId>,
+    /// Chunks cached in RAM that the configuration places on disk,
+    /// sorted.
+    pub down: Vec<ChunkId>,
+    /// Chunks cached on disk that the configuration places in RAM,
+    /// sorted.
+    pub up: Vec<ChunkId>,
+    /// The objects a solve placed, sorted: every chunk of their entries
+    /// ([`CacheConfiguration::chunks_for`], in entry order) is to be
+    /// present when the transition is done, downloaded if it is not.
+    /// Whether one is present is for the executor to test when it gets
+    /// there — the moves before it can push chunks out of a full disk
+    /// log — so the snapshot has no say in this list. Carried objects
+    /// are never in it.
+    pub ensure: Vec<ObjectId>,
 }
 
 impl CacheConfiguration {
@@ -55,28 +85,27 @@ impl CacheConfiguration {
     }
 
     /// Converts a two-budget solve into a cache configuration, tagged
-    /// with the epoch that produced it: the RAM and disk allocations
-    /// (disjoint by construction — the disk phase only sees chunks the
-    /// RAM phase left behind) merge into the per-object union, and the
-    /// disk subset is kept for [`Self::tier_for`]. An empty disk
-    /// allocation leaves every chunk RAM-tier.
+    /// with the epoch that produced it: an object's entry is its RAM
+    /// allocation followed by its disk allocation (disjoint by
+    /// construction — the disk phase only sees chunks the RAM phase left
+    /// behind). An empty disk allocation leaves every chunk RAM-tier.
     pub fn from_tiered(ram: &Config, disk: &Config, epoch: u64) -> Self {
-        let mut per_object = HashMap::with_capacity(ram.options().len());
+        let mut per_object: HashMap<ObjectId, Entry> = HashMap::with_capacity(ram.options().len());
         for option in ram.options() {
-            per_object.insert(option.object(), option.chunks().to_vec());
+            let chunks = option.chunks().to_vec();
+            let entry = Entry {
+                split: chunks.len(),
+                chunks,
+                carried: None,
+            };
+            per_object.insert(option.object(), entry);
         }
-        let mut disk_per_object = HashMap::with_capacity(disk.options().len());
         for option in disk.options() {
-            per_object
-                .entry(option.object())
-                .or_default()
-                .extend_from_slice(option.chunks());
-            disk_per_object.insert(option.object(), option.chunks().to_vec());
+            let entry = per_object.entry(option.object()).or_default();
+            entry.chunks.extend_from_slice(option.chunks());
         }
         CacheConfiguration {
             per_object,
-            disk_per_object,
-            carried: HashMap::new(),
             total_chunks: ram.weight() + disk.weight(),
             disk_chunks: disk.weight(),
             carried_chunks: 0,
@@ -103,12 +132,10 @@ impl CacheConfiguration {
             return; // no disk tier, or the solve filled it
         }
         let mut candidates: Vec<(Reverse<u64>, ObjectId)> = previous
-            .objects()
-            .filter(|object| !self.per_object.contains_key(object))
-            .map(|object| {
-                let solved = previous.carried.get(&object).copied();
-                (Reverse(solved.unwrap_or(previous.epoch)), object)
-            })
+            .per_object
+            .iter()
+            .filter(|(object, _)| !self.per_object.contains_key(object))
+            .map(|(&object, entry)| (Reverse(entry.carried.unwrap_or(previous.epoch)), object))
             .collect();
         candidates.sort_unstable();
         for (Reverse(solved), object) in candidates {
@@ -130,16 +157,52 @@ impl CacheConfiguration {
             self.total_chunks += count;
             self.disk_chunks += count;
             self.carried_chunks += count;
-            self.carried.insert(object, solved);
-            self.per_object.insert(object, chunks.clone());
-            self.disk_per_object.insert(object, chunks);
+            let entry = Entry {
+                chunks,
+                split: 0,
+                carried: Some(solved),
+            };
+            self.per_object.insert(object, entry);
         }
     }
 
+    /// The steps that take a cache holding exactly `cached` — one
+    /// snapshot of chunk and tier — to this configuration (see
+    /// [`Transition`]). Pure: it reads no cache and takes no lock, so
+    /// the decision can be tested, dumped and re-ordered apart from the
+    /// I/O that carries it out.
+    pub fn transition(&self, cached: &[(ChunkId, CacheTier)]) -> Transition {
+        let mut ensure: Vec<ObjectId> = self
+            .per_object
+            .iter()
+            .filter(|(_, entry)| entry.carried.is_none())
+            .map(|(&object, _)| object)
+            .collect();
+        ensure.sort_unstable();
+        let mut plan = Transition {
+            ensure,
+            ..Transition::default()
+        };
+        for &(id, tier) in cached {
+            match self.tier_for(id) {
+                None => plan.purge.push(id),
+                Some(planned) if planned == tier => {}
+                Some(CacheTier::Disk) => plan.down.push(id),
+                Some(CacheTier::Ram) => plan.up.push(id),
+            }
+        }
+        plan.purge.sort_unstable();
+        plan.down.sort_unstable();
+        plan.up.sort_unstable();
+        plan
+    }
+
     /// The chunks to cache for `object` (empty when the object is not in
-    /// the configuration).
+    /// the configuration), RAM-tier ones first.
     pub fn chunks_for(&self, object: ObjectId) -> &[u8] {
-        self.per_object.get(&object).map_or(&[], Vec::as_slice)
+        self.per_object
+            .get(&object)
+            .map_or(&[], |entry| &entry.chunks)
     }
 
     /// Whether a specific chunk belongs to the configuration.
@@ -181,28 +244,30 @@ impl CacheConfiguration {
 
     /// Whether `object`'s entry is carried rather than solved.
     pub fn is_carried(&self, object: ObjectId) -> bool {
-        self.carried.contains_key(&object)
+        self.per_object
+            .get(&object)
+            .is_some_and(|entry| entry.carried.is_some())
     }
 
     /// The disk-tier chunks planned for `object` (empty when the object
     /// has no disk allocation).
     pub fn disk_chunks_for(&self, object: ObjectId) -> &[u8] {
-        self.disk_per_object.get(&object).map_or(&[], Vec::as_slice)
+        self.per_object
+            .get(&object)
+            .map_or(&[], |entry| &entry.chunks[entry.split..])
     }
 
     /// Which tier the configuration plans `chunk` for, or `None` when
     /// the chunk is not in the configuration at all.
     pub fn tier_for(&self, chunk: ChunkId) -> Option<CacheTier> {
-        if self
-            .disk_chunks_for(chunk.object())
-            .contains(&chunk.index().value())
-        {
-            Some(CacheTier::Disk)
-        } else if self.contains(chunk) {
-            Some(CacheTier::Ram)
+        let entry = self.per_object.get(&chunk.object())?;
+        let index = chunk.index().value();
+        let at = entry.chunks.iter().position(|&c| c == index)?;
+        Some(if at < entry.split {
+            CacheTier::Ram
         } else {
-            None
-        }
+            CacheTier::Disk
+        })
     }
 
     /// The solver's predicted value (popularity-weighted improvement).
@@ -219,8 +284,8 @@ impl CacheConfiguration {
     /// chunk count.
     pub fn breakdown(&self) -> BTreeMap<usize, usize> {
         let mut out = BTreeMap::new();
-        for chunks in self.per_object.values() {
-            *out.entry(chunks.len()).or_insert(0) += 1;
+        for entry in self.per_object.values() {
+            *out.entry(entry.chunks.len()).or_insert(0) += 1;
         }
         out
     }
@@ -385,10 +450,12 @@ mod tests {
         };
         for &(id, ram, disk) in entries {
             let object = ObjectId::new(id);
-            config.per_object.insert(object, [ram, disk].concat());
-            if !disk.is_empty() {
-                config.disk_per_object.insert(object, disk.to_vec());
-            }
+            let entry = Entry {
+                chunks: [ram, disk].concat(),
+                split: ram.len(),
+                carried: None,
+            };
+            config.per_object.insert(object, entry);
             config.total_chunks += (ram.len() + disk.len()) as u32;
             config.disk_chunks += disk.len() as u32;
         }

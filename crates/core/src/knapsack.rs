@@ -12,7 +12,8 @@
 //!   a lower weight of the same object, using the freed space for the
 //!   new option, keeping total weight constant.
 //!
-//! Documented deviations from the paper's pseudocode (see DESIGN.md §2):
+//! Documented deviations from the paper's pseudocode (the README lists
+//! them all under "Deviations from the paper's pseudocode"):
 //! weight keys are snapshotted per option (the pseudocode mutates `MaxV`
 //! while iterating it), an option is never added to a configuration that
 //! already caches its object (the pseudocode would double-count), and
@@ -211,9 +212,9 @@ pub struct KnapsackSolver {
     stop_keys_after_full: Option<usize>,
     /// Number of sweeps over the option list. The paper's single-table
     /// RELAX can destroy a configuration that a later option needed to
-    /// extend; a second sweep recovers most such losses (DESIGN.md
-    /// deviation list). The result remains an approximation, as the
-    /// paper itself acknowledges (§VII-B).
+    /// extend; a second sweep recovers most such losses (README,
+    /// "Deviations from the paper's pseudocode"). The result remains an
+    /// approximation, as the paper itself acknowledges (§VII-B).
     passes: usize,
 }
 
@@ -333,7 +334,8 @@ impl KnapsackSolver {
                 // same object, this becomes a *replacement* (upgrade or
                 // downgrade) — without it a small option admitted early
                 // could never grow, and the DP would miss optima the
-                // exhaustive solver finds (DESIGN.md deviation list).
+                // exhaustive solver finds (README, "Deviations from the
+                // paper's pseudocode").
                 // Weights are visited in DESCENDING order, the classic
                 // 0/1-knapsack trick: additions only ever target heavier
                 // weights, so no configuration is overwritten before the
@@ -457,16 +459,6 @@ impl TieredConfig {
     /// The disk-tier configuration (phase 2).
     pub fn disk(&self) -> &Config {
         &self.disk
-    }
-
-    /// Total weight across both tiers.
-    pub fn total_weight(&self) -> u32 {
-        self.ram.weight() + self.disk.weight()
-    }
-
-    /// Total planned value across both tiers.
-    pub fn total_value(&self) -> f64 {
-        self.ram.value() + self.disk.value()
     }
 }
 
@@ -741,7 +733,8 @@ mod reference {
                 // same object, this becomes a *replacement* (upgrade or
                 // downgrade) — without it a small option admitted early
                 // could never grow, and the DP would miss optima the
-                // exhaustive solver finds (DESIGN.md deviation list).
+                // exhaustive solver finds (README, "Deviations from the
+                // paper's pseudocode").
                 // Weights are visited in DESCENDING order, the classic
                 // 0/1-knapsack trick: additions only ever target heavier
                 // weights, so no configuration is overwritten before the
@@ -1048,7 +1041,7 @@ mod tests {
         // The disk tier picks up chunks RAM could not afford.
         assert!(tiered.disk().weight() > 0, "disk tier must place chunks");
         assert!(tiered.disk().weight() <= 18);
-        assert!(tiered.total_value() > plain.value());
+        assert!(tiered.ram().value() + tiered.disk().value() > plain.value());
         // Per object, RAM and disk allocations never overlap.
         for disk_option in tiered.disk().options() {
             let ram_chunks = tiered
@@ -1076,8 +1069,11 @@ mod tests {
         assert!(tiered.disk().options().is_empty());
         let plain = KnapsackSolver::new().populate(&options, 9);
         assert_eq!(tiered.ram().value(), plain.value());
-        assert_eq!(tiered.total_weight(), plain.weight());
-        assert_eq!(tiered.total_value(), plain.value());
+        assert_eq!(
+            tiered.ram().weight() + tiered.disk().weight(),
+            plain.weight()
+        );
+        assert_eq!(tiered.ram().value() + tiered.disk().value(), plain.value());
     }
 
     /// The index-table solver against the map-of-`Config`s oracle, to

@@ -99,7 +99,7 @@ pub use baselines::{BackendOnlyClient, BaselinePolicy, FixedChunksClient};
 pub use breaker::{BreakerPolicy, CircuitBreaker};
 pub use cache_manager::CacheManager;
 pub use coherence::WriteCoordinator;
-pub use config::CacheConfiguration;
+pub use config::{CacheConfiguration, Transition};
 pub use error::AgarError;
 pub use events::CacheEventSink;
 pub use fetcher::{ChunkFetcher, DirectFetcher, FetchRequest};

@@ -95,11 +95,6 @@ impl RequestMonitor {
         self.popularity.get(&object).copied().unwrap_or(0.0)
     }
 
-    /// In-epoch frequency of `object` so far.
-    pub fn current_frequency(&self, object: ObjectId) -> u64 {
-        self.current_epoch_freq.get(&object).copied().unwrap_or(0)
-    }
-
     /// All tracked objects with their popularity, most popular first.
     pub fn popularities(&self) -> Vec<(ObjectId, f64)> {
         let mut v: Vec<(ObjectId, f64)> = self.popularity.iter().map(|(&k, &p)| (k, p)).collect();
@@ -146,7 +141,6 @@ mod tests {
         for _ in 0..100 {
             monitor.record_read(key);
         }
-        assert_eq!(monitor.current_frequency(key), 100);
         monitor.end_epoch();
         assert!((monitor.popularity(key) - 80.0).abs() < 1e-12);
     }

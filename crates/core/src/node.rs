@@ -6,6 +6,21 @@
 //! ([`AgarNode::read_with_offers`]) lives in `read.rs`, a child module
 //! (it works on the node's private fields).
 //!
+//! # Placement has one owner
+//!
+//! Every cached chunk sits in exactly one tier, the one the
+//! configuration names — no exception: a RAM capacity eviction drops
+//! its victims, and nothing reaches a tier but through the one placer
+//! (`insert_revalidated`), which a write's update, a read's fill and a
+//! reconfiguration's moves and a-priori downloads all share. A
+//! reconfiguration is **solve → swap → snapshot → transition →
+//! execute**: the decision is
+//! [`CacheConfiguration::transition`](crate::config::CacheConfiguration::transition),
+//! a pure function of the new configuration and one snapshot of what is
+//! cached, and `reconfigure` only carries it out (purge, moves down,
+//! moves up, downloads). The snapshot is taken *after* the swap, and
+//! the downloads test presence *live* — see `reconfigure` for why.
+//!
 //! # Concurrency model
 //!
 //! The node serves every client in its region, so every concern is
@@ -51,7 +66,8 @@
 //!   insert against the live configuration exactly as the fill stage
 //!   does (`insert_revalidated`), so no chunk stays in a tier or set
 //!   the new configuration does not name; the reconfiguration's own
-//!   re-tier and a-priori fills meet the monotone insert in turn;
+//!   moves and a-priori fills go through the same placer and meet the
+//!   monotone insert in turn;
 //! - **two writers** of one object are serialised by the cluster's
 //!   per-object lease (`agar-cluster`); writes that bypass it are
 //!   ordered by their versions, again through the monotone insert;
@@ -88,7 +104,7 @@ use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -171,10 +187,9 @@ pub struct AgarSettings {
     /// read planner (between a RAM cache read and remote sources).
     pub disk_read: Duration,
     /// Modelled chunk-write latency of the local disk tier. Every
-    /// disk write — a-priori fills and re-tier moves at the epoch,
-    /// spilled RAM victims — runs off the critical path (no read
-    /// writes to disk), so this only informs diagnostics and the
-    /// experiment harness.
+    /// disk write — a-priori fills and re-tier moves at the epoch, a
+    /// write's update, a read's fill — runs off the critical path, so
+    /// this only informs diagnostics and the experiment harness.
     pub disk_write: Duration,
     /// Knapsack solver configuration.
     pub solver: KnapsackSolver,
@@ -241,8 +256,9 @@ impl AgarSettings {
 }
 
 /// How often [`CachingClient::maybe_reconfigure`] lets the knapsack
-/// run (paper §V-A: 30 s epochs). The baselines use the same period.
-const RECONFIGURATION_PERIOD: Duration = Duration::from_secs(30);
+/// run (paper §V-A: 30 s epochs). The LFU-epoch baseline uses the same
+/// period.
+pub(crate) const RECONFIGURATION_PERIOD: Duration = Duration::from_secs(30);
 
 /// Warm-up probes the region manager sends per region before the first
 /// read.
@@ -301,16 +317,6 @@ impl TraceLayer {
     }
 }
 
-/// Reconfiguration clock state. Its mutex guards only the decision of
-/// *whether* a period elapsed; it is released before the
-/// reconfiguration itself runs, so concurrent `maybe_reconfigure`
-/// callers neither block behind the a-priori chunk downloads nor
-/// double-trigger (the clock is advanced before the guard drops).
-#[derive(Debug, Default)]
-struct ReconfigClock {
-    last: Option<SimTime>,
-}
-
 /// A per-region Agar deployment.
 ///
 /// Thread-safe behind `&self`: every concern is locked independently
@@ -331,11 +337,18 @@ pub struct AgarNode {
     region_manager: Mutex<RegionManager>,
     /// Immutable configuration snapshot, swapped at reconfiguration.
     config: RwLock<Arc<CacheConfiguration>>,
-    /// Serialises whole reconfigurations (solve + swap + purge + fill):
-    /// overlapping `force_reconfigure`/`maybe_reconfigure` calls must
-    /// not interleave their purge/fill phases. Readers never take it.
+    /// Serialises whole reconfigurations (solve, swap, snapshot,
+    /// transition, execute): overlapping `force_reconfigure` /
+    /// `maybe_reconfigure` calls must not interleave their purge, move
+    /// and fill steps. Readers never take it.
     reconfigure_serial: Mutex<()>,
-    reconfig: Mutex<ReconfigClock>,
+    /// The reconfiguration clock: when the current period started
+    /// (`None` until the first tick). Its mutex guards only the decision
+    /// of *whether* a period elapsed; it is released before the
+    /// reconfiguration itself runs, so concurrent `maybe_reconfigure`
+    /// callers neither block behind the a-priori chunk downloads nor
+    /// double-trigger (the clock is advanced before the guard drops).
+    period_start: Mutex<Option<SimTime>>,
     reconfigurations: Counter,
     fill_fetches: Counter,
     /// Chunks writes left behind in the cache (see [`AgarNode::write`]).
@@ -418,7 +431,7 @@ impl AgarNode {
             region_manager: Mutex::new(region_manager),
             config: RwLock::new(Arc::new(CacheConfiguration::empty())),
             reconfigure_serial: Mutex::new(()),
-            reconfig: Mutex::new(ReconfigClock::default()),
+            period_start: Mutex::new(None),
             reconfigurations: Counter::new(),
             fill_fetches: Counter::new(),
             write_update_chunks: Counter::new(),
@@ -543,9 +556,8 @@ impl AgarNode {
         if !config.is_carried(object) {
             for &index in config.chunks_for(object) {
                 let id = ChunkId::new(object, index);
-                let tier = config.tier_for(id).unwrap_or(CacheTier::Ram);
                 let chunk = CachedChunk::new(put.shards[index as usize].clone(), put.version);
-                placed += u64::from(self.insert_revalidated(id, chunk, tier));
+                placed += u64::from(self.insert_revalidated(id, chunk));
             }
         }
         self.write_update_chunks.add(placed);
@@ -559,17 +571,24 @@ impl AgarNode {
         Ok((put.version, put.latency))
     }
 
-    /// Inserts a chunk that a configuration *snapshot* placed in `tier`
-    /// and revalidates against the live configuration: a
-    /// reconfiguration may have swapped it between the snapshot and the
-    /// insert, and its purge and re-tier may already have run, so a
-    /// chunk the live configuration does not name in that tier is swept
-    /// here (a swap after the check is followed by the
+    /// The one placer: every configured chunk that enters the cache or
+    /// changes tier — a write's update, a read's fill, a
+    /// reconfiguration's moves and a-priori downloads — goes through
+    /// here. Inserts the chunk into the tier the live configuration
+    /// names and revalidates: the caller chose the chunk from a
+    /// configuration *snapshot*, a reconfiguration may swap the live one
+    /// at any point, and its purge and re-tier may already have run, so
+    /// a chunk the live configuration no longer names in that tier is
+    /// swept here (a swap after the check is followed by the
     /// reconfiguration's own purge and re-tier). Returns whether the
-    /// chunk is in the cache because of this call — not if the cache
-    /// refused it (larger than the tier, or older than the resident
-    /// chunk) or the sweep took it.
-    fn insert_revalidated(&self, id: ChunkId, chunk: CachedChunk, tier: CacheTier) -> bool {
+    /// chunk is in the cache because of this call — not if the
+    /// configuration does not name it, the cache refused it (larger
+    /// than the tier, or older than the resident chunk) or the sweep
+    /// took it.
+    fn insert_revalidated(&self, id: ChunkId, chunk: CachedChunk) -> bool {
+        let Some(tier) = self.config.read().tier_for(id) else {
+            return false;
+        };
         if !self.cache.insert_to_tier(id, chunk, tier) {
             return false;
         }
@@ -746,9 +765,9 @@ impl AgarNode {
     }
 
     /// Frame bytes (header + payload) the disk tier has written so far
-    /// (0 without a disk tier) — every a-priori disk fill, re-tier
-    /// move and spilled RAM victim, plus what the log's cleaner copied
-    /// forward; reads add none.
+    /// (0 without a disk tier) — every disk-tier placement (a-priori
+    /// fill, re-tier move, write-update, read fill), plus what the log's
+    /// cleaner copied forward; serving a read adds none.
     pub fn disk_appended_bytes(&self) -> u64 {
         self.cache.disk().map_or(0, |disk| disk.appended_bytes())
     }
@@ -760,143 +779,108 @@ impl AgarNode {
         self.cache.disk().map_or(0, |disk| disk.compacted_bytes())
     }
 
-    /// Recomputes the configuration, swaps the snapshot, then applies
-    /// the diff: chunks no longer in the configuration leave the cache,
-    /// cached chunks the configuration placed in the other tier move
-    /// there, and missing chunks a solve placed are downloaded *a
-    /// priori* (§IV-A: "caching items implies downloading them a
-    /// priori") — off the clients' critical path, with a second pass
-    /// for those the downloads themselves pushed out of a full disk
-    /// log. The solve is handed
-    /// the outgoing configuration, so objects it no longer names keep
-    /// their cached chunks as carried disk-tier entries while the disk
-    /// budget has room (their RAM chunks are moved down like any other
-    /// re-tiered chunk). On return every cached chunk
-    /// sits in exactly one tier, the one the configuration names
-    /// (barring chunks spilled by a RAM overflow); reads never change
-    /// that. Only the solve holds the monitor and region-manager
-    /// locks; the diff and downloads hold only the
-    /// reconfiguration-serialising mutex, which readers never take.
+    /// **Solve**: closes the monitoring epoch and recomputes the
+    /// configuration. The solve is handed the outgoing configuration,
+    /// so objects it no longer names keep their cached chunks as carried
+    /// disk-tier entries while the disk budget has room. Only this step
+    /// holds the monitor and region-manager locks.
+    fn solve(&self) -> CacheConfiguration {
+        let previous = Arc::clone(&self.config.read());
+        let mut monitor = self.monitor.lock();
+        monitor.end_epoch();
+        let region_manager = self.region_manager.lock();
+        self.manager.recompute_tiered(
+            &monitor,
+            &region_manager,
+            &self.backend,
+            self.settings.cache_read,
+            self.settings.disk_read,
+            &previous,
+            |id| self.cache.contains(&id),
+        )
+    }
+
+    /// Reconfigures: solve → swap → snapshot → transition → execute.
+    /// The decision is [`CacheConfiguration::transition`], a pure
+    /// function of the new configuration and one snapshot of what is
+    /// cached; this function carries it out in a fixed order. Chunks
+    /// the configuration does not name leave the cache. Cached chunks
+    /// it placed in the other tier move there (a read serves a disk hit
+    /// in place, so nothing else moves a chunk between tiers), down
+    /// before up: that frees the RAM the knapsack counted on for the
+    /// chunks it moved up and for the fills. Then every chunk a solve
+    /// placed is downloaded *a priori* if it is missing (§IV-A:
+    /// "caching items implies downloading them a priori") — off the
+    /// clients' critical path; a carried entry is whatever the cache
+    /// still holds of it, never backend traffic.
+    ///
+    /// Two orderings are load-bearing. The snapshot is taken **after**
+    /// the swap: a reader's fill that raced the swap sweeps itself only
+    /// when it revalidates against the new configuration, so whatever
+    /// it placed before that must be in the snapshot to be purged. And
+    /// the downloads test presence **live**, not against the snapshot:
+    /// the moves before them can overflow a full disk log, and the
+    /// chunks its cleaner drops are due in this pass, not the next.
+    ///
+    /// On return every cached chunk sits in exactly one tier, the one
+    /// the configuration names; reads never change that. The moves and
+    /// downloads hold only the reconfiguration-serialising mutex, which
+    /// readers never take; under it the live configuration *is* the new
+    /// one, so they go through the same revalidating insert as a read's
+    /// fill and a write without losing anything to it.
     fn reconfigure(&self) {
         // Overlapping reconfigurations must not interleave swap, purge
         // and fill (a stale purge running after a newer swap would
         // evict the newer configuration's chunks).
         let _serial = self.reconfigure_serial.lock();
-        let previous = Arc::clone(&self.config.read());
-        let new_config = {
-            let mut monitor = self.monitor.lock();
-            monitor.end_epoch();
-            let region_manager = self.region_manager.lock();
-            self.manager.recompute_tiered(
-                &monitor,
-                &region_manager,
-                &self.backend,
-                self.settings.cache_read,
-                self.settings.disk_read,
-                &previous,
-                |id| self.cache.contains(&id),
-            )
-        };
-        let new_config = Arc::new(new_config);
-        self.carried_chunks
-            .set(u64::from(new_config.carried_chunks()));
+        let config = Arc::new(self.solve());
+        self.carried_chunks.set(u64::from(config.carried_chunks()));
+        *self.config.write() = Arc::clone(&config);
+        let plan = config.transition(&self.cache.residency());
+        for id in &plan.purge {
+            self.cache.remove(id);
+        }
+        // The purge's removals are deliberately NOT reported to the
+        // cluster's holder registry: a drop emitted here could land
+        // after a concurrent reader's fill stage re-inserted the object
+        // (and reported `object_filled`), deregistering a member that
+        // really holds chunks — the one ordering the registry's
+        // superset invariant forbids. A purged object lingering as a
+        // registered holder merely costs one no-op invalidation on its
+        // next write. A move is reported, like any insert: a write may
+        // have invalidated the object between the peek and the insert.
         let sink = self.event_sink();
-        *self.config.write() = Arc::clone(&new_config);
-        self.cache.remove_matching(|id| !new_config.contains(*id));
-        let mut filled: BTreeSet<ObjectId> = BTreeSet::new();
-        // Re-tier: the configuration is the only thing that moves a
-        // chunk between tiers (a read serves a disk hit in place).
-        // Chunks it moved down go first — that frees the RAM the
-        // knapsack counted on for the chunks it moved up and for the
-        // a-priori fills below. Sorted, so the order is deterministic.
-        if let Some(disk) = self.cache.disk() {
-            let mut down = self.cache.ram().keys();
-            down.retain(|id| new_config.tier_for(*id) == Some(CacheTier::Disk));
-            down.sort_unstable();
-            let mut up = disk.keys();
-            up.retain(|id| new_config.tier_for(*id) == Some(CacheTier::Ram));
-            let counters = self.cache.counters();
-            for (ids, tier, moved) in [
-                (down, CacheTier::Disk, &counters.tier_demotions),
-                (up, CacheTier::Ram, &counters.tier_promotions),
-            ] {
-                for id in ids {
-                    let Some((chunk, _)) = self.cache.peek(&id) else {
-                        continue; // invalidated or evicted meanwhile
-                    };
-                    if self.cache.insert_to_tier(id, chunk, tier) {
-                        moved.inc();
-                        // A write may have invalidated the object
-                        // between the peek and the insert: re-register
-                        // it so the holder registry stays a superset.
-                        filled.insert(id.object());
-                    }
-                }
+        for &id in plan.down.iter().chain(&plan.up) {
+            let Some((chunk, _)) = self.cache.peek(&id) else {
+                continue; // invalidated or evicted meanwhile
+            };
+            if let (true, Some(sink)) = (self.insert_revalidated(id, chunk), &sink) {
+                sink.object_filled(id.object());
             }
         }
-        // The a-priori downloads flow through the installed fetcher
-        // (per chunk, like the direct path), so under a cluster they
-        // coalesce with concurrent critical-path reads of the same
-        // chunks instead of duplicating their backend round trips.
+        // The a-priori downloads are the read path's fill stage with
+        // nothing in hand: they flow through the installed fetcher, so
+        // under a cluster they coalesce with concurrent critical-path
+        // reads of the same chunks. A fill that overflows the disk log
+        // makes its cleaner drop frames, solved chunks of objects this
+        // loop already passed among them. A second pass downloads those
+        // now instead of after an epoch of partial hits; the cleaner
+        // frees at least the room of the frames it loses, so that pass
+        // fits unless the victim was all live, and it is the last
+        // either way.
         let fetcher = Arc::clone(&self.fetcher.read());
         let mut rng = self.derive_rng();
-        // Only what a solve placed is downloaded: a carried entry is
-        // whatever the cache still holds of it, never backend traffic.
-        let mut objects: Vec<ObjectId> = new_config
-            .objects()
-            .filter(|object| !new_config.is_carried(*object))
-            .collect();
-        objects.sort_unstable(); // deterministic fill order
-        let mut fills = 0;
-        // A fill that overflows the disk log makes its cleaner drop
-        // frames, solved chunks of objects this loop already passed
-        // among them. A second pass downloads those now instead of
-        // after an epoch of partial hits; the cleaner frees at least
-        // the room of the frames it loses, so that pass fits unless the
-        // victim was all live, and it is the last either way.
         let lost = &self.cache.counters().disk_evictions;
         for _pass in 0..2 {
             let lost_before = lost.get();
-            for &object in &objects {
-                let Ok(manifest) = self.backend.manifest(object) else {
-                    continue;
-                };
-                for &index in new_config.chunks_for(object) {
-                    let id = ChunkId::new(object, index);
-                    if self.cache.contains(&id) {
-                        continue;
-                    }
-                    // `reconfigure_serial` exists only to serialise whole
-                    // reconfigurations; readers never take it, so holding
-                    // it across the a-priori fill downloads is the point.
-                    // agar-lint: allow(lock-across-blocking)
-                    let data = self.fetch_chunk(&*fetcher, &manifest, index, &mut rng, &mut fills);
-                    let Some(data) = data else { continue };
-                    let tier = new_config.tier_for(id).unwrap_or(CacheTier::Ram);
-                    let chunk = CachedChunk::new(data, manifest.version());
-                    if self.cache.insert_to_tier(id, chunk, tier) {
-                        filled.insert(object);
-                    }
+            for &object in &plan.ensure {
+                if let Ok(manifest) = self.backend.manifest(object) {
+                    let solved = config.chunks_for(object);
+                    self.fill(&*fetcher, &manifest, solved, &[], &mut rng);
                 }
             }
             if lost.get() == lost_before {
                 break;
-            }
-        }
-        self.fill_fetches.add(fills);
-        if let Some(sink) = sink {
-            // Report the objects the re-tier step and the a-priori fill
-            // inserted (recorded at the insert, so nothing rescans the
-            // cache). The purge's removals are deliberately NOT
-            // reported: a drop emitted here could land after a
-            // concurrent reader's fill stage re-inserted the object
-            // (and reported `object_filled`), deregistering a member
-            // that really holds chunks — the one ordering the
-            // registry's superset invariant forbids. A purged object
-            // lingering as a registered holder merely costs one no-op
-            // invalidation on its next write.
-            for object in filled {
-                sink.object_filled(object);
             }
         }
         self.reconfigurations.inc();
@@ -910,20 +894,13 @@ impl CachingClient for AgarNode {
 
     fn maybe_reconfigure(&self, now: SimTime) -> bool {
         let due = {
-            let mut clock = self.reconfig.lock();
-            match clock.last {
-                None => {
-                    clock.last = Some(now);
-                    false
-                }
-                Some(last) => {
-                    let due = now.saturating_duration_since(last) >= RECONFIGURATION_PERIOD;
-                    if due {
-                        clock.last = Some(now);
-                    }
-                    due
-                }
+            let mut start = self.period_start.lock();
+            let elapsed = start.map(|start| now.saturating_duration_since(start));
+            let due = elapsed.is_some_and(|elapsed| elapsed >= RECONFIGURATION_PERIOD);
+            if due || start.is_none() {
+                *start = Some(now);
             }
+            due
         };
         if due {
             self.reconfigure();
@@ -937,11 +914,12 @@ impl CachingClient for AgarNode {
 
     fn cache_contents(&self) -> BTreeMap<ObjectId, Vec<u8>> {
         let mut out: BTreeMap<ObjectId, Vec<u8>> = BTreeMap::new();
-        for id in self.cache.keys() {
+        for (id, _) in self.cache.residency() {
             out.entry(id.object()).or_default().push(id.index().value());
         }
         for chunks in out.values_mut() {
             chunks.sort_unstable();
+            chunks.dedup(); // a move in flight is in both tiers
         }
         out
     }
@@ -1376,15 +1354,15 @@ mod tests {
     /// both byte budgets hold.
     fn assert_placement(node: &AgarNode, backend: &Backend, epoch: u64) {
         let config = node.current_config();
-        let cached = node.cache.keys();
+        let cached = node.cache.residency();
         assert_eq!(cached.len(), config.total_chunks() as usize);
-        for id in cached {
+        for (id, tier) in cached {
             let in_ram = node.cache.ram().contains(&id);
             let on_disk = node.cache.disk().unwrap().contains(&id);
             assert!(in_ram != on_disk, "{id:?} is in both tiers");
-            let version = backend.manifest(id.object()).unwrap().version();
-            let (_, tier) = node.peek_chunk_tier(&id, version).unwrap();
             assert_eq!(Some(tier), config.tier_for(id), "{id:?} epoch {epoch}");
+            let version = backend.manifest(id.object()).unwrap().version();
+            assert!(node.peek_chunk_tier(&id, version).is_some(), "{id:?} stale");
         }
         assert!(node.cache.used_bytes() <= node.cache.capacity_bytes());
         assert!(node.cache.disk_used_bytes() <= node.cache.disk_capacity_bytes());
@@ -1798,9 +1776,8 @@ mod tests {
                 assert!(config.ram_chunks() <= 9);
                 assert!(config.object_count() <= 9 + DISK_OBJECTS * 9);
                 assert!(node.cache.disk_used_bytes() <= node.cache.disk_capacity_bytes());
-                for id in node.cache.keys() {
-                    let tier = node.cache.tier_of(&id);
-                    assert_eq!(tier, config.tier_for(id), "{id:?} epoch {epoch}");
+                for (id, tier) in node.cache.residency() {
+                    assert_eq!(Some(tier), config.tier_for(id), "{id:?} epoch {epoch}");
                 }
                 let mut carried: Vec<(ObjectId, Vec<u8>)> = config
                     .objects()

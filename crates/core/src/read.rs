@@ -15,7 +15,7 @@ use super::{AgarNode, AgarSettings, ReadMetrics};
 use crate::error::AgarError;
 use crate::fetcher::{ChunkFetcher, FetchRequest};
 use crate::planner::{ChunkSource, HedgePolicy, LocalHits, ReadPlan, ReadPlanner, RemoteChunk};
-use agar_cache::{CacheTier, CachedChunk};
+use agar_cache::CachedChunk;
 use agar_ec::{ChunkId, ObjectId};
 use agar_net::{RegionId, SimTime};
 use agar_obs::{DecodeKind, ReadTraceBuilder};
@@ -330,7 +330,9 @@ impl AgarNode {
 
     /// **Fill**: moves the cache toward the hinted configuration, off
     /// the critical path (the paper uses a separate thread pool), and
-    /// returns how many chunks it fetched for that. Each chunk is
+    /// returns how many chunks it fetched for that. `shards` is what
+    /// the read has in hand, by chunk index — nothing, when a
+    /// reconfiguration downloads an entry a priori. Each chunk is
     /// checked against the *live* configuration before the insert and
     /// revalidated after it ([`AgarNode::insert_revalidated`]), so a
     /// fill racing a reconfiguration cannot leave behind chunks the new
@@ -338,7 +340,7 @@ impl AgarNode {
     /// `contains`-then-insert below is not atomic either: a write may
     /// land its chunks of the next version in between, and the cache
     /// then refuses this attempt's older one.
-    fn fill(
+    pub(super) fn fill(
         &self,
         fetcher: &dyn ChunkFetcher,
         manifest: &ObjectManifest,
@@ -357,13 +359,14 @@ impl AgarNode {
             }
             // A hinted chunk that was neither cached nor on the fetch
             // path (estimate drift) is fetched in the background.
-            let payload = shards[index as usize]
-                .clone()
+            let payload = shards
+                .get(index as usize)
+                .cloned()
+                .flatten()
                 .or_else(|| self.fetch_chunk(fetcher, manifest, index, rng, &mut fill_fetches));
             let Some(payload) = payload else { continue };
-            let tier = live_config.tier_for(id).unwrap_or(CacheTier::Ram);
             let chunk = CachedChunk::new(payload, manifest.version());
-            filled_any |= self.insert_revalidated(id, chunk, tier);
+            filled_any |= self.insert_revalidated(id, chunk);
         }
         self.fill_fetches.add(fill_fetches);
         if filled_any {
@@ -374,15 +377,14 @@ impl AgarNode {
         fill_fetches as usize
     }
 
-    /// Fetches one chunk for a cache fill (a read's fill stage, a
-    /// reconfiguration's a-priori downloads) through the installed
+    /// Fetches one chunk for a cache fill through the installed
     /// fetcher, so under a cluster it piggybacks on an identical
     /// in-flight critical-path fetch instead of duplicating it.
     /// Best-effort: a failed fetch is `None`; a completed one counts
     /// into `fill_fetches`, and is still `None` when it raced a write
     /// (caching the new payload under the snapshot's version label
     /// would poison later version checks).
-    pub(super) fn fetch_chunk(
+    fn fetch_chunk(
         &self,
         fetcher: &dyn ChunkFetcher,
         manifest: &ObjectManifest,

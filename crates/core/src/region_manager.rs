@@ -31,8 +31,7 @@ pub struct RegionManager {
 
 impl RegionManager {
     /// Creates a manager for a node homed in `home`; estimates start at
-    /// zero and must be seeded with [`RegionManager::warm_up`] or
-    /// [`RegionManager::set_estimate`].
+    /// zero and must be seeded with [`RegionManager::warm_up`].
     ///
     /// # Panics
     ///
@@ -76,15 +75,6 @@ impl RegionManager {
         let estimates = prober.probe_all(model, self.home, self.topology.len(), rng);
         self.estimates = estimates.iter().map(|e| e.mean()).collect();
         self.deviations = estimates.iter().map(|e| e.std_dev()).collect();
-    }
-
-    /// Directly sets one region's estimate (tests, manual overrides).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the region is outside the topology.
-    pub fn set_estimate(&mut self, region: RegionId, latency: Duration) {
-        self.estimates[region.index()] = latency;
     }
 
     /// Folds a live fetch observation into the estimate (EWMA) and the

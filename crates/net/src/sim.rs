@@ -141,11 +141,6 @@ impl<W> Simulation<W> {
         &self.world
     }
 
-    /// Exclusive access to the world (e.g. to seed initial state).
-    pub fn world_mut(&mut self) -> &mut W {
-        &mut self.world
-    }
-
     /// Consumes the simulation, returning the world.
     pub fn into_world(self) -> W {
         self.world
@@ -299,8 +294,7 @@ mod tests {
 
     #[test]
     fn world_accessors() {
-        let mut sim = Simulation::new(41u32);
-        *sim.world_mut() += 1;
+        let sim = Simulation::new(42u32);
         assert_eq!(*sim.world(), 42);
         assert_eq!(sim.into_world(), 42);
     }

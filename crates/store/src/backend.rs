@@ -436,14 +436,6 @@ impl Backend {
     pub fn stored_bytes(&self) -> usize {
         self.buckets.iter().map(Bucket::stored_bytes).sum()
     }
-
-    /// Per-region stored byte counts (diagnostics).
-    pub fn bytes_per_region(&self) -> Vec<(RegionId, usize)> {
-        self.buckets
-            .iter()
-            .map(|b| (b.region(), b.stored_bytes()))
-            .collect()
-    }
 }
 
 impl std::fmt::Debug for Backend {
@@ -473,18 +465,14 @@ pub fn populate(
 ) -> Result<(), StoreError> {
     let writer = RegionId::new(0);
     for i in 0..count {
-        // Cheap deterministic payload; contents only matter for
-        // integrity checks.
-        let data: Vec<u8> = (0..size)
-            .map(|j| (i.wrapping_mul(31).wrapping_add(j as u64 * 7) % 251) as u8)
-            .collect();
-        backend.put_object(writer, ObjectId::new(i), &data, rng)?;
+        backend.put_object(writer, ObjectId::new(i), &expected_payload(i, size), rng)?;
     }
     Ok(())
 }
 
-/// Regenerates the deterministic payload `populate` wrote for object `i`
-/// (for integrity assertions in tests and examples).
+/// The deterministic payload [`populate`] writes for object `i`: cheap,
+/// and different per object — contents only matter for integrity
+/// assertions in tests, examples and the benchmark.
 pub fn expected_payload(i: u64, size: usize) -> Vec<u8> {
     (0..size)
         .map(|j| (i.wrapping_mul(31).wrapping_add(j as u64 * 7) % 251) as u8)
@@ -769,14 +757,17 @@ mod tests {
     }
 
     #[test]
-    fn bytes_per_region_balances_round_robin() {
+    fn a_populated_catalogue_balances_round_robin() {
         let backend = test_backend(3);
         let mut rng = StdRng::seed_from_u64(0);
         populate(&backend, 6, 60, &mut rng).unwrap();
-        let per_region = backend.bytes_per_region();
-        assert_eq!(per_region.len(), 3);
-        // 6 chunks over 3 regions: 2 chunks/region/object, equal bytes.
-        let first = per_region[0].1;
-        assert!(per_region.iter().all(|&(_, b)| b == first));
+        // 6 chunks of 15 B over 3 regions: 2 chunks/region/object.
+        assert_eq!(backend.stored_bytes(), 6 * 6 * 15);
+        for object in backend.object_ids() {
+            let manifest = backend.manifest(object).unwrap();
+            for region in 0..3 {
+                assert_eq!(manifest.chunks_in_region(RegionId::new(region)).len(), 2);
+            }
+        }
     }
 }

@@ -345,9 +345,9 @@ impl<'a> Schedule<'a> {
 
     /// After a write, what the writer holds of the object is the
     /// configured set at the new version, each chunk in the one tier
-    /// the configuration names — unless a capacity eviction ran during
-    /// the write (objects change size, the knapsack counts chunks),
-    /// which may lose some of them but nothing else.
+    /// the configuration names. A capacity eviction during the write
+    /// (objects change size, the knapsack counts chunks) may lose some
+    /// of the set; it never puts a chunk anywhere else.
     fn check_writer(
         &self,
         writer: &AgarNode,
@@ -376,7 +376,7 @@ impl<'a> Schedule<'a> {
             match residency[..] {
                 [(tier, at)] => {
                     assert_eq!(at, version, "{id:?}");
-                    assert!(overflowed || Some(tier) == config.tier_for(id), "{id:?}");
+                    assert_eq!(Some(tier), config.tier_for(id), "{id:?}");
                 }
                 _ => panic!("{id:?} is in {residency:?}"),
             }
