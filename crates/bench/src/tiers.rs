@@ -84,8 +84,8 @@ impl TiersParams {
 /// tier split, `tier_promotions` counts chunks reconfigurations moved
 /// disk → RAM, `disk_evictions` live chunks the disk log lost while
 /// reclaiming space, `disk_appended_bytes` the frame bytes written to it
-/// (a-priori fills, re-tier moves, spilled RAM victims and the
-/// cleaner's copies) and `disk_compacted_bytes` the copied part.
+/// (a-priori fills, re-tier moves and the cleaner's copies) and
+/// `disk_compacted_bytes` the copied part.
 pub(crate) static TIERS: Layout = Layout {
     title: "Tiers — RAM-only vs two-tier cache under catalogue pressure (Frankfurt, Zipf 1.1)",
     policy_header: "engine",

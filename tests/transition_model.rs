@@ -116,11 +116,12 @@ fn cached_set(rng: &mut StdRng, previous: &CacheConfiguration) -> BTreeMap<Chunk
         for &index in previous.chunks_for(object) {
             let id = ChunkId::new(object, index);
             let tier = previous.tier_for(id).unwrap();
+            // One in ten is lost, one in ten sits in the other tier.
             match rng.random_range(0..10u32) {
-                0 => {}
-                1 => drop(cached.insert(id, other(tier))),
-                _ => drop(cached.insert(id, tier)),
-            }
+                0 => None,
+                1 => cached.insert(id, other(tier)),
+                _ => cached.insert(id, tier),
+            };
         }
     }
     for _ in 0..rng.random_range(0..6u32) {
