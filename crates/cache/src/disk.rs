@@ -80,7 +80,7 @@
 //!
 //! The store removes its directory on drop.
 
-use crate::cache::CachedChunk;
+use crate::sharded::CachedChunk;
 use agar_ec::ChunkId;
 use agar_obs::{Counter, Labels, MetricsRegistry};
 use bytes::Bytes;

@@ -230,21 +230,6 @@ impl CacheStats {
         CacheStats::default()
     }
 
-    /// Records an object-level read outcome: `cached_chunks` of the
-    /// `needed_chunks` required chunks came from the cache.
-    ///
-    /// Matches the paper's hit-ratio definition: all chunks cached is a
-    /// total hit, at least one cached is a partial hit, none is a miss.
-    pub fn record_object_read(&mut self, cached_chunks: usize, needed_chunks: usize) {
-        if needed_chunks > 0 && cached_chunks >= needed_chunks {
-            self.object_total_hits += 1;
-        } else if cached_chunks > 0 {
-            self.object_partial_hits += 1;
-        } else {
-            self.object_misses += 1;
-        }
-    }
-
     /// Total object reads recorded.
     pub fn object_reads(&self) -> u64 {
         self.object_total_hits + self.object_partial_hits + self.object_misses
@@ -277,8 +262,11 @@ impl AtomicCacheStats {
         AtomicCacheStats::default()
     }
 
-    /// Records an object-level read outcome; same classification as
-    /// [`CacheStats::record_object_read`].
+    /// Records an object-level read outcome: `cached_chunks` of the
+    /// `needed_chunks` required chunks came from the cache.
+    ///
+    /// Matches the paper's hit-ratio definition: all chunks cached is a
+    /// total hit, at least one cached is a partial hit, none is a miss.
     pub fn record_object_read(&self, cached_chunks: usize, needed_chunks: usize) {
         if needed_chunks > 0 && cached_chunks >= needed_chunks {
             self.object_total_hits.inc();
@@ -324,25 +312,20 @@ mod tests {
 
     #[test]
     fn object_hit_classification() {
-        let mut s = CacheStats::new();
         let atomic = AtomicCacheStats::new();
         for (cached, needed) in [(9, 9), (3, 9), (0, 9)] {
-            s.record_object_read(cached, needed); // total, partial, miss
-            atomic.record_object_read(cached, needed);
+            atomic.record_object_read(cached, needed); // total, partial, miss
         }
+        let s = atomic.snapshot();
         assert_eq!(s.object_total_hits(), 1);
         assert_eq!(s.object_partial_hits(), 1);
         assert_eq!(s.object_misses(), 1);
         assert_eq!(s.object_reads(), 3);
         assert!((s.object_hit_ratio() - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(atomic.snapshot(), s, "both recorders classify alike");
     }
 
     #[test]
     fn zero_needed_chunks_is_a_miss_not_a_hit() {
-        let mut s = CacheStats::new();
-        s.record_object_read(0, 0);
-        assert_eq!(s.object_misses(), 1);
         let atomic = AtomicCacheStats::new();
         atomic.record_object_read(0, 0);
         assert_eq!(atomic.snapshot().object_misses(), 1);
@@ -506,10 +489,10 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let mut s = CacheStats::new();
-        s.chunk_hits += 1;
-        s.record_object_read(2, 2);
-        let text = s.to_string();
+        let atomic = AtomicCacheStats::new();
+        atomic.chunk_hits.inc();
+        atomic.record_object_read(2, 2);
+        let text = atomic.snapshot().to_string();
         assert!(text.contains("chunks 1/1"));
         assert!(text.contains("objects 1 total"));
     }

@@ -47,10 +47,8 @@
 //! the node relies on to keep `disk_capacity = 0` deployments exactly
 //! reproducing the untiered engine.
 
-use crate::cache::CachedChunk;
 use crate::disk::DiskStore;
-use crate::policy::PolicyKind;
-use crate::sharded::ShardedChunkCache;
+use crate::sharded::{CachedChunk, PolicyKind, ShardedChunkCache};
 use crate::stats::{AtomicCacheStats, CacheStats};
 use agar_ec::ChunkId;
 
@@ -69,11 +67,11 @@ pub enum CacheTier {
 /// # Examples
 ///
 /// ```
-/// use agar_cache::{CachedChunk, CacheTier, PolicyKind, TieredChunkCache};
+/// use agar_cache::{CachedChunk, CacheTier, TieredChunkCache};
 /// use agar_ec::{ChunkId, ObjectId};
 /// use bytes::Bytes;
 ///
-/// let cache = TieredChunkCache::with_disk(300, PolicyKind::Lru, 1, 10_000);
+/// let cache = TieredChunkCache::with_disk(300, 1, 10_000);
 /// let a = ChunkId::new(ObjectId::new(1), 0);
 /// let b = ChunkId::new(ObjectId::new(2), 0);
 /// let chunk = |byte| CachedChunk::new(Bytes::from(vec![byte; 200]), 1);
@@ -96,32 +94,19 @@ pub struct TieredChunkCache {
 }
 
 impl TieredChunkCache {
-    /// A RAM-only cache (no disk tier): every operation is a verbatim
-    /// delegation to [`ShardedChunkCache`].
-    pub fn ram_only(ram_capacity_bytes: usize, policy: PolicyKind, shards: usize) -> Self {
-        TieredChunkCache {
-            ram: ShardedChunkCache::new(ram_capacity_bytes, policy, shards),
-            disk: None,
-        }
-    }
-
-    /// A tiered cache with `disk_capacity_bytes` of warm storage under
-    /// a private temp directory. `disk_capacity_bytes == 0` yields a
-    /// RAM-only cache; if the disk directory cannot be created the
-    /// cache degrades to RAM-only (the warm tier is best-effort).
-    pub fn with_disk(
-        ram_capacity_bytes: usize,
-        policy: PolicyKind,
-        shards: usize,
-        disk_capacity_bytes: usize,
-    ) -> Self {
+    /// A tiered cache: `shards` LRU shards of RAM over
+    /// `disk_capacity_bytes` of warm storage under a private temp
+    /// directory. `disk_capacity_bytes == 0` yields a RAM-only cache; if
+    /// the disk directory cannot be created the cache degrades to
+    /// RAM-only (the warm tier is best-effort).
+    pub fn with_disk(ram_capacity_bytes: usize, shards: usize, disk_capacity_bytes: usize) -> Self {
         let disk = if disk_capacity_bytes == 0 {
             None
         } else {
             DiskStore::new(disk_capacity_bytes).ok()
         };
         TieredChunkCache {
-            ram: ShardedChunkCache::new(ram_capacity_bytes, policy, shards),
+            ram: ShardedChunkCache::new(ram_capacity_bytes, PolicyKind::Lru, shards),
             disk,
         }
     }
@@ -339,7 +324,7 @@ mod tests {
     #[test]
     fn disk_hit_is_served_in_place() {
         // One chunk placed on disk under a full RAM tier.
-        let cache = TieredChunkCache::with_disk(200, PolicyKind::Lru, 1, 10_000);
+        let cache = TieredChunkCache::with_disk(200, 1, 10_000);
         cache.insert_to_tier(id(1, 0), chunk(1, 100, 4), CacheTier::Disk);
         cache.insert_to_tier(id(2, 0), chunk(2, 100, 1), CacheTier::Ram);
         cache.insert_to_tier(id(3, 0), chunk(3, 100, 1), CacheTier::Ram);
@@ -397,7 +382,7 @@ mod tests {
     fn failed_disk_move_keeps_the_ram_copy() {
         // A 300 B chunk fits RAM but not the 256 B disk tier: the move
         // down is refused and must leave the chunk where it was.
-        let cache = TieredChunkCache::with_disk(1_000, PolicyKind::Lru, 1, 256);
+        let cache = TieredChunkCache::with_disk(1_000, 1, 256);
         assert!(cache.insert_to_tier(id(1, 0), chunk(7, 300, 2), CacheTier::Ram));
         assert!(!cache.insert_to_tier(id(1, 0), chunk(7, 300, 2), CacheTier::Disk));
         assert_eq!(cache.stats().rejected_inserts(), 1, "refused and counted");
@@ -416,7 +401,7 @@ mod tests {
 
     #[test]
     fn a_frame_older_than_the_live_one_is_refused_and_counted() {
-        let cache = TieredChunkCache::with_disk(1_000, PolicyKind::Lru, 1, 10_000);
+        let cache = TieredChunkCache::with_disk(1_000, 1, 10_000);
         assert!(cache.insert_to_tier(id(1, 0), chunk(3, 100, 3), CacheTier::Disk));
         assert!(!cache.insert_to_tier(id(1, 0), chunk(2, 100, 2), CacheTier::Disk));
         assert_eq!(cache.stats().rejected_inserts(), 1);
@@ -432,7 +417,7 @@ mod tests {
     fn a_frame_the_log_cannot_write_is_refused_and_counted() {
         // 133 B frames in 133 B segments: every put opens a new segment
         // file, which fails once the directory is gone.
-        let cache = TieredChunkCache::with_disk(1_000, PolicyKind::Lru, 1, 8 * 133);
+        let cache = TieredChunkCache::with_disk(1_000, 1, 8 * 133);
         assert!(cache.insert_to_tier(id(1, 0), chunk(1, 100, 1), CacheTier::Disk));
         let segment = cache.disk().unwrap().segment_paths().remove(0);
         std::fs::remove_dir_all(segment.parent().unwrap()).unwrap();
@@ -447,7 +432,7 @@ mod tests {
     fn a_frame_its_own_clean_drops_is_refused_and_counted() {
         // 900 B of log in 112 B segments. Twelve 70 B frames fill six
         // segments, two each (840 B), and one of the first pair dies.
-        let cache = TieredChunkCache::with_disk(1_000, PolicyKind::Lru, 1, 900);
+        let cache = TieredChunkCache::with_disk(1_000, 1, 900);
         for i in 0..12 {
             assert!(cache.insert_to_tier(id(i, 0), chunk(i as u8, 37, 1), CacheTier::Disk));
         }
@@ -468,7 +453,7 @@ mod tests {
 
     #[test]
     fn ram_only_never_touches_tier_counters() {
-        let cache = TieredChunkCache::ram_only(200, PolicyKind::Lru, 1);
+        let cache = TieredChunkCache::with_disk(200, 1, 0);
         assert!(!cache.has_disk());
         cache.insert_to_tier(id(1, 0), chunk(1, 100, 1), CacheTier::Ram);
         cache.insert_to_tier(id(2, 0), chunk(2, 100, 1), CacheTier::Ram);
@@ -482,14 +467,14 @@ mod tests {
 
     #[test]
     fn zero_disk_capacity_means_no_disk_tier() {
-        let cache = TieredChunkCache::with_disk(200, PolicyKind::Lru, 1, 0);
+        let cache = TieredChunkCache::with_disk(200, 1, 0);
         assert!(!cache.has_disk());
         assert_eq!(cache.disk_capacity_bytes(), 0);
     }
 
     #[test]
     fn insert_to_disk_tier_places_directly() {
-        let cache = TieredChunkCache::with_disk(1_000, PolicyKind::Lru, 1, 10_000);
+        let cache = TieredChunkCache::with_disk(1_000, 1, 10_000);
         assert!(cache.insert_to_tier(id(5, 0), chunk(5, 100, 2), CacheTier::Disk));
         assert_eq!(cache.tier_of(&id(5, 0)), Some(CacheTier::Disk));
         assert_eq!(cache.ram().len(), 0, "direct disk placement skips RAM");
@@ -497,14 +482,14 @@ mod tests {
         assert_eq!(tier, CacheTier::Disk);
         assert_eq!(back.version(), 2);
         // Without a disk tier the placement falls back to RAM.
-        let ram_only = TieredChunkCache::ram_only(1_000, PolicyKind::Lru, 1);
+        let ram_only = TieredChunkCache::with_disk(1_000, 1, 0);
         assert!(ram_only.insert_to_tier(id(5, 0), chunk(5, 100, 2), CacheTier::Disk));
         assert_eq!(ram_only.tier_of(&id(5, 0)), Some(CacheTier::Ram));
     }
 
     #[test]
     fn removal_purges_both_tiers() {
-        let cache = TieredChunkCache::with_disk(1_000, PolicyKind::Lru, 1, 10_000);
+        let cache = TieredChunkCache::with_disk(1_000, 1, 10_000);
         cache.insert_to_tier(id(1, 0), chunk(1, 100, 1), CacheTier::Ram);
         cache.insert_to_tier(id(1, 1), chunk(2, 100, 1), CacheTier::Disk);
         assert_eq!(cache.len(), 2);
@@ -517,7 +502,7 @@ mod tests {
 
     #[test]
     fn reinsert_drops_stale_disk_copy() {
-        let cache = TieredChunkCache::with_disk(200, PolicyKind::Lru, 1, 10_000);
+        let cache = TieredChunkCache::with_disk(200, 1, 10_000);
         cache.insert_to_tier(id(1, 0), chunk(1, 100, 1), CacheTier::Disk);
         assert_eq!(cache.tier_of(&id(1, 0)), Some(CacheTier::Disk));
         // Re-insert version 2 into RAM: the stale disk frame must go.
@@ -529,7 +514,7 @@ mod tests {
 
     #[test]
     fn an_insert_older_than_the_chunk_in_the_other_tier_is_refused() {
-        let cache = TieredChunkCache::with_disk(1_000, PolicyKind::Lru, 1, 10_000);
+        let cache = TieredChunkCache::with_disk(1_000, 1, 10_000);
         // Version 3 on disk: an older RAM placement must not shadow
         // and then drop it.
         assert!(cache.insert_to_tier(id(1, 0), chunk(3, 100, 3), CacheTier::Disk));
@@ -553,7 +538,7 @@ mod tests {
 
     #[test]
     fn residency_covers_both_tiers() {
-        let cache = TieredChunkCache::with_disk(200, PolicyKind::Lru, 1, 10_000);
+        let cache = TieredChunkCache::with_disk(200, 1, 10_000);
         cache.insert_to_tier(id(3, 0), chunk(3, 100, 1), CacheTier::Disk);
         cache.insert_to_tier(id(2, 0), chunk(2, 100, 1), CacheTier::Ram);
         cache.insert_to_tier(id(1, 0), chunk(1, 100, 1), CacheTier::Disk);
@@ -574,7 +559,7 @@ mod tests {
     fn disk_capacity_evictions_flow_into_stats() {
         // Tiny disk: 4 KiB across 512 B segments; placing 64 distinct
         // live chunks (15 KB of frames) must surface disk_evictions.
-        let cache = TieredChunkCache::with_disk(200, PolicyKind::Lru, 1, 4 * 1024);
+        let cache = TieredChunkCache::with_disk(200, 1, 4 * 1024);
         for i in 0..64u64 {
             cache.insert_to_tier(id(i, 0), chunk(i as u8, 200, 1), CacheTier::Disk);
         }
@@ -605,7 +590,7 @@ mod tests {
             const RAM: usize = 600;
             const DISK: usize = 2_000;
             const LENS: [usize; 5] = [40, 120, 200, 700, 5_000];
-            let cache = TieredChunkCache::with_disk(RAM, PolicyKind::Lru, 2, DISK);
+            let cache = TieredChunkCache::with_disk(RAM, 2, DISK);
             let (mut ram, mut disk) = (Model::new(), Model::new());
             // Placements that took the chunk out of the other tier: up, down.
             let mut moves = [0u64; 2];

@@ -1,163 +1,163 @@
-//! Property-based tests for the cache: capacity invariants, policy/map
-//! agreement, and reference-model equivalence for LRU.
+//! Property-based tests for the sharded chunk cache: exact LRU against a
+//! reference model on one shard, and the budget, accounting, counter and
+//! version invariants on any number of shards.
 
-use agar_cache::{AnyPolicy, Cache, EvictionPolicy, PolicyKind};
+use agar_cache::{CachedChunk, PolicyKind, ShardedChunkCache};
+use agar_ec::{ChunkId, ObjectId};
 use bytes::Bytes;
 use proptest::collection::vec;
 use proptest::prelude::*;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
-/// A scripted cache operation.
+/// A scripted cache operation over 32 keys.
 #[derive(Clone, Debug)]
 enum Op {
-    Insert(u8, usize),
+    Insert {
+        key: u8,
+        weight: usize,
+        version: u64,
+    },
     Get(u8),
     Remove(u8),
+    RemoveObject(u8),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (any::<u8>(), 1usize..=64).prop_map(|(k, w)| Op::Insert(k % 32, w)),
+        (any::<u8>(), 1usize..=64, 0u64..4).prop_map(|(k, weight, version)| Op::Insert {
+            key: k % 32,
+            weight,
+            version,
+        }),
         any::<u8>().prop_map(|k| Op::Get(k % 32)),
         any::<u8>().prop_map(|k| Op::Remove(k % 32)),
+        any::<u8>().prop_map(|k| Op::RemoveObject(k % 8)),
     ]
+}
+
+/// Key `k` is chunk `k % 4` of object `k / 4`.
+fn id(key: u8) -> ChunkId {
+    ChunkId::new(ObjectId::new(u64::from(key / 4)), key % 4)
+}
+
+fn chunk(weight: usize, version: u64) -> CachedChunk {
+    CachedChunk::new(Bytes::from(vec![0u8; weight]), version)
+}
+
+/// What is cached, with its version.
+fn resident(cache: &ShardedChunkCache) -> HashMap<ChunkId, u64> {
+    cache
+        .keys()
+        .into_iter()
+        .map(|key| (key, cache.version_of(&key).expect("a listed key is cached")))
+        .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// For every policy: capacity is never exceeded, byte accounting
-    /// matches the entries, and the policy tracks exactly the live keys.
+    /// One shard behaves exactly like a straightforward reference model
+    /// (a recency deque over fixed-size entries).
     #[test]
-    fn cache_invariants_hold_under_any_script(
-        ops in vec(op_strategy(), 1..200),
-        kind_idx in 0usize..PolicyKind::ALL.len(),
-        capacity in 1usize..256,
-    ) {
-        let kind = PolicyKind::ALL[kind_idx];
-        let mut cache = Cache::with_capacity(capacity, AnyPolicy::new(kind));
-        for op in &ops {
-            match *op {
-                Op::Insert(k, w) => {
-                    let stored = cache.insert(k, Bytes::from(vec![0u8; w])).was_stored();
-                    prop_assert_eq!(stored, w <= capacity);
-                }
-                Op::Get(k) => {
-                    let _ = cache.get(&k);
-                }
-                Op::Remove(k) => {
-                    let _ = cache.remove(&k);
-                }
-            }
-            // Invariant 1: never over capacity.
-            prop_assert!(cache.used_bytes() <= capacity);
-            // Invariant 2: used bytes equals the sum of entry weights.
-            let sum: usize = cache.iter().map(|(_, v)| v.len()).sum();
-            prop_assert_eq!(cache.used_bytes(), sum);
-            // Invariant 3: policy and map agree on membership count.
-            prop_assert_eq!(cache.policy().tracked(), cache.len());
-        }
-    }
-
-    /// The LRU cache behaves exactly like a straightforward reference
-    /// model (unbounded-cost simulation with a recency deque).
-    #[test]
-    fn lru_matches_reference_model(
+    fn one_shard_matches_the_lru_reference_model(
         ops in vec(op_strategy(), 1..150),
         capacity_units in 1usize..20,
     ) {
         // Fixed-size entries make the reference model exact.
         const UNIT: usize = 8;
-        let capacity = capacity_units * UNIT;
-        let mut cache = Cache::with_capacity(capacity, AnyPolicy::<u8>::new(PolicyKind::Lru));
+        let cache = ShardedChunkCache::new(capacity_units * UNIT, PolicyKind::Lru, 1);
         let mut model: VecDeque<u8> = VecDeque::new(); // front = LRU
 
         for op in &ops {
             match *op {
-                Op::Insert(k, _) => {
-                    let _ = cache.insert(k, Bytes::from(vec![0u8; UNIT]));
-                    model.retain(|&x| x != k);
-                    model.push_back(k);
+                Op::Insert { key, .. } => {
+                    prop_assert!(cache.insert(id(key), chunk(UNIT, 1)));
+                    model.retain(|&x| x != key);
+                    model.push_back(key);
                     while model.len() > capacity_units {
                         model.pop_front();
                     }
                 }
-                Op::Get(k) => {
-                    let hit = cache.get(&k).is_some();
-                    let model_hit = model.contains(&k);
-                    prop_assert_eq!(hit, model_hit, "get({}) divergence", k);
+                Op::Get(key) => {
+                    let hit = cache.get(&id(key)).is_some();
+                    let model_hit = model.contains(&key);
+                    prop_assert_eq!(hit, model_hit, "get({}) divergence", key);
                     if model_hit {
-                        model.retain(|&x| x != k);
-                        model.push_back(k);
+                        model.retain(|&x| x != key);
+                        model.push_back(key);
                     }
                 }
-                Op::Remove(k) => {
-                    let removed = cache.remove(&k).is_some();
-                    let model_had = model.contains(&k);
-                    prop_assert_eq!(removed, model_had);
-                    model.retain(|&x| x != k);
+                Op::Remove(key) => {
+                    let removed = cache.remove(&id(key)).is_some();
+                    prop_assert_eq!(removed, model.contains(&key));
+                    model.retain(|&x| x != key);
+                }
+                Op::RemoveObject(object) => {
+                    let removed = cache.remove_matching(|c| c.object() == ObjectId::new(object.into()));
+                    let before = model.len();
+                    model.retain(|&x| x / 4 != object);
+                    prop_assert_eq!(removed, before - model.len());
                 }
             }
             prop_assert_eq!(cache.len(), model.len());
-            for k in &model {
-                prop_assert!(cache.contains(k), "model key {} missing from cache", k);
+            for &key in &model {
+                prop_assert!(cache.contains(&id(key)), "model key {} missing from cache", key);
             }
         }
     }
 
-    /// Statistics identities: hits + misses == gets, stored inserts ==
-    /// insertions, and evictions never exceed insertions.
+    /// Over 1–8 shards, variable weights and versions: the byte budget
+    /// holds, `used_bytes` is the sum of the cached weights, every get is
+    /// one hit or one miss, `insertions` counts exactly the stored
+    /// inserts and bounds `evictions`, an insert is refused exactly when
+    /// it is too large or older than the resident entry, and a key's
+    /// cached version never decreases while it stays cached.
     #[test]
-    fn stats_identities(
-        ops in vec(op_strategy(), 1..150),
-        kind_idx in 0usize..PolicyKind::ALL.len(),
+    fn any_shard_count_holds_budget_accounting_and_versions(
+        ops in vec(op_strategy(), 1..200),
+        shards in 1usize..=8,
+        capacity in 0usize..256,
     ) {
-        let kind = PolicyKind::ALL[kind_idx];
-        let mut cache = Cache::with_capacity(64, AnyPolicy::new(kind));
-        let mut gets = 0u64;
-        let mut stored = 0u64;
+        let cache = ShardedChunkCache::new(capacity, PolicyKind::Lru, shards);
+        let (mut gets, mut stored) = (0u64, 0u64);
+        let mut before = HashMap::new();
         for op in &ops {
             match *op {
-                Op::Insert(k, w) => {
-                    if cache.insert(k, Bytes::from(vec![0u8; w])).was_stored() {
-                        stored += 1;
-                    }
+                Op::Insert { key, weight, version } => {
+                    let newer_resident = before.get(&id(key)).is_some_and(|&v| v > version);
+                    let ok = cache.insert(id(key), chunk(weight, version));
+                    prop_assert_eq!(ok, weight <= capacity && !newer_resident);
+                    stored += u64::from(ok);
                 }
-                Op::Get(k) => {
+                Op::Get(key) => {
                     gets += 1;
-                    let _ = cache.get(&k);
+                    let _ = cache.get(&id(key));
                 }
-                Op::Remove(k) => {
-                    let _ = cache.remove(&k);
+                Op::Remove(key) => {
+                    let _ = cache.remove(&id(key));
+                }
+                Op::RemoveObject(object) => {
+                    cache.remove_matching(|c| c.object() == ObjectId::new(object.into()));
                 }
             }
+            let now = resident(&cache);
+            prop_assert!(cache.used_bytes() <= capacity);
+            let weights: usize = now
+                .keys()
+                .map(|key| cache.peek(key).expect("a listed key is cached").data().len())
+                .sum();
+            prop_assert_eq!(cache.used_bytes(), weights);
+            prop_assert_eq!(cache.len(), now.len());
+            for (key, version) in &now {
+                if let Some(old) = before.get(key) {
+                    prop_assert!(version >= old, "{:?} went from v{} to v{}", key, old, version);
+                }
+            }
+            let stats = cache.stats();
+            prop_assert_eq!(stats.chunk_hits() + stats.chunk_misses(), gets);
+            prop_assert_eq!(stats.insertions(), stored);
+            prop_assert!(stats.evictions() <= stats.insertions());
+            before = now;
         }
-        let stats = cache.stats();
-        prop_assert_eq!(stats.chunk_hits() + stats.chunk_misses(), gets);
-        prop_assert_eq!(stats.insertions(), stored);
-        prop_assert!(stats.evictions() <= stats.insertions());
-    }
-
-    /// Eviction candidates under every policy are always live keys, and
-    /// draining the policy yields each key exactly once.
-    #[test]
-    fn policy_drain_yields_each_key_once(
-        keys in vec(any::<u8>(), 1..64),
-        kind_idx in 0usize..PolicyKind::ALL.len(),
-    ) {
-        let kind = PolicyKind::ALL[kind_idx];
-        let mut policy: AnyPolicy<u8> = AnyPolicy::new(kind);
-        let mut live = std::collections::HashSet::new();
-        for k in &keys {
-            policy.on_insert(k);
-            live.insert(*k);
-        }
-        prop_assert_eq!(policy.tracked(), live.len());
-        let mut drained = std::collections::HashSet::new();
-        while let Some(victim) = policy.evict_candidate() {
-            prop_assert!(live.contains(&victim), "victim {} was never live", victim);
-            prop_assert!(drained.insert(victim), "victim {} yielded twice", victim);
-        }
-        prop_assert_eq!(drained, live);
     }
 }

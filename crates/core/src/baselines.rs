@@ -8,14 +8,16 @@
 //!   Agar and LFU);
 //! - **Backend** — no cache at all ([`BackendOnlyClient`]).
 //!
-//! All implement [`CachingClient`], so the experiment harness drives
-//! Agar and the baselines identically.
+//! Both caching baselines keep their chunks in a one-shard
+//! [`ShardedChunkCache`] — exact LRU, memcached's order. All implement
+//! [`CachingClient`], so the experiment harness drives Agar and the
+//! baselines identically.
 
 use crate::error::AgarError;
 use crate::monitor::RequestMonitor;
 use crate::node::{CachingClient, ReadMetrics, RECONFIGURATION_PERIOD};
 use crate::options::generate_options;
-use agar_cache::{chunk_cache, CacheStats, CachedChunk, ChunkCache, PolicyKind};
+use agar_cache::{AtomicCacheStats, CacheStats, CachedChunk, PolicyKind, ShardedChunkCache};
 use agar_ec::{ChunkId, ObjectId};
 use agar_net::{RegionId, SimTime};
 use agar_store::{plan_backend_fetch, regions_by_latency, Backend};
@@ -33,14 +35,12 @@ pub enum BaselinePolicy {
     /// Online per-chunk LRU (memcached's behaviour): every miss inserts,
     /// the least recently used chunks are evicted.
     Lru,
-    /// Online per-chunk LFU (the paper's "LFU cache replacement policy"
-    /// with its frequency-tracking proxy): every miss inserts, the least
-    /// frequently used chunks are evicted.
-    Lfu,
-    /// Epoch-based top-N LFU: a request-frequency proxy admits only the
-    /// most popular objects at each 30 s reconfiguration. *Stronger*
-    /// than the paper's baseline (no cold-object churn); kept for
-    /// ablations.
+    /// The paper's LFU-c baseline as every figure runs it: a
+    /// request-frequency proxy admits only the most popular objects at
+    /// each 30 s reconfiguration (the module docs' LFU-c); admitted
+    /// objects fill on a miss, in LRU order. An online per-chunk LFU
+    /// (every miss admitted, least frequently used evicted) was measured
+    /// on fig8b and removed: EXPERIMENTS.md 2026-10-15 (i).
     LfuEpoch,
 }
 
@@ -48,14 +48,12 @@ impl std::fmt::Display for BaselinePolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             BaselinePolicy::Lru => f.write_str("LRU"),
-            BaselinePolicy::Lfu => f.write_str("LFU"),
             BaselinePolicy::LfuEpoch => f.write_str("LFUtop"),
         }
     }
 }
 
 struct BaselineInner {
-    cache: ChunkCache,
     monitor: RequestMonitor,
     /// LFU only: objects admitted this epoch.
     admitted: HashSet<ObjectId>,
@@ -73,7 +71,8 @@ pub struct FixedChunksClient {
     chunks_per_object: usize,
     cache_read: Duration,
     client_overhead: Duration,
-    capacity_bytes: usize,
+    /// One shard: exact LRU.
+    cache: ShardedChunkCache,
     inner: Mutex<BaselineInner>,
 }
 
@@ -110,13 +109,6 @@ impl FixedChunksClient {
             .ids()
             .map(|r| model.mean(region, r, 100_000))
             .collect();
-        let cache_policy = match policy {
-            BaselinePolicy::Lru => PolicyKind::Lru,
-            BaselinePolicy::Lfu => PolicyKind::Lfu,
-            // Epoch mode drives evictions itself; the underlying order
-            // only breaks ties within the admitted set.
-            BaselinePolicy::LfuEpoch => PolicyKind::Lru,
-        };
         Ok(FixedChunksClient {
             region,
             backend,
@@ -124,9 +116,8 @@ impl FixedChunksClient {
             chunks_per_object,
             cache_read,
             client_overhead,
-            capacity_bytes,
+            cache: ShardedChunkCache::new(capacity_bytes, PolicyKind::Lru, 1),
             inner: Mutex::new(BaselineInner {
-                cache: chunk_cache(capacity_bytes, cache_policy),
                 monitor: RequestMonitor::new(),
                 admitted: HashSet::new(),
                 rng: StdRng::seed_from_u64(seed),
@@ -170,7 +161,7 @@ impl FixedChunksClient {
         // whether caching is allowed for it right now.
         let designated = self.designated_chunks(inner, object)?;
         let may_cache = match self.policy {
-            BaselinePolicy::Lru | BaselinePolicy::Lfu => true,
+            BaselinePolicy::Lru => true,
             BaselinePolicy::LfuEpoch => inner.admitted.contains(&object),
         };
 
@@ -178,7 +169,7 @@ impl FixedChunksClient {
         let mut have: Vec<(u8, Bytes)> = Vec::new();
         for &index in &designated {
             let id = ChunkId::new(object, index);
-            let stale = match inner.cache.get(&id) {
+            let stale = match self.cache.get(&id) {
                 Some(chunk) if chunk.version() == version => {
                     have.push((index, chunk.data().clone()));
                     false
@@ -187,7 +178,7 @@ impl FixedChunksClient {
                 None => false,
             };
             if stale {
-                inner.cache.remove(&id);
+                self.cache.remove(&id);
             }
         }
         let cache_hits = have.len();
@@ -195,7 +186,7 @@ impl FixedChunksClient {
         // 2. Backend fetches for the remainder.
         let exclude: Vec<ChunkId> = have.iter().map(|&(i, _)| ChunkId::new(object, i)).collect();
         let order = regions_by_latency(&self.backend, self.region);
-        let plan = plan_backend_fetch(&self.backend, self.region, object, &order, &exclude)?;
+        let plan = plan_backend_fetch(&self.backend, object, &order, &exclude)?;
         let mut worst = Duration::ZERO;
         let mut fetched: Vec<(u8, Bytes)> = Vec::with_capacity(plan.len());
         for &(chunk, _) in &plan {
@@ -225,10 +216,11 @@ impl FixedChunksClient {
             .codec()
             .reconstruct_object_report(&shards, manifest.size())?;
         let decoded = !decode_report.systematic_fast_path;
+        let counters = self.cache.counters();
         if decode_report.systematic_fast_path {
-            inner.cache.stats_mut().systematic_fast_reads += 1;
+            counters.systematic_fast_reads.inc();
         } else if decode_report.plan_cache_hit {
-            inner.cache.stats_mut().decode_plan_hits += 1;
+            counters.decode_plan_hits.inc();
         }
 
         // 5. Populate the cache (async in the paper: no latency impact).
@@ -236,7 +228,7 @@ impl FixedChunksClient {
         if may_cache {
             for &index in &designated {
                 let id = ChunkId::new(object, index);
-                if inner.cache.contains(&id) {
+                if self.cache.contains(&id) {
                     continue;
                 }
                 let payload = fetched
@@ -253,12 +245,12 @@ impl FixedChunksClient {
                             })
                     });
                 if let Some(p) = payload {
-                    inner.cache.insert(id, CachedChunk::new(p, version));
+                    self.cache.insert(id, CachedChunk::new(p, version));
                 }
             }
         }
 
-        inner.cache.stats_mut().record_object_read(cache_hits, k);
+        counters.record_object_read(cache_hits, k);
 
         Ok(ReadMetrics {
             data,
@@ -274,24 +266,18 @@ impl FixedChunksClient {
     fn reconfigure_lfu(&self, inner: &mut BaselineInner) {
         inner.monitor.end_epoch();
         // Admit the top-N objects by popularity, N = capacity / (c
-        // chunks per object).
-        let chunk_size = inner
-            .cache
-            .iter()
-            .next()
-            .map(|(_, v)| v.data().len())
-            .or_else(|| {
-                self.backend
-                    .object_ids()
-                    .first()
-                    .and_then(|&id| self.backend.manifest(id).ok())
-                    .map(|m| m.chunk_size())
-            })
-            .unwrap_or(0);
+        // chunks per object); the catalogue is homogeneous, so any
+        // manifest's chunk size sizes it.
+        let chunk_size = self
+            .backend
+            .object_ids()
+            .first()
+            .and_then(|&id| self.backend.manifest(id).ok())
+            .map_or(0, |m| m.chunk_size());
         if chunk_size == 0 {
             return;
         }
-        let capacity_chunks = self.capacity_bytes / chunk_size;
+        let capacity_chunks = self.cache.capacity_bytes() / chunk_size;
         let n = capacity_chunks / self.chunks_per_object;
         inner.admitted = inner
             .monitor
@@ -301,8 +287,7 @@ impl FixedChunksClient {
             .map(|(object, _)| object)
             .collect();
         let admitted = &inner.admitted;
-        inner
-            .cache
+        self.cache
             .remove_matching(|id| !admitted.contains(&id.object()));
     }
 }
@@ -315,7 +300,7 @@ impl CachingClient for FixedChunksClient {
 
     fn maybe_reconfigure(&self, now: SimTime) -> bool {
         if self.policy != BaselinePolicy::LfuEpoch {
-            return false; // LRU and online LFU are purely online
+            return false; // LRU is purely online
         }
         let inner = &mut *self.inner.lock();
         match inner.last_reconfiguration {
@@ -336,13 +321,12 @@ impl CachingClient for FixedChunksClient {
     }
 
     fn cache_stats(&self) -> CacheStats {
-        *self.inner.lock().cache.stats()
+        self.cache.stats()
     }
 
     fn cache_contents(&self) -> BTreeMap<ObjectId, Vec<u8>> {
-        let inner = self.inner.lock();
         let mut out: BTreeMap<ObjectId, Vec<u8>> = BTreeMap::new();
-        for id in inner.cache.keys() {
+        for id in self.cache.keys() {
             out.entry(id.object()).or_default().push(id.index().value());
         }
         for chunks in out.values_mut() {
@@ -361,7 +345,7 @@ impl std::fmt::Debug for FixedChunksClient {
         f.debug_struct("FixedChunksClient")
             .field("label", &self.label())
             .field("region", &self.region)
-            .field("capacity_bytes", &self.capacity_bytes)
+            .field("capacity_bytes", &self.cache.capacity_bytes())
             .finish()
     }
 }
@@ -371,7 +355,8 @@ pub struct BackendOnlyClient {
     region: RegionId,
     backend: Arc<Backend>,
     client_overhead: Duration,
-    inner: Mutex<(StdRng, CacheStats)>,
+    rng: Mutex<StdRng>,
+    stats: AtomicCacheStats,
 }
 
 impl BackendOnlyClient {
@@ -386,23 +371,24 @@ impl BackendOnlyClient {
             region,
             backend,
             client_overhead,
-            inner: Mutex::new((StdRng::seed_from_u64(seed), CacheStats::new())),
+            rng: Mutex::new(StdRng::seed_from_u64(seed)),
+            stats: AtomicCacheStats::new(),
         }
     }
 }
 
 impl CachingClient for BackendOnlyClient {
     fn read(&self, object: ObjectId) -> Result<ReadMetrics, AgarError> {
-        let inner = &mut *self.inner.lock();
+        let rng = &mut *self.rng.lock();
         let manifest = self.backend.manifest(object)?;
         let k = manifest.params().data_chunks();
         let order = regions_by_latency(&self.backend, self.region);
-        let plan = plan_backend_fetch(&self.backend, self.region, object, &order, &[])?;
+        let plan = plan_backend_fetch(&self.backend, object, &order, &[])?;
         let total = manifest.params().total_chunks();
         let mut shards: Vec<Option<Bytes>> = vec![None; total];
         let mut worst = Duration::ZERO;
         for &(chunk, _) in &plan {
-            let fetch = self.backend.fetch_chunk(self.region, chunk, &mut inner.0)?;
+            let fetch = self.backend.fetch_chunk(self.region, chunk, rng)?;
             worst = worst.max(fetch.latency);
             shards[chunk.index().value() as usize] = Some(fetch.data);
         }
@@ -412,11 +398,11 @@ impl CachingClient for BackendOnlyClient {
             .reconstruct_object_report(&shards, manifest.size())?;
         let decoded = !decode_report.systematic_fast_path;
         if decode_report.systematic_fast_path {
-            inner.1.systematic_fast_reads += 1;
+            self.stats.systematic_fast_reads.inc();
         } else if decode_report.plan_cache_hit {
-            inner.1.decode_plan_hits += 1;
+            self.stats.decode_plan_hits.inc();
         }
-        inner.1.record_object_read(0, k);
+        self.stats.record_object_read(0, k);
         Ok(ReadMetrics {
             data,
             latency: self.client_overhead + worst,
@@ -433,7 +419,7 @@ impl CachingClient for BackendOnlyClient {
     }
 
     fn cache_stats(&self) -> CacheStats {
-        self.inner.lock().1
+        self.stats.snapshot()
     }
 
     fn cache_contents(&self) -> BTreeMap<ObjectId, Vec<u8>> {
@@ -532,34 +518,6 @@ mod tests {
         assert_eq!(warm.latency, Duration::from_millis(140));
         let stats = client.cache_stats();
         assert_eq!(stats.object_total_hits(), 1);
-    }
-
-    #[test]
-    fn online_lfu_protects_frequent_objects() {
-        let backend = test_backend(6, 900);
-        // Two objects' worth of cache at c = 3.
-        let client = FixedChunksClient::new(
-            FRANKFURT,
-            Arc::clone(&backend),
-            BaselinePolicy::Lfu,
-            3,
-            600,
-            Duration::from_millis(40),
-            Duration::from_millis(100),
-            3,
-        )
-        .unwrap();
-        assert_eq!(client.label(), "LFU-3");
-        // Object 0 is read often; a stream of cold objects passes by.
-        for _ in 0..10 {
-            client.read(ObjectId::new(0)).unwrap();
-        }
-        for i in 1..6 {
-            client.read(ObjectId::new(i)).unwrap();
-        }
-        // The hot object's chunks survived the cold streak.
-        let warm = client.read(ObjectId::new(0)).unwrap();
-        assert_eq!(warm.cache_hits, 3, "hot object evicted by cold traffic");
     }
 
     #[test]

@@ -90,9 +90,7 @@ use crate::knapsack::KnapsackSolver;
 use crate::monitor::RequestMonitor;
 use crate::region_manager::RegionManager;
 use crate::retry::RetryPolicy;
-use agar_cache::{
-    CacheStats, CacheTier, CachedChunk, PolicyKind, TieredChunkCache, DEFAULT_CACHE_SHARDS,
-};
+use agar_cache::{CacheStats, CacheTier, CachedChunk, TieredChunkCache, DEFAULT_CACHE_SHARDS};
 use agar_ec::{ChunkId, ObjectId};
 use agar_net::{RegionId, SimTime};
 use agar_obs::{
@@ -423,7 +421,6 @@ impl AgarNode {
             ops: AtomicU64::new(0),
             cache: TieredChunkCache::with_disk(
                 settings.cache_capacity_bytes,
-                PolicyKind::Lru,
                 DEFAULT_CACHE_SHARDS,
                 settings.disk_capacity_bytes,
             ),

@@ -1,41 +1,26 @@
-//! The cache-less storage client — the paper's "Backend" baseline.
+//! Read planning over the backend: which chunks a client fetches.
 //!
-//! The read path follows §V-A: request the `k` cheapest chunks in
-//! parallel (skipping the `m` furthest, which would only be needed under
-//! failures), wait for all of them (latency = the slowest fetch), decode
-//! if any parity chunk was used. Under region failures the plan degrades
-//! to further regions automatically.
+//! The paper's cache-less read (§V-A) requests the `k` cheapest chunks
+//! in parallel (skipping the `m` furthest, which would only be needed
+//! under failures), waits for all of them (latency = the slowest fetch)
+//! and decodes if any parity chunk was used; under region failures the
+//! plan degrades to further regions automatically. The baselines' read
+//! loop (`agar::baselines`) runs [`plan_backend_fetch`]; the Agar node's
+//! planner prices [`plan_backend_fetch_with_estimates`]' candidates.
 
 use crate::backend::Backend;
 use crate::error::StoreError;
 use agar_ec::{ChunkId, ObjectId};
 use agar_net::RegionId;
-use bytes::Bytes;
-use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
 use std::time::Duration;
 
-/// Outcome of a whole-object read.
-#[derive(Clone, Debug)]
-pub struct ReadOutcome {
-    /// The reconstructed object payload.
-    pub data: Bytes,
-    /// End-to-end latency (slowest parallel chunk fetch; the harness adds
-    /// client-side overhead).
-    pub latency: Duration,
-    /// Which chunks were fetched and from where.
-    pub sources: Vec<(ChunkId, RegionId)>,
-    /// Whether Reed-Solomon decoding was required (a parity chunk was
-    /// fetched or a data chunk was missing).
-    pub decoded: bool,
-}
-
-/// Plans which chunks a client in a given region should fetch.
+/// Plans which `k` chunks of `object` to fetch, minus the `exclude`d
+/// ones the caller already holds.
 ///
-/// Regions are visited in ascending mean-latency order; failed regions
-/// are skipped; within a region, data chunks are preferred over parity
-/// (cheaper reconstruction). Exposed for reuse by the Agar node, whose
-/// region manager supplies its *measured* latency ordering instead.
+/// Regions are visited in `region_order` (a client's ascending
+/// mean-latency order, [`regions_by_latency`]); failed regions are
+/// skipped; within a region, data chunks are preferred over parity
+/// (cheaper reconstruction).
 ///
 /// # Errors
 ///
@@ -43,7 +28,6 @@ pub struct ReadOutcome {
 /// reachable.
 pub fn plan_backend_fetch(
     backend: &Backend,
-    client_region: RegionId,
     object: ObjectId,
     region_order: &[RegionId],
     exclude: &[ChunkId],
@@ -85,7 +69,6 @@ pub fn plan_backend_fetch(
             needed: k,
         });
     }
-    let _ = client_region;
     Ok(plan)
 }
 
@@ -165,89 +148,16 @@ pub fn regions_by_latency(backend: &Backend, client_region: RegionId) -> Vec<Reg
     regions
 }
 
-/// A closed-loop client reading whole objects directly from the backend.
-#[derive(Debug)]
-pub struct StorageClient {
-    region: RegionId,
-    rng: StdRng,
-}
-
-impl StorageClient {
-    /// Creates a client homed in `region`, with its own deterministic RNG.
-    pub fn new(region: RegionId, seed: u64) -> Self {
-        StorageClient {
-            region,
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-
-    /// The client's home region.
-    pub fn region(&self) -> RegionId {
-        self.region
-    }
-
-    /// Exclusive access to the client's RNG (for composed read paths).
-    pub fn rng(&mut self) -> &mut impl RngCore {
-        &mut self.rng
-    }
-
-    /// Reads an object end to end: plan, parallel fetch, decode.
-    ///
-    /// # Errors
-    ///
-    /// Propagates planning and fetch errors; fails with
-    /// [`StoreError::NotEnoughChunks`] when too many regions are down.
-    pub fn read(&mut self, backend: &Backend, object: ObjectId) -> Result<ReadOutcome, StoreError> {
-        let manifest = backend.manifest(object)?;
-        let order = regions_by_latency(backend, self.region);
-        let plan = plan_backend_fetch(backend, self.region, object, &order, &[])?;
-
-        let total = manifest.params().total_chunks();
-        let mut shards: Vec<Option<Bytes>> = vec![None; total];
-        let mut worst = Duration::ZERO;
-        for &(chunk, _) in &plan {
-            let fetch = backend.fetch_chunk(self.region, chunk, &mut self.rng)?;
-            worst = worst.max(fetch.latency);
-            shards[chunk.index().value() as usize] = Some(fetch.data);
-        }
-
-        let k = manifest.params().data_chunks();
-        let decoded = !(0..k).all(|i| shards[i].is_some());
-        let data = backend
-            .codec()
-            .reconstruct_object(&shards, manifest.size())?;
-        Ok(ReadOutcome {
-            data,
-            latency: worst,
-            sources: plan,
-            decoded,
-        })
-    }
-
-    /// Writes an object through the backend.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Backend::put_object`] failures.
-    pub fn write(
-        &mut self,
-        backend: &Backend,
-        object: ObjectId,
-        data: &[u8],
-    ) -> Result<(u64, Duration), StoreError> {
-        let put = backend.put_object(self.region, object, data, &mut self.rng)?;
-        Ok((put.version, put.latency))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{expected_payload, populate};
+    use crate::backend::populate;
     use crate::placement::RoundRobin;
     use agar_ec::CodingParams;
     use agar_net::presets::{aws_six_regions, FRANKFURT, SYDNEY, TOKYO};
     use agar_net::Topology;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
     use std::sync::Arc;
 
     fn six_region_backend() -> Backend {
@@ -262,26 +172,13 @@ mod tests {
     }
 
     #[test]
-    fn read_reconstructs_objects() {
-        let backend = six_region_backend();
-        let mut rng = StdRng::seed_from_u64(1);
-        populate(&backend, 3, 900, &mut rng).unwrap();
-        let mut client = StorageClient::new(FRANKFURT, 7);
-        for i in 0..3 {
-            let out = client.read(&backend, ObjectId::new(i)).unwrap();
-            assert_eq!(out.data.as_ref(), expected_payload(i, 900).as_slice());
-            assert_eq!(out.sources.len(), 9);
-        }
-    }
-
-    #[test]
     fn frankfurt_plan_avoids_sydney_and_uses_tokyo_once() {
         let backend = six_region_backend();
         let mut rng = StdRng::seed_from_u64(1);
         populate(&backend, 1, 900, &mut rng).unwrap();
         let order = regions_by_latency(&backend, FRANKFURT);
         assert_eq!(order[0], FRANKFURT);
-        let plan = plan_backend_fetch(&backend, FRANKFURT, ObjectId::new(0), &order, &[]).unwrap();
+        let plan = plan_backend_fetch(&backend, ObjectId::new(0), &order, &[]).unwrap();
         let from_sydney = plan.iter().filter(|(_, r)| *r == SYDNEY).count();
         let from_tokyo = plan.iter().filter(|(_, r)| *r == TOKYO).count();
         assert_eq!(from_sydney, 0, "the m furthest chunks are never planned");
@@ -289,34 +186,20 @@ mod tests {
     }
 
     #[test]
-    fn read_latency_dominated_by_furthest_contacted() {
+    fn degraded_plan_reaches_further_regions() {
         let backend = six_region_backend();
         let mut rng = StdRng::seed_from_u64(1);
         populate(&backend, 1, 900, &mut rng).unwrap();
-        let mut client = StorageClient::new(FRANKFURT, 7);
-        let out = client.read(&backend, ObjectId::new(0)).unwrap();
-        // Tokyo's calibrated mean is 1000 ms at nominal chunk size; test
-        // chunks are tiny so only the fixed 60% applies (~600 ms), plus
-        // 5% log-normal jitter.
-        let ms = out.latency.as_secs_f64() * 1e3;
-        assert!(ms > 450.0 && ms < 850.0, "latency {ms}ms");
-    }
-
-    #[test]
-    fn degraded_read_uses_parity_from_further_regions() {
-        let backend = six_region_backend();
-        let mut rng = StdRng::seed_from_u64(1);
-        populate(&backend, 1, 900, &mut rng).unwrap();
-        // Fail Frankfurt itself: the client must reach further out.
+        // Fail Frankfurt itself: the plan must reach further out.
         backend.fail_region(FRANKFURT);
-        let mut client = StorageClient::new(FRANKFURT, 7);
-        let out = client.read(&backend, ObjectId::new(0)).unwrap();
-        assert_eq!(out.data.as_ref(), expected_payload(0, 900).as_slice());
-        assert!(out.sources.iter().all(|(_, r)| *r != FRANKFURT));
+        let order = regions_by_latency(&backend, FRANKFURT);
+        let plan = plan_backend_fetch(&backend, ObjectId::new(0), &order, &[]).unwrap();
+        assert_eq!(plan.len(), 9);
+        assert!(plan.iter().all(|(_, r)| *r != FRANKFURT));
     }
 
     #[test]
-    fn decode_flag_reflects_parity_usage() {
+    fn a_failed_region_pulls_parity_into_the_plan() {
         // 3-region deployment, RS(2,1): chunk i lives in region i; the
         // parity chunk 2 sits in the most distant region.
         let matrix = agar_net::MatrixLatency::from_millis(vec![
@@ -334,15 +217,16 @@ mod tests {
         .unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         populate(&backend, 1, 100, &mut rng).unwrap();
-        let mut client = StorageClient::new(RegionId::new(0), 3);
-        // Healthy: fetches data chunks 0 (local) and 1 (near); no decode.
-        let out = client.read(&backend, ObjectId::new(0)).unwrap();
-        assert!(!out.decoded);
-        // Region 1 down: must use the far parity chunk 2; decode required.
+        let order = regions_by_latency(&backend, RegionId::new(0));
+        let chunks = |backend: &Backend| -> Vec<u8> {
+            let plan = plan_backend_fetch(backend, ObjectId::new(0), &order, &[]).unwrap();
+            plan.iter().map(|(c, _)| c.index().value()).collect()
+        };
+        // Healthy: data chunks 0 (local) and 1 (near); nothing to decode.
+        assert_eq!(chunks(&backend), vec![0, 1]);
+        // Region 1 down: the far parity chunk 2 replaces data chunk 1.
         backend.fail_region(RegionId::new(1));
-        let out = client.read(&backend, ObjectId::new(0)).unwrap();
-        assert!(out.decoded);
-        assert_eq!(out.data.as_ref(), expected_payload(0, 100).as_slice());
+        assert_eq!(chunks(&backend), vec![0, 2]);
     }
 
     #[test]
@@ -354,10 +238,14 @@ mod tests {
         for r in 0..4 {
             backend.fail_region(RegionId::new(r));
         }
-        let mut client = StorageClient::new(FRANKFURT, 7);
+        let order = regions_by_latency(&backend, FRANKFURT);
         assert!(matches!(
-            client.read(&backend, ObjectId::new(0)),
-            Err(StoreError::NotEnoughChunks { .. })
+            plan_backend_fetch(&backend, ObjectId::new(0), &order, &[]),
+            Err(StoreError::NotEnoughChunks {
+                reachable: 4,
+                needed: 9,
+                ..
+            })
         ));
     }
 
@@ -370,7 +258,7 @@ mod tests {
         let object = ObjectId::new(0);
         // Pretend chunks 4 and 9 are already cached.
         let cached = vec![ChunkId::new(object, 4), ChunkId::new(object, 9)];
-        let plan = plan_backend_fetch(&backend, FRANKFURT, object, &order, &cached).unwrap();
+        let plan = plan_backend_fetch(&backend, object, &order, &cached).unwrap();
         assert_eq!(plan.len(), 7);
         assert!(plan.iter().all(|(c, _)| !cached.contains(c)));
     }
@@ -398,7 +286,7 @@ mod tests {
         }
         // Taking the 9 cheapest matches plan_backend_fetch's choice set.
         let order = regions_by_latency(&backend, FRANKFURT);
-        let plan = plan_backend_fetch(&backend, FRANKFURT, object, &order, &[]).unwrap();
+        let plan = plan_backend_fetch(&backend, object, &order, &[]).unwrap();
         let planned: std::collections::BTreeSet<ChunkId> = plan.iter().map(|&(c, _)| c).collect();
         let cheapest: std::collections::BTreeSet<ChunkId> =
             candidates.iter().take(9).map(|c| c.chunk).collect();
@@ -414,17 +302,5 @@ mod tests {
             plan_backend_fetch_with_estimates(&backend, ObjectId::new(99), &estimates),
             Err(StoreError::UnknownObject { .. })
         ));
-    }
-
-    #[test]
-    fn writes_via_client_bump_versions() {
-        let backend = six_region_backend();
-        let mut client = StorageClient::new(SYDNEY, 5);
-        let (v1, _) = client.write(&backend, ObjectId::new(42), &[1; 90]).unwrap();
-        let (v2, d) = client.write(&backend, ObjectId::new(42), &[2; 90]).unwrap();
-        assert_eq!((v1, v2), (1, 2));
-        assert!(d > Duration::ZERO);
-        let out = client.read(&backend, ObjectId::new(42)).unwrap();
-        assert_eq!(out.data.as_ref(), [2; 90].as_slice());
     }
 }

@@ -11,15 +11,18 @@
 //! - [`Backend`] — the multi-region store: encode-and-place writes,
 //!   latency-sampled chunk fetches (single or region-batched, one
 //!   priced round trip per region), region failure injection;
-//! - [`StorageClient`] — the paper's cache-less "Backend" baseline
-//!   reader (fetch the `k` cheapest chunks in parallel, decode).
+//! - [`plan_backend_fetch`] / [`plan_backend_fetch_with_estimates`] —
+//!   which chunks a client reads: the `k` cheapest reachable ones.
+//!
+//! The paper's cache-less "Backend" baseline reader is
+//! `agar::baselines::BackendOnlyClient`, on top of this crate.
 //!
 //! # Examples
 //!
 //! ```
 //! use agar_ec::{CodingParams, ObjectId};
 //! use agar_net::presets::{aws_six_regions, FRANKFURT};
-//! use agar_store::{populate, Backend, RoundRobin, StorageClient};
+//! use agar_store::{plan_backend_fetch, populate, regions_by_latency, Backend, RoundRobin};
 //! use rand::rngs::StdRng;
 //! use rand::SeedableRng;
 //! use std::sync::Arc;
@@ -34,9 +37,13 @@
 //! let mut rng = StdRng::seed_from_u64(0);
 //! populate(&backend, 10, 9_000, &mut rng)?;
 //!
-//! let mut client = StorageClient::new(FRANKFURT, 42);
-//! let outcome = client.read(&backend, ObjectId::new(3))?;
-//! assert_eq!(outcome.data.len(), 9_000);
+//! // A Frankfurt client needs k = 9 of the 12 chunks: the 3 most
+//! // distant are never planned.
+//! let order = regions_by_latency(&backend, FRANKFURT);
+//! let plan = plan_backend_fetch(&backend, ObjectId::new(3), &order, &[])?;
+//! assert_eq!(plan.len(), 9);
+//! let fetch = backend.fetch_chunk(FRANKFURT, plan[0].0, &mut rng)?;
+//! assert_eq!(fetch.data.len(), 1_000);
 //! # Ok::<(), agar_store::StoreError>(())
 //! ```
 
@@ -54,7 +61,6 @@ pub use backend::{expected_payload, populate, Backend, BatchFetchOutcome, ChunkF
 pub use bucket::{Bucket, StoredChunk};
 pub use client::{
     plan_backend_fetch, plan_backend_fetch_with_estimates, regions_by_latency, ChunkCandidate,
-    ReadOutcome, StorageClient,
 };
 pub use error::StoreError;
 pub use manifest::ObjectManifest;

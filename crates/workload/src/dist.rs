@@ -1,5 +1,5 @@
-//! Key distributions beyond Zipfian: uniform, hotspot, latest and
-//! sequential, mirroring YCSB's generator family.
+//! The key-distribution trait and the uniform control: every experiment
+//! draws [`UniformKeys`] or [`Zipfian`].
 
 use crate::error::WorkloadError;
 use crate::zipf::Zipfian;
@@ -69,143 +69,6 @@ impl KeyDistribution for UniformKeys {
     }
 }
 
-/// YCSB's hotspot distribution: a fraction of operations go to a small
-/// hot set, the rest are uniform over the cold set.
-#[derive(Clone, Copy, Debug)]
-pub struct Hotspot {
-    n: u64,
-    hot_keys: u64,
-    hot_fraction: f64,
-}
-
-impl Hotspot {
-    /// Creates a hotspot distribution: `hot_fraction` of samples fall in
-    /// the first `hot_keys` keys.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WorkloadError::InvalidParameter`] unless
-    /// `0 < hot_keys <= n` and `hot_fraction` is in `[0, 1]`.
-    pub fn new(n: u64, hot_keys: u64, hot_fraction: f64) -> Result<Self, WorkloadError> {
-        if n == 0 || hot_keys == 0 || hot_keys > n || !(0.0..=1.0).contains(&hot_fraction) {
-            return Err(WorkloadError::InvalidParameter {
-                what: "hotspot needs 0 < hot_keys <= n and hot_fraction in [0, 1]",
-            });
-        }
-        Ok(Hotspot {
-            n,
-            hot_keys,
-            hot_fraction,
-        })
-    }
-
-    fn uniform_below(limit: u64, rng: &mut dyn RngCore) -> u64 {
-        ((rng.next_u64() as u128 * limit as u128) >> 64) as u64
-    }
-}
-
-impl KeyDistribution for Hotspot {
-    fn sample(&self, rng: &mut dyn RngCore) -> u64 {
-        let u = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-        if u < self.hot_fraction || self.hot_keys == self.n {
-            Self::uniform_below(self.hot_keys, rng)
-        } else {
-            self.hot_keys + Self::uniform_below(self.n - self.hot_keys, rng)
-        }
-    }
-
-    fn n(&self) -> u64 {
-        self.n
-    }
-
-    fn label(&self) -> String {
-        format!(
-            "hotspot({}/{:.0}%)",
-            self.hot_keys,
-            self.hot_fraction * 100.0
-        )
-    }
-}
-
-/// Cycles through the key space in order — a worst case for any
-/// popularity-based cache.
-#[derive(Debug)]
-pub struct Sequential {
-    n: u64,
-    next: std::sync::atomic::AtomicU64,
-}
-
-impl Sequential {
-    /// Creates a sequential scanner over `n` keys.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WorkloadError::InvalidParameter`] if `n == 0`.
-    pub fn new(n: u64) -> Result<Self, WorkloadError> {
-        if n == 0 {
-            return Err(WorkloadError::InvalidParameter {
-                what: "sequential distribution needs at least one key",
-            });
-        }
-        Ok(Sequential {
-            n,
-            next: std::sync::atomic::AtomicU64::new(0),
-        })
-    }
-}
-
-impl KeyDistribution for Sequential {
-    fn sample(&self, _rng: &mut dyn RngCore) -> u64 {
-        self.next.fetch_add(1, std::sync::atomic::Ordering::Relaxed) % self.n
-    }
-
-    fn n(&self) -> u64 {
-        self.n
-    }
-
-    fn label(&self) -> String {
-        "sequential".to_string()
-    }
-}
-
-/// "Latest" distribution: Zipfian over recency, favouring the most
-/// recently *written* keys, like YCSB's latest generator. With a
-/// read-only workload it behaves like a Zipfian anchored at the end of
-/// the key space.
-#[derive(Clone, Debug)]
-pub struct Latest {
-    inner: Zipfian,
-}
-
-impl Latest {
-    /// Creates a latest-skewed distribution.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Zipfian::new`] validation.
-    pub fn new(n: u64, skew: f64) -> Result<Self, WorkloadError> {
-        Ok(Latest {
-            inner: Zipfian::new(n, skew)?,
-        })
-    }
-}
-
-impl KeyDistribution for Latest {
-    fn sample(&self, rng: &mut dyn RngCore) -> u64 {
-        let rank = self.inner.sample(rng);
-        // Rank 0 (hottest) maps to the newest key (highest id).
-        self.inner.n() - 1 - rank
-    }
-
-    fn n(&self) -> u64 {
-        self.inner.n()
-    }
-
-    fn label(&self) -> String {
-        format!("latest({})", self.inner.skew())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,55 +88,6 @@ mod tests {
         }
         assert_eq!(d.label(), "uniform");
         assert!(UniformKeys::new(0).is_err());
-    }
-
-    #[test]
-    fn hotspot_respects_hot_fraction() {
-        let d = Hotspot::new(100, 10, 0.9).unwrap();
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut hot = 0u64;
-        let total = 100_000;
-        for _ in 0..total {
-            if d.sample(&mut rng) < 10 {
-                hot += 1;
-            }
-        }
-        let frac = hot as f64 / total as f64;
-        assert!((frac - 0.9).abs() < 0.01, "hot fraction {frac}");
-    }
-
-    #[test]
-    fn hotspot_validation() {
-        assert!(Hotspot::new(0, 1, 0.5).is_err());
-        assert!(Hotspot::new(10, 0, 0.5).is_err());
-        assert!(Hotspot::new(10, 11, 0.5).is_err());
-        assert!(Hotspot::new(10, 5, 1.5).is_err());
-        assert!(Hotspot::new(10, 10, 1.0).is_ok());
-    }
-
-    #[test]
-    fn sequential_wraps_in_order() {
-        let d = Sequential::new(3).unwrap();
-        let mut rng = StdRng::seed_from_u64(0);
-        let keys: Vec<u64> = (0..7).map(|_| d.sample(&mut rng)).collect();
-        assert_eq!(keys, vec![0, 1, 2, 0, 1, 2, 0]);
-        assert!(Sequential::new(0).is_err());
-    }
-
-    #[test]
-    fn latest_favours_newest_keys() {
-        let d = Latest::new(100, 1.2).unwrap();
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut newest = 0u64;
-        let total = 50_000;
-        for _ in 0..total {
-            if d.sample(&mut rng) >= 90 {
-                newest += 1;
-            }
-        }
-        // Top-10 newest keys should receive a majority of traffic.
-        assert!(newest as f64 / total as f64 > 0.5);
-        assert_eq!(d.n(), 100);
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //!
 //! - [`Zipfian`] — exact inverse-CDF Zipfian sampling valid for *any*
 //!   skew (YCSB's Gray-formula generator only handles skew < 1, but the
-//!   paper sweeps up to 1.4), with an optional scrambled key space;
-//! - [`dist`] — uniform, hotspot, latest and sequential distributions
-//!   behind the [`KeyDistribution`] trait;
+//!   paper sweeps up to 1.4);
+//! - [`UniformKeys`] — the paper's uniform control; both sit behind the
+//!   [`KeyDistribution`] trait and are chosen by a [`Distribution`];
 //! - [`WorkloadSpec`]/[`OpStream`] — seeded, deterministic operation
 //!   streams with a configurable read/write mix;
 //! - [`ReadWriteMix`]/[`MixedStream`] — the cluster write-path
@@ -47,7 +47,7 @@ pub mod spec;
 pub mod zipf;
 
 pub use cdf::{empirical_popularity_cdf, zipf_popularity_cdf, CdfPoint};
-pub use dist::{Hotspot, KeyDistribution, Latest, Sequential, UniformKeys};
+pub use dist::{KeyDistribution, UniformKeys};
 pub use error::WorkloadError;
 pub use scenario::{FlakyRegion, SlowdownSpike, StragglerScenario};
 pub use spec::{

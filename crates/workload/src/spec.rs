@@ -5,7 +5,7 @@
 //! them into a deterministic, seeded [`OpStream`] of operations, playing
 //! the role of the (modified) YCSB client driver.
 
-use crate::dist::{Hotspot, KeyDistribution, Latest, Sequential, UniformKeys};
+use crate::dist::{KeyDistribution, UniformKeys};
 use crate::error::WorkloadError;
 use crate::zipf::Zipfian;
 use rand::rngs::StdRng;
@@ -22,27 +22,6 @@ pub enum Distribution {
         /// Skew exponent (θ).
         skew: f64,
     },
-    /// Scrambled Zipfian: same popularity profile, permuted key space.
-    ScrambledZipfian {
-        /// Skew exponent (θ).
-        skew: f64,
-        /// Seed for the permutation.
-        scramble_seed: u64,
-    },
-    /// A hot set receiving a fixed fraction of accesses.
-    Hotspot {
-        /// Number of keys in the hot set.
-        hot_keys: u64,
-        /// Fraction of operations hitting the hot set.
-        hot_fraction: f64,
-    },
-    /// Most recently added keys are hottest.
-    Latest {
-        /// Skew exponent of the underlying Zipfian.
-        skew: f64,
-    },
-    /// Round-robin scan of the catalogue.
-    Sequential,
 }
 
 impl Distribution {
@@ -55,16 +34,6 @@ impl Distribution {
         Ok(match self {
             Distribution::Uniform => Box::new(UniformKeys::new(n)?),
             Distribution::Zipfian { skew } => Box::new(Zipfian::new(n, skew)?),
-            Distribution::ScrambledZipfian {
-                skew,
-                scramble_seed,
-            } => Box::new(Zipfian::new(n, skew)?.scrambled(scramble_seed)),
-            Distribution::Hotspot {
-                hot_keys,
-                hot_fraction,
-            } => Box::new(Hotspot::new(n, hot_keys, hot_fraction)?),
-            Distribution::Latest { skew } => Box::new(Latest::new(n, skew)?),
-            Distribution::Sequential => Box::new(Sequential::new(n)?),
         })
     }
 
@@ -73,13 +42,6 @@ impl Distribution {
         match self {
             Distribution::Uniform => "uniform".into(),
             Distribution::Zipfian { skew } => format!("zipf {skew}"),
-            Distribution::ScrambledZipfian { skew, .. } => format!("scrambled-zipf {skew}"),
-            Distribution::Hotspot {
-                hot_keys,
-                hot_fraction,
-            } => format!("hotspot {hot_keys}@{hot_fraction}"),
-            Distribution::Latest { skew } => format!("latest {skew}"),
-            Distribution::Sequential => "sequential".into(),
         }
     }
 }
@@ -500,20 +462,7 @@ mod tests {
 
     #[test]
     fn all_distributions_build() {
-        for dist in [
-            Distribution::Uniform,
-            Distribution::Zipfian { skew: 1.1 },
-            Distribution::ScrambledZipfian {
-                skew: 0.9,
-                scramble_seed: 1,
-            },
-            Distribution::Hotspot {
-                hot_keys: 5,
-                hot_fraction: 0.8,
-            },
-            Distribution::Latest { skew: 1.0 },
-            Distribution::Sequential,
-        ] {
+        for dist in [Distribution::Uniform, Distribution::Zipfian { skew: 1.1 }] {
             let mut spec = WorkloadSpec::paper_default();
             spec.distribution = dist;
             let ops: Vec<Op> = spec.stream(3).unwrap().collect();

@@ -7,12 +7,9 @@
 //! the catalogue is only a few hundred objects, making exactness cheap —
 //! and supports any non-negative skew, including the paper's 1.1 and 1.4.
 //!
-//! Rank 0 is the most popular key. An optional *scramble* applies a
-//! seeded permutation so popularity is not correlated with key order
-//! (YCSB's `ScrambledZipfianGenerator` without its hash collisions).
+//! Rank 0 is the most popular key, and a key is its rank.
 
-use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::RngCore;
 
 /// Exact Zipfian sampler over `n` ranks with parameter `skew`.
 ///
@@ -37,8 +34,6 @@ pub struct Zipfian {
     skew: f64,
     /// `cumulative[i]` = P(rank <= i); last entry is 1.0.
     cumulative: Vec<f64>,
-    /// Rank -> key permutation; identity when not scrambled.
-    permutation: Option<Vec<u64>>,
 }
 
 impl Zipfian {
@@ -68,24 +63,7 @@ impl Zipfian {
             n,
             skew,
             cumulative,
-            permutation: None,
         })
-    }
-
-    /// Returns a scrambled variant: ranks are mapped through a seeded
-    /// pseudorandom permutation, so hot keys are spread over the key
-    /// space instead of clustering at low indices.
-    #[must_use]
-    pub fn scrambled(mut self, seed: u64) -> Self {
-        let mut perm: Vec<u64> = (0..self.n).collect();
-        let mut rng = StdRng::seed_from_u64(seed);
-        // Fisher-Yates.
-        for i in (1..perm.len()).rev() {
-            let j = rng.random_range(0..=i);
-            perm.swap(i, j);
-        }
-        self.permutation = Some(perm);
-        self
     }
 
     /// Number of keys.
@@ -123,33 +101,17 @@ impl Zipfian {
         self.cumulative[(top - 1) as usize]
     }
 
-    /// Draws a key.
+    /// Draws a key (its popularity rank).
     pub fn sample(&self, rng: &mut dyn RngCore) -> u64 {
         let u = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-        let rank = match self
+        match self
             .cumulative
             .binary_search_by(|c| c.partial_cmp(&u).expect("cdf entries are finite"))
         {
             Ok(i) => i + 1,
             Err(i) => i,
         }
-        .min(self.n as usize - 1) as u64;
-        match &self.permutation {
-            Some(perm) => perm[rank as usize],
-            None => rank,
-        }
-    }
-
-    /// The popularity rank of `key` (inverse of the scramble; identity
-    /// when unscrambled). Returns `None` for out-of-range keys.
-    pub fn rank_of(&self, key: u64) -> Option<u64> {
-        if key >= self.n {
-            return None;
-        }
-        match &self.permutation {
-            Some(perm) => perm.iter().position(|&k| k == key).map(|i| i as u64),
-            None => Some(key),
-        }
+        .min(self.n as usize - 1) as u64
     }
 }
 
@@ -241,53 +203,5 @@ mod tests {
         };
         assert_eq!(draw(1), draw(1));
         assert_ne!(draw(1), draw(2));
-    }
-
-    #[test]
-    fn scramble_is_a_permutation() {
-        let z = Zipfian::new(64, 1.0).unwrap().scrambled(9);
-        let mut seen = [false; 64];
-        for rank in 0..64u64 {
-            let key = match &z.permutation {
-                Some(p) => p[rank as usize],
-                None => unreachable!(),
-            };
-            assert!(!seen[key as usize], "key {key} duplicated");
-            seen[key as usize] = true;
-        }
-        assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn scrambled_rank_of_inverts() {
-        let z = Zipfian::new(32, 1.0).unwrap().scrambled(11);
-        let mut rng = StdRng::seed_from_u64(0);
-        for _ in 0..100 {
-            let key = z.sample(&mut rng);
-            let rank = z.rank_of(key).unwrap();
-            assert!(rank < 32);
-        }
-        assert_eq!(z.rank_of(99), None);
-        let plain = Zipfian::new(32, 1.0).unwrap();
-        assert_eq!(plain.rank_of(5), Some(5));
-    }
-
-    #[test]
-    fn scrambled_preserves_marginal_popularity() {
-        let z = Zipfian::new(20, 1.2).unwrap().scrambled(5);
-        let mut rng = StdRng::seed_from_u64(13);
-        let mut counts = [0u64; 20];
-        for _ in 0..100_000 {
-            counts[z.sample(&mut rng) as usize] += 1;
-        }
-        // The most frequent key must be the one the permutation maps
-        // rank 0 to.
-        let hottest = counts
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &c)| c)
-            .map(|(k, _)| k as u64)
-            .unwrap();
-        assert_eq!(z.rank_of(hottest), Some(0));
     }
 }

@@ -1,18 +1,24 @@
-//! Systematic failure-injection tests for the erasure-coded backend:
-//! every combination of failed regions either degrades gracefully or
-//! fails loudly, never silently corrupts.
+//! Systematic failure-injection tests for the erasure-coded backend,
+//! read through `BackendOnlyClient` — the cache-less client the figures
+//! run: every combination of failed regions either degrades gracefully
+//! or fails loudly, never silently corrupts.
 
+use agar::{AgarError, BackendOnlyClient, CachingClient};
 use agar_ec::{CodingParams, ObjectId};
 use agar_net::presets::aws_six_regions;
 use agar_net::RegionId;
-use agar_store::{expected_payload, populate, Backend, RoundRobin, StorageClient, StoreError};
+use agar_store::{
+    expected_payload, plan_backend_fetch, populate, regions_by_latency, Backend, RoundRobin,
+    StoreError,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
+use std::time::Duration;
 
 const SIZE: usize = 900;
 
-fn backend() -> Backend {
+fn backend() -> Arc<Backend> {
     let preset = aws_six_regions();
     let backend = Backend::new(
         preset.topology,
@@ -23,7 +29,16 @@ fn backend() -> Backend {
     .unwrap();
     let mut rng = StdRng::seed_from_u64(0);
     populate(&backend, 3, SIZE, &mut rng).unwrap();
-    backend
+    Arc::new(backend)
+}
+
+fn client(backend: &Arc<Backend>, home: u16, seed: u64) -> BackendOnlyClient {
+    BackendOnlyClient::new(
+        RegionId::new(home),
+        Arc::clone(backend),
+        Duration::from_millis(100),
+        seed,
+    )
 }
 
 #[test]
@@ -32,18 +47,19 @@ fn every_single_region_failure_is_survivable() {
     for r in 0..6u16 {
         let backend = backend();
         backend.fail_region(RegionId::new(r));
-        let mut client = StorageClient::new(RegionId::new(0), 1);
+        let client = client(&backend, 0, 1);
+        let order = regions_by_latency(&backend, RegionId::new(0));
         for i in 0..3 {
-            let out = client.read(&backend, ObjectId::new(i)).unwrap();
+            let out = client.read(ObjectId::new(i)).unwrap();
             assert_eq!(
                 out.data.as_ref(),
                 expected_payload(i, SIZE).as_slice(),
                 "region {r} down, object {i}"
             );
-            assert!(out
-                .sources
-                .iter()
-                .all(|&(_, reg)| reg.index() != r as usize));
+            // What the client fetched is what the plan names.
+            let plan = plan_backend_fetch(&backend, ObjectId::new(i), &order, &[]).unwrap();
+            assert_eq!(out.backend_fetches, plan.len());
+            assert!(plan.iter().all(|&(_, reg)| reg.index() != r as usize));
         }
     }
 }
@@ -57,11 +73,14 @@ fn every_two_region_failure_fails_loudly() {
             let backend = backend();
             backend.fail_region(RegionId::new(a));
             backend.fail_region(RegionId::new(b));
-            let mut client = StorageClient::new(RegionId::new(0), 1);
-            let result = client.read(&backend, ObjectId::new(0));
+            let result = client(&backend, 0, 1).read(ObjectId::new(0));
             assert!(
-                matches!(result, Err(StoreError::NotEnoughChunks { .. })),
-                "regions {a}+{b} down: expected NotEnoughChunks, got {result:?}"
+                matches!(
+                    result,
+                    Err(AgarError::Store(StoreError::NotEnoughChunks { .. }))
+                ),
+                "regions {a}+{b} down: expected NotEnoughChunks, got {:?}",
+                result.map(|metrics| metrics.backend_fetches)
             );
         }
     }
@@ -70,16 +89,16 @@ fn every_two_region_failure_fails_loudly() {
 #[test]
 fn failure_and_heal_cycles_are_idempotent() {
     let backend = backend();
-    let mut client = StorageClient::new(RegionId::new(2), 9);
+    let client = client(&backend, 2, 9);
     for cycle in 0..4 {
         let region = RegionId::new(cycle % 6);
         backend.fail_region(region);
         backend.fail_region(region); // double-fail is a no-op
-        let out = client.read(&backend, ObjectId::new(1)).unwrap();
+        let out = client.read(ObjectId::new(1)).unwrap();
         assert_eq!(out.data.as_ref(), expected_payload(1, SIZE).as_slice());
         backend.heal_region(region);
         backend.heal_region(region); // double-heal is a no-op
-        let out = client.read(&backend, ObjectId::new(1)).unwrap();
+        let out = client.read(ObjectId::new(1)).unwrap();
         assert_eq!(out.data.as_ref(), expected_payload(1, SIZE).as_slice());
     }
 }
@@ -87,17 +106,19 @@ fn failure_and_heal_cycles_are_idempotent() {
 #[test]
 fn writes_resume_after_heal() {
     let backend = backend();
-    let mut client = StorageClient::new(RegionId::new(0), 5);
+    let client = client(&backend, 0, 5);
+    let mut rng = StdRng::seed_from_u64(5);
+    let home = RegionId::new(0);
     backend.fail_region(RegionId::new(4));
-    assert!(client
-        .write(&backend, ObjectId::new(9), &[1; SIZE])
+    assert!(backend
+        .put_object(home, ObjectId::new(9), &[1; SIZE], &mut rng)
         .is_err());
     backend.heal_region(RegionId::new(4));
-    let (version, _) = client
-        .write(&backend, ObjectId::new(9), &[1; SIZE])
+    let put = backend
+        .put_object(home, ObjectId::new(9), &[1; SIZE], &mut rng)
         .unwrap();
-    assert_eq!(version, 1);
-    let out = client.read(&backend, ObjectId::new(9)).unwrap();
+    assert_eq!(put.version, 1);
+    let out = client.read(ObjectId::new(9)).unwrap();
     assert_eq!(out.data.as_ref(), [1; SIZE].as_slice());
 }
 
@@ -107,9 +128,9 @@ fn reads_from_every_client_region_survive_remote_failure() {
     // Sydney fails; clients in all other regions still read everything.
     backend.fail_region(RegionId::new(5));
     for home in 0..5u16 {
-        let mut client = StorageClient::new(RegionId::new(home), home as u64);
+        let client = client(&backend, home, u64::from(home));
         for i in 0..3 {
-            let out = client.read(&backend, ObjectId::new(i)).unwrap();
+            let out = client.read(ObjectId::new(i)).unwrap();
             assert_eq!(out.data.as_ref(), expected_payload(i, SIZE).as_slice());
         }
     }
