@@ -20,10 +20,10 @@
 //!   least recently used entry) of the next non-empty shard the cursor
 //!   reaches, a scan of that one shard. With one shard this is exact
 //!   LRU; with more it is approximate global LRU under an exact global
-//!   capacity. A shard that alone overflows the budget gives up nothing
-//!   before the walk runs (until the shards were written directly, each
-//!   also had a full-budget LRU cap of its own that evicted first). No
-//!   gated report sees the difference: a configuration-driven node
+//!   capacity, and the walk is the only eviction: a victim comes from
+//!   the shard the cursor reaches, not from the shard that took the
+//!   insert, even when that shard alone holds more than the budget. No
+//!   gated report depends on the order: a configuration-driven node
 //!   evicts 0 chunks per 1 000 operations on every benchmark workload
 //!   and in every Agar cell of `tail`, `tiers` and `chaos`, and the
 //!   baselines run one shard;

@@ -232,7 +232,7 @@ impl TieredChunkCache {
     }
 
     /// One snapshot of what is cached and where: every chunk of the RAM
-    /// tier (in shard order), then every chunk of the disk tier
+    /// tier (in no particular order), then every chunk of the disk tier
     /// (sorted). What a reconfiguration diffs its configuration against.
     pub fn residency(&self) -> Vec<(ChunkId, CacheTier)> {
         let ram = self.ram.keys().into_iter().map(|id| (id, CacheTier::Ram));

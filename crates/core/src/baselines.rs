@@ -37,10 +37,9 @@ pub enum BaselinePolicy {
     Lru,
     /// The paper's LFU-c baseline as every figure runs it: a
     /// request-frequency proxy admits only the most popular objects at
-    /// each 30 s reconfiguration (the module docs' LFU-c); admitted
-    /// objects fill on a miss, in LRU order. An online per-chunk LFU
-    /// (every miss admitted, least frequently used evicted) was measured
-    /// on fig8b and removed: EXPERIMENTS.md 2026-10-15 (i).
+    /// each 30 s reconfiguration; admitted objects fill on a miss, in
+    /// LRU order. (What an online per-chunk LFU reads on fig8b instead:
+    /// EXPERIMENTS.md 2026-10-15 (i).)
     LfuEpoch,
 }
 

@@ -9,7 +9,7 @@
 //!
 //! - [`agar_ec`] — erasure coding (GF(2^8), Reed-Solomon)
 //! - [`agar_net`] — geo topology, latency models, discrete-event simulation
-//! - [`agar_cache`] — byte-bounded chunk cache with eviction policies
+//! - [`agar_cache`] — the sharded LRU chunk store and the RAM-over-disk tiers
 //! - [`agar_workload`] — YCSB-style workload generators
 //! - [`agar_store`] — S3-like erasure-coded backend
 //! - [`agar`] — the paper's contribution: knapsack-driven cache configuration
