@@ -19,10 +19,10 @@
 //!
 //! Both counters must be zero: the per-object write lease serialises
 //! same-key writers, version validation keeps racing readers off
-//! half-written state, and targeted invalidation keeps sibling caches
-//! honest. The run also reports simulated read/write latency, lease
-//! contention and invalidations-per-write (the targeted-invalidation
-//! payoff: well under `members - 1`, the broadcast cost).
+//! half-written state, and each write's invalidation of the other
+//! members keeps sibling caches honest. The run also reports simulated
+//! read/write latency, lease contention and invalidations-per-write
+//! (the other members that held chunks of the written object).
 
 use crate::harness::Deployment;
 use crate::table::{LatencyHistogram, LatencySummary};
@@ -195,7 +195,7 @@ pub struct MixedRun {
     pub write_latency_mean: Duration,
     /// Writes that waited behind another writer's lease.
     pub lease_contentions: u64,
-    /// Targeted invalidations across all writes.
+    /// Members found holding a written object, across all writes.
     pub invalidations: u64,
     /// Wall-clock duration of the run.
     pub elapsed: Duration,
@@ -213,8 +213,7 @@ impl MixedRun {
         self.hit_reads as f64 / self.reads.max(1) as f64
     }
 
-    /// Mean members invalidated per write (the targeted-invalidation
-    /// payoff: the old broadcast cost `members - 1` for every write).
+    /// Mean members per write that held chunks of the written object.
     fn invalidations_per_write(&self) -> f64 {
         if self.writes == 0 {
             0.0
@@ -405,7 +404,7 @@ pub(crate) fn mixed_table(
     let (members, threads) = (3, 4);
     let mut table = crate::table::Table::new(
         "Mixed — M client threads x K ring-routed nodes under a read/write mix \
-         (per-object write leases, targeted invalidation)",
+         (per-object write leases, invalidation by chunk id)",
         {
             let mut headers: Vec<String> = vec![
                 "write %".into(),

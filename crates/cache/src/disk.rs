@@ -542,24 +542,6 @@ impl DiskStore {
         self.inner().forget(id)
     }
 
-    /// Drops every live entry whose id matches `pred`; returns how many
-    /// were dropped.
-    pub fn remove_matching(&self, mut pred: impl FnMut(&ChunkId) -> bool) -> usize {
-        let mut inner = self.inner();
-        let Inner {
-            index, segments, ..
-        } = &mut *inner;
-        let before = index.len();
-        index.retain(|id, loc| {
-            let dead = pred(id);
-            if dead {
-                Inner::debit(segments, *loc);
-            }
-            !dead
-        });
-        before - index.len()
-    }
-
     /// Writes `header` + `payload` as one frame at the active segment's
     /// tracked length and returns the frame's `(segment, offset)`,
     /// crediting it to the segment's live bytes and to `appended_bytes`.
@@ -941,7 +923,11 @@ mod tests {
         let run = || {
             let store = DiskStore::new(64 * 1024).unwrap();
             skewed_churn(&store, 0..24);
-            store.remove_matching(|key| key.object().index() % 7 == 0);
+            for key in store.keys() {
+                if key.object().index() % 7 == 0 {
+                    store.remove(&key);
+                }
+            }
             store.remove(&id(1, 0));
             skewed_churn(&store, 24..29);
             store
@@ -1032,20 +1018,6 @@ mod tests {
         let out = store.put(id(1, 0), &chunk(1, 4096, 1));
         assert!(!out.stored);
         assert!(store.is_empty());
-    }
-
-    #[test]
-    fn remove_matching_purges_object() {
-        let store = DiskStore::new(1 << 20).unwrap();
-        for i in 0..6u8 {
-            store.put(id(1, i), &chunk(i, 64, 1));
-            store.put(id(2, i), &chunk(i, 64, 1));
-        }
-        let removed = store.remove_matching(|c| c.object() == ObjectId::new(1));
-        assert_eq!(removed, 6);
-        assert_eq!(store.len(), 6);
-        assert!(store.get(&id(1, 0)).is_none());
-        assert!(store.get(&id(2, 0)).is_some());
     }
 
     #[test]
@@ -1277,10 +1249,11 @@ mod tests {
                         prop_assert_eq!(store.remove(&key), model.remove(&key).is_some());
                     }
                     6 => {
-                        let before = model.len();
-                        model.retain(|k, _| k.object() != key.object());
-                        let removed = store.remove_matching(|k| k.object() == key.object());
-                        prop_assert_eq!(removed, before - model.len());
+                        // An object's invalidation: each of its ids.
+                        for index in 0..3 {
+                            let key = id(object, index);
+                            prop_assert_eq!(store.remove(&key), model.remove(&key).is_some());
+                        }
                     }
                     _ => {
                         let found = store.get(&key);

@@ -16,9 +16,9 @@
 //! `cells` rows, the counters a cache or node writes — the live
 //! [`AtomicCacheStats`] cells with `snapshot` and `register_with`. The
 //! `report_only` rows are cluster events: their cells are plain
-//! [`Counter`]s owned by the fetch coordinator and the lease manager,
-//! which register them through [`ROWS`] and fill only their own fields
-//! of the report.
+//! [`Counter`]s owned by the fetch coordinator, the lease manager and
+//! the router, which register them through [`ROWS`] and fill only their
+//! own fields of the report.
 //!
 //! One identity holds on every report: `chunk_hits + chunk_misses` is
 //! the number of **RAM** lookups. A tiered cache records the RAM miss
@@ -220,7 +220,7 @@ counter_table! {
         lease_contentions: "agar_lease_contentions_total" []
             "Writes that waited behind another writer's lease.";
         targeted_invalidations: "agar_invalidations_targeted_total" []
-            "Targeted cache invalidations sent on lease release.";
+            "Members that held chunks of an object a routed write invalidated.";
     }
 }
 

@@ -14,8 +14,8 @@
 //!   disk tier that was not placed there, so a cached chunk is always
 //!   in the tier its last placement named;
 //! - every insert leaves the chunk in exactly one tier, and removal
-//!   and bulk invalidation purge **both**, so the write path's
-//!   coherence guarantees are tier-blind;
+//!   purges **both**, so the write path's coherence guarantees are
+//!   tier-blind;
 //! - an insert **older** than the resident chunk of its key — in
 //!   either tier — is refused, so a cached chunk's version never goes
 //!   backwards. Each tier checks its own entry under its own lock;
@@ -111,11 +111,6 @@ impl TieredChunkCache {
         }
     }
 
-    /// Whether a disk tier is attached.
-    pub fn has_disk(&self) -> bool {
-        self.disk.is_some()
-    }
-
     /// The inner RAM tier (shared statistics live here).
     pub fn ram(&self) -> &ShardedChunkCache {
         &self.ram
@@ -193,25 +188,12 @@ impl TieredChunkCache {
         }
     }
 
-    /// Removes a chunk from **both** tiers, returning the RAM copy if
-    /// one existed (the disk copy is purged regardless).
-    pub fn remove(&self, key: &ChunkId) -> Option<CachedChunk> {
-        let from_ram = self.ram.remove(key);
-        if let Some(disk) = &self.disk {
-            disk.remove(key);
-        }
-        from_ram
-    }
-
-    /// Removes every chunk matching the predicate from **both** tiers
-    /// (bulk invalidation); returns how many entries were removed
-    /// across tiers.
-    pub fn remove_matching(&self, mut pred: impl FnMut(&ChunkId) -> bool) -> usize {
-        let mut removed = self.ram.remove_matching(&mut pred);
-        if let Some(disk) = &self.disk {
-            removed += disk.remove_matching(&mut pred);
-        }
-        removed
+    /// Removes a chunk from **both** tiers; returns whether either held
+    /// it.
+    pub fn remove(&self, key: &ChunkId) -> bool {
+        let from_ram = self.ram.remove(key).is_some();
+        let from_disk = self.disk.as_ref().is_some_and(|disk| disk.remove(key));
+        from_ram | from_disk
     }
 
     /// Whether the chunk is present in either tier.
@@ -454,7 +436,7 @@ mod tests {
     #[test]
     fn ram_only_never_touches_tier_counters() {
         let cache = TieredChunkCache::with_disk(200, 1, 0);
-        assert!(!cache.has_disk());
+        assert!(cache.disk().is_none());
         cache.insert_to_tier(id(1, 0), chunk(1, 100, 1), CacheTier::Ram);
         cache.insert_to_tier(id(2, 0), chunk(2, 100, 1), CacheTier::Ram);
         cache.insert_to_tier(id(3, 0), chunk(3, 100, 1), CacheTier::Ram);
@@ -468,7 +450,7 @@ mod tests {
     #[test]
     fn zero_disk_capacity_means_no_disk_tier() {
         let cache = TieredChunkCache::with_disk(200, 1, 0);
-        assert!(!cache.has_disk());
+        assert!(cache.disk().is_none());
         assert_eq!(cache.disk_capacity_bytes(), 0);
     }
 
@@ -485,19 +467,6 @@ mod tests {
         let ram_only = TieredChunkCache::with_disk(1_000, 1, 0);
         assert!(ram_only.insert_to_tier(id(5, 0), chunk(5, 100, 2), CacheTier::Disk));
         assert_eq!(ram_only.tier_of(&id(5, 0)), Some(CacheTier::Ram));
-    }
-
-    #[test]
-    fn removal_purges_both_tiers() {
-        let cache = TieredChunkCache::with_disk(1_000, 1, 10_000);
-        cache.insert_to_tier(id(1, 0), chunk(1, 100, 1), CacheTier::Ram);
-        cache.insert_to_tier(id(1, 1), chunk(2, 100, 1), CacheTier::Disk);
-        assert_eq!(cache.len(), 2);
-        let removed = cache.remove_matching(|k| k.object() == ObjectId::new(1));
-        assert_eq!(removed, 2);
-        assert!(cache.is_empty());
-        assert!(cache.get(&id(1, 0)).is_none());
-        assert!(cache.get(&id(1, 1)).is_none());
     }
 
     #[test]
@@ -625,9 +594,13 @@ mod tests {
                         disk.remove(&key);
                     }
                     3 => {
-                        cache.remove_matching(|k| k.object() == key.object());
-                        ram.retain(|k, _| k.object() != key.object());
-                        disk.retain(|k, _| k.object() != key.object());
+                        // An object's invalidation: each of its ids. A
+                        // placed chunk may since have been evicted.
+                        for index in 0..2 {
+                            let key = id(object, index);
+                            let placed = ram.remove(&key).is_some() | disk.remove(&key).is_some();
+                            prop_assert!(!cache.remove(&key) || placed, "{key:?} was never placed");
+                        }
                     }
                     _ => {
                         let before = cache.tier_of(&key);

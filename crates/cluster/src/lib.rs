@@ -13,13 +13,12 @@
 //!   offers chunks from the next members on the ring walk (the §VI
 //!   collaboration, now targeted instead of a linear scan of every
 //!   member), falls back to the backend, and keeps writes coherent
-//!   across members.
-//! - [`WriteLeaseManager`] — the cluster write path: per-object
-//!   leases (same-object writes serialise, distinct objects proceed
-//!   in parallel, no router lock held across write I/O) and a holder
-//!   registry fed by each member's cache events, so a write's
-//!   invalidation on lease release touches only the members that
-//!   actually hold chunks of the object.
+//!   across members: under the object's lease the owner writes, then
+//!   every other member drops the object's chunk ids.
+//! - [`WriteLeaseManager`] — per-object write leases (same-object
+//!   writes serialise, distinct objects proceed in parallel, no router
+//!   lock held across write I/O) and the poison set that makes the
+//!   writer after a crashed one fence.
 //! - [`FetchCoordinator`] — shared by every member as its
 //!   [`ChunkFetcher`](agar::fetcher::ChunkFetcher): concurrent readers
 //!   of one chunk share a single in-flight backend fetch

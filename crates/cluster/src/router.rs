@@ -19,12 +19,20 @@
 //! ([`ClusterSettings::sibling_probes`]) and degenerates to a full —
 //! but deterministically ordered — scan when the probe budget covers
 //! the whole membership.
+//!
+//! Writes go to the object's ring owner too, under the object's write
+//! lease ([`WriteLeaseManager`]). The owner keeps the configured chunks
+//! of the version it wrote, and every other member then drops the
+//! object's chunk ids. That broadcast is cheap: it holds no router
+//! lock, it costs each member n hash probes a tier instead of a cache
+//! scan, and no deployment here runs more than six members.
 
 use crate::coordinator::FetchCoordinator;
-use crate::lease::{MemberCacheSink, WriteLeaseManager};
+use crate::lease::WriteLeaseManager;
 use crate::ring::{ClusterRing, DEFAULT_VNODES};
 use agar::planner::RemoteChunk;
 use agar::{AgarError, AgarNode, DirectFetcher, ReadMetrics};
+use agar_cache::stats::ROWS;
 use agar_cache::{CacheStats, CacheTier};
 use agar_ec::{ChunkId, ObjectId};
 use agar_net::SimTime;
@@ -88,9 +96,11 @@ pub struct ClusterWriteMetrics {
     pub latency: Duration,
     /// The ring owner that performed the write.
     pub home: u64,
-    /// Members invalidated on lease release — only those whose caches
-    /// actually held chunks of the object (the writer replaces its own
-    /// chunks as part of its write and is not counted).
+    /// Members that held chunks of the object when the write
+    /// invalidated them: every member but the owner, whose own write
+    /// replaced its chunks, is invalidated and counted if it held any.
+    /// A fenced write also counts what its fence dropped, the owner's
+    /// copy included.
     pub invalidations: u64,
     /// Whether this write had to wait behind another writer's lease on
     /// the same object.
@@ -135,7 +145,7 @@ impl RouterState {
 pub struct ClusterRouter {
     backend: Arc<Backend>,
     coordinator: Arc<FetchCoordinator>,
-    leases: Arc<WriteLeaseManager>,
+    leases: WriteLeaseManager,
     state: RwLock<RouterState>,
     settings: ClusterSettings,
     seed: u64,
@@ -143,6 +153,8 @@ pub struct ClusterRouter {
     next_id: AtomicU64,
     remote_hits: Counter,
     routed_reads: Counter,
+    /// Members a routed write found holding chunks of the object.
+    invalidations: Counter,
 }
 
 impl ClusterRouter {
@@ -179,7 +191,7 @@ impl ClusterRouter {
         Ok(ClusterRouter {
             backend,
             coordinator,
-            leases: Arc::new(WriteLeaseManager::new()),
+            leases: WriteLeaseManager::new(),
             state: RwLock::new(RouterState {
                 ring: ClusterRing::new(seed, DEFAULT_VNODES),
                 members: Vec::new(),
@@ -190,6 +202,7 @@ impl ClusterRouter {
             next_id: AtomicU64::new(0),
             remote_hits: Counter::new(),
             routed_reads: Counter::new(),
+            invalidations: Counter::new(),
         })
     }
 
@@ -199,9 +212,8 @@ impl ClusterRouter {
         &self.coordinator
     }
 
-    /// The write-path coordinator: per-object leases and the holder
-    /// registry backing targeted invalidation.
-    pub fn lease_manager(&self) -> &Arc<WriteLeaseManager> {
+    /// The per-object write leases.
+    pub fn lease_manager(&self) -> &WriteLeaseManager {
         &self.leases
     }
 
@@ -253,17 +265,10 @@ impl ClusterRouter {
     /// each moved object is dropped from its previous owner's cache
     /// (the new owner re-caches it through its own knapsack epochs) —
     /// untouched segments keep their cache contents. The shared fetch
-    /// coordinator is installed as the node's chunk fetcher, and the
-    /// node's cache-event hook is wired into the write path's holder
-    /// registry (anything already cached is seeded as held).
+    /// coordinator is installed as the node's chunk fetcher.
     pub fn add_node(&self, node: Arc<AgarNode>) -> MembershipChange {
         node.set_chunk_fetcher(Arc::clone(&self.coordinator) as _);
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        node.set_cache_event_sink(Some(Arc::new(MemberCacheSink {
-            manager: Arc::downgrade(&self.leases),
-            member: id,
-        })));
-        self.leases.register_member(id, Arc::clone(&node));
         let mut state = self.state.write();
         let before = state.ring.clone();
         state.ring.add_node(id);
@@ -285,40 +290,24 @@ impl ClusterRouter {
     /// Removes a member. Only the segment it owned re-homes (onto the
     /// surviving members); every other object keeps its owner and its
     /// cache. The departing node is detached from the cluster
-    /// machinery: the shared fetch coordinator is replaced by a
-    /// default [`DirectFetcher`] (so it no longer fetches through —
-    /// or parks readers on — the cluster's in-flight table), the
-    /// cache-event hook is uninstalled, and its cached chunks of the
-    /// re-homed objects are dropped (a later re-join must not resurrect
-    /// the old segment's contents). Returns `None` for an unknown id.
+    /// machinery — the shared fetch coordinator is replaced by a
+    /// default [`DirectFetcher`], so it no longer fetches through, or
+    /// parks readers on, the cluster's in-flight table — and its cached
+    /// chunks of the re-homed objects are dropped (a later re-join must
+    /// not resurrect the old segment's contents). Returns `None` for an
+    /// unknown id.
     pub fn remove_node(&self, id: u64) -> Option<MembershipChange> {
-        let (departing, moved) = {
-            let mut state = self.state.write();
-            let before = state.ring.clone();
-            if !state.ring.remove_node(id) {
-                return None;
-            }
-            let departing = state.member(id).cloned();
-            state.members.retain(|member| member.id != id);
-            (departing, self.moved_objects(&before, &state.ring))
-        };
-        // Detach outside the state lock: none of this needs the ring,
-        // and membership readers should not wait on cache sweeps.
-        if let Some(node) = departing {
-            node.set_cache_event_sink(None);
-            node.set_chunk_fetcher(Arc::new(DirectFetcher::new(Arc::clone(&self.backend))));
-            for &object in &moved {
-                node.invalidate_object(object);
-            }
+        let (node, moved_objects) = self.detach(id)?;
+        for &object in &moved_objects {
+            node.invalidate_object(object);
         }
-        self.leases.unregister_member(id);
         Some(MembershipChange {
             node: id,
-            moved_objects: moved,
+            moved_objects,
         })
     }
 
-    /// Removes a member *as a crash*: the ring and holder registry are
+    /// Removes a member *as a crash*: the ring and the fetcher are
     /// cleaned up exactly like [`ClusterRouter::remove_node`], but the
     /// departed node gets no graceful cache sweep — its RAM and disk
     /// keep whatever chunks they held at the instant of the crash, the
@@ -327,25 +316,28 @@ impl ClusterRouter {
     /// handles that (see `WriteLease::crash`), and the next writer
     /// fences it. Returns `None` for an unknown id.
     pub fn crash_node(&self, id: u64) -> Option<MembershipChange> {
-        let (departing, moved) = {
-            let mut state = self.state.write();
-            let before = state.ring.clone();
-            if !state.ring.remove_node(id) {
-                return None;
-            }
-            let departing = state.member(id).cloned();
-            state.members.retain(|member| member.id != id);
-            (departing, self.moved_objects(&before, &state.ring))
-        };
-        if let Some(node) = departing {
-            node.set_cache_event_sink(None);
-            node.set_chunk_fetcher(Arc::new(DirectFetcher::new(Arc::clone(&self.backend))));
-        }
-        self.leases.unregister_member(id);
+        let (_, moved_objects) = self.detach(id)?;
         Some(MembershipChange {
             node: id,
-            moved_objects: moved,
+            moved_objects,
         })
+    }
+
+    /// Takes member `id` off the ring and out of the member list and
+    /// points it back at a default [`DirectFetcher`]; returns the node
+    /// and the objects that re-homed, or `None` for an unknown id.
+    fn detach(&self, id: u64) -> Option<(Arc<AgarNode>, Vec<ObjectId>)> {
+        let (node, moved) = {
+            let mut state = self.state.write();
+            let node = state.member(id).cloned()?;
+            let before = state.ring.clone();
+            state.ring.remove_node(id);
+            state.members.retain(|member| member.id != id);
+            (node, self.moved_objects(&before, &state.ring))
+        };
+        // Outside the state lock: membership readers need not wait.
+        node.set_chunk_fetcher(Arc::new(DirectFetcher::new(Arc::clone(&self.backend))));
+        Some((node, moved))
     }
 
     /// Reads an object through its ring owner (see the module docs).
@@ -476,11 +468,12 @@ impl ClusterRouter {
     /// Writes an object through its ring owner under the object's
     /// write lease — the owner keeps the configured chunks of the
     /// version it wrote (`AgarNode::write` is a write-update) — then
-    /// invalidates, targetedly, only the *other* members whose caches
-    /// hold chunks of it (write coherence across the cluster; see
-    /// [`WriteLeaseManager`]).
+    /// invalidates the object on every other member (write coherence
+    /// across the cluster). A grant that fences a crashed predecessor
+    /// first invalidates every member, the owner included: the dead
+    /// writer may have half-replaced the object's chunks anywhere.
     ///
-    /// The router's state lock is held only to resolve the owner:
+    /// The router's state lock is held only to resolve the members:
     /// neither the backend round trip nor the invalidations run under
     /// it, so writes to distinct objects proceed in parallel and
     /// membership changes never stall behind write I/O. Same-object
@@ -490,9 +483,10 @@ impl ClusterRouter {
     ///
     /// [`AgarError::InvalidSetting`] on an empty cluster; otherwise
     /// backend write failures (the lease is released either way — a
-    /// failed write never invalidates and never leaks the lease).
+    /// failed write invalidates nothing but a fence and never leaks
+    /// the lease).
     pub fn write(&self, object: ObjectId, data: &[u8]) -> Result<ClusterWriteMetrics, AgarError> {
-        let (owner_id, owner) = {
+        let (owner_id, owner, others) = {
             let state = self.state.read();
             let Some(owner_id) = state.ring.owner_of_object(object) else {
                 return Err(AgarError::InvalidSetting {
@@ -503,19 +497,43 @@ impl ClusterRouter {
                 .member(owner_id)
                 .expect("ring and members agree")
                 .clone();
-            (owner_id, owner)
+            let others: Vec<Arc<AgarNode>> = state
+                .members
+                .iter()
+                .filter(|member| member.id != owner_id)
+                .map(|member| Arc::clone(&member.node))
+                .collect();
+            (owner_id, owner, others)
         };
-        let lease = self.leases.acquire(object, owner_id);
-        let lease_contended = lease.contended();
+        let lease = self.leases.acquire(object);
+        let mut invalidations = 0;
+        if lease.fenced() {
+            invalidations += self.invalidate(std::iter::once(&owner).chain(&others), object);
+        }
         let (version, latency) = owner.write(object, data)?;
-        let invalidations = lease.release_after_write();
+        invalidations += self.invalidate(&others, object);
         Ok(ClusterWriteMetrics {
             version,
             latency,
             home: owner_id,
             invalidations,
-            lease_contended,
+            lease_contended: lease.contended(),
         })
+    }
+
+    /// Invalidates `object` on each of `members`; counts and returns
+    /// how many held a chunk of it.
+    fn invalidate<'a>(
+        &self,
+        members: impl IntoIterator<Item = &'a Arc<AgarNode>>,
+        object: ObjectId,
+    ) -> u64 {
+        let held = members
+            .into_iter()
+            .filter(|node| node.invalidate_object(object) > 0)
+            .count() as u64;
+        self.invalidations.add(held);
+        held
     }
 
     /// Ticks every member's reconfiguration clock; returns how many
@@ -544,9 +562,9 @@ impl ClusterRouter {
     }
 
     /// Aggregated cache statistics: every member's counters plus the
-    /// coordinator's `coalesced_fetches` / `batched_requests` and the
-    /// lease manager's `lease_grants` / `lease_contentions` /
-    /// `targeted_invalidations`.
+    /// coordinator's `coalesced_fetches` / `batched_requests`, the
+    /// lease manager's `lease_grants` / `lease_contentions` and the
+    /// router's own `targeted_invalidations`.
     pub fn cache_stats(&self) -> CacheStats {
         use agar::CachingClient;
         let mut merged = CacheStats::new();
@@ -558,13 +576,17 @@ impl ClusterRouter {
         }
         merged.merge(&self.coordinator.stats());
         merged.merge(&self.leases.stats());
+        merged.merge(&CacheStats {
+            targeted_invalidations: self.invalidations.get(),
+            ..CacheStats::default()
+        });
         merged
     }
 
     /// Late-binds the whole cluster's telemetry into `registry`:
-    /// router-level routing counters, the shared coordinator and lease
-    /// manager, and every member node (labelled by member id on top of
-    /// the caller's base labels).
+    /// router-level routing and invalidation counters, the shared
+    /// coordinator and lease manager, and every member node (labelled
+    /// by member id on top of the caller's base labels).
     pub fn register_metrics(&self, registry: &MetricsRegistry, base: &Labels) {
         registry.register_counter(
             "agar_cluster_routed_reads_total",
@@ -577,6 +599,11 @@ impl ClusterRouter {
             "Chunk lookups served from a sibling member's cache.",
             base.clone(),
             &self.remote_hits,
+        );
+        ROWS.targeted_invalidations.register(
+            registry,
+            &base.clone().with("source", "router"),
+            &self.invalidations,
         );
         self.coordinator.register_metrics(registry, base);
         self.leases.register_metrics(registry, base);
@@ -606,7 +633,7 @@ mod tests {
     use agar::fetcher::{ChunkFetcher, FetchRequest};
     use agar::{AgarSettings, CachingClient};
     use agar_ec::CodingParams;
-    use agar_net::presets::{aws_six_regions, DUBLIN, FRANKFURT};
+    use agar_net::presets::{aws_six_regions, DUBLIN, FRANKFURT, SAO_PAULO};
     use agar_store::{expected_payload, populate, RoundRobin};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -800,9 +827,8 @@ mod tests {
         assert_eq!(metrics.version, 2);
         assert!(!metrics.lease_contended, "single writer cannot contend");
         // Routed warm-up only filled the ring owner's cache, and the
-        // owner's write replaces its own chunks: targeted invalidation
-        // touches no sibling (the old broadcast would have hit
-        // members-1 = 2).
+        // owner's write replaces its own chunks: the two siblings are
+        // invalidated but held nothing, so none is counted.
         assert_eq!(metrics.invalidations, 0);
         // Every member now returns the new payload (no stale cache).
         for id in router.member_ids() {
@@ -834,35 +860,101 @@ mod tests {
         router.force_reconfigure_all();
         router.read(object).unwrap();
         router.read_from(sibling_id, object).unwrap();
-        assert_eq!(
-            router.lease_manager().holders_of(object),
-            {
-                let mut expected = vec![owner_id, sibling_id];
-                expected.sort_unstable();
-                expected
-            },
-            "holder registry must track exactly the warm members"
-        );
+        let holders = || -> Vec<u64> {
+            let holds = |id: &u64| {
+                router
+                    .member(*id)
+                    .unwrap()
+                    .cache_contents()
+                    .contains_key(&object)
+            };
+            router.member_ids().into_iter().filter(holds).collect()
+        };
+        let mut warm = vec![owner_id, sibling_id];
+        warm.sort_unstable();
+        assert_eq!(holders(), warm, "exactly the two warmed members hold it");
 
         let metrics = router.write(object, &[0x5A; SIZE]).unwrap();
         assert_eq!(metrics.home, owner_id);
-        // Exactly the one non-owner holder was invalidated; the two
-        // members that never cached the object were left alone. The
-        // owner holds the configured chunks of the version it wrote,
-        // so its registration survives the release.
+        // Exactly the one non-owner holder counts; the two members that
+        // never cached the object had nothing to drop. The owner holds
+        // the configured chunks of the version it wrote.
         assert_eq!(metrics.invalidations, 1);
-        assert_eq!(router.lease_manager().holders_of(object), [owner_id]);
-        let owner = router.member(owner_id).unwrap();
-        assert!(owner.cache_contents().contains_key(&object));
-        let sibling = router.member(sibling_id).unwrap();
-        assert!(!sibling.cache_contents().contains_key(&object));
-        // A second write finds no holder to invalidate.
+        assert_eq!(holders(), [owner_id]);
+        // A second write finds no other holder.
         let metrics = router.write(object, &[0x5B; SIZE]).unwrap();
         assert_eq!(metrics.invalidations, 0);
-        assert_eq!(router.lease_manager().holders_of(object), [owner_id]);
+        assert_eq!(holders(), [owner_id]);
         let stats = router.cache_stats();
         assert_eq!(stats.lease_grants(), 2);
         assert_eq!(stats.targeted_invalidations(), 1);
+    }
+
+    /// A holder whose copy sits on disk loses it too: the broadcast
+    /// drops the object's chunk ids from both tiers.
+    #[test]
+    fn writes_empty_both_tiers_of_a_tiered_holder() {
+        let backend = backend(8);
+        let settings = ClusterSettings { sibling_probes: 5 };
+        let router = ClusterRouter::new(Arc::clone(&backend), settings, 5).unwrap();
+        let owner_id = router.add_node(node(&backend, FRANKFURT, 0)).node;
+        let tiered = tiered_node(&backend, FRANKFURT, 1, 100, 16 * SIZE);
+        let tiered_id = router.add_node(Arc::clone(&tiered)).node;
+        let object = (0..8)
+            .map(ObjectId::new)
+            .find(|&object| router.ring().owner_of_object(object) == Some(owner_id))
+            .unwrap();
+        for _ in 0..30 {
+            router.read_from(tiered_id, object).unwrap();
+        }
+        router.force_reconfigure_all();
+        router.read_from(tiered_id, object).unwrap();
+        let residency = |tier| {
+            (0..12u8)
+                .filter(|&index| {
+                    let held = tiered.chunk_residency(&ChunkId::new(object, index));
+                    held.iter().any(|&(at, _)| at == tier)
+                })
+                .count()
+        };
+        assert!(residency(CacheTier::Disk) > 0, "no copy on disk");
+
+        let metrics = router.write(object, &[0x5C; SIZE]).unwrap();
+        assert_eq!((metrics.home, metrics.invalidations), (owner_id, 1));
+        assert_eq!(
+            (residency(CacheTier::Ram), residency(CacheTier::Disk)),
+            (0, 0)
+        );
+        let read = router.read_from(tiered_id, object).unwrap();
+        assert_eq!(read.metrics().data.as_ref(), [0x5C; SIZE].as_slice());
+    }
+
+    /// The fence's own work shows when the repairing write fails: a
+    /// successful write's broadcast would drop the other members'
+    /// copies anyway, a failed one leaves what the fence dropped —
+    /// every member's, the owner's included.
+    #[test]
+    fn a_fenced_write_drops_every_copy_even_when_the_write_fails() {
+        let (backend, router) = frankfurt_cluster(2, 2);
+        let object = ObjectId::new(0);
+        for id in router.member_ids() {
+            let member = router.member(id).unwrap();
+            for _ in 0..30 {
+                member.read(object).unwrap();
+            }
+            member.force_reconfigure();
+            member.read(object).unwrap();
+            assert!(member.cache_contents().contains_key(&object));
+        }
+        router.lease_manager().acquire(object).crash();
+        backend.fail_region(SAO_PAULO);
+        assert!(router.write(object, &[1; SIZE]).is_err());
+        assert_eq!(router.lease_manager().fences(), 1);
+        assert_eq!(router.cache_stats().targeted_invalidations(), 2);
+        for id in router.member_ids() {
+            let member = router.member(id).unwrap();
+            assert!(!member.cache_contents().contains_key(&object), "{id}");
+        }
     }
 
     #[test]
@@ -958,22 +1050,29 @@ mod tests {
             &mut StdRng::seed_from_u64(1),
         );
         assert!(fetched.iter().all(|(_, result)| result.is_ok()));
-        // A second writer parks behind a held lease (contention), a
-        // registered holder is invalidated on release, and a crashed
-        // lease is fenced by the next writer.
+        // A second writer parks behind a held lease (contention). Then
+        // a member other than the owner is warmed directly, a lease is
+        // crashed, and the next routed write fences and invalidates it.
         let leases = router.lease_manager();
-        let held = leases.acquire(object, u64::MAX);
+        let held = leases.acquire(object);
         std::thread::scope(|scope| {
-            scope.spawn(|| drop(leases.acquire(object, u64::MAX)));
+            scope.spawn(|| drop(leases.acquire(object)));
             while leases.stats().lease_contentions() == 0 {
                 std::thread::yield_now();
             }
             drop(held);
         });
-        leases.record_fill(router.member_ids()[0], object);
-        assert_eq!(leases.acquire(object, u64::MAX).release_after_write(), 1);
-        leases.acquire(object, u64::MAX).crash();
-        assert!(leases.acquire(object, u64::MAX).fenced());
+        let owner = router.ring().owner_of_object(object).unwrap();
+        let sibling = router.member_ids().into_iter().find(|&id| id != owner);
+        let sibling = router.member(sibling.unwrap()).unwrap();
+        for _ in 0..30 {
+            sibling.read(object).unwrap();
+        }
+        sibling.force_reconfigure();
+        sibling.read(object).unwrap();
+        leases.acquire(object).crash();
+        assert_eq!(router.write(object, &[1; SIZE]).unwrap().invalidations, 1);
+        assert!(!sibling.cache_contents().contains_key(&object));
 
         let text = registry.render_prometheus();
         assert!(text.contains("agar_cluster_routed_reads_total{cluster=\"test\"} 3"));
@@ -989,7 +1088,7 @@ mod tests {
             "agar_fetch_primary_total{cluster=\"test\"}",
             "agar_lease_grants_total{cluster=\"test\",source=\"leases\"}",
             "agar_lease_contentions_total{cluster=\"test\",source=\"leases\"}",
-            "agar_invalidations_targeted_total{cluster=\"test\",source=\"leases\"}",
+            "agar_invalidations_targeted_total{cluster=\"test\",source=\"router\"}",
             "agar_lease_fences_total{cluster=\"test\"}",
         ] {
             assert!(value(series) > 0, "{series} never moved");

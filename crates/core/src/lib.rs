@@ -23,18 +23,13 @@
 //!   partial cache hits, off-critical-path cache fill;
 //! - [`baselines`] (§V-A) — the LRU-c / LFU-c / Backend clients the
 //!   paper compares against;
-//! - [`coherence`] (§VI) — the write-support extension the paper
-//!   sketches as future work;
 //! - [`fetcher`] — the pluggable backend-fetch strategy: per-chunk
 //!   direct fetches by default, swapped for the `agar-cluster`
 //!   coordinator (single-flight coalescing + region-batched round
 //!   trips) in multi-node deployments. Cache collaboration between
-//!   nodes (the paper's §VI sketch) lives in `agar-cluster`'s
-//!   consistent-hash-routed `ClusterRouter`;
-//! - [`events`] — the cluster write hook: a node reports object-level
-//!   cache fills/drops/writes to an installed [`CacheEventSink`], so
-//!   the cluster's write path can invalidate only the members that
-//!   actually hold chunks of the written object.
+//!   nodes and cross-region write coherence (the paper's §VI
+//!   sketches) live in `agar-cluster`'s consistent-hash-routed
+//!   `ClusterRouter`.
 //!
 //! # Examples
 //!
@@ -82,10 +77,8 @@
 pub mod baselines;
 pub mod breaker;
 pub mod cache_manager;
-pub mod coherence;
 pub mod config;
 pub mod error;
-pub mod events;
 pub mod fetcher;
 pub mod knapsack;
 pub mod monitor;
@@ -98,10 +91,8 @@ pub mod retry;
 pub use baselines::{BackendOnlyClient, BaselinePolicy, FixedChunksClient};
 pub use breaker::{BreakerPolicy, CircuitBreaker};
 pub use cache_manager::CacheManager;
-pub use coherence::WriteCoordinator;
 pub use config::{CacheConfiguration, Transition};
 pub use error::AgarError;
-pub use events::CacheEventSink;
 pub use fetcher::{ChunkFetcher, DirectFetcher, FetchRequest};
 pub use knapsack::{exhaustive_optimum, greedy, Config, KnapsackSolver, TieredConfig};
 pub use monitor::RequestMonitor;

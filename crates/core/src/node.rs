@@ -76,15 +76,11 @@
 //!   stale byte. The lookup drops chunks older than its manifest and
 //!   leaves newer ones alone: an attempt whose snapshot predates the
 //!   write must not sweep what the write placed.
-//!
-//! The cross-region [`WriteCoordinator`](crate::coherence) stays
-//! invalidate-only: the other regions' nodes never held the new bytes.
 
 use crate::breaker::{BreakerPolicy, CircuitBreaker};
 use crate::cache_manager::CacheManager;
 use crate::config::CacheConfiguration;
 use crate::error::AgarError;
-use crate::events::CacheEventSink;
 use crate::fetcher::{ChunkFetcher, DirectFetcher};
 use crate::knapsack::KnapsackSolver;
 use crate::monitor::RequestMonitor;
@@ -373,10 +369,6 @@ pub struct AgarNode {
     /// its coordinator (single-flight + batching) via
     /// [`AgarNode::set_chunk_fetcher`].
     fetcher: RwLock<Arc<dyn ChunkFetcher>>,
-    /// Cluster write hook: object-level cache occupancy events
-    /// ([`CacheEventSink`]), reported so a cluster's holder registry
-    /// can invalidate writes *targetedly*. `None` outside a cluster.
-    events: RwLock<Option<Arc<dyn CacheEventSink>>>,
     /// Per-request trace sampling state; `None` when
     /// [`AgarSettings::trace_sample_every`] is zero (the default) —
     /// the zero-cost path.
@@ -414,7 +406,6 @@ impl AgarNode {
         Ok(AgarNode {
             region,
             fetcher: RwLock::new(Arc::new(DirectFetcher::new(Arc::clone(&backend)))),
-            events: RwLock::new(None),
             backend,
             manager,
             seed,
@@ -498,28 +489,15 @@ impl AgarNode {
         *self.fetcher.write() = fetcher;
     }
 
-    /// Installs (or, with `None`, uninstalls) the cluster write hook:
-    /// an observer of this node's object-level cache occupancy and
-    /// writes (see [`CacheEventSink`]). A cluster router installs one
-    /// per member so its holder registry can invalidate writes
-    /// targetedly instead of broadcasting.
-    pub fn set_cache_event_sink(&self, sink: Option<Arc<dyn CacheEventSink>>) {
-        *self.events.write() = sink;
-    }
-
-    fn event_sink(&self) -> Option<Arc<dyn CacheEventSink>> {
-        self.events.read().clone()
-    }
-
-    /// Drops every cached chunk of `object` (coherence invalidation).
+    /// Drops every cached chunk of `object` from both tiers and returns
+    /// how many were cached: one removal per chunk id of the object's
+    /// stripe (n hash probes a tier), never a scan of the cache. A
+    /// write drops the older version this way, and a cluster router
+    /// invalidates the other members' copies with it.
     pub fn invalidate_object(&self, object: ObjectId) -> usize {
-        let removed = self.cache.remove_matching(|id| id.object() == object);
-        if removed > 0 {
-            if let Some(sink) = self.event_sink() {
-                sink.object_dropped(object);
-            }
-        }
-        removed
+        (0..self.backend.params().total_chunks())
+            .filter(|&index| self.cache.remove(&ChunkId::new(object, index as u8)))
+            .count()
     }
 
     /// Writes an object through the backend and leaves the chunks the
@@ -532,10 +510,8 @@ impl AgarNode {
     /// backend traffic), so the next read of a hot object is the hit
     /// it was before the write. An object the configuration does not
     /// name, or only carries, keeps nothing; a failed put changes
-    /// nothing. Under a cluster the installed [`CacheEventSink`] is
-    /// told whether the node now holds the object, so the holder
-    /// registry stays current even for writes that bypass the router
-    /// (see `coherence` for cross-region invalidation).
+    /// nothing. Other nodes' copies are the cluster router's to
+    /// invalidate.
     ///
     /// # Errors
     ///
@@ -545,7 +521,7 @@ impl AgarNode {
         let put = self
             .backend
             .put_object(self.region, object, data, &mut rng)?;
-        self.cache.remove_matching(|id| id.object() == object);
+        self.invalidate_object(object);
         let config = Arc::clone(&self.config.read());
         let mut placed = 0;
         // A carried entry is what the cache still held of an object no
@@ -558,13 +534,6 @@ impl AgarNode {
             }
         }
         self.write_update_chunks.add(placed);
-        if let Some(sink) = self.event_sink() {
-            if placed > 0 {
-                sink.object_filled(object);
-            } else {
-                sink.object_dropped(object);
-            }
-        }
         Ok((put.version, put.latency))
     }
 
@@ -837,23 +806,11 @@ impl AgarNode {
         for id in &plan.purge {
             self.cache.remove(id);
         }
-        // The purge's removals are deliberately NOT reported to the
-        // cluster's holder registry: a drop emitted here could land
-        // after a concurrent reader's fill stage re-inserted the object
-        // (and reported `object_filled`), deregistering a member that
-        // really holds chunks — the one ordering the registry's
-        // superset invariant forbids. A purged object lingering as a
-        // registered holder merely costs one no-op invalidation on its
-        // next write. A move is reported, like any insert: a write may
-        // have invalidated the object between the peek and the insert.
-        let sink = self.event_sink();
         for &id in plan.down.iter().chain(&plan.up) {
             let Some((chunk, _)) = self.cache.peek(&id) else {
                 continue; // invalidated or evicted meanwhile
             };
-            if let (true, Some(sink)) = (self.insert_revalidated(id, chunk), &sink) {
-                sink.object_filled(id.object());
-            }
+            self.insert_revalidated(id, chunk);
         }
         // The a-priori downloads are the read path's fill stage with
         // nothing in hand: they flow through the installed fetcher, so
@@ -1508,7 +1465,7 @@ mod tests {
         assert!(!config.chunks_for(cold).contains(&lost));
         assert_placement(&node, &backend, 1);
 
-        node.cache.remove_matching(|id| id.object() == cold);
+        node.invalidate_object(cold);
         node.force_reconfigure();
         assert_eq!(node.fill_fetches.get(), fills);
         let config = node.current_config();
@@ -1620,6 +1577,29 @@ mod tests {
         let metrics = node.read(cold).unwrap();
         assert_eq!(metrics.data.as_ref(), payload.as_slice());
         assert_eq!(metrics.cache_hits, 0);
+    }
+
+    /// An invalidation drops every chunk id of the object's stripe, the
+    /// last one included, from both tiers, and nothing of any other
+    /// object.
+    #[test]
+    fn invalidation_purges_both_tiers() {
+        let backend = test_backend(2, 900);
+        let node = AgarNode::new(FRANKFURT, backend, tiered_settings(900, 2_700), 7).unwrap();
+        let (object, other) = (ObjectId::new(0), ObjectId::new(1));
+        let chunk = || CachedChunk::new(Bytes::from(vec![1u8; 100]), 1);
+        let placed = [
+            (ChunkId::new(object, 0), CacheTier::Ram),
+            (ChunkId::new(object, 11), CacheTier::Disk),
+            (ChunkId::new(other, 0), CacheTier::Disk),
+        ];
+        for (id, tier) in placed {
+            assert!(node.cache.insert_to_tier(id, chunk(), tier));
+        }
+        assert_eq!(node.invalidate_object(object), 2);
+        assert_eq!(node.cache.residency(), [placed[2]]);
+        assert_eq!(node.cached_bytes().0, 0);
+        assert_eq!(node.invalidate_object(object), 0);
     }
 
     /// The read-side twin of the monotone insert: an attempt whose

@@ -350,7 +350,6 @@ impl AgarNode {
     ) -> usize {
         let object = manifest.object();
         let mut fill_fetches = 0;
-        let mut filled_any = false;
         let live_config = Arc::clone(&self.config.read());
         for &index in hinted {
             let id = ChunkId::new(object, index);
@@ -366,14 +365,9 @@ impl AgarNode {
                 .or_else(|| self.fetch_chunk(fetcher, manifest, index, rng, &mut fill_fetches));
             let Some(payload) = payload else { continue };
             let chunk = CachedChunk::new(payload, manifest.version());
-            filled_any |= self.insert_revalidated(id, chunk);
+            self.insert_revalidated(id, chunk);
         }
         self.fill_fetches.add(fill_fetches);
-        if filled_any {
-            if let Some(sink) = self.event_sink() {
-                sink.object_filled(object);
-            }
-        }
         fill_fetches as usize
     }
 

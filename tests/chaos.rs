@@ -292,17 +292,25 @@ fn owner_crash_mid_write_fences_and_repairs() {
             );
             router.add_node(node);
         }
+        // Every member, not only the owner, holds the object.
         let object = ObjectId::new(0);
+        let members = router.member_ids();
         for _ in 0..10 {
-            router.read(object).unwrap();
+            for &id in &members {
+                router.read_from(id, object).unwrap();
+            }
         }
         router.force_reconfigure_all();
-        router.read(object).unwrap();
+        for &id in &members {
+            router.read_from(id, object).unwrap();
+            let member = router.member(id).unwrap();
+            assert!(member.cache_contents().contains_key(&object));
+        }
 
         // The owner acquires the lease, writes the manifest plus a few
         // chunks, and dies without releasing.
         let owner = router.ring().owner_of_object(object).unwrap();
-        let lease = router.lease_manager().acquire(object, owner);
+        let lease = router.lease_manager().acquire(object);
         let torn_version = deployment
             .backend
             .put_object_interrupted(object, &vec![0xAB; size], 4)
@@ -310,13 +318,8 @@ fn owner_crash_mid_write_fences_and_repairs() {
         lease.crash();
         router.crash_node(owner).unwrap();
 
-        // The slot is free (no deadlock) and the crashed member is
-        // gone from the holder registry.
+        // The slot is free (no deadlock).
         assert_eq!(router.lease_manager().active_leases(), 0);
-        assert!(
-            !router.lease_manager().holders_of(object).contains(&owner),
-            "seed {seed:#x}: crashed member still registered as a holder"
-        );
 
         // The torn object is loudly unreadable: the version check
         // rejects every mixed assembly. Never stale pristine bytes.
@@ -329,7 +332,8 @@ fn owner_crash_mid_write_fences_and_repairs() {
             ),
         }
 
-        // The next writer fences the poisoned lease and repairs.
+        // The next writer fences the poisoned lease and repairs, and
+        // leaves only the new owner holding the object.
         let repaired = vec![0xCD; size];
         let metrics = router.write(object, &repaired).unwrap();
         assert_eq!(metrics.version, torn_version + 1);
@@ -338,6 +342,14 @@ fn owner_crash_mid_write_fences_and_repairs() {
             1,
             "seed {seed:#x}: the poisoned lease was not fenced"
         );
+        for id in router.member_ids() {
+            let held = router.member(id).unwrap().cache_contents();
+            assert_eq!(
+                held.contains_key(&object),
+                id == metrics.home,
+                "seed {seed:#x}: member {id}"
+            );
+        }
         for _ in 0..2 {
             let read = router.read(object).unwrap();
             assert_eq!(read.metrics().data.as_ref(), repaired.as_slice());

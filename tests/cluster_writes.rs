@@ -1,12 +1,13 @@
-//! Race suite for the cluster write path (ISSUE 4): per-object write
-//! leases, targeted invalidation, and the absence of the old
+//! Race suite for the cluster write path: per-object write leases, the
+//! invalidation of every other member, and the absence of the old
 //! state-lock serialisation.
 //!
 //! The acceptance bar: concurrent sibling readers during writes never
 //! decode mixed versions; same-object writers serialise on the lease
 //! while distinct-object writers (and membership changes) proceed in
-//! parallel; and a membership change mid-write neither deadlocks nor
-//! leaks a lease.
+//! parallel; a membership change mid-write neither deadlocks nor leaks
+//! a lease; and once a test's last write of an object quiesces, only
+//! the object's owner holds it.
 
 use agar::{AgarError, AgarNode, AgarSettings, CachingClient};
 use agar_cluster::{ClusterRouter, ClusterSettings};
@@ -65,20 +66,18 @@ fn tiered_node(backend: &Arc<Backend>, seed: u64) -> Arc<AgarNode> {
     Arc::new(AgarNode::new(FRANKFURT, Arc::clone(backend), settings, seed).unwrap())
 }
 
-/// Registry ⊇ holders, checked at quiescence: every member whose cache
-/// names an object is registered as holding it, so the next write's
-/// targeted invalidation (or a fence) reaches it. The owner's write
-/// leaves chunks behind, so this includes the writer itself.
-fn assert_registry_covers_holders(router: &ClusterRouter) {
-    for id in router.member_ids() {
+/// Checked once the last routed write of `object` has quiesced: no
+/// member but the object's ring owner holds a chunk of it. The write
+/// invalidated every other member, and routed reads fill only the
+/// owner.
+fn assert_only_the_owner_holds(router: &ClusterRouter, object: ObjectId) {
+    let owner = router.ring().owner_of_object(object).unwrap();
+    for id in router.member_ids().into_iter().filter(|&id| id != owner) {
         let member = router.member(id).unwrap();
-        for object in member.cache_contents().into_keys() {
-            let registered = router.lease_manager().holders_of(object);
-            assert!(
-                registered.contains(&id),
-                "member {id} holds {object:?} but the registry names {registered:?}"
-            );
-        }
+        assert!(
+            !member.cache_contents().contains_key(&object),
+            "member {id} holds {object:?}; its owner is {owner}"
+        );
     }
 }
 
@@ -154,14 +153,15 @@ fn concurrent_readers_never_decode_mixed_versions() {
         last.metrics().data.as_ref(),
         vec![0x10 + 14; SIZE].as_slice()
     );
-    // The owner kept the chunks of its last write and is registered.
+    // The owner kept the chunks of its last write, and no one else
+    // holds any.
     let owner = router.ring().owner_of_object(object).unwrap();
     assert!(router
         .member(owner)
         .unwrap()
         .cache_contents()
         .contains_key(&object));
-    assert_registry_covers_holders(&router);
+    assert_only_the_owner_holds(&router, object);
 }
 
 /// Same-object writers serialise on the lease: a write issued while
@@ -172,10 +172,9 @@ fn same_object_writes_serialise_while_distinct_objects_proceed() {
     let backend = backend(4);
     let router = cluster(&backend, 3);
     let contested = ObjectId::new(0);
-    let owner = router.ring().owner_of_object(contested).unwrap();
 
     // Hold the contested object's lease from the test thread.
-    let lease = router.lease_manager().acquire(contested, owner);
+    let lease = router.lease_manager().acquire(contested);
     assert!(!lease.contended());
 
     let blocked_done = Arc::new(AtomicBool::new(false));
@@ -215,7 +214,8 @@ fn same_object_writes_serialise_while_distinct_objects_proceed() {
     assert_eq!(router.lease_manager().active_leases(), 0, "leaked lease");
     let stats = router.cache_stats();
     assert!(stats.lease_contentions() >= 1);
-    assert_registry_covers_holders(&router);
+    assert_only_the_owner_holds(&router, contested);
+    assert_only_the_owner_holds(&router, ObjectId::new(1));
 }
 
 /// Membership changes must not stall behind a blocked write (the old
@@ -227,8 +227,7 @@ fn membership_changes_proceed_and_leases_survive_mid_write() {
     let backend = backend(8);
     let router = cluster(&backend, 3);
     let contested = ObjectId::new(0);
-    let owner = router.ring().owner_of_object(contested).unwrap();
-    let lease = router.lease_manager().acquire(contested, owner);
+    let lease = router.lease_manager().acquire(contested);
 
     // A writer parks behind the held lease...
     let handle = {
@@ -240,10 +239,8 @@ fn membership_changes_proceed_and_leases_survive_mid_write() {
     // ...and membership changes still complete promptly.
     let start = Instant::now();
     let change = router.add_node(node(&backend, 99));
-    assert_registry_covers_holders(&router);
     let removal = router.remove_node(change.node).unwrap();
     assert_eq!(removal.node, change.node);
-    assert_registry_covers_holders(&router);
     assert!(
         start.elapsed() < Duration::from_secs(5),
         "membership change stalled behind a blocked write"
@@ -260,7 +257,7 @@ fn membership_changes_proceed_and_leases_survive_mid_write() {
             expected_payload(i, SIZE).as_slice()
         );
     }
-    assert_registry_covers_holders(&router);
+    assert_only_the_owner_holds(&router, contested);
 }
 
 /// Distinct-object writers hammering the cluster in parallel never
@@ -297,7 +294,9 @@ fn distinct_object_writers_proceed_in_parallel() {
     assert_eq!(stats.lease_grants(), (writers * rounds) as u64);
     assert_eq!(stats.lease_contentions(), 0);
     assert_eq!(router.lease_manager().active_leases(), 0);
-    assert_registry_covers_holders(&router);
+    for t in 0..writers {
+        assert_only_the_owner_holds(&router, ObjectId::new(t as u64));
+    }
 }
 
 /// The mixed-version invariant must hold when members cache through a
@@ -389,15 +388,16 @@ fn tiered_members_never_serve_stale_disk_chunks() {
     let disk_hits: u64 = members.iter().map(|m| m.cache_stats().disk_hits()).sum();
     assert!(disk_hits > 0, "the disk tier never served a chunk");
     assert_eq!(router.lease_manager().active_leases(), 0, "leaked lease");
-    assert_registry_covers_holders(&router);
+    for i in 0..OBJECTS {
+        assert_only_the_owner_holds(&router, ObjectId::new(i));
+    }
 }
 
 /// An owner that crashes mid-write — manifest landed, chunk set torn,
 /// lease never released, node yanked from the ring without a graceful
-/// sweep — must not wedge the object or leak registry state: racing
-/// readers see only whole versions or explicit contention errors, the
-/// crashed member leaves the holder registry, and the next writer
-/// fences the poisoned lease and repairs the object.
+/// sweep — must not wedge the object: racing readers see only whole
+/// versions or explicit contention errors, and the next writer fences
+/// the poisoned lease and repairs the object.
 #[test]
 fn owner_crash_mid_write_race_fences_holders_and_repairs() {
     let backend = backend(3);
@@ -408,12 +408,16 @@ fn owner_crash_mid_write_race_fences_holders_and_repairs() {
     }
     router.force_reconfigure_all();
     router.read(object).unwrap();
+    let owner = router.ring().owner_of_object(object).unwrap();
     assert!(
-        !router.lease_manager().holders_of(object).is_empty(),
-        "warm cluster must register holders"
+        router
+            .member(owner)
+            .unwrap()
+            .cache_contents()
+            .contains_key(&object),
+        "the warm owner must hold the object"
     );
 
-    let owner = router.ring().owner_of_object(object).unwrap();
     let repaired: Arc<Mutex<Option<u8>>> = Arc::new(Mutex::new(None));
     let stop = Arc::new(AtomicBool::new(false));
     let readers = 3;
@@ -454,17 +458,14 @@ fn owner_crash_mid_write_race_fences_holders_and_repairs() {
 
         // The owner starts a write: lease held, manifest bumped, only
         // 4 of 12 chunks land — then the process dies.
-        let lease = router.lease_manager().acquire(object, owner);
+        let lease = router.lease_manager().acquire(object);
         let torn_version = backend
             .put_object_interrupted(object, &[0xAB; SIZE], 4)
             .unwrap();
         lease.crash();
         router.crash_node(owner).unwrap();
         assert_eq!(router.lease_manager().active_leases(), 0, "wedged lease");
-        assert!(
-            !router.lease_manager().holders_of(object).contains(&owner),
-            "crashed member still in the holder registry"
-        );
+        assert!(!router.member_ids().contains(&owner), "crashed member kept");
 
         // Survivor repairs under a fenced lease while readers race.
         *repaired.lock().unwrap() = Some(0xCD);
@@ -481,8 +482,8 @@ fn owner_crash_mid_write_race_fences_holders_and_repairs() {
         let read = router.read(object).unwrap();
         assert_eq!(read.metrics().data.as_ref(), [0xCD; SIZE].as_slice());
     }
-    // The survivors' registry covers what the fenced repair left behind.
-    assert_registry_covers_holders(&router);
+    // Of the survivors, only the new owner holds the repaired object.
+    assert_only_the_owner_holds(&router, object);
 }
 
 /// A removed member is fully detached: it drops its cached chunks of
@@ -522,9 +523,7 @@ fn removed_members_are_detached_and_rejoin_cleanly() {
     );
 
     // Remove it: the re-homed objects leave its cache.
-    assert_registry_covers_holders(&router);
     let removal = router.remove_node(change.node).unwrap();
-    assert_registry_covers_holders(&router);
     let contents = joined.cache_contents();
     for object in &removal.moved_objects {
         assert!(
@@ -541,7 +540,6 @@ fn removed_members_are_detached_and_rejoin_cleanly() {
     // Re-join: reads through the router stay correct, and a write to a
     // re-homed object invalidates wherever it landed.
     let rejoin = router.add_node(Arc::clone(&joined));
-    assert_registry_covers_holders(&router);
     let target = rejoin
         .moved_objects
         .first()
@@ -559,13 +557,12 @@ fn removed_members_are_detached_and_rejoin_cleanly() {
         let metrics = router.read(object).unwrap();
         assert_eq!(metrics.metrics().data.as_ref(), expected.as_slice());
     }
-    assert_registry_covers_holders(&router);
+    assert_only_the_owner_holds(&router, target);
 }
 
-/// Dropping a router frees its members: the lease manager owns the
-/// nodes and each node's event sink points back at the manager, so a
-/// strong back-reference would keep every member — and its disk
-/// tier's temp directory — alive for the rest of the process.
+/// Dropping a router frees its members: a reference cycle through any
+/// member would keep it — and its disk tier's temp directory — alive
+/// for the rest of the process.
 #[test]
 fn dropping_a_tiered_router_removes_its_disk_directories() {
     const OBJECTS: u64 = 24;
@@ -581,7 +578,7 @@ fn dropping_a_tiered_router_removes_its_disk_directories() {
         router.force_reconfigure_all();
     }
     router.write(ObjectId::new(0), &[7; SIZE]).unwrap();
-    assert_registry_covers_holders(&router);
+    assert_only_the_owner_holds(&router, ObjectId::new(0));
     // Each member's knapsack put its long tail on disk, so each store
     // has segment files; their parent is the store's directory.
     let dirs: Vec<std::path::PathBuf> = ids

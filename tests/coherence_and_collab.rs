@@ -1,10 +1,10 @@
 //! Integration tests for the §VI extensions: write coherence across
-//! regions and cache collaboration between neighbours — the latter now
-//! served by the ring-routed `ClusterRouter` (one inter-node lookup
-//! story for the collab pattern and the cluster tier alike; the old
-//! `CollaborativeGroup` linear scan is gone).
+//! regions and cache collaboration between neighbours, both served by
+//! the ring-routed `ClusterRouter` over one member per region (one
+//! inter-node story for the collab pattern, the write path and the
+//! cluster tier alike).
 
-use agar::{AgarNode, AgarSettings, CachingClient, WriteCoordinator};
+use agar::{AgarNode, AgarSettings, CachingClient};
 use agar_cluster::{ClusterRouter, ClusterSettings};
 use agar_ec::{CodingParams, ObjectId};
 use agar_net::presets::{aws_six_regions, DUBLIN, FRANKFURT, SYDNEY};
@@ -72,17 +72,26 @@ fn warm(node: &AgarNode, object: ObjectId) {
     node.read(object).unwrap();
 }
 
+/// A routed write leaves the new bytes readable in every region: the
+/// owner keeps the configured chunks of the version it wrote, and
+/// every other region's cache dropped the object.
 #[test]
 fn writes_propagate_through_all_region_caches() {
     let (backend, nodes) = deployment();
+    let (router, ids) = collab_router(&backend, &nodes);
     let object = ObjectId::new(0);
     for node in &nodes {
         warm(node, object);
     }
-    let coordinator = WriteCoordinator::new(Arc::clone(&backend), nodes.clone(), 5);
     let payload = vec![0xCDu8; SIZE];
-    let (version, _) = coordinator.write(DUBLIN, object, &payload).unwrap();
-    assert_eq!(version, 2);
+    let write = router.write(object, &payload).unwrap();
+    assert_eq!(write.version, 2);
+    assert!(!write.latency.is_zero());
+    assert_eq!(write.invalidations, nodes.len() as u64 - 1);
+    for (node, &id) in nodes.iter().zip(&ids) {
+        let held = node.cache_contents().contains_key(&object);
+        assert_eq!(held, id == write.home, "{}", node.region());
+    }
     for node in &nodes {
         let metrics = node.read(object).unwrap();
         assert_eq!(
@@ -97,14 +106,35 @@ fn writes_propagate_through_all_region_caches() {
 #[test]
 fn repeated_writes_keep_monotonic_versions() {
     let (backend, nodes) = deployment();
-    let coordinator = WriteCoordinator::new(backend, nodes, 6);
+    let (router, _) = collab_router(&backend, &nodes);
     let object = ObjectId::new(3);
     for round in 2..6u64 {
         let payload = vec![round as u8; SIZE];
-        let (version, _) = coordinator.write(FRANKFURT, object, &payload).unwrap();
-        assert_eq!(version, round);
+        let write = router.write(object, &payload).unwrap();
+        assert_eq!(write.version, round);
     }
-    assert_eq!(coordinator.writes(), 4);
+    assert_eq!(router.cache_stats().lease_grants(), 4);
+}
+
+/// Version validation alone keeps a write that bypasses the router —
+/// no lease, no invalidation — from being served stale: the warm
+/// region's older chunks are misses, and the read returns the new
+/// bytes.
+#[test]
+fn version_validation_alone_guarantees_freshness() {
+    let (backend, nodes) = deployment();
+    let object = ObjectId::new(1);
+    let (router, ids) = collab_router(&backend, &nodes);
+    let sydney = &nodes[SYDNEY.index()];
+    warm(sydney, object);
+    let payload = vec![8u8; SIZE];
+    backend
+        .put_object(FRANKFURT, object, &payload, &mut StdRng::seed_from_u64(4))
+        .unwrap();
+    assert!(sydney.cache_contents().contains_key(&object));
+    let read = router.read_from(ids[SYDNEY.index()], object).unwrap();
+    assert_eq!(read.metrics().cache_hits, 0);
+    assert_eq!(read.metrics().data.as_ref(), payload.as_slice());
 }
 
 #[test]

@@ -174,7 +174,7 @@ fn three_member_router_exports_exactly_the_pinned_series() {
         "agar_fetch_batched_round_trips_total{cluster=c,source=coordinator}",
         "agar_fetch_coalesced_total{cluster=c,source=coordinator}",
         "agar_fetch_primary_total{cluster=c}",
-        "agar_invalidations_targeted_total{cluster=c,source=leases}",
+        "agar_invalidations_targeted_total{cluster=c,source=router}",
         "agar_lease_contentions_total{cluster=c,source=leases}",
         "agar_lease_fences_total{cluster=c}",
         "agar_lease_grants_total{cluster=c,source=leases}",

@@ -14,12 +14,12 @@
 //! - a read that succeeds returns exactly the newest completed version
 //!   (a torn object refuses reads until a full write repairs it);
 //! - RAM and disk bytes stay within their budgets on every node;
-//! - the holder registry covers every member that holds chunks;
 //! - no fetch stays in flight, and at the end no lease is held or
 //!   poisoned;
 //! - after a write the writer's chunks of the object are the configured
 //!   set at the new version, each in exactly one tier (barring a
-//!   capacity overflow, which may only lose some of them).
+//!   capacity overflow, which may only lose some of them);
+//! - after a routed write no member but the owner holds the object.
 //!
 //! A failure prints its seed and the operations that led to it.
 
@@ -189,7 +189,7 @@ impl<'a> Schedule<'a> {
         }
         for key in 0..OBJECTS {
             self.read(key, None);
-            let lease = self.router.lease_manager().acquire(ObjectId::new(key), 0);
+            let lease = self.router.lease_manager().acquire(ObjectId::new(key));
             assert!(!lease.fenced(), "key {key} was left poisoned");
         }
         self.check_quiescent();
@@ -297,8 +297,7 @@ impl<'a> Schedule<'a> {
             "crash writing {key} x {size} after {landed} chunks"
         ));
         let object = ObjectId::new(key);
-        let owner = self.router.ring().owner_of_object(object).unwrap();
-        let lease = self.router.lease_manager().acquire(object, owner);
+        let lease = self.router.lease_manager().acquire(object);
         let history = &mut self.history.keys[key as usize];
         self.expected_fences += u64::from(std::mem::take(&mut history.poisoned));
         let payload = vec![0xFF; size];
@@ -392,16 +391,6 @@ impl<'a> Schedule<'a> {
             assert!(disk <= settings.disk_capacity_bytes, "disk over budget");
         }
         let leases = self.router.lease_manager();
-        for id in self.router.member_ids() {
-            let member = self.router.member(id).unwrap();
-            for object in member.cache_contents().into_keys() {
-                let registered = leases.holders_of(object);
-                assert!(
-                    registered.contains(&id),
-                    "member {id} holds {object:?}; the registry names {registered:?}"
-                );
-            }
-        }
         assert_eq!(self.router.coordinator().in_flight(), 0);
         assert_eq!(leases.active_leases(), 0);
         assert_eq!(leases.fences(), self.expected_fences);
