@@ -27,12 +27,8 @@ const DEFAULT_BLOCKING: &[&str] = &[
     "put_object",
     "delete_object",
     // RS codec entry points (decode under a lock stalls every reader).
-    "encode",
     "encode_object",
-    "reconstruct",
-    "reconstruct_object",
     "reconstruct_object_report",
-    "reconstruct_data",
     // DiskStore frame I/O and raw file I/O.
     "append_frame",
     "read_frame",

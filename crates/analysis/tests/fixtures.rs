@@ -87,7 +87,9 @@ fn firing_fixtures_name_the_right_sites() {
         fixture("lock_blocking", "firing.rs"),
     );
     assert!(lock.iter().any(|f| f.message.contains("fetch_chunk")));
-    assert!(lock.iter().any(|f| f.message.contains("reconstruct_data")));
+    assert!(lock
+        .iter()
+        .any(|f| f.message.contains("reconstruct_object_report")));
     assert!(lock
         .iter()
         .any(|f| f.message.contains("read_exact_at") && f.message.contains("self.inner()")));

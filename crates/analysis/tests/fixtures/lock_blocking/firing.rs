@@ -13,7 +13,7 @@ impl Node {
     /// wraps the blocking call itself inside the guard expression.
     fn decode_under_lock(&self) {
         let guard = self.table.write();
-        self.codec.reconstruct_data(&mut self.shards);
+        self.codec.reconstruct_object_report(&self.shards, self.size);
         drop(guard);
     }
 

@@ -16,7 +16,7 @@ impl Node {
         let guard = self.table.write();
         let plan = guard.plan();
         drop(guard);
-        self.codec.reconstruct_data(&mut self.shards);
+        self.codec.reconstruct_object_report(&self.shards, self.size);
         plan.apply();
     }
 

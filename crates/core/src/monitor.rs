@@ -115,11 +115,6 @@ impl RequestMonitor {
     pub fn total_requests(&self) -> u64 {
         self.total_requests
     }
-
-    /// Number of objects currently tracked.
-    pub fn tracked_objects(&self) -> usize {
-        self.popularity.len()
-    }
 }
 
 impl Default for RequestMonitor {
@@ -176,7 +171,7 @@ mod tests {
             monitor.end_epoch();
         }
         assert_eq!(monitor.popularity(key), 0.0);
-        assert_eq!(monitor.tracked_objects(), 0);
+        assert!(monitor.popularity.is_empty());
     }
 
     #[test]

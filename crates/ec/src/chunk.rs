@@ -3,10 +3,8 @@
 //! An *object* is the unit clients read and write (1 MB in the paper's
 //! evaluation). Erasure coding splits an object into `k` data chunks and
 //! `m` parity chunks (see [`CodingParams`]); a [`ChunkId`] names one of
-//! those `k + m` chunks and a [`Chunk`] carries its payload plus a
-//! version used by the write-path coherence protocol.
+//! those `k + m` chunks.
 
-use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -67,16 +65,6 @@ impl ChunkIndex {
     /// The raw index value.
     pub const fn value(self) -> u8 {
         self.0
-    }
-
-    /// Whether this chunk is a data chunk under the given parameters.
-    pub fn is_data(self, params: CodingParams) -> bool {
-        (self.0 as usize) < params.data_chunks()
-    }
-
-    /// Whether this chunk is a parity chunk under the given parameters.
-    pub fn is_parity(self, params: CodingParams) -> bool {
-        !self.is_data(params) && (self.0 as usize) < params.total_chunks()
     }
 }
 
@@ -260,65 +248,11 @@ impl CodingParams {
     pub const fn chunk_size(self, object_size: usize) -> usize {
         object_size.div_ceil(self.data_chunks)
     }
-
-    /// All chunk indices, data first then parity.
-    pub fn chunk_indices(self) -> impl Iterator<Item = ChunkIndex> {
-        (0..self.total_chunks() as u8).map(ChunkIndex::new)
-    }
 }
 
 impl fmt::Display for CodingParams {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "RS({},{})", self.data_chunks, self.parity_chunks)
-    }
-}
-
-/// A chunk payload together with its identity and version.
-///
-/// Versions start at 0 and are bumped by every write to the owning
-/// object; the cache-coherence extension compares versions to reject
-/// stale cached chunks.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Chunk {
-    id: ChunkId,
-    version: u64,
-    data: Bytes,
-}
-
-impl Chunk {
-    /// Creates a chunk.
-    pub fn new(id: ChunkId, version: u64, data: Bytes) -> Self {
-        Chunk { id, version, data }
-    }
-
-    /// The chunk's identity.
-    pub fn id(&self) -> ChunkId {
-        self.id
-    }
-
-    /// The version of the owning object this chunk was encoded from.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// The chunk payload. `Bytes` makes clones cheap (reference counted).
-    pub fn data(&self) -> &Bytes {
-        &self.data
-    }
-
-    /// Payload length in bytes.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the payload is empty.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Consumes the chunk, returning its payload.
-    pub fn into_data(self) -> Bytes {
-        self.data
     }
 }
 
@@ -332,17 +266,6 @@ mod tests {
         assert_eq!(id.index(), 123);
         assert_eq!(id.to_string(), "obj-123");
         assert_eq!(ObjectId::from(123u64), id);
-    }
-
-    #[test]
-    fn chunk_index_classification() {
-        let params = CodingParams::new(9, 3).unwrap();
-        assert!(ChunkIndex::new(0).is_data(params));
-        assert!(ChunkIndex::new(8).is_data(params));
-        assert!(!ChunkIndex::new(9).is_data(params));
-        assert!(ChunkIndex::new(9).is_parity(params));
-        assert!(ChunkIndex::new(11).is_parity(params));
-        assert!(!ChunkIndex::new(12).is_parity(params)); // out of range entirely
     }
 
     #[test]
@@ -373,25 +296,6 @@ mod tests {
         assert_eq!(p.chunk_size(10), 2);
         assert_eq!(p.chunk_size(1_000_000), 111_112);
         assert_eq!(p.chunk_size(0), 0);
-    }
-
-    #[test]
-    fn chunk_indices_iterates_all() {
-        let p = CodingParams::new(4, 2).unwrap();
-        let ids: Vec<u8> = p.chunk_indices().map(ChunkIndex::value).collect();
-        assert_eq!(ids, vec![0, 1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn chunk_payload_accessors() {
-        let id = ChunkId::new(ObjectId::new(1), 0);
-        let c = Chunk::new(id, 7, Bytes::from_static(b"hello"));
-        assert_eq!(c.id(), id);
-        assert_eq!(c.version(), 7);
-        assert_eq!(c.len(), 5);
-        assert!(!c.is_empty());
-        assert_eq!(c.data().as_ref(), b"hello");
-        assert_eq!(c.into_data().as_ref(), b"hello");
     }
 
     #[test]

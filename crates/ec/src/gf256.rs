@@ -2,28 +2,24 @@
 //!
 //! The field is constructed as GF(2)\[x\] / (x^8 + x^4 + x^3 + x^2 + 1),
 //! i.e. with the reducing polynomial `0x11D` that is conventional for
-//! Reed-Solomon codes. Multiplication and division are table-driven:
-//! exponentiation/logarithm tables with respect to the generator `x`
-//! (`0x02`) are computed at compile time by a `const fn`, so lookups are
-//! branch-free at runtime and there is no lazy initialisation.
+//! Reed-Solomon codes. A field element is a plain `u8`: addition is XOR,
+//! and multiplication is table-driven — exponentiation/logarithm tables
+//! with respect to the generator `x` (`0x02`) are computed at compile
+//! time by a `const fn`, so there is no lazy initialisation.
 //!
 //! # Examples
 //!
 //! ```
-//! use agar_ec::gf256::Gf256;
+//! use agar_ec::gf256::{mul, mul_add_slice};
 //!
-//! let a = Gf256::new(0x53);
-//! let b = Gf256::new(0xCA);
-//! // Addition in GF(2^8) is XOR, so every element is its own inverse.
-//! assert_eq!(a + b, Gf256::new(0x53 ^ 0xCA));
-//! assert_eq!(a + a, Gf256::ZERO);
-//! // Multiplication distributes over addition.
-//! let c = Gf256::new(7);
-//! assert_eq!(c * (a + b), c * a + c * b);
+//! let (a, b, c) = (0x53, 0xCA, 7);
+//! // Multiplication distributes over addition (XOR).
+//! assert_eq!(mul(c, a ^ b), mul(c, a) ^ mul(c, b));
+//! // The slice kernel accumulates `c * src` into `dst`.
+//! let mut dst = [a];
+//! mul_add_slice(&mut dst, &[b], c);
+//! assert_eq!(dst, [a ^ mul(c, b)]);
 //! ```
-
-use std::fmt;
-use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 /// The reducing polynomial x^8 + x^4 + x^3 + x^2 + 1 (without the x^8 bit
 /// it is `0x1D`); this is the polynomial used by most Reed-Solomon
@@ -64,11 +60,35 @@ const EXP: [u8; 512] = TABLES.0;
 /// `a == 0`; all callers must check for zero first).
 const LOG: [u8; 256] = TABLES.1;
 
-const fn mul_const(a: u8, b: u8) -> u8 {
+/// Field multiplication: one log/exp walk.
+#[inline]
+pub const fn mul(a: u8, b: u8) -> u8 {
     if a == 0 || b == 0 {
         return 0;
     }
     EXP[LOG[a as usize] as usize + LOG[b as usize] as usize]
+}
+
+/// Multiplicative inverse.
+///
+/// # Panics
+///
+/// Panics if `a` is zero, which has no inverse.
+pub(crate) fn inverse(a: u8) -> u8 {
+    assert!(a != 0, "zero has no multiplicative inverse in GF(2^8)");
+    EXP[GROUP_ORDER - LOG[a as usize] as usize]
+}
+
+/// `a` raised to `exponent`. `0^0` is 1, the convention Vandermonde
+/// construction needs.
+pub(crate) fn pow(a: u8, exponent: usize) -> u8 {
+    if exponent == 0 {
+        return 1;
+    }
+    if a == 0 {
+        return 0;
+    }
+    EXP[(LOG[a as usize] as usize * (exponent % GROUP_ORDER)) % GROUP_ORDER]
 }
 
 /// Split-nibble multiplication tables for every coefficient.
@@ -87,8 +107,8 @@ const fn build_nibble_tables() -> ([[u8; 16]; 256], [[u8; 16]; 256]) {
     while c < 256 {
         let mut n = 0;
         while n < 16 {
-            lo[c][n] = mul_const(c as u8, n as u8);
-            hi[c][n] = mul_const(c as u8, (n << 4) as u8);
+            lo[c][n] = mul(c as u8, n as u8);
+            hi[c][n] = mul(c as u8, (n << 4) as u8);
             n += 1;
         }
         c += 1;
@@ -99,13 +119,6 @@ const fn build_nibble_tables() -> ([[u8; 16]; 256], [[u8; 16]; 256]) {
 const NIBBLE_TABLES: ([[u8; 16]; 256], [[u8; 16]; 256]) = build_nibble_tables();
 const NIB_LO: [[u8; 16]; 256] = NIBBLE_TABLES.0;
 const NIB_HI: [[u8; 16]; 256] = NIBBLE_TABLES.1;
-
-/// The two 16-entry split-nibble tables for a coefficient:
-/// `c * s == lo[s & 0x0F] ^ hi[s >> 4]`.
-#[inline]
-pub fn nibble_tables(coefficient: u8) -> (&'static [u8; 16], &'static [u8; 16]) {
-    (&NIB_LO[coefficient as usize], &NIB_HI[coefficient as usize])
-}
 
 /// GF(2^8) multiplication by a constant is GF(2)-linear, so each
 /// coefficient is an 8x8 bit matrix — exactly the operand shape of the
@@ -124,7 +137,7 @@ const fn build_gfni_matrices() -> [u64; 256] {
             let mut row = 0u8;
             let mut j = 0;
             while j < 8 {
-                if mul_const(c as u8, 1 << j) >> i & 1 != 0 {
+                if mul(c as u8, 1 << j) >> i & 1 != 0 {
                     row |= 1 << j;
                 }
                 j += 1;
@@ -217,19 +230,6 @@ mod x86 {
         dst.len() & !31
     }
 
-    /// `dst = matrix * src` (GFNI).
-    // SAFETY: caller must have verified GFNI+AVX2 (via `simd_level`).
-    #[target_feature(enable = "gfni,avx2")]
-    pub unsafe fn mul_gfni(dst: &mut [u8], src: &[u8], matrix: u64) -> usize {
-        let m = _mm256_set1_epi64x(matrix as i64);
-        for (d, s) in dst.chunks_exact_mut(32).zip(src.chunks_exact(32)) {
-            let sv = _mm256_loadu_si256(s.as_ptr().cast());
-            let prod = _mm256_gf2p8affine_epi64_epi8::<0>(sv, m);
-            _mm256_storeu_si256(d.as_mut_ptr().cast(), prod);
-        }
-        dst.len() & !31
-    }
-
     /// Split-nibble product of one 32-byte block via two `PSHUFB`s.
     // SAFETY: caller must have verified AVX2 (via `simd_level`).
     #[inline]
@@ -252,20 +252,6 @@ mod x86 {
             let prod = nibble_product_avx2(sv, lo_t, hi_t);
             let dv = _mm256_loadu_si256(d.as_ptr().cast());
             _mm256_storeu_si256(d.as_mut_ptr().cast(), _mm256_xor_si256(dv, prod));
-        }
-        dst.len() & !31
-    }
-
-    /// `dst = c * src` (AVX2).
-    // SAFETY: caller must have verified AVX2 (via `simd_level`).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn mul_avx2(dst: &mut [u8], src: &[u8], lo: &[u8; 16], hi: &[u8; 16]) -> usize {
-        let lo_t = _mm256_broadcastsi128_si256(_mm_loadu_si128(lo.as_ptr().cast()));
-        let hi_t = _mm256_broadcastsi128_si256(_mm_loadu_si128(hi.as_ptr().cast()));
-        for (d, s) in dst.chunks_exact_mut(32).zip(src.chunks_exact(32)) {
-            let sv = _mm256_loadu_si256(s.as_ptr().cast());
-            let prod = nibble_product_avx2(sv, lo_t, hi_t);
-            _mm256_storeu_si256(d.as_mut_ptr().cast(), prod);
         }
         dst.len() & !31
     }
@@ -295,248 +281,6 @@ mod x86 {
         }
         dst.len() & !15
     }
-
-    /// `dst = c * src` (SSSE3).
-    // SAFETY: caller must have verified SSSE3 (via `simd_level`).
-    #[target_feature(enable = "ssse3")]
-    pub unsafe fn mul_ssse3(dst: &mut [u8], src: &[u8], lo: &[u8; 16], hi: &[u8; 16]) -> usize {
-        let lo_t = _mm_loadu_si128(lo.as_ptr().cast());
-        let hi_t = _mm_loadu_si128(hi.as_ptr().cast());
-        for (d, s) in dst.chunks_exact_mut(16).zip(src.chunks_exact(16)) {
-            let sv = _mm_loadu_si128(s.as_ptr().cast());
-            let prod = nibble_product_ssse3(sv, lo_t, hi_t);
-            _mm_storeu_si128(d.as_mut_ptr().cast(), prod);
-        }
-        dst.len() & !15
-    }
-}
-
-/// An element of GF(2^8).
-///
-/// This is a zero-cost wrapper around `u8` giving field semantics to the
-/// arithmetic operators: `+`/`-` are XOR, `*`/`/` go through the
-/// log/exp tables.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct Gf256(u8);
-
-impl Gf256 {
-    /// The additive identity.
-    pub const ZERO: Gf256 = Gf256(0);
-    /// The multiplicative identity.
-    pub const ONE: Gf256 = Gf256(1);
-    /// The conventional generator of the multiplicative group (`x`, i.e. 2).
-    pub const GENERATOR: Gf256 = Gf256(2);
-
-    /// Wraps a byte as a field element.
-    #[inline]
-    pub const fn new(value: u8) -> Self {
-        Gf256(value)
-    }
-
-    /// Returns the underlying byte.
-    #[inline]
-    pub const fn value(self) -> u8 {
-        self.0
-    }
-
-    /// Returns `true` if this is the additive identity.
-    #[inline]
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
-    /// Multiplicative inverse.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self` is zero, which has no inverse.
-    #[inline]
-    pub fn inverse(self) -> Self {
-        assert!(
-            !self.is_zero(),
-            "zero has no multiplicative inverse in GF(2^8)"
-        );
-        Gf256(EXP[GROUP_ORDER - LOG[self.0 as usize] as usize])
-    }
-
-    /// Checked multiplicative inverse; `None` for zero.
-    #[inline]
-    pub fn checked_inverse(self) -> Option<Self> {
-        if self.is_zero() {
-            None
-        } else {
-            Some(self.inverse())
-        }
-    }
-
-    /// Raises the element to an arbitrary power.
-    ///
-    /// `0^0` is defined as 1, matching the usual convention for
-    /// Vandermonde matrix construction.
-    pub fn pow(self, mut exponent: usize) -> Self {
-        if exponent == 0 {
-            return Gf256::ONE;
-        }
-        if self.is_zero() {
-            return Gf256::ZERO;
-        }
-        exponent %= GROUP_ORDER;
-        if exponent == 0 {
-            return Gf256::ONE;
-        }
-        let log = LOG[self.0 as usize] as usize;
-        Gf256(EXP[(log * exponent) % GROUP_ORDER])
-    }
-
-    /// `self * a + b`, the fused operation at the heart of matrix-vector
-    /// products over the field.
-    #[inline]
-    pub fn mul_add(self, a: Gf256, b: Gf256) -> Self {
-        self * a + b
-    }
-}
-
-impl From<u8> for Gf256 {
-    #[inline]
-    fn from(value: u8) -> Self {
-        Gf256(value)
-    }
-}
-
-impl From<Gf256> for u8 {
-    #[inline]
-    fn from(value: Gf256) -> Self {
-        value.0
-    }
-}
-
-impl fmt::Debug for Gf256 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Gf256(0x{:02x})", self.0)
-    }
-}
-
-impl fmt::Display for Gf256 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:02x}", self.0)
-    }
-}
-
-impl fmt::LowerHex for Gf256 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::LowerHex::fmt(&self.0, f)
-    }
-}
-
-impl fmt::UpperHex for Gf256 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::UpperHex::fmt(&self.0, f)
-    }
-}
-
-impl fmt::Binary for Gf256 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Binary::fmt(&self.0, f)
-    }
-}
-
-impl fmt::Octal for Gf256 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Octal::fmt(&self.0, f)
-    }
-}
-
-impl Add for Gf256 {
-    type Output = Gf256;
-    #[inline]
-    // In GF(2^8) addition is carry-less: xor is the field operation.
-    #[allow(clippy::suspicious_arithmetic_impl)]
-    fn add(self, rhs: Gf256) -> Gf256 {
-        Gf256(self.0 ^ rhs.0)
-    }
-}
-
-impl AddAssign for Gf256 {
-    #[inline]
-    #[allow(clippy::suspicious_op_assign_impl)]
-    fn add_assign(&mut self, rhs: Gf256) {
-        self.0 ^= rhs.0;
-    }
-}
-
-impl Sub for Gf256 {
-    type Output = Gf256;
-    #[inline]
-    #[allow(clippy::suspicious_arithmetic_impl)]
-    fn sub(self, rhs: Gf256) -> Gf256 {
-        // Characteristic 2: subtraction and addition coincide.
-        Gf256(self.0 ^ rhs.0)
-    }
-}
-
-impl SubAssign for Gf256 {
-    #[inline]
-    #[allow(clippy::suspicious_op_assign_impl)]
-    fn sub_assign(&mut self, rhs: Gf256) {
-        self.0 ^= rhs.0;
-    }
-}
-
-impl Neg for Gf256 {
-    type Output = Gf256;
-    #[inline]
-    fn neg(self) -> Gf256 {
-        // Every element is its own additive inverse.
-        self
-    }
-}
-
-impl Mul for Gf256 {
-    type Output = Gf256;
-    #[inline]
-    fn mul(self, rhs: Gf256) -> Gf256 {
-        if self.0 == 0 || rhs.0 == 0 {
-            return Gf256::ZERO;
-        }
-        let log = LOG[self.0 as usize] as usize + LOG[rhs.0 as usize] as usize;
-        Gf256(EXP[log])
-    }
-}
-
-impl MulAssign for Gf256 {
-    #[inline]
-    fn mul_assign(&mut self, rhs: Gf256) {
-        *self = *self * rhs;
-    }
-}
-
-impl Div for Gf256 {
-    type Output = Gf256;
-    /// # Panics
-    ///
-    /// Panics on division by zero.
-    #[inline]
-    fn div(self, rhs: Gf256) -> Gf256 {
-        assert!(!rhs.is_zero(), "division by zero in GF(2^8)");
-        if self.0 == 0 {
-            return Gf256::ZERO;
-        }
-        let log = LOG[self.0 as usize] as usize + GROUP_ORDER - LOG[rhs.0 as usize] as usize;
-        Gf256(EXP[log])
-    }
-}
-
-impl DivAssign for Gf256 {
-    #[inline]
-    fn div_assign(&mut self, rhs: Gf256) {
-        *self = *self / rhs;
-    }
-}
-
-/// Raw-byte multiply, convenient for slice kernels.
-#[inline]
-pub fn mul(a: u8, b: u8) -> u8 {
-    (Gf256(a) * Gf256(b)).0
 }
 
 /// `dst ^= src`, eight bytes per step.
@@ -584,33 +328,14 @@ fn mul_add_scalar(dst: &mut [u8], src: &[u8], lo: &[u8; 16], hi: &[u8; 16]) {
     }
 }
 
-/// Scalar split-nibble `dst = c * src`; see [`mul_add_scalar`].
-#[inline]
-fn mul_scalar(dst: &mut [u8], src: &[u8], lo: &[u8; 16], hi: &[u8; 16]) {
-    let mut dst_blocks = dst.chunks_exact_mut(64);
-    let mut src_blocks = src.chunks_exact(64);
-    for (d, s) in dst_blocks.by_ref().zip(src_blocks.by_ref()) {
-        for i in 0..64 {
-            d[i] = lo[(s[i] & 0x0F) as usize] ^ hi[(s[i] >> 4) as usize];
-        }
-    }
-    for (d, s) in dst_blocks
-        .into_remainder()
-        .iter_mut()
-        .zip(src_blocks.remainder())
-    {
-        *d = lo[(*s & 0x0F) as usize] ^ hi[(*s >> 4) as usize];
-    }
-}
-
 /// `dst[i] ^= coefficient * src[i]` for every `i`.
 ///
 /// This is the inner loop of Reed-Solomon encoding and decoding: a row
 /// coefficient applied to a whole shard and accumulated into an output
 /// shard. The body dispatches to the widest branch-free kernel the CPU
 /// offers — `GF2P8AFFINEQB` (one instruction per 32 bytes), AVX2 or
-/// SSSE3 split-nibble `PSHUFB`, or the scalar split-nibble loop (see
-/// [`nibble_tables`]) — with the scalar kernel finishing any tail.
+/// SSSE3 split-nibble `PSHUFB`, or the scalar split-nibble loop — with
+/// the scalar kernel finishing any tail.
 /// Coefficient 0 is a no-op and coefficient 1 takes the
 /// u64-wide XOR path. Every tier computes bit-identical output.
 ///
@@ -649,50 +374,11 @@ pub fn mul_add_slice(dst: &mut [u8], src: &[u8], coefficient: u8) {
     mul_add_scalar(&mut dst[done..], &src[done..], lo, hi);
 }
 
-/// `dst[i] = coefficient * src[i]` for every `i`.
+/// Naive scalar reference kernel.
 ///
-/// Same kernel dispatch as [`mul_add_slice`]; `memset`/`memcpy` for
-/// coefficients 0 and 1.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn mul_slice(dst: &mut [u8], src: &[u8], coefficient: u8) {
-    assert_eq!(
-        dst.len(),
-        src.len(),
-        "mul_slice requires equal-length slices"
-    );
-    if coefficient == 0 {
-        dst.fill(0);
-        return;
-    }
-    if coefficient == 1 {
-        dst.copy_from_slice(src);
-        return;
-    }
-    let lo = &NIB_LO[coefficient as usize];
-    let hi = &NIB_HI[coefficient as usize];
-    #[cfg(target_arch = "x86_64")]
-    let done = match simd_level() {
-        // SAFETY: simd_level() verified GFNI and AVX2 at runtime.
-        SimdLevel::Gfni => unsafe { x86::mul_gfni(dst, src, GFNI_MATRICES[coefficient as usize]) },
-        // SAFETY: simd_level() verified AVX2 at runtime.
-        SimdLevel::Avx2 => unsafe { x86::mul_avx2(dst, src, lo, hi) },
-        // SAFETY: simd_level() verified SSSE3 at runtime.
-        SimdLevel::Ssse3 => unsafe { x86::mul_ssse3(dst, src, lo, hi) },
-        SimdLevel::Scalar => 0,
-    };
-    #[cfg(not(target_arch = "x86_64"))]
-    let done = 0;
-    mul_scalar(&mut dst[done..], &src[done..], lo, hi);
-}
-
-/// Naive scalar reference kernels.
-///
-/// These are the pre-optimization log/exp-table loops, retained
-/// verbatim as the ground truth the property tests hold the nibble
-/// kernels to. Never called on a hot path.
+/// The pre-optimization log/exp-table loop, retained verbatim as the
+/// ground truth the tests hold [`mul_add_slice`] and the codec's parity
+/// to. Never called on a hot path.
 pub mod naive {
     use super::{EXP, LOG};
 
@@ -724,66 +410,12 @@ pub mod naive {
             }
         }
     }
-
-    /// Reference `dst[i] = coefficient * src[i]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    pub fn mul_slice(dst: &mut [u8], src: &[u8], coefficient: u8) {
-        assert_eq!(
-            dst.len(),
-            src.len(),
-            "mul_slice requires equal-length slices"
-        );
-        if coefficient == 0 {
-            dst.fill(0);
-            return;
-        }
-        if coefficient == 1 {
-            dst.copy_from_slice(src);
-            return;
-        }
-        let log_c = LOG[coefficient as usize] as usize;
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d = if *s == 0 {
-                0
-            } else {
-                EXP[log_c + LOG[*s as usize] as usize]
-            };
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn addition_is_xor() {
-        assert_eq!(Gf256::new(0b1010) + Gf256::new(0b0110), Gf256::new(0b1100));
-    }
-
-    #[test]
-    fn addition_identity_and_self_inverse() {
-        for v in 0..=255u8 {
-            let a = Gf256::new(v);
-            assert_eq!(a + Gf256::ZERO, a);
-            assert_eq!(a + a, Gf256::ZERO);
-            assert_eq!(-a, a);
-            assert_eq!(a - a, Gf256::ZERO);
-        }
-    }
-
-    #[test]
-    fn multiplication_identity() {
-        for v in 0..=255u8 {
-            let a = Gf256::new(v);
-            assert_eq!(a * Gf256::ONE, a);
-            assert_eq!(Gf256::ONE * a, a);
-            assert_eq!(a * Gf256::ZERO, Gf256::ZERO);
-        }
-    }
+    use proptest::prelude::*;
 
     #[test]
     fn known_products() {
@@ -791,83 +423,91 @@ mod tests {
         assert_eq!(mul(2, 2), 4);
         assert_eq!(mul(0x80, 2), 0x1D); // overflow wraps through the polynomial
         assert_eq!(mul(0x8E, 2), 0x01); // 0x8E is the inverse of the generator
-        assert_eq!(Gf256::GENERATOR.inverse(), Gf256::new(0x8E));
+        assert_eq!(inverse(2), 0x8E);
     }
 
     #[test]
-    fn every_nonzero_element_has_inverse() {
-        for v in 1..=255u8 {
-            let a = Gf256::new(v);
-            let inv = a.inverse();
-            assert_eq!(a * inv, Gf256::ONE, "inverse failed for {v}");
-            assert_eq!(a.checked_inverse(), Some(inv));
+    fn identities_and_every_inverse() {
+        for a in 0..=255u8 {
+            assert_eq!(mul(a, 1), a);
+            assert_eq!(mul(a, 0), 0);
+            if a != 0 {
+                assert_eq!(mul(a, inverse(a)), 1, "inverse failed for {a}");
+            }
         }
-        assert_eq!(Gf256::ZERO.checked_inverse(), None);
     }
 
     #[test]
     #[should_panic(expected = "zero has no multiplicative inverse")]
     fn zero_inverse_panics() {
-        let _ = Gf256::ZERO.inverse();
-    }
-
-    #[test]
-    #[should_panic(expected = "division by zero")]
-    fn division_by_zero_panics() {
-        let _ = Gf256::ONE / Gf256::ZERO;
-    }
-
-    #[test]
-    fn division_matches_inverse_multiplication() {
-        for a in (0..=255u8).step_by(7) {
-            for b in 1..=255u8 {
-                let lhs = Gf256::new(a) / Gf256::new(b);
-                let rhs = Gf256::new(a) * Gf256::new(b).inverse();
-                assert_eq!(lhs, rhs);
-            }
-        }
-    }
-
-    #[test]
-    fn multiplication_is_commutative_and_associative_spot() {
-        for &(a, b, c) in &[(3u8, 7u8, 250u8), (0x53, 0xCA, 0x01), (255, 254, 253)] {
-            let (a, b, c) = (Gf256::new(a), Gf256::new(b), Gf256::new(c));
-            assert_eq!(a * b, b * a);
-            assert_eq!((a * b) * c, a * (b * c));
-        }
+        let _ = inverse(0);
     }
 
     #[test]
     fn generator_has_full_order() {
         let mut seen = [false; 256];
-        let mut x = Gf256::ONE;
+        let mut x = 1u8;
         for _ in 0..GROUP_ORDER {
-            assert!(!seen[x.value() as usize], "generator cycled early");
-            seen[x.value() as usize] = true;
-            x *= Gf256::GENERATOR;
+            assert!(!seen[x as usize], "generator cycled early");
+            seen[x as usize] = true;
+            x = mul(x, 2);
         }
-        assert_eq!(x, Gf256::ONE, "generator order is not 255");
+        assert_eq!(x, 1, "generator order is not 255");
     }
 
     #[test]
     fn pow_matches_repeated_multiplication() {
-        for v in [0u8, 1, 2, 5, 97, 255] {
-            let a = Gf256::new(v);
-            let mut acc = Gf256::ONE;
+        for a in [0u8, 1, 2, 5, 97, 255] {
+            let mut acc = 1u8;
             for e in 0..20 {
-                assert_eq!(a.pow(e), acc, "pow mismatch for {v}^{e}");
-                acc *= a;
+                assert_eq!(pow(a, e), acc, "pow mismatch for {a}^{e}");
+                acc = mul(acc, a);
             }
         }
-        assert_eq!(Gf256::ZERO.pow(0), Gf256::ONE);
+        assert_eq!(pow(0, 0), 1);
     }
 
     #[test]
     fn pow_reduces_exponent_modulo_group_order() {
-        let a = Gf256::new(29);
-        assert_eq!(a.pow(GROUP_ORDER), Gf256::ONE);
-        assert_eq!(a.pow(GROUP_ORDER + 3), a.pow(3));
-        assert_eq!(a.pow(2 * GROUP_ORDER), Gf256::ONE);
+        assert_eq!(pow(29, GROUP_ORDER), 1);
+        assert_eq!(pow(29, GROUP_ORDER + 3), pow(29, 3));
+        assert_eq!(pow(29, 2 * GROUP_ORDER), 1);
+    }
+
+    // The field laws, on `u8` elements: `^` is addition, `mul`,
+    // `inverse` and `pow` the rest of the field.
+    proptest! {
+        #[test]
+        #[cfg_attr(miri, ignore)]
+        #[allow(clippy::identity_op)] // `a ^ 0 == a` is the identity law
+        fn addition_is_an_abelian_group(a in any::<u8>(), b in any::<u8>(), c in any::<u8>()) {
+            prop_assert_eq!(a ^ b, b ^ a);
+            prop_assert_eq!((a ^ b) ^ c, a ^ (b ^ c));
+            prop_assert_eq!(a ^ 0, a);
+            prop_assert_eq!(a ^ a, 0);
+        }
+
+        #[test]
+        #[cfg_attr(miri, ignore)]
+        fn multiplication_commutes_associates_and_distributes(a in any::<u8>(), b in any::<u8>(), c in any::<u8>()) {
+            prop_assert_eq!(mul(a, b), mul(b, a));
+            prop_assert_eq!(mul(mul(a, b), c), mul(a, mul(b, c)));
+            prop_assert_eq!(mul(a, b ^ c), mul(a, b) ^ mul(a, c));
+        }
+
+        #[test]
+        #[cfg_attr(miri, ignore)]
+        fn inverse_undoes_multiplication(a in any::<u8>(), b in 1u8..=255) {
+            prop_assert_eq!(mul(mul(a, b), inverse(b)), a);
+            prop_assert_eq!(inverse(inverse(b)), b);
+            prop_assert_eq!(mul(b, inverse(b)), 1);
+        }
+
+        #[test]
+        #[cfg_attr(miri, ignore)]
+        fn pow_adds_exponents(a in 1u8..=255, e1 in 0usize..300, e2 in 0usize..300) {
+            prop_assert_eq!(mul(pow(a, e1), pow(a, e2)), pow(a, e1 + e2));
+        }
     }
 
     #[test]
@@ -900,18 +540,6 @@ mod tests {
     }
 
     #[test]
-    fn mul_slice_overwrites() {
-        let src = [1u8, 2, 4, 8];
-        let mut dst = [0u8; 4];
-        mul_slice(&mut dst, &src, 2);
-        assert_eq!(dst, [2, 4, 8, 16]);
-        mul_slice(&mut dst, &src, 0);
-        assert_eq!(dst, [0; 4]);
-        mul_slice(&mut dst, &src, 1);
-        assert_eq!(dst, src);
-    }
-
-    #[test]
     #[should_panic(expected = "equal-length")]
     fn mul_add_slice_length_mismatch_panics() {
         mul_add_slice(&mut [0u8; 3], &[0u8; 4], 1);
@@ -920,7 +548,7 @@ mod tests {
     #[test]
     fn nibble_tables_factor_every_product() {
         for c in 0..=255u8 {
-            let (lo, hi) = nibble_tables(c);
+            let (lo, hi) = (&NIB_LO[c as usize], &NIB_HI[c as usize]);
             for s in 0..=255u8 {
                 assert_eq!(
                     lo[(s & 0x0F) as usize] ^ hi[(s >> 4) as usize],
@@ -967,49 +595,7 @@ mod tests {
                 mul_add_slice(&mut fast, &src, c);
                 naive::mul_add_slice(&mut slow, &src, c);
                 assert_eq!(fast, slow, "mul_add_slice len {len} coefficient {c}");
-
-                let mut fast = init.clone();
-                let mut slow = init.clone();
-                mul_slice(&mut fast, &src, c);
-                naive::mul_slice(&mut slow, &src, c);
-                assert_eq!(fast, slow, "mul_slice len {len} coefficient {c}");
             }
         }
-    }
-
-    #[test]
-    fn mul_add_helper_fuses() {
-        let a = Gf256::new(17);
-        let b = Gf256::new(99);
-        let c = Gf256::new(3);
-        assert_eq!(c.mul_add(a, b), c * a + b);
-    }
-
-    #[test]
-    fn distributivity_exhaustive_sample() {
-        for a in (0..=255u8).step_by(17) {
-            for b in (0..=255u8).step_by(13) {
-                for c in (0..=255u8).step_by(29) {
-                    let (a, b, c) = (Gf256::new(a), Gf256::new(b), Gf256::new(c));
-                    assert_eq!(a * (b + c), a * b + a * c);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn conversions_roundtrip() {
-        let a: Gf256 = 0xAB_u8.into();
-        let b: u8 = a.into();
-        assert_eq!(b, 0xAB);
-        assert_eq!(a.value(), 0xAB);
-    }
-
-    #[test]
-    fn debug_and_display_are_nonempty() {
-        assert_eq!(format!("{:?}", Gf256::new(0x0F)), "Gf256(0x0f)");
-        assert_eq!(format!("{}", Gf256::new(0x0F)), "0f");
-        assert_eq!(format!("{:x}", Gf256::new(0xAB)), "ab");
-        assert_eq!(format!("{:b}", Gf256::new(2)), "10");
     }
 }

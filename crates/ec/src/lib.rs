@@ -3,18 +3,21 @@
 //! A from-scratch implementation of systematic Reed-Solomon erasure
 //! coding over GF(2^8), as required by the Agar caching system
 //! (Halalai et al., ICDCS 2017). The paper's prototype used the Longhair
-//! Cauchy Reed-Solomon library; this crate provides the equivalent
-//! functionality in pure Rust, plus the object/chunk identity types the
-//! rest of the workspace shares.
+//! Cauchy Reed-Solomon library; this crate is the pure-Rust object codec
+//! the workspace calls — encode an object into `k + m` chunks, rebuild it
+//! from any `k` — plus the object/chunk identity types the rest of the
+//! workspace shares.
 //!
 //! The layers, bottom-up:
 //!
-//! - [`gf256`] — table-driven arithmetic in GF(2^8);
-//! - [`matrix`] — dense matrices over the field, with Gauss-Jordan
-//!   inversion and Vandermonde/Cauchy constructions;
-//! - [`rs`] — the systematic [`ReedSolomon`] codec (`any k of k + m`
-//!   shards reconstruct the object);
-//! - [`chunk`] — [`ObjectId`], [`ChunkId`], [`Chunk`] and
+//! - [`gf256`] — GF(2^8) arithmetic on `u8` and the SIMD-dispatched
+//!   `mul_add_slice` kernel;
+//! - [`matrix`] — dense matrices over the field, with the Vandermonde
+//!   construction and Gauss-Jordan inversion;
+//! - [`rs`] — the systematic [`ReedSolomon`] codec:
+//!   [`encode_object`](ReedSolomon::encode_object) and
+//!   [`reconstruct_object_report`](ReedSolomon::reconstruct_object_report);
+//! - [`chunk`] — [`ObjectId`], [`ChunkId`], [`ChunkSet`] and
 //!   [`CodingParams`] shared by the store, cache and Agar core crates.
 //!
 //! # Examples
@@ -35,7 +38,7 @@
 //! shards[3] = None;
 //! shards[11] = None;
 //!
-//! let recovered = rs.reconstruct_object(&shards, object.len())?;
+//! let (recovered, _report) = rs.reconstruct_object_report(&shards, object.len())?;
 //! assert_eq!(recovered.as_ref(), object.as_slice());
 //! # Ok::<(), agar_ec::EcError>(())
 //! ```
@@ -49,8 +52,7 @@ pub mod gf256;
 pub mod matrix;
 pub mod rs;
 
-pub use chunk::{Chunk, ChunkId, ChunkIndex, ChunkSet, CodingParams, ObjectId};
+pub use chunk::{ChunkId, ChunkIndex, ChunkSet, CodingParams, ObjectId};
 pub use error::EcError;
-pub use gf256::Gf256;
 pub use matrix::Matrix;
-pub use rs::{DecodeReport, MatrixKind, ReedSolomon};
+pub use rs::{DecodeReport, ReedSolomon};

@@ -1,6 +1,5 @@
 //! Dense matrices over GF(2^8) and the constructions Reed-Solomon needs:
-//! identity, Vandermonde, Cauchy, Gauss-Jordan inversion and row
-//! selection.
+//! identity, Vandermonde, Gauss-Jordan inversion and row selection.
 //!
 //! # Examples
 //!
@@ -18,7 +17,7 @@
 //! ```
 
 use crate::error::EcError;
-use crate::gf256::{mul_add_slice, Gf256};
+use crate::gf256::{inverse, mul, mul_add_slice, pow};
 use std::fmt;
 
 /// A dense row-major matrix over GF(2^8).
@@ -116,32 +115,7 @@ impl Matrix {
         let mut m = Matrix::zero(rows, cols)?;
         for r in 0..rows {
             for c in 0..cols {
-                m.set(r, c, Gf256::new(r as u8).pow(c).value());
-            }
-        }
-        Ok(m)
-    }
-
-    /// A `rows x cols` Cauchy matrix with entry `(r, c) = 1 / (x_r + y_c)`
-    /// where `x_r = cols + r` and `y_c = c`.
-    ///
-    /// All `x_r` and `y_c` are distinct as long as `rows + cols <= 256`,
-    /// which guarantees every square submatrix is invertible.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EcError::InvalidDimensions`] if a dimension is zero or
-    /// `rows + cols > 256`.
-    pub fn cauchy(rows: usize, cols: usize) -> Result<Self, EcError> {
-        if rows + cols > 256 {
-            return Err(EcError::InvalidDimensions { rows, cols });
-        }
-        let mut m = Matrix::zero(rows, cols)?;
-        for r in 0..rows {
-            let x = Gf256::new((cols + r) as u8);
-            for c in 0..cols {
-                let y = Gf256::new(c as u8);
-                m.set(r, c, (x + y).inverse().value());
+                m.set(r, c, pow(r as u8, c));
             }
         }
         Ok(m)
@@ -347,10 +321,9 @@ impl Matrix {
             work.swap_rows(col, pivot);
 
             // Scale the pivot row so the diagonal becomes 1.
-            let scale = Gf256::new(work.get(col, col)).inverse();
+            let scale = inverse(work.get(col, col));
             for c in 0..2 * n {
-                let v = Gf256::new(work.get(col, c)) * scale;
-                work.set(col, c, v.value());
+                work.set(col, c, mul(work.get(col, c), scale));
             }
 
             // Eliminate the column from every other row.
@@ -358,13 +331,12 @@ impl Matrix {
                 if r == col {
                     continue;
                 }
-                let factor = Gf256::new(work.get(r, col));
-                if factor.is_zero() {
+                let factor = work.get(r, col);
+                if factor == 0 {
                     continue;
                 }
                 for c in 0..2 * n {
-                    let v = Gf256::new(work.get(r, c)) + factor * Gf256::new(work.get(col, c));
-                    work.set(r, c, v.value());
+                    work.set(r, c, work.get(r, c) ^ mul(factor, work.get(col, c)));
                 }
             }
         }
@@ -450,7 +422,6 @@ mod tests {
         let a = Matrix::from_rows(&[&[1, 2], &[3, 4]]).unwrap();
         let b = Matrix::from_rows(&[&[5, 6], &[7, 8]]).unwrap();
         let c = a.multiply(&b).unwrap();
-        use crate::gf256::mul;
         assert_eq!(c.get(0, 0), mul(1, 5) ^ mul(2, 7));
         assert_eq!(c.get(0, 1), mul(1, 6) ^ mul(2, 8));
         assert_eq!(c.get(1, 0), mul(3, 5) ^ mul(4, 7));
@@ -498,7 +469,7 @@ mod tests {
         for r in 0..4 {
             assert_eq!(m.get(r, 0), 1);
             assert_eq!(m.get(r, 1), r as u8);
-            assert_eq!(m.get(r, 2), (Gf256::new(r as u8).pow(2)).value());
+            assert_eq!(m.get(r, 2), mul(r as u8, r as u8));
         }
     }
 
@@ -520,25 +491,6 @@ mod tests {
                 "selection {sel:?}"
             );
         }
-    }
-
-    #[test]
-    fn cauchy_any_square_submatrix_invertible() {
-        let m = Matrix::cauchy(6, 5).unwrap();
-        for sel in [[0, 1, 2, 3, 4], [1, 2, 3, 4, 5], [0, 2, 3, 4, 5]] {
-            let square = m.select_rows(&sel).unwrap();
-            let inv = square.inverted().unwrap();
-            assert!(
-                square.multiply(&inv).unwrap().is_identity(),
-                "selection {sel:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn cauchy_bounds_checked() {
-        assert!(Matrix::cauchy(200, 100).is_err());
-        assert!(Matrix::cauchy(100, 156).is_ok());
     }
 
     #[test]

@@ -1,13 +1,11 @@
 //! Systematic Reed-Solomon encoding and reconstruction over GF(2^8).
 //!
-//! The encoder is *systematic*: the first `k` shards are the data itself,
-//! the last `m` shards are parity. The `(k + m) x k` encoding matrix is
-//! built either from a Vandermonde matrix normalised so its top `k x k`
-//! block is the identity (the default, same construction as Backblaze's
-//! and the paper's Longhair codec family), or from a Cauchy matrix
-//! stacked under the identity. Both guarantee that *any* `k` of the
-//! `k + m` shards suffice to reconstruct the original data — the MDS
-//! property Agar depends on.
+//! The encoder is *systematic*: the first `k` chunks are the data itself,
+//! the last `m` chunks are parity. The `(k + m) x k` encoding matrix is a
+//! Vandermonde matrix normalised so its top `k x k` block is the
+//! identity (the same construction as Backblaze's codec), which
+//! guarantees that *any* `k` of the `k + m` chunks suffice to
+//! reconstruct the object — the MDS property Agar depends on.
 //!
 //! # Examples
 //!
@@ -15,21 +13,16 @@
 //! use agar_ec::{CodingParams, ReedSolomon};
 //!
 //! let rs = ReedSolomon::new(CodingParams::new(4, 2)?)?;
-//! let data: Vec<Vec<u8>> = vec![
-//!     b"abcd".to_vec(), b"efgh".to_vec(), b"ijkl".to_vec(), b"mnop".to_vec(),
-//! ];
-//! let parity = rs.encode(&data)?;
-//! assert_eq!(parity.len(), 2);
+//! let object = b"abcdefghijklmnop";
+//! let mut shards: Vec<_> = rs.encode_object(object)?.into_iter().map(Some).collect();
+//! assert_eq!(shards.len(), 6);
 //!
-//! // Lose any two shards; reconstruction still succeeds.
-//! let mut shards: Vec<Option<Vec<u8>>> = data
-//!     .iter().cloned().map(Some)
-//!     .chain(parity.iter().cloned().map(Some))
-//!     .collect();
+//! // Lose any two shards; the object still comes back.
 //! shards[0] = None;
 //! shards[5] = None;
-//! rs.reconstruct(&mut shards)?;
-//! assert_eq!(shards[0].as_deref(), Some(b"abcd".as_slice()));
+//! let (back, report) = rs.reconstruct_object_report(&shards, object.len())?;
+//! assert_eq!(back.as_ref(), object);
+//! assert!(!report.systematic_fast_path);
 //! # Ok::<(), agar_ec::EcError>(())
 //! ```
 
@@ -42,17 +35,6 @@ use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
-
-/// Which matrix construction backs the encoder.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-pub enum MatrixKind {
-    /// Vandermonde matrix normalised to systematic form (default).
-    #[default]
-    Vandermonde,
-    /// Identity stacked on a Cauchy matrix (the construction used by
-    /// Cauchy Reed-Solomon codecs such as Longhair).
-    Cauchy,
-}
 
 /// A cached decode plan: which `k` shards to decode from and the
 /// inverse of their encoding rows. Computing one costs a Gauss-Jordan
@@ -133,32 +115,10 @@ impl ReedSolomon {
     /// Returns an error if the parameters exceed the field size
     /// (`k + m > 255`); [`CodingParams`] already enforces the rest.
     pub fn new(params: CodingParams) -> Result<Self, EcError> {
-        Self::with_matrix_kind(params, MatrixKind::Vandermonde)
-    }
-
-    /// Creates a codec with an explicit matrix construction.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ReedSolomon::new`].
-    pub fn with_matrix_kind(params: CodingParams, kind: MatrixKind) -> Result<Self, EcError> {
         let k = params.data_chunks();
-        let m = params.parity_chunks();
-        let encoding = match kind {
-            MatrixKind::Vandermonde => {
-                let vandermonde = Matrix::vandermonde(k + m, k)?;
-                let top = vandermonde.select_rows(&(0..k).collect::<Vec<_>>())?;
-                vandermonde.multiply(&top.inverted()?)?
-            }
-            MatrixKind::Cauchy => {
-                let identity = Matrix::identity(k)?;
-                let parity = Matrix::cauchy(m, k)?;
-                let mut rows: Vec<&[u8]> = Vec::with_capacity(k + m);
-                rows.extend(identity.iter_rows());
-                rows.extend(parity.iter_rows());
-                Matrix::from_rows(&rows)?
-            }
-        };
+        let vandermonde = Matrix::vandermonde(params.total_chunks(), k)?;
+        let top = vandermonde.select_rows(&(0..k).collect::<Vec<_>>())?;
+        let encoding = vandermonde.multiply(&top.inverted()?)?;
         debug_assert!(encoding
             .select_rows(&(0..k).collect::<Vec<_>>())
             .map(|top| top.is_identity())
@@ -202,59 +162,15 @@ impl ReedSolomon {
         self.params
     }
 
-    /// Borrows the `(k + m) x k` encoding matrix.
-    pub fn encoding_matrix(&self) -> &Matrix {
-        &self.encoding
-    }
-
-    fn check_shard_sizes<T: AsRef<[u8]>>(shards: &[T]) -> Result<usize, EcError> {
-        let len = shards
-            .first()
-            .map(|s| s.as_ref().len())
-            .ok_or(EcError::ShardSizeMismatch)?;
-        if len == 0 || shards.iter().any(|s| s.as_ref().len() != len) {
-            return Err(EcError::ShardSizeMismatch);
-        }
-        Ok(len)
-    }
-
-    /// Computes the `m` parity shards for `k` equal-length data shards.
-    ///
-    /// # Errors
-    ///
-    /// - [`EcError::WrongShardCount`] if `data.len() != k`.
-    /// - [`EcError::ShardSizeMismatch`] if shards are empty or of
-    ///   differing lengths.
-    pub fn encode<T: AsRef<[u8]>>(&self, data: &[T]) -> Result<Vec<Vec<u8>>, EcError> {
-        let k = self.params.data_chunks();
-        if data.len() != k {
-            return Err(EcError::WrongShardCount {
-                provided: data.len(),
-                expected: k,
-            });
-        }
-        let len = Self::check_shard_sizes(data)?;
-        let m = self.params.parity_chunks();
-        let mut parity = vec![vec![0u8; len]; m];
-        // Each parity shard is a dot product over the data shards.
-        for (p, out) in parity.iter_mut().enumerate() {
-            let row = self.encoding.row(k + p);
-            for (shard, &coefficient) in data.iter().zip(row) {
-                mul_add_slice(out, shard.as_ref(), coefficient);
-            }
-        }
-        Ok(parity)
-    }
-
     /// Splits an object into `k` padded data chunks and appends `m`
     /// parity chunks, returning all `k + m` shards.
     ///
     /// The object is zero-padded so every chunk has exactly
-    /// [`CodingParams::chunk_size`] bytes; [`Self::reconstruct_object`]
-    /// strips the padding again. The data shards are zero-copy slices
-    /// of one padded buffer (a single copy of the object), and parity
-    /// is encoded straight into a second buffer — no per-shard `Vec`
-    /// round trip.
+    /// [`CodingParams::chunk_size`] bytes;
+    /// [`Self::reconstruct_object_report`] strips the padding again. The
+    /// data shards are zero-copy slices of one padded buffer (a single
+    /// copy of the object), and parity is encoded straight into a second
+    /// buffer — no per-shard `Vec` round trip.
     ///
     /// # Errors
     ///
@@ -287,10 +203,7 @@ impl ReedSolomon {
     /// least `k` filled, every filled one the same non-zero length —
     /// and returns that length with the first `k` present indices (the
     /// shards to decode from, and the decode plan's key).
-    fn check_present<T: AsRef<[u8]>>(
-        &self,
-        shards: &[Option<T>],
-    ) -> Result<(usize, ChunkSet), EcError> {
+    fn check_present(&self, shards: &[Option<Bytes>]) -> Result<(usize, ChunkSet), EcError> {
         let k = self.params.data_chunks();
         let total = self.params.total_chunks();
         if shards.len() != total {
@@ -305,7 +218,7 @@ impl ReedSolomon {
         let mut ragged = false;
         for (i, shard) in shards.iter().enumerate() {
             let Some(shard) = shard else { continue };
-            ragged |= *len.get_or_insert(shard.as_ref().len()) != shard.as_ref().len();
+            ragged |= *len.get_or_insert(shard.len()) != shard.len();
             if present < k {
                 chosen.insert(i as u8);
             }
@@ -323,15 +236,15 @@ impl ReedSolomon {
     /// Decodes data shard `target` from the plan's chosen shards into
     /// the zeroed `out` (the leading `out.len()` bytes of the shard).
     /// Returns the bytes run through the GF multiply kernel.
-    fn decode_shard<T: AsRef<[u8]>>(
+    fn decode_shard(
         plan: &DecodePlan,
         target: usize,
-        shards: &[Option<T>],
+        shards: &[Option<Bytes>],
         out: &mut [u8],
     ) -> u64 {
         let mut gf_bytes = 0;
         for (&src, &coefficient) in plan.chosen.iter().zip(plan.decode.row(target)) {
-            let shard = shards[src].as_ref().expect("chosen shard present").as_ref();
+            let shard = shards[src].as_ref().expect("chosen shard present");
             mul_add_slice(out, &shard[..out.len()], coefficient);
             if coefficient >= 2 {
                 gf_bytes += out.len() as u64;
@@ -341,26 +254,8 @@ impl ReedSolomon {
     }
 
     /// Reassembles an object of `object_size` bytes from at least `k` of
-    /// its shards (missing shards are `None`).
-    ///
-    /// Equivalent to [`Self::reconstruct_object_report`] without the
-    /// report.
-    ///
-    /// # Errors
-    ///
-    /// - [`EcError::WrongShardCount`] if `shards.len() != k + m`.
-    /// - [`EcError::NotEnoughShards`] if fewer than `k` shards are present.
-    /// - [`EcError::ShardSizeMismatch`] on inconsistent shard lengths.
-    pub fn reconstruct_object(
-        &self,
-        shards: &[Option<Bytes>],
-        object_size: usize,
-    ) -> Result<Bytes, EcError> {
-        self.reconstruct_object_report(shards, object_size)
-            .map(|(object, _)| object)
-    }
-
-    /// Reassembles an object and reports how the decode went.
+    /// its shards (missing shards are `None`) and reports how the decode
+    /// went.
     ///
     /// The fast paths, in decreasing order of cheapness:
     ///
@@ -375,7 +270,9 @@ impl ReedSolomon {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Self::reconstruct_object`].
+    /// - [`EcError::WrongShardCount`] if `shards.len() != k + m`.
+    /// - [`EcError::NotEnoughShards`] if fewer than `k` shards are present.
+    /// - [`EcError::ShardSizeMismatch`] on inconsistent shard lengths.
     pub fn reconstruct_object_report(
         &self,
         shards: &[Option<Bytes>],
@@ -428,191 +325,113 @@ impl ReedSolomon {
         }
         Ok((Bytes::from(object), report))
     }
-
-    /// Reconstructs *all* missing shards (data and parity) in place.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Self::reconstruct_object`].
-    pub fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), EcError> {
-        self.reconstruct_data(shards)?;
-        // All data shards are now present; re-encode any missing parity.
-        let k = self.params.data_chunks();
-        let missing_parity: Vec<usize> = (k..self.params.total_chunks())
-            .filter(|&i| shards[i].is_none())
-            .collect();
-        if missing_parity.is_empty() {
-            return Ok(());
-        }
-        let data: Vec<&[u8]> = shards[..k]
-            .iter()
-            .map(|s| s.as_ref().expect("data present").as_slice())
-            .collect();
-        let parity = self.encode(&data)?;
-        for i in missing_parity {
-            shards[i] = Some(parity[i - k].clone());
-        }
-        Ok(())
-    }
-
-    /// Reconstructs only the missing *data* shards in place, leaving
-    /// parity shards untouched.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Self::reconstruct_object`].
-    pub fn reconstruct_data(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), EcError> {
-        let k = self.params.data_chunks();
-        let (shard_len, chosen) = self.check_present(shards)?;
-        if shards[..k].iter().all(Option::is_some) {
-            return Ok(()); // nothing to do
-        }
-
-        // Decode from the first k present shards, reusing the cached
-        // plan (inverted matrix) for this erasure pattern if one exists.
-        let (plan, _) = self.decode_plan(chosen)?;
-        // Each missing data shard decodes into a buffer of its own,
-        // then lands in its slot. The plan's chosen shards were all
-        // present on entry, so filling slots as we go changes no input.
-        for target in 0..k {
-            if shards[target].is_none() {
-                let mut out = vec![0u8; shard_len];
-                Self::decode_shard(&plan, target, shards, &mut out);
-                shards[target] = Some(out);
-            }
-        }
-        Ok(())
-    }
-
-    /// How many decode plans (erasure patterns) are currently cached.
-    pub fn cached_decode_plans(&self) -> usize {
-        self.plan_cache.read().len()
-    }
-
-    /// Verifies that a complete set of `k + m` shards is consistent with
-    /// the code (i.e. parity matches the data).
-    ///
-    /// # Errors
-    ///
-    /// - [`EcError::WrongShardCount`] if `shards.len() != k + m`.
-    /// - [`EcError::ShardSizeMismatch`] on inconsistent shard lengths.
-    pub fn verify<T: AsRef<[u8]>>(&self, shards: &[T]) -> Result<bool, EcError> {
-        let total = self.params.total_chunks();
-        if shards.len() != total {
-            return Err(EcError::WrongShardCount {
-                provided: shards.len(),
-                expected: total,
-            });
-        }
-        Self::check_shard_sizes(shards)?;
-        let k = self.params.data_chunks();
-        let parity = self.encode(&shards[..k])?;
-        Ok(parity
-            .iter()
-            .zip(&shards[k..])
-            .all(|(computed, given)| computed.as_slice() == given.as_ref()))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gf256::naive;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
-    fn sample_data(k: usize, len: usize) -> Vec<Vec<u8>> {
-        (0..k)
-            .map(|i| (0..len).map(|j| ((i * 131 + j * 17) % 256) as u8).collect())
+    fn sample_object(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 31 % 251) as u8).collect()
+    }
+
+    fn present(shards: &[Bytes]) -> Vec<Option<Bytes>> {
+        shards.iter().cloned().map(Some).collect()
+    }
+
+    fn cached_plans(rs: &ReedSolomon) -> usize {
+        rs.plan_cache.read().len()
+    }
+
+    /// The parity a systematic code must produce: each parity shard is
+    /// the dot product of its encoding row with the data shards, summed
+    /// with the naive log/exp kernel rather than the one `encode_object`
+    /// runs.
+    fn reference_parity(rs: &ReedSolomon, data: &[&[u8]]) -> Vec<Vec<u8>> {
+        let k = rs.params.data_chunks();
+        (k..rs.params.total_chunks())
+            .map(|row| {
+                let mut out = vec![0u8; data[0].len()];
+                for (shard, &coefficient) in data.iter().zip(rs.encoding.row(row)) {
+                    naive::mul_add_slice(&mut out, shard, coefficient);
+                }
+                out
+            })
             .collect()
     }
 
-    #[test]
-    fn encode_produces_m_parity_shards() {
-        let rs = ReedSolomon::new(CodingParams::new(9, 3).unwrap()).unwrap();
-        let data = sample_data(9, 64);
-        let parity = rs.encode(&data).unwrap();
-        assert_eq!(parity.len(), 3);
-        assert!(parity.iter().all(|p| p.len() == 64));
+    /// `encode_object`'s shards against a chunk-by-chunk padded split
+    /// of the object and the reference parity.
+    fn check_encoding(rs: &ReedSolomon, object: &[u8]) {
+        let params = rs.params;
+        let shards = rs.encode_object(object).unwrap();
+        assert_eq!(shards.len(), params.total_chunks());
+        let chunk_size = params.chunk_size(object.len());
+        let manual: Vec<Vec<u8>> = (0..params.data_chunks())
+            .map(|i| {
+                let start = (i * chunk_size).min(object.len());
+                let end = ((i + 1) * chunk_size).min(object.len());
+                let mut chunk = object[start..end].to_vec();
+                chunk.resize(chunk_size, 0);
+                chunk
+            })
+            .collect();
+        let data: Vec<&[u8]> = manual.iter().map(Vec::as_slice).collect();
+        let parity = reference_parity(rs, &data);
+        for (i, expected) in manual.iter().chain(&parity).enumerate() {
+            assert_eq!(
+                shards[i].as_ref(),
+                expected.as_slice(),
+                "{params} shard {i}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn encode_object_matches_manual_split(
+            object in vec(any::<u8>(), 1..2048),
+            k in 1usize..=10,
+            m in 1usize..=4,
+        ) {
+            let rs = ReedSolomon::new(CodingParams::new(k, m).unwrap()).unwrap();
+            check_encoding(&rs, &object);
+        }
     }
 
     #[test]
-    fn encode_rejects_bad_input() {
+    fn encode_is_deterministic() {
+        let rs = ReedSolomon::new(CodingParams::new(6, 2).unwrap()).unwrap();
+        let object = sample_object(600);
+        assert_eq!(
+            rs.encode_object(&object).unwrap(),
+            rs.encode_object(&object).unwrap()
+        );
+    }
+
+    #[test]
+    fn empty_object_rejected() {
         let rs = ReedSolomon::new(CodingParams::new(4, 2).unwrap()).unwrap();
         assert!(matches!(
-            rs.encode(&sample_data(3, 8)),
-            Err(EcError::WrongShardCount {
-                provided: 3,
-                expected: 4
-            })
-        ));
-        let mut ragged = sample_data(4, 8);
-        ragged[2].pop();
-        assert!(matches!(
-            rs.encode(&ragged),
+            rs.encode_object(&[]),
             Err(EcError::ShardSizeMismatch)
         ));
-        let empty: Vec<Vec<u8>> = vec![vec![]; 4];
-        assert!(matches!(rs.encode(&empty), Err(EcError::ShardSizeMismatch)));
-    }
-
-    #[test]
-    fn verify_accepts_valid_and_rejects_corrupt() {
-        let rs = ReedSolomon::new(CodingParams::new(5, 2).unwrap()).unwrap();
-        let data = sample_data(5, 32);
-        let parity = rs.encode(&data).unwrap();
-        let mut shards: Vec<Vec<u8>> = data.into_iter().chain(parity).collect();
-        assert!(rs.verify(&shards).unwrap());
-        shards[3][7] ^= 0xFF;
-        assert!(!rs.verify(&shards).unwrap());
-    }
-
-    #[test]
-    fn reconstruct_from_any_k_shards() {
-        let params = CodingParams::new(4, 3).unwrap();
-        let rs = ReedSolomon::new(params).unwrap();
-        let data = sample_data(4, 16);
-        let parity = rs.encode(&data).unwrap();
-        let full: Vec<Vec<u8>> = data.iter().cloned().chain(parity).collect();
-
-        // Enumerate all ways to keep exactly k=4 of the 7 shards.
-        let total = params.total_chunks();
-        for mask in 0u32..(1 << total) {
-            if mask.count_ones() as usize != params.data_chunks() {
-                continue;
-            }
-            let mut shards: Vec<Option<Vec<u8>>> = (0..total)
-                .map(|i| {
-                    if mask & (1 << i) != 0 {
-                        Some(full[i].clone())
-                    } else {
-                        None
-                    }
-                })
-                .collect();
-            rs.reconstruct(&mut shards).unwrap();
-            for (i, shard) in shards.iter().enumerate() {
-                assert_eq!(
-                    shard.as_ref().unwrap(),
-                    &full[i],
-                    "mask {mask:#b} shard {i}"
-                );
-            }
-        }
     }
 
     #[test]
     fn reconstruct_fails_below_k() {
         let rs = ReedSolomon::new(CodingParams::new(4, 2).unwrap()).unwrap();
-        let data = sample_data(4, 8);
-        let parity = rs.encode(&data).unwrap();
-        let mut shards: Vec<Option<Vec<u8>>> = data
-            .into_iter()
-            .map(Some)
-            .chain(parity.into_iter().map(Some))
-            .collect();
+        let mut shards = present(&rs.encode_object(&sample_object(32)).unwrap());
         shards[0] = None;
         shards[1] = None;
         shards[4] = None;
         assert!(matches!(
-            rs.reconstruct(&mut shards),
+            rs.reconstruct_object_report(&shards, 32),
             Err(EcError::NotEnoughShards {
                 present: 3,
                 needed: 4
@@ -623,9 +442,9 @@ mod tests {
     #[test]
     fn reconstruct_wrong_count_rejected() {
         let rs = ReedSolomon::new(CodingParams::new(4, 2).unwrap()).unwrap();
-        let mut shards: Vec<Option<Vec<u8>>> = vec![Some(vec![1; 4]); 5];
+        let shards = vec![Some(Bytes::from_static(&[1; 4])); 5];
         assert!(matches!(
-            rs.reconstruct(&mut shards),
+            rs.reconstruct_object_report(&shards, 16),
             Err(EcError::WrongShardCount {
                 provided: 5,
                 expected: 6
@@ -636,9 +455,13 @@ mod tests {
     #[test]
     fn reconstruct_inconsistent_sizes_rejected() {
         let rs = ReedSolomon::new(CodingParams::new(2, 1).unwrap()).unwrap();
-        let mut shards: Vec<Option<Vec<u8>>> = vec![Some(vec![1; 4]), Some(vec![2; 5]), None];
+        let shards = vec![
+            Some(Bytes::from_static(&[1; 4])),
+            Some(Bytes::from_static(&[2; 5])),
+            None,
+        ];
         assert!(matches!(
-            rs.reconstruct(&mut shards),
+            rs.reconstruct_object_report(&shards, 8),
             Err(EcError::ShardSizeMismatch)
         ));
     }
@@ -651,9 +474,9 @@ mod tests {
             let shards = rs.encode_object(&object).unwrap();
             assert_eq!(shards.len(), 12);
 
-            // Drop the three parity shards plus keep data: trivial case.
-            let opts: Vec<Option<Bytes>> = shards.iter().cloned().map(Some).collect();
-            let back = rs.reconstruct_object(&opts, size).unwrap();
+            // Every shard present: the systematic path.
+            let opts = present(&shards);
+            let (back, _) = rs.reconstruct_object_report(&opts, size).unwrap();
             assert_eq!(back.as_ref(), object.as_slice(), "size {size}");
 
             // Drop three data shards, decode through parity.
@@ -661,72 +484,40 @@ mod tests {
             degraded[0] = None;
             degraded[4] = None;
             degraded[8] = None;
-            let back = rs.reconstruct_object(&degraded, size).unwrap();
+            let (back, _) = rs.reconstruct_object_report(&degraded, size).unwrap();
             assert_eq!(back.as_ref(), object.as_slice(), "degraded size {size}");
         }
     }
 
     #[test]
-    fn empty_object_rejected() {
-        let rs = ReedSolomon::new(CodingParams::new(4, 2).unwrap()).unwrap();
-        assert!(rs.encode_object(&[]).is_err());
-    }
-
-    #[test]
-    fn cauchy_construction_is_mds_too() {
-        let params = CodingParams::new(4, 3).unwrap();
-        let rs = ReedSolomon::with_matrix_kind(params, MatrixKind::Cauchy).unwrap();
-        let data = sample_data(4, 16);
-        let parity = rs.encode(&data).unwrap();
-        let full: Vec<Vec<u8>> = data.iter().cloned().chain(parity).collect();
-        let total = params.total_chunks();
-        for mask in 0u32..(1 << total) {
-            if mask.count_ones() as usize != params.data_chunks() {
-                continue;
-            }
-            let mut shards: Vec<Option<Vec<u8>>> = (0..total)
-                .map(|i| (mask & (1 << i) != 0).then(|| full[i].clone()))
-                .collect();
-            rs.reconstruct(&mut shards).unwrap();
-            for (i, shard) in shards.iter().enumerate() {
-                assert_eq!(shard.as_ref().unwrap(), &full[i]);
-            }
-        }
-    }
-
-    #[test]
     fn systematic_top_block_is_identity() {
-        for kind in [MatrixKind::Vandermonde, MatrixKind::Cauchy] {
-            let rs = ReedSolomon::with_matrix_kind(CodingParams::new(9, 3).unwrap(), kind).unwrap();
-            let top = rs
-                .encoding_matrix()
-                .select_rows(&(0..9).collect::<Vec<_>>())
-                .unwrap();
-            assert!(top.is_identity(), "{kind:?}");
-        }
+        let rs = ReedSolomon::new(CodingParams::new(9, 3).unwrap()).unwrap();
+        let top = rs
+            .encoding
+            .select_rows(&(0..9).collect::<Vec<_>>())
+            .unwrap();
+        assert!(top.is_identity());
     }
 
     #[test]
     fn systematic_fast_path_touches_no_gf_kernel() {
         let rs = ReedSolomon::new(CodingParams::new(9, 3).unwrap()).unwrap();
         let object: Vec<u8> = (0..9_000).map(|i| (i % 253) as u8).collect();
-        let shards = rs.encode_object(&object).unwrap();
-        let opts: Vec<Option<Bytes>> = shards.into_iter().map(Some).collect();
+        let opts = present(&rs.encode_object(&object).unwrap());
         let (back, report) = rs.reconstruct_object_report(&opts, object.len()).unwrap();
         assert_eq!(back.as_ref(), object.as_slice());
         assert!(report.systematic_fast_path);
         assert_eq!(report.gf_multiply_bytes, 0, "systematic read multiplied");
         assert_eq!(report.allocations, 1);
         assert!(!report.plan_cache_hit);
-        assert_eq!(rs.cached_decode_plans(), 0, "no inversion should run");
+        assert_eq!(cached_plans(&rs), 0, "no inversion should run");
     }
 
     #[test]
     fn k1_systematic_read_is_zero_copy() {
         let rs = ReedSolomon::new(CodingParams::new(1, 2).unwrap()).unwrap();
         let object = vec![42u8; 4096];
-        let shards = rs.encode_object(&object).unwrap();
-        let opts: Vec<Option<Bytes>> = shards.into_iter().map(Some).collect();
+        let opts = present(&rs.encode_object(&object).unwrap());
         let (back, report) = rs.reconstruct_object_report(&opts, object.len()).unwrap();
         assert_eq!(back.as_ref(), object.as_slice());
         assert_eq!(report.allocations, 0);
@@ -742,7 +533,7 @@ mod tests {
         let rs = ReedSolomon::new(CodingParams::new(9, 3).unwrap()).unwrap();
         let object: Vec<u8> = (0..27_001).map(|i| (i % 251) as u8).collect();
         let shards = rs.encode_object(&object).unwrap();
-        let mut degraded: Vec<Option<Bytes>> = shards.iter().cloned().map(Some).collect();
+        let mut degraded = present(&shards);
         degraded[1] = None;
         degraded[5] = None;
 
@@ -752,7 +543,7 @@ mod tests {
         assert!(!cold_report.plan_cache_hit);
         assert!(!cold_report.systematic_fast_path);
         assert!(cold_report.gf_multiply_bytes > 0);
-        assert_eq!(rs.cached_decode_plans(), 1);
+        assert_eq!(cached_plans(&rs), 1);
 
         let (warm, warm_report) = rs
             .reconstruct_object_report(&degraded, object.len())
@@ -761,37 +552,22 @@ mod tests {
             warm_report.plan_cache_hit,
             "same pattern must hit the cache"
         );
-        assert_eq!(rs.cached_decode_plans(), 1, "no re-inversion");
+        assert_eq!(cached_plans(&rs), 1, "no re-inversion");
         assert_eq!(cold.as_ref(), warm.as_ref(), "cached plan changed bytes");
         assert_eq!(cold.as_ref(), object.as_slice());
 
         // A different pattern is a fresh plan...
-        let mut other: Vec<Option<Bytes>> = shards.iter().cloned().map(Some).collect();
+        let mut other = present(&shards);
         other[0] = None;
         let (_, other_report) = rs.reconstruct_object_report(&other, object.len()).unwrap();
         assert!(!other_report.plan_cache_hit);
-        assert_eq!(rs.cached_decode_plans(), 2);
+        assert_eq!(cached_plans(&rs), 2);
         // ...and clones share the memo.
         let clone = rs.clone();
         let (_, clone_report) = clone
             .reconstruct_object_report(&degraded, object.len())
             .unwrap();
         assert!(clone_report.plan_cache_hit);
-    }
-
-    #[test]
-    fn reconstruct_data_reuses_the_plan_cache() {
-        let rs = ReedSolomon::new(CodingParams::new(4, 2).unwrap()).unwrap();
-        let data = sample_data(4, 32);
-        let parity = rs.encode(&data).unwrap();
-        let full: Vec<Vec<u8>> = data.into_iter().chain(parity).collect();
-        for _ in 0..3 {
-            let mut shards: Vec<Option<Vec<u8>>> = full.iter().cloned().map(Some).collect();
-            shards[2] = None;
-            rs.reconstruct(&mut shards).unwrap();
-            assert_eq!(shards[2].as_ref().unwrap(), &full[2]);
-        }
-        assert_eq!(rs.cached_decode_plans(), 1);
     }
 
     #[test]
@@ -811,24 +587,21 @@ mod tests {
         }
     }
 
-    #[test]
-    fn encode_is_deterministic() {
-        let rs = ReedSolomon::new(CodingParams::new(6, 2).unwrap()).unwrap();
-        let data = sample_data(6, 100);
-        assert_eq!(rs.encode(&data).unwrap(), rs.encode(&data).unwrap());
-    }
-
     /// Every way to keep exactly `k` of the `k + m` shards of one
-    /// object: both decoders must return the original bytes, and the
+    /// object: the decoder must return the original bytes, and the
     /// report must account the GF work exactly — per missing data
     /// shard, its non-trivial decode coefficients × the bytes of it the
     /// object needs; nothing on the systematic path.
     fn check_all_erasure_patterns(params: CodingParams, object_size: usize) {
         let (k, total) = (params.data_chunks(), params.total_chunks());
         let rs = ReedSolomon::new(params).unwrap();
-        let object: Vec<u8> = (0..object_size).map(|i| (i * 31 % 251) as u8).collect();
+        let object = sample_object(object_size);
         let full = rs.encode_object(&object).unwrap();
         let shard_len = full[0].len();
+        let data: Vec<&[u8]> = full[..k].iter().map(Bytes::as_ref).collect();
+        for (computed, expected) in full[k..].iter().zip(reference_parity(&rs, &data)) {
+            assert_eq!(computed.as_ref(), expected.as_slice(), "{params} parity");
+        }
         let mut patterns = 0;
         for mask in 0u32..(1 << total) {
             if mask.count_ones() as usize != k {
@@ -843,12 +616,7 @@ mod tests {
                 .collect();
             let (back, report) = rs.reconstruct_object_report(&shards, object_size).unwrap();
             assert_eq!(back.as_ref(), object.as_slice(), "{case}");
-            let decode = rs
-                .encoding_matrix()
-                .select_rows(&kept)
-                .unwrap()
-                .inverted()
-                .unwrap();
+            let decode = rs.encoding.select_rows(&kept).unwrap().inverted().unwrap();
             let expected_gf: usize = (0..k)
                 .filter(|target| !kept.contains(target))
                 .map(|target| {
@@ -863,19 +631,11 @@ mod tests {
             if report.systematic_fast_path {
                 assert_eq!(report.gf_multiply_bytes, 0, "{case}");
             }
-            assert_eq!(report.allocations, 1, "{case}");
-
-            let mut shards: Vec<Option<Vec<u8>>> = shards
-                .into_iter()
-                .map(|shard| shard.map(|bytes| bytes.to_vec()))
-                .collect();
-            rs.reconstruct(&mut shards).unwrap();
-            for (i, shard) in shards.iter().enumerate() {
-                assert_eq!(shard.as_deref(), Some(full[i].as_ref()), "{case} shard {i}");
-            }
+            let expected_allocations = u32::from(k > 1 || !report.systematic_fast_path);
+            assert_eq!(report.allocations, expected_allocations, "{case}");
         }
         assert_eq!(
-            rs.cached_decode_plans(),
+            cached_plans(&rs),
             patterns - 1,
             "all but the systematic pattern"
         );
@@ -885,6 +645,9 @@ mod tests {
     fn every_erasure_pattern_decodes_byte_equal() {
         for object_size in [1, 9_000, 999_999, 1_000_000] {
             check_all_erasure_patterns(CodingParams::paper_default(), object_size);
+        }
+        for (k, m) in [(1, 2), (4, 3), (6, 2)] {
+            check_all_erasure_patterns(CodingParams::new(k, m).unwrap(), 1_001);
         }
     }
 
@@ -897,11 +660,11 @@ mod tests {
         assert_eq!(shards.len(), 12);
         assert_eq!(shards[0].len(), 111_112);
         // Lose an entire "region" worth of chunks (2) plus one more.
-        let mut opts: Vec<Option<Bytes>> = shards.into_iter().map(Some).collect();
+        let mut opts = present(&shards);
         opts[1] = None;
         opts[7] = None;
         opts[10] = None;
-        let back = rs.reconstruct_object(&opts, object.len()).unwrap();
+        let (back, _) = rs.reconstruct_object_report(&opts, object.len()).unwrap();
         assert_eq!(back.as_ref(), object.as_slice());
     }
 }

@@ -1,77 +1,17 @@
-//! Property-based tests for the erasure-coding substrate: field axioms,
-//! matrix algebra, the MDS reconstruction invariant, and equivalence of
-//! the optimized kernels/fast paths against naive references.
+//! Property-based tests for the erasure-coding substrate: the slice
+//! kernel against the field and the naive reference, matrix algebra, the
+//! MDS reconstruction invariant, and equivalence of the decode fast
+//! paths. The field laws themselves live beside the crate-private
+//! `inverse`/`pow` in `gf256`'s unit tests.
 
-use agar_ec::gf256::{self, mul_add_slice, mul_slice, Gf256};
+use agar_ec::gf256::{self, mul, mul_add_slice};
 use agar_ec::matrix::Matrix;
-use agar_ec::{CodingParams, MatrixKind, ReedSolomon};
+use agar_ec::{CodingParams, ReedSolomon};
 use bytes::Bytes;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-fn gf() -> impl Strategy<Value = Gf256> {
-    any::<u8>().prop_map(Gf256::new)
-}
-
-fn nonzero_gf() -> impl Strategy<Value = Gf256> {
-    (1u8..=255).prop_map(Gf256::new)
-}
-
 proptest! {
-    #[test]
-    fn gf_addition_commutative(a in gf(), b in gf()) {
-        prop_assert_eq!(a + b, b + a);
-    }
-
-    #[test]
-    fn gf_addition_associative(a in gf(), b in gf(), c in gf()) {
-        prop_assert_eq!((a + b) + c, a + (b + c));
-    }
-
-    #[test]
-    fn gf_multiplication_commutative(a in gf(), b in gf()) {
-        prop_assert_eq!(a * b, b * a);
-    }
-
-    #[test]
-    fn gf_multiplication_associative(a in gf(), b in gf(), c in gf()) {
-        prop_assert_eq!((a * b) * c, a * (b * c));
-    }
-
-    #[test]
-    fn gf_distributive(a in gf(), b in gf(), c in gf()) {
-        prop_assert_eq!(a * (b + c), a * b + a * c);
-    }
-
-    #[test]
-    fn gf_division_inverts_multiplication(a in gf(), b in nonzero_gf()) {
-        prop_assert_eq!((a * b) / b, a);
-        prop_assert_eq!((a / b) * b, a);
-    }
-
-    #[test]
-    fn gf_inverse_is_involutive(a in nonzero_gf()) {
-        prop_assert_eq!(a.inverse().inverse(), a);
-        prop_assert_eq!(a * a.inverse(), Gf256::ONE);
-    }
-
-    #[test]
-    fn gf_pow_adds_exponents(a in nonzero_gf(), e1 in 0usize..300, e2 in 0usize..300) {
-        prop_assert_eq!(a.pow(e1) * a.pow(e2), a.pow(e1 + e2));
-    }
-
-    #[test]
-    fn mul_slice_matches_elementwise(
-        src in vec(any::<u8>(), 1..64),
-        c in any::<u8>(),
-    ) {
-        let mut dst = vec![0u8; src.len()];
-        mul_slice(&mut dst, &src, c);
-        for (d, s) in dst.iter().zip(&src) {
-            prop_assert_eq!(Gf256::new(*d), Gf256::new(*s) * Gf256::new(c));
-        }
-    }
-
     #[test]
     fn mul_add_slice_matches_elementwise(
         src in vec(any::<u8>(), 1..64),
@@ -81,10 +21,7 @@ proptest! {
         let mut dst = init.clone();
         mul_add_slice(&mut dst, &src, c);
         for ((d, s), i) in dst.iter().zip(&src).zip(&init) {
-            prop_assert_eq!(
-                Gf256::new(*d),
-                Gf256::new(*i) + Gf256::new(*s) * Gf256::new(c)
-            );
+            prop_assert_eq!(*d, *i ^ mul(*s, c));
         }
     }
 
@@ -103,20 +40,6 @@ proptest! {
         let mut reference = init;
         mul_add_slice(&mut fast, &src, c);
         gf256::naive::mul_add_slice(&mut reference, &src, c);
-        prop_assert_eq!(fast, reference);
-    }
-
-    #[test]
-    fn mul_slice_matches_naive_reference(
-        pair in vec((any::<u8>(), any::<u8>()), 0..500),
-        c in any::<u8>(),
-    ) {
-        let src: Vec<u8> = pair.iter().map(|&(s, _)| s).collect();
-        let init: Vec<u8> = pair.iter().map(|&(_, d)| d).collect();
-        let mut fast = init.clone();
-        let mut reference = init;
-        mul_slice(&mut fast, &src, c);
-        gf256::naive::mul_slice(&mut reference, &src, c);
         prop_assert_eq!(fast, reference);
     }
 }
@@ -173,29 +96,17 @@ proptest! {
         (k, m, len, missing) in code_scenario(),
         seed in any::<u64>(),
     ) {
-        let params = CodingParams::new(k, m).unwrap();
-        for kind in [MatrixKind::Vandermonde, MatrixKind::Cauchy] {
-            let rs = ReedSolomon::with_matrix_kind(params, kind).unwrap();
-            let data: Vec<Vec<u8>> = (0..k)
-                .map(|i| {
-                    (0..len)
-                        .map(|j| (seed ^ (i as u64 * 7919) ^ (j as u64 * 104729)) as u8)
-                        .collect()
-                })
-                .collect();
-            let parity = rs.encode(&data).unwrap();
-            let full: Vec<Vec<u8>> = data.iter().cloned().chain(parity).collect();
-            prop_assert!(rs.verify(&full).unwrap());
-
-            let mut shards: Vec<Option<Vec<u8>>> = full.iter().cloned().map(Some).collect();
-            for &i in &missing {
-                shards[i] = None;
-            }
-            rs.reconstruct(&mut shards).unwrap();
-            for (i, shard) in shards.iter().enumerate() {
-                prop_assert_eq!(shard.as_ref().unwrap(), &full[i]);
-            }
+        let rs = ReedSolomon::new(CodingParams::new(k, m).unwrap()).unwrap();
+        let object: Vec<u8> = (0..k * len)
+            .map(|j| (seed ^ (j as u64 * 104729)) as u8)
+            .collect();
+        let mut shards: Vec<Option<Bytes>> =
+            rs.encode_object(&object).unwrap().into_iter().map(Some).collect();
+        for &i in &missing {
+            shards[i] = None;
         }
+        let (back, _) = rs.reconstruct_object_report(&shards, object.len()).unwrap();
+        prop_assert_eq!(back.as_ref(), object.as_slice());
     }
 
     #[test]
@@ -215,14 +126,13 @@ proptest! {
         for slot in opts.iter_mut().take(m) {
             *slot = None;
         }
-        let back = rs.reconstruct_object(&opts, object.len()).unwrap();
+        let (back, _) = rs.reconstruct_object_report(&opts, object.len()).unwrap();
         prop_assert_eq!(back.as_ref(), object.as_slice());
     }
 
-    // The zero-copy/in-place `reconstruct_object` against the naive
-    // reference algorithm (reconstruct every shard, then concatenate),
-    // and a warm decode-plan-cache hit against a cold inversion in a
-    // fresh codec: all three must produce identical bytes.
+    // The zero-copy/in-place decode against the original object, and a
+    // warm decode-plan-cache hit against a cold inversion in a fresh
+    // codec: both must produce the object's bytes.
     #[test]
     fn reconstruct_object_fast_paths_match_reference(
         object in vec(any::<u8>(), 1..2048),
@@ -241,19 +151,6 @@ proptest! {
                 % (k + m) as u64) as usize;
             opts[i] = None;
         }
-
-        // Naive reference: reconstruct all shards, concatenate, trim.
-        let mut work: Vec<Option<Vec<u8>>> =
-            opts.iter().map(|s| s.as_ref().map(|b| b.to_vec())).collect();
-        let reference_rs = ReedSolomon::new(params).unwrap();
-        reference_rs.reconstruct_data(&mut work).unwrap();
-        let mut reference = Vec::with_capacity(object.len());
-        for shard in work.iter().take(k) {
-            let shard = shard.as_ref().unwrap();
-            let remaining = object.len() - reference.len();
-            reference.extend_from_slice(&shard[..remaining.min(shard.len())]);
-        }
-        prop_assert_eq!(reference.as_slice(), object.as_slice());
 
         // Cold decode (fresh codec, empty plan cache).
         let cold_rs = ReedSolomon::new(params).unwrap();
@@ -277,31 +174,5 @@ proptest! {
             warm_report.plan_cache_hit,
             !warm_report.systematic_fast_path
         );
-    }
-
-    // `encode_object`'s single-buffer path against chunk-by-chunk
-    // padding and a fresh `encode` call.
-    #[test]
-    fn encode_object_matches_manual_split(
-        object in vec(any::<u8>(), 1..2048),
-        k in 1usize..=10,
-        m in 1usize..=4,
-    ) {
-        let params = CodingParams::new(k, m).unwrap();
-        let rs = ReedSolomon::new(params).unwrap();
-        let shards = rs.encode_object(&object).unwrap();
-        let chunk_size = params.chunk_size(object.len());
-        let mut manual: Vec<Vec<u8>> = Vec::with_capacity(k);
-        for i in 0..k {
-            let start = (i * chunk_size).min(object.len());
-            let end = ((i + 1) * chunk_size).min(object.len());
-            let mut chunk = object[start..end].to_vec();
-            chunk.resize(chunk_size, 0);
-            manual.push(chunk);
-        }
-        let parity = rs.encode(&manual).unwrap();
-        for (i, expected) in manual.iter().chain(parity.iter()).enumerate() {
-            prop_assert_eq!(shards[i].as_ref(), expected.as_slice(), "shard {}", i);
-        }
     }
 }

@@ -145,9 +145,9 @@ impl Jitter {
 /// Matrix entry `[from][to]` is the *total* observed latency, in
 /// milliseconds, for a client in `from` to read one nominal-size chunk
 /// from the store in `to` — exactly what the paper's region manager
-/// estimates (Table I). A configurable fraction of that total is treated
-/// as size-proportional transfer time so that fetches of other sizes
-/// scale sensibly.
+/// estimates (Table I). A fixed share of that total
+/// ([`MatrixLatency::TRANSFER_FRACTION`]) is treated as size-proportional
+/// transfer time so that fetches of other sizes scale sensibly.
 ///
 /// # Examples
 ///
@@ -168,7 +168,6 @@ impl Jitter {
 pub struct MatrixLatency {
     millis: Vec<Vec<f64>>,
     nominal_bytes: usize,
-    transfer_fraction: f64,
     jitter: Jitter,
 }
 
@@ -176,6 +175,10 @@ impl MatrixLatency {
     /// Default nominal chunk size the matrix is calibrated at: a 1 MB
     /// object split into 9 data chunks, as in the paper.
     pub const DEFAULT_NOMINAL_BYTES: usize = 1_000_000usize.div_ceil(9);
+
+    /// Share of each entry that scales with transfer size; the rest is
+    /// fixed round-trip overhead.
+    pub const TRANSFER_FRACTION: f64 = 0.4;
 
     /// Creates a model from a square matrix of per-chunk latencies in
     /// milliseconds.
@@ -198,7 +201,6 @@ impl MatrixLatency {
         Ok(MatrixLatency {
             millis,
             nominal_bytes: Self::DEFAULT_NOMINAL_BYTES,
-            transfer_fraction: 0.4,
             jitter: Jitter::None,
         })
     }
@@ -215,22 +217,6 @@ impl MatrixLatency {
     pub fn with_nominal_bytes(mut self, bytes: usize) -> Self {
         assert!(bytes > 0, "nominal chunk size must be positive");
         self.nominal_bytes = bytes;
-        self
-    }
-
-    /// Sets the fraction of each entry that scales with transfer size
-    /// (the rest is fixed round-trip overhead).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fraction` is outside `[0, 1]`.
-    #[must_use]
-    pub fn with_transfer_fraction(mut self, fraction: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&fraction),
-            "transfer fraction must be within [0, 1]"
-        );
-        self.transfer_fraction = fraction;
         self
     }
 
@@ -251,8 +237,8 @@ impl MatrixLatency {
 
     fn mean_millis(&self, from: RegionId, to: RegionId, bytes: usize) -> f64 {
         let entry = self.millis[from.index()][to.index()];
-        let fixed = entry * (1.0 - self.transfer_fraction);
-        let variable = entry * self.transfer_fraction * (bytes as f64 / self.nominal_bytes as f64);
+        let fixed = entry * (1.0 - Self::TRANSFER_FRACTION);
+        let variable = entry * Self::TRANSFER_FRACTION * (bytes as f64 / self.nominal_bytes as f64);
         fixed + variable
     }
 }
@@ -458,29 +444,15 @@ mod tests {
 
     #[test]
     fn mean_scales_with_bytes() {
-        let m = sample_matrix().with_transfer_fraction(0.5);
+        let m = sample_matrix();
         let a = RegionId::new(0);
         let b = RegionId::new(1);
         let nominal = m.mean(a, b, m.nominal_bytes()).as_secs_f64();
         let double = m.mean(a, b, 2 * m.nominal_bytes()).as_secs_f64();
         let tiny = m.mean(a, b, 0).as_secs_f64();
-        // Fixed half stays, variable half doubles / disappears.
-        assert!((double - nominal * 1.5).abs() < 1e-9);
-        assert!((tiny - nominal * 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zero_transfer_fraction_is_size_independent() {
-        let m = sample_matrix().with_transfer_fraction(0.0);
-        let a = RegionId::new(0);
-        let b = RegionId::new(1);
-        assert_eq!(m.mean(a, b, 1), m.mean(a, b, 10_000_000));
-    }
-
-    #[test]
-    #[should_panic(expected = "within [0, 1]")]
-    fn transfer_fraction_validated() {
-        let _ = sample_matrix().with_transfer_fraction(1.5);
+        // The fixed 60 % stays; the variable 40 % doubles / disappears.
+        assert!((double - nominal * 1.4).abs() < 1e-9);
+        assert!((tiny - nominal * 0.6).abs() < 1e-9);
     }
 
     #[test]

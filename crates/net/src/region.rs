@@ -106,13 +106,6 @@ impl Topology {
         Topology { regions }
     }
 
-    /// Adds a region, returning its assigned id.
-    pub fn add_region(&mut self, name: impl Into<String>) -> RegionId {
-        let id = RegionId::new(self.regions.len() as u16);
-        self.regions.push(Region::new(id, name));
-        id
-    }
-
     /// Number of regions.
     pub fn len(&self) -> usize {
         self.regions.len()
@@ -174,14 +167,13 @@ mod tests {
     }
 
     #[test]
-    fn add_region_assigns_dense_ids() {
-        let mut topo = Topology::new();
-        assert!(topo.is_empty());
-        let a = topo.add_region("x");
-        let b = topo.add_region("y");
-        assert_eq!(a.index(), 0);
-        assert_eq!(b.index(), 1);
-        assert_eq!(topo.ids().collect::<Vec<_>>(), vec![a, b]);
+    fn from_names_assigns_dense_ids() {
+        assert!(Topology::new().is_empty());
+        let topo = Topology::from_names(["x", "y"]);
+        assert_eq!(
+            topo.ids().collect::<Vec<_>>(),
+            vec![RegionId::new(0), RegionId::new(1)]
+        );
     }
 
     #[test]

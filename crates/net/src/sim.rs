@@ -186,21 +186,6 @@ impl<W> Simulation<W> {
         while self.step() {}
         self.now()
     }
-
-    /// Runs until the queue drains or the clock passes `deadline`;
-    /// events scheduled after the deadline stay queued.
-    pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
-        while let Some(Reverse(head)) = self.scheduler.queue.peek() {
-            if head.at > deadline {
-                break;
-            }
-            self.step();
-        }
-        if self.scheduler.now < deadline {
-            self.scheduler.now = deadline;
-        }
-        self.now()
-    }
 }
 
 impl<W: std::fmt::Debug> std::fmt::Debug for Simulation<W> {
@@ -252,26 +237,6 @@ mod tests {
         sim.run();
         assert_eq!(*sim.world(), 5);
         assert_eq!(sim.now(), SimTime::from_millis(10));
-    }
-
-    #[test]
-    fn run_until_respects_deadline() {
-        let mut sim = Simulation::new(Vec::<u32>::new());
-        sim.schedule_at(SimTime::from_millis(10), |w, _| w.push(1));
-        sim.schedule_at(SimTime::from_millis(50), |w, _| w.push(2));
-        let t = sim.run_until(SimTime::from_millis(20));
-        assert_eq!(t, SimTime::from_millis(20));
-        assert_eq!(sim.world(), &vec![1]);
-        // The rest still runs afterwards.
-        sim.run();
-        assert_eq!(sim.world(), &vec![1, 2]);
-    }
-
-    #[test]
-    fn run_until_advances_clock_even_when_idle() {
-        let mut sim = Simulation::new(());
-        let t = sim.run_until(SimTime::from_secs(3));
-        assert_eq!(t, SimTime::from_secs(3));
     }
 
     #[test]

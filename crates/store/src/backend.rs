@@ -581,8 +581,9 @@ mod tests {
             }
             let decoded = backend
                 .codec()
-                .reconstruct_object(&shards, manifest.size())
-                .unwrap();
+                .reconstruct_object_report(&shards, manifest.size())
+                .unwrap()
+                .0;
             assert_eq!(decoded.as_ref(), payload.as_slice());
         }
     }
@@ -666,8 +667,9 @@ mod tests {
         }
         let object = backend
             .codec()
-            .reconstruct_object(&shards, manifest.size())
-            .unwrap();
+            .reconstruct_object_report(&shards, manifest.size())
+            .unwrap()
+            .0;
         assert_eq!(object.as_ref(), expected_payload(3, 64).as_slice());
     }
 

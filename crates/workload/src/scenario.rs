@@ -42,9 +42,10 @@ pub struct FlakyRegion {
 }
 
 impl FlakyRegion {
-    /// Whether the region is down at simulated second `now_s`.
+    /// Whether the region is down at simulated second `now_s`. A zero
+    /// `period_s` never fails.
     pub fn is_down_at(&self, now_s: u64) -> bool {
-        if now_s < self.first_failure_s {
+        if now_s < self.first_failure_s || self.period_s == 0 {
             return false;
         }
         (now_s - self.first_failure_s) % self.period_s < self.down_s
@@ -164,6 +165,12 @@ mod tests {
         assert!(flaky.is_down_at(25));
         assert!(flaky.is_down_at(29));
         assert!(!flaky.is_down_at(30));
+
+        let no_cycle = FlakyRegion {
+            period_s: 0,
+            ..flaky
+        };
+        assert!((0..40).all(|s| !no_cycle.is_down_at(s)));
     }
 
     #[test]
