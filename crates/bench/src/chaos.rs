@@ -18,6 +18,7 @@ use agar::{BreakerPolicy, DirectFetcher, RetryPolicy};
 use agar_chaos::{ChaosClock, ChaosPlane, ChaosSpec, FetchFaultSpec, RegionOutage};
 use agar_net::{RegionId, SimTime};
 use agar_obs::{MetricsRegistry, StageSummaries};
+use agar_workload::FailureCycle;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -120,15 +121,19 @@ impl ChaosScenario {
     pub fn family(partitioned: RegionId) -> Vec<ChaosScenario> {
         let outage = RegionOutage {
             region: partitioned,
-            first_failure_s: 5,
-            down_s: 20,
-            period_s: 40,
+            cycle: FailureCycle {
+                first_failure_s: 5,
+                down_s: 20,
+                period_s: 40,
+            },
         };
         let flaky = FetchFaultSpec {
             per_1024: 200,
-            first_failure_s: 5,
-            down_s: 15,
-            period_s: 30,
+            cycle: FailureCycle {
+                first_failure_s: 5,
+                down_s: 15,
+                period_s: 30,
+            },
         };
         vec![
             ChaosScenario {

@@ -182,15 +182,12 @@ fn fig2(deployment: &Deployment, params: &ExperimentParams) -> Table {
                 PolicySpec::Lru(c)
             };
             let config = RunConfig {
-                client_region: region,
-                policy,
                 // "enough memory to accommodate our complete working set,
                 // in practice emulating an infinite cache" (500 MB).
                 cache_mb: 500.0,
                 workload: params.workload(zipf_default()),
-                clients: 2,
-                max_hedges: 0,
                 seed: 0xF160 + c as u64,
+                ..RunConfig::paper_default(region, policy)
             };
             let result = run_averaged(deployment, &config, params.runs);
             row.push(format!("{:.0}", result.mean_latency_ms));
@@ -248,13 +245,9 @@ fn policy_comparison(
     for (region, name) in [(FRANKFURT, "Frankfurt"), (SYDNEY, "Sydney")] {
         for policy in comparison_policies() {
             let config = RunConfig {
-                client_region: region,
-                policy,
-                cache_mb: 10.0,
                 workload: params.workload(zipf_default()),
-                clients: 2,
-                max_hedges: 0,
                 seed: 0xF166,
+                ..RunConfig::paper_default(region, policy)
             };
             let result = run_averaged(deployment, &config, params.runs);
             eprintln!(
@@ -343,30 +336,19 @@ fn fig8a(deployment: &Deployment, params: &ExperimentParams) -> Table {
     for &mb in &sizes {
         let mut row = vec![format!("{mb:.0}")];
         for policy in policies {
-            let ms = if mb == 0.0 {
-                // A 0 MB cache degenerates to the backend for everyone.
-                let config = RunConfig {
-                    client_region: FRANKFURT,
-                    policy: PolicySpec::Backend,
-                    cache_mb: 0.0,
-                    workload: params.workload(zipf_default()),
-                    clients: 2,
-                    max_hedges: 0,
-                    seed: 0xF18A,
-                };
-                run_averaged(deployment, &config, params.runs).mean_latency_ms
+            // A 0 MB cache degenerates to the backend for everyone.
+            let run_policy = if mb == 0.0 {
+                PolicySpec::Backend
             } else {
-                let config = RunConfig {
-                    client_region: FRANKFURT,
-                    policy,
-                    cache_mb: mb,
-                    workload: params.workload(zipf_default()),
-                    clients: 2,
-                    max_hedges: 0,
-                    seed: 0xF18A,
-                };
-                run_averaged(deployment, &config, params.runs).mean_latency_ms
+                policy
             };
+            let config = RunConfig {
+                cache_mb: mb,
+                workload: params.workload(zipf_default()),
+                seed: 0xF18A,
+                ..RunConfig::paper_default(FRANKFURT, run_policy)
+            };
+            let ms = run_averaged(deployment, &config, params.runs).mean_latency_ms;
             eprintln!("  [fig8a] {:>5} MB {:<6} {:7.0} ms", mb, policy.label(), ms);
             row.push(format!("{ms:.0}"));
         }
@@ -405,13 +387,9 @@ fn fig8b(deployment: &Deployment, params: &ExperimentParams) -> Table {
         let mut row = vec![name.clone()];
         for policy in policies {
             let config = RunConfig {
-                client_region: FRANKFURT,
-                policy,
-                cache_mb: 10.0,
                 workload: params.workload(*dist),
-                clients: 2,
-                max_hedges: 0,
                 seed: 0xF18B,
+                ..RunConfig::paper_default(FRANKFURT, policy)
             };
             let result = run_averaged(deployment, &config, params.runs);
             eprintln!(
@@ -470,13 +448,10 @@ fn fig10(deployment: &Deployment, params: &ExperimentParams) -> Table {
     );
     for (region, name, mb) in scenarios {
         let config = RunConfig {
-            client_region: region,
-            policy: PolicySpec::Agar,
             cache_mb: mb,
             workload: params.workload(zipf_default()),
-            clients: 2,
-            max_hedges: 0,
             seed: 0xF1_10,
+            ..RunConfig::paper_default(region, PolicySpec::Agar)
         };
         let result = run_once(deployment, &config);
         let mut per_count: BTreeMap<usize, usize> = BTreeMap::new();
@@ -519,13 +494,9 @@ fn ablation(deployment: &Deployment, params: &ExperimentParams) -> Table {
     // values* on statistics captured from a live Agar node, plus the
     // DP's end-to-end latency as the reference row.
     let config = RunConfig {
-        client_region: FRANKFURT,
-        policy: PolicySpec::Agar,
-        cache_mb: 10.0,
         workload: params.workload(zipf_default()),
-        clients: 2,
-        max_hedges: 0,
         seed: 0xAB1A,
+        ..RunConfig::paper_default(FRANKFURT, PolicySpec::Agar)
     };
     let dp_run = run_averaged(deployment, &config, params.runs);
 

@@ -135,7 +135,7 @@ pub fn tail_run(
         &mut |now: SimTime| {
             let now_s = now.saturating_duration_since(SimTime::ZERO).as_secs();
             for flaky in &scenario.flaky {
-                if flaky.is_down_at(now_s) {
+                if flaky.cycle.is_down_at(now_s) {
                     deployment.backend.fail_region(RegionId::new(flaky.region));
                 } else {
                     deployment.backend.heal_region(RegionId::new(flaky.region));

@@ -4,8 +4,9 @@
 //! run seed, so a failing run replays bit-identically:
 //!
 //! - [`RegionOutage`] — periodic fail→heal partitions/blackouts of a
-//!   whole region, shaped like the `tail` harness's `FlakyRegion`
-//!   schedule (pure function of the sim clock, no RNG draws);
+//!   whole region on a [`FailureCycle`], the `tail` harness's
+//!   `FlakyRegion` schedule (pure function of the sim clock, no RNG
+//!   draws);
 //! - [`FetchFaultSpec`] — per-fetch error returns at a configured rate
 //!   inside scheduled fault windows, decided by hashing the run seed
 //!   with a per-plane fetch sequence number (again: no RNG draws, so
@@ -35,36 +36,20 @@ use agar::{ChunkFetcher, FetchRequest};
 use agar_net::{RegionId, SimTime};
 use agar_obs::{Counter, Labels, MetricsRegistry};
 use agar_store::{ChunkFetch, StoreError};
+use agar_workload::FailureCycle;
 use rand::RngCore;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A periodic region blackout: the region is unreachable during
-/// `[first_failure_s + i·period_s, first_failure_s + i·period_s + down_s)`
-/// for every cycle `i`. Pure data — the schedule is a function of the
-/// sim clock only, mirroring the `tail` harness's flaky-region shape.
+/// A periodic region blackout: the region is unreachable while its
+/// cycle is down.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RegionOutage {
     /// The region to black out.
     pub region: RegionId,
-    /// Sim-clock second of the first blackout's onset.
-    pub first_failure_s: u64,
-    /// How many seconds each blackout lasts.
-    pub down_s: u64,
-    /// Cycle length in seconds (must be > `down_s` for the region to
-    /// ever heal; a huge period gives a one-shot outage).
-    pub period_s: u64,
-}
-
-impl RegionOutage {
-    /// Whether the region is blacked out at sim-second `now_s`.
-    pub fn is_down_at(&self, now_s: u64) -> bool {
-        if now_s < self.first_failure_s || self.period_s == 0 {
-            return false;
-        }
-        (now_s - self.first_failure_s) % self.period_s < self.down_s
-    }
+    /// When the region is blacked out.
+    pub cycle: FailureCycle,
 }
 
 /// Per-fetch error injection: inside each scheduled fault window,
@@ -76,22 +61,8 @@ impl RegionOutage {
 pub struct FetchFaultSpec {
     /// Fault probability numerator out of 1024 (1024 ⇒ every fetch).
     pub per_1024: u16,
-    /// Sim-clock second the first fault window opens.
-    pub first_failure_s: u64,
-    /// How many seconds each fault window lasts.
-    pub down_s: u64,
-    /// Window cycle length in seconds.
-    pub period_s: u64,
-}
-
-impl FetchFaultSpec {
-    /// Whether the fault window is open at sim-second `now_s`.
-    pub fn is_active_at(&self, now_s: u64) -> bool {
-        if now_s < self.first_failure_s || self.period_s == 0 {
-            return false;
-        }
-        (now_s - self.first_failure_s) % self.period_s < self.down_s
-    }
+    /// When the fault window is open.
+    pub cycle: FailureCycle,
 }
 
 /// The full fault schedule for one run, drawn from the run seed.
@@ -229,14 +200,14 @@ impl ChaosPlane {
     /// the injection if so.
     fn inject(&self, request: &FetchRequest, now_s: u64, sequence: u64) -> bool {
         for outage in &self.spec.outages {
-            if outage.region == request.region && outage.is_down_at(now_s) {
+            if outage.region == request.region && outage.cycle.is_down_at(now_s) {
                 self.partition_faults.inc();
                 self.faults_injected.inc();
                 return true;
             }
         }
         if let Some(faults) = &self.spec.fetch_faults {
-            if faults.is_active_at(now_s)
+            if faults.cycle.is_down_at(now_s)
                 && mix(self.spec.seed ^ sequence) % 1024 < u64::from(faults.per_1024)
             {
                 self.fetch_error_faults.inc();
@@ -392,22 +363,6 @@ mod tests {
     }
 
     #[test]
-    fn outage_schedule_matches_the_flaky_region_shape() {
-        let outage = RegionOutage {
-            region: RegionId::new(2),
-            first_failure_s: 5,
-            down_s: 3,
-            period_s: 10,
-        };
-        assert!(!outage.is_down_at(0));
-        assert!(!outage.is_down_at(4));
-        assert!(outage.is_down_at(5));
-        assert!(outage.is_down_at(7));
-        assert!(!outage.is_down_at(8));
-        assert!(outage.is_down_at(15));
-    }
-
-    #[test]
     fn quiet_plane_delegates_wholesale() {
         let inner = Arc::new(CountingFetcher {
             calls: AtomicU64::new(0),
@@ -435,9 +390,11 @@ mod tests {
             seed: 7,
             outages: vec![RegionOutage {
                 region: RegionId::new(1),
-                first_failure_s: 5,
-                down_s: 5,
-                period_s: 20,
+                cycle: FailureCycle {
+                    first_failure_s: 5,
+                    down_s: 5,
+                    period_s: 20,
+                },
             }],
             fetch_faults: None,
         };
@@ -474,9 +431,11 @@ mod tests {
                 outages: Vec::new(),
                 fetch_faults: Some(FetchFaultSpec {
                     per_1024: 512,
-                    first_failure_s: 0,
-                    down_s: 10,
-                    period_s: 10,
+                    cycle: FailureCycle {
+                        first_failure_s: 0,
+                        down_s: 10,
+                        period_s: 10,
+                    },
                 }),
             };
             let plane = ChaosPlane::new(inner as _, spec, clock);

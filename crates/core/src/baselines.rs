@@ -20,11 +20,11 @@ use crate::options::generate_options;
 use agar_cache::{AtomicCacheStats, CacheStats, CachedChunk, PolicyKind, ShardedChunkCache};
 use agar_ec::{ChunkId, ObjectId};
 use agar_net::{RegionId, SimTime};
-use agar_store::{plan_backend_fetch, regions_by_latency, Backend};
+use agar_store::{Backend, ObjectManifest, StoreError};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
@@ -52,14 +52,101 @@ impl std::fmt::Display for BaselinePolicy {
     }
 }
 
+/// Static per-region latency estimates from `region`: the model's mean
+/// for a 100 kB chunk. Baselines do not probe; they rank chunks nearest
+/// first, as the paper's YCSB clients do.
+fn static_estimates(backend: &Backend, region: RegionId) -> Vec<Duration> {
+    let model = backend.latency_model();
+    backend
+        .topology()
+        .ids()
+        .map(|r| model.mean(region, r, 100_000))
+        .collect()
+}
+
+/// The backend half of one baseline read.
+struct BackendRead {
+    data: Bytes,
+    /// Whether the decode used a parity chunk.
+    decoded: bool,
+    /// The slowest fetch: the fetches run in parallel.
+    worst: Duration,
+    /// The fetched `(index, payload)` chunks, in rank order.
+    fetched: Vec<(u8, Bytes)>,
+}
+
+/// Fetches the first `k − held` ranked chunks of the manifest's object
+/// that are available and not `held`, decodes the object from the held
+/// and fetched chunks together, and counts the read in `counters`.
+///
+/// # Errors
+///
+/// [`StoreError::NotEnoughChunks`] when too few chunks are reachable;
+/// fetch and decode errors as they come.
+fn fetch_and_decode(
+    backend: &Backend,
+    region: RegionId,
+    manifest: &ObjectManifest,
+    estimates: &[Duration],
+    held: &[(u8, Bytes)],
+    rng: &mut dyn RngCore,
+    counters: &AtomicCacheStats,
+) -> Result<BackendRead, AgarError> {
+    let object = manifest.object();
+    let k = manifest.params().data_chunks();
+    let needed = k.saturating_sub(held.len());
+    let plan: Vec<u8> = manifest
+        .rank_chunks(estimates)
+        .into_iter()
+        .map(|(index, _)| index)
+        .filter(|&index| {
+            backend.is_region_available(manifest.location(index as usize))
+                && !held.iter().any(|&(i, _)| i == index)
+        })
+        .take(needed)
+        .collect();
+    if plan.len() < needed {
+        return Err(StoreError::NotEnoughChunks {
+            object,
+            reachable: plan.len() + held.len(),
+            needed: k,
+        }
+        .into());
+    }
+    let mut worst = Duration::ZERO;
+    let mut fetched = Vec::with_capacity(needed);
+    for index in plan {
+        let fetch = backend.fetch_chunk(region, ChunkId::new(object, index), rng)?;
+        worst = worst.max(fetch.latency);
+        fetched.push((index, fetch.data));
+    }
+    let mut shards: Vec<Option<Bytes>> = vec![None; manifest.params().total_chunks()];
+    for (index, data) in held.iter().chain(&fetched) {
+        shards[*index as usize] = Some(data.clone());
+    }
+    let (data, report) = backend
+        .codec()
+        .reconstruct_object_report(&shards, manifest.size())?;
+    if report.systematic_fast_path {
+        counters.systematic_fast_reads.inc();
+    } else if report.plan_cache_hit {
+        counters.decode_plan_hits.inc();
+    }
+    counters.record_object_read(held.len(), k);
+    Ok(BackendRead {
+        data,
+        decoded: !report.systematic_fast_path,
+        worst,
+        fetched,
+    })
+}
+
 struct BaselineInner {
     monitor: RequestMonitor,
     /// LFU only: objects admitted this epoch.
     admitted: HashSet<ObjectId>,
     rng: StdRng,
     last_reconfiguration: Option<SimTime>,
-    /// Latency estimates per region (static model means).
-    estimates: Vec<Duration>,
 }
 
 /// The LRU-c / LFU-c baseline client.
@@ -70,6 +157,7 @@ pub struct FixedChunksClient {
     chunks_per_object: usize,
     cache_read: Duration,
     client_overhead: Duration,
+    estimates: Vec<Duration>,
     /// One shard: exact LRU.
     cache: ShardedChunkCache,
     inner: Mutex<BaselineInner>,
@@ -100,16 +188,9 @@ impl FixedChunksClient {
                 what: "chunks_per_object must be in 1..=k",
             });
         }
-        // Static latency estimates: baselines do not probe; they use the
-        // same nearest-region ordering as the paper's YCSB clients.
-        let model = backend.latency_model();
-        let estimates: Vec<Duration> = backend
-            .topology()
-            .ids()
-            .map(|r| model.mean(region, r, 100_000))
-            .collect();
         Ok(FixedChunksClient {
             region,
+            estimates: static_estimates(&backend, region),
             backend,
             policy,
             chunks_per_object,
@@ -121,7 +202,6 @@ impl FixedChunksClient {
                 admitted: HashSet::new(),
                 rng: StdRng::seed_from_u64(seed),
                 last_reconfiguration: None,
-                estimates,
             }),
         })
     }
@@ -133,17 +213,12 @@ impl FixedChunksClient {
 
     /// The `c` most distant used chunks of `object` — what this client
     /// caches, mirroring the motivating experiment's policy.
-    fn designated_chunks(
-        &self,
-        inner: &BaselineInner,
-        object: ObjectId,
-    ) -> Result<Vec<u8>, AgarError> {
-        let manifest = self.backend.manifest(object)?;
-        let options = generate_options(&manifest, &inner.estimates, self.cache_read, 1.0);
-        Ok(options
+    fn designated_chunks(&self, manifest: &ObjectManifest) -> Vec<u8> {
+        let options = generate_options(manifest, &self.estimates, self.cache_read, 1.0);
+        options
             .by_weight(self.chunks_per_object as u32)
             .map(|o| o.chunks().to_vec())
-            .unwrap_or_default())
+            .unwrap_or_default()
     }
 
     fn read_inner(
@@ -153,12 +228,11 @@ impl FixedChunksClient {
     ) -> Result<ReadMetrics, AgarError> {
         inner.monitor.record_read(object);
         let manifest = self.backend.manifest(object)?;
-        let k = manifest.params().data_chunks();
         let version = manifest.version();
 
         // Which chunks this client would cache for the object, and
         // whether caching is allowed for it right now.
-        let designated = self.designated_chunks(inner, object)?;
+        let designated = self.designated_chunks(&manifest);
         let may_cache = match self.policy {
             BaselinePolicy::Lru => true,
             BaselinePolicy::LfuEpoch => inner.admitted.contains(&object),
@@ -182,19 +256,16 @@ impl FixedChunksClient {
         }
         let cache_hits = have.len();
 
-        // 2. Backend fetches for the remainder.
-        let exclude: Vec<ChunkId> = have.iter().map(|&(i, _)| ChunkId::new(object, i)).collect();
-        let order = regions_by_latency(&self.backend, self.region);
-        let plan = plan_backend_fetch(&self.backend, object, &order, &exclude)?;
-        let mut worst = Duration::ZERO;
-        let mut fetched: Vec<(u8, Bytes)> = Vec::with_capacity(plan.len());
-        for &(chunk, _) in &plan {
-            let fetch = self
-                .backend
-                .fetch_chunk(self.region, chunk, &mut inner.rng)?;
-            worst = worst.max(fetch.latency);
-            fetched.push((chunk.index().value(), fetch.data));
-        }
+        // 2. Backend fetches for the remainder, and the decode.
+        let read = fetch_and_decode(
+            &self.backend,
+            self.region,
+            &manifest,
+            &self.estimates,
+            &have,
+            &mut inner.rng,
+            self.cache.counters(),
+        )?;
 
         // 3. Latency.
         let cache_component = if cache_hits > 0 {
@@ -202,27 +273,9 @@ impl FixedChunksClient {
         } else {
             Duration::ZERO
         };
-        let latency = self.client_overhead + cache_component.max(worst);
+        let latency = self.client_overhead + cache_component.max(read.worst);
 
-        // 4. Reconstruct.
-        let total = manifest.params().total_chunks();
-        let mut shards: Vec<Option<Bytes>> = vec![None; total];
-        for (index, data) in have.iter().chain(fetched.iter()) {
-            shards[*index as usize] = Some(data.clone());
-        }
-        let (data, decode_report) = self
-            .backend
-            .codec()
-            .reconstruct_object_report(&shards, manifest.size())?;
-        let decoded = !decode_report.systematic_fast_path;
-        let counters = self.cache.counters();
-        if decode_report.systematic_fast_path {
-            counters.systematic_fast_reads.inc();
-        } else if decode_report.plan_cache_hit {
-            counters.decode_plan_hits.inc();
-        }
-
-        // 5. Populate the cache (async in the paper: no latency impact).
+        // 4. Populate the cache (async in the paper: no latency impact).
         let mut fill_fetches = 0;
         if may_cache {
             for &index in &designated {
@@ -230,7 +283,8 @@ impl FixedChunksClient {
                 if self.cache.contains(&id) {
                     continue;
                 }
-                let payload = fetched
+                let payload = read
+                    .fetched
                     .iter()
                     .find(|&&(i, _)| i == index)
                     .map(|(_, d)| d.clone())
@@ -249,16 +303,14 @@ impl FixedChunksClient {
             }
         }
 
-        counters.record_object_read(cache_hits, k);
-
         Ok(ReadMetrics {
-            data,
+            data: read.data,
             latency,
             cache_hits,
-            backend_fetches: fetched.len(),
+            backend_fetches: read.fetched.len(),
             fill_fetches,
             remote_hits: 0,
-            decoded,
+            decoded: read.decoded,
         })
     }
 
@@ -354,6 +406,7 @@ pub struct BackendOnlyClient {
     region: RegionId,
     backend: Arc<Backend>,
     client_overhead: Duration,
+    estimates: Vec<Duration>,
     rng: Mutex<StdRng>,
     stats: AtomicCacheStats,
 }
@@ -368,6 +421,7 @@ impl BackendOnlyClient {
     ) -> Self {
         BackendOnlyClient {
             region,
+            estimates: static_estimates(&backend, region),
             backend,
             client_overhead,
             rng: Mutex::new(StdRng::seed_from_u64(seed)),
@@ -380,36 +434,23 @@ impl CachingClient for BackendOnlyClient {
     fn read(&self, object: ObjectId) -> Result<ReadMetrics, AgarError> {
         let rng = &mut *self.rng.lock();
         let manifest = self.backend.manifest(object)?;
-        let k = manifest.params().data_chunks();
-        let order = regions_by_latency(&self.backend, self.region);
-        let plan = plan_backend_fetch(&self.backend, object, &order, &[])?;
-        let total = manifest.params().total_chunks();
-        let mut shards: Vec<Option<Bytes>> = vec![None; total];
-        let mut worst = Duration::ZERO;
-        for &(chunk, _) in &plan {
-            let fetch = self.backend.fetch_chunk(self.region, chunk, rng)?;
-            worst = worst.max(fetch.latency);
-            shards[chunk.index().value() as usize] = Some(fetch.data);
-        }
-        let (data, decode_report) = self
-            .backend
-            .codec()
-            .reconstruct_object_report(&shards, manifest.size())?;
-        let decoded = !decode_report.systematic_fast_path;
-        if decode_report.systematic_fast_path {
-            self.stats.systematic_fast_reads.inc();
-        } else if decode_report.plan_cache_hit {
-            self.stats.decode_plan_hits.inc();
-        }
-        self.stats.record_object_read(0, k);
+        let read = fetch_and_decode(
+            &self.backend,
+            self.region,
+            &manifest,
+            &self.estimates,
+            &[],
+            rng,
+            &self.stats,
+        )?;
         Ok(ReadMetrics {
-            data,
-            latency: self.client_overhead + worst,
+            data: read.data,
+            latency: self.client_overhead + read.worst,
             cache_hits: 0,
-            backend_fetches: plan.len(),
+            backend_fetches: read.fetched.len(),
             fill_fetches: 0,
             remote_hits: 0,
-            decoded,
+            decoded: read.decoded,
         })
     }
 
@@ -483,6 +524,7 @@ mod tests {
         assert_eq!(cold.data.as_ref(), expected_payload(0, 900).as_slice());
         let warm = client.read(ObjectId::new(0)).unwrap();
         assert_eq!(warm.cache_hits, 3);
+        assert_eq!(warm.backend_fetches, 6, "held chunks are not fetched");
         assert!(warm.latency < cold.latency);
         // The cached chunks are the most distant used ones (Tokyo + São
         // Paulo under the calibrated matrix).

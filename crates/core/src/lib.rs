@@ -98,8 +98,6 @@ pub use knapsack::{exhaustive_optimum, greedy, Config, KnapsackSolver, TieredCon
 pub use monitor::RequestMonitor;
 pub use node::{AgarNode, AgarSettings, CachingClient, ReadMetrics};
 pub use options::{generate_disk_options, generate_options, CachingOption, ObjectOptions};
-pub use planner::{
-    ChunkSet, ChunkSource, HedgePolicy, LocalHits, ReadPlan, ReadPlanner, RemoteChunk,
-};
+pub use planner::{ChunkSource, HedgePolicy, LocalHits, ReadPlan, ReadPlanner, RemoteChunk};
 pub use region_manager::RegionManager;
 pub use retry::RetryPolicy;

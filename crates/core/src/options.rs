@@ -15,7 +15,6 @@
 //!    slowest contacted site dominates).
 
 use agar_ec::ObjectId;
-use agar_net::RegionId;
 use agar_store::ObjectManifest;
 use std::time::Duration;
 
@@ -142,28 +141,8 @@ pub fn generate_options(
     cache_read: Duration,
     popularity: f64,
 ) -> ObjectOptions {
-    let params = manifest.params();
-    let k = params.data_chunks();
-
-    // All chunks with their site latency, sorted most-distant first.
-    let mut by_distance: Vec<(u8, Duration)> = manifest
-        .chunk_locations()
-        .map(|(chunk, region)| {
-            let latency = *latencies
-                .get(region.index())
-                .unwrap_or_else(|| panic!("no latency estimate for {region}"));
-            (chunk.index().value(), latency)
-        })
-        .collect();
-    // Most distant first; within one region (equal latency) put *higher*
-    // chunk indices first so parity chunks are discarded before data
-    // chunks, keeping decode work minimal in the common case.
-    by_distance.sort_by(|a, b| b.1.cmp(&a.1).then(b.0.cmp(&a.0)));
-
-    // Discard the m furthest chunks: never fetched without failures, so
-    // caching them would only add cache-miss download cost (§IV-A).
-    let used = &by_distance[params.parity_chunks()..];
-    debug_assert_eq!(used.len(), k);
+    let used = used_chunks(manifest, latencies);
+    let k = used.len();
 
     // Baseline: slowest of the k used chunks.
     let baseline_latency = used.first().map(|&(_, l)| l).unwrap_or(cache_read);
@@ -223,21 +202,7 @@ pub fn generate_disk_options(
     ram_chunks: &[u8],
     popularity: f64,
 ) -> Option<ObjectOptions> {
-    let params = manifest.params();
-    let k = params.data_chunks();
-
-    let mut by_distance: Vec<(u8, Duration)> = manifest
-        .chunk_locations()
-        .map(|(chunk, region)| {
-            let latency = *latencies
-                .get(region.index())
-                .unwrap_or_else(|| panic!("no latency estimate for {region}"));
-            (chunk.index().value(), latency)
-        })
-        .collect();
-    by_distance.sort_by(|a, b| b.1.cmp(&a.1).then(b.0.cmp(&a.0)));
-    let used = &by_distance[params.parity_chunks()..];
-    debug_assert_eq!(used.len(), k);
+    let used = used_chunks(manifest, latencies);
 
     // Chunks the RAM phase left on the remote read path, most distant
     // first (RAM options are distance prefixes, so this is a suffix —
@@ -283,18 +248,24 @@ pub fn generate_disk_options(
     })
 }
 
-/// Convenience wrapper: the region order implied by a latency estimate
-/// vector, nearest first (what the read planner wants).
-pub fn region_order_by_estimates(latencies: &[Duration]) -> Vec<RegionId> {
-    let mut order: Vec<usize> = (0..latencies.len()).collect();
-    order.sort_by_key(|&r| latencies[r]);
-    order.into_iter().map(|r| RegionId::new(r as u16)).collect()
+/// The `k` chunks a failure-free read fetches, most distant first: the
+/// `k` cheapest of [`ObjectManifest::rank_chunks`], reversed. The `m`
+/// furthest are discarded — never fetched without failures, so caching
+/// them would only add cache-miss download cost (§IV-A). Within one
+/// region the lower (data) chunk index stays in use, keeping decode work
+/// minimal in the common case.
+fn used_chunks(manifest: &ObjectManifest, latencies: &[Duration]) -> Vec<(u8, Duration)> {
+    let mut used = manifest.rank_chunks(latencies);
+    used.truncate(manifest.params().data_chunks());
+    used.reverse();
+    used
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use agar_ec::CodingParams;
+    use agar_net::RegionId;
 
     /// Builds a manifest mirroring the paper's Figure 1 layout: RS(9,3),
     /// chunk i in region i % 6.
@@ -519,17 +490,5 @@ mod tests {
         )
         .unwrap();
         assert!(options.iter().all(|o| o.value() == 0.0));
-    }
-
-    #[test]
-    fn region_order_by_estimates_sorts_ascending() {
-        let order = region_order_by_estimates(&table1_latencies());
-        let indices: Vec<usize> = order.iter().map(|r| r.index()).collect();
-        assert_eq!(indices, vec![0, 1, 2, 3, 4, 5]);
-
-        let reversed: Vec<Duration> = table1_latencies().into_iter().rev().collect();
-        let order = region_order_by_estimates(&reversed);
-        let indices: Vec<usize> = order.iter().map(|r| r.index()).collect();
-        assert_eq!(indices, vec![5, 4, 3, 2, 1, 0]);
     }
 }

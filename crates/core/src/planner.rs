@@ -18,9 +18,9 @@
 use crate::config::CacheConfiguration;
 use crate::error::AgarError;
 use agar_cache::{CacheTier, TieredChunkCache};
-use agar_ec::ChunkId;
+use agar_ec::{ChunkId, ChunkSet};
 use agar_net::RegionId;
-use agar_store::{plan_backend_fetch_with_estimates, Backend, ObjectManifest, StoreError};
+use agar_store::{Backend, ObjectManifest, StoreError};
 use bytes::Bytes;
 use std::time::Duration;
 
@@ -39,11 +39,6 @@ pub struct RemoteChunk {
     pub version: u64,
 }
 
-// The bitmask chunk-index set moved down into `agar-ec` (the
-// Reed-Solomon codec keys its decode-plan cache on it); re-exported
-// here so planner call sites and the public API are unchanged.
-pub use agar_ec::ChunkSet;
-
 /// The version-checked local cache hits feeding one read plan, split by
 /// tier: RAM hits are free and always bound into the plan; disk hits
 /// carry the configured disk-read latency and *compete* with remote and
@@ -57,14 +52,6 @@ pub struct LocalHits {
 }
 
 impl LocalHits {
-    /// Hits from a RAM-only lookup (no disk tier involved).
-    pub fn ram_only(ram: Vec<(u8, Bytes)>) -> Self {
-        LocalHits {
-            ram,
-            disk: Vec::new(),
-        }
-    }
-
     /// Total hits across both tiers.
     pub fn len(&self) -> usize {
         self.ram.len() + self.disk.len()
@@ -338,22 +325,19 @@ impl<'a> ReadPlanner<'a> {
                 *slot = Some((&offer.data, offer.latency));
             }
         }
-        // Reachable backend candidates with per-chunk estimates.
-        // Regions the circuit breaker holds open are dropped here, the
-        // single gate both primaries and hedges price through.
-        let mut backend_at: Vec<Option<(RegionId, Duration)>> = vec![None; total];
-        for candidate in plan_backend_fetch_with_estimates(backend, object, estimates)? {
-            if hedging
-                .excluded
-                .get(candidate.region.index())
-                .copied()
-                .unwrap_or(false)
-            {
-                continue;
+        // A chunk's backend source, priced from this attempt's manifest
+        // snapshot: its region's live estimate, or none while the region
+        // is down or held open by the circuit breaker (the single gate
+        // both primaries and hedges price through).
+        let backend_at = |index: u8| -> Option<(RegionId, Duration)> {
+            let region = self.manifest.location(index as usize);
+            let open = hedging.excluded.get(region.index()).copied();
+            if open.unwrap_or(false) || !backend.is_region_available(region) {
+                return None;
             }
-            backend_at[candidate.chunk.index().value() as usize] =
-                Some((candidate.region, candidate.estimate));
-        }
+            let estimate = estimates.get(region.index()).copied();
+            Some((region, estimate.unwrap_or(Duration::MAX)))
+        };
 
         // Rank every unheld chunk by its cheapest source.
         let mut candidates: Vec<(Duration, u8, ChunkSource)> = Vec::with_capacity(total);
@@ -361,7 +345,7 @@ impl<'a> ReadPlanner<'a> {
             if held.contains(index) {
                 continue;
             }
-            let networked = match (remote_at[index as usize], backend_at[index as usize]) {
+            let networked = match (remote_at[index as usize], backend_at(index)) {
                 (Some((data, latency)), Some((_, estimate))) if latency < estimate => Some((
                     ChunkSource::Remote {
                         data: data.clone(),
@@ -483,25 +467,6 @@ mod tests {
     }
 
     #[test]
-    fn chunk_set_basics() {
-        let mut set = ChunkSet::new();
-        assert!(set.is_empty());
-        assert!(set.insert(0));
-        assert!(set.insert(63));
-        assert!(set.insert(64));
-        assert!(set.insert(255));
-        assert!(!set.insert(0), "duplicate insert");
-        assert_eq!(set.len(), 4);
-        for index in [0u8, 63, 64, 255] {
-            assert!(set.contains(index));
-        }
-        assert!(!set.contains(1));
-        assert!(!set.contains(128));
-        let from_iter: ChunkSet = [3u8, 5, 3].into_iter().collect();
-        assert_eq!(from_iter.len(), 2);
-    }
-
-    #[test]
     fn cold_plan_picks_the_k_nearest_backend_chunks() {
         let (backend, estimates) = setup();
         let manifest = backend.manifest(ObjectId::new(0)).unwrap();
@@ -531,14 +496,12 @@ mod tests {
             (4u8, Bytes::from(vec![0u8; 100])),
             (9u8, Bytes::from(vec![0u8; 100])),
         ];
+        let hits = LocalHits {
+            ram: hits,
+            disk: Vec::new(),
+        };
         let plan = planner
-            .plan(
-                LocalHits::ram_only(hits),
-                &[],
-                &backend,
-                &estimates,
-                DISK_READ,
-            )
+            .plan(hits, &[], &backend, &estimates, DISK_READ)
             .unwrap();
         assert_eq!(plan.sources.len(), 9);
         assert_eq!(plan.cache_hits, 2);

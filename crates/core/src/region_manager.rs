@@ -1,32 +1,31 @@
 //! The region manager (paper §III-a).
 //!
-//! Maintains the deployment topology and an up-to-date estimate of the
-//! chunk-read latency from the local region to every region, seeded by a
+//! Maintains an up-to-date estimate of the chunk-read latency from the
+//! local region to every region of the topology, seeded by a
 //! warm-up probing phase and refreshed by observing live fetches (EWMA).
 //! Failure handling: a region observed unreachable is penalised to an
 //! effectively infinite latency until a successful observation heals it.
 
-use crate::options::region_order_by_estimates;
 use agar_net::latency::LatencyModel;
-use agar_net::{Prober, RegionId, Topology};
+use agar_net::{RegionId, Topology};
 use rand::RngCore;
 use std::time::Duration;
 
 /// The effectively-infinite latency assigned to unreachable regions.
 const UNREACHABLE: Duration = Duration::from_secs(3600);
 
-/// Topology view plus live latency estimation for one Agar node.
+/// Live latency estimation, from its home region to every region of the
+/// topology, for one Agar node.
 #[derive(Clone, Debug)]
 pub struct RegionManager {
     home: RegionId,
-    topology: Topology,
+    /// Chunk-read latency estimate per region, indexed by region id.
     estimates: Vec<Duration>,
     /// Exponentially weighted mean deviation per region (TCP-rttvar
     /// style): the dispersion signal hedged reads price Δ from.
     deviations: Vec<Duration>,
     /// EWMA weight for live observations.
     alpha: f64,
-    observations: u64,
 }
 
 impl RegionManager {
@@ -44,26 +43,20 @@ impl RegionManager {
         let n = topology.len();
         RegionManager {
             home,
-            topology,
             estimates: vec![Duration::ZERO; n],
             deviations: vec![Duration::ZERO; n],
             alpha: 0.3,
-            observations: 0,
         }
     }
 
-    /// The node's home region.
-    pub fn home(&self) -> RegionId {
-        self.home
-    }
-
-    /// The deployment topology.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
     /// Seeds the estimates by probing every region `probes` times with
-    /// `chunk_bytes`-sized reads (the paper's warm-up phase).
+    /// `chunk_bytes`-sized reads (the paper's warm-up phase): region by
+    /// region, each estimate is the samples' mean and each deviation
+    /// their population standard deviation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `probes` is zero.
     pub fn warm_up(
         &mut self,
         model: &dyn LatencyModel,
@@ -71,10 +64,25 @@ impl RegionManager {
         probes: usize,
         rng: &mut dyn RngCore,
     ) {
-        let prober = Prober::new(chunk_bytes, probes);
-        let estimates = prober.probe_all(model, self.home, self.topology.len(), rng);
-        self.estimates = estimates.iter().map(|e| e.mean()).collect();
-        self.deviations = estimates.iter().map(|e| e.std_dev()).collect();
+        assert!(probes > 0, "need at least one probe per region");
+        let mut samples = Vec::with_capacity(probes);
+        for region in 0..self.estimates.len() {
+            let to = RegionId::new(region as u16);
+            samples.clear();
+            samples.extend((0..probes).map(|_| model.sample(self.home, to, chunk_bytes, rng)));
+            let mean = samples.iter().sum::<Duration>() / probes as u32;
+            let mean_s = mean.as_secs_f64();
+            let variance = samples
+                .iter()
+                .map(|s| {
+                    let d = s.as_secs_f64() - mean_s;
+                    d * d
+                })
+                .sum::<f64>()
+                / probes as f64;
+            self.estimates[region] = mean;
+            self.deviations[region] = Duration::from_secs_f64(variance.sqrt());
+        }
     }
 
     /// Folds a live fetch observation into the estimate (EWMA) and the
@@ -94,7 +102,6 @@ impl RegionManager {
                 self.deviations[index].mul_f64(1.0 - self.alpha) + error.mul_f64(self.alpha);
             self.estimates[index] = prev.mul_f64(1.0 - self.alpha) + latency.mul_f64(self.alpha);
         }
-        self.observations += 1;
     }
 
     /// Penalises a region after a failed fetch: it sorts last until a
@@ -127,16 +134,6 @@ impl RegionManager {
     pub fn deviations(&self) -> &[Duration] {
         &self.deviations
     }
-
-    /// Regions ordered nearest-first by current estimates.
-    pub fn region_order(&self) -> Vec<RegionId> {
-        region_order_by_estimates(&self.estimates)
-    }
-
-    /// Number of live observations folded in so far.
-    pub fn observations(&self) -> u64 {
-        self.observations
-    }
 }
 
 #[cfg(test)]
@@ -146,6 +143,7 @@ mod tests {
     use agar_net::ConstantLatency;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn warmed_manager() -> RegionManager {
         let preset = aws_six_regions();
@@ -160,10 +158,19 @@ mod tests {
         manager
     }
 
+    /// Nearest-first region order by the manager's current estimates.
+    fn order(manager: &RegionManager) -> Vec<RegionId> {
+        let mut regions: Vec<RegionId> = (0..manager.estimates().len())
+            .map(|r| RegionId::new(r as u16))
+            .collect();
+        regions.sort_by_key(|&r| manager.estimate(r));
+        regions
+    }
+
     #[test]
     fn warm_up_orders_regions_sensibly() {
         let manager = warmed_manager();
-        let order = manager.region_order();
+        let order = order(&manager);
         assert_eq!(order[0], FRANKFURT, "home region is nearest");
         assert_eq!(
             *order.last().unwrap(),
@@ -173,6 +180,80 @@ mod tests {
         // Estimates close to the calibrated means.
         let est = manager.estimate(SYDNEY).as_secs_f64() * 1e3;
         assert!((est - 1050.0).abs() < 100.0, "Sydney estimate {est}ms");
+    }
+
+    /// Answers every sample with the next latency of a fixed script.
+    struct Scripted {
+        millis: Vec<u64>,
+        next: AtomicUsize,
+    }
+
+    impl LatencyModel for Scripted {
+        fn mean(&self, _from: RegionId, _to: RegionId, _bytes: usize) -> Duration {
+            unreachable!("warm-up samples, it never asks for the mean")
+        }
+
+        fn sample(
+            &self,
+            _from: RegionId,
+            _to: RegionId,
+            _bytes: usize,
+            _rng: &mut dyn RngCore,
+        ) -> Duration {
+            let n = self.next.fetch_add(1, Ordering::Relaxed);
+            Duration::from_millis(self.millis[n % self.millis.len()])
+        }
+    }
+
+    #[test]
+    fn warm_up_takes_the_mean_and_population_deviation_of_the_probes() {
+        let topology = agar_net::Topology::from_names(["a", "b"]);
+        let mut manager = RegionManager::new(RegionId::new(0), topology);
+        let model = Scripted {
+            millis: vec![10, 20, 30],
+            next: AtomicUsize::new(0),
+        };
+        let mut rng = StdRng::seed_from_u64(0);
+        manager.warm_up(&model, 1000, 3, &mut rng);
+        for region in [RegionId::new(0), RegionId::new(1)] {
+            assert_eq!(manager.estimate(region), Duration::from_millis(20));
+            // Population std-dev of {10, 20, 30} ms is sqrt(200/3) ≈ 8.165ms.
+            let std_ms = manager.deviation(region).as_secs_f64() * 1e3;
+            assert!((std_ms - 8.165).abs() < 0.01, "std {std_ms}");
+        }
+        assert_eq!(
+            model.next.load(Ordering::Relaxed),
+            6,
+            "3 probes x 2 regions"
+        );
+    }
+
+    #[test]
+    fn constant_model_probes_exactly() {
+        let topology = agar_net::Topology::from_names(["a", "b"]);
+        let mut manager = RegionManager::new(RegionId::new(0), topology);
+        let mut rng = StdRng::seed_from_u64(0);
+        manager.warm_up(
+            &ConstantLatency::new(Duration::from_millis(25)),
+            1000,
+            3,
+            &mut rng,
+        );
+        assert_eq!(manager.estimates(), &[Duration::from_millis(25); 2]);
+        assert_eq!(manager.deviations(), &[Duration::ZERO; 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one probe")]
+    fn zero_probes_rejected() {
+        let topology = agar_net::Topology::from_names(["a"]);
+        let mut rng = StdRng::seed_from_u64(0);
+        RegionManager::new(RegionId::new(0), topology).warm_up(
+            &ConstantLatency::new(Duration::from_millis(1)),
+            1,
+            0,
+            &mut rng,
+        );
     }
 
     #[test]
@@ -185,7 +266,6 @@ mod tests {
         let after = manager.estimate(SYDNEY);
         assert!(after < before);
         assert!(after >= Duration::from_millis(100));
-        assert_eq!(manager.observations(), 50);
     }
 
     #[test]
@@ -193,13 +273,12 @@ mod tests {
         let mut manager = warmed_manager();
         manager.mark_unreachable(FRANKFURT);
         assert!(!manager.is_reachable(FRANKFURT));
-        let order = manager.region_order();
-        assert_eq!(*order.last().unwrap(), FRANKFURT);
+        assert_eq!(*order(&manager).last().unwrap(), FRANKFURT);
         // A successful observation heals the region outright.
         manager.observe(FRANKFURT, Duration::from_millis(50));
         assert!(manager.is_reachable(FRANKFURT));
         assert_eq!(manager.estimate(FRANKFURT), Duration::from_millis(50));
-        assert_eq!(manager.region_order()[0], FRANKFURT);
+        assert_eq!(order(&manager)[0], FRANKFURT);
     }
 
     #[test]
@@ -235,26 +314,6 @@ mod tests {
         }
         let noisy = manager.deviation(SYDNEY);
         assert!(noisy > Duration::from_millis(100), "noisy dev {noisy:?}");
-    }
-
-    #[test]
-    fn constant_model_probes_exactly() {
-        let topology = agar_net::Topology::from_names(["a", "b"]);
-        let mut manager = RegionManager::new(RegionId::new(0), topology);
-        let mut rng = StdRng::seed_from_u64(0);
-        manager.warm_up(
-            &ConstantLatency::new(Duration::from_millis(25)),
-            1000,
-            3,
-            &mut rng,
-        );
-        assert_eq!(
-            manager.estimate(RegionId::new(1)),
-            Duration::from_millis(25)
-        );
-        assert_eq!(manager.estimates().len(), 2);
-        assert_eq!(manager.home(), RegionId::new(0));
-        assert_eq!(manager.topology().len(), 2);
     }
 
     #[test]

@@ -308,4 +308,23 @@ mod tests {
         let set: HashSet<ChunkId> = [a, b, c, a].into_iter().collect();
         assert_eq!(set.len(), 3);
     }
+
+    #[test]
+    fn chunk_set_basics() {
+        let mut set = ChunkSet::new();
+        assert!(set.is_empty());
+        assert!(set.insert(0));
+        assert!(set.insert(63));
+        assert!(set.insert(64));
+        assert!(set.insert(255));
+        assert!(!set.insert(0), "duplicate insert");
+        assert_eq!(set.len(), 4);
+        for index in [0u8, 63, 64, 255] {
+            assert!(set.contains(index));
+        }
+        assert!(!set.contains(1));
+        assert!(!set.contains(128));
+        let from_iter: ChunkSet = [3u8, 5, 3].into_iter().collect();
+        assert_eq!(from_iter.len(), 2);
+    }
 }

@@ -10,8 +10,10 @@
 //!   per-region-pair matrix with optional uniform/log-normal jitter;
 //! - [`presets`] — the calibrated six-region AWS matrix (shapes match the
 //!   paper's Figure 2) and the paper's illustrative Table I;
-//! - [`sim`] — a deterministic discrete-event [`sim::Simulation`];
-//! - [`prober`] — warm-up latency probing, as Agar's region manager does.
+//! - [`sim`] — a deterministic discrete-event [`sim::Simulation`].
+//!
+//! Agar's warm-up probing (§III-a) samples a [`latency::LatencyModel`]
+//! directly; it lives in `agar::RegionManager::warm_up`.
 //!
 //! # Examples
 //!
@@ -36,7 +38,6 @@
 pub mod error;
 pub mod latency;
 pub mod presets;
-pub mod prober;
 pub mod region;
 pub mod sim;
 pub mod time;
@@ -44,7 +45,6 @@ pub mod time;
 pub use error::NetError;
 pub use latency::{ConstantLatency, Jitter, LatencySpike, MatrixLatency, SpikedLatency};
 pub use presets::GeoPreset;
-pub use prober::{LatencyEstimate, Prober};
 pub use region::{Region, RegionId, Topology};
 pub use sim::{Scheduler, Simulation};
 pub use time::SimTime;

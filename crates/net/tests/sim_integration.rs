@@ -95,35 +95,3 @@ fn interleaved_periodic_and_reactive_events_stay_ordered() {
     assert_eq!(log.iter().filter(|&&(_, k)| k == "tick").count(), 5);
     assert_eq!(log.iter().filter(|&&(_, k)| k == "burst").count(), 4);
 }
-
-#[test]
-fn probe_then_simulate_pipeline() {
-    // The region-manager pattern: probe first, then drive scheduling
-    // decisions off the estimates inside the simulation.
-    let preset = aws_six_regions();
-    let prober = agar_net::Prober::new(100_000, 5);
-    let mut rng = StdRng::seed_from_u64(3);
-    let estimates = prober.probe_all(
-        &preset.latency,
-        RegionId::new(0),
-        preset.topology.len(),
-        &mut rng,
-    );
-    // Nearest region by estimate is home itself.
-    let nearest = estimates
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, e)| e.mean())
-        .map(|(i, _)| i)
-        .unwrap();
-    assert_eq!(nearest, 0);
-    // Simulated fetches from the nearest region finish sooner on average
-    // than from the furthest.
-    let furthest = estimates
-        .iter()
-        .enumerate()
-        .max_by_key(|(_, e)| e.mean())
-        .map(|(i, _)| i)
-        .unwrap();
-    assert_eq!(furthest, 5, "Sydney is furthest from Frankfurt");
-}

@@ -356,16 +356,16 @@ impl Backend {
 
         // One priced round trip per region, grouped in first-appearance
         // order (deterministic sampling order).
-        let mut region_order: Vec<RegionId> = Vec::new();
+        let mut regions: Vec<RegionId> = Vec::new();
         for entry in resolved.iter().flatten() {
-            if !region_order.contains(&entry.0) {
-                region_order.push(entry.0);
+            if !regions.contains(&entry.0) {
+                regions.push(entry.0);
             }
         }
         let mut worst = Duration::ZERO;
-        let mut round_trips = Vec::with_capacity(region_order.len());
+        let mut round_trips = Vec::with_capacity(regions.len());
         let mut latency_of = vec![Duration::ZERO; self.topology.len()];
-        for &region in &region_order {
+        for &region in &regions {
             let sizes: Vec<usize> = resolved
                 .iter()
                 .flatten()
@@ -768,7 +768,10 @@ mod tests {
         for object in backend.object_ids() {
             let manifest = backend.manifest(object).unwrap();
             for region in 0..3 {
-                assert_eq!(manifest.chunks_in_region(RegionId::new(region)).len(), 2);
+                let held = manifest
+                    .chunk_locations()
+                    .filter(|&(_, r)| r.index() == region);
+                assert_eq!(held.count(), 2);
             }
         }
     }

@@ -7,12 +7,13 @@
 //!
 //! - [`Bucket`] — a region's durable chunk store with failure injection;
 //! - [`PlacementPolicy`] / [`RoundRobin`] — the paper's chunk layout;
-//! - [`ObjectManifest`] — per-object metadata (size, version, locations);
+//! - [`ObjectManifest`] — per-object metadata (size, version, locations)
+//!   and the one ranking of an object's chunks by estimated latency
+//!   ([`ObjectManifest::rank_chunks`]): a read fetches the `k` cheapest
+//!   reachable chunks;
 //! - [`Backend`] — the multi-region store: encode-and-place writes,
 //!   latency-sampled chunk fetches (single or region-batched, one
-//!   priced round trip per region), region failure injection;
-//! - [`plan_backend_fetch`] / [`plan_backend_fetch_with_estimates`] —
-//!   which chunks a client reads: the `k` cheapest reachable ones.
+//!   priced round trip per region), region failure injection.
 //!
 //! The paper's cache-less "Backend" baseline reader is
 //! `agar::baselines::BackendOnlyClient`, on top of this crate.
@@ -20,9 +21,10 @@
 //! # Examples
 //!
 //! ```
-//! use agar_ec::{CodingParams, ObjectId};
-//! use agar_net::presets::{aws_six_regions, FRANKFURT};
-//! use agar_store::{plan_backend_fetch, populate, regions_by_latency, Backend, RoundRobin};
+//! use agar_ec::{ChunkId, CodingParams, ObjectId};
+//! use agar_net::latency::LatencyModel;
+//! use agar_net::presets::{aws_six_regions, FRANKFURT, SYDNEY};
+//! use agar_store::{populate, Backend, RoundRobin};
 //! use rand::rngs::StdRng;
 //! use rand::SeedableRng;
 //! use std::sync::Arc;
@@ -38,11 +40,18 @@
 //! populate(&backend, 10, 9_000, &mut rng)?;
 //!
 //! // A Frankfurt client needs k = 9 of the 12 chunks: the 3 most
-//! // distant are never planned.
-//! let order = regions_by_latency(&backend, FRANKFURT);
-//! let plan = plan_backend_fetch(&backend, ObjectId::new(3), &order, &[])?;
-//! assert_eq!(plan.len(), 9);
-//! let fetch = backend.fetch_chunk(FRANKFURT, plan[0].0, &mut rng)?;
+//! // distant, Sydney's two among them, are never fetched.
+//! let model = backend.latency_model();
+//! let estimates: Vec<_> = backend
+//!     .topology()
+//!     .ids()
+//!     .map(|r| model.mean(FRANKFURT, r, 100_000))
+//!     .collect();
+//! let object = ObjectId::new(3);
+//! let manifest = backend.manifest(object)?;
+//! let ranked = manifest.rank_chunks(&estimates);
+//! assert!(ranked[..9].iter().all(|&(i, _)| manifest.location(i as usize) != SYDNEY));
+//! let fetch = backend.fetch_chunk(FRANKFURT, ChunkId::new(object, ranked[0].0), &mut rng)?;
 //! assert_eq!(fetch.data.len(), 1_000);
 //! # Ok::<(), agar_store::StoreError>(())
 //! ```
@@ -52,16 +61,12 @@
 
 pub mod backend;
 pub mod bucket;
-pub mod client;
 pub mod error;
 pub mod manifest;
 pub mod placement;
 
 pub use backend::{expected_payload, populate, Backend, BatchFetchOutcome, ChunkFetch, ObjectPut};
 pub use bucket::{Bucket, StoredChunk};
-pub use client::{
-    plan_backend_fetch, plan_backend_fetch_with_estimates, regions_by_latency, ChunkCandidate,
-};
 pub use error::StoreError;
 pub use manifest::ObjectManifest;
-pub use placement::{PlacementPolicy, RotatedRoundRobin, RoundRobin};
+pub use placement::{PlacementPolicy, RoundRobin};

@@ -4,6 +4,7 @@
 use agar_ec::{ChunkId, CodingParams, ObjectId};
 use agar_net::RegionId;
 use serde::{Deserialize, Serialize};
+use std::time::Duration;
 
 /// Metadata for one stored object.
 #[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -86,14 +87,25 @@ impl ObjectManifest {
             .map(|(i, &region)| (ChunkId::new(self.object, i as u8), region))
     }
 
-    /// The chunk indices hosted by `region`.
-    pub fn chunks_in_region(&self, region: RegionId) -> Vec<u8> {
-        self.locations
+    /// The object's chunks ranked cheapest first by the estimate of the
+    /// region holding each (`estimates` is indexed by region id), as
+    /// `(chunk index, estimate)` pairs. Ties go to the lower index, so
+    /// data chunks come before parity at equal latency. A k-of-n read
+    /// fetches a prefix of this ranking; caching options drop its last
+    /// `m` entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `estimates` has no entry for a region holding a chunk.
+    pub fn rank_chunks(&self, estimates: &[Duration]) -> Vec<(u8, Duration)> {
+        let mut ranked: Vec<(u8, Duration)> = self
+            .locations
             .iter()
             .enumerate()
-            .filter(|(_, &r)| r == region)
-            .map(|(i, _)| i as u8)
-            .collect()
+            .map(|(index, region)| (index as u8, estimates[region.index()]))
+            .collect();
+        ranked.sort_unstable_by_key(|&(index, estimate)| (estimate, index));
+        ranked
     }
 }
 
@@ -129,11 +141,47 @@ mod tests {
     }
 
     #[test]
-    fn chunks_in_region_filters() {
+    fn ranking_is_cheapest_first_with_ties_to_the_lower_index() {
         let m = sample();
-        assert_eq!(m.chunks_in_region(RegionId::new(0)), vec![0, 3]);
-        assert_eq!(m.chunks_in_region(RegionId::new(2)), vec![2, 5]);
-        assert!(m.chunks_in_region(RegionId::new(9)).is_empty());
+        let estimates = [30, 10, 20].map(Duration::from_millis);
+        let ranked: Vec<u8> = m.rank_chunks(&estimates).iter().map(|&(i, _)| i).collect();
+        assert_eq!(ranked, vec![1, 4, 2, 5, 0, 3]);
+        // Equal estimates everywhere: plain index order, data first.
+        let flat: Vec<u8> = m
+            .rank_chunks(&[Duration::from_millis(5); 3])
+            .iter()
+            .map(|&(i, _)| i)
+            .collect();
+        assert_eq!(flat, vec![0, 1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn frankfurt_ranking_skips_sydney_and_needs_tokyo_once() {
+        use agar_net::latency::LatencyModel;
+        use agar_net::presets::{aws_six_regions, FRANKFURT, SYDNEY, TOKYO};
+        let preset = aws_six_regions();
+        let params = CodingParams::paper_default();
+        let locations = (0..12).map(|i| RegionId::new(i % 6)).collect();
+        let m = ObjectManifest::new(ObjectId::new(0), 9_000, 1, params, locations);
+        let estimates: Vec<Duration> = preset
+            .topology
+            .ids()
+            .map(|r| preset.latency.mean(FRANKFURT, r, 100_000))
+            .collect();
+        let ranked = m.rank_chunks(&estimates);
+        // Every chunk exactly once, estimates non-decreasing.
+        let mut indices: Vec<u8> = ranked.iter().map(|&(i, _)| i).collect();
+        assert!(ranked.windows(2).all(|w| w[0].1 <= w[1].1));
+        indices.sort_unstable();
+        assert_eq!(indices, (0..12).collect::<Vec<u8>>());
+        // The k = 9 a Frankfurt read fetches: the m furthest (Sydney's
+        // two and Tokyo's parity) are never among them.
+        let first_k: Vec<RegionId> = ranked[..9]
+            .iter()
+            .map(|&(i, _)| m.location(i as usize))
+            .collect();
+        assert_eq!(first_k.iter().filter(|&&r| r == SYDNEY).count(), 0);
+        assert_eq!(first_k.iter().filter(|&&r| r == TOKYO).count(), 1);
     }
 
     #[test]

@@ -2,9 +2,7 @@
 //!
 //! The paper distributes "the resulting twelve chunks among the regions
 //! in a round-robin manner, with each S3 bucket storing two data chunks"
-//! (Figure 1). [`RoundRobin`] reproduces exactly that; a rotated variant
-//! spreads different objects' chunk layouts for load balancing (used in
-//! ablations).
+//! (Figure 1). [`RoundRobin`] reproduces exactly that.
 
 use agar_ec::ObjectId;
 use agar_net::RegionId;
@@ -39,26 +37,6 @@ impl PlacementPolicy for RoundRobin {
     }
 }
 
-/// Round-robin with a per-object rotation: chunk `i` of object `o` lives
-/// in region `(i + o) mod regions`. Spreads "first-chunk" load across
-/// regions while preserving the two-chunks-per-region property.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RotatedRoundRobin;
-
-impl PlacementPolicy for RotatedRoundRobin {
-    fn place(&self, object: ObjectId, total_chunks: usize, regions: usize) -> Vec<RegionId> {
-        assert!(regions > 0, "placement needs at least one region");
-        let offset = (object.index() % regions as u64) as usize;
-        (0..total_chunks)
-            .map(|i| RegionId::new(((i + offset) % regions) as u16))
-            .collect()
-    }
-
-    fn name(&self) -> &'static str {
-        "rotated-round-robin"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,21 +63,6 @@ mod tests {
     }
 
     #[test]
-    fn rotated_round_robin_shifts_per_object() {
-        let a = RotatedRoundRobin.place(ObjectId::new(0), 12, 6);
-        let b = RotatedRoundRobin.place(ObjectId::new(1), 12, 6);
-        assert_ne!(a, b);
-        // Chunk 0 of object 1 starts at region 1.
-        assert_eq!(b[0].index(), 1);
-        // Still two chunks per region.
-        for r in 0..6 {
-            assert_eq!(b.iter().filter(|id| id.index() == r).count(), 2);
-        }
-        // Objects 6 apart share layouts.
-        assert_eq!(a, RotatedRoundRobin.place(ObjectId::new(6), 12, 6));
-    }
-
-    #[test]
     fn fewer_chunks_than_regions() {
         let placement = RoundRobin.place(ObjectId::new(0), 3, 6);
         let regions: Vec<usize> = placement.iter().map(|r| r.index()).collect();
@@ -115,6 +78,5 @@ mod tests {
     #[test]
     fn names_are_nonempty() {
         assert_eq!(RoundRobin.name(), "round-robin");
-        assert_eq!(RotatedRoundRobin.name(), "rotated-round-robin");
     }
 }

@@ -44,39 +44,9 @@ pub fn zipf_popularity_cdf(
         .collect())
 }
 
-/// Computes an *empirical* popularity CDF from a sequence of observed
-/// keys: sorts keys by observed frequency and accumulates.
-///
-/// Useful to cross-check that generated traces match the analytic curve.
-pub fn empirical_popularity_cdf(keys: &[u64], max_top: usize) -> Vec<CdfPoint> {
-    use std::collections::HashMap;
-    let mut counts: HashMap<u64, u64> = HashMap::new();
-    for &k in keys {
-        *counts.entry(k).or_insert(0) += 1;
-    }
-    let mut freqs: Vec<u64> = counts.into_values().collect();
-    freqs.sort_unstable_by(|a, b| b.cmp(a));
-    let total = keys.len() as f64;
-    let mut acc = 0u64;
-    freqs
-        .iter()
-        .take(max_top)
-        .enumerate()
-        .map(|(i, &f)| {
-            acc += f;
-            CdfPoint {
-                top_objects: (i + 1) as u64,
-                cumulative_fraction: if total > 0.0 { acc as f64 / total } else { 0.0 },
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn cdf_is_monotone_and_bounded() {
@@ -115,31 +85,5 @@ mod tests {
         assert!(zipf_popularity_cdf(300, 1.1, 0).is_err());
         assert!(zipf_popularity_cdf(300, 1.1, 301).is_err());
         assert!(zipf_popularity_cdf(0, 1.1, 1).is_err());
-    }
-
-    #[test]
-    fn empirical_cdf_tracks_analytic() {
-        let zipf = Zipfian::new(100, 1.1).unwrap();
-        let mut rng = StdRng::seed_from_u64(5);
-        let keys: Vec<u64> = (0..100_000).map(|_| zipf.sample(&mut rng)).collect();
-        let analytic = zipf_popularity_cdf(100, 1.1, 20).unwrap();
-        let empirical = empirical_popularity_cdf(&keys, 20);
-        for (a, e) in analytic.iter().zip(&empirical) {
-            assert!(
-                (a.cumulative_fraction - e.cumulative_fraction).abs() < 0.02,
-                "top {}: analytic {} vs empirical {}",
-                a.top_objects,
-                a.cumulative_fraction,
-                e.cumulative_fraction
-            );
-        }
-    }
-
-    #[test]
-    fn empirical_cdf_handles_empty_and_short_input() {
-        assert!(empirical_popularity_cdf(&[], 10).is_empty());
-        let points = empirical_popularity_cdf(&[1, 1, 2], 10);
-        assert_eq!(points.len(), 2);
-        assert!((points[1].cumulative_fraction - 1.0).abs() < 1e-12);
     }
 }

@@ -16,11 +16,13 @@
 //!   extension: a write ratio plus a write-size distribution
 //!   ([`WriteSizeDist`]), yielding [`MixedOp`]s whose writes carry a
 //!   sampled payload size;
-//! - [`cdf`] — analytic and empirical popularity CDFs (Figure 9);
+//! - [`cdf`] — the analytic popularity CDF (Figure 9);
 //! - [`scenario`] — the straggler/fault family for the tail-latency
 //!   harness: per-region slowdown spikes, flaky backends and dead
 //!   regions as pure-data [`StragglerScenario`] descriptors,
-//!   deterministic under the simulated clock.
+//!   deterministic under the simulated clock, and the one fail/heal
+//!   [`FailureCycle`] that flaky regions and `agar-chaos`'s outages and
+//!   fetch-fault windows share.
 //!
 //! # Examples
 //!
@@ -46,10 +48,10 @@ pub mod scenario;
 pub mod spec;
 pub mod zipf;
 
-pub use cdf::{empirical_popularity_cdf, zipf_popularity_cdf, CdfPoint};
+pub use cdf::{zipf_popularity_cdf, CdfPoint};
 pub use dist::{KeyDistribution, UniformKeys};
 pub use error::WorkloadError;
-pub use scenario::{FlakyRegion, SlowdownSpike, StragglerScenario};
+pub use scenario::{FailureCycle, FlakyRegion, SlowdownSpike, StragglerScenario};
 pub use spec::{
     Distribution, MixedOp, MixedStream, Op, OpStream, ReadWriteMix, WorkloadSpec, WriteSizeDist,
 };

@@ -26,30 +26,40 @@ pub struct SlowdownSpike {
     pub factor: f64,
 }
 
-/// A region that fails and heals on a fixed simulated-clock cycle:
-/// starting at `first_failure_s`, the region is down for `down_s`
-/// seconds out of every `period_s`-second cycle.
+/// A fail/heal cycle on the simulated clock: down during
+/// `[first_failure_s + i·period_s, first_failure_s + i·period_s + down_s)`
+/// for every cycle `i`, up otherwise. A pure function of the clock (no
+/// RNG draws). Flaky regions, region outages and fetch-fault windows all
+/// run on it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub struct FlakyRegion {
-    /// Index of the flaky region.
-    pub region: u16,
+pub struct FailureCycle {
     /// Simulated second of the first failure.
     pub first_failure_s: u64,
-    /// Seconds the region stays down per cycle.
+    /// Seconds down per cycle.
     pub down_s: u64,
-    /// Full fail-heal cycle length in seconds (must exceed `down_s`).
+    /// Full fail-heal cycle length in seconds: it must exceed `down_s`
+    /// for the cycle to ever heal, a huge period gives a one-shot
+    /// failure, and zero never fails.
     pub period_s: u64,
 }
 
-impl FlakyRegion {
-    /// Whether the region is down at simulated second `now_s`. A zero
-    /// `period_s` never fails.
+impl FailureCycle {
+    /// Whether the cycle is down at simulated second `now_s`.
     pub fn is_down_at(&self, now_s: u64) -> bool {
         if now_s < self.first_failure_s || self.period_s == 0 {
             return false;
         }
         (now_s - self.first_failure_s) % self.period_s < self.down_s
     }
+}
+
+/// A region that fails and heals on a [`FailureCycle`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+pub struct FlakyRegion {
+    /// Index of the flaky region.
+    pub region: u16,
+    /// When the region is down.
+    pub cycle: FailureCycle,
 }
 
 /// One named straggler/fault scenario: a spike schedule, flaky
@@ -105,9 +115,11 @@ impl StragglerScenario {
             name: "flaky-backend",
             flaky: vec![FlakyRegion {
                 region: 2,
-                first_failure_s: 5,
-                down_s: 5,
-                period_s: 20,
+                cycle: FailureCycle {
+                    first_failure_s: 5,
+                    down_s: 5,
+                    period_s: 20,
+                },
             }],
             ..StragglerScenario::default()
         }
@@ -149,26 +161,35 @@ mod tests {
     use super::*;
 
     #[test]
-    fn flaky_schedule_cycles() {
-        let flaky = FlakyRegion {
-            region: 2,
+    fn failure_cycle_is_down_for_down_s_of_every_period() {
+        let cycle = FailureCycle {
             first_failure_s: 5,
             down_s: 5,
             period_s: 20,
         };
-        assert!(!flaky.is_down_at(0));
-        assert!(!flaky.is_down_at(4));
-        assert!(flaky.is_down_at(5));
-        assert!(flaky.is_down_at(9));
-        assert!(!flaky.is_down_at(10));
-        assert!(!flaky.is_down_at(24));
-        assert!(flaky.is_down_at(25));
-        assert!(flaky.is_down_at(29));
-        assert!(!flaky.is_down_at(30));
-
-        let no_cycle = FlakyRegion {
+        let down: Vec<u64> = (0..50).filter(|&s| cycle.is_down_at(s)).collect();
+        assert_eq!(
+            down,
+            [5, 6, 7, 8, 9, 25, 26, 27, 28, 29, 45, 46, 47, 48, 49]
+        );
+        // A huge period is a one-shot failure.
+        let once = FailureCycle {
+            period_s: u64::MAX,
+            ..cycle
+        };
+        assert!(once.is_down_at(9) && !once.is_down_at(10) && !once.is_down_at(25));
+        // Down for the whole period never heals; zero down never fails.
+        let dead = FailureCycle {
+            down_s: 20,
+            ..cycle
+        };
+        assert!((5..100).all(|s| dead.is_down_at(s)));
+        let quiet = FailureCycle { down_s: 0, ..cycle };
+        assert!((0..100).all(|s| !quiet.is_down_at(s)));
+        // A zero period never fails (and never divides by zero).
+        let no_cycle = FailureCycle {
             period_s: 0,
-            ..flaky
+            ..cycle
         };
         assert!((0..40).all(|s| !no_cycle.is_down_at(s)));
     }

@@ -21,6 +21,7 @@ use agar_ec::ObjectId;
 use agar_net::presets::TOKYO;
 use agar_net::SimTime;
 use agar_store::expected_payload;
+use agar_workload::FailureCycle;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -138,9 +139,11 @@ fn one_partition() -> ChaosSpec {
     ChaosSpec {
         outages: vec![RegionOutage {
             region: TOKYO,
-            first_failure_s: 5,
-            down_s: 20,
-            period_s: 1_000_000,
+            cycle: FailureCycle {
+                first_failure_s: 5,
+                down_s: 20,
+                period_s: 1_000_000,
+            },
         }],
         ..ChaosSpec::quiet()
     }
@@ -151,9 +154,11 @@ fn flaky_fetches() -> ChaosSpec {
     ChaosSpec {
         fetch_faults: Some(FetchFaultSpec {
             per_1024: 30,
-            first_failure_s: 3,
-            down_s: 12,
-            period_s: 24,
+            cycle: FailureCycle {
+                first_failure_s: 3,
+                down_s: 12,
+                period_s: 24,
+            },
         }),
         ..ChaosSpec::quiet()
     }

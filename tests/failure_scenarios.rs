@@ -7,10 +7,7 @@ use agar::{AgarError, BackendOnlyClient, CachingClient};
 use agar_ec::{CodingParams, ObjectId};
 use agar_net::presets::aws_six_regions;
 use agar_net::RegionId;
-use agar_store::{
-    expected_payload, plan_backend_fetch, populate, regions_by_latency, Backend, RoundRobin,
-    StoreError,
-};
+use agar_store::{expected_payload, populate, Backend, RoundRobin, StoreError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -48,7 +45,6 @@ fn every_single_region_failure_is_survivable() {
         let backend = backend();
         backend.fail_region(RegionId::new(r));
         let client = client(&backend, 0, 1);
-        let order = regions_by_latency(&backend, RegionId::new(0));
         for i in 0..3 {
             let out = client.read(ObjectId::new(i)).unwrap();
             assert_eq!(
@@ -56,10 +52,9 @@ fn every_single_region_failure_is_survivable() {
                 expected_payload(i, SIZE).as_slice(),
                 "region {r} down, object {i}"
             );
-            // What the client fetched is what the plan names.
-            let plan = plan_backend_fetch(&backend, ObjectId::new(i), &order, &[]).unwrap();
-            assert_eq!(out.backend_fetches, plan.len());
-            assert!(plan.iter().all(|&(_, reg)| reg.index() != r as usize));
+            // Exactly k = 9 chunks fetched, none from the failed region:
+            // a fetch there fails the read with `RegionUnavailable`.
+            assert_eq!(out.backend_fetches, 9, "region {r} down, object {i}");
         }
     }
 }
