@@ -9,10 +9,12 @@
 //! that without failing any test — which is exactly the kind of
 //! regression a grep-shaped pass catches and review does not.
 //!
-//! The wall-clock bench harness (`crates/bench`) is exempt by
-//! configuration: it *measures* real time by design. Anything else
-//! opts out per file or per line with
-//! `// agar-lint: allow(determinism)`.
+//! Only the analyzer itself (`crates/analysis`) is exempt by
+//! configuration: it runs on the host, not in the simulation. The
+//! experiment harness (`crates/bench`) is checked like every sim crate;
+//! its one wall-clock use, the `experiments` binary's stderr `done in`
+//! timing, opts out per line. Anything else opts out per file or per
+//! line with `// agar-lint: allow(determinism)`.
 
 use crate::diag::Finding;
 use crate::lexer::TokKind;
@@ -22,9 +24,9 @@ use std::collections::BTreeSet;
 
 pub const PASS_ID: &str = "determinism";
 
-/// Path prefixes exempt from this pass (the wall-clock harness and the
-/// analyzer itself, which runs on the host, not in the simulation).
-const EXEMPT_PREFIXES: &[&str] = &["crates/bench/", "crates/analysis/"];
+/// Path prefixes exempt from this pass: the analyzer itself, which runs
+/// on the host, not in the simulation.
+const EXEMPT_PREFIXES: &[&str] = &["crates/analysis/"];
 
 /// Method names whose result order carries into output.
 const ORDER_SINKS: &[&str] = &[

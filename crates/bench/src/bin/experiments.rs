@@ -5,8 +5,9 @@
 //!
 //! ids: fig2 table1 fig6 fig7 fig8a fig8b fig9 fig10 ablation all   (default: all)
 //!      mixed        (K-node cluster under a read/write mix at several
-//!                    write ratios: lease write path, stale-read check;
-//!                    OS threads, so its ops/s column measures the host)
+//!                    write ratios: lease write path, stale-read check
+//!                    against a write history; simulated clock, CI-gated
+//!                    like tail)
 //!      tail         (hedged vs unhedged P50/P95/P99/P999 across the
 //!                    straggler scenario family; simulated clock, so the
 //!                    JSON output is host-independent and CI-gateable)
@@ -108,6 +109,8 @@ fn main() {
         "deployment: {} objects x {} bytes, {} runs x {} ops",
         params.scale.object_count, params.scale.object_size, params.runs, params.operations
     );
+    // Wall time for the stderr `done in` lines only; no report reads it.
+    // agar-lint: allow(determinism)
     let start = std::time::Instant::now();
     let deployment = Deployment::build_with(params.scale, profile.unwrap_or_default(), None);
     eprintln!("populated backend in {:.1?}\n", start.elapsed());
@@ -120,6 +123,7 @@ fn main() {
     let mut tables = Vec::new();
     let mut cells = Vec::new();
     for id in &ids {
+        // agar-lint: allow(determinism)
         let start = std::time::Instant::now();
         let (table, gated) = runner.run(id).expect("ids were checked against IDS");
         println!("{table}");

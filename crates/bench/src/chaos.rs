@@ -13,7 +13,7 @@
 //! is attributable to the hardening alone.
 
 use crate::cell::{cell_labels, Cell, ColumnSpec, Layout, Value};
-use crate::harness::{closed_loop, Deployment, Scale};
+use crate::harness::{closed_loop, read_stream, Deployment, Scale};
 use agar::{BreakerPolicy, DirectFetcher, RetryPolicy};
 use agar_chaos::{ChaosClock, ChaosPlane, ChaosSpec, FetchFaultSpec, RegionOutage};
 use agar_net::{RegionId, SimTime};
@@ -224,10 +224,7 @@ pub fn chaos_run(
         plane.register_metrics(registry, labels);
     }
 
-    let ops = deployment
-        .paper_workload(params.operations)
-        .stream(params.seed)
-        .expect("workload spec validated");
+    let ops = read_stream(&deployment.paper_workload(params.operations), params.seed);
     // Both clocks advance together: the fault schedule and the
     // breaker/backoff pricing see the same simulated instant.
     let outcome = closed_loop(&*node, ops, params.clients, SimTime::ZERO, &mut |now| {

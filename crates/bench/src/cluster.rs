@@ -80,28 +80,3 @@ pub fn build_warm_cluster(
     }
     router
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::harness::Scale;
-    use crate::throughput::run_threads;
-
-    #[test]
-    fn warm_cluster_serves_pure_hits_across_threads_and_members() {
-        let deployment = Deployment::build(Scale::tiny());
-        let region = deployment.region("Frankfurt");
-        let router = build_warm_cluster(&deployment, region, 2, 4, 0, false, 1);
-        let run = run_threads(
-            |object| router.read(object).map(|m| m.into_inner()),
-            4,
-            25,
-            4,
-        );
-        assert_eq!(run.total_ops, 100);
-        assert_eq!(run.backend_fetches, 0, "warm hot set must not fetch");
-        assert_eq!(run.cache_hits, 100 * 9);
-        assert!(run.ops_per_sec > 0.0);
-        assert_eq!(run.latency.samples, 100);
-    }
-}

@@ -10,7 +10,9 @@
 
 use crate::cell::Cell;
 use crate::chaos::{chaos_results, ChaosParams, CHAOS};
-use crate::harness::{run_averaged, run_once, Deployment, PolicySpec, RunConfig, Scale};
+use crate::harness::{
+    read_stream, run_averaged, run_once, Deployment, PolicySpec, RunConfig, Scale,
+};
 use crate::mixed::mixed_table;
 use crate::table::Table;
 use crate::tail::{tail_results, TailParams, TAIL};
@@ -58,8 +60,8 @@ impl ExperimentParams {
             object_count: self.scale.object_count,
             object_size: self.scale.object_size,
             operations: self.operations,
-            read_fraction: 1.0,
             distribution,
+            ..WorkloadSpec::paper_default()
         }
     }
 }
@@ -503,11 +505,7 @@ fn ablation(deployment: &Deployment, params: &ExperimentParams) -> Table {
     // Re-derive the option sets the node would have seen: popularity
     // from a workload pass, estimates from a warmed region manager.
     let mut monitor = agar::RequestMonitor::new();
-    let stream = params
-        .workload(zipf_default())
-        .stream(0xAB1A)
-        .expect("valid workload");
-    for op in stream {
+    for op in read_stream(&params.workload(zipf_default()), 0xAB1A) {
         monitor.record_read(agar_ec::ObjectId::new(op.key()));
     }
     monitor.end_epoch();

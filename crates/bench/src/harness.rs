@@ -7,8 +7,9 @@
 //! such clients per YCSB instance), fires the 30-second reconfiguration
 //! ticks on the simulated clock, and aggregates latency and hit-ratio
 //! statistics. [`closed_loop`] is the only such driver in the crate:
-//! the paper figures, `tail`, `tiers` and `chaos` all replay it and
-//! differ only in the client they hand it and in their clock hook.
+//! the paper figures, `tail`, `tiers`, `chaos` and `mixed` all replay it
+//! and differ only in what [`Serve`]s their operations and in their
+//! clock hook.
 
 use crate::table::{LatencyHistogram, LatencySummary};
 use agar::{
@@ -22,7 +23,7 @@ use agar_net::sim::{Scheduler, Simulation};
 use agar_net::{LatencySpike, RegionId, SimTime, SpikedLatency};
 use agar_obs::{Labels, MetricsRegistry};
 use agar_store::{populate, Backend, RoundRobin};
-use agar_workload::{Op, StragglerScenario, WorkloadSpec};
+use agar_workload::{MixedOp, MixedStream, ReadWriteMix, StragglerScenario, WorkloadSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, VecDeque};
@@ -242,6 +243,19 @@ impl Deployment {
     }
 }
 
+/// The read-only operation stream of `spec` from `seed`. At write ratio
+/// 0 a mixed stream makes the same key draw and then the same uniform
+/// draw from the same seeded RNG as `spec.stream(seed)`, and never draws
+/// a size, so the paper's read sequences replay unchanged.
+///
+/// # Panics
+///
+/// Panics on an invalid workload specification (caller bug).
+pub(crate) fn read_stream(spec: &WorkloadSpec, seed: u64) -> MixedStream {
+    spec.mixed_stream(ReadWriteMix::with_ratio(0.0), seed)
+        .expect("workload spec validated")
+}
+
 /// The RNG seed a run's client draws from: the run seed with a fixed
 /// mix, so the client's latency samples never replay the workload
 /// stream generated from the same run seed.
@@ -381,10 +395,11 @@ fn make_client(
 /// What one closed-loop operation cost.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OpSample {
-    /// Simulated end-to-end latency (a failed read is charged a 2 s
-    /// penalty).
+    /// Simulated end-to-end latency (a failed operation is charged a
+    /// 2 s penalty).
     pub latency: Duration,
-    /// Backend chunk round trips the read completed (0 when it failed).
+    /// Backend chunk round trips the operation completed (0 for a write
+    /// and for a failed operation).
     pub backend_fetches: usize,
 }
 
@@ -393,7 +408,7 @@ pub struct OpSample {
 pub struct LoopOutcome {
     /// One sample per operation, in completion-scheduling order.
     pub samples: Vec<OpSample>,
-    /// Reads that failed outright.
+    /// Operations that failed outright.
     pub errors: usize,
     /// The simulated instant the last event fired.
     pub end: SimTime,
@@ -415,14 +430,60 @@ impl LoopOutcome {
     }
 }
 
-/// What a failed read costs its client: a backend-style slow round
+/// What [`closed_loop`] drives: it serves each operation to completion
+/// at the instant the operation starts, and takes the once-a-second
+/// reconfiguration tick.
+pub trait Serve {
+    /// Runs `op` to completion; `None` when it failed.
+    fn serve(&mut self, op: MixedOp) -> Option<OpSample>;
+
+    /// The reconfiguration chance at `now`.
+    fn tick(&mut self, now: SimTime);
+}
+
+/// A caching client serves reads, and ticks its own reconfiguration
+/// clock.
+///
+/// # Panics
+///
+/// `serve` panics on a write: a caching client only reads.
+impl<C: CachingClient + ?Sized> Serve for &C {
+    fn serve(&mut self, op: MixedOp) -> Option<OpSample> {
+        let MixedOp::Read { key } = op else {
+            panic!("a caching client only reads; it was sent {op:?}");
+        };
+        let metrics = self.read(ObjectId::new(key)).ok()?;
+        Some(OpSample {
+            latency: metrics.latency,
+            backend_fetches: metrics.backend_fetches,
+        })
+    }
+
+    fn tick(&mut self, now: SimTime) {
+        self.maybe_reconfigure(now);
+    }
+}
+
+/// Lends a server to [`closed_loop`], so the caller reads what it
+/// tallied afterwards.
+impl<S: Serve + ?Sized> Serve for &mut S {
+    fn serve(&mut self, op: MixedOp) -> Option<OpSample> {
+        (**self).serve(op)
+    }
+
+    fn tick(&mut self, now: SimTime) {
+        (**self).tick(now);
+    }
+}
+
+/// What a failed operation costs its client: a backend-style slow round
 /// trip, so closed-loop pacing continues.
 const FAILED_OP_PENALTY: Duration = Duration::from_secs(2);
 
 struct World<'a> {
-    client: &'a dyn CachingClient,
+    server: &'a mut dyn Serve,
     clock: &'a mut dyn FnMut(SimTime),
-    pending: VecDeque<Op>,
+    pending: VecDeque<MixedOp>,
     samples: Vec<OpSample>,
     in_flight: usize,
     errors: usize,
@@ -434,54 +495,49 @@ fn client_loop<'a>(world: &mut World<'a>, sched: &mut Scheduler<World<'a>>) {
         return;
     };
     (world.clock)(sched.now());
-    let sample = match world.client.read(ObjectId::new(op.key())) {
-        Ok(metrics) => OpSample {
-            latency: metrics.latency,
-            backend_fetches: metrics.backend_fetches,
-        },
-        Err(_) => {
-            world.errors += 1;
-            OpSample {
-                latency: FAILED_OP_PENALTY,
-                backend_fetches: 0,
-            }
+    let sample = world.server.serve(op).unwrap_or_else(|| {
+        world.errors += 1;
+        OpSample {
+            latency: FAILED_OP_PENALTY,
+            backend_fetches: 0,
         }
-    };
+    });
     world.samples.push(sample);
     sched.schedule_in(sample.latency, client_loop);
 }
 
-/// Once per simulated second: the client's reconfiguration chance. The
-/// first tick anchors the epoch clock at `start`.
+/// Once per simulated second: the reconfiguration chance. The first
+/// tick anchors the epoch clock at `start`.
 fn tick<'a>(world: &mut World<'a>, sched: &mut Scheduler<World<'a>>) {
     (world.clock)(sched.now());
-    world.client.maybe_reconfigure(sched.now());
+    world.server.tick(sched.now());
     if world.in_flight > 0 {
         sched.schedule_in(Duration::from_secs(1), tick);
     }
 }
 
 /// The paper's evaluation procedure (§V-A), once: `clients` closed-loop
-/// clients drain `ops` against `client` on the simulated clock starting
+/// clients drain `ops` against `server` on the simulated clock starting
 /// at `start` (so epochs continue across batches), with a
 /// reconfiguration chance every simulated second while any client is
 /// still running.
 ///
 /// `clock` is called with the simulated instant exactly once before
 /// every operation and before every tick, in simulated-time order. It
-/// is the only thing the experiments vary: stamping the node's trace
-/// clock, advancing a chaos clock, applying a fail/heal schedule.
+/// is the only thing the experiments vary besides the server: stamping
+/// the nodes' trace clocks, advancing a chaos clock, applying a
+/// fail/heal schedule.
 pub fn closed_loop(
-    client: &dyn CachingClient,
-    ops: impl IntoIterator<Item = Op>,
+    mut server: impl Serve,
+    ops: impl IntoIterator<Item = MixedOp>,
     clients: usize,
     start: SimTime,
     clock: &mut dyn FnMut(SimTime),
 ) -> LoopOutcome {
     let clients = clients.max(1);
-    let pending: VecDeque<Op> = ops.into_iter().collect();
+    let pending: VecDeque<MixedOp> = ops.into_iter().collect();
     let mut sim = Simulation::new(World {
-        client,
+        server: &mut server,
         clock,
         samples: Vec::with_capacity(pending.len()),
         pending,
@@ -526,10 +582,7 @@ pub fn run_averaged(deployment: &Deployment, config: &RunConfig, runs: usize) ->
     let mut histogram = LatencyHistogram::new();
     for i in 0..runs {
         let seed = config.seed.wrapping_add(i as u64 * 7919);
-        let ops = deployment
-            .fit(config.workload.clone())
-            .stream(seed)
-            .expect("workload spec validated");
+        let ops = read_stream(&deployment.fit(config.workload.clone()), seed);
         // The figure runs stamp no clock: nothing in them reads it.
         let batch = closed_loop(&*client, ops, config.clients, start, &mut |_| {});
         operations = batch.samples.len();
@@ -703,6 +756,16 @@ mod tests {
         config.max_hedges = 2;
         let result = run_once(&deployment, &config);
         assert_eq!(result.operations, 60);
+    }
+
+    #[test]
+    #[should_panic(expected = "a caching client only reads")]
+    fn a_write_sent_to_a_caching_client_panics() {
+        let deployment = Deployment::build(Scale::tiny());
+        let config = RunConfig::paper_default(FRANKFURT, PolicySpec::Backend);
+        let client = make_client(&deployment, &config);
+        let write = MixedOp::Write { key: 0, size: 9 };
+        closed_loop(&*client, [write], 1, SimTime::ZERO, &mut |_| {});
     }
 
     #[test]

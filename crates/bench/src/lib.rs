@@ -22,9 +22,12 @@
 //! [`experiments::Runner`] dispatches those ids. Everything simulated
 //! replays one driver, [`harness::closed_loop`]: closed-loop clients on
 //! a deterministic simulated clock, exactly mirroring the paper's two
-//! YCSB clients per region and 30-second reconfiguration epochs.
-//! Host-clock costs (codec MB/s, cache ns/op, ops/s scaling) are the
-//! gated benchmark's business — see `bench/` at the repository root.
+//! YCSB clients per region and 30-second reconfiguration epochs. The
+//! `mixed` cluster cells replay it too, with every read checked against
+//! one [`history::WriteHistory`], so every report is byte-reproducible
+//! per seed. Host-clock costs (codec MB/s, cache ns/op, ops/s scaling,
+//! lease contention) are the gated benchmark's business — see `bench/`
+//! at the repository root.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -34,10 +37,10 @@ pub mod chaos;
 pub mod cluster;
 pub mod experiments;
 pub mod harness;
+pub mod history;
 pub mod mixed;
 pub mod table;
 pub mod tail;
-pub mod throughput;
 pub mod tiers;
 
 pub use cell::{report_json, Cell, Layout};
@@ -45,10 +48,10 @@ pub use chaos::{chaos_run, ChaosParams, ChaosPolicy, ChaosScenario};
 pub use cluster::build_warm_cluster;
 pub use harness::{
     closed_loop, run_averaged, run_once, Deployment, LatencyProfile, LoopOutcome, OpSample,
-    PolicySpec, RunConfig, RunResult, Scale,
+    PolicySpec, RunConfig, RunResult, Scale, Serve,
 };
+pub use history::WriteHistory;
 pub use mixed::{run_mixed_cluster, MixedRun};
 pub use table::{LatencySummary, Table};
 pub use tail::{tail_run, TailParams};
-pub use throughput::{build_warm_node, run_threads, throughput_scaling, ThroughputRun};
 pub use tiers::{tiers_run, TiersParams};

@@ -18,7 +18,7 @@
 //! compare P99s across commits.
 
 use crate::cell::{cell_labels, Cell, ColumnSpec, Layout, Value};
-use crate::harness::{closed_loop, Deployment, LatencyProfile, Scale};
+use crate::harness::{closed_loop, read_stream, Deployment, LatencyProfile, Scale};
 use agar::CachingClient;
 use agar_net::{RegionId, SimTime};
 use agar_obs::{MetricsRegistry, StageSummaries};
@@ -120,10 +120,7 @@ pub fn tail_run(
         },
         registry.map(|r| (r, &labels)),
     );
-    let ops = deployment
-        .paper_workload(params.operations)
-        .stream(params.seed)
-        .expect("workload spec validated");
+    let ops = read_stream(&deployment.paper_workload(params.operations), params.seed);
     // The clock hook: flaky regions fail and heal on their schedule
     // (whole simulated seconds), and the trace layer's clock is
     // stamped so spans carry simulated time.

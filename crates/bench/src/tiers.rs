@@ -25,7 +25,7 @@
 //! host-independent and CI-gateable exactly like the `tail` experiment.
 
 use crate::cell::{cell_labels, Cell, ColumnSpec, Layout, Value};
-use crate::harness::{closed_loop, Deployment, Scale};
+use crate::harness::{closed_loop, read_stream, Deployment, Scale};
 use agar::CachingClient;
 use agar_ec::ObjectId;
 use agar_net::SimTime;
@@ -153,10 +153,7 @@ pub fn tiers_run(
     // the forced reconfiguration then installs the configuration —
     // including the a-priori fill — before measurement starts. Both
     // engines run the identical warm-up, off the measured clock.
-    for op in workload
-        .stream(params.seed ^ 0x3A3A)
-        .expect("workload spec validated")
-    {
+    for op in read_stream(&workload, params.seed ^ 0x3A3A) {
         let _ = node.read(ObjectId::new(op.key()));
     }
     for id in 0..scale.object_count {
@@ -167,9 +164,7 @@ pub fn tiers_run(
     let warm_appended = node.disk_appended_bytes();
     let warm_compacted = node.disk_compacted_bytes();
 
-    let ops = workload
-        .stream(params.seed)
-        .expect("workload spec validated");
+    let ops = read_stream(&workload, params.seed);
     // Stamp the trace layer's clock so spans carry simulated time.
     let outcome = closed_loop(&*node, ops, params.clients, SimTime::ZERO, &mut |now| {
         node.set_sim_now(now)

@@ -3,7 +3,7 @@
 //! state-lock serialisation.
 //!
 //! The acceptance bar: concurrent sibling readers during writes never
-//! decode mixed versions; same-object writers serialise on the lease
+//! decode mixed versions, hedged or not; same-object writers serialise on the lease
 //! while distinct-object writers (and membership changes) proceed in
 //! parallel; a membership change mid-write neither deadlocks nor leaks
 //! a lease; and once a test's last write of an object quiesces, only
@@ -13,6 +13,7 @@ use agar::{AgarError, AgarNode, AgarSettings, CachingClient};
 use agar_cluster::{ClusterRouter, ClusterSettings};
 use agar_ec::{CodingParams, ObjectId};
 use agar_net::presets::{aws_six_regions, FRANKFURT};
+use agar_net::{LatencySpike, RegionId, SpikedLatency};
 use agar_store::{expected_payload, populate, Backend, RoundRobin};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -23,10 +24,16 @@ use std::time::{Duration, Instant};
 const SIZE: usize = 900;
 
 fn backend(objects: u64) -> Arc<Backend> {
+    backend_with(objects, Vec::new())
+}
+
+/// A populated backend whose latency model straggles on `spikes` (none
+/// leaves every draw as it is).
+fn backend_with(objects: u64, spikes: Vec<LatencySpike>) -> Arc<Backend> {
     let preset = aws_six_regions();
     let backend = Backend::new(
         preset.topology,
-        Arc::new(preset.latency),
+        Arc::new(SpikedLatency::new(Arc::new(preset.latency), spikes)),
         CodingParams::paper_default(),
         Box::new(RoundRobin),
     )
@@ -81,14 +88,45 @@ fn assert_only_the_owner_holds(router: &ClusterRouter, object: ObjectId) {
     }
 }
 
+/// Three members that cache nothing and hedge up to Δ = 2 chunks per
+/// read, over a model whose two nearest regions straggle ×10 on every
+/// tenth draw: every read fetches from the backend, and its hedges race
+/// the writes.
+fn hedging_cluster() -> Arc<ClusterRouter> {
+    let spikes = (0..2).map(|region| LatencySpike {
+        region: RegionId::new(region),
+        every: 10,
+        factor: 10.0,
+    });
+    let backend = backend_with(3, spikes.collect());
+    let router = ClusterRouter::new(Arc::clone(&backend), ClusterSettings::default(), 7).unwrap();
+    let mut settings = AgarSettings::paper_default(0);
+    settings.max_hedges = 2;
+    for seed in 0..3 {
+        let node = AgarNode::new(FRANKFURT, Arc::clone(&backend), settings.clone(), seed);
+        router.add_node(Arc::new(node.unwrap()));
+    }
+    Arc::new(router)
+}
+
 /// Concurrent readers racing a stream of writes must always decode a
 /// *whole* version: either the pristine populate payload or one of
 /// the written constant-fill payloads — never a mix of chunk
-/// versions, and never garbage.
+/// versions, and never garbage. Two inputs: caching members, and
+/// hedging members whose every read races the writes at the backend.
 #[test]
 fn concurrent_readers_never_decode_mixed_versions() {
-    let backend = backend(3);
-    let router = cluster(&backend, 3);
+    for hedged in [false, true] {
+        let router = if hedged {
+            hedging_cluster()
+        } else {
+            cluster(&backend(3), 3)
+        };
+        readers_race_writes(&router, hedged);
+    }
+}
+
+fn readers_race_writes(router: &Arc<ClusterRouter>, hedged: bool) {
     let object = ObjectId::new(0);
     // Warm the object so there are cached chunks to invalidate.
     for _ in 0..30 {
@@ -105,7 +143,7 @@ fn concurrent_readers_never_decode_mixed_versions() {
     let barrier = Barrier::new(readers + 1);
     std::thread::scope(|scope| {
         for _ in 0..readers {
-            let router = Arc::clone(&router);
+            let router = Arc::clone(router);
             let valid_fills = Arc::clone(&valid_fills);
             let stop = Arc::clone(&stop);
             let barrier = &barrier;
@@ -145,23 +183,26 @@ fn concurrent_readers_never_decode_mixed_versions() {
         }
         stop.store(true, Ordering::Relaxed);
     });
-    // Every lease was released.
+    // Every lease was released, and no fetch or straggler is left in
+    // flight.
     assert_eq!(router.lease_manager().active_leases(), 0);
+    assert_eq!(router.coordinator().in_flight(), 0);
     // The final read settles on the last written payload.
     let last = router.read(object).unwrap();
     assert_eq!(
         last.metrics().data.as_ref(),
         vec![0x10 + 14; SIZE].as_slice()
     );
-    // The owner kept the chunks of its last write, and no one else
-    // holds any.
-    let owner = router.ring().owner_of_object(object).unwrap();
-    assert!(router
-        .member(owner)
-        .unwrap()
-        .cache_contents()
-        .contains_key(&object));
-    assert_only_the_owner_holds(&router, object);
+    if hedged {
+        assert!(router.cache_stats().hedged_requests() > 0, "no read hedged");
+    } else {
+        // The owner kept the chunks of its last write.
+        let owner = router.ring().owner_of_object(object).unwrap();
+        let owner = router.member(owner).unwrap();
+        assert!(owner.cache_contents().contains_key(&object));
+    }
+    // No one else holds any.
+    assert_only_the_owner_holds(router, object);
 }
 
 /// Same-object writers serialise on the lease: a write issued while

@@ -5,11 +5,12 @@
 //! these tests pin down that (a) concurrent reads return correct data,
 //! (b) the accounting invariant `cache hits + backend fetches == k`
 //! holds per read and in aggregate, (c) reads, writes and
-//! reconfigurations interleave without deadlock, and (d) on a
-//! multi-core host a cache-hit-heavy workload actually scales.
+//! reconfigurations interleave without deadlock, and (d) a
+//! single-threaded replay after all that is still deterministic per
+//! seed. Whether a cache-hit-heavy workload scales with threads is a
+//! wall-clock question for the `bench/` benchmark, not a test here.
 
 use agar::{AgarError, AgarNode, AgarSettings, CachingClient};
-use agar_bench::{build_warm_node, run_threads, throughput_scaling, Deployment, Scale};
 use agar_ec::{CodingParams, ObjectId};
 use agar_net::presets::{aws_six_regions, FRANKFURT};
 use agar_store::{expected_payload, populate, Backend, RoundRobin};
@@ -228,42 +229,6 @@ fn tiered_readers_racing_reconfigurations_see_whole_current_objects() {
 }
 
 #[test]
-fn cache_hit_heavy_throughput_scales_across_threads() {
-    let deployment = Deployment::build(Scale::tiny());
-    let region = deployment.region("Frankfurt");
-    // Long enough (tens of milliseconds a run) that thread start-up
-    // does not decide the ratio.
-    let runs = throughput_scaling(&deployment, region, &[1, 4], 20_000);
-    let speedup = runs[1].ops_per_sec / runs[0].ops_per_sec;
-    assert!(
-        runs.iter().all(|r| r.backend_fetches == 0),
-        "the hot set must be served entirely from cache"
-    );
-    eprintln!(
-        "throughput: 1 thread {:.0} ops/s, 4 threads {:.0} ops/s ({speedup:.2}x)",
-        runs[0].ops_per_sec, runs[1].ops_per_sec
-    );
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if cpus >= 8 {
-        // The whole point of the sharded read pipeline: adding client
-        // threads adds aggregate throughput.
-        assert!(
-            speedup >= 2.0,
-            "expected >= 2x aggregate ops/s from 1 -> 4 threads on {cpus} CPUs, got {speedup:.2}x"
-        );
-    } else if cpus >= 4 {
-        // Shared 4-vCPU CI runners suffer noisy neighbours and
-        // throttling; demand real scaling but leave slack.
-        assert!(
-            speedup >= 1.4,
-            "expected >= 1.4x aggregate ops/s from 1 -> 4 threads on {cpus} CPUs, got {speedup:.2}x"
-        );
-    }
-    // Under 4 CPUs the ratio measures the scheduler (this binary's
-    // other tests run beside it): printed above, not asserted.
-}
-
-#[test]
 fn single_threaded_reads_stay_deterministic_after_concurrency() {
     // Two fresh nodes, same seed, same operation sequence: identical
     // metrics. (The per-operation derived RNGs must not depend on
@@ -283,20 +248,4 @@ fn single_threaded_reads_stay_deterministic_after_concurrency() {
         log
     };
     assert_eq!(run(), run());
-}
-
-#[test]
-fn warm_node_builder_detects_undersized_caches() {
-    // The throughput harness's warm-up must fail loudly (not silently
-    // measure a miss-heavy workload) when the hot set cannot fit.
-    let deployment = std::panic::AssertUnwindSafe(Deployment::build(Scale::tiny()));
-    let region = deployment.region("Frankfurt");
-    let result = std::panic::catch_unwind(|| {
-        let node = build_warm_node(&deployment, region, 10.0, 8, 3);
-        run_threads(|object| node.read(object), 2, 10, 8)
-    });
-    let run = result.expect("10-object cache fits 8 hot objects");
-    assert_eq!(run.backend_fetches, 0);
-    let result = std::panic::catch_unwind(|| build_warm_node(&deployment, region, 2.0, 8, 3));
-    assert!(result.is_err(), "2-object cache cannot hold 8 hot objects");
 }

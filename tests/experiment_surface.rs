@@ -3,18 +3,14 @@
 //! of the simulated-clock grid experiments, and the contract of the
 //! one closed-loop driver they all replay.
 
-use agar::{AgarError, CachingClient, ReadMetrics};
 use agar_bench::experiments::{ExperimentParams, Runner, IDS, PAPER_IDS};
 use agar_bench::{
     chaos_run, closed_loop, report_json, tail_run, tiers_run, Cell, ChaosParams, ChaosPolicy,
-    ChaosScenario, Deployment, TailParams, TiersParams,
+    ChaosScenario, Deployment, OpSample, Serve, TailParams, TiersParams,
 };
-use agar_cache::CacheStats;
-use agar_ec::ObjectId;
 use agar_net::presets::TOKYO;
 use agar_net::SimTime;
-use agar_workload::{StragglerScenario, WorkloadSpec};
-use std::collections::BTreeMap;
+use agar_workload::{MixedOp, ReadWriteMix, StragglerScenario, WorkloadSpec};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -143,43 +139,25 @@ fn grid_cells_render_table_and_json_from_one_column_list() {
 #[derive(Debug, PartialEq)]
 enum Event {
     Clock(SimTime),
-    Read,
+    Op(MixedOp),
     Tick(SimTime),
 }
 
-/// A client whose every read takes 300 ms, logging what the driver
-/// asks of it.
+/// A server whose every operation takes 300 ms, logging what the
+/// driver asks of it.
 struct Recorder<'a>(&'a Mutex<Vec<Event>>);
 
-impl CachingClient for Recorder<'_> {
-    fn read(&self, _object: ObjectId) -> Result<ReadMetrics, AgarError> {
-        self.0.lock().unwrap().push(Event::Read);
-        Ok(ReadMetrics {
-            data: Default::default(),
+impl Serve for Recorder<'_> {
+    fn serve(&mut self, op: MixedOp) -> Option<OpSample> {
+        self.0.lock().unwrap().push(Event::Op(op));
+        Some(OpSample {
             latency: Duration::from_millis(300),
-            cache_hits: 0,
             backend_fetches: 9,
-            fill_fetches: 0,
-            remote_hits: 0,
-            decoded: false,
         })
     }
 
-    fn maybe_reconfigure(&self, now: SimTime) -> bool {
+    fn tick(&mut self, now: SimTime) {
         self.0.lock().unwrap().push(Event::Tick(now));
-        false
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        CacheStats::default()
-    }
-
-    fn cache_contents(&self) -> BTreeMap<ObjectId, Vec<u8>> {
-        BTreeMap::new()
-    }
-
-    fn label(&self) -> String {
-        "recorder".into()
     }
 }
 
@@ -193,9 +171,10 @@ fn the_clock_hook_fires_once_before_every_op_and_every_tick_in_time_order() {
     let start = SimTime::from_millis(5_000);
     for clients in [1usize, 2] {
         let log = Mutex::new(Vec::new());
+        let stream = workload.mixed_stream(ReadWriteMix::with_ratio(0.3), 7);
         let outcome = closed_loop(
-            &Recorder(&log),
-            workload.stream(7).unwrap(),
+            Recorder(&log),
+            stream.unwrap(),
             clients,
             start,
             &mut |now| log.lock().unwrap().push(Event::Clock(now)),
@@ -207,16 +186,17 @@ fn the_clock_hook_fires_once_before_every_op_and_every_tick_in_time_order() {
         let log = log.into_inner().unwrap();
         // Strict alternation: one clock call, then the op or tick it
         // announces — never two hooks in a row, never an unannounced
-        // read or tick.
+        // read, write or tick.
         let mut stamps = Vec::new();
-        let (mut reads, mut ticks) = (0, Vec::new());
+        let (mut reads, mut writes, mut ticks) = (0, 0, Vec::new());
         for pair in log.chunks(2) {
             let [Event::Clock(at), event] = pair else {
                 panic!("hook and event out of step: {pair:?}");
             };
             stamps.push(*at);
             match event {
-                Event::Read => reads += 1,
+                Event::Op(MixedOp::Read { .. }) => reads += 1,
+                Event::Op(MixedOp::Write { .. }) => writes += 1,
                 Event::Tick(now) => {
                     assert_eq!(now, at, "a tick sees the instant its hook saw");
                     ticks.push(*now);
@@ -224,7 +204,8 @@ fn the_clock_hook_fires_once_before_every_op_and_every_tick_in_time_order() {
                 Event::Clock(_) => panic!("two hooks in a row: {pair:?}"),
             }
         }
-        assert_eq!(reads, ops);
+        assert_eq!(reads + writes, ops);
+        assert!(writes > 0, "the stream must carry a write");
         assert!(stamps.windows(2).all(|w| w[0] <= w[1]), "{stamps:?}");
         // Ticks: one at `start`, then one per simulated second until
         // the first that finds every client retired. Each client's ops

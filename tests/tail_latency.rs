@@ -4,8 +4,9 @@
 //!   the unhedged engine's on the same seed, and its total backend
 //!   round trips stay within the (1 + Δ/k)× budget;
 //! - Δ = 0 reproduces the unhedged engine byte for byte, run over run;
-//! - hedged reads never decode mixed versions under a concurrent
-//!   read/write workload;
+//! - hedged reads never decode stale or mixed versions under a seeded
+//!   read/write workload (`cluster_writes.rs` races them against writes
+//!   on threads);
 //! - cancelled stragglers leave no in-flight entries behind in the
 //!   cluster's fetch coordinator.
 
@@ -88,13 +89,14 @@ fn hedged_mixed_workload_never_decodes_mixed_versions() {
     let run = run_mixed_cluster(
         &router,
         4,
-        40,
+        160,
         4,
         deployment.scale.object_size,
         ReadWriteMix::with_ratio(0.25),
         11,
     );
     assert!(run.writes > 0, "a 25% mix must produce writes");
+    assert_eq!(run.errors, 0);
     assert_eq!(
         run.stale_reads, 0,
         "hedged reads decoded stale or mixed-version chunk sets"

@@ -1,5 +1,6 @@
 //! Generated schedules over the cluster write path, checked against a
-//! per-key write history after every operation.
+//! per-key write history (`agar_bench::WriteHistory`, the oracle the
+//! `mixed` experiment checks its reads with) after every operation.
 //!
 //! One seed makes one single-threaded schedule over a three-member
 //! cluster (one member tiered): routed and member-addressed reads,
@@ -24,10 +25,11 @@
 //! A failure prints its seed and the operations that led to it.
 
 use agar::{AgarError, AgarNode, AgarSettings, CachingClient};
+use agar_bench::WriteHistory;
 use agar_cluster::{ClusterRouter, ClusterSettings};
 use agar_ec::{ChunkId, CodingParams, ObjectId};
 use agar_net::presets::{aws_six_regions, FRANKFURT};
-use agar_store::{expected_payload, populate, Backend, RoundRobin};
+use agar_store::{populate, Backend, RoundRobin};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -41,12 +43,9 @@ const SIZE: usize = 900;
 
 // ---- the oracle ----------------------------------------------------------
 
-/// What is known about one key's writes. A write's payload is one fill
-/// byte repeated (`1..=250`, so codec zero padding never passes for
-/// one); version 1 is the populate pattern.
-struct KeyHistory {
-    /// `(version, fill, size)` of every completed write, oldest first.
-    completed: Vec<(u64, u8, usize)>,
+/// What the write history does not know about one key: torn puts and
+/// the leases their writers left behind.
+struct KeyState {
     /// The backend's version counter: completed and torn puts bump it.
     backend_version: u64,
     /// A writer died with the manifest installed and fewer than k
@@ -55,56 +54,6 @@ struct KeyHistory {
     /// That writer's lease was never released: the next routed write
     /// fences before its grant.
     poisoned: bool,
-}
-
-struct WriteHistory {
-    keys: Vec<KeyHistory>,
-}
-
-impl WriteHistory {
-    fn new() -> Self {
-        let keys = (0..OBJECTS).map(|_| KeyHistory {
-            completed: Vec::new(),
-            backend_version: 1,
-            torn: false,
-            poisoned: false,
-        });
-        WriteHistory {
-            keys: keys.collect(),
-        }
-    }
-
-    /// The payload of the next write to `key`.
-    fn next_payload(&self, key: u64, size: usize) -> Vec<u8> {
-        let fill = (self.keys[key as usize].completed.len() % 250) as u8 + 1;
-        vec![fill; size]
-    }
-
-    /// Files a completed write under the version the backend gave it.
-    fn complete(&mut self, key: u64, payload: &[u8], version: u64) {
-        let history = &mut self.keys[key as usize];
-        assert_eq!(version, history.backend_version + 1, "key {key}");
-        history.backend_version = version;
-        history.completed.push((version, payload[0], payload.len()));
-        history.torn = false;
-    }
-
-    fn newest(&self, key: u64) -> u64 {
-        let history = &self.keys[key as usize];
-        history.completed.last().map_or(1, |&(version, ..)| version)
-    }
-
-    /// The newest completed version whose payload is exactly `data`;
-    /// `None` for bytes no write produced (a mixed-version decode, a
-    /// torn length, leaked padding).
-    fn classify(&self, key: u64, data: &[u8]) -> Option<u64> {
-        let written = self.keys[key as usize].completed.iter().rev();
-        let as_write = written
-            .filter(|&&(_, fill, size)| size == data.len() && data.iter().all(|&b| b == fill))
-            .map(|&(version, ..)| version)
-            .next();
-        as_write.or_else(|| (data == expected_payload(key, SIZE).as_slice()).then_some(1))
-    }
 }
 
 // ---- the schedule --------------------------------------------------------
@@ -130,6 +79,7 @@ struct Schedule<'a> {
     /// Members that left and may rejoin with whatever they still cache.
     departed: Vec<Arc<AgarNode>>,
     history: WriteHistory,
+    keys: Vec<KeyState>,
     expected_fences: u64,
     rng: StdRng,
     log: &'a Mutex<Vec<String>>,
@@ -162,7 +112,14 @@ impl<'a> Schedule<'a> {
             router,
             nodes,
             departed: Vec::new(),
-            history: WriteHistory::new(),
+            history: WriteHistory::new(OBJECTS, SIZE),
+            keys: (0..OBJECTS)
+                .map(|_| KeyState {
+                    backend_version: 1,
+                    torn: false,
+                    poisoned: false,
+                })
+                .collect(),
             expected_fences: 0,
             rng: StdRng::seed_from_u64(seed ^ 0x5EED_5C4E_D01E),
             log,
@@ -182,8 +139,8 @@ impl<'a> Schedule<'a> {
         // router, then every key reads back its newest version and no
         // lease is left held or poisoned.
         for key in 0..OBJECTS {
-            let history = &self.history.keys[key as usize];
-            if history.torn || history.poisoned {
+            let state = &self.keys[key as usize];
+            if state.torn || state.poisoned {
                 self.routed_write(key, SIZE);
             }
         }
@@ -231,7 +188,7 @@ impl<'a> Schedule<'a> {
             None => self.router.read(object),
             Some(member) => self.router.read_from(member, object),
         };
-        if self.history.keys[key as usize].torn {
+        if self.keys[key as usize].torn {
             assert!(
                 matches!(result, Err(AgarError::ReadContention { .. })),
                 "key {key} is torn, yet a read of it ended in {result:?}"
@@ -255,10 +212,10 @@ impl<'a> Schedule<'a> {
         let before = owner.cache_stats();
         let write = self.router.write(object, &payload).unwrap();
         assert_eq!(write.home, owner_id);
-        self.history.complete(key, &payload, write.version);
+        self.complete(key, &payload, write.version);
         // A routed write is what fences a crashed writer's lease.
-        let history = &mut self.history.keys[key as usize];
-        self.expected_fences += u64::from(std::mem::take(&mut history.poisoned));
+        let state = &mut self.keys[key as usize];
+        self.expected_fences += u64::from(std::mem::take(&mut state.poisoned));
         self.check_writer(&owner, before, object, write.version);
         // Every other member was invalidated or never held the object.
         for id in self.router.member_ids() {
@@ -272,6 +229,16 @@ impl<'a> Schedule<'a> {
         }
     }
 
+    /// Files a completed write: the backend gave it the next version,
+    /// and it repaired a torn object.
+    fn complete(&mut self, key: u64, payload: &[u8], version: u64) {
+        let state = &mut self.keys[key as usize];
+        assert_eq!(version, state.backend_version + 1, "key {key}");
+        state.backend_version = version;
+        state.torn = false;
+        self.history.complete(key, payload, version);
+    }
+
     /// `AgarNode::write` at a member that need not be the owner: no
     /// lease, no sibling invalidation — the version check on lookup is
     /// all that keeps the siblings' older chunks from being served.
@@ -283,7 +250,7 @@ impl<'a> Schedule<'a> {
         let writer = self.router.member(member).unwrap();
         let before = writer.cache_stats();
         let (version, _) = writer.write(object, &payload).unwrap();
-        self.history.complete(key, &payload, version);
+        self.complete(key, &payload, version);
         self.check_writer(&writer, before, object, version);
     }
 
@@ -298,18 +265,18 @@ impl<'a> Schedule<'a> {
         ));
         let object = ObjectId::new(key);
         let lease = self.router.lease_manager().acquire(object);
-        let history = &mut self.history.keys[key as usize];
-        self.expected_fences += u64::from(std::mem::take(&mut history.poisoned));
+        let state = &mut self.keys[key as usize];
+        self.expected_fences += u64::from(std::mem::take(&mut state.poisoned));
         let payload = vec![0xFF; size];
         let torn = self
             .backend
             .put_object_interrupted(object, &payload, landed)
             .unwrap();
         lease.crash();
-        assert_eq!(torn, history.backend_version + 1);
-        history.backend_version = torn;
-        history.torn = true;
-        history.poisoned = true;
+        assert_eq!(torn, state.backend_version + 1);
+        state.backend_version = torn;
+        state.torn = true;
+        state.poisoned = true;
         for _ in 0..self.rng.random_range(0..3u32) {
             self.read(key, None);
         }
