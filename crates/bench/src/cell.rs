@@ -210,10 +210,9 @@ impl Cell {
         }
     }
 
-    /// The cell as one JSON object: the shared core, then the
-    /// experiment's columns, then the stage P99s — the keys
-    /// `ci/check_bench.py` gates on (`scenario`, `policy`, `p99_ms`)
-    /// are part of the core.
+    /// The cell as one JSON object: the shared core (`scenario`,
+    /// `policy`, the percentiles), then the experiment's columns, then
+    /// the stage P99s.
     pub fn json(&self) -> String {
         let ms = |v: f64| format!("{v:.3}");
         let mut fields: Vec<(&str, String)> = vec![
@@ -259,12 +258,10 @@ impl Cell {
     }
 }
 
-/// Serialises every emitted table plus the gated percentile cells as
-/// one JSON document. All cells land in the `tail` section —
-/// `ci/check_bench.py` gates any (scenario, policy, p99_ms) cell list,
-/// so experiments sharing it must keep their scenario names disjoint
-/// (straggler names vs `catalogue Nx`). Hand-rolled: the vendored
-/// serde stub has no serialisation backend.
+/// Serialises every emitted table plus the percentile cells as one
+/// JSON document, the one CI `cmp`s against its `ci/BENCH_*.json`
+/// baseline. All cells land in the `tail` section. Hand-rolled: the
+/// vendored serde stub has no serialisation backend.
 pub fn report_json(tables: &[Table], cells: &[Cell]) -> String {
     let tables: Vec<String> = tables
         .iter()

@@ -480,7 +480,7 @@ fn fig10(deployment: &Deployment, params: &ExperimentParams) -> Table {
 /// heuristic vs early-terminated DP, end to end (mean latency at
 /// Frankfurt) and solver-value on the same live statistics.
 fn ablation(deployment: &Deployment, params: &ExperimentParams) -> Table {
-    use agar::{greedy, KnapsackSolver};
+    use agar::{generate_options, greedy, KnapsackSolver};
 
     let mut table = Table::new(
         "Ablation — knapsack solver variants (Frankfurt, Zipf 1.1, 10 MB)",
@@ -492,7 +492,7 @@ fn ablation(deployment: &Deployment, params: &ExperimentParams) -> Table {
     );
 
     // End-to-end latency is the same harness run; the solver variants
-    // differ only inside the cache manager, so compare their *planned
+    // differ only inside the solve, so compare their *planned
     // values* on statistics captured from a live Agar node, plus the
     // DP's end-to-end latency as the reference row.
     let config = RunConfig {
@@ -517,13 +517,20 @@ fn ablation(deployment: &Deployment, params: &ExperimentParams) -> Table {
         5,
         &mut rng,
     );
-    let manager = agar::CacheManager::new(deployment.scale.cache_bytes(10.0));
-    let options = manager.build_options(
-        &monitor,
-        &region_manager,
-        &deployment.backend,
-        deployment.preset.cache_read,
-    );
+    let options = monitor
+        .popularities()
+        .into_iter()
+        .filter_map(|(object, popularity)| {
+            let manifest = deployment.backend.manifest(object).ok()?;
+            let options = generate_options(
+                &manifest,
+                region_manager.estimates(),
+                deployment.preset.cache_read,
+                popularity,
+            );
+            Some((object, options))
+        })
+        .collect();
     let capacity = (deployment.scale.cache_bytes(10.0) / deployment.scale.chunk_size()) as u32;
 
     let dp_value = KnapsackSolver::new().populate(&options, capacity).value();

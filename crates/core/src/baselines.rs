@@ -15,7 +15,7 @@
 
 use crate::error::AgarError;
 use crate::monitor::RequestMonitor;
-use crate::node::{CachingClient, ReadMetrics, RECONFIGURATION_PERIOD};
+use crate::node::{CachingClient, EpochClock, ReadMetrics};
 use crate::options::generate_options;
 use agar_cache::{AtomicCacheStats, CacheStats, CachedChunk, PolicyKind, ShardedChunkCache};
 use agar_ec::{ChunkId, ObjectId};
@@ -146,7 +146,7 @@ struct BaselineInner {
     /// LFU only: objects admitted this epoch.
     admitted: HashSet<ObjectId>,
     rng: StdRng,
-    last_reconfiguration: Option<SimTime>,
+    epoch_clock: EpochClock,
 }
 
 /// The LRU-c / LFU-c baseline client.
@@ -201,7 +201,7 @@ impl FixedChunksClient {
                 monitor: RequestMonitor::new(),
                 admitted: HashSet::new(),
                 rng: StdRng::seed_from_u64(seed),
-                last_reconfiguration: None,
+                epoch_clock: EpochClock::default(),
             }),
         })
     }
@@ -354,21 +354,11 @@ impl CachingClient for FixedChunksClient {
             return false; // LRU is purely online
         }
         let inner = &mut *self.inner.lock();
-        match inner.last_reconfiguration {
-            None => {
-                inner.last_reconfiguration = Some(now);
-                false
-            }
-            Some(last) => {
-                if now.saturating_duration_since(last) >= RECONFIGURATION_PERIOD {
-                    self.reconfigure_lfu(inner);
-                    inner.last_reconfiguration = Some(now);
-                    true
-                } else {
-                    false
-                }
-            }
+        let due = inner.epoch_clock.tick(now);
+        if due {
+            self.reconfigure_lfu(inner);
         }
+        due
     }
 
     fn cache_stats(&self) -> CacheStats {

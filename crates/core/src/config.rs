@@ -403,7 +403,7 @@ mod tests {
                 )
             })
             .collect();
-        let tiered = KnapsackSolver::new().populate_tiered(&options, 9, 9, |ram| {
+        let (ram, disk) = KnapsackSolver::new().populate_tiered(&options, 9, 9, |ram| {
             manifests
                 .iter()
                 .filter_map(|(&object, (manifest, pop))| {
@@ -424,7 +424,7 @@ mod tests {
                 })
                 .collect()
         });
-        CacheConfiguration::from_tiered(tiered.ram(), tiered.disk(), 5)
+        CacheConfiguration::from_tiered(&ram, &disk, 5)
     }
 
     #[test]

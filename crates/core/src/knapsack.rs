@@ -438,30 +438,6 @@ impl KnapsackSolver {
     }
 }
 
-/// The outcome of a two-budget solve: one configuration per cache tier.
-///
-/// The RAM configuration is exactly what [`KnapsackSolver::populate`]
-/// would produce on its own (the disk phase never perturbs it), so a
-/// deployment with `disk_capacity = 0` stays byte-identical to the
-/// single-tier engine.
-#[derive(Clone, Debug, Default)]
-pub struct TieredConfig {
-    ram: Config,
-    disk: Config,
-}
-
-impl TieredConfig {
-    /// The RAM-tier configuration (phase 1).
-    pub fn ram(&self) -> &Config {
-        &self.ram
-    }
-
-    /// The disk-tier configuration (phase 2).
-    pub fn disk(&self) -> &Config {
-        &self.disk
-    }
-}
-
 impl KnapsackSolver {
     /// Two-budget solve over a RAM tier and a disk tier.
     ///
@@ -477,15 +453,18 @@ impl KnapsackSolver {
     /// what lands on disk, and conditioning phase 2 on phase 1 keeps
     /// the two allocations disjoint by construction.
     ///
-    /// With `disk_capacity == 0` the closure is never called and the
-    /// disk configuration is empty.
+    /// Returns `(ram, disk)`. The RAM configuration is exactly what
+    /// [`KnapsackSolver::populate`] produces on its own (the disk phase
+    /// never perturbs it), so a deployment with `disk_capacity = 0`
+    /// stays byte-identical to the single-tier engine: the closure is
+    /// never called and the disk configuration is empty.
     pub fn populate_tiered(
         &self,
         ram_options: &HashMap<ObjectId, ObjectOptions>,
         ram_capacity: u32,
         disk_capacity: u32,
         disk_options_for: impl FnOnce(&Config) -> HashMap<ObjectId, ObjectOptions>,
-    ) -> TieredConfig {
+    ) -> (Config, Config) {
         let ram = self.populate(ram_options, ram_capacity);
         let disk = if disk_capacity == 0 {
             Config::empty()
@@ -493,7 +472,7 @@ impl KnapsackSolver {
             let disk_options = disk_options_for(&ram);
             self.populate(&disk_options, disk_capacity)
         };
-        TieredConfig { ram, disk }
+        (ram, disk)
     }
 }
 
@@ -1031,21 +1010,20 @@ mod tests {
         let pops = [10.0, 8.0];
         let options = build_options(&pops);
         let solver = KnapsackSolver::new();
-        let tiered = solver.populate_tiered(&options, 9, 18, |ram| {
+        let (ram, disk) = solver.populate_tiered(&options, 9, 18, |ram| {
             disk_options_after(ram, &pops, Duration::from_millis(150))
         });
         // Phase 1 is byte-identical to the plain solve.
         let plain = solver.populate(&options, 9);
-        assert_eq!(tiered.ram().weight(), plain.weight());
-        assert_eq!(tiered.ram().value(), plain.value());
+        assert_eq!(ram.weight(), plain.weight());
+        assert_eq!(ram.value(), plain.value());
         // The disk tier picks up chunks RAM could not afford.
-        assert!(tiered.disk().weight() > 0, "disk tier must place chunks");
-        assert!(tiered.disk().weight() <= 18);
-        assert!(tiered.ram().value() + tiered.disk().value() > plain.value());
+        assert!(disk.weight() > 0, "disk tier must place chunks");
+        assert!(disk.weight() <= 18);
+        assert!(ram.value() + disk.value() > plain.value());
         // Per object, RAM and disk allocations never overlap.
-        for disk_option in tiered.disk().options() {
-            let ram_chunks = tiered
-                .ram()
+        for disk_option in disk.options() {
+            let ram_chunks = ram
                 .options()
                 .iter()
                 .find(|o| o.object() == disk_option.object())
@@ -1062,18 +1040,15 @@ mod tests {
     #[test]
     fn zero_disk_capacity_skips_the_disk_phase() {
         let options = build_options(&[10.0, 8.0]);
-        let tiered = KnapsackSolver::new().populate_tiered(&options, 9, 0, |_| {
+        let (ram, disk) = KnapsackSolver::new().populate_tiered(&options, 9, 0, |_| {
             panic!("disk phase must not run with zero capacity")
         });
-        assert_eq!(tiered.disk().weight(), 0);
-        assert!(tiered.disk().options().is_empty());
+        assert_eq!(disk.weight(), 0);
+        assert!(disk.options().is_empty());
         let plain = KnapsackSolver::new().populate(&options, 9);
-        assert_eq!(tiered.ram().value(), plain.value());
-        assert_eq!(
-            tiered.ram().weight() + tiered.disk().weight(),
-            plain.weight()
-        );
-        assert_eq!(tiered.ram().value() + tiered.disk().value(), plain.value());
+        assert_eq!(ram.value(), plain.value());
+        assert_eq!(ram.weight() + disk.weight(), plain.weight());
+        assert_eq!(ram.value() + disk.value(), plain.value());
     }
 
     /// The index-table solver against the map-of-`Config`s oracle, to

@@ -18,7 +18,8 @@
 //!   value = popularity × latency improvement;
 //! - [`knapsack`] (§IV-B, Figures 4 & 5) — the POPULATE dynamic program
 //!   with the RELAX move, plus greedy and exhaustive baselines;
-//! - [`CacheManager`] (§III-c) — periodic reconfiguration;
+//! - [`cache_manager::solve`] (§III-c) — the periodic solve: options
+//!   for every tracked object, the two-budget knapsack, carried entries;
 //! - [`AgarNode`] — the per-region deployment: hint-driven reads,
 //!   partial cache hits, off-critical-path cache fill;
 //! - [`baselines`] (§V-A) — the LRU-c / LFU-c / Backend clients the
@@ -90,11 +91,10 @@ pub mod retry;
 
 pub use baselines::{BackendOnlyClient, BaselinePolicy, FixedChunksClient};
 pub use breaker::{BreakerPolicy, CircuitBreaker};
-pub use cache_manager::CacheManager;
 pub use config::{CacheConfiguration, Transition};
 pub use error::AgarError;
 pub use fetcher::{ChunkFetcher, DirectFetcher, FetchRequest};
-pub use knapsack::{exhaustive_optimum, greedy, Config, KnapsackSolver, TieredConfig};
+pub use knapsack::{exhaustive_optimum, greedy, Config, KnapsackSolver};
 pub use monitor::RequestMonitor;
 pub use node::{AgarNode, AgarSettings, CachingClient, ReadMetrics};
 pub use options::{generate_disk_options, generate_options, CachingOption, ObjectOptions};

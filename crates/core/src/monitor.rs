@@ -13,54 +13,30 @@
 use agar_ec::ObjectId;
 use std::collections::{BTreeSet, HashMap};
 
+/// The paper's EWMA weighting coefficient.
+const ALPHA: f64 = 0.8;
+
+/// Popularities below this are dropped at epoch end to keep the tracked
+/// set bounded.
+const PRUNE_THRESHOLD: f64 = 1e-3;
+
 /// Per-object popularity tracking with epoch-based EWMA.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct RequestMonitor {
-    alpha: f64,
     current_epoch_freq: HashMap<ObjectId, u64>,
     popularity: HashMap<ObjectId, f64>,
     epoch: u64,
-    total_requests: u64,
-    /// Popularities below this are dropped at epoch end to keep the
-    /// tracked set bounded.
-    prune_threshold: f64,
 }
 
 impl RequestMonitor {
-    /// The paper's EWMA weighting coefficient.
-    pub const PAPER_ALPHA: f64 = 0.8;
-
     /// Creates a monitor with the paper's α = 0.8.
     pub fn new() -> Self {
-        Self::with_alpha(Self::PAPER_ALPHA)
-    }
-
-    /// Creates a monitor with a custom α.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is outside `(0, 1]`.
-    pub fn with_alpha(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "EWMA alpha must be in (0, 1]");
-        RequestMonitor {
-            alpha,
-            current_epoch_freq: HashMap::new(),
-            popularity: HashMap::new(),
-            epoch: 0,
-            total_requests: 0,
-            prune_threshold: 1e-3,
-        }
-    }
-
-    /// The configured α.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
+        Self::default()
     }
 
     /// Records one request for `object`.
     pub fn record_read(&mut self, object: ObjectId) {
         *self.current_epoch_freq.entry(object).or_insert(0) += 1;
-        self.total_requests += 1;
     }
 
     /// Closes the current epoch, folding frequencies into popularity.
@@ -79,8 +55,8 @@ impl RequestMonitor {
         for object in touched {
             let freq = self.current_epoch_freq.get(&object).copied().unwrap_or(0) as f64;
             let prev = self.popularity.get(&object).copied().unwrap_or(0.0);
-            let next = self.alpha * freq + (1.0 - self.alpha) * prev;
-            if next < self.prune_threshold {
+            let next = ALPHA * freq + (1.0 - ALPHA) * prev;
+            if next < PRUNE_THRESHOLD {
                 self.popularity.remove(&object);
             } else {
                 self.popularity.insert(object, next);
@@ -109,17 +85,6 @@ impl RequestMonitor {
     /// Number of completed epochs.
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// Total requests recorded since creation.
-    pub fn total_requests(&self) -> u64 {
-        self.total_requests
-    }
-}
-
-impl Default for RequestMonitor {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -189,34 +154,5 @@ mod tests {
         assert_eq!(pops[1].0, ObjectId::new(2));
         assert_eq!(pops[2].0, ObjectId::new(0));
         assert!(pops[0].1 > pops[1].1 && pops[1].1 > pops[2].1);
-    }
-
-    #[test]
-    fn alpha_one_tracks_only_last_epoch() {
-        let mut monitor = RequestMonitor::with_alpha(1.0);
-        let key = ObjectId::new(0);
-        for _ in 0..30 {
-            monitor.record_read(key);
-        }
-        monitor.end_epoch();
-        assert!((monitor.popularity(key) - 30.0).abs() < 1e-12);
-        monitor.end_epoch();
-        assert_eq!(monitor.popularity(key), 0.0, "history forgotten at alpha 1");
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha must be in")]
-    fn invalid_alpha_panics() {
-        let _ = RequestMonitor::with_alpha(0.0);
-    }
-
-    #[test]
-    fn totals_accumulate() {
-        let mut monitor = RequestMonitor::new();
-        monitor.record_read(ObjectId::new(0));
-        monitor.record_read(ObjectId::new(1));
-        monitor.end_epoch();
-        monitor.record_read(ObjectId::new(0));
-        assert_eq!(monitor.total_requests(), 3);
     }
 }

@@ -78,7 +78,7 @@
 //!   write must not sweep what the write placed.
 
 use crate::breaker::{BreakerPolicy, CircuitBreaker};
-use crate::cache_manager::CacheManager;
+use crate::cache_manager;
 use crate::config::CacheConfiguration;
 use crate::error::AgarError;
 use crate::fetcher::{ChunkFetcher, DirectFetcher};
@@ -249,10 +249,27 @@ impl AgarSettings {
     }
 }
 
-/// How often [`CachingClient::maybe_reconfigure`] lets the knapsack
-/// run (paper §V-A: 30 s epochs). The LFU-epoch baseline uses the same
-/// period.
-pub(crate) const RECONFIGURATION_PERIOD: Duration = Duration::from_secs(30);
+/// The reconfiguration clock behind [`CachingClient::maybe_reconfigure`]
+/// (paper §V-A: 30 s epochs): when the current period started, `None`
+/// until the first tick. The LFU-epoch baseline keeps the same clock.
+#[derive(Debug, Default)]
+pub(crate) struct EpochClock(Option<SimTime>);
+
+impl EpochClock {
+    const PERIOD: Duration = Duration::from_secs(30);
+
+    /// Whether a whole period has elapsed at `now`. The first tick
+    /// anchors the clock and a due one restarts it at `now`.
+    pub(crate) fn tick(&mut self, now: SimTime) -> bool {
+        let due = self
+            .0
+            .is_some_and(|start| now.saturating_duration_since(start) >= Self::PERIOD);
+        if due || self.0.is_none() {
+            self.0 = Some(now);
+        }
+        due
+    }
+}
 
 /// Warm-up probes the region manager sends per region before the first
 /// read.
@@ -320,7 +337,6 @@ impl TraceLayer {
 pub struct AgarNode {
     region: RegionId,
     backend: Arc<Backend>,
-    manager: CacheManager,
     settings: AgarSettings,
     /// Node seed; combined with `ops` to derive per-operation RNGs.
     seed: u64,
@@ -336,13 +352,12 @@ pub struct AgarNode {
     /// `maybe_reconfigure` calls must not interleave their purge, move
     /// and fill steps. Readers never take it.
     reconfigure_serial: Mutex<()>,
-    /// The reconfiguration clock: when the current period started
-    /// (`None` until the first tick). Its mutex guards only the decision
+    /// The reconfiguration clock. Its mutex guards only the decision
     /// of *whether* a period elapsed; it is released before the
     /// reconfiguration itself runs, so concurrent `maybe_reconfigure`
     /// callers neither block behind the a-priori chunk downloads nor
     /// double-trigger (the clock is advanced before the guard drops).
-    period_start: Mutex<Option<SimTime>>,
+    epoch_clock: Mutex<EpochClock>,
     reconfigurations: Counter,
     fill_fetches: Counter,
     /// Chunks writes left behind in the cache (see [`AgarNode::write`]).
@@ -399,15 +414,11 @@ impl AgarNode {
             WARMUP_PROBES,
             &mut rng,
         );
-        let manager = CacheManager::new(settings.cache_capacity_bytes)
-            .with_disk_capacity(settings.disk_capacity_bytes)
-            .with_solver(settings.solver.clone());
         let breaker = CircuitBreaker::new(settings.breaker, backend.topology().len());
         Ok(AgarNode {
             region,
             fetcher: RwLock::new(Arc::new(DirectFetcher::new(Arc::clone(&backend)))),
             backend,
-            manager,
             seed,
             ops: AtomicU64::new(0),
             cache: TieredChunkCache::with_disk(
@@ -419,7 +430,7 @@ impl AgarNode {
             region_manager: Mutex::new(region_manager),
             config: RwLock::new(Arc::new(CacheConfiguration::empty())),
             reconfigure_serial: Mutex::new(()),
-            period_start: Mutex::new(None),
+            epoch_clock: Mutex::new(EpochClock::default()),
             reconfigurations: Counter::new(),
             fill_fetches: Counter::new(),
             write_update_chunks: Counter::new(),
@@ -755,12 +766,11 @@ impl AgarNode {
         let mut monitor = self.monitor.lock();
         monitor.end_epoch();
         let region_manager = self.region_manager.lock();
-        self.manager.recompute_tiered(
+        cache_manager::solve(
+            &self.settings,
             &monitor,
             &region_manager,
             &self.backend,
-            self.settings.cache_read,
-            self.settings.disk_read,
             &previous,
             |id| self.cache.contains(&id),
         )
@@ -847,15 +857,7 @@ impl CachingClient for AgarNode {
     }
 
     fn maybe_reconfigure(&self, now: SimTime) -> bool {
-        let due = {
-            let mut start = self.period_start.lock();
-            let elapsed = start.map(|start| now.saturating_duration_since(start));
-            let due = elapsed.is_some_and(|elapsed| elapsed >= RECONFIGURATION_PERIOD);
-            if due || start.is_none() {
-                *start = Some(now);
-            }
-            due
-        };
+        let due = self.epoch_clock.lock().tick(now);
         if due {
             self.reconfigure();
         }

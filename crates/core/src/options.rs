@@ -123,7 +123,9 @@ impl ObjectOptions {
     }
 }
 
-/// Generates the caching options for one object.
+/// Generates the caching options for one object: the single-budget
+/// case of [`generate_disk_options`], with nothing in RAM yet and the
+/// cache itself as the tier.
 ///
 /// - `latencies[r]` is the estimated chunk-read latency from the local
 ///   region to region `r` (the region manager's estimates);
@@ -141,36 +143,7 @@ pub fn generate_options(
     cache_read: Duration,
     popularity: f64,
 ) -> ObjectOptions {
-    let used = used_chunks(manifest, latencies);
-    let k = used.len();
-
-    // Baseline: slowest of the k used chunks.
-    let baseline_latency = used.first().map(|&(_, l)| l).unwrap_or(cache_read);
-
-    let mut options = Vec::with_capacity(k);
-    for w in 1..=k {
-        // Cache the w most distant used chunks...
-        let chunks: Vec<u8> = used[..w].iter().map(|&(c, _)| c).collect();
-        // ...so the slowest remaining fetch is the (w+1)-th most distant,
-        // or the cache itself if everything needed is cached.
-        let residual = if w == k {
-            cache_read
-        } else {
-            used[w].1.max(cache_read)
-        };
-        let improvement_ms = baseline_latency.saturating_sub(residual).as_secs_f64() * 1_000.0;
-        options.push(CachingOption {
-            object: manifest.object(),
-            chunks,
-            value: popularity * improvement_ms,
-            expected_latency: residual,
-        });
-    }
-    ObjectOptions {
-        object: manifest.object(),
-        options,
-        baseline_latency,
-    }
+    price(manifest, latencies, cache_read, cache_read, &[], popularity)
 }
 
 /// Generates the *disk-tier* caching options for one object, conditioned
@@ -202,38 +175,49 @@ pub fn generate_disk_options(
     ram_chunks: &[u8],
     popularity: f64,
 ) -> Option<ObjectOptions> {
-    let used = used_chunks(manifest, latencies);
+    let options = price(
+        manifest, latencies, cache_read, disk_read, ram_chunks, popularity,
+    );
+    (!options.options.is_empty()).then_some(options)
+}
 
+/// The one pricing rule both generators share: the options of caching,
+/// in a tier read at `tier_read`, the `w` most distant of the used
+/// chunks `ram_chunks` leaves on the remote path, for every `w`.
+fn price(
+    manifest: &ObjectManifest,
+    latencies: &[Duration],
+    cache_read: Duration,
+    tier_read: Duration,
+    ram_chunks: &[u8],
+    popularity: f64,
+) -> ObjectOptions {
     // Chunks the RAM phase left on the remote read path, most distant
     // first (RAM options are distance prefixes, so this is a suffix —
     // but membership is checked explicitly for robustness).
-    let remaining: Vec<(u8, Duration)> = used
-        .iter()
-        .filter(|(chunk, _)| !ram_chunks.contains(chunk))
-        .copied()
-        .collect();
-    if remaining.is_empty() {
-        return None;
-    }
-
-    // Residual latency of the RAM allocation alone: the slowest
-    // remaining site, floored by the cache read when RAM participates.
-    let slowest_remaining = remaining[0].1;
-    let ram_residual = if ram_chunks.is_empty() {
-        slowest_remaining
+    let mut remaining = used_chunks(manifest, latencies);
+    remaining.retain(|(chunk, _)| !ram_chunks.contains(chunk));
+    // The floor every residual keeps: the cache read when RAM
+    // participates in the read.
+    let floor = if ram_chunks.is_empty() {
+        Duration::ZERO
     } else {
-        slowest_remaining.max(cache_read)
+        cache_read
     };
+    // Residual latency of the RAM allocation alone: the slowest
+    // remaining site.
+    let baseline_latency = remaining
+        .first()
+        .map_or(cache_read, |&(_, latency)| latency.max(floor));
 
     let mut options = Vec::with_capacity(remaining.len());
     for w in 1..=remaining.len() {
         let chunks: Vec<u8> = remaining[..w].iter().map(|&(c, _)| c).collect();
-        let next_site = remaining.get(w).map(|&(_, l)| l).unwrap_or(Duration::ZERO);
-        let mut residual = next_site.max(disk_read);
-        if !ram_chunks.is_empty() {
-            residual = residual.max(cache_read);
-        }
-        let improvement_ms = ram_residual.saturating_sub(residual).as_secs_f64() * 1_000.0;
+        // The slowest remaining fetch is the (w+1)-th most distant, or
+        // the tier itself once everything needed is cached.
+        let next_site = remaining.get(w).map_or(Duration::ZERO, |&(_, l)| l);
+        let residual = next_site.max(tier_read).max(floor);
+        let improvement_ms = baseline_latency.saturating_sub(residual).as_secs_f64() * 1_000.0;
         options.push(CachingOption {
             object: manifest.object(),
             chunks,
@@ -241,11 +225,11 @@ pub fn generate_disk_options(
             expected_latency: residual,
         });
     }
-    Some(ObjectOptions {
+    ObjectOptions {
         object: manifest.object(),
         options,
-        baseline_latency: ram_residual,
-    })
+        baseline_latency,
+    }
 }
 
 /// The `k` chunks a failure-free read fetches, most distant first: the

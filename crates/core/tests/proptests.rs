@@ -1,16 +1,20 @@
 //! Property-based tests for the Agar core: Knapsack solver invariants
-//! against random instances, and option-generation invariants against
-//! random latency landscapes.
+//! against random instances, option-generation invariants against
+//! random latency landscapes, and the read planner's cold plans against
+//! the one chunk ranking.
 
 use agar::knapsack::{exhaustive_optimum, greedy, KnapsackSolver};
 use agar::options::{generate_options, ObjectOptions};
-use agar::RequestMonitor;
+use agar::{CacheConfiguration, ChunkSource, LocalHits, ReadPlanner, RequestMonitor};
 use agar_ec::{CodingParams, ObjectId};
+use agar_net::presets::aws_six_regions;
 use agar_net::RegionId;
-use agar_store::ObjectManifest;
+use agar_store::{populate, Backend, ObjectManifest, RoundRobin};
 use proptest::collection::vec;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Builds option sets from random per-region latencies and popularities.
@@ -148,6 +152,75 @@ proptest! {
             let pop = monitor.popularity(key);
             prop_assert!(pop >= 0.0);
             prop_assert!(pop <= max_freq + 1e-9, "pop {} > max freq {}", pop, max_freq);
+        }
+    }
+
+    /// With no cache hits and no neighbour offers, a plan fetches
+    /// exactly the first k entries of `ObjectManifest::rank_chunks`
+    /// whose region is up (cheapest estimate first, ties to the lower
+    /// index), each priced at its region's estimate — and fails exactly
+    /// when fewer than k are up. Few distinct estimates force ties.
+    #[test]
+    fn cold_plans_take_the_first_k_available_ranked_chunks(
+        data in 2usize..10,
+        parity in 1usize..5,
+        steps in [1u64..5, 1u64..5, 1u64..5, 1u64..5, 1u64..5, 1u64..5],
+        scale in 1u64..1000,
+        failed in 0u8..64,
+    ) {
+        let preset = aws_six_regions();
+        let params = CodingParams::new(data, parity).unwrap();
+        let backend = Backend::new(
+            preset.topology,
+            Arc::new(preset.latency),
+            params,
+            Box::new(RoundRobin),
+        )
+        .unwrap();
+        populate(&backend, 1, 900, &mut StdRng::seed_from_u64(scale)).unwrap();
+        for region in (0..6u16).filter(|r| failed & (1 << r) != 0) {
+            backend.fail_region(RegionId::new(region));
+        }
+        let estimates: Vec<Duration> = steps
+            .iter()
+            .map(|&step| Duration::from_millis(step * scale))
+            .collect();
+        let manifest = backend.manifest(ObjectId::new(0)).unwrap();
+        let expected: Vec<u8> = manifest
+            .rank_chunks(&estimates)
+            .into_iter()
+            .map(|(index, _)| index)
+            .filter(|&index| backend.is_region_available(manifest.location(index as usize)))
+            .take(data)
+            .collect();
+
+        let config = CacheConfiguration::empty();
+        let plan = ReadPlanner::new(&manifest, &config).plan(
+            LocalHits::default(),
+            &[],
+            &backend,
+            &estimates,
+            Duration::from_millis(150),
+        );
+        match plan {
+            Ok(plan) => {
+                prop_assert_eq!(plan.cache_hits, 0);
+                prop_assert_eq!(plan.hedges, 0);
+                let planned: Vec<u8> = plan.sources.iter().map(|&(index, _)| index).collect();
+                prop_assert_eq!(&planned, &expected);
+                prop_assert_eq!(planned.len(), data);
+                for (index, source) in &plan.sources {
+                    let region = manifest.location(*index as usize);
+                    match source {
+                        ChunkSource::Backend { region: planned, estimate } => {
+                            prop_assert_eq!(*planned, region);
+                            prop_assert_eq!(*estimate, estimates[region.index()]);
+                        }
+                        other => prop_assert!(false, "cold plan chose {:?}", other),
+                    }
+                }
+            }
+            Err(_) => prop_assert!(expected.len() < data, "{} chunks up", expected.len()),
         }
     }
 }

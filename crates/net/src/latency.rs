@@ -37,22 +37,12 @@ pub trait LatencyModel: Send + Sync {
         self.mean(from, to, bytes)
     }
 
-    /// Mean latency for fetching several chunks from `to` in **one**
-    /// round trip: the fixed per-request overhead is paid once and the
-    /// size-proportional transfer cost covers the summed payload. For
-    /// the matrix model this is exactly `mean(from, to, total_bytes)`,
-    /// which is therefore the default; an empty batch costs nothing.
-    fn mean_batch(&self, from: RegionId, to: RegionId, chunk_bytes: &[usize]) -> Duration {
-        if chunk_bytes.is_empty() {
-            return Duration::ZERO;
-        }
-        self.mean(from, to, chunk_bytes.iter().sum())
-    }
-
     /// A randomised latency sample for one *batched* fetch of several
-    /// chunks from the same region (one priced round trip — see
-    /// [`LatencyModel::mean_batch`]). Draws exactly one jitter sample
-    /// per batch, not one per chunk.
+    /// chunks from the same region in **one** round trip: the fixed
+    /// per-request overhead is paid once and the size-proportional
+    /// transfer cost covers the summed payload, so it is one sample of
+    /// the total size. Draws exactly one jitter sample per batch, not
+    /// one per chunk; an empty batch costs nothing.
     fn sample_batch(
         &self,
         from: RegionId,
@@ -91,11 +81,6 @@ pub enum Jitter {
     /// No noise; samples equal the mean.
     #[default]
     None,
-    /// Uniform noise in `[1 - fraction, 1 + fraction]`.
-    Uniform {
-        /// Half-width of the relative noise band (e.g. `0.1` for ±10%).
-        fraction: f64,
-    },
     /// Mean-preserving log-normal noise, the classic model for WAN
     /// latency tails.
     LogNormal {
@@ -108,7 +93,7 @@ pub enum Jitter {
 ///
 /// `rand` deliberately ships without distributions; this is the only
 /// normal sampling the workspace needs.
-pub fn standard_normal(rng: &mut dyn RngCore) -> f64 {
+fn standard_normal(rng: &mut dyn RngCore) -> f64 {
     loop {
         // Uniform in (0, 1]: avoid ln(0).
         let u1 = ((rng.next_u64() >> 11) as f64 + 1.0) / (1u64 << 53) as f64;
@@ -126,10 +111,6 @@ impl Jitter {
     pub fn apply(self, mean_millis: f64, rng: &mut dyn RngCore) -> f64 {
         match self {
             Jitter::None => mean_millis,
-            Jitter::Uniform { fraction } => {
-                let u = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-                mean_millis * (1.0 - fraction + 2.0 * fraction * u)
-            }
             Jitter::LogNormal { sigma } => {
                 let z = standard_normal(rng);
                 // exp(σz − σ²/2) has mean 1, so samples stay centred on
@@ -228,11 +209,6 @@ impl MatrixLatency {
     /// The nominal chunk size entries are calibrated at.
     pub fn nominal_bytes(&self) -> usize {
         self.nominal_bytes
-    }
-
-    /// The configured jitter.
-    pub fn jitter(&self) -> Jitter {
-        self.jitter
     }
 
     fn mean_millis(&self, from: RegionId, to: RegionId, bytes: usize) -> f64 {
@@ -377,10 +353,6 @@ impl LatencyModel for SpikedLatency {
         self.stretch(to, self.inner.sample(from, to, bytes, rng))
     }
 
-    fn mean_batch(&self, from: RegionId, to: RegionId, chunk_bytes: &[usize]) -> Duration {
-        self.inner.mean_batch(from, to, chunk_bytes)
-    }
-
     fn sample_batch(
         &self,
         from: RegionId,
@@ -456,22 +428,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_jitter_stays_in_band() {
-        let m = sample_matrix().with_jitter(Jitter::Uniform { fraction: 0.1 });
-        let mut rng = StdRng::seed_from_u64(42);
-        let a = RegionId::new(0);
-        let b = RegionId::new(1);
-        let mean = m.mean(a, b, m.nominal_bytes()).as_secs_f64();
-        for _ in 0..500 {
-            let s = m.sample(a, b, m.nominal_bytes(), &mut rng).as_secs_f64();
-            assert!(
-                s >= mean * 0.9 - 1e-9 && s <= mean * 1.1 + 1e-9,
-                "sample {s}"
-            );
-        }
-    }
-
-    #[test]
     fn lognormal_jitter_is_mean_preserving() {
         let m = sample_matrix().with_jitter(Jitter::LogNormal { sigma: 0.2 });
         let mut rng = StdRng::seed_from_u64(7);
@@ -511,7 +467,9 @@ mod tests {
         let b = RegionId::new(1);
         let chunk = m.nominal_bytes();
         let one = m.mean(a, b, chunk);
-        let batch = m.mean_batch(a, b, &[chunk; 4]);
+        // Without jitter a sample is the mean.
+        let mut rng = StdRng::seed_from_u64(0);
+        let batch = m.sample_batch(a, b, &[chunk; 4], &mut rng);
         let four_separate = 4 * one;
         // One round trip: cheaper than four sequential fetches, dearer
         // than a single one (the extra bytes still cost transfer time).
@@ -531,10 +489,9 @@ mod tests {
         let m = sample_matrix();
         let a = RegionId::new(0);
         let b = RegionId::new(1);
-        assert_eq!(m.mean_batch(a, b, &[]), Duration::ZERO);
         let mut rng = StdRng::seed_from_u64(0);
         assert_eq!(m.sample_batch(a, b, &[], &mut rng), Duration::ZERO);
-        assert_eq!(m.mean_batch(a, b, &[123]), m.mean(a, b, 123));
+        assert_eq!(m.sample_batch(a, b, &[123], &mut rng), m.mean(a, b, 123));
     }
 
     #[test]

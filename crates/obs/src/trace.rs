@@ -424,10 +424,10 @@ impl StageSummaries {
         }
     }
 
-    /// Merges another summary set by weighted sample counts is not
-    /// possible from summaries alone; instead callers aggregate traces
-    /// first. This helper sums only the sample counts, as a sanity
-    /// check that a merge went through traces.
+    /// The number of traces summarised: the plan stage's sample count,
+    /// since every sealed trace carries exactly one span per stage.
+    /// Summaries do not merge; to combine runs, concatenate their
+    /// traces and summarise once.
     pub fn samples(&self) -> usize {
         self.plan.samples
     }

@@ -2,7 +2,7 @@
 //! substrate): one bucket per region, round-robin chunk placement, and
 //! latency-modelled chunk fetches.
 
-use crate::bucket::Bucket;
+use crate::bucket::{Bucket, StoredChunk};
 use crate::error::StoreError;
 use crate::manifest::ObjectManifest;
 use crate::placement::PlacementPolicy;
@@ -160,43 +160,9 @@ impl Backend {
         data: &[u8],
         rng: &mut dyn RngCore,
     ) -> Result<ObjectPut, StoreError> {
-        let shards = self.codec.encode_object(data)?;
-        let total = self.params.total_chunks();
-        let locations = self.placement.place(object, total, self.topology.len());
-        if locations.len() != total {
-            return Err(StoreError::InvalidPlacement {
-                what: "placement did not cover every chunk",
-            });
-        }
-        for &region in &locations {
-            if !self.bucket(region)?.is_available() {
-                return Err(StoreError::RegionUnavailable { region });
-            }
-        }
-
-        // Install the new manifest under the lock: a rewrite replaces
-        // the whole entry (bumped version, the NEW payload size and
-        // placement), not just the version — a rewrite with a
-        // different size re-encodes every chunk at a new chunk size,
-        // and a manifest still advertising the old size would make
-        // readers truncate decodes against the wrong length (leaking
-        // the codec's zero padding into returned data).
-        let version = {
-            let mut manifests = self.manifests.write();
-            let version = manifests
-                .get(&object)
-                .map_or(1, |manifest| manifest.version() + 1);
-            manifests.insert(
-                object,
-                ObjectManifest::new(object, data.len(), version, self.params, locations.clone()),
-            );
-            version
-        };
-
+        let (version, shards, locations) = self.install(object, data, usize::MAX)?;
         let mut worst = Duration::ZERO;
-        for (i, (shard, &region)) in shards.iter().zip(&locations).enumerate() {
-            let id = ChunkId::new(object, i as u8);
-            self.bucket(region)?.put(id, shard.clone(), version);
+        for (shard, &region) in shards.iter().zip(&locations) {
             let latency = self.latency.sample(writer_region, region, shard.len(), rng);
             worst = worst.max(latency);
         }
@@ -230,6 +196,21 @@ impl Backend {
         data: &[u8],
         written_chunks: usize,
     ) -> Result<u64, StoreError> {
+        let (version, _, _) = self.install(object, data, written_chunks)?;
+        Ok(version)
+    }
+
+    /// The write both puts share: encode, place, check that every
+    /// target region is reachable, install the new manifest, and store
+    /// the first `landed` shards at its version. Draws no randomness
+    /// and charges no latency. Returns the version, the shards and
+    /// their regions, by chunk index.
+    fn install(
+        &self,
+        object: ObjectId,
+        data: &[u8],
+        landed: usize,
+    ) -> Result<(u64, Vec<Bytes>, Vec<RegionId>), StoreError> {
         let shards = self.codec.encode_object(data)?;
         let total = self.params.total_chunks();
         let locations = self.placement.place(object, total, self.topology.len());
@@ -243,6 +224,14 @@ impl Backend {
                 return Err(StoreError::RegionUnavailable { region });
             }
         }
+
+        // Install the new manifest under the lock: a rewrite replaces
+        // the whole entry (bumped version, the NEW payload size and
+        // placement), not just the version — a rewrite with a
+        // different size re-encodes every chunk at a new chunk size,
+        // and a manifest still advertising the old size would make
+        // readers truncate decodes against the wrong length (leaking
+        // the codec's zero padding into returned data).
         let version = {
             let mut manifests = self.manifests.write();
             let version = manifests
@@ -254,16 +243,11 @@ impl Backend {
             );
             version
         };
-        for (i, (shard, &region)) in shards
-            .iter()
-            .zip(&locations)
-            .enumerate()
-            .take(written_chunks)
-        {
+        for (i, (shard, &region)) in shards.iter().zip(&locations).enumerate().take(landed) {
             let id = ChunkId::new(object, i as u8);
             self.bucket(region)?.put(id, shard.clone(), version);
         }
-        Ok(version)
+        Ok((version, shards, locations))
     }
 
     /// Returns a copy of the object's manifest.
@@ -295,15 +279,7 @@ impl Backend {
         chunk: ChunkId,
         rng: &mut dyn RngCore,
     ) -> Result<ChunkFetch, StoreError> {
-        let manifest = self.manifest(chunk.object())?;
-        let region = manifest.location(chunk.index().value() as usize);
-        let bucket = self.bucket(region)?;
-        if !bucket.is_available() {
-            return Err(StoreError::RegionUnavailable { region });
-        }
-        let stored = bucket
-            .get(&chunk)
-            .ok_or(StoreError::UnknownChunk { chunk, region })?;
+        let (region, stored) = self.resolve(chunk)?;
         let latency = self
             .latency
             .sample(client_region, region, stored.data.len(), rng);
@@ -338,21 +314,8 @@ impl Backend {
         // Resolve every chunk to (region, payload) first, then price
         // one round trip per region over the successfully resolved
         // payload sizes.
-        let mut resolved: Vec<Result<(RegionId, Bytes, u64), StoreError>> = chunks
-            .iter()
-            .map(|&chunk| {
-                let manifest = self.manifest(chunk.object())?;
-                let region = manifest.location(chunk.index().value() as usize);
-                let bucket = self.bucket(region)?;
-                if !bucket.is_available() {
-                    return Err(StoreError::RegionUnavailable { region });
-                }
-                let stored = bucket
-                    .get(&chunk)
-                    .ok_or(StoreError::UnknownChunk { chunk, region })?;
-                Ok((region, stored.data, stored.version))
-            })
-            .collect();
+        let mut resolved: Vec<Result<(RegionId, StoredChunk), StoreError>> =
+            chunks.iter().map(|&chunk| self.resolve(chunk)).collect();
 
         // One priced round trip per region, grouped in first-appearance
         // order (deterministic sampling order).
@@ -369,8 +332,8 @@ impl Backend {
             let sizes: Vec<usize> = resolved
                 .iter()
                 .flatten()
-                .filter(|(r, _, _)| *r == region)
-                .map(|(_, data, _)| data.len())
+                .filter(|(r, _)| *r == region)
+                .map(|(_, stored)| stored.data.len())
                 .collect();
             let latency = self
                 .latency
@@ -384,9 +347,9 @@ impl Backend {
             .iter()
             .zip(resolved.drain(..))
             .map(|(&chunk, entry)| {
-                let outcome = entry.map(|(region, data, version)| ChunkFetch {
-                    data,
-                    version,
+                let outcome = entry.map(|(region, stored)| ChunkFetch {
+                    data: stored.data,
+                    version: stored.version,
                     latency: latency_of[region.index()],
                 });
                 (chunk, outcome)
@@ -397,6 +360,22 @@ impl Backend {
             round_trips,
             worst_latency: worst,
         }
+    }
+
+    /// The per-chunk half of both fetches: manifest → region → bucket →
+    /// stored chunk, failing on an unknown object or chunk or a failed
+    /// region.
+    fn resolve(&self, chunk: ChunkId) -> Result<(RegionId, StoredChunk), StoreError> {
+        let manifest = self.manifest(chunk.object())?;
+        let region = manifest.location(chunk.index().value() as usize);
+        let bucket = self.bucket(region)?;
+        if !bucket.is_available() {
+            return Err(StoreError::RegionUnavailable { region });
+        }
+        let stored = bucket
+            .get(&chunk)
+            .ok_or(StoreError::UnknownChunk { chunk, region })?;
+        Ok((region, stored))
     }
 
     /// Marks a region failed: every fetch from it errors until healed.

@@ -57,7 +57,7 @@ fn manifest(object: ObjectId) -> ObjectManifest {
 }
 
 /// One two-budget solve over a random subset of the catalogue with
-/// random popularities and budgets, the way `CacheManager` runs it.
+/// random popularities and budgets, the way `cache_manager::solve` runs it.
 fn solve(rng: &mut StdRng, epoch: u64) -> (CacheConfiguration, u32) {
     let latencies = latencies();
     let tracked: Vec<(ObjectManifest, f64)> = (0..OBJECTS)
@@ -75,28 +75,29 @@ fn solve(rng: &mut StdRng, epoch: u64) -> (CacheConfiguration, u32) {
         .collect();
     let ram_budget = rng.random_range(0..30u32);
     let disk_budget = [0, rng.random_range(1..60u32)][rng.random_range(0..2usize)];
-    let tiered = KnapsackSolver::new().populate_tiered(&options, ram_budget, disk_budget, |ram| {
-        tracked
-            .iter()
-            .filter_map(|(manifest, popularity)| {
-                let in_ram = ram
-                    .options()
-                    .iter()
-                    .find(|o| o.object() == manifest.object());
-                let in_ram = in_ram.map_or(&[][..], |option| option.chunks());
-                generate_disk_options(
-                    manifest,
-                    &latencies,
-                    CACHE_READ,
-                    DISK_READ,
-                    in_ram,
-                    *popularity,
-                )
-                .map(|options| (manifest.object(), options))
-            })
-            .collect()
-    });
-    let config = CacheConfiguration::from_tiered(tiered.ram(), tiered.disk(), epoch);
+    let (ram, disk) =
+        KnapsackSolver::new().populate_tiered(&options, ram_budget, disk_budget, |ram| {
+            tracked
+                .iter()
+                .filter_map(|(manifest, popularity)| {
+                    let in_ram = ram
+                        .options()
+                        .iter()
+                        .find(|o| o.object() == manifest.object());
+                    let in_ram = in_ram.map_or(&[][..], |option| option.chunks());
+                    generate_disk_options(
+                        manifest,
+                        &latencies,
+                        CACHE_READ,
+                        DISK_READ,
+                        in_ram,
+                        *popularity,
+                    )
+                    .map(|options| (manifest.object(), options))
+                })
+                .collect()
+        });
+    let config = CacheConfiguration::from_tiered(&ram, &disk, epoch);
     let room = disk_budget - config.disk_chunks();
     (config, room)
 }
