@@ -246,6 +246,28 @@ fn used_chunks(manifest: &ObjectManifest, latencies: &[Duration]) -> Vec<(u8, Du
 }
 
 #[cfg(test)]
+impl ObjectOptions {
+    /// Options for `object` whose weight-`w` option is worth
+    /// `values[w - 1]`: for solver tests that need values no latency
+    /// model produces (not monotone in weight, tied, tiny or huge).
+    pub(crate) fn from_values(object: ObjectId, values: &[f64]) -> Self {
+        ObjectOptions {
+            object,
+            options: (1..=values.len() as u8)
+                .zip(values)
+                .map(|(weight, &value)| CachingOption {
+                    object,
+                    chunks: (0..weight).collect(),
+                    value,
+                    expected_latency: Duration::ZERO,
+                })
+                .collect(),
+            baseline_latency: Duration::ZERO,
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use agar_ec::CodingParams;

@@ -21,6 +21,8 @@
 //! assert_eq!(dst, [a ^ mul(c, b)]);
 //! ```
 
+use std::mem::MaybeUninit;
+
 /// The reducing polynomial x^8 + x^4 + x^3 + x^2 + 1 (without the x^8 bit
 /// it is `0x1D`); this is the polynomial used by most Reed-Solomon
 /// implementations, including the one in the paper's Longhair dependency.
@@ -215,6 +217,7 @@ fn simd_level() -> SimdLevel {
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use std::arch::x86_64::*;
+    use std::mem::MaybeUninit;
 
     /// `dst ^= matrix * src` (GFNI): one affine op per 32-byte block.
     // SAFETY: caller must have verified GFNI+AVX2 (via `simd_level`).
@@ -280,6 +283,171 @@ mod x86 {
             _mm_storeu_si128(d.as_mut_ptr().cast(), _mm_xor_si128(dv, prod));
         }
         dst.len() & !15
+    }
+
+    /// `out = Σ cⱼ · srcⱼ` (GFNI): one affine op per source per
+    /// 32-byte block, accumulated in registers and stored once; four
+    /// blocks per pass share each source's setup.
+    // SAFETY: caller must have verified GFNI+AVX2 (via `simd_level`).
+    #[target_feature(enable = "gfni,avx2")]
+    pub unsafe fn dot_gfni(
+        out: &mut [MaybeUninit<u8>],
+        sources: &[&[u8]],
+        coefficients: &[u8],
+    ) -> usize {
+        let (wide, end) = (out.len() & !127, out.len() & !31);
+        for offset in (0..wide).step_by(128) {
+            dot_gfni_lanes::<4>(out, offset, sources, coefficients);
+        }
+        for offset in (wide..end).step_by(32) {
+            dot_gfni_lanes::<1>(out, offset, sources, coefficients);
+        }
+        end
+    }
+
+    /// `LANES` 32-byte blocks of [`dot_gfni`] from `offset` on.
+    // SAFETY: as `dot_gfni`.
+    #[inline]
+    #[target_feature(enable = "gfni,avx2")]
+    unsafe fn dot_gfni_lanes<const LANES: usize>(
+        out: &mut [MaybeUninit<u8>],
+        offset: usize,
+        sources: &[&[u8]],
+        coefficients: &[u8],
+    ) {
+        let mut acc = [_mm256_setzero_si256(); LANES];
+        for (s, &c) in sources.iter().zip(coefficients) {
+            if c == 0 {
+                continue;
+            }
+            let s = &s[offset..offset + 32 * LANES];
+            let m = _mm256_set1_epi64x(super::GFNI_MATRICES[c as usize] as i64);
+            for (a, block) in acc.iter_mut().zip(s.chunks_exact(32)) {
+                let sv = _mm256_loadu_si256(block.as_ptr().cast());
+                let product = if c == 1 {
+                    sv
+                } else {
+                    _mm256_gf2p8affine_epi64_epi8::<0>(sv, m)
+                };
+                *a = _mm256_xor_si256(*a, product);
+            }
+        }
+        let out = &mut out[offset..offset + 32 * LANES];
+        for (a, block) in acc.iter().zip(out.chunks_exact_mut(32)) {
+            _mm256_storeu_si256(block.as_mut_ptr().cast(), *a);
+        }
+    }
+
+    /// `out = Σ cⱼ · srcⱼ` (AVX2): split-nibble `PSHUFB` per source per
+    /// 32-byte block, accumulated in registers and stored once; four
+    /// blocks per pass share each source's table loads.
+    // SAFETY: caller must have verified AVX2 (via `simd_level`).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn dot_avx2(
+        out: &mut [MaybeUninit<u8>],
+        sources: &[&[u8]],
+        coefficients: &[u8],
+    ) -> usize {
+        let (wide, end) = (out.len() & !127, out.len() & !31);
+        for offset in (0..wide).step_by(128) {
+            dot_avx2_lanes::<4>(out, offset, sources, coefficients);
+        }
+        for offset in (wide..end).step_by(32) {
+            dot_avx2_lanes::<1>(out, offset, sources, coefficients);
+        }
+        end
+    }
+
+    /// `LANES` 32-byte blocks of [`dot_avx2`] from `offset` on.
+    // SAFETY: as `dot_avx2`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn dot_avx2_lanes<const LANES: usize>(
+        out: &mut [MaybeUninit<u8>],
+        offset: usize,
+        sources: &[&[u8]],
+        coefficients: &[u8],
+    ) {
+        let mut acc = [_mm256_setzero_si256(); LANES];
+        for (s, &c) in sources.iter().zip(coefficients) {
+            if c == 0 {
+                continue;
+            }
+            let s = &s[offset..offset + 32 * LANES];
+            let lo = _mm_loadu_si128(super::NIB_LO[c as usize].as_ptr().cast());
+            let hi = _mm_loadu_si128(super::NIB_HI[c as usize].as_ptr().cast());
+            let (lo, hi) = (
+                _mm256_broadcastsi128_si256(lo),
+                _mm256_broadcastsi128_si256(hi),
+            );
+            for (a, block) in acc.iter_mut().zip(s.chunks_exact(32)) {
+                let sv = _mm256_loadu_si256(block.as_ptr().cast());
+                let product = if c == 1 {
+                    sv
+                } else {
+                    nibble_product_avx2(sv, lo, hi)
+                };
+                *a = _mm256_xor_si256(*a, product);
+            }
+        }
+        let out = &mut out[offset..offset + 32 * LANES];
+        for (a, block) in acc.iter().zip(out.chunks_exact_mut(32)) {
+            _mm256_storeu_si256(block.as_mut_ptr().cast(), *a);
+        }
+    }
+
+    /// `out = Σ cⱼ · srcⱼ` (SSSE3): split-nibble `PSHUFB` per source per
+    /// 16-byte block, accumulated in registers and stored once; four
+    /// blocks per pass share each source's table loads.
+    // SAFETY: caller must have verified SSSE3 (via `simd_level`).
+    #[target_feature(enable = "ssse3")]
+    pub unsafe fn dot_ssse3(
+        out: &mut [MaybeUninit<u8>],
+        sources: &[&[u8]],
+        coefficients: &[u8],
+    ) -> usize {
+        let (wide, end) = (out.len() & !63, out.len() & !15);
+        for offset in (0..wide).step_by(64) {
+            dot_ssse3_lanes::<4>(out, offset, sources, coefficients);
+        }
+        for offset in (wide..end).step_by(16) {
+            dot_ssse3_lanes::<1>(out, offset, sources, coefficients);
+        }
+        end
+    }
+
+    /// `LANES` 16-byte blocks of [`dot_ssse3`] from `offset` on.
+    // SAFETY: as `dot_ssse3`.
+    #[inline]
+    #[target_feature(enable = "ssse3")]
+    unsafe fn dot_ssse3_lanes<const LANES: usize>(
+        out: &mut [MaybeUninit<u8>],
+        offset: usize,
+        sources: &[&[u8]],
+        coefficients: &[u8],
+    ) {
+        let mut acc = [_mm_setzero_si128(); LANES];
+        for (s, &c) in sources.iter().zip(coefficients) {
+            if c == 0 {
+                continue;
+            }
+            let s = &s[offset..offset + 16 * LANES];
+            let lo = _mm_loadu_si128(super::NIB_LO[c as usize].as_ptr().cast());
+            let hi = _mm_loadu_si128(super::NIB_HI[c as usize].as_ptr().cast());
+            for (a, block) in acc.iter_mut().zip(s.chunks_exact(16)) {
+                let sv = _mm_loadu_si128(block.as_ptr().cast());
+                let product = if c == 1 {
+                    sv
+                } else {
+                    nibble_product_ssse3(sv, lo, hi)
+                };
+                *a = _mm_xor_si128(*a, product);
+            }
+        }
+        let out = &mut out[offset..offset + 16 * LANES];
+        for (a, block) in acc.iter().zip(out.chunks_exact_mut(16)) {
+            _mm_storeu_si128(block.as_mut_ptr().cast(), *a);
+        }
     }
 }
 
@@ -372,6 +540,73 @@ pub fn mul_add_slice(dst: &mut [u8], src: &[u8], coefficient: u8) {
     #[cfg(not(target_arch = "x86_64"))]
     let done = 0;
     mul_add_scalar(&mut dst[done..], &src[done..], lo, hi);
+}
+
+/// Scalar `out = Σ cⱼ · srcⱼ` from byte `start` on: each 32-byte block
+/// accumulates every source in a stack buffer and is written once.
+/// Also finishes the tail behind the SIMD dot kernels.
+fn dot_scalar(out: &mut [MaybeUninit<u8>], sources: &[&[u8]], coefficients: &[u8], start: usize) {
+    for (offset, block) in (start..).step_by(32).zip(out[start..].chunks_mut(32)) {
+        let mut acc = [0u8; 32];
+        let acc = &mut acc[..block.len()];
+        for (s, &c) in sources.iter().zip(coefficients) {
+            let s = &s[offset..offset + block.len()];
+            match c {
+                0 => {}
+                1 => acc.iter_mut().zip(s).for_each(|(a, b)| *a ^= b),
+                _ => {
+                    let (lo, hi) = (&NIB_LO[c as usize], &NIB_HI[c as usize]);
+                    for (a, b) in acc.iter_mut().zip(s) {
+                        *a ^= lo[(b & 0x0F) as usize] ^ hi[(b >> 4) as usize];
+                    }
+                }
+            }
+        }
+        for (o, a) in block.iter_mut().zip(acc.iter()) {
+            o.write(*a);
+        }
+    }
+}
+
+/// `out[i] = Σⱼ coefficients[j] · sources[j][i]`: the fused dot product
+/// behind the degraded decode.
+///
+/// Where [`mul_add_slice`] reads and writes its destination once per
+/// source, this kernel keeps each output block in a register while it
+/// walks every source, then stores it once — so `out` is written exactly
+/// once and never read, and may be uninitialised. The tiers are
+/// [`mul_add_slice`]'s (GFNI affine, AVX2 or SSSE3 split-nibble `PSHUFB`,
+/// scalar split-nibble) under the same `AGAR_GF256_KERNEL` cap; a zero
+/// coefficient skips its source and coefficient 1 XORs it. Every tier
+/// computes bit-identical output.
+///
+/// # Panics
+///
+/// Panics unless there is one coefficient per source and every source
+/// is `out.len()` bytes long.
+pub(crate) fn dot_slice(out: &mut [MaybeUninit<u8>], sources: &[&[u8]], coefficients: &[u8]) {
+    assert_eq!(
+        sources.len(),
+        coefficients.len(),
+        "dot_slice requires one coefficient per source"
+    );
+    assert!(
+        sources.iter().all(|s| s.len() == out.len()),
+        "dot_slice requires equal-length slices"
+    );
+    #[cfg(target_arch = "x86_64")]
+    let done = match simd_level() {
+        // SAFETY: simd_level() verified GFNI and AVX2 at runtime.
+        SimdLevel::Gfni => unsafe { x86::dot_gfni(out, sources, coefficients) },
+        // SAFETY: simd_level() verified AVX2 at runtime.
+        SimdLevel::Avx2 => unsafe { x86::dot_avx2(out, sources, coefficients) },
+        // SAFETY: simd_level() verified SSSE3 at runtime.
+        SimdLevel::Ssse3 => unsafe { x86::dot_ssse3(out, sources, coefficients) },
+        SimdLevel::Scalar => 0,
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let done = 0;
+    dot_scalar(out, sources, coefficients, done);
 }
 
 /// Naive scalar reference kernel.
@@ -597,5 +832,71 @@ mod tests {
                 assert_eq!(fast, slow, "mul_add_slice len {len} coefficient {c}");
             }
         }
+    }
+
+    /// The fused dot kernel against a sum of naive multiply-adds into a
+    /// zeroed buffer, with `out` pre-filled with garbage to show the
+    /// kernel overwrites it: every length up to 300 (all the SIMD tails)
+    /// plus longer odd ones, 1..=12 sources (up to `k + m` of RS(9, 3))
+    /// and pseudo-random coefficients, one in four of them 0 and one in
+    /// four 1. Under Miri, which runs only the scalar tier, a sample.
+    #[test]
+    fn dot_slice_matches_summed_naive_kernel() {
+        let lengths: Vec<usize> = if cfg!(miri) {
+            vec![0, 1, 7, 31, 33, 65]
+        } else {
+            (0..=300).chain([1021, 2053, 4099]).collect()
+        };
+        let source_counts: Vec<usize> = if cfg!(miri) {
+            vec![1, 3, 12]
+        } else {
+            (1..=12).collect()
+        };
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for &len in &lengths {
+            for &count in &source_counts {
+                let sources: Vec<Vec<u8>> = (0..count)
+                    .map(|_| (0..len).map(|_| next() as u8).collect())
+                    .collect();
+                let coefficients: Vec<u8> = (0..count)
+                    .map(|_| match next() % 4 {
+                        0 => 0,
+                        1 => 1,
+                        _ => next() as u8,
+                    })
+                    .collect();
+                let mut want = vec![0u8; len];
+                for (source, &c) in sources.iter().zip(&coefficients) {
+                    naive::mul_add_slice(&mut want, source, c);
+                }
+                let refs: Vec<&[u8]> = sources.iter().map(Vec::as_slice).collect();
+                let mut out = vec![MaybeUninit::new(0xA5u8); len];
+                dot_slice(&mut out, &refs, &coefficients);
+                // SAFETY: `out` was initialised with 0xA5 and the kernel
+                // writes only initialised bytes.
+                let got: Vec<u8> = out.iter().map(|b| unsafe { b.assume_init() }).collect();
+                assert_eq!(got, want, "len {len}, coefficients {coefficients:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn dot_slice_with_no_sources_zeroes_out() {
+        let mut out = [MaybeUninit::new(0xFFu8); 40];
+        dot_slice(&mut out, &[], &[]);
+        // SAFETY: initialised above; the kernel writes initialised bytes.
+        assert!(out.iter().all(|b| unsafe { b.assume_init() } == 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "equal-length")]
+    fn dot_slice_length_mismatch_panics() {
+        dot_slice(&mut [MaybeUninit::new(0u8); 3], &[&[0u8; 4]], &[2]);
     }
 }

@@ -10,8 +10,9 @@
 //!
 //! The layers, bottom-up:
 //!
-//! - [`gf256`] — GF(2^8) arithmetic on `u8` and the SIMD-dispatched
-//!   `mul_add_slice` kernel;
+//! - [`gf256`] — GF(2^8) arithmetic on `u8`, the SIMD-dispatched
+//!   `mul_add_slice` kernel the encoder runs and the fused dot-product
+//!   kernel behind the one-pass degraded decode;
 //! - [`matrix`] — dense matrices over the field, with the Vandermonde
 //!   construction and Gauss-Jordan inversion;
 //! - [`rs`] — the systematic [`ReedSolomon`] codec:

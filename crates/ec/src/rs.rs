@@ -28,7 +28,7 @@
 
 use crate::chunk::{ChunkSet, CodingParams};
 use crate::error::EcError;
-use crate::gf256::mul_add_slice;
+use crate::gf256::{self, mul_add_slice};
 use crate::matrix::Matrix;
 use bytes::Bytes;
 use parking_lot::RwLock;
@@ -52,6 +52,20 @@ struct DecodePlan {
 /// (RS(9, 3) has 220 possible k-subsets), but a pathological caller
 /// cycling synthetic patterns must not grow the map unboundedly.
 const PLAN_CACHE_CAP: usize = 1024;
+
+/// Per-shard width of one column block of the degraded decode: the `k`
+/// source blocks of a column (18 KiB at RS(9, 3)) stay in L1 while the
+/// column's missing blocks are computed from them.
+const DECODE_BLOCK: usize = 2048;
+
+/// Shards up to this length decode as a single column block.
+const SINGLE_BLOCK_MAX: usize = 16 * 1024;
+
+/// A degraded decode keeps its per-block source slices on the stack for
+/// codes up to this `k` (a larger array costs every small read its
+/// zeroing); wider codes, up to the `k = 254` [`CodingParams`] allows,
+/// use a `Vec`.
+const INLINE_SOURCES: usize = 32;
 
 /// What one [`ReedSolomon::reconstruct_object_report`] call did —
 /// the observability hook behind the `systematic_fast_reads` /
@@ -233,26 +247,6 @@ impl ReedSolomon {
         }
     }
 
-    /// Decodes data shard `target` from the plan's chosen shards into
-    /// the zeroed `out` (the leading `out.len()` bytes of the shard).
-    /// Returns the bytes run through the GF multiply kernel.
-    fn decode_shard(
-        plan: &DecodePlan,
-        target: usize,
-        shards: &[Option<Bytes>],
-        out: &mut [u8],
-    ) -> u64 {
-        let mut gf_bytes = 0;
-        for (&src, &coefficient) in plan.chosen.iter().zip(plan.decode.row(target)) {
-            let shard = shards[src].as_ref().expect("chosen shard present");
-            mul_add_slice(out, &shard[..out.len()], coefficient);
-            if coefficient >= 2 {
-                gf_bytes += out.len() as u64;
-            }
-        }
-        gf_bytes
-    }
-
     /// Reassembles an object of `object_size` bytes from at least `k` of
     /// its shards (missing shards are `None`) and reports how the decode
     /// went.
@@ -263,10 +257,12 @@ impl ReedSolomon {
     ///   shard: return a zero-copy [`Bytes::slice`] of it;
     /// - **systematic** — all `k` data shards present: one object-sized
     ///   buffer, one `memcpy` per shard, zero GF arithmetic;
-    /// - **degraded** — decode *only* the missing data shards, straight
-    ///   into the object buffer (no per-shard scratch), using the
+    /// - **degraded** — one pass over the sources in column blocks
+    ///   (≈ 2 KiB per shard; a shard of ≤ 16 KiB is one block): per
+    ///   block, copy the present data blocks and write each missing
+    ///   one once with the fused GF(2^8) dot kernel, using the
     ///   [cached decode plan](DecodeReport::plan_cache_hit) for the
-    ///   erasure pattern.
+    ///   erasure pattern. Nothing is zero-filled or accumulated twice.
     ///
     /// # Errors
     ///
@@ -302,27 +298,66 @@ impl ReedSolomon {
 
         let (plan, cache_hit) = self.decode_plan(chosen)?;
         report.plan_cache_hit = cache_hit;
-        // Each data shard owns the next chunk-sized range of the object:
-        // present shards are appended as they are, a missing one gets a
-        // zeroed range — only the bytes the object needs, so ranges past
-        // `out_len` are entirely padding and never materialise, and
-        // only missing shards are ever zero-filled.
+        // Data shard `t` owns bytes `t * shard_len..` of the object; only
+        // the first `out_len` are materialised, so a range past it is
+        // padding and never written. The object is built in column
+        // blocks: per block, the present data blocks are copied into
+        // place and each missing one is written once by the fused dot
+        // kernel from the chosen shards' blocks, which the copy has just
+        // pulled into cache. Every source byte is read from memory once
+        // and no byte of the object is written twice.
         let mut object = Vec::with_capacity(out_len);
         report.allocations = 1;
-        for shard in &shards[..k] {
-            let take = (out_len - object.len()).min(shard_len);
-            match shard {
-                Some(shard) => object.extend_from_slice(&shard[..take]),
-                None => object.resize(object.len() + take, 0),
+        let out = &mut object.spare_capacity_mut()[..out_len];
+        let block = if shard_len <= SINGLE_BLOCK_MAX {
+            shard_len
+        } else {
+            DECODE_BLOCK
+        };
+        let mut inline: [&[u8]; INLINE_SOURCES] = [&[]; INLINE_SOURCES];
+        let mut spilled = Vec::new();
+        let sources: &mut [&[u8]] = if k <= INLINE_SOURCES {
+            &mut inline[..k]
+        } else {
+            spilled.resize(k, &[][..]);
+            &mut spilled
+        };
+        for start in (0..shard_len).step_by(block) {
+            let end = (start + block).min(shard_len);
+            for (source, &index) in sources.iter_mut().zip(&plan.chosen) {
+                *source = &shards[index].as_ref().expect("chosen shard present")[start..end];
+            }
+            for (target, shard) in shards[..k].iter().enumerate() {
+                let at = target * shard_len + start;
+                if at >= out_len {
+                    break; // this and every later range is padding
+                }
+                let len = (end - start).min(out_len - at);
+                let dst = &mut out[at..at + len];
+                match shard {
+                    Some(shard) => {
+                        dst.write_copy_of_slice(&shard[start..start + len]);
+                    }
+                    None => {
+                        // Only the range `out_len` cuts short is clipped,
+                        // and every later range of the column is padding.
+                        for source in sources.iter_mut() {
+                            *source = &source[..len];
+                        }
+                        let row = plan.decode.row(target);
+                        gf256::dot_slice(dst, sources, row);
+                        let multiplied = row.iter().filter(|&&c| c >= 2).count();
+                        report.gf_multiply_bytes += (multiplied * len) as u64;
+                    }
+                }
             }
         }
-        // The zeroed ranges decode straight into place (no per-shard
-        // scratch).
-        for (target, out) in object.chunks_mut(shard_len).enumerate() {
-            if shards[target].is_none() {
-                report.gf_multiply_bytes += Self::decode_shard(&plan, target, shards, out);
-            }
-        }
+        // The column blocks of data shard `t` tile `t * shard_len..(t +
+        // 1) * shard_len`, clipped to `out_len`, and the shards tile
+        // `0..k * shard_len`, which covers `0..out_len`.
+        // SAFETY: so every byte below `out_len` was written once above,
+        // by a copy or by the dot kernel.
+        unsafe { object.set_len(out_len) };
         Ok((Bytes::from(object), report))
     }
 }
@@ -648,6 +683,62 @@ mod tests {
         }
         for (k, m) in [(1, 2), (4, 3), (6, 2)] {
             check_all_erasure_patterns(CodingParams::new(k, m).unwrap(), 1_001);
+        }
+    }
+
+    /// The degraded decode's column blocks at their edges: shard lengths
+    /// either side of one block, of the single-block limit and of whole
+    /// multiples of the block, each with a last data shard that ends in
+    /// padding (up to `k - 1` bytes of it, the most `chunk_size` leaves),
+    /// under every erasure pattern.
+    #[test]
+    fn degraded_decode_across_column_block_edges() {
+        let params = CodingParams::paper_default();
+        let k = params.data_chunks();
+        for shard_len in [
+            DECODE_BLOCK - 1,
+            DECODE_BLOCK,
+            DECODE_BLOCK + 1,
+            SINGLE_BLOCK_MAX - 1,
+            SINGLE_BLOCK_MAX,
+            SINGLE_BLOCK_MAX + 1,
+            9 * DECODE_BLOCK - 1,
+            9 * DECODE_BLOCK,
+            9 * DECODE_BLOCK + 1,
+            11 * DECODE_BLOCK + 37,
+        ] {
+            for padding in [1, k - 1] {
+                let object_size = k * shard_len - padding;
+                assert_eq!(params.chunk_size(object_size), shard_len);
+                check_all_erasure_patterns(params, object_size);
+            }
+        }
+    }
+
+    /// A code wider than the inline source array: the sources spill to a
+    /// `Vec`, and the decode is still byte-equal, multi-block shards
+    /// included.
+    #[test]
+    fn degraded_decode_wider_than_the_inline_sources() {
+        let params = CodingParams::new(INLINE_SOURCES + 8, 3).unwrap();
+        let (k, total) = (params.data_chunks(), params.total_chunks());
+        let rs = ReedSolomon::new(params).unwrap();
+        for object_size in [k * 100 - 7, k * (SINGLE_BLOCK_MAX + 3) - 1] {
+            let object = sample_object(object_size);
+            let full = rs.encode_object(&object).unwrap();
+            for missing in [[0, k / 2, k - 1], [k - 1, k, total - 1]] {
+                let mut shards = present(&full);
+                for &i in &missing {
+                    shards[i] = None;
+                }
+                let (back, report) = rs.reconstruct_object_report(&shards, object_size).unwrap();
+                assert_eq!(
+                    back.as_ref(),
+                    object.as_slice(),
+                    "{object_size} {missing:?}"
+                );
+                assert!(report.gf_multiply_bytes > 0);
+            }
         }
     }
 

@@ -451,11 +451,31 @@ pub fn populate(
 
 /// The deterministic payload [`populate`] writes for object `i`: cheap,
 /// and different per object — contents only matter for integrity
-/// assertions in tests, examples and the benchmark.
+/// assertions in tests, examples and the benchmark. Byte `j` is
+/// `(i·31 + 7j) mod 251`, the products and the sum wrapping in `u64`.
 pub fn expected_payload(i: u64, size: usize) -> Vec<u8> {
-    (0..size)
-        .map(|j| (i.wrapping_mul(31).wrapping_add(j as u64 * 7) % 251) as u8)
-        .collect()
+    const PERIOD: usize = 251;
+    let base = i.wrapping_mul(31);
+    let byte = |j: usize| (base.wrapping_add(j as u64 * 7) % PERIOD as u64) as u8;
+    let wraps = (size as u64)
+        .checked_mul(7)
+        .and_then(|span| base.checked_add(span))
+        .is_none();
+    if wraps {
+        return (0..size).map(byte).collect();
+    }
+    // Without a wrap, byte `j + 251` is byte `j` (7 · 251 ≡ 0): compute
+    // one period and tile it instead of a division per byte.
+    let mut period = [0u8; PERIOD];
+    for (j, b) in period.iter_mut().enumerate() {
+        *b = byte(j);
+    }
+    let mut payload = Vec::with_capacity(size);
+    while payload.len() < size {
+        let take = (size - payload.len()).min(PERIOD);
+        payload.extend_from_slice(&period[..take]);
+    }
+    payload
 }
 
 #[cfg(test)]
@@ -650,6 +670,34 @@ mod tests {
             .unwrap()
             .0;
         assert_eq!(object.as_ref(), expected_payload(3, 64).as_slice());
+    }
+
+    /// The tiled payload against its formula byte for byte: sizes
+    /// around one period and a 1 MB object, ids whose `i·31 + 7·size`
+    /// wraps `u64` (the per-byte fallback) or lands just short of it,
+    /// and an id past 32 bits.
+    #[test]
+    fn expected_payload_matches_its_formula() {
+        let wrap_edge = (u64::MAX - 7 * (1 << 20)) / 31;
+        for i in [
+            0,
+            3,
+            1 << 40,
+            wrap_edge,
+            wrap_edge + 1,
+            u64::MAX / 31,
+            u64::MAX / 31 + 1,
+            u64::MAX,
+        ] {
+            for size in [0, 1, 250, 251, 252, 1 << 20] {
+                let payload = expected_payload(i, size);
+                assert_eq!(payload.len(), size);
+                for (j, &b) in payload.iter().enumerate() {
+                    let want = i.wrapping_mul(31).wrapping_add(j as u64 * 7) % 251;
+                    assert_eq!(u64::from(b), want, "object {i}, size {size}, byte {j}");
+                }
+            }
+        }
     }
 
     #[test]
