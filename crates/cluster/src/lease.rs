@@ -8,8 +8,9 @@
 //! (*Scaling Memcache at Facebook*, NSDI 2013) with per-key ownership
 //! in the style of Dynamo (DeCandia et al., SOSP 2007): writes to the
 //! *same* object serialise on the lease; writes to *different* objects
-//! share nothing and proceed in parallel. The router's state lock is
-//! only held long enough to resolve the members.
+//! proceed in parallel, sharing only the lease table's mutex, which is
+//! held for a set lookup and never across I/O. The router's state lock
+//! is only held long enough to resolve the members.
 //!
 //! What the lease covers is the router's (`ClusterRouter::write`): the
 //! owner's write-update, then the invalidation of the object on every
@@ -20,7 +21,7 @@
 //!
 //! **Lease failover.** An owner that *crashes* mid-write
 //! ([`WriteLease::crash`], driven by the fault plane) leaves the lease
-//! *poisoned*: the slot is released so waiters wake, but the object is
+//! *poisoned*: the lease is released so waiters wake, but the object is
 //! marked dirty in the manager. The next writer to acquire the lease
 //! **fences** ([`WriteLease::fenced`]): the router invalidates the
 //! object on every member, the new owner included, before it writes,
@@ -34,44 +35,29 @@ use agar_cache::stats::ROWS;
 use agar_cache::CacheStats;
 use agar_ec::ObjectId;
 use agar_obs::Counter;
-use std::collections::{BTreeSet, HashMap};
-use std::sync::{Arc, Condvar, Mutex};
+use std::collections::HashSet;
+use std::sync::{Condvar, Mutex, PoisonError};
 
-/// One per-object lease slot: `held` flips under the mutex, waiters
-/// park on the condvar.
-struct LeaseSlot {
-    held: Mutex<bool>,
-    freed: Condvar,
-}
-
-impl LeaseSlot {
-    fn new() -> Self {
-        LeaseSlot {
-            held: Mutex::new(false),
-            freed: Condvar::new(),
-        }
-    }
-}
-
-/// Table entry: the slot plus a reference count so the entry can be
-/// dropped once the last writer (holder or waiter) leaves.
-struct SlotEntry {
-    slot: Arc<LeaseSlot>,
-    refs: usize,
+/// The lease table: objects whose lease is held, and objects whose last
+/// holder crashed mid-write. A poison outlives the lease it marks and
+/// is consumed by the next writer, who fences.
+#[derive(Debug, Default)]
+struct Table {
+    held: HashSet<ObjectId>,
+    poisoned: HashSet<ObjectId>,
 }
 
 /// The cluster's per-object write leases and the poison set of writers
-/// that crashed holding one (see the module docs).
+/// that crashed holding one (see the module docs): one table under one
+/// mutex, one condvar every release wakes all waiters on.
 ///
 /// Thread-safe behind `&self`; owned by the `ClusterRouter`.
+#[derive(Debug, Default)]
 pub struct WriteLeaseManager {
-    /// Active lease slots by object.
-    leases: Mutex<HashMap<ObjectId, SlotEntry>>,
-    /// Objects whose last lease holder crashed mid-write. Kept on the
-    /// manager, not the slot: a crash with no waiters tears the slot
-    /// entry down, and the poison must survive until the next writer
-    /// arrives to fence.
-    poisoned: Mutex<BTreeSet<ObjectId>>,
+    table: Mutex<Table>,
+    /// Signalled on every release. Waiters on different objects share
+    /// it, so a release wakes them all and each re-checks its object.
+    released: Condvar,
     /// Poisoned leases fenced and reclaimed by a subsequent writer.
     fences: Counter,
     lease_grants: Counter,
@@ -81,48 +67,28 @@ pub struct WriteLeaseManager {
 impl WriteLeaseManager {
     /// Creates an empty manager.
     pub fn new() -> Self {
-        WriteLeaseManager {
-            leases: Mutex::new(HashMap::new()),
-            poisoned: Mutex::new(BTreeSet::new()),
-            fences: Counter::new(),
-            lease_grants: Counter::new(),
-            lease_contentions: Counter::new(),
-        }
+        WriteLeaseManager::default()
     }
 
     /// Acquires the write lease for `object`, blocking behind any
     /// writer already holding it (same-object writes serialise;
-    /// different objects share nothing). The returned guard releases
-    /// on drop. A grant that consumed a crashed predecessor's poison
-    /// reports [`WriteLease::fenced`]: its holder must invalidate the
-    /// object everywhere before writing.
+    /// different objects do not wait on each other). The returned guard
+    /// releases on drop. A grant that consumed a crashed predecessor's
+    /// poison reports [`WriteLease::fenced`]: its holder must invalidate
+    /// the object everywhere before writing.
     pub fn acquire(&self, object: ObjectId) -> WriteLease<'_> {
-        let slot = {
-            let mut leases = self.leases.lock().expect("lease table poisoned");
-            let entry = leases.entry(object).or_insert_with(|| SlotEntry {
-                slot: Arc::new(LeaseSlot::new()),
-                refs: 0,
-            });
-            entry.refs += 1;
-            Arc::clone(&entry.slot)
-        };
-        let mut contended = false;
-        {
-            let mut held = slot.held.lock().expect("lease slot poisoned");
-            if *held {
-                contended = true;
-                self.lease_contentions.inc();
-                while *held {
-                    held = slot.freed.wait(held).expect("lease slot poisoned");
-                }
-            }
-            *held = true;
+        let mut table = self.table.lock().expect("lease table poisoned");
+        let contended = table.held.contains(&object);
+        if contended {
+            self.lease_contentions.inc();
+            table = self
+                .released
+                .wait_while(table, |table| table.held.contains(&object))
+                .expect("lease table poisoned");
         }
-        let fenced = self
-            .poisoned
-            .lock()
-            .expect("poison set poisoned")
-            .remove(&object);
+        table.held.insert(object);
+        let fenced = table.poisoned.remove(&object);
+        drop(table);
         if fenced {
             self.fences.inc();
         }
@@ -130,7 +96,6 @@ impl WriteLeaseManager {
         WriteLease {
             manager: self,
             object,
-            slot,
             contended,
             fenced,
         }
@@ -141,10 +106,10 @@ impl WriteLeaseManager {
         self.fences.get()
     }
 
-    /// Leases currently held or waited on (diagnostics; the race suite
-    /// asserts this drains to zero — no leaked leases).
+    /// Leases currently held (diagnostics; the race suite asserts this
+    /// drains to zero — no leaked leases).
     pub fn active_leases(&self) -> usize {
-        self.leases.lock().expect("lease table poisoned").len()
+        self.table.lock().expect("lease table poisoned").held.len()
     }
 
     /// The lease counters as a [`CacheStats`] report (only the
@@ -174,45 +139,6 @@ impl WriteLeaseManager {
             &self.fences,
         );
     }
-
-    /// Releases the slot acquired by [`WriteLeaseManager::acquire`].
-    fn release_slot(&self, object: ObjectId, slot: &Arc<LeaseSlot>) {
-        {
-            let mut held = slot
-                .held
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            *held = false;
-        }
-        slot.freed.notify_one();
-        let mut leases = self
-            .leases
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        if let Some(entry) = leases.get_mut(&object) {
-            entry.refs -= 1;
-            if entry.refs == 0 {
-                leases.remove(&object);
-            }
-        }
-    }
-}
-
-impl Default for WriteLeaseManager {
-    fn default() -> Self {
-        WriteLeaseManager::new()
-    }
-}
-
-impl std::fmt::Debug for WriteLeaseManager {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WriteLeaseManager")
-            .field("active_leases", &self.active_leases())
-            .field("lease_grants", &self.lease_grants.get())
-            .field("lease_contentions", &self.lease_contentions.get())
-            .field("fences", &self.fences.get())
-            .finish()
-    }
 }
 
 /// A held per-object write lease (see [`WriteLeaseManager::acquire`]).
@@ -222,7 +148,6 @@ impl std::fmt::Debug for WriteLeaseManager {
 pub struct WriteLease<'a> {
     manager: &'a WriteLeaseManager,
     object: ObjectId,
-    slot: Arc<LeaseSlot>,
     contended: bool,
     fenced: bool,
 }
@@ -245,19 +170,22 @@ impl WriteLease<'_> {
     /// object's lease fences before it writes. Only fault injection
     /// calls this; real code paths release by dropping the guard.
     pub fn crash(self) {
-        self.manager
-            .poisoned
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .insert(self.object);
-        // Drop releases the slot: waiters wake and the first of them
+        let table = &self.manager.table;
+        let mut table = table.lock().unwrap_or_else(PoisonError::into_inner);
+        table.poisoned.insert(self.object);
+        // Drop releases the lease: waiters wake and the first of them
         // finds the poison.
     }
 }
 
 impl Drop for WriteLease<'_> {
     fn drop(&mut self) {
-        self.manager.release_slot(self.object, &self.slot);
+        // Released even by a panicking holder's unwind.
+        let table = &self.manager.table;
+        let mut table = table.lock().unwrap_or_else(PoisonError::into_inner);
+        table.held.remove(&self.object);
+        drop(table);
+        self.manager.released.notify_all();
     }
 }
 
@@ -265,6 +193,7 @@ impl Drop for WriteLease<'_> {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
     use std::time::Duration;
 
     #[test]
@@ -291,7 +220,7 @@ mod tests {
         drop(lease);
         handle.join().unwrap();
         assert!(acquired.load(Ordering::SeqCst));
-        assert_eq!(manager.active_leases(), 0, "leaked lease slot");
+        assert_eq!(manager.active_leases(), 0, "leaked lease");
         let stats = manager.stats();
         assert_eq!(stats.lease_grants(), 2);
         assert_eq!(stats.lease_contentions(), 1);
@@ -324,7 +253,7 @@ mod tests {
         let lease = manager.acquire(object);
         assert!(!lease.fenced());
         lease.crash();
-        assert_eq!(manager.active_leases(), 0, "crash released the slot");
+        assert_eq!(manager.active_leases(), 0, "crash released the lease");
         assert_eq!(manager.fences(), 0, "the crash itself fences nothing");
         let next = manager.acquire(object);
         assert!(next.fenced(), "the reclaiming writer fences");

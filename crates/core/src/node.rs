@@ -90,8 +90,8 @@ use agar_cache::{CacheStats, CacheTier, CachedChunk, TieredChunkCache, DEFAULT_C
 use agar_ec::{ChunkId, ObjectId};
 use agar_net::{RegionId, SimTime};
 use agar_obs::{
-    chrome_trace_json, Counter, Gauge, Labels, MetricsRegistry, ReadTrace, ReadTraceBuilder,
-    StageHistograms, TraceBuffer,
+    chrome_trace_json, Counter, Gauge, Labels, MetricsRegistry, ReadTrace, StageHistograms,
+    TraceBuffer,
 };
 use agar_store::Backend;
 use bytes::Bytes;
@@ -189,7 +189,7 @@ pub struct AgarSettings {
     pub solver: KnapsackSolver,
     /// Per-request trace sampling: record a [`ReadTrace`] for every
     /// Nth read. `0` (the default) disables tracing entirely — the
-    /// read path carries no builder, allocates nothing for telemetry
+    /// read path builds no trace, allocates nothing for telemetry
     /// and stays byte-identical to the untraced engine. Sampling is a
     /// deterministic counter, never a random draw, so traced runs
     /// remain reproducible per seed.
@@ -319,10 +319,9 @@ impl TraceLayer {
         n.is_multiple_of(self.every)
     }
 
-    /// Seals a completed read's builder into the ring and the stage
+    /// Files a completed read's trace into the ring and the stage
     /// histograms.
-    fn commit(&self, builder: ReadTraceBuilder) {
-        let trace = builder.finish();
+    fn record(&self, trace: ReadTrace) {
         self.stages.observe(&trace);
         self.buffer.record(trace);
     }

@@ -7,18 +7,24 @@
 //! "issue k + Δ, bind the first k", a RAM-only node has no disk hits to
 //! price, a disabled breaker excludes nothing.
 //!
-//! Two loops wrap the stages: the retry policy ([`AgarNode::obtain`])
-//! goes around plan → fetch → bind, the version race
-//! ([`AgarNode::read_with_offers`]) around the whole attempt.
+//! One loop wraps plan → fetch ([`AgarNode::passes`]). A pass that
+//! binds k chunks serves the read; one that too few regions answered
+//! re-plans on the same snapshot after a backoff; one that met a newer
+//! version than its manifest snapshot restarts on a fresh snapshot.
+//! Re-plans and restarts draw on one [`Ledger`], so the
+//! [`RetryPolicy`](crate::retry::RetryPolicy)'s attempt cap and
+//! deadline bound the logical read, and the read's counters and trace
+//! are written once, from the ledger, when it ends.
 
 use super::{AgarNode, AgarSettings, ReadMetrics};
+use crate::config::CacheConfiguration;
 use crate::error::AgarError;
 use crate::fetcher::{ChunkFetcher, FetchRequest};
 use crate::planner::{ChunkSource, HedgePolicy, LocalHits, ReadPlan, ReadPlanner, RemoteChunk};
 use agar_cache::CachedChunk;
 use agar_ec::{ChunkId, ObjectId};
 use agar_net::{RegionId, SimTime};
-use agar_obs::{DecodeKind, ReadTraceBuilder};
+use agar_obs::{DecodeKind, ReadOutcome, ReadTrace};
 use agar_store::{ChunkFetch, ObjectManifest, StoreError};
 use bytes::Bytes;
 use rand::rngs::StdRng;
@@ -30,7 +36,7 @@ use std::time::Duration;
 /// whose latency is its arrival time, all requests being issued at once.
 type Arrival = (usize, FetchRequest, ChunkFetch);
 
-/// The chunks one attempt decodes from and what obtaining them cost:
+/// The chunks the last pass decodes from and what obtaining them cost:
 /// what [`bind`] hands to [`price`], decode and fill.
 #[derive(Clone, Debug, Default)]
 struct Bound {
@@ -52,6 +58,33 @@ struct Bound {
     overhang: Duration,
 }
 
+/// What one logical read spent across its plan → fetch passes.
+#[derive(Debug, Default)]
+struct Ledger {
+    /// Passes made (the policy's attempts).
+    attempts: u32,
+    /// Passes too few regions answered, re-planned on their snapshot.
+    replans: u32,
+    /// Passes that lost a version race and restarted on a fresh one.
+    races: u32,
+    /// Backoff charged before the re-plans: priced, never slept.
+    backoff: Duration,
+    /// Spares issued beyond the needed requests, over every pass.
+    hedges: usize,
+}
+
+/// What a pass reads through: one manifest snapshot, the configuration
+/// and fetcher taken with it, its local hits and its RNG. A re-plan
+/// keeps it; a lost version race takes a fresh one.
+struct Snapshot {
+    manifest: ObjectManifest,
+    config: Arc<CacheConfiguration>,
+    hits: LocalHits,
+    /// The fetcher the snapshot started with serves its fill too.
+    fetcher: Arc<dyn ChunkFetcher>,
+    rng: StdRng,
+}
+
 impl AgarNode {
     /// Reads one object. `offers` lists chunks available from other
     /// nodes' caches (a cluster router collects them; a plain read
@@ -60,161 +93,144 @@ impl AgarNode {
     ///
     /// # Errors
     ///
-    /// Propagates backend failures; returns
-    /// [`AgarError::ReadContention`] if every attempt the retry policy
-    /// allows raced a concurrent write (a fetched chunk was newer than
-    /// the attempt's manifest snapshot; mixing versions would decode
-    /// garbage, so each such attempt restarts on a fresh manifest).
+    /// Propagates backend failures. When the retry policy's budget
+    /// runs out, returns the last pass's error:
+    /// [`StoreError::RegionUnavailable`] if too few regions answered,
+    /// [`AgarError::ReadContention`] if it raced a concurrent write (a
+    /// fetched chunk was newer than the pass's manifest snapshot;
+    /// mixing versions would decode garbage).
     pub fn read_with_offers(
         &self,
         object: ObjectId,
         offers: &[RemoteChunk],
     ) -> Result<ReadMetrics, AgarError> {
-        // Once per logical read, whatever the number of restarts.
+        // Once per logical read, whatever the number of passes.
         self.monitor.lock().record_read(object);
-        // Tracing is passive: the builder is plain scratch the read
-        // fills in (no RNG draws, no locks, no shared counters), so a
-        // traced run behaves byte-identically to an untraced one.
-        let mut trace = self.trace.as_ref().and_then(|layer| {
-            let now = SimTime::from_micros(self.sim_now_micros.load(Ordering::Relaxed));
-            layer
-                .sampled()
-                .then(|| ReadTraceBuilder::begin(object.index(), self.region.index() as u64, now))
-        });
-        let max_attempts = self.settings.retry.max_attempts.max(1);
-        for attempt in 0..max_attempts {
-            match self.read_attempt(object, offers, attempt == 0, trace.as_mut()) {
-                // A lost version race: restart on a fresh manifest.
-                Err(AgarError::ReadContention { .. }) => {}
-                Err(error) => return Err(error),
-                Ok(metrics) => {
-                    if let (Some(layer), Some(builder)) = (&self.trace, trace) {
-                        layer.commit(builder);
-                    }
-                    return Ok(metrics);
-                }
-            }
-            // The trace spans the whole logical read, races included.
-            if attempt + 1 < max_attempts {
-                self.retries.inc();
-            }
-            if let Some(builder) = trace.as_mut() {
-                builder.outcome.version_races += 1;
-            }
+        // Sampling is a counter, never a draw, and a trace is built
+        // from what the read reports anyway: a traced run behaves
+        // byte-identically to an untraced one.
+        let traced = self.trace.as_ref().filter(|layer| layer.sampled());
+        let start = SimTime::from_micros(self.sim_now_micros.load(Ordering::Relaxed));
+        let mut ledger = Ledger::default();
+        let served = self.passes(object, offers, &mut ledger);
+        let counters = self.cache.counters();
+        if ledger.attempts > 1 {
+            self.retries.add(u64::from(ledger.attempts - 1));
+            let backoff = ledger.backoff.as_micros() as u64;
+            self.retry_backoff_micros.add(backoff);
         }
-        Err(AgarError::ReadContention { object })
-    }
+        counters.hedged_requests.add(ledger.hedges as u64);
+        let (mut snapshot, bound) = served?;
 
-    /// One pass through the six stages against a single manifest
-    /// snapshot; [`AgarError::ReadContention`] is a lost version race.
-    /// `first_attempt` gates the chunk-level statistics so a restart
-    /// never double-counts one logical read.
-    fn read_attempt(
-        &self,
-        object: ObjectId,
-        offers: &[RemoteChunk],
-        first_attempt: bool,
-        mut trace: Option<&mut ReadTraceBuilder>,
-    ) -> Result<ReadMetrics, AgarError> {
-        let manifest = self.backend.manifest(object)?;
-        let config = Arc::clone(&self.config.read());
-        let planner = ReadPlanner::new(&manifest, &config);
-        let hits = planner.lookup_local(&self.cache, first_attempt);
-        let ram_hits = hits.ram.len();
-        // The fetcher this attempt started with serves its fill too.
-        let fetcher = Arc::clone(&self.fetcher.read());
-        let mut rng = self.derive_rng();
-        let builder = trace.as_deref_mut();
-        let (bound, replans, backoff) = self.obtain(
-            &planner, &manifest, &hits, offers, &*fetcher, &mut rng, builder,
-        )?;
-        let (local, latency) = price(&self.settings, ram_hits, &bound, backoff);
-        let (data, kind) = self.decode(&manifest, &bound.shards)?;
-        let hinted = planner.hinted();
-        let fill_fetches = self.fill(&*fetcher, &manifest, hinted, &bound.shards, &mut rng);
+        let ram_hits = snapshot.hits.ram.len();
+        let (local, latency) = price(&self.settings, ram_hits, &bound, ledger.backoff);
+        let (data, kind) = self.decode(&snapshot.manifest, &bound.shards)?;
+        let hinted = snapshot.config.chunks_for(object);
+        let fill = self.fill(
+            &*snapshot.fetcher,
+            &snapshot.manifest,
+            hinted,
+            &bound.shards,
+            &mut snapshot.rng,
+        );
         // Disk-sourced chunks are local cache hits at the object level
         // (Figure 7's accounting).
         let cache_hits = ram_hits + bound.disk_hits;
-        let k = manifest.params().data_chunks();
-        self.cache.counters().record_object_read(cache_hits, k);
-        if let Some(builder) = trace {
-            let outcome = &mut builder.outcome;
-            outcome.replans += replans;
-            outcome.ram_hits += ram_hits as u32;
-            outcome.disk_hits += bound.disk_hits as u32;
-            outcome.remote_hits += bound.remote_hits as u32;
-            outcome.backend_fetches += bound.backend_fetches as u32;
-            outcome.hedge_wins += bound.hedge_wins as u32;
-            outcome.hedges_cancelled += bound.hedges_cancelled as u32;
-            outcome.decode = kind;
-            outcome.total = latency;
-            builder.lookup = local;
-            builder.fetch = bound.worst;
-            builder.bind = builder.bind.max(bound.overhang);
+        counters.record_object_read(cache_hits, snapshot.manifest.params().data_chunks());
+        counters.hedge_wins.add(bound.hedge_wins);
+        counters.hedges_cancelled.add(bound.hedges_cancelled);
+        if let Some(layer) = traced {
+            let outcome = ReadOutcome {
+                replans: ledger.replans,
+                version_races: ledger.races,
+                ram_hits: ram_hits as u32,
+                disk_hits: bound.disk_hits as u32,
+                remote_hits: bound.remote_hits as u32,
+                backend_fetches: bound.backend_fetches as u32,
+                hedges_issued: ledger.hedges as u32,
+                hedge_wins: bound.hedge_wins as u32,
+                hedges_cancelled: bound.hedges_cancelled as u32,
+                decode: kind,
+                total: latency,
+            };
+            let region = self.region.index() as u64;
+            let stages = [local, bound.worst, bound.overhang];
+            let trace = ReadTrace::new(object.index(), region, start, outcome, stages);
+            layer.record(trace);
         }
         Ok(ReadMetrics {
             data,
             latency,
             cache_hits,
             backend_fetches: bound.backend_fetches,
-            fill_fetches,
+            fill_fetches: fill,
             remote_hits: bound.remote_hits,
             decoded: kind != DecodeKind::Systematic,
         })
     }
 
-    /// The retry-policy loop around plan → fetch → bind: when too few
-    /// requests come back, re-plan around the regions that refused
-    /// (fetch marked every one of the pass unreachable) — as often as
-    /// the policy allows. Returns what was bound, the number of
-    /// re-plans and the backoff they charged to the read (priced into
-    /// its latency, never slept).
-    #[allow(clippy::too_many_arguments)]
-    fn obtain(
+    /// The read's one retry loop (see the module docs): plan → fetch →
+    /// bind passes, each charged to `ledger`, until one binds k chunks
+    /// or the policy allows no further pass — whose error is the read's.
+    /// A re-plan goes around the regions fetch marked unreachable.
+    fn passes(
         &self,
-        planner: &ReadPlanner<'_>,
-        manifest: &ObjectManifest,
-        hits: &LocalHits,
+        object: ObjectId,
         offers: &[RemoteChunk],
-        fetcher: &dyn ChunkFetcher,
-        rng: &mut StdRng,
-        mut trace: Option<&mut ReadTraceBuilder>,
-    ) -> Result<(Bound, u32, Duration), AgarError> {
-        let counters = self.cache.counters();
-        let mut attempts = 0;
-        let mut backoff = Duration::ZERO;
+        ledger: &mut Ledger,
+    ) -> Result<(Snapshot, Bound), AgarError> {
+        let mut snapshot = self.snapshot(object, true)?;
         loop {
-            attempts += 1;
-            let plan = self.plan(planner, hits, offers)?;
+            ledger.attempts += 1;
+            let planner = ReadPlanner::new(&snapshot.manifest, &snapshot.config);
+            let plan = self.plan(&planner, &snapshot.hits, offers)?;
             // Backend primaries first, the Δ spares last; the decode
             // needs all but Δ of them (Δ = 0: every one).
-            let requests = backend_requests(&plan, manifest);
+            let requests = backend_requests(&plan, &snapshot.manifest);
             let needed = requests.len() - plan.hedges;
-            counters.hedged_requests.add(plan.hedges as u64);
-            if let Some(builder) = trace.as_deref_mut() {
-                builder.outcome.hedges_issued += plan.hedges as u32;
-            }
-            let (arrivals, refused) = self.fetch(fetcher, &requests, rng)?;
-            if arrivals.len() < needed {
-                // A dead spare's region does not fail the read; too
-                // few survivors to cover k does, unless the policy
-                // lets the read re-plan around the failure.
-                if !self.settings.retry.allows_retry(attempts, backoff) {
-                    let region = refused.unwrap_or(self.region);
-                    return Err(StoreError::RegionUnavailable { region }.into());
+            ledger.hedges += plan.hedges;
+            let error = match self.fetch(&*snapshot.fetcher, &requests, &mut snapshot.rng) {
+                // A dead spare's region does not fail the pass; too
+                // few survivors to cover k does.
+                Ok((arrivals, _)) if arrivals.len() >= needed => {
+                    let total = snapshot.manifest.params().total_chunks();
+                    return Ok((snapshot, bind(total, plan.sources, arrivals, needed)));
                 }
-                let step = self.settings.retry.backoff_for(attempts);
-                backoff += step;
-                self.retry_backoff_micros.add(step.as_micros() as u64);
-                self.retries.inc();
-                continue;
+                Ok((_, refused)) => {
+                    let region = refused.unwrap_or(self.region);
+                    StoreError::RegionUnavailable { region }.into()
+                }
+                Err(raced @ AgarError::ReadContention { .. }) => raced,
+                Err(other) => return Err(other),
+            };
+            let retry = &self.settings.retry;
+            if !retry.allows_retry(ledger.attempts, ledger.backoff) {
+                return Err(error);
             }
-            let total = manifest.params().total_chunks();
-            let bound = bind(total, plan.sources, arrivals, needed);
-            counters.hedge_wins.add(bound.hedge_wins);
-            counters.hedges_cancelled.add(bound.hedges_cancelled);
-            return Ok((bound, attempts - 1, backoff));
+            if let AgarError::ReadContention { .. } = error {
+                ledger.races += 1;
+                snapshot = self.snapshot(object, false)?;
+            } else {
+                ledger.replans += 1;
+                ledger.backoff += retry.backoff_for(ledger.attempts);
+            }
         }
+    }
+
+    /// **Lookup** on a fresh manifest snapshot, taken with the live
+    /// configuration and fetcher and a fresh RNG. `record_stats` is
+    /// false on a restart, so a read's lookups count once.
+    fn snapshot(&self, object: ObjectId, record_stats: bool) -> Result<Snapshot, AgarError> {
+        let manifest = self.backend.manifest(object)?;
+        let config = Arc::clone(&self.config.read());
+        let hits = ReadPlanner::new(&manifest, &config).lookup_local(&self.cache, record_stats);
+        Ok(Snapshot {
+            fetcher: Arc::clone(&self.fetcher.read()),
+            rng: self.derive_rng(),
+            manifest,
+            config,
+            hits,
+        })
     }
 
     /// **Plan**: the cheapest cover priced against *current* health —
@@ -496,6 +512,7 @@ mod tests {
     use super::*;
     use crate::breaker::BreakerPolicy;
     use crate::fetcher::DirectFetcher;
+    use crate::retry::RetryPolicy;
     use agar_ec::CodingParams;
     use agar_net::presets::{DUBLIN, FRANKFURT, N_VIRGINIA, SAO_PAULO, SYDNEY, TOKYO};
     use agar_store::{expected_payload, Backend};
@@ -619,26 +636,54 @@ mod tests {
         assert_eq!(node.retries(), 0, "a degraded plan is not a retry");
     }
 
-    /// The direct fetcher with faults no plan can see coming: `dead`
-    /// regions refuse (they died after the plan was made; the planner
-    /// skips the ones the backend already reports down) and every
+    /// What [`Faulty`] does to one pass's responses: `dead` regions
+    /// refuse (they died after the plan was made; the planner skips
+    /// the ones the backend already reports down) and every other
     /// payload is `ahead` versions newer than its request's manifest
-    /// snapshot (1: a writer that always wins).
-    struct Faulty {
-        inner: DirectFetcher,
+    /// snapshot (1: a writer that wins the race).
+    #[derive(Default)]
+    struct Pass {
         dead: Vec<RegionId>,
         ahead: u64,
+    }
+
+    fn refuse(dead: &[RegionId]) -> Pass {
+        Pass {
+            dead: dead.to_vec(),
+            ahead: 0,
+        }
+    }
+
+    fn race() -> Pass {
+        Pass {
+            dead: Vec::new(),
+            ahead: 1,
+        }
+    }
+
+    fn serve() -> Pass {
+        Pass::default()
+    }
+
+    /// The direct fetcher with faults no plan can see coming: its n-th
+    /// call plays `script[n % script.len()]`.
+    struct Faulty {
+        inner: DirectFetcher,
+        script: Vec<Pass>,
         calls: AtomicUsize,
     }
 
     impl Faulty {
-        fn new(backend: Arc<Backend>, dead: &[RegionId], ahead: u64) -> Arc<Self> {
+        fn new(backend: Arc<Backend>, script: Vec<Pass>) -> Arc<Self> {
             Arc::new(Faulty {
                 inner: DirectFetcher::new(backend),
-                dead: dead.to_vec(),
-                ahead,
+                script,
                 calls: AtomicUsize::new(0),
             })
+        }
+
+        fn calls(&self) -> usize {
+            self.calls.load(Ordering::Relaxed)
         }
     }
 
@@ -649,14 +694,15 @@ mod tests {
             requests: &[FetchRequest],
             rng: &mut dyn RngCore,
         ) -> Vec<(FetchRequest, Result<ChunkFetch, StoreError>)> {
-            self.calls.fetch_add(1, Ordering::Relaxed);
+            let call = self.calls.fetch_add(1, Ordering::Relaxed);
+            let pass = &self.script[call % self.script.len()];
             let mut results = self.inner.fetch(client_region, requests, rng);
             for (request, result) in &mut results {
-                if self.dead.contains(&request.region) {
+                if pass.dead.contains(&request.region) {
                     let region = request.region;
                     *result = Err(StoreError::RegionUnavailable { region });
                 } else if let Ok(fetch) = result {
-                    fetch.version += self.ahead;
+                    fetch.version += pass.ahead;
                 }
             }
             results
@@ -669,7 +715,7 @@ mod tests {
         // from any three regions, so it survives three dead ones.
         let serve = |dead: &[RegionId]| {
             let backend = test_backend_coded(CodingParams::new(6, 6).unwrap(), 1, 900);
-            let refusing = Faulty::new(Arc::clone(&backend), dead, 0);
+            let refusing = Faulty::new(Arc::clone(&backend), vec![refuse(dead)]);
             let mut settings = AgarSettings::paper_default(0);
             assert_eq!((settings.max_hedges, settings.retry.max_attempts), (0, 3));
             settings.retry.base_backoff = MS(10);
@@ -716,11 +762,11 @@ mod tests {
         let before = node.cache_stats();
         let traces = node.trace_snapshot().len();
 
-        let racing = Faulty::new(backend, &[], 1);
+        let racing = Faulty::new(backend, vec![race()]);
         node.set_chunk_fetcher(Arc::clone(&racing) as Arc<dyn ChunkFetcher>);
         let error = node.read(object).unwrap_err();
         assert!(matches!(error, AgarError::ReadContention { object: o } if o == object));
-        assert_eq!(racing.calls.load(Ordering::Relaxed), ATTEMPTS as usize);
+        assert_eq!(racing.calls(), ATTEMPTS as usize);
         assert_eq!(node.retries(), u64::from(ATTEMPTS) - 1);
 
         // The lookups of the one logical read counted once, not once
@@ -730,5 +776,80 @@ mod tests {
         assert_eq!(after.chunk_misses(), before.chunk_misses());
         assert_eq!(after.object_reads(), before.object_reads());
         assert_eq!(node.trace_snapshot().len(), traces);
+    }
+
+    /// A cold read through a node in Frankfurt (RS(9, 3), two chunks a
+    /// region, so its first plan fetches Frankfurt's) that plays
+    /// `script` under `retry`, traced; returns the node and the fetcher.
+    fn scripted(retry: RetryPolicy, script: Vec<Pass>) -> (AgarNode, Arc<Faulty>) {
+        let backend = test_backend(1, 900);
+        let faulty = Faulty::new(Arc::clone(&backend), script);
+        let mut settings = AgarSettings::paper_default(0);
+        settings.retry = retry;
+        settings.trace_sample_every = 1;
+        let node = AgarNode::new(FRANKFURT, backend, settings, 7).unwrap();
+        node.set_chunk_fetcher(Arc::clone(&faulty) as Arc<dyn ChunkFetcher>);
+        (node, faulty)
+    }
+
+    fn policy(max_attempts: u32, deadline: Duration) -> RetryPolicy {
+        RetryPolicy {
+            max_attempts,
+            base_backoff: MS(10),
+            max_backoff: Duration::ZERO,
+            deadline,
+        }
+    }
+
+    #[test]
+    fn a_replan_then_a_race_share_one_budget_and_one_backoff() {
+        let script = vec![refuse(&[FRANKFURT]), race(), serve()];
+        let (node, faulty) = scripted(policy(3, Duration::ZERO), script);
+        let metrics = node.read(ObjectId::new(0)).unwrap();
+        assert_eq!(metrics.data.as_ref(), expected_payload(0, 900).as_slice());
+        assert_eq!(faulty.calls(), 3, "served on the third and last pass");
+        assert_eq!((node.retries(), node.retry_backoff_micros()), (2, 10_000));
+        let traces = node.trace_snapshot();
+        let outcome = traces[0].outcome;
+        assert_eq!((outcome.replans, outcome.version_races), (1, 1));
+        // The backoff charged before the race is priced into the read
+        // the restart served.
+        let fetch = traces[0].spans[2];
+        assert_eq!(fetch.stage, agar_obs::ReadStage::Fetch);
+        let overhead = AgarSettings::paper_default(0).client_overhead;
+        assert_eq!(metrics.latency, overhead + fetch.duration + MS(10));
+        assert_eq!(outcome.total, metrics.latency);
+    }
+
+    #[test]
+    fn refusals_and_races_forever_stop_after_max_attempts_passes() {
+        const ATTEMPTS: u32 = 4;
+        let all: Vec<RegionId> = (0..6).map(RegionId::new).collect();
+        let (node, faulty) = scripted(policy(ATTEMPTS, Duration::ZERO), vec![refuse(&all), race()]);
+        let error = node.read(ObjectId::new(0)).unwrap_err();
+        // The fourth pass, a race, is the last the budget allows.
+        assert!(matches!(error, AgarError::ReadContention { .. }));
+        assert_eq!(faulty.calls(), ATTEMPTS as usize, "not 2 x max_attempts");
+        assert_eq!(node.retries(), u64::from(ATTEMPTS) - 1);
+        // Two re-plans: 10 ms after the first pass, 40 ms after the
+        // third.
+        assert_eq!(node.retry_backoff_micros(), 50_000);
+        assert!(
+            node.trace_snapshot().is_empty(),
+            "a failed read has no trace"
+        );
+    }
+
+    #[test]
+    fn a_deadline_spent_on_backoff_allows_no_restart_after_a_race() {
+        // The first pass's re-plan charges the whole 10 ms budget; the
+        // race on the second pass finds nothing left to restart with,
+        // though the third pass would have served the read.
+        let script = vec![refuse(&[FRANKFURT]), race(), serve()];
+        let (node, faulty) = scripted(policy(5, MS(10)), script);
+        let error = node.read(ObjectId::new(0)).unwrap_err();
+        assert!(matches!(error, AgarError::ReadContention { .. }));
+        assert_eq!(faulty.calls(), 2);
+        assert_eq!((node.retries(), node.retry_backoff_micros()), (1, 10_000));
     }
 }

@@ -1,15 +1,16 @@
 //! Retry budgets for the read path.
 //!
-//! The pre-policy read loop retried a fixed 3 times with no backoff.
-//! [`RetryPolicy`] makes both knobs explicit: a capped exponential
-//! backoff **priced on the simulated clock** (added to the read's
-//! modelled latency, never slept), and a per-read deadline budget that
-//! stops retrying once the accumulated backoff would blow it.
+//! A read is one loop of plan → fetch passes (`read.rs`): a pass too
+//! few regions answered re-plans on its manifest snapshot, one that
+//! lost a version race restarts on a fresh snapshot. [`RetryPolicy`]
+//! is the loop's one budget per logical read: both kinds of retry count
+//! as attempts, a re-plan is charged a capped exponential backoff
+//! **priced on the simulated clock** (added to the read's modelled
+//! latency, never slept), and the deadline stops the loop once the
+//! read's accumulated backoff reaches it.
 //!
-//! The default policy reproduces the historical behaviour exactly —
-//! three attempts, zero backoff, no deadline — so a node built from
-//! `AgarSettings::paper_default` stays byte-identical to pre-policy
-//! builds (the repo-wide "disabled ⇒ byte-identical" convention).
+//! The default — three attempts, zero backoff, no deadline — is the
+//! historical fixed 3-attempt loop, byte-identical to it.
 
 use std::time::Duration;
 
@@ -17,19 +18,20 @@ use std::time::Duration;
 /// and a per-read deadline on total backoff spent.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Maximum attempts per read (re-plans after region failures and
-    /// restarts after version races both count). Must be ≥ 1; the
-    /// historical loop used 3.
+    /// Maximum plan → fetch passes per read: re-plans after refusing
+    /// regions and restarts after version races count alike. Must be
+    /// ≥ 1; the historical loop used 3.
     pub max_attempts: u32,
-    /// Backoff charged before the first retry; doubles per retry.
-    /// `Duration::ZERO` (the default) charges nothing.
+    /// Backoff charged for a re-plan after the read's first pass;
+    /// doubles with each later pass. A restart after a version race is
+    /// charged none. `Duration::ZERO` (the default) charges nothing.
     pub base_backoff: Duration,
     /// Ceiling on a single retry's backoff. `Duration::ZERO` with a
     /// non-zero base means "uncapped".
     pub max_backoff: Duration,
-    /// Per-read budget: once the accumulated backoff reaches this,
-    /// no further retries are attempted. `Duration::ZERO` disables
-    /// the budget.
+    /// Per-read budget: once the backoff accumulated over the read's
+    /// passes reaches this, no further pass — re-plan or restart — is
+    /// made. `Duration::ZERO` disables the budget.
     pub deadline: Duration,
 }
 
@@ -45,9 +47,9 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// The backoff to charge before retry number `attempt` (1-based:
-    /// the first retry is attempt 1): `base · 2^(attempt-1)`, capped
-    /// at [`RetryPolicy::max_backoff`] when that is non-zero.
+    /// The backoff to charge for a re-plan after pass number `attempt`
+    /// (1-based): `base · 2^(attempt-1)`, capped at
+    /// [`RetryPolicy::max_backoff`] when that is non-zero.
     pub fn backoff_for(&self, attempt: u32) -> Duration {
         if self.base_backoff.is_zero() {
             return Duration::ZERO;
@@ -61,7 +63,7 @@ impl RetryPolicy {
         }
     }
 
-    /// Whether another attempt is allowed after `attempts` tries with
+    /// Whether another pass is allowed after `attempts` passes with
     /// `spent` backoff already charged to this read.
     pub fn allows_retry(&self, attempts: u32, spent: Duration) -> bool {
         if attempts >= self.max_attempts.max(1) {

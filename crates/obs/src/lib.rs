@@ -58,6 +58,6 @@ pub use histogram::{Histogram, HistogramSnapshot};
 pub use percentile::{nearest_rank_index, LatencyHistogram, LatencySummary};
 pub use registry::{Counter, Gauge, Labels, MetricsRegistry};
 pub use trace::{
-    chrome_trace_json, DecodeKind, ReadOutcome, ReadStage, ReadTrace, ReadTraceBuilder,
-    StageHistograms, StageSpan, StageSummaries, TraceBuffer,
+    chrome_trace_json, DecodeKind, ReadOutcome, ReadStage, ReadTrace, StageHistograms, StageSpan,
+    StageSummaries, TraceBuffer,
 };

@@ -50,7 +50,8 @@ pub enum ReadStage {
 }
 
 impl ReadStage {
-    /// All traced stages, in dump order.
+    /// All traced stages, in dump order (declaration order: a stage
+    /// `as usize` is its index here).
     pub const ALL: [ReadStage; 5] = [
         ReadStage::Plan,
         ReadStage::Lookup,
@@ -150,80 +151,38 @@ pub struct ReadTrace {
     pub outcome: ReadOutcome,
 }
 
-/// Mutable scratch a read fills in as it moves through the pipeline;
-/// [`ReadTraceBuilder::finish`] lays the stages onto the sim clock.
-///
-/// The builder is write-only from the engine's perspective: it never
-/// consumes RNG state, takes no locks, and touches no shared counter,
-/// so carrying one (or not) cannot change engine behaviour.
-#[derive(Clone, Debug, Default)]
-pub struct ReadTraceBuilder {
-    /// The object id read.
-    pub object: u64,
-    /// The reading node's region index.
-    pub region: u64,
-    /// Sim-clock start of the read.
-    pub start: SimTime,
-    /// Local cache lookup component of the latency.
-    pub lookup: Duration,
-    /// Critical-path fetch component (worst bound arrival).
-    pub fetch: Duration,
-    /// Straggler overhang past the k-th arrival.
-    pub bind: Duration,
-    /// The outcome fields, accumulated in place.
-    pub outcome: ReadOutcome,
-}
-
-impl ReadTraceBuilder {
-    /// Starts a trace for `object` read from region index `region` at
-    /// sim-time `start`.
-    pub fn begin(object: u64, region: u64, start: SimTime) -> Self {
-        ReadTraceBuilder {
+impl ReadTrace {
+    /// The trace of `object` read from region index `region` at
+    /// sim-time `start`, its `[lookup, fetch, bind]` stage durations
+    /// laid onto the sim clock: plan and lookup start at the read's
+    /// start, fetch (the worst bound arrival) runs from the start, bind
+    /// (the straggler overhang) starts where fetch ends, and decode is
+    /// an instantaneous marker at the read's end (`outcome.total`).
+    pub fn new(
+        object: u64,
+        region: u64,
+        start: SimTime,
+        outcome: ReadOutcome,
+        [lookup, fetch, bind]: [Duration; 3],
+    ) -> Self {
+        let span = |stage, start, duration| StageSpan {
+            stage,
+            start,
+            duration,
+        };
+        let spans = vec![
+            span(ReadStage::Plan, start, Duration::ZERO),
+            span(ReadStage::Lookup, start, lookup),
+            span(ReadStage::Fetch, start, fetch),
+            span(ReadStage::Bind, start + fetch, bind),
+            span(ReadStage::Decode, start + outcome.total, Duration::ZERO),
+        ];
+        ReadTrace {
             object,
             region,
             start,
-            ..ReadTraceBuilder::default()
-        }
-    }
-
-    /// Seals the builder into a [`ReadTrace`], placing the stages on
-    /// the sim clock: plan and lookup start at the read's start, fetch
-    /// runs from the start, bind overhangs past the fetch's end, and
-    /// decode is an instantaneous marker at the read's end.
-    pub fn finish(self) -> ReadTrace {
-        let spans = vec![
-            StageSpan {
-                stage: ReadStage::Plan,
-                start: self.start,
-                duration: Duration::ZERO,
-            },
-            StageSpan {
-                stage: ReadStage::Lookup,
-                start: self.start,
-                duration: self.lookup,
-            },
-            StageSpan {
-                stage: ReadStage::Fetch,
-                start: self.start,
-                duration: self.fetch,
-            },
-            StageSpan {
-                stage: ReadStage::Bind,
-                start: self.start + self.fetch,
-                duration: self.bind,
-            },
-            StageSpan {
-                stage: ReadStage::Decode,
-                start: self.start + self.outcome.total,
-                duration: Duration::ZERO,
-            },
-        ];
-        ReadTrace {
-            object: self.object,
-            region: self.region,
-            start: self.start,
             spans,
-            outcome: self.outcome,
+            outcome,
         }
     }
 }
@@ -349,21 +308,13 @@ impl StageHistograms {
     /// Folds one trace's spans into the stage histograms.
     pub fn observe(&self, trace: &ReadTrace) {
         for span in &trace.spans {
-            let i = ReadStage::ALL
-                .iter()
-                .position(|s| *s == span.stage)
-                .expect("span stage is one of ALL");
-            self.histograms[i].record(span.duration);
+            self.histograms[span.stage as usize].record(span.duration);
         }
     }
 
     /// The histogram for one stage.
     pub fn stage(&self, stage: ReadStage) -> &Histogram {
-        let i = ReadStage::ALL
-            .iter()
-            .position(|s| *s == stage)
-            .expect("stage is one of ALL");
-        &self.histograms[i]
+        &self.histograms[stage as usize]
     }
 
     /// Registers the five histograms as
@@ -407,11 +358,7 @@ impl StageSummaries {
         let mut histograms: [LatencyHistogram; 5] = Default::default();
         for trace in traces {
             for span in &trace.spans {
-                let i = ReadStage::ALL
-                    .iter()
-                    .position(|s| *s == span.stage)
-                    .expect("span stage is one of ALL");
-                histograms[i].record(span.duration);
+                histograms[span.stage as usize].record(span.duration);
             }
         }
         let s = |i: usize| histograms[i].summary();
@@ -465,20 +412,21 @@ mod tests {
     use super::*;
 
     fn sample_trace(start_ms: u64, fetch_ms: u64) -> ReadTrace {
-        let mut b = ReadTraceBuilder::begin(42, 3, SimTime::from_millis(start_ms));
-        b.lookup = Duration::from_millis(1);
-        b.fetch = Duration::from_millis(fetch_ms);
-        b.bind = Duration::from_millis(2);
-        b.outcome.remote_hits = 9;
-        b.outcome.hedges_issued = 2;
-        b.outcome.hedge_wins = 1;
-        b.outcome.hedges_cancelled = 1;
-        b.outcome.total = Duration::from_millis(fetch_ms.max(1));
-        b.finish()
+        let outcome = ReadOutcome {
+            remote_hits: 9,
+            hedges_issued: 2,
+            hedge_wins: 1,
+            hedges_cancelled: 1,
+            total: Duration::from_millis(fetch_ms.max(1)),
+            ..ReadOutcome::default()
+        };
+        let ms = Duration::from_millis;
+        let start = SimTime::from_millis(start_ms);
+        ReadTrace::new(42, 3, start, outcome, [ms(1), ms(fetch_ms), ms(2)])
     }
 
     #[test]
-    fn finish_lays_spans_on_the_sim_clock() {
+    fn new_lays_spans_on_the_sim_clock() {
         let trace = sample_trace(100, 40);
         assert_eq!(trace.spans.len(), 5);
         assert_eq!(trace.spans[0].stage, ReadStage::Plan);

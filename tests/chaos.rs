@@ -256,8 +256,10 @@ fn flaky_fetch_errors_stay_within_the_retry_budget() {
             "seed {seed:#x}: the fault schedule never fired"
         );
         assert!(rig.node.retries() > 0, "seed {seed:#x}");
-        // Retry amplification: replans refetch, but the budget caps
-        // the blow-up at max_attempts x the calm fetch volume.
+        // Retry amplification: a read's re-plans and version-race
+        // restarts draw on one budget, so it makes at most max_attempts
+        // passes, and the blow-up stays within max_attempts x the calm
+        // fetch volume.
         let budget = calm_fetches * u64::from(hardened_retry().max_attempts);
         assert!(
             fetches <= budget,
