@@ -17,12 +17,17 @@
 //!   opened once (read + write) when the log rotates onto it and closed
 //!   and unlinked when the segment is cleaned. A `put` is one positioned
 //!   write *at the offset the index records* — so a torn tail or a
-//!   failed write can never shift where later frames land — and a `get`
-//!   is one positioned read of header + payload into a single buffer
-//!   whose payload is handed out as a zero-copy [`Bytes::slice`]. There
-//!   is no `fsync`: this is a cache of re-fetchable chunks. (The
-//!   positioned calls are `std::os::unix::fs::FileExt`; the crate is
-//!   Unix-only.)
+//!   failed write can never shift where later frames land. A `get` is
+//!   one positioned read of header + payload into a single buffer whose
+//!   payload is handed out as a zero-copy [`Bytes::slice`]; a
+//!   [`DiskStore::get_many`] (one object's chunks, which a placement
+//!   tends to append back to back) takes the lock once, sorts the
+//!   frames it found by (segment, offset) and reads each run of
+//!   back-to-back frames with one positioned read into one buffer, whose
+//!   payloads are all slices of it. `agar_disk_read_calls_total` counts
+//!   the positioned reads. There is no `fsync`: this is a cache of
+//!   re-fetchable chunks. (The positioned calls are
+//!   `std::os::unix::fs::FileExt`; the crate is Unix-only.)
 //! - **Capacity is reclaimed by a log cleaner.** Every segment counts
 //!   the bytes of its frames the index still points at. When total
 //!   segment bytes exceed the budget the victim is the *sealed segment
@@ -60,7 +65,11 @@
 //!   magic, object, index, version, length or checksum — or a short
 //!   read — purges the index entry and reports a miss so the caller
 //!   falls back to the backend; it never panics and never returns
-//!   payload bytes that failed verification. The cleaner applies the
+//!   payload bytes that failed verification. A run read verifies each
+//!   of its frames on its own, so a bad frame costs only itself, and a
+//!   run whose read comes back short (a torn tail) is re-read a frame
+//!   at a time, so a cut at its j-th frame costs frames j and later
+//!   and no earlier one. The cleaner applies the
 //!   same check to every frame it copies: a survivor that fails it is
 //!   counted and dropped, never rewritten.
 //!
@@ -89,7 +98,7 @@ use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Frame magic, little-endian, first 4 bytes of every frame. Bumped
 /// from `0xA6A7_C4CE` when the checksum changed, so a frame in the old
@@ -224,6 +233,12 @@ impl Location {
     fn frame_len(&self) -> u64 {
         HEADER_LEN as u64 + u64::from(self.len)
     }
+
+    /// Whether `next` starts in the same segment right where this
+    /// frame ends: the two can be read with one positioned read.
+    fn precedes(&self, next: &Location) -> bool {
+        self.segment == next.segment && self.offset + self.frame_len() == next.offset
+    }
 }
 
 #[derive(Debug)]
@@ -253,6 +268,9 @@ struct Inner {
     /// The frame being written (header + payload), reused across puts
     /// so a put is one write call and no allocation.
     frame: Vec<u8>,
+    /// The frames a `get_many` found, reused across calls so sorting
+    /// them allocates nothing once it has grown to an object's width.
+    located: Vec<(ChunkId, Location)>,
 }
 
 impl Inner {
@@ -323,6 +341,11 @@ pub struct DiskStore {
     /// The subset of `appended_bytes` the cleaner wrote: survivors
     /// copied forward out of a victim segment.
     compacted_bytes: Counter,
+    /// Positioned reads issued against segment files: one per `get`,
+    /// one per run of frames a `get_many` reads (plus one per frame of
+    /// a run re-read after a short read), one per frame the cleaner
+    /// copies.
+    read_calls: Counter,
     inner: Mutex<Inner>,
 }
 
@@ -343,6 +366,7 @@ impl DiskStore {
             corrupt_frames: Counter::new(),
             appended_bytes: Counter::new(),
             compacted_bytes: Counter::new(),
+            read_calls: Counter::new(),
             inner: Mutex::new(Inner {
                 dir,
                 segments: Vec::new(),
@@ -350,6 +374,7 @@ impl DiskStore {
                 used: 0,
                 next_segment: 0,
                 frame: Vec::new(),
+                located: Vec::new(),
             }),
         })
     }
@@ -471,28 +496,137 @@ impl DiskStore {
     /// `None` — a miss, never unverified bytes.
     pub fn get(&self, id: &ChunkId) -> Option<CachedChunk> {
         let mut inner = self.inner();
-        let inner = &mut *inner;
         let loc = *inner.index.get(id)?;
-        let segment = inner.segments.iter().find(|s| s.id == loc.segment);
         // Reads verify against the index entry they resolved, so the
         // frame read stays under the store mutex (single-writer log).
         // agar-lint: allow(lock-across-blocking)
-        let frame = segment.and_then(|segment| Self::read_frame(&segment.file, id, loc));
-        match frame {
-            Some(frame) => Some(CachedChunk::new(
-                Bytes::from(frame).slice(HEADER_LEN..),
-                loc.version,
-            )),
-            None => {
-                // An index entry existed but its frame failed
-                // verification: that is corruption (or a torn write),
-                // not a clean miss — count it so operators can see the
-                // tier eating bad frames, then fall through.
-                self.corrupt_frames.inc();
-                inner.forget(id);
-                None
+        self.get_located(&mut inner, *id, loc)
+    }
+
+    /// Looks up every chunk of `ids` under one lock and calls `found`
+    /// with each verified hit, in log order (not `ids` order). The
+    /// frames found are sorted by (segment, offset), and each run of
+    /// back-to-back frames is read with one positioned read into one
+    /// buffer that every payload of the run is a zero-copy slice of.
+    /// Each frame is verified as [`DiskStore::get`] verifies it, and one
+    /// that fails is a counted miss whose index entry is dropped, as
+    /// there; its neighbours in the run are served. A run whose read
+    /// fails or comes back short is re-read one frame at a time.
+    ///
+    /// Equal to a [`DiskStore::get`] per id for distinct ids (a repeated
+    /// id is read once per occurrence). `found` runs under the store's
+    /// lock, so it must not call back into the store.
+    pub fn get_many(
+        &self,
+        ids: impl IntoIterator<Item = ChunkId>,
+        mut found: impl FnMut(ChunkId, CachedChunk),
+    ) {
+        let mut inner = self.inner();
+        let inner = &mut *inner;
+        let mut located = std::mem::take(&mut inner.located);
+        located.clear();
+        located.extend(
+            ids.into_iter()
+                .filter_map(|id| Some((id, *inner.index.get(&id)?))),
+        );
+        located.sort_unstable_by_key(|(_, loc)| (loc.segment, loc.offset));
+        let mut rest = &located[..];
+        while !rest.is_empty() {
+            let adjacent = rest
+                .windows(2)
+                .take_while(|pair| pair[0].1.precedes(&pair[1].1))
+                .count();
+            let (run, after) = rest.split_at(adjacent + 1);
+            // As in `get`: verification against the index entries
+            // needs the frames read under the store mutex.
+            // agar-lint: allow(lock-across-blocking)
+            self.read_run(inner, run, &mut found);
+            rest = after;
+        }
+        inner.located = located;
+    }
+
+    /// Reads one frame with one positioned read and verifies it; a
+    /// frame that fails is counted in `corrupt_frames` and forgotten.
+    fn get_located(&self, inner: &mut Inner, id: ChunkId, loc: Location) -> Option<CachedChunk> {
+        let segment = inner.segments.iter().find(|s| s.id == loc.segment);
+        let frame =
+            segment.and_then(|segment| self.read_at(&segment.file, loc.offset, loc.frame_len()));
+        let verified = frame.and_then(|frame| Self::verified(&frame, 0, &id, loc));
+        if verified.is_none() {
+            // An index entry existed but its frame failed verification:
+            // that is corruption (or a torn write), not a clean miss —
+            // count it so operators can see the tier eating bad frames,
+            // then fall through.
+            self.corrupt_frames.inc();
+            inner.forget(&id);
+        }
+        verified
+    }
+
+    /// Reads `run` — frames back to back in one segment, in offset
+    /// order — with one positioned read, and serves each verified frame
+    /// to `found`. A failed or short read re-reads the frames one at a
+    /// time.
+    fn read_run(
+        &self,
+        inner: &mut Inner,
+        run: &[(ChunkId, Location)],
+        found: &mut impl FnMut(ChunkId, CachedChunk),
+    ) {
+        let (first, last) = (run[0].1, run[run.len() - 1].1);
+        let len = last.offset + last.frame_len() - first.offset;
+        let segment = inner.segments.iter().find(|s| s.id == first.segment);
+        // A lone frame is read as `get` reads it, and so, one frame at a
+        // time, is a run whose read failed or came back short.
+        let buffer = match (run, segment) {
+            ([_, _, ..], Some(segment)) => self.read_at(&segment.file, first.offset, len),
+            _ => None,
+        };
+        let Some(buffer) = buffer else {
+            for &(id, loc) in run {
+                if let Some(chunk) = self.get_located(inner, id, loc) {
+                    found(id, chunk);
+                }
+            }
+            return;
+        };
+        for &(id, loc) in run {
+            let at = (loc.offset - first.offset) as usize;
+            match Self::verified(&buffer, at, &id, loc) {
+                Some(chunk) => found(id, chunk),
+                None => {
+                    self.corrupt_frames.inc();
+                    inner.forget(&id);
+                }
             }
         }
+    }
+
+    /// One positioned read of `len` bytes at `offset` into a fresh
+    /// buffer; `None` if the read fails or comes back short. Callers
+    /// size it from index entries, never from a length read off disk.
+    fn read_at(&self, file: &File, offset: u64, len: u64) -> Option<Bytes> {
+        self.read_calls.inc();
+        // `repeat_n` is exact-length, so this is one allocation holding
+        // the counts and the bytes, and the fresh `Arc` is unique.
+        let mut buffer: Arc<[u8]> = std::iter::repeat_n(0u8, len as usize).collect();
+        file.read_exact_at(Arc::get_mut(&mut buffer)?, offset)
+            .ok()?;
+        Some(Bytes::from(buffer))
+    }
+
+    /// The chunk whose frame starts at `at` of `buffer`, if the frame
+    /// verifies against its index entry: the header read must equal,
+    /// byte for byte, the header [`encode_header`] builds from the entry
+    /// and the payload bytes read — which checks magic, object, index,
+    /// version, length and checksum at once. The payload is a zero-copy
+    /// slice of `buffer`.
+    fn verified(buffer: &Bytes, at: usize, id: &ChunkId, loc: Location) -> Option<CachedChunk> {
+        let end = at + loc.frame_len() as usize;
+        let (header, payload) = buffer.get(at..end)?.split_at(HEADER_LEN);
+        (header == encode_header(id, loc.version, loc.len, payload))
+            .then(|| CachedChunk::new(buffer.slice(at + HEADER_LEN..end), loc.version))
     }
 
     /// Indexed frames that failed verification on read so far.
@@ -512,9 +646,15 @@ impl DiskStore {
         self.compacted_bytes.get()
     }
 
+    /// Positioned reads issued against segment files so far (see the
+    /// module docs).
+    pub fn read_calls(&self) -> u64 {
+        self.read_calls.get()
+    }
+
     /// Registers the tier's own counters: `agar_disk_corrupt_frames_total`,
-    /// `agar_disk_appended_bytes_total` and
-    /// `agar_disk_compacted_bytes_total`.
+    /// `agar_disk_appended_bytes_total`, `agar_disk_compacted_bytes_total`
+    /// and `agar_disk_read_calls_total`.
     pub fn register_metrics(&self, registry: &MetricsRegistry, base: Labels) {
         registry.register_counter(
             "agar_disk_corrupt_frames_total",
@@ -531,8 +671,14 @@ impl DiskStore {
         registry.register_counter(
             "agar_disk_compacted_bytes_total",
             "Frame bytes the disk-tier log cleaner copied forward (part of appended).",
-            base,
+            base.clone(),
             &self.compacted_bytes,
+        );
+        registry.register_counter(
+            "agar_disk_read_calls_total",
+            "Positioned reads issued against disk-tier segment files.",
+            base,
+            &self.read_calls,
         );
     }
 
@@ -596,23 +742,6 @@ impl DiskStore {
         Ok((active.id, offset))
     }
 
-    /// Reads the frame at `loc` of a segment file with one positioned
-    /// read and verifies it: the header on disk must equal, byte for
-    /// byte, the header [`encode_header`] builds from the index entry
-    /// and the payload bytes just read — which checks magic, object,
-    /// index, version, length and checksum at once. The buffer is sized
-    /// from the index, never from a length read off disk. Returns the
-    /// whole verified frame, header included.
-    fn read_frame(file: &File, id: &ChunkId, loc: Location) -> Option<Vec<u8>> {
-        let mut frame = vec![0u8; HEADER_LEN + loc.len as usize];
-        file.read_exact_at(&mut frame, loc.offset).ok()?;
-        let (header, payload) = frame.split_at(HEADER_LEN);
-        if header != encode_header(id, loc.version, loc.len, payload) {
-            return None;
-        }
-        Some(frame)
-    }
-
     /// Cleans sealed segments, fewest live bytes first, until within
     /// the budget; returns how many live entries were lost. A victim's
     /// survivors are copied forward (verified, in offset order) up to
@@ -646,7 +775,10 @@ impl DiskStore {
                     continue;
                 }
                 allowance -= loc.frame_len();
-                let Some(frame) = Self::read_frame(&victim.file, &id, loc) else {
+                let frame = self.read_at(&victim.file, loc.offset, loc.frame_len());
+                let Some(frame) =
+                    frame.filter(|frame| Self::verified(frame, 0, &id, loc).is_some())
+                else {
                     self.corrupt_frames.inc();
                     continue;
                 };
@@ -1270,6 +1402,190 @@ mod tests {
                 store.check_invariants();
             }
             prop_assert_eq!(store.corrupt_frames(), 0);
+        }
+    }
+
+    /// `get_many` over `ids`: the hits as `(id, version, payload)`,
+    /// sorted by id, and the positioned reads it issued.
+    fn many(store: &DiskStore, ids: &[ChunkId]) -> (Vec<(ChunkId, u64, Vec<u8>)>, u64) {
+        let calls = store.read_calls();
+        let mut hits = Vec::new();
+        store.get_many(ids.iter().copied(), |id, chunk| {
+            hits.push((id, chunk.version(), chunk.data().to_vec()));
+        });
+        hits.sort_unstable();
+        (hits, store.read_calls() - calls)
+    }
+
+    /// One object's chunks `0..count` (4 + `i` bytes each), put back to
+    /// back into a 1 MiB store's one segment.
+    fn one_run(count: u8) -> (DiskStore, Vec<ChunkId>) {
+        let store = DiskStore::new(1 << 20).unwrap();
+        let ids: Vec<ChunkId> = (0..count).map(|i| id(1, i)).collect();
+        for (i, key) in ids.iter().enumerate() {
+            store.put(*key, &chunk(i as u8 + 1, 4 + i, 2));
+        }
+        (store, ids)
+    }
+
+    #[test]
+    fn a_run_of_back_to_back_frames_is_one_read() {
+        let (store, ids) = one_run(9);
+        let (hits, calls) = many(&store, &ids);
+        assert_eq!(calls, 1);
+        assert_eq!(hits.len(), 9);
+        for (i, (key, version, payload)) in hits.into_iter().enumerate() {
+            assert_eq!((key, version), (ids[i], 2));
+            assert_eq!(payload, vec![i as u8 + 1; 4 + i]);
+        }
+        // Misses, unknown ids and an empty list read nothing more.
+        let (hits, calls) = many(&store, &[id(2, 0), id(1, 20)]);
+        assert_eq!((hits.len(), calls), (0, 0));
+        assert_eq!(many(&store, &[]).1, 0);
+        // A `get` is one read too.
+        assert!(store.get(&ids[3]).is_some());
+        assert_eq!(store.read_calls(), 2);
+        assert_eq!(store.corrupt_frames(), 0);
+    }
+
+    #[test]
+    fn a_corrupt_middle_frame_of_a_run_is_a_counted_miss_and_its_neighbours_are_served() {
+        let (store, ids) = one_run(3);
+        // The middle frame's payload: frame 0 is `HEADER_LEN + 4` long.
+        let path = store.segment_paths().pop().unwrap();
+        flip(&path, (HEADER_LEN + 4 + HEADER_LEN + 1) as u64, 0x08);
+        let (hits, calls) = many(&store, &ids);
+        assert_eq!(calls, 1, "one read for the run, bad frame and all");
+        let served: Vec<ChunkId> = hits.iter().map(|hit| hit.0).collect();
+        assert_eq!(served, [ids[0], ids[2]]);
+        assert_eq!(hits[1].2, vec![3u8; 6]);
+        assert_eq!(store.corrupt_frames(), 1);
+        assert!(!store.contains(&ids[1]), "the bad frame is forgotten");
+        // The next lookup is a clean miss for it, a run of one for
+        // each neighbour.
+        let (hits, calls) = many(&store, &ids);
+        assert_eq!((hits.len(), calls, store.corrupt_frames()), (2, 2, 1));
+    }
+
+    #[test]
+    fn a_truncation_inside_a_run_serves_the_frames_before_the_cut() {
+        const COUNT: u8 = 4;
+        let frame = |i: usize| (HEADER_LEN + 4 + i) as u64;
+        let start = |j: usize| (0..j).map(frame).sum::<u64>();
+        for cut in 0..COUNT as usize {
+            for into in [0, 1, HEADER_LEN as u64, frame(cut) - 1] {
+                let (store, ids) = one_run(COUNT);
+                let path = store.segment_paths().pop().unwrap();
+                let file = OpenOptions::new().write(true).open(&path).unwrap();
+                file.set_len(start(cut) + into).unwrap();
+                let (hits, calls) = many(&store, &ids);
+                let served: Vec<ChunkId> = hits.iter().map(|hit| hit.0).collect();
+                assert_eq!(served, ids[..cut], "cut in frame {cut} at +{into}");
+                // The short run read, then one read per frame.
+                assert_eq!(calls, 1 + u64::from(COUNT));
+                let lost = u64::from(COUNT) - cut as u64;
+                assert_eq!(store.corrupt_frames(), lost);
+                assert_eq!(store.len(), cut);
+            }
+        }
+    }
+
+    #[test]
+    fn runs_split_by_rotation_or_by_other_objects_frames_each_get_their_own_read() {
+        // 8 KiB budget, 1 KiB segments of four 300 B frames: object 1's
+        // chunks 0..4 fill segment 0, 4..6 start segment 1, then
+        // object 2's frame sits between 5 and 6.
+        let store = DiskStore::new(8 * 1024).unwrap();
+        let payload = |i: u8| chunk(i, 300 - HEADER_LEN, 1);
+        for i in 0..6 {
+            store.put(id(1, i), &payload(i));
+        }
+        store.put(id(2, 0), &payload(99));
+        store.put(id(1, 6), &payload(6));
+        assert_eq!(store.segment_paths().len(), 2);
+        let ids: Vec<ChunkId> = (0..7).rev().map(|i| id(1, i)).collect();
+        let (hits, calls) = many(&store, &ids);
+        assert_eq!(hits.len(), 7);
+        assert_eq!(calls, 3, "0..4 | 4..6 | 6");
+        for (i, (key, _, bytes)) in hits.iter().enumerate() {
+            assert_eq!(*key, id(1, i as u8));
+            assert_eq!(bytes, &vec![i as u8; 300 - HEADER_LEN]);
+        }
+        // A removed frame in the middle of a run splits it too.
+        store.remove(&id(1, 2));
+        assert_eq!(many(&store, &ids).1, 4, "0..2 | 3 | 4..6 | 6");
+        assert_eq!(store.corrupt_frames(), 0);
+    }
+
+    /// One step of [`driven`]: `(op, object, index, version, len, at)`.
+    type Op = (u8, u64, u8, u64, usize, u16);
+
+    /// A store driven by `ops` (put, remove, a flipped byte, a torn
+    /// tail), cleaned by its byte budget. Equal ops leave equal stores.
+    fn driven(ops: &[Op]) -> DiskStore {
+        const LENS: [usize; 4] = [0, 40, 120, 300];
+        let store = DiskStore::new(4096).unwrap();
+        for (step, &(op, object, index, version, len, at)) in ops.iter().enumerate() {
+            let key = id(object, index);
+            let paths = store.segment_paths();
+            match op {
+                0..=5 => {
+                    store.put(key, &chunk(step as u8, LENS[len], version));
+                }
+                6 => {
+                    store.remove(&key);
+                }
+                _ if paths.is_empty() => {}
+                7 => {
+                    let path = &paths[usize::from(at) % paths.len()];
+                    let file_len = std::fs::metadata(path).unwrap().len();
+                    if file_len > 0 {
+                        flip(path, u64::from(at) * 7 % file_len, 0x20);
+                    }
+                }
+                _ => {
+                    let file = OpenOptions::new()
+                        .write(true)
+                        .open(&paths[paths.len() - 1])
+                        .unwrap();
+                    let file_len = file.metadata().unwrap().len();
+                    file.set_len(file_len.saturating_sub(u64::from(at) % 400))
+                        .unwrap();
+                }
+            }
+        }
+        store
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `get_many` is a `get` per id: over random puts, removes,
+        /// cleans, byte flips and torn tails, two equal stores serve the
+        /// same hits, count the same corrupt frames and keep the same
+        /// keys whether each object is read at once or id by id.
+        #[test]
+        fn get_many_matches_a_get_per_id(
+            ops in vec((0u8..9, 0u64..3, 0u8..4, 1u64..4, 0usize..4, any::<u16>()), 1..60),
+        ) {
+            let (batched, single) = (driven(&ops), driven(&ops));
+            prop_assert_eq!(segment_files(&batched), segment_files(&single));
+            for object in 0..3 {
+                let ids: Vec<ChunkId> = (0..4).map(|index| id(object, index)).collect();
+                let (hits, _) = many(&batched, &ids);
+                let mut expected: Vec<(ChunkId, u64, Vec<u8>)> = ids
+                    .iter()
+                    .filter_map(|key| {
+                        let chunk = single.get(key)?;
+                        Some((*key, chunk.version(), chunk.data().to_vec()))
+                    })
+                    .collect();
+                expected.sort_unstable();
+                prop_assert_eq!(hits, expected);
+                prop_assert_eq!(batched.corrupt_frames(), single.corrupt_frames());
+                prop_assert_eq!(batched.keys(), single.keys());
+            }
+            batched.check_invariants();
         }
     }
 

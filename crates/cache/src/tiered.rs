@@ -50,7 +50,7 @@
 use crate::disk::DiskStore;
 use crate::sharded::{CachedChunk, PolicyKind, ShardedChunkCache};
 use crate::stats::{AtomicCacheStats, CacheStats};
-use agar_ec::ChunkId;
+use agar_ec::{ChunkId, ChunkSet, ObjectId};
 
 /// Which tier a chunk was found in (or is destined for).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, PartialOrd, Ord, Hash)]
@@ -141,6 +141,52 @@ impl TieredChunkCache {
         }
         let chunk = self.disk.as_ref()?.get(key)?;
         Some((chunk, CacheTier::Disk))
+    }
+
+    /// Looks up chunks `indices` of `object` — one read's hinted chunks —
+    /// RAM first for each, then one disk visit
+    /// ([`DiskStore::get_many`]) for all the RAM misses, so a run of
+    /// one object's frames costs one positioned read. Calls `found`
+    /// with `(index, chunk, tier)` for every hit: the RAM hits in
+    /// `indices` order, then the disk hits in log order. With
+    /// `record_stats` each id is counted as [`TieredChunkCache::get`]
+    /// counts it (RAM hit or miss, `disk_hits` per disk hit); without,
+    /// as [`TieredChunkCache::peek`] (nothing). Neither tier changes.
+    /// `found` runs under the disk tier's lock for a disk hit, so it
+    /// must not call back into the cache.
+    pub fn lookup_object(
+        &self,
+        object: ObjectId,
+        indices: &[u8],
+        record_stats: bool,
+        mut found: impl FnMut(u8, CachedChunk, CacheTier),
+    ) {
+        let mut missed = ChunkSet::new();
+        for &index in indices {
+            let id = ChunkId::new(object, index);
+            let chunk = if record_stats {
+                self.ram.get(&id)
+            } else {
+                self.ram.peek(&id)
+            };
+            match chunk {
+                Some(chunk) => found(index, chunk, CacheTier::Ram),
+                None => {
+                    missed.insert(index);
+                }
+            }
+        }
+        let Some(disk) = self.disk.as_ref().filter(|_| !missed.is_empty()) else {
+            return;
+        };
+        let misses = indices.iter().filter(|&&index| missed.contains(index));
+        let ids = misses.map(|&index| ChunkId::new(object, index));
+        disk.get_many(ids, |id, chunk| {
+            if record_stats {
+                self.counters().disk_hits.inc();
+            }
+            found(id.index().value(), chunk, CacheTier::Disk);
+        });
     }
 
     /// Places a chunk in the requested tier and takes it out of the
@@ -271,7 +317,8 @@ impl TieredChunkCache {
     /// see [`AtomicCacheStats::register_with`]. With a disk tier
     /// attached its own counters (`agar_disk_corrupt_frames_total`,
     /// `agar_disk_appended_bytes_total`,
-    /// `agar_disk_compacted_bytes_total`) are registered too.
+    /// `agar_disk_compacted_bytes_total`,
+    /// `agar_disk_read_calls_total`) are registered too.
     pub fn register_metrics(&self, registry: &agar_obs::MetricsRegistry, base: &agar_obs::Labels) {
         self.counters().register_with(registry, base);
         if let Some(disk) = &self.disk {
@@ -358,6 +405,68 @@ mod tests {
             "an eviction writes nothing"
         );
         assert_eq!(cache.stats().delta_since(&before).evictions(), 1);
+    }
+
+    #[test]
+    fn an_object_lookup_serves_and_counts_as_a_lookup_per_chunk() {
+        // Object 1: chunks 0 and 1 in RAM, 2..6 back to back on disk,
+        // 6 nowhere; object 2's chunk in RAM is not asked for.
+        let build = || {
+            let cache = TieredChunkCache::with_disk(300, 1, 10_000);
+            for index in 0..6u8 {
+                let tier = if index < 2 {
+                    CacheTier::Ram
+                } else {
+                    CacheTier::Disk
+                };
+                assert!(cache.insert_to_tier(id(1, index), chunk(index, 100, 3), tier));
+            }
+            cache.insert_to_tier(id(2, 0), chunk(9, 100, 1), CacheTier::Ram);
+            cache
+        };
+        let indices = [6u8, 5, 0, 3, 1, 4, 2];
+        for record_stats in [true, false] {
+            let (batched, single) = (build(), build());
+            let mut found = Vec::new();
+            let calls = batched.disk().unwrap().read_calls();
+            batched.lookup_object(
+                ObjectId::new(1),
+                &indices,
+                record_stats,
+                |index, chunk, tier| {
+                    found.push((index, chunk, tier));
+                },
+            );
+            assert_eq!(batched.disk().unwrap().read_calls() - calls, 1, "one run");
+            found.sort_unstable_by_key(|hit| hit.0);
+            let mut expected: Vec<_> = indices
+                .iter()
+                .filter_map(|&index| {
+                    let key = id(1, index);
+                    let hit = if record_stats {
+                        single.get(&key)
+                    } else {
+                        single.peek(&key)
+                    };
+                    hit.map(|(chunk, tier)| (index, chunk, tier))
+                })
+                .collect();
+            expected.sort_unstable_by_key(|hit| hit.0);
+            assert_eq!(found, expected);
+            assert_eq!(found.len(), 6);
+            assert_eq!(
+                batched.stats(),
+                single.stats(),
+                "record_stats {record_stats}"
+            );
+            assert_eq!(batched.ram().keys().len(), 3);
+        }
+        // All RAM hits: the disk tier is not visited.
+        let cache = build();
+        cache.lookup_object(ObjectId::new(1), &[0, 1], true, |_, _, tier| {
+            assert_eq!(tier, CacheTier::Ram);
+        });
+        assert_eq!(cache.disk().unwrap().read_calls(), 0);
     }
 
     #[test]

@@ -426,11 +426,9 @@ impl ClusterRouter {
             // A home RAM hit is free; a home *disk* hit is only a
             // candidate (priced at `disk_read` by the planner), so
             // sibling offers still compete for it — a nearby sibling's
-            // RAM can beat the local disk.
-            if matches!(
-                home.peek_chunk_tier(&chunk, version),
-                Some((_, CacheTier::Ram))
-            ) {
+            // RAM can beat the local disk. The check reads no disk
+            // frame: the home's own lookup reads those, a run at a time.
+            if home.holds_in_ram(&chunk, version) {
                 continue;
             }
             // Offer every probed holder; the planner keeps the
@@ -892,6 +890,62 @@ mod tests {
 
     /// A holder whose copy sits on disk loses it too: the broadcast
     /// drops the object's chunk ids from both tiers.
+    #[test]
+    fn a_tiered_routed_read_reads_each_run_of_disk_frames_once() {
+        // Three tiered members whose RAM holds no chunk: the home's
+        // configured chunks all sit on its disk, and the siblings hold
+        // none of the object.
+        let backend = backend(4);
+        let settings = ClusterSettings { sibling_probes: 5 };
+        let router = ClusterRouter::new(Arc::clone(&backend), settings, 5).unwrap();
+        let members: Vec<Arc<AgarNode>> = (0..3)
+            .map(|seed| tiered_node(&backend, FRANKFURT, seed, 50, 64 * SIZE))
+            .collect();
+        let ids: Vec<u64> = members
+            .iter()
+            .map(|member| router.add_node(Arc::clone(member)).node)
+            .collect();
+        let object = ObjectId::new(0);
+        let home_id = router.ring().owner_of_object(object).unwrap();
+        let home = &members[ids.iter().position(|&id| id == home_id).unwrap()];
+        for _ in 0..30 {
+            router.read(object).unwrap();
+        }
+        router.force_reconfigure_all();
+        router.read(object).unwrap();
+        let on_disk = (0..12u8)
+            .filter(|&index| {
+                let held = home.chunk_residency(&ChunkId::new(object, index));
+                held == [(CacheTier::Disk, 1)]
+            })
+            .count();
+        assert!(
+            on_disk > 1,
+            "{on_disk} configured chunks on the home's disk"
+        );
+
+        let calls: Vec<u64> = members.iter().map(|m| m.disk_read_calls()).collect();
+        let before = home.cache_stats();
+        let read = router.read(object).unwrap();
+        assert_eq!(read.home, home_id);
+        assert_eq!(
+            read.metrics().data.as_ref(),
+            expected_payload(0, SIZE).as_slice()
+        );
+        let disk_hits = home.cache_stats().delta_since(&before).disk_hits();
+        assert_eq!(disk_hits, on_disk as u64);
+        let issued: Vec<u64> = members
+            .iter()
+            .zip(&calls)
+            .map(|(member, before)| member.disk_read_calls() - before)
+            .collect();
+        // The fill appended the configured frames back to back: one
+        // run, one read — not one more per chunk for the router's RAM
+        // check.
+        let expected: Vec<u64> = ids.iter().map(|&id| u64::from(id == home_id)).collect();
+        assert_eq!(issued, expected);
+    }
+
     #[test]
     fn writes_empty_both_tiers_of_a_tiered_holder() {
         let backend = backend(8);

@@ -81,6 +81,7 @@ pub mod cache_manager;
 pub mod config;
 pub mod error;
 pub mod fetcher;
+mod inline;
 pub mod knapsack;
 pub mod monitor;
 pub mod node;

@@ -699,6 +699,14 @@ impl AgarNode {
             .map(|(c, tier)| (c.data().clone(), tier))
     }
 
+    /// Whether the RAM tier holds `chunk` at `version` (no recency
+    /// update, no statistics, no payload clone, no disk read). A
+    /// cluster router skips gathering neighbour offers for such a
+    /// chunk: the home's own RAM hit is free.
+    pub fn holds_in_ram(&self, chunk: &ChunkId, version: u64) -> bool {
+        self.cache.ram().version_of(chunk) == Some(version)
+    }
+
     /// Every tier that holds a copy of `chunk`, with the version of
     /// that copy (no recency update, no statistics, no disk read).
     /// Placement keeps a chunk in one tier, so this is empty or one
@@ -746,6 +754,13 @@ impl AgarNode {
     /// cleaner copied forward; serving a read adds none.
     pub fn disk_appended_bytes(&self) -> u64 {
         self.cache.disk().map_or(0, |disk| disk.appended_bytes())
+    }
+
+    /// Positioned reads the disk tier has issued so far (0 without a
+    /// disk tier): one per run of back-to-back frames a read's lookup
+    /// reads, and one per frame the log's cleaner copies.
+    pub fn disk_read_calls(&self) -> u64 {
+        self.cache.disk().map_or(0, |disk| disk.read_calls())
     }
 
     /// The part of [`AgarNode::disk_appended_bytes`] that was live

@@ -17,11 +17,13 @@
 
 use crate::config::CacheConfiguration;
 use crate::error::AgarError;
+use crate::inline::{Inline, INLINE_CHUNKS};
 use agar_cache::{CacheTier, TieredChunkCache};
 use agar_ec::{ChunkId, ChunkSet};
 use agar_net::RegionId;
 use agar_store::{Backend, ObjectManifest, StoreError};
 use bytes::Bytes;
+use std::borrow::Borrow;
 use std::time::Duration;
 
 /// A chunk offered by a collaborating neighbour's cache.
@@ -186,9 +188,15 @@ impl<'a> ReadPlanner<'a> {
     /// *newer* than the manifest is no hit either, but it is the
     /// manifest snapshot that is behind (a write completed after this
     /// attempt took it, and left its chunks here): the chunk stays, and
-    /// the attempt will lose the version race at its first fetch. Each RAM lookup locks only the chunk's
-    /// cache shard; a disk hit is one verified frame read and leaves
-    /// the chunk where the configuration put it.
+    /// the attempt will lose the version race at its first fetch.
+    ///
+    /// The lookup is one [`TieredChunkCache::lookup_object`]: each RAM
+    /// lookup locks only the chunk's cache shard, and the RAM misses
+    /// take one visit to the disk tier, which reads each run of the
+    /// object's back-to-back frames with one positioned read and leaves
+    /// every chunk where the configuration put it. Stale chunks are
+    /// dropped once the lookup is done. Each hit list is allocated once,
+    /// at its first hit, for every hinted chunk.
     ///
     /// `record_stats` controls whether the lookups count toward the
     /// cache's chunk-level hit/miss statistics and recency metadata;
@@ -199,23 +207,23 @@ impl<'a> ReadPlanner<'a> {
         let version = self.manifest.version();
         let hinted = self.hinted();
         let mut have = LocalHits::default();
-        for &index in hinted {
-            let id = ChunkId::new(object, index);
-            let found = if record_stats {
-                cache.get(&id)
-            } else {
-                cache.peek(&id)
-            };
-            match found {
-                Some((chunk, tier)) if chunk.version() == version => match tier {
-                    CacheTier::Ram => have.ram.push((index, chunk.data().clone())),
-                    CacheTier::Disk => have.disk.push((index, chunk.data().clone())),
-                },
-                Some((chunk, _)) if chunk.version() < version => {
-                    cache.remove(&id);
+        let mut stale = ChunkSet::new();
+        cache.lookup_object(object, hinted, record_stats, |index, chunk, tier| {
+            if chunk.version() == version {
+                let hits = match tier {
+                    CacheTier::Ram => &mut have.ram,
+                    CacheTier::Disk => &mut have.disk,
+                };
+                if hits.capacity() == 0 {
+                    hits.reserve_exact(hinted.len());
                 }
-                _ => {}
+                hits.push((index, chunk.data().clone()));
+            } else if chunk.version() < version {
+                stale.insert(index);
             }
+        });
+        for &index in hinted.iter().filter(|&&index| stale.contains(index)) {
+            cache.remove(&ChunkId::new(object, index));
         }
         have
     }
@@ -241,7 +249,7 @@ impl<'a> ReadPlanner<'a> {
     /// combined.
     pub fn plan(
         &self,
-        hits: LocalHits,
+        hits: impl Borrow<LocalHits>,
         remote: &[RemoteChunk],
         backend: &Backend,
         estimates: &[Duration],
@@ -271,13 +279,14 @@ impl<'a> ReadPlanner<'a> {
     /// plan feasibility.
     pub fn plan_hedged(
         &self,
-        hits: LocalHits,
+        hits: impl Borrow<LocalHits>,
         remote: &[RemoteChunk],
         backend: &Backend,
         estimates: &[Duration],
         disk_read: Duration,
         hedging: HedgePolicy<'_>,
     ) -> Result<ReadPlan, AgarError> {
+        let hits = hits.borrow();
         let object = self.manifest.object();
         let k = self.manifest.params().data_chunks();
         let total = self.manifest.params().total_chunks();
@@ -285,8 +294,8 @@ impl<'a> ReadPlanner<'a> {
         let held: ChunkSet = hits.ram.iter().map(|&(index, _)| index).collect();
         let mut sources: Vec<(u8, ChunkSource)> = hits
             .ram
-            .into_iter()
-            .map(|(index, data)| (index, ChunkSource::Local { data }))
+            .iter()
+            .map(|(index, data)| (*index, ChunkSource::Local { data: data.clone() }))
             .collect();
         let needed = k.saturating_sub(cache_hits);
         if needed == 0 {
@@ -300,7 +309,7 @@ impl<'a> ReadPlanner<'a> {
         // Disk-tier hits by chunk index: candidates priced at the disk
         // read latency, not automatic wins (a nearby backend region can
         // legitimately beat a slow disk).
-        let mut disk_at: Vec<Option<&Bytes>> = vec![None; total];
+        let mut disk_at: Inline<Option<&Bytes>, INLINE_CHUNKS> = Inline::defaults(total);
         for (index, data) in &hits.disk {
             if let Some(slot) = disk_at.get_mut(*index as usize) {
                 *slot = Some(data);
@@ -313,7 +322,8 @@ impl<'a> ReadPlanner<'a> {
         // an error (the neighbour raced a write; decoding its payload
         // alongside current-version chunks would produce garbage).
         let version = self.manifest.version();
-        let mut remote_at: Vec<Option<(&Bytes, Duration)>> = vec![None; total];
+        let mut remote_at: Inline<Option<(&Bytes, Duration)>, INLINE_CHUNKS> =
+            Inline::defaults(total);
         for offer in remote {
             if offer.version != version {
                 continue;

@@ -20,6 +20,7 @@ use super::{AgarNode, AgarSettings, ReadMetrics};
 use crate::config::CacheConfiguration;
 use crate::error::AgarError;
 use crate::fetcher::{ChunkFetcher, FetchRequest};
+use crate::inline::{Inline, INLINE_CHUNKS, INLINE_REGIONS};
 use crate::planner::{ChunkSource, HedgePolicy, LocalHits, ReadPlan, ReadPlanner, RemoteChunk};
 use agar_cache::CachedChunk;
 use agar_ec::{ChunkId, ObjectId};
@@ -42,7 +43,7 @@ type Arrival = (usize, FetchRequest, ChunkFetch);
 struct Bound {
     /// Payloads by chunk index (`k + m` slots, at least k filled). A
     /// straggler's payload never lands here.
-    shards: Vec<Option<Bytes>>,
+    shards: Inline<Option<Bytes>, INLINE_CHUNKS>,
     /// Slowest bound networked source (neighbour or backend).
     worst: Duration,
     disk_hits: usize,
@@ -247,8 +248,8 @@ impl AgarNode {
         let (estimates, deviations) = {
             let region_manager = self.region_manager.lock();
             (
-                region_manager.estimates().to_vec(),
-                region_manager.deviations().to_vec(),
+                Inline::<_, INLINE_REGIONS>::copied(region_manager.estimates()),
+                Inline::<_, INLINE_REGIONS>::copied(region_manager.deviations()),
             )
         };
         let now_micros = self.sim_now_micros.load(Ordering::Relaxed);
@@ -261,7 +262,7 @@ impl AgarNode {
                 excluded,
             };
             planner.plan_hedged(
-                hits.clone(),
+                hits,
                 offers,
                 &self.backend,
                 &estimates,
@@ -446,7 +447,7 @@ fn bind(
     needed: usize,
 ) -> Bound {
     let mut bound = Bound {
-        shards: vec![None; total],
+        shards: Inline::defaults(total),
         backend_fetches: arrivals.len(),
         ..Bound::default()
     };

@@ -1,15 +1,20 @@
 //! Property-based tests for the Agar core: Knapsack solver invariants
 //! against random instances, option-generation invariants against
-//! random latency landscapes, and the read planner's cold plans against
-//! the one chunk ranking.
+//! random latency landscapes, and the read planner against the one
+//! chunk ranking (cold plans) and an exhaustive cheapest-cover search
+//! (plans with RAM hits, disk hits, offers and hedges).
 
 use agar::knapsack::{exhaustive_optimum, greedy, KnapsackSolver};
 use agar::options::{generate_options, ObjectOptions};
-use agar::{CacheConfiguration, ChunkSource, LocalHits, ReadPlanner, RequestMonitor};
+use agar::{
+    AgarError, CacheConfiguration, ChunkSource, HedgePolicy, LocalHits, ReadPlanner, RemoteChunk,
+    RequestMonitor,
+};
 use agar_ec::{CodingParams, ObjectId};
 use agar_net::presets::aws_six_regions;
 use agar_net::RegionId;
-use agar_store::{populate, Backend, ObjectManifest, RoundRobin};
+use agar_store::{populate, Backend, ObjectManifest, RoundRobin, StoreError};
+use bytes::Bytes;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -221,6 +226,219 @@ proptest! {
                 }
             }
             Err(_) => prop_assert!(expected.len() < data, "{} chunks up", expected.len()),
+        }
+    }
+}
+
+/// How the restatement below ranks one chunk's sources at equal price:
+/// a disk hit first (no round trip to lose), then the backend, then a
+/// neighbour's offer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Kind {
+    Disk,
+    Backend,
+    Remote,
+}
+
+/// One chunk's cheapest source in the restatement: price, tie rank,
+/// and the offer (position in the offer list) when it is a neighbour's.
+type Cheapest = (Duration, Kind, Option<usize>);
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `plan_hedged` against an exhaustive restatement of its rules.
+    /// Every unheld chunk is priced by its cheapest source (a disk hit
+    /// at `disk_read`, the cheapest current-version offer, the backend
+    /// at its region's estimate unless the region is down or excluded;
+    /// ties: disk, backend, offer). Of every set of `k − RAM hits`
+    /// priced chunks, the plan takes one of least total price, and
+    /// among those the one whose (price, index) list sorts first; it
+    /// lists RAM hits, then those primaries cheapest first, then the
+    /// hedges: backend spares in (price, index) order, within `z` of
+    /// the primaries' worst deviation above their worst estimate, at
+    /// most `Δ · backend primaries / k` of them. Few distinct prices
+    /// force ties everywhere.
+    #[test]
+    fn hedged_plans_are_the_exhaustive_cheapest_cover(
+        data in 2usize..7,
+        parity in 1usize..5,
+        steps in [1u64..5, 1u64..5, 1u64..5, 1u64..5, 1u64..5, 1u64..5],
+        deviation_steps in [0u64..3, 0u64..3, 0u64..3, 0u64..3, 0u64..3, 0u64..3],
+        disk_step in 1u64..5,
+        ram_masks in [any::<u16>(), any::<u16>(), any::<u16>()],
+        disk_masks in [any::<u16>(), any::<u16>()],
+        offers in vec((0u8..12, 1u64..5, 0u64..2), 0..8),
+        (failed, excluded_region) in (0u16..9, 0usize..9),
+        (max_hedges, z) in (0usize..4, prop_oneof![Just(0.0), Just(0.5), Just(2.0)]),
+    ) {
+        let ms = |step: u64| Duration::from_millis(step * 10);
+        let preset = aws_six_regions();
+        let params = CodingParams::new(data, parity).unwrap();
+        let total = params.total_chunks();
+        let backend = Backend::new(
+            preset.topology,
+            Arc::new(preset.latency),
+            params,
+            Box::new(RoundRobin),
+        )
+        .unwrap();
+        populate(&backend, 1, 900, &mut StdRng::seed_from_u64(1)).unwrap();
+        // At most one region down and one held open by the breaker
+        // (6..9: none), so most plans have a cover to find.
+        if failed < 6 {
+            backend.fail_region(RegionId::new(failed));
+        }
+        let manifest = backend.manifest(ObjectId::new(0)).unwrap();
+        let version = manifest.version();
+        let estimates: Vec<Duration> = steps.iter().map(|&s| ms(s)).collect();
+        let deviations: Vec<Duration> = deviation_steps.iter().map(|&s| ms(s)).collect();
+        let excluded: Vec<bool> = (0..6).map(|r| r == excluded_region).collect();
+        let disk_read = ms(disk_step);
+        let payload = |tag: u8, index: usize| Bytes::from(vec![tag, index as u8]);
+        // About one chunk in eight in RAM, one in four of the rest on
+        // disk (the tiers are exclusive).
+        let ram_mask = ram_masks[0] & ram_masks[1] & ram_masks[2];
+        let disk_mask = disk_masks[0] & disk_masks[1] & !ram_mask;
+        let ram: Vec<usize> = (0..total).filter(|i| ram_mask & (1 << i) != 0).collect();
+        let disk: Vec<usize> = (0..total).filter(|i| disk_mask & (1 << i) != 0).collect();
+        let hits = LocalHits {
+            ram: ram.iter().map(|&i| (i as u8, payload(0xA0, i))).collect(),
+            disk: disk.iter().map(|&i| (i as u8, payload(0xD0, i))).collect(),
+        };
+        let remote: Vec<RemoteChunk> = offers
+            .iter()
+            .enumerate()
+            .map(|(n, &(index, step, ahead))| RemoteChunk {
+                index,
+                data: payload(0xE0 + n as u8, usize::from(index)),
+                latency: ms(step),
+                version: version + ahead,
+            })
+            .collect();
+
+        // The restatement: each unheld chunk's cheapest source.
+        let cheapest = |index: usize| -> Option<Cheapest> {
+            let mut options: Vec<Cheapest> = Vec::new();
+            if disk.contains(&index) {
+                options.push((disk_read, Kind::Disk, None));
+            }
+            let region = manifest.location(index);
+            if backend.is_region_available(region) && !excluded[region.index()] {
+                options.push((estimates[region.index()], Kind::Backend, None));
+            }
+            // Among equally cheap offers, the first listed.
+            let offer = remote
+                .iter()
+                .enumerate()
+                .filter(|(_, o)| usize::from(o.index) == index && o.version == version)
+                .min_by_key(|&(n, o)| (o.latency, n));
+            if let Some((n, offer)) = offer {
+                options.push((offer.latency, Kind::Remote, Some(n)));
+            }
+            options.into_iter().min_by_key(|&(price, kind, _)| (price, kind))
+        };
+        let priced: Vec<(usize, Cheapest)> = (0..total)
+            .filter(|i| !ram.contains(i))
+            .filter_map(|i| Some((i, cheapest(i)?)))
+            .collect();
+        let needed = data.saturating_sub(ram.len());
+
+        let config = CacheConfiguration::empty();
+        let hedging = HedgePolicy {
+            max_hedges,
+            z,
+            deviations: &deviations,
+            excluded: &excluded,
+        };
+        let planner = ReadPlanner::new(&manifest, &config);
+        let plan = planner.plan_hedged(&hits, &remote, &backend, &estimates, disk_read, hedging);
+        if priced.len() < needed {
+            let is_short = matches!(
+                plan,
+                Err(AgarError::Store(StoreError::NotEnoughChunks { reachable, needed: k, .. }))
+                    if reachable == ram.len() + priced.len() && k == data
+            );
+            prop_assert!(is_short, "{} priced, {} needed: {:?}", priced.len(), needed, plan);
+            return;
+        }
+        let plan = plan.unwrap();
+
+        // Every `needed`-subset of the priced chunks, by (total price,
+        // sorted (price, index) list): the first is the cover.
+        let key = |set: &[(usize, Cheapest)]| {
+            let mut list: Vec<(Duration, usize)> = set.iter().map(|(i, c)| (c.0, *i)).collect();
+            list.sort_unstable();
+            (list.iter().map(|p| p.0).sum::<Duration>(), list)
+        };
+        let mut best: Option<(Duration, Vec<(Duration, usize)>)> = None;
+        for mask in 0u32..1 << priced.len() {
+            if mask.count_ones() as usize != needed {
+                continue;
+            }
+            let subset: Vec<(usize, Cheapest)> = (0..priced.len())
+                .filter(|bit| mask & (1 << bit) != 0)
+                .map(|bit| priced[bit])
+                .collect();
+            let candidate = key(&subset);
+            if best.as_ref().is_none_or(|b| candidate < *b) {
+                best = Some(candidate);
+            }
+        }
+        let primaries: Vec<usize> = best.unwrap().1.into_iter().map(|(_, i)| i).collect();
+
+        // Hedges from the rest, in (price, index) order.
+        let of = |index: usize| priced.iter().find(|(i, _)| *i == index).unwrap().1;
+        let backend_primaries: Vec<usize> =
+            primaries.iter().copied().filter(|&i| of(i).1 == Kind::Backend).collect();
+        let cap = backend_primaries.len() * max_hedges / data;
+        let region_of = |i: usize| manifest.location(i).index();
+        let sigma = backend_primaries.iter().map(|&i| deviations[region_of(i)]).max();
+        let worst = backend_primaries.iter().map(|&i| of(i).0).max();
+        let mut rest: Vec<(Duration, usize)> = priced
+            .iter()
+            .filter(|(i, _)| !primaries.contains(i))
+            .map(|(i, c)| (c.0, *i))
+            .collect();
+        rest.sort_unstable();
+        let mut hedges = Vec::new();
+        if let (Some(sigma), Some(worst)) = (sigma, worst) {
+            if cap > 0 && z > 0.0 && sigma > Duration::ZERO {
+                let threshold = worst + sigma.mul_f64(z);
+                for (price, index) in rest {
+                    if hedges.len() == cap || price > threshold {
+                        break;
+                    }
+                    if of(index).1 == Kind::Backend {
+                        hedges.push(index);
+                    }
+                }
+            }
+        }
+
+        let expected: Vec<usize> = ram.iter().chain(&primaries).chain(&hedges).copied().collect();
+        let planned: Vec<usize> = plan.sources.iter().map(|(i, _)| usize::from(*i)).collect();
+        prop_assert_eq!(planned, expected);
+        prop_assert_eq!((plan.cache_hits, plan.hedges), (ram.len(), hedges.len()));
+        for (index, source) in &plan.sources {
+            let index = usize::from(*index);
+            let region = manifest.location(index);
+            match source {
+                ChunkSource::Local { data } => prop_assert_eq!(data, &payload(0xA0, index)),
+                ChunkSource::LocalDisk { data } => {
+                    prop_assert_eq!(of(index).1, Kind::Disk);
+                    prop_assert_eq!(data, &payload(0xD0, index));
+                }
+                ChunkSource::Remote { data, latency } => {
+                    let (price, kind, offer) = of(index);
+                    prop_assert_eq!((kind, *latency), (Kind::Remote, price));
+                    prop_assert_eq!(data, &remote[offer.unwrap()].data);
+                }
+                ChunkSource::Backend { region: planned, estimate } => {
+                    prop_assert_eq!(of(index).1, Kind::Backend);
+                    prop_assert_eq!((*planned, *estimate), (region, estimates[region.index()]));
+                }
+            }
         }
     }
 }

@@ -34,6 +34,7 @@ use bytes::Bytes;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fmt;
+use std::mem::MaybeUninit;
 use std::sync::Arc;
 
 /// A cached decode plan: which `k` shards to decode from and the
@@ -264,6 +265,10 @@ impl ReedSolomon {
     ///   [cached decode plan](DecodeReport::plan_cache_hit) for the
     ///   erasure pattern. Nothing is zero-filled or accumulated twice.
     ///
+    /// Both copying paths build the object in one uninitialised
+    /// `Arc<[u8]>` that the returned [`Bytes`] takes over: one
+    /// allocation per decoded object, counts and bytes together.
+    ///
     /// # Errors
     ///
     /// - [`EcError::WrongShardCount`] if `shards.len() != k + m`.
@@ -277,89 +282,124 @@ impl ReedSolomon {
         let k = self.params.data_chunks();
         let (shard_len, chosen) = self.check_present(shards)?;
         let out_len = object_size.min(k * shard_len);
-        let mut report = DecodeReport::default();
-
-        if shards[..k].iter().all(Option::is_some) {
-            report.systematic_fast_path = true;
-            if k == 1 {
-                // The single data shard is the object: pure slice.
-                let shard = shards[0].as_ref().expect("present");
-                return Ok((shard.slice(0..out_len), report));
-            }
-            let mut object = Vec::with_capacity(out_len);
-            report.allocations = 1;
-            for shard in shards.iter().take(k) {
-                let shard = shard.as_ref().expect("present");
-                let take = (out_len - object.len()).min(shard.len());
-                object.extend_from_slice(&shard[..take]);
-            }
-            return Ok((Bytes::from(object), report));
+        let mut report = DecodeReport {
+            systematic_fast_path: shards[..k].iter().all(Option::is_some),
+            ..DecodeReport::default()
+        };
+        if report.systematic_fast_path && k == 1 {
+            // The single data shard is the object: pure slice.
+            let shard = shards[0].as_ref().expect("present");
+            return Ok((shard.slice(0..out_len), report));
         }
-
-        let (plan, cache_hit) = self.decode_plan(chosen)?;
-        report.plan_cache_hit = cache_hit;
-        // Data shard `t` owns bytes `t * shard_len..` of the object; only
-        // the first `out_len` are materialised, so a range past it is
-        // padding and never written. The object is built in column
-        // blocks: per block, the present data blocks are copied into
-        // place and each missing one is written once by the fused dot
-        // kernel from the chosen shards' blocks, which the copy has just
-        // pulled into cache. Every source byte is read from memory once
-        // and no byte of the object is written twice.
-        let mut object = Vec::with_capacity(out_len);
+        let plan = if report.systematic_fast_path {
+            None
+        } else {
+            let (plan, cache_hit) = self.decode_plan(chosen)?;
+            report.plan_cache_hit = cache_hit;
+            Some(plan)
+        };
+        let mut object = Arc::<[u8]>::new_uninit_slice(out_len);
         report.allocations = 1;
-        let out = &mut object.spare_capacity_mut()[..out_len];
-        let block = if shard_len <= SINGLE_BLOCK_MAX {
-            shard_len
-        } else {
-            DECODE_BLOCK
-        };
-        let mut inline: [&[u8]; INLINE_SOURCES] = [&[]; INLINE_SOURCES];
-        let mut spilled = Vec::new();
-        let sources: &mut [&[u8]] = if k <= INLINE_SOURCES {
-            &mut inline[..k]
-        } else {
-            spilled.resize(k, &[][..]);
-            &mut spilled
-        };
-        for start in (0..shard_len).step_by(block) {
-            let end = (start + block).min(shard_len);
-            for (source, &index) in sources.iter_mut().zip(&plan.chosen) {
-                *source = &shards[index].as_ref().expect("chosen shard present")[start..end];
-            }
-            for (target, shard) in shards[..k].iter().enumerate() {
-                let at = target * shard_len + start;
-                if at >= out_len {
-                    break; // this and every later range is padding
-                }
-                let len = (end - start).min(out_len - at);
-                let dst = &mut out[at..at + len];
-                match shard {
-                    Some(shard) => {
-                        dst.write_copy_of_slice(&shard[start..start + len]);
-                    }
-                    None => {
-                        // Only the range `out_len` cuts short is clipped,
-                        // and every later range of the column is padding.
-                        for source in sources.iter_mut() {
-                            *source = &source[..len];
-                        }
-                        let row = plan.decode.row(target);
-                        gf256::dot_slice(dst, sources, row);
-                        let multiplied = row.iter().filter(|&&c| c >= 2).count();
-                        report.gf_multiply_bytes += (multiplied * len) as u64;
-                    }
-                }
+        let out = Arc::get_mut(&mut object).expect("a fresh Arc is unique");
+        match plan {
+            None => copy_data_shards(out, &shards[..k], shard_len),
+            Some(plan) => {
+                report.gf_multiply_bytes = decode_columns(out, shards, &plan, shard_len);
             }
         }
-        // The column blocks of data shard `t` tile `t * shard_len..(t +
-        // 1) * shard_len`, clipped to `out_len`, and the shards tile
-        // `0..k * shard_len`, which covers `0..out_len`.
-        // SAFETY: so every byte below `out_len` was written once above,
-        // by a copy or by the dot kernel.
-        unsafe { object.set_len(out_len) };
+        // SAFETY: `copy_data_shards` and `decode_columns` each write
+        // every byte of `out`, the whole buffer (see their docs).
+        let object = unsafe { object.assume_init() };
         Ok((Bytes::from(object), report))
     }
+}
+
+/// The systematic path: copies the data shards (all present) into
+/// `out`, data shard `t` to bytes `t * shard_len..`, clipped to
+/// `out.len() ≤ shards.len() * shard_len`. Writes every byte of `out`:
+/// the `shard_len` pieces of `out` tile it, and there are at most
+/// `shards.len()` of them, so the zip visits every one.
+fn copy_data_shards(out: &mut [MaybeUninit<u8>], shards: &[Option<Bytes>], shard_len: usize) {
+    // The caller's `assume_init` rests on this.
+    assert!(
+        out.len() <= shards.len() * shard_len,
+        "object longer than its shards"
+    );
+    for (dst, shard) in out.chunks_mut(shard_len).zip(shards) {
+        let shard = shard.as_ref().expect("present");
+        dst.write_copy_of_slice(&shard[..dst.len()]);
+    }
+}
+
+/// The degraded path: builds the object in `out` from the shards
+/// `plan` chose and returns the bytes run through the GF multiply
+/// kernel. Data shard `t` owns bytes `t * shard_len..` of the object;
+/// only the first `out.len()` are materialised, so a range past it is
+/// padding and never written. The object is built in column blocks:
+/// per block, the present data blocks are copied into place and each
+/// missing one is written once by the fused dot kernel from the chosen
+/// shards' blocks, which the copy has just pulled into cache. Every
+/// source byte is read from memory once and no byte of the object is
+/// written twice.
+///
+/// Writes every byte of `out`: the column blocks of data shard `t` tile
+/// `t * shard_len..(t + 1) * shard_len`, clipped to `out.len()`, and
+/// the k data shards tile `0..k * shard_len`, which covers `out`.
+fn decode_columns(
+    out: &mut [MaybeUninit<u8>],
+    shards: &[Option<Bytes>],
+    plan: &DecodePlan,
+    shard_len: usize,
+) -> u64 {
+    let k = plan.chosen.len();
+    let out_len = out.len();
+    // The caller's `assume_init` rests on this.
+    assert!(out_len <= k * shard_len, "object longer than its shards");
+    let mut gf_multiply_bytes = 0;
+    let block = if shard_len <= SINGLE_BLOCK_MAX {
+        shard_len
+    } else {
+        DECODE_BLOCK
+    };
+    let mut inline: [&[u8]; INLINE_SOURCES] = [&[]; INLINE_SOURCES];
+    let mut spilled = Vec::new();
+    let sources: &mut [&[u8]] = if k <= INLINE_SOURCES {
+        &mut inline[..k]
+    } else {
+        spilled.resize(k, &[][..]);
+        &mut spilled
+    };
+    for start in (0..shard_len).step_by(block) {
+        let end = (start + block).min(shard_len);
+        for (source, &index) in sources.iter_mut().zip(&plan.chosen) {
+            *source = &shards[index].as_ref().expect("chosen shard present")[start..end];
+        }
+        for (target, shard) in shards[..k].iter().enumerate() {
+            let at = target * shard_len + start;
+            if at >= out_len {
+                break; // this and every later range is padding
+            }
+            let len = (end - start).min(out_len - at);
+            let dst = &mut out[at..at + len];
+            match shard {
+                Some(shard) => {
+                    dst.write_copy_of_slice(&shard[start..start + len]);
+                }
+                None => {
+                    // Only the range `out_len` cuts short is clipped,
+                    // and every later range of the column is padding.
+                    for source in sources.iter_mut() {
+                        *source = &source[..len];
+                    }
+                    let row = plan.decode.row(target);
+                    gf256::dot_slice(dst, sources, row);
+                    let multiplied = row.iter().filter(|&&c| c >= 2).count();
+                    gf_multiply_bytes += (multiplied * len) as u64;
+                }
+            }
+        }
+    }
+    gf_multiply_bytes
 }
 
 #[cfg(test)]

@@ -4,9 +4,53 @@
 use agar_ec::{ChunkId, CodingParams, ObjectId};
 use agar_net::RegionId;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use std::time::Duration;
 
-/// Metadata for one stored object.
+/// Chunks whose regions a manifest holds inline: every code the
+/// workspace ships (RS(9, 3) has 12 chunks, RS(12, 4) 16).
+const INLINE_LOCATIONS: usize = 16;
+
+/// The region of chunk `i` at index `i`, held so that cloning never
+/// allocates: inline up to [`INLINE_LOCATIONS`] chunks (a manifest
+/// then owns no heap memory at all), shared behind one `Arc` above.
+/// Unused inline slots are always region 0, so equal maps are equal.
+#[derive(Clone, PartialEq, Eq, Debug)]
+enum Locations {
+    Inline {
+        regions: [RegionId; INLINE_LOCATIONS],
+        len: u8,
+    },
+    Shared(Arc<[RegionId]>),
+}
+
+impl Locations {
+    fn new(regions: Vec<RegionId>) -> Self {
+        if regions.len() > INLINE_LOCATIONS {
+            return Locations::Shared(regions.into());
+        }
+        let mut inline = [RegionId::new(0); INLINE_LOCATIONS];
+        inline[..regions.len()].copy_from_slice(&regions);
+        Locations::Inline {
+            regions: inline,
+            len: regions.len() as u8, // at most INLINE_LOCATIONS
+        }
+    }
+}
+
+impl std::ops::Deref for Locations {
+    type Target = [RegionId];
+
+    fn deref(&self) -> &[RegionId] {
+        match self {
+            Locations::Inline { regions, len } => &regions[..usize::from(*len)],
+            Locations::Shared(regions) => regions,
+        }
+    }
+}
+
+/// Metadata for one stored object. Cloning one allocates nothing, so
+/// a read's manifest snapshot is free.
 #[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub struct ObjectManifest {
     object: ObjectId,
@@ -14,7 +58,7 @@ pub struct ObjectManifest {
     version: u64,
     params: CodingParams,
     /// Region of chunk `i` at index `i`; length is `k + m`.
-    locations: Vec<RegionId>,
+    locations: Locations,
 }
 
 impl ObjectManifest {
@@ -41,7 +85,7 @@ impl ObjectManifest {
             size,
             version,
             params,
-            locations,
+            locations: Locations::new(locations),
         }
     }
 
@@ -128,6 +172,20 @@ mod tests {
         assert_eq!(m.params().data_chunks(), 4);
         assert_eq!(m.chunk_size(), 250);
         assert_eq!(m.location(4), RegionId::new(1));
+    }
+
+    #[test]
+    fn a_wide_code_shares_its_locations() {
+        let params = CodingParams::new(20, 4).unwrap();
+        let regions: Vec<RegionId> = (0..24).map(|i| RegionId::new(i % 5)).collect();
+        let wide = ObjectManifest::new(ObjectId::new(1), 2_400, 3, params, regions.clone());
+        let copy = wide.clone();
+        assert!(matches!(copy.locations, Locations::Shared(_)));
+        assert_eq!(copy, wide);
+        let pairs: Vec<RegionId> = copy.chunk_locations().map(|(_, r)| r).collect();
+        assert_eq!(pairs, regions);
+        assert_eq!(copy.location(23), RegionId::new(3));
+        assert!(matches!(sample().locations, Locations::Inline { .. }));
     }
 
     #[test]

@@ -99,6 +99,7 @@ const NODE_SERIES: &[(&str, &str)] = &[
     ("agar_disk_appended_bytes_total", ""),
     ("agar_disk_compacted_bytes_total", ""),
     ("agar_disk_corrupt_frames_total", ""),
+    ("agar_disk_read_calls_total", ""),
     ("agar_fill_fetches_total", ""),
     ("agar_hedge_cancelled_total", ""),
     ("agar_hedge_requests_total", ""),
