@@ -90,7 +90,7 @@
 //! The store removes its directory on drop.
 
 use crate::sharded::CachedChunk;
-use agar_ec::ChunkId;
+use agar_ec::{ChunkId, ChunkSet, ObjectId};
 use agar_obs::{Counter, Labels, MetricsRegistry};
 use bytes::Bytes;
 use std::collections::HashMap;
@@ -419,6 +419,16 @@ impl DiskStore {
         self.inner().index.get(id).map(|l| l.version)
     }
 
+    /// The chunks of `indices` of `object` with no live entry, under
+    /// one lock (a [`DiskStore::contains`] per index; no frame is read).
+    pub fn absent(&self, object: ObjectId, indices: impl IntoIterator<Item = u8>) -> ChunkSet {
+        let inner = self.inner();
+        indices
+            .into_iter()
+            .filter(|&index| !inner.index.contains_key(&ChunkId::new(object, index)))
+            .collect()
+    }
+
     /// All live chunk ids, in sorted order.
     pub fn keys(&self) -> Vec<ChunkId> {
         let mut keys: Vec<ChunkId> = self.inner().index.keys().copied().collect();
@@ -686,6 +696,21 @@ impl DiskStore {
     /// segment is cleaned). Returns whether an entry existed.
     pub fn remove(&self, id: &ChunkId) -> bool {
         self.inner().forget(id)
+    }
+
+    /// Drops the live entries of chunks `indices` of `object` under one
+    /// lock (a [`DiskStore::remove`] per index); returns the ones that
+    /// existed.
+    pub fn remove_object(
+        &self,
+        object: ObjectId,
+        indices: impl IntoIterator<Item = u8>,
+    ) -> ChunkSet {
+        let mut inner = self.inner();
+        indices
+            .into_iter()
+            .filter(|&index| inner.forget(&ChunkId::new(object, index)))
+            .collect()
     }
 
     /// Writes `header` + `payload` as one frame at the active segment's

@@ -6,9 +6,23 @@
 //! paper's LRU-c / LFU-c baselines:
 //!
 //! - entries are spread over `N` shards by a deterministic hash of the
-//!   [`ChunkId`]; a shard is one `HashMap<ChunkId, (CachedChunk, u64)>`
-//!   behind its own mutex, so lookups of different chunks proceed in
+//!   chunk's **object** id, so all `k + m` chunks of an object share
+//!   one shard; a shard is one `HashMap<ChunkId, (CachedChunk, u64)>`
+//!   behind its own mutex, so lookups of different objects proceed in
 //!   parallel;
+//! - every caller on the read and write paths asks about an object,
+//!   and the object calls — [`lookup_object`](ShardedChunkCache::lookup_object),
+//!   [`absent`](ShardedChunkCache::absent),
+//!   [`held_at`](ShardedChunkCache::held_at),
+//!   [`remove_object`](ShardedChunkCache::remove_object) and
+//!   [`replace_object`](ShardedChunkCache::replace_object) — take that
+//!   one shard lock once for all the chunks they name. Each is equal
+//!   to the per-chunk calls it folds (`get` or `peek`, `contains`,
+//!   `version_of`, `remove`, `insert`) made once per index, and a
+//!   concurrent object call sees all of its effect or none of it;
+//! - each shard counts the acquisitions of its lock while it holds it,
+//!   and [`lock_visits`](ShardedChunkCache::lock_visits) sums them: a
+//!   fully cached read is one visit;
 //! - the `u64` is the shard's clock at the entry's last insert or
 //!   [`get`](ShardedChunkCache::get): a hit is one hash probe that
 //!   stamps the entry, and `peek`, `version_of` and `contains` do not
@@ -34,11 +48,12 @@
 //!   accounting never takes a lock.
 //!
 //! Everything is deterministic under single-threaded use: shard
-//! selection hashes only the chunk id, stamps are unique within a shard,
-//! and the clocks and the eviction cursor advance in call order.
+//! selection hashes only the object id, stamps are unique within a
+//! shard, and the clocks and the eviction cursor advance in call order.
 
 use crate::stats::{AtomicCacheStats, CacheStats};
-use agar_ec::ChunkId;
+use agar_ec::{ChunkId, ChunkSet, ObjectId};
+use agar_obs::{Counter, Labels, MetricsRegistry};
 use bytes::Bytes;
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
@@ -124,6 +139,9 @@ impl Shard {
 /// ```
 pub struct ShardedChunkCache {
     shards: Vec<Mutex<Shard>>,
+    /// Acquisitions of each shard's lock, counted while holding it: one
+    /// writer at a time per cell, and no cell shared between shards.
+    visits: Vec<Counter>,
     capacity: usize,
     used: AtomicUsize,
     evict_cursor: AtomicUsize,
@@ -137,6 +155,7 @@ impl ShardedChunkCache {
         let PolicyKind::Lru = policy;
         ShardedChunkCache {
             shards: (0..shards.max(1)).map(|_| Mutex::default()).collect(),
+            visits: (0..shards.max(1)).map(|_| Counter::new()).collect(),
             capacity: capacity_bytes,
             used: AtomicUsize::new(0),
             evict_cursor: AtomicUsize::new(0),
@@ -144,22 +163,26 @@ impl ShardedChunkCache {
         }
     }
 
-    fn shard_index(&self, key: &ChunkId) -> usize {
-        // Deterministic multiply-xor mix of (object id, chunk index);
-        // `HashMap`'s default hasher is randomly keyed per process, which
-        // would break run-to-run reproducibility.
-        let mut h = key
-            .object()
-            .index()
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(u64::from(key.index().value()).wrapping_mul(0xA24B_AED4_963E_E407));
+    fn shard_index(&self, object: ObjectId) -> usize {
+        // Deterministic multiply-xor mix of the object id; `HashMap`'s
+        // default hasher is randomly keyed per process, which would
+        // break run-to-run reproducibility.
+        let mut h = object.index().wrapping_mul(0x9E37_79B9_7F4A_7C15);
         h ^= h >> 32;
         h = h.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         (h >> 33) as usize % self.shards.len()
     }
 
-    fn shard(&self, key: &ChunkId) -> MutexGuard<'_, Shard> {
-        self.shards[self.shard_index(key)].lock()
+    /// Locks shard `index`, counting the visit.
+    fn lock(&self, index: usize) -> MutexGuard<'_, Shard> {
+        let shard = self.shards[index].lock();
+        self.visits[index].inc();
+        shard
+    }
+
+    /// Locks the shard holding every chunk of `object`.
+    fn shard(&self, object: ObjectId) -> MutexGuard<'_, Shard> {
+        self.lock(self.shard_index(object))
     }
 
     /// Reads a chunk, stamping it most recently used and counting the
@@ -167,7 +190,7 @@ impl ShardedChunkCache {
     /// reference-counted [`bytes::Bytes`]).
     pub fn get(&self, key: &ChunkId) -> Option<CachedChunk> {
         let found = {
-            let mut shard = self.shard(key);
+            let mut shard = self.shard(key.object());
             let now = shard.tick();
             shard.entries.get_mut(key).map(|(chunk, stamp)| {
                 *stamp = now;
@@ -184,7 +207,7 @@ impl ShardedChunkCache {
 
     /// Reads a chunk without stamping it or touching counters.
     pub fn peek(&self, key: &ChunkId) -> Option<CachedChunk> {
-        self.shard(key)
+        self.shard(key.object())
             .entries
             .get(key)
             .map(|(chunk, _)| chunk.clone())
@@ -193,7 +216,7 @@ impl ShardedChunkCache {
     /// The version of the cached chunk, if any (no stamp, no payload
     /// clone).
     pub fn version_of(&self, key: &ChunkId) -> Option<u64> {
-        self.shard(key)
+        self.shard(key.object())
             .entries
             .get(key)
             .map(|(chunk, _)| chunk.version)
@@ -201,7 +224,109 @@ impl ShardedChunkCache {
 
     /// Whether the chunk is present (no stamp).
     pub fn contains(&self, key: &ChunkId) -> bool {
-        self.shard(key).entries.contains_key(key)
+        self.shard(key.object()).entries.contains_key(key)
+    }
+
+    /// Looks up chunks `indices` of `object` under one shard lock and
+    /// calls `found` with each hit, in `indices` order (a borrow: the
+    /// caller clones what it keeps); returns the misses. With
+    /// `record_stats` each index is counted and stamped as
+    /// [`get`](ShardedChunkCache::get) counts and stamps it; without,
+    /// nothing is, as with [`peek`](ShardedChunkCache::peek). `found`
+    /// runs under the shard lock, so it must not call back into the
+    /// cache.
+    pub fn lookup_object(
+        &self,
+        object: ObjectId,
+        indices: impl IntoIterator<Item = u8>,
+        record_stats: bool,
+        mut found: impl FnMut(u8, &CachedChunk),
+    ) -> ChunkSet {
+        let mut missed = ChunkSet::new();
+        let (mut hits, mut misses) = (0, 0);
+        {
+            let mut shard = self.shard(object);
+            for index in indices {
+                let id = ChunkId::new(object, index);
+                let hit = if record_stats {
+                    let now = shard.tick();
+                    shard.entries.get_mut(&id).map(|(chunk, stamp)| {
+                        *stamp = now;
+                        &*chunk
+                    })
+                } else {
+                    shard.entries.get(&id).map(|(chunk, _)| chunk)
+                };
+                match hit {
+                    Some(chunk) => {
+                        hits += 1;
+                        found(index, chunk);
+                    }
+                    None => {
+                        misses += 1;
+                        missed.insert(index);
+                    }
+                }
+            }
+        }
+        if record_stats && hits > 0 {
+            self.stats.chunk_hits.add(hits);
+        }
+        if record_stats && misses > 0 {
+            self.stats.chunk_misses.add(misses);
+        }
+        missed
+    }
+
+    /// The chunks of `indices` of `object` that are not cached, under
+    /// one shard lock (a [`contains`](ShardedChunkCache::contains) per
+    /// index: no stamp, no count).
+    pub fn absent(&self, object: ObjectId, indices: impl IntoIterator<Item = u8>) -> ChunkSet {
+        let shard = self.shard(object);
+        indices
+            .into_iter()
+            .filter(|&index| !shard.entries.contains_key(&ChunkId::new(object, index)))
+            .collect()
+    }
+
+    /// The chunks of `indices` of `object` cached at exactly `version`,
+    /// under one shard lock (a [`version_of`](ShardedChunkCache::version_of)
+    /// per index: no stamp, no count).
+    pub fn held_at(
+        &self,
+        object: ObjectId,
+        indices: impl IntoIterator<Item = u8>,
+        version: u64,
+    ) -> ChunkSet {
+        let shard = self.shard(object);
+        indices
+            .into_iter()
+            .filter(|&index| {
+                let id = ChunkId::new(object, index);
+                shard
+                    .entries
+                    .get(&id)
+                    .is_some_and(|(chunk, _)| chunk.version == version)
+            })
+            .collect()
+    }
+
+    /// Removes chunks `indices` of `object` under one shard lock (a
+    /// [`remove`](ShardedChunkCache::remove) per index); returns the
+    /// ones that were cached.
+    pub fn remove_object(
+        &self,
+        object: ObjectId,
+        indices: impl IntoIterator<Item = u8>,
+    ) -> ChunkSet {
+        let mut shard = self.shard(object);
+        indices
+            .into_iter()
+            .filter(|&index| {
+                self.take(&mut shard, &ChunkId::new(object, index))
+                    .is_some()
+            })
+            .collect()
     }
 
     /// Inserts a chunk, stamped most recently used, then evicts until
@@ -212,8 +337,64 @@ impl ShardedChunkCache {
     /// lock, so a reader filling the version it bound cannot overwrite
     /// what a later write left behind.
     pub fn insert(&self, key: ChunkId, value: CachedChunk) -> bool {
+        let stored = self.place(&mut self.shard(key.object()), key, value);
+        if stored {
+            self.evict_to_capacity();
+        }
+        stored
+    }
+
+    /// Removes chunks `indices` of `object` and inserts `chunks` in
+    /// their place, in order — a [`remove`](ShardedChunkCache::remove)
+    /// per index, then an [`insert`](ShardedChunkCache::insert) per
+    /// chunk — taking the object's shard lock once for all of it while
+    /// the chunks fit the byte budget, so a concurrent object call sees
+    /// the object before or after, never in between. A chunk that takes
+    /// the cache over budget ends the batch; the eviction it calls for
+    /// runs, and the rest are inserted one by one. Returns the indices
+    /// of `chunks` stored.
+    pub fn replace_object(
+        &self,
+        object: ObjectId,
+        indices: impl IntoIterator<Item = u8>,
+        chunks: impl IntoIterator<Item = (u8, CachedChunk)>,
+    ) -> ChunkSet {
+        let mut chunks = chunks.into_iter();
+        let mut stored = ChunkSet::new();
+        {
+            let mut shard = self.shard(object);
+            for index in indices {
+                self.take(&mut shard, &ChunkId::new(object, index));
+            }
+            for (index, value) in chunks.by_ref() {
+                if self.place(&mut shard, ChunkId::new(object, index), value) {
+                    stored.insert(index);
+                }
+                if self.used.load(Ordering::Acquire) > self.capacity {
+                    break;
+                }
+            }
+        }
+        self.evict_to_capacity();
+        for (index, value) in chunks {
+            if self.insert(ChunkId::new(object, index), value) {
+                stored.insert(index);
+            }
+        }
+        stored
+    }
+
+    /// An insert under the shard lock the caller holds: refuses (and
+    /// counts) an entry larger than the whole cache or older than the
+    /// resident entry of its key, else stores it stamped most recently
+    /// used. Eviction is the caller's.
+    fn place(&self, shard: &mut Shard, key: ChunkId, value: CachedChunk) -> bool {
         let weight = value.data.len();
-        if weight > self.capacity {
+        let older = shard
+            .entries
+            .get(&key)
+            .is_some_and(|(resident, _)| resident.version > value.version);
+        if weight > self.capacity || older {
             self.stats.rejected_inserts.inc();
             return false;
         }
@@ -221,24 +402,12 @@ impl ShardedChunkCache {
         // entry's weight is always added before any concurrent
         // remove/evict of that entry can subtract it, so the counter
         // can never underflow.
-        {
-            let mut shard = self.shard(&key);
-            if shard
-                .entries
-                .get(&key)
-                .is_some_and(|(resident, _)| resident.version > value.version)
-            {
-                self.stats.rejected_inserts.inc();
-                return false;
-            }
-            let now = shard.tick();
-            self.used.fetch_add(weight, Ordering::AcqRel);
-            if let Some((replaced, _)) = shard.entries.insert(key, (value, now)) {
-                self.used.fetch_sub(replaced.data.len(), Ordering::AcqRel);
-            }
-            self.stats.insertions.inc();
+        let now = shard.tick();
+        self.used.fetch_add(weight, Ordering::AcqRel);
+        if let Some((replaced, _)) = shard.entries.insert(key, (value, now)) {
+            self.used.fetch_sub(replaced.data.len(), Ordering::AcqRel);
         }
-        self.evict_to_capacity();
+        self.stats.insertions.inc();
         true
     }
 
@@ -251,11 +420,11 @@ impl ShardedChunkCache {
         while self.used.load(Ordering::Acquire) > self.capacity {
             let start = self.evict_cursor.fetch_add(1, Ordering::Relaxed);
             let evicted = (0..n).any(|offset| {
-                let mut shard = self.shards[(start + offset) % n].lock();
+                let mut shard = self.lock((start + offset) % n);
                 let Some(victim) = shard.evict_lru() else {
                     return false;
                 };
-                // Subtract under the shard lock (see `insert`).
+                // Subtract under the shard lock (see `place`).
                 self.used.fetch_sub(victim.data.len(), Ordering::AcqRel);
                 self.stats.evictions.inc();
                 true
@@ -268,9 +437,13 @@ impl ShardedChunkCache {
 
     /// Removes a chunk, returning it.
     pub fn remove(&self, key: &ChunkId) -> Option<CachedChunk> {
-        let mut shard = self.shard(key);
+        self.take(&mut self.shard(key.object()), key)
+    }
+
+    /// A remove under the shard lock the caller holds.
+    fn take(&self, shard: &mut Shard, key: &ChunkId) -> Option<CachedChunk> {
         let (chunk, _) = shard.entries.remove(key)?;
-        // Subtract under the shard lock (see `insert`).
+        // Subtract under the shard lock (see `place`).
         self.used.fetch_sub(chunk.data.len(), Ordering::AcqRel);
         Some(chunk)
     }
@@ -279,8 +452,8 @@ impl ShardedChunkCache {
     /// returning how many were removed.
     pub fn remove_matching(&self, mut pred: impl FnMut(&ChunkId) -> bool) -> usize {
         let mut removed = 0;
-        for shard in &self.shards {
-            let mut shard = shard.lock();
+        for index in 0..self.shards.len() {
+            let mut shard = self.lock(index);
             let mut freed = 0;
             shard.entries.retain(|key, (chunk, _)| {
                 let drop = pred(key);
@@ -290,7 +463,7 @@ impl ShardedChunkCache {
                 }
                 !drop
             });
-            // Subtract under the shard lock (see `insert`).
+            // Subtract under the shard lock (see `place`).
             self.used.fetch_sub(freed, Ordering::AcqRel);
         }
         removed
@@ -299,22 +472,24 @@ impl ShardedChunkCache {
     /// Every cached chunk id, in no particular order.
     pub fn keys(&self) -> Vec<ChunkId> {
         let mut keys = Vec::new();
-        for shard in &self.shards {
+        for index in 0..self.shards.len() {
             // Every caller sorts the ids or only counts them.
             // agar-lint: allow(determinism)
-            keys.extend(shard.lock().entries.keys().copied());
+            keys.extend(self.lock(index).entries.keys().copied());
         }
         keys
     }
 
     /// Number of cached chunks.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().entries.len()).sum()
+        (0..self.shards.len())
+            .map(|index| self.lock(index).entries.len())
+            .sum()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.lock().entries.is_empty())
+        (0..self.shards.len()).all(|index| self.lock(index).entries.is_empty())
     }
 
     /// Bytes currently stored (approximate only while inserts are
@@ -341,6 +516,26 @@ impl ShardedChunkCache {
     pub fn counters(&self) -> &AtomicCacheStats {
         &self.stats
     }
+
+    /// Shard lock acquisitions so far, over every shard: each call
+    /// takes one per shard it visits (an eviction step, a `keys` or
+    /// `len` one per shard it walks). Reading it takes no lock.
+    pub fn lock_visits(&self) -> u64 {
+        self.visits.iter().map(Counter::get).sum()
+    }
+
+    /// Late-binds the counter cells into a metrics registry
+    /// ([`AtomicCacheStats::register_with`]) and the shards' visit
+    /// counts as one series, `agar_cache_lock_visits_total`.
+    pub fn register_metrics(&self, registry: &MetricsRegistry, base: &Labels) {
+        self.stats.register_with(registry, base);
+        registry.register_counter_sum(
+            "agar_cache_lock_visits_total",
+            "RAM-tier shard lock acquisitions (one per shard a cache call visits).",
+            base.clone(),
+            &self.visits,
+        );
+    }
 }
 
 impl std::fmt::Debug for ShardedChunkCache {
@@ -356,8 +551,10 @@ impl std::fmt::Debug for ShardedChunkCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use agar_ec::ObjectId;
-    use std::sync::Arc;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::{Arc, Barrier};
 
     fn chunk(bytes: usize, version: u64) -> CachedChunk {
         CachedChunk::new(Bytes::from(vec![0u8; bytes]), version)
@@ -527,14 +724,11 @@ mod tests {
         let a = ShardedChunkCache::new(1_000, PolicyKind::Lru, 8);
         let b = ShardedChunkCache::new(1_000, PolicyKind::Lru, 8);
         let mut seen = std::collections::HashSet::new();
-        for object in 0..16u64 {
-            for index in 0..12u8 {
-                let key = id(object, index);
-                assert_eq!(a.shard_index(&key), b.shard_index(&key));
-                seen.insert(a.shard_index(&key));
-            }
+        for object in (0..16u64).map(ObjectId::new) {
+            assert_eq!(a.shard_index(object), b.shard_index(object));
+            seen.insert(a.shard_index(object));
         }
-        assert!(seen.len() > 4, "192 chunks should touch most of 8 shards");
+        assert!(seen.len() > 4, "16 objects should touch most of 8 shards");
     }
 
     #[test]
@@ -549,23 +743,17 @@ mod tests {
         assert_eq!(stats.object_misses(), 1);
     }
 
-    /// Keys that all land in one shard of an 8-shard cache (found by
+    /// Keys that all land in one shard of an 8-shard cache (one
+    /// object's chunks, then the next colliding object's, found by
     /// probing the deterministic shard hash), used to stress the
     /// global-capacity path under maximal skew.
     fn same_shard_keys(cache: &ShardedChunkCache, count: usize) -> Vec<ChunkId> {
-        let mut keys = Vec::with_capacity(count);
-        let target = cache.shard_index(&id(0, 0));
-        'outer: for object in 0..10_000u64 {
-            for index in 0..12u8 {
-                let key = id(object, index);
-                if cache.shard_index(&key) == target {
-                    keys.push(key);
-                    if keys.len() == count {
-                        break 'outer;
-                    }
-                }
-            }
-        }
+        let target = cache.shard_index(ObjectId::new(0));
+        let keys: Vec<ChunkId> = (0..10_000u64)
+            .filter(|&object| cache.shard_index(ObjectId::new(object)) == target)
+            .flat_map(|object| (0..12u8).map(move |index| id(object, index)))
+            .take(count)
+            .collect();
         assert_eq!(keys.len(), count, "not enough colliding keys found");
         keys
     }
@@ -669,5 +857,242 @@ mod tests {
         assert!(cache.used_bytes() <= 2_000);
         let stats = cache.stats();
         assert_eq!(stats.chunk_hits() + stats.chunk_misses(), 4 * 200 * 6);
+    }
+
+    #[test]
+    fn an_object_call_visits_its_shard_once() {
+        let cache = ShardedChunkCache::new(10_000, PolicyKind::Lru, 8);
+        for index in 0..12u8 {
+            cache.insert(id(5, index), chunk(10, 2));
+        }
+        let object = ObjectId::new(5);
+        let visits = cache.lock_visits();
+        let mut hits = 0;
+        let missed = cache.lookup_object(object, 0..14, true, |_, _| hits += 1);
+        assert_eq!(
+            (hits, missed.iter().collect::<Vec<_>>()),
+            (12, vec![12, 13])
+        );
+        assert_eq!(cache.absent(object, 10..14).len(), 2);
+        assert_eq!(cache.held_at(object, 0..14, 2).len(), 12);
+        assert_eq!(cache.remove_object(object, [0, 1, 13]).len(), 2);
+        let chunks = [(0, chunk(10, 3)), (1, chunk(10, 3))];
+        assert_eq!(cache.replace_object(object, 0..3, chunks).len(), 2);
+        assert_eq!(cache.absent(object, 0..3).iter().collect::<Vec<_>>(), [2]);
+        assert_eq!(cache.lock_visits() - visits, 6, "one visit per call");
+        // A per-chunk call is a visit each.
+        cache.contains(&id(5, 3));
+        cache.get(&id(5, 4));
+        assert_eq!(cache.lock_visits() - visits, 8);
+    }
+
+    /// One step of [`object_calls_equal_the_per_id_calls`]: `(op,
+    /// object, index, version, size)` with `indices` for the object
+    /// calls (repeats allowed).
+    type Step = (u8, u64, u8, u64, usize, Vec<u8>);
+
+    fn step() -> impl Strategy<Value = Step> {
+        (
+            0u8..8,
+            0u64..3,
+            0u8..5,
+            1u64..4,
+            0usize..3,
+            vec(0u8..6, 0..8),
+        )
+    }
+
+    /// Everything a caller can observe of a cache: what is cached, at
+    /// which version, how many bytes, and every counter.
+    fn observe(cache: &ShardedChunkCache) -> (Vec<(ChunkId, u64)>, usize, CacheStats) {
+        let mut keys: Vec<_> = cache
+            .keys()
+            .into_iter()
+            .map(|key| (key, cache.version_of(&key).expect("listed")))
+            .collect();
+        keys.sort_unstable();
+        (keys, cache.used_bytes(), cache.stats())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Each object call equals the per-id calls it folds, over
+        /// random inserts (some older than the resident entry, some
+        /// evicting), removals and lookups at 1 and 8 shards: a lookup
+        /// equals a `get` (or a `peek`) per index — the same hits in
+        /// the same order, the same counts, the same stamps, so the
+        /// same later victims —, `absent` a `contains` per index,
+        /// `held_at` a `version_of` per index, `remove_object` a
+        /// `remove` per index and `replace_object` a `remove` per index
+        /// then an `insert` per chunk (overflowing batches included).
+        #[test]
+        fn object_calls_equal_the_per_id_calls(
+            shards in prop_oneof![Just(1usize), Just(8)],
+            steps in vec(step(), 1..60),
+        ) {
+            const SIZES: [usize; 3] = [40, 90, 130];
+            let (whole, single) = (
+                ShardedChunkCache::new(600, PolicyKind::Lru, shards),
+                ShardedChunkCache::new(600, PolicyKind::Lru, shards),
+            );
+            for (op, object, index, version, size, indices) in steps {
+                let key = id(object, index);
+                let o = ObjectId::new(object);
+                match op {
+                    0 | 1 => {
+                        let value = chunk(SIZES[size], version);
+                        prop_assert_eq!(whole.insert(key, value.clone()), single.insert(key, value));
+                    }
+                    2 | 3 => {
+                        let record_stats = op == 2;
+                        let mut found = Vec::new();
+                        let missed = whole.lookup_object(o, indices.iter().copied(), record_stats, |i, c| {
+                            found.push((i, c.clone()));
+                        });
+                        let mut expected = Vec::new();
+                        let mut expected_missed = ChunkSet::new();
+                        for &i in &indices {
+                            let hit = if record_stats {
+                                single.get(&id(object, i))
+                            } else {
+                                single.peek(&id(object, i))
+                            };
+                            match hit {
+                                Some(c) => expected.push((i, c)),
+                                None => {
+                                    expected_missed.insert(i);
+                                }
+                            }
+                        }
+                        prop_assert_eq!(found, expected);
+                        prop_assert_eq!(missed, expected_missed);
+                    }
+                    4 => {
+                        let expected: ChunkSet = indices
+                            .iter()
+                            .copied()
+                            .filter(|&i| !single.contains(&id(object, i)))
+                            .collect();
+                        prop_assert_eq!(whole.absent(o, indices.iter().copied()), expected);
+                    }
+                    5 => {
+                        let expected: ChunkSet = indices
+                            .iter()
+                            .copied()
+                            .filter(|&i| single.version_of(&id(object, i)) == Some(version))
+                            .collect();
+                        prop_assert_eq!(whole.held_at(o, indices.iter().copied(), version), expected);
+                    }
+                    6 => {
+                        let expected: ChunkSet = indices
+                            .iter()
+                            .copied()
+                            .filter(|&i| single.remove(&id(object, i)).is_some())
+                            .collect();
+                        prop_assert_eq!(whole.remove_object(o, indices.iter().copied()), expected);
+                    }
+                    _ => {
+                        // Drop indices `0..index`, insert `indices`:
+                        // sizes vary by index, so a batch may overflow
+                        // the budget part-way.
+                        let chunks = indices
+                            .iter()
+                            .map(|&i| (i, chunk(SIZES[(size + usize::from(i)) % 3], version)));
+                        for i in 0..index {
+                            single.remove(&id(object, i));
+                        }
+                        let expected: ChunkSet = chunks
+                            .clone()
+                            .filter(|(i, c)| single.insert(id(object, *i), c.clone()))
+                            .map(|(i, _)| i)
+                            .collect();
+                        prop_assert_eq!(whole.replace_object(o, 0..index, chunks), expected);
+                    }
+                }
+                prop_assert_eq!(observe(&whole), observe(&single));
+                prop_assert!(whole.used_bytes() <= 600);
+            }
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)] // thread hammer: minutes under Miri
+    fn object_lookups_never_see_a_version_go_backwards() {
+        // Two writers each own three objects and insert every chunk of
+        // them at versions 1, 2, 3, …; a dropper removes whole objects;
+        // two readers look whole objects up (one counting, one
+        // peeking). Six objects of four 50 B chunks are 1 200 B in a
+        // 700 B cache over two shards, so inserts evict too. A writer's
+        // inserts of one chunk only ever grow its version, and a
+        // removal only takes it away: a reader must never see a chunk
+        // older than one it saw before.
+        const OBJECTS: u64 = 6;
+        const INDICES: u8 = 4;
+        const ROUNDS: u64 = 300;
+        const LOOKUPS: u64 = 2_000;
+        let cache = ShardedChunkCache::new(700, PolicyKind::Lru, 2);
+        let start = Barrier::new(5);
+        let writing = AtomicBool::new(true);
+        std::thread::scope(|scope| {
+            let writers: Vec<_> = (0..2u64)
+                .map(|writer| {
+                    let (cache, start) = (&cache, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        for version in 1..=ROUNDS {
+                            for object in (writer..OBJECTS).step_by(2) {
+                                for index in 0..INDICES {
+                                    cache.insert(id(object, index), chunk(50, version));
+                                }
+                            }
+                        }
+                    })
+                })
+                .collect();
+            scope.spawn(|| {
+                start.wait();
+                let mut object = 0;
+                while writing.load(Ordering::Relaxed) {
+                    cache.remove_object(ObjectId::new(object % OBJECTS), 0..INDICES);
+                    object += 1;
+                }
+            });
+            for reader in 0..2 {
+                let (cache, start) = (&cache, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    let mut seen = [[0u64; INDICES as usize]; OBJECTS as usize];
+                    for round in 0..LOOKUPS {
+                        let object = (round * 5 + reader) % OBJECTS;
+                        let last = &mut seen[object as usize];
+                        cache.lookup_object(
+                            ObjectId::new(object),
+                            0..INDICES,
+                            reader == 0,
+                            |index, chunk| {
+                                let before = last[index as usize];
+                                assert!(
+                                    chunk.version() >= before,
+                                    "{object}/{index} went back from {before}"
+                                );
+                                last[index as usize] = chunk.version();
+                            },
+                        );
+                    }
+                });
+            }
+            for writer in writers {
+                writer.join().expect("writer panicked");
+            }
+            writing.store(false, Ordering::Relaxed);
+        });
+        assert!(cache.used_bytes() <= 700);
+        assert_eq!(cache.used_bytes(), cache.len() * 50);
+        let stats = cache.stats();
+        assert_eq!(
+            stats.chunk_hits() + stats.chunk_misses(),
+            LOOKUPS * u64::from(INDICES)
+        );
     }
 }

@@ -16,6 +16,12 @@
 //! - every insert leaves the chunk in exactly one tier, and removal
 //!   purges **both**, so the write path's coherence guarantees are
 //!   tier-blind;
+//! - the object calls — [`TieredChunkCache::lookup_object`],
+//!   [`TieredChunkCache::absent`], [`TieredChunkCache::remove_object`]
+//!   and [`TieredChunkCache::replace_object`] — visit the RAM tier once
+//!   per step (the shard holds every chunk of the object, so that is
+//!   one lock), and each equals its per-chunk calls made once per
+//!   index;
 //! - an insert **older** than the resident chunk of its key — in
 //!   either tier — is refused, so a cached chunk's version never goes
 //!   backwards. Each tier checks its own entry under its own lock;
@@ -143,49 +149,39 @@ impl TieredChunkCache {
         Some((chunk, CacheTier::Disk))
     }
 
-    /// Looks up chunks `indices` of `object` — one read's hinted chunks —
-    /// RAM first for each, then one disk visit
-    /// ([`DiskStore::get_many`]) for all the RAM misses, so a run of
-    /// one object's frames costs one positioned read. Calls `found`
-    /// with `(index, chunk, tier)` for every hit: the RAM hits in
-    /// `indices` order, then the disk hits in log order. With
-    /// `record_stats` each id is counted as [`TieredChunkCache::get`]
-    /// counts it (RAM hit or miss, `disk_hits` per disk hit); without,
-    /// as [`TieredChunkCache::peek`] (nothing). Neither tier changes.
-    /// `found` runs under the disk tier's lock for a disk hit, so it
-    /// must not call back into the cache.
+    /// Looks up chunks `indices` of `object` — one read's hinted
+    /// chunks, or a neighbour's offers — with one RAM visit
+    /// ([`ShardedChunkCache::lookup_object`]: one shard lock for the
+    /// whole object), then one disk visit ([`DiskStore::get_many`]) for
+    /// all the RAM misses, so a run of one object's frames costs one
+    /// positioned read. Calls `found` with `(index, &chunk, tier)` for
+    /// every hit: the RAM hits in `indices` order, then the disk hits
+    /// in log order. With `record_stats` each id is counted as
+    /// [`TieredChunkCache::get`] counts it (RAM hit or miss, `disk_hits`
+    /// per disk hit); without, as [`TieredChunkCache::peek`] (nothing).
+    /// Neither tier changes. `found` runs under the RAM shard's lock or
+    /// the disk tier's, so it must not call back into the cache.
     pub fn lookup_object(
         &self,
         object: ObjectId,
-        indices: &[u8],
+        indices: impl IntoIterator<Item = u8>,
         record_stats: bool,
-        mut found: impl FnMut(u8, CachedChunk, CacheTier),
+        mut found: impl FnMut(u8, &CachedChunk, CacheTier),
     ) {
-        let mut missed = ChunkSet::new();
-        for &index in indices {
-            let id = ChunkId::new(object, index);
-            let chunk = if record_stats {
-                self.ram.get(&id)
-            } else {
-                self.ram.peek(&id)
-            };
-            match chunk {
-                Some(chunk) => found(index, chunk, CacheTier::Ram),
-                None => {
-                    missed.insert(index);
-                }
-            }
-        }
+        let missed = self
+            .ram
+            .lookup_object(object, indices, record_stats, |index, chunk| {
+                found(index, chunk, CacheTier::Ram);
+            });
         let Some(disk) = self.disk.as_ref().filter(|_| !missed.is_empty()) else {
             return;
         };
-        let misses = indices.iter().filter(|&&index| missed.contains(index));
-        let ids = misses.map(|&index| ChunkId::new(object, index));
+        let ids = missed.iter().map(|index| ChunkId::new(object, index));
         disk.get_many(ids, |id, chunk| {
             if record_stats {
                 self.counters().disk_hits.inc();
             }
-            found(id.index().value(), chunk, CacheTier::Disk);
+            found(id.index().value(), &chunk, CacheTier::Disk);
         });
     }
 
@@ -234,6 +230,29 @@ impl TieredChunkCache {
         }
     }
 
+    /// Replaces the cached chunks of `object` (indices `0..total`) with
+    /// `ram` (distinct indices) in the RAM tier: the object's disk
+    /// frames go first, then its RAM chunks are dropped and `ram`
+    /// inserted in one visit to its shard
+    /// ([`ShardedChunkCache::replace_object`]). Equal to a
+    /// [`remove_object`](TieredChunkCache::remove_object) followed by an
+    /// [`insert_to_tier`](TieredChunkCache::insert_to_tier) per chunk —
+    /// the same chunks stored, the same counts —, except that a
+    /// concurrent lookup finds the object's old RAM chunks or the new
+    /// ones, never a gap between them. Returns the indices of `ram`
+    /// stored.
+    pub fn replace_object(
+        &self,
+        object: ObjectId,
+        total: u8,
+        ram: impl IntoIterator<Item = (u8, CachedChunk)>,
+    ) -> ChunkSet {
+        if let Some(disk) = &self.disk {
+            disk.remove_object(object, 0..total);
+        }
+        self.ram.replace_object(object, 0..total, ram)
+    }
+
     /// Removes a chunk from **both** tiers; returns whether either held
     /// it.
     pub fn remove(&self, key: &ChunkId) -> bool {
@@ -242,9 +261,36 @@ impl TieredChunkCache {
         from_ram | from_disk
     }
 
+    /// Removes chunks `indices` of `object` from **both** tiers, one
+    /// visit to each (a [`TieredChunkCache::remove`] per index); returns
+    /// the ones either tier held.
+    pub fn remove_object(
+        &self,
+        object: ObjectId,
+        indices: impl IntoIterator<Item = u8>,
+    ) -> ChunkSet {
+        let indices: ChunkSet = indices.into_iter().collect();
+        let from_ram = self.ram.remove_object(object, indices.iter());
+        let from_disk = self.disk.as_ref().map_or_else(ChunkSet::new, |disk| {
+            disk.remove_object(object, indices.iter())
+        });
+        from_ram.union(from_disk)
+    }
+
     /// Whether the chunk is present in either tier.
     pub fn contains(&self, key: &ChunkId) -> bool {
         self.ram.contains(key) || self.disk.as_ref().is_some_and(|disk| disk.contains(key))
+    }
+
+    /// The chunks of `indices` of `object` in neither tier: one RAM
+    /// visit, then one look at the disk index for the RAM misses (a
+    /// [`TieredChunkCache::contains`] per index; no frame is read).
+    pub fn absent(&self, object: ObjectId, indices: impl IntoIterator<Item = u8>) -> ChunkSet {
+        let missed = self.ram.absent(object, indices);
+        match &self.disk {
+            Some(disk) if !missed.is_empty() => disk.absent(object, missed.iter()),
+            _ => missed,
+        }
     }
 
     /// Which tier currently holds the chunk, if any (no I/O beyond the
@@ -313,14 +359,15 @@ impl TieredChunkCache {
         self.ram.counters()
     }
 
-    /// Late-binds the shared tier counters into a metrics registry;
-    /// see [`AtomicCacheStats::register_with`]. With a disk tier
+    /// Late-binds the shared tier counters and the RAM tier's lock
+    /// visits into a metrics registry; see
+    /// [`ShardedChunkCache::register_metrics`]. With a disk tier
     /// attached its own counters (`agar_disk_corrupt_frames_total`,
     /// `agar_disk_appended_bytes_total`,
     /// `agar_disk_compacted_bytes_total`,
     /// `agar_disk_read_calls_total`) are registered too.
     pub fn register_metrics(&self, registry: &agar_obs::MetricsRegistry, base: &agar_obs::Labels) {
-        self.counters().register_with(registry, base);
+        self.ram.register_metrics(registry, base);
         if let Some(disk) = &self.disk {
             disk.register_metrics(registry, base.clone());
         }
@@ -431,10 +478,10 @@ mod tests {
             let calls = batched.disk().unwrap().read_calls();
             batched.lookup_object(
                 ObjectId::new(1),
-                &indices,
+                indices,
                 record_stats,
                 |index, chunk, tier| {
-                    found.push((index, chunk, tier));
+                    found.push((index, chunk.clone(), tier));
                 },
             );
             assert_eq!(batched.disk().unwrap().read_calls() - calls, 1, "one run");
@@ -463,7 +510,7 @@ mod tests {
         }
         // All RAM hits: the disk tier is not visited.
         let cache = build();
-        cache.lookup_object(ObjectId::new(1), &[0, 1], true, |_, _, tier| {
+        cache.lookup_object(ObjectId::new(1), [0, 1], true, |_, _, tier| {
             assert_eq!(tier, CacheTier::Ram);
         });
         assert_eq!(cache.disk().unwrap().read_calls(), 0);
@@ -740,6 +787,63 @@ mod tests {
             }
             let stats = cache.stats();
             prop_assert_eq!([stats.tier_promotions(), stats.tier_demotions()], moves);
+        }
+
+        /// `replace_object` is a `remove_object` of the whole stripe
+        /// and an `insert_to_tier(Ram)` per chunk: over random
+        /// placements in either tier and replacements of whole objects
+        /// (some overflowing RAM part-way), both caches store the same
+        /// chunks, hold them at the same versions in the same tiers and
+        /// count the same.
+        #[test]
+        fn an_object_replacement_is_a_drop_and_an_insert_per_chunk(
+            steps in vec((0u8..3, 0u64..3, 1u64..4, 0usize..4, vec(0u8..4, 0..5)), 1..40),
+        ) {
+            const LENS: [usize; 4] = [40, 120, 200, 700];
+            const TOTAL: u8 = 4;
+            let (whole, single) = (
+                TieredChunkCache::with_disk(600, 2, 2_000),
+                TieredChunkCache::with_disk(600, 2, 2_000),
+            );
+            for (op, object, version, len, indices) in steps {
+                let mut distinct = ChunkSet::new();
+                let chunks: Vec<(u8, CachedChunk)> = indices
+                    .into_iter()
+                    .filter(|&index| distinct.insert(index))
+                    .map(|index| (index, chunk(index, LENS[(len + usize::from(index)) % 4], version)))
+                    .collect();
+                if op < 2 {
+                    // Placements that fill both tiers with older copies.
+                    let tier = if op == 0 { CacheTier::Ram } else { CacheTier::Disk };
+                    for (index, c) in &chunks {
+                        let key = id(object, *index);
+                        prop_assert_eq!(
+                            whole.insert_to_tier(key, c.clone(), tier),
+                            single.insert_to_tier(key, c.clone(), tier)
+                        );
+                    }
+                } else {
+                    single.remove_object(ObjectId::new(object), 0..TOTAL);
+                    let expected: ChunkSet = chunks
+                        .iter()
+                        .filter(|(index, c)| single.insert_to_tier(id(object, *index), c.clone(), CacheTier::Ram))
+                        .map(|(index, _)| *index)
+                        .collect();
+                    let stored = whole.replace_object(ObjectId::new(object), TOTAL, chunks);
+                    prop_assert_eq!(stored, expected);
+                }
+                let held = |cache: &TieredChunkCache| {
+                    let mut held: Vec<_> = cache
+                        .residency()
+                        .into_iter()
+                        .map(|(key, tier)| (key, tier, cache.peek(&key).map(|(c, _)| c.version())))
+                        .collect();
+                    held.sort_unstable();
+                    held
+                };
+                prop_assert_eq!(held(&whole), held(&single));
+                prop_assert_eq!(whole.stats(), single.stats());
+            }
         }
     }
 }

@@ -8,6 +8,10 @@
 //! *preference list* — as [`RemoteChunk`]s before falling back to the
 //! backend. The planner prices every offer against the live backend
 //! estimates, so a far sibling's cache never beats a near region.
+//! Gathering the offers visits each member's RAM once: one look at
+//! the home's shard for the chunks it holds at the manifest's version
+//! ([`AgarNode::held_in_ram`]), then one [`AgarNode::offer_object`] per
+//! probed sibling for the rest (one RAM visit, at most one disk visit).
 //! Disk-resident chunks stay in the auction on both sides: the home's
 //! own disk tier is priced at its disk-read latency by the planner,
 //! and a sibling's disk chunks are offered with the owner's disk
@@ -24,8 +28,9 @@
 //! lease ([`WriteLeaseManager`]). The owner keeps the configured chunks
 //! of the version it wrote, and every other member then drops the
 //! object's chunk ids. That broadcast is cheap: it holds no router
-//! lock, it costs each member n hash probes a tier instead of a cache
-//! scan, and no deployment here runs more than six members.
+//! lock, it costs each member one visit to each tier (n hash probes
+//! under one lock) instead of a cache scan, and no deployment here runs
+//! more than six members.
 
 use crate::coordinator::FetchCoordinator;
 use crate::lease::WriteLeaseManager;
@@ -34,7 +39,7 @@ use agar::planner::RemoteChunk;
 use agar::{AgarError, AgarNode, DirectFetcher, ReadMetrics};
 use agar_cache::stats::ROWS;
 use agar_cache::{CacheStats, CacheTier};
-use agar_ec::{ChunkId, ObjectId};
+use agar_ec::{ChunkSet, ObjectId};
 use agar_net::SimTime;
 use agar_obs::{Counter, Labels, MetricsRegistry};
 use agar_store::Backend;
@@ -417,41 +422,51 @@ impl ClusterRouter {
     ) -> Result<ClusterReadMetrics, AgarError> {
         let manifest = self.backend.manifest(object)?;
         let version = manifest.version();
-        let total = manifest.params().total_chunks();
+        let total = manifest.params().total_chunks() as u8;
         let model = self.backend.latency_model();
         let mut rng = self.derive_rng();
-        let mut remote: Vec<RemoteChunk> = Vec::new();
-        for index in 0..total as u8 {
-            let chunk = ChunkId::new(object, index);
-            // A home RAM hit is free; a home *disk* hit is only a
-            // candidate (priced at `disk_read` by the planner), so
-            // sibling offers still compete for it — a nearby sibling's
-            // RAM can beat the local disk. The check reads no disk
-            // frame: the home's own lookup reads those, a run at a time.
-            if home.holds_in_ram(&chunk, version) {
-                continue;
+        // A home RAM hit is free; a home *disk* hit is only a candidate
+        // (priced at `disk_read` by the planner), so sibling offers
+        // still compete for it — a nearby sibling's RAM can beat the
+        // local disk. The check is one visit to the home's RAM shard
+        // and reads no disk frame: the home's own lookup reads those, a
+        // run at a time.
+        let held = home.held_in_ram(object, version);
+        let wanted: ChunkSet = (0..total).filter(|&index| !held.contains(index)).collect();
+        // Each probed sibling is asked once for the whole object: one
+        // RAM visit, at most one disk visit.
+        let mut found = Vec::new();
+        if !wanted.is_empty() {
+            for (probe, sibling) in probes.iter().enumerate() {
+                sibling.offer_object(object, version, wanted, |index, data, tier| {
+                    found.push((index, probe, data, tier));
+                });
             }
-            // Offer every probed holder; the planner keeps the
-            // cheapest per chunk and discards offers dearer than the
-            // backend estimate. Disk-resident sibling chunks pay the
-            // owner's disk-read penalty on top of the WAN hop.
-            for sibling in probes {
-                let Some((data, tier)) = sibling.peek_chunk_tier(&chunk, version) else {
-                    continue;
-                };
+        }
+        // Offer every probed holder; the planner keeps the cheapest per
+        // chunk and discards offers dearer than the backend estimate.
+        // Disk-resident sibling chunks pay the owner's disk-read penalty
+        // on top of the WAN hop. The WAN draws go chunk by chunk, then
+        // probe by probe: that order fixes which of the read's seeded
+        // draws prices which offer.
+        found.sort_unstable_by_key(|&(index, probe, ..)| (index, probe));
+        let remote: Vec<RemoteChunk> = found
+            .into_iter()
+            .map(|(index, probe, data, tier)| {
+                let sibling = &probes[probe];
                 let wan = model.sample(home.region(), sibling.region(), data.len(), &mut rng);
                 let mut latency = wan.mul_f64(REMOTE_CACHE_DISCOUNT);
                 if tier == CacheTier::Disk {
                     latency += sibling.settings().disk_read;
                 }
-                remote.push(RemoteChunk {
+                RemoteChunk {
                     index,
                     data,
                     latency,
                     version,
-                });
-            }
-        }
+                }
+            })
+            .collect();
         let metrics = home.read_with_offers(object, &remote)?;
         if metrics.remote_hits > 0 {
             self.remote_hits.add(metrics.remote_hits as u64);
@@ -630,7 +645,7 @@ mod tests {
     use super::*;
     use agar::fetcher::{ChunkFetcher, FetchRequest};
     use agar::{AgarSettings, CachingClient};
-    use agar_ec::CodingParams;
+    use agar_ec::{ChunkId, CodingParams};
     use agar_net::presets::{aws_six_regions, DUBLIN, FRANKFURT, SAO_PAULO};
     use agar_store::{expected_payload, populate, RoundRobin};
     use rand::rngs::StdRng;
@@ -807,6 +822,38 @@ mod tests {
             solo.latency
         );
         assert!(router.remote_hits() > 0, "no sibling hits recorded");
+    }
+
+    #[test]
+    fn a_warm_routed_read_visits_each_member_ram_once() {
+        let (_, router) = frankfurt_cluster(2, 3);
+        let object = ObjectId::new(0);
+        for _ in 0..30 {
+            router.read(object).unwrap();
+        }
+        router.force_reconfigure_all();
+        router.read(object).unwrap();
+        let members: Vec<Arc<AgarNode>> = {
+            let state = router.state.read();
+            state.members.iter().map(|m| Arc::clone(&m.node)).collect()
+        };
+        let visits = || {
+            members
+                .iter()
+                .map(|node| node.cache_lock_visits())
+                .sum::<u64>()
+        };
+        let before = visits();
+        let read = router.read(object).unwrap();
+        assert_eq!(read.metrics().cache_hits, 9);
+        // The home's RAM check and its lookup, one visit to each probed
+        // sibling for the three chunks the home does not hold, and no
+        // fill: over 30 when every call visited one chunk.
+        let probes = ClusterSettings::default()
+            .sibling_probes
+            .min(members.len() - 1);
+        assert_eq!(probes, 2);
+        assert_eq!(visits() - before, 2 + probes as u64);
     }
 
     #[test]

@@ -28,8 +28,8 @@
 //! first records the request in the monitor (its own mutex, one
 //! hash-map increment) and then runs the six stages of `read.rs`:
 //!
-//! 1. **lookup** — hinted chunks in the sharded cache (per-shard
-//!    locks, atomic statistics);
+//! 1. **lookup** — hinted chunks in the sharded cache (one visit to
+//!    the shard that holds the object, atomic statistics);
 //! 2. **plan** — the [`ReadPlanner`](crate::planner::ReadPlanner)
 //!    ranks every candidate source against *snapshots* (the
 //!    `Arc<CacheConfiguration>` swapped at reconfiguration, a copy of
@@ -41,7 +41,8 @@
 //! 4. **bind** — the first k arrivals are bound into the decode,
 //!    stragglers dropped (pure);
 //! 5. **decode** — Reed-Solomon decoding is lock-free;
-//! 6. **fill** — cache fill takes per-shard locks only.
+//! 6. **fill** — cache fill takes per-shard locks only, and a read
+//!    whose lookup found every hinted chunk skips it.
 //!
 //! Randomness is drawn from per-operation RNGs derived from the node
 //! seed and an atomic operation counter, so single-threaded runs stay
@@ -87,7 +88,7 @@ use crate::monitor::RequestMonitor;
 use crate::region_manager::RegionManager;
 use crate::retry::RetryPolicy;
 use agar_cache::{CacheStats, CacheTier, CachedChunk, TieredChunkCache, DEFAULT_CACHE_SHARDS};
-use agar_ec::{ChunkId, ObjectId};
+use agar_ec::{ChunkId, ChunkSet, ObjectId};
 use agar_net::{RegionId, SimTime};
 use agar_obs::{
     chrome_trace_json, Counter, Gauge, Labels, MetricsRegistry, ReadTrace, StageHistograms,
@@ -500,14 +501,14 @@ impl AgarNode {
     }
 
     /// Drops every cached chunk of `object` from both tiers and returns
-    /// how many were cached: one removal per chunk id of the object's
-    /// stripe (n hash probes a tier), never a scan of the cache. A
-    /// write drops the older version this way, and a cluster router
-    /// invalidates the other members' copies with it.
+    /// how many were cached: one visit to each tier
+    /// ([`TieredChunkCache::remove_object`], n hash probes a tier), never
+    /// a scan of the cache. A write drops the older version this way,
+    /// and a cluster router invalidates the other members' copies with
+    /// it.
     pub fn invalidate_object(&self, object: ObjectId) -> usize {
-        (0..self.backend.params().total_chunks())
-            .filter(|&index| self.cache.remove(&ChunkId::new(object, index as u8)))
-            .count()
+        let total = self.backend.params().total_chunks() as u8;
+        self.cache.remove_object(object, 0..total).len()
     }
 
     /// Writes an object through the backend and leaves the chunks the
@@ -515,8 +516,11 @@ impl AgarNode {
     /// docs). Once the backend acknowledges version v the object's
     /// older chunks are dropped and, for an object a solve placed,
     /// exactly `chunks_for(object)` are inserted at v into the tiers
-    /// the configuration names — out of the shards the put just
-    /// encoded ([`ObjectPut::shards`](agar_store::ObjectPut), no
+    /// the configuration names — the RAM ones in place of the old
+    /// version in one visit to the object's shard
+    /// ([`TieredChunkCache::replace_object`]), so a racing read finds
+    /// all of the old chunks or all of the new ones — out of the shards
+    /// the put just encoded ([`ObjectPut::shards`](agar_store::ObjectPut), no
     /// backend traffic), so the next read of a hot object is the hit
     /// it was before the write. An object the configuration does not
     /// name, or only carries, keeps nothing; a failed put changes
@@ -531,24 +535,48 @@ impl AgarNode {
         let put = self
             .backend
             .put_object(self.region, object, data, &mut rng)?;
-        self.invalidate_object(object);
         let config = Arc::clone(&self.config.read());
-        let mut placed = 0;
         // A carried entry is what the cache still held of an object no
         // solve names: a write removes it everywhere, as it always did.
-        if !config.is_carried(object) {
-            for &index in config.chunks_for(object) {
-                let id = ChunkId::new(object, index);
-                let chunk = CachedChunk::new(put.shards[index as usize].clone(), put.version);
-                placed += u64::from(self.insert_revalidated(id, chunk));
+        let configured = if config.is_carried(object) {
+            &[][..]
+        } else {
+            config.chunks_for(object)
+        };
+        let chunk = |index: u8| CachedChunk::new(put.shards[index as usize].clone(), put.version);
+        // The chunks the live configuration puts in RAM replace the old
+        // version in one visit to the object's shard, so a read racing
+        // this write finds all of the old chunks or all of the new ones;
+        // they are revalidated as `insert_revalidated` revalidates.
+        let in_ram = |index| {
+            let live = self.config.read();
+            live.tier_for(ChunkId::new(object, index)) == Some(CacheTier::Ram)
+        };
+        let ram: Vec<(u8, CachedChunk)> = configured
+            .iter()
+            .filter(|&&index| in_ram(index))
+            .map(|&index| (index, chunk(index)))
+            .collect();
+        let total = self.backend.params().total_chunks() as u8;
+        let mut placed = 0;
+        for index in self.cache.replace_object(object, total, ram).iter() {
+            if in_ram(index) {
+                placed += 1;
+            } else {
+                self.cache.remove(&ChunkId::new(object, index));
             }
+        }
+        for &index in configured.iter().filter(|&&index| !in_ram(index)) {
+            let id = ChunkId::new(object, index);
+            placed += u64::from(self.insert_revalidated(id, chunk(index)));
         }
         self.write_update_chunks.add(placed);
         Ok((put.version, put.latency))
     }
 
     /// The one placer: every configured chunk that enters the cache or
-    /// changes tier — a write's update, a read's fill, a
+    /// changes tier — a write's update (its RAM chunks a whole object
+    /// at a time, revalidated the same way), a read's fill, a
     /// reconfiguration's moves and a-priori downloads — goes through
     /// here. Inserts the chunk into the tier the live configuration
     /// names and revalidates: the caller chose the chunk from a
@@ -688,10 +716,9 @@ impl AgarNode {
 
     /// Looks a chunk up in the local cache without touching recency
     /// metadata, statistics or tier placement; returns the payload and
-    /// the tier holding it only if its version matches. A cluster
-    /// router turns these into neighbour offers, pricing a
-    /// disk-resident one with the owner's disk-read penalty on top of
-    /// the transfer cost.
+    /// the tier holding it only if its version matches. One RAM visit
+    /// per call: a caller asking about several chunks of one object
+    /// takes one with [`AgarNode::offer_object`].
     pub fn peek_chunk_tier(&self, chunk: &ChunkId, version: u64) -> Option<(Bytes, CacheTier)> {
         self.cache
             .peek(chunk)
@@ -699,12 +726,43 @@ impl AgarNode {
             .map(|(c, tier)| (c.data().clone(), tier))
     }
 
-    /// Whether the RAM tier holds `chunk` at `version` (no recency
-    /// update, no statistics, no payload clone, no disk read). A
-    /// cluster router skips gathering neighbour offers for such a
-    /// chunk: the home's own RAM hit is free.
-    pub fn holds_in_ram(&self, chunk: &ChunkId, version: u64) -> bool {
-        self.cache.ram().version_of(chunk) == Some(version)
+    /// The chunks of `object` the local cache holds at `version`, as
+    /// [`AgarNode::peek_chunk_tier`] would find them for each index of
+    /// `indices`, with one visit to the object's RAM shard and at most
+    /// one disk visit: calls `found` with `(index, payload, tier)` for
+    /// each. A cluster router turns these into neighbour offers,
+    /// pricing a disk-resident one with the owner's disk-read penalty
+    /// on top of the transfer cost. No recency update, no statistics,
+    /// no placement change.
+    pub fn offer_object(
+        &self,
+        object: ObjectId,
+        version: u64,
+        indices: ChunkSet,
+        mut found: impl FnMut(u8, Bytes, CacheTier),
+    ) {
+        self.cache
+            .lookup_object(object, indices.iter(), false, |index, chunk, tier| {
+                if chunk.version() == version {
+                    found(index, chunk.data().clone(), tier);
+                }
+            });
+    }
+
+    /// The chunks of `object` the RAM tier holds at `version`, with one
+    /// visit to the object's shard (no recency update, no statistics,
+    /// no payload clone, no disk read). A cluster router gathers no
+    /// neighbour offers for these: the home's own RAM hit is free.
+    pub fn held_in_ram(&self, object: ObjectId, version: u64) -> ChunkSet {
+        let total = self.backend.params().total_chunks() as u8;
+        self.cache.ram().held_at(object, 0..total, version)
+    }
+
+    /// Shard lock acquisitions the RAM tier has counted so far (see
+    /// [`ShardedChunkCache::lock_visits`](agar_cache::ShardedChunkCache::lock_visits)):
+    /// a fully cached read adds one.
+    pub fn cache_lock_visits(&self) -> u64 {
+        self.cache.ram().lock_visits()
     }
 
     /// Every tier that holds a copy of `chunk`, with the version of
@@ -1949,5 +2007,65 @@ mod tests {
         let node = test_node(backend, 900);
         assert_eq!(node.label(), "Agar");
         assert!(format!("{node:?}").contains("AgarNode"));
+    }
+
+    /// A node whose configuration names all nine RS(9, 3) chunks of
+    /// object 0 (a cache of one object), warmed by the reconfiguration's
+    /// a-priori download.
+    fn one_hot_object() -> (AgarNode, ObjectId) {
+        let node = test_node(test_backend(2, 900), 900);
+        let object = ObjectId::new(0);
+        for _ in 0..20 {
+            node.read(object).unwrap();
+        }
+        node.force_reconfigure();
+        assert_eq!(node.current_config().chunks_for(object).len(), 9);
+        (node, object)
+    }
+
+    fn sorted_residency(node: &AgarNode) -> Vec<(ChunkId, CacheTier)> {
+        let mut cached = node.cache.residency();
+        cached.sort_unstable();
+        cached
+    }
+
+    #[test]
+    fn a_fully_cached_read_visits_the_ram_tier_once_and_fills_nothing() {
+        let (node, object) = one_hot_object();
+        let residency = sorted_residency(&node);
+        assert_eq!(residency.len(), 9);
+        let (fills, stats) = (node.fill_fetches.get(), node.cache_stats());
+        let visits = node.cache_lock_visits();
+        let metrics = node.read(object).unwrap();
+        assert_eq!(metrics.data.as_ref(), expected_payload(0, 900).as_slice());
+        assert_eq!((metrics.cache_hits, metrics.fill_fetches), (9, 0));
+        // The lookup's one visit to the object's shard; the fill, which
+        // re-checked all nine chunks one lock each after a lookup that
+        // took nine more (18 in all), no longer runs.
+        assert_eq!(node.cache_lock_visits() - visits, 1);
+        assert_eq!(node.fill_fetches.get(), fills);
+        assert_eq!(sorted_residency(&node), residency);
+        let delta = node.cache_stats().delta_since(&stats);
+        assert_eq!((delta.chunk_hits(), delta.chunk_misses()), (9, 0));
+        assert_eq!((delta.insertions(), delta.rejected_inserts()), (0, 0));
+    }
+
+    #[test]
+    fn a_read_missing_one_hinted_chunk_still_fills_it() {
+        let (node, object) = one_hot_object();
+        let residency = sorted_residency(&node);
+        for index in [0u8, 4, 8] {
+            let id = ChunkId::new(object, index);
+            assert!(node.cache.remove(&id));
+            let stats = node.cache_stats();
+            let metrics = node.read(object).unwrap();
+            assert_eq!(metrics.data.as_ref(), expected_payload(0, 900).as_slice());
+            assert_eq!(metrics.cache_hits, 8);
+            // Back in the cache, from the read's own fetch or from a
+            // fill fetch, and nothing else was touched.
+            assert_eq!(sorted_residency(&node), residency, "{id:?}");
+            assert_eq!(node.cache_stats().delta_since(&stats).insertions(), 1);
+            assert_eq!(node.read(object).unwrap().cache_hits, 9);
+        }
     }
 }

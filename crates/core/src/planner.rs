@@ -19,7 +19,7 @@ use crate::config::CacheConfiguration;
 use crate::error::AgarError;
 use crate::inline::{Inline, INLINE_CHUNKS};
 use agar_cache::{CacheTier, TieredChunkCache};
-use agar_ec::{ChunkId, ChunkSet};
+use agar_ec::ChunkSet;
 use agar_net::RegionId;
 use agar_store::{Backend, ObjectManifest, StoreError};
 use bytes::Bytes;
@@ -190,13 +190,14 @@ impl<'a> ReadPlanner<'a> {
     /// attempt took it, and left its chunks here): the chunk stays, and
     /// the attempt will lose the version race at its first fetch.
     ///
-    /// The lookup is one [`TieredChunkCache::lookup_object`]: each RAM
-    /// lookup locks only the chunk's cache shard, and the RAM misses
-    /// take one visit to the disk tier, which reads each run of the
+    /// The lookup is one [`TieredChunkCache::lookup_object`]: one visit
+    /// to the RAM shard that holds every chunk of the object, and one
+    /// to the disk tier for the RAM misses, which reads each run of the
     /// object's back-to-back frames with one positioned read and leaves
     /// every chunk where the configuration put it. Stale chunks are
-    /// dropped once the lookup is done. Each hit list is allocated once,
-    /// at its first hit, for every hinted chunk.
+    /// dropped once the lookup is done, with one more visit to each
+    /// tier. Each hit list is allocated once, at its first hit, for
+    /// every hinted chunk.
     ///
     /// `record_stats` controls whether the lookups count toward the
     /// cache's chunk-level hit/miss statistics and recency metadata;
@@ -208,22 +209,27 @@ impl<'a> ReadPlanner<'a> {
         let hinted = self.hinted();
         let mut have = LocalHits::default();
         let mut stale = ChunkSet::new();
-        cache.lookup_object(object, hinted, record_stats, |index, chunk, tier| {
-            if chunk.version() == version {
-                let hits = match tier {
-                    CacheTier::Ram => &mut have.ram,
-                    CacheTier::Disk => &mut have.disk,
-                };
-                if hits.capacity() == 0 {
-                    hits.reserve_exact(hinted.len());
+        cache.lookup_object(
+            object,
+            hinted.iter().copied(),
+            record_stats,
+            |index, chunk, tier| {
+                if chunk.version() == version {
+                    let hits = match tier {
+                        CacheTier::Ram => &mut have.ram,
+                        CacheTier::Disk => &mut have.disk,
+                    };
+                    if hits.capacity() == 0 {
+                        hits.reserve_exact(hinted.len());
+                    }
+                    hits.push((index, chunk.data().clone()));
+                } else if chunk.version() < version {
+                    stale.insert(index);
                 }
-                hits.push((index, chunk.data().clone()));
-            } else if chunk.version() < version {
-                stale.insert(index);
-            }
-        });
-        for &index in hinted.iter().filter(|&&index| stale.contains(index)) {
-            cache.remove(&ChunkId::new(object, index));
+            },
+        );
+        if !stale.is_empty() {
+            cache.remove_object(object, stale.iter());
         }
         have
     }

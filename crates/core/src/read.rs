@@ -1,11 +1,13 @@
 //! The read path: one route for every read (paper §III–IV), as the six
 //! stages the `node` module docs describe — lookup
 //! ([`ReadPlanner::lookup_local`]) → plan → fetch → [`bind`] → decode →
-//! fill — plus [`price`], the latency formula. Collaboration, hedging,
-//! tiers and the breaker are not routes of their own: a read without
-//! neighbour offers passes `&[]`, an unhedged read is the Δ = 0 case of
-//! "issue k + Δ, bind the first k", a RAM-only node has no disk hits to
-//! price, a disabled breaker excludes nothing.
+//! fill — plus [`price`], the latency formula. A read whose lookup
+//! served every hinted chunk skips the fill: its one cache visit is
+//! the lookup's. Collaboration, hedging, tiers and the breaker are not
+//! routes of their own: a read without neighbour offers passes `&[]`,
+//! an unhedged read is the Δ = 0 case of "issue k + Δ, bind the first
+//! k", a RAM-only node has no disk hits to price, a disabled breaker
+//! excludes nothing.
 //!
 //! One loop wraps plan → fetch ([`AgarNode::passes`]). A pass that
 //! binds k chunks serves the read; one that too few regions answered
@@ -127,13 +129,19 @@ impl AgarNode {
         let (local, latency) = price(&self.settings, ram_hits, &bound, ledger.backoff);
         let (data, kind) = self.decode(&snapshot.manifest, &bound.shards)?;
         let hinted = snapshot.config.chunks_for(object);
-        let fill = self.fill(
-            &*snapshot.fetcher,
-            &snapshot.manifest,
-            hinted,
-            &bound.shards,
-            &mut snapshot.rng,
-        );
+        // The lookup found every hinted chunk at this version: there is
+        // nothing to fill, and no reason to visit the cache again.
+        let fill = if snapshot.hits.len() == hinted.len() {
+            0
+        } else {
+            self.fill(
+                &*snapshot.fetcher,
+                &snapshot.manifest,
+                hinted,
+                &bound.shards,
+                &mut snapshot.rng,
+            )
+        };
         // Disk-sourced chunks are local cache hits at the object level
         // (Figure 7's accounting).
         let cache_hits = ram_hits + bound.disk_hits;
@@ -347,16 +355,23 @@ impl AgarNode {
 
     /// **Fill**: moves the cache toward the hinted configuration, off
     /// the critical path (the paper uses a separate thread pool), and
-    /// returns how many chunks it fetched for that. `shards` is what
-    /// the read has in hand, by chunk index — nothing, when a
-    /// reconfiguration downloads an entry a priori. Each chunk is
-    /// checked against the *live* configuration before the insert and
-    /// revalidated after it ([`AgarNode::insert_revalidated`]), so a
-    /// fill racing a reconfiguration cannot leave behind chunks the new
-    /// configuration purged or placed in the other tier. The
-    /// `contains`-then-insert below is not atomic either: a write may
-    /// land its chunks of the next version in between, and the cache
-    /// then refuses this attempt's older one.
+    /// returns how many chunks it fetched for that. A read whose lookup
+    /// found every hinted chunk at its version does not call it.
+    /// `shards` is what the read has in hand, by chunk index — nothing,
+    /// when a reconfiguration downloads an entry a priori. Which hinted
+    /// chunks the cache lacks is one [`TieredChunkCache::absent`] visit,
+    /// taken again after each insert (an insert can evict, or clean
+    /// away, a chunk the loop has yet to reach), so the loop fills what
+    /// a `contains` per chunk would. Each chunk is checked against the
+    /// *live* configuration before the insert and revalidated after it
+    /// ([`AgarNode::insert_revalidated`]), so a fill racing a
+    /// reconfiguration cannot leave behind chunks the new configuration
+    /// purged or placed in the other tier. The absence check and the
+    /// insert are not atomic either: a write may land its chunks of the
+    /// next version in between, and the cache then refuses this
+    /// attempt's older one.
+    ///
+    /// [`TieredChunkCache::absent`]: agar_cache::TieredChunkCache::absent
     pub(super) fn fill(
         &self,
         fetcher: &dyn ChunkFetcher,
@@ -368,9 +383,11 @@ impl AgarNode {
         let object = manifest.object();
         let mut fill_fetches = 0;
         let live_config = Arc::clone(&self.config.read());
+        let absent = || self.cache.absent(object, hinted.iter().copied());
+        let mut missing = absent();
         for &index in hinted {
             let id = ChunkId::new(object, index);
-            if !live_config.contains(id) || self.cache.contains(&id) {
+            if !live_config.contains(id) || !missing.contains(index) {
                 continue;
             }
             // A hinted chunk that was neither cached nor on the fetch
@@ -383,6 +400,7 @@ impl AgarNode {
             let Some(payload) = payload else { continue };
             let chunk = CachedChunk::new(payload, manifest.version());
             self.insert_revalidated(id, chunk);
+            missing = absent();
         }
         self.fill_fetches.add(fill_fetches);
         fill_fetches as usize

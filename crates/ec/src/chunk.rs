@@ -166,6 +166,31 @@ impl ChunkSet {
     pub fn is_empty(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
     }
+
+    /// The indices in either set.
+    pub fn union(self, other: ChunkSet) -> ChunkSet {
+        let mut words = self.words;
+        for (word, other) in words.iter_mut().zip(other.words) {
+            *word |= other;
+        }
+        ChunkSet { words }
+    }
+
+    /// The indices in the set, ascending.
+    pub fn iter(self) -> impl Iterator<Item = u8> {
+        self.words
+            .into_iter()
+            .enumerate()
+            .flat_map(|(word, mut bits)| {
+                std::iter::from_fn(move || {
+                    (bits != 0).then(|| {
+                        let bit = bits.trailing_zeros();
+                        bits &= bits - 1;
+                        (word as u32 * 64 + bit) as u8
+                    })
+                })
+            })
+    }
 }
 
 impl FromIterator<u8> for ChunkSet {
@@ -326,5 +351,8 @@ mod tests {
         assert!(!set.contains(128));
         let from_iter: ChunkSet = [3u8, 5, 3].into_iter().collect();
         assert_eq!(from_iter.len(), 2);
+        let both = set.union(from_iter);
+        assert_eq!(both.iter().collect::<Vec<_>>(), [0, 3, 5, 63, 64, 255]);
+        assert_eq!(ChunkSet::new().iter().count(), 0);
     }
 }

@@ -174,7 +174,9 @@ fn valid_name(name: &str) -> bool {
 /// The cell a registered metric reads at scrape time.
 #[derive(Clone, Debug)]
 enum Cell {
-    Counter(Counter),
+    /// One counter, or the sum of several (a count striped over cells
+    /// that are each written by one owner).
+    Counter(Vec<Counter>),
     Gauge(Gauge),
     Histogram(Histogram),
 }
@@ -239,7 +241,26 @@ impl MetricsRegistry {
         labels: Labels,
         cell: &Counter,
     ) {
-        self.register(name, help, labels, Cell::Counter(cell.clone()));
+        self.register(name, help, labels, Cell::Counter(vec![cell.clone()]));
+    }
+
+    /// Registers existing counter cells as **one** series whose value
+    /// is their sum (late binding, as [`MetricsRegistry::register_counter`];
+    /// idempotent per `(name, labels)`). For a count striped over
+    /// cells that each have one writer, such as one cell per lock
+    /// stripe.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an invalid metric name or a type conflict.
+    pub fn register_counter_sum(
+        &self,
+        name: &'static str,
+        help: &'static str,
+        labels: Labels,
+        cells: &[Counter],
+    ) {
+        self.register(name, help, labels, Cell::Counter(cells.to_vec()));
     }
 
     /// Creates and registers a fresh gauge.
@@ -376,8 +397,8 @@ impl MetricsRegistry {
             }
             out.push('}');
             match &metric.cell {
-                Cell::Counter(c) => {
-                    let _ = write!(out, ", \"value\": {}", c.get());
+                Cell::Counter(cells) => {
+                    let _ = write!(out, ", \"value\": {}", sum(cells));
                 }
                 Cell::Gauge(g) => {
                     let _ = write!(out, ", \"value\": {}", g.get());
@@ -412,15 +433,20 @@ impl MetricsRegistry {
     }
 }
 
+/// The value of a counter series: the sum of its cells.
+fn sum(cells: &[Counter]) -> u64 {
+    cells.iter().map(Counter::get).sum()
+}
+
 fn render_prometheus_cell(out: &mut String, metric: &Metric) {
     match &metric.cell {
-        Cell::Counter(c) => {
+        Cell::Counter(cells) => {
             let _ = writeln!(
                 out,
                 "{}{} {}",
                 metric.name,
                 metric.labels.render(None),
-                c.get()
+                sum(cells)
             );
         }
         Cell::Gauge(g) => {
@@ -497,6 +523,20 @@ mod tests {
         cell.inc();
         let text = registry.render_prometheus();
         assert!(text.contains("late_total 8"), "{text}");
+    }
+
+    #[test]
+    fn a_counter_sum_is_one_live_series() {
+        let stripes = [Counter::new(), Counter::new(), Counter::new()];
+        stripes[0].add(2);
+        let registry = MetricsRegistry::new();
+        registry.register_counter_sum("striped_total", "s", Labels::new(), &stripes);
+        stripes[2].add(5);
+        assert_eq!(registry.len(), 1);
+        let text = registry.render_prometheus();
+        assert!(text.contains("# TYPE striped_total counter"), "{text}");
+        assert!(text.contains("striped_total 7"), "{text}");
+        assert!(registry.render_json().contains("\"value\": 7"));
     }
 
     #[test]

@@ -91,6 +91,7 @@ const NODE_SERIES: &[(&str, &str)] = &[
     ("agar_cache_evictions_total", "tier=disk"),
     ("agar_cache_evictions_total", "tier=ram"),
     ("agar_cache_insertions_total", ""),
+    ("agar_cache_lock_visits_total", ""),
     ("agar_cache_rejected_inserts_total", ""),
     ("agar_config_carried_chunks", ""),
     ("agar_decode_plan_hits_total", ""),
