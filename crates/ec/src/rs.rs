@@ -782,6 +782,49 @@ mod tests {
         }
     }
 
+    /// The parity rows as stored chunks carry them: encoding the
+    /// `k × k` identity (data shard `j` is the unit vector `e_j`) makes
+    /// parity shard `p` equal to parity row `p` of the encoding matrix.
+    fn parity_rows(k: usize, m: usize) -> Vec<Vec<u8>> {
+        let rs = ReedSolomon::new(CodingParams::new(k, m).unwrap()).unwrap();
+        let identity: Vec<u8> = (0..k * k).map(|i| u8::from(i % (k + 1) == 0)).collect();
+        let shards = rs.encode_object(&identity).unwrap();
+        shards[k..].iter().map(|shard| shard.to_vec()).collect()
+    }
+
+    /// The chunk format, pinned: a change to the code's construction
+    /// changes these bytes, and with them the parity of every stored
+    /// chunk, so it must fail here rather than pass silently.
+    #[test]
+    fn parity_rows_are_pinned() {
+        assert_eq!(
+            parity_rows(9, 3),
+            [
+                [158, 158, 137, 137, 247, 247, 225, 225, 1],
+                [160, 183, 160, 183, 33, 55, 33, 55, 1],
+                [41, 62, 62, 41, 192, 214, 214, 192, 1],
+            ]
+        );
+        assert_eq!(parity_rows(4, 2), [[27, 28, 18, 20], [28, 27, 20, 18]]);
+    }
+
+    /// The widest codes the field allows still build and decode: a
+    /// `k + m = 255` code, with every parity shard standing in for a
+    /// lost data shard.
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn wide_code_builds_and_decodes() {
+        let (k, m) = (200, 55);
+        let rs = ReedSolomon::new(CodingParams::new(k, m).unwrap()).unwrap();
+        let object = sample_object(k * 3 - 1);
+        let mut shards = present(&rs.encode_object(&object).unwrap());
+        for shard in &mut shards[..m] {
+            *shard = None;
+        }
+        let (back, _) = rs.reconstruct_object_report(&shards, object.len()).unwrap();
+        assert_eq!(back.as_ref(), object.as_slice());
+    }
+
     #[test]
     fn paper_configuration_rs_9_3() {
         let rs = ReedSolomon::new(CodingParams::paper_default()).unwrap();
