@@ -7,36 +7,6 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum EcError {
-    /// A matrix was requested with an impossible shape (zero dimension,
-    /// too many rows for distinct field elements, or data length that
-    /// does not match the shape).
-    InvalidDimensions {
-        /// Requested number of rows.
-        rows: usize,
-        /// Requested number of columns.
-        cols: usize,
-    },
-    /// Two matrices had incompatible shapes for the attempted operation.
-    DimensionMismatch {
-        /// Shape of the left operand.
-        left: (usize, usize),
-        /// Shape of the right operand.
-        right: (usize, usize),
-    },
-    /// A row index was out of bounds.
-    RowOutOfBounds {
-        /// The offending index.
-        row: usize,
-        /// The number of rows in the matrix.
-        rows: usize,
-    },
-    /// Inversion was attempted on a non-square matrix.
-    NotSquare {
-        /// Number of rows.
-        rows: usize,
-        /// Number of columns.
-        cols: usize,
-    },
     /// The matrix has no inverse.
     SingularMatrix,
     /// Coding parameters are outside the supported range.
@@ -68,20 +38,6 @@ pub enum EcError {
 impl fmt::Display for EcError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            EcError::InvalidDimensions { rows, cols } => {
-                write!(f, "invalid matrix dimensions {rows}x{cols}")
-            }
-            EcError::DimensionMismatch { left, right } => write!(
-                f,
-                "matrix shapes {}x{} and {}x{} are incompatible",
-                left.0, left.1, right.0, right.1
-            ),
-            EcError::RowOutOfBounds { row, rows } => {
-                write!(f, "row index {row} out of bounds for {rows} rows")
-            }
-            EcError::NotSquare { rows, cols } => {
-                write!(f, "matrix {rows}x{cols} is not square")
-            }
             EcError::SingularMatrix => write!(f, "matrix is singular"),
             EcError::InvalidCodingParams {
                 data_chunks,
@@ -112,16 +68,6 @@ mod tests {
     #[test]
     fn display_messages_are_lowercase_and_informative() {
         let cases: Vec<(EcError, &str)> = vec![
-            (EcError::InvalidDimensions { rows: 0, cols: 3 }, "0x3"),
-            (
-                EcError::DimensionMismatch {
-                    left: (2, 3),
-                    right: (4, 5),
-                },
-                "incompatible",
-            ),
-            (EcError::RowOutOfBounds { row: 9, rows: 3 }, "row index 9"),
-            (EcError::NotSquare { rows: 2, cols: 3 }, "not square"),
             (EcError::SingularMatrix, "singular"),
             (
                 EcError::InvalidCodingParams {

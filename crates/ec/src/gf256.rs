@@ -7,6 +7,12 @@
 //! with respect to the generator `x` (`0x02`) are computed at compile
 //! time by a `const fn`, so there is no lazy initialisation.
 //!
+//! The codec's slice arithmetic is one crate-private kernel family, the
+//! fused dot product `dot_slice` (`out = Σ cⱼ · srcⱼ`, GFNI / AVX2 /
+//! SSSE3 / scalar tiers), which the encode and the degraded decode both
+//! run. [`mul_add_slice`] is its plain scalar sibling, and
+//! [`naive::mul_add_slice`] the ground truth both are tested against.
+//!
 //! # Examples
 //!
 //! ```
@@ -156,8 +162,8 @@ const fn build_gfni_matrices() -> [u64; 256] {
 #[cfg(target_arch = "x86_64")]
 const GFNI_MATRICES: [u64; 256] = build_gfni_matrices();
 
-/// The widest coefficient-multiply kernel this CPU supports, detected
-/// once. `AGAR_GF256_KERNEL` (`gfni`/`avx2`/`ssse3`/`scalar`) caps the
+/// The widest [`dot_slice`] tier this CPU supports, detected once.
+/// `AGAR_GF256_KERNEL` (`gfni`/`avx2`/`ssse3`/`scalar`) caps the
 /// level for A/B benchmarking; detection still gates what actually
 /// runs, so the override can only *lower* the tier.
 #[cfg(target_arch = "x86_64")]
@@ -206,8 +212,8 @@ fn simd_level() -> SimdLevel {
     })
 }
 
-/// The vector bodies of the slice kernels. Each function consumes as
-/// many whole blocks as its width allows and returns the byte count
+/// The vector bodies of [`dot_slice`](super::dot_slice). Each consumes
+/// as many whole blocks as its width allows and returns the byte count
 /// handled; the caller finishes the tail with the scalar kernel.
 ///
 /// # Safety
@@ -218,20 +224,6 @@ fn simd_level() -> SimdLevel {
 mod x86 {
     use std::arch::x86_64::*;
     use std::mem::MaybeUninit;
-
-    /// `dst ^= matrix * src` (GFNI): one affine op per 32-byte block.
-    // SAFETY: caller must have verified GFNI+AVX2 (via `simd_level`).
-    #[target_feature(enable = "gfni,avx2")]
-    pub unsafe fn mul_add_gfni(dst: &mut [u8], src: &[u8], matrix: u64) -> usize {
-        let m = _mm256_set1_epi64x(matrix as i64);
-        for (d, s) in dst.chunks_exact_mut(32).zip(src.chunks_exact(32)) {
-            let sv = _mm256_loadu_si256(s.as_ptr().cast());
-            let prod = _mm256_gf2p8affine_epi64_epi8::<0>(sv, m);
-            let dv = _mm256_loadu_si256(d.as_ptr().cast());
-            _mm256_storeu_si256(d.as_mut_ptr().cast(), _mm256_xor_si256(dv, prod));
-        }
-        dst.len() & !31
-    }
 
     /// Split-nibble product of one 32-byte block via two `PSHUFB`s.
     // SAFETY: caller must have verified AVX2 (via `simd_level`).
@@ -244,21 +236,6 @@ mod x86 {
         _mm256_xor_si256(_mm256_shuffle_epi8(lo, s_lo), _mm256_shuffle_epi8(hi, s_hi))
     }
 
-    /// `dst ^= c * src` (AVX2): split-nibble `PSHUFB` over 32 bytes.
-    // SAFETY: caller must have verified AVX2 (via `simd_level`).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn mul_add_avx2(dst: &mut [u8], src: &[u8], lo: &[u8; 16], hi: &[u8; 16]) -> usize {
-        let lo_t = _mm256_broadcastsi128_si256(_mm_loadu_si128(lo.as_ptr().cast()));
-        let hi_t = _mm256_broadcastsi128_si256(_mm_loadu_si128(hi.as_ptr().cast()));
-        for (d, s) in dst.chunks_exact_mut(32).zip(src.chunks_exact(32)) {
-            let sv = _mm256_loadu_si256(s.as_ptr().cast());
-            let prod = nibble_product_avx2(sv, lo_t, hi_t);
-            let dv = _mm256_loadu_si256(d.as_ptr().cast());
-            _mm256_storeu_si256(d.as_mut_ptr().cast(), _mm256_xor_si256(dv, prod));
-        }
-        dst.len() & !31
-    }
-
     /// Split-nibble product of one 16-byte block (SSSE3).
     // SAFETY: caller must have verified SSSE3 (via `simd_level`).
     #[inline]
@@ -268,21 +245,6 @@ mod x86 {
         let s_lo = _mm_and_si128(s, mask);
         let s_hi = _mm_and_si128(_mm_srli_epi16::<4>(s), mask);
         _mm_xor_si128(_mm_shuffle_epi8(lo, s_lo), _mm_shuffle_epi8(hi, s_hi))
-    }
-
-    /// `dst ^= c * src` (SSSE3): split-nibble `PSHUFB` over 16 bytes.
-    // SAFETY: caller must have verified SSSE3 (via `simd_level`).
-    #[target_feature(enable = "ssse3")]
-    pub unsafe fn mul_add_ssse3(dst: &mut [u8], src: &[u8], lo: &[u8; 16], hi: &[u8; 16]) -> usize {
-        let lo_t = _mm_loadu_si128(lo.as_ptr().cast());
-        let hi_t = _mm_loadu_si128(hi.as_ptr().cast());
-        for (d, s) in dst.chunks_exact_mut(16).zip(src.chunks_exact(16)) {
-            let sv = _mm_loadu_si128(s.as_ptr().cast());
-            let prod = nibble_product_ssse3(sv, lo_t, hi_t);
-            let dv = _mm_loadu_si128(d.as_ptr().cast());
-            _mm_storeu_si128(d.as_mut_ptr().cast(), _mm_xor_si128(dv, prod));
-        }
-        dst.len() & !15
     }
 
     /// `out = Σ cⱼ · srcⱼ` (GFNI): one affine op per source per
@@ -451,61 +413,14 @@ mod x86 {
     }
 }
 
-/// `dst ^= src`, eight bytes per step.
+/// `dst[i] ^= coefficient * src[i]` for every `i`, one byte at a time
+/// through the split-nibble tables.
 ///
-/// XOR over GF(2^8) slices is carry-less, so the kernel reinterprets
-/// both sides as `u64` words; the scalar tail handles the last
-/// `len % 8` bytes. This is the coefficient-1 path of the Reed-Solomon
-/// kernels — the common case for systematic parity rows.
-#[inline]
-fn xor_slice(dst: &mut [u8], src: &[u8]) {
-    let mut dst_words = dst.chunks_exact_mut(8);
-    let mut src_words = src.chunks_exact(8);
-    for (d, s) in dst_words.by_ref().zip(src_words.by_ref()) {
-        let word = u64::from_ne_bytes(d.try_into().expect("8-byte chunk"))
-            ^ u64::from_ne_bytes(s.try_into().expect("8-byte chunk"));
-        d.copy_from_slice(&word.to_ne_bytes());
-    }
-    for (d, s) in dst_words
-        .into_remainder()
-        .iter_mut()
-        .zip(src_words.remainder())
-    {
-        *d ^= *s;
-    }
-}
-
-/// Scalar split-nibble `dst ^= c * src`: 64-byte blocks (fixed trip
-/// counts the optimizer unrolls) plus a per-byte tail. Also serves as
-/// the tail kernel behind the SIMD paths.
-#[inline]
-fn mul_add_scalar(dst: &mut [u8], src: &[u8], lo: &[u8; 16], hi: &[u8; 16]) {
-    let mut dst_blocks = dst.chunks_exact_mut(64);
-    let mut src_blocks = src.chunks_exact(64);
-    for (d, s) in dst_blocks.by_ref().zip(src_blocks.by_ref()) {
-        for i in 0..64 {
-            d[i] ^= lo[(s[i] & 0x0F) as usize] ^ hi[(s[i] >> 4) as usize];
-        }
-    }
-    for (d, s) in dst_blocks
-        .into_remainder()
-        .iter_mut()
-        .zip(src_blocks.remainder())
-    {
-        *d ^= lo[(*s & 0x0F) as usize] ^ hi[(*s >> 4) as usize];
-    }
-}
-
-/// `dst[i] ^= coefficient * src[i]` for every `i`.
-///
-/// This is the inner loop of Reed-Solomon encoding and decoding: a row
-/// coefficient applied to a whole shard and accumulated into an output
-/// shard. The body dispatches to the widest branch-free kernel the CPU
-/// offers — `GF2P8AFFINEQB` (one instruction per 32 bytes), AVX2 or
-/// SSSE3 split-nibble `PSHUFB`, or the scalar split-nibble loop — with
-/// the scalar kernel finishing any tail.
-/// Coefficient 0 is a no-op and coefficient 1 takes the
-/// u64-wide XOR path. Every tier computes bit-identical output.
+/// Not on any hot path: the codec builds its encoding rows and decode
+/// inverses with it, and both the encode and the degraded decode run
+/// the crate-private fused dot kernel (`dot_slice`) instead. It stays public, with the
+/// exact result of the reference [`naive::mul_add_slice`], as the
+/// simplest form of the field's slice arithmetic.
 ///
 /// # Panics
 ///
@@ -516,30 +431,10 @@ pub fn mul_add_slice(dst: &mut [u8], src: &[u8], coefficient: u8) {
         src.len(),
         "mul_add_slice requires equal-length slices"
     );
-    if coefficient == 0 {
-        return;
+    let (lo, hi) = (&NIB_LO[coefficient as usize], &NIB_HI[coefficient as usize]);
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d ^= lo[(s & 0x0F) as usize] ^ hi[(s >> 4) as usize];
     }
-    if coefficient == 1 {
-        xor_slice(dst, src);
-        return;
-    }
-    let lo = &NIB_LO[coefficient as usize];
-    let hi = &NIB_HI[coefficient as usize];
-    #[cfg(target_arch = "x86_64")]
-    let done = match simd_level() {
-        // SAFETY: simd_level() verified GFNI and AVX2 at runtime.
-        SimdLevel::Gfni => unsafe {
-            x86::mul_add_gfni(dst, src, GFNI_MATRICES[coefficient as usize])
-        },
-        // SAFETY: simd_level() verified AVX2 at runtime.
-        SimdLevel::Avx2 => unsafe { x86::mul_add_avx2(dst, src, lo, hi) },
-        // SAFETY: simd_level() verified SSSE3 at runtime.
-        SimdLevel::Ssse3 => unsafe { x86::mul_add_ssse3(dst, src, lo, hi) },
-        SimdLevel::Scalar => 0,
-    };
-    #[cfg(not(target_arch = "x86_64"))]
-    let done = 0;
-    mul_add_scalar(&mut dst[done..], &src[done..], lo, hi);
 }
 
 /// Scalar `out = Σ cⱼ · srcⱼ` from byte `start` on: each 32-byte block
@@ -568,17 +463,20 @@ fn dot_scalar(out: &mut [MaybeUninit<u8>], sources: &[&[u8]], coefficients: &[u8
     }
 }
 
-/// `out[i] = Σⱼ coefficients[j] · sources[j][i]`: the fused dot product
-/// behind the degraded decode.
+/// `out[i] = Σⱼ coefficients[j] · sources[j][i]`: the codec's one slice
+/// kernel, behind both the encode (a parity row over the data shards)
+/// and the degraded decode (an inverse row over the chosen shards).
 ///
 /// Where [`mul_add_slice`] reads and writes its destination once per
 /// source, this kernel keeps each output block in a register while it
 /// walks every source, then stores it once — so `out` is written exactly
-/// once and never read, and may be uninitialised. The tiers are
-/// [`mul_add_slice`]'s (GFNI affine, AVX2 or SSSE3 split-nibble `PSHUFB`,
-/// scalar split-nibble) under the same `AGAR_GF256_KERNEL` cap; a zero
-/// coefficient skips its source and coefficient 1 XORs it. Every tier
-/// computes bit-identical output.
+/// once and never read, and may be uninitialised. It dispatches once
+/// (CPU detection cached, `AGAR_GF256_KERNEL` caps the tier) to the
+/// widest tier the CPU offers: `GF2P8AFFINEQB` (one instruction per
+/// source per 32 bytes), AVX2 or SSSE3 split-nibble `PSHUFB`, or the
+/// scalar split-nibble loop, which also finishes every tier's tail. A
+/// zero coefficient skips its source and coefficient 1 XORs it. Every
+/// tier computes bit-identical output.
 ///
 /// # Panics
 ///
@@ -612,8 +510,8 @@ pub(crate) fn dot_slice(out: &mut [MaybeUninit<u8>], sources: &[&[u8]], coeffici
 /// Naive scalar reference kernel.
 ///
 /// The pre-optimization log/exp-table loop, retained verbatim as the
-/// ground truth the tests hold [`mul_add_slice`] and the codec's parity
-/// to. Never called on a hot path.
+/// ground truth the tests hold [`mul_add_slice`], the fused dot kernel
+/// and the codec's parity to. Never called on a hot path.
 pub mod naive {
     use super::{EXP, LOG};
 
@@ -816,9 +714,8 @@ mod tests {
 
     #[test]
     fn kernels_match_naive_across_lengths_and_coefficients() {
-        // Exercise the SIMD blocks (16/32 bytes), the scalar 64-byte
-        // blocks, the 8-byte XOR words and every tail length, for the
-        // three kernel paths (0, 1, general).
+        // Short, block-sized and odd lengths, and the coefficients the
+        // reference special-cases (0, 1) besides general ones.
         for len in [
             0usize, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 130, 200, 1025,
         ] {

@@ -10,14 +10,14 @@
 //!
 //! The layers, bottom-up:
 //!
-//! - [`gf256`] — GF(2^8) arithmetic on `u8`, the SIMD-dispatched
-//!   `mul_add_slice` kernel the encoder runs and the fused dot-product
-//!   kernel behind the one-pass degraded decode;
-//! - [`matrix`] — dense matrices over the field, with the Vandermonde
-//!   construction and Gauss-Jordan inversion;
+//! - [`gf256`] — GF(2^8) arithmetic on `u8` and the one SIMD-dispatched
+//!   slice kernel, a fused dot product that the encode and the one-pass
+//!   degraded decode both run;
 //! - [`rs`] — the systematic [`ReedSolomon`] codec:
 //!   [`encode_object`](ReedSolomon::encode_object) and
-//!   [`reconstruct_object_report`](ReedSolomon::reconstruct_object_report);
+//!   [`reconstruct_object_report`](ReedSolomon::reconstruct_object_report),
+//!   with the only linear algebra a code needs kept private: the
+//!   systematic encoding rows and a `k x k` Gauss-Jordan inverse;
 //! - [`chunk`] — [`ObjectId`], [`ChunkId`], [`ChunkSet`] and
 //!   [`CodingParams`] shared by the store, cache and Agar core crates.
 //!
@@ -50,10 +50,8 @@
 pub mod chunk;
 pub mod error;
 pub mod gf256;
-pub mod matrix;
 pub mod rs;
 
 pub use chunk::{ChunkId, ChunkIndex, ChunkSet, CodingParams, ObjectId};
 pub use error::EcError;
-pub use matrix::Matrix;
 pub use rs::{DecodeReport, ReedSolomon};

@@ -5,7 +5,10 @@
 //! Vandermonde matrix normalised so its top `k x k` block is the
 //! identity (the same construction as Backblaze's codec), which
 //! guarantees that *any* `k` of the `k + m` chunks suffice to
-//! reconstruct the object — the MDS property Agar depends on.
+//! reconstruct the object — the MDS property Agar depends on. The codec
+//! needs no other linear algebra: the encoding rows are built once per
+//! code, and a degraded read inverts the `k x k` block of the rows it
+//! holds (memoised per erasure pattern).
 //!
 //! # Examples
 //!
@@ -29,7 +32,6 @@
 use crate::chunk::{ChunkSet, CodingParams};
 use crate::error::EcError;
 use crate::gf256::{self, mul_add_slice};
-use crate::matrix::Matrix;
 use bytes::Bytes;
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -44,9 +46,10 @@ use std::sync::Arc;
 struct DecodePlan {
     /// The `k` shard indices (ascending) the plan decodes from.
     chosen: Vec<usize>,
-    /// `k x k` inverse of the encoding rows selected by `chosen`: row
-    /// `target` maps the chosen shards back to data shard `target`.
-    decode: Matrix,
+    /// `k x k` inverse of the encoding rows selected by `chosen`,
+    /// row-major: row `target` maps the chosen shards back to data
+    /// shard `target`.
+    decode: Vec<u8>,
 }
 
 /// Decode-plan caches outlive any realistic erasure-pattern population
@@ -54,18 +57,18 @@ struct DecodePlan {
 /// cycling synthetic patterns must not grow the map unboundedly.
 const PLAN_CACHE_CAP: usize = 1024;
 
-/// Per-shard width of one column block of the degraded decode: the `k`
-/// source blocks of a column (18 KiB at RS(9, 3)) stay in L1 while the
-/// column's missing blocks are computed from them.
-const DECODE_BLOCK: usize = 2048;
+/// Per-shard width of one column block of the encode and the degraded
+/// decode: the `k` source blocks of a column (18 KiB at RS(9, 3)) stay
+/// in L1 while the column's parity or missing blocks are computed from
+/// them.
+const COLUMN_BLOCK: usize = 2048;
 
-/// Shards up to this length decode as a single column block.
+/// Shards up to this length are coded as a single column block.
 const SINGLE_BLOCK_MAX: usize = 16 * 1024;
 
-/// A degraded decode keeps its per-block source slices on the stack for
-/// codes up to this `k` (a larger array costs every small read its
-/// zeroing); wider codes, up to the `k = 254` [`CodingParams`] allows,
-/// use a `Vec`.
+/// The per-block source slices stay on the stack for codes up to this
+/// `k` (a larger array costs every small read its zeroing); wider codes,
+/// up to the `k = 254` [`CodingParams`] allows, use a `Vec`.
 const INLINE_SOURCES: usize = 32;
 
 /// What one [`ReedSolomon::reconstruct_object_report`] call did —
@@ -89,11 +92,12 @@ pub struct DecodeReport {
 }
 
 /// A systematic Reed-Solomon codec for fixed `(k, m)`.
+#[derive(Clone)]
 pub struct ReedSolomon {
     params: CodingParams,
-    /// `(k + m) x k` encoding matrix whose top `k x k` block is the
-    /// identity.
-    encoding: Matrix,
+    /// The `(k + m) x k` encoding matrix, row-major
+    /// ([`systematic_rows`]): its top `k x k` block is the identity.
+    encoding: Vec<u8>,
     /// Decode plans keyed by the chosen-shard bitmask. Shared across
     /// clones (the cache is a pure memo of deterministic inversions),
     /// so every node reading through one codec reuses warm plans —
@@ -102,23 +106,12 @@ pub struct ReedSolomon {
     plan_cache: Arc<RwLock<HashMap<ChunkSet, Arc<DecodePlan>>>>,
 }
 
-impl Clone for ReedSolomon {
-    fn clone(&self) -> Self {
-        ReedSolomon {
-            params: self.params,
-            encoding: self.encoding.clone(),
-            plan_cache: Arc::clone(&self.plan_cache),
-        }
-    }
-}
-
 impl fmt::Debug for ReedSolomon {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ReedSolomon")
             .field("params", &self.params)
-            .field("encoding", &self.encoding)
             .field("cached_plans", &self.plan_cache.read().len())
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
@@ -127,22 +120,23 @@ impl ReedSolomon {
     ///
     /// # Errors
     ///
-    /// Returns an error if the parameters exceed the field size
-    /// (`k + m > 255`); [`CodingParams`] already enforces the rest.
+    /// Returns [`EcError::SingularMatrix`] if the top `k x k` block of
+    /// the Vandermonde matrix has no inverse, which distinct evaluation
+    /// points rule out for every [`CodingParams`].
     pub fn new(params: CodingParams) -> Result<Self, EcError> {
-        let k = params.data_chunks();
-        let vandermonde = Matrix::vandermonde(params.total_chunks(), k)?;
-        let top = vandermonde.select_rows(&(0..k).collect::<Vec<_>>())?;
-        let encoding = vandermonde.multiply(&top.inverted()?)?;
-        debug_assert!(encoding
-            .select_rows(&(0..k).collect::<Vec<_>>())
-            .map(|top| top.is_identity())
-            .unwrap_or(false));
+        let encoding = systematic_rows(params.total_chunks(), params.data_chunks())?;
         Ok(ReedSolomon {
             params,
             encoding,
             plan_cache: Arc::new(RwLock::new(HashMap::new())),
         })
+    }
+
+    /// Row `row` of the encoding matrix: the coefficients that map the
+    /// `k` data shards to shard `row`.
+    fn encoding_row(&self, row: usize) -> &[u8] {
+        let k = self.params.data_chunks();
+        &self.encoding[row * k..(row + 1) * k]
     }
 
     /// The decode plan for the `k` shards in `chosen`: their indices
@@ -159,10 +153,14 @@ impl ReedSolomon {
         let rows: Vec<usize> = (0..self.params.total_chunks())
             .filter(|&i| chosen.contains(i as u8))
             .collect();
-        let decode = self.encoding.select_rows(&rows)?.inverted()?;
+        let selected: Vec<u8> = rows
+            .iter()
+            .flat_map(|&row| self.encoding_row(row))
+            .copied()
+            .collect();
         let plan = Arc::new(DecodePlan {
+            decode: invert(&selected, rows.len())?,
             chosen: rows,
-            decode,
         });
         let mut cache = self.plan_cache.write();
         if cache.len() >= PLAN_CACHE_CAP {
@@ -184,8 +182,11 @@ impl ReedSolomon {
     /// [`CodingParams::chunk_size`] bytes;
     /// [`Self::reconstruct_object_report`] strips the padding again. The
     /// data shards are zero-copy slices of one padded buffer (a single
-    /// copy of the object), and parity is encoded straight into a second
-    /// buffer — no per-shard `Vec` round trip.
+    /// copy of the object). The parity shards are slices of one
+    /// uninitialised `Arc<[u8]>`, built in the degraded decode's column
+    /// blocks: per block, each parity block is written once by the
+    /// fused GF(2^8) dot kernel from the `k` data blocks and its parity
+    /// row. Nothing is zero-filled or accumulated twice.
     ///
     /// # Errors
     ///
@@ -199,13 +200,13 @@ impl ReedSolomon {
         let chunk_size = self.params.chunk_size(object.len());
         let mut padded = vec![0u8; k * chunk_size];
         padded[..object.len()].copy_from_slice(object);
-        let mut parity = vec![0u8; m * chunk_size];
-        for (p, out) in parity.chunks_exact_mut(chunk_size).enumerate() {
-            let row = self.encoding.row(k + p);
-            for (shard, &coefficient) in padded.chunks_exact(chunk_size).zip(row) {
-                mul_add_slice(out, shard, coefficient);
-            }
-        }
+        // SAFETY: `encode_columns` writes every byte of the buffer (see
+        // its docs).
+        let parity = unsafe {
+            fill_uninit(m * chunk_size, |out| {
+                encode_columns(out, &padded, &self.encoding[k * k..], chunk_size);
+            })
+        };
         let data_buf = Bytes::from(padded);
         let parity_buf = Bytes::from(parity);
         Ok((0..k)
@@ -298,20 +299,91 @@ impl ReedSolomon {
             report.plan_cache_hit = cache_hit;
             Some(plan)
         };
-        let mut object = Arc::<[u8]>::new_uninit_slice(out_len);
-        report.allocations = 1;
-        let out = Arc::get_mut(&mut object).expect("a fresh Arc is unique");
-        match plan {
-            None => copy_data_shards(out, &shards[..k], shard_len),
-            Some(plan) => {
-                report.gf_multiply_bytes = decode_columns(out, shards, &plan, shard_len);
-            }
-        }
         // SAFETY: `copy_data_shards` and `decode_columns` each write
-        // every byte of `out`, the whole buffer (see their docs).
-        let object = unsafe { object.assume_init() };
+        // every byte of the buffer (see their docs).
+        let object = unsafe {
+            fill_uninit(out_len, |out| match plan {
+                None => copy_data_shards(out, &shards[..k], shard_len),
+                Some(plan) => {
+                    report.gf_multiply_bytes = decode_columns(out, shards, &plan, shard_len);
+                }
+            })
+        };
+        report.allocations = 1;
         Ok((Bytes::from(object), report))
     }
+}
+
+/// A `len`-byte buffer built in place by `fill`, never zero-filled: the
+/// one allocation of an encode's parity and of a decoded object, which
+/// the returned shards or object take over.
+///
+/// # Safety
+///
+/// `fill` must write every byte of the slice it is handed.
+// SAFETY: sound only for such a `fill`; each caller names the function
+// that writes every byte.
+unsafe fn fill_uninit(len: usize, fill: impl FnOnce(&mut [MaybeUninit<u8>])) -> Arc<[u8]> {
+    let mut buffer = Arc::<[u8]>::new_uninit_slice(len);
+    fill(Arc::get_mut(&mut buffer).expect("a fresh Arc is unique"));
+    // SAFETY: the caller's `fill` has written every byte.
+    unsafe { buffer.assume_init() }
+}
+
+/// The column blocks of a `shard_len`-byte shard (`shard_len > 0`):
+/// [`COLUMN_BLOCK`]-wide ranges that tile `0..shard_len`, or the whole
+/// shard when it is at most [`SINGLE_BLOCK_MAX`] long.
+fn column_blocks(shard_len: usize) -> impl Iterator<Item = (usize, usize)> {
+    let block = if shard_len <= SINGLE_BLOCK_MAX {
+        shard_len
+    } else {
+        COLUMN_BLOCK
+    };
+    (0..shard_len)
+        .step_by(block)
+        .map(move |start| (start, (start + block).min(shard_len)))
+}
+
+/// Runs `f` on `k` source-slice slots: on the stack up to
+/// [`INLINE_SOURCES`], else in a `Vec`.
+fn with_sources<'a, R>(k: usize, f: impl FnOnce(&mut [&'a [u8]]) -> R) -> R {
+    if k <= INLINE_SOURCES {
+        f(&mut [&[][..]; INLINE_SOURCES][..k])
+    } else {
+        f(&mut vec![&[][..]; k])
+    }
+}
+
+/// The encode: writes the parity shards into `out` (parity shard `p` at
+/// bytes `p * shard_len..`) from the `k` data shards that tile `data`,
+/// with the `m x k` row-major `parity_rows`. Per column block, each
+/// parity block is written once by the fused dot kernel from the data
+/// blocks, which stay in cache across the `m` parity rows.
+///
+/// Writes every byte of `out`: `out` is exactly `m` shards long, each
+/// parity shard's blocks tile it, and `dot_slice` writes every byte of
+/// its output.
+fn encode_columns(out: &mut [MaybeUninit<u8>], data: &[u8], parity_rows: &[u8], shard_len: usize) {
+    let k = data.len() / shard_len;
+    // The caller's `assume_init` rests on this.
+    assert_eq!(
+        out.len(),
+        parity_rows.len() / k * shard_len,
+        "one output shard per parity row"
+    );
+    with_sources(k, |sources| {
+        for (start, end) in column_blocks(shard_len) {
+            for (source, shard) in sources.iter_mut().zip(data.chunks_exact(shard_len)) {
+                *source = &shard[start..end];
+            }
+            for (parity, row) in out
+                .chunks_exact_mut(shard_len)
+                .zip(parity_rows.chunks_exact(k))
+            {
+                gf256::dot_slice(&mut parity[start..end], sources, row);
+            }
+        }
+    });
 }
 
 /// The systematic path: copies the data shards (all present) into
@@ -356,50 +428,102 @@ fn decode_columns(
     // The caller's `assume_init` rests on this.
     assert!(out_len <= k * shard_len, "object longer than its shards");
     let mut gf_multiply_bytes = 0;
-    let block = if shard_len <= SINGLE_BLOCK_MAX {
-        shard_len
-    } else {
-        DECODE_BLOCK
-    };
-    let mut inline: [&[u8]; INLINE_SOURCES] = [&[]; INLINE_SOURCES];
-    let mut spilled = Vec::new();
-    let sources: &mut [&[u8]] = if k <= INLINE_SOURCES {
-        &mut inline[..k]
-    } else {
-        spilled.resize(k, &[][..]);
-        &mut spilled
-    };
-    for start in (0..shard_len).step_by(block) {
-        let end = (start + block).min(shard_len);
-        for (source, &index) in sources.iter_mut().zip(&plan.chosen) {
-            *source = &shards[index].as_ref().expect("chosen shard present")[start..end];
-        }
-        for (target, shard) in shards[..k].iter().enumerate() {
-            let at = target * shard_len + start;
-            if at >= out_len {
-                break; // this and every later range is padding
+    with_sources(k, |sources| {
+        for (start, end) in column_blocks(shard_len) {
+            for (source, &index) in sources.iter_mut().zip(&plan.chosen) {
+                *source = &shards[index].as_ref().expect("chosen shard present")[start..end];
             }
-            let len = (end - start).min(out_len - at);
-            let dst = &mut out[at..at + len];
-            match shard {
-                Some(shard) => {
-                    dst.write_copy_of_slice(&shard[start..start + len]);
+            for (target, shard) in shards[..k].iter().enumerate() {
+                let at = target * shard_len + start;
+                if at >= out_len {
+                    break; // this and every later range is padding
                 }
-                None => {
-                    // Only the range `out_len` cuts short is clipped,
-                    // and every later range of the column is padding.
-                    for source in sources.iter_mut() {
-                        *source = &source[..len];
+                let len = (end - start).min(out_len - at);
+                let dst = &mut out[at..at + len];
+                match shard {
+                    Some(shard) => {
+                        dst.write_copy_of_slice(&shard[start..start + len]);
                     }
-                    let row = plan.decode.row(target);
-                    gf256::dot_slice(dst, sources, row);
-                    let multiplied = row.iter().filter(|&&c| c >= 2).count();
-                    gf_multiply_bytes += (multiplied * len) as u64;
+                    None => {
+                        // Only the range `out_len` cuts short is clipped,
+                        // and every later range of the column is padding.
+                        for source in sources.iter_mut() {
+                            *source = &source[..len];
+                        }
+                        let row = &plan.decode[target * k..(target + 1) * k];
+                        gf256::dot_slice(dst, sources, row);
+                        let multiplied = row.iter().filter(|&&c| c >= 2).count();
+                        gf_multiply_bytes += (multiplied * len) as u64;
+                    }
                 }
             }
+        }
+    });
+    gf_multiply_bytes
+}
+
+/// The `n x k` systematic encoding matrix, row-major: the Vandermonde
+/// matrix (entry `(r, c) = r^c`, at the distinct points `r < n ≤ 255`)
+/// times the inverse of its top `k x k` block. Its top block is
+/// therefore the identity, and any `k` of its rows stay invertible.
+///
+/// # Errors
+///
+/// [`EcError::SingularMatrix`] from [`invert`].
+fn systematic_rows(n: usize, k: usize) -> Result<Vec<u8>, EcError> {
+    let vandermonde: Vec<u8> = (0..n)
+        .flat_map(|r| (0..k).map(move |c| gf256::pow(r as u8, c)))
+        .collect();
+    let top_inverse = invert(&vandermonde[..k * k], k)?;
+    let mut rows = vec![0u8; n * k];
+    for (row, powers) in rows.chunks_exact_mut(k).zip(vandermonde.chunks_exact(k)) {
+        for (inverse_row, &coefficient) in top_inverse.chunks_exact(k).zip(powers) {
+            mul_add_slice(row, inverse_row, coefficient);
         }
     }
-    gf_multiply_bytes
+    Ok(rows)
+}
+
+/// The inverse of the `k x k` row-major `matrix`, by Gauss-Jordan
+/// elimination on `[matrix | I]`.
+///
+/// # Errors
+///
+/// [`EcError::SingularMatrix`] if some column has no pivot.
+fn invert(matrix: &[u8], k: usize) -> Result<Vec<u8>, EcError> {
+    let width = 2 * k;
+    let mut work = vec![0u8; k * width];
+    for (r, row) in work.chunks_exact_mut(width).enumerate() {
+        row[..k].copy_from_slice(&matrix[r * k..(r + 1) * k]);
+        row[k + r] = 1;
+    }
+    for col in 0..k {
+        let pivot = (col..k)
+            .find(|&r| work[r * width + col] != 0)
+            .ok_or(EcError::SingularMatrix)?;
+        if pivot != col {
+            let (upper, lower) = work.split_at_mut(pivot * width);
+            upper[col * width..(col + 1) * width].swap_with_slice(&mut lower[..width]);
+        }
+        let (above, rest) = work.split_at_mut(col * width);
+        let (pivot_row, below) = rest.split_at_mut(width);
+        let scale = gf256::inverse(pivot_row[col]);
+        for entry in pivot_row.iter_mut() {
+            *entry = gf256::mul(*entry, scale);
+        }
+        for row in above
+            .chunks_exact_mut(width)
+            .chain(below.chunks_exact_mut(width))
+        {
+            let factor = row[col];
+            mul_add_slice(row, pivot_row, factor);
+        }
+    }
+    Ok(work
+        .chunks_exact(width)
+        .flat_map(|row| &row[k..])
+        .copied()
+        .collect())
 }
 
 #[cfg(test)]
@@ -430,7 +554,7 @@ mod tests {
         (k..rs.params.total_chunks())
             .map(|row| {
                 let mut out = vec![0u8; data[0].len()];
-                for (shard, &coefficient) in data.iter().zip(rs.encoding.row(row)) {
+                for (shard, &coefficient) in data.iter().zip(rs.encoding_row(row)) {
                     naive::mul_add_slice(&mut out, shard, coefficient);
                 }
                 out
@@ -469,6 +593,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         #[test]
+        #[cfg_attr(miri, ignore)]
         fn encode_object_matches_manual_split(
             object in vec(any::<u8>(), 1..2048),
             k in 1usize..=10,
@@ -567,11 +692,10 @@ mod tests {
     #[test]
     fn systematic_top_block_is_identity() {
         let rs = ReedSolomon::new(CodingParams::new(9, 3).unwrap()).unwrap();
-        let top = rs
-            .encoding
-            .select_rows(&(0..9).collect::<Vec<_>>())
-            .unwrap();
-        assert!(top.is_identity());
+        for row in 0..9 {
+            let unit: Vec<u8> = (0..9).map(|col| u8::from(col == row)).collect();
+            assert_eq!(rs.encoding_row(row), unit.as_slice(), "row {row}");
+        }
     }
 
     #[test]
@@ -677,12 +801,11 @@ mod tests {
         for (computed, expected) in full[k..].iter().zip(reference_parity(&rs, &data)) {
             assert_eq!(computed.as_ref(), expected.as_slice(), "{params} parity");
         }
-        let mut patterns = 0;
-        for mask in 0u32..(1 << total) {
-            if mask.count_ones() as usize != k {
-                continue;
-            }
-            patterns += 1;
+        let masks = (0u32..1 << total).filter(|mask| mask.count_ones() as usize == k);
+        let mut degraded = 0;
+        // Under Miri, a sample: the first (systematic) pattern and every
+        // 47th after it.
+        for mask in masks.step_by(if cfg!(miri) { 47 } else { 1 }) {
             let case = format!("{params:?}, {object_size} bytes, mask {mask:#b}");
             let kept: Vec<usize> = (0..total).filter(|i| mask & (1 << i) != 0).collect();
 
@@ -691,14 +814,20 @@ mod tests {
                 .collect();
             let (back, report) = rs.reconstruct_object_report(&shards, object_size).unwrap();
             assert_eq!(back.as_ref(), object.as_slice(), "{case}");
-            let decode = rs.encoding.select_rows(&kept).unwrap().inverted().unwrap();
+            let selected: Vec<u8> = kept
+                .iter()
+                .flat_map(|&i| rs.encoding_row(i))
+                .copied()
+                .collect();
+            let decode = invert(&selected, k).unwrap();
             let expected_gf: usize = (0..k)
                 .filter(|target| !kept.contains(target))
                 .map(|target| {
                     let needed = object_size
                         .saturating_sub(target * shard_len)
                         .min(shard_len);
-                    decode.row(target).iter().filter(|&&c| c >= 2).count() * needed
+                    let row = &decode[target * k..(target + 1) * k];
+                    row.iter().filter(|&&c| c >= 2).count() * needed
                 })
                 .sum();
             assert_eq!(report.gf_multiply_bytes, expected_gf as u64, "{case}");
@@ -708,17 +837,19 @@ mod tests {
             }
             let expected_allocations = u32::from(k > 1 || !report.systematic_fast_path);
             assert_eq!(report.allocations, expected_allocations, "{case}");
+            degraded += usize::from(!report.systematic_fast_path);
         }
-        assert_eq!(
-            cached_plans(&rs),
-            patterns - 1,
-            "all but the systematic pattern"
-        );
+        assert_eq!(cached_plans(&rs), degraded, "one plan per degraded pattern");
     }
 
     #[test]
     fn every_erasure_pattern_decodes_byte_equal() {
-        for object_size in [1, 9_000, 999_999, 1_000_000] {
+        let sizes: &[usize] = if cfg!(miri) {
+            &[1, 9_000]
+        } else {
+            &[1, 9_000, 999_999, 1_000_000]
+        };
+        for &object_size in sizes {
             check_all_erasure_patterns(CodingParams::paper_default(), object_size);
         }
         for (k, m) in [(1, 2), (4, 3), (6, 2)] {
@@ -730,24 +861,31 @@ mod tests {
     /// either side of one block, of the single-block limit and of whole
     /// multiples of the block, each with a last data shard that ends in
     /// padding (up to `k - 1` bytes of it, the most `chunk_size` leaves),
-    /// under every erasure pattern.
+    /// under every erasure pattern. Under Miri, one shard length either
+    /// side of the single-block limit, with `k - 1` bytes of padding.
     #[test]
     fn degraded_decode_across_column_block_edges() {
         let params = CodingParams::paper_default();
         let k = params.data_chunks();
-        for shard_len in [
-            DECODE_BLOCK - 1,
-            DECODE_BLOCK,
-            DECODE_BLOCK + 1,
-            SINGLE_BLOCK_MAX - 1,
-            SINGLE_BLOCK_MAX,
-            SINGLE_BLOCK_MAX + 1,
-            9 * DECODE_BLOCK - 1,
-            9 * DECODE_BLOCK,
-            9 * DECODE_BLOCK + 1,
-            11 * DECODE_BLOCK + 37,
-        ] {
-            for padding in [1, k - 1] {
+        let shard_lens: &[usize] = if cfg!(miri) {
+            &[COLUMN_BLOCK + 1, SINGLE_BLOCK_MAX + 1]
+        } else {
+            &[
+                COLUMN_BLOCK - 1,
+                COLUMN_BLOCK,
+                COLUMN_BLOCK + 1,
+                SINGLE_BLOCK_MAX - 1,
+                SINGLE_BLOCK_MAX,
+                SINGLE_BLOCK_MAX + 1,
+                9 * COLUMN_BLOCK - 1,
+                9 * COLUMN_BLOCK,
+                9 * COLUMN_BLOCK + 1,
+                11 * COLUMN_BLOCK + 37,
+            ]
+        };
+        let paddings = [k - 1, 1];
+        for &shard_len in shard_lens {
+            for &padding in &paddings[..if cfg!(miri) { 1 } else { 2 }] {
                 let object_size = k * shard_len - padding;
                 assert_eq!(params.chunk_size(object_size), shard_len);
                 check_all_erasure_patterns(params, object_size);
@@ -763,7 +901,8 @@ mod tests {
         let params = CodingParams::new(INLINE_SOURCES + 8, 3).unwrap();
         let (k, total) = (params.data_chunks(), params.total_chunks());
         let rs = ReedSolomon::new(params).unwrap();
-        for object_size in [k * 100 - 7, k * (SINGLE_BLOCK_MAX + 3) - 1] {
+        let sizes = [k * 100 - 7, k * (SINGLE_BLOCK_MAX + 3) - 1];
+        for &object_size in &sizes[..if cfg!(miri) { 1 } else { 2 }] {
             let object = sample_object(object_size);
             let full = rs.encode_object(&object).unwrap();
             for missing in [[0, k / 2, k - 1], [k - 1, k, total - 1]] {
@@ -825,7 +964,21 @@ mod tests {
         assert_eq!(back.as_ref(), object.as_slice());
     }
 
+    /// Gauss-Jordan pivots past a zero on the diagonal and reports a
+    /// matrix with no inverse.
     #[test]
+    fn invert_pivots_and_detects_singular_matrices() {
+        assert_eq!(invert(&[0, 1, 1, 0], 2), Ok(vec![0, 1, 1, 0]));
+        let m = [56, 23, 98, 3, 100, 200, 45, 201, 123];
+        let inverse = invert(&m, 3).unwrap();
+        assert_eq!(invert(&inverse, 3), Ok(m.to_vec()));
+        for singular in [[1, 2, 1, 2], [0, 0, 1, 2]] {
+            assert_eq!(invert(&singular, 2), Err(EcError::SingularMatrix));
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
     fn paper_configuration_rs_9_3() {
         let rs = ReedSolomon::new(CodingParams::paper_default()).unwrap();
         // 1 MB object, like the paper's workload.
