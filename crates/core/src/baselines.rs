@@ -657,6 +657,101 @@ mod tests {
         assert!(client.cache_contents().is_empty());
     }
 
+    /// What [`pinned_run`] leaves: a fold of every read, the stats that
+    /// moved and the cache contents.
+    type Pinned = (u64, [u64; 10], String);
+
+    /// 200 Zipf reads through `client` on RS(9, 3) over six regions,
+    /// with one region failed at read 100 and a second at read 150
+    /// (8 < k chunks left outside the cache), the clock 400 ms a read.
+    /// Folds every read's (latency µs, cache hits, backend fetches,
+    /// fill fetches, decoded), or its error, into one word.
+    fn pinned_run(client: &dyn CachingClient, backend: &Backend) -> Pinned {
+        use agar_net::presets::{SYDNEY, TOKYO};
+        use agar_workload::Zipfian;
+        let zipf = Zipfian::new(20, 1.1).unwrap();
+        let mut rng = StdRng::seed_from_u64(38);
+        let mut fold = 0xcbf2_9ce4_8422_2325u64;
+        let mut mix = |word: u64| fold = (fold ^ word).wrapping_mul(0x0100_0000_01b3);
+        for i in 0..200u64 {
+            match i {
+                100 => backend.fail_region(SYDNEY),
+                150 => backend.fail_region(TOKYO),
+                _ => {}
+            }
+            client.maybe_reconfigure(SimTime::from_micros(i * 400_000));
+            match client.read(ObjectId::new(zipf.sample(&mut rng))) {
+                Ok(m) => [
+                    m.latency.as_micros() as u64,
+                    m.cache_hits as u64,
+                    m.backend_fetches as u64,
+                    m.fill_fetches as u64,
+                    u64::from(m.decoded),
+                ]
+                .into_iter()
+                .for_each(&mut mix),
+                Err(error) => error.to_string().bytes().for_each(|b| mix(u64::from(b))),
+            }
+        }
+        let s = client.cache_stats();
+        let stats = [
+            s.chunk_hits,
+            s.chunk_misses,
+            s.insertions,
+            s.evictions,
+            s.rejected_inserts,
+            s.object_total_hits,
+            s.object_partial_hits,
+            s.object_misses,
+            s.decode_plan_hits,
+            s.systematic_fast_reads,
+        ];
+        (fold, stats, format!("{:?}", client.cache_contents()))
+    }
+
+    #[test]
+    fn baseline_reads_are_pinned() {
+        let (overhead, cache_read) = (Duration::from_millis(100), Duration::from_millis(40));
+        let fixed = |policy| {
+            let backend = test_backend(20, 900);
+            let client = FixedChunksClient::new(
+                FRANKFURT,
+                Arc::clone(&backend),
+                policy,
+                3,
+                1_500,
+                cache_read,
+                overhead,
+                9,
+            );
+            pinned_run(&client.unwrap(), &backend)
+        };
+        let contents = |objects: [u64; 5]| {
+            let chunks = objects.map(|o| (ObjectId::new(o), vec![3u8, 4, 9]));
+            format!("{:?}", BTreeMap::from(chunks))
+        };
+        let lru = (
+            2_108_222_303_992_557_720,
+            [324, 276, 195, 180, 0, 0, 108, 65, 172, 0],
+            contents([0, 1, 3, 10, 17]),
+        );
+        assert_eq!(fixed(BaselinePolicy::Lru), lru);
+        let lfu = (
+            15_368_570_679_258_185_643,
+            [240, 360, 15, 0, 0, 0, 80, 99, 178, 0],
+            contents([0, 1, 2, 3, 7]),
+        );
+        assert_eq!(fixed(BaselinePolicy::LfuEpoch), lfu);
+        let backend = test_backend(20, 900);
+        let cacheless = BackendOnlyClient::new(FRANKFURT, Arc::clone(&backend), overhead, 9);
+        let cacheless_run = (
+            103_986_614_790_712_302,
+            [0, 0, 0, 0, 0, 0, 0, 150, 149, 0],
+            "{}".to_string(),
+        );
+        assert_eq!(pinned_run(&cacheless, &backend), cacheless_run);
+    }
+
     #[test]
     fn stale_versions_dropped_in_baselines() {
         let backend = test_backend(2, 900);
