@@ -13,8 +13,7 @@
 
 use crate::table::{LatencyHistogram, LatencySummary};
 use agar::{
-    AgarNode, AgarSettings, BackendOnlyClient, BaselinePolicy, CachingClient, FixedChunksClient,
-    KnapsackSolver,
+    AgarNode, AgarSettings, BaselinePolicy, CachingClient, FixedChunksClient, KnapsackSolver,
 };
 use agar_ec::{CodingParams, ObjectId};
 use agar_net::latency::LatencyModel;
@@ -383,7 +382,7 @@ fn make_client(
                 .expect("chunk counts are validated by the caller"),
             )
         }
-        PolicySpec::Backend => Arc::new(BackendOnlyClient::new(
+        PolicySpec::Backend => Arc::new(FixedChunksClient::backend_only(
             config.client_region,
             Arc::clone(&deployment.backend),
             preset.client_overhead,

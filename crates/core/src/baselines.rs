@@ -1,4 +1,4 @@
-//! The paper's baseline clients (§V-A):
+//! The paper's baseline clients (§V-A), all one [`FixedChunksClient`]:
 //!
 //! - **LRU-c** — memcached-style: per-chunk LRU cache storing a
 //!   predefined number `c` of chunks per object, populated on every read;
@@ -6,25 +6,34 @@
 //!   request frequency and the cache is reconfigured every period to the
 //!   top objects' `c` chunks (the paper sets the same 30 s period for
 //!   Agar and LFU);
-//! - **Backend** — no cache at all ([`BackendOnlyClient`]).
+//! - **Backend** — no cache at all: the zero-chunk, zero-byte LRU
+//!   client of [`FixedChunksClient::backend_only`].
 //!
-//! Both caching baselines keep their chunks in a one-shard
-//! [`ShardedChunkCache`] — exact LRU, memcached's order. All implement
-//! [`CachingClient`], so the experiment harness drives Agar and the
-//! baselines identically.
+//! The caching baselines keep their chunks in a one-shard
+//! [`ShardedChunkCache`] — exact LRU, memcached's order. Every baseline
+//! reads through the node's stages (`read.rs`: one route for every
+//! client): one object lookup, [`ReadPlanner::plan`] with the hits as
+//! RAM hits and static estimates, a [`DirectFetcher`], then bind,
+//! decode and price — so a baseline differs from Agar only in what it
+//! caches. All implement [`CachingClient`], so the experiment harness
+//! drives Agar and the baselines identically.
 
+use crate::config::CacheConfiguration;
 use crate::error::AgarError;
+use crate::fetcher::{ChunkFetcher, DirectFetcher};
 use crate::monitor::RequestMonitor;
+use crate::node::read::{backend_requests, bind, decode, fill_fetch, price};
 use crate::node::{CachingClient, EpochClock, ReadMetrics};
 use crate::options::generate_options;
-use agar_cache::{AtomicCacheStats, CacheStats, CachedChunk, PolicyKind, ShardedChunkCache};
-use agar_ec::{ChunkId, ObjectId};
+use crate::planner::{LocalHits, ReadPlanner};
+use agar_cache::{CacheStats, CachedChunk, PolicyKind, ShardedChunkCache};
+use agar_ec::{ChunkId, ChunkSet, ObjectId};
 use agar_net::{RegionId, SimTime};
-use agar_store::{Backend, ObjectManifest, StoreError};
-use bytes::Bytes;
+use agar_obs::DecodeKind;
+use agar_store::{Backend, ObjectManifest};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::SeedableRng;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
@@ -64,83 +73,6 @@ fn static_estimates(backend: &Backend, region: RegionId) -> Vec<Duration> {
         .collect()
 }
 
-/// The backend half of one baseline read.
-struct BackendRead {
-    data: Bytes,
-    /// Whether the decode used a parity chunk.
-    decoded: bool,
-    /// The slowest fetch: the fetches run in parallel.
-    worst: Duration,
-    /// The fetched `(index, payload)` chunks, in rank order.
-    fetched: Vec<(u8, Bytes)>,
-}
-
-/// Fetches the first `k − held` ranked chunks of the manifest's object
-/// that are available and not `held`, decodes the object from the held
-/// and fetched chunks together, and counts the read in `counters`.
-///
-/// # Errors
-///
-/// [`StoreError::NotEnoughChunks`] when too few chunks are reachable;
-/// fetch and decode errors as they come.
-fn fetch_and_decode(
-    backend: &Backend,
-    region: RegionId,
-    manifest: &ObjectManifest,
-    estimates: &[Duration],
-    held: &[(u8, Bytes)],
-    rng: &mut dyn RngCore,
-    counters: &AtomicCacheStats,
-) -> Result<BackendRead, AgarError> {
-    let object = manifest.object();
-    let k = manifest.params().data_chunks();
-    let needed = k.saturating_sub(held.len());
-    let plan: Vec<u8> = manifest
-        .rank_chunks(estimates)
-        .into_iter()
-        .map(|(index, _)| index)
-        .filter(|&index| {
-            backend.is_region_available(manifest.location(index as usize))
-                && !held.iter().any(|&(i, _)| i == index)
-        })
-        .take(needed)
-        .collect();
-    if plan.len() < needed {
-        return Err(StoreError::NotEnoughChunks {
-            object,
-            reachable: plan.len() + held.len(),
-            needed: k,
-        }
-        .into());
-    }
-    let mut worst = Duration::ZERO;
-    let mut fetched = Vec::with_capacity(needed);
-    for index in plan {
-        let fetch = backend.fetch_chunk(region, ChunkId::new(object, index), rng)?;
-        worst = worst.max(fetch.latency);
-        fetched.push((index, fetch.data));
-    }
-    let mut shards: Vec<Option<Bytes>> = vec![None; manifest.params().total_chunks()];
-    for (index, data) in held.iter().chain(&fetched) {
-        shards[*index as usize] = Some(data.clone());
-    }
-    let (data, report) = backend
-        .codec()
-        .reconstruct_object_report(&shards, manifest.size())?;
-    if report.systematic_fast_path {
-        counters.systematic_fast_reads.inc();
-    } else if report.plan_cache_hit {
-        counters.decode_plan_hits.inc();
-    }
-    counters.record_object_read(held.len(), k);
-    Ok(BackendRead {
-        data,
-        decoded: !report.systematic_fast_path,
-        worst,
-        fetched,
-    })
-}
-
 struct BaselineInner {
     monitor: RequestMonitor,
     /// LFU only: objects admitted this epoch.
@@ -149,10 +81,11 @@ struct BaselineInner {
     epoch_clock: EpochClock,
 }
 
-/// The LRU-c / LFU-c baseline client.
+/// The LRU-c / LFU-c / Backend baseline client.
 pub struct FixedChunksClient {
     region: RegionId,
     backend: Arc<Backend>,
+    fetcher: DirectFetcher,
     policy: BaselinePolicy,
     chunks_per_object: usize,
     cache_read: Duration,
@@ -189,24 +122,43 @@ impl FixedChunksClient {
             });
         }
         Ok(FixedChunksClient {
-            region,
-            estimates: static_estimates(&backend, region),
-            backend,
             policy,
             chunks_per_object,
             cache_read,
-            client_overhead,
             cache: ShardedChunkCache::new(capacity_bytes, PolicyKind::Lru, 1),
+            ..Self::backend_only(region, backend, client_overhead, seed)
+        })
+    }
+
+    /// The paper's cache-less "Backend" client: every chunk comes from
+    /// the store. It is the zero-chunk, zero-byte LRU baseline.
+    pub fn backend_only(
+        region: RegionId,
+        backend: Arc<Backend>,
+        client_overhead: Duration,
+        seed: u64,
+    ) -> Self {
+        FixedChunksClient {
+            region,
+            estimates: static_estimates(&backend, region),
+            fetcher: DirectFetcher::new(Arc::clone(&backend)),
+            backend,
+            policy: BaselinePolicy::Lru,
+            chunks_per_object: 0,
+            cache_read: Duration::ZERO,
+            client_overhead,
+            cache: ShardedChunkCache::new(0, PolicyKind::Lru, 1),
             inner: Mutex::new(BaselineInner {
                 monitor: RequestMonitor::new(),
                 admitted: HashSet::new(),
                 rng: StdRng::seed_from_u64(seed),
                 epoch_clock: EpochClock::default(),
             }),
-        })
+        }
     }
 
-    /// The fixed number of chunks cached per object.
+    /// The fixed number of chunks cached per object (0 for the
+    /// Backend client).
     pub fn chunks_per_object(&self) -> usize {
         self.chunks_per_object
     }
@@ -238,44 +190,49 @@ impl FixedChunksClient {
             BaselinePolicy::LfuEpoch => inner.admitted.contains(&object),
         };
 
-        // 1. Cache lookups (version-checked).
-        let mut have: Vec<(u8, Bytes)> = Vec::new();
-        for &index in &designated {
-            let id = ChunkId::new(object, index);
-            let stale = match self.cache.get(&id) {
-                Some(chunk) if chunk.version() == version => {
-                    have.push((index, chunk.data().clone()));
-                    false
+        // Lookup: one visit; chunks of another version are dropped.
+        let mut hits = LocalHits::default();
+        let mut stale = ChunkSet::new();
+        self.cache
+            .lookup_object(object, designated.iter().copied(), true, |index, chunk| {
+                if chunk.version() == version {
+                    hits.ram.push((index, chunk.data().clone()));
+                } else {
+                    stale.insert(index);
                 }
-                Some(_) => true,
-                None => false,
-            };
-            if stale {
-                self.cache.remove(&id);
-            }
+            });
+        if !stale.is_empty() {
+            self.cache.remove_object(object, stale.iter());
         }
-        let cache_hits = have.len();
+        let cache_hits = hits.ram.len();
 
-        // 2. Backend fetches for the remainder, and the decode.
-        let read = fetch_and_decode(
+        // Plan → fetch → bind → decode → price, as the node reads.
+        let plan = ReadPlanner::new(&manifest, &CacheConfiguration::empty()).plan(
+            hits,
+            &[],
             &self.backend,
-            self.region,
-            &manifest,
             &self.estimates,
-            &have,
-            &mut inner.rng,
-            self.cache.counters(),
+            Duration::ZERO,
         )?;
+        let requests = backend_requests(&plan, &manifest);
+        let mut arrivals = Vec::with_capacity(requests.len());
+        let responses = self.fetcher.fetch(self.region, &requests, &mut inner.rng);
+        for (position, (request, result)) in responses.into_iter().enumerate() {
+            let fetch = result?;
+            if fetch.version != version {
+                return Err(AgarError::ReadContention { object });
+            }
+            arrivals.push((position, request, fetch));
+        }
+        let total = manifest.params().total_chunks();
+        let bound = bind(total, plan.sources, arrivals, requests.len());
+        let counters = self.cache.counters();
+        let (data, kind) = decode(self.backend.codec(), &manifest, &bound.shards, counters)?;
+        counters.record_object_read(cache_hits, manifest.params().data_chunks());
+        let costs = (self.client_overhead, self.cache_read, Duration::ZERO);
+        let (_, latency) = price(costs, cache_hits, &bound, Duration::ZERO);
 
-        // 3. Latency.
-        let cache_component = if cache_hits > 0 {
-            self.cache_read
-        } else {
-            Duration::ZERO
-        };
-        let latency = self.client_overhead + cache_component.max(read.worst);
-
-        // 4. Populate the cache (async in the paper: no latency impact).
+        // Populate the cache (async in the paper: no latency impact).
         let mut fill_fetches = 0;
         if may_cache {
             for &index in &designated {
@@ -283,20 +240,17 @@ impl FixedChunksClient {
                 if self.cache.contains(&id) {
                     continue;
                 }
-                let payload = read
-                    .fetched
-                    .iter()
-                    .find(|&&(i, _)| i == index)
-                    .map(|(_, d)| d.clone())
-                    .or_else(|| {
-                        self.backend
-                            .fetch_chunk(self.region, id, &mut inner.rng)
-                            .ok()
-                            .map(|f| {
-                                fill_fetches += 1;
-                                f.data
-                            })
-                    });
+                let payload = bound.shards[index as usize].clone().or_else(|| {
+                    let rng = &mut inner.rng;
+                    fill_fetch(
+                        &self.fetcher,
+                        self.region,
+                        &manifest,
+                        index,
+                        rng,
+                        &mut fill_fetches,
+                    )
+                });
                 if let Some(p) = payload {
                     self.cache.insert(id, CachedChunk::new(p, version));
                 }
@@ -304,13 +258,13 @@ impl FixedChunksClient {
         }
 
         Ok(ReadMetrics {
-            data: read.data,
+            data,
             latency,
             cache_hits,
-            backend_fetches: read.fetched.len(),
-            fill_fetches,
+            backend_fetches: bound.backend_fetches,
+            fill_fetches: fill_fetches as usize,
             remote_hits: 0,
-            decoded: read.decoded,
+            decoded: kind != DecodeKind::Systematic,
         })
     }
 
@@ -377,7 +331,10 @@ impl CachingClient for FixedChunksClient {
     }
 
     fn label(&self) -> String {
-        format!("{}-{}", self.policy, self.chunks_per_object)
+        match self.chunks_per_object {
+            0 => "Backend".to_string(),
+            c => format!("{}-{c}", self.policy),
+        }
     }
 }
 
@@ -387,84 +344,6 @@ impl std::fmt::Debug for FixedChunksClient {
             .field("label", &self.label())
             .field("region", &self.region)
             .field("capacity_bytes", &self.cache.capacity_bytes())
-            .finish()
-    }
-}
-
-/// The cache-less "Backend" client: every chunk comes from the store.
-pub struct BackendOnlyClient {
-    region: RegionId,
-    backend: Arc<Backend>,
-    client_overhead: Duration,
-    estimates: Vec<Duration>,
-    rng: Mutex<StdRng>,
-    stats: AtomicCacheStats,
-}
-
-impl BackendOnlyClient {
-    /// Creates a backend-only client.
-    pub fn new(
-        region: RegionId,
-        backend: Arc<Backend>,
-        client_overhead: Duration,
-        seed: u64,
-    ) -> Self {
-        BackendOnlyClient {
-            region,
-            estimates: static_estimates(&backend, region),
-            backend,
-            client_overhead,
-            rng: Mutex::new(StdRng::seed_from_u64(seed)),
-            stats: AtomicCacheStats::new(),
-        }
-    }
-}
-
-impl CachingClient for BackendOnlyClient {
-    fn read(&self, object: ObjectId) -> Result<ReadMetrics, AgarError> {
-        let rng = &mut *self.rng.lock();
-        let manifest = self.backend.manifest(object)?;
-        let read = fetch_and_decode(
-            &self.backend,
-            self.region,
-            &manifest,
-            &self.estimates,
-            &[],
-            rng,
-            &self.stats,
-        )?;
-        Ok(ReadMetrics {
-            data: read.data,
-            latency: self.client_overhead + read.worst,
-            cache_hits: 0,
-            backend_fetches: read.fetched.len(),
-            fill_fetches: 0,
-            remote_hits: 0,
-            decoded: read.decoded,
-        })
-    }
-
-    fn maybe_reconfigure(&self, _now: SimTime) -> bool {
-        false
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        self.stats.snapshot()
-    }
-
-    fn cache_contents(&self) -> BTreeMap<ObjectId, Vec<u8>> {
-        BTreeMap::new()
-    }
-
-    fn label(&self) -> String {
-        "Backend".to_string()
-    }
-}
-
-impl std::fmt::Debug for BackendOnlyClient {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BackendOnlyClient")
-            .field("region", &self.region)
             .finish()
     }
 }
@@ -644,7 +523,8 @@ mod tests {
     #[test]
     fn backend_only_client_never_caches() {
         let backend = test_backend(2, 900);
-        let client = BackendOnlyClient::new(FRANKFURT, backend, Duration::from_millis(100), 5);
+        let client =
+            FixedChunksClient::backend_only(FRANKFURT, backend, Duration::from_millis(100), 5);
         assert_eq!(client.label(), "Backend");
         for _ in 0..3 {
             let metrics = client.read(ObjectId::new(0)).unwrap();
@@ -743,7 +623,8 @@ mod tests {
         );
         assert_eq!(fixed(BaselinePolicy::LfuEpoch), lfu);
         let backend = test_backend(20, 900);
-        let cacheless = BackendOnlyClient::new(FRANKFURT, Arc::clone(&backend), overhead, 9);
+        let cacheless =
+            FixedChunksClient::backend_only(FRANKFURT, Arc::clone(&backend), overhead, 9);
         let cacheless_run = (
             103_986_614_790_712_302,
             [0, 0, 0, 0, 0, 0, 0, 150, 149, 0],

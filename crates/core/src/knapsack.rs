@@ -20,7 +20,8 @@
 //! the final answer is the best configuration of weight ≤ capacity
 //! rather than exactly capacity.
 //!
-//! A greedy value-density solver and an exhaustive optimum are included
+//! A greedy value-density solver and the exact [`optimum`] (the
+//! multiple-choice-knapsack dynamic program over capacity) are included
 //! as baselines: §II-D argues greedy can err by as much as 50%, and the
 //! tests verify the dynamic program dominates greedy and matches the
 //! optimum on small instances.
@@ -639,37 +640,49 @@ pub fn greedy(all_options: &HashMap<ObjectId, ObjectOptions>, capacity: u32) -> 
     config
 }
 
-/// Exhaustive optimum for small instances (tests and ablations): tries
-/// every combination of at most one option per object.
-///
-/// Runtime is `O((k + 1)^objects)`; intended for ≤ ~6 objects.
-pub fn exhaustive_optimum(all_options: &HashMap<ObjectId, ObjectOptions>, capacity: u32) -> Config {
-    let objects: Vec<&ObjectOptions> = {
-        let mut v: Vec<&ObjectOptions> = all_options.values().collect();
-        v.sort_by_key(|o| o.object());
-        v
-    };
-    let mut best = Config::empty();
-    let mut stack: Vec<(usize, Config)> = vec![(0, Config::empty())];
-    while let Some((index, config)) = stack.pop() {
-        if config.value() > best.value() {
-            best = config.clone();
-        }
-        if index == objects.len() {
-            continue;
-        }
-        // Skip this object.
-        stack.push((index + 1, config.clone()));
-        // Or take each of its options.
-        for option in objects[index].iter() {
-            if config.weight() + option.weight() <= capacity {
-                let mut extended = config.clone();
-                extended.push(option.clone());
-                stack.push((index + 1, extended));
+/// The exact optimum: the multiple-choice-knapsack dynamic program
+/// over capacity, at most one option per object, objects in
+/// [`ObjectId`] order. `best[i][c]` is the best value of the first `i`
+/// objects in `c` chunks; an object's option replaces the value without
+/// it only when it is strictly better, so ties keep the lighter choice
+/// and the earlier object's. Runs in `O(objects × capacity × k)` time,
+/// and its answer's value sums in the same order as the table's. The
+/// tests and the knapsack playground example hold [`KnapsackSolver`] to
+/// it.
+pub fn optimum(all_options: &HashMap<ObjectId, ObjectOptions>, capacity: u32) -> Config {
+    let mut objects: Vec<&ObjectOptions> = all_options.values().collect();
+    objects.sort_by_key(|o| o.object());
+    let width = capacity as usize + 1;
+    let mut best = vec![0.0f64; width];
+    // `taken[i][c]`: the weight object i holds in `best[i + 1][c]`.
+    let mut taken = vec![vec![0u32; width]; objects.len()];
+    for (options, taken) in objects.iter().zip(&mut taken) {
+        let mut row = best.clone();
+        for c in 0..width {
+            for option in options.iter().filter(|o| o.weight() as usize <= c) {
+                let value = best[c - option.weight() as usize] + option.value();
+                if value > row[c] {
+                    row[c] = value;
+                    taken[c] = option.weight();
+                }
             }
         }
+        best = row;
     }
-    best
+    let mut picks = Vec::new();
+    let mut c = capacity as usize;
+    for (options, taken) in objects.iter().zip(&taken).rev() {
+        let weight = taken[c];
+        if let Some(option) = options.by_weight(weight) {
+            picks.push(option.clone());
+            c -= weight as usize;
+        }
+    }
+    let mut config = Config::empty();
+    for option in picks.into_iter().rev() {
+        config.push(option);
+    }
+    config
 }
 
 /// The original formulation of the dynamic program — a map from weight
@@ -977,7 +990,7 @@ mod tests {
     }
 
     #[test]
-    fn dp_matches_exhaustive_optimum_on_small_instances() {
+    fn dp_matches_the_optimum_on_small_instances() {
         for (pops, capacity) in [
             (vec![10.0, 8.0], 9u32),
             (vec![10.0, 8.0, 6.0], 12),
@@ -987,7 +1000,7 @@ mod tests {
         ] {
             let options = build_options(&pops);
             let dp = KnapsackSolver::new().populate(&options, capacity);
-            let opt = exhaustive_optimum(&options, capacity);
+            let opt = optimum(&options, capacity);
             assert!(
                 (dp.value() - opt.value()).abs() < 1e-6,
                 "pops {pops:?} capacity {capacity}: dp {} vs optimum {}",
@@ -1095,11 +1108,46 @@ mod tests {
         assert!(config.contains_object(ObjectId::new(0)));
     }
 
+    /// The optimum against every combination of at most one option per
+    /// object, on up to four objects of varied popularity.
     #[test]
-    fn exhaustive_respects_capacity() {
-        let options = build_options(&[10.0, 8.0]);
-        let best = exhaustive_optimum(&options, 5);
-        assert!(best.weight() <= 5);
+    fn optimum_matches_brute_force() {
+        let brute = |options: &HashMap<ObjectId, ObjectOptions>, capacity: u32| {
+            let mut best = 0.0f64;
+            let mut stack = vec![(0u64, 0u32, 0.0f64)];
+            while let Some((i, weight, value)) = stack.pop() {
+                best = best.max(value);
+                let Some(object) = options.get(&ObjectId::new(i)) else {
+                    continue;
+                };
+                stack.push((i + 1, weight, value));
+                for o in object.iter().filter(|o| weight + o.weight() <= capacity) {
+                    stack.push((i + 1, weight + o.weight(), value + o.value()));
+                }
+            }
+            best
+        };
+        for pops in [
+            &[10.0][..],
+            &[10.0, 9.9],
+            &[5.0, 1.0, 3.0],
+            &[100.0, 1.0, 1.0, 7.0],
+        ] {
+            let options = build_options(pops);
+            for capacity in 0..=(9 * pops.len() as u32 + 1) {
+                let opt = optimum(&options, capacity);
+                let expected = brute(&options, capacity);
+                assert!(opt.weight() <= capacity);
+                assert!(
+                    (opt.value() - expected).abs() < 1e-6,
+                    "{pops:?} at {capacity}"
+                );
+                assert!(opt
+                    .options()
+                    .windows(2)
+                    .all(|w| w[0].object() < w[1].object()));
+            }
+        }
     }
 
     /// Disk-option generation mirroring the cache manager's wiring: the

@@ -90,12 +90,12 @@ pub mod planner;
 pub mod region_manager;
 pub mod retry;
 
-pub use baselines::{BackendOnlyClient, BaselinePolicy, FixedChunksClient};
+pub use baselines::{BaselinePolicy, FixedChunksClient};
 pub use breaker::{BreakerPolicy, CircuitBreaker};
 pub use config::{CacheConfiguration, Transition};
 pub use error::AgarError;
 pub use fetcher::{ChunkFetcher, DirectFetcher, FetchRequest};
-pub use knapsack::{exhaustive_optimum, greedy, Config, KnapsackSolver};
+pub use knapsack::{greedy, optimum, Config, KnapsackSolver};
 pub use monitor::RequestMonitor;
 pub use node::{AgarNode, AgarSettings, CachingClient, ReadMetrics};
 pub use options::{generate_disk_options, generate_options, CachingOption, ObjectOptions};

@@ -105,7 +105,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 #[path = "read.rs"]
-mod read;
+pub(crate) mod read;
 
 /// Per-read metrics every caching client in this workspace reports.
 #[derive(Clone, Debug)]

@@ -1,13 +1,16 @@
-//! The read path: one route for every read (paper §III–IV), as the six
-//! stages the `node` module docs describe — lookup
-//! ([`ReadPlanner::lookup_local`]) → plan → fetch → [`bind`] → decode →
-//! fill — plus [`price`], the latency formula. A read whose lookup
-//! served every hinted chunk skips the fill: its one cache visit is
-//! the lookup's. Collaboration, hedging, tiers and the breaker are not
-//! routes of their own: a read without neighbour offers passes `&[]`,
-//! an unhedged read is the Δ = 0 case of "issue k + Δ, bind the first
-//! k", a RAM-only node has no disk hits to price, a disabled breaker
-//! excludes nothing.
+//! The read path: one route for every client (paper §III–IV), as the
+//! six stages the `node` module docs describe — lookup
+//! ([`ReadPlanner::lookup_local`]) → plan → fetch → [`bind`] →
+//! [`decode`] → fill — plus [`price`], the latency formula. A read
+//! whose lookup served every hinted chunk skips the fill: its one cache
+//! visit is the lookup's. Collaboration, hedging, tiers and the breaker
+//! are not routes of their own: a read without neighbour offers passes
+//! `&[]`, an unhedged read is the Δ = 0 case of "issue k + Δ, bind the
+//! first k", a RAM-only node has no disk hits to price, a disabled
+//! breaker excludes nothing. Nor are the paper's baselines
+//! (`baselines.rs`): they plan with [`ReadPlanner::plan`] and read
+//! through these stage functions, so a figure's Agar and baseline cells
+//! differ only in what each client caches.
 //!
 //! One loop wraps plan → fetch ([`AgarNode::passes`]). A pass that
 //! binds k chunks serves the read; one that too few regions answered
@@ -18,14 +21,14 @@
 //! deadline bound the logical read, and the read's counters and trace
 //! are written once, from the ledger, when it ends.
 
-use super::{AgarNode, AgarSettings, ReadMetrics};
+use super::{AgarNode, ReadMetrics};
 use crate::config::CacheConfiguration;
 use crate::error::AgarError;
 use crate::fetcher::{ChunkFetcher, FetchRequest};
 use crate::inline::{Inline, INLINE_CHUNKS, INLINE_REGIONS};
 use crate::planner::{ChunkSource, HedgePolicy, LocalHits, ReadPlan, ReadPlanner, RemoteChunk};
-use agar_cache::CachedChunk;
-use agar_ec::{ChunkId, ObjectId};
+use agar_cache::{AtomicCacheStats, CachedChunk};
+use agar_ec::{ChunkId, ObjectId, ReedSolomon};
 use agar_net::{RegionId, SimTime};
 use agar_obs::{DecodeKind, ReadOutcome, ReadTrace};
 use agar_store::{ChunkFetch, ObjectManifest, StoreError};
@@ -37,22 +40,22 @@ use std::time::Duration;
 /// One successful backend response: its position in the request list
 /// (primaries first, spares last), the request, and the response —
 /// whose latency is its arrival time, all requests being issued at once.
-type Arrival = (usize, FetchRequest, ChunkFetch);
+pub(crate) type Arrival = (usize, FetchRequest, ChunkFetch);
 
 /// The chunks the last pass decodes from and what obtaining them cost:
 /// what [`bind`] hands to [`price`], decode and fill.
 #[derive(Clone, Debug, Default)]
-struct Bound {
+pub(crate) struct Bound {
     /// Payloads by chunk index (`k + m` slots, at least k filled). A
     /// straggler's payload never lands here.
-    shards: Inline<Option<Bytes>, INLINE_CHUNKS>,
+    pub(crate) shards: Inline<Option<Bytes>, INLINE_CHUNKS>,
     /// Slowest bound networked source (neighbour or backend).
     worst: Duration,
     disk_hits: usize,
     remote_hits: usize,
     /// Successful backend responses, bound or straggling: issued work
     /// is issued work, and the hedging budget counts it all.
-    backend_fetches: usize,
+    pub(crate) backend_fetches: usize,
     /// Spares that arrived among the first k.
     hedge_wins: u64,
     /// Arrivals past the k-th, dropped.
@@ -126,8 +129,11 @@ impl AgarNode {
         let (mut snapshot, bound) = served?;
 
         let ram_hits = snapshot.hits.ram.len();
-        let (local, latency) = price(&self.settings, ram_hits, &bound, ledger.backoff);
-        let (data, kind) = self.decode(&snapshot.manifest, &bound.shards)?;
+        let s = &self.settings;
+        let costs = (s.client_overhead, s.cache_read, s.disk_read);
+        let (local, latency) = price(costs, ram_hits, &bound, ledger.backoff);
+        let codec = self.backend.codec();
+        let (data, kind) = decode(codec, &snapshot.manifest, &bound.shards, counters)?;
         let hinted = snapshot.config.chunks_for(object);
         // The lookup found every hinted chunk at this version: there is
         // nothing to fill, and no reason to visit the cache again.
@@ -329,30 +335,6 @@ impl AgarNode {
         Ok((arrivals, refused))
     }
 
-    /// **Decode**: with all k data shards in hand the codec takes its
-    /// systematic fast path (no GF arithmetic, no locks); a degraded
-    /// decode reuses the cached decode plan when this erasure pattern
-    /// has been seen before, at the cost of a brief codec-level lock.
-    fn decode(
-        &self,
-        manifest: &ObjectManifest,
-        shards: &[Option<Bytes>],
-    ) -> Result<(Bytes, DecodeKind), AgarError> {
-        let codec = self.backend.codec();
-        let (data, report) = codec.reconstruct_object_report(shards, manifest.size())?;
-        let counters = self.cache.counters();
-        let kind = if report.systematic_fast_path {
-            counters.systematic_fast_reads.inc();
-            DecodeKind::Systematic
-        } else if report.plan_cache_hit {
-            counters.decode_plan_hits.inc();
-            DecodeKind::PlanCacheHit
-        } else {
-            DecodeKind::Inversion
-        };
-        Ok((data, kind))
-    }
-
     /// **Fill**: moves the cache toward the hinted configuration, off
     /// the critical path (the paper uses a separate thread pool), and
     /// returns how many chunks it fetched for that. A read whose lookup
@@ -392,11 +374,16 @@ impl AgarNode {
             }
             // A hinted chunk that was neither cached nor on the fetch
             // path (estimate drift) is fetched in the background.
-            let payload = shards
-                .get(index as usize)
-                .cloned()
-                .flatten()
-                .or_else(|| self.fetch_chunk(fetcher, manifest, index, rng, &mut fill_fetches));
+            let payload = shards.get(index as usize).cloned().flatten().or_else(|| {
+                fill_fetch(
+                    fetcher,
+                    self.region,
+                    manifest,
+                    index,
+                    rng,
+                    &mut fill_fetches,
+                )
+            });
             let Some(payload) = payload else { continue };
             let chunk = CachedChunk::new(payload, manifest.version());
             self.insert_revalidated(id, chunk);
@@ -405,36 +392,36 @@ impl AgarNode {
         self.fill_fetches.add(fill_fetches);
         fill_fetches as usize
     }
+}
 
-    /// Fetches one chunk for a cache fill through the installed
-    /// fetcher, so under a cluster it piggybacks on an identical
-    /// in-flight critical-path fetch instead of duplicating it.
-    /// Best-effort: a failed fetch is `None`; a completed one counts
-    /// into `fill_fetches`, and is still `None` when it raced a write
-    /// (caching the new payload under the snapshot's version label
-    /// would poison later version checks).
-    fn fetch_chunk(
-        &self,
-        fetcher: &dyn ChunkFetcher,
-        manifest: &ObjectManifest,
-        index: u8,
-        rng: &mut StdRng,
-        fill_fetches: &mut u64,
-    ) -> Option<Bytes> {
-        let request = FetchRequest {
-            chunk: ChunkId::new(manifest.object(), index),
-            region: manifest.location(index as usize),
-            version: manifest.version(),
-        };
-        let (_, result) = fetcher.fetch(self.region, &[request], rng).pop()?;
-        let fetch = result.ok()?;
-        *fill_fetches += 1;
-        (fetch.version == request.version).then_some(fetch.data)
-    }
+/// Fetches chunk `index` of the manifest's object for a cache fill
+/// through `fetcher`, so under a cluster it piggybacks on an identical
+/// in-flight critical-path fetch instead of duplicating it.
+/// Best-effort: a failed fetch is `None`; a completed one counts into
+/// `fill_fetches`, and is still `None` when it raced a write (caching
+/// the new payload under the snapshot's version label would poison
+/// later version checks).
+pub(crate) fn fill_fetch(
+    fetcher: &dyn ChunkFetcher,
+    client: RegionId,
+    manifest: &ObjectManifest,
+    index: u8,
+    rng: &mut StdRng,
+    fill_fetches: &mut u64,
+) -> Option<Bytes> {
+    let request = FetchRequest {
+        chunk: ChunkId::new(manifest.object(), index),
+        region: manifest.location(index as usize),
+        version: manifest.version(),
+    };
+    let (_, result) = fetcher.fetch(client, &[request], rng).pop()?;
+    let fetch = result.ok()?;
+    *fill_fetches += 1;
+    (fetch.version == request.version).then_some(fetch.data)
 }
 
 /// The plan's backend sources as fetch requests, in plan order.
-fn backend_requests(plan: &ReadPlan, manifest: &ObjectManifest) -> Vec<FetchRequest> {
+pub(crate) fn backend_requests(plan: &ReadPlan, manifest: &ObjectManifest) -> Vec<FetchRequest> {
     let backend = plan
         .sources
         .iter()
@@ -458,7 +445,7 @@ fn backend_requests(plan: &ReadPlan, manifest: &ObjectManifest) -> Vec<FetchRequ
 /// them. A straggler's payload never reaches `shards`, so it can
 /// neither mix versions into the decode nor displace a bound chunk.
 /// With no spares all arrivals bind, none wins, none is cancelled.
-fn bind(
+pub(crate) fn bind(
     total: usize,
     sources: Vec<(u8, ChunkSource)>,
     mut arrivals: Vec<Arrival>,
@@ -501,33 +488,57 @@ fn bind(
     bound
 }
 
+/// **Decode**: with all k data shards in hand the codec takes its
+/// systematic fast path (no GF arithmetic, no locks); a degraded decode
+/// reuses the cached decode plan when this erasure pattern has been
+/// seen before, at the cost of a brief codec-level lock. Counts which
+/// of the two it was into `counters`.
+pub(crate) fn decode(
+    codec: &ReedSolomon,
+    manifest: &ObjectManifest,
+    shards: &[Option<Bytes>],
+    counters: &AtomicCacheStats,
+) -> Result<(Bytes, DecodeKind), AgarError> {
+    let (data, report) = codec.reconstruct_object_report(shards, manifest.size())?;
+    let kind = if report.systematic_fast_path {
+        counters.systematic_fast_reads.inc();
+        DecodeKind::Systematic
+    } else if report.plan_cache_hit {
+        counters.decode_plan_hits.inc();
+        DecodeKind::PlanCacheHit
+    } else {
+        DecodeKind::Inversion
+    };
+    Ok((data, kind))
+}
+
 /// The latency formula (paper §V-A): every source is read in parallel,
 /// so a read costs its slowest one — the local component (one cache
 /// read if any RAM chunk was used, one disk read if any disk chunk
 /// was) or the slowest networked source — plus the fixed client
 /// overhead, plus the backoff the retry policy made the client wait.
 /// Returns the local component and the end-to-end latency.
-fn price(
-    settings: &AgarSettings,
+pub(crate) fn price(
+    (client_overhead, cache_read, disk_read): (Duration, Duration, Duration),
     ram_hits: usize,
     bound: &Bound,
     backoff: Duration,
 ) -> (Duration, Duration) {
     let mut local = Duration::ZERO;
     if ram_hits > 0 {
-        local = settings.cache_read;
+        local = cache_read;
     }
     if bound.disk_hits > 0 {
-        local = local.max(settings.disk_read);
+        local = local.max(disk_read);
     }
-    let latency = settings.client_overhead + local.max(bound.worst) + backoff;
+    let latency = client_overhead + local.max(bound.worst) + backoff;
     (local, latency)
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::tests::{test_backend, test_backend_coded};
-    use super::super::CachingClient;
+    use super::super::{AgarSettings, CachingClient};
     use super::*;
     use crate::breaker::BreakerPolicy;
     use crate::fetcher::DirectFetcher;
@@ -535,6 +546,7 @@ mod tests {
     use agar_ec::CodingParams;
     use agar_net::presets::{DUBLIN, FRANKFURT, N_VIRGINIA, SAO_PAULO, SYDNEY, TOKYO};
     use agar_store::{expected_payload, Backend};
+    use proptest::prelude::*;
     use rand::RngCore;
     use std::sync::atomic::AtomicUsize;
 
@@ -609,7 +621,7 @@ mod tests {
                 worst: MS(worst_ms),
                 ..Bound::default()
             };
-            super::price(&settings, ram_hits, &bound, MS(backoff_ms))
+            super::price((overhead, ram, disk), ram_hits, &bound, MS(backoff_ms))
         };
         // RAM only: one parallel cache read.
         assert_eq!(price(9, 0, 0, 0), (ram, overhead + ram));
@@ -624,6 +636,107 @@ mod tests {
             price(0, 0, 200, 75),
             (Duration::ZERO, overhead + MS(200) + MS(75))
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `bind` against a restatement. Each chunk index is nothing, a
+        /// RAM, disk or neighbour source, or a backend request; requests
+        /// go out in a random order and arrive at one of four
+        /// latencies, so ties are common. The first `needed` arrivals by
+        /// (latency, position) bind, the rest are cancelled; a win is a
+        /// bound arrival at a position ≥ `needed`; `worst` is the
+        /// slowest neighbour or bound arrival, and `overhang` how far
+        /// the slowest cancelled one flew past it.
+        #[test]
+        fn bind_matches_its_restatement(
+            slots in collection::vec((0u8..5, 0u64..4, any::<u16>()), 1..=16),
+            needed_pick in 0usize..17,
+        ) {
+            let total = slots.len();
+            let ms = |step: u64| MS(step * 10);
+            let payload = |index: usize| Bytes::from(vec![index as u8]);
+            let mut sources = Vec::new();
+            let mut requested = Vec::new();
+            for (index, &(kind, step, order)) in slots.iter().enumerate() {
+                let data = payload(index);
+                let source = match kind {
+                    1 => ChunkSource::Local { data },
+                    2 => ChunkSource::LocalDisk { data },
+                    3 => ChunkSource::Remote { data, latency: ms(step) },
+                    4 => {
+                        requested.push((order, index));
+                        ChunkSource::Backend { region: FRANKFURT, estimate: ms(step) }
+                    }
+                    _ => continue,
+                };
+                sources.push((index as u8, source));
+            }
+            requested.sort_unstable();
+            let arrivals: Vec<Arrival> = requested
+                .iter()
+                .enumerate()
+                .map(|(position, &(_, index))| {
+                    let chunk = ChunkId::new(ObjectId::new(0), index as u8);
+                    let request = FetchRequest { chunk, region: FRANKFURT, version: 1 };
+                    let latency = ms(slots[index].1);
+                    let fetch = ChunkFetch { data: payload(index), version: 1, latency };
+                    (position, request, fetch)
+                })
+                .collect();
+            let needed = needed_pick % (arrivals.len() + 1);
+
+            let mut order: Vec<&Arrival> = arrivals.iter().collect();
+            order.sort_by_key(|(position, _, fetch)| (fetch.latency, *position));
+            let (binding, cancelled) = order.split_at(needed);
+            let mut shards = vec![None; total];
+            let mut worst = Duration::ZERO;
+            for (index, source) in &sources {
+                if let ChunkSource::Remote { latency, .. } = source {
+                    worst = worst.max(*latency);
+                }
+                if !matches!(source, ChunkSource::Backend { .. }) {
+                    shards[*index as usize] = Some(payload(*index as usize));
+                }
+            }
+            for (_, request, fetch) in binding {
+                shards[request.chunk.index().value() as usize] = Some(fetch.data.clone());
+                worst = worst.max(fetch.latency);
+            }
+            let slowest = cancelled.iter().map(|a| a.2.latency).max().unwrap_or_default();
+            let wins = binding.iter().filter(|a| a.0 >= needed).count() as u64;
+            let count = |kind| slots.iter().filter(|slot| slot.0 == kind).count();
+
+            let bound = bind(total, sources.clone(), arrivals.clone(), needed);
+            prop_assert_eq!(&bound.shards[..], &shards[..]);
+            prop_assert_eq!((bound.disk_hits, bound.remote_hits), (count(2), count(3)));
+            prop_assert_eq!(bound.backend_fetches, arrivals.len());
+            prop_assert_eq!((bound.hedge_wins, bound.hedges_cancelled), (wins, cancelled.len() as u64));
+            prop_assert_eq!((bound.worst, bound.overhang), (worst, slowest.saturating_sub(worst)));
+        }
+
+        /// `price` against its formula: client overhead, plus the
+        /// slower of the local component and `worst`, plus the backoff;
+        /// the local component is the larger of the cache read (if any
+        /// RAM hit) and the disk read (if any disk hit). Four values
+        /// per cost, so ties are common.
+        #[test]
+        fn price_matches_its_restatement(
+            steps in [0u64..4, 0u64..4, 0u64..4, 0u64..4, 0u64..4],
+            (ram_hits, disk_hits) in (0usize..3, 0usize..3),
+        ) {
+            let [overhead, cache_read, disk_read, worst, backoff] = steps.map(|s| MS(s * 10));
+            let bound = Bound { disk_hits, worst, ..Bound::default() };
+            let local = [(ram_hits > 0, cache_read), (disk_hits > 0, disk_read)]
+                .into_iter()
+                .filter_map(|(used, cost)| used.then_some(cost))
+                .max()
+                .unwrap_or_default();
+            let expected = (local, overhead + local.max(worst) + backoff);
+            let priced = price((overhead, cache_read, disk_read), ram_hits, &bound, backoff);
+            prop_assert_eq!(priced, expected);
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! chunk ranking (cold plans) and an exhaustive cheapest-cover search
 //! (plans with RAM hits, disk hits, offers and hedges).
 
-use agar::knapsack::{exhaustive_optimum, greedy, KnapsackSolver};
+use agar::knapsack::{greedy, optimum, KnapsackSolver};
 use agar::options::{generate_options, ObjectOptions};
 use agar::{
     AgarError, CacheConfiguration, ChunkSource, HedgePolicy, LocalHits, ReadPlanner, RemoteChunk,
@@ -66,12 +66,12 @@ proptest! {
     #[test]
     fn dp_bounded_by_optimum(
         latencies in latency_strategy(),
-        pops in vec(0.1f64..100.0, 1..4),
-        capacity in 0u32..20,
+        pops in vec(0.1f64..100.0, 1..=40),
+        capacity in 0u32..=120,
     ) {
         let instance = build_instance(&latencies, &pops);
         let dp = KnapsackSolver::new().populate(&instance, capacity);
-        let optimum = exhaustive_optimum(&instance, capacity);
+        let optimum = optimum(&instance, capacity);
 
         prop_assert!(dp.weight() <= capacity);
         prop_assert!(dp.value() <= optimum.value() + 1e-6,
@@ -111,8 +111,33 @@ proptest! {
     ) {
         let instance = build_instance(&latencies, &pops);
         let dp = KnapsackSolver::new().populate(&instance, capacity);
-        let optimum = exhaustive_optimum(&instance, capacity);
+        let optimum = optimum(&instance, capacity);
         prop_assert!(dp.value() >= 0.95 * optimum.value() - 1e-6,
+            "dp {} vs optimum {}", dp.value(), optimum.value());
+    }
+
+    /// When every object's best option (its lightest of greatest value)
+    /// fits at once, the dynamic program finds the optimum's value.
+    #[test]
+    fn dp_takes_every_best_option_when_all_fit(
+        latencies in latency_strategy(),
+        pops in vec(0.1f64..100.0, 1..=40),
+        slack in 0u32..10,
+    ) {
+        let instance = build_instance(&latencies, &pops);
+        let fits: u32 = instance
+            .values()
+            .map(|options| {
+                let best = options.best_value();
+                options.iter().find(|o| o.value() == best).map_or(0, |o| o.weight())
+            })
+            .sum();
+        let capacity = fits + slack;
+        let dp = KnapsackSolver::new().populate(&instance, capacity);
+        let optimum = optimum(&instance, capacity);
+        let best: f64 = instance.values().map(|o| o.best_value()).sum();
+        prop_assert!((optimum.value() - best).abs() <= 1e-9 * best);
+        prop_assert!((dp.value() - optimum.value()).abs() <= 1e-9 * best,
             "dp {} vs optimum {}", dp.value(), optimum.value());
     }
 

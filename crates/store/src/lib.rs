@@ -16,7 +16,7 @@
 //!   priced round trip per region), region failure injection.
 //!
 //! The paper's cache-less "Backend" baseline reader is
-//! `agar::baselines::BackendOnlyClient`, on top of this crate.
+//! `agar::FixedChunksClient::backend_only`, on top of this crate.
 //!
 //! # Examples
 //!

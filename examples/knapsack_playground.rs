@@ -1,13 +1,13 @@
 //! The paper's §IV worked example, interactively: generate caching
 //! options from Table I latencies, run the dynamic program at several
-//! cache sizes, and compare against the greedy heuristic and the
-//! exhaustive optimum.
+//! cache sizes, and compare against the greedy heuristic and the exact
+//! optimum.
 //!
 //! ```sh
 //! cargo run --release --example knapsack_playground
 //! ```
 
-use agar::{exhaustive_optimum, generate_options, greedy, KnapsackSolver, ObjectOptions};
+use agar::{generate_options, greedy, optimum, KnapsackSolver, ObjectOptions};
 use agar_ec::{CodingParams, ObjectId};
 use agar_net::latency::LatencyModel;
 use agar_net::presets::{paper_table_one, FRANKFURT};
@@ -84,7 +84,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     for capacity in [5u32, 9, 14, 23, 45] {
         let dp = KnapsackSolver::new().populate(&universe, capacity);
         let gr = greedy(&universe, capacity);
-        let opt = exhaustive_optimum(&universe, capacity);
+        let opt = optimum(&universe, capacity);
         let mut allocation: Vec<(u64, u32)> = dp
             .options()
             .iter()

@@ -1,9 +1,11 @@
 //! Systematic failure-injection tests for the erasure-coded backend,
-//! read through `BackendOnlyClient` — the cache-less client the figures
-//! run: every combination of failed regions either degrades gracefully
-//! or fails loudly, never silently corrupts.
+//! read through `FixedChunksClient::backend_only` — the cache-less
+//! "Backend" client the figures run, which reads through the node's
+//! plan → fetch → bind → decode stages: every combination of failed
+//! regions either degrades gracefully or fails loudly, never silently
+//! corrupts.
 
-use agar::{AgarError, BackendOnlyClient, CachingClient};
+use agar::{AgarError, CachingClient, FixedChunksClient};
 use agar_ec::{CodingParams, ObjectId};
 use agar_net::presets::aws_six_regions;
 use agar_net::RegionId;
@@ -29,8 +31,8 @@ fn backend() -> Arc<Backend> {
     Arc::new(backend)
 }
 
-fn client(backend: &Arc<Backend>, home: u16, seed: u64) -> BackendOnlyClient {
-    BackendOnlyClient::new(
+fn client(backend: &Arc<Backend>, home: u16, seed: u64) -> FixedChunksClient {
+    FixedChunksClient::backend_only(
         RegionId::new(home),
         Arc::clone(backend),
         Duration::from_millis(100),
