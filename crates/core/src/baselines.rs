@@ -241,13 +241,12 @@ impl FixedChunksClient {
                     continue;
                 }
                 let payload = bound.shards[index as usize].clone().or_else(|| {
-                    let rng = &mut inner.rng;
                     fill_fetch(
                         &self.fetcher,
                         self.region,
                         &manifest,
                         index,
-                        rng,
+                        &mut inner.rng,
                         &mut fill_fetches,
                     )
                 });
