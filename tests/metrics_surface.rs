@@ -1,20 +1,24 @@
-//! Pins the metric surface: every series a warm tiered node and a
-//! 3-member cluster router export, by family and label set.
+//! Pins the metric surface: every series a warm tiered node, a
+//! 3-member cluster router and a chaos cell export, by family and
+//! label set, and their whole scrapes byte for byte.
 //!
-//! The cache counters are generated from one table
-//! (`crates/cache/src/stats.rs`), so no struct literal names them any
-//! more; this is where a dropped table row, a renamed label or a
+//! The counters are generated from tables, so no struct literal names
+//! them; this is where a dropped table row, a renamed label or a
 //! component that stops registering a cell fails — not in a dashboard.
+//! The byte pins (`tests/data/metrics_surface/`) also catch a reordered
+//! row, an edited help string and a row bound to the wrong cell.
 
 use agar::{AgarNode, AgarSettings, CachingClient};
+use agar_bench::{chaos_run, ChaosParams, ChaosPolicy, ChaosScenario};
 use agar_cluster::{ClusterRouter, ClusterSettings};
 use agar_ec::{CodingParams, ObjectId};
-use agar_net::presets::{aws_six_regions, FRANKFURT};
+use agar_net::presets::{aws_six_regions, FRANKFURT, TOKYO};
 use agar_obs::{Labels, MetricsRegistry};
 use agar_store::{populate, Backend, RoundRobin};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeSet;
+use std::path::Path;
 use std::sync::Arc;
 
 const SIZE: usize = 900;
@@ -133,6 +137,30 @@ fn node_surface(base: &str) -> Vec<String> {
         .collect()
 }
 
+/// Compares both renderings of `registry` with their checked-in copies
+/// `tests/data/metrics_surface/{name}.prom` and `{name}.json`. On a
+/// mismatch the rendering is written under the test target's scratch
+/// directory, so a deliberate change is one `cp` away.
+fn assert_pinned(name: &str, registry: &MetricsRegistry) {
+    let pinned = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/metrics_surface");
+    for (extension, actual) in [
+        ("prom", registry.render_prometheus()),
+        ("json", registry.render_json()),
+    ] {
+        let file = format!("{name}.{extension}");
+        let expected = std::fs::read_to_string(pinned.join(&file)).unwrap_or_default();
+        if actual != expected {
+            let rendered = Path::new(env!("CARGO_TARGET_TMPDIR")).join(&file);
+            std::fs::write(&rendered, &actual).unwrap();
+            panic!(
+                "{file} differs from {}; this run's rendering is {}",
+                pinned.display(),
+                rendered.display()
+            );
+        }
+    }
+}
+
 fn warm(read: impl Fn(ObjectId)) {
     for round in 0..3u64 {
         for id in 0..12u64 {
@@ -156,6 +184,7 @@ fn warm_tiered_node_exports_exactly_the_pinned_series() {
         surface(&registry.render_prometheus()),
         node_surface("region=fra")
     );
+    assert_pinned("node", &registry);
 }
 
 #[test]
@@ -187,4 +216,37 @@ fn three_member_router_exports_exactly_the_pinned_series() {
     .collect();
     expected.sort();
     assert_eq!(surface(&registry.render_prometheus()), expected);
+    assert_pinned("router", &registry);
+}
+
+/// A chaos cell registers its node and its `ChaosPlane` under the same
+/// labels. The `combined` scenario schedules one region partition and
+/// one per-fetch fault window, and its hardened run faults fetches of
+/// both kinds, so every chaos family carries a nonzero count.
+#[test]
+fn chaos_cell_exports_exactly_the_pinned_scrape() {
+    let scenario = ChaosScenario::family(TOKYO)
+        .into_iter()
+        .find(|scenario| scenario.name == "combined")
+        .unwrap();
+    let registry = MetricsRegistry::new();
+    chaos_run(
+        &ChaosParams::tiny(),
+        &scenario,
+        ChaosPolicy::Hardened,
+        Some(&registry),
+    );
+    let text = registry.render_prometheus();
+    for family in [
+        "agar_chaos_faults_injected_total",
+        "agar_chaos_partition_faults_total",
+        "agar_chaos_fetch_error_faults_total",
+    ] {
+        let sample = text
+            .lines()
+            .find(|line| line.starts_with(&format!("{family}{{")))
+            .unwrap_or_else(|| panic!("{family} missing:\n{text}"));
+        assert!(!sample.ends_with(" 0"), "{sample}");
+    }
+    assert_pinned("chaos", &registry);
 }
