@@ -15,10 +15,10 @@
 use crate::cell::{cell_labels, Cell, ColumnSpec, Layout, Value};
 use crate::harness::{closed_loop, read_stream, Deployment, Scale};
 use agar::{BreakerPolicy, DirectFetcher, RetryPolicy};
-use agar_chaos::{ChaosClock, ChaosPlane, ChaosSpec, FetchFaultSpec, RegionOutage};
+use agar_chaos::{ChaosClock, ChaosPlane, ChaosSpec, FetchFaultSpec};
 use agar_net::{RegionId, SimTime};
 use agar_obs::{MetricsRegistry, StageSummaries};
-use agar_workload::FailureCycle;
+use agar_workload::{FailureCycle, FlakyRegion};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -119,8 +119,8 @@ impl ChaosScenario {
     /// `partitioned` is the region whose outages the partition rows
     /// schedule (pick one the client does not live in).
     pub fn family(partitioned: RegionId) -> Vec<ChaosScenario> {
-        let outage = RegionOutage {
-            region: partitioned,
+        let outage = FlakyRegion {
+            region: partitioned.index() as u16,
             cycle: FailureCycle {
                 first_failure_s: 5,
                 down_s: 20,
@@ -221,7 +221,7 @@ pub fn chaos_run(
     ));
     node.set_chunk_fetcher(Arc::clone(&plane) as _);
     if let Some(registry) = registry {
-        plane.register_metrics(registry, labels);
+        plane.counters().register_with(registry, &labels);
     }
 
     let ops = read_stream(&deployment.paper_workload(params.operations), params.seed);
@@ -238,10 +238,10 @@ pub fn chaos_run(
         &outcome,
         StageSummaries::default(),
         vec![
-            Value::Count(plane.faults_injected()),
+            Value::Count(plane.counters().faults_injected.get()),
             Value::Count(node.retries()),
             Value::Count(node.degraded_reads()),
-            Value::Count(node.breaker().opens()),
+            Value::Count(node.breaker().counters().opens.get()),
         ],
     )
 }

@@ -26,7 +26,7 @@
 
 use crate::cell::{cell_labels, Cell, ColumnSpec, Layout, Value};
 use crate::harness::{closed_loop, read_stream, Deployment, Scale};
-use agar::CachingClient;
+use agar::{AgarNode, CachingClient};
 use agar_ec::ObjectId;
 use agar_net::SimTime;
 use agar_obs::{MetricsRegistry, StageSummaries};
@@ -161,8 +161,7 @@ pub fn tiers_run(
     }
     node.force_reconfigure();
     let warm_stats = node.cache_stats();
-    let warm_appended = node.disk_appended_bytes();
-    let warm_compacted = node.disk_compacted_bytes();
+    let (warm_appended, warm_compacted) = disk_bytes(&node);
 
     let ops = read_stream(&workload, params.seed);
     // Stamp the trace layer's clock so spans carry simulated time.
@@ -179,6 +178,7 @@ pub fn tiers_run(
     let measured = &traces[traces.len().saturating_sub(outcome.samples.len())..];
     let config = node.current_config();
     let lookups = stats.chunk_hits() + stats.chunk_misses();
+    let (appended, compacted) = disk_bytes(&node);
     TIERS.cell(
         scenario,
         policy,
@@ -195,10 +195,18 @@ pub fn tiers_run(
             Value::Count(config.disk_chunks().into()),
             Value::Count(stats.tier_promotions()),
             Value::Count(stats.disk_evictions()),
-            Value::Count(node.disk_appended_bytes() - warm_appended),
-            Value::Count(node.disk_compacted_bytes() - warm_compacted),
+            Value::Count(appended - warm_appended),
+            Value::Count(compacted - warm_compacted),
         ],
     )
+}
+
+/// The disk tier's appended and compacted frame bytes so far (zeros
+/// without a disk tier).
+fn disk_bytes(node: &AgarNode) -> (u64, u64) {
+    node.disk_counters().map_or((0, 0), |disk| {
+        (disk.appended_bytes.get(), disk.compacted_bytes.get())
+    })
 }
 
 /// Runs the full sweep: RAM-only and tiered at every catalogue

@@ -24,8 +24,8 @@
 //!   tends to append back to back) takes the lock once, sorts the
 //!   frames it found by (segment, offset) and reads each run of
 //!   back-to-back frames with one positioned read into one buffer, whose
-//!   payloads are all slices of it. `agar_disk_read_calls_total` counts
-//!   the positioned reads. There is no `fsync`: this is a cache of
+//!   payloads are all slices of it. The `read_calls` cell of
+//!   [`DiskCounters`] counts the positioned reads. There is no `fsync`: this is a cache of
 //!   re-fetchable chunks. (The positioned calls are
 //!   `std::os::unix::fs::FileExt`; the crate is Unix-only.)
 //! - **Capacity is reclaimed by a log cleaner.** Every segment counts
@@ -91,7 +91,6 @@
 
 use crate::sharded::CachedChunk;
 use agar_ec::{ChunkId, ChunkSet, ObjectId};
-use agar_obs::{Counter, Labels, MetricsRegistry};
 use bytes::Bytes;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -331,22 +330,30 @@ pub struct DiskStore {
     capacity: u64,
     /// Target size after which the active segment seals.
     segment_target: u64,
-    /// Indexed frames that failed verification on read (torn frame,
-    /// identity/length mismatch, checksum failure, I/O error) and were
-    /// served as misses instead.
-    corrupt_frames: Counter,
-    /// Header + payload bytes of every frame written to the log: the
-    /// tier's write traffic, exact per seed where wall time is not.
-    appended_bytes: Counter,
-    /// The subset of `appended_bytes` the cleaner wrote: survivors
-    /// copied forward out of a victim segment.
-    compacted_bytes: Counter,
-    /// Positioned reads issued against segment files: one per `get`,
-    /// one per run of frames a `get_many` reads (plus one per frame of
-    /// a run re-read after a short read), one per frame the cleaner
-    /// copies.
-    read_calls: Counter,
+    counters: DiskCounters,
     inner: Mutex<Inner>,
+}
+
+agar_obs::cell_table! {
+    /// The disk tier's cells. Appended bytes are the tier's write
+    /// traffic, exact per seed where wall time is not; compacted bytes
+    /// are the part of them the cleaner copied forward out of victim
+    /// segments. A read call is one positioned read: one per `get`, one
+    /// per run of frames a `get_many` reads (plus one per frame of a run
+    /// re-read after a short read), one per frame the cleaner copies. A
+    /// corrupt frame is an indexed frame that failed verification (torn
+    /// frame, identity/length mismatch, checksum failure, I/O error) and
+    /// was served as a miss.
+    pub struct DiskCounters {
+        corrupt_frames: Counter "agar_disk_corrupt_frames_total" []
+            "Disk-tier frames that failed verification and were served as misses.";
+        appended_bytes: Counter "agar_disk_appended_bytes_total" []
+            "Frame bytes (header + payload) written to the disk-tier log.";
+        compacted_bytes: Counter "agar_disk_compacted_bytes_total" []
+            "Frame bytes the disk-tier log cleaner copied forward (part of appended).";
+        read_calls: Counter "agar_disk_read_calls_total" []
+            "Positioned reads issued against disk-tier segment files.";
+    }
 }
 
 impl DiskStore {
@@ -363,10 +370,7 @@ impl DiskStore {
         Ok(DiskStore {
             capacity,
             segment_target,
-            corrupt_frames: Counter::new(),
-            appended_bytes: Counter::new(),
-            compacted_bytes: Counter::new(),
-            read_calls: Counter::new(),
+            counters: DiskCounters::default(),
             inner: Mutex::new(Inner {
                 dir,
                 segments: Vec::new(),
@@ -568,7 +572,7 @@ impl DiskStore {
             // that is corruption (or a torn write), not a clean miss —
             // count it so operators can see the tier eating bad frames,
             // then fall through.
-            self.corrupt_frames.inc();
+            self.counters.corrupt_frames.inc();
             inner.forget(&id);
         }
         verified
@@ -606,7 +610,7 @@ impl DiskStore {
             match Self::verified(&buffer, at, &id, loc) {
                 Some(chunk) => found(id, chunk),
                 None => {
-                    self.corrupt_frames.inc();
+                    self.counters.corrupt_frames.inc();
                     inner.forget(&id);
                 }
             }
@@ -617,7 +621,7 @@ impl DiskStore {
     /// buffer; `None` if the read fails or comes back short. Callers
     /// size it from index entries, never from a length read off disk.
     fn read_at(&self, file: &File, offset: u64, len: u64) -> Option<Bytes> {
-        self.read_calls.inc();
+        self.counters.read_calls.inc();
         // `repeat_n` is exact-length, so this is one allocation holding
         // the counts and the bytes, and the fresh `Arc` is unique.
         let mut buffer: Arc<[u8]> = std::iter::repeat_n(0u8, len as usize).collect();
@@ -639,57 +643,9 @@ impl DiskStore {
             .then(|| CachedChunk::new(buffer.slice(at + HEADER_LEN..end), loc.version))
     }
 
-    /// Indexed frames that failed verification on read so far.
-    pub fn corrupt_frames(&self) -> u64 {
-        self.corrupt_frames.get()
-    }
-
-    /// Header + payload bytes written to the log so far, survivors the
-    /// cleaner copied forward included.
-    pub fn appended_bytes(&self) -> u64 {
-        self.appended_bytes.get()
-    }
-
-    /// The part of [`DiskStore::appended_bytes`] that was survivors
-    /// copied forward by the cleaner; the rest is first-time frames.
-    pub fn compacted_bytes(&self) -> u64 {
-        self.compacted_bytes.get()
-    }
-
-    /// Positioned reads issued against segment files so far (see the
-    /// module docs).
-    pub fn read_calls(&self) -> u64 {
-        self.read_calls.get()
-    }
-
-    /// Registers the tier's own counters: `agar_disk_corrupt_frames_total`,
-    /// `agar_disk_appended_bytes_total`, `agar_disk_compacted_bytes_total`
-    /// and `agar_disk_read_calls_total`.
-    pub fn register_metrics(&self, registry: &MetricsRegistry, base: Labels) {
-        registry.register_counter(
-            "agar_disk_corrupt_frames_total",
-            "Disk-tier frames that failed verification and were served as misses.",
-            base.clone(),
-            &self.corrupt_frames,
-        );
-        registry.register_counter(
-            "agar_disk_appended_bytes_total",
-            "Frame bytes (header + payload) written to the disk-tier log.",
-            base.clone(),
-            &self.appended_bytes,
-        );
-        registry.register_counter(
-            "agar_disk_compacted_bytes_total",
-            "Frame bytes the disk-tier log cleaner copied forward (part of appended).",
-            base.clone(),
-            &self.compacted_bytes,
-        );
-        registry.register_counter(
-            "agar_disk_read_calls_total",
-            "Positioned reads issued against disk-tier segment files.",
-            base,
-            &self.read_calls,
-        );
+    /// The tier's cells (see [`DiskCounters`]).
+    pub fn counters(&self) -> &DiskCounters {
+        &self.counters
     }
 
     /// Drops the live entry for `id` (dead space remains until its
@@ -763,7 +719,7 @@ impl DiskStore {
         active.len += frame_len;
         active.live += frame_len;
         inner.used += frame_len;
-        self.appended_bytes.add(frame_len);
+        self.counters.appended_bytes.add(frame_len);
         Ok((active.id, offset))
     }
 
@@ -804,13 +760,13 @@ impl DiskStore {
                 let Some(frame) =
                     frame.filter(|frame| Self::verified(frame, 0, &id, loc).is_some())
                 else {
-                    self.corrupt_frames.inc();
+                    self.counters.corrupt_frames.inc();
                     continue;
                 };
                 let (header, payload) = frame.split_at(HEADER_LEN);
                 match self.append_frame(inner, header, payload) {
                     Ok((segment, offset)) => {
-                        self.compacted_bytes.add(loc.frame_len());
+                        self.counters.compacted_bytes.add(loc.frame_len());
                         inner.index.insert(
                             id,
                             Location {
@@ -851,7 +807,10 @@ impl DiskStore {
         let total: u64 = inner.segments.iter().map(|s| s.len).sum();
         assert_eq!(inner.used, total);
         assert!(inner.used <= self.capacity, "over budget: {}", inner.used);
-        let (appended, copied) = (self.appended_bytes(), self.compacted_bytes());
+        let (appended, copied) = (
+            self.counters().appended_bytes.get(),
+            self.counters().compacted_bytes.get(),
+        );
         assert!(copied <= appended - copied, "copied {copied} of {appended}");
     }
 }
@@ -927,10 +886,10 @@ mod tests {
         assert_eq!(back.data().len(), 120);
         assert_eq!(store.len(), 1);
         // An older version is refused: nothing stored, nothing written.
-        let appended = store.appended_bytes();
+        let appended = store.counters().appended_bytes.get();
         let outcome = store.put(id(1, 0), &chunk(0xCC, 80, 1));
         assert_eq!(outcome, DiskPutOutcome::default());
-        assert_eq!(store.appended_bytes(), appended);
+        assert_eq!(store.counters().appended_bytes.get(), appended);
         let back = store.get(&id(1, 0)).unwrap();
         assert_eq!((back.version(), back.data().len()), (2, 120));
         // The same version again replaces it; a removed entry admits any.
@@ -960,13 +919,16 @@ mod tests {
             total_evicted > 0,
             "a full log of live frames must lose some"
         );
-        assert_eq!(store.compacted_bytes(), total_evicted * FRAME);
+        assert_eq!(
+            store.counters().compacted_bytes.get(),
+            total_evicted * FRAME
+        );
         // The most recent insert is always live.
         assert!(store.contains(&id(63, 0)));
         // Of the first segment the older frame survives, intact.
         assert_eq!(store.get(&id(0, 0)).unwrap().data().as_ref(), [0u8; 512]);
         assert!(!store.contains(&id(1, 0)));
-        assert_eq!(store.corrupt_frames(), 0);
+        assert_eq!(store.counters().corrupt_frames.get(), 0);
     }
 
     #[test]
@@ -984,7 +946,7 @@ mod tests {
         // Half of 644 B rewrites two frames: 1 and 2 move, 3 is lost.
         let out = store.put(id(25, 0), &chunk(25, 128, 1));
         assert_eq!((out.stored, out.evicted), (true, 1));
-        assert_eq!(store.compacted_bytes(), 2 * FRAME);
+        assert_eq!(store.counters().compacted_bytes.get(), 2 * FRAME);
         for (key, kept) in [(1u64, true), (2, true), (3, false), (4, true), (25, true)] {
             assert_eq!(store.contains(&id(key, 0)), kept, "key {key}");
         }
@@ -1045,12 +1007,16 @@ mod tests {
         let newest = skewed_churn(&store, 0..48);
         let live: usize = (0..KEYS).map(|k| HEADER_LEN + payload_of(k, 0).len()).sum();
         assert!(live * 5 <= CAPACITY * 2, "live set {live} B is over 40 %");
-        let first_time = store.appended_bytes() - store.compacted_bytes();
+        let first_time =
+            store.counters().appended_bytes.get() - store.counters().compacted_bytes.get();
         assert!(
             first_time >= 5 * CAPACITY as u64,
             "the log wrapped under 5 times: {first_time} B"
         );
-        assert!(store.compacted_bytes() > 0, "no survivor was ever copied");
+        assert!(
+            store.counters().compacted_bytes.get() > 0,
+            "no survivor was ever copied"
+        );
         assert_eq!(store.len(), KEYS as usize);
         for key in 0..KEYS {
             let version = newest[key as usize];
@@ -1058,7 +1024,7 @@ mod tests {
             assert_eq!(back.version(), version, "key {key}");
             assert_eq!(back.data().as_ref(), payload_of(key, version), "key {key}");
         }
-        assert_eq!(store.corrupt_frames(), 0);
+        assert_eq!(store.counters().corrupt_frames.get(), 0);
     }
 
     /// `(file name, contents)` of every segment file, oldest first.
@@ -1090,11 +1056,20 @@ mod tests {
             store
         };
         let (one, two) = (run(), run());
-        assert!(one.compacted_bytes() > 0, "the cleaner never copied");
+        assert!(
+            one.counters().compacted_bytes.get() > 0,
+            "the cleaner never copied"
+        );
         assert_eq!(one.keys(), two.keys());
         assert_eq!(one.used_bytes(), two.used_bytes());
-        assert_eq!(one.appended_bytes(), two.appended_bytes());
-        assert_eq!(one.compacted_bytes(), two.compacted_bytes());
+        assert_eq!(
+            one.counters().appended_bytes.get(),
+            two.counters().appended_bytes.get()
+        );
+        assert_eq!(
+            one.counters().compacted_bytes.get(),
+            two.counters().compacted_bytes.get()
+        );
         assert_eq!(segment_files(&one), segment_files(&two));
     }
 
@@ -1128,11 +1103,23 @@ mod tests {
             filler += 1;
             store.check_invariants();
         }
-        assert_eq!(store.corrupt_frames(), 1, "the flipped frame was counted");
-        assert_eq!(store.compacted_bytes(), 2 * 133, "and was not copied");
+        assert_eq!(
+            store.counters().corrupt_frames.get(),
+            1,
+            "the flipped frame was counted"
+        );
+        assert_eq!(
+            store.counters().compacted_bytes.get(),
+            2 * 133,
+            "and was not copied"
+        );
         assert!(!store.contains(&id(1, 0)));
         assert!(store.get(&id(1, 0)).is_none());
-        assert_eq!(store.corrupt_frames(), 1, "a clean miss afterwards");
+        assert_eq!(
+            store.counters().corrupt_frames.get(),
+            1,
+            "a clean miss afterwards"
+        );
         for n in [0, 2] {
             let back = store.get(&id(n, 0)).expect("a copied neighbour");
             assert_eq!(back, keeper(n));
@@ -1157,15 +1144,16 @@ mod tests {
                 100 + step % 23
             };
             let len = 100 + (step % 7) as usize * 60;
-            let before = store.compacted_bytes();
+            let before = store.counters().compacted_bytes.get();
             lost += store.put(id(key, 0), &chunk(step as u8, len, step)).evicted;
-            copied_victims += u64::from(store.compacted_bytes() > before);
+            copied_victims += u64::from(store.counters().compacted_bytes.get() > before);
             // Checks the bound after every put, not only at the end.
             store.check_invariants();
         }
         assert!(copied_victims > 100, "{copied_victims} victims copied");
         assert!(lost > 0, "no victim was over half live");
-        let first_time = store.appended_bytes() - store.compacted_bytes();
+        let first_time =
+            store.counters().appended_bytes.get() - store.counters().compacted_bytes.get();
         assert!(first_time > 50 * 16 * 1024, "the log barely wrapped");
     }
 
@@ -1190,10 +1178,10 @@ mod tests {
         assert!(store.get(&id(1, 0)).is_none());
         // The index entry is purged: a later lookup stays a clean miss.
         assert!(!store.contains(&id(1, 0)));
-        assert_eq!(store.corrupt_frames(), 1);
+        assert_eq!(store.counters().corrupt_frames.get(), 1);
         // The clean miss that followed the purge is not corruption.
         assert!(store.get(&id(1, 0)).is_none());
-        assert_eq!(store.corrupt_frames(), 1);
+        assert_eq!(store.counters().corrupt_frames.get(), 1);
     }
 
     #[test]
@@ -1206,7 +1194,7 @@ mod tests {
         flip(active, 50, 0xFF);
         assert!(store.get(&id(1, 0)).is_none());
         assert!(!store.contains(&id(1, 0)));
-        assert_eq!(store.corrupt_frames(), 1);
+        assert_eq!(store.counters().corrupt_frames.get(), 1);
     }
 
     #[test]
@@ -1222,10 +1210,10 @@ mod tests {
         assert!(store.put(id(2, 0), &chunk(0xBB, 300, 1)).stored);
         let back = store.get(&id(2, 0)).expect("frame after a torn tail");
         assert_eq!(back.data().as_ref(), &[0xBB; 300][..]);
-        assert_eq!(store.corrupt_frames(), 0);
+        assert_eq!(store.counters().corrupt_frames.get(), 0);
         // Only the torn frame is corrupt, and only once it is read.
         assert!(store.get(&id(1, 0)).is_none());
-        assert_eq!(store.corrupt_frames(), 1);
+        assert_eq!(store.counters().corrupt_frames.get(), 1);
         assert!(store.get(&id(2, 0)).is_some());
     }
 
@@ -1254,17 +1242,21 @@ mod tests {
         for case in 0..cases {
             let key = id(case + 1, 4);
             assert!(store.get(&key).is_none(), "case {case} returned bytes");
-            assert_eq!(store.corrupt_frames(), case + 1, "case {case}");
+            assert_eq!(
+                store.counters().corrupt_frames.get(),
+                case + 1,
+                "case {case}"
+            );
             assert!(!store.contains(&key), "case {case} not purged");
             // The follow-up lookup is a clean miss, not more corruption.
             assert!(store.get(&key).is_none());
-            assert_eq!(store.corrupt_frames(), case + 1);
+            assert_eq!(store.counters().corrupt_frames.get(), case + 1);
         }
         for control in [0, cases + 1] {
             let back = store.get(&id(control, 4)).expect("control frame");
             assert_eq!(back.data(), payload.data());
         }
-        assert_eq!(store.corrupt_frames(), cases);
+        assert_eq!(store.counters().corrupt_frames.get(), cases);
     }
 
     #[test]
@@ -1280,13 +1272,17 @@ mod tests {
             let file = OpenOptions::new().write(true).open(&tail).unwrap();
             file.set_len(2 * frame_len + kept).unwrap();
             assert!(store.get(&id(2, 0)).is_none(), "{kept} bytes kept");
-            assert_eq!(store.corrupt_frames(), 1, "{kept} bytes kept");
+            assert_eq!(
+                store.counters().corrupt_frames.get(),
+                1,
+                "{kept} bytes kept"
+            );
             assert!(!store.contains(&id(2, 0)));
             for object in 0..2u64 {
                 let back = store.get(&id(object, 0)).expect("earlier frame");
                 assert_eq!(back.data().as_ref(), &[object as u8 + 1; SMALL][..]);
             }
-            assert_eq!(store.corrupt_frames(), 1);
+            assert_eq!(store.counters().corrupt_frames.get(), 1);
         }
     }
 
@@ -1426,20 +1422,20 @@ mod tests {
                 prop_assert!(store.used_bytes() <= store.capacity_bytes());
                 store.check_invariants();
             }
-            prop_assert_eq!(store.corrupt_frames(), 0);
+            prop_assert_eq!(store.counters().corrupt_frames.get(), 0);
         }
     }
 
     /// `get_many` over `ids`: the hits as `(id, version, payload)`,
     /// sorted by id, and the positioned reads it issued.
     fn many(store: &DiskStore, ids: &[ChunkId]) -> (Vec<(ChunkId, u64, Vec<u8>)>, u64) {
-        let calls = store.read_calls();
+        let calls = store.counters().read_calls.get();
         let mut hits = Vec::new();
         store.get_many(ids.iter().copied(), |id, chunk| {
             hits.push((id, chunk.version(), chunk.data().to_vec()));
         });
         hits.sort_unstable();
-        (hits, store.read_calls() - calls)
+        (hits, store.counters().read_calls.get() - calls)
     }
 
     /// One object's chunks `0..count` (4 + `i` bytes each), put back to
@@ -1469,8 +1465,8 @@ mod tests {
         assert_eq!(many(&store, &[]).1, 0);
         // A `get` is one read too.
         assert!(store.get(&ids[3]).is_some());
-        assert_eq!(store.read_calls(), 2);
-        assert_eq!(store.corrupt_frames(), 0);
+        assert_eq!(store.counters().read_calls.get(), 2);
+        assert_eq!(store.counters().corrupt_frames.get(), 0);
     }
 
     #[test]
@@ -1484,12 +1480,15 @@ mod tests {
         let served: Vec<ChunkId> = hits.iter().map(|hit| hit.0).collect();
         assert_eq!(served, [ids[0], ids[2]]);
         assert_eq!(hits[1].2, vec![3u8; 6]);
-        assert_eq!(store.corrupt_frames(), 1);
+        assert_eq!(store.counters().corrupt_frames.get(), 1);
         assert!(!store.contains(&ids[1]), "the bad frame is forgotten");
         // The next lookup is a clean miss for it, a run of one for
         // each neighbour.
         let (hits, calls) = many(&store, &ids);
-        assert_eq!((hits.len(), calls, store.corrupt_frames()), (2, 2, 1));
+        assert_eq!(
+            (hits.len(), calls, store.counters().corrupt_frames.get()),
+            (2, 2, 1)
+        );
     }
 
     #[test]
@@ -1509,7 +1508,7 @@ mod tests {
                 // The short run read, then one read per frame.
                 assert_eq!(calls, 1 + u64::from(COUNT));
                 let lost = u64::from(COUNT) - cut as u64;
-                assert_eq!(store.corrupt_frames(), lost);
+                assert_eq!(store.counters().corrupt_frames.get(), lost);
                 assert_eq!(store.len(), cut);
             }
         }
@@ -1539,7 +1538,7 @@ mod tests {
         // A removed frame in the middle of a run splits it too.
         store.remove(&id(1, 2));
         assert_eq!(many(&store, &ids).1, 4, "0..2 | 3 | 4..6 | 6");
-        assert_eq!(store.corrupt_frames(), 0);
+        assert_eq!(store.counters().corrupt_frames.get(), 0);
     }
 
     /// One step of [`driven`]: `(op, object, index, version, len, at)`.
@@ -1607,7 +1606,7 @@ mod tests {
                     .collect();
                 expected.sort_unstable();
                 prop_assert_eq!(hits, expected);
-                prop_assert_eq!(batched.corrupt_frames(), single.corrupt_frames());
+                prop_assert_eq!(batched.counters().corrupt_frames.get(), single.counters().corrupt_frames.get());
                 prop_assert_eq!(batched.keys(), single.keys());
             }
             batched.check_invariants();

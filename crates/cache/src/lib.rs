@@ -40,7 +40,7 @@ pub mod sharded;
 pub mod stats;
 pub mod tiered;
 
-pub use disk::{DiskPutOutcome, DiskStore};
+pub use disk::{DiskCounters, DiskPutOutcome, DiskStore};
 pub use sharded::{CachedChunk, PolicyKind, ShardedChunkCache, DEFAULT_CACHE_SHARDS};
 pub use stats::{AtomicCacheStats, CacheStats};
 pub use tiered::{CacheTier, TieredChunkCache};

@@ -9,146 +9,90 @@
 //!   *partial hit* if at least one did), recorded by whoever assembles
 //!   whole objects via [`AtomicCacheStats::record_object_read`].
 //!
-//! Every counter is declared **once**, as a row of the `counter_table!`
-//! invocation below: field name, metric family, label pairs, help text.
-//! The macro derives the [`CacheStats`] report (fields, getters,
-//! `delta_since`, `merge`), the [`ROWS`] scrape metadata and — for the
-//! `cells` rows, the counters a cache or node writes — the live
-//! [`AtomicCacheStats`] cells with `snapshot` and `register_with`. The
-//! `report_only` rows are cluster events: their cells are plain
-//! [`Counter`]s owned by the fetch coordinator, the lease manager and
-//! the router, which register them through [`ROWS`] and fill only their
-//! own fields of the report.
+//! Every cache counter is declared **once**, as a row of the
+//! `cache_stats!` invocation below: field name, metric family, label
+//! pairs, help text. The rows become an [`agar_obs::cell_table!`], the
+//! live [`AtomicCacheStats`] cells a cache or node writes (with
+//! `ROWS` and `register_with`), and the fields of the plain-data
+//! [`CacheStats`] report (getters, `delta_since`, `merge`). The
+//! `report_only` fields are cluster events whose cells are rows of
+//! their owners' tables (the fetch coordinator's, the lease manager's
+//! and the router's); `ClusterRouter::cache_stats` fills them.
 //!
 //! One identity holds on every report: `chunk_hits + chunk_misses` is
 //! the number of **RAM** lookups. A tiered cache records the RAM miss
 //! before it consults disk, so a disk rescue counts in `chunk_misses`
 //! *and* in `disk_hits`.
 
-use agar_obs::{Counter, Labels, MetricsRegistry};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Where one counter lands in a scrape: a row of the counter table.
-#[derive(Clone, Copy, Debug)]
-pub struct CounterRow {
-    /// Prometheus metric family.
-    pub family: &'static str,
-    /// Labels telling sibling rows of one family apart.
-    pub labels: &'static [(&'static str, &'static str)],
-    /// HELP text (identical on every row of a family).
-    pub help: &'static str,
-}
-
-impl CounterRow {
-    /// Late-binds `cell` into `registry` as this row's series, with the
-    /// row's labels appended to `base` (typically region, member,
-    /// source). The registry holds a clone of the *same* cell, so counts
-    /// accumulated before registration are kept and a scrape always
-    /// reflects the live value.
-    pub fn register(&self, registry: &MetricsRegistry, base: &Labels, cell: &Counter) {
-        let labels = self
-            .labels
-            .iter()
-            .fold(base.clone(), |labels, (name, value)| {
-                labels.with(name, *value)
-            });
-        registry.register_counter(self.family, self.help, labels, cell);
-    }
-}
-
-macro_rules! counter_table {
+macro_rules! cache_stats {
     (
-        cells { $($cell:ident: $cfam:literal [$($clab:tt)*] $chelp:literal;)* }
-        report_only { $($rep:ident: $rfam:literal [$($rlab:tt)*] $rhelp:literal;)* }
+        cells { $($cell:ident: $family:literal [$($labels:tt)*] $help:literal;)* }
+        report_only { $($(#[doc = $rdoc:literal])* $rep:ident;)* }
     ) => {
-        counter_table!(@report
-            $($cell: $cfam [$($clab)*] $chelp;)* $($rep: $rfam [$($rlab)*] $rhelp;)*);
-        counter_table!(@cells $($cell: $cfam [$($clab)*] $chelp;)*);
-    };
-    // A row's rustdoc: its help text, then where it lands in a scrape.
-    (@doc $family:literal [$($labels:tt)*] $help:literal) => {
-        concat!($help, "\n\nScrape row: `", $family, "` ", stringify!($($labels)*))
-    };
-    (@report $($field:ident: $family:literal [$($labels:tt)*] $help:literal;)*) => {
+        agar_obs::cell_table! {
+            /// Lock-free live cells for the counters a cache or node writes.
+            ///
+            /// Every cell is a registry [`Counter`](agar_obs::Counter) (a
+            /// shared relaxed atomic), so many reader threads record
+            /// outcomes without any lock — `stats.chunk_hits.inc()` — and
+            /// the same cells are late-bound into a metrics registry by
+            /// `register_with`: the scrape endpoint and this struct
+            /// observe the same memory.
+            ///
+            /// # Snapshot semantics (non-atomic; fields may drift)
+            ///
+            /// [`AtomicCacheStats::snapshot`] loads each cell independently
+            /// with `Ordering::Relaxed` — no global lock, no seqlock — so
+            /// the copy is **not** a consistent cut. While writers run, a
+            /// snapshot may see counter A's increment from an event but not
+            /// counter B's from the *same* event. What it does guarantee:
+            ///
+            /// - each field is monotonic across snapshots, so
+            ///   [`CacheStats::delta_since`] never goes negative;
+            /// - a field never over-counts: a snapshot observes at most the
+            ///   increments issued before the load, so
+            ///   `chunk_hits + chunk_misses` never exceeds the lookups
+            ///   initiated (pinned by the
+            ///   `snapshot_never_overcounts_lookups_mid_hammer` test).
+            ///
+            /// Reporting paths here read quiescent stats or tolerate a few
+            /// in-flight operations of drift; anything needing an exact cut
+            /// must stop the writers first.
+            pub struct AtomicCacheStats {
+                $($cell: Counter $family [$($labels)*] $help;)*
+            }
+        }
+
         /// Counters describing cache effectiveness: the plain-data
         /// report every cache, node, baseline and router hands out.
         #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
         pub struct CacheStats {
-            $(#[doc = counter_table!(@doc $family [$($labels)*] $help)] pub $field: u64,)*
+            $(#[doc = $help] pub $cell: u64,)*
+            $($(#[doc = $rdoc])* pub $rep: u64,)*
         }
 
         impl CacheStats {
-            $(
-                #[doc = counter_table!(@doc $family [$($labels)*] $help)]
-                pub fn $field(&self) -> u64 { self.$field }
-            )*
+            $(#[doc = $help] pub fn $cell(&self) -> u64 { self.$cell })*
+            $($(#[doc = $rdoc])* pub fn $rep(&self) -> u64 { self.$rep })*
 
             /// The counters accumulated since an earlier snapshot
             /// (saturating; used for per-batch statistics on a
             /// long-lived cache).
             pub fn delta_since(&self, earlier: &CacheStats) -> CacheStats {
-                CacheStats { $($field: self.$field.saturating_sub(earlier.$field),)* }
+                CacheStats {
+                    $($cell: self.$cell.saturating_sub(earlier.$cell),)*
+                    $($rep: self.$rep.saturating_sub(earlier.$rep),)*
+                }
             }
 
             /// Merges another set of counters into this one.
             pub fn merge(&mut self, other: &CacheStats) {
-                $(self.$field += other.$field;)*
+                $(self.$cell += other.$cell;)*
+                $(self.$rep += other.$rep;)*
             }
-        }
-
-        /// Scrape metadata per counter, under the counter's field name.
-        pub struct CounterRows {
-            $(#[doc = counter_table!(@doc $family [$($labels)*] $help)] pub $field: CounterRow,)*
-        }
-
-        /// The counter table.
-        pub const ROWS: CounterRows = CounterRows {
-            $($field: CounterRow { family: $family, labels: &[$($labels)*], help: $help },)*
-        };
-
-        /// Every row with its getter and its report field, for the
-        /// table-walking test.
-        #[cfg(test)]
-        #[allow(clippy::type_complexity)]
-        const REPORT_TABLE: &[(
-            CounterRow,
-            fn(&CacheStats) -> u64,
-            fn(&mut CacheStats) -> &mut u64,
-        )] = &[$((ROWS.$field, CacheStats::$field, |stats| &mut stats.$field),)*];
-    };
-    (@cells $($cell:ident: $family:literal [$($labels:tt)*] $help:literal;)*) => {
-        /// Lock-free live cells for the counters a cache or node writes.
-        ///
-        /// Every cell is a registry [`Counter`] (a shared relaxed
-        /// atomic), so many reader threads record outcomes without any
-        /// lock — `stats.chunk_hits.inc()` — and the same cells can be
-        /// late-bound into a [`MetricsRegistry`] via
-        /// [`AtomicCacheStats::register_with`]: the scrape endpoint and
-        /// this struct observe the same memory.
-        ///
-        /// # Snapshot semantics (non-atomic; fields may drift)
-        ///
-        /// [`AtomicCacheStats::snapshot`] loads each cell independently
-        /// with `Ordering::Relaxed` — no global lock, no seqlock — so
-        /// the copy is **not** a consistent cut. While writers run, a
-        /// snapshot may see counter A's increment from an event but not
-        /// counter B's from the *same* event. What it does guarantee:
-        ///
-        /// - each field is monotonic across snapshots, so
-        ///   [`CacheStats::delta_since`] never goes negative;
-        /// - a field never over-counts: a snapshot observes at most the
-        ///   increments issued before the load, so
-        ///   `chunk_hits + chunk_misses` never exceeds the lookups
-        ///   initiated (pinned by the
-        ///   `snapshot_never_overcounts_lookups_mid_hammer` test).
-        ///
-        /// Reporting paths here read quiescent stats or tolerate a few
-        /// in-flight operations of drift; anything needing an exact cut
-        /// must stop the writers first.
-        #[derive(Debug, Default)]
-        pub struct AtomicCacheStats {
-            $(#[doc = counter_table!(@doc $family [$($labels)*] $help)] pub $cell: Counter,)*
         }
 
         impl AtomicCacheStats {
@@ -158,22 +102,29 @@ macro_rules! counter_table {
                 CacheStats { $($cell: self.$cell.get(),)* ..CacheStats::default() }
             }
 
-            /// Late-binds every cell into `registry` under its table
-            /// row; see [`CounterRow::register`].
-            pub fn register_with(&self, registry: &MetricsRegistry, base: &Labels) {
-                $(ROWS.$cell.register(registry, base, &self.$cell);)*
-            }
-
             /// The cells in table order, for the table-walking test.
             #[cfg(test)]
-            fn cells(&self) -> Vec<&Counter> {
+            fn cells(&self) -> Vec<&agar_obs::Counter> {
                 vec![$(&self.$cell,)*]
             }
         }
+
+        /// Every report field with its getter and its mutable slot,
+        /// cells first, for the table-walking test.
+        #[cfg(test)]
+        #[allow(clippy::type_complexity)]
+        const REPORT_TABLE: &[(
+            &str,
+            fn(&CacheStats) -> u64,
+            fn(&mut CacheStats) -> &mut u64,
+        )] = &[
+            $((stringify!($cell), CacheStats::$cell, |stats| &mut stats.$cell),)*
+            $((stringify!($rep), CacheStats::$rep, |stats| &mut stats.$rep),)*
+        ];
     };
 }
 
-counter_table! {
+cache_stats! {
     cells {
         chunk_hits: "agar_cache_chunk_hits_total" [("tier", "ram")]
             "Chunk lookups served from a cache tier.";
@@ -211,16 +162,21 @@ counter_table! {
             "Chunks a placement moved RAM → disk (a reconfiguration's configured moves).";
     }
     report_only {
-        coalesced_fetches: "agar_fetch_coalesced_total" []
-            "Backend fetches served by an in-flight duplicate (single-flight).";
-        batched_requests: "agar_fetch_batched_round_trips_total" []
-            "Region-grouped backend round trips issued.";
-        lease_grants: "agar_lease_grants_total" []
-            "Per-object write leases granted.";
-        lease_contentions: "agar_lease_contentions_total" []
-            "Writes that waited behind another writer's lease.";
-        targeted_invalidations: "agar_invalidations_targeted_total" []
-            "Members that held chunks of an object a routed write invalidated.";
+        /// Backend fetches served by an in-flight duplicate
+        /// (single-flight): the fetch coordinator's `coalesced_fetches`.
+        coalesced_fetches;
+        /// Region-grouped backend round trips issued: the fetch
+        /// coordinator's `batched_requests`.
+        batched_requests;
+        /// Per-object write leases granted: the lease manager's
+        /// `lease_grants`.
+        lease_grants;
+        /// Writes that waited behind another writer's lease: the lease
+        /// manager's `lease_contentions`.
+        lease_contentions;
+        /// Members that held chunks of an object a routed write
+        /// invalidated: the router's `targeted_invalidations`.
+        targeted_invalidations;
     }
 }
 
@@ -236,7 +192,7 @@ impl CacheStats {
     }
 
     /// Chunk-level (RAM) hit ratio in `[0, 1]`; 0 if nothing recorded.
-    pub fn chunk_hit_ratio(&self) -> f64 {
+    fn chunk_hit_ratio(&self) -> f64 {
         let total = self.chunk_hits + self.chunk_misses;
         if total == 0 {
             0.0
@@ -298,6 +254,7 @@ impl fmt::Display for CacheStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use agar_obs::{Labels, MetricsRegistry};
 
     #[test]
     fn chunk_ratio() {
@@ -363,12 +320,12 @@ mod tests {
         let zero = CacheStats::new();
         let mut doubled = report;
         doubled.merge(&report);
-        for ((row, get, _), prime) in REPORT_TABLE.iter().zip(PRIMES) {
-            assert_eq!(get(&report), prime, "{row:?}");
-            assert_eq!(get(&report.delta_since(&zero)), prime, "{row:?}");
-            assert_eq!(get(&report.delta_since(&report)), 0, "{row:?}");
-            assert_eq!(get(&zero.delta_since(&report)), 0, "saturating: {row:?}");
-            assert_eq!(get(&doubled), 2 * prime, "{row:?}");
+        for ((field, get, _), prime) in REPORT_TABLE.iter().zip(PRIMES) {
+            assert_eq!(get(&report), prime, "{field}");
+            assert_eq!(get(&report.delta_since(&zero)), prime, "{field}");
+            assert_eq!(get(&report.delta_since(&report)), 0, "{field}");
+            assert_eq!(get(&zero.delta_since(&report)), 0, "saturating: {field}");
+            assert_eq!(get(&doubled), 2 * prime, "{field}");
         }
 
         // Exposition: exactly one sample per cell row carrying that
@@ -377,7 +334,9 @@ mod tests {
         atomic.register_with(&registry, &Labels::new());
         let text = registry.render_prometheus();
         let count = |line: String| text.lines().filter(|l| **l == line).count();
-        for ((row, _, _), prime) in REPORT_TABLE.iter().zip(PRIMES).take(cells.len()) {
+        let rows = AtomicCacheStats::ROWS;
+        assert_eq!(rows.len(), cells.len());
+        for (row, prime) in rows.iter().zip(PRIMES) {
             let labels = match row.labels {
                 [] => String::new(),
                 [(name, value)] => format!("{{{name}=\"{value}\"}}"),
@@ -399,8 +358,8 @@ mod tests {
         assert_eq!(samples, cells.len(), "{text}");
         // Rows sharing a family share its HELP text (the first
         // registration's wins in a scrape).
-        for (a, ..) in REPORT_TABLE {
-            for (b, ..) in REPORT_TABLE.iter().filter(|(b, ..)| b.family == a.family) {
+        for a in rows {
+            for b in rows.iter().filter(|b| b.family == a.family) {
                 assert_eq!(a.help, b.help, "{}", a.family);
             }
         }

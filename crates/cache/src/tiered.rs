@@ -86,12 +86,12 @@ pub enum CacheTier {
 /// let (found, tier) = cache.get(&a).unwrap();
 /// assert_eq!((found.data().len(), tier), (200, CacheTier::Disk));
 /// // It is served from disk until a placement moves it.
-/// assert_eq!(cache.tier_of(&a), Some(CacheTier::Disk));
+/// assert_eq!(cache.peek(&a).unwrap().1, CacheTier::Disk);
 /// // RAM has room for one: moving a up evicts b, and b is gone — a
 /// // capacity eviction drops its victim, it never spills to disk.
 /// assert!(cache.insert_to_tier(a, found, CacheTier::Ram));
 /// assert_eq!(cache.get(&a).unwrap().1, CacheTier::Ram);
-/// assert_eq!(cache.tier_of(&b), None);
+/// assert!(cache.peek(&b).is_none());
 /// ```
 #[derive(Debug)]
 pub struct TieredChunkCache {
@@ -293,18 +293,6 @@ impl TieredChunkCache {
         }
     }
 
-    /// Which tier currently holds the chunk, if any (no I/O beyond the
-    /// disk index lookup, no recency updates).
-    pub fn tier_of(&self, key: &ChunkId) -> Option<CacheTier> {
-        if self.ram.contains(key) {
-            Some(CacheTier::Ram)
-        } else if self.disk.as_ref().is_some_and(|disk| disk.contains(key)) {
-            Some(CacheTier::Disk)
-        } else {
-            None
-        }
-    }
-
     /// One snapshot of what is cached and where: every chunk of the RAM
     /// tier (in no particular order), then every chunk of the disk tier
     /// (sorted). What a reconfiguration diffs its configuration against.
@@ -362,21 +350,28 @@ impl TieredChunkCache {
     /// Late-binds the shared tier counters and the RAM tier's lock
     /// visits into a metrics registry; see
     /// [`ShardedChunkCache::register_metrics`]. With a disk tier
-    /// attached its own counters (`agar_disk_corrupt_frames_total`,
-    /// `agar_disk_appended_bytes_total`,
-    /// `agar_disk_compacted_bytes_total`,
-    /// `agar_disk_read_calls_total`) are registered too.
+    /// attached its [`DiskCounters`](crate::disk::DiskCounters) are
+    /// registered too.
     pub fn register_metrics(&self, registry: &agar_obs::MetricsRegistry, base: &agar_obs::Labels) {
         self.ram.register_metrics(registry, base);
         if let Some(disk) = &self.disk {
-            disk.register_metrics(registry, base.clone());
+            disk.counters().register_with(registry, base);
         }
     }
+}
 
-    /// Disk-tier frames that failed verification so far (0 without a
-    /// disk tier).
-    pub fn disk_corrupt_frames(&self) -> u64 {
-        self.disk.as_ref().map_or(0, |d| d.corrupt_frames())
+#[cfg(test)]
+impl TieredChunkCache {
+    /// Which tier currently holds the chunk, if any (no I/O beyond the
+    /// disk index lookup, no recency updates).
+    fn tier_of(&self, key: &ChunkId) -> Option<CacheTier> {
+        if self.ram.contains(key) {
+            Some(CacheTier::Ram)
+        } else if self.disk.as_ref().is_some_and(|disk| disk.contains(key)) {
+            Some(CacheTier::Disk)
+        } else {
+            None
+        }
     }
 }
 
@@ -407,8 +402,11 @@ mod tests {
         assert_eq!(cache.tier_of(&id(1, 0)), Some(CacheTier::Disk));
         let before = cache.stats();
         let disk = cache.disk().unwrap();
-        let (disk_keys, disk_used, appended) =
-            (disk.keys(), disk.used_bytes(), disk.appended_bytes());
+        let (disk_keys, disk_used, appended) = (
+            disk.keys(),
+            disk.used_bytes(),
+            disk.counters().appended_bytes.get(),
+        );
         let ram_keys = || {
             let mut keys = cache.ram().keys();
             keys.sort_unstable();
@@ -427,7 +425,11 @@ mod tests {
         assert_eq!(cache.tier_of(&id(1, 0)), Some(CacheTier::Disk));
         assert_eq!(disk.keys(), disk_keys);
         assert_eq!(disk.used_bytes(), disk_used);
-        assert_eq!(disk.appended_bytes(), appended, "a read writes nothing");
+        assert_eq!(
+            disk.counters().appended_bytes.get(),
+            appended,
+            "a read writes nothing"
+        );
         assert_eq!(ram_keys(), ram_before);
         assert_eq!(cache.used_bytes(), 200);
         let delta = cache.stats().delta_since(&before);
@@ -447,7 +449,7 @@ mod tests {
         assert_eq!(cache.tier_of(&id(2, 0)), None);
         assert!(disk.is_empty());
         assert_eq!(
-            disk.appended_bytes(),
+            disk.counters().appended_bytes.get(),
             appended,
             "an eviction writes nothing"
         );
@@ -475,7 +477,7 @@ mod tests {
         for record_stats in [true, false] {
             let (batched, single) = (build(), build());
             let mut found = Vec::new();
-            let calls = batched.disk().unwrap().read_calls();
+            let calls = batched.disk().unwrap().counters().read_calls.get();
             batched.lookup_object(
                 ObjectId::new(1),
                 indices,
@@ -484,7 +486,11 @@ mod tests {
                     found.push((index, chunk.clone(), tier));
                 },
             );
-            assert_eq!(batched.disk().unwrap().read_calls() - calls, 1, "one run");
+            assert_eq!(
+                batched.disk().unwrap().counters().read_calls.get() - calls,
+                1,
+                "one run"
+            );
             found.sort_unstable_by_key(|hit| hit.0);
             let mut expected: Vec<_> = indices
                 .iter()
@@ -513,7 +519,7 @@ mod tests {
         cache.lookup_object(ObjectId::new(1), [0, 1], true, |_, _, tier| {
             assert_eq!(tier, CacheTier::Ram);
         });
-        assert_eq!(cache.disk().unwrap().read_calls(), 0);
+        assert_eq!(cache.disk().unwrap().counters().read_calls.get(), 0);
     }
 
     #[test]
@@ -528,7 +534,7 @@ mod tests {
         let (back, tier) = cache.get(&id(1, 0)).unwrap();
         assert_eq!(tier, CacheTier::Ram);
         assert_eq!(back, chunk(7, 300, 2));
-        assert_eq!(cache.disk().unwrap().appended_bytes(), 0);
+        assert_eq!(cache.disk().unwrap().counters().appended_bytes.get(), 0);
         // A chunk that does fit still moves, and leaves RAM.
         assert!(cache.insert_to_tier(id(2, 0), chunk(8, 100, 1), CacheTier::Ram));
         assert!(cache.insert_to_tier(id(2, 0), chunk(8, 100, 1), CacheTier::Disk));
@@ -545,7 +551,7 @@ mod tests {
         assert_eq!(cache.stats().rejected_inserts(), 1);
         assert_eq!(cache.peek(&id(1, 0)).unwrap().0.version(), 3);
         assert_eq!(
-            cache.disk().unwrap().appended_bytes(),
+            cache.disk().unwrap().counters().appended_bytes.get(),
             133,
             "nothing written"
         );
@@ -652,7 +658,7 @@ mod tests {
         assert!(cache.insert_to_tier(id(2, 0), chunk(5, 100, 5), CacheTier::Ram));
         assert!(!cache.insert_to_tier(id(2, 0), chunk(4, 100, 4), CacheTier::Disk));
         assert_eq!(cache.tier_of(&id(2, 0)), Some(CacheTier::Ram));
-        assert_eq!(cache.disk().unwrap().appended_bytes(), 133);
+        assert_eq!(cache.disk().unwrap().counters().appended_bytes.get(), 133);
         assert_eq!(cache.stats().rejected_inserts(), 2);
         // The same version moves between tiers, as a re-tier does.
         assert!(cache.insert_to_tier(id(2, 0), chunk(5, 100, 5), CacheTier::Disk));

@@ -3,9 +3,9 @@
 //! Everything the simulator can break is driven from pure data plus the
 //! run seed, so a failing run replays bit-identically:
 //!
-//! - [`RegionOutage`] — periodic fail→heal partitions/blackouts of a
-//!   whole region on a [`FailureCycle`], the `tail` harness's
-//!   `FlakyRegion` schedule (pure function of the sim clock, no RNG
+//! - [`FlakyRegion`] — periodic fail→heal partitions/blackouts of a
+//!   whole region on a [`FailureCycle`], the same schedule the `tail`
+//!   harness's scenarios use (pure function of the sim clock, no RNG
 //!   draws);
 //! - [`FetchFaultSpec`] — per-fetch error returns at a configured rate
 //!   inside scheduled fault windows, decided by hashing the run seed
@@ -34,23 +34,12 @@
 
 use agar::{ChunkFetcher, FetchRequest};
 use agar_net::{RegionId, SimTime};
-use agar_obs::{Counter, Labels, MetricsRegistry};
 use agar_store::{ChunkFetch, StoreError};
-use agar_workload::FailureCycle;
+use agar_workload::{FailureCycle, FlakyRegion};
 use rand::RngCore;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// A periodic region blackout: the region is unreachable while its
-/// cycle is down.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RegionOutage {
-    /// The region to black out.
-    pub region: RegionId,
-    /// When the region is blacked out.
-    pub cycle: FailureCycle,
-}
 
 /// Per-fetch error injection: inside each scheduled fault window,
 /// every fetch independently errors with probability
@@ -71,8 +60,9 @@ pub struct ChaosSpec {
     /// Seed every hash-based fault decision mixes in. Same seed ⇒
     /// byte-identical fault schedule.
     pub seed: u64,
-    /// Region blackout schedules.
-    pub outages: Vec<RegionOutage>,
+    /// Region blackout schedules: each region is unreachable while its
+    /// cycle is down.
+    pub outages: Vec<FlakyRegion>,
     /// Per-fetch error injection, if any.
     pub fetch_faults: Option<FetchFaultSpec>,
 }
@@ -85,7 +75,7 @@ impl ChaosSpec {
     }
 
     /// True when the spec can never inject a fault.
-    pub fn is_quiet(&self) -> bool {
+    fn is_quiet(&self) -> bool {
         self.outages.is_empty() && self.fetch_faults.is_none()
     }
 }
@@ -136,9 +126,20 @@ pub struct ChaosPlane {
     /// Monotone per-plane fetch sequence number; the hash key that
     /// makes per-fetch fault decisions deterministic.
     sequence: AtomicU64,
-    faults_injected: Counter,
-    partition_faults: Counter,
-    fetch_error_faults: Counter,
+    counters: ChaosCounters,
+}
+
+agar_obs::cell_table! {
+    /// The plane's fault counts: every injected fault, and the part of
+    /// them from region blackouts and from the per-fetch error schedule.
+    pub struct ChaosCounters {
+        faults_injected: Counter "agar_chaos_faults_injected_total" []
+            "Faults injected by the chaos plane, all classes.";
+        partition_faults: Counter "agar_chaos_partition_faults_total" []
+            "Fetches failed because their region was blacked out.";
+        fetch_error_faults: Counter "agar_chaos_fetch_error_faults_total" []
+            "Fetches failed by the per-fetch error schedule.";
+    }
 }
 
 impl ChaosPlane {
@@ -150,59 +151,22 @@ impl ChaosPlane {
             spec,
             clock,
             sequence: AtomicU64::new(0),
-            faults_injected: Counter::default(),
-            partition_faults: Counter::default(),
-            fetch_error_faults: Counter::default(),
+            counters: ChaosCounters::default(),
         }
     }
 
-    /// Total faults injected so far.
-    pub fn faults_injected(&self) -> u64 {
-        self.faults_injected.get()
-    }
-
-    /// Faults injected because the target region was blacked out.
-    pub fn partition_faults(&self) -> u64 {
-        self.partition_faults.get()
-    }
-
-    /// Faults injected by the per-fetch error schedule.
-    pub fn fetch_error_faults(&self) -> u64 {
-        self.fetch_error_faults.get()
-    }
-
-    /// Registers the plane's fault counters. Families:
-    /// `agar_chaos_faults_injected_total`,
-    /// `agar_chaos_partition_faults_total`,
-    /// `agar_chaos_fetch_error_faults_total`.
-    pub fn register_metrics(&self, registry: &MetricsRegistry, base: Labels) {
-        registry.register_counter(
-            "agar_chaos_faults_injected_total",
-            "Faults injected by the chaos plane, all classes.",
-            base.clone(),
-            &self.faults_injected,
-        );
-        registry.register_counter(
-            "agar_chaos_partition_faults_total",
-            "Fetches failed because their region was blacked out.",
-            base.clone(),
-            &self.partition_faults,
-        );
-        registry.register_counter(
-            "agar_chaos_fetch_error_faults_total",
-            "Fetches failed by the per-fetch error schedule.",
-            base,
-            &self.fetch_error_faults,
-        );
+    /// The plane's fault counters (see [`ChaosCounters`]).
+    pub fn counters(&self) -> &ChaosCounters {
+        &self.counters
     }
 
     /// Decides whether the fault plane fails this request, and counts
     /// the injection if so.
     fn inject(&self, request: &FetchRequest, now_s: u64, sequence: u64) -> bool {
         for outage in &self.spec.outages {
-            if outage.region == request.region && outage.cycle.is_down_at(now_s) {
-                self.partition_faults.inc();
-                self.faults_injected.inc();
+            if RegionId::new(outage.region) == request.region && outage.cycle.is_down_at(now_s) {
+                self.counters.partition_faults.inc();
+                self.counters.faults_injected.inc();
                 return true;
             }
         }
@@ -210,8 +174,8 @@ impl ChaosPlane {
             if faults.cycle.is_down_at(now_s)
                 && mix(self.spec.seed ^ sequence) % 1024 < u64::from(faults.per_1024)
             {
-                self.fetch_error_faults.inc();
-                self.faults_injected.inc();
+                self.counters.fetch_error_faults.inc();
+                self.counters.faults_injected.inc();
                 return true;
             }
         }
@@ -274,7 +238,7 @@ impl std::fmt::Debug for ChaosPlane {
         f.debug_struct("ChaosPlane")
             .field("spec", &self.spec)
             .field("sequence", &self.sequence.load(Ordering::Relaxed))
-            .field("faults_injected", &self.faults_injected.get())
+            .field("faults_injected", &self.counters.faults_injected.get())
             .finish()
     }
 }
@@ -376,7 +340,7 @@ mod tests {
         let results = plane.fetch(RegionId::new(0), &[request(0), request(1)], &mut rng);
         assert_eq!(results.len(), 2);
         assert_eq!(inner.calls.load(Ordering::Relaxed), 1);
-        assert_eq!(plane.faults_injected(), 0);
+        assert_eq!(plane.counters().faults_injected.get(), 0);
     }
 
     #[test]
@@ -388,8 +352,8 @@ mod tests {
         clock.set(SimTime::from_secs(6));
         let spec = ChaosSpec {
             seed: 7,
-            outages: vec![RegionOutage {
-                region: RegionId::new(1),
+            outages: vec![FlakyRegion {
+                region: 1,
                 cycle: FailureCycle {
                     first_failure_s: 5,
                     down_s: 5,
@@ -409,7 +373,7 @@ mod tests {
             Err(StoreError::RegionUnavailable { region }) if region == RegionId::new(1)
         ));
         assert_eq!(inner.calls.load(Ordering::Relaxed), 0);
-        assert_eq!(plane.partition_faults(), 1);
+        assert_eq!(plane.counters().partition_faults.get(), 1);
 
         // After the heal the same fetch goes straight through.
         clock.set(SimTime::from_secs(11));

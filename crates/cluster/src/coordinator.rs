@@ -32,11 +32,8 @@
 //! against its manifest snapshot.
 
 use agar::fetcher::{ChunkFetcher, FetchRequest};
-use agar_cache::stats::ROWS;
-use agar_cache::CacheStats;
 use agar_ec::ChunkId;
 use agar_net::RegionId;
-use agar_obs::{Counter, Labels, MetricsRegistry};
 use agar_store::{Backend, ChunkFetch, StoreError};
 use rand::RngCore;
 use std::collections::hash_map::Entry;
@@ -90,9 +87,21 @@ pub struct FetchCoordinator {
     /// throughput benches set a small hold to make in-flight windows
     /// physically wide enough to exercise coalescing.
     wall_delay: Option<Duration>,
-    coalesced_fetches: Counter,
-    batched_requests: Counter,
-    primary_fetches: Counter,
+    counters: CoordinatorCounters,
+}
+
+agar_obs::cell_table! {
+    /// The coordination counters: fetches that joined another reader's
+    /// flight, region-grouped round trips, and fetches that actually hit
+    /// the backend (flight leaders).
+    pub struct CoordinatorCounters {
+        coalesced_fetches: Counter "agar_fetch_coalesced_total" [("source", "coordinator")]
+            "Backend fetches served by an in-flight duplicate (single-flight).";
+        batched_requests: Counter "agar_fetch_batched_round_trips_total" [("source", "coordinator")]
+            "Region-grouped backend round trips issued.";
+        primary_fetches: Counter "agar_fetch_primary_total" []
+            "Chunk fetches that actually hit the backend (flight leaders).";
+    }
 }
 
 impl FetchCoordinator {
@@ -102,9 +111,7 @@ impl FetchCoordinator {
             backend,
             inflight: Mutex::new(HashMap::new()),
             wall_delay: None,
-            coalesced_fetches: Counter::new(),
-            batched_requests: Counter::new(),
-            primary_fetches: Counter::new(),
+            counters: CoordinatorCounters::default(),
         }
     }
 
@@ -118,18 +125,18 @@ impl FetchCoordinator {
 
     /// Chunk fetches that actually hit the backend (flight leaders).
     pub fn primary_fetches(&self) -> u64 {
-        self.primary_fetches.get()
+        self.counters.primary_fetches.get()
     }
 
     /// Chunk fetches served by piggybacking on another reader's
     /// in-flight fetch.
     pub fn coalesced_fetches(&self) -> u64 {
-        self.coalesced_fetches.get()
+        self.counters.coalesced_fetches.get()
     }
 
     /// Batched (region-grouped) round trips issued.
     pub fn batched_requests(&self) -> u64 {
-        self.batched_requests.get()
+        self.counters.batched_requests.get()
     }
 
     /// Number of entries currently in the single-flight table. Quiesced
@@ -144,32 +151,9 @@ impl FetchCoordinator {
             .len()
     }
 
-    /// The coordination counters as a [`CacheStats`] report (only the
-    /// `coalesced_fetches` / `batched_requests` fields are set);
-    /// routers merge this into their aggregated cache statistics.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            coalesced_fetches: self.coalesced_fetches(),
-            batched_requests: self.batched_requests(),
-            ..CacheStats::default()
-        }
-    }
-
-    /// Late-binds the coordination counters into a metrics registry
-    /// under `base` labels: the two counter-table rows this struct owns
-    /// (labelled `source="coordinator"`) plus the primary-fetch count.
-    pub fn register_metrics(&self, registry: &MetricsRegistry, base: &Labels) {
-        let sourced = base.clone().with("source", "coordinator");
-        ROWS.coalesced_fetches
-            .register(registry, &sourced, &self.coalesced_fetches);
-        ROWS.batched_requests
-            .register(registry, &sourced, &self.batched_requests);
-        registry.register_counter(
-            "agar_fetch_primary_total",
-            "Chunk fetches that actually hit the backend (flight leaders).",
-            base.clone(),
-            &self.primary_fetches,
-        );
+    /// The coordination counters (see [`CoordinatorCounters`]).
+    pub fn counters(&self) -> &CoordinatorCounters {
+        &self.counters
     }
 }
 
@@ -248,8 +232,8 @@ impl ChunkFetcher for FetchCoordinator {
             };
             let chunks: Vec<ChunkId> = lead.iter().map(|&i| requests[i].chunk).collect();
             let outcome = self.backend.fetch_chunks(client_region, &chunks, rng);
-            self.batched_requests.add(outcome.batches() as u64);
-            self.primary_fetches.add(lead.len() as u64);
+            self.counters.batched_requests.add(outcome.batches() as u64);
+            self.counters.primary_fetches.add(lead.len() as u64);
             if let Some(delay) = self.wall_delay {
                 std::thread::sleep(delay);
             }
@@ -269,7 +253,7 @@ impl ChunkFetcher for FetchCoordinator {
 
         // Join: park until each leader publishes.
         for (i, flight) in joined {
-            self.coalesced_fetches.inc();
+            self.counters.coalesced_fetches.inc();
             slots[i] = Some(flight.wait());
         }
 

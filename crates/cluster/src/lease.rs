@@ -16,8 +16,8 @@
 //! owner's write-update, then the invalidation of the object on every
 //! other member. A lease is released by dropping it — after a
 //! successful write, a failed one or a panic alike — so waiters always
-//! wake and no lease leaks. Statistics (`lease_grants`,
-//! `lease_contentions`) surface through [`CacheStats`].
+//! wake and no lease leaks. Grants and contentions are cells of
+//! [`LeaseCounters`] and surface in the router's `CacheStats` too.
 //!
 //! **Lease failover.** An owner that *crashes* mid-write
 //! ([`WriteLease::crash`], driven by the fault plane) leaves the lease
@@ -29,12 +29,9 @@
 //! half-replaced. Torn backend state itself is harmless: the manifest
 //! is installed before the chunks, so readers of a half-written object
 //! see version mismatches and retry rather than decode across versions.
-//! The fence count surfaces as `agar_lease_fences_total`.
+//! Fences are counted in [`LeaseCounters`].
 
-use agar_cache::stats::ROWS;
-use agar_cache::CacheStats;
 use agar_ec::ObjectId;
-use agar_obs::Counter;
 use std::collections::HashSet;
 use std::sync::{Condvar, Mutex, PoisonError};
 
@@ -58,10 +55,20 @@ pub struct WriteLeaseManager {
     /// Signalled on every release. Waiters on different objects share
     /// it, so a release wakes them all and each re-checks its object.
     released: Condvar,
-    /// Poisoned leases fenced and reclaimed by a subsequent writer.
-    fences: Counter,
-    lease_grants: Counter,
-    lease_contentions: Counter,
+    counters: LeaseCounters,
+}
+
+agar_obs::cell_table! {
+    /// The lease counters: grants, writes that waited behind another
+    /// writer, and poisoned leases a subsequent writer fenced.
+    pub struct LeaseCounters {
+        lease_grants: Counter "agar_lease_grants_total" [("source", "leases")]
+            "Per-object write leases granted.";
+        lease_contentions: Counter "agar_lease_contentions_total" [("source", "leases")]
+            "Writes that waited behind another writer's lease.";
+        fences: Counter "agar_lease_fences_total" []
+            "Poisoned leases fenced and reclaimed after an owner crash.";
+    }
 }
 
 impl WriteLeaseManager {
@@ -80,7 +87,7 @@ impl WriteLeaseManager {
         let mut table = self.table.lock().expect("lease table poisoned");
         let contended = table.held.contains(&object);
         if contended {
-            self.lease_contentions.inc();
+            self.counters.lease_contentions.inc();
             table = self
                 .released
                 .wait_while(table, |table| table.held.contains(&object))
@@ -90,9 +97,9 @@ impl WriteLeaseManager {
         let fenced = table.poisoned.remove(&object);
         drop(table);
         if fenced {
-            self.fences.inc();
+            self.counters.fences.inc();
         }
-        self.lease_grants.inc();
+        self.counters.lease_grants.inc();
         WriteLease {
             manager: self,
             object,
@@ -103,7 +110,7 @@ impl WriteLeaseManager {
 
     /// Poisoned leases fenced and reclaimed by a subsequent writer.
     pub fn fences(&self) -> u64 {
-        self.fences.get()
+        self.counters.fences.get()
     }
 
     /// Leases currently held (diagnostics; the race suite asserts this
@@ -112,32 +119,9 @@ impl WriteLeaseManager {
         self.table.lock().expect("lease table poisoned").held.len()
     }
 
-    /// The lease counters as a [`CacheStats`] report (only the
-    /// `lease_grants` / `lease_contentions` fields are set); the router
-    /// merges this into its aggregated statistics.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            lease_grants: self.lease_grants.get(),
-            lease_contentions: self.lease_contentions.get(),
-            ..CacheStats::default()
-        }
-    }
-
-    /// Late-binds the lease counters into a metrics registry: the two
-    /// counter-table rows this struct owns (labelled `source="leases"`)
-    /// plus the fence count.
-    pub fn register_metrics(&self, registry: &agar_obs::MetricsRegistry, base: &agar_obs::Labels) {
-        let sourced = base.clone().with("source", "leases");
-        ROWS.lease_grants
-            .register(registry, &sourced, &self.lease_grants);
-        ROWS.lease_contentions
-            .register(registry, &sourced, &self.lease_contentions);
-        registry.register_counter(
-            "agar_lease_fences_total",
-            "Poisoned leases fenced and reclaimed after an owner crash.",
-            base.clone(),
-            &self.fences,
-        );
+    /// The lease counters (see [`LeaseCounters`]).
+    pub fn counters(&self) -> &LeaseCounters {
+        &self.counters
     }
 }
 
@@ -221,9 +205,9 @@ mod tests {
         handle.join().unwrap();
         assert!(acquired.load(Ordering::SeqCst));
         assert_eq!(manager.active_leases(), 0, "leaked lease");
-        let stats = manager.stats();
-        assert_eq!(stats.lease_grants(), 2);
-        assert_eq!(stats.lease_contentions(), 1);
+        let counters = manager.counters();
+        assert_eq!(counters.lease_grants.get(), 2);
+        assert_eq!(counters.lease_contentions.get(), 1);
     }
 
     #[test]
@@ -237,7 +221,7 @@ mod tests {
         drop(a);
         drop(b);
         assert_eq!(manager.active_leases(), 0);
-        assert_eq!(manager.stats().lease_contentions(), 0);
+        assert_eq!(manager.counters().lease_contentions.get(), 0);
     }
 
     #[test]

@@ -37,11 +37,10 @@ use crate::lease::WriteLeaseManager;
 use crate::ring::{ClusterRing, DEFAULT_VNODES};
 use agar::planner::RemoteChunk;
 use agar::{AgarError, AgarNode, DirectFetcher, ReadMetrics};
-use agar_cache::stats::ROWS;
 use agar_cache::{CacheStats, CacheTier};
 use agar_ec::{ChunkSet, ObjectId};
 use agar_net::SimTime;
-use agar_obs::{Counter, Labels, MetricsRegistry};
+use agar_obs::{Labels, MetricsRegistry};
 use agar_store::Backend;
 use parking_lot::RwLock;
 use rand::rngs::StdRng;
@@ -156,10 +155,21 @@ pub struct ClusterRouter {
     seed: u64,
     ops: AtomicU64,
     next_id: AtomicU64,
-    remote_hits: Counter,
-    routed_reads: Counter,
-    /// Members a routed write found holding chunks of the object.
-    invalidations: Counter,
+    counters: RouterCounters,
+}
+
+agar_obs::cell_table! {
+    /// The router's own counters: routed reads, chunks served from a
+    /// sibling member's cache, and members a routed write found holding
+    /// chunks of the object.
+    pub struct RouterCounters {
+        routed_reads: Counter "agar_cluster_routed_reads_total" []
+            "Reads routed through the cluster router.";
+        remote_hits: Counter "agar_cluster_remote_hits_total" []
+            "Chunk lookups served from a sibling member's cache.";
+        targeted_invalidations: Counter "agar_invalidations_targeted_total" [("source", "router")]
+            "Members that held chunks of an object a routed write invalidated.";
+    }
 }
 
 impl ClusterRouter {
@@ -205,9 +215,7 @@ impl ClusterRouter {
             seed,
             ops: AtomicU64::new(0),
             next_id: AtomicU64::new(0),
-            remote_hits: Counter::new(),
-            routed_reads: Counter::new(),
-            invalidations: Counter::new(),
+            counters: RouterCounters::default(),
         })
     }
 
@@ -232,14 +240,9 @@ impl ClusterRouter {
         self.state.read().member(id).cloned()
     }
 
-    /// Chunk lookups served from a sibling member's cache.
-    pub fn remote_hits(&self) -> u64 {
-        self.remote_hits.get()
-    }
-
-    /// Reads routed through [`ClusterRouter::read`].
-    pub fn routed_reads(&self) -> u64 {
-        self.routed_reads.get()
+    /// The router's own counters (see [`RouterCounters`]).
+    pub fn counters(&self) -> &RouterCounters {
+        &self.counters
     }
 
     /// A snapshot of the current ring (diagnostics and tests).
@@ -352,7 +355,7 @@ impl ClusterRouter {
     /// [`AgarError::InvalidSetting`] on an empty cluster; otherwise
     /// the owner node's read errors.
     pub fn read(&self, object: ObjectId) -> Result<ClusterReadMetrics, AgarError> {
-        self.routed_reads.inc();
+        self.counters.routed_reads.inc();
         let (home_id, home, probes) = {
             let state = self.state.read();
             let prefs = state.ring.preference_of_object(
@@ -469,7 +472,7 @@ impl ClusterRouter {
             .collect();
         let metrics = home.read_with_offers(object, &remote)?;
         if metrics.remote_hits > 0 {
-            self.remote_hits.add(metrics.remote_hits as u64);
+            self.counters.remote_hits.add(metrics.remote_hits as u64);
         }
         Ok(ClusterReadMetrics {
             remote_hits: metrics.remote_hits,
@@ -545,7 +548,7 @@ impl ClusterRouter {
             .into_iter()
             .filter(|node| node.invalidate_object(object) > 0)
             .count() as u64;
-        self.invalidations.add(held);
+        self.counters.targeted_invalidations.add(held);
         held
     }
 
@@ -587,39 +590,26 @@ impl ClusterRouter {
                 merged.merge(&member.node.cache_stats());
             }
         }
-        merged.merge(&self.coordinator.stats());
-        merged.merge(&self.leases.stats());
+        let leases = self.leases.counters();
         merged.merge(&CacheStats {
-            targeted_invalidations: self.invalidations.get(),
+            coalesced_fetches: self.coordinator.coalesced_fetches(),
+            batched_requests: self.coordinator.batched_requests(),
+            lease_grants: leases.lease_grants.get(),
+            lease_contentions: leases.lease_contentions.get(),
+            targeted_invalidations: self.counters.targeted_invalidations.get(),
             ..CacheStats::default()
         });
         merged
     }
 
-    /// Late-binds the whole cluster's telemetry into `registry`:
-    /// router-level routing and invalidation counters, the shared
-    /// coordinator and lease manager, and every member node (labelled
-    /// by member id on top of the caller's base labels).
+    /// Late-binds the whole cluster's telemetry into `registry` by
+    /// walking the tables in order: the router's own [`RouterCounters`],
+    /// the shared coordinator's and lease manager's, then every member
+    /// node (labelled by member id on top of the caller's base labels).
     pub fn register_metrics(&self, registry: &MetricsRegistry, base: &Labels) {
-        registry.register_counter(
-            "agar_cluster_routed_reads_total",
-            "Reads routed through the cluster router.",
-            base.clone(),
-            &self.routed_reads,
-        );
-        registry.register_counter(
-            "agar_cluster_remote_hits_total",
-            "Chunk lookups served from a sibling member's cache.",
-            base.clone(),
-            &self.remote_hits,
-        );
-        ROWS.targeted_invalidations.register(
-            registry,
-            &base.clone().with("source", "router"),
-            &self.invalidations,
-        );
-        self.coordinator.register_metrics(registry, base);
-        self.leases.register_metrics(registry, base);
+        self.counters.register_with(registry, base);
+        self.coordinator.counters().register_with(registry, base);
+        self.leases.counters().register_with(registry, base);
         let state = self.state.read();
         for member in &state.members {
             let labels = base.clone().with("member", member.id.to_string());
@@ -633,8 +623,7 @@ impl std::fmt::Debug for ClusterRouter {
         let state = self.state.read();
         f.debug_struct("ClusterRouter")
             .field("members", &state.members.len())
-            .field("routed_reads", &self.routed_reads())
-            .field("remote_hits", &self.remote_hits())
+            .field("counters", &self.counters)
             .field("coordinator", &self.coordinator)
             .finish()
     }
@@ -740,7 +729,7 @@ mod tests {
             .map(|i| router.read(ObjectId::new(i)).unwrap().home)
             .collect();
         assert!(homes.len() > 1, "all objects landed on one member");
-        assert_eq!(router.routed_reads(), 8 * 5);
+        assert_eq!(router.counters().routed_reads.get(), 8 * 5);
     }
 
     #[test]
@@ -775,7 +764,10 @@ mod tests {
             collab.metrics().latency,
             solo.latency
         );
-        assert!(router.remote_hits() > 0, "no sibling hits recorded");
+        assert!(
+            router.counters().remote_hits.get() > 0,
+            "no sibling hits recorded"
+        );
         let _ = dublin_id;
     }
 
@@ -821,7 +813,10 @@ mod tests {
             collab.metrics().latency,
             solo.latency
         );
-        assert!(router.remote_hits() > 0, "no sibling hits recorded");
+        assert!(
+            router.counters().remote_hits.get() > 0,
+            "no sibling hits recorded"
+        );
     }
 
     #[test]
@@ -971,7 +966,10 @@ mod tests {
             "{on_disk} configured chunks on the home's disk"
         );
 
-        let calls: Vec<u64> = members.iter().map(|m| m.disk_read_calls()).collect();
+        let calls: Vec<u64> = members
+            .iter()
+            .map(|m| m.disk_counters().unwrap().read_calls.get())
+            .collect();
         let before = home.cache_stats();
         let read = router.read(object).unwrap();
         assert_eq!(read.home, home_id);
@@ -984,7 +982,7 @@ mod tests {
         let issued: Vec<u64> = members
             .iter()
             .zip(&calls)
-            .map(|(member, before)| member.disk_read_calls() - before)
+            .map(|(member, before)| member.disk_counters().unwrap().read_calls.get() - before)
             .collect();
         // The fill appended the configured frames back to back: one
         // run, one read — not one more per chunk for the router's RAM
@@ -1158,7 +1156,7 @@ mod tests {
         let held = leases.acquire(object);
         std::thread::scope(|scope| {
             scope.spawn(|| drop(leases.acquire(object)));
-            while leases.stats().lease_contentions() == 0 {
+            while leases.counters().lease_contentions.get() == 0 {
                 std::thread::yield_now();
             }
             drop(held);

@@ -18,7 +18,6 @@
 //! read path is byte-identical to pre-breaker builds.
 
 use agar_net::RegionId;
-use agar_obs::{Counter, Labels, MetricsRegistry};
 use parking_lot::Mutex;
 
 /// Breaker tuning. The default (`failure_threshold = 0`) disables the
@@ -58,9 +57,21 @@ enum RegionState {
 pub struct CircuitBreaker {
     policy: BreakerPolicy,
     states: Mutex<Vec<RegionState>>,
-    opens: Counter,
-    probes: Counter,
-    closes: Counter,
+    counters: BreakerCounters,
+}
+
+agar_obs::cell_table! {
+    /// The breaker's state transitions: closed→open (and
+    /// half-open→open), half-open probes admitted, and
+    /// open/half-open→closed recoveries.
+    pub struct BreakerCounters {
+        opens: Counter "agar_breaker_opens_total" []
+            "Circuit-breaker transitions to open (region excluded from plans).";
+        probes: Counter "agar_breaker_probes_total" []
+            "Half-open probe admissions after an open region's cooldown.";
+        closes: Counter "agar_breaker_closes_total" []
+            "Circuit-breaker recoveries to closed after a successful probe.";
+    }
 }
 
 impl CircuitBreaker {
@@ -69,9 +80,7 @@ impl CircuitBreaker {
         CircuitBreaker {
             policy,
             states: Mutex::new(vec![RegionState::Closed { failures: 0 }; regions]),
-            opens: Counter::default(),
-            probes: Counter::default(),
-            closes: Counter::default(),
+            counters: BreakerCounters::default(),
         }
     }
 
@@ -96,7 +105,7 @@ impl CircuitBreaker {
             RegionState::Closed { .. } => *state = RegionState::Closed { failures: 0 },
             RegionState::HalfOpen | RegionState::Open { .. } => {
                 *state = RegionState::Closed { failures: 0 };
-                self.closes.inc();
+                self.counters.closes.inc();
             }
         }
     }
@@ -119,7 +128,7 @@ impl CircuitBreaker {
                     *state = RegionState::Open {
                         since_micros: now_micros,
                     };
-                    self.opens.inc();
+                    self.counters.opens.inc();
                 } else {
                     *state = RegionState::Closed { failures };
                 }
@@ -128,7 +137,7 @@ impl CircuitBreaker {
                 *state = RegionState::Open {
                     since_micros: now_micros,
                 };
-                self.opens.inc();
+                self.counters.opens.inc();
             }
             RegionState::Open { .. } => {}
         }
@@ -152,7 +161,7 @@ impl CircuitBreaker {
                     let elapsed = now_micros.saturating_sub(since_micros);
                     if elapsed >= self.policy.cooldown.as_micros() as u64 {
                         *state = RegionState::HalfOpen;
-                        self.probes.inc();
+                        self.counters.probes.inc();
                         false
                     } else {
                         true
@@ -175,43 +184,9 @@ impl CircuitBreaker {
             .count()
     }
 
-    /// Closed→open (and half-open→open) transitions so far.
-    pub fn opens(&self) -> u64 {
-        self.opens.get()
-    }
-
-    /// Half-open probes admitted so far.
-    pub fn probes(&self) -> u64 {
-        self.probes.get()
-    }
-
-    /// Open/half-open→closed recoveries so far.
-    pub fn closes(&self) -> u64 {
-        self.closes.get()
-    }
-
-    /// Registers the breaker's transition counters. Families:
-    /// `agar_breaker_opens_total`, `agar_breaker_probes_total`,
-    /// `agar_breaker_closes_total`.
-    pub fn register_metrics(&self, registry: &MetricsRegistry, base: Labels) {
-        registry.register_counter(
-            "agar_breaker_opens_total",
-            "Circuit-breaker transitions to open (region excluded from plans).",
-            base.clone(),
-            &self.opens,
-        );
-        registry.register_counter(
-            "agar_breaker_probes_total",
-            "Half-open probe admissions after an open region's cooldown.",
-            base.clone(),
-            &self.probes,
-        );
-        registry.register_counter(
-            "agar_breaker_closes_total",
-            "Circuit-breaker recoveries to closed after a successful probe.",
-            base,
-            &self.closes,
-        );
+    /// The breaker's transition cells (see [`BreakerCounters`]).
+    pub fn counters(&self) -> &BreakerCounters {
+        &self.counters
     }
 }
 
@@ -237,7 +212,7 @@ mod tests {
             breaker.record_failure(RegionId::new(1), 0);
         }
         assert!(breaker.exclusion_mask(u64::MAX).is_empty());
-        assert_eq!(breaker.opens(), 0);
+        assert_eq!(breaker.counters().opens.get(), 0);
     }
 
     #[test]
@@ -252,7 +227,7 @@ mod tests {
         );
         breaker.record_failure(region, 0);
         assert!(breaker.exclusion_mask(0)[2], "threshold trips open");
-        assert_eq!(breaker.opens(), 1);
+        assert_eq!(breaker.counters().opens.get(), 1);
         assert_eq!(breaker.open_regions(), 1);
     }
 
@@ -278,15 +253,15 @@ mod tests {
         assert!(breaker.exclusion_mask(1_500_000)[1], "cooling down");
         // Cooldown (2s) elapsed: probe admitted, region re-planned.
         assert!(!breaker.exclusion_mask(3_000_000)[1]);
-        assert_eq!(breaker.probes(), 1);
+        assert_eq!(breaker.counters().probes.get(), 1);
         // Probe failed: straight back to open, no threshold needed.
         breaker.record_failure(region, 3_000_000);
         assert!(breaker.exclusion_mask(3_500_000)[1]);
-        assert_eq!(breaker.opens(), 2);
+        assert_eq!(breaker.counters().opens.get(), 2);
         // Second probe succeeds: closed and counted.
         assert!(!breaker.exclusion_mask(6_000_000)[1]);
         breaker.record_success(region);
-        assert_eq!(breaker.closes(), 1);
+        assert_eq!(breaker.counters().closes.get(), 1);
         assert!(!breaker.exclusion_mask(6_000_000)[1]);
         assert_eq!(breaker.open_regions(), 0);
     }

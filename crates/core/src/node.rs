@@ -87,12 +87,14 @@ use crate::knapsack::KnapsackSolver;
 use crate::monitor::RequestMonitor;
 use crate::region_manager::RegionManager;
 use crate::retry::RetryPolicy;
-use agar_cache::{CacheStats, CacheTier, CachedChunk, TieredChunkCache, DEFAULT_CACHE_SHARDS};
+use agar_cache::{
+    CacheStats, CacheTier, CachedChunk, DiskCounters, DiskStore, TieredChunkCache,
+    DEFAULT_CACHE_SHARDS,
+};
 use agar_ec::{ChunkId, ChunkSet, ObjectId};
 use agar_net::{RegionId, SimTime};
 use agar_obs::{
-    chrome_trace_json, Counter, Gauge, Labels, MetricsRegistry, ReadTrace, StageHistograms,
-    TraceBuffer,
+    chrome_trace_json, Labels, MetricsRegistry, ReadTrace, StageHistograms, TraceBuffer,
 };
 use agar_store::Backend;
 use bytes::Bytes;
@@ -358,21 +360,7 @@ pub struct AgarNode {
     /// callers neither block behind the a-priori chunk downloads nor
     /// double-trigger (the clock is advanced before the guard drops).
     epoch_clock: Mutex<EpochClock>,
-    reconfigurations: Counter,
-    fill_fetches: Counter,
-    /// Chunks writes left behind in the cache (see [`AgarNode::write`]).
-    write_update_chunks: Counter,
-    /// Chunks of the live configuration's carried entries.
-    carried_chunks: Gauge,
-    /// Re-plans and version-race restarts beyond each read's first
-    /// attempt.
-    retries: Counter,
-    /// Total exponential-backoff time charged to reads, in simulated
-    /// microseconds (zero under the default policy).
-    retry_backoff_micros: Counter,
-    /// Reads that re-planned *ungated* because breaker exclusions left
-    /// fewer than k reachable chunks — degraded but served.
-    degraded_reads: Counter,
+    counters: NodeCounters,
     /// Per-region circuit breaker consulted by the planner. Disabled
     /// (stateless) under the default policy.
     breaker: CircuitBreaker,
@@ -388,6 +376,33 @@ pub struct AgarNode {
     /// [`AgarSettings::trace_sample_every`] is zero (the default) —
     /// the zero-cost path.
     trace: Option<TraceLayer>,
+}
+
+agar_obs::cell_table! {
+    /// The node's own cells. Write-update chunks are the configured
+    /// chunks a write left in the cache (see [`AgarNode::write`]);
+    /// carried chunks are those of the live configuration's carried
+    /// entries; retries are re-plans and version-race restarts beyond
+    /// each read's first attempt; backoff is zero under the default
+    /// retry policy; a degraded read re-planned *ungated* because
+    /// breaker exclusions left fewer than k reachable chunks — degraded
+    /// but served.
+    pub struct NodeCounters {
+        reconfigurations: Counter "agar_reconfigurations_total" []
+            "Knapsack reconfigurations performed by this node.";
+        fill_fetches: Counter "agar_fill_fetches_total" []
+            "Off-critical-path cache fill fetches issued by this node.";
+        write_update_chunks: Counter "agar_write_update_chunks_total" []
+            "Configured chunks this node's writes left in its cache at the new version.";
+        carried_chunks: Gauge "agar_config_carried_chunks" []
+            "Disk-tier chunks the configuration carries for objects no solve names.";
+        retries: Counter "agar_read_retries_total" []
+            "Read re-plans and version-race restarts beyond first attempts.";
+        retry_backoff_micros: Counter "agar_retry_backoff_micros_total" []
+            "Exponential-backoff time charged to reads, simulated microseconds.";
+        degraded_reads: Counter "agar_degraded_reads_total" []
+            "Reads re-planned ungated because breaker exclusions left under k chunks.";
+    }
 }
 
 impl AgarNode {
@@ -431,13 +446,7 @@ impl AgarNode {
             config: RwLock::new(Arc::new(CacheConfiguration::empty())),
             reconfigure_serial: Mutex::new(()),
             epoch_clock: Mutex::new(EpochClock::default()),
-            reconfigurations: Counter::new(),
-            fill_fetches: Counter::new(),
-            write_update_chunks: Counter::new(),
-            carried_chunks: Gauge::new(),
-            retries: Counter::new(),
-            retry_backoff_micros: Counter::new(),
-            degraded_reads: Counter::new(),
+            counters: NodeCounters::default(),
             breaker,
             sim_now_micros: AtomicU64::new(0),
             trace: (settings.trace_sample_every > 0)
@@ -470,7 +479,7 @@ impl AgarNode {
 
     /// Number of reconfigurations performed.
     pub fn reconfigurations(&self) -> u64 {
-        self.reconfigurations.get()
+        self.counters.reconfigurations.get()
     }
 
     /// Snapshot of the popularity table (diagnostics).
@@ -570,7 +579,7 @@ impl AgarNode {
             let id = ChunkId::new(object, index);
             placed += u64::from(self.insert_revalidated(id, chunk(index)));
         }
-        self.write_update_chunks.add(placed);
+        self.counters.write_update_chunks.add(placed);
         Ok((put.version, put.latency))
     }
 
@@ -618,20 +627,20 @@ impl AgarNode {
         &self.breaker
     }
 
-    /// Re-plans and version-race restarts beyond first attempts.
-    pub fn retries(&self) -> u64 {
-        self.retries.get()
+    /// The node's own cells (see [`NodeCounters`]).
+    pub fn counters(&self) -> &NodeCounters {
+        &self.counters
     }
 
-    /// Total backoff charged to reads, in simulated microseconds.
-    pub fn retry_backoff_micros(&self) -> u64 {
-        self.retry_backoff_micros.get()
+    /// Re-plans and version-race restarts beyond first attempts.
+    pub fn retries(&self) -> u64 {
+        self.counters.retries.get()
     }
 
     /// Reads served by an ungated re-plan after breaker exclusions
     /// left fewer than k reachable chunks.
     pub fn degraded_reads(&self) -> u64 {
-        self.degraded_reads.get()
+        self.counters.degraded_reads.get()
     }
 
     /// The sampled traces currently retained in the node's ring
@@ -660,55 +669,14 @@ impl AgarNode {
     }
 
     /// Late-binds this node's telemetry into `registry` under `base`
-    /// labels: the tiered cache's counter table (see
-    /// `AtomicCacheStats::register_with`), the node-level fetch
-    /// counters, and — when tracing is on — the per-stage read latency
-    /// histograms (`agar_read_stage_seconds{stage=...}`).
+    /// labels by walking its tables in order: the tiered cache's (see
+    /// [`TieredChunkCache::register_metrics`]), the node's own
+    /// [`NodeCounters`], the breaker's, and — when tracing is on — the
+    /// per-stage read latency histograms.
     pub fn register_metrics(&self, registry: &MetricsRegistry, base: &Labels) {
         self.cache.register_metrics(registry, base);
-        registry.register_counter(
-            "agar_reconfigurations_total",
-            "Knapsack reconfigurations performed by this node.",
-            base.clone(),
-            &self.reconfigurations,
-        );
-        registry.register_counter(
-            "agar_fill_fetches_total",
-            "Off-critical-path cache fill fetches issued by this node.",
-            base.clone(),
-            &self.fill_fetches,
-        );
-        registry.register_counter(
-            "agar_write_update_chunks_total",
-            "Configured chunks this node's writes left in its cache at the new version.",
-            base.clone(),
-            &self.write_update_chunks,
-        );
-        registry.register_gauge(
-            "agar_config_carried_chunks",
-            "Disk-tier chunks the configuration carries for objects no solve names.",
-            base.clone(),
-            &self.carried_chunks,
-        );
-        registry.register_counter(
-            "agar_read_retries_total",
-            "Read re-plans and version-race restarts beyond first attempts.",
-            base.clone(),
-            &self.retries,
-        );
-        registry.register_counter(
-            "agar_retry_backoff_micros_total",
-            "Exponential-backoff time charged to reads, simulated microseconds.",
-            base.clone(),
-            &self.retry_backoff_micros,
-        );
-        registry.register_counter(
-            "agar_degraded_reads_total",
-            "Reads re-planned ungated because breaker exclusions left under k chunks.",
-            base.clone(),
-            &self.degraded_reads,
-        );
-        self.breaker.register_metrics(registry, base.clone());
+        self.counters.register_with(registry, base);
+        self.breaker.counters().register_with(registry, base);
         if let Some(trace) = &self.trace {
             trace.stages.register_with(registry, base);
         }
@@ -800,32 +768,19 @@ impl AgarNode {
             .map_or_else(Vec::new, |disk| disk.segment_paths())
     }
 
+    /// The disk tier's cells (`None` without a disk tier). Appended
+    /// bytes count every disk-tier placement (a-priori fill, re-tier
+    /// move, write-update, read fill) plus what the log's cleaner copied
+    /// forward; serving a read adds none but its read calls.
+    pub fn disk_counters(&self) -> Option<&DiskCounters> {
+        self.cache.disk().map(DiskStore::counters)
+    }
+
     /// Disk-tier frames that failed verification and degraded to
     /// misses (0 without a disk tier).
     pub fn disk_corrupt_frames(&self) -> u64 {
-        self.cache.disk_corrupt_frames()
-    }
-
-    /// Frame bytes (header + payload) the disk tier has written so far
-    /// (0 without a disk tier) — every disk-tier placement (a-priori
-    /// fill, re-tier move, write-update, read fill), plus what the log's
-    /// cleaner copied forward; serving a read adds none.
-    pub fn disk_appended_bytes(&self) -> u64 {
-        self.cache.disk().map_or(0, |disk| disk.appended_bytes())
-    }
-
-    /// Positioned reads the disk tier has issued so far (0 without a
-    /// disk tier): one per run of back-to-back frames a read's lookup
-    /// reads, and one per frame the log's cleaner copies.
-    pub fn disk_read_calls(&self) -> u64 {
-        self.cache.disk().map_or(0, |disk| disk.read_calls())
-    }
-
-    /// The part of [`AgarNode::disk_appended_bytes`] that was live
-    /// frames the disk log's cleaner copied out of a segment it
-    /// reclaimed (0 without a disk tier).
-    pub fn disk_compacted_bytes(&self) -> u64 {
-        self.cache.disk().map_or(0, |disk| disk.compacted_bytes())
+        self.disk_counters()
+            .map_or(0, |disk| disk.corrupt_frames.get())
     }
 
     /// **Solve**: closes the monitoring epoch and recomputes the
@@ -882,7 +837,9 @@ impl AgarNode {
         // evict the newer configuration's chunks).
         let _serial = self.reconfigure_serial.lock();
         let config = Arc::new(self.solve());
-        self.carried_chunks.set(u64::from(config.carried_chunks()));
+        self.counters
+            .carried_chunks
+            .set(u64::from(config.carried_chunks()));
         *self.config.write() = Arc::clone(&config);
         let plan = config.transition(&self.cache.residency());
         for id in &plan.purge {
@@ -919,7 +876,7 @@ impl AgarNode {
                 break;
             }
         }
-        self.reconfigurations.inc();
+        self.counters.reconfigurations.inc();
     }
 }
 
@@ -1481,12 +1438,12 @@ mod tests {
         assert!(config.is_carried(cold), "{config:?}");
         assert_eq!(config.carried_chunks(), 9);
         assert_placement(&node, &backend, 0);
-        let fills = node.fill_fetches.get();
+        let fills = node.counters().fill_fetches.get();
         let metrics = node.read(cold).unwrap();
         assert_eq!(metrics.data.as_ref(), expected_payload(7, 900).as_slice());
         assert_eq!(metrics.backend_fetches, 0);
         assert_eq!(metrics.cache_hits, 9);
-        assert_eq!(node.fill_fetches.get(), fills);
+        assert_eq!(node.counters().fill_fetches.get(), fills);
         // Read again, it is the monitor's and the solve's once more.
         node.force_reconfigure();
         let config = node.current_config();
@@ -1526,10 +1483,10 @@ mod tests {
         forget(&node, cold);
         let lost = node.current_config().chunks_for(cold)[0];
         assert!(node.cache.disk().unwrap().remove(&ChunkId::new(cold, lost)));
-        let fills = node.fill_fetches.get();
+        let fills = node.counters().fill_fetches.get();
         node.force_reconfigure();
         assert_eq!(
-            node.fill_fetches.get(),
+            node.counters().fill_fetches.get(),
             fills,
             "a carried chunk was downloaded"
         );
@@ -1541,7 +1498,7 @@ mod tests {
 
         node.invalidate_object(cold);
         node.force_reconfigure();
-        assert_eq!(node.fill_fetches.get(), fills);
+        assert_eq!(node.counters().fill_fetches.get(), fills);
         let config = node.current_config();
         assert!(!config.is_carried(cold) && config.chunks_for(cold).is_empty());
         assert_eq!(config.carried_chunks(), 0);
@@ -1585,17 +1542,20 @@ mod tests {
         let on_disk = |object| config.disk_chunks_for(object).len() as u64;
         assert_eq!(on_disk(hot) + on_disk(warm), 9, "{config:?}");
         assert_holds_configured(&node, hot, 1);
-        let fills = node.fill_fetches.get();
-        let appended = node.disk_appended_bytes();
+        let fills = node.counters().fill_fetches.get();
+        let appended = node.disk_counters().unwrap().appended_bytes.get();
 
         // Same size: every chunk lands in the tier the configuration
         // names, and only the disk-tier ones are written to the log.
         let payload = vec![7u8; 900];
         assert_eq!(node.write(hot, &payload).unwrap().0, 2);
         assert_holds_configured(&node, hot, 2);
-        assert_eq!(node.write_update_chunks.get(), 9);
+        assert_eq!(node.counters().write_update_chunks.get(), 9);
         let hot_frames = on_disk(hot) * FRAME as u64;
-        assert_eq!(node.disk_appended_bytes() - appended, hot_frames);
+        assert_eq!(
+            node.disk_counters().unwrap().appended_bytes.get() - appended,
+            hot_frames
+        );
         let metrics = node.read(hot).unwrap();
         assert_eq!(metrics.data.as_ref(), payload.as_slice());
         assert_eq!((metrics.cache_hits, metrics.backend_fetches), (9, 0));
@@ -1606,7 +1566,7 @@ mod tests {
         assert_eq!(node.write(warm, &half).unwrap().0, 2);
         assert_holds_configured(&node, warm, 2);
         assert_eq!(
-            node.disk_appended_bytes() - appended - hot_frames,
+            node.disk_counters().unwrap().appended_bytes.get() - appended - hot_frames,
             on_disk(warm) * (50 + agar_cache::disk::HEADER_LEN) as u64
         );
         let metrics = node.read(warm).unwrap();
@@ -1616,8 +1576,12 @@ mod tests {
         // An object the configuration does not name keeps nothing.
         node.write(unread, &payload).unwrap();
         assert!(!node.cache_contents().contains_key(&unread));
-        assert_eq!(node.write_update_chunks.get(), 18);
-        assert_eq!(node.fill_fetches.get(), fills, "a write fetched a chunk");
+        assert_eq!(node.counters().write_update_chunks.get(), 18);
+        assert_eq!(
+            node.counters().fill_fetches.get(),
+            fills,
+            "a write fetched a chunk"
+        );
         assert!(node.cache.used_bytes() <= node.cache.capacity_bytes());
 
         // A write that fails leaves the old version cached, valid and
@@ -1630,7 +1594,7 @@ mod tests {
         let metrics = node.read(hot).unwrap();
         assert_eq!(metrics.data.as_ref(), payload.as_slice());
         assert_eq!((metrics.cache_hits, metrics.backend_fetches), (9, 0));
-        assert_eq!(node.write_update_chunks.get(), 18);
+        assert_eq!(node.counters().write_update_chunks.get(), 18);
     }
 
     /// A carried entry is what the cache still held of an object no
@@ -1647,7 +1611,7 @@ mod tests {
         let payload = vec![3u8; 900];
         node.write(cold, &payload).unwrap();
         assert!(!node.cache_contents().contains_key(&cold));
-        assert_eq!(node.write_update_chunks.get(), 0);
+        assert_eq!(node.counters().write_update_chunks.get(), 0);
         let metrics = node.read(cold).unwrap();
         assert_eq!(metrics.data.as_ref(), payload.as_slice());
         assert_eq!(metrics.cache_hits, 0);
@@ -1789,11 +1753,11 @@ mod tests {
         // next read is a full configured hit at version 2.
         assert_holds_configured(&node, object, 2);
         assert_eq!(node.cache_stats().rejected_inserts(), 1);
-        let fills = node.fill_fetches.get();
+        let fills = node.counters().fill_fetches.get();
         let next = node.read(object).unwrap();
         assert_eq!(next.data.as_ref(), payload.as_slice());
         assert_eq!((next.cache_hits, next.backend_fetches), (5, 4));
-        assert_eq!(node.fill_fetches.get(), fills);
+        assert_eq!(node.counters().fill_fetches.get(), fills);
     }
 
     /// The configuration must not become the leak the monitor's prune
@@ -1892,12 +1856,16 @@ mod tests {
             );
             assert_eq!(node.cache_stats().disk_evictions(), 0, "epoch {epoch}");
         }
-        let first_time = node.disk_appended_bytes() - node.disk_compacted_bytes();
+        let first_time = node.disk_counters().unwrap().appended_bytes.get()
+            - node.disk_counters().unwrap().compacted_bytes.get();
         assert!(
             first_time >= 3 * DISK as u64,
             "the log wrapped under 3 times: {first_time} B"
         );
-        assert!(node.disk_compacted_bytes() > 0, "no survivor was copied");
+        assert!(
+            node.disk_counters().unwrap().compacted_bytes.get() > 0,
+            "no survivor was copied"
+        );
         assert_eq!(node.disk_corrupt_frames(), 0);
     }
 
@@ -2034,7 +2002,7 @@ mod tests {
         let (node, object) = one_hot_object();
         let residency = sorted_residency(&node);
         assert_eq!(residency.len(), 9);
-        let (fills, stats) = (node.fill_fetches.get(), node.cache_stats());
+        let (fills, stats) = (node.counters().fill_fetches.get(), node.cache_stats());
         let visits = node.cache_lock_visits();
         let metrics = node.read(object).unwrap();
         assert_eq!(metrics.data.as_ref(), expected_payload(0, 900).as_slice());
@@ -2043,7 +2011,7 @@ mod tests {
         // re-checked all nine chunks one lock each after a lookup that
         // took nine more (18 in all), no longer runs.
         assert_eq!(node.cache_lock_visits() - visits, 1);
-        assert_eq!(node.fill_fetches.get(), fills);
+        assert_eq!(node.counters().fill_fetches.get(), fills);
         assert_eq!(sorted_residency(&node), residency);
         let delta = node.cache_stats().delta_since(&stats);
         assert_eq!((delta.chunk_hits(), delta.chunk_misses()), (9, 0));

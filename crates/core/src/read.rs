@@ -121,9 +121,9 @@ impl AgarNode {
         let served = self.passes(object, offers, &mut ledger);
         let counters = self.cache.counters();
         if ledger.attempts > 1 {
-            self.retries.add(u64::from(ledger.attempts - 1));
+            self.counters.retries.add(u64::from(ledger.attempts - 1));
             let backoff = ledger.backoff.as_micros() as u64;
-            self.retry_backoff_micros.add(backoff);
+            self.counters.retry_backoff_micros.add(backoff);
         }
         counters.hedged_requests.add(ledger.hedges as u64);
         let (mut snapshot, bound) = served?;
@@ -286,7 +286,7 @@ impl AgarNode {
         };
         match plan_excluding(&gated) {
             Err(AgarError::Store(StoreError::NotEnoughChunks { .. })) if gated.contains(&true) => {
-                self.degraded_reads.inc();
+                self.counters.degraded_reads.inc();
                 plan_excluding(&[])
             }
             planned => planned,
@@ -389,7 +389,7 @@ impl AgarNode {
             self.insert_revalidated(id, chunk);
             missing = absent();
         }
-        self.fill_fetches.add(fill_fetches);
+        self.counters.fill_fetches.add(fill_fetches);
         fill_fetches as usize
     }
 }
@@ -862,7 +862,7 @@ mod tests {
                 .filter(|&region| !manager.is_reachable(region))
                 .collect();
             assert_eq!(unreachable, dead);
-            (node.retries(), node.retry_backoff_micros())
+            (node.retries(), node.counters().retry_backoff_micros.get())
         };
         // The first plan takes the three nearest regions; both dead
         // ones refuse in the same pass and are marked together, so one
@@ -940,7 +940,10 @@ mod tests {
         let metrics = node.read(ObjectId::new(0)).unwrap();
         assert_eq!(metrics.data.as_ref(), expected_payload(0, 900).as_slice());
         assert_eq!(faulty.calls(), 3, "served on the third and last pass");
-        assert_eq!((node.retries(), node.retry_backoff_micros()), (2, 10_000));
+        assert_eq!(
+            (node.retries(), node.counters().retry_backoff_micros.get()),
+            (2, 10_000)
+        );
         let traces = node.trace_snapshot();
         let outcome = traces[0].outcome;
         assert_eq!((outcome.replans, outcome.version_races), (1, 1));
@@ -965,7 +968,7 @@ mod tests {
         assert_eq!(node.retries(), u64::from(ATTEMPTS) - 1);
         // Two re-plans: 10 ms after the first pass, 40 ms after the
         // third.
-        assert_eq!(node.retry_backoff_micros(), 50_000);
+        assert_eq!(node.counters().retry_backoff_micros.get(), 50_000);
         assert!(
             node.trace_snapshot().is_empty(),
             "a failed read has no trace"
@@ -982,6 +985,9 @@ mod tests {
         let error = node.read(ObjectId::new(0)).unwrap_err();
         assert!(matches!(error, AgarError::ReadContention { .. }));
         assert_eq!(faulty.calls(), 2);
-        assert_eq!((node.retries(), node.retry_backoff_micros()), (1, 10_000));
+        assert_eq!(
+            (node.retries(), node.counters().retry_backoff_micros.get()),
+            (1, 10_000)
+        );
     }
 }

@@ -8,7 +8,9 @@
 //!    relaxed atomics — the registry mutex is only taken at
 //!    registration and scrape time — and existing counters can be
 //!    **late-bound** so subsystems keep their own structs while the
-//!    registry scrapes the same cells.
+//!    registry scrapes the same cells. A component declares its cells
+//!    as the rows of one [`cell_table!`] (family, labels, help once per
+//!    cell) and registers them by walking the rows.
 //! 2. **Per-request read tracing** ([`ReadTrace`]): each sampled read
 //!    is decomposed into plan → lookup → fetch → bind → decode stage
 //!    spans on the simulated clock, with a full outcome record
@@ -52,11 +54,13 @@ pub mod histogram;
 mod json;
 pub mod percentile;
 pub mod registry;
+pub mod table;
 pub mod trace;
 
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use percentile::{nearest_rank_index, LatencyHistogram, LatencySummary};
 pub use registry::{Counter, Gauge, Labels, MetricsRegistry};
+pub use table::{CounterRow, TableCell};
 pub use trace::{
     chrome_trace_json, DecodeKind, ReadOutcome, ReadStage, ReadTrace, StageHistograms, StageSpan,
     StageSummaries, TraceBuffer,

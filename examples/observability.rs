@@ -56,7 +56,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let registry = MetricsRegistry::new();
     let labels = Labels::new().with("region", "eu-central-1");
     node.register_metrics(&registry, &labels);
-    plane.register_metrics(&registry, labels.clone());
+    plane.counters().register_with(&registry, &labels);
 
     // Warm the cache: a Zipf-ish skew via repeated low keys, a
     // reconfiguration, then a hot re-read pass.

@@ -15,13 +15,13 @@ use agar::{
     AgarError, AgarNode, AgarSettings, BreakerPolicy, CachingClient, DirectFetcher, RetryPolicy,
 };
 use agar_bench::{Deployment, Scale};
-use agar_chaos::{ChaosClock, ChaosPlane, ChaosSpec, FetchFaultSpec, RegionOutage};
+use agar_chaos::{ChaosClock, ChaosPlane, ChaosSpec, FetchFaultSpec};
 use agar_cluster::{ClusterRouter, ClusterSettings};
 use agar_ec::ObjectId;
 use agar_net::presets::TOKYO;
 use agar_net::SimTime;
 use agar_store::expected_payload;
-use agar_workload::FailureCycle;
+use agar_workload::{FailureCycle, FlakyRegion};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -137,8 +137,8 @@ fn p99(latencies: &[Duration]) -> Duration {
 /// stays healed for the rest of the run.
 fn one_partition() -> ChaosSpec {
     ChaosSpec {
-        outages: vec![RegionOutage {
-            region: TOKYO,
+        outages: vec![FlakyRegion {
+            region: TOKYO.index() as u16,
             cycle: FailureCycle {
                 first_failure_s: 5,
                 down_s: 20,
@@ -186,7 +186,7 @@ fn partition_reroutes_and_recovers_after_heal() {
             "seed {seed:#x}: partition must reroute, not fail"
         );
         assert!(
-            rig.plane.partition_faults() > 0,
+            rig.plane.counters().partition_faults.get() > 0,
             "seed {seed:#x}: the outage never fired"
         );
         assert!(
@@ -225,8 +225,14 @@ fn breaker_trips_open_on_a_partition_and_recloses_after_heal() {
         let (_, errors, _) = rig.drive(250);
         assert_eq!(errors, 0, "seed {seed:#x}");
         let breaker = rig.node.breaker();
-        assert!(breaker.opens() > 0, "seed {seed:#x}: breaker never tripped");
-        assert!(breaker.probes() > 0, "seed {seed:#x}: no half-open probe");
+        assert!(
+            breaker.counters().opens.get() > 0,
+            "seed {seed:#x}: breaker never tripped"
+        );
+        assert!(
+            breaker.counters().probes.get() > 0,
+            "seed {seed:#x}: no half-open probe"
+        );
         assert_eq!(
             breaker.open_regions(),
             0,
@@ -252,7 +258,7 @@ fn flaky_fetch_errors_stay_within_the_retry_budget() {
         let (_, errors, fetches) = rig.drive(200);
         assert_eq!(errors, 0, "seed {seed:#x}: budget must absorb the faults");
         assert!(
-            rig.plane.fetch_error_faults() > 0,
+            rig.plane.counters().fetch_error_faults.get() > 0,
             "seed {seed:#x}: the fault schedule never fired"
         );
         assert!(rig.node.retries() > 0, "seed {seed:#x}");
@@ -266,7 +272,10 @@ fn flaky_fetch_errors_stay_within_the_retry_budget() {
             "seed {seed:#x}: {fetches} fetches exceed the {budget} budget"
         );
         // Backoff was actually priced into the failed attempts.
-        assert!(rig.node.retry_backoff_micros() > 0, "seed {seed:#x}");
+        assert!(
+            rig.node.counters().retry_backoff_micros.get() > 0,
+            "seed {seed:#x}"
+        );
     }
 }
 
@@ -440,8 +449,14 @@ fn combined_faults_are_survived_with_hardened_policies() {
             errors, 0,
             "seed {seed:#x}: combined faults must be survived"
         );
-        assert!(rig.plane.partition_faults() > 0, "seed {seed:#x}");
-        assert!(rig.plane.fetch_error_faults() > 0, "seed {seed:#x}");
+        assert!(
+            rig.plane.counters().partition_faults.get() > 0,
+            "seed {seed:#x}"
+        );
+        assert!(
+            rig.plane.counters().fetch_error_faults.get() > 0,
+            "seed {seed:#x}"
+        );
     }
 }
 
@@ -456,7 +471,7 @@ fn fault_schedules_and_results_replay_bit_identically_per_seed() {
             latencies,
             errors,
             fetches,
-            rig.plane.faults_injected(),
+            rig.plane.counters().faults_injected.get(),
             rig.node.retries(),
             format!("{:?}", rig.node.cache_stats()),
         )

@@ -153,7 +153,10 @@ fn collaborative_reads_tap_neighbour_caches() {
         collab.metrics().latency,
         solo.latency
     );
-    assert!(router.remote_hits() > 0, "no neighbour hits recorded");
+    assert!(
+        router.counters().remote_hits.get() > 0,
+        "no neighbour hits recorded"
+    );
     assert_eq!(collab.home, ids[FRANKFURT.index()]);
 }
 
