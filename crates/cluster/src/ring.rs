@@ -90,11 +90,6 @@ impl ClusterRing {
         self.nodes.is_empty()
     }
 
-    /// Virtual nodes per member.
-    pub fn vnodes(&self) -> usize {
-        self.vnodes
-    }
-
     fn point(&self, node: u64, vnode: usize) -> u64 {
         mix64(self.seed ^ mix64(node) ^ mix64(vnode as u64 ^ 0xC1A5_7E12))
     }
@@ -124,7 +119,7 @@ impl ClusterRing {
     }
 
     /// The member owning a raw 64-bit key; `None` on an empty ring.
-    pub fn owner_of(&self, key: u64) -> Option<u64> {
+    fn owner_of(&self, key: u64) -> Option<u64> {
         if self.points.is_empty() {
             return None;
         }

@@ -82,7 +82,7 @@ impl Config {
     }
 
     /// Whether an option for `object` is already present.
-    pub fn contains_object(&self, object: ObjectId) -> bool {
+    fn contains_object(&self, object: ObjectId) -> bool {
         self.options.iter().any(|o| o.object() == object)
     }
 

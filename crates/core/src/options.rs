@@ -95,11 +95,6 @@ impl ObjectOptions {
             .fold(0.0, f64::max)
     }
 
-    /// Read latency with nothing cached (slowest contacted site).
-    pub fn baseline_latency(&self) -> Duration {
-        self.baseline_latency
-    }
-
     /// The *dominant* options: strictly increasing latency improvement
     /// with weight. In the paper's six-region deployment these are the
     /// weights {1, 3, 5, 7, 9} — adding the second chunk of a region
@@ -342,7 +337,7 @@ mod tests {
             1.0,
         );
         // Furthest used chunk after discarding m = 3: Tokyo at 3400.
-        assert_eq!(options.baseline_latency(), Duration::from_millis(3400));
+        assert_eq!(options.baseline_latency, Duration::from_millis(3400));
     }
 
     #[test]
@@ -431,7 +426,7 @@ mod tests {
         )
         .unwrap();
         // Residual with only RAM in effect: São Paulo at 1400 ms.
-        assert_eq!(options.baseline_latency(), Duration::from_millis(1400));
+        assert_eq!(options.baseline_latency, Duration::from_millis(1400));
         // One São Paulo chunk on disk leaves the other remote: no gain.
         assert_eq!(options.by_weight(1).unwrap().value(), 0.0);
         // Both São Paulo chunks on disk: residual drops to NVA's 600 ms.
@@ -460,7 +455,7 @@ mod tests {
         )
         .unwrap();
         // No RAM chunks: the baseline is the cold read's 3400 ms.
-        assert_eq!(options.baseline_latency(), Duration::from_millis(3400));
+        assert_eq!(options.baseline_latency, Duration::from_millis(3400));
         // Full disk replica bottoms out at the disk read, not the cache.
         let w9 = options.by_weight(9).unwrap();
         assert_eq!(w9.expected_latency(), Duration::from_millis(150));

@@ -32,10 +32,10 @@ use std::mem::MaybeUninit;
 /// The reducing polynomial x^8 + x^4 + x^3 + x^2 + 1 (without the x^8 bit
 /// it is `0x1D`); this is the polynomial used by most Reed-Solomon
 /// implementations, including the one in the paper's Longhair dependency.
-pub const REDUCING_POLYNOMIAL: u16 = 0x11D;
+const REDUCING_POLYNOMIAL: u16 = 0x11D;
 
 /// Order of the multiplicative group of GF(2^8).
-pub const GROUP_ORDER: usize = 255;
+const GROUP_ORDER: usize = 255;
 
 const fn build_tables() -> ([u8; 512], [u8; 256]) {
     let mut exp = [0u8; 512];

@@ -127,8 +127,7 @@ impl Jitter {
 /// milliseconds, for a client in `from` to read one nominal-size chunk
 /// from the store in `to` — exactly what the paper's region manager
 /// estimates (Table I). A fixed share of that total
-/// ([`MatrixLatency::TRANSFER_FRACTION`]) is treated as size-proportional
-/// transfer time so that fetches of other sizes scale sensibly.
+/// (40 %) is treated as size-proportional transfer time so that fetches of other sizes scale sensibly.
 ///
 /// # Examples
 ///
@@ -155,11 +154,11 @@ pub struct MatrixLatency {
 impl MatrixLatency {
     /// Default nominal chunk size the matrix is calibrated at: a 1 MB
     /// object split into 9 data chunks, as in the paper.
-    pub const DEFAULT_NOMINAL_BYTES: usize = 1_000_000usize.div_ceil(9);
+    const DEFAULT_NOMINAL_BYTES: usize = 1_000_000usize.div_ceil(9);
 
     /// Share of each entry that scales with transfer size; the rest is
     /// fixed round-trip overhead.
-    pub const TRANSFER_FRACTION: f64 = 0.4;
+    const TRANSFER_FRACTION: f64 = 0.4;
 
     /// Creates a model from a square matrix of per-chunk latencies in
     /// milliseconds.
@@ -308,7 +307,7 @@ impl SpikedLatency {
     }
 
     /// Total number of draws that were actually spiked so far.
-    pub fn spiked_draws(&self) -> u64 {
+    fn spiked_draws(&self) -> u64 {
         self.spiked_draws.load(Ordering::Relaxed)
     }
 

@@ -55,7 +55,7 @@ impl SimTime {
     /// # Panics
     ///
     /// Panics if `earlier` is after `self`.
-    pub fn duration_since(self, earlier: SimTime) -> Duration {
+    fn duration_since(self, earlier: SimTime) -> Duration {
         assert!(
             earlier.0 <= self.0,
             "duration_since called with a later instant"
@@ -63,7 +63,8 @@ impl SimTime {
         Duration::from_micros(self.0 - earlier.0)
     }
 
-    /// Saturating version of [`SimTime::duration_since`].
+    /// The span from an earlier instant to `self`, zero if `earlier`
+    /// is after `self`.
     pub fn saturating_duration_since(self, earlier: SimTime) -> Duration {
         Duration::from_micros(self.0.saturating_sub(earlier.0))
     }

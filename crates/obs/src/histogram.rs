@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Number of finite buckets; bound `i` is `100µs · 2^i`.
-pub const BUCKETS: usize = 32;
+const BUCKETS: usize = 32;
 
 /// First bucket's upper bound, in microseconds.
 const BASE_MICROS: u64 = 100;
