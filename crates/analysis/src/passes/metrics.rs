@@ -9,13 +9,14 @@
 //! obs handle, some `register*` function in the same file must
 //! mention the field.
 //!
-//! A counter *table* (`agar-cache`'s `counter_table!`) declares its
-//! cells as `$(pub $cell: Counter,)*` inside a `macro_rules!`
-//! template. The model records that as one field named `cell`, so the
-//! same rule applies to the template: the arm's `register*` function
-//! must mention `$cell`, which binds every row the table will ever
-//! hold. Hand-written cells next to a table (a coordinator's, a lease
-//! manager's) are checked field by field as before.
+//! A cell *table* declares its cells as `$(pub $cell: Counter,)*`
+//! inside a `macro_rules!` template. The model records that as one
+//! field named `cell`, so the same rule applies to the template: the
+//! arm's `register*` function must mention `$cell`, which binds every
+//! row the table will ever hold. The workspace's one table macro,
+//! `agar_obs::cell_table!`, lives in the exempt metrics library; its
+//! `register_with` walks every row by construction, and its own test
+//! pins that. Hand-written cells are checked field by field.
 
 use crate::diag::Finding;
 use crate::model::FileModel;

@@ -21,8 +21,8 @@
 //!   harness: per-region slowdown spikes, flaky backends and dead
 //!   regions as pure-data [`StragglerScenario`] descriptors,
 //!   deterministic under the simulated clock, and the one fail/heal
-//!   [`FailureCycle`] that flaky regions and `agar-chaos`'s outages and
-//!   fetch-fault windows share.
+//!   [`FailureCycle`] that flaky regions and `agar-chaos`'s fetch-fault
+//!   windows share ([`FlakyRegion`] is also `agar-chaos`'s outage).
 //!
 //! # Examples
 //!

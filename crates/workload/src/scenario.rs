@@ -53,7 +53,8 @@ impl FailureCycle {
     }
 }
 
-/// A region that fails and heals on a [`FailureCycle`].
+/// A region that fails and heals on a [`FailureCycle`]: a `tail`
+/// scenario's flaky region, and the chaos plane's region blackout.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub struct FlakyRegion {
     /// Index of the flaky region.
