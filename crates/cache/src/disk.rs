@@ -20,14 +20,17 @@
 //!   failed write can never shift where later frames land. A `get` is
 //!   one positioned read of header + payload into a single buffer whose
 //!   payload is handed out as a zero-copy [`Bytes::slice`]; a
-//!   [`DiskStore::get_many`] (one object's chunks, which a placement
-//!   tends to append back to back) takes the lock once, sorts the
-//!   frames it found by (segment, offset) and reads each run of
-//!   back-to-back frames with one positioned read into one buffer, whose
-//!   payloads are all slices of it. The `read_calls` cell of
-//!   [`DiskCounters`] counts the positioned reads. There is no `fsync`: this is a cache of
-//!   re-fetchable chunks. (The positioned calls are
-//!   `std::os::unix::fs::FileExt`; the crate is Unix-only.)
+//!   [`DiskStore::get_many`] (one object's chunks at a reader's
+//!   version, which a placement tends to append back to back) takes
+//!   the lock once, applies the version rule from the index alone — a
+//!   newer frame is left in place and an older one forgotten, neither
+//!   read — sorts the frames at the version by (segment, offset) and
+//!   reads each run of back-to-back frames with one positioned read
+//!   into one buffer, whose payloads are all slices of it. The
+//!   `read_calls` cell of [`DiskCounters`] counts the positioned reads.
+//!   There is no `fsync`: this is a cache of re-fetchable chunks. (The
+//!   positioned calls are `std::os::unix::fs::FileExt`; the crate is
+//!   Unix-only.)
 //! - **Capacity is reclaimed by a log cleaner.** Every segment counts
 //!   the bytes of its frames the index still points at. When total
 //!   segment bytes exceed the budget the victim is the *sealed segment
@@ -517,32 +520,42 @@ impl DiskStore {
         self.get_located(&mut inner, *id, loc)
     }
 
-    /// Looks up every chunk of `ids` under one lock and calls `found`
-    /// with each verified hit, in log order (not `ids` order). The
-    /// frames found are sorted by (segment, offset), and each run of
-    /// back-to-back frames is read with one positioned read into one
-    /// buffer that every payload of the run is a zero-copy slice of.
-    /// Each frame is verified as [`DiskStore::get`] verifies it, and one
-    /// that fails is a counted miss whose index entry is dropped, as
-    /// there; its neighbours in the run are served. A run whose read
-    /// fails or comes back short is re-read one frame at a time.
+    /// Looks up every chunk of `ids` at a reader's `version` under one
+    /// lock, applying the version rule to each live entry from the
+    /// index alone: a frame at `version` is read and served, a newer
+    /// one is left in place unread, and an older one is forgotten
+    /// unread (it can never be served again). Calls `found` with each
+    /// verified hit, in log order (not `ids` order). The frames to read
+    /// are sorted by (segment, offset), and each run of back-to-back
+    /// frames is read with one positioned read into one buffer that
+    /// every payload of the run is a zero-copy slice of. Each frame is
+    /// verified as [`DiskStore::get`] verifies it, and one that fails
+    /// is a counted miss whose index entry is dropped, as there; its
+    /// neighbours in the run are served. A run whose read fails or
+    /// comes back short is re-read one frame at a time.
     ///
-    /// Equal to a [`DiskStore::get`] per id for distinct ids (a repeated
-    /// id is read once per occurrence). `found` runs under the store's
-    /// lock, so it must not call back into the store.
+    /// Equal, for distinct ids, to a [`DiskStore::version_of`] per id
+    /// followed by a [`DiskStore::get`] of a chunk at `version` or a
+    /// [`DiskStore::remove`] of an older one (a repeated id is read once
+    /// per occurrence). `found` runs under the store's lock, so it must
+    /// not call back into the store.
     pub fn get_many(
         &self,
         ids: impl IntoIterator<Item = ChunkId>,
+        version: u64,
         mut found: impl FnMut(ChunkId, CachedChunk),
     ) {
         let mut inner = self.inner();
         let inner = &mut *inner;
         let mut located = std::mem::take(&mut inner.located);
         located.clear();
-        located.extend(
-            ids.into_iter()
-                .filter_map(|id| Some((id, *inner.index.get(&id)?))),
-        );
+        located.extend(ids.into_iter().filter_map(|id| {
+            let loc = *inner.index.get(&id)?;
+            if loc.version < version {
+                inner.forget(&id);
+            }
+            (loc.version == version).then_some((id, loc))
+        }));
         located.sort_unstable_by_key(|(_, loc)| (loc.segment, loc.offset));
         let mut rest = &located[..];
         while !rest.is_empty() {
@@ -1426,12 +1439,16 @@ mod tests {
         }
     }
 
-    /// `get_many` over `ids`: the hits as `(id, version, payload)`,
-    /// sorted by id, and the positioned reads it issued.
-    fn many(store: &DiskStore, ids: &[ChunkId]) -> (Vec<(ChunkId, u64, Vec<u8>)>, u64) {
+    /// `get_many` over `ids` at `version`: the hits as `(id, version,
+    /// payload)`, sorted by id, and the positioned reads it issued.
+    fn many(
+        store: &DiskStore,
+        ids: &[ChunkId],
+        version: u64,
+    ) -> (Vec<(ChunkId, u64, Vec<u8>)>, u64) {
         let calls = store.counters().read_calls.get();
         let mut hits = Vec::new();
-        store.get_many(ids.iter().copied(), |id, chunk| {
+        store.get_many(ids.iter().copied(), version, |id, chunk| {
             hits.push((id, chunk.version(), chunk.data().to_vec()));
         });
         hits.sort_unstable();
@@ -1452,7 +1469,7 @@ mod tests {
     #[test]
     fn a_run_of_back_to_back_frames_is_one_read() {
         let (store, ids) = one_run(9);
-        let (hits, calls) = many(&store, &ids);
+        let (hits, calls) = many(&store, &ids, 2);
         assert_eq!(calls, 1);
         assert_eq!(hits.len(), 9);
         for (i, (key, version, payload)) in hits.into_iter().enumerate() {
@@ -1460,12 +1477,33 @@ mod tests {
             assert_eq!(payload, vec![i as u8 + 1; 4 + i]);
         }
         // Misses, unknown ids and an empty list read nothing more.
-        let (hits, calls) = many(&store, &[id(2, 0), id(1, 20)]);
+        let (hits, calls) = many(&store, &[id(2, 0), id(1, 20)], 2);
         assert_eq!((hits.len(), calls), (0, 0));
-        assert_eq!(many(&store, &[]).1, 0);
+        assert_eq!(many(&store, &[], 2).1, 0);
         // A `get` is one read too.
         assert!(store.get(&ids[3]).is_some());
         assert_eq!(store.counters().read_calls.get(), 2);
+        assert_eq!(store.counters().corrupt_frames.get(), 0);
+    }
+
+    #[test]
+    fn a_lookup_reads_only_its_version_and_forgets_older_frames_unread() {
+        // Back to back: chunk 0 at version 1, 1 at 2, 2 at 3, 3 at 2.
+        let store = DiskStore::new(1 << 20).unwrap();
+        for (index, version) in [(0, 1), (1, 2), (2, 3), (3, 2)] {
+            store.put(id(1, index), &chunk(index + 1, 8, version));
+        }
+        let ids: Vec<ChunkId> = (0..5).map(|i| id(1, i)).collect();
+        let (hits, calls) = many(&store, &ids, 2);
+        let served: Vec<(ChunkId, u64)> = hits.iter().map(|hit| (hit.0, hit.1)).collect();
+        assert_eq!(served, [(id(1, 1), 2), (id(1, 3), 2)]);
+        assert_eq!(calls, 2, "one read per served frame; 2 splits the run");
+        assert!(!store.contains(&id(1, 0)), "the older frame is forgotten");
+        assert_eq!(store.version_of(&id(1, 2)), Some(3), "the newer one stays");
+        // Nothing left to serve at 2 but the two frames: no more reads
+        // for the skipped one.
+        assert_eq!(many(&store, &ids, 2).1, 2);
+        assert_eq!(many(&store, &[id(1, 2)], 2), (Vec::new(), 0));
         assert_eq!(store.counters().corrupt_frames.get(), 0);
     }
 
@@ -1475,7 +1513,7 @@ mod tests {
         // The middle frame's payload: frame 0 is `HEADER_LEN + 4` long.
         let path = store.segment_paths().pop().unwrap();
         flip(&path, (HEADER_LEN + 4 + HEADER_LEN + 1) as u64, 0x08);
-        let (hits, calls) = many(&store, &ids);
+        let (hits, calls) = many(&store, &ids, 2);
         assert_eq!(calls, 1, "one read for the run, bad frame and all");
         let served: Vec<ChunkId> = hits.iter().map(|hit| hit.0).collect();
         assert_eq!(served, [ids[0], ids[2]]);
@@ -1484,7 +1522,7 @@ mod tests {
         assert!(!store.contains(&ids[1]), "the bad frame is forgotten");
         // The next lookup is a clean miss for it, a run of one for
         // each neighbour.
-        let (hits, calls) = many(&store, &ids);
+        let (hits, calls) = many(&store, &ids, 2);
         assert_eq!(
             (hits.len(), calls, store.counters().corrupt_frames.get()),
             (2, 2, 1)
@@ -1502,7 +1540,7 @@ mod tests {
                 let path = store.segment_paths().pop().unwrap();
                 let file = OpenOptions::new().write(true).open(&path).unwrap();
                 file.set_len(start(cut) + into).unwrap();
-                let (hits, calls) = many(&store, &ids);
+                let (hits, calls) = many(&store, &ids, 2);
                 let served: Vec<ChunkId> = hits.iter().map(|hit| hit.0).collect();
                 assert_eq!(served, ids[..cut], "cut in frame {cut} at +{into}");
                 // The short run read, then one read per frame.
@@ -1528,7 +1566,7 @@ mod tests {
         store.put(id(1, 6), &payload(6));
         assert_eq!(store.segment_paths().len(), 2);
         let ids: Vec<ChunkId> = (0..7).rev().map(|i| id(1, i)).collect();
-        let (hits, calls) = many(&store, &ids);
+        let (hits, calls) = many(&store, &ids, 1);
         assert_eq!(hits.len(), 7);
         assert_eq!(calls, 3, "0..4 | 4..6 | 6");
         for (i, (key, _, bytes)) in hits.iter().enumerate() {
@@ -1537,7 +1575,7 @@ mod tests {
         }
         // A removed frame in the middle of a run splits it too.
         store.remove(&id(1, 2));
-        assert_eq!(many(&store, &ids).1, 4, "0..2 | 3 | 4..6 | 6");
+        assert_eq!(many(&store, &ids, 1).1, 4, "0..2 | 3 | 4..6 | 6");
         assert_eq!(store.counters().corrupt_frames.get(), 0);
     }
 
@@ -1584,10 +1622,13 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// `get_many` is a `get` per id: over random puts, removes,
-        /// cleans, byte flips and torn tails, two equal stores serve the
-        /// same hits, count the same corrupt frames and keep the same
-        /// keys whether each object is read at once or id by id.
+        /// `get_many` at a version is, per id, a `version_of`, then a
+        /// `get` of a chunk at that version or a `remove` of an older
+        /// one: over random puts, removes, cleans, byte flips and torn
+        /// tails, and lookups of each object at versions 1, 2 and 3,
+        /// two equal stores serve the same hits, count the same corrupt
+        /// frames and keep the same keys whether each object is read at
+        /// once or id by id.
         #[test]
         fn get_many_matches_a_get_per_id(
             ops in vec((0u8..9, 0u64..3, 0u8..4, 1u64..4, 0usize..4, any::<u16>()), 1..60),
@@ -1595,19 +1636,28 @@ mod tests {
             let (batched, single) = (driven(&ops), driven(&ops));
             prop_assert_eq!(segment_files(&batched), segment_files(&single));
             for object in 0..3 {
-                let ids: Vec<ChunkId> = (0..4).map(|index| id(object, index)).collect();
-                let (hits, _) = many(&batched, &ids);
-                let mut expected: Vec<(ChunkId, u64, Vec<u8>)> = ids
-                    .iter()
-                    .filter_map(|key| {
-                        let chunk = single.get(key)?;
-                        Some((*key, chunk.version(), chunk.data().to_vec()))
-                    })
-                    .collect();
-                expected.sort_unstable();
-                prop_assert_eq!(hits, expected);
-                prop_assert_eq!(batched.counters().corrupt_frames.get(), single.counters().corrupt_frames.get());
-                prop_assert_eq!(batched.keys(), single.keys());
+                for version in 1..4 {
+                    let ids: Vec<ChunkId> = (0..4).map(|index| id(object, index)).collect();
+                    let (hits, _) = many(&batched, &ids, version);
+                    let mut expected: Vec<(ChunkId, u64, Vec<u8>)> = ids
+                        .iter()
+                        .filter_map(|key| {
+                            let resident = single.version_of(key)?;
+                            if resident < version {
+                                single.remove(key);
+                            }
+                            if resident != version {
+                                return None;
+                            }
+                            let chunk = single.get(key)?;
+                            Some((*key, chunk.version(), chunk.data().to_vec()))
+                        })
+                        .collect();
+                    expected.sort_unstable();
+                    prop_assert_eq!(hits, expected);
+                    prop_assert_eq!(batched.counters().corrupt_frames.get(), single.counters().corrupt_frames.get());
+                    prop_assert_eq!(batched.keys(), single.keys());
+                }
             }
             batched.check_invariants();
         }

@@ -13,13 +13,18 @@
 //! - every caller on the read and write paths asks about an object,
 //!   and the object calls — [`lookup_object`](ShardedChunkCache::lookup_object),
 //!   [`absent`](ShardedChunkCache::absent),
-//!   [`held_at`](ShardedChunkCache::held_at),
 //!   [`remove_object`](ShardedChunkCache::remove_object) and
 //!   [`replace_object`](ShardedChunkCache::replace_object) — take that
 //!   one shard lock once for all the chunks they name. Each is equal
-//!   to the per-chunk calls it folds (`get` or `peek`, `contains`,
-//!   `version_of`, `remove`, `insert`) made once per index, and a
-//!   concurrent object call sees all of its effect or none of it;
+//!   to the per-chunk calls it folds (a `version_of` then a `get` or
+//!   `peek` of a chunk at the reader's version or a `remove` of an
+//!   older one; `contains`; `remove`; `insert`) made once per index,
+//!   and a concurrent object call sees all of its effect or none of it;
+//! - the cache owns the version rule: a lookup names the reader's
+//!   version, serves the chunks at it, leaves newer ones in place and
+//!   removes older ones under the lock that found them. A chunk of
+//!   another version is a miss, and no caller compares versions or
+//!   removes what a lookup found stale in a second visit;
 //! - each shard counts the acquisitions of its lock while it holds it,
 //!   and [`lock_visits`](ShardedChunkCache::lock_visits) sums them: a
 //!   fully cached read is one visit;
@@ -227,53 +232,56 @@ impl ShardedChunkCache {
         self.shard(key.object()).entries.contains_key(key)
     }
 
-    /// Looks up chunks `indices` of `object` under one shard lock and
-    /// calls `found` with each hit, in `indices` order (a borrow: the
-    /// caller clones what it keeps); returns the misses. With
-    /// `record_stats` each index is counted and stamped as
-    /// [`get`](ShardedChunkCache::get) counts and stamps it; without,
-    /// nothing is, as with [`peek`](ShardedChunkCache::peek). `found`
-    /// runs under the shard lock, so it must not call back into the
-    /// cache.
+    /// Looks up chunks `indices` of `object` at a reader's `version`
+    /// under one shard lock, and applies the version rule to each chunk
+    /// it finds, in `indices` order: a chunk at `version` is served
+    /// (`found` gets a borrow; the caller clones what it keeps); a
+    /// newer one stays cached and is not served; an older one can
+    /// never be served again and is removed under the same lock.
+    /// Returns every index not served. With `record_stats` each index
+    /// counts, a served chunk as a hit and anything else as a miss, and
+    /// a served chunk is stamped as [`get`](ShardedChunkCache::get)
+    /// stamps it; without, nothing is counted or stamped. `found` runs
+    /// under the shard lock, so it must not call back into the cache.
     pub fn lookup_object(
         &self,
         object: ObjectId,
         indices: impl IntoIterator<Item = u8>,
+        version: u64,
         record_stats: bool,
         mut found: impl FnMut(u8, &CachedChunk),
     ) -> ChunkSet {
         let mut missed = ChunkSet::new();
-        let (mut hits, mut misses) = (0, 0);
+        let (mut hits, mut lookups) = (0, 0);
         {
             let mut shard = self.shard(object);
             for index in indices {
+                lookups += 1;
                 let id = ChunkId::new(object, index);
-                let hit = if record_stats {
-                    let now = shard.tick();
-                    shard.entries.get_mut(&id).map(|(chunk, stamp)| {
-                        *stamp = now;
-                        &*chunk
-                    })
-                } else {
-                    shard.entries.get(&id).map(|(chunk, _)| chunk)
+                let now = if record_stats { shard.tick() } else { 0 };
+                let Some((chunk, stamp)) = shard.entries.get_mut(&id) else {
+                    missed.insert(index);
+                    continue;
                 };
-                match hit {
-                    Some(chunk) => {
-                        hits += 1;
-                        found(index, chunk);
+                if chunk.version == version {
+                    if record_stats {
+                        *stamp = now;
                     }
-                    None => {
-                        misses += 1;
-                        missed.insert(index);
-                    }
+                    hits += 1;
+                    found(index, chunk);
+                    continue;
                 }
+                if chunk.version < version {
+                    self.take(&mut shard, &id);
+                }
+                missed.insert(index);
             }
         }
         if record_stats && hits > 0 {
             self.stats.chunk_hits.add(hits);
         }
-        if record_stats && misses > 0 {
-            self.stats.chunk_misses.add(misses);
+        if record_stats && lookups > hits {
+            self.stats.chunk_misses.add(lookups - hits);
         }
         missed
     }
@@ -286,28 +294,6 @@ impl ShardedChunkCache {
         indices
             .into_iter()
             .filter(|&index| !shard.entries.contains_key(&ChunkId::new(object, index)))
-            .collect()
-    }
-
-    /// The chunks of `indices` of `object` cached at exactly `version`,
-    /// under one shard lock (a [`version_of`](ShardedChunkCache::version_of)
-    /// per index: no stamp, no count).
-    pub fn held_at(
-        &self,
-        object: ObjectId,
-        indices: impl IntoIterator<Item = u8>,
-        version: u64,
-    ) -> ChunkSet {
-        let shard = self.shard(object);
-        indices
-            .into_iter()
-            .filter(|&index| {
-                let id = ChunkId::new(object, index);
-                shard
-                    .entries
-                    .get(&id)
-                    .is_some_and(|(chunk, _)| chunk.version == version)
-            })
             .collect()
     }
 
@@ -553,7 +539,7 @@ mod tests {
     use super::*;
     use proptest::collection::vec;
     use proptest::prelude::*;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, AtomicU64};
     use std::sync::{Arc, Barrier};
 
     fn chunk(bytes: usize, version: u64) -> CachedChunk {
@@ -868,22 +854,51 @@ mod tests {
         let object = ObjectId::new(5);
         let visits = cache.lock_visits();
         let mut hits = 0;
-        let missed = cache.lookup_object(object, 0..14, true, |_, _| hits += 1);
+        let missed = cache.lookup_object(object, 0..14, 2, true, |_, _| hits += 1);
         assert_eq!(
             (hits, missed.iter().collect::<Vec<_>>()),
             (12, vec![12, 13])
         );
         assert_eq!(cache.absent(object, 10..14).len(), 2);
-        assert_eq!(cache.held_at(object, 0..14, 2).len(), 12);
         assert_eq!(cache.remove_object(object, [0, 1, 13]).len(), 2);
         let chunks = [(0, chunk(10, 3)), (1, chunk(10, 3))];
         assert_eq!(cache.replace_object(object, 0..3, chunks).len(), 2);
         assert_eq!(cache.absent(object, 0..3).iter().collect::<Vec<_>>(), [2]);
-        assert_eq!(cache.lock_visits() - visits, 6, "one visit per call");
+        assert_eq!(cache.lock_visits() - visits, 5, "one visit per call");
         // A per-chunk call is a visit each.
         cache.contains(&id(5, 3));
         cache.get(&id(5, 4));
-        assert_eq!(cache.lock_visits() - visits, 8);
+        assert_eq!(cache.lock_visits() - visits, 7);
+    }
+
+    #[test]
+    fn a_lookup_serves_its_version_leaves_newer_and_drops_older_in_one_visit() {
+        let cache = ShardedChunkCache::new(10_000, PolicyKind::Lru, 8);
+        let object = ObjectId::new(3);
+        cache.insert(id(3, 0), chunk(10, 1));
+        cache.insert(id(3, 1), chunk(10, 2));
+        cache.insert(id(3, 2), chunk(20, 3));
+        let (visits, before) = (cache.lock_visits(), cache.stats());
+        let mut served = Vec::new();
+        let missed = cache.lookup_object(object, 0..4, 2, true, |index, chunk| {
+            served.push((index, chunk.version()));
+        });
+        assert_eq!(served, [(1, 2)]);
+        assert_eq!(missed.iter().collect::<Vec<_>>(), [0, 2, 3]);
+        assert_eq!(cache.lock_visits() - visits, 1, "the drop is in the visit");
+        assert_eq!(cache.version_of(&id(3, 0)), None, "the older chunk is gone");
+        assert_eq!(cache.version_of(&id(3, 2)), Some(3), "the newer one stays");
+        assert_eq!(cache.used_bytes(), 30);
+        let delta = cache.stats().delta_since(&before);
+        assert_eq!((delta.chunk_hits(), delta.chunk_misses()), (1, 3));
+        // Without statistics nothing is counted, and the rule holds.
+        cache.insert(id(3, 0), chunk(10, 1));
+        let before = cache.stats();
+        let missed = cache.lookup_object(object, 0..3, 2, false, |_, _| {});
+        assert_eq!(missed.iter().collect::<Vec<_>>(), [0, 2]);
+        assert!(!cache.contains(&id(3, 0)));
+        assert_eq!(cache.version_of(&id(3, 2)), Some(3));
+        assert_eq!(cache.stats(), before);
     }
 
     /// One step of [`object_calls_equal_the_per_id_calls`]: `(op,
@@ -893,7 +908,7 @@ mod tests {
 
     fn step() -> impl Strategy<Value = Step> {
         (
-            0u8..8,
+            0u8..7,
             0u64..3,
             0u8..5,
             1u64..4,
@@ -919,11 +934,13 @@ mod tests {
 
         /// Each object call equals the per-id calls it folds, over
         /// random inserts (some older than the resident entry, some
-        /// evicting), removals and lookups at 1 and 8 shards: a lookup
-        /// equals a `get` (or a `peek`) per index — the same hits in
-        /// the same order, the same counts, the same stamps, so the
-        /// same later victims —, `absent` a `contains` per index,
-        /// `held_at` a `version_of` per index, `remove_object` a
+        /// evicting), removals and lookups at 1 and 8 shards. A lookup
+        /// at a version equals, per index, a `version_of` and then: a
+        /// `get` (or a `peek`) of a chunk at that version; a `remove`
+        /// of an older one; for a newer one, the miss a `get` counts,
+        /// with the entry left alone. The same hits in the same order,
+        /// the same counts, the same stamps, so the same later victims.
+        /// `absent` is a `contains` per index, `remove_object` a
         /// `remove` per index and `replace_object` a `remove` per index
         /// then an `insert` per chunk (overflowing batches included).
         #[test]
@@ -947,22 +964,31 @@ mod tests {
                     2 | 3 => {
                         let record_stats = op == 2;
                         let mut found = Vec::new();
-                        let missed = whole.lookup_object(o, indices.iter().copied(), record_stats, |i, c| {
+                        let missed = whole.lookup_object(o, indices.iter().copied(), version, record_stats, |i, c| {
                             found.push((i, c.clone()));
                         });
                         let mut expected = Vec::new();
                         let mut expected_missed = ChunkSet::new();
                         for &i in &indices {
-                            let hit = if record_stats {
-                                single.get(&id(object, i))
+                            let key = id(object, i);
+                            let resident = single.version_of(&key);
+                            if resident == Some(version) {
+                                let hit = if record_stats { single.get(&key) } else { single.peek(&key) };
+                                expected.push((i, hit.expect("resident")));
+                                continue;
+                            }
+                            expected_missed.insert(i);
+                            if resident.is_some_and(|resident| resident < version) {
+                                single.remove(&key);
+                            }
+                            if !record_stats {
+                                continue;
+                            }
+                            if resident.is_some_and(|resident| resident > version) {
+                                single.shard(o).tick();
+                                single.stats.chunk_misses.inc();
                             } else {
-                                single.peek(&id(object, i))
-                            };
-                            match hit {
-                                Some(c) => expected.push((i, c)),
-                                None => {
-                                    expected_missed.insert(i);
-                                }
+                                prop_assert!(single.get(&key).is_none());
                             }
                         }
                         prop_assert_eq!(found, expected);
@@ -977,14 +1003,6 @@ mod tests {
                         prop_assert_eq!(whole.absent(o, indices.iter().copied()), expected);
                     }
                     5 => {
-                        let expected: ChunkSet = indices
-                            .iter()
-                            .copied()
-                            .filter(|&i| single.version_of(&id(object, i)) == Some(version))
-                            .collect();
-                        prop_assert_eq!(whole.held_at(o, indices.iter().copied(), version), expected);
-                    }
-                    6 => {
                         let expected: ChunkSet = indices
                             .iter()
                             .copied()
@@ -1020,24 +1038,26 @@ mod tests {
     #[cfg_attr(miri, ignore)] // thread hammer: minutes under Miri
     fn object_lookups_never_see_a_version_go_backwards() {
         // Two writers each own three objects and insert every chunk of
-        // them at versions 1, 2, 3, …; a dropper removes whole objects;
-        // two readers look whole objects up (one counting, one
-        // peeking). Six objects of four 50 B chunks are 1 200 B in a
-        // 700 B cache over two shards, so inserts evict too. A writer's
-        // inserts of one chunk only ever grow its version, and a
-        // removal only takes it away: a reader must never see a chunk
-        // older than one it saw before.
+        // them at versions 1, 2, 3, …, publishing each version once all
+        // its chunks are in; a dropper removes whole objects; two
+        // readers look whole objects up at the published version (one
+        // counting, one not), which drops the older chunks they meet.
+        // Six objects of four 50 B chunks are 1 200 B in a 700 B cache
+        // over two shards, so inserts evict too. A lookup serves only
+        // its own version, and the published version only grows: a
+        // reader must never see a chunk older than one it saw before.
         const OBJECTS: u64 = 6;
         const INDICES: u8 = 4;
         const ROUNDS: u64 = 300;
         const LOOKUPS: u64 = 2_000;
         let cache = ShardedChunkCache::new(700, PolicyKind::Lru, 2);
+        let published: [AtomicU64; OBJECTS as usize] = Default::default();
         let start = Barrier::new(5);
         let writing = AtomicBool::new(true);
         std::thread::scope(|scope| {
             let writers: Vec<_> = (0..2u64)
                 .map(|writer| {
-                    let (cache, start) = (&cache, &start);
+                    let (cache, published, start) = (&cache, &published, &start);
                     scope.spawn(move || {
                         start.wait();
                         for version in 1..=ROUNDS {
@@ -1045,6 +1065,7 @@ mod tests {
                                 for index in 0..INDICES {
                                     cache.insert(id(object, index), chunk(50, version));
                                 }
+                                published[object as usize].store(version, Ordering::Release);
                             }
                         }
                     })
@@ -1059,19 +1080,22 @@ mod tests {
                 }
             });
             for reader in 0..2 {
-                let (cache, start) = (&cache, &start);
+                let (cache, published, start) = (&cache, &published, &start);
                 scope.spawn(move || {
                     start.wait();
                     let mut seen = [[0u64; INDICES as usize]; OBJECTS as usize];
                     for round in 0..LOOKUPS {
                         let object = (round * 5 + reader) % OBJECTS;
+                        let version = published[object as usize].load(Ordering::Acquire);
                         let last = &mut seen[object as usize];
                         cache.lookup_object(
                             ObjectId::new(object),
                             0..INDICES,
+                            version,
                             reader == 0,
                             |index, chunk| {
                                 let before = last[index as usize];
+                                assert_eq!(chunk.version(), version, "{object}/{index}");
                                 assert!(
                                     chunk.version() >= before,
                                     "{object}/{index} went back from {before}"

@@ -22,6 +22,14 @@
 //!   per step (the shard holds every chunk of the object, so that is
 //!   one lock), and each equals its per-chunk calls made once per
 //!   index;
+//! - a lookup names the reader's version and each tier applies the
+//!   version rule inside the visit that finds a chunk: one at that
+//!   version is served, a newer one stays put unserved, and an older
+//!   one is removed there and then (on disk without reading its
+//!   frame). That is the only removal a read makes, and no caller
+//!   compares a cached chunk's version itself.
+//!   [`TieredChunkCache::peek`] serves any version: a reconfiguration
+//!   moves whatever is cached;
 //! - an insert **older** than the resident chunk of its key — in
 //!   either tier — is refused, so a cached chunk's version never goes
 //!   backwards. Each tier checks its own entry under its own lock;
@@ -32,9 +40,11 @@
 //!
 //! Counter semantics: both tiers record into the RAM tier's counter
 //! cells, and `chunk_hits`/`chunk_misses` keep meaning *RAM* lookups
-//! (the identity stated in the [`crate::stats`] module docs), so RAM
-//! hit-ratio time series stay comparable across tiered and untiered
-//! runs. `disk_hits` counts lookups served from a disk frame;
+//! (the identity stated in the [`crate::stats`] module docs): a hit is
+//! a chunk RAM served at the reader's version, and a chunk of any
+//! other version is a miss. RAM hit-ratio time series stay comparable
+//! across tiered and untiered runs. `disk_hits` counts lookups served
+//! from a disk frame;
 //! `tier_demotions` placements that moved a chunk down out of RAM and
 //! `tier_promotions` placements that moved one up off the disk (in the
 //! node: the configured moves of a reconfiguration, nothing else),
@@ -83,14 +93,17 @@ pub enum CacheTier {
 /// let chunk = |byte| CachedChunk::new(Bytes::from(vec![byte; 200]), 1);
 /// assert!(cache.insert_to_tier(a, chunk(1), CacheTier::Disk));
 /// assert!(cache.insert_to_tier(b, chunk(2), CacheTier::Ram));
-/// let (found, tier) = cache.get(&a).unwrap();
+/// // A lookup at version 1 serves it from disk, and it stays there
+/// // until a placement moves it.
+/// let mut tiers = Vec::new();
+/// cache.lookup_object(a.object(), [0], 1, true, |_, _, tier| tiers.push(tier));
+/// assert_eq!(tiers, [CacheTier::Disk]);
+/// let (found, tier) = cache.peek(&a).unwrap();
 /// assert_eq!((found.data().len(), tier), (200, CacheTier::Disk));
-/// // It is served from disk until a placement moves it.
-/// assert_eq!(cache.peek(&a).unwrap().1, CacheTier::Disk);
 /// // RAM has room for one: moving a up evicts b, and b is gone — a
 /// // capacity eviction drops its victim, it never spills to disk.
 /// assert!(cache.insert_to_tier(a, found, CacheTier::Ram));
-/// assert_eq!(cache.get(&a).unwrap().1, CacheTier::Ram);
+/// assert_eq!(cache.peek(&a).unwrap().1, CacheTier::Ram);
 /// assert!(cache.peek(&b).is_none());
 /// ```
 #[derive(Debug)]
@@ -127,20 +140,9 @@ impl TieredChunkCache {
         self.disk.as_ref()
     }
 
-    /// Reads a chunk: RAM first, then disk (served in place: neither
-    /// tier changes). Records RAM hit/miss, and `disk_hits` on one.
-    pub fn get(&self, key: &ChunkId) -> Option<(CachedChunk, CacheTier)> {
-        if let Some(chunk) = self.ram.get(key) {
-            return Some((chunk, CacheTier::Ram));
-        }
-        // RAM miss already recorded by `ram.get`.
-        let chunk = self.disk.as_ref()?.get(key)?;
-        self.counters().disk_hits.inc();
-        Some((chunk, CacheTier::Disk))
-    }
-
-    /// [`TieredChunkCache::get`] without recency updates or hit/miss
-    /// accounting (the tiered analogue of [`ShardedChunkCache::peek`]).
+    /// Reads a chunk, whatever its version, without recency updates or
+    /// hit/miss accounting: RAM first, then disk (neither tier
+    /// changes). What a reconfiguration moves between tiers.
     pub fn peek(&self, key: &ChunkId) -> Option<(CachedChunk, CacheTier)> {
         if let Some(chunk) = self.ram.peek(key) {
             return Some((chunk, CacheTier::Ram));
@@ -149,35 +151,40 @@ impl TieredChunkCache {
         Some((chunk, CacheTier::Disk))
     }
 
-    /// Looks up chunks `indices` of `object` — one read's hinted
-    /// chunks, or a neighbour's offers — with one RAM visit
-    /// ([`ShardedChunkCache::lookup_object`]: one shard lock for the
-    /// whole object), then one disk visit ([`DiskStore::get_many`]) for
-    /// all the RAM misses, so a run of one object's frames costs one
-    /// positioned read. Calls `found` with `(index, &chunk, tier)` for
-    /// every hit: the RAM hits in `indices` order, then the disk hits
-    /// in log order. With `record_stats` each id is counted as
-    /// [`TieredChunkCache::get`] counts it (RAM hit or miss, `disk_hits`
-    /// per disk hit); without, as [`TieredChunkCache::peek`] (nothing).
-    /// Neither tier changes. `found` runs under the RAM shard's lock or
-    /// the disk tier's, so it must not call back into the cache.
+    /// Looks up chunks `indices` of `object` at a reader's `version` —
+    /// one read's hinted chunks, or a neighbour's offers — with one RAM
+    /// visit ([`ShardedChunkCache::lookup_object`]: one shard lock for
+    /// the whole object), then one disk visit ([`DiskStore::get_many`])
+    /// for what RAM did not serve, so a run of one object's frames
+    /// costs one positioned read. Each tier applies the version rule
+    /// inside its own visit: a chunk at `version` is served, a newer
+    /// one stays where it is, unserved, and an older one is removed
+    /// (from disk without reading its frame). Calls `found` with
+    /// `(index, &chunk, tier)` for every chunk served: the RAM hits in
+    /// `indices` order, then the disk hits in log order. With
+    /// `record_stats` each index counts as one RAM lookup (a hit when
+    /// RAM serves it, else a miss) and `disk_hits` counts the chunks
+    /// disk serves; without, nothing is counted. No served chunk moves.
+    /// `found` runs under the RAM shard's lock or the disk tier's, so
+    /// it must not call back into the cache.
     pub fn lookup_object(
         &self,
         object: ObjectId,
         indices: impl IntoIterator<Item = u8>,
+        version: u64,
         record_stats: bool,
         mut found: impl FnMut(u8, &CachedChunk, CacheTier),
     ) {
-        let missed = self
-            .ram
-            .lookup_object(object, indices, record_stats, |index, chunk| {
-                found(index, chunk, CacheTier::Ram);
-            });
+        let missed =
+            self.ram
+                .lookup_object(object, indices, version, record_stats, |index, chunk| {
+                    found(index, chunk, CacheTier::Ram);
+                });
         let Some(disk) = self.disk.as_ref().filter(|_| !missed.is_empty()) else {
             return;
         };
         let ids = missed.iter().map(|index| ChunkId::new(object, index));
-        disk.get_many(ids, |id, chunk| {
+        disk.get_many(ids, version, |id, chunk| {
             if record_stats {
                 self.counters().disk_hits.inc();
             }
@@ -362,6 +369,20 @@ impl TieredChunkCache {
 
 #[cfg(test)]
 impl TieredChunkCache {
+    /// Reads a chunk, whatever its version: RAM first, then disk
+    /// (served in place: neither tier changes). Records RAM hit/miss,
+    /// and `disk_hits` on one. The per-chunk reference the tests hold
+    /// [`TieredChunkCache::lookup_object`] to.
+    fn get(&self, key: &ChunkId) -> Option<(CachedChunk, CacheTier)> {
+        if let Some(chunk) = self.ram.get(key) {
+            return Some((chunk, CacheTier::Ram));
+        }
+        // RAM miss already recorded by `ram.get`.
+        let chunk = self.disk.as_ref()?.get(key)?;
+        self.counters().disk_hits.inc();
+        Some((chunk, CacheTier::Disk))
+    }
+
     /// Which tier currently holds the chunk, if any (no I/O beyond the
     /// disk index lookup, no recency updates).
     fn tier_of(&self, key: &ChunkId) -> Option<CacheTier> {
@@ -481,6 +502,7 @@ mod tests {
             batched.lookup_object(
                 ObjectId::new(1),
                 indices,
+                3,
                 record_stats,
                 |index, chunk, tier| {
                     found.push((index, chunk.clone(), tier));
@@ -516,10 +538,56 @@ mod tests {
         }
         // All RAM hits: the disk tier is not visited.
         let cache = build();
-        cache.lookup_object(ObjectId::new(1), [0, 1], true, |_, _, tier| {
+        cache.lookup_object(ObjectId::new(1), [0, 1], 3, true, |_, _, tier| {
             assert_eq!(tier, CacheTier::Ram);
         });
         assert_eq!(cache.disk().unwrap().counters().read_calls.get(), 0);
+    }
+
+    #[test]
+    fn a_lookup_serves_its_version_leaves_newer_and_drops_older_in_each_tier() {
+        // Object 1 at versions 1, 2, 3: chunks 0..3 in RAM, 3..6 on
+        // disk, back to back. A reader at version 2 asks for all six.
+        let cache = TieredChunkCache::with_disk(1_000, 1, 10_000);
+        for (index, version) in [(0, 1), (1, 2), (2, 3), (3, 1), (4, 2), (5, 3)] {
+            let tier = if index < 3 {
+                CacheTier::Ram
+            } else {
+                CacheTier::Disk
+            };
+            assert!(cache.insert_to_tier(id(1, index), chunk(index, 100, version), tier));
+        }
+        let disk = cache.disk().unwrap();
+        let (visits, calls, before) = (
+            cache.ram().lock_visits(),
+            disk.counters().read_calls.get(),
+            cache.stats(),
+        );
+        let mut served = Vec::new();
+        cache.lookup_object(ObjectId::new(1), 0..6, 2, true, |index, chunk, tier| {
+            served.push((index, chunk.version(), tier));
+        });
+        assert_eq!(served, [(1, 2, CacheTier::Ram), (4, 2, CacheTier::Disk)]);
+        assert_eq!(cache.ram().lock_visits() - visits, 1, "one RAM visit");
+        assert_eq!(
+            disk.counters().read_calls.get() - calls,
+            1,
+            "the served frame only: the older and newer ones are not read"
+        );
+        let held = |index| {
+            cache
+                .peek(&id(1, index))
+                .map(|(c, tier)| (c.version(), tier))
+        };
+        assert_eq!(held(0), None, "older, dropped from RAM");
+        assert_eq!(held(3), None, "older, dropped from disk");
+        assert_eq!(held(2), Some((3, CacheTier::Ram)), "newer, left in RAM");
+        assert_eq!(held(5), Some((3, CacheTier::Disk)), "newer, left on disk");
+        let delta = cache.stats().delta_since(&before);
+        assert_eq!(
+            (delta.chunk_hits(), delta.chunk_misses(), delta.disk_hits()),
+            (1, 5, 1)
+        );
     }
 
     #[test]
@@ -713,7 +781,11 @@ mod tests {
         /// chunk is in the tier its last placement named and in no
         /// other, an insert older than the resident chunk (in either
         /// tier) is refused, a hit returns the newest stored version's
-        /// exact bytes, and both byte budgets hold.
+        /// exact bytes, and both byte budgets hold. A versioned lookup
+        /// equals its restatement (peek, compare, remove the older
+        /// chunk): it serves the resident chunk only at its version,
+        /// drops an older one from both tiers, leaves a newer one where
+        /// it was and counts one RAM lookup.
         #[test]
         fn model_never_two_tiers_never_stale_never_over_budget(
             ops in vec((0u8..6, 0u64..3, 0u8..2, 1u64..4, 0usize..5), 1..80),
@@ -764,9 +836,35 @@ mod tests {
                             prop_assert!(!cache.remove(&key) || placed, "{key:?} was never placed");
                         }
                     }
+                    4 => {
+                        // A lookup at `version` is a peek, a compare and
+                        // the removal of an older chunk, in one call.
+                        let resident = cache.peek(&key);
+                        let before = cache.stats();
+                        let mut found = Vec::new();
+                        cache.lookup_object(ObjectId::new(object), [index], version, true, |_, chunk, tier| {
+                            found.push((chunk.clone(), tier));
+                        });
+                        let served = resident.clone().filter(|(chunk, _)| chunk.version() == version);
+                        prop_assert_eq!(found.first(), served.as_ref());
+                        let older = resident.as_ref().is_some_and(|(chunk, _)| chunk.version() < version);
+                        if older {
+                            ram.remove(&key);
+                            disk.remove(&key);
+                        }
+                        let left = resident.filter(|_| !older).map(|(chunk, tier)| (chunk.version(), tier));
+                        prop_assert_eq!(cache.peek(&key).map(|(chunk, tier)| (chunk.version(), tier)), left);
+                        let delta = cache.stats().delta_since(&before);
+                        let counted = match served.map(|(_, tier)| tier) {
+                            Some(CacheTier::Ram) => (1, 0, 0),
+                            Some(CacheTier::Disk) => (0, 1, 1),
+                            None => (0, 1, 0),
+                        };
+                        prop_assert_eq!((delta.chunk_hits(), delta.chunk_misses(), delta.disk_hits()), counted);
+                    }
                     _ => {
                         let before = cache.tier_of(&key);
-                        let found = if op == 4 { cache.get(&key) } else { cache.peek(&key) };
+                        let found = cache.peek(&key);
                         prop_assert_eq!(cache.tier_of(&key), before, "a read moved the chunk");
                         prop_assert_eq!(found.as_ref().map(|(_, tier)| *tier), before);
                         if let Some((chunk, _)) = found {

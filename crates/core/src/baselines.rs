@@ -27,7 +27,7 @@ use crate::node::{CachingClient, EpochClock, ReadMetrics};
 use crate::options::generate_options;
 use crate::planner::{LocalHits, ReadPlanner};
 use agar_cache::{CacheStats, CachedChunk, PolicyKind, ShardedChunkCache};
-use agar_ec::{ChunkId, ChunkSet, ObjectId};
+use agar_ec::{ChunkId, ObjectId};
 use agar_net::{RegionId, SimTime};
 use agar_obs::DecodeKind;
 use agar_store::{Backend, ObjectManifest};
@@ -190,20 +190,16 @@ impl FixedChunksClient {
             BaselinePolicy::LfuEpoch => inner.admitted.contains(&object),
         };
 
-        // Lookup: one visit; chunks of another version are dropped.
+        // Lookup: one visit at the manifest's version, which drops
+        // older chunks.
         let mut hits = LocalHits::default();
-        let mut stale = ChunkSet::new();
-        self.cache
-            .lookup_object(object, designated.iter().copied(), true, |index, chunk| {
-                if chunk.version() == version {
-                    hits.ram.push((index, chunk.data().clone()));
-                } else {
-                    stale.insert(index);
-                }
-            });
-        if !stale.is_empty() {
-            self.cache.remove_object(object, stale.iter());
-        }
+        self.cache.lookup_object(
+            object,
+            designated.iter().copied(),
+            version,
+            true,
+            |index, chunk| hits.ram.push((index, chunk.data().clone())),
+        );
         let cache_hits = hits.ram.len();
 
         // Plan → fetch → bind → decode → price, as the node reads.

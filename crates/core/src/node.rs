@@ -28,8 +28,9 @@
 //! first records the request in the monitor (its own mutex, one
 //! hash-map increment) and then runs the six stages of `read.rs`:
 //!
-//! 1. **lookup** — hinted chunks in the sharded cache (one visit to
-//!    the shard that holds the object, atomic statistics);
+//! 1. **lookup** — hinted chunks in the sharded cache at the
+//!    manifest's version (one visit to the shard that holds the
+//!    object, which also drops older chunks; atomic statistics);
 //! 2. **plan** — the [`ReadPlanner`](crate::planner::ReadPlanner)
 //!    ranks every candidate source against *snapshots* (the
 //!    `Arc<CacheConfiguration>` swapped at reconfiguration, a copy of
@@ -72,11 +73,15 @@
 //! - **two writers** of one object are serialised by the cluster's
 //!   per-object lease (`agar-cluster`); writes that bypass it are
 //!   ordered by their versions, again through the monotone insert;
-//! - whatever slips through is a chunk of the wrong version, which the
-//!   **version check on every lookup** turns into a miss, never into a
-//!   stale byte. The lookup drops chunks older than its manifest and
-//!   leaves newer ones alone: an attempt whose snapshot predates the
-//!   write must not sweep what the write placed.
+//! - whatever slips through is a chunk of the wrong version, which
+//!   **every lookup, made at the reader's manifest version,** turns
+//!   into a miss, never into a stale byte. The cache applies that rule
+//!   inside the visit that finds each chunk
+//!   ([`TieredChunkCache::lookup_object`]): it drops chunks older than
+//!   the manifest under the lock that found them and leaves newer ones
+//!   alone: an attempt whose snapshot predates the write cannot sweep
+//!   what the write placed, since there is no second visit for a write
+//!   to land before.
 
 use crate::breaker::{BreakerPolicy, CircuitBreaker};
 use crate::cache_manager;
@@ -682,16 +687,20 @@ impl AgarNode {
         }
     }
 
-    /// Looks a chunk up in the local cache without touching recency
-    /// metadata, statistics or tier placement; returns the payload and
-    /// the tier holding it only if its version matches. One RAM visit
-    /// per call: a caller asking about several chunks of one object
-    /// takes one with [`AgarNode::offer_object`].
+    /// Looks a chunk up in the local cache at `version` without touching
+    /// recency metadata, statistics or tier placement; returns the
+    /// payload and the tier holding it. A chunk older than `version` is
+    /// dropped, as every versioned lookup drops it. One RAM visit per
+    /// call: a caller asking about several chunks of one object takes
+    /// one with [`AgarNode::offer_object`].
     pub fn peek_chunk_tier(&self, chunk: &ChunkId, version: u64) -> Option<(Bytes, CacheTier)> {
+        let mut found = None;
+        let index = chunk.index().value();
         self.cache
-            .peek(chunk)
-            .filter(|(c, _)| c.version() == version)
-            .map(|(c, tier)| (c.data().clone(), tier))
+            .lookup_object(chunk.object(), [index], version, false, |_, chunk, tier| {
+                found = Some((chunk.data().clone(), tier));
+            });
+        found
     }
 
     /// The chunks of `object` the local cache holds at `version`, as
@@ -700,8 +709,10 @@ impl AgarNode {
     /// one disk visit: calls `found` with `(index, payload, tier)` for
     /// each. A cluster router turns these into neighbour offers,
     /// pricing a disk-resident one with the owner's disk-read penalty
-    /// on top of the transfer cost. No recency update, no statistics,
-    /// no placement change.
+    /// on top of the transfer cost. No recency update and no
+    /// statistics. No placement change either, with the one exception
+    /// every versioned lookup makes: a chunk older than `version` is
+    /// dropped.
     pub fn offer_object(
         &self,
         object: ObjectId,
@@ -709,21 +720,31 @@ impl AgarNode {
         indices: ChunkSet,
         mut found: impl FnMut(u8, Bytes, CacheTier),
     ) {
-        self.cache
-            .lookup_object(object, indices.iter(), false, |index, chunk, tier| {
-                if chunk.version() == version {
-                    found(index, chunk.data().clone(), tier);
-                }
-            });
+        self.cache.lookup_object(
+            object,
+            indices.iter(),
+            version,
+            false,
+            |index, chunk, tier| {
+                found(index, chunk.data().clone(), tier);
+            },
+        );
     }
 
-    /// The chunks of `object` the RAM tier holds at `version`, with one
-    /// visit to the object's shard (no recency update, no statistics,
-    /// no payload clone, no disk read). A cluster router gathers no
+    /// The chunks of `object` the RAM tier holds at `version`: the RAM
+    /// tier's versioned lookup, one visit to the object's shard (no
+    /// recency update, no statistics, no payload clone, no disk read;
+    /// an older chunk is dropped). A cluster router gathers no
     /// neighbour offers for these: the home's own RAM hit is free.
     pub fn held_in_ram(&self, object: ObjectId, version: u64) -> ChunkSet {
         let total = self.backend.params().total_chunks() as u8;
-        self.cache.ram().held_at(object, 0..total, version)
+        let mut held = ChunkSet::new();
+        self.cache
+            .ram()
+            .lookup_object(object, 0..total, version, false, |index, _| {
+                held.insert(index);
+            });
+        held
     }
 
     /// Shard lock acquisitions the RAM tier has counted so far (see

@@ -182,55 +182,46 @@ impl<'a> ReadPlanner<'a> {
     }
 
     /// The lookup stage of a read: looks the hinted chunks up in the local
-    /// tiered cache, version-checked, and returns the hits split by
-    /// serving tier. A chunk *older* than the manifest is stale and is
-    /// dropped — from **both** tiers, write-path coherence. A chunk
-    /// *newer* than the manifest is no hit either, but it is the
-    /// manifest snapshot that is behind (a write completed after this
-    /// attempt took it, and left its chunks here): the chunk stays, and
-    /// the attempt will lose the version race at its first fetch.
+    /// tiered cache at the manifest's version and returns the hits split
+    /// by serving tier.
     ///
     /// The lookup is one [`TieredChunkCache::lookup_object`]: one visit
     /// to the RAM shard that holds every chunk of the object, and one
-    /// to the disk tier for the RAM misses, which reads each run of the
-    /// object's back-to-back frames with one positioned read and leaves
-    /// every chunk where the configuration put it. Stale chunks are
-    /// dropped once the lookup is done, with one more visit to each
-    /// tier. Each hit list is allocated once, at its first hit, for
-    /// every hinted chunk.
+    /// to the disk tier for what RAM did not serve, which reads each
+    /// run of the object's back-to-back frames with one positioned read
+    /// and leaves every chunk where the configuration put it. The cache
+    /// applies the version rule inside those visits: a chunk *older*
+    /// than the manifest is stale and is dropped there and then; a
+    /// chunk *newer* than the manifest is no hit either, but it is the
+    /// manifest snapshot that is behind (a write completed after this
+    /// attempt took it, and left its chunks here): the chunk stays, and
+    /// the attempt will lose the version race at its first fetch. Each
+    /// hit list is allocated once, at its first hit, for every hinted
+    /// chunk.
     ///
     /// `record_stats` controls whether the lookups count toward the
     /// cache's chunk-level hit/miss statistics and recency metadata;
     /// a version-race *retry* of the same logical read passes `false`
     /// so one read never double-counts.
     pub fn lookup_local(&self, cache: &TieredChunkCache, record_stats: bool) -> LocalHits {
-        let object = self.manifest.object();
-        let version = self.manifest.version();
         let hinted = self.hinted();
         let mut have = LocalHits::default();
-        let mut stale = ChunkSet::new();
         cache.lookup_object(
-            object,
+            self.manifest.object(),
             hinted.iter().copied(),
+            self.manifest.version(),
             record_stats,
             |index, chunk, tier| {
-                if chunk.version() == version {
-                    let hits = match tier {
-                        CacheTier::Ram => &mut have.ram,
-                        CacheTier::Disk => &mut have.disk,
-                    };
-                    if hits.capacity() == 0 {
-                        hits.reserve_exact(hinted.len());
-                    }
-                    hits.push((index, chunk.data().clone()));
-                } else if chunk.version() < version {
-                    stale.insert(index);
+                let hits = match tier {
+                    CacheTier::Ram => &mut have.ram,
+                    CacheTier::Disk => &mut have.disk,
+                };
+                if hits.capacity() == 0 {
+                    hits.reserve_exact(hinted.len());
                 }
+                hits.push((index, chunk.data().clone()));
             },
         );
-        if !stale.is_empty() {
-            cache.remove_object(object, stale.iter());
-        }
         have
     }
 
