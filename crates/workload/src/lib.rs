@@ -8,8 +8,8 @@
 //! - [`Zipfian`] — exact inverse-CDF Zipfian sampling valid for *any*
 //!   skew (YCSB's Gray-formula generator only handles skew < 1, but the
 //!   paper sweeps up to 1.4);
-//! - [`UniformKeys`] — the paper's uniform control; both sit behind the
-//!   [`KeyDistribution`] trait and are chosen by a [`Distribution`];
+//! - the paper's uniform control; a [`Distribution`] picks it or
+//!   [`Zipfian`] for a stream;
 //! - [`WorkloadSpec`]/[`OpStream`] — seeded, deterministic operation
 //!   streams with a configurable read/write mix;
 //! - [`ReadWriteMix`]/[`MixedStream`] — the cluster write-path
@@ -42,14 +42,12 @@
 #![warn(rust_2018_idioms)]
 
 pub mod cdf;
-pub mod dist;
 pub mod error;
 pub mod scenario;
 pub mod spec;
 pub mod zipf;
 
 pub use cdf::{zipf_popularity_cdf, CdfPoint};
-pub use dist::{KeyDistribution, UniformKeys};
 pub use error::WorkloadError;
 pub use scenario::{FailureCycle, FlakyRegion, SlowdownSpike, StragglerScenario};
 pub use spec::{

@@ -5,7 +5,6 @@
 //! them into a deterministic, seeded [`OpStream`] of operations, playing
 //! the role of the (modified) YCSB client driver.
 
-use crate::dist::{KeyDistribution, UniformKeys};
 use crate::error::WorkloadError;
 use crate::zipf::Zipfian;
 use rand::rngs::StdRng;
@@ -25,16 +24,15 @@ pub enum Distribution {
 }
 
 impl Distribution {
-    /// Builds the sampler for a catalogue of `n` keys.
-    ///
-    /// # Errors
-    ///
-    /// Propagates parameter validation from the underlying generator.
-    pub fn build(self, n: u64) -> Result<Box<dyn KeyDistribution>, WorkloadError> {
-        Ok(match self {
-            Distribution::Uniform => Box::new(UniformKeys::new(n)?),
-            Distribution::Zipfian { skew } => Box::new(Zipfian::new(n, skew)?),
-        })
+    /// The sampler for a catalogue of `n` keys.
+    fn build(self, n: u64) -> Result<Keys, WorkloadError> {
+        match self {
+            Distribution::Uniform if n == 0 => Err(WorkloadError::InvalidParameter {
+                what: "uniform distribution needs at least one key",
+            }),
+            Distribution::Uniform => Ok(Keys::Uniform(n)),
+            Distribution::Zipfian { skew } => Ok(Keys::Zipf(Zipfian::new(n, skew)?)),
+        }
     }
 
     /// Human-readable label matching the paper's figure axes.
@@ -42,6 +40,34 @@ impl Distribution {
         match self {
             Distribution::Uniform => "uniform".into(),
             Distribution::Zipfian { skew } => format!("zipf {skew}"),
+        }
+    }
+}
+
+/// The key sampler a stream draws from, over keys `0..n`.
+enum Keys {
+    /// Every key equally likely (the paper's "uniform" workload in
+    /// Fig. 8b): Lemire's unbiased 128-bit multiply of one draw.
+    Uniform(u64),
+    /// [`Zipfian`]: rank 0 is the most popular key.
+    Zipf(Zipfian),
+}
+
+impl Keys {
+    /// Draws one key.
+    fn sample(&self, rng: &mut StdRng) -> u64 {
+        match self {
+            Keys::Uniform(n) => ((u128::from(rng.next_u64()) * u128::from(*n)) >> 64) as u64,
+            Keys::Zipf(zipf) => zipf.sample(rng),
+        }
+    }
+}
+
+impl std::fmt::Debug for Keys {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Keys::Uniform(n) => write!(f, "uniform over {n}"),
+            Keys::Zipf(zipf) => write!(f, "zipf({}) over {}", zipf.skew(), zipf.n()),
         }
     }
 }
@@ -239,7 +265,7 @@ impl WorkloadSpec {
     pub fn stream(&self, seed: u64) -> Result<OpStream, WorkloadError> {
         self.validate()?;
         Ok(OpStream {
-            dist: self.distribution.build(self.object_count)?,
+            keys: self.distribution.build(self.object_count)?,
             rng: StdRng::seed_from_u64(seed),
             read_fraction: self.read_fraction,
             remaining: self.operations,
@@ -259,7 +285,7 @@ impl WorkloadSpec {
         self.validate()?;
         mix.validate()?;
         Ok(MixedStream {
-            dist: self.distribution.build(self.object_count)?,
+            keys: self.distribution.build(self.object_count)?,
             rng: StdRng::seed_from_u64(seed),
             mix,
             base_size: self.object_size,
@@ -270,7 +296,7 @@ impl WorkloadSpec {
 
 /// A seeded iterator of operations.
 pub struct OpStream {
-    dist: Box<dyn KeyDistribution>,
+    keys: Keys,
     rng: StdRng,
     read_fraction: f64,
     remaining: usize,
@@ -280,7 +306,7 @@ impl OpStream {
     /// Draws the next operation without consuming the stream budget
     /// (useful for open-ended simulations).
     pub fn draw(&mut self) -> Op {
-        let key = self.dist.sample(&mut self.rng);
+        let key = self.keys.sample(&mut self.rng);
         let u = (self.rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
         if u < self.read_fraction {
             Op::Read { key }
@@ -311,7 +337,7 @@ impl ExactSizeIterator for OpStream {}
 impl std::fmt::Debug for OpStream {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("OpStream")
-            .field("distribution", &self.dist.label())
+            .field("keys", &self.keys)
             .field("read_fraction", &self.read_fraction)
             .field("remaining", &self.remaining)
             .finish()
@@ -353,7 +379,7 @@ impl MixedOp {
 /// A seeded iterator of mixed read/write operations (see
 /// [`WorkloadSpec::mixed_stream`]).
 pub struct MixedStream {
-    dist: Box<dyn KeyDistribution>,
+    keys: Keys,
     rng: StdRng,
     mix: ReadWriteMix,
     base_size: usize,
@@ -363,7 +389,7 @@ pub struct MixedStream {
 impl MixedStream {
     /// Draws the next operation without consuming the stream budget.
     pub fn draw(&mut self) -> MixedOp {
-        let key = self.dist.sample(&mut self.rng);
+        let key = self.keys.sample(&mut self.rng);
         let u = (self.rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
         if u < self.mix.write_ratio {
             let size = self.mix.write_size.sample(self.base_size, &mut self.rng);
@@ -395,7 +421,7 @@ impl ExactSizeIterator for MixedStream {}
 impl std::fmt::Debug for MixedStream {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MixedStream")
-            .field("distribution", &self.dist.label())
+            .field("keys", &self.keys)
             .field("mix", &self.mix.label())
             .field("remaining", &self.remaining)
             .finish()
@@ -405,6 +431,22 @@ impl std::fmt::Debug for MixedStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn uniform_keys_cover_the_range_evenly() {
+        let keys = Distribution::Uniform.build(10).unwrap();
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut counts = [0u64; 10];
+        for _ in 0..100_000 {
+            counts[keys.sample(&mut rng) as usize] += 1;
+        }
+        for (k, &c) in counts.iter().enumerate() {
+            assert!((c as f64 - 10_000.0).abs() < 600.0, "key {k}: {c}");
+        }
+        assert!(Distribution::Uniform.build(0).is_err());
+        let zipf = Distribution::Zipfian { skew: 1.1 }.build(10).unwrap();
+        assert!(zipf.sample(&mut rng) < 10);
+    }
 
     #[test]
     fn paper_default_is_valid() {
