@@ -10,8 +10,8 @@
 //! and drift out of the other.
 
 use crate::harness::LoopOutcome;
-use crate::table::{json_string, LatencySummary, Table};
-use agar_obs::{Labels, StageSummaries};
+use crate::table::{json_string, Table};
+use agar_obs::{Labels, LatencySummary, StageSummaries};
 
 /// One experiment-specific column.
 #[derive(Clone, Copy, Debug)]

@@ -11,7 +11,6 @@
 //! and differ only in what [`Serve`]s their operations and in their
 //! clock hook.
 
-use crate::table::{LatencyHistogram, LatencySummary};
 use agar::{
     AgarNode, AgarSettings, BaselinePolicy, CachingClient, FixedChunksClient, KnapsackSolver,
 };
@@ -20,7 +19,7 @@ use agar_net::latency::LatencyModel;
 use agar_net::presets::{aws_six_regions, paper_table_one, GeoPreset};
 use agar_net::sim::{Scheduler, Simulation};
 use agar_net::{LatencySpike, RegionId, SimTime, SpikedLatency};
-use agar_obs::{Labels, MetricsRegistry};
+use agar_obs::{Labels, LatencyHistogram, LatencySummary, MetricsRegistry};
 use agar_store::{populate, Backend, RoundRobin};
 use agar_workload::{MixedOp, MixedStream, ReadWriteMix, StragglerScenario, WorkloadSpec};
 use rand::rngs::StdRng;

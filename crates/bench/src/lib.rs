@@ -52,6 +52,6 @@ pub use harness::{
 };
 pub use history::WriteHistory;
 pub use mixed::{run_mixed_cluster, MixedRun};
-pub use table::{LatencySummary, Table};
+pub use table::Table;
 pub use tail::{tail_run, TailParams};
 pub use tiers::{tiers_run, TiersParams};

@@ -23,12 +23,12 @@ use crate::cell::cell_labels;
 use crate::cluster::build_warm_cluster;
 use crate::harness::{closed_loop, Deployment, OpSample, Serve};
 use crate::history::WriteHistory;
-use crate::table::{LatencyHistogram, LatencySummary, Table};
+use crate::table::Table;
 use agar::AgarNode;
 use agar_cluster::ClusterRouter;
 use agar_ec::ObjectId;
 use agar_net::SimTime;
-use agar_obs::{MetricsRegistry, ReadTrace, StageSummaries};
+use agar_obs::{LatencyHistogram, LatencySummary, MetricsRegistry, ReadTrace, StageSummaries};
 use agar_store::expected_payload;
 use agar_workload::{Distribution, MixedOp, ReadWriteMix, WorkloadSpec, WriteSizeDist};
 

@@ -1,16 +1,10 @@
 //! Plain-text result tables and CSV emission for the experiment
-//! harness. The latency histogram every experiment reports its
-//! percentile columns from lives in `agar_obs::percentile` (one
-//! nearest-rank implementation shared with the registry's bucketed
-//! histogram); it is re-exported here so harness code keeps its
-//! historical import path.
+//! harness. The percentile columns come from `agar_obs`'s
+//! [`LatencySummary`](agar_obs::LatencySummary).
 
 use std::fmt;
 use std::io::Write as _;
 use std::path::Path;
-
-pub(crate) use agar_obs::LatencyHistogram;
-pub use agar_obs::LatencySummary;
 
 /// A printable experiment result table.
 #[derive(Clone, Debug)]
@@ -167,6 +161,7 @@ impl fmt::Display for Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use agar_obs::{LatencyHistogram, LatencySummary};
     use std::time::Duration;
 
     fn sample() -> Table {
@@ -207,41 +202,6 @@ mod tests {
         assert_eq!(csv_row(&["a,b".into()]), "\"a,b\"");
         assert_eq!(csv_row(&["say \"hi\"".into()]), "\"say \"\"hi\"\"\"");
         assert_eq!(csv_row(&["plain".into()]), "plain");
-    }
-
-    #[test]
-    fn histogram_percentiles_are_exact() {
-        let mut h = LatencyHistogram::new();
-        // 1..=1000 ms, shuffled order must not matter.
-        for ms in (1..=1000u64).rev() {
-            h.record(Duration::from_millis(ms));
-        }
-        assert_eq!(h.len(), 1000);
-        assert_eq!(h.percentile(0.50), Duration::from_millis(500));
-        assert_eq!(h.percentile(0.99), Duration::from_millis(990));
-        let s = h.summary();
-        assert!((s.mean_ms - 500.5).abs() < 1e-9);
-        assert!((s.p50_ms - 500.0).abs() < 1e-9);
-        assert!((s.p95_ms - 950.0).abs() < 1e-9);
-        assert!((s.p99_ms - 990.0).abs() < 1e-9);
-        assert!((s.p999_ms - 999.0).abs() < 1e-9);
-        assert!((s.max_ms - 1000.0).abs() < 1e-9);
-        assert_eq!(s.samples, 1000);
-    }
-
-    #[test]
-    fn histogram_merge_and_empty() {
-        let empty = LatencyHistogram::new();
-        assert!(empty.is_empty());
-        assert_eq!(empty.percentile(0.99), Duration::ZERO);
-        assert_eq!(empty.summary(), LatencySummary::default());
-        let mut a = LatencyHistogram::new();
-        a.record(Duration::from_millis(10));
-        let mut b = LatencyHistogram::new();
-        b.record(Duration::from_millis(30));
-        a.merge(&b);
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.percentile(1.0), Duration::from_millis(30));
     }
 
     #[test]
