@@ -28,19 +28,22 @@
 //! shared by the experiment harness and the registry histograms.
 //!
 //! ```
-//! use agar_obs::{Labels, MetricsRegistry};
+//! use agar_obs::{Counter, Histogram, Labels, MetricsRegistry};
 //! use std::time::Duration;
 //!
 //! let registry = MetricsRegistry::new();
-//! let hits = registry.counter(
+//! let (hits, latency) = (Counter::new(), Histogram::new());
+//! registry.register_counter(
 //!     "agar_chunk_hits_total",
 //!     "Chunk lookups served from cache.",
 //!     Labels::new().with("tier", "ram"),
+//!     &hits,
 //! );
-//! let latency = registry.histogram(
+//! registry.register_histogram(
 //!     "agar_read_seconds",
 //!     "End-to-end read latency.",
 //!     Labels::new(),
+//!     &latency,
 //! );
 //! hits.inc();
 //! latency.record(Duration::from_millis(35));

@@ -214,18 +214,6 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Creates and registers a fresh counter.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid metric name or on re-registering a name as
-    /// a different metric type.
-    pub fn counter(&self, name: &'static str, help: &'static str, labels: Labels) -> Counter {
-        let cell = Counter::new();
-        self.register_counter(name, help, labels, &cell);
-        cell
-    }
-
     /// Registers an *existing* counter cell (late binding: the cell
     /// keeps every count it accumulated before registration). If the
     /// exact `(name, labels)` pair is already registered, the cell is
@@ -263,17 +251,6 @@ impl MetricsRegistry {
         self.register(name, help, labels, Cell::Counter(cells.to_vec()));
     }
 
-    /// Creates and registers a fresh gauge.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid metric name or a type conflict.
-    pub fn gauge(&self, name: &'static str, help: &'static str, labels: Labels) -> Gauge {
-        let cell = Gauge::new();
-        self.register_gauge(name, help, labels, &cell);
-        cell
-    }
-
     /// Registers an existing gauge cell (late binding; idempotent per
     /// `(name, labels)`).
     ///
@@ -288,17 +265,6 @@ impl MetricsRegistry {
         cell: &Gauge,
     ) {
         self.register(name, help, labels, Cell::Gauge(cell.clone()));
-    }
-
-    /// Creates and registers a fresh log-bucketed histogram.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid metric name or a type conflict.
-    pub fn histogram(&self, name: &'static str, help: &'static str, labels: Labels) -> Histogram {
-        let cell = Histogram::new();
-        self.register_histogram(name, help, labels, &cell);
-        cell
     }
 
     /// Registers an existing histogram cell (late binding; idempotent
@@ -502,11 +468,13 @@ mod tests {
     #[test]
     fn counters_and_gauges_roundtrip() {
         let registry = MetricsRegistry::new();
-        let c = registry.counter("test_ops_total", "ops", Labels::new());
+        let c = Counter::new();
+        registry.register_counter("test_ops_total", "ops", Labels::new(), &c);
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-        let g = registry.gauge("test_bytes", "bytes", Labels::new());
+        let g = Gauge::new();
+        registry.register_gauge("test_bytes", "bytes", Labels::new(), &g);
         g.set(100);
         g.add(20);
         g.sub(40);
@@ -561,18 +529,22 @@ mod tests {
     #[test]
     fn prometheus_rendering_shape() {
         let registry = MetricsRegistry::new();
-        let c = registry.counter(
+        let c = Counter::new();
+        registry.register_counter(
             "agar_chunk_hits_total",
             "Chunk lookups served by the cache.",
             Labels::new()
                 .with("tier", "ram")
                 .with("region", "Frankfurt"),
+            &c,
         );
         c.add(3);
-        let h = registry.histogram(
+        let h = Histogram::new();
+        registry.register_histogram(
             "agar_read_latency_seconds",
             "End-to-end read latency.",
             Labels::new(),
+            &h,
         );
         h.record(Duration::from_millis(250));
         let text = registry.render_prometheus();
@@ -592,10 +564,11 @@ mod tests {
     fn help_and_type_emitted_once_per_family() {
         let registry = MetricsRegistry::new();
         for scenario in ["a", "b", "c"] {
-            registry.counter(
+            registry.register_counter(
                 "family_total",
                 "one help",
                 Labels::new().with("scenario", scenario),
+                &Counter::new(),
             );
         }
         let text = registry.render_prometheus();
@@ -607,7 +580,8 @@ mod tests {
     #[test]
     fn json_snapshot_contains_values() {
         let registry = MetricsRegistry::new();
-        let c = registry.counter("j_total", "j", Labels::new().with("kind", "x"));
+        let c = Counter::new();
+        registry.register_counter("j_total", "j", Labels::new().with("kind", "x"), &c);
         c.add(11);
         let json = registry.render_json();
         assert!(json.contains("\"name\": \"j_total\""));
@@ -618,7 +592,8 @@ mod tests {
     #[test]
     fn label_values_are_escaped() {
         let registry = MetricsRegistry::new();
-        registry.counter("esc_total", "e", Labels::new().with("p", "say \"hi\"\\n"));
+        let labels = Labels::new().with("p", "say \"hi\"\\n");
+        registry.register_counter("esc_total", "e", labels, &Counter::new());
         let text = registry.render_prometheus();
         assert!(text.contains("p=\"say \\\"hi\\\"\\\\n\""), "{text}");
     }
@@ -626,14 +601,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "invalid metric name")]
     fn invalid_names_rejected() {
-        MetricsRegistry::new().counter("9bad-name", "x", Labels::new());
+        MetricsRegistry::new().register_counter("9bad-name", "x", Labels::new(), &Counter::new());
     }
 
     #[test]
     #[should_panic(expected = "different type")]
     fn type_conflicts_rejected() {
         let registry = MetricsRegistry::new();
-        registry.counter("clash", "x", Labels::new());
-        registry.gauge("clash", "x", Labels::new().with("a", "b"));
+        registry.register_counter("clash", "x", Labels::new(), &Counter::new());
+        registry.register_gauge("clash", "x", Labels::new().with("a", "b"), &Gauge::new());
     }
 }
