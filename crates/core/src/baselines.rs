@@ -12,10 +12,12 @@
 //! The caching baselines keep their chunks in a one-shard
 //! [`ShardedChunkCache`] — exact LRU, memcached's order. Every baseline
 //! reads through the node's stages (`read.rs`: one route for every
-//! client): one object lookup, [`ReadPlanner::plan`] with the hits as
-//! RAM hits and static estimates, a [`DirectFetcher`], then bind,
-//! decode and price — so a baseline differs from Agar only in what it
-//! caches. All implement [`CachingClient`], so the experiment harness
+//! client): one object lookup at the manifest's version (the cache
+//! serves chunks at it and drops older ones; no baseline runs beside a
+//! writer, so none ever holds a newer one), [`ReadPlanner::plan`] with
+//! the hits as RAM hits and static estimates, a [`DirectFetcher`], then
+//! bind, decode and price — so a baseline differs from Agar only in
+//! what it caches. All implement [`CachingClient`], so the experiment harness
 //! drives Agar and the baselines identically.
 
 use crate::config::CacheConfiguration;

@@ -74,14 +74,11 @@
 //!   per-object lease (`agar-cluster`); writes that bypass it are
 //!   ordered by their versions, again through the monotone insert;
 //! - whatever slips through is a chunk of the wrong version, which
-//!   **every lookup, made at the reader's manifest version,** turns
-//!   into a miss, never into a stale byte. The cache applies that rule
-//!   inside the visit that finds each chunk
-//!   ([`TieredChunkCache::lookup_object`]): it drops chunks older than
-//!   the manifest under the lock that found them and leaves newer ones
-//!   alone: an attempt whose snapshot predates the write cannot sweep
-//!   what the write placed, since there is no second visit for a write
-//!   to land before.
+//!   **every lookup** turns into a miss, never into a stale byte: a
+//!   lookup names the reader's manifest version, and the cache drops
+//!   older chunks and leaves newer ones alone inside the visit that
+//!   finds them ([`TieredChunkCache::lookup_object`]), so an attempt
+//!   whose snapshot predates the write cannot sweep what it placed.
 
 use crate::breaker::{BreakerPolicy, CircuitBreaker};
 use crate::cache_manager;
@@ -720,15 +717,10 @@ impl AgarNode {
         indices: ChunkSet,
         mut found: impl FnMut(u8, Bytes, CacheTier),
     ) {
-        self.cache.lookup_object(
-            object,
-            indices.iter(),
-            version,
-            false,
-            |index, chunk, tier| {
-                found(index, chunk.data().clone(), tier);
-            },
-        );
+        self.cache
+            .lookup_object(object, indices.iter(), version, false, |i, c, tier| {
+                found(i, c.data().clone(), tier);
+            });
     }
 
     /// The chunks of `object` the RAM tier holds at `version`: the RAM
