@@ -231,6 +231,10 @@ impl Deployment {
                 .with_early_termination(30)
                 .with_passes(1);
         }
+        #[cfg(test)]
+        if let Some(perturb) = crate::census::PERTURB.get() {
+            perturb(&mut settings);
+        }
         let seed = client_seed(seed);
         let node = AgarNode::new(region, Arc::clone(&self.backend), settings, seed)
             .expect("paper settings are valid");

@@ -33,6 +33,8 @@
 #![warn(rust_2018_idioms)]
 
 pub mod cell;
+#[cfg(test)]
+mod census;
 pub mod chaos;
 pub mod cluster;
 pub mod experiments;

@@ -47,8 +47,6 @@ pub struct TiersParams {
     /// Simulated disk chunk-read latency (a local SSD, not the
     /// conservative engine default).
     pub disk_read: Duration,
-    /// Simulated disk chunk-write latency.
-    pub disk_write: Duration,
     /// Seed shared by the RAM-only and tiered runs of each cell.
     pub seed: u64,
 }
@@ -62,7 +60,6 @@ impl TiersParams {
             operations: 1_000,
             clients: 2,
             disk_read: Duration::from_millis(45),
-            disk_write: Duration::from_millis(60),
             seed: 0x71E2,
         }
     }
@@ -136,7 +133,6 @@ pub fn tiers_run(
             if tiered {
                 settings.disk_capacity_bytes = catalogue_bytes;
                 settings.disk_read = params.disk_read;
-                settings.disk_write = params.disk_write;
             }
             // Trace every read: the per-stage breakdown columns come
             // from the measured window's traces. Sampling is a

@@ -39,7 +39,6 @@ use rand::RngCore;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
 
 /// One in-flight chunk fetch: the leader publishes into `slot` and
 /// notifies; losers wait on the condvar.
@@ -80,13 +79,6 @@ pub struct FetchCoordinator {
     /// version) — see the module docs for why flights cross neither
     /// regions nor manifest versions.
     inflight: Mutex<HashMap<(RegionId, ChunkId, u64), Arc<Flight>>>,
-    /// Optional *wall-clock* hold applied to each leader fetch before
-    /// its results are published. The simulation prices latency on a
-    /// virtual clock, so backend calls return in microseconds and
-    /// concurrent readers would rarely overlap for real; tests and
-    /// throughput benches set a small hold to make in-flight windows
-    /// physically wide enough to exercise coalescing.
-    wall_delay: Option<Duration>,
     counters: CoordinatorCounters,
 }
 
@@ -110,17 +102,8 @@ impl FetchCoordinator {
         FetchCoordinator {
             backend,
             inflight: Mutex::new(HashMap::new()),
-            wall_delay: None,
             counters: CoordinatorCounters::default(),
         }
-    }
-
-    /// Holds each leader fetch open for `delay` of real time before
-    /// publishing (testing/bench aid — see the field docs).
-    #[must_use]
-    pub fn with_wall_delay(mut self, delay: Duration) -> Self {
-        self.wall_delay = Some(delay);
-        self
     }
 
     /// Chunk fetches that actually hit the backend (flight leaders).
@@ -234,9 +217,6 @@ impl ChunkFetcher for FetchCoordinator {
             let outcome = self.backend.fetch_chunks(client_region, &chunks, rng);
             self.counters.batched_requests.add(outcome.batches() as u64);
             self.counters.primary_fetches.add(lead.len() as u64);
-            if let Some(delay) = self.wall_delay {
-                std::thread::sleep(delay);
-            }
             {
                 let mut table = self.inflight.lock().expect("in-flight table poisoned");
                 for (&i, (chunk, result)) in lead.iter().zip(outcome.results) {
@@ -279,16 +259,90 @@ impl std::fmt::Debug for FetchCoordinator {
 mod tests {
     use super::*;
     use agar_ec::{CodingParams, ObjectId};
+    use agar_net::latency::LatencyModel;
     use agar_net::{ConstantLatency, Topology};
     use agar_store::{populate, RoundRobin};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::time::{Duration, Instant};
+
+    /// A constant latency model whose batched samples park while it is
+    /// shut: a flight leader's `fetch_chunks` waits in it, so its
+    /// flights stay in the table until the test opens the gate.
+    struct Gate {
+        inner: ConstantLatency,
+        /// Whether the gate is open, and how many samplers are parked.
+        state: Mutex<(bool, u64)>,
+        opened: Condvar,
+    }
+
+    impl Gate {
+        fn shut() -> Self {
+            Gate {
+                inner: ConstantLatency::new(Duration::from_millis(10)),
+                state: Mutex::new((false, 0)),
+                opened: Condvar::new(),
+            }
+        }
+
+        /// Opens the gate once every one of `threads` callers has either
+        /// parked in it as a leader or joined a flight: a joiner counts
+        /// itself coalesced before it waits, and a leader holds its
+        /// flights until the gate opens, so neither count moves on
+        /// until then.
+        fn open_once_arrived(&self, coordinator: &FetchCoordinator, threads: u64) {
+            let start = Instant::now();
+            while self.state.lock().unwrap().1 + coordinator.coalesced_fetches() < threads {
+                if start.elapsed() > Duration::from_secs(10) {
+                    self.open();
+                    panic!("callers never reached the coordinator");
+                }
+                std::thread::yield_now();
+            }
+            self.open();
+        }
+
+        fn open(&self) {
+            self.state.lock().unwrap().0 = true;
+            self.opened.notify_all();
+        }
+    }
+
+    impl LatencyModel for Gate {
+        fn mean(&self, from: RegionId, to: RegionId, bytes: usize) -> Duration {
+            self.inner.mean(from, to, bytes)
+        }
+
+        fn sample_batch(
+            &self,
+            from: RegionId,
+            to: RegionId,
+            chunk_bytes: &[usize],
+            rng: &mut dyn RngCore,
+        ) -> Duration {
+            let mut state = self.state.lock().unwrap();
+            state.1 += 1;
+            while !state.0 {
+                state = self.opened.wait(state).unwrap();
+            }
+            state.1 -= 1;
+            drop(state);
+            self.inner.sample_batch(from, to, chunk_bytes, rng)
+        }
+    }
 
     fn backend(regions: usize) -> Arc<Backend> {
+        backend_with(
+            regions,
+            Arc::new(ConstantLatency::new(Duration::from_millis(10))),
+        )
+    }
+
+    fn backend_with(regions: usize, latency: Arc<dyn LatencyModel>) -> Arc<Backend> {
         let names: Vec<String> = (0..regions).map(|i| format!("r{i}")).collect();
         let backend = Backend::new(
             Topology::from_names(names),
-            Arc::new(ConstantLatency::new(Duration::from_millis(10))),
+            latency,
             CodingParams::new(4, 2).unwrap(),
             Box::new(RoundRobin),
         )
@@ -330,27 +384,24 @@ mod tests {
 
     #[test]
     fn concurrent_identical_fetches_coalesce() {
-        let backend = backend(3);
-        let coordinator = Arc::new(
-            FetchCoordinator::new(Arc::clone(&backend)).with_wall_delay(Duration::from_millis(30)),
-        );
+        let gate = Arc::new(Gate::shut());
+        let backend = backend_with(3, Arc::clone(&gate) as _);
+        let coordinator = Arc::new(FetchCoordinator::new(Arc::clone(&backend)));
         let reqs = requests(&backend, 0, &[0, 1, 2, 3]);
         let threads = 6;
-        let barrier = std::sync::Barrier::new(threads);
         std::thread::scope(|scope| {
             for t in 0..threads {
                 let coordinator = Arc::clone(&coordinator);
                 let reqs = reqs.clone();
-                let barrier = &barrier;
                 scope.spawn(move || {
                     let mut rng = StdRng::seed_from_u64(t as u64);
-                    barrier.wait();
                     let results = coordinator.fetch(RegionId::new(0), &reqs, &mut rng);
                     for (_, result) in results {
                         assert_eq!(result.unwrap().data.len(), 2);
                     }
                 });
             }
+            gate.open_once_arrived(&coordinator, threads as u64);
         });
         let primary = coordinator.primary_fetches();
         let coalesced = coordinator.coalesced_fetches();
@@ -360,6 +411,8 @@ mod tests {
             "every request resolved exactly once"
         );
         assert!(coalesced > 0, "overlapping fetches must coalesce");
+        // The first caller led every chunk; the other five joined.
+        assert_eq!(primary, reqs.len() as u64);
         assert!(coordinator.inflight.lock().unwrap().is_empty());
     }
 
@@ -390,24 +443,23 @@ mod tests {
         // same chunks, different client regions, overlapping in time —
         // each region must lead its own fetch (and so observe a
         // latency sampled for its own WAN path).
-        let backend = backend(3);
-        let coordinator = Arc::new(
-            FetchCoordinator::new(Arc::clone(&backend)).with_wall_delay(Duration::from_millis(30)),
-        );
+        // The gate opens only once both leaders are parked in it, so
+        // their flights are in the table at the same time.
+        let gate = Arc::new(Gate::shut());
+        let backend = backend_with(3, Arc::clone(&gate) as _);
+        let coordinator = Arc::new(FetchCoordinator::new(Arc::clone(&backend)));
         let reqs = requests(&backend, 0, &[0, 1, 2, 3]);
-        let barrier = std::sync::Barrier::new(2);
         std::thread::scope(|scope| {
             for region in 0..2u16 {
                 let coordinator = Arc::clone(&coordinator);
                 let reqs = reqs.clone();
-                let barrier = &barrier;
                 scope.spawn(move || {
                     let mut rng = StdRng::seed_from_u64(region as u64);
-                    barrier.wait();
                     let results = coordinator.fetch(RegionId::new(region), &reqs, &mut rng);
                     assert!(results.iter().all(|(_, r)| r.is_ok()));
                 });
             }
+            gate.open_once_arrived(&coordinator, 2);
         });
         assert_eq!(coordinator.coalesced_fetches(), 0);
         assert_eq!(coordinator.primary_fetches(), 2 * reqs.len() as u64);

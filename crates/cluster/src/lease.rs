@@ -178,7 +178,16 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
-    use std::time::Duration;
+
+    /// Returns once `contentions` writers have counted themselves
+    /// contended. `acquire` counts under the table lock and releases it
+    /// only by parking, so a caller that takes the lock next (a drop, a
+    /// crash) finds every counted writer parked.
+    fn wait_for_contentions(manager: &WriteLeaseManager, contentions: u64) {
+        while manager.counters().lease_contentions.get() < contentions {
+            std::thread::yield_now();
+        }
+    }
 
     #[test]
     fn same_object_leases_serialise_and_count_contention() {
@@ -199,7 +208,7 @@ mod tests {
             })
         };
         // The second writer must park behind the held lease.
-        std::thread::sleep(Duration::from_millis(50));
+        wait_for_contentions(&manager, 1);
         assert!(!acquired.load(Ordering::SeqCst), "lease did not serialise");
         drop(lease);
         handle.join().unwrap();
@@ -264,7 +273,7 @@ mod tests {
                 assert!(waiter.fenced(), "the woken waiter must fence the crash");
             })
         };
-        std::thread::sleep(Duration::from_millis(50));
+        wait_for_contentions(&manager, 1);
         lease.crash();
         handle.join().unwrap();
         assert_eq!(manager.fences(), 1);

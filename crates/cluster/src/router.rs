@@ -18,11 +18,11 @@
 //! penalty added to the discounted WAN hop.
 //!
 //! This subsumes the paper's §VI collaboration sketch: the old
-//! `CollaborativeGroup` scanned every member linearly on each lookup;
-//! the ring walk probes a bounded, deterministic subset
-//! ([`ClusterSettings::sibling_probes`]) and degenerates to a full —
-//! but deterministically ordered — scan when the probe budget covers
-//! the whole membership.
+//! `CollaborativeGroup` scanned every member linearly on each lookup.
+//! The probe rule is Dynamo's preference list over the whole
+//! membership: a read probes every other member once, in ring-preference
+//! order from the object's position. No deployment here runs more than
+//! six members, so the walk is always short.
 //!
 //! Writes go to the object's ring owner too, under the object's write
 //! lease ([`WriteLeaseManager`]). The owner keeps the configured chunks
@@ -49,24 +49,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Tunables of a [`ClusterRouter`].
-#[derive(Clone, Copy, Debug)]
-pub struct ClusterSettings {
-    /// How many members beyond the home node the read path consults
-    /// for cached chunks (the ring-walk probe budget). `0` disables
-    /// sibling lookups; `usize::MAX` probes every member.
-    pub sibling_probes: usize,
-}
+/// Tunables of a [`ClusterRouter`]: none today (a read probes every
+/// other member; see the module docs). The type keeps
+/// [`ClusterRouter::new`]'s signature, which `bench/` calls.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ClusterSettings {}
 
 /// Fraction of the WAN latency a sibling *cache* read costs (caches
 /// skip the storage-service overhead; the §VI sketch's discount).
 const REMOTE_CACHE_DISCOUNT: f64 = 0.5;
-
-impl Default for ClusterSettings {
-    fn default() -> Self {
-        ClusterSettings { sibling_probes: 2 }
-    }
-}
 
 /// Metrics of one routed read.
 #[derive(Clone, Debug)]
@@ -151,7 +142,6 @@ pub struct ClusterRouter {
     coordinator: Arc<FetchCoordinator>,
     leases: WriteLeaseManager,
     state: RwLock<RouterState>,
-    settings: ClusterSettings,
     seed: u64,
     ops: AtomicU64,
     next_id: AtomicU64,
@@ -179,39 +169,23 @@ impl ClusterRouter {
     ///
     /// # Errors
     ///
-    /// None today: every `sibling_probes` value is valid. The `Result`
-    /// stays because callers (the `bench/` pinned surface among them)
-    /// unwrap it.
+    /// None today: [`ClusterSettings`] has nothing to reject. The
+    /// `Result` stays because callers (the `bench/` pinned surface among
+    /// them) unwrap it.
     pub fn new(
         backend: Arc<Backend>,
         settings: ClusterSettings,
         seed: u64,
     ) -> Result<Self, AgarError> {
-        let coordinator = Arc::new(FetchCoordinator::new(Arc::clone(&backend)));
-        ClusterRouter::with_coordinator(backend, coordinator, settings, seed)
-    }
-
-    /// Creates a router with a pre-built coordinator (used by tests
-    /// and benches to configure the wall-delay knob).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ClusterRouter::new`].
-    pub fn with_coordinator(
-        backend: Arc<Backend>,
-        coordinator: Arc<FetchCoordinator>,
-        settings: ClusterSettings,
-        seed: u64,
-    ) -> Result<Self, AgarError> {
+        let ClusterSettings {} = settings;
         Ok(ClusterRouter {
+            coordinator: Arc::new(FetchCoordinator::new(Arc::clone(&backend))),
             backend,
-            coordinator,
             leases: WriteLeaseManager::new(),
             state: RwLock::new(RouterState {
                 ring: ClusterRing::new(seed, DEFAULT_VNODES),
                 members: Vec::new(),
             }),
-            settings,
             seed,
             ops: AtomicU64::new(0),
             next_id: AtomicU64::new(0),
@@ -358,10 +332,7 @@ impl ClusterRouter {
         self.counters.routed_reads.inc();
         let (home_id, home, probes) = {
             let state = self.state.read();
-            let prefs = state.ring.preference_of_object(
-                object,
-                1 + self.settings.sibling_probes.min(state.members.len()),
-            );
+            let prefs = state.ring.preference_of_object(object, state.members.len());
             let Some((&home_id, sibling_ids)) = prefs.split_first() else {
                 return Err(AgarError::InvalidSetting {
                     what: "cluster router has no member nodes",
@@ -382,8 +353,8 @@ impl ClusterRouter {
 
     /// Reads an object from an explicit member (the §VI collaboration
     /// pattern: the client sits next to `home_id`, whatever the ring
-    /// says), consulting up to `sibling_probes` other members in ring
-    /// preference order for cached chunks.
+    /// says), consulting every other member in ring preference order
+    /// for cached chunks.
     ///
     /// # Errors
     ///
@@ -405,7 +376,6 @@ impl ClusterRouter {
             let probes: Vec<Arc<AgarNode>> = prefs
                 .iter()
                 .filter(|&&id| id != home_id)
-                .take(self.settings.sibling_probes)
                 .filter_map(|&id| state.member(id).cloned())
                 .collect();
             (home, probes)
@@ -739,8 +709,8 @@ mod tests {
         // warm sibling's chunks (priced under the cross-region
         // discount) and record remote hits.
         let backend = backend(4);
-        let settings = ClusterSettings { sibling_probes: 5 };
-        let router = ClusterRouter::new(Arc::clone(&backend), settings, 5).unwrap();
+        let router =
+            ClusterRouter::new(Arc::clone(&backend), ClusterSettings::default(), 5).unwrap();
         let frankfurt = node(&backend, FRANKFURT, 0);
         let dublin = node(&backend, DUBLIN, 1);
         let frankfurt_id = router.add_node(Arc::clone(&frankfurt)).node;
@@ -772,14 +742,51 @@ mod tests {
     }
 
     #[test]
+    fn a_read_probes_every_other_member_in_ring_preference_order() {
+        // Four members; the only warm one is third in the object's ring
+        // preference after its owner. The routed read must reach it and
+        // take its chunks.
+        let (_, router) = frankfurt_cluster(4, 4);
+        let object = ObjectId::new(0);
+        let preference = router.ring().preference_of_object(object, 4);
+        assert_eq!(preference.len(), 4);
+        let warm = router.member(preference[3]).unwrap();
+        for _ in 0..30 {
+            warm.read(object).unwrap();
+        }
+        warm.force_reconfigure();
+        warm.read(object).unwrap();
+        for &id in &preference {
+            let holds = router
+                .member(id)
+                .unwrap()
+                .cache_contents()
+                .contains_key(&object);
+            assert_eq!(holds, id == preference[3], "member {id}");
+        }
+
+        let read = router.read(object).unwrap();
+        assert_eq!(read.home, preference[0]);
+        assert_eq!(
+            read.metrics().data.as_ref(),
+            expected_payload(0, SIZE).as_slice()
+        );
+        assert!(
+            read.remote_hits > 0,
+            "the third sibling's chunks went unused"
+        );
+        assert_eq!(router.counters().remote_hits.get(), read.remote_hits as u64);
+    }
+
+    #[test]
     fn disk_resident_sibling_chunks_join_the_ring_walk() {
         // Dublin's RAM holds a sliver of the catalogue and its disk
         // tier the rest; the ring walk must still surface the
         // disk-resident chunks (with the disk penalty priced into the
         // offer) and the read must stay correct and no slower.
         let backend = backend(4);
-        let settings = ClusterSettings { sibling_probes: 5 };
-        let router = ClusterRouter::new(Arc::clone(&backend), settings, 5).unwrap();
+        let router =
+            ClusterRouter::new(Arc::clone(&backend), ClusterSettings::default(), 5).unwrap();
         let frankfurt = node(&backend, FRANKFURT, 0);
         let dublin = tiered_node(&backend, DUBLIN, 1, SIZE, 16 * SIZE);
         let frankfurt_id = router.add_node(Arc::clone(&frankfurt)).node;
@@ -841,14 +848,11 @@ mod tests {
         let before = visits();
         let read = router.read(object).unwrap();
         assert_eq!(read.metrics().cache_hits, 9);
-        // The home's RAM check and its lookup, one visit to each probed
-        // sibling for the three chunks the home does not hold, and no
+        // The home's RAM check and its lookup, one visit to each other
+        // member for the three chunks the home does not hold, and no
         // fill: over 30 when every call visited one chunk.
-        let probes = ClusterSettings::default()
-            .sibling_probes
-            .min(members.len() - 1);
-        assert_eq!(probes, 2);
-        assert_eq!(visits() - before, 2 + probes as u64);
+        let probes = members.len() as u64 - 1;
+        assert_eq!(visits() - before, 2 + probes);
     }
 
     #[test]
@@ -880,8 +884,8 @@ mod tests {
     #[test]
     fn writes_invalidate_exactly_the_holders() {
         let backend = backend(2);
-        let settings = ClusterSettings { sibling_probes: 5 };
-        let router = ClusterRouter::new(Arc::clone(&backend), settings, 5).unwrap();
+        let router =
+            ClusterRouter::new(Arc::clone(&backend), ClusterSettings::default(), 5).unwrap();
         for i in 0..4 {
             router.add_node(node(&backend, FRANKFURT, i));
         }
@@ -938,8 +942,8 @@ mod tests {
         // configured chunks all sit on its disk, and the siblings hold
         // none of the object.
         let backend = backend(4);
-        let settings = ClusterSettings { sibling_probes: 5 };
-        let router = ClusterRouter::new(Arc::clone(&backend), settings, 5).unwrap();
+        let router =
+            ClusterRouter::new(Arc::clone(&backend), ClusterSettings::default(), 5).unwrap();
         let members: Vec<Arc<AgarNode>> = (0..3)
             .map(|seed| tiered_node(&backend, FRANKFURT, seed, 50, 64 * SIZE))
             .collect();
@@ -994,8 +998,8 @@ mod tests {
     #[test]
     fn writes_empty_both_tiers_of_a_tiered_holder() {
         let backend = backend(8);
-        let settings = ClusterSettings { sibling_probes: 5 };
-        let router = ClusterRouter::new(Arc::clone(&backend), settings, 5).unwrap();
+        let router =
+            ClusterRouter::new(Arc::clone(&backend), ClusterSettings::default(), 5).unwrap();
         let owner_id = router.add_node(node(&backend, FRANKFURT, 0)).node;
         let tiered = tiered_node(&backend, FRANKFURT, 1, 100, 16 * SIZE);
         let tiered_id = router.add_node(Arc::clone(&tiered)).node;

@@ -159,12 +159,6 @@ impl FixedChunksClient {
         }
     }
 
-    /// The fixed number of chunks cached per object (0 for the
-    /// Backend client).
-    pub fn chunks_per_object(&self) -> usize {
-        self.chunks_per_object
-    }
-
     /// The `c` most distant used chunks of `object` — what this client
     /// caches, mirroring the motivating experiment's policy.
     fn designated_chunks(&self, manifest: &ObjectManifest) -> Vec<u8> {

@@ -10,21 +10,26 @@
 use agar::{AgarNode, AgarSettings, CachingClient};
 use agar_cluster::{ClusterRouter, ClusterSettings, FetchCoordinator};
 use agar_ec::{CodingParams, ObjectId};
+use agar_net::latency::LatencyModel;
 use agar_net::presets::{aws_six_regions, FRANKFURT};
+use agar_net::RegionId;
 use agar_store::{expected_payload, populate, Backend, RoundRobin};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use rand::{RngCore, SeedableRng};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 const SIZE: usize = 900;
 const K: usize = 9; // RS(9, 3) data chunks
 
 fn backend(objects: u64) -> Arc<Backend> {
-    let preset = aws_six_regions();
+    backend_with(objects, Arc::new(aws_six_regions().latency))
+}
+
+fn backend_with(objects: u64, latency: Arc<dyn LatencyModel>) -> Arc<Backend> {
     let backend = Backend::new(
-        preset.topology,
-        Arc::new(preset.latency),
+        aws_six_regions().topology,
+        latency,
         CodingParams::paper_default(),
         Box::new(RoundRobin),
     )
@@ -32,6 +37,80 @@ fn backend(objects: u64) -> Arc<Backend> {
     let mut rng = StdRng::seed_from_u64(42);
     populate(&backend, objects, SIZE, &mut rng).unwrap();
     Arc::new(backend)
+}
+
+/// The preset latency model with a gate on batched samples: while it
+/// is shut, a flight leader's region-batched backend call parks in it
+/// and the leader's flights stay in the coordinator's table.
+struct Gate {
+    inner: Arc<dyn LatencyModel>,
+    /// Whether the gate is open, and how many samplers are parked.
+    state: Mutex<(bool, u64)>,
+    opened: Condvar,
+}
+
+impl Gate {
+    fn shut() -> Self {
+        Gate {
+            inner: Arc::new(aws_six_regions().latency),
+            state: Mutex::new((false, 0)),
+            opened: Condvar::new(),
+        }
+    }
+
+    /// Opens the gate once every one of `readers` has either parked in
+    /// it as a flight leader or joined a flight: a joiner counts itself
+    /// coalesced before it waits, and nothing publishes while the gate
+    /// is shut, so neither count moves on until it opens.
+    fn open_once_arrived(&self, coordinator: &FetchCoordinator, readers: u64) {
+        let start = Instant::now();
+        while self.state.lock().unwrap().1 + coordinator.coalesced_fetches() < readers {
+            if start.elapsed() > Duration::from_secs(10) {
+                self.open();
+                panic!("readers never reached the coordinator");
+            }
+            std::thread::yield_now();
+        }
+        self.open();
+    }
+
+    fn open(&self) {
+        self.state.lock().unwrap().0 = true;
+        self.opened.notify_all();
+    }
+}
+
+impl LatencyModel for Gate {
+    fn mean(&self, from: RegionId, to: RegionId, bytes: usize) -> Duration {
+        self.inner.mean(from, to, bytes)
+    }
+
+    fn sample(
+        &self,
+        from: RegionId,
+        to: RegionId,
+        bytes: usize,
+        rng: &mut dyn RngCore,
+    ) -> Duration {
+        self.inner.sample(from, to, bytes, rng)
+    }
+
+    fn sample_batch(
+        &self,
+        from: RegionId,
+        to: RegionId,
+        chunk_bytes: &[usize],
+        rng: &mut dyn RngCore,
+    ) -> Duration {
+        let mut state = self.state.lock().unwrap();
+        state.1 += 1;
+        while !state.0 {
+            state = self.opened.wait(state).unwrap();
+        }
+        state.1 -= 1;
+        drop(state);
+        self.inner.sample_batch(from, to, chunk_bytes, rng)
+    }
 }
 
 fn node(backend: &Arc<Backend>, seed: u64) -> Arc<AgarNode> {
@@ -46,18 +125,8 @@ fn node(backend: &Arc<Backend>, seed: u64) -> Arc<AgarNode> {
     )
 }
 
-fn cluster(backend: &Arc<Backend>, members: usize, wall_delay: Option<Duration>) -> ClusterRouter {
-    let mut coordinator = FetchCoordinator::new(Arc::clone(backend));
-    if let Some(delay) = wall_delay {
-        coordinator = coordinator.with_wall_delay(delay);
-    }
-    let router = ClusterRouter::with_coordinator(
-        Arc::clone(backend),
-        Arc::new(coordinator),
-        ClusterSettings::default(),
-        7,
-    )
-    .unwrap();
+fn cluster(backend: &Arc<Backend>, members: usize) -> ClusterRouter {
+    let router = ClusterRouter::new(Arc::clone(backend), ClusterSettings::default(), 7).unwrap();
     for i in 0..members {
         router.add_node(node(backend, i as u64));
     }
@@ -66,21 +135,19 @@ fn cluster(backend: &Arc<Backend>, members: usize, wall_delay: Option<Duration>)
 
 #[test]
 fn concurrent_cold_readers_share_one_fetch_per_chunk() {
-    let backend = backend(2);
     // The simulated store returns instantly in wall-clock terms, so the
-    // coordinator holds each leader fetch open for 100 ms of real time:
-    // all readers released by the barrier land inside that in-flight
-    // window, which is what a real WAN round trip provides for free.
-    let router = Arc::new(cluster(&backend, 2, Some(Duration::from_millis(100))));
+    // leader's backend call waits at a gate until every reader has
+    // reached the coordinator: the in-flight window a real WAN round
+    // trip provides for free.
+    let gate = Arc::new(Gate::shut());
+    let backend = backend_with(2, Arc::clone(&gate) as _);
+    let router = Arc::new(cluster(&backend, 2));
     let object = ObjectId::new(0);
     let threads = 8;
-    let barrier = Barrier::new(threads);
     std::thread::scope(|scope| {
         for _ in 0..threads {
             let router = Arc::clone(&router);
-            let barrier = &barrier;
             scope.spawn(move || {
-                barrier.wait();
                 let metrics = router.read(object).unwrap();
                 assert_eq!(
                     metrics.metrics().data.as_ref(),
@@ -92,6 +159,7 @@ fn concurrent_cold_readers_share_one_fetch_per_chunk() {
                 );
             });
         }
+        gate.open_once_arrived(router.coordinator(), threads as u64);
     });
     let coordinator = router.coordinator();
     let primary = coordinator.primary_fetches();
@@ -115,7 +183,7 @@ fn concurrent_cold_readers_share_one_fetch_per_chunk() {
 #[test]
 fn one_cold_read_batches_same_region_chunks_into_one_round_trip() {
     let backend = backend(1);
-    let router = cluster(&backend, 2, None);
+    let router = cluster(&backend, 2);
     let metrics = router.read(ObjectId::new(0)).unwrap();
     assert_eq!(metrics.metrics().backend_fetches, K);
     let coordinator = router.coordinator();
@@ -134,7 +202,7 @@ fn one_cold_read_batches_same_region_chunks_into_one_round_trip() {
 fn cluster_reads_are_byte_identical_to_single_node_reads() {
     let backend = backend(12);
     let solo = node(&backend, 99);
-    let router = cluster(&backend, 4, None);
+    let router = cluster(&backend, 4);
     for i in 0..12u64 {
         let object = ObjectId::new(i);
         let single = solo.read(object).unwrap();
@@ -155,7 +223,7 @@ fn routed_reads_are_deterministic_per_seed() {
     // behaviour all derive from the seed and the operation order).
     let run = || {
         let backend = backend(6);
-        let router = cluster(&backend, 3, None);
+        let router = cluster(&backend, 3);
         let mut log = Vec::new();
         for i in 0..40u64 {
             let metrics = router.read(ObjectId::new(i % 6)).unwrap();
@@ -184,7 +252,7 @@ fn routed_reads_are_deterministic_per_seed() {
 #[test]
 fn membership_changes_never_serve_stale_data() {
     let backend = backend(10);
-    let router = cluster(&backend, 3, None);
+    let router = cluster(&backend, 3);
     // Warm everything through the router.
     for round in 0..3 {
         for i in 0..10u64 {

@@ -73,6 +73,17 @@ fn tiered_node(backend: &Arc<Backend>, seed: u64) -> Arc<AgarNode> {
     Arc::new(AgarNode::new(FRANKFURT, Arc::clone(backend), settings, seed).unwrap())
 }
 
+/// Returns once `contentions` writers have waited behind a held lease.
+/// The lease manager counts a contended writer under its table lock and
+/// releases that lock only by parking, so every counted writer is
+/// parked (or already past the lease) when this returns.
+fn wait_for_contentions(router: &ClusterRouter, contentions: u64) {
+    let counter = &router.lease_manager().counters().lease_contentions;
+    while counter.get() < contentions {
+        std::thread::yield_now();
+    }
+}
+
 /// Checked once the last routed write of `object` has quiesced: no
 /// member but the object's ring owner holds a chunk of it. The write
 /// invalidated every other member, and routed reads fill only the
@@ -229,7 +240,7 @@ fn same_object_writes_serialise_while_distinct_objects_proceed() {
             metrics.version
         })
     };
-    std::thread::sleep(Duration::from_millis(50));
+    wait_for_contentions(&router, 1);
     assert!(
         !blocked_done.load(Ordering::SeqCst),
         "same-object write did not serialise on the lease"
@@ -275,7 +286,7 @@ fn membership_changes_proceed_and_leases_survive_mid_write() {
         let router = Arc::clone(&router);
         std::thread::spawn(move || router.write(contested, &[0xCC; SIZE]).unwrap().version)
     };
-    std::thread::sleep(Duration::from_millis(30));
+    wait_for_contentions(&router, 1);
 
     // ...and membership changes still complete promptly.
     let start = Instant::now();

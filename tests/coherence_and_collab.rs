@@ -48,15 +48,12 @@ fn deployment() -> (Arc<Backend>, Vec<Arc<AgarNode>>) {
 
 /// Fronts the six per-region nodes with a ring router configured for
 /// the collaboration pattern: reads stay homed at the client's region
-/// (`read_from`), and the probe budget covers every other member, so
-/// any warm neighbour is found — in deterministic ring order rather
-/// than by scanning members linearly. Returns the router and the
-/// member id of each region-indexed node.
+/// (`read_from`), and every read probes every other member, so any
+/// warm neighbour is found — in deterministic ring order rather than
+/// by scanning members linearly. Returns the router and the member id
+/// of each region-indexed node.
 fn collab_router(backend: &Arc<Backend>, nodes: &[Arc<AgarNode>]) -> (ClusterRouter, Vec<u64>) {
-    let settings = ClusterSettings {
-        sibling_probes: nodes.len() - 1,
-    };
-    let router = ClusterRouter::new(Arc::clone(backend), settings, 9).unwrap();
+    let router = ClusterRouter::new(Arc::clone(backend), ClusterSettings::default(), 9).unwrap();
     let ids = nodes
         .iter()
         .map(|node| router.add_node(Arc::clone(node)).node)
