@@ -21,7 +21,7 @@ pub struct Finding {
 
 impl Finding {
     /// The baseline fingerprint *before* duplicate disambiguation.
-    pub fn raw_fingerprint(&self) -> String {
+    fn raw_fingerprint(&self) -> String {
         format!("{}|{}|{}", self.pass, self.file, self.key)
     }
 }

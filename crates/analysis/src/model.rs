@@ -17,8 +17,6 @@ pub struct Function {
     pub line: u32,
     /// True when the body lies inside a `#[cfg(test)]`/`#[test]` region.
     pub is_test: bool,
-    /// True for `unsafe fn`.
-    pub is_unsafe: bool,
     /// True when the declared return type names a `…Guard`
     /// (`MutexGuard`, `RwLockReadGuard`, …): calling this function
     /// acquires a lock just as `.lock()` does.
@@ -200,7 +198,6 @@ fn find_functions(tokens: &[Token], test_regions: &[Range<usize>]) -> Vec<Functi
         if tokens[i].is_ident("fn") && tokens.get(i + 1).map(|t| t.kind) == Some(TokKind::Ident) {
             let name = tokens[i + 1].text.clone();
             let line = tokens[i].line;
-            let is_unsafe = i > 0 && tokens[i - 1].is_ident("unsafe");
             // Find the parameter list, then the body `{` (or `;` for
             // a bodiless trait method / extern decl).
             let mut j = i + 2;
@@ -229,7 +226,6 @@ fn find_functions(tokens: &[Token], test_regions: &[Range<usize>]) -> Vec<Functi
                     body: body.clone(),
                     line,
                     is_test: in_test,
-                    is_unsafe,
                     returns_guard,
                 });
                 // Continue scanning *inside* the body too (nested fns

@@ -22,9 +22,8 @@
 //! --runs N      repetitions to average (default 5, paper value);
 //!               the paper figures only
 //! --ops N       operations per run (default 1000, paper value)
-//! --profile P   latency profile, calibrated (default) or table1; not
-//!               read by tail and chaos, which build their own
-//!               calibrated deployment per cell
+//! --profile P   latency profile every deployment is built with,
+//!               calibrated (default) or table1
 //! --out DIR     also write CSVs under DIR (default results/)
 //! --json FILE   also write every table (and tail/tiers percentiles)
 //!               as JSON
@@ -34,12 +33,14 @@
 //! ```
 //!
 //! Flags apply in any order: an explicit `--runs`/`--ops` always wins
-//! over the `--tiny` defaults. Host-clock micro-numbers (codec MB/s,
-//! cache ns/op, ops/s scaling) come from the gated benchmark under
-//! `bench/`, not from here.
+//! over the `--tiny` defaults. Each id builds its own deployment from
+//! the scale and profile, so its report does not depend on the ids run
+//! before it. Host-clock micro-numbers (codec MB/s, cache ns/op, ops/s
+//! scaling) come from the gated benchmark under `bench/`, not from
+//! here.
 
 use agar_bench::experiments::{ExperimentParams, Runner, IDS, PAPER_IDS};
-use agar_bench::{report_json, Deployment, LatencyProfile};
+use agar_bench::{report_json, LatencyProfile};
 use agar_obs::MetricsRegistry;
 use std::path::PathBuf;
 
@@ -88,22 +89,17 @@ fn main() {
         if grid && runs.is_some() {
             eprintln!("note: {id} ignores --runs (every cell is one seeded run)");
         }
-        if profile.is_some() && matches!(id.as_str(), "tail" | "chaos") {
-            eprintln!("note: {id} ignores --profile (it builds a calibrated deployment per cell)");
-        }
     }
     // Scale first, explicit flags after: the two orders of `--tiny`
     // and `--ops`/`--runs` mean the same thing.
     let mut params = if tiny {
-        ExperimentParams {
-            operations: 300,
-            ..ExperimentParams::tiny()
-        }
+        ExperimentParams::tiny()
     } else {
         ExperimentParams::paper()
     };
     params.runs = runs.unwrap_or(params.runs);
     params.operations = ops.unwrap_or(params.operations);
+    params.profile = profile.unwrap_or(params.profile);
 
     eprintln!(
         "deployment: {} objects x {} bytes, {} runs x {} ops",
@@ -112,14 +108,11 @@ fn main() {
     // Wall time for the stderr `done in` lines only; no report reads it.
     // agar-lint: allow(determinism)
     let start = std::time::Instant::now();
-    let deployment = Deployment::build_with(params.scale, profile.unwrap_or_default(), None);
-    eprintln!("populated backend in {:.1?}\n", start.elapsed());
-
     let registry = MetricsRegistry::new();
     // Only wire the registry through when a dump was requested:
     // registration is cheap but pointless otherwise.
     let metrics = metrics_path.as_ref().map(|_| &registry);
-    let mut runner = Runner::new(&deployment, params, metrics);
+    let mut runner = Runner::new(params, metrics);
     let mut tables = Vec::new();
     let mut cells = Vec::new();
     for id in &ids {

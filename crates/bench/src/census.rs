@@ -8,16 +8,22 @@
 //! [`settable`] destructures every settings type without `..`, so a new
 //! field does not compile until it is named there, and then fails the
 //! census until it has a row.
+//!
+//! The harness has a census of its own, `harness_census`: every field
+//! of [`ExperimentParams`] moves the report of one cheap experiment id,
+//! and every field of [`RunConfig`] moves a short tiny-scale Agar run.
+//! [`harness_settable`] names those fields the same way.
 
-use crate::chaos::{chaos_run, ChaosParams, ChaosPolicy, ChaosScenario};
-use crate::harness::Deployment;
-use crate::tail::{tail_run, TailParams};
-use crate::tiers::{tiers_run, TiersParams};
+use crate::chaos::{chaos_run, ChaosPolicy, ChaosScenario};
+use crate::experiments::{ExperimentParams, Runner};
+use crate::harness::{run_once, Deployment, LatencyProfile, PolicySpec, RunConfig, Scale};
+use crate::tail::{tail_run, TAIL_CACHE_MB};
+use crate::tiers::tiers_run;
 use agar::{AgarSettings, BreakerPolicy, KnapsackSolver, RetryPolicy};
 use agar_cluster::ClusterSettings;
-use agar_net::presets::TOKYO;
+use agar_net::presets::{FRANKFURT, SYDNEY, TOKYO};
 use agar_obs::MetricsRegistry;
-use agar_workload::StragglerScenario;
+use agar_workload::{Distribution, StragglerScenario};
 use std::cell::Cell;
 use std::time::Duration;
 
@@ -198,6 +204,7 @@ fn settings_census() {
     /// cells that ran on its deployment before it.
     fn run(site: Site, perturb: Option<fn(&mut AgarSettings)>) -> [String; 2] {
         PERTURB.set(perturb);
+        let params = ExperimentParams::tiny();
         let registry = MetricsRegistry::new();
         let cell = match site {
             Site::Tail(name, delta) => {
@@ -205,11 +212,10 @@ fn settings_census() {
                     .into_iter()
                     .find(|s| s.name == name)
                     .expect("a tail scenario");
-                tail_run(&TailParams::tiny(), &scenario, delta, Some(&registry))
+                tail_run(&params, &scenario, delta, TAIL_CACHE_MB, Some(&registry))
             }
             Site::Tiers(multiple, tiered) => {
-                let params = TiersParams::tiny();
-                let deployment = Deployment::build(params.scale);
+                let deployment = params.deployment();
                 tiers_run(&deployment, &params, multiple, tiered, Some(&registry))
             }
             Site::Chaos(name, policy) => {
@@ -217,7 +223,7 @@ fn settings_census() {
                     .into_iter()
                     .find(|s| s.name == name)
                     .expect("a chaos scenario");
-                chaos_run(&ChaosParams::tiny(), &scenario, policy, Some(&registry))
+                chaos_run(&params, &scenario, policy, Some(&registry))
             }
         };
         PERTURB.set(None);
@@ -252,5 +258,96 @@ fn settings_census() {
                 row.site
             ),
         }
+    }
+}
+
+/// A harness row's perturbation of its value.
+type Perturb<T> = fn(&mut T);
+
+/// One row per [`ExperimentParams`] field, in declaration order: the
+/// experiment id whose report the field's perturbation must move.
+const EXPERIMENT_ROWS: &[(&str, &str, Perturb<ExperimentParams>)] = &[
+    ("scale", "fig9", |p| p.scale.object_count /= 2),
+    ("runs", "fig2", |p| p.runs = 2),
+    ("operations", "fig2", |p| p.operations /= 2),
+    ("profile", "table1", |p| {
+        p.profile = LatencyProfile::PaperTable1;
+    }),
+];
+
+/// One row per [`RunConfig`] field, in declaration order: its
+/// perturbation of a tiny-scale Agar run from Frankfurt.
+const RUN_ROWS: &[(&str, Perturb<RunConfig>)] = &[
+    ("client_region", |c| c.client_region = SYDNEY),
+    ("policy", |c| c.policy = PolicySpec::Lru(5)),
+    ("cache_mb", |c| c.cache_mb = 5.0),
+    ("workload", |c| {
+        c.workload.distribution = Distribution::Uniform;
+    }),
+    ("max_hedges", |c| c.max_hedges = 2),
+    ("seed", |c| c.seed += 1),
+];
+
+/// Every settable value of the harness: the fields of
+/// [`ExperimentParams`], then those of [`RunConfig`].
+fn harness_settable() -> [Vec<&'static str>; 2] {
+    let experiment = fields!(ExperimentParams::tiny() => ExperimentParams {
+        scale,
+        runs,
+        operations,
+        profile,
+    });
+    let run = fields!(RunConfig::paper_default(FRANKFURT, PolicySpec::Agar) => RunConfig {
+        client_region,
+        policy,
+        cache_mb,
+        workload,
+        max_hedges,
+        seed,
+    });
+    [experiment, run]
+}
+
+#[test]
+fn harness_census() {
+    let experiment: Vec<&str> = EXPERIMENT_ROWS.iter().map(|row| row.0).collect();
+    let run: Vec<&str> = RUN_ROWS.iter().map(|row| row.0).collect();
+    assert_eq!([experiment, run], harness_settable(), "one row per field");
+
+    let report = |id: &str, perturb: Option<Perturb<ExperimentParams>>| {
+        let mut params = ExperimentParams {
+            operations: 60,
+            ..ExperimentParams::tiny()
+        };
+        if let Some(perturb) = perturb {
+            perturb(&mut params);
+        }
+        let (table, _) = Runner::new(params, None).run(id).expect("an id");
+        table.to_string()
+    };
+    for &(field, id, perturb) in EXPERIMENT_ROWS {
+        assert_ne!(
+            report(id, None),
+            report(id, Some(perturb)),
+            "{field} moves nothing in {id}"
+        );
+    }
+
+    let deployment = Deployment::build(Scale::tiny());
+    let run = |perturb: Option<Perturb<RunConfig>>| {
+        let mut config = RunConfig::paper_default(FRANKFURT, PolicySpec::Agar);
+        config.workload.operations = 100;
+        if let Some(perturb) = perturb {
+            perturb(&mut config);
+        }
+        format!("{:?}", run_once(&deployment, &config))
+    };
+    let default = run(None);
+    for &(field, perturb) in RUN_ROWS {
+        assert_ne!(
+            default,
+            run(Some(perturb)),
+            "{field} moves nothing in a run"
+        );
     }
 }

@@ -13,7 +13,8 @@
 //! is attributable to the hardening alone.
 
 use crate::cell::{cell_labels, Cell, ColumnSpec, Layout, Value};
-use crate::harness::{closed_loop, read_stream, Deployment, Scale};
+use crate::experiments::ExperimentParams;
+use crate::harness::{client_seed, closed_loop, read_stream, CLIENTS};
 use agar::{BreakerPolicy, DirectFetcher, RetryPolicy};
 use agar_chaos::{ChaosClock, ChaosPlane, ChaosSpec, FetchFaultSpec};
 use agar_net::{RegionId, SimTime};
@@ -21,43 +22,6 @@ use agar_obs::{MetricsRegistry, StageSummaries};
 use agar_workload::{FailureCycle, FlakyRegion};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Parameters shared by every cell of the chaos experiment.
-#[derive(Clone, Copy, Debug)]
-pub struct ChaosParams {
-    /// Deployment scale.
-    pub scale: Scale,
-    /// Operations per run.
-    pub operations: usize,
-    /// Closed-loop clients.
-    pub clients: usize,
-    /// Cache size in paper MB units.
-    pub cache_mb: f64,
-    /// Seed shared by the baseline and hardened runs of each scenario.
-    pub seed: u64,
-}
-
-impl ChaosParams {
-    /// Full-scale defaults.
-    pub(crate) fn paper() -> Self {
-        ChaosParams {
-            scale: Scale::paper(),
-            operations: 1_000,
-            clients: 2,
-            cache_mb: 10.0,
-            seed: 0xC4A0,
-        }
-    }
-
-    /// Test-scale defaults (same shapes, small objects, fewer ops).
-    pub fn tiny() -> Self {
-        ChaosParams {
-            scale: Scale::tiny(),
-            operations: 300,
-            ..ChaosParams::paper()
-        }
-    }
-}
 
 /// The failure-handling policy a cell runs with.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -185,6 +149,13 @@ pub(crate) static CHAOS: Layout = Layout {
     ],
 };
 
+/// Seed of every cell, fault schedule included: a scenario's baseline
+/// and hardened runs face the same faults.
+const CHAOS_SEED: u64 = 0xC4A0;
+
+/// The cells' cache size in paper MB units.
+const CHAOS_CACHE_MB: f64 = 10.0;
+
 /// Runs one (scenario, policy) cell: fresh deployment, fresh node
 /// behind a fresh chaos plane, seeded closed-loop clients on the
 /// simulated clock. With a registry, the cell's node and chaos plane
@@ -194,17 +165,17 @@ pub(crate) static CHAOS: Layout = Layout {
 ///
 /// Panics on invalid parameters (caller bugs).
 pub fn chaos_run(
-    params: &ChaosParams,
+    params: &ExperimentParams,
     scenario: &ChaosScenario,
     policy: ChaosPolicy,
     registry: Option<&MetricsRegistry>,
 ) -> Cell {
-    let deployment = Deployment::build(params.scale);
+    let deployment = params.deployment();
     let labels = cell_labels(scenario.name, policy.label());
     let node = deployment.agar_node(
         deployment.region("Frankfurt"),
-        deployment.scale.cache_bytes(params.cache_mb),
-        params.seed,
+        deployment.scale.cache_bytes(CHAOS_CACHE_MB),
+        client_seed(CHAOS_SEED),
         |settings| {
             settings.retry = policy.retry();
             settings.breaker = policy.breaker();
@@ -212,7 +183,7 @@ pub fn chaos_run(
         registry.map(|r| (r, &labels)),
     );
     let mut spec = scenario.spec.clone();
-    spec.seed = params.seed;
+    spec.seed = CHAOS_SEED;
     let clock = ChaosClock::new();
     let plane = Arc::new(ChaosPlane::new(
         Arc::new(DirectFetcher::new(Arc::clone(&deployment.backend))),
@@ -224,10 +195,10 @@ pub fn chaos_run(
         plane.counters().register_with(registry, &labels);
     }
 
-    let ops = read_stream(&deployment.paper_workload(params.operations), params.seed);
+    let ops = read_stream(&deployment.paper_workload(params.operations), CHAOS_SEED);
     // Both clocks advance together: the fault schedule and the
     // breaker/backoff pricing see the same simulated instant.
-    let outcome = closed_loop(&*node, ops, params.clients, SimTime::ZERO, &mut |now| {
+    let outcome = closed_loop(&*node, ops, CLIENTS, SimTime::ZERO, &mut |now| {
         clock.set(now);
         node.set_sim_now(now);
     });
@@ -247,7 +218,10 @@ pub fn chaos_run(
 }
 
 /// Runs the full scenario family, baseline and hardened per scenario.
-pub(crate) fn chaos_results(params: &ChaosParams, registry: Option<&MetricsRegistry>) -> Vec<Cell> {
+pub(crate) fn chaos_results(
+    params: &ExperimentParams,
+    registry: Option<&MetricsRegistry>,
+) -> Vec<Cell> {
     // Partition a region the Frankfurt client does not live in; Tokyo
     // is far enough that its chunks are marginal in calm plans, so the
     // outage's effect is isolated to the fault path under test.
@@ -265,10 +239,11 @@ pub(crate) fn chaos_results(params: &ChaosParams, registry: Option<&MetricsRegis
 mod tests {
     use super::*;
 
-    fn quick_params() -> ChaosParams {
-        let mut params = ChaosParams::tiny();
-        params.operations = 120;
-        params
+    fn quick_params() -> ExperimentParams {
+        ExperimentParams {
+            operations: 120,
+            ..ExperimentParams::tiny()
+        }
     }
 
     #[test]

@@ -4,7 +4,6 @@
 //! them out to the owning member by consistent hash.
 
 use crate::harness::Deployment;
-use agar::AgarNode;
 use agar_cluster::{ClusterRouter, ClusterSettings};
 use agar_ec::ObjectId;
 use agar_net::RegionId;
@@ -20,10 +19,11 @@ const MEMBER_CACHE_MB: f64 = 10.0;
 /// member reconfigures (downloading its configured chunks a priori),
 /// and a verification pass confirms full cache hits.
 ///
-/// Every member hedges up to `max_hedges` speculative backend fetches
-/// per read (0 reproduces the unhedged cluster exactly) and, with
-/// `trace`, samples every read — the mixed experiment turns that on for
-/// its per-stage breakdown columns.
+/// Every member, built by `Deployment::agar_node`, hedges up to
+/// `max_hedges` speculative backend fetches per read (0 reproduces the
+/// unhedged cluster exactly) and, with `trace`, samples every read —
+/// the mixed experiment turns that on for its per-stage breakdown
+/// columns.
 ///
 /// # Panics
 ///
@@ -40,9 +40,6 @@ pub fn build_warm_cluster(
 ) -> Arc<ClusterRouter> {
     assert!(members > 0, "need at least one member");
     assert!(hot_objects > 0, "need at least one hot object");
-    let mut settings = deployment.settings(deployment.scale.cache_bytes(MEMBER_CACHE_MB));
-    settings.max_hedges = max_hedges;
-    settings.trace_sample_every = u64::from(trace);
     let router = Arc::new(
         ClusterRouter::new(
             Arc::clone(&deployment.backend),
@@ -52,14 +49,16 @@ pub fn build_warm_cluster(
         .expect("default cluster settings are valid"),
     );
     for i in 0..members {
-        let node = AgarNode::new(
+        router.add_node(deployment.agar_node(
             region,
-            Arc::clone(&deployment.backend),
-            settings.clone(),
+            deployment.scale.cache_bytes(MEMBER_CACHE_MB),
             seed ^ (i as u64 + 1),
-        )
-        .expect("paper settings are valid");
-        router.add_node(Arc::new(node));
+            |settings| {
+                settings.max_hedges = max_hedges;
+                settings.trace_sample_every = u64::from(trace);
+            },
+            None,
+        ));
     }
     for object in 0..hot_objects {
         for _ in 0..3 {

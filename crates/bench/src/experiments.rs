@@ -9,14 +9,14 @@
 //! crossovers fall. EXPERIMENTS.md records paper-vs-measured values.
 
 use crate::cell::Cell;
-use crate::chaos::{chaos_results, ChaosParams, CHAOS};
+use crate::chaos::{chaos_results, CHAOS};
 use crate::harness::{
-    read_stream, run_averaged, run_once, Deployment, PolicySpec, RunConfig, Scale,
+    read_stream, run_averaged, run_once, Deployment, LatencyProfile, PolicySpec, RunConfig, Scale,
 };
 use crate::mixed::mixed_table;
 use crate::table::Table;
-use crate::tail::{tail_results, TailParams, TAIL};
-use crate::tiers::{tiers_results, TiersParams, TIERS};
+use crate::tail::{tail_results, TAIL};
+use crate::tiers::{tiers_results, TIERS};
 use agar::RegionManager;
 use agar_net::presets::{FRANKFURT, SIX_REGION_NAMES, SYDNEY};
 use agar_obs::MetricsRegistry;
@@ -25,15 +25,23 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
 
-/// Common experiment knobs (shrunk by tests, full-size in the binary).
+/// What every experiment is a function of: the scale and latency
+/// profile it builds its deployment at, and how many runs and
+/// operations it drives. Everything else an experiment fixes itself:
+/// its seeds, cache sizes and engine settings sit beside its figure
+/// function or its [`Layout`](crate::Layout), and every read-only loop
+/// runs the paper's [`CLIENTS`](crate::CLIENTS).
 #[derive(Clone, Copy, Debug)]
 pub struct ExperimentParams {
     /// Deployment scale.
     pub scale: Scale,
-    /// Repetitions to average (the paper uses 5).
+    /// Repetitions to average (the paper uses 5); the grid experiments
+    /// run every cell once.
     pub runs: usize,
     /// Operations per run (the paper uses 1 000).
     pub operations: usize,
+    /// The WAN latency profile every deployment is built with.
+    pub profile: LatencyProfile,
 }
 
 impl ExperimentParams {
@@ -43,16 +51,25 @@ impl ExperimentParams {
             scale: Scale::paper(),
             runs: 5,
             operations: 1_000,
+            profile: LatencyProfile::Calibrated,
         }
     }
 
-    /// Small parameters for integration tests.
+    /// What `experiments --tiny` runs: test scale, 1 run x 300
+    /// operations.
     pub fn tiny() -> Self {
         ExperimentParams {
             scale: Scale::tiny(),
             runs: 1,
-            operations: 250,
+            operations: 300,
+            profile: LatencyProfile::Calibrated,
         }
+    }
+
+    /// A fresh deployment at this scale and profile: every experiment
+    /// builds its own, so none sees another's writes or decode plans.
+    pub(crate) fn deployment(&self) -> Deployment {
+        Deployment::build_with(self.scale, self.profile, None)
     }
 
     fn workload(&self, distribution: Distribution) -> WorkloadSpec {
@@ -77,9 +94,8 @@ pub const IDS: [&str; 13] = [
 /// How many leading [`IDS`] entries `all` covers.
 pub const PAPER_IDS: usize = 9;
 
-/// Dispatches experiment ids against one shared deployment.
+/// Dispatches experiment ids, each against a deployment of its own.
 pub struct Runner<'a> {
-    deployment: &'a Deployment,
     params: ExperimentParams,
     metrics: Option<&'a MetricsRegistry>,
     /// Figures 6 and 7 report the same runs; computed once.
@@ -87,73 +103,52 @@ pub struct Runner<'a> {
 }
 
 impl<'a> Runner<'a> {
-    /// A runner over `deployment`. With `metrics`, the grid
-    /// experiments' cells bind their counters into the registry.
-    pub fn new(
-        deployment: &'a Deployment,
-        params: ExperimentParams,
-        metrics: Option<&'a MetricsRegistry>,
-    ) -> Self {
+    /// A runner at `params`. With `metrics`, the grid experiments'
+    /// cells bind their counters into the registry.
+    pub fn new(params: ExperimentParams, metrics: Option<&'a MetricsRegistry>) -> Self {
         Runner {
-            deployment,
             params,
             metrics,
             comparison: None,
         }
     }
 
-    /// Runs the experiment called `id`: its table, plus the percentile
-    /// cells the CI P99 gate reads (`tail` and `tiers` only — `chaos`
-    /// reuses tail's scenario names, so its cells stay out of the
-    /// shared section). `None` for an id not in [`IDS`].
+    /// Runs the experiment called `id` on a deployment built for it
+    /// alone (`table1` and `fig9` read no objects and build none): its
+    /// table, plus the percentile cells the CI P99 gate reads (`tail`
+    /// and `tiers` only — `chaos` reuses tail's scenario names, so its
+    /// cells stay out of the shared section). `None` for an id not in
+    /// [`IDS`].
     pub fn run(&mut self, id: &str) -> Option<(Table, Vec<Cell>)> {
-        let (deployment, params) = (self.deployment, &self.params);
-        let (scale, operations) = (params.scale, params.operations);
+        let params = &self.params;
         let table = match id {
-            "fig2" => fig2(deployment, params),
-            "table1" => table1(deployment),
+            "fig2" => fig2(&params.deployment(), params),
+            "table1" => table1(params),
             "fig6" | "fig7" => {
                 let rows = self
                     .comparison
-                    .get_or_insert_with(|| policy_comparison(deployment, params));
+                    .get_or_insert_with(|| policy_comparison(&params.deployment(), params));
                 if id == "fig6" {
                     fig6(rows)
                 } else {
                     fig7(rows)
                 }
             }
-            "fig8a" => fig8a(deployment, params),
-            "fig8b" => fig8b(deployment, params),
-            "fig9" => fig9(deployment),
-            "fig10" => fig10(deployment, params),
-            "ablation" => ablation(deployment, params),
-            "mixed" => mixed_table(deployment, operations, self.metrics),
+            "fig8a" => fig8a(&params.deployment(), params),
+            "fig8b" => fig8b(&params.deployment(), params),
+            "fig9" => fig9(params.scale),
+            "fig10" => fig10(&params.deployment(), params),
+            "ablation" => ablation(&params.deployment(), params),
+            "mixed" => mixed_table(params, self.metrics),
             "tail" => {
-                let params = TailParams {
-                    scale,
-                    operations,
-                    ..TailParams::paper()
-                };
-                let cells = tail_results(&params, self.metrics);
+                let cells = tail_results(params, self.metrics);
                 return Some((TAIL.table(&cells), cells));
             }
             "tiers" => {
-                let params = TiersParams {
-                    scale,
-                    operations,
-                    ..TiersParams::paper()
-                };
-                let cells = tiers_results(deployment, &params, self.metrics);
+                let cells = tiers_results(params, self.metrics);
                 return Some((TIERS.table(&cells), cells));
             }
-            "chaos" => {
-                let params = ChaosParams {
-                    scale,
-                    operations,
-                    ..ChaosParams::paper()
-                };
-                CHAOS.table(&chaos_results(&params, self.metrics))
-            }
+            "chaos" => CHAOS.table(&chaos_results(params, self.metrics)),
             _ => return None,
         };
         Some((table, Vec::new()))
@@ -201,22 +196,17 @@ fn fig2(deployment: &Deployment, params: &ExperimentParams) -> Table {
 
 /// Table I — per-region chunk-read latency as estimated by Agar's
 /// region manager from Frankfurt during its warm-up phase.
-fn table1(deployment: &Deployment) -> Table {
-    let mut manager = RegionManager::new(FRANKFURT, deployment.preset.topology.clone());
+fn table1(params: &ExperimentParams) -> Table {
+    let preset = params.profile.preset(params.scale);
+    let mut manager = RegionManager::new(FRANKFURT, preset.topology.clone());
     let mut rng = StdRng::seed_from_u64(0x7AB1);
-    manager.warm_up(
-        &deployment.preset.latency,
-        deployment.scale.chunk_size(),
-        10,
-        &mut rng,
-    );
+    manager.warm_up(&preset.latency, params.scale.chunk_size(), 10, &mut rng);
     let mut table = Table::new(
         "Table I — chunk read latency estimated from Frankfurt (ms)",
         SIX_REGION_NAMES.iter().map(|s| s.to_string()).collect(),
     );
     table.push_row(
-        deployment
-            .preset
+        preset
             .topology
             .ids()
             .map(|r| format!("{:.0}", manager.estimate(r).as_secs_f64() * 1e3))
@@ -408,7 +398,7 @@ fn fig8b(deployment: &Deployment, params: &ExperimentParams) -> Table {
 /// Figure 9 — cumulative popularity of the top-50 objects under Zipf
 /// skews 0.5 / 0.8 / 1.1 / 1.4 (exact CDF of the generators used in
 /// every other experiment).
-fn fig9(deployment: &Deployment) -> Table {
+fn fig9(scale: Scale) -> Table {
     let skews = [0.5f64, 0.8, 1.1, 1.4];
     let mut table = Table::new(
         "Figure 9 — cumulative % of requests vs top-N objects",
@@ -418,9 +408,7 @@ fn fig9(deployment: &Deployment) -> Table {
     );
     let cdfs: Vec<_> = skews
         .iter()
-        .map(|&s| {
-            zipf_popularity_cdf(deployment.scale.object_count, s, 50).expect("valid CDF parameters")
-        })
+        .map(|&s| zipf_popularity_cdf(scale.object_count, s, 50).expect("valid CDF parameters"))
         .collect();
     for top in [1usize, 2, 5, 10, 15, 20, 25, 30, 35, 40, 45, 50] {
         let mut row = vec![top.to_string()];
@@ -574,7 +562,7 @@ mod tests {
     fn tiny() -> (Deployment, ExperimentParams) {
         let mut params = ExperimentParams::tiny();
         params.operations = 120;
-        (Deployment::build(params.scale), params)
+        (params.deployment(), params)
     }
 
     #[test]
@@ -597,8 +585,7 @@ mod tests {
 
     #[test]
     fn table1_row_matches_topology() {
-        let (deployment, _) = tiny();
-        let table = table1(&deployment);
+        let table = table1(&ExperimentParams::tiny());
         assert_eq!(table.len(), 1);
         let row: Vec<String> = table.rows().next().unwrap().to_vec();
         assert_eq!(row.len(), 6);
@@ -609,8 +596,7 @@ mod tests {
 
     #[test]
     fn fig9_is_monotone_in_skew_and_top() {
-        let (deployment, _) = tiny();
-        let table = fig9(&deployment);
+        let table = fig9(Scale::tiny());
         let rows: Vec<Vec<f64>> = table
             .rows()
             .map(|r| r.iter().map(|v| v.parse().unwrap()).collect())

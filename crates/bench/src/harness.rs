@@ -72,12 +72,12 @@ impl Scale {
 
 /// Which WAN latency profile a deployment uses. The paper provides two
 /// inconsistent latency pictures; both are available:
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LatencyProfile {
-    /// Calibrated to the *measured* Figure 2 curve shapes (default).
-    /// Latency spread between mid-distance regions is modest, so Agar's
-    /// structural edge over the best fixed policy is a few percent.
-    #[default]
+    /// Calibrated to the *measured* Figure 2 curve shapes (every
+    /// experiment's default). Latency spread between mid-distance
+    /// regions is modest, so Agar's structural edge over the best fixed
+    /// policy is a few percent.
     Calibrated,
     /// The paper's illustrative Table I numbers (3 400 ms Tokyo,
     /// 4 600 ms Sydney from Frankfurt). The much wider spread makes
@@ -86,8 +86,28 @@ pub enum LatencyProfile {
     PaperTable1,
 }
 
-/// A populated six-region deployment shared by many runs (reads are
-/// side-effect-free on the backend, so one backend serves all policies).
+impl LatencyProfile {
+    /// The profile's geo preset, its latency matrix anchored at
+    /// `scale`'s chunk size so the calibrated per-chunk latencies hold
+    /// verbatim at any scale.
+    pub(crate) fn preset(self, scale: Scale) -> GeoPreset {
+        let mut preset = match self {
+            LatencyProfile::Calibrated => aws_six_regions(),
+            LatencyProfile::PaperTable1 => paper_table_one(),
+        };
+        preset.latency = preset
+            .latency
+            .clone()
+            .with_nominal_bytes(scale.chunk_size());
+        preset
+    }
+}
+
+/// A populated six-region deployment, shared by the runs of one
+/// experiment. Reads leave its objects as they are, so one backend
+/// serves all of an experiment's policies; its codec's decode-plan cache
+/// does warm, and writes replace objects, so no two experiments share
+/// one.
 pub struct Deployment {
     /// The geo preset (topology + calibrated latencies).
     pub preset: GeoPreset,
@@ -127,16 +147,7 @@ impl Deployment {
         profile: LatencyProfile,
         scenario: Option<&StragglerScenario>,
     ) -> Self {
-        let mut preset = match profile {
-            LatencyProfile::Calibrated => aws_six_regions(),
-            LatencyProfile::PaperTable1 => paper_table_one(),
-        };
-        // Anchor the latency matrix at this scale's chunk size so the
-        // calibrated per-chunk latencies hold verbatim at any scale.
-        preset.latency = preset
-            .latency
-            .clone()
-            .with_nominal_bytes(scale.chunk_size());
+        let preset = profile.preset(scale);
         let spikes: Vec<LatencySpike> = scenario
             .iter()
             .flat_map(|s| &s.spikes)
@@ -176,15 +187,6 @@ impl Deployment {
         self.preset.region(name)
     }
 
-    /// The paper's node settings with this deployment's calibrated
-    /// cache-read and client-overhead constants.
-    pub(crate) fn settings(&self, cache_bytes: usize) -> AgarSettings {
-        let mut settings = AgarSettings::paper_default(cache_bytes);
-        settings.cache_read = self.preset.cache_read;
-        settings.client_overhead = self.preset.client_overhead;
-        settings
-    }
-
     /// Clamps a workload to this deployment's catalogue and object size.
     fn fit(&self, mut workload: WorkloadSpec) -> WorkloadSpec {
         workload.object_count = workload.object_count.min(self.scale.object_count);
@@ -200,9 +202,11 @@ impl Deployment {
         })
     }
 
-    /// Builds the Agar node every simulated-clock experiment measures:
-    /// preset constants, then `tune`, then the large-cache solver
-    /// guard; seeded from `seed`. With `metrics`, the node binds its
+    /// Builds every Agar node the harness measures — figure runs, grid
+    /// cells and cluster members alike: the paper's settings with this
+    /// deployment's calibrated cache-read and client-overhead
+    /// constants, then `tune`, then the large-cache solver guard; the
+    /// node draws from `seed`. With `metrics`, the node binds its
     /// counters and stage histograms into the registry under the given
     /// labels *before* the run — the registry scrapes live cells, so a
     /// dump taken afterwards reads the same either way.
@@ -218,7 +222,9 @@ impl Deployment {
         tune: impl FnOnce(&mut AgarSettings),
         metrics: Option<(&MetricsRegistry, &Labels)>,
     ) -> Arc<AgarNode> {
-        let mut settings = self.settings(cache_bytes);
+        let mut settings = AgarSettings::paper_default(cache_bytes);
+        settings.cache_read = self.preset.cache_read;
+        settings.client_overhead = self.preset.client_overhead;
         tune(&mut settings);
         // §VI: the paper stops the dynamic program a fixed number of
         // iterations after a full-capacity configuration first
@@ -235,7 +241,6 @@ impl Deployment {
         if let Some(perturb) = crate::census::PERTURB.get() {
             perturb(&mut settings);
         }
-        let seed = client_seed(seed);
         let node = AgarNode::new(region, Arc::clone(&self.backend), settings, seed)
             .expect("paper settings are valid");
         if let Some((registry, labels)) = metrics {
@@ -261,9 +266,13 @@ pub(crate) fn read_stream(spec: &WorkloadSpec, seed: u64) -> MixedStream {
 /// The RNG seed a run's client draws from: the run seed with a fixed
 /// mix, so the client's latency samples never replay the workload
 /// stream generated from the same run seed.
-fn client_seed(seed: u64) -> u64 {
+pub(crate) fn client_seed(seed: u64) -> u64 {
     seed ^ 0x5EED
 }
+
+/// Closed-loop clients per read-only run: the paper's two YCSB clients
+/// per region (§V-A).
+pub const CLIENTS: usize = 2;
 
 /// Which caching client a run uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -301,8 +310,6 @@ pub struct RunConfig {
     pub cache_mb: f64,
     /// The workload to drive.
     pub workload: WorkloadSpec,
-    /// Number of closed-loop clients (the paper runs 2).
-    pub clients: usize,
     /// Maximum hedge chunks Δ per read (Agar policy only; 0 disables
     /// hedging and reproduces the unhedged engine byte for byte).
     pub max_hedges: usize,
@@ -311,15 +318,13 @@ pub struct RunConfig {
 }
 
 impl RunConfig {
-    /// The paper's default run: 2 clients, Zipf 1.1, 1 000 reads, 10 MB
-    /// cache.
+    /// The paper's default run: Zipf 1.1, 1 000 reads, 10 MB cache.
     pub fn paper_default(client_region: RegionId, policy: PolicySpec) -> Self {
         RunConfig {
             client_region,
             policy,
             cache_mb: 10.0,
             workload: WorkloadSpec::paper_default(),
-            clients: 2,
             max_hedges: 0,
             seed: 1,
         }
@@ -340,8 +345,6 @@ pub struct RunResult {
     pub hit_ratio: f64,
     /// Object reads fully served by the cache.
     pub total_hits: u64,
-    /// Object reads partially served by the cache.
-    pub partial_hits: u64,
     /// Operations completed.
     pub operations: usize,
     /// Final cache contents (object → cached chunk indices).
@@ -356,11 +359,12 @@ fn make_client(
 ) -> Arc<dyn CachingClient + Send + Sync> {
     let cache_bytes = deployment.scale.cache_bytes(config.cache_mb);
     let preset = &deployment.preset;
+    let seed = client_seed(config.seed);
     match config.policy {
         PolicySpec::Agar => deployment.agar_node(
             config.client_region,
             cache_bytes,
-            config.seed,
+            seed,
             |settings| settings.max_hedges = config.max_hedges,
             None,
         ),
@@ -380,7 +384,7 @@ fn make_client(
                     cache_bytes,
                     preset.cache_read,
                     preset.client_overhead,
-                    client_seed(config.seed),
+                    seed,
                 )
                 .expect("chunk counts are validated by the caller"),
             )
@@ -389,7 +393,7 @@ fn make_client(
             config.client_region,
             Arc::clone(&deployment.backend),
             preset.client_overhead,
-            client_seed(config.seed),
+            seed,
         )),
     }
 }
@@ -586,7 +590,7 @@ pub fn run_averaged(deployment: &Deployment, config: &RunConfig, runs: usize) ->
         let seed = config.seed.wrapping_add(i as u64 * 7919);
         let ops = read_stream(&deployment.fit(config.workload.clone()), seed);
         // The figure runs stamp no clock: nothing in them reads it.
-        let batch = closed_loop(&*client, ops, config.clients, start, &mut |_| {});
+        let batch = closed_loop(&*client, ops, CLIENTS, start, &mut |_| {});
         operations = batch.samples.len();
         let total: f64 = batch
             .samples
@@ -611,7 +615,6 @@ pub fn run_averaged(deployment: &Deployment, config: &RunConfig, runs: usize) ->
         latency: histogram.summary(),
         hit_ratio: batch_ratios.iter().sum::<f64>() / n,
         total_hits: stats.object_total_hits(),
-        partial_hits: stats.object_partial_hits(),
         operations,
         cache_contents: client.cache_contents(),
         sim_duration: start.saturating_duration_since(SimTime::ZERO),

@@ -19,10 +19,16 @@
 //! | Failure handling under injected faults ([`chaos`]) | `experiments -- chaos` |
 //! | Cluster write path under a read/write mix ([`mixed`]) | `experiments -- mixed` |
 //!
-//! [`experiments::Runner`] dispatches those ids. Everything simulated
-//! replays one driver, [`harness::closed_loop`]: closed-loop clients on
-//! a deterministic simulated clock, exactly mirroring the paper's two
-//! YCSB clients per region and 30-second reconfiguration epochs. The
+//! [`experiments::Runner`] dispatches those ids. Every experiment is a
+//! function of one [`ExperimentParams`] — scale, runs, operations and
+//! latency profile — and builds its own [`Deployment`] from it, so no
+//! experiment sees another's writes or decode plans; its seeds and
+//! cache sizes are constants beside its figure function or its
+//! [`Layout`], and every Agar node it measures comes from
+//! `Deployment::agar_node`. Everything simulated replays one driver,
+//! [`harness::closed_loop`]: closed-loop clients on a deterministic
+//! simulated clock, exactly mirroring the paper's two YCSB clients per
+//! region ([`CLIENTS`]) and 30-second reconfiguration epochs. The
 //! `mixed` cluster cells replay it too, with every read checked against
 //! one [`history::WriteHistory`], so every report is byte-reproducible
 //! per seed. Host-clock costs (codec MB/s, cache ns/op, ops/s scaling,
@@ -46,14 +52,15 @@ pub mod tail;
 pub mod tiers;
 
 pub use cell::{report_json, Cell, Layout};
-pub use chaos::{chaos_run, ChaosParams, ChaosPolicy, ChaosScenario};
+pub use chaos::{chaos_run, ChaosPolicy, ChaosScenario};
 pub use cluster::build_warm_cluster;
+pub use experiments::ExperimentParams;
 pub use harness::{
     closed_loop, run_averaged, run_once, Deployment, LatencyProfile, LoopOutcome, OpSample,
-    PolicySpec, RunConfig, RunResult, Scale, Serve,
+    PolicySpec, RunConfig, RunResult, Scale, Serve, CLIENTS,
 };
 pub use history::WriteHistory;
 pub use mixed::{run_mixed_cluster, MixedRun};
 pub use table::Table;
-pub use tail::{tail_run, TailParams};
-pub use tiers::{tiers_run, TiersParams};
+pub use tail::{tail_run, TAIL_CACHE_MB};
+pub use tiers::tiers_run;

@@ -21,7 +21,8 @@
 
 use crate::cell::cell_labels;
 use crate::cluster::build_warm_cluster;
-use crate::harness::{closed_loop, Deployment, OpSample, Serve};
+use crate::experiments::ExperimentParams;
+use crate::harness::{closed_loop, OpSample, Serve};
 use crate::history::WriteHistory;
 use crate::table::Table;
 use agar::AgarNode;
@@ -182,16 +183,13 @@ pub fn run_mixed_cluster(
 }
 
 /// The `mixed` experiment: 4 closed-loop clients × 3 ring-routed nodes
-/// at 5 %, 20 % and 50 % writes, `operations` per ratio, with uniform
-/// write sizes around the catalogue object size. With a registry, every
-/// ratio's cluster binds its counters and stage histograms into it
-/// under `{scenario}` labels so a `--metrics` dump carries the whole
-/// grid.
-pub(crate) fn mixed_table(
-    deployment: &Deployment,
-    operations: usize,
-    registry: Option<&MetricsRegistry>,
-) -> Table {
+/// at 5 %, 20 % and 50 % writes, `params.operations` per ratio, with
+/// uniform write sizes around the catalogue object size, on one fresh
+/// deployment. With a registry, every ratio's cluster binds its
+/// counters and stage histograms into it under `{scenario}` labels so
+/// a `--metrics` dump carries the whole grid.
+pub(crate) fn mixed_table(params: &ExperimentParams, registry: Option<&MetricsRegistry>) -> Table {
+    let deployment = &params.deployment();
     let region = deployment.region("Frankfurt");
     let (members, clients, hot_objects) = (3, 4, 8);
     let mut headers: Vec<String> = [
@@ -210,7 +208,7 @@ pub(crate) fn mixed_table(
     let base_size = deployment.scale.object_size;
     for ratio in [0.05, 0.2, 0.5] {
         // A fresh warm cluster per ratio (the run itself resets the
-        // shared backend's catalogue contents before measuring).
+        // experiment's catalogue contents before measuring).
         let router = build_warm_cluster(
             deployment,
             region,
@@ -234,7 +232,7 @@ pub(crate) fn mixed_table(
         let run = run_mixed_cluster(
             &router,
             clients,
-            operations,
+            params.operations,
             hot_objects,
             base_size,
             mix,
@@ -276,7 +274,7 @@ pub(crate) fn mixed_table(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::Scale;
+    use crate::harness::{Deployment, Scale};
 
     #[test]
     fn mixed_run_reports_zero_stale_reads() {

@@ -18,51 +18,12 @@
 //! compare P99s across commits.
 
 use crate::cell::{cell_labels, Cell, ColumnSpec, Layout, Value};
-use crate::harness::{closed_loop, read_stream, Deployment, LatencyProfile, Scale};
+use crate::experiments::ExperimentParams;
+use crate::harness::{client_seed, closed_loop, read_stream, Deployment, CLIENTS};
 use agar::CachingClient;
 use agar_net::{RegionId, SimTime};
 use agar_obs::{MetricsRegistry, StageSummaries};
 use agar_workload::StragglerScenario;
-
-/// Parameters of one tail run (shared by every cell of the table).
-#[derive(Clone, Copy, Debug)]
-pub struct TailParams {
-    /// Deployment scale.
-    pub scale: Scale,
-    /// Operations per run.
-    pub operations: usize,
-    /// Closed-loop clients.
-    pub clients: usize,
-    /// Cache size in paper MB units.
-    pub cache_mb: f64,
-    /// Hedge chunks Δ for the hedged cells.
-    pub max_hedges: usize,
-    /// Seed shared by the hedged and unhedged runs of each scenario.
-    pub seed: u64,
-}
-
-impl TailParams {
-    /// Full-scale defaults: the paper workload with Δ = 2 hedges.
-    pub(crate) fn paper() -> Self {
-        TailParams {
-            scale: Scale::paper(),
-            operations: 1_000,
-            clients: 2,
-            cache_mb: 10.0,
-            max_hedges: 2,
-            seed: 0x7A11,
-        }
-    }
-
-    /// Test-scale defaults (same shapes, small objects, fewer ops).
-    pub fn tiny() -> Self {
-        TailParams {
-            scale: Scale::tiny(),
-            operations: 300,
-            ..TailParams::paper()
-        }
-    }
-}
 
 /// The `tail` cell layout. `param` is the Δ the cell ran with;
 /// `backend_fetches` counts successful backend chunk round trips,
@@ -82,7 +43,18 @@ pub(crate) static TAIL: Layout = Layout {
     ],
 };
 
-/// Runs one (scenario, Δ) cell: fresh deployment, fresh node, seeded
+/// Seed of every cell: a scenario's hedged and unhedged runs replay one
+/// workload.
+const TAIL_SEED: u64 = 0x7A11;
+
+/// The cells' cache size in paper MB units.
+pub const TAIL_CACHE_MB: f64 = 10.0;
+
+/// Hedge chunks Δ of the hedged cells.
+const TAIL_HEDGES: usize = 2;
+
+/// Runs one (scenario, Δ) cell: fresh deployment, fresh node with a
+/// `cache_mb` cache (the experiment's is [`TAIL_CACHE_MB`]), seeded
 /// closed-loop clients on the simulated clock. With a registry, the
 /// cell's node binds its counters and stage histograms into it under
 /// `{scenario, policy}` labels.
@@ -91,16 +63,16 @@ pub(crate) static TAIL: Layout = Layout {
 ///
 /// Panics on invalid parameters (caller bugs).
 pub fn tail_run(
-    params: &TailParams,
+    params: &ExperimentParams,
     scenario: &StragglerScenario,
     max_hedges: usize,
+    cache_mb: f64,
     registry: Option<&MetricsRegistry>,
 ) -> Cell {
     // A fresh deployment per cell: the spike counters inside the
     // latency model are run-local state, and sharing them across cells
     // would shift the straggler phase between the engines under test.
-    let deployment =
-        Deployment::build_with(params.scale, LatencyProfile::Calibrated, Some(scenario));
+    let deployment = Deployment::build_with(params.scale, params.profile, Some(scenario));
     let policy = if max_hedges == 0 {
         "unhedged".to_string()
     } else {
@@ -109,8 +81,8 @@ pub fn tail_run(
     let labels = cell_labels(scenario.name, &policy);
     let node = deployment.agar_node(
         deployment.region("Frankfurt"),
-        deployment.scale.cache_bytes(params.cache_mb),
-        params.seed,
+        deployment.scale.cache_bytes(cache_mb),
+        client_seed(TAIL_SEED),
         |settings| {
             settings.max_hedges = max_hedges;
             // Trace every read: the per-stage breakdown columns and the
@@ -120,27 +92,21 @@ pub fn tail_run(
         },
         registry.map(|r| (r, &labels)),
     );
-    let ops = read_stream(&deployment.paper_workload(params.operations), params.seed);
+    let ops = read_stream(&deployment.paper_workload(params.operations), TAIL_SEED);
     // The clock hook: flaky regions fail and heal on their schedule
     // (whole simulated seconds), and the trace layer's clock is
     // stamped so spans carry simulated time.
-    let outcome = closed_loop(
-        &*node,
-        ops,
-        params.clients,
-        SimTime::ZERO,
-        &mut |now: SimTime| {
-            let now_s = now.saturating_duration_since(SimTime::ZERO).as_secs();
-            for flaky in &scenario.flaky {
-                if flaky.cycle.is_down_at(now_s) {
-                    deployment.backend.fail_region(RegionId::new(flaky.region));
-                } else {
-                    deployment.backend.heal_region(RegionId::new(flaky.region));
-                }
+    let outcome = closed_loop(&*node, ops, CLIENTS, SimTime::ZERO, &mut |now: SimTime| {
+        let now_s = now.saturating_duration_since(SimTime::ZERO).as_secs();
+        for flaky in &scenario.flaky {
+            if flaky.cycle.is_down_at(now_s) {
+                deployment.backend.fail_region(RegionId::new(flaky.region));
+            } else {
+                deployment.backend.heal_region(RegionId::new(flaky.region));
             }
-            node.set_sim_now(now);
-        },
-    );
+        }
+        node.set_sim_now(now);
+    });
     let stats = node.cache_stats();
     TAIL.cell(
         scenario.name.to_string(),
@@ -158,11 +124,14 @@ pub fn tail_run(
 }
 
 /// Runs the full scenario family, unhedged and hedged per scenario.
-pub(crate) fn tail_results(params: &TailParams, registry: Option<&MetricsRegistry>) -> Vec<Cell> {
+pub(crate) fn tail_results(
+    params: &ExperimentParams,
+    registry: Option<&MetricsRegistry>,
+) -> Vec<Cell> {
     let mut results = Vec::new();
     for scenario in StragglerScenario::all() {
-        for delta in [0, params.max_hedges] {
-            results.push(tail_run(params, &scenario, delta, registry));
+        for delta in [0, TAIL_HEDGES] {
+            results.push(tail_run(params, &scenario, delta, TAIL_CACHE_MB, registry));
         }
     }
     results
@@ -172,24 +141,24 @@ pub(crate) fn tail_results(params: &TailParams, registry: Option<&MetricsRegistr
 mod tests {
     use super::*;
 
-    fn quick_params() -> TailParams {
-        let mut params = TailParams::tiny();
-        params.operations = 150;
-        params
+    fn quick_params() -> ExperimentParams {
+        ExperimentParams {
+            operations: 150,
+            ..ExperimentParams::tiny()
+        }
     }
 
     #[test]
     fn hedging_beats_the_unhedged_tail_under_spikes() {
-        let mut params = quick_params();
+        let params = quick_params();
         // No cache: with one, the engines' different latency
         // observations drift the knapsack configurations apart, and
         // the round-trip comparison would measure caching, not
         // hedging. Cacheless, both runs issue exactly k primaries per
         // read and the budget inequality is exact.
-        params.cache_mb = 0.0;
         let scenario = StragglerScenario::slow_spikes();
-        let unhedged = tail_run(&params, &scenario, 0, None);
-        let hedged = tail_run(&params, &scenario, 2, None);
+        let unhedged = tail_run(&params, &scenario, 0, 0.0, None);
+        let hedged = tail_run(&params, &scenario, 2, 0.0, None);
         assert_eq!(unhedged.operations, 150);
         assert_eq!(hedged.operations, 150);
         assert!(
@@ -216,8 +185,8 @@ mod tests {
         let mut params = quick_params();
         params.operations = 200;
         let scenario = StragglerScenario::flaky_backend();
-        let unhedged = tail_run(&params, &scenario, 0, None);
-        let hedged = tail_run(&params, &scenario, 2, None);
+        let unhedged = tail_run(&params, &scenario, 0, TAIL_CACHE_MB, None);
+        let hedged = tail_run(&params, &scenario, 2, TAIL_CACHE_MB, None);
         // Both engines must survive the churn without giving up reads.
         assert_eq!(unhedged.errors, 0);
         assert_eq!(hedged.errors, 0);
@@ -228,8 +197,8 @@ mod tests {
     fn runs_are_deterministic_per_seed() {
         let params = quick_params();
         let scenario = StragglerScenario::slow_spikes();
-        let a = tail_run(&params, &scenario, 2, None);
-        let b = tail_run(&params, &scenario, 2, None);
+        let a = tail_run(&params, &scenario, 2, TAIL_CACHE_MB, None);
+        let b = tail_run(&params, &scenario, 2, TAIL_CACHE_MB, None);
         assert_eq!(a.latency, b.latency);
         assert_eq!(a.count("backend_fetches"), b.count("backend_fetches"));
         assert_eq!(a.count("hedged_requests"), b.count("hedged_requests"));
@@ -241,7 +210,7 @@ mod tests {
         params.operations = 60;
         let registry = MetricsRegistry::new();
         let scenario = StragglerScenario::slow_spikes();
-        let result = tail_run(&params, &scenario, 2, Some(&registry));
+        let result = tail_run(&params, &scenario, 2, TAIL_CACHE_MB, Some(&registry));
         // Every read is traced (sample_every = 1), so the per-stage
         // summaries cover the full run.
         assert_eq!(result.stages.samples(), result.operations);

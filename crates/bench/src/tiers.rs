@@ -25,7 +25,8 @@
 //! host-independent and CI-gateable exactly like the `tail` experiment.
 
 use crate::cell::{cell_labels, Cell, ColumnSpec, Layout, Value};
-use crate::harness::{closed_loop, read_stream, Deployment, Scale};
+use crate::experiments::ExperimentParams;
+use crate::harness::{client_seed, closed_loop, read_stream, Deployment, CLIENTS};
 use agar::{AgarNode, CachingClient};
 use agar_ec::ObjectId;
 use agar_net::SimTime;
@@ -34,45 +35,6 @@ use std::time::Duration;
 
 /// Catalogue-to-RAM multipliers the experiment sweeps.
 const CATALOGUE_MULTIPLES: [usize; 3] = [1, 4, 16];
-
-/// Parameters of one tiers run (shared by every cell of the table).
-#[derive(Clone, Copy, Debug)]
-pub struct TiersParams {
-    /// Deployment scale.
-    pub scale: Scale,
-    /// Operations per run.
-    pub operations: usize,
-    /// Closed-loop clients.
-    pub clients: usize,
-    /// Simulated disk chunk-read latency (a local SSD, not the
-    /// conservative engine default).
-    pub disk_read: Duration,
-    /// Seed shared by the RAM-only and tiered runs of each cell.
-    pub seed: u64,
-}
-
-impl TiersParams {
-    /// Full-scale defaults: the paper workload over a local-SSD disk
-    /// tier.
-    pub(crate) fn paper() -> Self {
-        TiersParams {
-            scale: Scale::paper(),
-            operations: 1_000,
-            clients: 2,
-            disk_read: Duration::from_millis(45),
-            seed: 0x71E2,
-        }
-    }
-
-    /// Test-scale defaults (same shapes, small objects, fewer ops).
-    pub fn tiny() -> Self {
-        TiersParams {
-            scale: Scale::tiny(),
-            operations: 300,
-            ..TiersParams::paper()
-        }
-    }
-}
 
 /// The `tiers` cell layout. `param` is the catalogue-to-RAM multiple.
 /// All counters are scoped to the measured window: `chunk_lookups` is
@@ -103,8 +65,17 @@ pub(crate) static TIERS: Layout = Layout {
     ],
 };
 
-/// Runs one (catalogue multiple, engine) cell against a shared
-/// deployment: RAM = catalogue / `multiple`; `tiered` additionally
+/// Seed of every cell: a catalogue multiple's RAM-only and tiered runs
+/// replay one workload.
+const TIERS_SEED: u64 = 0x71E2;
+
+/// The disk tier's simulated chunk-read latency: a local SSD, not the
+/// conservative engine default.
+const TIERS_DISK_READ: Duration = Duration::from_millis(45);
+
+/// Runs one (catalogue multiple, engine) cell of `params.operations`
+/// measured reads against `deployment`, which the experiment's cells
+/// share: RAM = catalogue / `multiple`; `tiered` additionally
 /// attaches a disk tier sized to the whole catalogue. With a registry,
 /// the cell's node binds its counters and stage histograms into it
 /// under `{scenario, policy}` labels.
@@ -114,7 +85,7 @@ pub(crate) static TIERS: Layout = Layout {
 /// Panics on invalid parameters (caller bugs).
 pub fn tiers_run(
     deployment: &Deployment,
-    params: &TiersParams,
+    params: &ExperimentParams,
     multiple: usize,
     tiered: bool,
     registry: Option<&MetricsRegistry>,
@@ -128,11 +99,11 @@ pub fn tiers_run(
     let node = deployment.agar_node(
         deployment.region("Frankfurt"),
         catalogue_bytes / multiple,
-        params.seed,
+        client_seed(TIERS_SEED),
         |settings| {
             if tiered {
                 settings.disk_capacity_bytes = catalogue_bytes;
-                settings.disk_read = params.disk_read;
+                settings.disk_read = TIERS_DISK_READ;
             }
             // Trace every read: the per-stage breakdown columns come
             // from the measured window's traces. Sampling is a
@@ -149,7 +120,7 @@ pub fn tiers_run(
     // the forced reconfiguration then installs the configuration —
     // including the a-priori fill — before measurement starts. Both
     // engines run the identical warm-up, off the measured clock.
-    for op in read_stream(&workload, params.seed ^ 0x3A3A) {
+    for op in read_stream(&workload, TIERS_SEED ^ 0x3A3A) {
         let _ = node.read(ObjectId::new(op.key()));
     }
     for id in 0..scale.object_count {
@@ -159,9 +130,9 @@ pub fn tiers_run(
     let warm_stats = node.cache_stats();
     let (warm_appended, warm_compacted) = disk_bytes(&node);
 
-    let ops = read_stream(&workload, params.seed);
+    let ops = read_stream(&workload, TIERS_SEED);
     // Stamp the trace layer's clock so spans carry simulated time.
-    let outcome = closed_loop(&*node, ops, params.clients, SimTime::ZERO, &mut |now| {
+    let outcome = closed_loop(&*node, ops, CLIENTS, SimTime::ZERO, &mut |now| {
         node.set_sim_now(now)
     });
 
@@ -205,17 +176,17 @@ fn disk_bytes(node: &AgarNode) -> (u64, u64) {
     })
 }
 
-/// Runs the full sweep: RAM-only and tiered at every catalogue
-/// multiple.
+/// Runs the full sweep on one fresh deployment: RAM-only and tiered at
+/// every catalogue multiple.
 pub(crate) fn tiers_results(
-    deployment: &Deployment,
-    params: &TiersParams,
+    params: &ExperimentParams,
     registry: Option<&MetricsRegistry>,
 ) -> Vec<Cell> {
+    let deployment = params.deployment();
     let mut results = Vec::new();
     for multiple in CATALOGUE_MULTIPLES {
         for tiered in [false, true] {
-            results.push(tiers_run(deployment, params, multiple, tiered, registry));
+            results.push(tiers_run(&deployment, params, multiple, tiered, registry));
         }
     }
     results
@@ -225,16 +196,17 @@ pub(crate) fn tiers_results(
 mod tests {
     use super::*;
 
-    fn quick_params() -> TiersParams {
-        let mut params = TiersParams::tiny();
-        params.operations = 250;
-        params
+    fn quick_params() -> ExperimentParams {
+        ExperimentParams {
+            operations: 250,
+            ..ExperimentParams::tiny()
+        }
     }
 
     #[test]
     fn tiered_beats_ram_only_under_catalogue_pressure() {
         let params = quick_params();
-        let deployment = Deployment::build(params.scale);
+        let deployment = params.deployment();
         let ram_only = tiers_run(&deployment, &params, 16, false, None);
         let tiered = tiers_run(&deployment, &params, 16, true, None);
         assert_eq!(ram_only.operations, 250);
@@ -285,7 +257,7 @@ mod tests {
     #[test]
     fn runs_are_deterministic_per_seed() {
         let params = quick_params();
-        let deployment = Deployment::build(params.scale);
+        let deployment = params.deployment();
         let a = tiers_run(&deployment, &params, 4, true, None);
         let b = tiers_run(&deployment, &params, 4, true, None);
         assert_eq!(a.latency, b.latency);
@@ -298,7 +270,7 @@ mod tests {
     #[test]
     fn stage_breakdown_is_scoped_to_the_measured_window() {
         let params = quick_params();
-        let deployment = Deployment::build(params.scale);
+        let deployment = params.deployment();
         let registry = MetricsRegistry::new();
         let result = tiers_run(&deployment, &params, 4, true, Some(&registry));
         // Only the measured closed loop is summarised, not the warm-up.
@@ -313,8 +285,7 @@ mod tests {
     fn table_covers_every_cell() {
         let mut params = quick_params();
         params.operations = 60;
-        let deployment = Deployment::build(params.scale);
-        let results = tiers_results(&deployment, &params, None);
+        let results = tiers_results(&params, None);
         assert_eq!(results.len(), CATALOGUE_MULTIPLES.len() * 2);
         let table = TIERS.table(&results);
         assert_eq!(table.len(), results.len());

@@ -99,7 +99,7 @@ impl ChaosClock {
     }
 
     /// Current sim time in whole seconds (what the schedules key on).
-    pub fn now_s(&self) -> u64 {
+    fn now_s(&self) -> u64 {
         self.0.load(Ordering::Relaxed) / 1_000_000
     }
 }

@@ -330,25 +330,7 @@ impl ClusterRouter {
     /// the owner node's read errors.
     pub fn read(&self, object: ObjectId) -> Result<ClusterReadMetrics, AgarError> {
         self.counters.routed_reads.inc();
-        let (home_id, home, probes) = {
-            let state = self.state.read();
-            let prefs = state.ring.preference_of_object(object, state.members.len());
-            let Some((&home_id, sibling_ids)) = prefs.split_first() else {
-                return Err(AgarError::InvalidSetting {
-                    what: "cluster router has no member nodes",
-                });
-            };
-            let home = state
-                .member(home_id)
-                .expect("ring and members agree")
-                .clone();
-            let probes: Vec<Arc<AgarNode>> = sibling_ids
-                .iter()
-                .filter_map(|&id| state.member(id).cloned())
-                .collect();
-            (home_id, home, probes)
-        };
-        self.read_at(home_id, &home, &probes, object)
+        self.read_at(None, object)
     }
 
     /// Reads an object from an explicit member (the §VI collaboration
@@ -365,34 +347,41 @@ impl ClusterRouter {
         home_id: u64,
         object: ObjectId,
     ) -> Result<ClusterReadMetrics, AgarError> {
-        let (home, probes) = {
+        self.read_at(Some(home_id), object)
+    }
+
+    /// The shared read body: resolve the members, collect sibling
+    /// offers for chunks the home cache lacks, then let the home node
+    /// plan and execute (single-flight + batching apply inside via the
+    /// coordinator).
+    fn read_at(
+        &self,
+        home: Option<u64>,
+        object: ObjectId,
+    ) -> Result<ClusterReadMetrics, AgarError> {
+        // One visit to the membership state: the home (`home`, or the
+        // object's ring owner) and, in ring preference order, every
+        // other member — the siblings the read probes.
+        let (home_id, home, probes) = {
             let state = self.state.read();
+            let prefs = state.ring.preference_of_object(object, state.members.len());
+            let Some(home_id) = home.or_else(|| prefs.first().copied()) else {
+                return Err(AgarError::InvalidSetting {
+                    what: "cluster router has no member nodes",
+                });
+            };
             let Some(home) = state.member(home_id).cloned() else {
                 return Err(AgarError::InvalidSetting {
                     what: "unknown cluster member id",
                 });
             };
-            let prefs = state.ring.preference_of_object(object, state.members.len());
             let probes: Vec<Arc<AgarNode>> = prefs
                 .iter()
                 .filter(|&&id| id != home_id)
                 .filter_map(|&id| state.member(id).cloned())
                 .collect();
-            (home, probes)
+            (home_id, home, probes)
         };
-        self.read_at(home_id, &home, &probes, object)
-    }
-
-    /// The shared read body: collect sibling offers for chunks the
-    /// home cache lacks, then let the home node plan and execute
-    /// (single-flight + batching apply inside via the coordinator).
-    fn read_at(
-        &self,
-        home_id: u64,
-        home: &Arc<AgarNode>,
-        probes: &[Arc<AgarNode>],
-        object: ObjectId,
-    ) -> Result<ClusterReadMetrics, AgarError> {
         let manifest = self.backend.manifest(object)?;
         let version = manifest.version();
         let total = manifest.params().total_chunks() as u8;

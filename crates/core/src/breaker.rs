@@ -85,7 +85,7 @@ impl CircuitBreaker {
     }
 
     /// Whether the breaker does anything at all.
-    pub fn enabled(&self) -> bool {
+    fn enabled(&self) -> bool {
         self.policy.failure_threshold > 0
     }
 

@@ -23,7 +23,7 @@ use crate::knapsack::Config;
 use agar_cache::CacheTier;
 use agar_ec::{ChunkId, ObjectId};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// One object's configured chunks: the RAM-tier ones first, the
 /// disk-tier ones from `split` on.
@@ -279,16 +279,6 @@ impl CacheConfiguration {
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
-
-    /// Figure 10's breakdown: how many objects are cached with each
-    /// chunk count.
-    pub fn breakdown(&self) -> BTreeMap<usize, usize> {
-        let mut out = BTreeMap::new();
-        for entry in self.per_object.values() {
-            *out.entry(entry.chunks.len()).or_insert(0) += 1;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -355,21 +345,10 @@ mod tests {
     }
 
     #[test]
-    fn breakdown_counts_objects_by_chunk_count() {
-        let config = solved_config();
-        let breakdown = config.breakdown();
-        let objects: usize = breakdown.values().sum();
-        assert_eq!(objects, config.object_count());
-        let chunks: usize = breakdown.iter().map(|(&c, &n)| c * n).sum();
-        assert_eq!(chunks as u32, config.total_chunks());
-    }
-
-    #[test]
     fn empty_configuration() {
         let config = CacheConfiguration::empty();
         assert_eq!(config.object_count(), 0);
         assert_eq!(config.total_chunks(), 0);
-        assert!(config.breakdown().is_empty());
         assert!(!config.contains(ChunkId::new(ObjectId::new(0), 0)));
         assert!(config.tier_for(ChunkId::new(ObjectId::new(0), 0)).is_none());
     }

@@ -149,7 +149,7 @@ pub struct HedgePolicy<'a> {
 impl HedgePolicy<'static> {
     /// A policy that never hedges; `plan` with this policy is
     /// byte-identical to unhedged planning.
-    pub fn disabled() -> Self {
+    fn disabled() -> Self {
         HedgePolicy {
             max_hedges: 0,
             z: 0.0,

@@ -125,11 +125,6 @@ impl RegionManager {
         &self.estimates
     }
 
-    /// The current mean-deviation estimate for a region.
-    pub fn deviation(&self, region: RegionId) -> Duration {
-        self.deviations[region.index()]
-    }
-
     /// All mean-deviation estimates, indexed by region id.
     pub fn deviations(&self) -> &[Duration] {
         &self.deviations
@@ -218,7 +213,7 @@ mod tests {
         for region in [RegionId::new(0), RegionId::new(1)] {
             assert_eq!(manager.estimate(region), Duration::from_millis(20));
             // Population std-dev of {10, 20, 30} ms is sqrt(200/3) ≈ 8.165ms.
-            let std_ms = manager.deviation(region).as_secs_f64() * 1e3;
+            let std_ms = manager.deviations()[region.index()].as_secs_f64() * 1e3;
             assert!((std_ms - 8.165).abs() < 0.01, "std {std_ms}");
         }
         assert_eq!(
@@ -287,14 +282,14 @@ mod tests {
         let mut manager = RegionManager::new(FRANKFURT, preset.topology);
         manager.observe(SYDNEY, Duration::from_millis(900));
         assert_eq!(manager.estimate(SYDNEY), Duration::from_millis(900));
-        assert_eq!(manager.deviation(SYDNEY), Duration::ZERO);
+        assert_eq!(manager.deviations()[SYDNEY.index()], Duration::ZERO);
     }
 
     #[test]
     fn warm_up_seeds_deviations_from_probe_dispersion() {
         let manager = warmed_manager();
         // The calibrated preset is jittered, so far regions show spread.
-        assert!(manager.deviation(SYDNEY) > Duration::ZERO);
+        assert!(manager.deviations()[SYDNEY.index()] > Duration::ZERO);
         assert_eq!(manager.deviations().len(), manager.estimates().len());
     }
 
@@ -305,14 +300,14 @@ mod tests {
         for _ in 0..100 {
             manager.observe(SYDNEY, Duration::from_millis(500));
         }
-        let steady = manager.deviation(SYDNEY);
+        let steady = manager.deviations()[SYDNEY.index()];
         assert!(steady < Duration::from_millis(1), "steady dev {steady:?}");
         // ...while alternating fast/slow observations grow it.
         for i in 0..100 {
             let ms = if i % 2 == 0 { 100 } else { 900 };
             manager.observe(SYDNEY, Duration::from_millis(ms));
         }
-        let noisy = manager.deviation(SYDNEY);
+        let noisy = manager.deviations()[SYDNEY.index()];
         assert!(noisy > Duration::from_millis(100), "noisy dev {noisy:?}");
     }
 

@@ -8,7 +8,8 @@
 //! **nearest rank**, `rank = ceil(q · n)` clamped to `[1, n]`,
 //! 1-indexed into the sorted sample set. The exact histogram indexes
 //! its sorted samples with it; the bucketed histogram walks its
-//! cumulative counts to the same rank.
+//! cumulative counts to the same rank. Experiments and tests take their
+//! percentiles from one of the two; none ranks samples of its own.
 
 use std::time::Duration;
 

@@ -85,12 +85,6 @@ impl Gauge {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Subtracts `n` (saturating via wrapping is avoided: gauges in
-    /// this workspace only ever subtract what they added).
-    pub fn sub(&self, n: u64) {
-        self.0.fetch_sub(n, Ordering::Relaxed);
-    }
-
     /// The current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
@@ -122,7 +116,7 @@ impl Labels {
     }
 
     /// The pairs, in insertion order.
-    pub fn pairs(&self) -> &[(&'static str, String)] {
+    fn pairs(&self) -> &[(&'static str, String)] {
         &self.0
     }
 
@@ -477,8 +471,7 @@ mod tests {
         registry.register_gauge("test_bytes", "bytes", Labels::new(), &g);
         g.set(100);
         g.add(20);
-        g.sub(40);
-        assert_eq!(g.get(), 80);
+        assert_eq!(g.get(), 120);
         assert_eq!(registry.len(), 2);
     }
 

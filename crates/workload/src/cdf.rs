@@ -8,18 +8,16 @@
 use crate::error::WorkloadError;
 use crate::zipf::Zipfian;
 
-/// One point of a popularity CDF: the `top_objects` most popular objects
-/// account for `cumulative_fraction` of requests.
+/// One point of a popularity CDF: point `i` (0-based) of
+/// [`zipf_popularity_cdf`] is the `i + 1` most popular objects.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct CdfPoint {
-    /// Number of most-popular objects considered.
-    pub top_objects: u64,
-    /// Fraction of requests they capture, in `[0, 1]`.
+    /// Fraction of requests those objects capture, in `[0, 1]`.
     pub cumulative_fraction: f64,
 }
 
 /// Computes the exact popularity CDF of a Zipfian workload for the top
-/// `max_top` objects (Figure 9 uses 50).
+/// `max_top` objects (Figure 9 uses 50), most popular first.
 ///
 /// # Errors
 ///
@@ -38,7 +36,6 @@ pub fn zipf_popularity_cdf(
     let zipf = Zipfian::new(object_count, skew)?;
     Ok((1..=max_top)
         .map(|top| CdfPoint {
-            top_objects: top,
             cumulative_fraction: zipf.cumulative_probability(top),
         })
         .collect())

@@ -20,6 +20,7 @@ use agar_cluster::{ClusterRouter, ClusterSettings};
 use agar_ec::ObjectId;
 use agar_net::presets::TOKYO;
 use agar_net::SimTime;
+use agar_obs::LatencyHistogram;
 use agar_store::expected_payload;
 use agar_workload::{FailureCycle, FlakyRegion};
 use std::sync::Arc;
@@ -127,12 +128,6 @@ impl Rig {
     }
 }
 
-fn p99(latencies: &[Duration]) -> Duration {
-    let mut sorted = latencies.to_vec();
-    sorted.sort_unstable();
-    sorted[(sorted.len() * 99).div_ceil(100).saturating_sub(1)]
-}
-
 /// One finite partition window: Tokyo drops out at t=5s for 20s, then
 /// stays healed for the rest of the run.
 fn one_partition() -> ChaosSpec {
@@ -198,8 +193,13 @@ fn partition_reroutes_and_recovers_after_heal() {
         // after the 25 s outage window; its P99 must sit within 10% of
         // the calm baseline's over the same ops.
         let tail_ops = 50;
-        let healed = p99(&lat[lat.len() - tail_ops..]);
-        let baseline = p99(&calm_lat[calm_lat.len() - tail_ops..]);
+        let [healed, baseline] = [&lat, &calm_lat].map(|run| {
+            let mut histogram = LatencyHistogram::new();
+            for &latency in &run[run.len() - tail_ops..] {
+                histogram.record(latency);
+            }
+            histogram.percentile(0.99)
+        });
         assert!(
             healed <= baseline.mul_f64(1.10),
             "seed {seed:#x}: post-heal P99 {healed:?} above 1.1x calm {baseline:?}"

@@ -80,11 +80,13 @@ fn trace_dumps_are_byte_identical_per_seed() {
     // the trace is part of the reproducible result, not a side channel.
     let scenario = agar_workload::StragglerScenario::slow_spikes();
     let dump = || {
-        let mut params = agar_bench::TailParams::tiny();
-        params.operations = 120;
+        let params = agar_bench::ExperimentParams {
+            operations: 120,
+            ..agar_bench::ExperimentParams::tiny()
+        };
         // tail_run traces every read; rebuild the deployment from
         // scratch each time so nothing is shared between the runs.
-        agar_bench::tail_run(&params, &scenario, 2, None);
+        agar_bench::tail_run(&params, &scenario, 2, agar_bench::TAIL_CACHE_MB, None);
         // The node is internal to tail_run; drive a node directly for
         // the dump itself so the bytes come from the public API.
         let deployment = Deployment::build(Scale::tiny());

@@ -1,11 +1,13 @@
 //! Cross-crate integration: the full pipeline from workload generation
 //! through Agar to the erasure-coded backend, at test scale.
 
-use agar::{AgarNode, AgarSettings, CachingClient};
-use agar_bench::{run_once, Deployment, PolicySpec, RunConfig, Scale};
+use agar::{AgarNode, AgarSettings, CachingClient, FixedChunksClient};
+use agar_bench::{closed_loop, run_once, Deployment, PolicySpec, RunConfig, Scale};
 use agar_ec::{CodingParams, ObjectId};
 use agar_net::presets::{aws_six_regions, FRANKFURT, SYDNEY};
+use agar_net::SimTime;
 use agar_store::{expected_payload, populate, Backend, RoundRobin};
+use agar_workload::ReadWriteMix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -78,13 +80,21 @@ fn harness_runs_all_policies_at_both_regions() {
 fn simulated_time_reflects_closed_loop_clients() {
     let deployment = Deployment::build(Scale::tiny());
     // 1 client vs 4 clients: same op count, ~4x less simulated time.
-    let mut one = RunConfig::paper_default(FRANKFURT, PolicySpec::Backend);
-    one.workload = small_workload(120);
-    one.clients = 1;
-    let mut four = one.clone();
-    four.clients = 4;
-    let t1 = run_once(&deployment, &one).sim_duration;
-    let t4 = run_once(&deployment, &four).sim_duration;
+    let sim_time = |clients: usize| {
+        let client = FixedChunksClient::backend_only(
+            FRANKFURT,
+            Arc::clone(&deployment.backend),
+            deployment.preset.client_overhead,
+            1,
+        );
+        let ops = small_workload(120)
+            .mixed_stream(ReadWriteMix::with_ratio(0.0), 1)
+            .unwrap();
+        let outcome = closed_loop(&client, ops, clients, SimTime::ZERO, &mut |_| {});
+        assert_eq!(outcome.samples.len(), 120);
+        outcome.end.saturating_duration_since(SimTime::ZERO)
+    };
+    let (t1, t4) = (sim_time(1), sim_time(4));
     let ratio = t1.as_secs_f64() / t4.as_secs_f64();
     assert!(ratio > 2.5 && ratio < 6.0, "parallelism ratio {ratio}");
 }

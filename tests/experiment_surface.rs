@@ -1,15 +1,17 @@
 //! Pins the experiment surface the way `metrics_surface.rs` pins the
-//! scrape: the ids the `experiments` binary accepts, the report shape
-//! of the simulated-clock grid experiments, and the contract of the
-//! one closed-loop driver they all replay.
+//! scrape: the ids the `experiments` binary accepts, that each one's
+//! report is a function of its parameters alone, the report shape of
+//! the simulated-clock grid experiments, and the contract of the one
+//! closed-loop driver they all replay.
 
 use agar_bench::experiments::{ExperimentParams, Runner, IDS, PAPER_IDS};
 use agar_bench::{
-    chaos_run, closed_loop, report_json, tail_run, tiers_run, Cell, ChaosParams, ChaosPolicy,
-    ChaosScenario, Deployment, OpSample, Serve, TailParams, TiersParams,
+    chaos_run, closed_loop, report_json, tail_run, tiers_run, Cell, ChaosPolicy, ChaosScenario,
+    Deployment, OpSample, Serve, TAIL_CACHE_MB,
 };
 use agar_net::presets::TOKYO;
 use agar_net::SimTime;
+use agar_obs::MetricsRegistry;
 use agar_workload::{MixedOp, ReadWriteMix, StragglerScenario, WorkloadSpec};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -30,8 +32,7 @@ fn the_binary_accepts_exactly_these_ids_and_each_one_dispatches() {
         operations: 40,
         ..ExperimentParams::tiny()
     };
-    let deployment = Deployment::build(params.scale);
-    let mut runner = Runner::new(&deployment, params, None);
+    let mut runner = Runner::new(params, None);
     for id in IDS {
         let (table, cells) = runner
             .run(id)
@@ -44,6 +45,43 @@ fn the_binary_accepts_exactly_these_ids_and_each_one_dispatches() {
     // binary's own shorthand, not an experiment.
     for gone in ["ec", "throughput", "cluster", "all", ""] {
         assert!(runner.run(gone).is_none(), "{gone:?} must be rejected");
+    }
+}
+
+/// `tiers`' cells (JSON) and the series of its metric dump, run after
+/// the ids in `before` by one runner with one registry.
+fn tiers_after(before: &[&str], params: ExperimentParams) -> (Vec<String>, Vec<String>) {
+    let registry = MetricsRegistry::new();
+    let mut runner = Runner::new(params, Some(&registry));
+    for id in before {
+        runner.run(id).expect("a known id");
+    }
+    let (_, cells) = runner.run("tiers").expect("tiers is an id");
+    // One series a line; `tiers` labels its cells `catalogue Nx`,
+    // `mixed` its ratios `write N%`, and the figures register nothing.
+    let dump = registry
+        .render_json()
+        .lines()
+        .filter(|line| line.contains(r#""scenario": "catalogue "#))
+        .map(|line| line.trim_end_matches(',').to_string())
+        .collect();
+    (cells.iter().map(Cell::json).collect(), dump)
+}
+
+#[test]
+fn an_experiment_reports_the_same_whatever_ran_before_it() {
+    // Every id builds its own deployment: `mixed`'s rewrites of other
+    // sizes and `fig2`'s warm decode plans stay out of `tiers`.
+    let params = ExperimentParams {
+        operations: 60,
+        ..ExperimentParams::tiny()
+    };
+    let alone = tiers_after(&[], params);
+    assert!(!alone.1.is_empty(), "tiers registers its cells");
+    for before in [["mixed"], ["fig2"]] {
+        let after = tiers_after(&before, params);
+        assert_eq!(after.0, alone.0, "tiers cells after {before:?}");
+        assert_eq!(after.1, alone.1, "tiers metric dump after {before:?}");
     }
 }
 
@@ -102,31 +140,29 @@ fn assert_reports_agree(cell: &Cell) {
 
 #[test]
 fn grid_cells_render_table_and_json_from_one_column_list() {
-    let tail = TailParams {
+    let params = ExperimentParams {
         operations: 40,
-        ..TailParams::tiny()
+        ..ExperimentParams::tiny()
     };
-    let cell = tail_run(&tail, &StragglerScenario::slow_spikes(), 2, None);
+    let cell = tail_run(
+        &params,
+        &StragglerScenario::slow_spikes(),
+        2,
+        TAIL_CACHE_MB,
+        None,
+    );
     assert_eq!((cell.operations, cell.param), (40, 2));
     assert_eq!(cell.stages.samples(), 40, "every read is traced");
     assert_reports_agree(&cell);
 
-    let tiers = TiersParams {
-        operations: 40,
-        ..TiersParams::tiny()
-    };
-    let deployment = Deployment::build(tiers.scale);
-    let cell = tiers_run(&deployment, &tiers, 4, true, None);
+    let deployment = Deployment::build(params.scale);
+    let cell = tiers_run(&deployment, &params, 4, true, None);
     assert_eq!((cell.scenario.as_str(), cell.param), ("catalogue 4x", 4));
     assert!(cell.count("chunk_lookups") >= cell.count("ram_hits"));
     assert_reports_agree(&cell);
 
-    let chaos = ChaosParams {
-        operations: 40,
-        ..ChaosParams::tiny()
-    };
     let scenario = &ChaosScenario::family(TOKYO)[1];
-    let cell = chaos_run(&chaos, scenario, ChaosPolicy::Hardened, None);
+    let cell = chaos_run(&params, scenario, ChaosPolicy::Hardened, None);
     assert_eq!(cell.scenario, "partition");
     assert_eq!(cell.policy, "hardened");
     assert_reports_agree(&cell);

@@ -9,7 +9,7 @@
 //! row, an edited help string and a row bound to the wrong cell.
 
 use agar::{AgarNode, AgarSettings, CachingClient};
-use agar_bench::{chaos_run, ChaosParams, ChaosPolicy, ChaosScenario};
+use agar_bench::{chaos_run, ChaosPolicy, ChaosScenario, ExperimentParams};
 use agar_cluster::{ClusterRouter, ClusterSettings};
 use agar_ec::{CodingParams, ObjectId};
 use agar_net::presets::{aws_six_regions, FRANKFURT, TOKYO};
@@ -231,7 +231,7 @@ fn chaos_cell_exports_exactly_the_pinned_scrape() {
         .unwrap();
     let registry = MetricsRegistry::new();
     chaos_run(
-        &ChaosParams::tiny(),
+        &ExperimentParams::tiny(),
         &scenario,
         ChaosPolicy::Hardened,
         Some(&registry),

@@ -11,28 +11,27 @@
 //!   cluster's fetch coordinator.
 
 use agar_bench::{
-    build_warm_cluster, run_mixed_cluster, tail_run, Deployment, LatencyProfile, Scale, TailParams,
+    build_warm_cluster, run_mixed_cluster, tail_run, Deployment, ExperimentParams, LatencyProfile,
+    Scale,
 };
 use agar_ec::ObjectId;
 use agar_workload::{ReadWriteMix, StragglerScenario};
 
-/// Cacheless tail parameters: with zero cache capacity both engines
+/// The tail cells run cacheless: with zero cache capacity both engines
 /// issue exactly k backend primaries per read, so the round-trip
 /// budget comparison is exact instead of drifting with the knapsack
 /// configurations the two runs independently converge to.
-fn cacheless_params() -> TailParams {
-    let mut params = TailParams::tiny();
-    params.operations = 300;
-    params.cache_mb = 0.0;
-    params
-}
+const CACHELESS: f64 = 0.0;
+
+/// Hedge chunks Δ of the hedged runs.
+const DELTA: usize = 2;
 
 #[test]
 fn hedged_p99_beats_unhedged_within_the_round_trip_budget() {
-    let params = cacheless_params();
+    let params = ExperimentParams::tiny();
     let scenario = StragglerScenario::slow_spikes();
-    let unhedged = tail_run(&params, &scenario, 0, None);
-    let hedged = tail_run(&params, &scenario, params.max_hedges, None);
+    let unhedged = tail_run(&params, &scenario, 0, CACHELESS, None);
+    let hedged = tail_run(&params, &scenario, DELTA, CACHELESS, None);
 
     assert_eq!(unhedged.errors, 0);
     assert_eq!(hedged.errors, 0);
@@ -49,7 +48,7 @@ fn hedged_p99_beats_unhedged_within_the_round_trip_budget() {
 
     // k = 9 data chunks at every scale; Δ = 2 hedges.
     let k = 9.0;
-    let delta = params.max_hedges as f64;
+    let delta = DELTA as f64;
     assert!(
         hedged.count("backend_fetches") as f64
             <= unhedged.count("backend_fetches") as f64 * (1.0 + delta / k),
@@ -61,10 +60,10 @@ fn hedged_p99_beats_unhedged_within_the_round_trip_budget() {
 
 #[test]
 fn delta_zero_reproduces_the_unhedged_engine_byte_for_byte() {
-    let params = cacheless_params();
+    let params = ExperimentParams::tiny();
     for scenario in [StragglerScenario::calm(), StragglerScenario::slow_spikes()] {
-        let first = tail_run(&params, &scenario, 0, None);
-        let second = tail_run(&params, &scenario, 0, None);
+        let first = tail_run(&params, &scenario, 0, CACHELESS, None);
+        let second = tail_run(&params, &scenario, 0, CACHELESS, None);
         assert_eq!(first.latency, second.latency, "{}", scenario.name);
         assert_eq!(
             first.count("backend_fetches"),
