@@ -198,10 +198,8 @@ fn settable() -> Vec<String> {
 #[test]
 fn settings_census() {
     /// The cell's JSON and its `--metrics` dump, with `perturb` applied to
-    /// its node. Every run builds its own deployment, as `tail` and `chaos`
-    /// cells do: the codec's decode-plan cache lives in the shared backend,
-    /// so a `tiers` cell's `agar_decode_plan_hits_total` depends on the
-    /// cells that ran on its deployment before it.
+    /// its node. Every cell builds its own deployment, so a run depends on
+    /// no cell before it.
     fn run(site: Site, perturb: Option<fn(&mut AgarSettings)>) -> [String; 2] {
         PERTURB.set(perturb);
         let params = ExperimentParams::tiny();
@@ -214,10 +212,7 @@ fn settings_census() {
                     .expect("a tail scenario");
                 tail_run(&params, &scenario, delta, TAIL_CACHE_MB, Some(&registry))
             }
-            Site::Tiers(multiple, tiered) => {
-                let deployment = params.deployment();
-                tiers_run(&deployment, &params, multiple, tiered, Some(&registry))
-            }
+            Site::Tiers(multiple, tiered) => tiers_run(&params, multiple, tiered, Some(&registry)),
             Site::Chaos(name, policy) => {
                 let scenario = ChaosScenario::family(TOKYO)
                     .into_iter()

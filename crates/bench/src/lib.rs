@@ -60,7 +60,7 @@ pub use harness::{
     PolicySpec, RunConfig, RunResult, Scale, Serve, CLIENTS,
 };
 pub use history::WriteHistory;
-pub use mixed::{run_mixed_cluster, MixedRun};
+pub use mixed::{mixed_run, run_mixed_cluster, MixedRun};
 pub use table::Table;
 pub use tail::{tail_run, TAIL_CACHE_MB};
 pub use tiers::tiers_run;

@@ -182,16 +182,62 @@ pub fn run_mixed_cluster(
     }
 }
 
-/// The `mixed` experiment: 4 closed-loop clients × 3 ring-routed nodes
-/// at 5 %, 20 % and 50 % writes, `params.operations` per ratio, with
-/// uniform write sizes around the catalogue object size, on one fresh
-/// deployment. With a registry, every ratio's cluster binds its
-/// counters and stage histograms into it under `{scenario}` labels so
-/// a `--metrics` dump carries the whole grid.
+/// The write ratios the `mixed` experiment sweeps, one table row each.
+const MIXED_WRITE_RATIOS: [f64; 3] = [0.05, 0.2, 0.5];
+
+/// Members, clients and hot objects of every `mixed` row.
+const MIXED_MEMBERS: usize = 3;
+const MIXED_CLIENTS: usize = 4;
+const MIXED_HOT_OBJECTS: u64 = 8;
+
+/// One row of the `mixed` experiment: 4 closed-loop clients × 3
+/// ring-routed nodes at `ratio` writes, `params.operations` operations,
+/// with uniform write sizes around the catalogue object size, on a
+/// fresh deployment of its own, so a ratio reports the same alone as
+/// in the full sweep. With a registry, the cluster binds its counters
+/// and stage histograms into it under `{scenario}` labels.
+pub fn mixed_run(
+    params: &ExperimentParams,
+    ratio: f64,
+    registry: Option<&MetricsRegistry>,
+) -> MixedRun {
+    let deployment = params.deployment();
+    let base_size = deployment.scale.object_size;
+    let router = build_warm_cluster(
+        &deployment,
+        deployment.region("Frankfurt"),
+        MIXED_MEMBERS,
+        MIXED_HOT_OBJECTS,
+        0,
+        true,
+        0xF00D ^ (ratio * 1000.0) as u64,
+    );
+    if let Some(registry) = registry {
+        let labels = cell_labels(&format!("write {:.0}%", ratio * 100.0), "mixed");
+        router.register_metrics(registry, &labels);
+    }
+    let mix = ReadWriteMix {
+        write_ratio: ratio,
+        write_size: WriteSizeDist::UniformBytes {
+            min: (base_size / 2).max(1),
+            max: base_size,
+        },
+    };
+    run_mixed_cluster(
+        &router,
+        MIXED_CLIENTS,
+        params.operations,
+        MIXED_HOT_OBJECTS,
+        base_size,
+        mix,
+        0x111ED ^ (ratio * 1000.0) as u64,
+    )
+}
+
+/// The `mixed` experiment: a [`mixed_run`] per ratio of
+/// [`MIXED_WRITE_RATIOS`]. With a registry, every ratio's cluster binds
+/// into it so a `--metrics` dump carries the whole grid.
 pub(crate) fn mixed_table(params: &ExperimentParams, registry: Option<&MetricsRegistry>) -> Table {
-    let deployment = &params.deployment();
-    let region = deployment.region("Frankfurt");
-    let (members, clients, hot_objects) = (3, 4, 8);
     let mut headers: Vec<String> = [
         "write %", "nodes", "clients", "reads", "writes", "errors", "stale", "hit %", "read ms",
     ]
@@ -205,39 +251,8 @@ pub(crate) fn mixed_table(params: &ExperimentParams, registry: Option<&MetricsRe
          (per-object write leases, invalidation by chunk id)",
         headers,
     );
-    let base_size = deployment.scale.object_size;
-    for ratio in [0.05, 0.2, 0.5] {
-        // A fresh warm cluster per ratio (the run itself resets the
-        // experiment's catalogue contents before measuring).
-        let router = build_warm_cluster(
-            deployment,
-            region,
-            members,
-            hot_objects,
-            0,
-            true,
-            0xF00D ^ (ratio * 1000.0) as u64,
-        );
-        if let Some(registry) = registry {
-            let labels = cell_labels(&format!("write {:.0}%", ratio * 100.0), "mixed");
-            router.register_metrics(registry, &labels);
-        }
-        let mix = ReadWriteMix {
-            write_ratio: ratio,
-            write_size: WriteSizeDist::UniformBytes {
-                min: (base_size / 2).max(1),
-                max: base_size,
-            },
-        };
-        let run = run_mixed_cluster(
-            &router,
-            clients,
-            params.operations,
-            hot_objects,
-            base_size,
-            mix,
-            0x111ED ^ (ratio * 1000.0) as u64,
-        );
+    for ratio in MIXED_WRITE_RATIOS {
+        let run = mixed_run(params, ratio, registry);
         eprintln!(
             "  [mixed] {:.0}% writes: {} reads + {} writes, {} stale, {} errors",
             ratio * 100.0,
@@ -248,8 +263,8 @@ pub(crate) fn mixed_table(params: &ExperimentParams, registry: Option<&MetricsRe
         );
         let mut row = vec![
             format!("{:.0}", ratio * 100.0),
-            members.to_string(),
-            clients.to_string(),
+            MIXED_MEMBERS.to_string(),
+            MIXED_CLIENTS.to_string(),
             run.reads.to_string(),
             run.writes.to_string(),
             run.errors.to_string(),

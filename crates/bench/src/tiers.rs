@@ -26,7 +26,7 @@
 
 use crate::cell::{cell_labels, Cell, ColumnSpec, Layout, Value};
 use crate::experiments::ExperimentParams;
-use crate::harness::{client_seed, closed_loop, read_stream, Deployment, CLIENTS};
+use crate::harness::{client_seed, closed_loop, read_stream, CLIENTS};
 use agar::{AgarNode, CachingClient};
 use agar_ec::ObjectId;
 use agar_net::SimTime;
@@ -74,23 +74,23 @@ const TIERS_SEED: u64 = 0x71E2;
 const TIERS_DISK_READ: Duration = Duration::from_millis(45);
 
 /// Runs one (catalogue multiple, engine) cell of `params.operations`
-/// measured reads against `deployment`, which the experiment's cells
-/// share: RAM = catalogue / `multiple`; `tiered` additionally
-/// attaches a disk tier sized to the whole catalogue. With a registry,
-/// the cell's node binds its counters and stage histograms into it
-/// under `{scenario, policy}` labels.
+/// measured reads on a deployment of its own, so a cell reports the
+/// same alone as in the full sweep: RAM = catalogue / `multiple`;
+/// `tiered` additionally attaches a disk tier sized to the whole
+/// catalogue. With a registry, the cell's node binds its counters and
+/// stage histograms into it under `{scenario, policy}` labels.
 ///
 /// # Panics
 ///
 /// Panics on invalid parameters (caller bugs).
 pub fn tiers_run(
-    deployment: &Deployment,
     params: &ExperimentParams,
     multiple: usize,
     tiered: bool,
     registry: Option<&MetricsRegistry>,
 ) -> Cell {
     assert!(multiple > 0, "catalogue multiple must be positive");
+    let deployment = params.deployment();
     let scale = deployment.scale;
     let catalogue_bytes = scale.object_count as usize * scale.object_size;
     let scenario = format!("catalogue {multiple}x");
@@ -176,17 +176,16 @@ fn disk_bytes(node: &AgarNode) -> (u64, u64) {
     })
 }
 
-/// Runs the full sweep on one fresh deployment: RAM-only and tiered at
-/// every catalogue multiple.
+/// Runs the full sweep, a fresh deployment per cell: RAM-only and
+/// tiered at every catalogue multiple.
 pub(crate) fn tiers_results(
     params: &ExperimentParams,
     registry: Option<&MetricsRegistry>,
 ) -> Vec<Cell> {
-    let deployment = params.deployment();
     let mut results = Vec::new();
     for multiple in CATALOGUE_MULTIPLES {
         for tiered in [false, true] {
-            results.push(tiers_run(&deployment, params, multiple, tiered, registry));
+            results.push(tiers_run(params, multiple, tiered, registry));
         }
     }
     results
@@ -206,9 +205,8 @@ mod tests {
     #[test]
     fn tiered_beats_ram_only_under_catalogue_pressure() {
         let params = quick_params();
-        let deployment = params.deployment();
-        let ram_only = tiers_run(&deployment, &params, 16, false, None);
-        let tiered = tiers_run(&deployment, &params, 16, true, None);
+        let ram_only = tiers_run(&params, 16, false, None);
+        let tiered = tiers_run(&params, 16, true, None);
         assert_eq!(ram_only.operations, 250);
         assert_eq!(tiered.operations, 250);
         assert!(
@@ -257,9 +255,8 @@ mod tests {
     #[test]
     fn runs_are_deterministic_per_seed() {
         let params = quick_params();
-        let deployment = params.deployment();
-        let a = tiers_run(&deployment, &params, 4, true, None);
-        let b = tiers_run(&deployment, &params, 4, true, None);
+        let a = tiers_run(&params, 4, true, None);
+        let b = tiers_run(&params, 4, true, None);
         assert_eq!(a.latency, b.latency);
         assert_eq!(a.count("ram_hits"), b.count("ram_hits"));
         assert_eq!(a.count("disk_hits"), b.count("disk_hits"));
@@ -270,9 +267,8 @@ mod tests {
     #[test]
     fn stage_breakdown_is_scoped_to_the_measured_window() {
         let params = quick_params();
-        let deployment = params.deployment();
         let registry = MetricsRegistry::new();
-        let result = tiers_run(&deployment, &params, 4, true, Some(&registry));
+        let result = tiers_run(&params, 4, true, Some(&registry));
         // Only the measured closed loop is summarised, not the warm-up.
         assert_eq!(result.stages.samples(), result.operations);
         assert!(result.stages.lookup.p99_ms >= 0.0);

@@ -6,8 +6,8 @@
 
 use agar_bench::experiments::{ExperimentParams, Runner, IDS, PAPER_IDS};
 use agar_bench::{
-    chaos_run, closed_loop, report_json, tail_run, tiers_run, Cell, ChaosPolicy, ChaosScenario,
-    Deployment, OpSample, Serve, TAIL_CACHE_MB,
+    chaos_run, closed_loop, mixed_run, report_json, tail_run, tiers_run, Cell, ChaosPolicy,
+    ChaosScenario, OpSample, Serve, TAIL_CACHE_MB,
 };
 use agar_net::presets::TOKYO;
 use agar_net::SimTime;
@@ -57,14 +57,9 @@ fn tiers_after(before: &[&str], params: ExperimentParams) -> (Vec<String>, Vec<S
         runner.run(id).expect("a known id");
     }
     let (_, cells) = runner.run("tiers").expect("tiers is an id");
-    // One series a line; `tiers` labels its cells `catalogue Nx`,
-    // `mixed` its ratios `write N%`, and the figures register nothing.
-    let dump = registry
-        .render_json()
-        .lines()
-        .filter(|line| line.contains(r#""scenario": "catalogue "#))
-        .map(|line| line.trim_end_matches(',').to_string())
-        .collect();
+    // `tiers` labels its cells `catalogue Nx`, `mixed` its ratios
+    // `write N%`, and the figures register nothing.
+    let dump = series_of(&registry, "catalogue ");
     (cells.iter().map(Cell::json).collect(), dump)
 }
 
@@ -83,6 +78,51 @@ fn an_experiment_reports_the_same_whatever_ran_before_it() {
         assert_eq!(after.0, alone.0, "tiers cells after {before:?}");
         assert_eq!(after.1, alone.1, "tiers metric dump after {before:?}");
     }
+}
+
+/// The series of `registry`'s JSON dump whose scenario label starts
+/// with `scenario`, one a line.
+fn series_of(registry: &MetricsRegistry, scenario: &str) -> Vec<String> {
+    let label = format!(r#""scenario": "{scenario}"#);
+    registry
+        .render_json()
+        .lines()
+        .filter(|line| line.contains(&label))
+        .map(|line| line.trim_end_matches(',').to_string())
+        .collect()
+}
+
+#[test]
+fn a_lone_ratio_or_cell_reports_the_same_series_as_in_the_full_grid() {
+    // Every `mixed` ratio and every `tiers` cell builds its own
+    // deployment: the last of each, run alone, dumps exactly the series
+    // it dumps after the rest of its grid (the codec's decode-plan
+    // cache lives in the deployment's backend).
+    let params = ExperimentParams {
+        operations: 60,
+        ..ExperimentParams::tiny()
+    };
+    let grid = MetricsRegistry::new();
+    let mut runner = Runner::new(params, Some(&grid));
+    runner.run("mixed").expect("mixed is an id");
+    let (_, cells) = runner.run("tiers").expect("tiers is an id");
+
+    let alone = MetricsRegistry::new();
+    mixed_run(&params, 0.5, Some(&alone));
+    let series = series_of(&alone, "write 50%");
+    assert!(!series.is_empty(), "the ratio registers its series");
+    assert_eq!(series, series_of(&grid, "write 50%"));
+
+    let alone = MetricsRegistry::new();
+    let cell = tiers_run(&params, 16, true, Some(&alone));
+    assert_eq!(Some(cell.json()), cells.last().map(Cell::json));
+    let series = series_of(&alone, "catalogue 16x");
+    assert!(!series.is_empty(), "the cell registers its series");
+    let in_grid: Vec<String> = series_of(&grid, "catalogue 16x")
+        .into_iter()
+        .filter(|line| line.contains(r#""policy": "tiered""#))
+        .collect();
+    assert_eq!(series, in_grid);
 }
 
 /// The keys of one rendered JSON object, in order.
@@ -155,8 +195,7 @@ fn grid_cells_render_table_and_json_from_one_column_list() {
     assert_eq!(cell.stages.samples(), 40, "every read is traced");
     assert_reports_agree(&cell);
 
-    let deployment = Deployment::build(params.scale);
-    let cell = tiers_run(&deployment, &params, 4, true, None);
+    let cell = tiers_run(&params, 4, true, None);
     assert_eq!((cell.scenario.as_str(), cell.param), ("catalogue 4x", 4));
     assert!(cell.count("chunk_lookups") >= cell.count("ram_hits"));
     assert_reports_agree(&cell);
