@@ -32,6 +32,7 @@ const DEFAULT_BLOCKING: &[&str] = &[
     // DiskStore frame I/O and raw file I/O.
     "append_frame",
     "read_frame",
+    "write_tail",
     "write_all",
     "read_exact",
     // Positioned and vectored I/O block exactly as their cursor-based

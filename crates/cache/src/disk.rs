@@ -15,9 +15,29 @@
 //!   as dead space — the index only ever points at the newest frame.
 //! - **One handle per segment, positioned I/O.** A segment's file is
 //!   opened once (read + write) when the log rotates onto it and closed
-//!   and unlinked when the segment is cleaned. A `put` is one positioned
-//!   write *at the offset the index records* — so a torn tail or a
-//!   failed write can never shift where later frames land. A `get` is
+//!   and unlinked when the segment is cleaned. Frames reach it through
+//!   a **write-combining tail**: a put (and every frame the cleaner
+//!   copies forward) is given its offset, index entry and live bytes at
+//!   once, exactly as if it were written there and then, but its bytes
+//!   are copied into one reused buffer, and the buffer reaches the
+//!   active segment in one positioned write *at the offset the index
+//!   records for its first frame* — so a torn tail or a failed write
+//!   can never shift where later frames land. The tail is written when
+//!   it reaches [`TAIL_BYTES`], before its segment seals, before any
+//!   call that reads segment bytes or hands out their paths
+//!   ([`DiskStore::get`], [`DiskStore::get_many`],
+//!   [`DiskStore::segment_paths`]), and at the end of every `put` —
+//!   unless a [`DiskBatch`] is open, in which case it waits for the
+//!   last open batch to end. Outside a batch the segment files are
+//!   therefore the same bytes, call by call, as if every frame were
+//!   its own write; inside one, a node's reconfiguration (its
+//!   demotions, a-priori downloads and the cleaner's copies) leaves in
+//!   a handful of writes instead of one per frame. A write that fails
+//!   forgets every frame it carried — index entries dropped, live
+//!   bytes debited, the segment's length rolled back to where the tail
+//!   began — as a failed put always did; none counts as corrupt. The
+//!   `write_calls` cell of [`DiskCounters`] counts the positioned
+//!   writes. A `get` is
 //!   one positioned read of header + payload into a single buffer whose
 //!   payload is handed out as a zero-copy [`Bytes::slice`]; a
 //!   [`DiskStore::get_many`] (one object's chunks at a reader's
@@ -114,6 +134,12 @@ const FRAME_MAGIC: u32 = 0xA6A7_C4CF;
 /// the tier in chunks divides the capacity by `HEADER_LEN + chunk size`,
 /// not by the chunk size.
 pub const HEADER_LEN: usize = 4 + 8 + 1 + 8 + 4 + 8;
+
+/// The write-combining tail is written once it holds this many bytes
+/// (see the module docs). One write of 256 KiB costs about what two of
+/// a 10 KiB frame do, and later reads of what it wrote are faster too
+/// (EXPERIMENTS.md, 2026-10-18).
+pub const TAIL_BYTES: usize = 256 * 1024;
 
 /// Global counter so concurrent stores in one process get distinct dirs.
 static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -267,9 +293,15 @@ struct Inner {
     /// Sum of all segment lengths, live and dead frames alike.
     used: u64,
     next_segment: u64,
-    /// The frame being written (header + payload), reused across puts
-    /// so a put is one write call and no allocation.
-    frame: Vec<u8>,
+    /// The write-combining tail: the last `tail.len()` bytes of the
+    /// active segment, given to their frames but not yet written.
+    /// Reused across writes, so appending a frame allocates nothing.
+    tail: Vec<u8>,
+    /// Open [`DiskBatch`]es; the tail waits for the last one to end.
+    batches: usize,
+    /// Makes every tail write fail without issuing it.
+    #[cfg(test)]
+    fail_writes: bool,
     /// The frames a `get_many` found, reused across calls so sorting
     /// them allocates nothing once it has grown to an object's width.
     located: Vec<(ChunkId, Location)>,
@@ -344,6 +376,7 @@ agar_obs::cell_table! {
     /// segments. A read call is one positioned read: one per `get`, one
     /// per run of frames a `get_many` reads (plus one per frame of a run
     /// re-read after a short read), one per frame the cleaner copies. A
+    /// write call is one positioned write of the write-combining tail. A
     /// corrupt frame is an indexed frame that failed verification (torn
     /// frame, identity/length mismatch, checksum failure, I/O error) and
     /// was served as a miss.
@@ -356,6 +389,8 @@ agar_obs::cell_table! {
             "Frame bytes the disk-tier log cleaner copied forward (part of appended).";
         read_calls: Counter "agar_disk_read_calls_total" []
             "Positioned reads issued against disk-tier segment files.";
+        write_calls: Counter "agar_disk_write_calls_total" []
+            "Positioned writes issued against disk-tier segment files.";
     }
 }
 
@@ -380,7 +415,10 @@ impl DiskStore {
                 index: HashMap::new(),
                 used: 0,
                 next_segment: 0,
-                frame: Vec::new(),
+                tail: Vec::new(),
+                batches: 0,
+                #[cfg(test)]
+                fail_writes: false,
                 located: Vec::new(),
             }),
         })
@@ -443,15 +481,27 @@ impl DiskStore {
         keys
     }
 
-    /// Paths of the current segment files, oldest first. Exposed for
-    /// crash/corruption tests and diagnostics; treat the contents as
-    /// opaque.
+    /// Paths of the current segment files, oldest first, once the
+    /// write-combining tail is written. Exposed for crash/corruption
+    /// tests and diagnostics; treat the contents as opaque.
     pub fn segment_paths(&self) -> Vec<PathBuf> {
-        self.inner()
-            .segments
-            .iter()
-            .map(|s| s.path.clone())
-            .collect()
+        let mut inner = self.inner();
+        // Whoever holds a path may read the file: its bytes must be
+        // there. The write stays under the mutex (single-writer log).
+        // agar-lint: allow(lock-across-blocking)
+        let _ = self.write_tail(&mut inner);
+        inner.segments.iter().map(|s| s.path.clone()).collect()
+    }
+
+    /// Opens a write batch: until the returned guard drops, a put
+    /// leaves its frame in the write-combining tail for a later write
+    /// to carry (see the module docs). Batches nest; the tail is
+    /// written when the last one ends. What each call returns, where
+    /// each frame lands and what the cleaner keeps are the same as
+    /// without a batch.
+    pub fn batch(&self) -> DiskBatch<'_> {
+        self.inner().batches += 1;
+        DiskBatch { store: self }
     }
 
     /// Appends `chunk` under `id`, replacing the live entry of an equal
@@ -501,6 +551,12 @@ impl DiskStore {
             Inner::debit(&mut inner.segments, overwritten);
         }
         let evicted = self.clean_to_capacity(inner);
+        if inner.batches == 0 {
+            // Outside a batch every put leaves its frame on disk (a
+            // failed write forgets it, and then it is not stored).
+            // agar-lint: allow(lock-across-blocking)
+            let _ = self.write_tail(inner);
+        }
         DiskPutOutcome {
             stored: inner.index.contains_key(&id),
             evicted,
@@ -513,9 +569,13 @@ impl DiskStore {
     /// `None` — a miss, never unverified bytes.
     pub fn get(&self, id: &ChunkId) -> Option<CachedChunk> {
         let mut inner = self.inner();
-        let loc = *inner.index.get(id)?;
+        inner.index.get(id)?;
         // Reads verify against the index entry they resolved, so the
-        // frame read stays under the store mutex (single-writer log).
+        // tail write and the frame read stay under the store mutex
+        // (single-writer log); a failed tail write may forget `id`.
+        // agar-lint: allow(lock-across-blocking)
+        let _ = self.write_tail(&mut inner);
+        let loc = *inner.index.get(id)?;
         // agar-lint: allow(lock-across-blocking)
         self.get_located(&mut inner, *id, loc)
     }
@@ -556,6 +616,14 @@ impl DiskStore {
             }
             (loc.version == version).then_some((id, loc))
         }));
+        if !located.is_empty() && !inner.tail.is_empty() {
+            // As in `get`; a failed write forgets the frames it
+            // carried, and they are not read.
+            // agar-lint: allow(lock-across-blocking)
+            if self.write_tail(inner).is_err() {
+                located.retain(|(id, _)| inner.index.contains_key(id));
+            }
+        }
         located.sort_unstable_by_key(|(_, loc)| (loc.segment, loc.offset));
         let mut rest = &located[..];
         while !rest.is_empty() {
@@ -682,12 +750,16 @@ impl DiskStore {
             .collect()
     }
 
-    /// Writes `header` + `payload` as one frame at the active segment's
-    /// tracked length and returns the frame's `(segment, offset)`,
-    /// crediting it to the segment's live bytes and to `appended_bytes`.
-    /// Rotates first if the active segment is full, or if this frame
-    /// would grow it past the whole budget — the active segment is never
-    /// cleaned, so it alone must always fit. The write is positioned, not
+    /// Appends `header` + `payload` as one frame at the active
+    /// segment's tracked length and returns the frame's `(segment,
+    /// offset)`, crediting it to the segment's live bytes and to
+    /// `appended_bytes`. The bytes go to the write-combining tail, which
+    /// is written here once it reaches [`TAIL_BYTES`]; an error means
+    /// the frame is not in the log (its caller then has no index entry
+    /// for it). Rotates first if the active segment is full, or if this
+    /// frame would grow it past the whole budget — the active segment is
+    /// never cleaned, so it alone must always fit; the tail is written
+    /// before its segment seals. The writes are positioned, not
     /// `O_APPEND`: if the file is shorter or longer than the tracked
     /// length (a torn tail, a write that failed part-way) the frame
     /// still lands exactly where the index will look for it.
@@ -705,6 +777,9 @@ impl DiskStore {
             None => true,
         };
         if needs_new {
+            // A failed write forgets the frames it carried; this one is
+            // not among them.
+            let _ = self.write_tail(inner);
             let id = inner.next_segment;
             inner.next_segment += 1;
             let path = inner.dir.join(format!("seg-{id}.log"));
@@ -723,17 +798,57 @@ impl DiskStore {
             });
         }
         let active = inner.segments.last_mut().expect("active segment exists");
-        let frame = &mut inner.frame;
-        frame.clear();
-        frame.extend_from_slice(header);
-        frame.extend_from_slice(payload);
-        active.file.write_all_at(frame, active.len)?;
-        let offset = active.len;
+        let tail = &mut inner.tail;
+        // One allocation of the whole tail, not a doubling series.
+        tail.reserve_exact(TAIL_BYTES.max(tail.len() + frame_len as usize) - tail.len());
+        tail.extend_from_slice(header);
+        tail.extend_from_slice(payload);
+        let at = (active.id, active.len);
         active.len += frame_len;
         active.live += frame_len;
         inner.used += frame_len;
         self.counters.appended_bytes.add(frame_len);
-        Ok((active.id, offset))
+        if inner.tail.len() >= TAIL_BYTES {
+            self.write_tail(inner)?;
+        }
+        Ok(at)
+    }
+
+    /// Writes the tail with one positioned write where its first frame
+    /// starts in the active segment, and empties it. A write that fails
+    /// forgets every frame the tail carried — index entries dropped,
+    /// live bytes debited, none counted as corrupt — and rolls the
+    /// segment back to where the tail began.
+    fn write_tail(&self, inner: &mut Inner) -> std::io::Result<()> {
+        let Some(active) = inner.segments.last_mut().filter(|_| !inner.tail.is_empty()) else {
+            return Ok(());
+        };
+        let tail_len = inner.tail.len() as u64;
+        let start = active.len - tail_len;
+        self.counters.write_calls.inc();
+        #[cfg(test)]
+        let written = if inner.fail_writes {
+            Err(std::io::Error::other("injected tail-write failure"))
+        } else {
+            active.file.write_all_at(&inner.tail, start)
+        };
+        #[cfg(not(test))]
+        let written = active.file.write_all_at(&inner.tail, start);
+        inner.tail.clear();
+        if written.is_err() {
+            active.len = start;
+            inner.used -= tail_len;
+            let segment = active.id;
+            let segments = &mut inner.segments;
+            inner.index.retain(|_, loc| {
+                let carried = loc.segment == segment && loc.offset >= start;
+                if carried {
+                    Inner::debit(segments, *loc);
+                }
+                !carried
+            });
+        }
+        written
     }
 
     /// Cleans sealed segments, fewest live bytes first, until within
@@ -799,6 +914,29 @@ impl DiskStore {
     }
 }
 
+/// An open write batch of a [`DiskStore`] (see [`DiskStore::batch`]):
+/// dropping the guard ends it, and ending the last open batch writes
+/// the tail. A depth counter, not a lock: other callers keep using the
+/// store, and their puts join the batch.
+#[derive(Debug)]
+#[must_use = "the batch ends when the guard drops"]
+pub struct DiskBatch<'a> {
+    store: &'a DiskStore,
+}
+
+impl Drop for DiskBatch<'_> {
+    fn drop(&mut self) {
+        let mut inner = self.store.inner();
+        inner.batches -= 1;
+        if inner.batches == 0 {
+            // As at the end of a put outside a batch; a failed write
+            // forgets the frames it carried.
+            // agar-lint: allow(lock-across-blocking)
+            let _ = self.store.write_tail(&mut inner);
+        }
+    }
+}
+
 #[cfg(test)]
 impl DiskStore {
     /// Asserts what the cleaner relies on and promises: every segment's
@@ -817,6 +955,10 @@ impl DiskStore {
             assert!(segment.live <= segment.len, "segment {}", segment.id);
         }
         assert!(live.is_empty(), "index points at cleaned segments");
+        assert!(
+            inner.batches > 0 || inner.tail.is_empty(),
+            "a call outside a batch left bytes unwritten"
+        );
         let total: u64 = inner.segments.iter().map(|s| s.len).sum();
         assert_eq!(inner.used, total);
         assert!(inner.used <= self.capacity, "over budget: {}", inner.used);
@@ -1661,6 +1803,232 @@ mod tests {
             }
             batched.check_invariants();
         }
+    }
+
+    /// splitmix64: a seeded stream of schedule choices.
+    struct Choices(u64);
+
+    impl Choices {
+        fn below(&mut self, bound: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % bound
+        }
+    }
+
+    /// What one step of [`scheduled`] returned.
+    #[derive(Debug, PartialEq)]
+    enum Seen {
+        Put(DiskPutOutcome),
+        Get(Option<CachedChunk>),
+        Many(Vec<(ChunkId, CachedChunk)>),
+        Removed(bool),
+    }
+
+    /// The store's cells but `write_calls`, the one that batches move.
+    fn logical_counters(store: &DiskStore) -> [u64; 4] {
+        let cells = store.counters();
+        [
+            cells.corrupt_frames.get(),
+            cells.appended_bytes.get(),
+            cells.compacted_bytes.get(),
+            cells.read_calls.get(),
+        ]
+    }
+
+    /// Runs `steps` seeded operations — puts (overwrites, newer and
+    /// older versions, sizes from empty to over [`TAIL_BYTES`] / 3, so
+    /// the log rotates, the tail fills and the cleaner loses frames),
+    /// gets, `get_many`s of one object at a version, removes — on a
+    /// 2.5 MiB store (320 KiB segments). With `batches`, a batch is
+    /// opened or closed at random between steps (nested up to three
+    /// deep) and the segment files are handed to `at_rest` whenever
+    /// the last one closes; without, after every step.
+    fn scheduled(
+        seed: u64,
+        steps: usize,
+        batches: bool,
+        at_rest: &mut impl FnMut(usize, &DiskStore),
+    ) -> (DiskStore, Vec<Seen>) {
+        const LENS: [usize; 6] = [0, 40, 700, 9_000, 40_000, 90_000];
+        let store = DiskStore::new(2_560 * 1024).unwrap();
+        // Batch placement draws from its own stream: both runs see the
+        // same operations.
+        let (mut choices, mut placement) = (Choices(seed), Choices(!seed));
+        let mut seen = Vec::with_capacity(steps);
+        let mut open = Vec::new();
+        for step in 0..steps {
+            let key = id(choices.below(32), choices.below(4) as u8);
+            let version = 1 + choices.below(4);
+            seen.push(match choices.below(10) {
+                0..=5 => {
+                    let len = LENS[choices.below(6) as usize];
+                    let value = chunk(step as u8, len, version);
+                    Seen::Put(store.put(key, &value))
+                }
+                6 => Seen::Get(store.get(&key)),
+                7 | 8 => {
+                    let mut hits = Vec::new();
+                    let ids = (0..4).map(|index| ChunkId::new(key.object(), index));
+                    store.get_many(ids, version, |id, chunk| hits.push((id, chunk)));
+                    hits.sort_unstable_by_key(|hit| hit.0);
+                    Seen::Many(hits)
+                }
+                _ => Seen::Removed(store.remove(&key)),
+            });
+            store.check_invariants();
+            if !batches {
+                at_rest(step, &store);
+                continue;
+            }
+            match placement.below(4) {
+                0 if open.len() < 3 => open.push(store.batch()),
+                1 => {
+                    open.pop();
+                    if open.is_empty() {
+                        at_rest(step, &store);
+                    }
+                }
+                _ => {}
+            }
+        }
+        drop(open);
+        at_rest(steps, &store);
+        store.check_invariants();
+        (store, seen)
+    }
+
+    #[test]
+    fn batched_puts_leave_what_unbatched_puts_leave() {
+        const STEPS: usize = 400;
+        let (mut cleaned, mut lost, mut coalesced) = (0, 0, 0);
+        for seed in 0..6u64 {
+            // The unbatched log after every step, and at the end.
+            let mut rested = Vec::new();
+            let (single, single_seen) = scheduled(seed, STEPS, false, &mut |_, store| {
+                rested.push(segment_files(store));
+            });
+            let (batched, batched_seen) = scheduled(seed, STEPS, true, &mut |step, store| {
+                // `assert!`, not `assert_eq!`: the logs are megabytes.
+                let equal = segment_files(store) == rested[step];
+                assert!(equal, "seed {seed}: the logs differ after step {step}");
+            });
+            assert_eq!(batched_seen, single_seen, "seed {seed}");
+            assert_eq!(batched.keys(), single.keys(), "seed {seed}");
+            assert_eq!(batched.used_bytes(), single.used_bytes(), "seed {seed}");
+            assert_eq!(logical_counters(&batched), logical_counters(&single));
+            let writes = |store: &DiskStore| store.counters().write_calls.get();
+            assert!(writes(&batched) <= writes(&single), "seed {seed}");
+            coalesced += writes(&single) - writes(&batched);
+            cleaned += single.counters().compacted_bytes.get();
+            lost += single_seen
+                .iter()
+                .map(|seen| match seen {
+                    Seen::Put(out) => out.evicted,
+                    _ => 0,
+                })
+                .sum::<u64>();
+        }
+        assert!(cleaned > 0, "the cleaner never copied a frame");
+        assert!(lost > 0, "the cleaner never lost a frame");
+        assert!(coalesced > 0, "no batch saved a write");
+    }
+
+    #[test]
+    fn a_batch_writes_once_per_full_tail_and_once_at_its_end() {
+        // 10 KiB frames in one 1 MiB segment: the tail is full at the
+        // 26th frame of a write.
+        const FRAME: usize = 10 * 1024;
+        let store = DiskStore::new(8 << 20).unwrap();
+        let frame = |n: u64| chunk(n as u8, FRAME - HEADER_LEN, 1);
+        let writes = || store.counters().write_calls.get();
+        let batch = store.batch();
+        for n in 0..100 {
+            assert!(store.put(id(n, 0), &frame(n)).stored);
+            assert_eq!(writes(), (n + 1) / 26, "after frame {n}");
+        }
+        // Nested batches end with the outer one.
+        drop(store.batch());
+        assert_eq!(writes(), 3);
+        drop(batch);
+        assert_eq!(writes(), 4);
+        assert_eq!(store.segment_paths().len(), 1);
+        assert!(
+            store.inner().tail.capacity() < TAIL_BYTES + FRAME,
+            "the tail grew past one full write"
+        );
+        // Outside a batch, a write per put.
+        store.put(id(100, 0), &frame(100));
+        assert_eq!(writes(), 5);
+        for n in 0..=100 {
+            assert_eq!(store.get(&id(n, 0)), Some(frame(n)));
+        }
+        store.check_invariants();
+    }
+
+    #[test]
+    fn a_failed_tail_write_forgets_exactly_the_frames_it_carried() {
+        let store = DiskStore::new(1 << 20).unwrap();
+        for index in 0..3 {
+            assert!(store.put(id(1, index), &chunk(index, 300, 1)).stored);
+        }
+        let (appended, calls) = (
+            store.counters().appended_bytes.get(),
+            store.counters().write_calls.get(),
+        );
+        let batch = store.batch();
+        // Carried: a newer version of (1, 0), then (1, 3) and (2, 0).
+        for (key, byte) in [(id(1, 0), 9), (id(1, 3), 10), (id(2, 0), 11)] {
+            assert!(store.put(key, &chunk(byte, 200, 2)).stored);
+        }
+        assert_eq!(store.counters().write_calls.get(), calls, "all in the tail");
+        store.inner().fail_writes = true;
+        drop(batch);
+        store.inner().fail_writes = false;
+        assert_eq!(store.counters().write_calls.get(), calls + 1);
+        assert_eq!(store.keys(), [id(1, 1), id(1, 2)]);
+        assert_eq!(store.used_bytes() as u64, appended, "rolled back");
+        store.check_invariants();
+        // Object 1 at the version it was carried at would forget the
+        // older frames; its live version and object 2's carried one.
+        let mut served = Vec::new();
+        for (object, version) in [(1, 1), (2, 2)] {
+            let ids = (0..4).map(|index| id(object, index));
+            store.get_many(ids, version, |id, chunk| served.push((id, chunk)));
+        }
+        served.sort_unstable_by_key(|hit| hit.0);
+        assert_eq!(
+            served,
+            [(id(1, 1), chunk(1, 300, 1)), (id(1, 2), chunk(2, 300, 1))]
+        );
+        assert_eq!(store.counters().corrupt_frames.get(), 0);
+
+        // A put outside a batch whose write fails is not stored, and a
+        // read that writes the tail first misses what it dropped.
+        store.inner().fail_writes = true;
+        assert_eq!(
+            store.put(id(3, 0), &chunk(3, 100, 1)),
+            DiskPutOutcome::default()
+        );
+        store.inner().fail_writes = false;
+        let batch = store.batch();
+        assert!(store.put(id(3, 1), &chunk(4, 100, 1)).stored);
+        store.inner().fail_writes = true;
+        assert!(store.get(&id(3, 1)).is_none());
+        store.inner().fail_writes = false;
+        drop(batch);
+        assert_eq!(store.keys(), [id(1, 1), id(1, 2)]);
+        store.check_invariants();
+        // The log carries on where the rolled-back tail began.
+        assert!(store.put(id(4, 0), &chunk(5, 100, 1)).stored);
+        assert_eq!(store.get(&id(4, 0)).unwrap(), chunk(5, 100, 1));
+        assert_eq!(
+            store.used_bytes() as u64,
+            appended + HEADER_LEN as u64 + 100
+        );
+        assert_eq!(store.counters().corrupt_frames.get(), 0);
     }
 
     #[test]

@@ -858,6 +858,9 @@ impl AgarNode {
         for id in &plan.purge {
             self.cache.remove(id);
         }
+        // The moves and downloads append frames to the disk log; in one
+        // batch they reach it in a few large writes, not one per frame.
+        let _batch = self.cache.batch();
         for &id in plan.down.iter().chain(&plan.up) {
             let Some((chunk, _)) = self.cache.peek(&id) else {
                 continue; // invalidated or evicted meanwhile
@@ -1406,6 +1409,57 @@ mod tests {
             "the shifting hot set never re-tiered a chunk ({promotions} up, {demotions} down)"
         );
         assert_eq!(node.cache_stats().disk_evictions(), 0);
+    }
+
+    /// A reconfiguration's disk frames leave in few positioned writes:
+    /// one per full write-combining tail, one per segment that seals,
+    /// one before each disk read it makes (a move up reads its frame)
+    /// and one when it ends — where a write per frame was issued before.
+    #[test]
+    fn a_reconfiguration_writes_its_frames_in_a_few_positioned_writes() {
+        const OBJECTS: u64 = 24;
+        let backend = test_backend(OBJECTS, 900);
+        let node = AgarNode::new(FRANKFURT, backend, tiered_settings(1_800, 64_000), 7).unwrap();
+        let zipf = agar_workload::Zipfian::new(OBJECTS, 1.1).unwrap();
+        let mut rng = StdRng::seed_from_u64(11);
+        let newest_segment = |node: &AgarNode| {
+            let paths = node.disk_segment_paths();
+            let name = paths.last().and_then(|path| path.file_stem()?.to_str());
+            name.map_or(0, |name| name["seg-".len()..].parse::<u64>().unwrap())
+        };
+        let (mut frames, mut writes) = (0, 0);
+        for epoch in 0..8u64 {
+            for _ in 0..120 {
+                let key = (zipf.sample(&mut rng) + epoch * 5) % OBJECTS;
+                node.read(ObjectId::new(key)).unwrap();
+            }
+            let disk = node.disk_counters().unwrap();
+            let cells = || {
+                let (appended, reads) = (disk.appended_bytes.get(), disk.read_calls.get());
+                (
+                    appended,
+                    reads,
+                    disk.write_calls.get(),
+                    newest_segment(&node),
+                )
+            };
+            let before = cells();
+            node.force_reconfigure();
+            let after = cells();
+            let appended = after.0 - before.0;
+            let bound = appended.div_ceil(agar_cache::disk::TAIL_BYTES as u64)
+                + (after.3 - before.3)
+                + (after.1 - before.1)
+                + 1;
+            let issued = after.2 - before.2;
+            assert!(
+                issued <= bound,
+                "epoch {epoch}: {issued} writes, bound {bound}"
+            );
+            frames += appended / FRAME as u64;
+            writes += issued;
+        }
+        assert!(frames > 3 * writes, "{frames} frames in {writes} writes");
     }
 
     /// Frame bytes of one 100-byte test chunk in the disk log.

@@ -105,6 +105,7 @@ const NODE_SERIES: &[(&str, &str)] = &[
     ("agar_disk_compacted_bytes_total", ""),
     ("agar_disk_corrupt_frames_total", ""),
     ("agar_disk_read_calls_total", ""),
+    ("agar_disk_write_calls_total", ""),
     ("agar_fill_fetches_total", ""),
     ("agar_hedge_cancelled_total", ""),
     ("agar_hedge_requests_total", ""),
