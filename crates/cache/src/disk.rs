@@ -37,9 +37,9 @@
 //!   bytes debited, the segment's length rolled back to where the tail
 //!   began — as a failed put always did; none counts as corrupt. The
 //!   `write_calls` cell of [`DiskCounters`] counts the positioned
-//!   writes. A `get` is
-//!   one positioned read of header + payload into a single buffer whose
-//!   payload is handed out as a zero-copy [`Bytes::slice`]; a
+//!   writes. A `get` is one positioned read of header + payload into a
+//!   single buffer whose payload is handed out as a zero-copy
+//!   [`Bytes::slice`]; a
 //!   [`DiskStore::get_many`] (one object's chunks at a reader's
 //!   version, which a placement tends to append back to back) takes
 //!   the lock once, applies the version rule from the index alone — a
@@ -136,9 +136,10 @@ const FRAME_MAGIC: u32 = 0xA6A7_C4CF;
 pub const HEADER_LEN: usize = 4 + 8 + 1 + 8 + 4 + 8;
 
 /// The write-combining tail is written once it holds this many bytes
-/// (see the module docs). One write of 256 KiB costs about what two of
-/// a 10 KiB frame do, and later reads of what it wrote are faster too
-/// (EXPERIMENTS.md, 2026-10-18).
+/// (see the module docs). One write of 256 KiB costs about half of
+/// what its twenty-six 10 KB frames cost written one by one, and reads
+/// from a segment written this way are faster too (EXPERIMENTS.md,
+/// 2026-10-18 (later)).
 pub const TAIL_BYTES: usize = 256 * 1024;
 
 /// Global counter so concurrent stores in one process get distinct dirs.
@@ -493,13 +494,8 @@ impl DiskStore {
         inner.segments.iter().map(|s| s.path.clone()).collect()
     }
 
-    /// Opens a write batch: until the returned guard drops, a put
-    /// leaves its frame in the write-combining tail for a later write
-    /// to carry (see the module docs). Batches nest; the tail is
-    /// written when the last one ends. What each call returns, where
-    /// each frame lands and what the cleaner keeps are the same as
-    /// without a batch.
-    pub fn batch(&self) -> DiskBatch<'_> {
+    /// Opens a write batch (see [`DiskBatch`]).
+    pub(crate) fn batch(&self) -> DiskBatch<'_> {
         self.inner().batches += 1;
         DiskBatch { store: self }
     }
@@ -914,10 +910,14 @@ impl DiskStore {
     }
 }
 
-/// An open write batch of a [`DiskStore`] (see [`DiskStore::batch`]):
-/// dropping the guard ends it, and ending the last open batch writes
-/// the tail. A depth counter, not a lock: other callers keep using the
-/// store, and their puts join the batch.
+/// An open write batch of a [`DiskStore`], from
+/// [`TieredChunkCache::batch`](crate::TieredChunkCache::batch): while
+/// one is open, a put leaves its frame in the write-combining tail for
+/// a later write to carry (see the module docs). Batches nest; dropping
+/// the guard ends one, and ending the last open one writes the tail.
+/// What each call returns, where each frame lands and what the cleaner
+/// keeps are the same as without a batch. A depth counter, not a lock:
+/// other callers keep using the store, and their puts join the batch.
 #[derive(Debug)]
 #[must_use = "the batch ends when the guard drops"]
 pub struct DiskBatch<'a> {

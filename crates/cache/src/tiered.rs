@@ -240,7 +240,7 @@ impl TieredChunkCache {
     /// Opens a write batch on the disk tier (`None` without one): until
     /// the guard drops, disk placements leave their frames in the log's
     /// write-combining tail and it is written in few large writes (see
-    /// [`DiskStore::batch`]). Nothing a call returns changes.
+    /// [`DiskBatch`]). Nothing a call returns changes.
     pub fn batch(&self) -> Option<DiskBatch<'_>> {
         self.disk.as_ref().map(DiskStore::batch)
     }
