@@ -1435,10 +1435,9 @@ mod tests {
             }
             let disk = node.disk_counters().unwrap();
             let cells = || {
-                let (appended, reads) = (disk.appended_bytes.get(), disk.read_calls.get());
                 (
-                    appended,
-                    reads,
+                    disk.appended_bytes.get(),
+                    disk.read_calls.get(),
                     disk.write_calls.get(),
                     newest_segment(&node),
                 )
