@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validates Prometheus text exposition format on stdin (or a file).
 
-Usage: check_exposition.py [--require FAMILY [FAMILY ...]] [FILE]
+Usage: check_exposition.py [--require-from DIR] [FILE]
 
 Checks the subset of the exposition format the registry emits:
 
@@ -17,13 +17,16 @@ Checks the subset of the exposition format the registry emits:
   ``_count`` series;
 - no duplicate (name, labelset) samples.
 
-With ``--require``, additionally fails unless every named metric
-family is present (declared by a TYPE line) — the CI gate that keeps
-new instrumentation from silently falling out of the scrape body.
+With ``--require-from DIR``, additionally fails unless every metric
+family a TYPE line of a ``DIR/*.prom`` file declares is present here
+too: the pinned scrapes are the one list of families, and the gate
+keeps new instrumentation from silently falling out of the scrape
+body.
 
 Exits nonzero with a line-numbered report on any violation.
 """
 
+import pathlib
 import re
 import sys
 
@@ -67,12 +70,20 @@ def parse_labels(raw, lineno, errors):
 def main():
     argv = sys.argv[1:]
     required = []
-    if argv and argv[0] == "--require":
-        argv = argv[1:]
-        while argv and not argv[0].startswith("-") and METRIC_NAME.match(argv[0]):
-            required.append(argv.pop(0))
+    if argv[:1] == ["--require-from"]:
+        if len(argv) < 2:
+            print(__doc__, file=sys.stderr)
+            sys.exit(2)
+        pinned = argv[1]
+        required = sorted({
+            line.split()[2]
+            for prom in sorted(pathlib.Path(pinned).glob("*.prom"))
+            for line in prom.read_text(encoding="utf-8").splitlines()
+            if line.startswith("# TYPE ")
+        })
+        argv = argv[2:]
         if not required:
-            print("check_exposition: --require needs at least one family", file=sys.stderr)
+            print(f"check_exposition: no TYPE line under {pinned}/*.prom", file=sys.stderr)
             sys.exit(2)
     if len(argv) > 1:
         print(__doc__, file=sys.stderr)

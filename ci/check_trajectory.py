@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Checks the shape of BENCH_trajectory.json, the per-change perf ledger.
+"""Checks the shape of the per-change perf ledger at the repo root.
 
 Every row must name its change and the host it was measured on:
 
@@ -7,16 +7,19 @@ Every row must name its change and the host it was measured on:
   ("measured", or where a back-filled row's figures come from);
 - nproc (int >= 1) and cpu_flags (a list of flag names; may be empty
   only on a back-filled row whose source recorded none);
-- exact: rows of the bench driver's exact metrics, keyed as
-  ci/BENCH_exact_baseline.json keys them ("workload.seedN.traceT" ->
-  {metric: number}); empty only on a back-filled row whose source
-  recorded none under one seed. A measured row carries every row of
-  that file, and the newest one exactly that file's values, so a
-  change that moves an exact row appends a row;
+- exact: rows of the bench driver's exact metrics, keyed as the
+  baseline of ci/gates.tsv's `exact-rows` gate keys them
+  ("workload.seedN.traceT" -> {metric: number}); empty only on a
+  back-filled row whose source recorded none under one seed. A
+  measured row carries every row of that baseline, and the newest one
+  exactly its values, so a change that moves an exact row appends a
+  row;
 - wall: a list of A/B wall-clock results, each with workload, metric,
   pairs, won, parent_median, change_median, status and host.
 
-    ci/check_trajectory.py      # exit 1 with one line per problem
+    ci/check_trajectory.py TRAJECTORY   # exit 1 with one line per problem
+
+ci/gates.tsv's `trajectory` line names the ledger.
 """
 
 import json
@@ -24,9 +27,7 @@ import pathlib
 import re
 import sys
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-TRAJECTORY = ROOT / "BENCH_trajectory.json"
-BASELINE = ROOT / "ci" / "BENCH_exact_baseline.json"
+import gate
 ROW_KEYS = {"date", "pr", "commit", "source", "nproc", "cpu_flags", "exact", "wall"}
 WALL_KEYS = {"workload", "metric", "pairs", "won", "parent_median", "change_median", "status", "host"}
 EXACT_KEY = re.compile(r"^[a-z-]+\.seed\d+\.trace[01]$")
@@ -88,8 +89,11 @@ def check_row(at, row, baseline, problems):
 
 
 def main():
-    baseline = json.loads(BASELINE.read_text())
-    rows = json.loads(TRAJECTORY.read_text()).get("rows", [])
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    (exact,) = [line for line in gate.manifest() if line.comparison == "exact-rows"]
+    baseline = json.loads(exact.baseline_path().read_text())
+    rows = json.loads(pathlib.Path(sys.argv[1]).read_text()).get("rows", [])
     problems = []
     if not rows:
         problems.append("no rows")
@@ -98,7 +102,7 @@ def main():
     measured = [row for row in rows if row.get("source") == "measured"]
     if measured and measured[-1].get("exact") != baseline:
         problems.append(
-            "the newest measured row's exact rows differ from ci/BENCH_exact_baseline.json: "
+            f"the newest measured row's exact rows differ from {exact.baseline}: "
             "a change that moves an exact row appends a row"
         )
     for problem in problems:

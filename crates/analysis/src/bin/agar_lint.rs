@@ -7,8 +7,9 @@
 //! Default mode analyzes `crates/*/src` and `src/` under `--root`
 //! (default `.`), compares against the committed baseline (default
 //! `ci/lint_baseline.json`) and exits non-zero on any deviation:
-//! new findings, stale waivers, or an unwrap/expect ratchet moving in
-//! either direction without a baseline refresh.
+//! new findings, stale waivers, allow directives that suppress
+//! nothing, or an unwrap/expect ratchet moving in either direction
+//! without a baseline refresh.
 
 use agar_analysis::{analyze, baseline::Baseline, diag::fingerprints, gate};
 use std::path::PathBuf;
@@ -81,6 +82,7 @@ fn main() -> ExitCode {
     };
     if let Some(pass) = &options.pass {
         report.findings.retain(|f| f.pass == pass);
+        report.stale_allows.retain(|a| a.pass == *pass);
     }
 
     if options.write_baseline {
@@ -107,7 +109,14 @@ fn main() -> ExitCode {
             println!("{finding}");
             println!("  = fingerprint: {fp}\n");
         }
-        println!("agar-lint: {} findings", report.findings.len());
+        for stale in &report.stale_allows {
+            println!("{}\n", agar_analysis::Violation::StaleAllow(stale.clone()));
+        }
+        println!(
+            "agar-lint: {} findings, {} stale allow directives",
+            report.findings.len(),
+            report.stale_allows.len()
+        );
         return ExitCode::SUCCESS;
     }
 

@@ -38,8 +38,20 @@ use std::path::{Path, PathBuf};
 /// The result of analyzing a workspace: pass findings plus the
 /// per-file unwrap/expect ratchet counts.
 pub struct Report {
+    /// Findings no allow directive suppressed.
     pub findings: Vec<Finding>,
     pub ratchet: BTreeMap<String, RatchetCounts>,
+    /// Allow directives that suppressed no finding.
+    pub stale_allows: Vec<StaleAllow>,
+}
+
+/// An `agar-lint: allow(<pass>)` directive that suppressed nothing.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StaleAllow {
+    pub file: String,
+    /// `None` for a file-wide directive.
+    pub line: Option<u32>,
+    pub pass: String,
 }
 
 impl Report {
@@ -65,6 +77,9 @@ pub enum Violation {
     /// stale, refresh it so the waiver cannot silently shelter a
     /// future regression.
     StaleWaiver(String),
+    /// An allow directive that suppresses no finding: delete it, for
+    /// the same reason.
+    StaleAllow(StaleAllow),
     /// unwrap/expect count went *up* in a file.
     RatchetUp {
         file: String,
@@ -90,6 +105,12 @@ impl std::fmt::Display for Violation {
                 f,
                 "error[agar::baseline]: waived finding no longer fires — refresh the \
                  baseline (`agar-lint --write-baseline`)\n  --> {fp}"
+            ),
+            Violation::StaleAllow(StaleAllow { file, line, pass }) => write!(
+                f,
+                "error[agar::allow]: `agar-lint: allow({pass})` suppresses no finding — \
+                 delete it\n  --> {file}{}",
+                line.map(|line| format!(":{line}")).unwrap_or_default()
             ),
             Violation::RatchetUp {
                 file,
@@ -120,6 +141,11 @@ impl std::fmt::Display for Violation {
 /// Walks the workspace at `root`, parses every target `.rs` file and
 /// runs all registered passes.
 pub fn analyze(root: &Path) -> Result<Report, String> {
+    Ok(analyze_models(parse_workspace(root)?))
+}
+
+/// Every target `.rs` file of the workspace at `root`, parsed.
+pub fn parse_workspace(root: &Path) -> Result<Vec<FileModel>, String> {
     let files = collect_files(root)?;
     let mut models = Vec::with_capacity(files.len());
     for path in files {
@@ -132,18 +158,40 @@ pub fn analyze(root: &Path) -> Result<Report, String> {
             .replace('\\', "/");
         models.push(FileModel::parse(&rel, &source));
     }
-    Ok(analyze_models(models))
+    Ok(models)
 }
 
 /// Runs all passes over already-parsed files (fixture tests enter
-/// here).
+/// here), then applies the files' allow directives: a finding a
+/// directive covers is dropped, and a directive that covered nothing
+/// is reported stale.
 pub fn analyze_models(files: Vec<FileModel>) -> Report {
     let workspace = Workspace { files };
     let mut findings = Vec::new();
     for pass in passes::registry() {
         pass.check(&workspace, &mut findings);
     }
+    findings.retain(|finding| {
+        !workspace
+            .files
+            .iter()
+            .any(|file| file.path == finding.file && file.allowed(finding.pass, finding.line))
+    });
     findings.sort();
+    let stale_allows = workspace
+        .files
+        .iter()
+        .flat_map(|file| {
+            file.allows
+                .iter()
+                .filter(|allow| !allow.used())
+                .map(|allow| StaleAllow {
+                    file: file.path.clone(),
+                    line: allow.line,
+                    pass: allow.pass.clone(),
+                })
+        })
+        .collect();
     let mut ratchet = BTreeMap::new();
     for file in &workspace.files {
         let counts = passes::unsafe_hygiene::ratchet_counts(file);
@@ -151,7 +199,11 @@ pub fn analyze_models(files: Vec<FileModel>) -> Report {
             ratchet.insert(file.path.clone(), counts);
         }
     }
-    Report { findings, ratchet }
+    Report {
+        findings,
+        ratchet,
+        stale_allows,
+    }
 }
 
 /// Compares a report against the committed baseline. Empty result =
@@ -171,6 +223,13 @@ pub fn gate(report: &Report, baseline: &Baseline) -> Vec<Violation> {
             violations.push(Violation::StaleWaiver(waived.clone()));
         }
     }
+    violations.extend(
+        report
+            .stale_allows
+            .iter()
+            .cloned()
+            .map(Violation::StaleAllow),
+    );
     let zero = RatchetCounts::default();
     let files: std::collections::BTreeSet<&String> = report
         .ratchet
@@ -273,6 +332,65 @@ mod tests {
         let clean = analyze_models(vec![model("crates/x/src/a.rs", "fn f() {}")]);
         let violations = gate(&clean, &written);
         assert!(matches!(violations.as_slice(), [Violation::StaleWaiver(_)]));
+    }
+
+    #[test]
+    fn an_allow_that_suppresses_nothing_trips_the_gate() {
+        let suppressing = analyze_models(vec![model(
+            "crates/x/src/a.rs",
+            "fn f(&self) {\n let g = self.state.read();\n // agar-lint: allow(lock-across-blocking)\n self.backend.fetch_chunk(id);\n}\n",
+        )]);
+        assert!(
+            suppressing.findings.is_empty(),
+            "{:#?}",
+            suppressing.findings
+        );
+        assert!(suppressing.stale_allows.is_empty());
+        assert!(gate(&suppressing, &suppressing.as_baseline()).is_empty());
+
+        let stale = analyze_models(vec![model(
+            "crates/x/src/a.rs",
+            "fn f(&self) {\n // agar-lint: allow(lock-across-blocking)\n self.backend.fetch_chunk(id);\n}\n",
+        )]);
+        assert_eq!(
+            stale.stale_allows,
+            vec![StaleAllow {
+                file: "crates/x/src/a.rs".into(),
+                line: Some(2),
+                pass: "lock-across-blocking".into(),
+            }]
+        );
+        assert!(matches!(
+            gate(&stale, &stale.as_baseline()).as_slice(),
+            [Violation::StaleAllow(_)]
+        ));
+    }
+
+    /// `lock-order` reports a cycle once, at its first closing edge,
+    /// and consults that site's directive itself: the directive there
+    /// counts as used, one on the other edge does not.
+    #[test]
+    fn a_cycle_site_directive_counts_as_used() {
+        let cycle = |allow_first: bool| {
+            let (first, second) = if allow_first {
+                ("// agar-lint: allow(lock-order)\n", "")
+            } else {
+                ("", "// agar-lint: allow(lock-order)\n")
+            };
+            analyze_models(vec![model(
+                "crates/x/src/a.rs",
+                &format!(
+                    "fn f(&self) {{\n let a = self.alpha.lock();\n {first} let b = self.beta.lock();\n}}\n\
+                     fn g(&self) {{\n let b = self.beta.lock();\n {second} let a = self.alpha.lock();\n}}\n"
+                ),
+            )])
+        };
+        let at_site = cycle(true);
+        assert!(at_site.findings.is_empty(), "{:#?}", at_site.findings);
+        assert!(at_site.stale_allows.is_empty());
+        let elsewhere = cycle(false);
+        assert_eq!(elsewhere.findings.len(), 1, "{:#?}", elsewhere.findings);
+        assert_eq!(elsewhere.stale_allows.len(), 1);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! that both lock passes share.
 
 use crate::lexer::{lex, Comment, Lexed, TokKind, Token};
-use std::collections::{BTreeMap, BTreeSet};
+use std::cell::Cell;
 use std::ops::Range;
 
 /// One function item found in a file.
@@ -41,6 +41,24 @@ pub struct StructDef {
     pub is_test: bool,
 }
 
+/// One `agar-lint: allow(<pass>)` directive, for one pass.
+#[derive(Debug, Clone)]
+pub struct Allow {
+    pub pass: String,
+    /// The line its comment ends on; `None` for a file-wide directive
+    /// in the header.
+    pub line: Option<u32>,
+    /// Set once the directive has suppressed a finding.
+    used: Cell<bool>,
+}
+
+impl Allow {
+    /// True once [`FileModel::allowed`] has matched this directive.
+    pub fn used(&self) -> bool {
+        self.used.get()
+    }
+}
+
 /// A parsed source file, ready for the passes.
 pub struct FileModel {
     /// Workspace-relative path with `/` separators.
@@ -51,10 +69,8 @@ pub struct FileModel {
     pub structs: Vec<StructDef>,
     /// Token index ranges that belong to test-only code.
     pub test_regions: Vec<Range<usize>>,
-    /// Pass ids allowed for the whole file.
-    pub file_allows: BTreeSet<String>,
-    /// Pass id → lines carrying a line-scoped allow directive.
-    pub line_allows: BTreeMap<String, BTreeSet<u32>>,
+    /// The file's allow directives, in source order.
+    pub allows: Vec<Allow>,
 }
 
 impl FileModel {
@@ -65,7 +81,7 @@ impl FileModel {
         let functions = find_functions(&tokens, &test_regions);
         let structs = find_structs(&tokens, &test_regions);
         let first_code_line = tokens.first().map(|t| t.line).unwrap_or(u32::MAX);
-        let (file_allows, line_allows) = find_allows(&comments, first_code_line);
+        let allows = find_allows(&comments, first_code_line);
         FileModel {
             path: path.to_string(),
             tokens,
@@ -73,8 +89,7 @@ impl FileModel {
             functions,
             structs,
             test_regions,
-            file_allows,
-            line_allows,
+            allows,
         }
     }
 
@@ -85,13 +100,16 @@ impl FileModel {
 
     /// True when a finding from `pass` at `line` is waived by an
     /// allow directive (file-level, same-line, or the line above).
+    /// Every directive that matches counts as used.
     pub fn allowed(&self, pass: &str, line: u32) -> bool {
-        if self.file_allows.contains(pass) {
-            return true;
+        let mut allowed = false;
+        for allow in &self.allows {
+            if allow.pass == pass && allow.line.is_none_or(|at| at == line || at + 1 == line) {
+                allow.used.set(true);
+                allowed = true;
+            }
         }
-        self.line_allows
-            .get(pass)
-            .is_some_and(|lines| lines.contains(&line) || lines.contains(&line.saturating_sub(1)))
+        allowed
     }
 
     /// True when any comment mentioning `needle` ends within `window`
@@ -364,35 +382,33 @@ fn parse_fields(body: &[Token]) -> Vec<Field> {
     fields
 }
 
-/// Extracts `agar-lint: allow(pass-a, pass-b)` directives. A
-/// directive in the file header (any comment ending before the first
-/// code token, e.g. the `//!` docs) applies file-wide; elsewhere it
-/// applies to its own line and the next.
-fn find_allows(
-    comments: &[Comment],
-    first_code_line: u32,
-) -> (BTreeSet<String>, BTreeMap<String, BTreeSet<u32>>) {
-    let mut file_allows = BTreeSet::new();
-    let mut line_allows: BTreeMap<String, BTreeSet<u32>> = BTreeMap::new();
+/// Extracts `agar-lint: allow(pass-a, pass-b)` directives: comments
+/// whose text, after the comment markers, starts with the directive
+/// (prose that mentions one is not one). A directive in the file
+/// header (any comment ending before the first code token, e.g. the
+/// `//!` docs) applies file-wide; elsewhere it applies to its own line
+/// and the next.
+fn find_allows(comments: &[Comment], first_code_line: u32) -> Vec<Allow> {
+    let mut allows = Vec::new();
     for c in comments {
-        let Some(pos) = c.text.find("agar-lint: allow(") else {
+        let text = c.text.trim_start_matches(['/', '*', '!']).trim_start();
+        let Some(rest) = text.strip_prefix("agar-lint: allow(") else {
             continue;
         };
-        let rest = &c.text[pos + "agar-lint: allow(".len()..];
         let Some(end) = rest.find(')') else { continue };
         for pass in rest[..end].split(',') {
-            let pass = pass.trim().to_string();
+            let pass = pass.trim();
             if pass.is_empty() {
                 continue;
             }
-            if c.end_line < first_code_line {
-                file_allows.insert(pass);
-            } else {
-                line_allows.entry(pass).or_default().insert(c.end_line);
-            }
+            allows.push(Allow {
+                pass: pass.to_string(),
+                line: (c.end_line >= first_code_line).then_some(c.end_line),
+                used: Cell::new(false),
+            });
         }
     }
-    (file_allows, line_allows)
+    allows
 }
 
 // ---------------------------------------------------------------------------
@@ -847,5 +863,14 @@ mod tests {
         assert!(m.allowed("lock-across-blocking", 5));
         assert!(!m.allowed("lock-across-blocking", 3));
         assert!(!m.allowed("lock-order", 4));
+        assert!(m.allows.iter().all(Allow::used));
+    }
+
+    #[test]
+    fn prose_that_mentions_a_directive_is_not_one() {
+        let src = "//! Waive with `agar-lint: allow(determinism)`.\nfn f() {}\n";
+        let m = FileModel::parse("x.rs", src);
+        assert!(m.allows.is_empty());
+        assert!(!m.allowed("determinism", 2));
     }
 }

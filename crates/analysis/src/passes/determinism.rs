@@ -131,9 +131,6 @@ fn check_wall_clock_and_rng(file: &FileModel, out: &mut Vec<Finding>) {
             _ => None,
         };
         let Some((what, why)) = flagged else { continue };
-        if file.allowed(PASS_ID, t.line) {
-            continue;
-        }
         out.push(Finding {
             pass: PASS_ID,
             file: file.path.clone(),
@@ -186,7 +183,7 @@ fn check_hash_iteration(file: &FileModel, out: &mut Vec<Finding>) {
         let has_sink = names.iter().any(|n| ORDER_SINKS.contains(n));
         let neutralized = names.iter().any(|n| ORDER_NEUTRALIZERS.contains(n))
             || sorted_in_next_statement(tokens, start, end);
-        if has_sink && !neutralized && !file.allowed(PASS_ID, t.line) {
+        if has_sink && !neutralized {
             out.push(Finding {
                 pass: PASS_ID,
                 file: file.path.clone(),

@@ -15,28 +15,11 @@ use crate::passes::{Pass, Workspace};
 
 pub const PASS_ID: &str = "lock-across-blocking";
 
-/// Call names that block on I/O or burn unbounded CPU: backend and
-/// fetcher entry points, RS codec entry points, disk-store frame I/O
-/// and raw file I/O.
-const DEFAULT_BLOCKING: &[&str] = &[
-    // Backend / fetcher entry points.
-    "fetch",
-    "fetch_chunk",
-    "fetch_chunks",
-    "fetch_object",
-    "put_object",
-    "delete_object",
-    // RS codec entry points (decode under a lock stalls every reader).
-    "encode_object",
-    "reconstruct_object_report",
-    // DiskStore frame I/O and raw file I/O.
-    "append_frame",
-    "read_frame",
-    "write_tail",
+/// Standard-library calls that block: cursor, positioned and vectored
+/// file I/O, and a channel receive (an unbounded block).
+pub const STD_BLOCKING: &[&str] = &[
     "write_all",
     "read_exact",
-    // Positioned and vectored I/O block exactly as their cursor-based
-    // counterparts do.
     "write_all_at",
     "read_exact_at",
     "write_at",
@@ -44,22 +27,31 @@ const DEFAULT_BLOCKING: &[&str] = &[
     "write_vectored",
     "sync_all",
     "sync_data",
-    // Channel receive (unbounded block).
     "recv",
 ];
 
-/// The pass, with a configurable blocking set (tests inject smaller
-/// ones; the CLI uses the default).
-pub struct LockAcrossBlocking {
-    blocking: Vec<&'static str>,
-}
+/// Workspace functions that block on I/O or burn unbounded CPU: the
+/// backend and fetcher entry points, the RS codec's (a decode under a
+/// lock stalls every reader) and the disk store's frame I/O. Each
+/// names a `fn` the workspace defines; `tests/fixtures.rs` fails when
+/// one no longer does.
+pub const WORKSPACE_BLOCKING: &[&str] = &[
+    "fetch",
+    "fetch_chunk",
+    "fetch_chunks",
+    "put_object",
+    "encode_object",
+    "reconstruct_object_report",
+    "append_frame",
+    "write_tail",
+    "get_located",
+    "read_run",
+];
 
-impl Default for LockAcrossBlocking {
-    fn default() -> Self {
-        LockAcrossBlocking {
-            blocking: DEFAULT_BLOCKING.to_vec(),
-        }
-    }
+pub struct LockAcrossBlocking;
+
+fn is_blocking(name: &str) -> bool {
+    STD_BLOCKING.contains(&name) || WORKSPACE_BLOCKING.contains(&name)
 }
 
 impl Pass for LockAcrossBlocking {
@@ -91,10 +83,7 @@ impl LockAcrossBlocking {
                 else {
                     return;
                 };
-                if live.is_empty() || !self.blocking.contains(&name.as_str()) {
-                    return;
-                }
-                if file.allowed(PASS_ID, line) {
+                if live.is_empty() || !is_blocking(&name) {
                     return;
                 }
                 let guard = live.last().expect("checked non-empty");

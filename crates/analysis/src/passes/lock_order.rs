@@ -82,7 +82,7 @@ impl Pass for LockOrder {
                             let held_id = lock_id(stem, &held.receiver);
                             if held_id == id {
                                 let both_indexed = guard.indexed && held.indexed;
-                                if !both_indexed && !file.allowed(PASS_ID, guard.line) {
+                                if !both_indexed {
                                     out.push(Finding {
                                         pass: PASS_ID,
                                         file: file.path.clone(),
@@ -117,7 +117,7 @@ impl Pass for LockOrder {
                         ) && method
                         {
                             let threshold = if has_args { 2 } else { 1 };
-                            if live.len() >= threshold && !file.allowed(PASS_ID, line) {
+                            if live.len() >= threshold {
                                 let held: Vec<&str> =
                                     live.iter().map(|g| g.receiver.as_str()).collect();
                                 out.push(Finding {
@@ -214,6 +214,9 @@ impl Pass for LockOrder {
             if !reported.insert(participants.clone()) {
                 continue;
             }
+            // The one directive a pass consults itself: the cycle is
+            // reported once, at its first closing edge, so a directive
+            // there drops it here (and `allowed` counts it as used).
             let file = site.file.clone();
             if workspace
                 .files

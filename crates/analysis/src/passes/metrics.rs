@@ -75,9 +75,6 @@ fn check_file(file: &FileModel, out: &mut Vec<Finding>) {
             if registered.iter().any(|name| *name == field.name) {
                 continue;
             }
-            if file.allowed(PASS_ID, field.line) {
-                continue;
-            }
             out.push(Finding {
                 pass: PASS_ID,
                 file: file.path.clone(),

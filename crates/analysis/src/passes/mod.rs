@@ -31,7 +31,7 @@ pub trait Pass {
 /// All registered passes, in diagnostic order.
 pub fn registry() -> Vec<Box<dyn Pass>> {
     vec![
-        Box::new(lock_blocking::LockAcrossBlocking::default()),
+        Box::new(lock_blocking::LockAcrossBlocking),
         Box::new(lock_order::LockOrder),
         Box::new(determinism::Determinism),
         Box::new(metrics::MetricsDiscipline),

@@ -63,9 +63,6 @@ fn check_safety_comments(file: &FileModel, out: &mut Vec<Finding>) {
         if file.comment_near("SAFETY:", t.line, SAFETY_WINDOW) {
             continue;
         }
-        if file.allowed(PASS_ID, t.line) {
-            continue;
-        }
         out.push(Finding {
             pass: PASS_ID,
             file: file.path.clone(),

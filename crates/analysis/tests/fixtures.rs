@@ -1,15 +1,18 @@
 //! Fixture-driven pass tests plus the live-workspace gate.
 //!
 //! Each pass has a `firing.rs` fixture that must produce findings and a
-//! `passing.rs` fixture that must stay silent; the final test runs the
-//! analyzer over this repository itself and requires an exact match
-//! against the committed `ci/lint_baseline.json` — the same check CI
-//! runs, so `cargo test` catches drift before the pipeline does.
+//! `passing.rs` fixture that must stay silent, and so do the allow
+//! directives (`stale_allow/`); the final tests run the analyzer over
+//! this repository itself and require an exact match against the
+//! committed `ci/lint_baseline.json` — the same check CI runs, so
+//! `cargo test` catches drift before the pipeline does — and every
+//! workspace name in the blocking set to be a function it defines.
 
 use agar_analysis::baseline::Baseline;
 use agar_analysis::diag::Finding;
 use agar_analysis::model::FileModel;
-use agar_analysis::{analyze, analyze_models, gate};
+use agar_analysis::passes::lock_blocking::WORKSPACE_BLOCKING;
+use agar_analysis::{analyze, analyze_models, gate, parse_workspace};
 use std::path::Path;
 
 /// Parses a fixture under a virtual in-workspace path so no pass
@@ -81,6 +84,36 @@ fn unsafe_hygiene_fixtures() {
 }
 
 #[test]
+fn stale_allow_fixtures() {
+    // A file-wide directive for a pass that never fires there, one over
+    // a call no pass flags, and one naming the wrong pass (whose
+    // finding still fires).
+    let firing = analyze_models(vec![fixture("stale_allow", "firing.rs")]);
+    let stale: Vec<(Option<u32>, &str)> = firing
+        .stale_allows
+        .iter()
+        .map(|allow| (allow.line, allow.pass.as_str()))
+        .collect();
+    assert_eq!(
+        stale,
+        vec![
+            (None, "unsafe-hygiene"),
+            (Some(12), "lock-across-blocking"),
+            (Some(20), "determinism"),
+        ]
+    );
+    assert_eq!(firing.findings.len(), 1, "{:#?}", firing.findings);
+
+    let passing = analyze_models(vec![fixture("stale_allow", "passing.rs")]);
+    assert!(passing.findings.is_empty(), "{:#?}", passing.findings);
+    assert!(
+        passing.stale_allows.is_empty(),
+        "{:#?}",
+        passing.stale_allows
+    );
+}
+
+#[test]
 fn firing_fixtures_name_the_right_sites() {
     let lock = findings_for(
         "lock-across-blocking",
@@ -113,14 +146,19 @@ fn firing_fixtures_name_the_right_sites() {
         .any(|f| f.message.contains("UnboundCells.cell")));
 }
 
-/// The analyzer over this repository must match the committed baseline
-/// exactly: no new findings, no stale waivers, no ratchet drift.
-#[test]
-fn live_workspace_matches_committed_baseline_exactly() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+fn workspace_root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .and_then(Path::parent)
-        .expect("crates/analysis sits two levels below the workspace root");
+        .expect("crates/analysis sits two levels below the workspace root")
+}
+
+/// The analyzer over this repository must match the committed baseline
+/// exactly: no new findings, no stale waivers, no stale allow
+/// directives, no ratchet drift.
+#[test]
+fn live_workspace_matches_committed_baseline_exactly() {
+    let root = workspace_root();
     let report = analyze(root).expect("analyzing the live workspace");
     let baseline_path = root.join("ci/lint_baseline.json");
     let text = std::fs::read_to_string(&baseline_path)
@@ -135,5 +173,25 @@ fn live_workspace_matches_committed_baseline_exactly() {
             .map(|v| v.to_string())
             .collect::<Vec<_>>()
             .join("\n\n")
+    );
+}
+
+/// The blocking set matches call names, so a workspace entry point that
+/// was renamed or deleted silently disarms the lint for its successor.
+#[test]
+fn every_workspace_blocking_name_is_a_function_the_workspace_defines() {
+    let files = parse_workspace(workspace_root()).expect("parsing the live workspace");
+    let undefined: Vec<&str> = WORKSPACE_BLOCKING
+        .iter()
+        .copied()
+        .filter(|name| {
+            !files
+                .iter()
+                .any(|file| file.functions.iter().any(|f| !f.is_test && f.name == *name))
+        })
+        .collect();
+    assert!(
+        undefined.is_empty(),
+        "WORKSPACE_BLOCKING names functions no workspace file defines: {undefined:?}"
     );
 }
