@@ -29,7 +29,7 @@ use std::time::Duration;
 
 thread_local! {
     /// The perturbation `Deployment::agar_node` applies last, after the
-    /// cell's own `tune` and the large-budget solver rule. A cell runs
+    /// cell's own `tune`. A cell runs
     /// on the thread that asked for it, and tests run on threads of
     /// their own.
     pub(crate) static PERTURB: Cell<Option<fn(&mut AgarSettings)>> = const { Cell::new(None) };
@@ -107,14 +107,20 @@ const ROWS: &[Row] = &[
         |s| s.disk_write *= 2,
         "bench/src/deploy.rs:161",
     ),
-    // Catalogue / 16 is a 168-chunk RAM budget: under the harness's
-    // 200-chunk rule, so the node runs the default solver.
-    moves("solver.with_passes", RAM_ONLY, |s| {
-        s.solver = KnapsackSolver::new().with_passes(1);
-    }),
-    moves("solver.with_early_termination", RAM_ONLY, |s| {
-        s.solver = KnapsackSolver::new().with_early_termination(30);
-    }),
+    // The epoch's solve is the exact dynamic program: passes and early
+    // termination reach `populate` alone, which no node runs.
+    waived(
+        "solver.with_passes",
+        RAM_ONLY,
+        |s| s.solver = KnapsackSolver::new().with_passes(1),
+        "bench/src/deploy.rs:165-167",
+    ),
+    waived(
+        "solver.with_early_termination",
+        RAM_ONLY,
+        |s| s.solver = KnapsackSolver::new().with_early_termination(30),
+        "bench/src/deploy.rs:165-167",
+    ),
     moves("trace_sample_every", CALM, |s| s.trace_sample_every = 0),
     moves("retry.max_attempts", FLAKY, |s| s.retry.max_attempts = 1),
     moves("retry.base_backoff", FLAKY, |s| {

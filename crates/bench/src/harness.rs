@@ -11,9 +11,7 @@
 //! and differ only in what [`Serve`]s their operations and in their
 //! clock hook.
 
-use agar::{
-    AgarNode, AgarSettings, BaselinePolicy, CachingClient, FixedChunksClient, KnapsackSolver,
-};
+use agar::{AgarNode, AgarSettings, BaselinePolicy, CachingClient, FixedChunksClient};
 use agar_ec::{CodingParams, ObjectId};
 use agar_net::latency::LatencyModel;
 use agar_net::presets::{aws_six_regions, paper_table_one, GeoPreset};
@@ -205,11 +203,11 @@ impl Deployment {
     /// Builds every Agar node the harness measures — figure runs, grid
     /// cells and cluster members alike: the paper's settings with this
     /// deployment's calibrated cache-read and client-overhead
-    /// constants, then `tune`, then the large-cache solver guard; the
-    /// node draws from `seed`. With `metrics`, the node binds its
-    /// counters and stage histograms into the registry under the given
-    /// labels *before* the run — the registry scrapes live cells, so a
-    /// dump taken afterwards reads the same either way.
+    /// constants, then `tune`; the node draws from `seed`. With
+    /// `metrics`, the node binds its counters and stage histograms into
+    /// the registry under the given labels *before* the run — the
+    /// registry scrapes live cells, so a dump taken afterwards reads the
+    /// same either way.
     ///
     /// # Panics
     ///
@@ -226,17 +224,6 @@ impl Deployment {
         settings.cache_read = self.preset.cache_read;
         settings.client_overhead = self.preset.client_overhead;
         tune(&mut settings);
-        // §VI: the paper stops the dynamic program a fixed number of
-        // iterations after a full-capacity configuration first
-        // appears, so reconfiguration cost depends on the cache
-        // size, not the catalogue. Enable it for large budgets (RAM
-        // or disk) where the exact run would dominate the experiment.
-        let budget = cache_bytes.max(settings.disk_capacity_bytes);
-        if budget / self.scale.chunk_size().max(1) >= 200 {
-            settings.solver = KnapsackSolver::new()
-                .with_early_termination(30)
-                .with_passes(1);
-        }
         #[cfg(test)]
         if let Some(perturb) = crate::census::PERTURB.get() {
             perturb(&mut settings);

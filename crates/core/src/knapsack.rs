@@ -3,8 +3,22 @@
 //!
 //! Choosing which erasure-coded chunks to cache is a 0/1-Knapsack
 //! variant: at most one caching option per object, weights are chunk
-//! counts, values are popularity-weighted latency improvements. The
-//! paper adapts the classic dynamic program with two improvement moves:
+//! counts, values are popularity-weighted latency improvements.
+//!
+//! **The epoch's solve is exact.** [`KnapsackSolver::populate_tiered`],
+//! which the cache manager runs every epoch, solves each phase with
+//! [`optimum`]: the multiple-choice-knapsack (MCKP) dynamic program over
+//! capacity, in `O(objects × capacity × k)` time. On every recorded
+//! epoch of `paper-zipf` and `tiered-pressure` it gives the same
+//! configuration as the paper's `populate` wherever `populate` is
+//! optimal, and it runs 8–9× faster (EXPERIMENTS.md). The paper
+//! truncates its solve only to bound runtime (§VI), so the node no
+//! longer truncates: early termination and passes apply to `populate`
+//! alone, which the `ablation` experiment, the knapsack playground
+//! example and the tests run.
+//!
+//! [`KnapsackSolver::populate`] is the paper's algorithm. It adapts the
+//! classic dynamic program with two improvement moves:
 //!
 //! - **Addition** — append an option to an existing intermediate
 //!   configuration, producing a heavier configuration;
@@ -20,13 +34,12 @@
 //! the final answer is the best configuration of weight ≤ capacity
 //! rather than exactly capacity.
 //!
-//! A greedy value-density solver and the exact [`optimum`] (the
-//! multiple-choice-knapsack dynamic program over capacity) are included
-//! as baselines: §II-D argues greedy can err by as much as 50%, and the
-//! tests verify the dynamic program dominates greedy and matches the
-//! optimum on small instances.
+//! A greedy value-density solver is included as a baseline: §II-D
+//! argues greedy can err by as much as 50%, and the tests verify the
+//! dynamic program dominates greedy and matches the optimum on small
+//! instances.
 //!
-//! The dynamic program runs over an index table, not over
+//! `populate` runs over an index table, not over
 //! [`Config`]s: a cell per weight holding `(key, weight)` picks into a
 //! flat value table, so a move copies a few bytes per pick and
 //! [`CachingOption`]s are cloned once, for the answer. The original
@@ -306,8 +319,10 @@ fn lower_floor(floor: &mut [f64], limits: &[f64]) {
     }
 }
 
-/// Dynamic-programming solver for the cache configuration (paper
-/// Figure 4).
+/// The paper's dynamic-programming solver for the cache configuration
+/// (Figure 4), [`KnapsackSolver::populate`]. Its passes and early
+/// termination configure `populate` alone: the epoch's two-budget solve,
+/// [`KnapsackSolver::populate_tiered`], is exact.
 #[derive(Clone, Debug)]
 pub struct KnapsackSolver {
     /// §VI optimisation: stop after this many additional keys once a
@@ -370,44 +385,8 @@ impl KnapsackSolver {
             return Config::empty();
         }
 
-        // Keys in decreasing value order (ORDERBY in the paper).
-        let mut keys: Vec<&ObjectOptions> = all_options.values().collect();
-        keys.sort_by(|a, b| {
-            b.best_value()
-                .partial_cmp(&a.best_value())
-                .expect("option values are finite")
-                .then(a.object().cmp(&b.object()))
-        });
-
-        // Uncontended fast path: when every object's best option fits in
-        // the budget simultaneously, the per-object choices are
-        // independent and taking each object's maximum-value option is
-        // exactly optimal — no dynamic program needed. This is the
-        // common shape of the *disk* phase of a two-tier solve, where
-        // the tier is sized to hold most of what RAM rejected. Value
-        // ties break towards the heavier option, matching the dynamic
-        // program below (its final scan keeps the last — heaviest —
-        // configuration among equal values): a free upgrade to more
-        // cached chunks at identical modelled value.
-        let best_per_object: Vec<&CachingOption> = keys
-            .iter()
-            .filter_map(|opts| {
-                opts.iter()
-                    .filter(|o| o.value() > 0.0 && o.weight() > 0)
-                    .max_by(|a, b| {
-                        a.value()
-                            .partial_cmp(&b.value())
-                            .expect("option values are finite")
-                            .then(a.weight().cmp(&b.weight()))
-                    })
-            })
-            .collect();
-        let best_total: u64 = best_per_object.iter().map(|o| u64::from(o.weight())).sum();
-        if best_total <= u64::from(capacity) {
-            let mut config = Config::empty();
-            for option in best_per_object {
-                config.push(option.clone());
-            }
+        let keys = ordered_keys(all_options);
+        if let Some(config) = uncontended(&keys, capacity) {
             return config;
         }
 
@@ -574,25 +553,32 @@ impl KnapsackSolver {
 }
 
 impl KnapsackSolver {
-    /// Two-budget solve over a RAM tier and a disk tier.
+    /// Two-budget solve over a RAM tier and a disk tier: the solve every
+    /// epoch runs, exact in each phase.
     ///
-    /// Phase 1 runs the paper's dynamic program verbatim over
-    /// `ram_options` against `ram_capacity`. Phase 2 asks
-    /// `disk_options_for` for disk-tier options *conditioned on* the
-    /// phase-1 allocation (the remaining chunks and the residual
-    /// latencies they leave behind — see
-    /// [`crate::options::generate_disk_options`]) and runs the same
-    /// dynamic program against `disk_capacity`. The sequential
-    /// decomposition is deliberate: RAM strictly dominates disk on
-    /// latency, so any chunk worth a RAM slot is worth it regardless of
-    /// what lands on disk, and conditioning phase 2 on phase 1 keeps
-    /// the two allocations disjoint by construction.
+    /// Phase 1 solves `ram_options` against `ram_capacity` with
+    /// [`optimum`]. Phase 2 asks `disk_options_for` for disk-tier options
+    /// *conditioned on* the phase-1 allocation (the remaining chunks and
+    /// the residual latencies they leave behind — see
+    /// [`crate::options::generate_disk_options`]) and solves them the
+    /// same way against `disk_capacity`. The sequential decomposition is
+    /// deliberate: RAM strictly dominates disk on latency, so any chunk
+    /// worth a RAM slot is worth it regardless of what lands on disk,
+    /// and conditioning phase 2 on phase 1 keeps the two allocations
+    /// disjoint by construction.
+    ///
+    /// The paper's [`KnapsackSolver::populate`] truncates only to bound
+    /// its runtime (§VI), and the exact dynamic program is faster than
+    /// it on every epoch instance, so neither phase runs it: this
+    /// solver's passes and early termination apply to `populate` alone.
+    /// Where `populate` is optimal the two answer alike (see
+    /// [`optimum`]'s tie rule).
     ///
     /// Returns `(ram, disk)`. The RAM configuration is exactly what
-    /// [`KnapsackSolver::populate`] produces on its own (the disk phase
-    /// never perturbs it), so a deployment with `disk_capacity = 0`
-    /// stays byte-identical to the single-tier engine: the closure is
-    /// never called and the disk configuration is empty.
+    /// [`optimum`] produces on its own (the disk phase never perturbs
+    /// it), so a deployment with `disk_capacity = 0` stays byte-identical
+    /// to the single-tier engine: the closure is never called and the
+    /// disk configuration is empty.
     pub fn populate_tiered(
         &self,
         ram_options: &HashMap<ObjectId, ObjectOptions>,
@@ -600,12 +586,11 @@ impl KnapsackSolver {
         disk_capacity: u32,
         disk_options_for: impl FnOnce(&Config) -> HashMap<ObjectId, ObjectOptions>,
     ) -> (Config, Config) {
-        let ram = self.populate(ram_options, ram_capacity);
+        let ram = optimum(ram_options, ram_capacity);
         let disk = if disk_capacity == 0 {
             Config::empty()
         } else {
-            let disk_options = disk_options_for(&ram);
-            self.populate(&disk_options, disk_capacity)
+            optimum(&disk_options_for(&ram), disk_capacity)
         };
         (ram, disk)
     }
@@ -640,49 +625,169 @@ pub fn greedy(all_options: &HashMap<ObjectId, ObjectOptions>, capacity: u32) -> 
     config
 }
 
-/// The exact optimum: the multiple-choice-knapsack dynamic program
-/// over capacity, at most one option per object, objects in
-/// [`ObjectId`] order. `best[i][c]` is the best value of the first `i`
-/// objects in `c` chunks; an object's option replaces the value without
-/// it only when it is strictly better, so ties keep the lighter choice
-/// and the earlier object's. Runs in `O(objects × capacity × k)` time,
-/// and its answer's value sums in the same order as the table's. The
-/// tests and the knapsack playground example hold [`KnapsackSolver`] to
-/// it.
+/// The objects in `populate`'s key order (ORDERBY in the paper):
+/// decreasing best value, ties by [`ObjectId`].
+fn ordered_keys(all_options: &HashMap<ObjectId, ObjectOptions>) -> Vec<&ObjectOptions> {
+    let mut keys: Vec<&ObjectOptions> = all_options.values().collect();
+    keys.sort_by(|a, b| {
+        b.best_value()
+            .partial_cmp(&a.best_value())
+            .expect("option values are finite")
+            .then(a.object().cmp(&b.object()))
+    });
+    keys
+}
+
+/// The uncontended fast path of both solvers: when every object's best
+/// option fits in the budget at once, the per-object choices are
+/// independent and taking each object's maximum-value option is exactly
+/// optimal, with no dynamic program needed. This is the common shape of
+/// the *disk* phase of a two-tier solve, where the tier is sized to hold
+/// most of what RAM rejected. Value ties break towards the heavier
+/// option, as the dynamic programs' final scans do: a free upgrade to
+/// more cached chunks at identical modelled value. Objects with no
+/// option worth anything are left out. `None` when the best options do
+/// not all fit.
+fn uncontended(keys: &[&ObjectOptions], capacity: u32) -> Option<Config> {
+    let best_per_object: Vec<&CachingOption> = keys
+        .iter()
+        .filter_map(|opts| {
+            opts.iter()
+                .filter(|o| o.value() > 0.0 && o.weight() > 0)
+                .max_by(|a, b| {
+                    a.value()
+                        .partial_cmp(&b.value())
+                        .expect("option values are finite")
+                        .then(a.weight().cmp(&b.weight()))
+                })
+        })
+        .collect();
+    let best_total: u64 = best_per_object.iter().map(|o| u64::from(o.weight())).sum();
+    if best_total > u64::from(capacity) {
+        return None;
+    }
+    let mut config = Config::empty();
+    for option in best_per_object {
+        config.push(option.clone());
+    }
+    Some(config)
+}
+
+/// The exact optimum, and the solve every epoch runs
+/// ([`KnapsackSolver::populate_tiered`]): past the uncontended fast path
+/// it shares with [`KnapsackSolver::populate`], the
+/// multiple-choice-knapsack (MCKP) dynamic program over capacity, at
+/// most one option per object, in `O(objects × capacity × k)` time.
+///
+/// It follows `populate`'s tie rule, so where `populate` reaches the
+/// optimum the two give the same configuration (on every recorded epoch
+/// instance of `paper-zipf` and `tiered-pressure`, EXPERIMENTS.md):
+///
+/// - A cell is the best value of *exactly* that many chunks, and the
+///   answer is the best cell, the heaviest among equal values, as in
+///   `populate`'s final scan.
+/// - Objects are visited in `populate`'s key order, last first, so the
+///   backtrack settles the most valuable object first. Among choices of
+///   equal value the heavier option wins, and leaving the object out is
+///   weight 0: the more valuable object holds the more chunks, as in
+///   `populate`'s table, where it was placed first.
+/// - Values within 1e-12 of each other, relative, are equal: sums of
+///   the same options in different orders round a few ulps apart. The answer's
+///   value is summed in key order, as `populate` sums a configuration it
+///   built by additions.
+///
+/// Two optimal configurations can still tie in a way `populate` settles
+/// by the path its table took; the proptests print such cases.
+///
+/// The table is one byte per object and weight: the weight the object
+/// holds in that cell, 0 for none. Two value rows are reused across
+/// objects. Each row runs only to the sum of the heaviest options of the
+/// objects visited so far (their reach): every weight up to it is
+/// reachable, since each object has an option at every weight from 1
+/// up, so the backtrack never leaves it. A solve makes a constant number
+/// of allocations besides its answer's options.
+///
+/// # Panics
+///
+/// Panics if an object has more than 255 options (a stripe holds at
+/// most 255 chunks, so no generator makes one).
 pub fn optimum(all_options: &HashMap<ObjectId, ObjectOptions>, capacity: u32) -> Config {
-    let mut objects: Vec<&ObjectOptions> = all_options.values().collect();
-    objects.sort_by_key(|o| o.object());
+    if capacity == 0 {
+        return Config::empty();
+    }
+    let keys = ordered_keys(all_options);
+    if let Some(config) = uncontended(&keys, capacity) {
+        return config;
+    }
     let width = capacity as usize + 1;
+    // `taken[i * width + c]`: the weight key i holds in the best
+    // configuration of keys i.. at exactly c chunks.
+    let mut taken = vec![0u8; keys.len() * width];
     let mut best = vec![0.0f64; width];
-    // `taken[i][c]`: the weight object i holds in `best[i + 1][c]`.
-    let mut taken = vec![vec![0u32; width]; objects.len()];
-    for (options, taken) in objects.iter().zip(&mut taken) {
-        let mut row = best.clone();
-        for c in 0..width {
-            for option in options.iter().filter(|o| o.weight() as usize <= c) {
-                let value = best[c - option.weight() as usize] + option.value();
-                if value > row[c] {
-                    row[c] = value;
-                    taken[c] = option.weight();
+    let mut next = vec![0.0f64; width];
+    let mut values: Vec<f64> = Vec::with_capacity(usize::from(u8::MAX) + 1);
+    let mut reach = 0usize;
+    for (key, taken) in keys.iter().zip(taken.chunks_exact_mut(width)).rev() {
+        // `values[w]`: the key's option of weight w; 0 for leaving it out.
+        values.clear();
+        values.push(0.0);
+        values.extend(key.iter().map(CachingOption::value));
+        let heaviest = values.len() - 1;
+        assert!(
+            heaviest <= usize::from(u8::MAX),
+            "an object has at most 255 options"
+        );
+        let next_reach = (reach + heaviest).min(capacity as usize);
+        let (row, taken) = (&mut next[..=next_reach], &mut taken[..=next_reach]);
+        row.fill(f64::NEG_INFINITY);
+        // Heaviest choice first: a lighter one must beat it. A choice
+        // leaving more chunks than the objects after it reach has no
+        // configuration under it.
+        for (weight, &value) in values.iter().enumerate().take(next_reach + 1).rev() {
+            let top = (weight + reach).min(next_reach);
+            for ((cell, taken), &under) in row[weight..=top]
+                .iter_mut()
+                .zip(&mut taken[weight..=top])
+                .zip(&best[..=top - weight])
+            {
+                let candidate = under + value;
+                if beats(candidate, *cell) {
+                    *cell = candidate;
+                    *taken = weight as u8;
                 }
             }
         }
-        best = row;
+        std::mem::swap(&mut best, &mut next);
+        reach = next_reach;
     }
-    let mut picks = Vec::new();
-    let mut c = capacity as usize;
-    for (options, taken) in objects.iter().zip(&taken).rev() {
-        let weight = taken[c];
-        if let Some(option) = options.by_weight(weight) {
-            picks.push(option.clone());
-            c -= weight as usize;
+    // The best cell, the heaviest among equal values.
+    let mut c = 0;
+    for heavier in 1..=reach {
+        if !beats(best[c], best[heavier]) {
+            c = heavier;
         }
     }
     let mut config = Config::empty();
-    for option in picks.into_iter().rev() {
-        config.push(option);
+    for (key, taken) in keys.iter().zip(taken.chunks_exact(width)) {
+        if let Some(option) = key.by_weight(u32::from(taken[c])) {
+            config.push(option.clone());
+            c -= option.weight() as usize;
+        }
     }
     config
+}
+
+/// How far apart, relative to the kept one, two values must be for one
+/// to beat the other in [`optimum`]: sums of the same options taken in
+/// different orders round a few ulps apart, and a tie settled by that
+/// rounding would settle it apart from `populate`.
+const TIE: f64 = 1e-12;
+
+/// Whether `value` beats `kept` by more than rounding. Values are
+/// non-negative (popularity × a saturating improvement), and anything
+/// beats an unset cell's −∞.
+fn beats(value: f64, kept: f64) -> bool {
+    value > kept * (1.0 + TIE)
 }
 
 /// The original formulation of the dynamic program — a map from weight
@@ -1142,12 +1247,48 @@ mod tests {
                     (opt.value() - expected).abs() < 1e-6,
                     "{pops:?} at {capacity}"
                 );
+                // In `populate`'s key order: decreasing best value, ties
+                // by object.
+                let order = ordered_keys(&options);
+                let rank = |object| order.iter().position(|o| o.object() == object);
                 assert!(opt
                     .options()
                     .windows(2)
-                    .all(|w| w[0].object() < w[1].object()));
+                    .all(|w| rank(w[0].object()) < rank(w[1].object())));
             }
         }
+    }
+
+    /// Where two configurations are worth the same, the exact solve
+    /// answers as `populate` does: the answer is the heaviest
+    /// configuration among equal values, and the more valuable object
+    /// takes the heavier of two options worth the same in total.
+    #[test]
+    fn optimum_breaks_ties_as_populate_does() {
+        let (a, b) = (ObjectId::new(0), ObjectId::new(1));
+        // Each object's weight-2 option is worth no more than its
+        // weight-1 one. At capacity 3, `a` 1 + `b` 1 (two chunks), `a` 2
+        // + `b` 1 and `a` 1 + `b` 2 (three each) are all worth 3.0, and
+        // every other choice less.
+        let options: HashMap<ObjectId, ObjectOptions> = [
+            (a, ObjectOptions::from_values(a, &[2.0, 2.0, 2.5])),
+            (b, ObjectOptions::from_values(b, &[1.0, 1.0, 1.2])),
+        ]
+        .into_iter()
+        .collect();
+        let picks = |config: &Config| -> Vec<(ObjectId, u32)> {
+            config
+                .options()
+                .iter()
+                .map(|o| (o.object(), o.weight()))
+                .collect()
+        };
+        let exact = optimum(&options, 3);
+        let paper = KnapsackSolver::new().populate(&options, 3);
+        assert_eq!(exact.value(), 3.0);
+        assert_eq!(picks(&exact), [(a, 2), (b, 1)]);
+        assert_eq!(picks(&exact), picks(&paper));
+        assert_eq!(exact.value().to_bits(), paper.value().to_bits());
     }
 
     /// Disk-option generation mirroring the cache manager's wiring: the
@@ -1196,8 +1337,8 @@ mod tests {
             disk_options_after(ram, &pops, Duration::from_millis(150))
         });
         // Phase 1 is byte-identical to the plain solve.
-        let plain = solver.populate(&options, 9);
-        assert_eq!(ram.weight(), plain.weight());
+        let plain = optimum(&options, 9);
+        assert_eq!(ram.options(), plain.options());
         assert_eq!(ram.value(), plain.value());
         // The disk tier picks up chunks RAM could not afford.
         assert!(disk.weight() > 0, "disk tier must place chunks");
@@ -1227,8 +1368,8 @@ mod tests {
         });
         assert_eq!(disk.weight(), 0);
         assert!(disk.options().is_empty());
-        let plain = KnapsackSolver::new().populate(&options, 9);
-        assert_eq!(ram.value(), plain.value());
+        let plain = optimum(&options, 9);
+        assert_eq!(ram.options(), plain.options());
         assert_eq!(ram.weight() + disk.weight(), plain.weight());
         assert_eq!(ram.value() + disk.value(), plain.value());
     }

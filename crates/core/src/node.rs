@@ -190,7 +190,8 @@ pub struct AgarSettings {
     /// write's update, a read's fill — runs off the critical path, so
     /// this only informs diagnostics and the experiment harness.
     pub disk_write: Duration,
-    /// Knapsack solver configuration.
+    /// The paper's `populate` configuration. The epoch's solve is exact
+    /// and reads none of it; it stays while the benchmark driver sets it.
     pub solver: KnapsackSolver,
     /// Per-request trace sampling: record a [`ReadTrace`] for every
     /// Nth read. `0` (the default) disables tracing entirely — the
@@ -1951,6 +1952,9 @@ mod tests {
             for key in 0..OBJECTS {
                 node.read(ObjectId::new(key)).unwrap();
             }
+            // A different object is the most popular each round, so RAM
+            // changes hands and moves chunks through the log.
+            node.read(ObjectId::new(round % OBJECTS)).unwrap();
             // One solved chunk a round goes missing behind the node's back.
             let mut keys = disk.keys();
             keys.sort_unstable();

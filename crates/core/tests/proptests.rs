@@ -1,19 +1,22 @@
 //! Property-based tests for the Agar core: Knapsack solver invariants
-//! against random instances, option-generation invariants against
+//! against random instances, the exact solve against the paper's
+//! `populate` on paper-shaped ones, option-generation invariants against
 //! random latency landscapes, and the read planner against the one
 //! chunk ranking (cold plans) and an exhaustive cheapest-cover search
 //! (plans with RAM hits, disk hits, offers and hedges).
 
-use agar::knapsack::{greedy, optimum, KnapsackSolver};
-use agar::options::{generate_options, ObjectOptions};
+use agar::knapsack::{greedy, optimum, Config, KnapsackSolver};
+use agar::options::{generate_disk_options, generate_options, ObjectOptions};
 use agar::{
     AgarError, CacheConfiguration, ChunkSource, HedgePolicy, LocalHits, ReadPlanner, RemoteChunk,
     RequestMonitor,
 };
 use agar_ec::{CodingParams, ObjectId};
+use agar_net::latency::LatencyModel;
 use agar_net::presets::aws_six_regions;
 use agar_net::RegionId;
 use agar_store::{populate, Backend, ObjectManifest, RoundRobin, StoreError};
+use agar_workload::Zipfian;
 use bytes::Bytes;
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -58,8 +61,190 @@ fn latency_strategy() -> impl Strategy<Value = [u64; 6]> {
     ]
 }
 
+/// A paper-shaped epoch: `objects` RS(9, 3) objects placed round-robin
+/// on the six preset regions, each with its Zipf(`skew`) share of
+/// `reads` reads as popularity, and the preset matrix's mean chunk-read
+/// latencies from `client`.
+struct PaperEpoch {
+    objects: Vec<(ObjectManifest, f64)>,
+    latencies: Vec<Duration>,
+}
+
+impl PaperEpoch {
+    fn new(client: u16, objects: u64, skew: f64, reads: f64) -> Self {
+        let preset = aws_six_regions();
+        let latencies = (0..6)
+            .map(|region| {
+                preset.latency.mean(
+                    RegionId::new(client),
+                    RegionId::new(region),
+                    preset.latency.nominal_bytes(),
+                )
+            })
+            .collect();
+        let zipf = Zipfian::new(objects, skew).expect("a valid Zipf");
+        let objects = (0..objects)
+            .map(|rank| {
+                let object = ObjectId::new(rank);
+                let locations = (0..12).map(|c| RegionId::new(c % 6)).collect();
+                let manifest = ObjectManifest::new(
+                    object,
+                    1_000_000,
+                    1,
+                    CodingParams::paper_default(),
+                    locations,
+                );
+                (manifest, reads * zipf.probability(rank))
+            })
+            .collect();
+        PaperEpoch { objects, latencies }
+    }
+
+    /// The RAM phase's options.
+    fn options(&self) -> HashMap<ObjectId, ObjectOptions> {
+        self.objects
+            .iter()
+            .map(|(manifest, popularity)| {
+                let options = generate_options(
+                    manifest,
+                    &self.latencies,
+                    Duration::from_millis(40),
+                    *popularity,
+                );
+                (manifest.object(), options)
+            })
+            .collect()
+    }
+
+    /// The disk phase's options, conditioned on `ram` as the cache
+    /// manager conditions them.
+    fn disk_options(&self, ram: &Config) -> HashMap<ObjectId, ObjectOptions> {
+        self.objects
+            .iter()
+            .filter_map(|(manifest, popularity)| {
+                let object = manifest.object();
+                let in_ram = ram.options().iter().find(|o| o.object() == object);
+                generate_disk_options(
+                    manifest,
+                    &self.latencies,
+                    Duration::from_millis(40),
+                    Duration::from_millis(45),
+                    in_ram.map_or(&[][..], |o| o.chunks()),
+                    *popularity,
+                )
+                .map(|options| (object, options))
+            })
+            .collect()
+    }
+}
+
+/// A configuration's picks as (object, weight), in object order.
+fn picks(config: &Config) -> Vec<(ObjectId, u32)> {
+    let mut picks: Vec<_> = config
+        .options()
+        .iter()
+        .map(|o| (o.object(), o.weight()))
+        .collect();
+    picks.sort_unstable();
+    picks
+}
+
+/// What `object`'s option in `config` is worth, 0 without one.
+fn worth(config: &Config, object: ObjectId) -> f64 {
+    config
+        .options()
+        .iter()
+        .find(|o| o.object() == object)
+        .map_or(0.0, |o| o.value())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The exact solve against the paper's `populate` on paper-shaped
+    /// epochs: the same configuration, or a strictly higher value (a
+    /// case where `populate` missed the optimum), or a tie. A tie is two
+    /// optimal configurations worth the same to 1e-12: most often they
+    /// differ only in which object holds a chunk that adds nothing (a
+    /// weight whose option is worth what the next lighter one is), and
+    /// sometimes in a genuine coincidence (at Zipf 1.0 the first object
+    /// is exactly 23 times as popular as the 23rd). `populate` settles a
+    /// tie by the path its table took, which no rule over the final
+    /// values reproduces; `optimum_breaks_ties_as_populate_does` pins the
+    /// rule the exact solve follows. Every case that is not the same
+    /// configuration is printed (`--nocapture` shows them).
+    #[test]
+    fn exact_solve_answers_as_populate_on_paper_epochs(
+        client in 0u16..6,
+        objects in 1u64..=300,
+        skew_tenths in 5u32..=15,
+        reads in 100u32..=3000,
+        capacity in 1u32..=300,
+    ) {
+        let epoch = PaperEpoch::new(client, objects, f64::from(skew_tenths) / 10.0, f64::from(reads));
+        let options = epoch.options();
+        let exact = optimum(&options, capacity);
+        let paper = KnapsackSolver::new().populate(&options, capacity);
+        let case = format!(
+            "client {client}, {objects} objects, skew {skew_tenths}/10, {reads} reads, capacity {capacity}"
+        );
+        prop_assert!(exact.weight() <= capacity, "{case}");
+        let tolerance = 1e-12 * exact.value();
+        prop_assert!(paper.value() <= exact.value() + tolerance,
+            "{case}: populate {} beat the optimum {}", paper.value(), exact.value());
+        if picks(&exact) != picks(&paper) {
+            let class = if exact.value() > paper.value() + tolerance {
+                "strict"
+            } else if options.keys().all(|&o| worth(&exact, o) == worth(&paper, o)) {
+                "tie, a zero-gain chunk moved"
+            } else {
+                "tie"
+            };
+            eprintln!(
+                "{class}: {case}: optimum {} {:?}, populate {} {:?}",
+                exact.value(), picks(&exact), paper.value(), picks(&paper)
+            );
+        }
+    }
+
+    /// Each phase of the two-budget solve reaches the optimum of its own
+    /// instance, whatever the solver's passes and early termination:
+    /// the RAM phase on the RAM options, the disk phase on the options
+    /// conditioned on the RAM answer. The paper's `populate` never beats
+    /// either.
+    #[test]
+    fn each_tiered_phase_reaches_the_optimum(
+        client in 0u16..6,
+        objects in 1u64..=120,
+        skew_tenths in 5u32..=15,
+        ram_capacity in 0u32..=120,
+        disk_capacity in 0u32..=400,
+        bounded in any::<bool>(),
+    ) {
+        let epoch = PaperEpoch::new(client, objects, f64::from(skew_tenths) / 10.0, 1_000.0);
+        let options = epoch.options();
+        let solver = if bounded {
+            KnapsackSolver::new().with_early_termination(2).with_passes(1)
+        } else {
+            KnapsackSolver::new()
+        };
+        let (ram, disk) = solver.populate_tiered(&options, ram_capacity, disk_capacity, |ram| {
+            epoch.disk_options(ram)
+        });
+        let ram_optimum = optimum(&options, ram_capacity);
+        prop_assert_eq!(picks(&ram), picks(&ram_optimum));
+        prop_assert_eq!(ram.value().to_bits(), ram_optimum.value().to_bits());
+        prop_assert!(solver.populate(&options, ram_capacity).value() <= ram.value() * (1.0 + 1e-12));
+        let disk_options = epoch.disk_options(&ram);
+        let disk_optimum = if disk_capacity == 0 {
+            Config::empty()
+        } else {
+            optimum(&disk_options, disk_capacity)
+        };
+        prop_assert_eq!(picks(&disk), picks(&disk_optimum));
+        prop_assert_eq!(disk.value().to_bits(), disk_optimum.value().to_bits());
+        prop_assert!(solver.populate(&disk_options, disk_capacity).value() <= disk.value() * (1.0 + 1e-12));
+    }
 
     /// The dynamic program never exceeds the true optimum, never busts
     /// capacity, and never holds two options for one object.
