@@ -482,7 +482,8 @@ fn ablation(deployment: &Deployment, params: &ExperimentParams) -> Table {
     // End-to-end latency is the same harness run; the solver variants
     // differ only inside the solve, so compare their *planned
     // values* on statistics captured from a live Agar node, plus the
-    // DP's end-to-end latency as the reference row.
+    // node's end-to-end latency as the reference row. The node solves
+    // exactly, and at this budget that is the 2-pass DP's answer.
     let config = RunConfig {
         workload: params.workload(zipf_default()),
         seed: 0xAB1A,

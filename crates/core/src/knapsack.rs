@@ -390,8 +390,9 @@ impl KnapsackSolver {
             return config;
         }
 
-        // Past the fast path `capacity < best_total`, so the table is
-        // bounded by the catalogue (objects × k), not by the budget.
+        // Past the fast path the best options do not all fit, so the
+        // table is bounded by the catalogue (objects × k), not by the
+        // budget.
         let values = ValueTable::new(&keys);
         let mut cells: Vec<Cell> = Vec::new();
         cells.resize_with(capacity as usize + 1, Cell::default);
@@ -692,9 +693,9 @@ fn uncontended(keys: &[&ObjectOptions], capacity: u32) -> Option<Config> {
 ///   weight 0: the more valuable object holds the more chunks, as in
 ///   `populate`'s table, where it was placed first.
 /// - Values within 1e-12 of each other, relative, are equal: sums of
-///   the same options in different orders round a few ulps apart. The answer's
-///   value is summed in key order, as `populate` sums a configuration it
-///   built by additions.
+///   the same options in different orders round a few ulps apart. The
+///   answer's value is summed in key order, as `populate` sums a
+///   configuration it built by additions.
 ///
 /// Two optimal configurations can still tie in a way `populate` settles
 /// by the path its table took; the proptests print such cases.
