@@ -191,7 +191,8 @@ pub struct AgarSettings {
     /// this only informs diagnostics and the experiment harness.
     pub disk_write: Duration,
     /// The paper's `populate` configuration. The epoch's solve is exact
-    /// and reads none of it; it stays while the benchmark driver sets it.
+    /// and reads none of it; it stays while `bench/src/deploy.rs` sets
+    /// it.
     pub solver: KnapsackSolver,
     /// Per-request trace sampling: record a [`ReadTrace`] for every
     /// Nth read. `0` (the default) disables tracing entirely — the
