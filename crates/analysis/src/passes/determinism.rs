@@ -200,11 +200,13 @@ fn check_hash_iteration(file: &FileModel, out: &mut Vec<Finding>) {
 }
 
 /// Local and field names whose type is `HashMap`/`HashSet` in this
-/// file: struct fields, `let x: HashMap<…>` ascriptions, and
-/// `let x = HashMap::new()/with_capacity(…)` initializers.
+/// file's non-test code: struct fields, `let x: HashMap<…>` ascriptions,
+/// and `let x = HashMap::new()/with_capacity(…)` initializers. Test code
+/// is not checked, so its names would only shadow a same-named ordered
+/// value in the code that is.
 fn hashy_names(file: &FileModel) -> BTreeSet<String> {
     let mut names = BTreeSet::new();
-    for s in &file.structs {
+    for s in file.structs.iter().filter(|s| !s.is_test) {
         for field in &s.fields {
             if field.ty.contains("HashMap") || field.ty.contains("HashSet") {
                 names.insert(field.name.clone());
@@ -213,7 +215,7 @@ fn hashy_names(file: &FileModel) -> BTreeSet<String> {
     }
     let tokens = &file.tokens;
     for i in 0..tokens.len() {
-        if !tokens[i].is_ident("let") {
+        if !tokens[i].is_ident("let") || file.in_test(i) {
             continue;
         }
         let mut j = i + 1;

@@ -29,3 +29,27 @@ impl Tracker {
         self.counts.keys().copied().collect::<BTreeSet<ObjectId>>()
     }
 }
+
+/// `options` and `weights` here are slices, ordered; the `HashMap`s of
+/// those names below live only in test code and do not make them unordered.
+fn picks(options: &[Option], weights: &[u32]) -> Vec<u32> {
+    let mut out = Vec::new();
+    out.extend(options.iter().map(Option::weight));
+    for w in weights.iter() {
+        out.push(*w);
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    struct Fixture {
+        weights: HashMap<ObjectId, u32>,
+    }
+
+    #[test]
+    fn picks_every_option() {
+        let options: HashMap<ObjectId, Option> = HashMap::new();
+        assert!(options.is_empty());
+    }
+}
