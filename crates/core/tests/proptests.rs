@@ -172,14 +172,18 @@ proptest! {
     /// tie by the path its table took, which no rule over the final
     /// values reproduces; `optimum_breaks_ties_as_populate_does` pins the
     /// rule the exact solve follows. Every case that is not the same
-    /// configuration is printed (`--nocapture` shows them).
+    /// configuration is printed (`--nocapture` shows them). Epochs run to
+    /// 120 objects and 120 chunks: `populate` materialises a
+    /// configuration per accepted move, so it is quadratic in the budget.
+    /// At 300 × 300 the exact solve is held to the branch-and-bound
+    /// oracle in `knapsack`'s unit tests instead.
     #[test]
     fn exact_solve_answers_as_populate_on_paper_epochs(
         client in 0u16..6,
-        objects in 1u64..=300,
+        objects in 1u64..=120,
         skew_tenths in 5u32..=15,
         reads in 100u32..=3000,
-        capacity in 1u32..=300,
+        capacity in 1u32..=120,
     ) {
         let epoch = PaperEpoch::new(client, objects, f64::from(skew_tenths) / 10.0, f64::from(reads));
         let options = epoch.options();
