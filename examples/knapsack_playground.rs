@@ -100,6 +100,10 @@ fn main() -> Result<(), Box<dyn Error>> {
             allocation
         );
         assert!(dp.value() >= gr.value() - 1e-9, "DP must dominate greedy");
+        assert!(
+            (dp.value() - opt.value()).abs() <= 1e-9 * opt.value(),
+            "DP must match the optimum at capacity {capacity}"
+        );
     }
     println!("\nthe DP matches the optimum and dominates greedy at every size");
     Ok(())
