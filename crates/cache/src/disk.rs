@@ -22,26 +22,26 @@
 //!   are copied into one reused buffer, and the buffer reaches the
 //!   active segment in one positioned write *at the offset the index
 //!   records for its first frame* — so a torn tail or a failed write
-//!   can never shift where later frames land. The tail is written when
-//!   it reaches [`TAIL_BYTES`], before its segment seals, before any
-//!   call that reads segment bytes or hands out their paths
+//!   can never shift where later frames land. One rule says when: **a
+//!   frame's bytes reach its segment file no later than anything can
+//!   read them.** The tail is written when it reaches [`TAIL_BYTES`],
+//!   before its segment seals (the cleaner reads only sealed ones), and
+//!   before a call that reads segment bytes or hands out their paths
 //!   ([`DiskStore::get`], [`DiskStore::get_many`],
-//!   [`DiskStore::segment_paths`]), and at the end of every `put` —
-//!   unless a [`DiskBatch`] is open, in which case it waits for the
-//!   last open batch to end. Outside a batch the segment files are
-//!   therefore the same bytes, call by call, as if every frame were
-//!   its own write; inside one, a node's reconfiguration (its
-//!   demotions, a-priori downloads and the cleaner's copies) leaves in
-//!   a handful of writes instead of one per frame. A write that fails
-//!   forgets every frame it carried — index entries dropped, live
+//!   [`DiskStore::segment_paths`]); nothing else writes it. Whatever
+//!   reads the files therefore sees the bytes it would see had every
+//!   frame been its own write, and a burst of puts — a node's
+//!   reconfiguration: its demotions, a-priori downloads and the
+//!   cleaner's copies — leaves in a handful of writes. A write that
+//!   fails forgets every frame it carried — index entries dropped, live
 //!   bytes debited, the segment's length rolled back to where the tail
-//!   began — as a failed put always did; none counts as corrupt. The
-//!   `write_calls` cell of [`DiskCounters`] counts the positioned
-//!   writes. A `get` is one positioned read of header + payload into a
-//!   single buffer whose payload is handed out as a zero-copy
-//!   [`Bytes::slice`]; a
-//!   [`DiskStore::get_many`] (one object's chunks at a reader's
-//!   version, which a placement tends to append back to back) takes
+//!   began — so their placers later find a miss, never bad bytes; none
+//!   counts as corrupt. The `write_calls` cell of [`DiskCounters`]
+//!   counts the positioned writes. A `get` is one positioned read of
+//!   header + payload into a single buffer whose payload is handed out
+//!   as a zero-copy [`Bytes::slice`]; a [`DiskStore::get_many`] (one
+//!   object's chunks at a reader's version, which a placement tends to
+//!   append back to back) takes
 //!   the lock once, applies the version rule from the index alone — a
 //!   newer frame is left in place and an older one forgotten, neither
 //!   read — sorts the frames at the version by (segment, offset) and
@@ -298,8 +298,6 @@ struct Inner {
     /// active segment, given to their frames but not yet written.
     /// Reused across writes, so appending a frame allocates nothing.
     tail: Vec<u8>,
-    /// Open [`DiskBatch`]es; the tail waits for the last one to end.
-    batches: usize,
     /// Makes every tail write fail without issuing it.
     #[cfg(test)]
     fail_writes: bool,
@@ -417,7 +415,6 @@ impl DiskStore {
                 used: 0,
                 next_segment: 0,
                 tail: Vec::new(),
-                batches: 0,
                 #[cfg(test)]
                 fail_writes: false,
                 located: Vec::new(),
@@ -494,18 +491,14 @@ impl DiskStore {
         inner.segments.iter().map(|s| s.path.clone()).collect()
     }
 
-    /// Opens a write batch (see [`DiskBatch`]).
-    pub(crate) fn batch(&self) -> DiskBatch<'_> {
-        self.inner().batches += 1;
-        DiskBatch { store: self }
-    }
-
     /// Appends `chunk` under `id`, replacing the live entry of an equal
     /// or older version (the old frame becomes dead space), then cleans
     /// segments as needed to stay within the byte budget (see the module
     /// docs). A chunk older than the live entry is refused and nothing
     /// is written: like the RAM tier, the log never takes a key's
-    /// version backwards.
+    /// version backwards. The frame joins the write-combining tail, so a
+    /// put writes only when the tail fills or its segment seals; a tail
+    /// write that fails later forgets the frame (module docs).
     pub fn put(&self, id: ChunkId, chunk: &CachedChunk) -> DiskPutOutcome {
         const NOT_STORED: DiskPutOutcome = DiskPutOutcome {
             stored: false,
@@ -547,12 +540,6 @@ impl DiskStore {
             Inner::debit(&mut inner.segments, overwritten);
         }
         let evicted = self.clean_to_capacity(inner);
-        if inner.batches == 0 {
-            // Outside a batch every put leaves its frame on disk (a
-            // failed write forgets it, and then it is not stored).
-            // agar-lint: allow(lock-across-blocking)
-            let _ = self.write_tail(inner);
-        }
         DiskPutOutcome {
             stored: inner.index.contains_key(&id),
             evicted,
@@ -801,11 +788,15 @@ impl DiskStore {
         tail.extend_from_slice(payload);
         let at = (active.id, active.len);
         active.len += frame_len;
-        active.live += frame_len;
         inner.used += frame_len;
         self.counters.appended_bytes.add(frame_len);
         if inner.tail.len() >= TAIL_BYTES {
             self.write_tail(inner)?;
+        }
+        // Credited once the frame is in the log: a failed write debits
+        // the indexed frames it carried, and this one is not indexed yet.
+        if let Some(active) = inner.segments.last_mut() {
+            active.live += frame_len;
         }
         Ok(at)
     }
@@ -910,39 +901,12 @@ impl DiskStore {
     }
 }
 
-/// An open write batch of a [`DiskStore`], from
-/// [`TieredChunkCache::batch`](crate::TieredChunkCache::batch): while
-/// one is open, a put leaves its frame in the write-combining tail for
-/// a later write to carry (see the module docs). Batches nest; dropping
-/// the guard ends one, and ending the last open one writes the tail.
-/// What each call returns, where each frame lands and what the cleaner
-/// keeps are the same as without a batch. A depth counter, not a lock:
-/// other callers keep using the store, and their puts join the batch.
-#[derive(Debug)]
-#[must_use = "the batch ends when the guard drops"]
-pub struct DiskBatch<'a> {
-    store: &'a DiskStore,
-}
-
-impl Drop for DiskBatch<'_> {
-    fn drop(&mut self) {
-        let mut inner = self.store.inner();
-        inner.batches -= 1;
-        if inner.batches == 0 {
-            // As at the end of a put outside a batch; a failed write
-            // forgets the frames it carried.
-            // agar-lint: allow(lock-across-blocking)
-            let _ = self.store.write_tail(&mut inner);
-        }
-    }
-}
-
 #[cfg(test)]
 impl DiskStore {
     /// Asserts what the cleaner relies on and promises: every segment's
     /// live counter equals the sum recomputed from the index, `used` is
-    /// the sum of segment lengths and within the budget, and copied
-    /// bytes never exceed first-time bytes.
+    /// the sum of segment lengths and within the budget, the tail is
+    /// never left full, and copied bytes never exceed first-time bytes.
     fn check_invariants(&self) {
         let inner = self.inner();
         let mut live: HashMap<u64, u64> = HashMap::new();
@@ -956,8 +920,8 @@ impl DiskStore {
         }
         assert!(live.is_empty(), "index points at cleaned segments");
         assert!(
-            inner.batches > 0 || inner.tail.is_empty(),
-            "a call outside a batch left bytes unwritten"
+            inner.tail.len() < TAIL_BYTES,
+            "a full tail was left unwritten"
         );
         let total: u64 = inner.segments.iter().map(|s| s.len).sum();
         assert_eq!(inner.used, total);
@@ -1827,7 +1791,8 @@ mod tests {
         Removed(bool),
     }
 
-    /// The store's cells but `write_calls`, the one that batches move.
+    /// The store's cells but `write_calls`, the one a deferred tail
+    /// moves.
     fn logical_counters(store: &DiskStore) -> [u64; 4] {
         let cells = store.counters();
         [
@@ -1842,23 +1807,13 @@ mod tests {
     /// older versions, sizes from empty to over [`TAIL_BYTES`] / 3, so
     /// the log rotates, the tail fills and the cleaner loses frames),
     /// gets, `get_many`s of one object at a version, removes — on a
-    /// 2.5 MiB store (320 KiB segments). With `batches`, a batch is
-    /// opened or closed at random between steps (nested up to three
-    /// deep) and the segment files are handed to `at_rest` whenever
-    /// the last one closes; without, after every step.
-    fn scheduled(
-        seed: u64,
-        steps: usize,
-        batches: bool,
-        at_rest: &mut impl FnMut(usize, &DiskStore),
-    ) -> (DiskStore, Vec<Seen>) {
+    /// 2.5 MiB store (320 KiB segments). With `eager`, the segment paths
+    /// are taken after every step, which writes each frame at once.
+    fn scheduled(seed: u64, steps: usize, eager: bool) -> (DiskStore, Vec<Seen>) {
         const LENS: [usize; 6] = [0, 40, 700, 9_000, 40_000, 90_000];
         let store = DiskStore::new(2_560 * 1024).unwrap();
-        // Batch placement draws from its own stream: both runs see the
-        // same operations.
-        let (mut choices, mut placement) = (Choices(seed), Choices(!seed));
+        let mut choices = Choices(seed);
         let mut seen = Vec::with_capacity(steps);
-        let mut open = Vec::new();
         for step in 0..steps {
             let key = id(choices.below(32), choices.below(4) as u8);
             let version = 1 + choices.below(4);
@@ -1879,51 +1834,32 @@ mod tests {
                 _ => Seen::Removed(store.remove(&key)),
             });
             store.check_invariants();
-            if !batches {
-                at_rest(step, &store);
-                continue;
-            }
-            match placement.below(4) {
-                0 if open.len() < 3 => open.push(store.batch()),
-                1 => {
-                    open.pop();
-                    if open.is_empty() {
-                        at_rest(step, &store);
-                    }
-                }
-                _ => {}
+            if eager {
+                store.segment_paths();
             }
         }
-        drop(open);
-        at_rest(steps, &store);
-        store.check_invariants();
         (store, seen)
     }
 
     #[test]
-    fn batched_puts_leave_what_unbatched_puts_leave() {
+    fn a_deferred_tail_leaves_what_a_write_per_frame_leaves() {
         const STEPS: usize = 400;
         let (mut cleaned, mut lost, mut coalesced) = (0, 0, 0);
         for seed in 0..6u64 {
-            // The unbatched log after every step, and at the end.
-            let mut rested = Vec::new();
-            let (single, single_seen) = scheduled(seed, STEPS, false, &mut |_, store| {
-                rested.push(segment_files(store));
-            });
-            let (batched, batched_seen) = scheduled(seed, STEPS, true, &mut |step, store| {
-                // `assert!`, not `assert_eq!`: the logs are megabytes.
-                let equal = segment_files(store) == rested[step];
-                assert!(equal, "seed {seed}: the logs differ after step {step}");
-            });
-            assert_eq!(batched_seen, single_seen, "seed {seed}");
-            assert_eq!(batched.keys(), single.keys(), "seed {seed}");
-            assert_eq!(batched.used_bytes(), single.used_bytes(), "seed {seed}");
-            assert_eq!(logical_counters(&batched), logical_counters(&single));
+            let (eager, eager_seen) = scheduled(seed, STEPS, true);
+            let (deferred, deferred_seen) = scheduled(seed, STEPS, false);
+            // `assert!`, not `assert_eq!`: the logs are megabytes.
+            let equal = segment_files(&deferred) == segment_files(&eager);
+            assert!(equal, "seed {seed}: the logs differ");
+            assert_eq!(deferred_seen, eager_seen, "seed {seed}");
+            assert_eq!(deferred.keys(), eager.keys(), "seed {seed}");
+            assert_eq!(deferred.used_bytes(), eager.used_bytes(), "seed {seed}");
+            assert_eq!(logical_counters(&deferred), logical_counters(&eager));
             let writes = |store: &DiskStore| store.counters().write_calls.get();
-            assert!(writes(&batched) <= writes(&single), "seed {seed}");
-            coalesced += writes(&single) - writes(&batched);
-            cleaned += single.counters().compacted_bytes.get();
-            lost += single_seen
+            assert!(writes(&deferred) <= writes(&eager), "seed {seed}");
+            coalesced += writes(&eager) - writes(&deferred);
+            cleaned += eager.counters().compacted_bytes.get();
+            lost += eager_seen
                 .iter()
                 .map(|seen| match seen {
                     Seen::Put(out) => out.evicted,
@@ -1933,38 +1869,49 @@ mod tests {
         }
         assert!(cleaned > 0, "the cleaner never copied a frame");
         assert!(lost > 0, "the cleaner never lost a frame");
-        assert!(coalesced > 0, "no batch saved a write");
+        assert!(coalesced > 0, "no frame shared a write");
     }
 
     #[test]
-    fn a_batch_writes_once_per_full_tail_and_once_at_its_end() {
-        // 10 KiB frames in one 1 MiB segment: the tail is full at the
-        // 26th frame of a write.
+    fn a_put_writes_only_when_the_tail_fills_or_its_segment_seals() {
+        // 10 KiB frames in 1 MiB segments: the tail is full at its 26th
+        // frame, and the 104th frame rotates the log.
         const FRAME: usize = 10 * 1024;
         let store = DiskStore::new(8 << 20).unwrap();
         let frame = |n: u64| chunk(n as u8, FRAME - HEADER_LEN, 1);
         let writes = || store.counters().write_calls.get();
-        let batch = store.batch();
-        for n in 0..100 {
+        for n in 0..103 {
             assert!(store.put(id(n, 0), &frame(n)).stored);
             assert_eq!(writes(), (n + 1) / 26, "after frame {n}");
         }
-        // Nested batches end with the outer one.
-        drop(store.batch());
-        assert_eq!(writes(), 3);
-        drop(batch);
-        assert_eq!(writes(), 4);
-        assert_eq!(store.segment_paths().len(), 1);
         assert!(
             store.inner().tail.capacity() < TAIL_BYTES + FRAME,
             "the tail grew past one full write"
         );
-        // Outside a batch, a write per put.
-        store.put(id(100, 0), &frame(100));
+        // The seal writes the 25 frames the tail holds, not the new one.
+        assert!(store.put(id(103, 0), &frame(103)).stored);
+        assert_eq!((writes(), store.inner().segments.len()), (4, 2));
+        // What answers from the index alone writes nothing.
+        assert!(store.contains(&id(103, 0)));
+        assert_eq!(store.version_of(&id(103, 0)), Some(1));
+        assert!(store.absent(ObjectId::new(103), 0..2).contains(1));
+        assert_eq!(store.keys().len(), 104);
+        assert_eq!(writes(), 4);
+        // A reader writes the tail first, and only when it holds bytes.
+        assert_eq!(store.get(&id(103, 0)), Some(frame(103)));
         assert_eq!(writes(), 5);
-        for n in 0..=100 {
+        assert_eq!(store.get(&id(0, 0)), Some(frame(0)));
+        assert_eq!(writes(), 5);
+        store.put(id(104, 0), &frame(104));
+        assert_eq!(many(&store, &[id(104, 0)], 1).0.len(), 1);
+        assert_eq!(writes(), 6);
+        store.put(id(105, 0), &frame(105));
+        assert_eq!(store.segment_paths().len(), 2);
+        assert_eq!(writes(), 7);
+        for n in 0..=105 {
             assert_eq!(store.get(&id(n, 0)), Some(frame(n)));
         }
+        assert_eq!(writes(), 7);
         store.check_invariants();
     }
 
@@ -1974,52 +1921,46 @@ mod tests {
         for index in 0..3 {
             assert!(store.put(id(1, index), &chunk(index, 300, 1)).stored);
         }
+        assert_eq!(store.segment_paths().len(), 1);
         let (appended, calls) = (
             store.counters().appended_bytes.get(),
             store.counters().write_calls.get(),
         );
-        let batch = store.batch();
         // Carried: a newer version of (1, 0), then (1, 3) and (2, 0).
         for (key, byte) in [(id(1, 0), 9), (id(1, 3), 10), (id(2, 0), 11)] {
             assert!(store.put(key, &chunk(byte, 200, 2)).stored);
         }
         assert_eq!(store.counters().write_calls.get(), calls, "all in the tail");
+        // The lookup that writes them sees the failure: it reads nothing.
         store.inner().fail_writes = true;
-        drop(batch);
+        assert_eq!(many(&store, &[id(2, 0)], 2), (Vec::new(), 0));
         store.inner().fail_writes = false;
         assert_eq!(store.counters().write_calls.get(), calls + 1);
         assert_eq!(store.keys(), [id(1, 1), id(1, 2)]);
         assert_eq!(store.used_bytes() as u64, appended, "rolled back");
         store.check_invariants();
-        // Object 1 at the version it was carried at would forget the
-        // older frames; its live version and object 2's carried one.
-        let mut served = Vec::new();
-        for (object, version) in [(1, 1), (2, 2)] {
-            let ids = (0..4).map(|index| id(object, index));
-            store.get_many(ids, version, |id, chunk| served.push((id, chunk)));
-        }
-        served.sort_unstable_by_key(|hit| hit.0);
+        // Object 1 at its version before the carried one.
+        let ids: Vec<ChunkId> = (0..4).map(|index| id(1, index)).collect();
+        let (hits, _) = many(&store, &ids, 1);
         assert_eq!(
-            served,
-            [(id(1, 1), chunk(1, 300, 1)), (id(1, 2), chunk(2, 300, 1))]
+            hits,
+            [(id(1, 1), 1, vec![1; 300]), (id(1, 2), 1, vec![2; 300])]
         );
         assert_eq!(store.counters().corrupt_frames.get(), 0);
 
-        // A put outside a batch whose write fails is not stored, and a
-        // read that writes the tail first misses what it dropped.
+        // A get that writes the tail first misses what the failure
+        // dropped, and a put whose own write fails — it filled the tail —
+        // is not stored.
+        assert!(store.put(id(3, 0), &chunk(3, 100, 1)).stored);
         store.inner().fail_writes = true;
+        assert!(store.get(&id(3, 0)).is_none());
         assert_eq!(
-            store.put(id(3, 0), &chunk(3, 100, 1)),
+            store.put(id(3, 1), &chunk(4, TAIL_BYTES, 1)),
             DiskPutOutcome::default()
         );
         store.inner().fail_writes = false;
-        let batch = store.batch();
-        assert!(store.put(id(3, 1), &chunk(4, 100, 1)).stored);
-        store.inner().fail_writes = true;
-        assert!(store.get(&id(3, 1)).is_none());
-        store.inner().fail_writes = false;
-        drop(batch);
         assert_eq!(store.keys(), [id(1, 1), id(1, 2)]);
+        assert_eq!(store.used_bytes() as u64, appended);
         store.check_invariants();
         // The log carries on where the rolled-back tail began.
         assert!(store.put(id(4, 0), &chunk(5, 100, 1)).stored);

@@ -63,7 +63,7 @@
 //! the node relies on to keep `disk_capacity = 0` deployments exactly
 //! reproducing the untiered engine.
 
-use crate::disk::{DiskBatch, DiskStore};
+use crate::disk::DiskStore;
 use crate::sharded::{CachedChunk, PolicyKind, ShardedChunkCache};
 use crate::stats::{AtomicCacheStats, CacheStats};
 use agar_ec::{ChunkId, ChunkSet, ObjectId};
@@ -235,14 +235,6 @@ impl TieredChunkCache {
                 stored
             }
         }
-    }
-
-    /// Opens a write batch on the disk tier (`None` without one): until
-    /// the guard drops, disk placements leave their frames in the log's
-    /// write-combining tail and it is written in few large writes (see
-    /// [`DiskBatch`]). Nothing a call returns changes.
-    pub fn batch(&self) -> Option<DiskBatch<'_>> {
-        self.disk.as_ref().map(DiskStore::batch)
     }
 
     /// Replaces the cached chunks of `object` (indices `0..total`) with

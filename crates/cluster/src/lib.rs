@@ -77,7 +77,7 @@ pub mod router;
 
 pub use coordinator::FetchCoordinator;
 pub use lease::{WriteLease, WriteLeaseManager};
-pub use ring::{ClusterRing, DEFAULT_VNODES};
+pub use ring::ClusterRing;
 pub use router::{
     ClusterReadMetrics, ClusterRouter, ClusterSettings, ClusterWriteMetrics, MembershipChange,
 };

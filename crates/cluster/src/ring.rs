@@ -3,7 +3,7 @@
 //! A [`ClusterRing`] maps objects (and chunks) to the member node that
 //! *owns* them, so a router can send every read of an object to the
 //! same node — concentrating that object's popularity in one monitor
-//! and its chunks in one cache. Each member contributes `vnodes`
+//! and its chunks in one cache. Each member contributes 64 virtual
 //! points to a 64-bit ring; a key is owned by the first point at or
 //! after its hash (wrapping).
 //!
@@ -22,10 +22,10 @@
 
 use agar_ec::ObjectId;
 
-/// Default virtual nodes per member: enough to keep the ownership
-/// split within a few percent of uniform for single-digit clusters
-/// without bloating the point table.
-pub const DEFAULT_VNODES: usize = 64;
+/// Virtual nodes per member: enough to keep the ownership split within
+/// a few percent of uniform for single-digit clusters without bloating
+/// the point table.
+const VNODES: usize = 64;
 
 /// SplitMix64-style finaliser used for both ring points and keys.
 fn mix64(mut x: u64) -> u64 {
@@ -43,13 +43,13 @@ fn mix64(mut x: u64) -> u64 {
 /// use agar_cluster::ClusterRing;
 /// use agar_ec::ObjectId;
 ///
-/// let mut ring = ClusterRing::new(42, 64);
+/// let mut ring = ClusterRing::new(42);
 /// ring.add_node(0);
 /// ring.add_node(1);
 /// let owner = ring.owner_of_object(ObjectId::new(7)).unwrap();
 /// assert!(owner <= 1);
 /// // Same seed, same mapping.
-/// let mut twin = ClusterRing::new(42, 64);
+/// let mut twin = ClusterRing::new(42);
 /// twin.add_node(0);
 /// twin.add_node(1);
 /// assert_eq!(twin.owner_of_object(ObjectId::new(7)), Some(owner));
@@ -57,7 +57,6 @@ fn mix64(mut x: u64) -> u64 {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ClusterRing {
     seed: u64,
-    vnodes: usize,
     nodes: Vec<u64>,
     /// `(position, node id)`, sorted; ties broken by node id so the
     /// ring is identical regardless of insertion order.
@@ -65,11 +64,10 @@ pub struct ClusterRing {
 }
 
 impl ClusterRing {
-    /// Creates an empty ring. `vnodes` is clamped to at least one.
-    pub fn new(seed: u64, vnodes: usize) -> Self {
+    /// Creates an empty ring.
+    pub fn new(seed: u64) -> Self {
         ClusterRing {
             seed,
-            vnodes: vnodes.max(1),
             nodes: Vec::new(),
             points: Vec::new(),
         }
@@ -100,7 +98,7 @@ impl ClusterRing {
             return false;
         }
         self.nodes.push(node);
-        for vnode in 0..self.vnodes {
+        for vnode in 0..VNODES {
             self.points.push((self.point(node, vnode), node));
         }
         self.points.sort_unstable();
@@ -163,7 +161,7 @@ mod tests {
     use std::collections::BTreeMap;
 
     fn ring_of(seed: u64, nodes: &[u64]) -> ClusterRing {
-        let mut ring = ClusterRing::new(seed, DEFAULT_VNODES);
+        let mut ring = ClusterRing::new(seed);
         for &node in nodes {
             ring.add_node(node);
         }
@@ -172,7 +170,7 @@ mod tests {
 
     #[test]
     fn empty_ring_owns_nothing() {
-        let ring = ClusterRing::new(0, 8);
+        let ring = ClusterRing::new(0);
         assert!(ring.is_empty());
         assert_eq!(ring.owner_of_object(ObjectId::new(0)), None);
         assert!(ring.preference_of_object(ObjectId::new(0), 3).is_empty());

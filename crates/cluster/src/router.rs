@@ -34,7 +34,7 @@
 
 use crate::coordinator::FetchCoordinator;
 use crate::lease::WriteLeaseManager;
-use crate::ring::{ClusterRing, DEFAULT_VNODES};
+use crate::ring::ClusterRing;
 use agar::planner::RemoteChunk;
 use agar::{AgarError, AgarNode, DirectFetcher, ReadMetrics};
 use agar_cache::{CacheStats, CacheTier};
@@ -183,7 +183,7 @@ impl ClusterRouter {
             backend,
             leases: WriteLeaseManager::new(),
             state: RwLock::new(RouterState {
-                ring: ClusterRing::new(seed, DEFAULT_VNODES),
+                ring: ClusterRing::new(seed),
                 members: Vec::new(),
             }),
             seed,

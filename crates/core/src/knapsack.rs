@@ -928,6 +928,35 @@ mod tests {
         assert_eq!(exact.value().to_bits(), paper.value().to_bits());
     }
 
+    /// A cell is the best value of *exactly* its weight, so `mckp`'s
+    /// rows run only to the reach of the objects visited so far: a cell
+    /// past it has no configuration under it. Contended at 5 chunks, the
+    /// best value is 3, and the heaviest configuration worth it holds
+    /// object 0 at 1 chunk and object 1 at 4. A row run past the reach
+    /// reads cells of the previous row that no choice wrote, and answers
+    /// with 2 + 2 chunks.
+    #[test]
+    fn a_row_runs_only_to_the_reach_of_the_objects_visited() {
+        let (a, b) = (ObjectId::new(0), ObjectId::new(1));
+        let options: HashMap<ObjectId, ObjectOptions> = [
+            (a, ObjectOptions::from_values(a, &[2.0, 2.0, 0.0])),
+            (b, ObjectOptions::from_values(b, &[1.0, 1.0, 0.0, 1.0])),
+        ]
+        .into_iter()
+        .collect();
+        let keys = ordered_keys(&options);
+        assert_eq!(keys[0].object(), a, "in key order");
+        assert!(uncontended(&keys, 5).is_none(), "the best options fit");
+        let exact = optimum(&options, 5);
+        let picks: Vec<(ObjectId, u32)> = exact
+            .options()
+            .iter()
+            .map(|o| (o.object(), o.weight()))
+            .collect();
+        assert_eq!((exact.value(), exact.weight()), (3.0, 5));
+        assert_eq!(picks, [(a, 1), (b, 4)]);
+    }
+
     /// The certificate by hand on the tie instance. `a`'s hull skips its
     /// weight-2 option: (0, 0) → (1, 2.0) → (3, 2.5), slopes 2.0 and 0.25;
     /// `b`'s is (0, 0) → (1, 1.0) → (3, 1.2), slopes 1.0 and 0.1. At

@@ -860,9 +860,6 @@ impl AgarNode {
         for id in &plan.purge {
             self.cache.remove(id);
         }
-        // The moves and downloads append frames to the disk log; in one
-        // batch they reach it in a few large writes, not one per frame.
-        let _batch = self.cache.batch();
         for &id in plan.down.iter().chain(&plan.up) {
             let Some((chunk, _)) = self.cache.peek(&id) else {
                 continue; // invalidated or evicted meanwhile
@@ -1414,9 +1411,11 @@ mod tests {
     }
 
     /// A reconfiguration's disk frames leave in few positioned writes:
-    /// one per full write-combining tail, one per segment that seals,
-    /// one before each disk read it makes (a move up reads its frame)
-    /// and one when it ends — where a write per frame was issued before.
+    /// one per full write-combining tail, one per segment that seals and
+    /// one before each disk read it makes (a move up reads its frame),
+    /// plus one for the frames the reads before it left in the tail
+    /// (`cells` takes the segment paths after the write count, which
+    /// writes them).
     #[test]
     fn a_reconfiguration_writes_its_frames_in_a_few_positioned_writes() {
         const OBJECTS: u64 = 24;

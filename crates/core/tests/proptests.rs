@@ -215,7 +215,8 @@ proptest! {
     /// instance, whatever the solver's passes and early termination:
     /// the RAM phase on the RAM options, the disk phase on the options
     /// conditioned on the RAM answer. The paper's `populate` never beats
-    /// either.
+    /// either; it is quadratic in the budget, so on the disk phase it
+    /// runs at budgets up to 120 chunks, as in `dp_bounded_by_optimum`.
     #[test]
     fn each_tiered_phase_reaches_the_optimum(
         client in 0u16..6,
@@ -247,7 +248,9 @@ proptest! {
         };
         prop_assert_eq!(picks(&disk), picks(&disk_optimum));
         prop_assert_eq!(disk.value().to_bits(), disk_optimum.value().to_bits());
-        prop_assert!(solver.populate(&disk_options, disk_capacity).value() <= disk.value() * (1.0 + 1e-12));
+        if disk_capacity <= 120 {
+            prop_assert!(solver.populate(&disk_options, disk_capacity).value() <= disk.value() * (1.0 + 1e-12));
+        }
     }
 
     /// The dynamic program never exceeds the true optimum, never busts
