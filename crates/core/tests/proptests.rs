@@ -158,6 +158,139 @@ fn worth(config: &Config, object: ObjectId) -> f64 {
         .map_or(0.0, |o| o.value())
 }
 
+/// One object of a small two-tier instance: its manifest, popularity,
+/// and `values[r][d]`, what a read is worth with the `r` most distant
+/// used chunks in RAM and the next `d` on disk (0 for (0, 0)), priced by
+/// the one option rule: the RAM option of weight `r` plus the disk
+/// option of weight `d` conditioned on it.
+struct TieredObject {
+    manifest: ObjectManifest,
+    popularity: f64,
+    values: Vec<Vec<f64>>,
+}
+
+/// A small two-tier instance: RS(9, 3) objects placed round-robin on
+/// six regions at the given latencies, a 40 ms RAM tier and a disk tier
+/// read at `disk_read`.
+struct TieredInstance {
+    objects: Vec<TieredObject>,
+    latencies: Vec<Duration>,
+    cache_read: Duration,
+    disk_read: Duration,
+}
+
+impl TieredInstance {
+    fn new(latencies_ms: &[u64; 6], disk_read_ms: u64, popularities: &[f64]) -> Self {
+        let latencies: Vec<Duration> = latencies_ms
+            .iter()
+            .copied()
+            .map(Duration::from_millis)
+            .collect();
+        let (cache_read, disk_read) = (
+            Duration::from_millis(40),
+            Duration::from_millis(disk_read_ms),
+        );
+        let objects = popularities
+            .iter()
+            .enumerate()
+            .map(|(i, &popularity)| {
+                let object = ObjectId::new(i as u64);
+                let locations = (0..12).map(|c| RegionId::new(c % 6)).collect();
+                let params = CodingParams::paper_default();
+                let manifest = ObjectManifest::new(object, 1_000_000, 1, params, locations);
+                let ram = generate_options(&manifest, &latencies, cache_read, popularity);
+                let k = params.data_chunks() as u32;
+                let values = (0..=k)
+                    .map(|r| {
+                        let (in_ram, base) = ram
+                            .by_weight(r)
+                            .map_or((&[][..], 0.0), |o| (o.chunks(), o.value()));
+                        let disk = generate_disk_options(
+                            &manifest, &latencies, cache_read, disk_read, in_ram, popularity,
+                        );
+                        (0..=k - r)
+                            .map(|d| {
+                                base + disk
+                                    .as_ref()
+                                    .and_then(|o| o.by_weight(d))
+                                    .map_or(0.0, |o| o.value())
+                            })
+                            .collect()
+                    })
+                    .collect();
+                TieredObject {
+                    manifest,
+                    popularity,
+                    values,
+                }
+            })
+            .collect();
+        TieredInstance {
+            objects,
+            latencies,
+            cache_read,
+            disk_read,
+        }
+    }
+
+    fn ram_options(&self) -> HashMap<ObjectId, ObjectOptions> {
+        self.objects
+            .iter()
+            .map(|o| {
+                let options =
+                    generate_options(&o.manifest, &self.latencies, self.cache_read, o.popularity);
+                (o.manifest.object(), options)
+            })
+            .collect()
+    }
+
+    fn disk_options(&self, ram: &Config) -> HashMap<ObjectId, ObjectOptions> {
+        self.objects
+            .iter()
+            .filter_map(|o| {
+                let object = o.manifest.object();
+                let in_ram = ram
+                    .options()
+                    .iter()
+                    .find(|option| option.object() == object);
+                generate_disk_options(
+                    &o.manifest,
+                    &self.latencies,
+                    self.cache_read,
+                    self.disk_read,
+                    in_ram.map_or(&[][..], |option| option.chunks()),
+                    o.popularity,
+                )
+                .map(|options| (object, options))
+            })
+            .collect()
+    }
+
+    /// The optimum of the two-budget instance, by a dynamic program over
+    /// every (RAM, disk) pair of chunk counts reached so far: one state
+    /// per pair, every object tried at every (r, d) split.
+    fn oracle(&self, ram_capacity: u32, disk_capacity: u32) -> f64 {
+        let mut states: HashMap<(u32, u32), f64> = HashMap::from([((0, 0), 0.0)]);
+        for object in &self.objects {
+            let mut next = states.clone();
+            for (&(ram, disk), &value) in &states {
+                for (r, row) in object.values.iter().enumerate() {
+                    for (d, &gain) in row.iter().enumerate() {
+                        let at = (ram + r as u32, disk + d as u32);
+                        if at.0 > ram_capacity || at.1 > disk_capacity {
+                            continue;
+                        }
+                        let best = next.entry(at).or_insert(f64::NEG_INFINITY);
+                        *best = best.max(value + gain);
+                    }
+                }
+            }
+            states = next;
+        }
+        states.into_values().fold(0.0, f64::max)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -209,6 +342,38 @@ proptest! {
                 exact.value(), picks(&exact), paper.value(), picks(&paper)
             );
         }
+    }
+
+    /// The two-budget solve against the two-dimensional oracle on small
+    /// instances: the answer fits both budgets, keeps each object's RAM
+    /// and disk chunks disjoint and among its used chunks, and is worth
+    /// the oracle's optimum.
+    #[test]
+    fn the_tiered_solve_reaches_the_two_dimensional_optimum(
+        latencies in latency_strategy(),
+        disk_read_ms in 20u64..400,
+        pops in vec(0.1f64..100.0, 1..=5),
+        ram_capacity in 0u32..=20,
+        disk_capacity in 0u32..=30,
+    ) {
+        let instance = TieredInstance::new(&latencies, disk_read_ms, &pops);
+        let (ram, disk) = KnapsackSolver::new().populate_tiered(
+            &instance.ram_options(), ram_capacity, disk_capacity, |ram| instance.disk_options(ram),
+        );
+        prop_assert!(ram.weight() <= ram_capacity && disk.weight() <= disk_capacity);
+        for object in &instance.objects {
+            let id = object.manifest.object();
+            let chunks = |config: &Config| -> Vec<u8> {
+                config.options().iter().filter(|o| o.object() == id).flat_map(|o| o.chunks().to_vec()).collect()
+            };
+            let (in_ram, on_disk) = (chunks(&ram), chunks(&disk));
+            prop_assert!(in_ram.iter().all(|c| !on_disk.contains(c)), "{in_ram:?} / {on_disk:?}");
+            prop_assert!(in_ram.len() + on_disk.len() <= 9);
+        }
+        let value = ram.value() + disk.value();
+        let best = instance.oracle(ram_capacity, disk_capacity);
+        prop_assert!((value - best).abs() <= 1e-9 * best,
+            "disk read {disk_read_ms} ms, budgets {ram_capacity} / {disk_capacity}: {value} against the optimum {best}");
     }
 
     /// Each phase of the two-budget solve reaches the optimum of its own
