@@ -9,24 +9,25 @@
 //! is the paper's answer and nothing is carried into it.
 
 use crate::config::CacheConfiguration;
+use crate::knapsack::{optimum, optimum_tiered, Config};
 use crate::monitor::RequestMonitor;
 use crate::node::AgarSettings;
-use crate::options::{generate_disk_options, generate_options};
+use crate::options::{generate_options, generate_tiered_options};
 use crate::region_manager::RegionManager;
 use agar_cache::disk::HEADER_LEN;
-use agar_ec::{ChunkId, ObjectId};
+use agar_ec::ChunkId;
 use agar_store::{Backend, ObjectManifest};
-use std::collections::HashMap;
 
 /// Computes the cache configuration from current statistics, with the
-/// budgets, the solver and the tier latencies of `settings`.
+/// budgets and the tier latencies of `settings`.
 ///
-/// Phase 1 solves the RAM tier (the paper's single-budget knapsack);
-/// phase 2 generates disk-tier options conditioned on the RAM
-/// allocation (the chunks it left on the remote path, priced against
-/// `disk_read`) and solves them against the disk budget — with a zero
-/// disk budget it places nothing and the result is the paper's RAM-only
-/// configuration. The disk budget is counted in log frames
+/// Without a disk budget this is the paper's single-budget knapsack:
+/// [`optimum`] over the RAM options, and the result is the paper's
+/// RAM-only configuration. With one, RAM and disk are solved as one
+/// knapsack ([`optimum_tiered`]) over each object's joint options,
+/// priced as the read is: whether a chunk is worth a RAM slot depends
+/// on what lands on disk, since a read partly in RAM and partly on disk
+/// costs the slower tier. The disk budget is counted in log frames
 /// ([`HEADER_LEN`] more than a chunk each), which is what the tier
 /// stores.
 ///
@@ -65,13 +66,6 @@ pub fn solve(
         .filter_map(|(object, popularity)| Some((backend.manifest(object).ok()?, popularity)))
         .collect();
     let estimates = region_manager.estimates();
-    let all_options = tracked
-        .iter()
-        .map(|(manifest, popularity)| {
-            let options = generate_options(manifest, estimates, cache_read, *popularity);
-            (manifest.object(), options)
-        })
-        .collect();
     // The catalogue is homogeneous: any stored object's chunk size
     // will do. A monitor that forgot everything still has the
     // previous configuration's objects to carry.
@@ -88,32 +82,31 @@ pub fn solve(
     }
     let capacity_chunks = (settings.cache_capacity_bytes / chunk_size) as u32;
     let disk_chunks = (settings.disk_capacity_bytes / (HEADER_LEN + chunk_size)) as u32;
-    let (ram, disk) =
-        settings
-            .solver
-            .populate_tiered(&all_options, capacity_chunks, disk_chunks, |ram| {
-                let in_ram: HashMap<ObjectId, &[u8]> = ram
-                    .options()
-                    .iter()
-                    .map(|option| (option.object(), option.chunks()))
-                    .collect();
-                tracked
-                    .iter()
-                    .filter_map(|(manifest, popularity)| {
-                        let object = manifest.object();
-                        let ram_chunks = in_ram.get(&object).copied().unwrap_or(&[]);
-                        generate_disk_options(
-                            manifest,
-                            estimates,
-                            cache_read,
-                            disk_read,
-                            ram_chunks,
-                            *popularity,
-                        )
-                        .map(|options| (object, options))
-                    })
-                    .collect()
-            });
+    let (ram, disk) = if disk_chunks == 0 {
+        let all_options = tracked
+            .iter()
+            .map(|(manifest, popularity)| {
+                let options = generate_options(manifest, estimates, cache_read, *popularity);
+                (manifest.object(), options)
+            })
+            .collect();
+        (optimum(&all_options, capacity_chunks), Config::empty())
+    } else {
+        let all_options = tracked
+            .iter()
+            .map(|(manifest, popularity)| {
+                let options = generate_tiered_options(
+                    manifest,
+                    estimates,
+                    cache_read,
+                    disk_read,
+                    *popularity,
+                );
+                (manifest.object(), options)
+            })
+            .collect();
+        optimum_tiered(&all_options, capacity_chunks, disk_chunks)
+    };
     let mut config = CacheConfiguration::from_tiered(&ram, &disk, monitor.epoch());
     config.carry(previous, disk_chunks - config.disk_chunks(), cached);
     config
@@ -122,7 +115,7 @@ pub fn solve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use agar_ec::CodingParams;
+    use agar_ec::{CodingParams, ObjectId};
     use agar_net::presets::{aws_six_regions, FRANKFURT};
     use agar_store::{populate, RoundRobin};
     use rand::rngs::StdRng;

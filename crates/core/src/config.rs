@@ -87,8 +87,9 @@ impl CacheConfiguration {
     /// Converts a two-budget solve into a cache configuration, tagged
     /// with the epoch that produced it: an object's entry is its RAM
     /// allocation followed by its disk allocation (disjoint by
-    /// construction — the disk phase only sees chunks the RAM phase left
-    /// behind). An empty disk allocation leaves every chunk RAM-tier.
+    /// construction — an object's disk options only hold chunks its RAM
+    /// allocation left). An empty disk allocation leaves every chunk
+    /// RAM-tier.
     pub fn from_tiered(ram: &Config, disk: &Config, epoch: u64) -> Self {
         let mut per_object: HashMap<ObjectId, Entry> = HashMap::with_capacity(ram.options().len());
         for option in ram.options() {
@@ -284,8 +285,8 @@ impl CacheConfiguration {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::knapsack::KnapsackSolver;
-    use crate::options::generate_options;
+    use crate::knapsack::{optimum_tiered, KnapsackSolver};
+    use crate::options::{generate_options, generate_tiered_options};
     use agar_ec::CodingParams;
     use agar_net::RegionId;
     use agar_store::ObjectManifest;
@@ -359,50 +360,23 @@ mod tests {
             .map(Duration::from_millis)
             .collect();
         let params = CodingParams::paper_default();
-        let manifests: HashMap<ObjectId, _> = [(0u64, 100.0), (1, 10.0)]
+        let options: HashMap<ObjectId, _> = [(0u64, 100.0), (1, 10.0)]
             .into_iter()
             .map(|(i, pop)| {
                 let object = ObjectId::new(i);
                 let locations = (0..12).map(|c| RegionId::new(c % 6)).collect();
-                (
-                    object,
-                    (
-                        ObjectManifest::new(object, 1_000_000, 1, params, locations),
-                        pop,
-                    ),
-                )
+                let manifest = ObjectManifest::new(object, 1_000_000, 1, params, locations);
+                let options = generate_tiered_options(
+                    &manifest,
+                    &latencies,
+                    Duration::from_millis(40),
+                    Duration::from_millis(150),
+                    pop,
+                );
+                (object, options)
             })
             .collect();
-        let options: HashMap<ObjectId, _> = manifests
-            .iter()
-            .map(|(&object, (manifest, pop))| {
-                (
-                    object,
-                    generate_options(manifest, &latencies, Duration::from_millis(40), *pop),
-                )
-            })
-            .collect();
-        let (ram, disk) = KnapsackSolver::new().populate_tiered(&options, 9, 9, |ram| {
-            manifests
-                .iter()
-                .filter_map(|(&object, (manifest, pop))| {
-                    let ram_chunks = ram
-                        .options()
-                        .iter()
-                        .find(|o| o.object() == object)
-                        .map_or(&[][..], |o| o.chunks());
-                    crate::options::generate_disk_options(
-                        manifest,
-                        &latencies,
-                        Duration::from_millis(40),
-                        Duration::from_millis(150),
-                        ram_chunks,
-                        *pop,
-                    )
-                    .map(|opts| (object, opts))
-                })
-                .collect()
-        });
+        let (ram, disk) = optimum_tiered(&options, 9, 9);
         CacheConfiguration::from_tiered(&ram, &disk, 5)
     }
 

@@ -5,8 +5,7 @@
 //! variant: at most one caching option per object, weights are chunk
 //! counts, values are popularity-weighted latency improvements.
 //!
-//! **The epoch's solve is exact.** [`KnapsackSolver::populate_tiered`],
-//! which the cache manager runs every epoch, solves each phase with
+//! **The epoch's solve is exact.** A node without a disk tier runs
 //! [`optimum`]: the multiple-choice-knapsack (MCKP) dynamic program over
 //! capacity, in `O(objects × capacity × k)` time. On every recorded
 //! epoch of `paper-zipf` and `tiered-pressure` it gives the same
@@ -16,6 +15,18 @@
 //! longer truncates: early termination and passes apply to `populate`
 //! alone, which the `ablation` experiment, the knapsack playground
 //! example and the tests run.
+//!
+//! **A node with a disk tier solves both budgets as one knapsack**,
+//! [`optimum_tiered`], over joint options priced as the read is priced
+//! ([`TieredOptions`]). Whether a RAM chunk is worth its slot depends
+//! on what lands on disk: a read partly in RAM and partly on disk costs
+//! the slower tier, so beside a disk about as fast as RAM, RAM buys
+//! latency only for an object it holds whole. The solve relaxes the
+//! disk budget by a price per disk chunk, which leaves one [`optimum`]
+//! over RAM; it is exact whenever the disk budget does not bind at a
+//! price of 0. The sequential solve it replaced,
+//! [`KnapsackSolver::populate_tiered`], fills RAM first against the
+//! remote baseline and then the disk with what RAM left.
 //!
 //! **Every exact solve is certified** in builds with debug assertions,
 //! by the MCKP's LP relaxation (Kellerer et al. ch. 11): the segments of
@@ -47,7 +58,7 @@
 //! dynamic program dominates greedy and matches the optimum on small
 //! instances.
 
-use crate::options::{CachingOption, ObjectOptions};
+use crate::options::{CachingOption, ObjectOptions, TieredOptions};
 use agar_ec::ObjectId;
 use std::collections::{BTreeMap, HashMap};
 
@@ -158,8 +169,8 @@ fn relax(
 
 /// The paper's dynamic-programming solver for the cache configuration
 /// (Figure 4), [`KnapsackSolver::populate`]. Its passes and early
-/// termination configure `populate` alone: the epoch's two-budget solve,
-/// [`KnapsackSolver::populate_tiered`], is exact.
+/// termination configure `populate` alone: the epoch's solves,
+/// [`optimum`] and [`optimum_tiered`], are exact.
 #[derive(Clone, Debug)]
 pub struct KnapsackSolver {
     /// §VI optimisation: stop after this many additional keys once a
@@ -312,32 +323,32 @@ impl KnapsackSolver {
             .unwrap_or_default()
     }
 
-    /// Two-budget solve over a RAM tier and a disk tier: the solve every
-    /// epoch runs, exact in each phase.
+    /// The sequential two-budget solve over a RAM tier and a disk tier,
+    /// exact in each phase but not over both: no epoch runs it. The node
+    /// solves both budgets at once with [`optimum_tiered`]. The bench
+    /// probe `core.knapsack.populate_ms` (`bench/src/probes.rs`) still
+    /// times this solve, until that probe is pointed at the node's.
     ///
     /// Phase 1 solves `ram_options` against `ram_capacity` with
     /// [`optimum`]. Phase 2 asks `disk_options_for` for disk-tier options
     /// *conditioned on* the phase-1 allocation (the remaining chunks and
     /// the residual latencies they leave behind — see
     /// [`crate::options::generate_disk_options`]) and solves them the
-    /// same way against `disk_capacity`. The sequential decomposition is
-    /// deliberate: RAM strictly dominates disk on latency, so any chunk
-    /// worth a RAM slot is worth it regardless of what lands on disk,
-    /// and conditioning phase 2 on phase 1 keeps the two allocations
-    /// disjoint by construction.
+    /// same way against `disk_capacity`. Conditioning keeps the two
+    /// allocations disjoint by construction. The sequence prices RAM
+    /// against the remote baseline, as if a chunk worth a RAM slot were
+    /// worth it whatever lands on disk. That holds only while RAM is
+    /// much faster than disk: a read partly in RAM and partly on disk
+    /// costs the slower tier, so beside a disk about as fast as RAM the
+    /// RAM phase spends its budget on the remote part of many objects,
+    /// whose reads then cost what the disk alone gives.
     ///
-    /// The paper's [`KnapsackSolver::populate`] truncates only to bound
-    /// its runtime (§VI), and the exact dynamic program is faster than
-    /// it on every epoch instance, so neither phase runs it: this
-    /// solver's passes and early termination apply to `populate` alone.
-    /// Where `populate` is optimal the two answer alike (see
-    /// [`optimum`]'s tie rule).
+    /// This solver's passes and early termination apply to `populate`
+    /// alone.
     ///
     /// Returns `(ram, disk)`. The RAM configuration is exactly what
-    /// [`optimum`] produces on its own (the disk phase never perturbs
-    /// it), so a deployment with `disk_capacity = 0` stays byte-identical
-    /// to the single-tier engine: the closure is never called and the
-    /// disk configuration is empty.
+    /// [`optimum`] produces on its own, and with `disk_capacity = 0` the
+    /// closure is never called and the disk configuration is empty.
     pub fn populate_tiered(
         &self,
         ram_options: &HashMap<ObjectId, ObjectOptions>,
@@ -432,8 +443,9 @@ fn uncontended(keys: &[&ObjectOptions], capacity: u32) -> Option<Config> {
     Some(config)
 }
 
-/// The exact optimum, and the solve every epoch runs
-/// ([`KnapsackSolver::populate_tiered`]): past the uncontended fast path
+/// The exact optimum, and the solve every epoch of a node without a
+/// disk tier runs (and [`optimum_tiered`] runs over RAM): past the
+/// uncontended fast path
 /// it shares with [`KnapsackSolver::populate`], the
 /// multiple-choice-knapsack (MCKP) dynamic program over capacity, at
 /// most one option per object, in `O(objects × capacity × k)` time.
@@ -641,6 +653,318 @@ fn hull(options: &ObjectOptions) -> Vec<(u32, f64)> {
 /// The slope from one (weight, value) point to a heavier one.
 fn slope((w0, v0): (u32, f64), (w1, v1): (u32, f64)) -> f64 {
     (v1 - v0) / f64::from(w1 - w0)
+}
+
+/// The two-budget solve every epoch of a node with a disk tier runs:
+/// the configuration of RAM and disk chunks worth the most, at most one
+/// joint option per object, within `ram_capacity` RAM chunks and
+/// `disk_capacity` disk chunks. Returns `(ram, disk)`, each object's RAM
+/// chunks its most distant used ones and its disk chunks the next (see
+/// [`TieredOptions`]).
+///
+/// The disk budget is relaxed by a price λ per disk chunk (Kellerer et
+/// al. ch. 11): at a given λ each object's best disk count for each RAM
+/// weight is its own choice ([`TieredOptions::joint`]), and what is left
+/// is a one-budget MCKP over RAM, which [`optimum`] solves. An option of
+/// RAM weight `r` is worth the best joint value of at most `r` RAM
+/// chunks over that of none, and the answer holds the fewest RAM chunks
+/// of that value: a RAM chunk that buys nothing at the price is not
+/// placed.
+///
+/// - Without a disk budget the answer is [`optimum`]'s over the RAM
+///   options alone.
+/// - At λ = 0 the disk is free. If the answer fits the disk budget it is
+///   the optimum, after one dynamic program.
+/// - Otherwise λ is bisected between 0 and a price at which no disk
+///   chunk pays, to a bracket whose upper answer fits the disk and whose
+///   lower does not, and the answer is settled between them: the
+///   objects on whose choice the bracket and the sequential solve agree
+///   keep it, and the others are solved exactly by a two-budget dynamic
+///   program in the room left. This is a heuristic with no bound on its
+///   gap, but it is never worth less than the sequential solve.
+///
+/// In builds with debug assertions the answer is checked to fit both
+/// budgets and to be worth no less than the sequential solve (RAM by
+/// [`optimum`], then disk on the chunks RAM left), to 1e-12 relative.
+pub fn optimum_tiered(
+    all_options: &HashMap<ObjectId, TieredOptions>,
+    ram_capacity: u32,
+    disk_capacity: u32,
+) -> (Config, Config) {
+    if disk_capacity == 0 {
+        let ram_options = all_options
+            .iter()
+            .map(|(&object, options)| (object, options.ram().clone()))
+            .collect();
+        return (optimum(&ram_options, ram_capacity), Config::empty());
+    }
+    let mut objects: Vec<&TieredOptions> = all_options.values().collect();
+    objects.sort_by_key(|options| options.object());
+    let disk_used = |picks: &[(u32, u32)]| picks.iter().map(|&(_, d)| d).sum::<u32>();
+    let mut picks = relaxed(&objects, ram_capacity, 0.0);
+    if disk_used(&picks) > disk_capacity {
+        let top = objects
+            .iter()
+            .flat_map(|options| (0..=options.used()).map(|r| options.joint(r, 0.0).1))
+            .fold(0.0, f64::max);
+        let (mut lo, mut hi) = ((0.0, picks), (1.0 + top, vec![(0, 0); objects.len()]));
+        while hi.0 - lo.0 > hi.0 * 1e-6 {
+            let lambda = (lo.0 + hi.0) / 2.0;
+            let at = relaxed(&objects, ram_capacity, lambda);
+            if disk_used(&at) > disk_capacity {
+                lo = (lambda, at);
+            } else {
+                hi = (lambda, at);
+            }
+        }
+        picks = settled(&objects, &lo.1, hi.1, ram_capacity, disk_capacity);
+    }
+    let (mut ram, mut disk) = (Config::empty(), Config::empty());
+    for (options, &(r, d)) in objects.iter().zip(&picks) {
+        if let Some(option) = options.ram().by_weight(r) {
+            ram.push(option.clone());
+        }
+        if let Some(option) = options.disk(r).by_weight(d) {
+            disk.push(option.clone());
+        }
+    }
+    debug_assert!(
+        ram.weight() <= ram_capacity && disk.weight() <= disk_capacity,
+        "the tiered answer ({}, {}) busts its budgets ({ram_capacity}, {disk_capacity})",
+        ram.weight(),
+        disk.weight()
+    );
+    debug_assert!(
+        !beats(
+            sequential(&objects, ram_capacity, disk_capacity),
+            ram.value() + disk.value()
+        ),
+        "the tiered answer {} falls short of the sequential solve {}",
+        ram.value() + disk.value(),
+        sequential(&objects, ram_capacity, disk_capacity)
+    );
+    (ram, disk)
+}
+
+/// Each object's (RAM, disk) chunk counts in the answer to the disk
+/// budget's relaxation at price `lambda`: the RAM MCKP over the joint
+/// options at that price, each RAM weight settled to the fewest chunks
+/// of its value, and each disk count the best for its RAM weight.
+fn relaxed(objects: &[&TieredOptions], ram_capacity: u32, lambda: f64) -> Vec<(u32, u32)> {
+    // `fewest[i][r]`: the fewest RAM chunks, at most r, worth object
+    // i's best joint value of at most r.
+    let mut fewest: Vec<Vec<u32>> = Vec::with_capacity(objects.len());
+    let mut ram_options = HashMap::new();
+    for options in objects {
+        let joint: Vec<f64> = (0..=options.used())
+            .map(|r| options.joint(r, lambda).1)
+            .collect();
+        let mut at_most = vec![0u32; joint.len()];
+        for r in 1..joint.len() {
+            let kept = at_most[r - 1];
+            at_most[r] = if beats(joint[r], joint[kept as usize]) {
+                r as u32
+            } else {
+                kept
+            };
+        }
+        let gains: Vec<f64> = at_most[1..]
+            .iter()
+            .map(|&r| joint[r as usize] - joint[0])
+            .collect();
+        if at_most[at_most.len() - 1] > 0 {
+            ram_options.insert(options.object(), options.ram().revalued(&gains));
+        }
+        fewest.push(at_most);
+    }
+    let answer = optimum(&ram_options, ram_capacity);
+    let weights: HashMap<ObjectId, u32> = answer
+        .options()
+        .iter()
+        .map(|option| (option.object(), option.weight()))
+        .collect();
+    objects
+        .iter()
+        .zip(&fewest)
+        .map(|(options, fewest)| {
+            let r = fewest[weights.get(&options.object()).map_or(0, |&w| w as usize)];
+            (r, options.joint(r, lambda).0)
+        })
+        .collect()
+}
+
+/// An answer that fits both budgets, from the bracketing relaxations
+/// `lo` (over the disk budget) and `hi` (within it). Three more answers
+/// fit: the RAM weights of `lo`, of `hi` and of the sequential solve's
+/// RAM phase ([`optimum`] over the RAM options alone), each with the
+/// disk solved exactly on the chunks they leave ([`with_ram`]). The
+/// objects on whose choice all five agree keep it; the others are solved
+/// exactly by [`mckp_2d`] in the room the kept ones leave, which every
+/// fitting answer's own choices fit, so the result is worth no less than
+/// any of them. When that table would be too large, the best fitting
+/// answer stands.
+fn settled(
+    objects: &[&TieredOptions],
+    lo: &[(u32, u32)],
+    hi: Vec<(u32, u32)>,
+    ram_capacity: u32,
+    disk_capacity: u32,
+) -> Vec<(u32, u32)> {
+    let ram_options = objects
+        .iter()
+        .map(|options| (options.object(), options.ram().clone()))
+        .collect();
+    let paper = optimum(&ram_options, ram_capacity);
+    let paper: Vec<u32> = objects
+        .iter()
+        .map(|options| {
+            let held = paper
+                .options()
+                .iter()
+                .find(|o| o.object() == options.object());
+            held.map_or(0, CachingOption::weight)
+        })
+        .collect();
+    let ram_of = |picks: &[(u32, u32)]| picks.iter().map(|&(r, _)| r).collect::<Vec<_>>();
+    let fitting = [
+        with_ram(objects, &paper, disk_capacity),
+        with_ram(objects, &ram_of(lo), disk_capacity),
+        with_ram(objects, &ram_of(&hi), disk_capacity),
+        hi,
+    ];
+    let worth = |picks: &[(u32, u32)]| -> f64 {
+        let values = objects.iter().zip(picks);
+        values.map(|(options, &(r, d))| options.value(r, d)).sum()
+    };
+    let mut best = &fitting[0];
+    for candidate in &fitting[1..] {
+        if beats(worth(candidate), worth(best)) {
+            best = candidate;
+        }
+    }
+    let mut best = best.clone();
+    let free: Vec<usize> = (0..objects.len())
+        .filter(|&i| fitting.iter().any(|picks| picks[i] != lo[i]))
+        .collect();
+    let (mut ram_room, mut disk_room) = (ram_capacity, disk_capacity);
+    for (i, &(r, d)) in lo.iter().enumerate() {
+        if !free.contains(&i) {
+            ram_room -= r;
+            disk_room -= d;
+        }
+    }
+    let most: u32 = free.iter().map(|&i| objects[i].used()).sum();
+    let (ram_room, disk_room) = (ram_room.min(most), disk_room.min(most));
+    let choices: u64 = free
+        .iter()
+        .map(|&i| u64::from(objects[i].used() + 1) * u64::from(objects[i].used() + 2) / 2)
+        .sum();
+    if choices * u64::from(ram_room + 1) * u64::from(disk_room + 1) <= MCKP_2D_WORK {
+        let sub: Vec<&TieredOptions> = free.iter().map(|&i| objects[i]).collect();
+        for (&i, pick) in free.iter().zip(mckp_2d(&sub, ram_room, disk_room)) {
+            best[i] = pick;
+        }
+    }
+    best
+}
+
+/// Each object's (RAM, disk) chunk counts with the RAM weights `ram`
+/// and the disk solved by [`optimum`] over the disk options those leave,
+/// within `disk_capacity`.
+fn with_ram(objects: &[&TieredOptions], ram: &[u32], disk_capacity: u32) -> Vec<(u32, u32)> {
+    let disk_options = objects
+        .iter()
+        .zip(ram)
+        .filter(|(options, &r)| options.disk(r).iter().next().is_some())
+        .map(|(options, &r)| (options.object(), options.disk(r).clone()))
+        .collect();
+    let disk = optimum(&disk_options, disk_capacity);
+    objects
+        .iter()
+        .zip(ram)
+        .map(|(options, &r)| {
+            let held = disk
+                .options()
+                .iter()
+                .find(|o| o.object() == options.object());
+            (r, held.map_or(0, CachingOption::weight))
+        })
+        .collect()
+}
+
+/// The most choice × cell visits [`mckp_2d`] is given: a few tens of
+/// milliseconds.
+const MCKP_2D_WORK: u64 = 1 << 24;
+
+/// The two-budget MCKP over `objects` by dynamic program: the (RAM,
+/// disk) chunk counts, at most one joint option per object, worth the
+/// most within `ram_capacity` and `disk_capacity`, in
+/// `O(objects × ram × disk × k²)` time. A cell is the best value of at
+/// most that many chunks of each kind; among equal values the fewer
+/// chunks win.
+fn mckp_2d(objects: &[&TieredOptions], ram_capacity: u32, disk_capacity: u32) -> Vec<(u32, u32)> {
+    let (width, height) = (ram_capacity as usize + 1, disk_capacity as usize + 1);
+    let cells = width * height;
+    let mut taken = vec![(0u32, 0u32); objects.len() * cells];
+    let mut best = vec![0.0f64; cells];
+    let mut next = vec![0.0f64; cells];
+    for (options, taken) in objects.iter().zip(taken.chunks_exact_mut(cells)).rev() {
+        let k = options.used();
+        let choices: Vec<(u32, u32, f64)> = (0..=k)
+            .flat_map(|r| (0..=k - r).map(move |d| (r, d)))
+            .map(|(r, d)| (r, d, options.value(r, d)))
+            .collect();
+        for ram in 0..width {
+            for disk in 0..height {
+                let cell = ram * height + disk;
+                let mut kept = (best[cell], (0, 0));
+                for &(r, d, value) in &choices {
+                    let (r_, d_) = (r as usize, d as usize);
+                    if r_ > ram || d_ > disk || (r, d) == (0, 0) {
+                        continue;
+                    }
+                    let candidate = best[(ram - r_) * height + disk - d_] + value;
+                    if beats(candidate, kept.0) {
+                        kept = (candidate, (r, d));
+                    }
+                }
+                next[cell] = kept.0;
+                taken[cell] = kept.1;
+            }
+        }
+        std::mem::swap(&mut best, &mut next);
+    }
+    let (mut ram, mut disk) = (ram_capacity as usize, disk_capacity as usize);
+    taken
+        .chunks_exact(cells)
+        .map(|taken| {
+            let (r, d) = taken[ram * height + disk];
+            ram -= r as usize;
+            disk -= d as usize;
+            (r, d)
+        })
+        .collect()
+}
+
+/// The sequential two-budget solve, the certificate's floor: RAM by
+/// [`optimum`] over the RAM options, then disk by [`optimum`] over the
+/// disk options conditioned on it. Returns the joint value.
+fn sequential(objects: &[&TieredOptions], ram_capacity: u32, disk_capacity: u32) -> f64 {
+    let ram_options = objects
+        .iter()
+        .map(|options| (options.object(), options.ram().clone()))
+        .collect();
+    let ram = optimum(&ram_options, ram_capacity);
+    let disk_options = objects
+        .iter()
+        .filter_map(|options| {
+            let object = options.object();
+            let in_ram = ram.options().iter().find(|o| o.object() == object);
+            let row = options.disk(in_ram.map_or(0, CachingOption::weight));
+            row.iter().next().is_some().then(|| (object, row.clone()))
+        })
+        .collect();
+    ram.value() + optimum(&disk_options, disk_capacity).value()
 }
 
 #[cfg(test)]
@@ -1203,6 +1527,165 @@ mod tests {
         assert_eq!(ram.options(), plain.options());
         assert_eq!(ram.weight() + disk.weight(), plain.weight());
         assert_eq!(ram.value() + disk.value(), plain.value());
+    }
+
+    /// Joint options for objects `0..` of the given popularities on the
+    /// Table I deployment, a 40 ms RAM tier and a disk read at
+    /// `disk_read`.
+    fn tiered_options(
+        popularities: &[f64],
+        disk_read: Duration,
+    ) -> HashMap<ObjectId, TieredOptions> {
+        let latencies = TABLE_ONE_MS.map(Duration::from_millis);
+        (0..)
+            .zip(popularities)
+            .map(|(i, &pop)| {
+                let options = crate::options::generate_tiered_options(
+                    &manifest(i),
+                    &latencies,
+                    Duration::from_millis(40),
+                    disk_read,
+                    pop,
+                );
+                (ObjectId::new(i), options)
+            })
+            .collect()
+    }
+
+    /// Each object's (RAM, disk) chunk counts in a tiered answer, in
+    /// object order.
+    fn splits(ram: &Config, disk: &Config, objects: u64) -> Vec<(u32, u32)> {
+        let weight = |config: &Config, object| {
+            let held = config.options().iter().find(|o| o.object() == object);
+            held.map_or(0, CachingOption::weight)
+        };
+        (0..objects)
+            .map(|i| {
+                (
+                    weight(ram, ObjectId::new(i)),
+                    weight(disk, ObjectId::new(i)),
+                )
+            })
+            .collect()
+    }
+
+    /// The choice the joint solve makes about RAM options that tie: with
+    /// a 45 ms disk beside a 40 ms RAM, a read of an object partly in RAM
+    /// and partly on disk costs the disk's 45 ms, what the disk alone
+    /// gives, so only an object wholly in RAM gains from it. The solve
+    /// places RAM chunks only where they buy latency: of 12 RAM chunks
+    /// the hottest object takes 9, the 3 left stay empty, and the other
+    /// objects are wholly on disk (the MCKP's heavier-wins tie rule
+    /// alone would have spent the 3 on a zero-gain part of one of them).
+    #[test]
+    fn a_ram_chunk_that_buys_nothing_is_not_placed() {
+        let options = tiered_options(&[100.0, 50.0, 10.0], Duration::from_millis(45));
+        let (ram, disk) = optimum_tiered(&options, 12, 100);
+        assert_eq!(splits(&ram, &disk, 3), [(9, 0), (0, 9), (0, 9)]);
+        let whole = options[&ObjectId::new(0)].value(9, 0);
+        let on_disk = options[&ObjectId::new(1)].value(0, 9);
+        // Worth the same as the zero-gain split it declines.
+        assert_eq!(options[&ObjectId::new(1)].value(3, 6), on_disk);
+        let value = whole + on_disk + options[&ObjectId::new(2)].value(0, 9);
+        assert!((ram.value() + disk.value() - value).abs() <= 1e-9 * value);
+    }
+
+    /// The sequential solve spends RAM first, against the remote
+    /// baseline: with a disk that serves every chunk at 45 ms it puts
+    /// the weight-7 option of two objects in RAM (every used chunk but
+    /// the local pair, worth 3 400 − 80 ms), and the disk then serves
+    /// their local chunks, so both read at the disk's 45 ms. The joint
+    /// solve reads the hottest object wholly from RAM at 40 ms instead.
+    #[test]
+    fn the_joint_solve_reads_hot_objects_wholly_from_ram() {
+        let options = tiered_options(&[100.0, 90.0], Duration::from_millis(45));
+        let ram_options = options.iter().map(|(&o, t)| (o, t.ram().clone())).collect();
+        let (ram, disk) = KnapsackSolver::new().populate_tiered(&ram_options, 14, 100, |ram| {
+            disk_options_after(ram, &[100.0, 90.0], Duration::from_millis(45))
+        });
+        assert_eq!(splits(&ram, &disk, 2), [(7, 2), (7, 2)]);
+        let (joint_ram, joint_disk) = optimum_tiered(&options, 14, 100);
+        assert_eq!(splits(&joint_ram, &joint_disk, 2), [(9, 0), (0, 9)]);
+        let gain = joint_ram.value() + joint_disk.value() - (ram.value() + disk.value());
+        assert!((gain - 100.0 * 5.0).abs() < 1e-6, "{gain}");
+    }
+
+    /// A disk budget the free-disk answer overruns: the bisected answer
+    /// fits both budgets, is worth no less than the sequential solve
+    /// (checked again inside the solve), and here reaches the optimum
+    /// found by trying every split.
+    #[test]
+    fn a_binding_disk_budget_is_settled_within_both_budgets() {
+        let pops = [100.0, 60.0, 30.0];
+        let options = tiered_options(&pops, Duration::from_millis(150));
+        let (ram, disk) = optimum_tiered(&options, 10, 8);
+        assert!(ram.weight() <= 10 && disk.weight() <= 8);
+        let ram_options = options.iter().map(|(&o, t)| (o, t.ram().clone())).collect();
+        let (seq_ram, seq_disk) =
+            KnapsackSolver::new().populate_tiered(&ram_options, 10, 8, |ram| {
+                disk_options_after(ram, &pops, Duration::from_millis(150))
+            });
+        let value = ram.value() + disk.value();
+        assert!(value >= seq_ram.value() + seq_disk.value());
+        let objects: Vec<&TieredOptions> = (0..3).map(|i| &options[&ObjectId::new(i)]).collect();
+        let best = mckp_2d(&objects, 10, 8);
+        let optimum: f64 = objects
+            .iter()
+            .zip(&best)
+            .map(|(o, &(r, d))| o.value(r, d))
+            .sum();
+        assert!(
+            (value - optimum).abs() <= 1e-9 * optimum,
+            "{value} against {optimum}"
+        );
+    }
+
+    /// Without a disk budget the joint solve is the RAM-only optimum.
+    #[test]
+    fn a_tiered_solve_without_a_disk_budget_is_the_ram_optimum() {
+        let options = tiered_options(&[10.0, 8.0], Duration::from_millis(150));
+        let (ram, disk) = optimum_tiered(&options, 9, 0);
+        let plain = optimum(&build_options(&[10.0, 8.0]), 9);
+        assert!(disk.options().is_empty());
+        assert_eq!(ram.options(), plain.options());
+        assert_eq!(ram.value().to_bits(), plain.value().to_bits());
+    }
+
+    /// The two-budget dynamic program against every split of two
+    /// objects.
+    #[test]
+    fn mckp_2d_matches_every_split() {
+        let options = tiered_options(&[7.0, 3.0], Duration::from_millis(300));
+        let objects: Vec<&TieredOptions> = (0..2).map(|i| &options[&ObjectId::new(i)]).collect();
+        for (ram_capacity, disk_capacity) in [(0, 0), (3, 2), (9, 4), (5, 13), (18, 18)] {
+            let mut best = 0.0f64;
+            for r0 in 0..=9u32 {
+                for d0 in 0..=9 - r0 {
+                    for r1 in 0..=9u32 {
+                        for d1 in 0..=9 - r1 {
+                            if r0 + r1 <= ram_capacity && d0 + d1 <= disk_capacity {
+                                best =
+                                    best.max(objects[0].value(r0, d0) + objects[1].value(r1, d1));
+                            }
+                        }
+                    }
+                }
+            }
+            let picks = mckp_2d(&objects, ram_capacity, disk_capacity);
+            let (ram, disk) = picks
+                .iter()
+                .fold((0, 0), |(r, d), &(pr, pd)| (r + pr, d + pd));
+            assert!(ram <= ram_capacity && disk <= disk_capacity);
+            let value: f64 = objects
+                .iter()
+                .zip(&picks)
+                .map(|(o, &(r, d))| o.value(r, d))
+                .sum();
+            assert!(
+                (value - best).abs() <= 1e-9 * best.max(1.0),
+                "{value} against {best}"
+            );
+        }
     }
 
     #[test]

@@ -95,10 +95,13 @@ pub use breaker::{BreakerPolicy, CircuitBreaker};
 pub use config::{CacheConfiguration, Transition};
 pub use error::AgarError;
 pub use fetcher::{ChunkFetcher, DirectFetcher, FetchRequest};
-pub use knapsack::{greedy, optimum, Config, KnapsackSolver};
+pub use knapsack::{greedy, optimum, optimum_tiered, Config, KnapsackSolver};
 pub use monitor::RequestMonitor;
 pub use node::{AgarNode, AgarSettings, CachingClient, ReadMetrics};
-pub use options::{generate_disk_options, generate_options, CachingOption, ObjectOptions};
+pub use options::{
+    generate_disk_options, generate_options, generate_tiered_options, CachingOption, ObjectOptions,
+    TieredOptions,
+};
 pub use planner::{ChunkSource, HedgePolicy, LocalHits, ReadPlan, ReadPlanner, RemoteChunk};
 pub use region_manager::RegionManager;
 pub use retry::RetryPolicy;

@@ -178,11 +178,11 @@ pub struct AgarSettings {
     /// mean-deviations of the slowest planned backend primary.
     pub hedge_z: f64,
     /// Disk-tier capacity in bytes. `0` (the default) attaches no disk
-    /// tier: the knapsack's disk phase has nothing to place and no read
+    /// tier: the epoch solves the paper's RAM-only knapsack and no read
     /// has a disk hit to price — the paper's RAM-only node.
     pub disk_capacity_bytes: usize,
     /// Modelled chunk-read latency of the local disk tier. Prices disk
-    /// placements in the knapsack's second budget and disk hits in the
+    /// placements in the two-budget knapsack and disk hits in the
     /// read planner (between a RAM cache read and remote sources).
     pub disk_read: Duration,
     /// Modelled chunk-write latency of the local disk tier. Every
@@ -1347,6 +1347,63 @@ mod tests {
         assert!(stats.disk_hits() > 0, "disk tier never served: {stats:?}");
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// The exact pricing oracle with a disk tier. With a jitter-free
+        /// latency matrix (every sample is its mean), no hedging and no
+        /// faults, a read of an object the solve placed wholly in the
+        /// cache — in RAM, on disk, or split between them — costs exactly
+        /// its joint option's expected latency plus the client overhead:
+        /// the solve's price and the read's are one rule.
+        #[test]
+        fn a_wholly_configured_read_costs_its_joint_options_latency(
+            millis in proptest::collection::vec(5u64..400, 36),
+            disk_read_ms in 20u64..200,
+            ram_objects in 0usize..4,
+            disk_frames in 0usize..60,
+        ) {
+            let matrix = millis
+                .chunks(6)
+                .map(|row| row.iter().map(|&ms| ms as f64).collect())
+                .collect();
+            let latency = MatrixLatency::from_millis(matrix).unwrap();
+            let backend = backend_with(latency, CodingParams::paper_default(), 8, 900);
+            let mut settings = tiered_settings(ram_objects * 900, disk_frames * FRAME);
+            settings.disk_read = Duration::from_millis(disk_read_ms);
+            let node = AgarNode::new(FRANKFURT, Arc::clone(&backend), settings, 7).unwrap();
+            for i in 0..8u64 {
+                for _ in 0..(8 - i) * 3 {
+                    node.read(ObjectId::new(i)).unwrap();
+                }
+            }
+            node.force_reconfigure();
+            let config = node.current_config();
+            let settings = node.settings();
+            for object in config.objects() {
+                if config.chunks_for(object).len() < 9 {
+                    continue;
+                }
+                let on_disk = config.disk_chunks_for(object).len() as u32;
+                let split = (9 - on_disk, on_disk);
+                let options = crate::options::generate_tiered_options(
+                    &backend.manifest(object).unwrap(),
+                    &node.latency_estimates(),
+                    settings.cache_read,
+                    settings.disk_read,
+                    1.0,
+                );
+                let metrics = node.read(object).unwrap();
+                proptest::prop_assert_eq!(metrics.cache_hits, 9, "{:?} {:?}", object, split);
+                proptest::prop_assert_eq!(
+                    metrics.latency,
+                    settings.client_overhead + options.expected_latency(split.0, split.1),
+                    "{:?} {:?}", object, split
+                );
+            }
+        }
+    }
+
     /// The placement invariant: every cached chunk sits in exactly one
     /// tier, the one the configuration names, every configured chunk is
     /// cached (a carried entry names what was cached when it was
@@ -1908,7 +1965,7 @@ mod tests {
         .unwrap();
         let zipf = agar_workload::Zipfian::new(OBJECTS, 1.1).unwrap();
         let mut rng = StdRng::seed_from_u64(11);
-        for epoch in 0..24u64 {
+        for epoch in 0..36u64 {
             for _ in 0..150 {
                 let key = (zipf.sample(&mut rng) + epoch * 8) % OBJECTS;
                 let metrics = node.read(ObjectId::new(key)).unwrap();

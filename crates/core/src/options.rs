@@ -142,11 +142,10 @@ pub fn generate_options(
 }
 
 /// Generates the *disk-tier* caching options for one object, conditioned
-/// on a RAM allocation already chosen by the first knapsack phase.
+/// on the RAM allocation `ram_chunks`.
 ///
-/// The disk tier is the second budget of the two-tier solve: after the
-/// RAM phase fixes `ram_chunks`, the remaining used chunks (most distant
-/// first) become candidates for the per-node disk store. A disk option
+/// Given `ram_chunks`, the remaining used chunks (most distant first)
+/// become candidates for the per-node disk store. A disk option
 /// of weight `w` caches the `w` most distant remaining chunks; its
 /// residual latency is the slowest of
 ///
@@ -176,6 +175,110 @@ pub fn generate_disk_options(
     (!options.options.is_empty()).then_some(options)
 }
 
+/// One object's joint options over the two tiers: for every RAM weight
+/// `r = 0..=k` (the `r` most distant used chunks, as
+/// [`generate_options`] takes them), the disk options of the next `d`
+/// chunks, `d = 1..=k - r`. Every pair is priced by the one rule the
+/// read is priced by (`read::price`): `cache_read` if `r > 0`,
+/// `disk_read` if `d > 0`, and the slowest site still fetched remotely,
+/// whichever is slowest.
+#[derive(Clone, Debug)]
+pub struct TieredOptions {
+    /// The RAM options, the paper's single-budget options.
+    ram: ObjectOptions,
+    /// `disk[r]`: the disk options after `r` chunks in RAM.
+    disk: Vec<ObjectOptions>,
+}
+
+impl TieredOptions {
+    /// The object these options describe.
+    pub fn object(&self) -> ObjectId {
+        self.ram.object
+    }
+
+    /// The RAM options: exactly [`generate_options`]' answer.
+    pub fn ram(&self) -> &ObjectOptions {
+        &self.ram
+    }
+
+    /// The number of chunks a failure-free read uses (`k`): the heaviest
+    /// RAM weight.
+    pub fn used(&self) -> u32 {
+        self.ram.options.len() as u32
+    }
+
+    /// The disk options after `r` chunks in RAM, exactly
+    /// [`generate_disk_options`]' answer (empty at `r = k`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` exceeds [`TieredOptions::used`].
+    pub fn disk(&self, r: u32) -> &ObjectOptions {
+        &self.disk[r as usize]
+    }
+
+    /// What a read is worth with `r` chunks in RAM and `d` on disk: the
+    /// RAM option's value plus the disk option's, 0 for `(0, 0)`.
+    pub fn value(&self, r: u32, d: u32) -> f64 {
+        let in_ram = self.ram.by_weight(r).map_or(0.0, CachingOption::value);
+        in_ram + self.disk(r).by_weight(d).map_or(0.0, CachingOption::value)
+    }
+
+    /// The expected read latency with `r` chunks in RAM and `d` on disk.
+    pub fn expected_latency(&self, r: u32, d: u32) -> Duration {
+        match (self.ram.by_weight(r), self.disk(r).by_weight(d)) {
+            (_, Some(disk)) => disk.expected_latency,
+            (Some(ram), None) => ram.expected_latency,
+            (None, None) => self.ram.baseline_latency,
+        }
+    }
+
+    /// The joint option of RAM weight `r` under a price of `lambda` per
+    /// disk chunk: the disk count `d` that maximises
+    /// `value(r, d) - lambda * d`, and that maximum. Ties go to the
+    /// fewer disk chunks.
+    pub fn joint(&self, r: u32, lambda: f64) -> (u32, f64) {
+        let mut best = (0, 0.0);
+        for option in self.disk(r).iter() {
+            let priced = option.value - lambda * f64::from(option.weight());
+            if priced > best.1 {
+                best = (option.weight(), priced);
+            }
+        }
+        let in_ram = self.ram.by_weight(r).map_or(0.0, CachingOption::value);
+        (best.0, in_ram + best.1)
+    }
+}
+
+/// Generates one object's joint options over a RAM tier read at
+/// `cache_read` and a disk tier read at `disk_read`: its RAM options
+/// ([`generate_options`]) and, for every RAM weight, the disk options
+/// conditioned on it ([`generate_disk_options`]), all from one pricing
+/// rule.
+///
+/// # Panics
+///
+/// Panics if `latencies` does not cover every region in the manifest —
+/// the caller wires both from the same topology, so a mismatch is a bug.
+pub fn generate_tiered_options(
+    manifest: &ObjectManifest,
+    latencies: &[Duration],
+    cache_read: Duration,
+    disk_read: Duration,
+    popularity: f64,
+) -> TieredOptions {
+    let ram = generate_options(manifest, latencies, cache_read, popularity);
+    let disk = (0..=ram.options.len() as u32)
+        .map(|r| {
+            let in_ram = ram.by_weight(r).map_or(&[][..], CachingOption::chunks);
+            price(
+                manifest, latencies, cache_read, disk_read, in_ram, popularity,
+            )
+        })
+        .collect();
+    TieredOptions { ram, disk }
+}
+
 /// The one pricing rule both generators share: the options of caching,
 /// in a tier read at `tier_read`, the `w` most distant of the used
 /// chunks `ram_chunks` leaves on the remote path, for every `w`.
@@ -187,7 +290,7 @@ fn price(
     ram_chunks: &[u8],
     popularity: f64,
 ) -> ObjectOptions {
-    // Chunks the RAM phase left on the remote read path, most distant
+    // Chunks RAM left on the remote read path, most distant
     // first (RAM options are distance prefixes, so this is a suffix —
     // but membership is checked explicitly for robustness).
     let mut remaining = used_chunks(manifest, latencies);
@@ -238,6 +341,27 @@ fn used_chunks(manifest: &ObjectManifest, latencies: &[Duration]) -> Vec<(u8, Du
     used.truncate(manifest.params().data_chunks());
     used.reverse();
     used
+}
+
+impl ObjectOptions {
+    /// These options with the weight-`w` option worth `values[w - 1]`:
+    /// the same chunks, priced for another objective.
+    pub(crate) fn revalued(&self, values: &[f64]) -> Self {
+        let options = self
+            .options
+            .iter()
+            .zip(values)
+            .map(|(option, &value)| CachingOption {
+                value,
+                ..option.clone()
+            })
+            .collect();
+        ObjectOptions {
+            object: self.object,
+            options,
+            baseline_latency: self.baseline_latency,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -475,6 +599,70 @@ mod tests {
             1.0,
         )
         .is_none());
+    }
+
+    #[test]
+    fn tiered_options_price_every_split_as_the_read_does() {
+        let manifest = paper_manifest();
+        let (cache_read, disk_read) = (Duration::from_millis(40), Duration::from_millis(150));
+        let options =
+            generate_tiered_options(&manifest, &table1_latencies(), cache_read, disk_read, 10.0);
+        assert_eq!(options.used(), 9);
+        assert_eq!(options.object(), manifest.object());
+        let ms = |ms| Duration::from_millis(ms);
+        // Nothing cached: the cold read's slowest used site, Tokyo.
+        assert_eq!(
+            (options.value(0, 0), options.expected_latency(0, 0)),
+            (0.0, ms(3400))
+        );
+        // RAM alone: exactly the single-budget options.
+        let ram = generate_options(&manifest, &table1_latencies(), cache_read, 10.0);
+        for r in 1..=9 {
+            let option = ram.by_weight(r).unwrap();
+            assert_eq!(options.value(r, 0), option.value());
+            assert_eq!(options.expected_latency(r, 0), option.expected_latency());
+        }
+        // Disk alone: the disk floor, never the cache's.
+        assert_eq!(options.expected_latency(0, 9), disk_read);
+        assert_eq!(options.value(0, 9), 10.0 * (3400.0 - 150.0));
+        // Tokyo in RAM, both São Paulo chunks on disk: N. Virginia next.
+        assert_eq!(options.expected_latency(1, 2), ms(600));
+        assert_eq!(options.value(1, 2), 10.0 * (3400.0 - 600.0));
+        // Both tiers and no remote site: the slower tier.
+        assert_eq!(options.expected_latency(4, 5), disk_read);
+        assert_eq!(options.value(4, 5), options.value(0, 9));
+        assert!(
+            options.disk(9).iter().next().is_none(),
+            "nothing left at r = k"
+        );
+    }
+
+    #[test]
+    fn joint_takes_the_best_disk_count_at_its_price() {
+        let manifest = paper_manifest();
+        let options = generate_tiered_options(
+            &manifest,
+            &table1_latencies(),
+            Duration::from_millis(40),
+            Duration::from_millis(150),
+            1.0,
+        );
+        // Free disk: the fewest chunks of the best value. Frankfurt's
+        // own pair (80 ms) is faster than the 150 ms disk, so it stays
+        // remote.
+        assert_eq!(options.joint(0, 0.0), (7, options.value(0, 9)));
+        assert_eq!(options.value(0, 7), options.value(0, 9));
+        assert_eq!(options.joint(4, 0.0), (3, options.value(4, 5)));
+        assert_eq!(options.joint(9, 0.0), (0, options.value(9, 0)));
+        // São Paulo's second chunk adds nothing without the first's
+        // partner: at any price d = 1 never beats d = 0 after Tokyo.
+        assert_eq!(options.value(1, 1), options.value(1, 0));
+        // A price above every chunk's worth leaves the disk empty.
+        assert_eq!(options.joint(0, 1e9), (0, 0.0));
+        assert_eq!(options.joint(3, 1e9), (0, options.value(3, 0)));
+        // In between: the two São Paulo chunks pay 400 ms each, so at
+        // 399 they go on disk after Tokyo and nothing else does.
+        assert_eq!(options.joint(1, 399.0).0, 2);
     }
 
     #[test]

@@ -21,9 +21,7 @@
 //!   chunk of an ensured entry present) yields exactly the
 //!   configuration restricted to cached ∪ solved.
 
-use agar::{
-    generate_disk_options, generate_options, CacheConfiguration, KnapsackSolver, ObjectOptions,
-};
+use agar::{generate_tiered_options, optimum_tiered, CacheConfiguration, TieredOptions};
 use agar_cache::CacheTier;
 use agar_ec::{ChunkId, CodingParams, ObjectId};
 use agar_net::RegionId;
@@ -57,7 +55,8 @@ fn manifest(object: ObjectId) -> ObjectManifest {
 }
 
 /// One two-budget solve over a random subset of the catalogue with
-/// random popularities and budgets, the way `cache_manager::solve` runs it.
+/// random popularities and budgets, with the solve `cache_manager::solve`
+/// runs.
 fn solve(rng: &mut StdRng, epoch: u64) -> (CacheConfiguration, u32) {
     let latencies = latencies();
     let tracked: Vec<(ObjectManifest, f64)> = (0..OBJECTS)
@@ -66,37 +65,17 @@ fn solve(rng: &mut StdRng, epoch: u64) -> (CacheConfiguration, u32) {
             Some((manifest(ObjectId::new(id)), f64::from(popularity + 1)))
         })
         .collect();
-    let options: HashMap<ObjectId, ObjectOptions> = tracked
+    let options: HashMap<ObjectId, TieredOptions> = tracked
         .iter()
         .map(|(manifest, popularity)| {
-            let options = generate_options(manifest, &latencies, CACHE_READ, *popularity);
+            let options =
+                generate_tiered_options(manifest, &latencies, CACHE_READ, DISK_READ, *popularity);
             (manifest.object(), options)
         })
         .collect();
     let ram_budget = rng.random_range(0..30u32);
     let disk_budget = [0, rng.random_range(1..60u32)][rng.random_range(0..2usize)];
-    let (ram, disk) =
-        KnapsackSolver::new().populate_tiered(&options, ram_budget, disk_budget, |ram| {
-            tracked
-                .iter()
-                .filter_map(|(manifest, popularity)| {
-                    let in_ram = ram
-                        .options()
-                        .iter()
-                        .find(|o| o.object() == manifest.object());
-                    let in_ram = in_ram.map_or(&[][..], |option| option.chunks());
-                    generate_disk_options(
-                        manifest,
-                        &latencies,
-                        CACHE_READ,
-                        DISK_READ,
-                        in_ram,
-                        *popularity,
-                    )
-                    .map(|options| (manifest.object(), options))
-                })
-                .collect()
-        });
+    let (ram, disk) = optimum_tiered(&options, ram_budget, disk_budget);
     let config = CacheConfiguration::from_tiered(&ram, &disk, epoch);
     let room = disk_budget - config.disk_chunks();
     (config, room)
