@@ -724,8 +724,8 @@ pub fn optimum_tiered(
         if let Some(option) = options.ram().by_weight(r) {
             ram.push(option.clone());
         }
-        if let Some(option) = options.disk(r).by_weight(d) {
-            disk.push(option.clone());
+        if let Some(option) = options.disk_option(r, d) {
+            disk.push(option);
         }
     }
     debug_assert!(
@@ -736,12 +736,12 @@ pub fn optimum_tiered(
     );
     debug_assert!(
         !beats(
-            sequential(&objects, ram_capacity, disk_capacity),
-            ram.value() + disk.value()
+            worth(&objects, &sequential(&objects, ram_capacity, disk_capacity)),
+            worth(&objects, &picks)
         ),
         "the tiered answer {} falls short of the sequential solve {}",
-        ram.value() + disk.value(),
-        sequential(&objects, ram_capacity, disk_capacity)
+        worth(&objects, &picks),
+        worth(&objects, &sequential(&objects, ram_capacity, disk_capacity))
     );
     (ram, disk)
 }
@@ -810,35 +810,16 @@ fn settled(
     ram_capacity: u32,
     disk_capacity: u32,
 ) -> Vec<(u32, u32)> {
-    let ram_options = objects
-        .iter()
-        .map(|options| (options.object(), options.ram().clone()))
-        .collect();
-    let paper = optimum(&ram_options, ram_capacity);
-    let paper: Vec<u32> = objects
-        .iter()
-        .map(|options| {
-            let held = paper
-                .options()
-                .iter()
-                .find(|o| o.object() == options.object());
-            held.map_or(0, CachingOption::weight)
-        })
-        .collect();
     let ram_of = |picks: &[(u32, u32)]| picks.iter().map(|&(r, _)| r).collect::<Vec<_>>();
     let fitting = [
-        with_ram(objects, &paper, disk_capacity),
+        sequential(objects, ram_capacity, disk_capacity),
         with_ram(objects, &ram_of(lo), disk_capacity),
         with_ram(objects, &ram_of(&hi), disk_capacity),
         hi,
     ];
-    let worth = |picks: &[(u32, u32)]| -> f64 {
-        let values = objects.iter().zip(picks);
-        values.map(|(options, &(r, d))| options.value(r, d)).sum()
-    };
     let mut best = &fitting[0];
     for candidate in &fitting[1..] {
-        if beats(worth(candidate), worth(best)) {
+        if beats(worth(objects, candidate), worth(objects, best)) {
             best = candidate;
         }
     }
@@ -875,8 +856,8 @@ fn with_ram(objects: &[&TieredOptions], ram: &[u32], disk_capacity: u32) -> Vec<
     let disk_options = objects
         .iter()
         .zip(ram)
-        .filter(|(options, &r)| options.disk(r).iter().next().is_some())
-        .map(|(options, &r)| (options.object(), options.disk(r).clone()))
+        .filter(|(options, &r)| r < options.used())
+        .map(|(options, &r)| (options.object(), options.disk(r)))
         .collect();
     let disk = optimum(&disk_options, disk_capacity);
     objects
@@ -946,25 +927,36 @@ fn mckp_2d(objects: &[&TieredOptions], ram_capacity: u32, disk_capacity: u32) ->
         .collect()
 }
 
-/// The sequential two-budget solve, the certificate's floor: RAM by
-/// [`optimum`] over the RAM options, then disk by [`optimum`] over the
-/// disk options conditioned on it. Returns the joint value.
-fn sequential(objects: &[&TieredOptions], ram_capacity: u32, disk_capacity: u32) -> f64 {
+/// The sequential two-budget solve, the floor the answer is held to:
+/// RAM by [`optimum`] over the RAM options alone, then the disk solved
+/// exactly on the chunks it leaves ([`with_ram`]).
+fn sequential(
+    objects: &[&TieredOptions],
+    ram_capacity: u32,
+    disk_capacity: u32,
+) -> Vec<(u32, u32)> {
     let ram_options = objects
         .iter()
         .map(|options| (options.object(), options.ram().clone()))
         .collect();
     let ram = optimum(&ram_options, ram_capacity);
-    let disk_options = objects
+    let weights: Vec<u32> = objects
         .iter()
-        .filter_map(|options| {
-            let object = options.object();
-            let in_ram = ram.options().iter().find(|o| o.object() == object);
-            let row = options.disk(in_ram.map_or(0, CachingOption::weight));
-            row.iter().next().is_some().then(|| (object, row.clone()))
+        .map(|options| {
+            let held = ram
+                .options()
+                .iter()
+                .find(|o| o.object() == options.object());
+            held.map_or(0, CachingOption::weight)
         })
         .collect();
-    ram.value() + optimum(&disk_options, disk_capacity).value()
+    with_ram(objects, &weights, disk_capacity)
+}
+
+/// What the (RAM, disk) chunk counts `picks` of `objects` are worth.
+fn worth(objects: &[&TieredOptions], picks: &[(u32, u32)]) -> f64 {
+    let values = objects.iter().zip(picks);
+    values.map(|(options, &(r, d))| options.value(r, d)).sum()
 }
 
 #[cfg(test)]

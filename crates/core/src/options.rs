@@ -138,7 +138,15 @@ pub fn generate_options(
     cache_read: Duration,
     popularity: f64,
 ) -> ObjectOptions {
-    price(manifest, latencies, cache_read, cache_read, &[], popularity)
+    let used = used_chunks(manifest, latencies);
+    price(
+        manifest.object(),
+        &used,
+        cache_read,
+        cache_read,
+        false,
+        popularity,
+    )
 }
 
 /// Generates the *disk-tier* caching options for one object, conditioned
@@ -169,8 +177,18 @@ pub fn generate_disk_options(
     ram_chunks: &[u8],
     popularity: f64,
 ) -> Option<ObjectOptions> {
+    // RAM options are distance prefixes, so what they leave is a
+    // suffix — but membership is checked explicitly for robustness.
+    let mut remaining = used_chunks(manifest, latencies);
+    remaining.retain(|(chunk, _)| !ram_chunks.contains(chunk));
+    let in_ram = !ram_chunks.is_empty();
     let options = price(
-        manifest, latencies, cache_read, disk_read, ram_chunks, popularity,
+        manifest.object(),
+        &remaining,
+        cache_read,
+        disk_read,
+        in_ram,
+        popularity,
     );
     (!options.options.is_empty()).then_some(options)
 }
@@ -186,8 +204,17 @@ pub fn generate_disk_options(
 pub struct TieredOptions {
     /// The RAM options, the paper's single-budget options.
     ram: ObjectOptions,
-    /// `disk[r]`: the disk options after `r` chunks in RAM.
-    disk: Vec<ObjectOptions>,
+    /// The used chunks, most distant first ([`used_chunks`]).
+    used: Vec<(u8, Duration)>,
+    /// The tiers' read latencies.
+    cache_read: Duration,
+    disk_read: Duration,
+    /// The popularity every value is weighted by.
+    popularity: f64,
+    /// (expected latency, value) of `d` disk chunks after `r` in RAM,
+    /// row by row: row `r` holds `d = 1..=k - r`, and starts at
+    /// [`TieredOptions::row`]`(r)`.
+    splits: Vec<(Duration, f64)>,
 }
 
 impl TieredOptions {
@@ -204,30 +231,62 @@ impl TieredOptions {
     /// The number of chunks a failure-free read uses (`k`): the heaviest
     /// RAM weight.
     pub fn used(&self) -> u32 {
-        self.ram.options.len() as u32
+        self.used.len() as u32
+    }
+
+    /// Row `r` of the disk splits: (expected latency, value) of
+    /// `d = 1..=k - r` disk chunks.
+    fn row(&self, r: u32) -> &[(Duration, f64)] {
+        let (r, k) = (r as usize, self.used.len());
+        let start = r * k - r * r.saturating_sub(1) / 2;
+        &self.splits[start..start + k - r]
     }
 
     /// The disk options after `r` chunks in RAM, exactly
-    /// [`generate_disk_options`]' answer (empty at `r = k`).
+    /// [`generate_disk_options`]' answer (empty at `r = k`), built on
+    /// demand.
     ///
     /// # Panics
     ///
     /// Panics if `r` exceeds [`TieredOptions::used`].
-    pub fn disk(&self, r: u32) -> &ObjectOptions {
-        &self.disk[r as usize]
+    pub(crate) fn disk(&self, r: u32) -> ObjectOptions {
+        let remaining = &self.used[r as usize..];
+        let (cache_read, disk_read) = (self.cache_read, self.disk_read);
+        price(
+            self.object(),
+            remaining,
+            cache_read,
+            disk_read,
+            r > 0,
+            self.popularity,
+        )
+    }
+
+    /// The disk option of `d` chunks after `r` in RAM, if `d > 0`.
+    pub(crate) fn disk_option(&self, r: u32, d: u32) -> Option<CachingOption> {
+        let &(expected_latency, value) = self.row(r).get((d as usize).checked_sub(1)?)?;
+        let chunks = &self.used[r as usize..(r + d) as usize];
+        Some(CachingOption {
+            object: self.object(),
+            chunks: chunks.iter().map(|&(chunk, _)| chunk).collect(),
+            value,
+            expected_latency,
+        })
     }
 
     /// What a read is worth with `r` chunks in RAM and `d` on disk: the
     /// RAM option's value plus the disk option's, 0 for `(0, 0)`.
     pub fn value(&self, r: u32, d: u32) -> f64 {
         let in_ram = self.ram.by_weight(r).map_or(0.0, CachingOption::value);
-        in_ram + self.disk(r).by_weight(d).map_or(0.0, CachingOption::value)
+        let on_disk = (d as usize).checked_sub(1).and_then(|i| self.row(r).get(i));
+        in_ram + on_disk.map_or(0.0, |&(_, value)| value)
     }
 
     /// The expected read latency with `r` chunks in RAM and `d` on disk.
     pub fn expected_latency(&self, r: u32, d: u32) -> Duration {
-        match (self.ram.by_weight(r), self.disk(r).by_weight(d)) {
-            (_, Some(disk)) => disk.expected_latency,
+        let on_disk = (d as usize).checked_sub(1).and_then(|i| self.row(r).get(i));
+        match (self.ram.by_weight(r), on_disk) {
+            (_, Some(&(latency, _))) => latency,
             (Some(ram), None) => ram.expected_latency,
             (None, None) => self.ram.baseline_latency,
         }
@@ -239,10 +298,10 @@ impl TieredOptions {
     /// fewer disk chunks.
     pub fn joint(&self, r: u32, lambda: f64) -> (u32, f64) {
         let mut best = (0, 0.0);
-        for option in self.disk(r).iter() {
-            let priced = option.value - lambda * f64::from(option.weight());
+        for (d, &(_, value)) in (1..).zip(self.row(r)) {
+            let priced = value - lambda * f64::from(d);
             if priced > best.1 {
-                best = (option.weight(), priced);
+                best = (d, priced);
             }
         }
         let in_ram = self.ram.by_weight(r).map_or(0.0, CachingOption::value);
@@ -267,67 +326,91 @@ pub fn generate_tiered_options(
     disk_read: Duration,
     popularity: f64,
 ) -> TieredOptions {
-    let ram = generate_options(manifest, latencies, cache_read, popularity);
-    let disk = (0..=ram.options.len() as u32)
-        .map(|r| {
-            let in_ram = ram.by_weight(r).map_or(&[][..], CachingOption::chunks);
-            price(
-                manifest, latencies, cache_read, disk_read, in_ram, popularity,
-            )
-        })
-        .collect();
-    TieredOptions { ram, disk }
+    let used = used_chunks(manifest, latencies);
+    let ram = price(
+        manifest.object(),
+        &used,
+        cache_read,
+        cache_read,
+        false,
+        popularity,
+    );
+    // RAM's option of weight r holds the first r used chunks.
+    let k = used.len();
+    let mut splits = Vec::with_capacity(k * (k + 1) / 2);
+    for r in 0..=k {
+        let (_, priced) = priced(&used[r..], cache_read, disk_read, r > 0, popularity);
+        splits.extend(priced);
+    }
+    TieredOptions {
+        ram,
+        used,
+        cache_read,
+        disk_read,
+        popularity,
+        splits,
+    }
 }
 
-/// The one pricing rule both generators share: the options of caching,
-/// in a tier read at `tier_read`, the `w` most distant of the used
-/// chunks `ram_chunks` leaves on the remote path, for every `w`.
+/// The options of caching, in a tier read at `tier_read`, the `w` most
+/// distant of the used chunks ([`used_chunks`]) still on the remote
+/// path, `remaining` (most distant first), for every `w`, as
+/// [`priced`] prices them. `in_ram` says whether RAM holds the object's
+/// other used chunks.
 fn price(
-    manifest: &ObjectManifest,
-    latencies: &[Duration],
+    object: ObjectId,
+    remaining: &[(u8, Duration)],
     cache_read: Duration,
     tier_read: Duration,
-    ram_chunks: &[u8],
+    in_ram: bool,
     popularity: f64,
 ) -> ObjectOptions {
-    // Chunks RAM left on the remote read path, most distant
-    // first (RAM options are distance prefixes, so this is a suffix —
-    // but membership is checked explicitly for robustness).
-    let mut remaining = used_chunks(manifest, latencies);
-    remaining.retain(|(chunk, _)| !ram_chunks.contains(chunk));
+    let (baseline_latency, priced) = priced(remaining, cache_read, tier_read, in_ram, popularity);
+    let options = (1..)
+        .zip(priced)
+        .map(|(w, (expected_latency, value))| CachingOption {
+            object,
+            chunks: remaining[..w].iter().map(|&(c, _)| c).collect(),
+            value,
+            expected_latency,
+        })
+        .collect();
+    ObjectOptions {
+        object,
+        options,
+        baseline_latency,
+    }
+}
+
+/// The one pricing rule every generator shares: the expected latency of
+/// a read with the `w` most distant of `remaining` cached in a tier read
+/// at `tier_read`, for every `w`, and its value, `popularity ×` the
+/// milliseconds it saves over none of them (the baseline, returned
+/// first). A read's latency is its slowest parallel source: the next
+/// remaining site, the tier, and the RAM read when `in_ram`.
+fn priced(
+    remaining: &[(u8, Duration)],
+    cache_read: Duration,
+    tier_read: Duration,
+    in_ram: bool,
+    popularity: f64,
+) -> (Duration, impl Iterator<Item = (Duration, f64)> + '_) {
     // The floor every residual keeps: the cache read when RAM
     // participates in the read.
-    let floor = if ram_chunks.is_empty() {
-        Duration::ZERO
-    } else {
-        cache_read
-    };
-    // Residual latency of the RAM allocation alone: the slowest
-    // remaining site.
+    let floor = if in_ram { cache_read } else { Duration::ZERO };
+    // Residual latency without the tier: the slowest remaining site.
     let baseline_latency = remaining
         .first()
         .map_or(cache_read, |&(_, latency)| latency.max(floor));
-
-    let mut options = Vec::with_capacity(remaining.len());
-    for w in 1..=remaining.len() {
-        let chunks: Vec<u8> = remaining[..w].iter().map(|&(c, _)| c).collect();
+    let priced = (1..=remaining.len()).map(move |w| {
         // The slowest remaining fetch is the (w+1)-th most distant, or
         // the tier itself once everything needed is cached.
         let next_site = remaining.get(w).map_or(Duration::ZERO, |&(_, l)| l);
         let residual = next_site.max(tier_read).max(floor);
         let improvement_ms = baseline_latency.saturating_sub(residual).as_secs_f64() * 1_000.0;
-        options.push(CachingOption {
-            object: manifest.object(),
-            chunks,
-            value: popularity * improvement_ms,
-            expected_latency: residual,
-        });
-    }
-    ObjectOptions {
-        object: manifest.object(),
-        options,
-        baseline_latency,
-    }
+        (residual, popularity * improvement_ms)
+    });
+    (baseline_latency, priced)
 }
 
 /// The `k` chunks a failure-free read fetches, most distant first: the
@@ -631,6 +714,23 @@ mod tests {
         // Both tiers and no remote site: the slower tier.
         assert_eq!(options.expected_latency(4, 5), disk_read);
         assert_eq!(options.value(4, 5), options.value(0, 9));
+        // Every split is the disk option conditioned on its RAM weight.
+        for r in 0..=9 {
+            let in_ram = ram.by_weight(r).map_or(&[][..], CachingOption::chunks);
+            let disk = generate_disk_options(
+                &manifest,
+                &table1_latencies(),
+                cache_read,
+                disk_read,
+                in_ram,
+                10.0,
+            );
+            for d in 0..=10 {
+                let option = disk.as_ref().and_then(|o| o.by_weight(d)).cloned();
+                assert_eq!(options.disk(r).by_weight(d).cloned(), option, "({r}, {d})");
+                assert_eq!(options.disk_option(r, d), option, "({r}, {d})");
+            }
+        }
         assert!(
             options.disk(9).iter().next().is_none(),
             "nothing left at r = k"
