@@ -707,7 +707,11 @@ pub fn optimum_tiered(
             .iter()
             .flat_map(|options| (0..=options.used()).map(|r| options.joint(r, 0.0).1))
             .fold(0.0, f64::max);
-        let (mut lo, mut hi) = ((0.0, picks), (1.0 + top, vec![(0, 0); objects.len()]));
+        let ceiling = 1.0 + top;
+        let (mut lo, mut hi) = (
+            (0.0, picks),
+            (ceiling, relaxed(&objects, ram_capacity, ceiling)),
+        );
         while hi.0 - lo.0 > hi.0 * 1e-6 {
             let lambda = (lo.0 + hi.0) / 2.0;
             let at = relaxed(&objects, ram_capacity, lambda);
