@@ -6,7 +6,10 @@
 //! **RAM** and **disk**, the two budgets' solves, and **carried** — the
 //! chunks of objects the previous configuration named and the solve no
 //! longer does, kept on disk in whatever room the solve left there. RAM
-//! is the paper's answer and nothing is carried into it.
+//! is the paper's answer and nothing is carried into it. A whole
+//! object's entry names its data chunks in the places of the solve's
+//! parity chunks ([`CacheConfiguration::from_tiered`]), so its reads
+//! skip the decode at the price the solve gave them.
 
 use crate::config::CacheConfiguration;
 use crate::knapsack::{optimum, optimum_tiered, Config};
@@ -45,6 +48,9 @@ use agar_store::{Backend, ObjectManifest};
 /// never carried into (see the [`crate::config`] docs), a node without
 /// a disk budget carries nothing and neither does one whose solve fills
 /// the disk.
+///
+/// Whole entries hold the code's data chunks
+/// ([`CacheConfiguration::from_tiered`], with the backend's `k`).
 ///
 /// The configuration is tagged with the monitor's epoch. Returns the
 /// empty configuration when neither the monitor nor `previous` names a
@@ -107,7 +113,8 @@ pub fn solve(
             .collect();
         optimum_tiered(&all_options, capacity_chunks, disk_chunks)
     };
-    let mut config = CacheConfiguration::from_tiered(&ram, &disk, monitor.epoch());
+    let k = backend.params().data_chunks();
+    let mut config = CacheConfiguration::from_tiered(&ram, &disk, k, monitor.epoch());
     config.carry(previous, disk_chunks - config.disk_chunks(), cached);
     config
 }

@@ -18,6 +18,15 @@
 //! one spare RAM chunk, and filling it would change every figure this
 //! repository reproduces), while a warm tier with room exists to hold
 //! the tail the monitor's bounded memory forgets.
+//!
+//! A solved entry of exactly `k` chunks — a whole object — names the
+//! `k` **data** chunks: the options pick the paper's k most distant
+//! used chunks, parity included, and [`CacheConfiguration::from_tiered`]
+//! swaps each parity chunk, in its place and tier, for a data chunk the
+//! entry leaves out. Reads are priced by how many chunks each tier
+//! serves, not by which, so the swap costs a whole object nothing and
+//! lets its reads skip the decode. Partial and carried entries are
+//! kept as they are.
 
 use crate::knapsack::Config;
 use agar_cache::CacheTier;
@@ -34,6 +43,31 @@ struct Entry {
     /// For a carried entry, the epoch of the last solve that named the
     /// object; `None` for a solved one.
     carried: Option<u64>,
+}
+
+impl Entry {
+    /// A solved entry: the `ram` chunks, then the `disk` ones. A whole
+    /// entry (`k` chunks) names the data chunks `0..k`: its parity
+    /// chunks, in entry order, take the data chunks it leaves out in
+    /// ascending order, so every chunk keeps its place and tier.
+    /// Partial entries are kept as solved.
+    fn solved(ram: &[u8], disk: &[u8], k: usize) -> Entry {
+        let mut chunks = [ram, disk].concat();
+        if chunks.len() == k {
+            // As many left-out data chunks as parity chunks: the entry
+            // holds k distinct chunks.
+            let left_out = (0..k as u8).filter(|data| !ram.contains(data) && !disk.contains(data));
+            let parity = chunks.iter_mut().filter(|chunk| usize::from(**chunk) >= k);
+            for (chunk, data) in parity.zip(left_out) {
+                *chunk = data;
+            }
+        }
+        Entry {
+            split: ram.len(),
+            chunks,
+            carried: None,
+        }
+    }
 }
 
 /// The per-object chunk sets the cache should hold until the next
@@ -90,20 +124,33 @@ impl CacheConfiguration {
     /// construction — an object's disk options only hold chunks its RAM
     /// allocation left). An empty disk allocation leaves every chunk
     /// RAM-tier.
-    pub fn from_tiered(ram: &Config, disk: &Config, epoch: u64) -> Self {
-        let mut per_object: HashMap<ObjectId, Entry> = HashMap::with_capacity(ram.options().len());
+    ///
+    /// An entry of exactly `k` chunks — a **whole** object under a code
+    /// with `k` data chunks — names the `k` data chunks: each parity
+    /// chunk the options picked is swapped, in its place and so in its
+    /// tier, for a data chunk the entry left out. The options' chunk lists are the paper's (the k
+    /// most distant used chunks); for a whole object which k chunks it
+    /// holds is free under the read's pricing, which counts RAM and
+    /// disk hits, not chunk indices, and the data chunks let its reads
+    /// skip the decode.
+    pub fn from_tiered(ram: &Config, disk: &Config, k: usize, epoch: u64) -> Self {
+        let disk_of: HashMap<ObjectId, &[u8]> = disk
+            .options()
+            .iter()
+            .map(|option| (option.object(), option.chunks()))
+            .collect();
+        let mut per_object: HashMap<ObjectId, Entry> =
+            HashMap::with_capacity(ram.options().len() + disk_of.len());
         for option in ram.options() {
-            let chunks = option.chunks().to_vec();
-            let entry = Entry {
-                split: chunks.len(),
-                chunks,
-                carried: None,
-            };
-            per_object.insert(option.object(), entry);
+            let object = option.object();
+            let on_disk = disk_of.get(&object).copied().unwrap_or_default();
+            per_object.insert(object, Entry::solved(option.chunks(), on_disk, k));
         }
         for option in disk.options() {
-            let entry = per_object.entry(option.object()).or_default();
-            entry.chunks.extend_from_slice(option.chunks());
+            let object = option.object();
+            per_object
+                .entry(object)
+                .or_insert_with(|| Entry::solved(&[], option.chunks(), k));
         }
         CacheConfiguration {
             per_object,
@@ -286,7 +333,7 @@ impl CacheConfiguration {
 mod tests {
     use super::*;
     use crate::knapsack::{optimum_tiered, KnapsackSolver};
-    use crate::options::{generate_options, generate_tiered_options};
+    use crate::options::{generate_options, generate_tiered_options, TieredOptions};
     use agar_ec::CodingParams;
     use agar_net::RegionId;
     use agar_store::ObjectManifest;
@@ -311,7 +358,7 @@ mod tests {
             })
             .collect();
         let solved = KnapsackSolver::new().populate(&options, 12);
-        CacheConfiguration::from_tiered(&solved, &Config::empty(), 3)
+        CacheConfiguration::from_tiered(&solved, &Config::empty(), 9, 3)
     }
 
     #[test]
@@ -354,15 +401,18 @@ mod tests {
         assert!(config.tier_for(ChunkId::new(ObjectId::new(0), 0)).is_none());
     }
 
-    fn tiered_config() -> CacheConfiguration {
+    /// The joint options of objects `0..` with the given popularities,
+    /// their chunks round-robin over six regions, under a disk read at
+    /// `disk_ms`.
+    fn tiered_options(popularities: &[f64], disk_ms: u64) -> HashMap<ObjectId, TieredOptions> {
         let latencies: Vec<Duration> = [80u64, 200, 600, 1400, 3400, 4600]
             .into_iter()
             .map(Duration::from_millis)
             .collect();
         let params = CodingParams::paper_default();
-        let options: HashMap<ObjectId, _> = [(0u64, 100.0), (1, 10.0)]
-            .into_iter()
-            .map(|(i, pop)| {
+        (0u64..)
+            .zip(popularities)
+            .map(|(i, &pop)| {
                 let object = ObjectId::new(i);
                 let locations = (0..12).map(|c| RegionId::new(c % 6)).collect();
                 let manifest = ObjectManifest::new(object, 1_000_000, 1, params, locations);
@@ -370,14 +420,17 @@ mod tests {
                     &manifest,
                     &latencies,
                     Duration::from_millis(40),
-                    Duration::from_millis(150),
+                    Duration::from_millis(disk_ms),
                     pop,
                 );
                 (object, options)
             })
-            .collect();
-        let (ram, disk) = optimum_tiered(&options, 9, 9);
-        CacheConfiguration::from_tiered(&ram, &disk, 5)
+            .collect()
+    }
+
+    fn tiered_config() -> CacheConfiguration {
+        let (ram, disk) = optimum_tiered(&tiered_options(&[100.0, 10.0], 150), 9, 9);
+        CacheConfiguration::from_tiered(&ram, &disk, 9, 5)
     }
 
     #[test]
@@ -499,6 +552,83 @@ mod tests {
         config.carry(&previous, 2, |id| id.index().value() >= 3);
         assert_eq!(config.chunks_for(ObjectId::new(1)), [3]);
         assert_eq!(config.chunks_for(ObjectId::new(2)), [5]);
+    }
+
+    /// Whole entries — all in RAM, all on disk, split — name the data
+    /// chunks `0..k`, each in the place and so the tier of the solve's
+    /// chunk it stands for; partial entries are the solve's.
+    #[test]
+    fn a_whole_entry_names_the_data_chunks_in_the_solves_places() {
+        let k = CodingParams::paper_default().data_chunks();
+        // A disk read faster than the nearest region: every budget pair
+        // is filled.
+        let options = tiered_options(&[100.0], 50);
+        let object = ObjectId::new(0);
+        let mut parity_swapped = 0;
+        for (ram_budget, disk_budget) in [(9, 0), (0, 9), (4, 5), (8, 1), (3, 0), (0, 3), (1, 2)] {
+            let case = format!("RAM {ram_budget}, disk {disk_budget}");
+            let (ram, disk) = optimum_tiered(&options, ram_budget, disk_budget);
+            let config = CacheConfiguration::from_tiered(&ram, &disk, k, 1);
+            let solve: Vec<(u8, CacheTier)> = ram
+                .options()
+                .iter()
+                .flat_map(|option| option.chunks().iter().map(|&c| (c, CacheTier::Ram)))
+                .chain(
+                    disk.options()
+                        .iter()
+                        .flat_map(|option| option.chunks().iter().map(|&c| (c, CacheTier::Disk))),
+                )
+                .collect();
+            let whole = ram_budget + disk_budget == 9;
+            assert_eq!(solve.len(), (ram_budget + disk_budget) as usize, "{case}");
+            let chunks = config.chunks_for(object);
+            assert_eq!(chunks.len(), solve.len(), "{case}");
+            assert_eq!(config.ram_chunks(), ram_budget, "{case}");
+            for (&chunk, &(solved, tier)) in chunks.iter().zip(&solve) {
+                let id = ChunkId::new(object, chunk);
+                assert_eq!(config.tier_for(id), Some(tier), "{case}: {chunk}");
+                if !whole || usize::from(solved) < k {
+                    assert_eq!(chunk, solved, "{case}");
+                } else {
+                    assert!(usize::from(chunk) < k, "{case}: {chunk}");
+                    assert!(solve.iter().all(|&(c, _)| c != chunk), "{case}: {chunk}");
+                    parity_swapped += 1;
+                }
+            }
+            if whole {
+                let mut sorted = chunks.to_vec();
+                sorted.sort_unstable();
+                assert_eq!(sorted, (0..k as u8).collect::<Vec<_>>(), "{case}");
+            }
+        }
+        assert!(
+            parity_swapped >= 4,
+            "every whole solve holds a parity chunk"
+        );
+    }
+
+    #[test]
+    fn a_carried_entry_keeps_its_chunks_whatever_they_are() {
+        // A hand-written whole entry with parity chunk 9 and one with
+        // parity chunks 9 and 10: carried as they stand.
+        let previous = solved(
+            4,
+            &[
+                (7, &[1, 2, 3, 4], &[0, 6, 7, 8, 9]),
+                (8, &[10], &[9, 0, 1, 2, 3, 4, 5, 6]),
+            ],
+        );
+        let mut config = CacheConfiguration::from_tiered(&Config::empty(), &Config::empty(), 9, 5);
+        config.carry(&previous, 18, |_| true);
+        assert_eq!(carried_objects(&config), [7, 8]);
+        assert_eq!(
+            config.chunks_for(ObjectId::new(7)),
+            [1, 2, 3, 4, 0, 6, 7, 8, 9]
+        );
+        assert_eq!(
+            config.chunks_for(ObjectId::new(8)),
+            [10, 9, 0, 1, 2, 3, 4, 5, 6]
+        );
     }
 
     #[test]

@@ -1355,7 +1355,8 @@ mod tests {
         /// faults, a read of an object the solve placed wholly in the
         /// cache — in RAM, on disk, or split between them — costs exactly
         /// its joint option's expected latency plus the client overhead:
-        /// the solve's price and the read's are one rule.
+        /// the solve's price and the read's are one rule. Its entry names
+        /// the data chunks, so the read skips the decode.
         #[test]
         fn a_wholly_configured_read_costs_its_joint_options_latency(
             millis in proptest::collection::vec(5u64..400, 36),
@@ -1395,6 +1396,8 @@ mod tests {
                 );
                 let metrics = node.read(object).unwrap();
                 proptest::prop_assert_eq!(metrics.cache_hits, 9, "{:?} {:?}", object, split);
+                // A whole entry holds the data chunks: no decode.
+                proptest::prop_assert!(!metrics.decoded, "{:?} {:?}", object, split);
                 proptest::prop_assert_eq!(
                     metrics.latency,
                     settings.client_overhead + options.expected_latency(split.0, split.1),

@@ -86,9 +86,6 @@ pub struct DecodeReport {
     /// Bytes run through the GF multiply kernel (coefficient ≥ 2).
     /// Zero on the systematic path by construction.
     pub gf_multiply_bytes: u64,
-    /// Object-sized scratch buffers allocated: 1 on every path except
-    /// the `k = 1` systematic case, which returns a zero-copy slice.
-    pub allocations: u32,
 }
 
 /// A systematic Reed-Solomon codec for fixed `(k, m)`.
@@ -309,7 +306,6 @@ impl ReedSolomon {
                 }
             })
         };
-        report.allocations = 1;
         Ok((Bytes::from(object), report))
     }
 }
@@ -707,7 +703,6 @@ mod tests {
         assert_eq!(back.as_ref(), object.as_slice());
         assert!(report.systematic_fast_path);
         assert_eq!(report.gf_multiply_bytes, 0, "systematic read multiplied");
-        assert_eq!(report.allocations, 1);
         assert!(!report.plan_cache_hit);
         assert_eq!(cached_plans(&rs), 0, "no inversion should run");
     }
@@ -719,7 +714,7 @@ mod tests {
         let opts = present(&rs.encode_object(&object).unwrap());
         let (back, report) = rs.reconstruct_object_report(&opts, object.len()).unwrap();
         assert_eq!(back.as_ref(), object.as_slice());
-        assert_eq!(report.allocations, 0);
+        assert!(report.systematic_fast_path);
         // The returned object aliases the data shard's buffer.
         assert_eq!(
             back.as_ref().as_ptr(),
@@ -835,8 +830,6 @@ mod tests {
             if report.systematic_fast_path {
                 assert_eq!(report.gf_multiply_bytes, 0, "{case}");
             }
-            let expected_allocations = u32::from(k > 1 || !report.systematic_fast_path);
-            assert_eq!(report.allocations, expected_allocations, "{case}");
             degraded += usize::from(!report.systematic_fast_path);
         }
         assert_eq!(cached_plans(&rs), degraded, "one plan per degraded pattern");

@@ -172,7 +172,6 @@ proptest! {
         prop_assert!(!cold_report.plan_cache_hit);
         if cold_report.systematic_fast_path {
             prop_assert_eq!(cold_report.gf_multiply_bytes, 0);
-            prop_assert!(cold_report.allocations <= 1);
         }
 
         // Warm decode: the same erasure pattern again must hit the

@@ -139,11 +139,13 @@ fn node_surface(base: &str) -> Vec<String> {
 }
 
 /// Compares both renderings of `registry` with their checked-in copies
-/// `tests/data/metrics_surface/{name}.prom` and `{name}.json`. On a
-/// mismatch the rendering is written under the test target's scratch
-/// directory, so a deliberate change is one `cp` away.
+/// `tests/data/metrics_surface/{name}.prom` and `{name}.json`. Every
+/// rendering that differs is written under the test target's scratch
+/// directory before the test fails, naming each, so a deliberate change
+/// is one run and one `cp` away.
 fn assert_pinned(name: &str, registry: &MetricsRegistry) {
     let pinned = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/metrics_surface");
+    let mut moved = Vec::new();
     for (extension, actual) in [
         ("prom", registry.render_prometheus()),
         ("json", registry.render_json()),
@@ -153,13 +155,15 @@ fn assert_pinned(name: &str, registry: &MetricsRegistry) {
         if actual != expected {
             let rendered = Path::new(env!("CARGO_TARGET_TMPDIR")).join(&file);
             std::fs::write(&rendered, &actual).unwrap();
-            panic!(
-                "{file} differs from {}; this run's rendering is {}",
-                pinned.display(),
-                rendered.display()
-            );
+            moved.push(format!("{file} (this run's: {})", rendered.display()));
         }
     }
+    assert!(
+        moved.is_empty(),
+        "differ from {}: {}",
+        pinned.display(),
+        moved.join(", ")
+    );
 }
 
 fn warm(read: impl Fn(ObjectId)) {

@@ -76,7 +76,12 @@ fn solve(rng: &mut StdRng, epoch: u64) -> (CacheConfiguration, u32) {
     let ram_budget = rng.random_range(0..30u32);
     let disk_budget = [0, rng.random_range(1..60u32)][rng.random_range(0..2usize)];
     let (ram, disk) = optimum_tiered(&options, ram_budget, disk_budget);
-    let config = CacheConfiguration::from_tiered(&ram, &disk, epoch);
+    let config = CacheConfiguration::from_tiered(
+        &ram,
+        &disk,
+        CodingParams::paper_default().data_chunks(),
+        epoch,
+    );
     let room = disk_budget - config.disk_chunks();
     (config, room)
 }
