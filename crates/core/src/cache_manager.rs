@@ -49,9 +49,6 @@ use agar_store::{Backend, ObjectManifest};
 /// a disk budget carries nothing and neither does one whose solve fills
 /// the disk.
 ///
-/// Whole entries hold the code's data chunks
-/// ([`CacheConfiguration::from_tiered`], with the backend's `k`).
-///
 /// The configuration is tagged with the monitor's epoch. Returns the
 /// empty configuration when neither the monitor nor `previous` names a
 /// stored object (or capacity fits no chunk).

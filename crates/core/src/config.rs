@@ -36,7 +36,7 @@ use std::collections::HashMap;
 
 /// One object's configured chunks: the RAM-tier ones first, the
 /// disk-tier ones from `split` on.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 struct Entry {
     chunks: Vec<u8>,
     split: usize,
@@ -125,14 +125,9 @@ impl CacheConfiguration {
     /// allocation left). An empty disk allocation leaves every chunk
     /// RAM-tier.
     ///
-    /// An entry of exactly `k` chunks — a **whole** object under a code
-    /// with `k` data chunks — names the `k` data chunks: each parity
-    /// chunk the options picked is swapped, in its place and so in its
-    /// tier, for a data chunk the entry left out. The options' chunk lists are the paper's (the k
-    /// most distant used chunks); for a whole object which k chunks it
-    /// holds is free under the read's pricing, which counts RAM and
-    /// disk hits, not chunk indices, and the data chunks let its reads
-    /// skip the decode.
+    /// An entry of exactly `k` chunks, a whole object, names the data
+    /// chunks `0..k`, each parity chunk swapped in its place and tier
+    /// (see the module docs).
     pub fn from_tiered(ram: &Config, disk: &Config, k: usize, epoch: u64) -> Self {
         let disk_of: HashMap<ObjectId, &[u8]> = disk
             .options()
@@ -584,11 +579,11 @@ mod tests {
             let chunks = config.chunks_for(object);
             assert_eq!(chunks.len(), solve.len(), "{case}");
             assert_eq!(config.ram_chunks(), ram_budget, "{case}");
-            for (&chunk, &(solved, tier)) in chunks.iter().zip(&solve) {
+            for (&chunk, &(picked, tier)) in chunks.iter().zip(&solve) {
                 let id = ChunkId::new(object, chunk);
                 assert_eq!(config.tier_for(id), Some(tier), "{case}: {chunk}");
-                if !whole || usize::from(solved) < k {
-                    assert_eq!(chunk, solved, "{case}");
+                if !whole || usize::from(picked) < k {
+                    assert_eq!(chunk, picked, "{case}");
                 } else {
                     assert!(usize::from(chunk) < k, "{case}: {chunk}");
                     assert!(solve.iter().all(|&(c, _)| c != chunk), "{case}: {chunk}");
